@@ -41,6 +41,7 @@
 //! ```
 
 use crate::buffer::{BufferError, DeviceBuffer, TransferStats};
+use crate::recipes::Temps;
 use crate::run::{Rpu, RunReport};
 use crate::session::{CacheStats, PrimeTable, RpuSession};
 use crate::snapshot::{self, SnapshotError};
@@ -107,6 +108,10 @@ pub type LaneJob<'j, T> =
 pub struct LaneWorker<'l, 'a> {
     index: usize,
     lane: &'l mut Lane<'a>,
+    /// The cluster's placement map when the lane is driven synchronously
+    /// ([`RpuCluster::lane`]); pool workers run concurrently and leave
+    /// placement to the heap probe in [`RpuCluster::locate`].
+    owners: Option<&'l mut HashMap<u64, usize>>,
 }
 
 impl<'l, 'a> LaneWorker<'l, 'a> {
@@ -141,6 +146,7 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     pub fn upload(&mut self, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
         let buf = self.lane.session.upload(data)?;
         self.lane.transfer.host_to_device += data.len();
+        self.track(buf);
         Ok(buf)
     }
 
@@ -150,7 +156,9 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     ///
     /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
     pub fn alloc(&mut self, len: usize) -> Result<DeviceBuffer, RpuError> {
-        self.lane.session.alloc(len)
+        let buf = self.lane.session.alloc(len)?;
+        self.track(buf);
+        Ok(buf)
     }
 
     /// Downloads a lane-local buffer, with accounting.
@@ -170,7 +178,11 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     ///
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn free(&mut self, buf: DeviceBuffer) -> Result<(), RpuError> {
-        self.lane.session.free(buf)
+        self.lane.session.free(buf)?;
+        if let Some(owners) = self.owners.as_mut() {
+            owners.remove(&buf.id());
+        }
+        Ok(())
     }
 
     /// Dispatches a compiled kernel over this lane's resident buffers,
@@ -191,6 +203,13 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
         Ok(report)
     }
 
+    /// Records a fresh buffer in the placement map, if this worker keeps it.
+    fn track(&mut self, buf: DeviceBuffer) {
+        if let Some(owners) = self.owners.as_mut() {
+            owners.insert(buf.id(), self.index);
+        }
+    }
+
     /// Uploads, dispatches the tower's fused convolution, downloads, and
     /// frees — one complete tower job, entirely lane-local.
     fn run_tower(
@@ -202,22 +221,16 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
         style: CodegenStyle,
     ) -> Result<Vec<u128>, RpuError> {
         let kernel = self.compile(&ConvolutionSpec::new(n, q, style))?;
-        let mut held: Vec<DeviceBuffer> = Vec::with_capacity(3);
+        let mut t = Temps::default();
         let result = (|| {
-            let da = self.upload(a)?;
-            held.push(da);
-            let db = self.upload(b)?;
-            held.push(db);
-            let dc = self.alloc(n)?;
-            held.push(dc);
+            let da = t.hold(self.upload(a)?);
+            let db = t.hold(self.upload(b)?);
+            let dc = t.hold(self.alloc(n)?);
             self.dispatch(&kernel, &[da, db], &[dc])?;
             self.download(&dc)
         })();
         // Tower buffers never outlive the job, success or not.
-        for buf in held {
-            let _ = self.lane.session.free(buf);
-        }
-        result
+        t.settle(result, |_| [], |buf| self.free(buf))
     }
 }
 
@@ -642,6 +655,22 @@ impl<'a> RpuCluster<'a> {
         &mut self.lanes[lane].session
     }
 
+    /// Drives `lane` synchronously from the calling thread: the same
+    /// [`LaneWorker`] surface (and accounting) a pool job gets, plus
+    /// placement-map upkeep for every buffer it creates or frees. The
+    /// cluster's own per-lane methods are thin calls through it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane(&mut self, lane: usize) -> LaneWorker<'_, 'a> {
+        LaneWorker {
+            index: lane,
+            lane: &mut self.lanes[lane],
+            owners: Some(&mut self.owners),
+        }
+    }
+
     /// The lane a cluster-tracked buffer lives on, probing the lane
     /// heaps for untracked (session-created) handles.
     pub fn locate(&self, buf: &DeviceBuffer) -> Option<usize> {
@@ -682,9 +711,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn alloc_on(&mut self, lane: usize, len: usize) -> Result<DeviceBuffer, RpuError> {
-        let buf = self.lanes[lane].session.alloc(len)?;
-        self.owners.insert(buf.id(), lane);
-        Ok(buf)
+        self.lane(lane).alloc(len)
     }
 
     /// Uploads `data` into a fresh buffer on `lane`.
@@ -697,11 +724,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn upload_to(&mut self, lane: usize, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
-        let l = &mut self.lanes[lane];
-        let buf = l.session.upload(data)?;
-        l.transfer.host_to_device += data.len();
-        self.owners.insert(buf.id(), lane);
-        Ok(buf)
+        self.lane(lane).upload(data)
     }
 
     /// Downloads a buffer from whichever lane owns it.
@@ -713,10 +736,7 @@ impl<'a> RpuCluster<'a> {
         let lane = self
             .locate(buf)
             .ok_or(RpuError::Buffer(BufferError::StaleHandle { id: buf.id() }))?;
-        let l = &mut self.lanes[lane];
-        let data = l.session.download(buf)?;
-        l.transfer.device_to_host += data.len();
-        Ok(data)
+        self.lane(lane).download(buf)
     }
 
     /// Frees a buffer on whichever lane owns it.
@@ -729,9 +749,7 @@ impl<'a> RpuCluster<'a> {
         let lane = self
             .locate(&buf)
             .ok_or(RpuError::Buffer(BufferError::StaleHandle { id: buf.id() }))?;
-        self.lanes[lane].session.free(buf)?;
-        self.owners.remove(&buf.id());
-        Ok(())
+        self.lane(lane).free(buf)
     }
 
     /// Moves a buffer to another lane through the host link (lanes share
@@ -805,7 +823,7 @@ impl<'a> RpuCluster<'a> {
         lane: usize,
         spec: &S,
     ) -> Result<Arc<Kernel>, RpuError> {
-        self.lanes[lane].session.compile(spec)
+        self.lane(lane).compile(spec)
     }
 
     /// Dispatches a compiled kernel on `lane` over that lane's resident
@@ -829,10 +847,7 @@ impl<'a> RpuCluster<'a> {
     ) -> Result<RunReport, RpuError> {
         self.check_residency(lane, inputs)?;
         self.check_residency(lane, outputs)?;
-        let l = &mut self.lanes[lane];
-        let report = l.session.dispatch(kernel, inputs, outputs)?;
-        l.account(&report);
-        Ok(report)
+        self.lane(lane).dispatch(kernel, inputs, outputs)
     }
 
     /// One lane's lifetime accounting.
@@ -865,6 +880,15 @@ impl<'a> RpuCluster<'a> {
     /// Panics if `lane` is out of range.
     pub fn cache_stats(&self, lane: usize) -> CacheStats {
         self.lanes[lane].session.cache_stats()
+    }
+
+    /// Live device buffers on `lane` — what the lane is holding.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn live_buffers(&self, lane: usize) -> usize {
+        self.lanes[lane].session.live_buffers()
     }
 
     /// The busiest lane's total simulated time, in microseconds — the
@@ -1008,7 +1032,11 @@ impl<'a> RpuCluster<'a> {
             for (index, lane) in self.lanes.iter_mut().enumerate() {
                 scope.spawn(move || {
                     start.wait();
-                    let mut worker = LaneWorker { index, lane };
+                    let mut worker = LaneWorker {
+                        index,
+                        lane,
+                        owners: None,
+                    };
                     while let Some(job) = pool.next_job(index) {
                         // No lock is held across the job, and a panic is
                         // caught right here on the worker thread — so a

@@ -1,63 +1,48 @@
-//! Leveled RNS ciphertext pipelines executed end-to-end on the RPU —
-//! depth-`L` homomorphic evaluation over device-resident tower buffers.
+//! [`LeveledEvaluator`]: leveled RNS ciphertexts on an [`RpuCluster`],
+//! placed by *tower* — depth-`L` homomorphic evaluation over
+//! device-resident tower buffers.
 //!
-//! [`LeveledEvaluator`] extends the single-modulus [`crate::RlweEvaluator`]
-//! to a [`ModulusChain`]: a leveled ciphertext is `2·(level + 1)` ring
-//! elements — mask and payload towers, one pair per live chain prime —
-//! and every tower is independent work, so the evaluator shards them
-//! round-robin across the cluster (`tower l` on `lane l % lanes`). All
-//! per-tower kernel shapes (forward/inverse NTT, the three pointwise
-//! ops, the fused key-switch digit program) are compiled and
-//! golden-verified once per tower at construction; the fused rescale
-//! kernel ([`RescaleSpec`]) is compiled lazily per `(dropped level,
-//! surviving tower)` pair, since its identity includes the dropped prime.
+//! A leveled ciphertext is `2·(level + 1)` ring elements — mask and
+//! payload towers, one pair per live prime of the [`ModulusChain`] — and
+//! every tower runs the same lane-local [`crate::recipes`] as the
+//! single-modulus front ends (encrypt, phase, tensor cross terms, gadget
+//! digit), each with its own modulus' kernel set. This module owns only
+//! what is specific to the leveled front end:
+//!
+//! * **placement** — tower `l` lives on lane `l % lanes`, with the six
+//!   recipe kernels compiled there once per tower at construction;
+//! * **the cross-tower digit loop** — relinearization decomposes each
+//!   `c2` source tower on the host and folds every digit into *every*
+//!   live tower's accumulators, uploading it once per lane
+//!   ([`DeviceLeveledRelinKey`] holds tower `k`'s share of each source
+//!   tower's key on tower `k`'s lane);
+//! * **rescale** — the dropped tower comes back to the host for the
+//!   exact rounding correction `δ`
+//!   ([`LeveledContext::rescale_correction`]) and each surviving tower
+//!   runs one fused `(ĉ − NTT(δ))·p⁻¹` dispatch ([`RescaleSpec`],
+//!   compiled lazily per `(dropped level, surviving tower)` since its
+//!   identity includes the dropped prime);
+//! * level alignment, mod-drop, and the per-ciphertext [`NoiseBudget`].
 //!
 //! The dataflow mirrors the host oracle [`LeveledContext`] *exactly* —
 //! the same pinned randomness streams, the same rounding corrections —
 //! so downloaded device ciphertexts equal host ciphertexts bit-for-bit
 //! at every step, on any lane count (`tests/tests/leveled.rs` pins this
-//! at 1, 2, and 4 lanes):
-//!
-//! * `encrypt` — masks and payloads are sampled on the host (the stream
-//!   [`LeveledContext::encrypt`] draws), then `b̂_l = â_l ⊙ ŝ_l ⊕ p̂_l`
-//!   runs on each tower's lane;
-//! * `add` / `sub` — one pointwise dispatch per component tower, with
-//!   automatic level alignment (deeper operands use only their prefix
-//!   towers);
-//! * `mul` — per-tower degree-2 tensor, then RNS relinearization: the
-//!   `c2` towers come back to the host for gadget decomposition and the
-//!   digit products run as fused key-switch dispatches against resident
-//!   key material on every live tower's lane;
-//! * `rescale` — the dropped tower is inverse-transformed and
-//!   downloaded, the host derives the exact rounding correction `δ`
-//!   ([`LeveledContext::rescale_correction`]), and each surviving tower
-//!   runs one fused `(ĉ − NTT(δ))·p⁻¹` dispatch;
-//! * `decrypt` / `measure_noise` — per-tower phase `b̂_l ⊖ â_l·ŝ_l`
-//!   on-device, with only the phase coefficients downloaded for the
-//!   host's CRT decode (or noise measurement).
-//!
-//! Every ciphertext carries its [`NoiseBudget`]; the tracker's
-//! conservative estimate is validated against
-//! [`measure_noise`](LeveledEvaluator::measure_noise) in the property
-//! suite.
+//! at 1, 2, and 4 lanes).
 
 use crate::buffer::DeviceBuffer;
-use crate::lanes::RpuCluster;
-use crate::run::{Rpu, RunReport};
+use crate::lanes::{LaneWorker, RpuCluster};
+use crate::recipes::{self, LaneKernels, LaneKsk, Temps};
+use crate::run::Rpu;
 use crate::RpuError;
 use rpu_arith::{gadget_decompose, ModulusChain};
-use rpu_codegen::{
-    CodegenStyle, Direction, ElementwiseOp, ElementwiseSpec, Kernel, KeySwitchSpec, NttSpec,
-    RescaleSpec,
+use rpu_codegen::{CodegenStyle, Kernel, RescaleSpec};
+use rpu_ntt::leveled::{
+    LeveledCiphertext, LeveledContext, LeveledError, LeveledRelinKey, LeveledSecretKey, NoiseBudget,
 };
-use rpu_ntt::leveled::{LeveledCiphertext, LeveledContext, LeveledSecretKey, NoiseBudget};
 use rpu_ntt::rlwe::Splitmix;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Default gadget digit base (`B = 2^16`) for leveled relinearization
-/// keys — the same default as the single-modulus evaluator.
-const DEFAULT_KSK_BASE_LOG: u32 = 16;
 
 /// A leveled RNS ciphertext resident on the cluster: per live tower
 /// `l ≤ level`, the evaluation-form mask `â_l` and payload `b̂_l` on
@@ -90,85 +75,48 @@ impl DeviceLeveledCiphertext {
     pub fn noise(&self) -> NoiseBudget {
         self.noise
     }
+
+    /// Every tower handle, masks then payloads.
+    fn handles(&self) -> Vec<DeviceBuffer> {
+        [&self.a[..], &self.b[..]].concat()
+    }
 }
 
 /// Leveled relinearization key material resident on the cluster: for
-/// each source tower `i` and gadget digit `j`, the full-RNS pair
-/// `(â_{ij}, b̂_{ij})` with tower `k`'s polynomials on tower `k`'s lane.
-/// Mod-dropping the key is implicit — a key switch at `level` simply
-/// never touches towers above it.
-#[derive(Debug)]
+/// each source tower `i`, tower `k`'s share of the full-RNS key — the
+/// digit-indexed `(â_{ij,k}, b̂_{ij,k})` pairs of a [`LaneKsk`] — on
+/// tower `k`'s lane. Mod-dropping the key is implicit — a key switch at
+/// `level` simply never touches towers above it.
+#[derive(Debug, Clone)]
 pub struct DeviceLeveledRelinKey {
-    base_log: u32,
-    /// `parts[i][j] = (a, b)`, each a per-tower buffer vector.
-    parts: Vec<Vec<(Vec<DeviceBuffer>, Vec<DeviceBuffer>)>>,
+    /// `keys[i][k]`: source tower `i`'s digits, tower `k`'s polynomials.
+    keys: Vec<Vec<LaneKsk>>,
 }
 
 impl DeviceLeveledRelinKey {
     /// The digit base exponent `log2(B)`.
     pub fn base_log(&self) -> u32 {
-        self.base_log
+        self.keys[0][0].base_log()
     }
 
     /// Total digit products `Σ_{i ≤ level} ℓ_i` a key switch at `level`
     /// performs — the `parts` factor of the noise model.
     pub fn parts_at_level(&self, level: usize) -> usize {
-        self.parts[..=level].iter().map(Vec::len).sum()
+        self.keys[..=level].iter().map(|k| k[0].levels()).sum()
     }
 
     /// Total resident elements this key occupies across all lanes.
     pub fn resident_elements(&self) -> usize {
-        self.all_handles().iter().map(DeviceBuffer::len).sum()
+        self.handles().map(|buf| buf.len()).sum()
     }
 
-    /// Every handle of the key, for bulk release.
-    fn all_handles(&self) -> Vec<DeviceBuffer> {
-        self.parts
-            .iter()
-            .flatten()
-            .flat_map(|(a, b)| a.iter().chain(b.iter()).copied())
-            .collect()
+    fn handles(&self) -> impl Iterator<Item = DeviceBuffer> + '_ {
+        self.keys.iter().flatten().flat_map(LaneKsk::handles)
     }
 }
 
-/// The compiled kernel shapes of one chain tower (modulus `q_l`),
-/// dispatched on that tower's lane.
-#[derive(Debug)]
-struct TowerKernels {
-    fwd: Arc<Kernel>,
-    inv: Arc<Kernel>,
-    pwmul: Arc<Kernel>,
-    pwadd: Arc<Kernel>,
-    pwsub: Arc<Kernel>,
-    ksw: Arc<Kernel>,
-}
-
-impl TowerKernels {
-    fn compile(
-        cluster: &mut RpuCluster<'_>,
-        lane: usize,
-        n: usize,
-        q: u128,
-        style: CodegenStyle,
-    ) -> Result<Self, RpuError> {
-        Ok(TowerKernels {
-            fwd: cluster.compile_on(lane, &NttSpec::new(n, q, Direction::Forward, style))?,
-            inv: cluster.compile_on(lane, &NttSpec::new(n, q, Direction::Inverse, style))?,
-            pwmul: cluster.compile_on(
-                lane,
-                &ElementwiseSpec::new(ElementwiseOp::MulMod, n, q, style),
-            )?,
-            pwadd: cluster.compile_on(
-                lane,
-                &ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, style),
-            )?,
-            pwsub: cluster.compile_on(
-                lane,
-                &ElementwiseSpec::new(ElementwiseOp::SubMod, n, q, style),
-            )?,
-            ksw: cluster.compile_on(lane, &KeySwitchSpec::new(n, q, style))?,
-        })
-    }
+fn no_key(what: &str, call: &str) -> RpuError {
+    RpuError::Config(format!("no {what}: call LeveledEvaluator::{call} first"))
 }
 
 /// Runs leveled RNS ciphertext operations as chains of kernel
@@ -180,8 +128,8 @@ pub struct LeveledEvaluator<'a> {
     cluster: RpuCluster<'a>,
     ctx: LeveledContext,
     style: CodegenStyle,
-    /// Per-tower compiled kernels (index = tower = chain level).
-    kernels: Vec<TowerKernels>,
+    /// Per-tower recipe kernels (index = tower = chain level).
+    kernels: Vec<LaneKernels>,
     /// Fused rescale kernels by `(dropped level, surviving tower)`.
     rescale_kernels: HashMap<(usize, usize), Arc<Kernel>>,
     /// The secret key in evaluation form, one resident buffer per tower.
@@ -190,8 +138,6 @@ pub struct LeveledEvaluator<'a> {
     host_sk: Option<LeveledSecretKey>,
     ksk_base_log: u32,
     relin: Option<DeviceLeveledRelinKey>,
-    dispatches: u64,
-    simulated_us: f64,
 }
 
 impl<'a> LeveledEvaluator<'a> {
@@ -206,9 +152,11 @@ impl<'a> LeveledEvaluator<'a> {
     pub fn new(rpu: &'a Rpu, ctx: LeveledContext, style: CodegenStyle) -> Result<Self, RpuError> {
         let mut cluster = rpu.cluster();
         let lanes = cluster.lane_count();
-        let n = ctx.n();
         let kernels = (0..ctx.chain().levels())
-            .map(|l| TowerKernels::compile(&mut cluster, l % lanes, n, ctx.chain().prime(l), style))
+            .map(|l| {
+                let mut w = cluster.lane(l % lanes);
+                LaneKernels::compile(&mut w, ctx.n(), ctx.chain().prime(l), style)
+            })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(LeveledEvaluator {
             cluster,
@@ -218,10 +166,8 @@ impl<'a> LeveledEvaluator<'a> {
             rescale_kernels: HashMap::new(),
             sk: Vec::new(),
             host_sk: None,
-            ksk_base_log: DEFAULT_KSK_BASE_LOG,
+            ksk_base_log: recipes::DEFAULT_KSK_BASE_LOG,
             relin: None,
-            dispatches: 0,
-            simulated_us: 0.0,
         })
     }
 
@@ -247,13 +193,13 @@ impl<'a> LeveledEvaluator<'a> {
 
     /// Kernels dispatched so far, across every lane.
     pub fn dispatch_count(&self) -> u64 {
-        self.dispatches
+        self.cluster.total_dispatches()
     }
 
     /// Total simulated on-RPU time of every dispatch, in microseconds —
     /// the sequential-equivalent cost.
     pub fn simulated_us(&self) -> f64 {
-        self.simulated_us
+        self.cluster.total_busy_us()
     }
 
     /// The busiest lane's simulated time, in microseconds — the
@@ -296,77 +242,29 @@ impl<'a> LeveledEvaluator<'a> {
         ct.noise.remaining(self.ctx.chain().log2_q(ct.level))
     }
 
-    /// One dispatch on `lane` with traffic accounting.
-    fn dispatch(
-        &mut self,
-        lane: usize,
-        kernel: &Arc<Kernel>,
-        inputs: &[DeviceBuffer],
-        outputs: &[DeviceBuffer],
-    ) -> Result<RunReport, RpuError> {
-        let report = self.cluster.dispatch_on(lane, kernel, inputs, outputs)?;
-        self.dispatches += 1;
-        self.simulated_us += report.runtime_us;
-        Ok(report)
-    }
-
-    /// Frees temporaries while unwinding an error path, then forwards
-    /// the error (the handles are known-live, so the frees cannot fail).
-    fn or_release<T>(
-        &mut self,
-        result: Result<T, RpuError>,
-        temps: &[DeviceBuffer],
-    ) -> Result<T, RpuError> {
-        if result.is_err() {
-            for buf in temps {
-                let _ = self.cluster.free(*buf);
-            }
-        }
-        result
-    }
-
-    /// Uploads coefficients to tower `l`'s lane and forward-transforms
-    /// them on-device, returning the evaluation-form resident buffer.
-    fn upload_eval(&mut self, l: usize, coeffs: &[u128]) -> Result<DeviceBuffer, RpuError> {
+    /// Tower `l`'s lane worker and kernel set, for one recipe call.
+    fn tower(&mut self, l: usize) -> (LaneWorker<'_, 'a>, &LaneKernels) {
         let lane = self.tower_lane(l);
-        let raw = self.cluster.upload_to(lane, coeffs)?;
-        let alloc = self.cluster.alloc_on(lane, coeffs.len());
-        let hat = self.or_release(alloc, &[raw])?;
-        let fwd = Arc::clone(&self.kernels[l].fwd);
-        let run = self.dispatch(lane, &fwd, &[raw], &[hat]).map(|_| ());
-        self.or_release(run, &[raw, hat])?;
-        self.cluster.free(raw)?;
-        Ok(hat)
+        (self.cluster.lane(lane), &self.kernels[l])
     }
 
-    /// Inverse-transforms tower `l`'s resident evaluation-form buffer
-    /// and downloads the natural-order coefficients.
-    fn download_coeffs(&mut self, l: usize, hat: &DeviceBuffer) -> Result<Vec<u128>, RpuError> {
-        let lane = self.tower_lane(l);
-        let tmp = self.cluster.alloc_on(lane, hat.len())?;
-        let inv = Arc::clone(&self.kernels[l].inv);
-        let run = self.dispatch(lane, &inv, &[*hat], &[tmp]).map(|_| ());
-        let coeffs = run.and_then(|()| self.cluster.download(&tmp));
-        let coeffs = self.or_release(coeffs, &[tmp])?;
-        self.cluster.free(tmp)?;
-        Ok(coeffs)
-    }
-
-    /// One pointwise dispatch `out = op(x, y)` into a fresh buffer on
-    /// tower `l`'s lane.
-    fn pointwise(
+    /// Builds a ciphertext tower by tower from `tower(self, l) →
+    /// (â_l, b̂_l)`; a failure frees the towers already built.
+    fn per_tower(
         &mut self,
-        l: usize,
-        kernel: &Arc<Kernel>,
-        x: &DeviceBuffer,
-        y: &DeviceBuffer,
-    ) -> Result<DeviceBuffer, RpuError> {
-        let lane = self.tower_lane(l);
-        let out = self.cluster.alloc_on(lane, x.len())?;
-        let kernel = Arc::clone(kernel);
-        let run = self.dispatch(lane, &kernel, &[*x, *y], &[out]).map(|_| ());
-        self.or_release(run, &[out])?;
-        Ok(out)
+        level: usize,
+        noise: NoiseBudget,
+        mut tower: impl FnMut(&mut Self, usize) -> Result<(DeviceBuffer, DeviceBuffer), RpuError>,
+    ) -> Result<DeviceLeveledCiphertext, RpuError> {
+        let mut t = Temps::default();
+        let towers = (0..=level)
+            .map(|l| tower(self, l).map(|(a, b)| (t.hold(a), t.hold(b))))
+            .collect::<Result<Vec<_>, _>>();
+        let ct = towers.map(|towers| {
+            let (a, b) = towers.into_iter().unzip();
+            DeviceLeveledCiphertext { level, a, b, noise }
+        });
+        t.settle(ct, |ct| ct.handles(), |buf| self.cluster.free(buf))
     }
 
     /// Samples a ternary secret key on the host (the stream
@@ -375,38 +273,42 @@ impl<'a> LeveledEvaluator<'a> {
     /// resident per tower lane. Returns the host-form key for
     /// cross-checking against the oracle.
     ///
+    /// Re-keying retires the previous key first — host copy, resident
+    /// towers, and the relinearization key derived from it — so a failed
+    /// upload leaves the evaluator keyless rather than half re-keyed.
+    ///
     /// # Errors
     ///
     /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
     pub fn keygen(&mut self, rng: &mut Splitmix) -> Result<LeveledSecretKey, RpuError> {
         let sk = self.ctx.keygen(rng);
+        self.host_sk = None;
         for old in std::mem::take(&mut self.sk) {
-            self.cluster.free(old)?;
+            let _ = self.cluster.free(old);
         }
-        // Key-switch material under the previous key is now useless.
         if let Some(old) = self.relin.take() {
-            self.release_device_key(old);
+            self.release_key(&old);
         }
-        let mut uploaded = Vec::with_capacity(self.kernels.len());
-        for l in 0..self.kernels.len() {
-            let r = self.upload_eval(l, &sk.s_coeffs(l));
-            let hat = self.or_release(r, &uploaded)?;
-            uploaded.push(hat);
-        }
-        self.sk = uploaded;
+        let mut t = Temps::default();
+        let uploaded = (0..self.kernels.len())
+            .map(|l| {
+                let (mut w, k) = self.tower(l);
+                Ok(t.hold(recipes::upload_eval(&mut w, k, &sk.s_coeffs(l))?))
+            })
+            .collect::<Result<Vec<_>, _>>();
+        self.sk = t.settle(uploaded, Vec::clone, |buf| self.cluster.free(buf))?;
         self.host_sk = Some(sk.clone());
         Ok(sk)
     }
 
     fn resident_key(&self, l: usize) -> Result<DeviceBuffer, RpuError> {
-        self.sk.get(l).copied().ok_or_else(|| {
-            RpuError::Config("no resident secret key: call LeveledEvaluator::keygen first".into())
-        })
+        let sk = self.sk.get(l).copied();
+        sk.ok_or_else(|| no_key("resident secret key", "keygen"))
     }
 
     /// Best-effort release of a whole device key.
-    fn release_device_key(&mut self, key: DeviceLeveledRelinKey) {
-        for buf in key.all_handles() {
+    fn release_key(&mut self, key: &DeviceLeveledRelinKey) {
+        for buf in key.handles() {
             let _ = self.cluster.free(buf);
         }
     }
@@ -429,45 +331,13 @@ impl<'a> LeveledEvaluator<'a> {
         message: &[u128],
         rng: &mut Splitmix,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        self.resident_key(self.kernels.len() - 1)?;
+        self.resident_key(self.ctx.max_level())?;
         let (masks, payloads) = self.ctx.sample_mask_and_payload(message, rng);
-        let mut temps: Vec<DeviceBuffer> = Vec::new();
-        let mut a = Vec::with_capacity(self.kernels.len());
-        let mut b = Vec::with_capacity(self.kernels.len());
-        for (l, (mask, payload)) in masks.into_iter().zip(payloads).enumerate() {
-            let sk = self.sk[l];
-            let a_hat = {
-                let r = self.upload_eval(l, &mask);
-                self.or_release(r, &temps)?
-            };
-            temps.push(a_hat);
-            let p_hat = {
-                let r = self.upload_eval(l, &payload);
-                self.or_release(r, &temps)?
-            };
-            temps.push(p_hat);
-            let b_hat = {
-                let pwmul = Arc::clone(&self.kernels[l].pwmul);
-                let r = self.pointwise(l, &pwmul, &a_hat, &sk); // â ⊙ ŝ
-                self.or_release(r, &temps)?
-            };
-            temps.push(b_hat);
-            let add = Arc::clone(&self.kernels[l].pwadd);
-            let lane = self.tower_lane(l);
-            let r = self
-                .dispatch(lane, &add, &[b_hat, p_hat], &[b_hat]) // ⊕ payload̂
-                .map(|_| ());
-            self.or_release(r, &temps)?;
-            self.cluster.free(p_hat)?;
-            temps.retain(|t| *t != p_hat);
-            a.push(a_hat);
-            b.push(b_hat);
-        }
-        Ok(DeviceLeveledCiphertext {
-            level: self.ctx.max_level(),
-            a,
-            b,
-            noise: NoiseBudget::fresh(self.ctx.chain().t()),
+        let noise = NoiseBudget::fresh(self.ctx.chain().t());
+        self.per_tower(self.ctx.max_level(), noise, |ev, l| {
+            let sk = ev.sk[l];
+            let (mut w, k) = ev.tower(l);
+            recipes::encrypt(&mut w, k, sk, &masks[l], &payloads[l])
         })
     }
 
@@ -483,7 +353,7 @@ impl<'a> LeveledEvaluator<'a> {
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        self.add_sub(x, y, false)
+        self.add_sub(x, y, |k| &k.pwadd)
     }
 
     /// Homomorphic subtraction with automatic level alignment.
@@ -497,43 +367,19 @@ impl<'a> LeveledEvaluator<'a> {
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        self.add_sub(x, y, true)
+        self.add_sub(x, y, |k| &k.pwsub)
     }
 
     fn add_sub(
         &mut self,
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
-        subtract: bool,
+        pick: fn(&LaneKernels) -> &Arc<Kernel>,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        let level = x.level.min(y.level);
-        let mut temps: Vec<DeviceBuffer> = Vec::new();
-        let mut a = Vec::with_capacity(level + 1);
-        let mut b = Vec::with_capacity(level + 1);
-        for l in 0..=level {
-            let kernel = if subtract {
-                Arc::clone(&self.kernels[l].pwsub)
-            } else {
-                Arc::clone(&self.kernels[l].pwadd)
-            };
-            let a_l = {
-                let r = self.pointwise(l, &kernel, &x.a[l], &y.a[l]);
-                self.or_release(r, &temps)?
-            };
-            temps.push(a_l);
-            let b_l = {
-                let r = self.pointwise(l, &kernel, &x.b[l], &y.b[l]);
-                self.or_release(r, &temps)?
-            };
-            temps.push(b_l);
-            a.push(a_l);
-            b.push(b_l);
-        }
-        Ok(DeviceLeveledCiphertext {
-            level,
-            a,
-            b,
-            noise: x.noise.after_add(y.noise),
+        let noise = x.noise.after_add(y.noise);
+        self.per_tower(x.level.min(y.level), noise, |ev, l| {
+            let (mut w, k) = ev.tower(l);
+            recipes::pointwise_pair(&mut w, pick(k), (x.a[l], x.b[l]), (y.a[l], y.b[l]))
         })
     }
 
@@ -552,12 +398,9 @@ impl<'a> LeveledEvaluator<'a> {
         level: usize,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
         if level > ct.level {
-            let requested = level;
-            let max = ct.level;
+            let (requested, max) = (level, ct.level);
             self.free_ciphertext(ct)?;
-            return Err(RpuError::Leveled(
-                rpu_ntt::leveled::LeveledError::LevelTooHigh { requested, max },
-            ));
+            return Err(LeveledError::LevelTooHigh { requested, max }.into());
         }
         for buf in ct.a.drain(level + 1..).chain(ct.b.drain(level + 1..)) {
             self.cluster.free(buf)?;
@@ -573,14 +416,9 @@ impl<'a> LeveledEvaluator<'a> {
         if let Some(k) = self.rescale_kernels.get(&(level, i)) {
             return Ok(Arc::clone(k));
         }
-        let spec = RescaleSpec::new(
-            self.ctx.n(),
-            self.ctx.chain().prime(i),
-            self.ctx.chain().prime(level),
-            self.style,
-        );
-        let lane = self.tower_lane(i);
-        let kernel = self.cluster.compile_on(lane, &spec)?;
+        let chain = self.ctx.chain();
+        let spec = RescaleSpec::new(self.ctx.n(), chain.prime(i), chain.prime(level), self.style);
+        let kernel = self.cluster.compile_on(self.tower_lane(i), &spec)?;
         self.rescale_kernels.insert((level, i), Arc::clone(&kernel));
         Ok(kernel)
     }
@@ -601,57 +439,36 @@ impl<'a> LeveledEvaluator<'a> {
         &mut self,
         ct: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        if ct.level == 0 {
-            return Err(RpuError::Leveled(
-                rpu_ntt::leveled::LeveledError::BottomLevel,
-            ));
-        }
         let level = ct.level;
-        let mut temps: Vec<DeviceBuffer> = Vec::new();
-        let mut out: Vec<Vec<DeviceBuffer>> = vec![Vec::new(), Vec::new()];
-        for (c, towers) in [&ct.a, &ct.b].into_iter().enumerate() {
-            let dropped = {
-                let r = self.download_coeffs(level, &towers[level]);
-                self.or_release(r, &temps)?
-            };
-            let delta = self.ctx.rescale_correction(level, &dropped);
-            for (i, delta_i) in delta.iter().enumerate() {
-                let kernel = {
-                    let r = self.rescale_kernel(level, i);
-                    self.or_release(r, &temps)?
-                };
-                let lane = self.tower_lane(i);
-                let d_buf = {
-                    let r = self.cluster.upload_to(lane, delta_i);
-                    self.or_release(r, &temps)?
-                };
-                temps.push(d_buf);
-                let scaled = {
-                    let r = self.cluster.alloc_on(lane, self.ctx.n());
-                    self.or_release(r, &temps)?
-                };
-                temps.push(scaled);
-                let r = self
-                    .dispatch(lane, &kernel, &[d_buf, towers[i]], &[scaled])
-                    .map(|_| ());
-                self.or_release(r, &temps)?;
-                self.cluster.free(d_buf)?;
-                temps.retain(|t| *t != d_buf);
-                out[c].push(scaled);
-            }
+        if level == 0 {
+            return Err(LeveledError::BottomLevel.into());
         }
-        let b = out.pop().expect("two components");
-        let a = out.pop().expect("two components");
-        Ok(DeviceLeveledCiphertext {
-            level: level - 1,
-            a,
-            b,
-            noise: ct.noise.after_rescale(
-                self.ctx.chain().prime(level),
-                self.ctx.n(),
-                self.ctx.chain().t(),
-            ),
-        })
+        let chain = self.ctx.chain();
+        let noise = ct
+            .noise
+            .after_rescale(chain.prime(level), self.ctx.n(), chain.t());
+        let mut t = Temps::default();
+        let scaled = (|| {
+            let mut scaled = [Vec::with_capacity(level), Vec::with_capacity(level)];
+            for (towers, out) in [&ct.a, &ct.b].into_iter().zip(&mut scaled) {
+                let (mut w, k) = self.tower(level);
+                let dropped = recipes::download_coeffs(&mut w, k, towers[level])?;
+                let delta = self.ctx.rescale_correction(level, &dropped);
+                for (i, delta_i) in delta.iter().enumerate() {
+                    let kernel = self.rescale_kernel(level, i)?;
+                    let mut w = self.cluster.lane(i % self.cluster.lane_count());
+                    let d = t.hold(w.upload(delta_i)?);
+                    let out_i = t.hold(w.alloc(delta_i.len())?);
+                    w.dispatch(&kernel, &[d, towers[i]], &[out_i])?;
+                    w.free(d)?;
+                    out.push(out_i);
+                }
+            }
+            let [a, b] = scaled;
+            let level = level - 1;
+            Ok(DeviceLeveledCiphertext { level, a, b, noise })
+        })();
+        t.settle(scaled, |ct| ct.handles(), |buf| self.cluster.free(buf))
     }
 
     /// Generates a leveled relinearization key — host-side gadget
@@ -666,40 +483,37 @@ impl<'a> LeveledEvaluator<'a> {
     /// [`keygen`](Self::keygen), or [`RpuError`] on heap exhaustion /
     /// dispatch failure during upload.
     pub fn relin_keygen(&mut self, rng: &mut Splitmix) -> Result<(), RpuError> {
-        let sk = self.host_sk.clone().ok_or_else(|| {
-            RpuError::Config("no resident secret key: call LeveledEvaluator::keygen first".into())
-        })?;
-        let rk = self.ctx.relin_keygen(&sk, rng, self.ksk_base_log);
-        let mut uploaded: Vec<DeviceBuffer> = Vec::new();
-        let result = (|| {
-            let mut parts = Vec::with_capacity(rk.parts().len());
-            for digits in rk.parts() {
-                let mut part_i = Vec::with_capacity(digits.len());
-                for (a_towers, b_towers) in digits {
-                    let mut a_dev = Vec::with_capacity(a_towers.len());
-                    let mut b_dev = Vec::with_capacity(b_towers.len());
-                    for (k, (a_k, b_k)) in a_towers.iter().zip(b_towers).enumerate() {
-                        let a = self.upload_eval(k, &a_k.coeffs())?;
-                        uploaded.push(a);
-                        a_dev.push(a);
-                        let b = self.upload_eval(k, &b_k.coeffs())?;
-                        uploaded.push(b);
-                        b_dev.push(b);
-                    }
-                    part_i.push((a_dev, b_dev));
-                }
-                parts.push(part_i);
-            }
-            Ok(DeviceLeveledRelinKey {
-                base_log: rk.base_log(),
-                parts,
-            })
-        })();
-        let dev = self.or_release(result, &uploaded)?;
-        if let Some(old) = self.relin.take() {
-            self.release_device_key(old);
+        let sk = self.host_sk.as_ref();
+        let sk = sk.ok_or_else(|| no_key("resident secret key", "keygen"))?;
+        let rk = self.ctx.relin_keygen(sk, rng, self.ksk_base_log);
+        let mut key = DeviceLeveledRelinKey { keys: Vec::new() };
+        if let Err(e) = self.upload_relin_key(&rk, &mut key) {
+            // Heap exhaustion must not strand the shares uploaded so far.
+            self.release_key(&key);
+            return Err(e);
         }
-        self.relin = Some(dev);
+        if let Some(old) = self.relin.replace(key) {
+            self.release_key(&old);
+        }
+        Ok(())
+    }
+
+    /// Uploads tower `k`'s share of every source tower's key to tower
+    /// `k`'s lane, appending to `key` as it goes.
+    fn upload_relin_key(
+        &mut self,
+        rk: &LeveledRelinKey,
+        key: &mut DeviceLeveledRelinKey,
+    ) -> Result<(), RpuError> {
+        for digits in rk.parts() {
+            key.keys.push(Vec::with_capacity(self.kernels.len()));
+            for k in 0..self.kernels.len() {
+                let (mut w, kernels) = self.tower(k);
+                let share = digits.iter().map(|(a, b)| (a[k].coeffs(), b[k].coeffs()));
+                let share = recipes::upload_ksk(&mut w, kernels, rk.base_log(), share)?;
+                key.keys.last_mut().expect("just pushed").push(share);
+            }
+        }
         Ok(())
     }
 
@@ -724,12 +538,7 @@ impl<'a> LeveledEvaluator<'a> {
     ///
     /// Returns [`RpuError::Config`] outside `[1, 64]`.
     pub fn set_key_base_log(&mut self, base_log: u32) -> Result<(), RpuError> {
-        if !(1..=64).contains(&base_log) {
-            return Err(RpuError::Config(format!(
-                "key-switch base_log must be in [1, 64], got {base_log}"
-            )));
-        }
-        self.ksk_base_log = base_log;
+        self.ksk_base_log = recipes::check_ksk_base_log(base_log)?;
         Ok(())
     }
 
@@ -755,132 +564,56 @@ impl<'a> LeveledEvaluator<'a> {
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        let relin = self.relin.as_ref().ok_or_else(|| {
-            RpuError::Config(
-                "no relinearization key: call LeveledEvaluator::relin_keygen first".into(),
-            )
-        })?;
-        let base_log = relin.base_log;
-        let digit_counts: Vec<usize> = relin.parts.iter().map(Vec::len).collect();
-        let key_parts: Vec<Vec<(Vec<DeviceBuffer>, Vec<DeviceBuffer>)>> = relin.parts.clone();
+        let relin = self.relin.clone();
+        let relin = relin.ok_or_else(|| no_key("relinearization key", "relin_keygen"))?;
         let level = x.level.min(y.level);
-        let parts_used = relin.parts_at_level(level);
-        let n = self.ctx.n();
-        let mut temps: Vec<DeviceBuffer> = Vec::new();
-        macro_rules! step {
-            ($e:expr) => {{
-                let r = $e;
-                self.or_release(r, &temps)?
-            }};
-        }
-
-        // Per-tower tensor; c2 comes back to coefficients for the
-        // host-side gadget decomposition.
-        let mut c0 = Vec::with_capacity(level + 1);
-        let mut c1 = Vec::with_capacity(level + 1);
-        let mut c2_coeffs = Vec::with_capacity(level + 1);
-        for l in 0..=level {
-            let pwmul = Arc::clone(&self.kernels[l].pwmul);
-            let pwadd = Arc::clone(&self.kernels[l].pwadd);
-            let c0_l = step!(self.pointwise(l, &pwmul, &x.b[l], &y.b[l]));
-            temps.push(c0_l);
-            c0.push(c0_l);
-            let t1 = step!(self.pointwise(l, &pwmul, &x.a[l], &y.b[l]));
-            temps.push(t1);
-            let t2 = step!(self.pointwise(l, &pwmul, &x.b[l], &y.a[l]));
-            temps.push(t2);
-            let c1_l = step!(self.pointwise(l, &pwadd, &t1, &t2));
-            temps.push(c1_l);
-            c1.push(c1_l);
-            for t in [t1, t2] {
-                self.cluster.free(t)?;
-                temps.retain(|b| *b != t);
+        let (n, lanes) = (self.ctx.n(), self.cluster.lane_count());
+        let parts = relin.parts_at_level(level);
+        let noise = x
+            .noise
+            .after_mul(y.noise, n, self.ctx.chain().t(), parts, relin.base_log());
+        let mut t = Temps::default();
+        let ct = (|| {
+            // Per-tower tensor; c2 comes back to coefficients for the
+            // host-side gadget decomposition.
+            let mut c10 = Vec::with_capacity(level + 1);
+            let mut c2_coeffs = Vec::with_capacity(level + 1);
+            for l in 0..=level {
+                let (mut w, k) = self.tower(l);
+                let c0 = t.hold(recipes::pointwise(&mut w, &k.pwmul, x.b[l], y.b[l])?);
+                let (xl, yl) = ((x.a[l], x.b[l]), (y.a[l], y.b[l]));
+                c10.push((t.hold(recipes::cross_terms(&mut w, k, xl, yl)?), c0));
+                let c2 = recipes::pointwise(&mut w, &k.pwmul, x.a[l], y.a[l])?;
+                let coeffs = recipes::download_coeffs(&mut w, k, c2);
+                w.free(c2)?;
+                c2_coeffs.push(coeffs?);
             }
-            let c2_l = step!(self.pointwise(l, &pwmul, &x.a[l], &y.a[l]));
-            temps.push(c2_l);
-            let coeffs = step!(self.download_coeffs(l, &c2_l));
-            self.cluster.free(c2_l)?;
-            temps.retain(|b| *b != c2_l);
-            c2_coeffs.push(coeffs);
-        }
-
-        // Key switch: zero accumulators per live tower, then one fused
-        // NTT-multiply-accumulate dispatch per (source tower, digit,
-        // live tower) against the resident key material.
-        let zeros = vec![0u128; n];
-        let mut acc_a = Vec::with_capacity(level + 1);
-        let mut acc_b = Vec::with_capacity(level + 1);
-        for k in 0..=level {
-            let lane = self.tower_lane(k);
-            let a = step!(self.cluster.upload_to(lane, &zeros));
-            temps.push(a);
-            acc_a.push(a);
-            let b = step!(self.cluster.upload_to(lane, &zeros));
-            temps.push(b);
-            acc_b.push(b);
-        }
-        for (i, src) in c2_coeffs.iter().enumerate() {
-            let digits = gadget_decompose(src, base_log, digit_counts[i]);
-            for (j, digit) in digits.into_iter().enumerate() {
-                // The digit is `< B`, valid in every tower — upload it
-                // once per distinct lane and share across that lane's
-                // towers.
-                let mut lane_digit: HashMap<usize, DeviceBuffer> = HashMap::new();
-                for k in 0..=level {
-                    let lane = self.tower_lane(k);
-                    let d = match lane_digit.get(&lane) {
-                        Some(d) => *d,
-                        None => {
-                            let d = step!(self.cluster.upload_to(lane, &digit));
-                            temps.push(d);
-                            lane_digit.insert(lane, d);
-                            d
-                        }
-                    };
-                    let ksw = Arc::clone(&self.kernels[k].ksw);
-                    let (ka, kb) = (&key_parts[i][j].0[k], &key_parts[i][j].1[k]);
-                    step!(self
-                        .dispatch(lane, &ksw, &[d, *ka, acc_a[k]], &[acc_a[k]])
-                        .map(|_| ()));
-                    step!(self
-                        .dispatch(lane, &ksw, &[d, *kb, acc_b[k]], &[acc_b[k]])
-                        .map(|_| ()));
-                }
-                for d in lane_digit.into_values() {
-                    self.cluster.free(d)?;
-                    temps.retain(|b| *b != d);
+            // Key switch: zero accumulators per live tower, then every
+            // digit of every source tower into every live tower.
+            let mut acc = Vec::with_capacity(level + 1);
+            for k in 0..=level {
+                let pair = recipes::accumulators(&mut self.tower(k).0, n)?;
+                acc.push((t.hold(pair.0), t.hold(pair.1)));
+            }
+            for (src, key) in c2_coeffs.iter().zip(&relin.keys) {
+                let digits = gadget_decompose(src, relin.base_log(), key[0].levels());
+                for (j, digit) in digits.iter().enumerate() {
+                    for lane in 0..lanes.min(level + 1) {
+                        let towers = (lane..=level).step_by(lanes);
+                        let targets =
+                            towers.map(|k| (&self.kernels[k].ksw, key[k].part(j), acc[k]));
+                        recipes::ksw_digit(&mut self.cluster.lane(lane), digit, targets)?;
+                    }
                 }
             }
-        }
-
-        // Combine: a = c1 + Σ d̂·â, b = c0 + Σ d̂·b̂, per tower.
-        let mut a = Vec::with_capacity(level + 1);
-        let mut b = Vec::with_capacity(level + 1);
-        for l in 0..=level {
-            let pwadd = Arc::clone(&self.kernels[l].pwadd);
-            let a_l = step!(self.pointwise(l, &pwadd, &c1[l], &acc_a[l]));
-            temps.push(a_l);
-            a.push(a_l);
-            let b_l = step!(self.pointwise(l, &pwadd, &c0[l], &acc_b[l]));
-            temps.push(b_l);
-            b.push(b_l);
-        }
-
-        // Success: everything except the result components goes back to
-        // the heap.
-        for buf in temps {
-            if !a.contains(&buf) && !b.contains(&buf) {
-                self.cluster.free(buf)?;
-            }
-        }
-        Ok(DeviceLeveledCiphertext {
-            level,
-            a,
-            b,
-            noise: x
-                .noise
-                .after_mul(y.noise, n, self.ctx.chain().t(), parts_used, base_log),
-        })
+            // Combine: a = c1 + Σ d̂·â, b = c0 + Σ d̂·b̂, per tower.
+            self.per_tower(level, noise, |ev, l| {
+                let (mut w, k) = ev.tower(l);
+                recipes::pointwise_pair(&mut w, &k.pwadd, c10[l], acc[l])
+            })
+        })();
+        // The result towers are per_tower's; every temp here goes back.
+        t.settle(ct, |_| [], |buf| self.cluster.free(buf))
     }
 
     /// Fused level-aware multiply: [`mul`](Self::mul) followed by
@@ -907,23 +640,12 @@ impl<'a> LeveledEvaluator<'a> {
     /// measurement.
     fn phase_towers(&mut self, ct: &DeviceLeveledCiphertext) -> Result<Vec<Vec<u128>>, RpuError> {
         self.resident_key(ct.level)?;
-        let mut towers = Vec::with_capacity(ct.level + 1);
-        for l in 0..=ct.level {
+        let towers = (0..=ct.level).map(|l| {
             let sk = self.sk[l];
-            let pwmul = Arc::clone(&self.kernels[l].pwmul);
-            let t = self.pointwise(l, &pwmul, &ct.a[l], &sk)?; // â ⊙ ŝ
-            let lane = self.tower_lane(l);
-            let sub = Arc::clone(&self.kernels[l].pwsub);
-            let coeffs = {
-                let r = self
-                    .dispatch(lane, &sub, &[ct.b[l], t], &[t]) // b̂ ⊖ â·ŝ
-                    .and_then(|_| self.download_coeffs(l, &t));
-                self.or_release(r, &[t])?
-            };
-            self.cluster.free(t)?;
-            towers.push(coeffs);
-        }
-        Ok(towers)
+            let (mut w, k) = self.tower(l);
+            recipes::phase(&mut w, k, sk, ct.a[l], ct.b[l])
+        });
+        towers.collect()
     }
 
     /// Decrypts a resident ciphertext with the resident secret key:
@@ -965,8 +687,9 @@ impl<'a> LeveledEvaluator<'a> {
         let mut a = Vec::with_capacity(ct.level + 1);
         let mut b = Vec::with_capacity(ct.level + 1);
         for l in 0..=ct.level {
-            a.push(self.download_coeffs(l, &ct.a[l])?);
-            b.push(self.download_coeffs(l, &ct.b[l])?);
+            let (mut w, k) = self.tower(l);
+            a.push(recipes::download_coeffs(&mut w, k, ct.a[l])?);
+            b.push(recipes::download_coeffs(&mut w, k, ct.b[l])?);
         }
         Ok(LeveledCiphertext::from_coeff_towers(
             &self.ctx, a, b, ct.noise,
@@ -979,7 +702,7 @@ impl<'a> LeveledEvaluator<'a> {
     ///
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn free_ciphertext(&mut self, ct: DeviceLeveledCiphertext) -> Result<(), RpuError> {
-        for buf in ct.a.into_iter().chain(ct.b) {
+        for buf in ct.handles() {
             self.cluster.free(buf)?;
         }
         Ok(())

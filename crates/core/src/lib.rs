@@ -130,6 +130,8 @@ mod buffer;
 mod explore;
 mod lanes;
 mod leveled;
+#[doc(hidden)]
+pub mod recipes;
 mod rlwe;
 mod run;
 mod session;

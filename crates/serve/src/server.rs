@@ -20,9 +20,10 @@
 //! and a lane runs one batch at a time), then re-locks to publish
 //! results and wake the scheduler.
 
-use crate::ops::{self, DeviceKsk, LaneKernelSet};
+use crate::ops;
 use crate::ServeError;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
+use rpu::recipes::{self, LaneKernels, LaneKsk, Temps};
 use rpu::{
     AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, LanePool,
     LaneWorker, Rpu, RpuError,
@@ -77,7 +78,8 @@ pub struct ServeConfig {
     /// *same-kind* jobs of one tenant dispatch as a single lane batch
     /// (shared warm kernels), before fairness re-evaluates.
     pub quantum: usize,
-    /// Gadget digit base exponent for tenant key-switch keys.
+    /// Gadget digit base exponent for tenant key-switch keys, in
+    /// `[1, 64]` ([`serve`] rejects anything else).
     pub ksk_base_log: u32,
 }
 
@@ -90,7 +92,7 @@ impl ServeConfig {
             style: CodegenStyle::Optimized,
             capacity: 64,
             quantum: 4,
-            ksk_base_log: 16,
+            ksk_base_log: recipes::DEFAULT_KSK_BASE_LOG,
         }
     }
 }
@@ -396,21 +398,19 @@ struct QueuedJob {
 #[derive(Debug)]
 struct TenantKeys {
     sk_hat: DeviceBuffer,
-    relin: DeviceKsk,
+    relin: LaneKsk,
     /// Galois element → (compiled `σ_g` kernel, resident key).
-    galois: HashMap<usize, (Arc<rpu::Kernel>, DeviceKsk)>,
+    galois: HashMap<usize, (Arc<rpu::Kernel>, LaneKsk)>,
     /// Rotation steps → Galois element.
     steps_to_g: HashMap<usize, usize>,
 }
 
 impl TenantKeys {
     fn handles(&self) -> Vec<DeviceBuffer> {
-        let mut out = vec![self.sk_hat];
-        out.extend(self.relin.handles());
-        for (_, ksk) in self.galois.values() {
-            out.extend(ksk.handles());
-        }
-        out
+        let rotations = self.galois.values().map(|(_, ksk)| ksk);
+        let ksks = [&self.relin].into_iter().chain(rotations);
+        let ksks = ksks.flat_map(LaneKsk::handles);
+        [self.sk_hat].into_iter().chain(ksks).collect()
     }
 }
 
@@ -472,6 +472,14 @@ impl TenantState {
             }))
     }
 
+    /// Takes every device buffer the tenant holds — key material and
+    /// resident ciphertexts — for release on its home lane.
+    fn take_buffers(&mut self) -> Vec<DeviceBuffer> {
+        let keys = self.keys.take().map_or_else(Vec::new, |k| k.handles());
+        let cts = self.cts.drain().flat_map(|(_, ct)| [ct.a, ct.b]);
+        keys.into_iter().chain(cts).collect()
+    }
+
     fn keys(&self) -> Result<&TenantKeys, ServeError> {
         self.keys
             .as_ref()
@@ -522,7 +530,7 @@ struct ServerState {
     paused: bool,
     lane_busy: Vec<bool>,
     /// Per-lane compiled kernel sets (populated by the init jobs).
-    kernels: Vec<Option<Arc<LaneKernelSet>>>,
+    kernels: Vec<Option<Arc<LaneKernels>>>,
     tenants: Vec<TenantState>,
     admin: VecDeque<AdminTask>,
     /// Per-lane virtual clock: the vtime of the last tenant served
@@ -562,7 +570,7 @@ impl ServerState {
             .ok_or(ServeError::UnknownTenant(id))
     }
 
-    fn lane_kernels(&self, lane: usize) -> Result<Arc<LaneKernelSet>, ServeError> {
+    fn lane_kernels(&self, lane: usize) -> Result<Arc<LaneKernels>, ServeError> {
         self.kernels[lane]
             .clone()
             .ok_or_else(|| ServeError::BadRequest(format!("lane {lane} kernels not initialized")))
@@ -1015,14 +1023,18 @@ fn exec_work(
     work: WorkItem,
 ) -> Result<RawOut, ServeError> {
     let lane = w.lane_index();
-    let n = core.ctx.params().n;
+    let galois = |t: &TenantState, g: usize| {
+        let key = t.keys()?.galois.get(&g).cloned();
+        key.ok_or_else(|| ServeError::BadRequest(format!("no resident Galois key for g = {g}")))
+    };
     match work {
         WorkItem::Encrypt { a_coeffs, payload } => {
             let (k, sk) = {
                 let st = core.state.lock().expect("not poisoned");
                 (st.lane_kernels(lane)?, st.tenant(tenant)?.keys()?.sk_hat)
             };
-            Ok(RawOut::Ct(ops::encrypt(w, &k, sk, &a_coeffs, &payload)?))
+            let (a, b) = recipes::encrypt(w, &k, sk, &a_coeffs, &payload)?;
+            Ok(RawOut::Ct(DeviceCiphertext { a, b }))
         }
         WorkItem::Mul { x, y } => {
             let (k, relin, cx, cy) = {
@@ -1035,49 +1047,29 @@ fn exec_work(
                     t.ct(y)?,
                 )
             };
-            Ok(RawOut::Ct(ops::mul(w, &k, n, &relin, cx, cy)?))
+            Ok(RawOut::Ct(ops::mul(w, &k, &relin, cx, cy)?))
         }
         WorkItem::Rotate { ct, g } => {
-            let (k, autom, gk, c) = {
+            let (k, (autom, gk), c) = {
                 let st = core.state.lock().expect("not poisoned");
                 let t = st.tenant(tenant)?;
-                let (kern, ksk) = t.keys()?.galois.get(&g).ok_or_else(|| {
-                    ServeError::BadRequest(format!("no resident Galois key for g = {g}"))
-                })?;
-                (
-                    st.lane_kernels(lane)?,
-                    Arc::clone(kern),
-                    ksk.clone(),
-                    t.ct(ct)?,
-                )
+                (st.lane_kernels(lane)?, galois(t, g)?, t.ct(ct)?)
             };
-            Ok(RawOut::Ct(ops::apply_galois(w, &k, &autom, &gk, n, c)?))
+            Ok(RawOut::Ct(ops::apply_galois(w, &k, &autom, &gk, c)?))
         }
         WorkItem::Dot { x, y, len, g } => {
             let (k, relin, rot, cx, cy) = {
                 let st = core.state.lock().expect("not poisoned");
                 let t = st.tenant(tenant)?;
-                let rot = match g {
-                    Some(g) => {
-                        let (kern, ksk) = t.keys()?.galois.get(&g).ok_or_else(|| {
-                            ServeError::BadRequest(format!("no resident Galois key for g = {g}"))
-                        })?;
-                        Some((Arc::clone(kern), ksk.clone()))
-                    }
-                    None => None,
-                };
                 (
                     st.lane_kernels(lane)?,
                     t.keys()?.relin.clone(),
-                    rot,
+                    g.map(|g| galois(t, g)).transpose()?,
                     t.ct(x)?,
                     t.ct(y)?,
                 )
             };
-            let out = match rot {
-                None => ops::mul(w, &k, n, &relin, cx, cy)?,
-                Some((autom, gk)) => ops::dot(w, &k, n, &relin, &autom, &gk, cx, cy, len)?,
-            };
+            let out = ops::dot(w, &k, &relin, rot.as_ref(), cx, cy, len)?;
             Ok(RawOut::Ct(out))
         }
         WorkItem::Decrypt { ct } => {
@@ -1086,7 +1078,8 @@ fn exec_work(
                 let t = st.tenant(tenant)?;
                 (st.lane_kernels(lane)?, t.keys()?.sk_hat, t.ct(ct)?)
             };
-            Ok(RawOut::Plain(ops::decrypt(w, &k, &core.ctx, sk, c)?))
+            let noisy = recipes::phase(w, &k, sk, c.a, c.b)?;
+            Ok(RawOut::Plain(core.ctx.decode_noisy(&noisy)))
         }
         WorkItem::Free { ct } => {
             let c = {
@@ -1133,16 +1126,8 @@ fn run_keygen(
                 .map_err(RpuError::from)?;
             gks.push((steps, gk));
         }
-        let mut stale: Vec<DeviceBuffer> = Vec::new();
-        if let Some(keys) = t.keys.take() {
-            stale.extend(keys.handles());
-        }
         // Old-key ciphertexts are meaningless now: reclaim them too.
-        for (_, ct) in t.cts.drain() {
-            stale.push(ct.a);
-            stale.push(ct.b);
-        }
-        (sk.s_coeffs(), rk, gks, stale)
+        (sk.s_coeffs(), rk, gks, t.take_buffers())
     };
     for buf in stale {
         let _ = w.free(buf);
@@ -1155,19 +1140,16 @@ fn run_keygen(
     };
     let params = core.ctx.params();
     let style = core.config.style;
-    let mut uploaded: Vec<DeviceBuffer> = Vec::new();
-    let built = (|| -> Result<TenantKeys, RpuError> {
-        let sk_hat = ops::upload_eval(w, &k, &sk_coeffs)?;
-        uploaded.push(sk_hat);
-        let relin = ops::upload_ksk(w, &k, relin_key.key_switch_key())?;
-        uploaded.extend(relin.handles());
+    let mut t = Temps::default();
+    let built = (|| {
+        let sk_hat = t.hold(recipes::upload_eval(w, &k, &sk_coeffs)?);
+        let relin = ops::upload_ksk(w, &k, &mut t, relin_key.key_switch_key())?;
         let mut galois = HashMap::new();
         let mut steps_to_g = HashMap::new();
         for (steps, gk) in &galois_keys {
             let g = gk.galois_element();
             let kern = w.compile(&AutomorphismSpec::new(params.n, params.q, g, style))?;
-            let dev = ops::upload_ksk(w, &k, gk.key_switch_key())?;
-            uploaded.extend(dev.handles());
+            let dev = ops::upload_ksk(w, &k, &mut t, gk.key_switch_key())?;
             galois.insert(g, (kern, dev));
             steps_to_g.insert(*steps, g);
         }
@@ -1178,23 +1160,11 @@ fn run_keygen(
             steps_to_g,
         })
     })();
-    match built {
-        Ok(keys) => {
-            core.state
-                .lock()
-                .expect("not poisoned")
-                .tenant_mut(tenant)?
-                .keys = Some(keys);
-            Ok(())
-        }
-        Err(e) => {
-            // Heap exhaustion mid-upload must not strand half a key set.
-            for buf in uploaded {
-                let _ = w.free(buf);
-            }
-            Err(e.into())
-        }
-    }
+    // Heap exhaustion mid-upload must not strand half a key set.
+    let keys = t.settle(built, TenantKeys::handles, |buf| w.free(buf))?;
+    let mut st = core.state.lock().expect("not poisoned");
+    st.tenant_mut(tenant)?.keys = Some(keys);
+    Ok(())
 }
 
 fn run_teardown(
@@ -1206,14 +1176,7 @@ fn run_teardown(
         let mut st = core.state.lock().expect("not poisoned");
         let t = st.tenant_mut(tenant)?;
         t.active = false;
-        let mut stale: Vec<DeviceBuffer> = Vec::new();
-        if let Some(keys) = t.keys.take() {
-            stale.extend(keys.handles());
-        }
-        for (_, ct) in t.cts.drain() {
-            stale.push(ct.a);
-            stale.push(ct.b);
-        }
+        let stale = t.take_buffers();
         let dropped: Vec<Arc<TicketCell>> = t.queue.drain(..).map(|j| j.ticket).collect();
         t.outstanding = t.outstanding.saturating_sub(dropped.len());
         (stale, dropped)
@@ -1240,14 +1203,18 @@ fn run_teardown(
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::Rpu`] if the ring parameters are rejected or a
-/// lane fails to compile its kernel set.
+/// Returns [`ServeError::Rpu`] if the ring parameters or
+/// [`ServeConfig::ksk_base_log`] are rejected, or a lane fails to
+/// compile its kernel set.
 pub fn serve<R>(
     rpu: &Rpu,
     config: ServeConfig,
     f: impl FnOnce(&ServerHandle) -> R,
 ) -> Result<(R, ServeReport), ServeError> {
     let ctx = RlweContext::new(config.params).map_err(RpuError::from)?;
+    // An out-of-range base would only surface as a panic inside a
+    // keygen job — under the state lock, poisoning every client.
+    recipes::check_ksk_base_log(config.ksk_base_log)?;
     let mut cluster = rpu.cluster();
     let lanes = cluster.lane_count();
     let core = Arc::new(ServerCore::new(ctx, config, lanes));
@@ -1261,7 +1228,7 @@ pub fn serve<R>(
             pool.submit_to(
                 lane,
                 Box::new(
-                    move |w| match LaneKernelSet::compile(w, params.n, params.q, style) {
+                    move |w| match LaneKernels::compile(w, params.n, params.q, style) {
                         Ok(k) => {
                             job_core.state.lock().expect("not poisoned").kernels[lane] =
                                 Some(Arc::new(k));
@@ -1294,9 +1261,7 @@ pub fn serve<R>(
         Ok(result)
     });
     let result = out?;
-    let resident_buffers = (0..lanes)
-        .map(|l| cluster.lane_session(l).live_buffers())
-        .collect();
+    let resident_buffers = (0..lanes).map(|l| cluster.live_buffers(l)).collect();
     let st = core.state.lock().expect("not poisoned");
     let tenants = st.tenants.iter().map(TenantState::summary).collect();
     Ok((

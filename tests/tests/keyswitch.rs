@@ -256,6 +256,50 @@ fn missing_keys_error_cleanly() {
 /// The key-switch digit jobs really spread across lanes: on a 2-lane
 /// evaluator a multiply must dispatch on both lanes beyond the
 /// component split, and per-lane key material is replicated.
+/// A re-key that runs out of heap retires the old key on *both* sides:
+/// the host copy must not outlive the resident copy, or a following
+/// `relin_keygen` would upload key material for a secret that is no
+/// longer on the device.
+#[test]
+fn failed_rekey_leaves_no_half_key_behind() {
+    let n = 1024usize;
+    // Room for a relin key (2·ℓ·n = 16n), so only the key check stops it.
+    let rpu = Rpu::builder().device_heap_elements(40 * n).build().unwrap();
+    let mut eval = RlweEvaluator::new(&rpu, params(n), CodegenStyle::Optimized).unwrap();
+    let mut rng = Splitmix::new(0xDEAD);
+    eval.keygen(&mut rng).unwrap();
+    // Fill the heap (the hole the key's raw upload left, then the rest):
+    // re-keying frees the old key's n elements, but the upload needs 2n
+    // (raw + transformed).
+    let fillers = [n, 38 * n].map(|len| eval.cluster_mut().alloc_on(0, len).unwrap());
+    let rekey = eval.keygen(&mut rng);
+    assert!(
+        matches!(rekey, Err(RpuError::Buffer(_))),
+        "re-key must exhaust the heap, got {rekey:?}"
+    );
+    for filler in fillers {
+        eval.cluster_mut().free(filler).unwrap();
+    }
+    assert_eq!(eval.cluster().live_buffers(0), 0, "nothing stranded");
+    assert!(matches!(
+        eval.relin_keygen(&mut rng),
+        Err(RpuError::Config(_))
+    ));
+    assert!(matches!(
+        eval.rotation_keygen(1, &mut rng),
+        Err(RpuError::Config(_))
+    ));
+    assert!(matches!(
+        eval.encrypt(&message(n, 1), &mut rng),
+        Err(RpuError::Config(_))
+    ));
+    // The evaluator recovers with a fresh key.
+    eval.keygen(&mut rng).unwrap();
+    let msg = message(n, 2);
+    let ct = eval.encrypt(&msg, &mut rng).unwrap();
+    assert_eq!(eval.decrypt(&ct).unwrap(), msg);
+}
+
 #[test]
 fn digit_jobs_spread_and_key_material_is_replicated() {
     let n = 1024usize;

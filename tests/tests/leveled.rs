@@ -193,6 +193,47 @@ fn rescale_is_refused_at_the_bottom_of_the_chain() {
     assert!(matches!(eval.mul(&ct, &ct), Err(RpuError::Config(_))));
 }
 
+/// A re-key that runs out of heap retires the old key on *both* sides:
+/// with the host copy gone too, `relin_keygen` refuses instead of
+/// uploading key material for a secret that is no longer resident.
+#[test]
+fn failed_rekey_leaves_no_half_key_behind() {
+    let n = 1024usize;
+    let rpu = Rpu::builder().device_heap_elements(16 * n).build().unwrap();
+    let ctx = LeveledContext::generate(n, T, BITS, 4).unwrap();
+    let mut eval = LeveledEvaluator::new(&rpu, ctx, CodegenStyle::Optimized).unwrap();
+    let mut rng = Splitmix::new(0xDEAD);
+    eval.keygen(&mut rng).unwrap();
+    // Fill the heap with level-0 ciphertexts (2n each, no transients):
+    // re-keying frees the old key's 4n, one short of the 5n its upload
+    // peaks at.
+    let fresh = eval.encrypt(&message(n, 1), &mut rng).unwrap();
+    let x = eval.mod_drop(fresh, 0).unwrap();
+    let fillers: Vec<_> = (0..5).map(|_| eval.add(&x, &x).unwrap()).collect();
+    let rekey = eval.keygen(&mut rng);
+    assert!(
+        matches!(rekey, Err(RpuError::Buffer(_))),
+        "re-key must exhaust the heap, got {rekey:?}"
+    );
+    for ct in fillers.into_iter().chain([x]) {
+        eval.free_ciphertext(ct).unwrap();
+    }
+    assert_eq!(eval.cluster().live_buffers(0), 0, "nothing stranded");
+    assert!(matches!(
+        eval.relin_keygen(&mut rng),
+        Err(RpuError::Config(_))
+    ));
+    assert!(matches!(
+        eval.encrypt(&message(n, 2), &mut rng),
+        Err(RpuError::Config(_))
+    ));
+    // The evaluator recovers with a fresh key.
+    eval.keygen(&mut rng).unwrap();
+    let msg = message(n, 3);
+    let ct = eval.encrypt(&msg, &mut rng).unwrap();
+    assert_eq!(eval.decrypt(&ct).unwrap(), msg);
+}
+
 // ---------------------------------------------------------------------
 // Satellite: noise-budget tracker properties on the host oracle
 // ---------------------------------------------------------------------

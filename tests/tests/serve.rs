@@ -590,6 +590,91 @@ fn rekey_and_teardown_release_device_buffers() {
     );
 }
 
+/// Same recipe, shown: on one lane, an [`RlweEvaluator`] and a 1-tenant
+/// server driven through encrypt → mul → rotate → decrypt emit, op for
+/// op, the same sequence of kernel dispatches — the two front ends
+/// differ in placement only, and on one lane there is none.
+#[test]
+fn evaluator_and_server_dispatch_the_same_kernels_op_for_op() {
+    use rpu::{CodegenStyle, KernelKey, RlweEvaluator};
+
+    let traced = || {
+        let sink = Arc::new(RingTraceSink::new(1 << 12));
+        let rpu = Rpu::builder().trace(sink.clone()).build().unwrap();
+        (rpu, sink)
+    };
+    // The kernel keys dispatched since the last call.
+    let drain = |sink: &RingTraceSink| -> Vec<KernelKey> {
+        let keys = sink.events().iter().map(|e| e.key).collect();
+        sink.clear();
+        keys
+    };
+    let msg = message(9);
+
+    let (rpu, sink) = traced();
+    let mut eval = RlweEvaluator::new(&rpu, params(&rpu), CodegenStyle::Optimized).unwrap();
+    let mut rng = Splitmix::new(0x5A4E);
+    eval.keygen(&mut rng).unwrap();
+    eval.relin_keygen(&mut rng).unwrap();
+    eval.rotation_keygen(1, &mut rng).unwrap();
+    drain(&sink);
+    let mut direct = Vec::new();
+    let x = eval.encrypt(&msg, &mut rng).unwrap();
+    direct.push(drain(&sink));
+    let prod = eval.mul(&x, &x).unwrap();
+    direct.push(drain(&sink));
+    let rot = eval.rotate(&prod, 1).unwrap();
+    direct.push(drain(&sink));
+    let plain = eval.decrypt(&rot).unwrap();
+    direct.push(drain(&sink));
+
+    let (rpu, sink) = traced();
+    let (served, _) = serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
+        let spec = TenantSpec::new(0x5A4E).rotations(vec![1]);
+        let tenant = server.register_tenant(spec).unwrap();
+        drain(&sink);
+        let mut served = Vec::new();
+        let message = msg.clone();
+        let x = ct_of(submit_wait(server, tenant, JobRequest::Encrypt { message }));
+        served.push(drain(&sink));
+        let prod = ct_of(submit_wait(server, tenant, JobRequest::Mul { x, y: x }));
+        served.push(drain(&sink));
+        let rotate = JobRequest::Rotate { ct: prod, steps: 1 };
+        let rot = ct_of(submit_wait(server, tenant, rotate));
+        served.push(drain(&sink));
+        let decrypt = JobRequest::Decrypt { ct: rot };
+        assert_eq!(plain_of(submit_wait(server, tenant, decrypt)), plain);
+        served.push(drain(&sink));
+        served
+    })
+    .unwrap();
+
+    for (op, (direct, served)) in ["encrypt", "mul", "rotate", "decrypt"]
+        .iter()
+        .zip(direct.iter().zip(&served))
+    {
+        assert!(!direct.is_empty(), "{op}: the trace recorded nothing");
+        assert_eq!(direct, served, "{op}: kernel sequences diverge");
+    }
+}
+
+/// `ServeConfig::ksk_base_log` is validated at [`serve`] entry: an
+/// out-of-range base must come back as a typed error, not panic inside
+/// a keygen job under the state lock.
+#[test]
+fn out_of_range_gadget_base_is_rejected_at_entry() {
+    let rpu = Rpu::builder().build().unwrap();
+    for base_log in [0, 65] {
+        let mut config = ServeConfig::new(params(&rpu));
+        config.ksk_base_log = base_log;
+        let refused = serve(&rpu, config, |_| ()).map(|_| ());
+        assert!(
+            matches!(&refused, Err(ServeError::Rpu(msg)) if msg.contains("base_log")),
+            "base_log {base_log}: got {refused:?}"
+        );
+    }
+}
+
 /// The client-facing handles must be shareable across threads.
 #[test]
 fn handles_are_send_and_sync() {
