@@ -1,161 +1,80 @@
-//! Table I: the B512 instruction encoding. Prints every one of the 17
-//! instructions with its 64-bit word and verifies the decode round trip
-//! and field placement.
+//! Table I: the B512 instruction encoding, printed from the one
+//! instruction table in `rpu-isa` — every row with its opcode, flag bit,
+//! operand-to-field assignment, pipeline class, and a sample instruction
+//! whose 64-bit word is verified through the decode round trip.
+//!
+//! Everything up to the `end of generated table` marker is committed as
+//! `docs/b512-isa.md`; CI regenerates and diffs it.
 
-use rpu::isa::{decode, encode, AReg, AddrMode, Instruction, MReg, SReg, VReg};
+use rpu::isa::table::{Operand, Reach};
+use rpu::isa::{decode, encode, ISA};
 use rpu_bench::{print_comparison, PaperRow};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let v = VReg::at;
-    let a = AReg::at(1);
-    let m = MReg::at(1);
-    let s = SReg::at(2);
-    let all: Vec<Instruction> = vec![
-        Instruction::VLoad {
-            vd: v(60),
-            base: a,
-            offset: 0,
-            mode: AddrMode::Unit,
-        },
-        Instruction::VLoad {
-            vd: v(20),
-            base: a,
-            offset: 8192,
-            mode: AddrMode::StridedSkip { log2_block: 8 },
-        },
-        Instruction::VBroadcast {
-            vd: v(19),
-            base: AReg::at(3),
-            offset: 1,
-        },
-        Instruction::VStore {
-            vs: v(21),
-            base: AReg::at(2),
-            offset: 16,
-            mode: AddrMode::Strided { log2_stride: 1 },
-        },
-        Instruction::SLoad {
-            rt: s,
-            base: a,
-            offset: 0,
-        },
-        Instruction::MLoad {
-            rt: m,
-            base: a,
-            offset: 1,
-        },
-        Instruction::ALoad {
-            rt: AReg::at(4),
-            base: a,
-            offset: 2,
-        },
-        Instruction::VMulMod {
-            vd: v(59),
-            vs: v(20),
-            vt: v(19),
-            rm: m,
-        },
-        Instruction::VAddMod {
-            vd: v(58),
-            vs: v(60),
-            vt: v(59),
-            rm: m,
-        },
-        Instruction::VSubMod {
-            vd: v(57),
-            vs: v(60),
-            vt: v(59),
-            rm: m,
-        },
-        Instruction::VSMulMod {
-            vd: v(1),
-            vs: v(2),
-            rt: s,
-            rm: m,
-        },
-        Instruction::VSAddMod {
-            vd: v(3),
-            vs: v(4),
-            rt: s,
-            rm: m,
-        },
-        Instruction::VSSubMod {
-            vd: v(5),
-            vs: v(6),
-            rt: s,
-            rm: m,
-        },
-        Instruction::Bfly {
-            vd: v(7),
-            vd1: v(8),
-            vs: v(9),
-            vt: v(10),
-            vt1: v(11),
-            rm: m,
-        },
-        Instruction::UnpkLo {
-            vd: v(56),
-            vs: v(58),
-            vt: v(57),
-        },
-        Instruction::UnpkHi {
-            vd: v(55),
-            vs: v(58),
-            vt: v(57),
-        },
-        Instruction::PkLo {
-            vd: v(12),
-            vs: v(13),
-            vt: v(14),
-        },
-    ];
-
-    println!("Table I: B512 instruction encodings ([63:0] per the field layout)\n");
-    println!("{:<18} {:<20} assembly", "word", "class");
-    for i in &all {
-        let w = encode(i);
-        assert_eq!(decode(w)?, *i, "round trip");
-        println!("{w:#018x} {:<20} {i}", i.pipe_class().to_string());
+/// One operand as `FIELD=file`, `(w)` marking a destination.
+fn operand_cell(operand: &Operand) -> String {
+    match *operand {
+        Operand::Reg {
+            file,
+            field,
+            written,
+        } => {
+            let field = format!("{field:?}").to_uppercase();
+            format!(
+                "{field}={}{}",
+                file.prefix(),
+                if written { "(w)" } else { "" }
+            )
+        }
+        Operand::Mem { reach, store } => {
+            let space = match reach {
+                Reach::Mode => "VDM, lanes by mode",
+                Reach::Element => "VDM, one element",
+                Reach::Indexed => "VDM, per-lane index",
+                Reach::Sdm => "SDM",
+            };
+            let access = if store { "store" } else { "load" };
+            format!("[RM=a + ADDRESS] ({access}: {space})")
+        }
+        Operand::Mode => "VS=MODE VT=VALUE".to_string(),
     }
-    // plus PkHi to reach all 17 distinct mnemonics
-    let pkhi = Instruction::PkHi {
-        vd: v(15),
-        vs: v(16),
-        vt: v(17),
-    };
-    let w = encode(&pkhi);
-    println!("{w:#018x} {:<20} {pkhi}", format!("{}", pkhi.pipe_class()));
-    // …and the vgather extension (indexed load for Galois automorphism
-    // permutations; flag bit on the vload opcode, not in the paper's
-    // Table I).
-    let gather = Instruction::VGather {
-        vd: v(18),
-        base: a,
-        offset: 0,
-        vi: v(19),
-    };
-    let w = encode(&gather);
-    assert_eq!(decode(w)?, gather, "round trip");
-    println!(
-        "{w:#018x} {:<20} {gather}   ; extension",
-        format!("{}", gather.pipe_class())
-    );
+}
 
-    let mut mnemonics: Vec<&str> = all.iter().map(|i| i.mnemonic()).collect();
-    mnemonics.push(pkhi.mnemonic());
-    mnemonics.sort();
-    mnemonics.dedup();
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    println!("# B512 instruction table\n");
+    println!("Generated by `cargo run --release -p rpu-bench --bin table1_isa` from");
+    println!("`rpu_isa::ISA`, the one description of each instruction; do not edit.");
+    println!("Word layout: `[63:55] VD1 | [54:49] VT1 | [48] FLAG | [47:44] OPCODE |");
+    println!("[43:24] ADDRESS | [23:18] VD | [17:12] VS/MODE | [11:6] VT/RT/VALUE |");
+    println!("[5:0] RM`. Operands are listed in assembly order.\n");
+    println!("| mnemonic | opcode | flag | pipe | multiplier | operands | sample word | sample |");
+    println!("|---|---|---|---|---|---|---|---|");
+    for info in &ISA {
+        let sample = info.sample();
+        let word = encode(&sample);
+        assert_eq!(decode(word)?, sample, "round trip");
+        let operands: Vec<String> = info.operands.iter().map(operand_cell).collect();
+        println!(
+            "| `{}` | {} | {} | {} | {} | {} | `{word:#018x}` | `{sample}` |",
+            info.mnemonic,
+            info.opcode,
+            u8::from(info.flag),
+            info.pipe,
+            if info.multiplier { "yes" } else { "" },
+            operands.join(", "),
+        );
+    }
+    println!("\n<!-- end of generated table -->");
 
     let rows = vec![
         PaperRow {
             metric: "distinct instructions".into(),
             paper: "17".into(),
-            measured: format!("{} (+1 vgather extension)", mnemonics.len()),
+            measured: format!("{} (+1 vgather extension)", ISA.len() - 1),
         },
         PaperRow {
             metric: "instruction width".into(),
             paper: "64-bit".into(),
-            measured: "64-bit".into(),
+            measured: format!("{}-bit", rpu::isa::consts::INSTR_BITS),
         },
         PaperRow {
             metric: "vector length".into(),

@@ -21,10 +21,11 @@
 
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::layout::check_working_set;
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::Modulus128;
-use rpu_isa::consts::{VDM_MAX_BYTES, VECTOR_LEN};
+use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program};
 use rpu_ntt::{apply_automorphism, automorphism_map};
 
@@ -91,11 +92,7 @@ impl KernelSpec for AutomorphismSpec {
         // Layout: [input n][output n][index table n][sign table n].
         let (out_off, idx_off, sign_off) = (n, 2 * n, 3 * n);
         let total = 4 * n;
-        if total * rpu_isa::consts::ELEM_BYTES > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: total * rpu_isa::consts::ELEM_BYTES,
-            });
-        }
+        check_working_set(total)?;
 
         let mut base_image = vec![0u128; total];
         for (j, &(src, negate)) in map.iter().enumerate() {

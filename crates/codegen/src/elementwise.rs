@@ -12,10 +12,11 @@
 
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::layout::check_working_set;
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::Modulus128;
-use rpu_isa::consts::{VDM_MAX_BYTES, VECTOR_LEN};
+use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program};
 
 /// Software-pipeline group size (vectors in flight per "rectangle"),
@@ -100,11 +101,7 @@ impl KernelSpec for ElementwiseSpec {
         let modulus =
             Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
         let total = 3 * n;
-        if total * rpu_isa::consts::ELEM_BYTES > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: total * rpu_isa::consts::ELEM_BYTES,
-            });
-        }
+        check_working_set(total)?;
 
         let mut program = Program::new(format!("{}{}_{}", self.key().op, n, style));
         // SDM image is [0, q]: same slot convention as the NTT kernels.

@@ -16,10 +16,10 @@
 //!   decomposition of Section V — followed by a greedy time-aware list
 //!   scheduling pass.
 
-use crate::layout::KernelLayout;
+use crate::layout::{check_working_set, KernelLayout};
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction};
-use rpu_isa::consts::{VDM_MAX_BYTES, VECTOR_LEN};
+use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program, SReg, VReg};
 use rpu_ntt::PeaseSchedule;
 use std::collections::VecDeque;
@@ -98,11 +98,7 @@ impl NttKernel {
             .map(|s| ((1usize << s) / VECTOR_LEN).max(1))
             .collect();
         let layout = KernelLayout::new(n, twiddle_counts);
-        if layout.total_bytes() > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: layout.total_bytes(),
-            });
-        }
+        check_working_set(layout.total_elements)?;
         let mut kernel = NttKernel {
             program: Program::new(format!("ntt{}x{}_{}_{}", n, VECTOR_LEN, direction, style)),
             layout,

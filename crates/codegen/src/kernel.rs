@@ -15,7 +15,7 @@
 
 use crate::{CodegenError, CodegenStyle, Direction, NttKernel};
 use rpu_arith::{EngineKind, Modulus128, Modulus64, Mont128Engine, NativeU64Engine, ScalarEngine};
-use rpu_isa::{Instruction, PredecodedProgram, Program};
+use rpu_isa::{PredecodedProgram, Program};
 use rpu_sim::{ExecError, FunctionalSim};
 use std::sync::OnceLock;
 
@@ -214,13 +214,12 @@ pub(crate) type GoldenFn = Box<dyn Fn(&[&[u128]]) -> Vec<u128> + Send + Sync>;
 /// over resident buffers).
 pub struct Kernel {
     key: KernelKey,
-    /// The generated program, pre-decoded once at generation time so
-    /// every dispatch can run the fast-path executor without re-paying
-    /// per-step instruction matching (the kernel cache is the
-    /// amortization point). Pre-decoding also computes the program's
-    /// domain annotations (`PredecodedProgram::domain_plan`): per-op
-    /// Montgomery-promotion hints the fast path consults to keep reused
-    /// multiplicative sources resident across chained `vmulmod`s.
+    /// The generated program together with what is derived from it once
+    /// at generation time (the kernel cache is the amortization point):
+    /// the static domain plan (`PredecodedProgram::domain_plan`),
+    /// per-instruction Montgomery-promotion hints the fast path consults
+    /// to keep reused multiplicative sources resident across chained
+    /// `vmulmod`s.
     program: PredecodedProgram,
     /// Full VDM image with all operand regions zeroed (constant tables
     /// such as twiddles are pre-placed).
@@ -303,8 +302,8 @@ impl Kernel {
         self.program.program()
     }
 
-    /// The pre-decoded form of the program, for the fast-path executor
-    /// (`FunctionalSim::run_predecoded`).
+    /// The program with its static domain plan, for the fast-path
+    /// executor (`FunctionalSim::run_predecoded`).
     pub fn predecoded(&self) -> &PredecodedProgram {
         &self.program
     }
@@ -556,50 +555,7 @@ impl From<NttKernel> for Kernel {
 /// with `a0 = 0`, so shifting the static offsets relocates the segment.
 pub(crate) fn push_relocated(dst: &mut Program, src: &Program, vdm_delta: usize) {
     let delta = vdm_delta as u32;
-    for instr in src.instructions() {
-        let shifted = match *instr {
-            Instruction::VLoad {
-                vd,
-                base,
-                offset,
-                mode,
-            } => Instruction::VLoad {
-                vd,
-                base,
-                offset: offset + delta,
-                mode,
-            },
-            Instruction::VStore {
-                vs,
-                base,
-                offset,
-                mode,
-            } => Instruction::VStore {
-                vs,
-                base,
-                offset: offset + delta,
-                mode,
-            },
-            Instruction::VBroadcast { vd, base, offset } => Instruction::VBroadcast {
-                vd,
-                base,
-                offset: offset + delta,
-            },
-            Instruction::VGather {
-                vd,
-                base,
-                offset,
-                vi,
-            } => Instruction::VGather {
-                vd,
-                base,
-                offset: offset + delta,
-                vi,
-            },
-            other => other,
-        };
-        dst.push(shifted);
-    }
+    dst.extend(src.instructions().iter().map(|i| i.relocated(delta)));
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@
 
 use crate::elementwise::emit_pointwise;
 use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::layout::check_working_set;
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp, NttKernel};
-use rpu_isa::consts::VDM_MAX_BYTES;
 use rpu_isa::Program;
 
 /// Specification of one fused key-switch digit step over
@@ -79,11 +79,7 @@ impl KernelSpec for KeySwitchSpec {
         // writes disjoint ranges so the list scheduler stays honest.
         let (key_off, acc_off, prod_off, out_off) = (w, w + n, w + 2 * n, w + 3 * n);
         let total = w + 4 * n;
-        if total * rpu_isa::consts::ELEM_BYTES > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: total * rpu_isa::consts::ELEM_BYTES,
-            });
-        }
+        check_working_set(total)?;
 
         let (fwd_out, _) = fwd.output_range();
         let mut program = Program::new(format!("keyswitch{n}_{style}"));

@@ -11,7 +11,24 @@
 //! [ buffer A ][ buffer B ][ stage-0 tw ][ stage-1 tw ] ...
 //! ```
 
-use rpu_isa::consts::VECTOR_LEN;
+use crate::CodegenError;
+use rpu_isa::consts::{ELEM_BYTES, VDM_MAX_BYTES, VECTOR_LEN};
+use rpu_isa::ADDRESS_BITS;
+
+/// The one working-set check every generator runs before emitting code:
+/// a kernel of `total_elements` VDM elements must fit the architectural
+/// VDM, and — since generated kernels address memory as `a0 + offset`
+/// with `a0 = 0` — every element must be reachable by the instructions'
+/// static offset field, or the encoded program would address different
+/// memory than the one that was verified.
+pub(crate) fn check_working_set(total_elements: usize) -> Result<(), CodegenError> {
+    if total_elements > (VDM_MAX_BYTES / ELEM_BYTES).min(1 << ADDRESS_BITS) {
+        return Err(CodegenError::WorkingSetTooLarge {
+            bytes: total_elements * ELEM_BYTES,
+        });
+    }
+    Ok(())
+}
 
 /// Element-offset map of a kernel's VDM working set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,7 +96,7 @@ impl KernelLayout {
 
     /// VDM footprint in bytes.
     pub fn total_bytes(&self) -> usize {
-        self.total_elements * rpu_isa::consts::ELEM_BYTES
+        self.total_elements * ELEM_BYTES
     }
 }
 

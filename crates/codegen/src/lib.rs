@@ -115,7 +115,9 @@ pub enum CodegenError {
     UnsupportedDegree(usize),
     /// The modulus does not admit the transform.
     Schedule(rpu_ntt::NttError),
-    /// The kernel working set exceeds the 32 MiB architectural VDM.
+    /// The kernel working set exceeds what a kernel can address: the
+    /// 32 MiB architectural VDM, and the 2²⁰ elements (16 MiB) the
+    /// instructions' 20-bit static offsets reach.
     WorkingSetTooLarge {
         /// Required bytes.
         bytes: usize,
@@ -135,7 +137,8 @@ impl core::fmt::Display for CodegenError {
             CodegenError::WorkingSetTooLarge { bytes } => {
                 write!(
                     f,
-                    "kernel working set of {bytes} bytes exceeds the 32 MiB VDM"
+                    "kernel working set of {bytes} bytes exceeds the addressable VDM \
+                     (32 MiB capacity, 20-bit element offsets)"
                 )
             }
         }

@@ -20,9 +20,9 @@
 
 use crate::elementwise::emit_pointwise;
 use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::layout::check_working_set;
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp, NttKernel};
-use rpu_isa::consts::VDM_MAX_BYTES;
 use rpu_isa::Program;
 
 /// Specification of a fused negacyclic polynomial multiplication:
@@ -79,11 +79,7 @@ impl KernelSpec for ConvolutionSpec {
         let region_b = fwd_total;
         let region_inv = 2 * fwd_total;
         let total = 2 * fwd_total + inv.layout().total_elements;
-        if total * rpu_isa::consts::ELEM_BYTES > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: total * rpu_isa::consts::ELEM_BYTES,
-            });
-        }
+        check_working_set(total)?;
 
         let (fwd_out, _) = fwd.output_range();
         let (inv_out, _) = inv.output_range();

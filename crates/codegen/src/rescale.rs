@@ -20,9 +20,10 @@
 
 use crate::elementwise::emit_pointwise;
 use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::layout::check_working_set;
 use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp, NttKernel};
-use rpu_isa::consts::{VDM_MAX_BYTES, VECTOR_LEN};
+use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program, SReg, VReg};
 
 /// Specification of one surviving tower's rescale step over
@@ -88,11 +89,7 @@ impl KernelSpec for RescaleSpec {
         // disjoint ranges so the list scheduler stays honest.
         let (hat_off, diff_off, out_off) = (w, w + n, w + 2 * n);
         let total = w + 3 * n;
-        if total * rpu_isa::consts::ELEM_BYTES > VDM_MAX_BYTES {
-            return Err(CodegenError::WorkingSetTooLarge {
-                bytes: total * rpu_isa::consts::ELEM_BYTES,
-            });
-        }
+        check_working_set(total)?;
 
         let p_inv = rpu_arith::mod_inverse(p % q, q);
         // SDM layout: the NTT slots [n⁻¹, q, companion(n⁻¹)], then p⁻¹

@@ -9,8 +9,7 @@
 //! independent LSI/CI/SI chains keeps all three decoupled queues fed,
 //! which is precisely what the in-order busyboard frontend needs.
 
-use rpu_isa::consts::VECTOR_LEN;
-use rpu_isa::{Instruction, PipeClass, Program};
+use rpu_isa::{Instruction, PipeClass, Program, VdmFootprint, NUM_FLAT_REGS};
 use rpu_sim::{CycleSim, RpuConfig};
 
 /// Reschedules a program, preserving semantics exactly.
@@ -40,22 +39,21 @@ pub fn list_schedule(program: &Program) -> Program {
         }
     };
 
-    // Register dependence tracking: 4 files x 64 regs.
-    const NREGS: usize = 256;
-    let mut last_writer: [Option<usize>; NREGS] = [None; NREGS];
-    let mut readers_since: Vec<Vec<usize>> = vec![Vec::new(); NREGS];
+    // Register dependence tracking over all four files.
+    let mut last_writer: [Option<usize>; NUM_FLAT_REGS] = [None; NUM_FLAT_REGS];
+    let mut readers_since: Vec<Vec<usize>> = vec![Vec::new(); NUM_FLAT_REGS];
 
     // Memory dependence tracking over VDM footprints.
-    let mut mem_ops: Vec<(MemFootprint, bool, usize)> = Vec::new(); // (access, is_store, idx)
+    let mut mem_ops: Vec<(VdmFootprint, usize)> = Vec::new(); // (access, idx)
 
     for (i, instr) in instrs.iter().enumerate() {
-        for r in reg_srcs(instr) {
+        for r in instr.reg_reads() {
             if let Some(w) = last_writer[r] {
                 add_edge(&mut succs, &mut indeg, w, i); // RAW
             }
             readers_since[r].push(i);
         }
-        for r in reg_dsts(instr) {
+        for r in instr.reg_writes() {
             if let Some(w) = last_writer[r] {
                 add_edge(&mut succs, &mut indeg, w, i); // WAW
             }
@@ -67,13 +65,13 @@ pub fn list_schedule(program: &Program) -> Program {
             readers_since[r].clear();
             last_writer[r] = Some(i);
         }
-        if let Some((acc, is_store)) = mem_access(instr) {
-            for &(prev, pstore, pidx) in &mem_ops {
-                if (is_store || pstore) && acc.conflicts(&prev) {
+        if let Some(acc) = instr.vdm_footprint() {
+            for &(prev, pidx) in &mem_ops {
+                if (acc.store || prev.store) && acc.conflicts(&prev) {
                     add_edge(&mut succs, &mut indeg, pidx, i);
                 }
             }
-            mem_ops.push((acc, is_store, i));
+            mem_ops.push((acc, i));
         }
     }
 
@@ -141,110 +139,17 @@ pub fn list_schedule(program: &Program) -> Program {
 fn ref_timing(instr: &Instruction) -> (usize, u64, u64) {
     const LANE_CYCLES: u64 = 4; // 512 lanes / 128 HPLEs
     match instr.pipe_class() {
-        PipeClass::LoadStore => {
-            let is_store = matches!(instr, Instruction::VStore { .. });
-            let occ = match instr {
-                Instruction::SLoad { .. }
-                | Instruction::MLoad { .. }
-                | Instruction::ALoad { .. } => 1,
-                _ => LANE_CYCLES,
-            };
-            (if is_store { 1 } else { 0 }, occ, 4)
-        }
+        PipeClass::LoadStore => match instr.vdm_footprint() {
+            // Vector transfers: loads and stores have separate VBAR paths.
+            Some(acc) => (usize::from(acc.store), LANE_CYCLES, 4),
+            // Scalar (SDM) loads.
+            None => (0, 1, 4),
+        },
         PipeClass::Compute => {
             let lat = if instr.uses_multiplier() { 6 } else { 2 };
             (2, LANE_CYCLES, lat)
         }
         PipeClass::Shuffle => (3, LANE_CYCLES, 4),
-    }
-}
-
-fn reg_srcs(instr: &Instruction) -> impl Iterator<Item = usize> + '_ {
-    let v = instr
-        .src_vregs()
-        .into_iter()
-        .flatten()
-        .map(|r| r.index() as usize);
-    let s = instr.src_sreg().map(|r| 64 + r.index() as usize);
-    let a = instr.src_areg().map(|r| 128 + r.index() as usize);
-    let m = instr.src_mreg().map(|r| 192 + r.index() as usize);
-    v.chain(s).chain(a).chain(m)
-}
-
-fn reg_dsts(instr: &Instruction) -> impl Iterator<Item = usize> + '_ {
-    let v = instr
-        .dst_vregs()
-        .into_iter()
-        .flatten()
-        .map(|r| r.index() as usize);
-    let s = instr.dst_sreg().map(|r| 64 + r.index() as usize);
-    let a = instr.dst_areg().map(|r| 128 + r.index() as usize);
-    let m = instr.dst_mreg().map(|r| 192 + r.index() as usize);
-    v.chain(s).chain(a).chain(m)
-}
-
-/// A VDM access footprint (base resolved as 0).
-#[derive(Debug, Clone, Copy)]
-struct MemFootprint {
-    lo: usize,
-    hi: usize,
-    offset: usize,
-    mode: rpu_isa::AddrMode,
-}
-
-impl MemFootprint {
-    /// May-alias check; equal-stride accesses with incongruent bases are
-    /// exactly disjoint (interleaved element sets).
-    fn conflicts(&self, other: &MemFootprint) -> bool {
-        if self.hi <= other.lo || other.hi <= self.lo {
-            return false;
-        }
-        if let (
-            rpu_isa::AddrMode::Strided { log2_stride: s1 },
-            rpu_isa::AddrMode::Strided { log2_stride: s2 },
-        ) = (self.mode, other.mode)
-        {
-            if s1 == s2 {
-                let stride = 1usize << s1;
-                return self.offset % stride == other.offset % stride;
-            }
-        }
-        true
-    }
-}
-
-/// `(footprint, is_store)` for VDM transfers, base resolved as 0.
-fn mem_access(instr: &Instruction) -> Option<(MemFootprint, bool)> {
-    let footprint = |offset: u32, mode: rpu_isa::AddrMode| {
-        let last = mode.element_offset(VECTOR_LEN - 1);
-        let first = mode.element_offset(0);
-        MemFootprint {
-            lo: offset as usize + first.min(last),
-            hi: offset as usize + first.max(last) + 1,
-            offset: offset as usize,
-            mode,
-        }
-    };
-    match *instr {
-        Instruction::VLoad { offset, mode, .. } => Some((footprint(offset, mode), false)),
-        Instruction::VStore { offset, mode, .. } => Some((footprint(offset, mode), true)),
-        Instruction::VBroadcast { offset, .. } => {
-            Some((footprint(offset, rpu_isa::AddrMode::Unit), false))
-        }
-        // Indexed loads read data-dependent addresses: give them a
-        // whole-VDM footprint so the scheduler never reorders one across
-        // any store. (Within generated automorphism kernels the index
-        // tables are constants, but the DAG cannot see that.)
-        Instruction::VGather { offset, .. } => Some((
-            MemFootprint {
-                lo: 0,
-                hi: usize::MAX,
-                offset: offset as usize,
-                mode: rpu_isa::AddrMode::Unit,
-            },
-            false,
-        )),
-        _ => None,
     }
 }
 

@@ -7,7 +7,7 @@
 
 use crate::instr::{AddrMode, Instruction};
 use crate::program::Program;
-use crate::regs::{AReg, MReg, SReg, VReg};
+use crate::table::{Operand, Operands, RegFile, ADDRESS_BITS, ISA, REGS_PER_FILE};
 
 /// Error parsing assembly text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,161 +73,49 @@ fn parse_line(line: &str) -> Result<Instruction, String> {
     let (mnemonic, rest) = line
         .split_once(char::is_whitespace)
         .ok_or_else(|| format!("missing operands in {line:?}"))?;
-    let ops: Vec<&str> = rest
+    let toks: Vec<&str> = rest
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect();
-    let argc = |n: usize| {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(format!(
-                "{mnemonic} expects {n} operands, found {}",
-                ops.len()
-            ))
+    let info = ISA
+        .iter()
+        .find(|info| info.mnemonic == mnemonic)
+        .ok_or_else(|| format!("unknown mnemonic {mnemonic:?}"))?;
+    if toks.len() != info.operands.len() {
+        return Err(format!(
+            "{mnemonic} expects {} operands, found {}",
+            info.operands.len(),
+            toks.len()
+        ));
+    }
+    let mut o = Operands::NONE;
+    for (k, (operand, tok)) in info.operands.iter().zip(toks).enumerate() {
+        match *operand {
+            Operand::Reg { file, .. } => o.regs[k] = reg(tok, file)?,
+            Operand::Mem { .. } => (o.regs[k], o.offset) = mem_operand(tok)?,
+            Operand::Mode => o.mode = addr_mode(tok)?,
         }
-    };
-
-    use Instruction::*;
-    let instr = match mnemonic {
-        "vload" | "vstore" => {
-            argc(3)?;
-            let v = vreg(ops[0])?;
-            let (base, offset) = mem_operand(ops[1])?;
-            let mode = addr_mode(ops[2])?;
-            if mnemonic == "vload" {
-                VLoad {
-                    vd: v,
-                    base,
-                    offset,
-                    mode,
-                }
-            } else {
-                VStore {
-                    vs: v,
-                    base,
-                    offset,
-                    mode,
-                }
-            }
-        }
-        "vgather" => {
-            argc(3)?;
-            let (base, offset) = mem_operand(ops[1])?;
-            VGather {
-                vd: vreg(ops[0])?,
-                base,
-                offset,
-                vi: vreg(ops[2])?,
-            }
-        }
-        "vbroadcast" => {
-            argc(2)?;
-            let (base, offset) = mem_operand(ops[1])?;
-            VBroadcast {
-                vd: vreg(ops[0])?,
-                base,
-                offset,
-            }
-        }
-        "sload" => {
-            argc(2)?;
-            let (base, offset) = mem_operand(ops[1])?;
-            SLoad {
-                rt: sreg(ops[0])?,
-                base,
-                offset,
-            }
-        }
-        "mload" => {
-            argc(2)?;
-            let (base, offset) = mem_operand(ops[1])?;
-            MLoad {
-                rt: mreg(ops[0])?,
-                base,
-                offset,
-            }
-        }
-        "aload" => {
-            argc(2)?;
-            let (base, offset) = mem_operand(ops[1])?;
-            ALoad {
-                rt: areg(ops[0])?,
-                base,
-                offset,
-            }
-        }
-        "vaddmod" | "vsubmod" | "vmulmod" => {
-            argc(4)?;
-            let (vd, vs, vt, rm) = (vreg(ops[0])?, vreg(ops[1])?, vreg(ops[2])?, mreg(ops[3])?);
-            match mnemonic {
-                "vaddmod" => VAddMod { vd, vs, vt, rm },
-                "vsubmod" => VSubMod { vd, vs, vt, rm },
-                _ => VMulMod { vd, vs, vt, rm },
-            }
-        }
-        "vsaddmod" | "vssubmod" | "vsmulmod" => {
-            argc(4)?;
-            let (vd, vs, rt, rm) = (vreg(ops[0])?, vreg(ops[1])?, sreg(ops[2])?, mreg(ops[3])?);
-            match mnemonic {
-                "vsaddmod" => VSAddMod { vd, vs, rt, rm },
-                "vssubmod" => VSSubMod { vd, vs, rt, rm },
-                _ => VSMulMod { vd, vs, rt, rm },
-            }
-        }
-        "bfly" => {
-            argc(6)?;
-            Bfly {
-                vd: vreg(ops[0])?,
-                vd1: vreg(ops[1])?,
-                vs: vreg(ops[2])?,
-                vt: vreg(ops[3])?,
-                vt1: vreg(ops[4])?,
-                rm: mreg(ops[5])?,
-            }
-        }
-        "unpklo" | "unpkhi" | "pklo" | "pkhi" => {
-            argc(3)?;
-            let (vd, vs, vt) = (vreg(ops[0])?, vreg(ops[1])?, vreg(ops[2])?);
-            match mnemonic {
-                "unpklo" => UnpkLo { vd, vs, vt },
-                "unpkhi" => UnpkHi { vd, vs, vt },
-                "pklo" => PkLo { vd, vs, vt },
-                _ => PkHi { vd, vs, vt },
-            }
-        }
-        other => return Err(format!("unknown mnemonic {other:?}")),
-    };
-    Ok(instr)
+    }
+    Ok(Instruction::from_parts(info.op, &o))
 }
 
-fn reg_index(tok: &str, prefix: char) -> Result<u8, String> {
+fn reg(tok: &str, file: RegFile) -> Result<u8, String> {
+    let prefix = file.prefix();
     let rest = tok
         .strip_prefix(prefix)
         .ok_or_else(|| format!("expected {prefix}-register, found {tok:?}"))?;
-    rest.parse::<u8>()
-        .map_err(|_| format!("bad register index in {tok:?}"))
-}
-
-fn vreg(tok: &str) -> Result<VReg, String> {
-    VReg::new(reg_index(tok, 'v')?).ok_or_else(|| format!("vector register out of range: {tok}"))
-}
-
-fn sreg(tok: &str) -> Result<SReg, String> {
-    SReg::new(reg_index(tok, 's')?).ok_or_else(|| format!("scalar register out of range: {tok}"))
-}
-
-fn areg(tok: &str) -> Result<AReg, String> {
-    AReg::new(reg_index(tok, 'a')?).ok_or_else(|| format!("address register out of range: {tok}"))
-}
-
-fn mreg(tok: &str) -> Result<MReg, String> {
-    MReg::new(reg_index(tok, 'm')?).ok_or_else(|| format!("modulus register out of range: {tok}"))
+    let index = rest
+        .parse::<u8>()
+        .map_err(|_| format!("bad register index in {tok:?}"))?;
+    if usize::from(index) >= REGS_PER_FILE {
+        return Err(format!("{} register out of range: {tok}", file.name()));
+    }
+    Ok(index)
 }
 
 /// Parses `[aN + OFFSET]`.
-fn mem_operand(tok: &str) -> Result<(AReg, u32), String> {
+fn mem_operand(tok: &str) -> Result<(u8, u32), String> {
     let inner = tok
         .strip_prefix('[')
         .and_then(|s| s.strip_suffix(']'))
@@ -235,13 +123,15 @@ fn mem_operand(tok: &str) -> Result<(AReg, u32), String> {
     let (base_s, off_s) = inner
         .split_once('+')
         .ok_or_else(|| format!("expected [aN + offset], found {tok:?}"))?;
-    let base = areg(base_s.trim())?;
+    let base = reg(base_s.trim(), RegFile::Address)?;
     let offset = off_s
         .trim()
         .parse::<u32>()
         .map_err(|_| format!("bad offset in {tok:?}"))?;
-    if offset >= 1 << 20 {
-        return Err(format!("offset {offset} exceeds the 20-bit address field"));
+    if offset >= 1 << ADDRESS_BITS {
+        return Err(format!(
+            "offset {offset} exceeds the {ADDRESS_BITS}-bit address field"
+        ));
     }
     Ok((base, offset))
 }

@@ -1,374 +1,26 @@
-//! Pre-decoded, direct-threaded form of a [`Program`].
+//! A [`Program`] prepared for repeated execution: the program plus its
+//! static Montgomery domain plan.
 //!
-//! The functional simulator's `step` loop re-matches every instruction's
-//! register newtypes and addressing mode on every execution. For a
-//! compiled kernel that is pure overhead: the program never changes after
-//! `compile()`, so all of that matching can happen **once**, yielding a
-//! flat op list with raw register indices and precomputed access spans —
-//! the same pre-decode + single-table design emulator stacks converge on
-//! (one instruction table, two consumers: the binary encoder and this
-//! pre-decoder).
-//!
-//! A [`DecodedOp`] deliberately does *not* bake in effective addresses:
-//! `aload` can retarget an address register mid-program, and the VDM/SDM
-//! a program runs against may have grown since decode time (the session
-//! layer grows its simulator lazily). Every op therefore keeps its
-//! `ARF[base] + offset` shape and a precomputed worst-case lane span, so
-//! an executor can hoist one bounds check per vector access and stay
-//! correct across heap growth — addresses are base-relative by
-//! construction, never cached absolutes.
+//! A compiled kernel never changes after `compile()`, so whatever can be
+//! derived from the instruction sequence alone is derived once, here,
+//! and reused by every dispatch. Today that is the domain plan: one
+//! advisory [`PromoteHint`] per instruction telling a Montgomery
+//! executor which multiplicative source is worth converting to resident
+//! form. Executors match [`Instruction`]s directly — there is no second
+//! op representation — and recompute effective addresses from
+//! `ARF[base] + offset` on every access (`aload` can retarget a base
+//! mid-program and the VDM may have grown since compile time), using
+//! [`AddrMode::span`](crate::AddrMode::span) to hoist one bounds check
+//! per vector access.
 
-use crate::consts::VECTOR_LEN;
-use crate::instr::{AddrMode, Instruction};
+use crate::consts::NUM_VREGS;
+use crate::instr::Instruction;
 use crate::program::Program;
+use crate::regs::VReg;
 
-/// The three lane-wise modular ALU operations (shared by the
-/// vector-vector and vector-scalar instruction forms).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AluOp {
-    /// Modular addition.
-    Add,
-    /// Modular subtraction.
-    Sub,
-    /// Modular multiplication.
-    Mul,
-}
-
-/// The four SBAR register-register shuffles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShuffleOp {
-    /// Interleave the first halves of the two sources.
-    UnpkLo,
-    /// Interleave the second halves of the two sources.
-    UnpkHi,
-    /// Even lanes of `vs` then even lanes of `vt`.
-    PkLo,
-    /// Odd lanes of `vs` then odd lanes of `vt`.
-    PkHi,
-}
-
-/// One pre-decoded instruction: raw `usize` register indices (no newtype
-/// unwrapping on the hot path) and, for static-mode vector accesses, the
-/// precomputed worst-case span so an executor can bounds-check a whole
-/// vector access in O(1).
-///
-/// The variants mirror [`Instruction`] one-to-one;
-/// [`DecodedOp::from_instruction`] is the second consumer of the
-/// instruction table (the binary encoder being the first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DecodedOp {
-    /// `vload`: VDM → `VRF[vd]` through an addressing mode.
-    Load {
-        /// Destination VRF index.
-        vd: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-        /// The addressing mode (kept for the mode-specialized copy loops).
-        mode: AddrMode,
-        /// `max_i element_offset(i) + 1`: the number of VDM elements the
-        /// access can reach past its effective base. `usize::MAX` when
-        /// the mode's reach overflows `usize` (executors must take the
-        /// per-element path, which reports the fault exactly).
-        span: usize,
-    },
-    /// `vstore`: `VRF[vs]` → VDM through an addressing mode.
-    Store {
-        /// Source VRF index.
-        vs: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-        /// The addressing mode.
-        mode: AddrMode,
-        /// Worst-case span (see [`DecodedOp::Load::span`]).
-        span: usize,
-    },
-    /// `vgather`: per-lane indexed load (indices are data, so the span is
-    /// unknowable at decode time — executors bounds-check per lane).
-    Gather {
-        /// Destination VRF index.
-        vd: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-        /// VRF index of the per-lane index vector.
-        vi: usize,
-    },
-    /// `vbroadcast`: one VDM element replicated across all lanes.
-    Broadcast {
-        /// Destination VRF index.
-        vd: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-    },
-    /// `sload`: SDM → `SRF[rt]`.
-    LoadScalar {
-        /// Destination SRF index.
-        rt: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-    },
-    /// `mload`: SDM → `MRF[rt]`.
-    LoadModulus {
-        /// Destination MRF index.
-        rt: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-    },
-    /// `aload`: SDM → `ARF[rt]` (this is why effective addresses cannot
-    /// be resolved at decode time).
-    LoadAddress {
-        /// Destination ARF index.
-        rt: usize,
-        /// ARF index of the base register.
-        base: usize,
-        /// Static element offset added to `ARF[base]`.
-        offset: usize,
-    },
-    /// `vaddmod`/`vsubmod`/`vmulmod`: lane-wise `vd = vs ∘ vt mod MRF[rm]`.
-    VectorVector {
-        /// Which ALU operation.
-        op: AluOp,
-        /// Destination VRF index.
-        vd: usize,
-        /// First source VRF index.
-        vs: usize,
-        /// Second source VRF index.
-        vt: usize,
-        /// MRF index of the modulus.
-        rm: usize,
-    },
-    /// `vsaddmod`/`vssubmod`/`vsmulmod`: lane-wise `vd = vs ∘ SRF[rt]`.
-    VectorScalar {
-        /// Which ALU operation.
-        op: AluOp,
-        /// Destination VRF index.
-        vd: usize,
-        /// Source VRF index.
-        vs: usize,
-        /// SRF index of the scalar operand.
-        rt: usize,
-        /// MRF index of the modulus.
-        rm: usize,
-    },
-    /// `bfly`: fused CT butterfly, `vd = vs + vt1·vt`, `vd1 = vs − vt1·vt`.
-    Butterfly {
-        /// Sum destination VRF index.
-        vd: usize,
-        /// Difference destination VRF index.
-        vd1: usize,
-        /// Addend source VRF index.
-        vs: usize,
-        /// Multiplicand source VRF index.
-        vt: usize,
-        /// Twiddle source VRF index.
-        vt1: usize,
-        /// MRF index of the modulus.
-        rm: usize,
-    },
-    /// `unpklo`/`unpkhi`/`pklo`/`pkhi`: SBAR shuffle.
-    Shuffle {
-        /// Which shuffle.
-        op: ShuffleOp,
-        /// Destination VRF index.
-        vd: usize,
-        /// First source VRF index.
-        vs: usize,
-        /// Second source VRF index.
-        vt: usize,
-    },
-}
-
-/// Worst-case reach of a static addressing mode: the largest
-/// `element_offset(i)` over the vector, plus one. Every mode's offset
-/// sequence is bounded by its value at the top lane (`Unit`, `Strided`,
-/// `StridedSkip` are monotonic; `Repeated` is capped by its block), so
-/// `effective_base + span <= capacity` proves the whole access in bounds.
-/// Returns `usize::MAX` if the reach overflows `usize` (degenerate
-/// encodings — executors fall back to per-element checking).
-fn mode_span(mode: AddrMode) -> usize {
-    let top = VECTOR_LEN - 1;
-    let max_off = match mode {
-        AddrMode::Unit => Some(top),
-        AddrMode::Strided { log2_stride } => {
-            if u32::from(log2_stride) >= usize::BITS {
-                None
-            } else {
-                top.checked_mul(1usize << log2_stride)
-            }
-        }
-        AddrMode::StridedSkip { log2_block } => {
-            if u32::from(log2_block) >= usize::BITS {
-                None
-            } else {
-                let b = 1usize << log2_block;
-                (top / b)
-                    .checked_mul(2)
-                    .and_then(|c| c.checked_mul(b))
-                    .and_then(|c| c.checked_add(top % b))
-            }
-        }
-        AddrMode::Repeated { log2_block } => {
-            if u32::from(log2_block) >= usize::BITS {
-                None
-            } else {
-                Some(top.min((1usize << log2_block) - 1))
-            }
-        }
-    };
-    max_off.and_then(|m| m.checked_add(1)).unwrap_or(usize::MAX)
-}
-
-impl DecodedOp {
-    /// Pre-decodes one instruction. This is a pure function of the
-    /// instruction table: every field the encoder serializes is lowered
-    /// to its raw index here, and static addressing modes get their
-    /// worst-case span attached.
-    pub fn from_instruction(instr: &Instruction) -> Self {
-        use Instruction::*;
-        match *instr {
-            VLoad {
-                vd,
-                base,
-                offset,
-                mode,
-            } => DecodedOp::Load {
-                vd: vd.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-                mode,
-                span: mode_span(mode),
-            },
-            VStore {
-                vs,
-                base,
-                offset,
-                mode,
-            } => DecodedOp::Store {
-                vs: vs.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-                mode,
-                span: mode_span(mode),
-            },
-            VGather {
-                vd,
-                base,
-                offset,
-                vi,
-            } => DecodedOp::Gather {
-                vd: vd.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-                vi: vi.index() as usize,
-            },
-            VBroadcast { vd, base, offset } => DecodedOp::Broadcast {
-                vd: vd.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-            },
-            SLoad { rt, base, offset } => DecodedOp::LoadScalar {
-                rt: rt.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-            },
-            MLoad { rt, base, offset } => DecodedOp::LoadModulus {
-                rt: rt.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-            },
-            ALoad { rt, base, offset } => DecodedOp::LoadAddress {
-                rt: rt.index() as usize,
-                base: base.index() as usize,
-                offset: offset as usize,
-            },
-            VAddMod { vd, vs, vt, rm } => DecodedOp::VectorVector {
-                op: AluOp::Add,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                vt: vt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            VSubMod { vd, vs, vt, rm } => DecodedOp::VectorVector {
-                op: AluOp::Sub,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                vt: vt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            VMulMod { vd, vs, vt, rm } => DecodedOp::VectorVector {
-                op: AluOp::Mul,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                vt: vt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            VSAddMod { vd, vs, rt, rm } => DecodedOp::VectorScalar {
-                op: AluOp::Add,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                rt: rt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            VSSubMod { vd, vs, rt, rm } => DecodedOp::VectorScalar {
-                op: AluOp::Sub,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                rt: rt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            VSMulMod { vd, vs, rt, rm } => DecodedOp::VectorScalar {
-                op: AluOp::Mul,
-                vd: vd.index() as usize,
-                vs: vs.index() as usize,
-                rt: rt.index() as usize,
-                rm: rm.index() as usize,
-            },
-            Bfly {
-                vd,
-                vd1,
-                vs,
-                vt,
-                vt1,
-                rm,
-            } => DecodedOp::Butterfly {
-                vd: vd.index() as usize,
-                vd1: vd1.index() as usize,
-                vs: vs.index() as usize,
-                vt: vt.index() as usize,
-                vt1: vt1.index() as usize,
-                rm: rm.index() as usize,
-            },
-            UnpkLo { vd, vs, vt } => Self::shuffle(ShuffleOp::UnpkLo, vd, vs, vt),
-            UnpkHi { vd, vs, vt } => Self::shuffle(ShuffleOp::UnpkHi, vd, vs, vt),
-            PkLo { vd, vs, vt } => Self::shuffle(ShuffleOp::PkLo, vd, vs, vt),
-            PkHi { vd, vs, vt } => Self::shuffle(ShuffleOp::PkHi, vd, vs, vt),
-        }
-    }
-
-    fn shuffle(op: ShuffleOp, vd: crate::VReg, vs: crate::VReg, vt: crate::VReg) -> Self {
-        DecodedOp::Shuffle {
-            op,
-            vd: vd.index() as usize,
-            vs: vs.index() as usize,
-            vt: vt.index() as usize,
-        }
-    }
-}
-
-/// Advice attached to one multiply-class op by the static domain plan:
-/// which multiplicative source (if either) an executor should convert to
-/// Montgomery residence when it reaches this op.
+/// Advice attached to one multiply-class instruction by the static
+/// domain plan: which multiplicative source (if either) an executor
+/// should convert to Montgomery residence when it reaches it.
 ///
 /// Hints are *advisory*. They never change semantics: an executor that
 /// ignores them (or one whose runtime check — all lanes canonical, odd
@@ -378,147 +30,116 @@ impl DecodedOp {
 /// conversion, instead of thrashing the domain on every multiply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PromoteHint {
-    /// No promotion at this op.
+    /// No promotion at this instruction.
     #[default]
     None,
-    /// Promote the op's first multiplicative source: `vs` of a
-    /// vector-vector multiply, `vt` (the multiplicand) of a butterfly.
+    /// Promote the first multiplicative source: `vs` of a `vmulmod`,
+    /// `vt` (the multiplicand) of a `bfly`.
     First,
-    /// Promote the op's second multiplicative source: `vt` of a
-    /// vector-vector multiply, `vt1` (the twiddle) of a butterfly.
+    /// Promote the second multiplicative source: `vt` of a `vmulmod`,
+    /// `vt1` (the twiddle) of a `bfly`.
     Second,
 }
 
-/// The two registers an op reads as *multiplicative* sources (the
-/// operands a Montgomery executor can take resident), in
-/// [`PromoteHint`] slot order.
-fn mul_sources(op: &DecodedOp) -> [Option<usize>; 2] {
-    match *op {
-        DecodedOp::VectorVector {
-            op: AluOp::Mul,
-            vs,
-            vt,
-            ..
-        } => [Some(vs), Some(vt)],
-        DecodedOp::Butterfly { vt, vt1, .. } => [Some(vt), Some(vt1)],
-        _ => [None, None],
-    }
+/// How one instruction uses vector registers, as the domain plan sees
+/// it (raw VRF indices).
+struct DomainUses {
+    /// Multiplicative sources — the operands a Montgomery executor can
+    /// take resident — in [`PromoteHint`] slot order.
+    mul: [Option<usize>; 2],
+    /// Registers read in *normal* form: uses that force a resident
+    /// register to be flushed back first.
+    normal: [Option<usize>; 3],
+    /// Registers (re)defined, ending any residence.
+    defs: [Option<usize>; 2],
+    /// `true` for `vmulmod`, whose product of two resident sources is
+    /// itself resident.
+    product: bool,
 }
 
-/// The registers an op reads in *normal* form — uses that force a
-/// resident register to be flushed back before the op executes.
-/// (The vector source of a vector-scalar multiply is deliberately
-/// absent: a mixed-domain multiply consumes it resident at no cost.)
-fn normal_uses(op: &DecodedOp) -> [Option<usize>; 2] {
-    match *op {
-        DecodedOp::Store { vs, .. } => [Some(vs), None],
-        DecodedOp::Gather { vi, .. } => [Some(vi), None],
-        DecodedOp::VectorVector {
-            op: AluOp::Add | AluOp::Sub,
-            vs,
-            vt,
-            ..
-        } => [Some(vs), Some(vt)],
-        DecodedOp::VectorScalar {
-            op: AluOp::Add | AluOp::Sub,
-            vs,
-            ..
-        } => [Some(vs), None],
-        DecodedOp::Butterfly { vs, .. } => [Some(vs), None],
-        DecodedOp::Shuffle { vs, vt, .. } => [Some(vs), Some(vt)],
-        _ => [None, None],
-    }
-}
-
-/// The vector registers an op (re)defines, ending any residence.
-fn defs(op: &DecodedOp) -> [Option<usize>; 2] {
-    match *op {
-        DecodedOp::Load { vd, .. }
-        | DecodedOp::Gather { vd, .. }
-        | DecodedOp::Broadcast { vd, .. }
-        | DecodedOp::VectorVector { vd, .. }
-        | DecodedOp::VectorScalar { vd, .. }
-        | DecodedOp::Shuffle { vd, .. } => [Some(vd), None],
-        DecodedOp::Butterfly { vd, vd1, .. } => [Some(vd), Some(vd1)],
-        _ => [None, None],
-    }
-}
-
-/// Profiles register `r` forward from `ops[start + 1..]` until its next
-/// redefinition: how many later ops use it as a multiplicative source
-/// (each such op saves one Montgomery reduction if `r` is resident),
-/// and whether the residence would have to be flushed (a normal-form
-/// use, or survival to the end of the program) rather than dying with
-/// a redefinition.
-fn future_mul_profile(ops: &[DecodedOp], start: usize, r: usize) -> (usize, bool) {
-    let mut uses = 0usize;
-    for op in &ops[start + 1..] {
-        if mul_sources(op).contains(&Some(r)) {
-            uses += 1;
-        }
-        if normal_uses(op).contains(&Some(r)) {
-            return (uses, true);
-        }
-        if defs(op).contains(&Some(r)) {
-            return (uses, false);
+impl DomainUses {
+    fn of(instr: &Instruction) -> Self {
+        let ix = |r: VReg| usize::from(r.index());
+        let srcs = instr.src_vregs().map(|r| r.map(ix));
+        let (mul, normal, product) = match *instr {
+            Instruction::VMulMod { .. } => ([srcs[0], srcs[1]], [None; 3], true),
+            // The addend is consumed in normal form.
+            Instruction::Bfly { .. } => ([srcs[1], srcs[2]], [srcs[0], None, None], false),
+            // A mixed-domain multiply consumes its vector source
+            // resident at no cost: neither promotable nor a flush.
+            Instruction::VSMulMod { .. } => ([None; 2], [None; 3], false),
+            // Everything else reads its vector sources in normal form.
+            _ => ([None; 2], srcs, false),
+        };
+        DomainUses {
+            mul,
+            normal,
+            defs: instr.dst_vregs().map(|r| r.map(ix)),
+            product,
         }
     }
-    (uses, true) // still resident at program end: flushed by the epilogue
 }
 
-/// Computes the static domain plan: one [`PromoteHint`] per op.
+/// Profiles register `r` forward from `uses[start + 1..]` until its next
+/// redefinition: how many later instructions use it as a multiplicative
+/// source (each saves one Montgomery reduction if `r` is resident), and
+/// whether the residence would have to be flushed (a normal-form use,
+/// or survival to the end of the program) rather than dying with a
+/// redefinition.
+fn future_mul_profile(uses: &[DomainUses], start: usize, r: usize) -> (usize, bool) {
+    let mut count = 0usize;
+    for u in &uses[start + 1..] {
+        if u.mul.contains(&Some(r)) {
+            count += 1;
+        }
+        if u.normal.contains(&Some(r)) {
+            return (count, true);
+        }
+        if u.defs.contains(&Some(r)) {
+            return (count, false);
+        }
+    }
+    (count, true) // still resident at program end: flushed by the epilogue
+}
+
+/// Computes the static domain plan: one [`PromoteHint`] per instruction.
 ///
 /// A source is promoted at a multiply only when the conversion pays for
 /// itself — promotion costs one extra reduction now and (when the value
 /// is later needed in normal form) one flush, while every further
 /// multiplicative use before redefinition saves one reduction. At most
-/// one side of an op is ever promoted: a mixed-domain Montgomery
-/// multiply already folds two reductions into one, so promoting the
-/// second side buys nothing at this op.
-fn domain_plan(ops: &[DecodedOp]) -> Vec<PromoteHint> {
-    let mut plan = vec![PromoteHint::None; ops.len()];
+/// one side of an instruction is ever promoted: a mixed-domain
+/// Montgomery multiply already folds two reductions into one, so
+/// promoting the second side buys nothing there.
+fn domain_plan(program: &Program) -> Vec<PromoteHint> {
+    let uses: Vec<DomainUses> = program.instructions().iter().map(DomainUses::of).collect();
+    let mut plan = vec![PromoteHint::None; uses.len()];
     // Optimistic static view of which registers are Montgomery-resident.
-    let mut resident = [false; 64];
-    for i in 0..ops.len() {
-        let op = ops[i];
-        for reg in normal_uses(&op).into_iter().flatten() {
-            resident[reg] = false; // executor flushes before the op
+    let mut resident = [false; NUM_VREGS];
+    for (i, u) in uses.iter().enumerate() {
+        for reg in u.normal.into_iter().flatten() {
+            resident[reg] = false; // executor flushes before the instruction
         }
-        let srcs = mul_sources(&op);
-        if srcs.iter().any(|s| s.is_some()) {
-            let mut best: Option<(usize, usize)> = None; // (slot, net saving)
-            for (slot, r) in srcs.iter().enumerate() {
-                let Some(r) = *r else { continue };
-                if resident[r] {
-                    continue;
-                }
-                let (uses, flushed) = future_mul_profile(ops, i, r);
-                let cost = 1 + usize::from(flushed);
-                if uses > cost && best.is_none_or(|(_, saving)| uses - cost > saving) {
-                    best = Some((slot, uses - cost));
-                }
+        let mut best: Option<(usize, usize)> = None; // (slot, net saving)
+        for (slot, r) in u.mul.iter().enumerate() {
+            let Some(r) = *r else { continue };
+            if resident[r] {
+                continue;
             }
-            if let Some((slot, _)) = best {
-                plan[i] = if slot == 0 {
-                    PromoteHint::First
-                } else {
-                    PromoteHint::Second
-                };
-                resident[srcs[slot].expect("chosen slot is a source")] = true;
+            let (count, flushed) = future_mul_profile(&uses, i, r);
+            let cost = 1 + usize::from(flushed);
+            if count > cost && best.is_none_or(|(_, saving)| count - cost > saving) {
+                best = Some((slot, count - cost));
             }
         }
-        // A vector-vector multiply of two resident sources yields a
-        // resident product; every other definition lands normal-form.
-        let product_resident = matches!(
-            op,
-            DecodedOp::VectorVector {
-                op: AluOp::Mul,
-                vs,
-                vt,
-                ..
-            } if resident[vs] && resident[vt]
-        );
-        for (di, reg) in defs(&op).into_iter().enumerate() {
+        if let Some((slot, _)) = best {
+            plan[i] = [PromoteHint::First, PromoteHint::Second][slot];
+            resident[u.mul[slot].expect("chosen slot is a source")] = true;
+        }
+        // A `vmulmod` of two resident sources yields a resident product;
+        // every other definition lands normal-form.
+        let product_resident = u.product && u.mul.iter().all(|r| r.is_some_and(|r| resident[r]));
+        for (di, reg) in u.defs.into_iter().enumerate() {
             if let Some(reg) = reg {
                 resident[reg] = product_resident && di == 0;
             }
@@ -527,60 +148,40 @@ fn domain_plan(ops: &[DecodedOp]) -> Vec<PromoteHint> {
     plan
 }
 
-/// A [`Program`] together with its pre-decoded op list and static
-/// domain plan, built once at compile time and reusable across any
-/// number of executions.
-///
-/// The source program is retained alongside the decoded ops so executors
-/// can fall back to the reference per-instruction interpreter for any op
-/// whose fast path does not apply (error paths must reproduce the
-/// interpreter's exact partial architectural state).
+/// A [`Program`] together with its static domain plan, built once at
+/// compile time and reusable across any number of executions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PredecodedProgram {
     program: Program,
-    ops: Vec<DecodedOp>,
     domain: Vec<PromoteHint>,
 }
 
 impl PredecodedProgram {
-    /// Pre-decodes a program, taking ownership of it.
+    /// Analyses a program, taking ownership of it.
     pub fn new(program: Program) -> Self {
-        let ops: Vec<DecodedOp> = program
-            .instructions()
-            .iter()
-            .map(DecodedOp::from_instruction)
-            .collect();
-        let domain = domain_plan(&ops);
-        PredecodedProgram {
-            program,
-            ops,
-            domain,
-        }
+        let domain = domain_plan(&program);
+        PredecodedProgram { program, domain }
     }
 
-    /// The source program (unchanged by pre-decoding).
+    /// The source program (unchanged by the analysis).
     pub fn program(&self) -> &Program {
         &self.program
     }
 
-    /// The flat pre-decoded op list, one entry per instruction.
-    pub fn ops(&self) -> &[DecodedOp] {
-        &self.ops
-    }
-
-    /// The static domain plan: one advisory [`PromoteHint`] per op.
+    /// The static domain plan: one advisory [`PromoteHint`] per
+    /// instruction.
     pub fn domain_plan(&self) -> &[PromoteHint] {
         &self.domain
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.program.len()
     }
 
     /// `true` if the program is empty.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.program.is_empty()
     }
 }
 
@@ -599,117 +200,10 @@ impl From<&Program> for PredecodedProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regs::{AReg, MReg, SReg, VReg};
-    use crate::{decode, encode};
-
-    /// One instruction of every kind, with distinct field values.
-    fn one_of_each() -> Vec<Instruction> {
-        let m = |k| AddrMode::Strided { log2_stride: k };
-        vec![
-            Instruction::VLoad {
-                vd: VReg::at(1),
-                base: AReg::at(2),
-                offset: 3,
-                mode: m(2),
-            },
-            Instruction::VStore {
-                vs: VReg::at(4),
-                base: AReg::at(5),
-                offset: 6,
-                mode: AddrMode::StridedSkip { log2_block: 3 },
-            },
-            Instruction::VGather {
-                vd: VReg::at(7),
-                base: AReg::at(8),
-                offset: 9,
-                vi: VReg::at(10),
-            },
-            Instruction::VBroadcast {
-                vd: VReg::at(11),
-                base: AReg::at(12),
-                offset: 13,
-            },
-            Instruction::SLoad {
-                rt: SReg::at(14),
-                base: AReg::at(15),
-                offset: 16,
-            },
-            Instruction::MLoad {
-                rt: MReg::at(17),
-                base: AReg::at(18),
-                offset: 19,
-            },
-            Instruction::ALoad {
-                rt: AReg::at(20),
-                base: AReg::at(21),
-                offset: 22,
-            },
-            Instruction::VAddMod {
-                vd: VReg::at(23),
-                vs: VReg::at(24),
-                vt: VReg::at(25),
-                rm: MReg::at(26),
-            },
-            Instruction::VSubMod {
-                vd: VReg::at(27),
-                vs: VReg::at(28),
-                vt: VReg::at(29),
-                rm: MReg::at(30),
-            },
-            Instruction::VMulMod {
-                vd: VReg::at(31),
-                vs: VReg::at(32),
-                vt: VReg::at(33),
-                rm: MReg::at(34),
-            },
-            Instruction::VSAddMod {
-                vd: VReg::at(35),
-                vs: VReg::at(36),
-                rt: SReg::at(37),
-                rm: MReg::at(38),
-            },
-            Instruction::VSSubMod {
-                vd: VReg::at(39),
-                vs: VReg::at(40),
-                rt: SReg::at(41),
-                rm: MReg::at(42),
-            },
-            Instruction::VSMulMod {
-                vd: VReg::at(43),
-                vs: VReg::at(44),
-                rt: SReg::at(45),
-                rm: MReg::at(46),
-            },
-            Instruction::Bfly {
-                vd: VReg::at(47),
-                vd1: VReg::at(48),
-                vs: VReg::at(49),
-                vt: VReg::at(50),
-                vt1: VReg::at(51),
-                rm: MReg::at(52),
-            },
-            Instruction::UnpkLo {
-                vd: VReg::at(53),
-                vs: VReg::at(54),
-                vt: VReg::at(55),
-            },
-            Instruction::UnpkHi {
-                vd: VReg::at(56),
-                vs: VReg::at(57),
-                vt: VReg::at(58),
-            },
-            Instruction::PkLo {
-                vd: VReg::at(59),
-                vs: VReg::at(60),
-                vt: VReg::at(61),
-            },
-            Instruction::PkHi {
-                vd: VReg::at(62),
-                vs: VReg::at(63),
-                vt: VReg::at(0),
-            },
-        ]
-    }
+    use crate::consts::VECTOR_LEN;
+    use crate::regs::{AReg, MReg};
+    use crate::table::{OpInfo, ISA};
+    use crate::AddrMode;
 
     #[test]
     fn spans_match_the_addressing_mode_reach() {
@@ -729,28 +223,15 @@ mod tests {
                 .max()
                 .unwrap()
                 + 1;
-            assert_eq!(mode_span(mode), brute, "{mode:?}");
+            assert_eq!(mode.span(), brute, "{mode:?}");
         }
         // degenerate reach saturates instead of overflowing
-        assert_eq!(mode_span(AddrMode::Strided { log2_stride: 60 }), usize::MAX);
-    }
-
-    #[test]
-    fn every_instruction_predecodes_and_survives_the_encoder() {
-        // "One table, two consumers": the op the pre-decoder derives from
-        // an instruction must be identical whether the instruction came
-        // from the builder or round-tripped through the binary encoding.
-        for instr in one_of_each() {
-            let direct = DecodedOp::from_instruction(&instr);
-            let redecoded = decode(encode(&instr)).expect("canonical encoding");
-            assert_eq!(redecoded, instr);
-            assert_eq!(DecodedOp::from_instruction(&redecoded), direct, "{instr}");
-        }
+        assert_eq!(AddrMode::Strided { log2_stride: 60 }.span(), usize::MAX);
     }
 
     #[test]
     fn predecoded_program_preserves_the_source() {
-        let program: Program = one_of_each().into_iter().collect();
+        let program: Program = ISA.iter().map(OpInfo::sample).collect();
         let n = program.len();
         let pre = PredecodedProgram::new(program.clone());
         assert_eq!(pre.program(), &program);
@@ -852,28 +333,5 @@ mod tests {
             vmul(5, 1, 2),
         ];
         assert!(plan_of(instrs).iter().all(|h| *h == PromoteHint::None));
-    }
-
-    #[test]
-    fn register_indices_are_lowered_raw() {
-        let instr = Instruction::Bfly {
-            vd: VReg::at(1),
-            vd1: VReg::at(2),
-            vs: VReg::at(3),
-            vt: VReg::at(4),
-            vt1: VReg::at(5),
-            rm: MReg::at(6),
-        };
-        assert_eq!(
-            DecodedOp::from_instruction(&instr),
-            DecodedOp::Butterfly {
-                vd: 1,
-                vd1: 2,
-                vs: 3,
-                vt: 4,
-                vt1: 5,
-                rm: 6
-            }
-        );
     }
 }

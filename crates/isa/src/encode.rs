@@ -1,22 +1,14 @@
 //! 64-bit binary encoding of B512 instructions, following Table I.
 //!
-//! Field layout (bit ranges inclusive):
-//!
-//! ```text
-//! [63:55] [54:49] [48]  [47:44] [43:24]  [23:18] [17:12]   [11:6]      [5:0]
-//!   VD1     VT1   BFLY  Opcode  Address    VD    VS/Mode  VT/RT/Value   RM
-//! ```
-//!
-//! Sixteen opcode values plus the BFLY bit cover the 17 paper
-//! instructions; the flag bit on the `vload` opcode additionally encodes
-//! the `vgather` extension (an indexed load has no static addressing
-//! mode, so the MODE/VALUE fields are free to carry the index register).
-//! Decoding is strict: any bits that an instruction does not use must be
-//! zero, so `decode(encode(i)) == i` and every valid word has exactly one
-//! meaning.
+//! The field layout and the per-instruction field assignment live in
+//! the instruction table ([`crate::table`]); this module only walks a
+//! row's operands. Decoding is strict: any bits that an instruction
+//! does not use must be zero, so `decode(encode(i)) == i` and every
+//! valid word has exactly one meaning.
 
 use crate::instr::{AddrMode, Instruction};
-use crate::regs::{AReg, MReg, SReg, VReg};
+use crate::table::{Field, Operand, Operands, ADDRESS_BITS, ADDRESS_SHIFT, FLAG_SHIFT, ISA};
+use crate::table::{OPCODE_SHIFT, REG_MASK};
 
 /// Error decoding a 64-bit instruction word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,218 +48,37 @@ impl core::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Opcode assignments (4-bit field).
-const OP_VLOAD: u64 = 0;
-const OP_VSTORE: u64 = 1;
-const OP_VBROADCAST: u64 = 2;
-const OP_SLOAD: u64 = 3;
-const OP_MLOAD: u64 = 4;
-const OP_ALOAD: u64 = 5;
-const OP_VADDMOD: u64 = 6; // BFLY bit turns this into `bfly`
-const OP_VSUBMOD: u64 = 7;
-const OP_VMULMOD: u64 = 8;
-const OP_VSADDMOD: u64 = 9;
-const OP_VSSUBMOD: u64 = 10;
-const OP_VSMULMOD: u64 = 11;
-const OP_UNPKLO: u64 = 12;
-const OP_UNPKHI: u64 = 13;
-const OP_PKLO: u64 = 14;
-const OP_PKHI: u64 = 15;
-
-const ADDR_MASK: u32 = (1 << 20) - 1;
-
-#[derive(Default)]
-struct Fields {
-    vd1: u64,
-    vt1: u64,
-    bfly: u64,
-    opcode: u64,
-    address: u64,
-    vd: u64,
-    vs_mode: u64,
-    vt_rt_value: u64,
-    rm: u64,
-}
-
-impl Fields {
-    fn pack(&self) -> u64 {
-        debug_assert!(self.vd1 < 64 && self.vt1 < 64 && self.bfly < 2);
-        debug_assert!(self.opcode < 16 && self.address < (1 << 20));
-        debug_assert!(self.vd < 64 && self.vs_mode < 64 && self.vt_rt_value < 64 && self.rm < 64);
-        (self.vd1 << 55)
-            | (self.vt1 << 49)
-            | (self.bfly << 48)
-            | (self.opcode << 44)
-            | (self.address << 24)
-            | (self.vd << 18)
-            | (self.vs_mode << 12)
-            | (self.vt_rt_value << 6)
-            | self.rm
-    }
-
-    fn unpack(word: u64) -> Fields {
-        Fields {
-            vd1: (word >> 55) & 0x1FF,
-            vt1: (word >> 49) & 0x3F,
-            bfly: (word >> 48) & 1,
-            opcode: (word >> 44) & 0xF,
-            address: (word >> 24) & 0xF_FFFF,
-            vd: (word >> 18) & 0x3F,
-            vs_mode: (word >> 12) & 0x3F,
-            vt_rt_value: (word >> 6) & 0x3F,
-            rm: word & 0x3F,
-        }
-    }
-}
+const ADDRESS_MASK: u64 = (1 << ADDRESS_BITS) - 1;
 
 /// Encodes an instruction into its 64-bit word.
 ///
-/// The `offset` of memory instructions is truncated to the 20-bit address
-/// field; callers must keep offsets in range (the assembler and code
-/// generator do).
+/// The `offset` of memory instructions must fit the 20-bit address
+/// field (the assembler and the code generators check it); a wider
+/// offset is a caller bug, caught in debug builds and truncated in
+/// release builds.
 pub fn encode(instr: &Instruction) -> u64 {
-    use Instruction::*;
-    let mut f = Fields::default();
-    match *instr {
-        VLoad {
-            vd,
-            base,
-            offset,
-            mode,
-        } => {
-            f.opcode = OP_VLOAD;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vd = vd.index() as u64;
-            f.vs_mode = mode.mode_bits() as u64;
-            f.vt_rt_value = mode.value_bits() as u64;
-            f.rm = base.index() as u64;
-        }
-        VStore {
-            vs,
-            base,
-            offset,
-            mode,
-        } => {
-            f.opcode = OP_VSTORE;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vd = vs.index() as u64; // VD field carries the source for stores
-            f.vs_mode = mode.mode_bits() as u64;
-            f.vt_rt_value = mode.value_bits() as u64;
-            f.rm = base.index() as u64;
-        }
-        VGather {
-            vd,
-            base,
-            offset,
-            vi,
-        } => {
-            f.opcode = OP_VLOAD;
-            f.bfly = 1;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vd = vd.index() as u64;
-            f.vt_rt_value = vi.index() as u64;
-            f.rm = base.index() as u64;
-        }
-        VBroadcast { vd, base, offset } => {
-            f.opcode = OP_VBROADCAST;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vd = vd.index() as u64;
-            f.rm = base.index() as u64;
-        }
-        SLoad { rt, base, offset } => {
-            f.opcode = OP_SLOAD;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vt_rt_value = rt.index() as u64;
-            f.rm = base.index() as u64;
-        }
-        MLoad { rt, base, offset } => {
-            f.opcode = OP_MLOAD;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vt_rt_value = rt.index() as u64;
-            f.rm = base.index() as u64;
-        }
-        ALoad { rt, base, offset } => {
-            f.opcode = OP_ALOAD;
-            f.address = (offset & ADDR_MASK) as u64;
-            f.vt_rt_value = rt.index() as u64;
-            f.rm = base.index() as u64;
-        }
-        VAddMod { vd, vs, vt, rm } => {
-            f.opcode = OP_VADDMOD;
-            ci_fields(&mut f, vd, vs, vt, rm);
-        }
-        VSubMod { vd, vs, vt, rm } => {
-            f.opcode = OP_VSUBMOD;
-            ci_fields(&mut f, vd, vs, vt, rm);
-        }
-        VMulMod { vd, vs, vt, rm } => {
-            f.opcode = OP_VMULMOD;
-            ci_fields(&mut f, vd, vs, vt, rm);
-        }
-        VSAddMod { vd, vs, rt, rm } => {
-            f.opcode = OP_VSADDMOD;
-            vsi_fields(&mut f, vd, vs, rt, rm);
-        }
-        VSSubMod { vd, vs, rt, rm } => {
-            f.opcode = OP_VSSUBMOD;
-            vsi_fields(&mut f, vd, vs, rt, rm);
-        }
-        VSMulMod { vd, vs, rt, rm } => {
-            f.opcode = OP_VSMULMOD;
-            vsi_fields(&mut f, vd, vs, rt, rm);
-        }
-        Bfly {
-            vd,
-            vd1,
-            vs,
-            vt,
-            vt1,
-            rm,
-        } => {
-            f.opcode = OP_VADDMOD;
-            f.bfly = 1;
-            f.vd1 = vd1.index() as u64;
-            f.vt1 = vt1.index() as u64;
-            ci_fields(&mut f, vd, vs, vt, rm);
-        }
-        UnpkLo { vd, vs, vt } => {
-            f.opcode = OP_UNPKLO;
-            si_fields(&mut f, vd, vs, vt);
-        }
-        UnpkHi { vd, vs, vt } => {
-            f.opcode = OP_UNPKHI;
-            si_fields(&mut f, vd, vs, vt);
-        }
-        PkLo { vd, vs, vt } => {
-            f.opcode = OP_PKLO;
-            si_fields(&mut f, vd, vs, vt);
-        }
-        PkHi { vd, vs, vt } => {
-            f.opcode = OP_PKHI;
-            si_fields(&mut f, vd, vs, vt);
-        }
+    let (op, o) = instr.parts();
+    let info = op.info();
+    debug_assert!(
+        u64::from(o.offset) <= ADDRESS_MASK,
+        "offset {} exceeds the {ADDRESS_BITS}-bit address field",
+        o.offset
+    );
+    let mut word = u64::from(info.flag) << FLAG_SHIFT | u64::from(info.opcode) << OPCODE_SHIFT;
+    for (operand, r) in info.operands.iter().zip(o.regs) {
+        word |= match *operand {
+            Operand::Reg { field, .. } => u64::from(r) << field as u32,
+            Operand::Mem { .. } => {
+                u64::from(r) << Field::Rm as u32
+                    | (u64::from(o.offset) & ADDRESS_MASK) << ADDRESS_SHIFT
+            }
+            Operand::Mode => {
+                u64::from(o.mode.mode_bits()) << Field::Vs as u32
+                    | u64::from(o.mode.value_bits()) << Field::Vt as u32
+            }
+        };
     }
-    f.pack()
-}
-
-fn ci_fields(f: &mut Fields, vd: VReg, vs: VReg, vt: VReg, rm: MReg) {
-    f.vd = vd.index() as u64;
-    f.vs_mode = vs.index() as u64;
-    f.vt_rt_value = vt.index() as u64;
-    f.rm = rm.index() as u64;
-}
-
-fn vsi_fields(f: &mut Fields, vd: VReg, vs: VReg, rt: SReg, rm: MReg) {
-    f.vd = vd.index() as u64;
-    f.vs_mode = vs.index() as u64;
-    f.vt_rt_value = rt.index() as u64;
-    f.rm = rm.index() as u64;
-}
-
-fn si_fields(f: &mut Fields, vd: VReg, vs: VReg, vt: VReg) {
-    f.vd = vd.index() as u64;
-    f.vs_mode = vs.index() as u64;
-    f.vt_rt_value = vt.index() as u64;
+    word
 }
 
 /// Decodes a 64-bit word into an instruction.
@@ -277,139 +88,55 @@ fn si_fields(f: &mut Fields, vd: VReg, vs: VReg, vt: VReg) {
 /// Returns a [`DecodeError`] for non-canonical words (unused bits set,
 /// stray BFLY bit, or invalid addressing-mode fields).
 pub fn decode(word: u64) -> Result<Instruction, DecodeError> {
-    let f = Fields::unpack(word);
-    // VD1 field is 9 bits wide in the layout but registers are 6 bits; the
-    // top 3 bits must always be zero.
-    if f.vd1 >= 64 {
+    let reg = |field: Field| ((word >> field as u32) & REG_MASK) as u8;
+    // The VD1 field is 9 bits wide in the layout but registers are 6
+    // bits; the top 3 bits must always be zero.
+    if (word >> Field::Vd1 as u32) > REG_MASK {
         return Err(DecodeError::NonCanonical { word });
     }
-    let vd1_vt1_zero = f.vd1 == 0 && f.vt1 == 0;
-    if f.bfly == 1 && f.opcode != OP_VADDMOD && f.opcode != OP_VLOAD {
-        return Err(DecodeError::StrayButterflyBit { word });
+    let (opcode, flag) = ((word >> OPCODE_SHIFT) & 0xF, (word >> FLAG_SHIFT) & 1 == 1);
+    // Every opcode value has a flag-clear row, so only a stray flag bit
+    // can fail the lookup.
+    let info = ISA
+        .iter()
+        .find(|i| u64::from(i.opcode) == opcode && i.flag == flag)
+        .ok_or(DecodeError::StrayButterflyBit { word })?;
+    // The flag and opcode fields are always meaningful; every other set
+    // bit must be claimed by one of the row's operands.
+    let mut used = 1 << FLAG_SHIFT | 0xF << OPCODE_SHIFT;
+    let mut o = Operands::NONE;
+    let mut has_mode = false;
+    for (k, operand) in info.operands.iter().enumerate() {
+        match *operand {
+            Operand::Reg { field, .. } => {
+                o.regs[k] = reg(field);
+                used |= REG_MASK << field as u32;
+            }
+            Operand::Mem { .. } => {
+                o.regs[k] = reg(Field::Rm);
+                o.offset = ((word >> ADDRESS_SHIFT) & ADDRESS_MASK) as u32;
+                used |= REG_MASK << Field::Rm as u32 | ADDRESS_MASK << ADDRESS_SHIFT;
+            }
+            Operand::Mode => {
+                has_mode = true;
+                used |= REG_MASK << Field::Vs as u32 | REG_MASK << Field::Vt as u32;
+            }
+        }
     }
-    let vreg = |v: u64| VReg::new(v as u8).expect("6-bit field");
-    let sreg = |v: u64| SReg::new(v as u8).expect("6-bit field");
-    let areg = |v: u64| AReg::new(v as u8).expect("6-bit field");
-    let mreg = |v: u64| MReg::new(v as u8).expect("6-bit field");
-    let require = |cond: bool| {
-        if cond {
-            Ok(())
-        } else {
-            Err(DecodeError::NonCanonical { word })
-        }
-    };
-
-    use Instruction::*;
-    let instr = match f.opcode {
-        OP_VLOAD if f.bfly == 1 => {
-            // The flag bit on the load opcode selects the indexed form;
-            // the MODE field must be zero (there is no addressing mode).
-            require(vd1_vt1_zero && f.vs_mode == 0)?;
-            VGather {
-                vd: vreg(f.vd),
-                base: areg(f.rm),
-                offset: f.address as u32,
-                vi: vreg(f.vt_rt_value),
-            }
-        }
-        OP_VLOAD | OP_VSTORE => {
-            require(vd1_vt1_zero)?;
-            let mode = AddrMode::from_bits(f.vs_mode as u8, f.vt_rt_value as u8)
-                .ok_or(DecodeError::InvalidAddrMode { word })?;
-            if f.opcode == OP_VLOAD {
-                VLoad {
-                    vd: vreg(f.vd),
-                    base: areg(f.rm),
-                    offset: f.address as u32,
-                    mode,
-                }
-            } else {
-                VStore {
-                    vs: vreg(f.vd),
-                    base: areg(f.rm),
-                    offset: f.address as u32,
-                    mode,
-                }
-            }
-        }
-        OP_VBROADCAST => {
-            require(vd1_vt1_zero && f.vs_mode == 0 && f.vt_rt_value == 0)?;
-            VBroadcast {
-                vd: vreg(f.vd),
-                base: areg(f.rm),
-                offset: f.address as u32,
-            }
-        }
-        OP_SLOAD | OP_MLOAD | OP_ALOAD => {
-            require(vd1_vt1_zero && f.vd == 0 && f.vs_mode == 0)?;
-            let base = areg(f.rm);
-            let offset = f.address as u32;
-            match f.opcode {
-                OP_SLOAD => SLoad {
-                    rt: sreg(f.vt_rt_value),
-                    base,
-                    offset,
-                },
-                OP_MLOAD => MLoad {
-                    rt: mreg(f.vt_rt_value),
-                    base,
-                    offset,
-                },
-                _ => ALoad {
-                    rt: areg(f.vt_rt_value),
-                    base,
-                    offset,
-                },
-            }
-        }
-        OP_VADDMOD if f.bfly == 1 => {
-            require(f.address == 0)?;
-            Bfly {
-                vd: vreg(f.vd),
-                vd1: vreg(f.vd1),
-                vs: vreg(f.vs_mode),
-                vt: vreg(f.vt_rt_value),
-                vt1: vreg(f.vt1),
-                rm: mreg(f.rm),
-            }
-        }
-        OP_VADDMOD | OP_VSUBMOD | OP_VMULMOD => {
-            require(vd1_vt1_zero && f.address == 0)?;
-            let (vd, vs, vt, rm) = (vreg(f.vd), vreg(f.vs_mode), vreg(f.vt_rt_value), mreg(f.rm));
-            match f.opcode {
-                OP_VADDMOD => VAddMod { vd, vs, vt, rm },
-                OP_VSUBMOD => VSubMod { vd, vs, vt, rm },
-                _ => VMulMod { vd, vs, vt, rm },
-            }
-        }
-        OP_VSADDMOD | OP_VSSUBMOD | OP_VSMULMOD => {
-            require(vd1_vt1_zero && f.address == 0)?;
-            let (vd, vs, rt, rm) = (vreg(f.vd), vreg(f.vs_mode), sreg(f.vt_rt_value), mreg(f.rm));
-            match f.opcode {
-                OP_VSADDMOD => VSAddMod { vd, vs, rt, rm },
-                OP_VSSUBMOD => VSSubMod { vd, vs, rt, rm },
-                _ => VSMulMod { vd, vs, rt, rm },
-            }
-        }
-        OP_UNPKLO | OP_UNPKHI | OP_PKLO | OP_PKHI => {
-            require(vd1_vt1_zero && f.address == 0 && f.rm == 0)?;
-            let (vd, vs, vt) = (vreg(f.vd), vreg(f.vs_mode), vreg(f.vt_rt_value));
-            match f.opcode {
-                OP_UNPKLO => UnpkLo { vd, vs, vt },
-                OP_UNPKHI => UnpkHi { vd, vs, vt },
-                OP_PKLO => PkLo { vd, vs, vt },
-                _ => PkHi { vd, vs, vt },
-            }
-        }
-        _ => unreachable!("4-bit opcode space is fully covered"),
-    };
-    Ok(instr)
+    if word & !used != 0 {
+        return Err(DecodeError::NonCanonical { word });
+    }
+    if has_mode {
+        o.mode = AddrMode::from_bits(reg(Field::Vs), reg(Field::Vt))
+            .ok_or(DecodeError::InvalidAddrMode { word })?;
+    }
+    Ok(Instruction::from_parts(info.op, &o))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::AddrMode;
+    use crate::regs::{AReg, MReg, SReg, VReg};
 
     fn all_sample_instructions() -> Vec<Instruction> {
         use Instruction::*;

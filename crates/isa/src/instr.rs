@@ -3,7 +3,9 @@
 //! the VBAR's per-lane routing to software (the permutation side of the
 //! vector ISA that Galois automorphisms need).
 
+use crate::consts::VECTOR_LEN;
 use crate::regs::{AReg, MReg, SReg, VReg};
+use crate::table::{OpInfo, Operand, Reach, RegFile};
 
 /// Vector load/store addressing modes (Section III, "MODE and VALUE
 /// together implement four different addressing modes").
@@ -49,6 +51,34 @@ impl AddrMode {
             }
             AddrMode::Repeated { log2_block } => i % (1usize << log2_block),
         }
+    }
+
+    /// Worst-case reach of the mode: the largest `element_offset(i)`
+    /// over the vector, plus one. Every mode's offset sequence is
+    /// bounded by its value at the top lane (`Unit`, `Strided`,
+    /// `StridedSkip` are monotonic; `Repeated` is capped by its block),
+    /// so `effective_base + span <= capacity` proves a whole access in
+    /// bounds. Returns `usize::MAX` if the reach overflows `usize`
+    /// (degenerate encodings — executors fall back to per-element
+    /// checking).
+    #[inline]
+    pub fn span(self) -> usize {
+        let top = VECTOR_LEN - 1;
+        let block = |log2: u8| 1usize.checked_shl(log2.into());
+        let max_off = match self {
+            AddrMode::Unit => Some(top),
+            AddrMode::Strided { log2_stride } => {
+                block(log2_stride).and_then(|s| top.checked_mul(s))
+            }
+            AddrMode::StridedSkip { log2_block } => block(log2_block).and_then(|b| {
+                (top / b)
+                    .checked_mul(2)
+                    .and_then(|c| c.checked_mul(b))
+                    .and_then(|c| c.checked_add(top % b))
+            }),
+            AddrMode::Repeated { log2_block } => block(log2_block).map(|b| top.min(b - 1)),
+        };
+        max_off.and_then(|m| m.checked_add(1)).unwrap_or(usize::MAX)
     }
 
     /// The MODE field encoding.
@@ -251,222 +281,172 @@ pub enum Instruction {
     },
 }
 
+/// The VDM elements a vector transfer may touch, with the address
+/// register resolved as 0 (the generated-kernel convention): what the
+/// cycle model and the list scheduler order memory accesses by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VdmFootprint {
+    /// First element: the static offset (every mode starts at lane 0).
+    offset: usize,
+    /// One past the last element the access can reach.
+    end: usize,
+    mode: AddrMode,
+    /// `true` if the access writes the VDM.
+    pub store: bool,
+}
+
+impl VdmFootprint {
+    /// Conservative may-alias check with one precision upgrade: two
+    /// equal-stride strided accesses whose bases are incongruent modulo
+    /// the stride touch interleaved, disjoint element sets (the
+    /// shuffle-free kernel's lo/hi store pairs).
+    #[inline]
+    pub fn conflicts(&self, other: &VdmFootprint) -> bool {
+        if self.end <= other.offset || other.end <= self.offset {
+            return false;
+        }
+        match self.mode {
+            AddrMode::Strided { log2_stride } if self.mode == other.mode => {
+                let stride = 1usize << log2_stride;
+                self.offset % stride == other.offset % stride
+            }
+            _ => true,
+        }
+    }
+}
+
 impl Instruction {
+    /// This instruction's row of the instruction table.
+    pub fn info(&self) -> &'static OpInfo {
+        self.parts().0.info()
+    }
+
     /// The backend pipeline this instruction dispatches to.
     pub fn pipe_class(&self) -> PipeClass {
-        use Instruction::*;
-        match self {
-            VLoad { .. }
-            | VStore { .. }
-            | VGather { .. }
-            | VBroadcast { .. }
-            | SLoad { .. }
-            | MLoad { .. }
-            | ALoad { .. } => PipeClass::LoadStore,
-            VAddMod { .. }
-            | VSubMod { .. }
-            | VMulMod { .. }
-            | VSAddMod { .. }
-            | VSSubMod { .. }
-            | VSMulMod { .. }
-            | Bfly { .. } => PipeClass::Compute,
-            UnpkLo { .. } | UnpkHi { .. } | PkLo { .. } | PkHi { .. } => PipeClass::Shuffle,
-        }
+        self.info().pipe
     }
 
     /// The assembly mnemonic.
     pub fn mnemonic(&self) -> &'static str {
-        use Instruction::*;
-        match self {
-            VLoad { .. } => "vload",
-            VStore { .. } => "vstore",
-            VGather { .. } => "vgather",
-            VBroadcast { .. } => "vbroadcast",
-            SLoad { .. } => "sload",
-            MLoad { .. } => "mload",
-            ALoad { .. } => "aload",
-            VAddMod { .. } => "vaddmod",
-            VSubMod { .. } => "vsubmod",
-            VMulMod { .. } => "vmulmod",
-            VSAddMod { .. } => "vsaddmod",
-            VSSubMod { .. } => "vssubmod",
-            VSMulMod { .. } => "vsmulmod",
-            Bfly { .. } => "bfly",
-            UnpkLo { .. } => "unpklo",
-            UnpkHi { .. } => "unpkhi",
-            PkLo { .. } => "pklo",
-            PkHi { .. } => "pkhi",
-        }
-    }
-
-    /// Vector registers read by this instruction (up to 3).
-    pub fn src_vregs(&self) -> [Option<VReg>; 3] {
-        use Instruction::*;
-        match *self {
-            VStore { vs, .. } => [Some(vs), None, None],
-            VGather { vi, .. } => [Some(vi), None, None],
-            VAddMod { vs, vt, .. } | VSubMod { vs, vt, .. } | VMulMod { vs, vt, .. } => {
-                [Some(vs), Some(vt), None]
-            }
-            VSAddMod { vs, .. } | VSSubMod { vs, .. } | VSMulMod { vs, .. } => {
-                [Some(vs), None, None]
-            }
-            Bfly { vs, vt, vt1, .. } => [Some(vs), Some(vt), Some(vt1)],
-            UnpkLo { vs, vt, .. }
-            | UnpkHi { vs, vt, .. }
-            | PkLo { vs, vt, .. }
-            | PkHi { vs, vt, .. } => [Some(vs), Some(vt), None],
-            _ => [None, None, None],
-        }
-    }
-
-    /// Vector registers written by this instruction (up to 2).
-    pub fn dst_vregs(&self) -> [Option<VReg>; 2] {
-        use Instruction::*;
-        match *self {
-            VLoad { vd, .. } | VGather { vd, .. } | VBroadcast { vd, .. } => [Some(vd), None],
-            VAddMod { vd, .. }
-            | VSubMod { vd, .. }
-            | VMulMod { vd, .. }
-            | VSAddMod { vd, .. }
-            | VSSubMod { vd, .. }
-            | VSMulMod { vd, .. } => [Some(vd), None],
-            Bfly { vd, vd1, .. } => [Some(vd), Some(vd1)],
-            UnpkLo { vd, .. } | UnpkHi { vd, .. } | PkLo { vd, .. } | PkHi { vd, .. } => {
-                [Some(vd), None]
-            }
-            _ => [None, None],
-        }
-    }
-
-    /// Scalar register read, if any.
-    pub fn src_sreg(&self) -> Option<SReg> {
-        use Instruction::*;
-        match *self {
-            VSAddMod { rt, .. } | VSSubMod { rt, .. } | VSMulMod { rt, .. } => Some(rt),
-            _ => None,
-        }
-    }
-
-    /// Scalar register written, if any.
-    pub fn dst_sreg(&self) -> Option<SReg> {
-        match *self {
-            Instruction::SLoad { rt, .. } => Some(rt),
-            _ => None,
-        }
-    }
-
-    /// Address register read (the load/store base), if any.
-    pub fn src_areg(&self) -> Option<AReg> {
-        use Instruction::*;
-        match *self {
-            VLoad { base, .. }
-            | VStore { base, .. }
-            | VGather { base, .. }
-            | VBroadcast { base, .. }
-            | SLoad { base, .. }
-            | MLoad { base, .. }
-            | ALoad { base, .. } => Some(base),
-            _ => None,
-        }
-    }
-
-    /// Address register written, if any.
-    pub fn dst_areg(&self) -> Option<AReg> {
-        match *self {
-            Instruction::ALoad { rt, .. } => Some(rt),
-            _ => None,
-        }
-    }
-
-    /// Modulus register read, if any.
-    pub fn src_mreg(&self) -> Option<MReg> {
-        use Instruction::*;
-        match *self {
-            VAddMod { rm, .. }
-            | VSubMod { rm, .. }
-            | VMulMod { rm, .. }
-            | VSAddMod { rm, .. }
-            | VSSubMod { rm, .. }
-            | VSMulMod { rm, .. }
-            | Bfly { rm, .. } => Some(rm),
-            _ => None,
-        }
-    }
-
-    /// Modulus register written, if any.
-    pub fn dst_mreg(&self) -> Option<MReg> {
-        match *self {
-            Instruction::MLoad { rt, .. } => Some(rt),
-            _ => None,
-        }
+        self.info().mnemonic
     }
 
     /// `true` if this instruction performs a modular multiplication
     /// (relevant to the multiplier-latency sensitivity study of Fig. 7).
     pub fn uses_multiplier(&self) -> bool {
-        matches!(
-            self,
-            Instruction::VMulMod { .. } | Instruction::VSMulMod { .. } | Instruction::Bfly { .. }
-        )
+        self.info().multiplier
+    }
+
+    /// Every register operand as `(file, index, written)`; the base of
+    /// a memory operand is an address-register read.
+    fn reg_operands(&self) -> impl Iterator<Item = (RegFile, u8, bool)> {
+        let (op, o) = self.parts();
+        let operands = op.info().operands.iter().zip(o.regs);
+        operands.filter_map(|(operand, r)| match *operand {
+            Operand::Reg { file, written, .. } => Some((file, r, written)),
+            Operand::Mem { .. } => Some((RegFile::Address, r, false)),
+            Operand::Mode => None,
+        })
+    }
+
+    /// Flat ids (`file * 64 + index`, files in [`RegFile`] order, below
+    /// [`NUM_FLAT_REGS`](crate::NUM_FLAT_REGS)) of every register this
+    /// instruction reads, address-register bases included.
+    #[inline]
+    pub fn reg_reads(&self) -> impl Iterator<Item = usize> {
+        let reads = self.reg_operands().filter(|&(_, _, written)| !written);
+        reads.map(|(file, r, _)| file.flat(r))
+    }
+
+    /// Flat ids of every register this instruction writes.
+    #[inline]
+    pub fn reg_writes(&self) -> impl Iterator<Item = usize> {
+        let writes = self.reg_operands().filter(|&(_, _, written)| written);
+        writes.map(|(file, r, _)| file.flat(r))
+    }
+
+    /// The first `N` registers of `file` this instruction reads or writes.
+    fn file_regs<const N: usize>(&self, file: RegFile, written: bool) -> [Option<u8>; N] {
+        let mut regs = self
+            .reg_operands()
+            .filter(|&(f, _, w)| f == file && w == written);
+        [(); N].map(|()| regs.next().map(|(_, r, _)| r))
+    }
+
+    /// Vector registers read by this instruction (up to 3).
+    pub fn src_vregs(&self) -> [Option<VReg>; 3] {
+        self.file_regs(RegFile::Vector, false)
+            .map(|r| r.map(VReg::at))
+    }
+
+    /// Vector registers written by this instruction (up to 2).
+    pub fn dst_vregs(&self) -> [Option<VReg>; 2] {
+        self.file_regs(RegFile::Vector, true)
+            .map(|r| r.map(VReg::at))
+    }
+
+    /// Address register read (the load/store base), if any.
+    pub fn src_areg(&self) -> Option<AReg> {
+        self.file_regs::<1>(RegFile::Address, false)[0].map(AReg::at)
+    }
+
+    /// Modulus register read, if any.
+    pub fn src_mreg(&self) -> Option<MReg> {
+        self.file_regs::<1>(RegFile::Modulus, false)[0].map(MReg::at)
+    }
+
+    /// The VDM footprint of a vector transfer; `None` for everything
+    /// that does not touch the VDM.
+    #[inline]
+    pub fn vdm_footprint(&self) -> Option<VdmFootprint> {
+        let (op, o) = self.parts();
+        let (reach, store) = op.info().operands.iter().find_map(|x| match *x {
+            Operand::Mem { reach, store } => Some((reach, store)),
+            _ => None,
+        })?;
+        let (span, mode) = match reach {
+            Reach::Mode => (o.mode.span(), o.mode),
+            Reach::Element => (1, AddrMode::Unit),
+            // Indices are unsigned register data, so `[offset, ∞)` is
+            // exact: ordered conservatively against every store above.
+            Reach::Indexed => (usize::MAX, AddrMode::Unit),
+            Reach::Sdm => return None,
+        };
+        let offset = o.offset as usize;
+        Some(VdmFootprint {
+            offset,
+            end: offset.saturating_add(span),
+            mode,
+            store,
+        })
+    }
+
+    /// This instruction with its VDM reference, if it has one, shifted
+    /// by `delta` elements. SDM references (`sload`/`mload`/`aload`) are
+    /// left untouched.
+    pub fn relocated(&self, delta: u32) -> Instruction {
+        let (op, mut o) = self.parts();
+        if self.vdm_footprint().is_some() {
+            o.offset += delta;
+        }
+        Instruction::from_parts(op, &o)
     }
 }
 
 impl core::fmt::Display for Instruction {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        use Instruction::*;
-        match *self {
-            VLoad {
-                vd,
-                base,
-                offset,
-                mode,
-            } => {
-                write!(f, "vload   {vd}, [{base} + {offset}], {mode}")
+        let (op, o) = self.parts();
+        let info = op.info();
+        write!(f, "{:<7}", info.mnemonic)?;
+        for (k, operand) in info.operands.iter().enumerate() {
+            f.write_str(if k == 0 { " " } else { ", " })?;
+            match *operand {
+                Operand::Reg { file, .. } => write!(f, "{}{}", file.prefix(), o.regs[k])?,
+                Operand::Mem { .. } => write!(f, "[a{} + {}]", o.regs[k], o.offset)?,
+                Operand::Mode => write!(f, "{}", o.mode)?,
             }
-            VStore {
-                vs,
-                base,
-                offset,
-                mode,
-            } => {
-                write!(f, "vstore  {vs}, [{base} + {offset}], {mode}")
-            }
-            VGather {
-                vd,
-                base,
-                offset,
-                vi,
-            } => {
-                write!(f, "vgather {vd}, [{base} + {offset}], {vi}")
-            }
-            VBroadcast { vd, base, offset } => {
-                write!(f, "vbroadcast {vd}, [{base} + {offset}]")
-            }
-            SLoad { rt, base, offset } => write!(f, "sload   {rt}, [{base} + {offset}]"),
-            MLoad { rt, base, offset } => write!(f, "mload   {rt}, [{base} + {offset}]"),
-            ALoad { rt, base, offset } => write!(f, "aload   {rt}, [{base} + {offset}]"),
-            VAddMod { vd, vs, vt, rm } => write!(f, "vaddmod {vd}, {vs}, {vt}, {rm}"),
-            VSubMod { vd, vs, vt, rm } => write!(f, "vsubmod {vd}, {vs}, {vt}, {rm}"),
-            VMulMod { vd, vs, vt, rm } => write!(f, "vmulmod {vd}, {vs}, {vt}, {rm}"),
-            VSAddMod { vd, vs, rt, rm } => write!(f, "vsaddmod {vd}, {vs}, {rt}, {rm}"),
-            VSSubMod { vd, vs, rt, rm } => write!(f, "vssubmod {vd}, {vs}, {rt}, {rm}"),
-            VSMulMod { vd, vs, rt, rm } => write!(f, "vsmulmod {vd}, {vs}, {rt}, {rm}"),
-            Bfly {
-                vd,
-                vd1,
-                vs,
-                vt,
-                vt1,
-                rm,
-            } => {
-                write!(f, "bfly    {vd}, {vd1}, {vs}, {vt}, {vt1}, {rm}")
-            }
-            UnpkLo { vd, vs, vt } => write!(f, "unpklo  {vd}, {vs}, {vt}"),
-            UnpkHi { vd, vs, vt } => write!(f, "unpkhi  {vd}, {vs}, {vt}"),
-            PkLo { vd, vs, vt } => write!(f, "pklo    {vd}, {vs}, {vt}"),
-            PkHi { vd, vs, vt } => write!(f, "pkhi    {vd}, {vs}, {vt}"),
         }
+        Ok(())
     }
 }
 

@@ -10,7 +10,9 @@
 //! This crate defines the [`Instruction`] set, its Table-I-faithful
 //! binary [`encode`]/[`decode`], register-index newtypes, the [`Program`]
 //! container, and a two-way assembler ([`parse_asm`] /
-//! [`Program::to_asm`]).
+//! [`Program::to_asm`]). Each instruction is described once, in the
+//! [`ISA`] table ([`table`]); the encoder, decoder, assembler, printer,
+//! register-set accessors and hazard metadata are derived from it.
 //!
 //! # Examples
 //!
@@ -35,10 +37,12 @@ mod encode;
 mod instr;
 mod program;
 mod regs;
+pub mod table;
 
 pub use asm::{parse_asm, ParseAsmError};
-pub use decoded::{DecodedOp, PredecodedProgram, PromoteHint};
+pub use decoded::{PredecodedProgram, PromoteHint};
 pub use encode::{decode, encode, DecodeError};
-pub use instr::{AddrMode, Instruction, PipeClass};
+pub use instr::{AddrMode, Instruction, PipeClass, VdmFootprint};
 pub use program::{InstructionMix, Program};
 pub use regs::{AReg, MReg, SReg, VReg};
+pub use table::{Op, OpInfo, Operand, RegFile, ADDRESS_BITS, ISA, NUM_FLAT_REGS};

@@ -28,7 +28,7 @@
 
 use crate::{RpuConfig, SimStats};
 use rpu_isa::consts::VECTOR_LEN;
-use rpu_isa::{AddrMode, Instruction, PipeClass, Program};
+use rpu_isa::{AddrMode, Instruction, PipeClass, Program, VdmFootprint, NUM_FLAT_REGS};
 use std::collections::VecDeque;
 
 /// Cycle-accurate simulator for one RPU configuration.
@@ -76,13 +76,6 @@ pub struct InstrTrace {
     pub hazard_wait: u64,
 }
 
-/// Register namespace for the busyboard: 64 entries per file.
-const VREG_BASE: usize = 0;
-const SREG_BASE: usize = 64;
-const AREG_BASE: usize = 128;
-const MREG_BASE: usize = 192;
-const NUM_TRACKED: usize = 256;
-
 impl CycleSim {
     /// Creates a simulator for the given configuration.
     ///
@@ -125,8 +118,8 @@ impl CycleSim {
 
         // Busyboard state: earliest cycle each register's pending write
         // completes, and earliest cycle its pending reads release.
-        let mut write_ready = [0u64; NUM_TRACKED];
-        let mut read_release = [0u64; NUM_TRACKED];
+        let mut write_ready = [0u64; NUM_FLAT_REGS];
+        let mut read_release = [0u64; NUM_FLAT_REGS];
 
         // Pipeline issue availability. Load/store has separate load and
         // store paths through the VBAR.
@@ -145,8 +138,8 @@ impl CycleSim {
         // absolute offsets; see rpu-codegen). Loads must wait for earlier
         // overlapping stores (RAW), stores for earlier overlapping loads
         // (WAR) and stores (WAW).
-        let mut inflight_stores: Vec<(MemAccess, u64)> = Vec::new();
-        let mut inflight_loads: Vec<(MemAccess, u64)> = Vec::new();
+        let mut inflight_stores: Vec<(VdmFootprint, u64)> = Vec::new();
+        let mut inflight_loads: Vec<(VdmFootprint, u64)> = Vec::new();
 
         let mut fetch_time = 0u64; // cycle the current instruction is decoded
         let mut makespan = 0u64;
@@ -165,10 +158,10 @@ impl CycleSim {
             // destinations need pending writes done AND pending reads
             // released (WAR) ---
             let mut hazard_ready = fetch_time;
-            for r in tracked_srcs(instr) {
+            for r in instr.reg_reads() {
                 hazard_ready = hazard_ready.max(write_ready[r]);
             }
-            for r in tracked_dsts(instr) {
+            for r in instr.reg_writes() {
                 hazard_ready = hazard_ready.max(write_ready[r]).max(read_release[r]);
             }
 
@@ -200,20 +193,14 @@ impl CycleSim {
             let (occupancy, latency) = self.instr_timing(instr, lanes_cycles, &mut stats);
 
             // Memory-ordering floor for VDM transfers.
-            let mem_range = vdm_access(instr);
+            let footprint = instr.vdm_footprint();
+            let is_store = footprint.is_some_and(|acc| acc.store);
             let mut mem_ready = 0u64;
-            if let Some(acc) = mem_range {
-                if matches!(instr, Instruction::VStore { .. }) {
-                    for &(prev, t) in inflight_stores.iter().chain(inflight_loads.iter()) {
-                        if acc.conflicts(&prev) {
-                            mem_ready = mem_ready.max(t);
-                        }
-                    }
-                } else {
-                    for &(prev, t) in &inflight_stores {
-                        if acc.conflicts(&prev) {
-                            mem_ready = mem_ready.max(t);
-                        }
+            if let Some(acc) = footprint {
+                let earlier_loads = if is_store { &inflight_loads[..] } else { &[] };
+                for &(prev, t) in inflight_stores.iter().chain(earlier_loads) {
+                    if acc.conflicts(&prev) {
+                        mem_ready = mem_ready.max(t);
                     }
                 }
             }
@@ -221,22 +208,17 @@ impl CycleSim {
             let unit_free = match class {
                 PipeClass::Compute => &mut free_compute,
                 PipeClass::Shuffle => &mut free_shuffle,
-                PipeClass::LoadStore => {
-                    if matches!(instr, Instruction::VStore { .. }) {
-                        &mut free_store
-                    } else {
-                        &mut free_load
-                    }
-                }
+                PipeClass::LoadStore if is_store => &mut free_store,
+                PipeClass::LoadStore => &mut free_load,
             };
             // +1 models the dispatch-to-issue handoff through the queue.
             let issue = (dispatch + 1).max(*unit_free).max(mem_ready);
             *unit_free = issue + occupancy;
             queue.push_back(issue);
 
-            if let Some(acc) = mem_range {
+            if let Some(acc) = footprint {
                 let done = issue + occupancy + latency as u64;
-                let list = if matches!(instr, Instruction::VStore { .. }) {
+                let list = if is_store {
                     &mut inflight_stores
                 } else {
                     &mut inflight_loads
@@ -258,10 +240,10 @@ impl CycleSim {
             // --- busyboard updates ---
             let read_done = issue + occupancy;
             let write_done = issue + occupancy + latency as u64;
-            for r in tracked_srcs(instr) {
+            for r in instr.reg_reads() {
                 read_release[r] = read_release[r].max(read_done);
             }
-            for r in tracked_dsts(instr) {
+            for r in instr.reg_writes() {
                 write_ready[r] = write_ready[r].max(write_done);
             }
             makespan = makespan.max(write_done);
@@ -397,94 +379,6 @@ impl CycleSim {
             }
         }
     }
-}
-
-/// A VDM access footprint: bounding range plus the addressing mode, with
-/// the address-register base resolved as 0 (the generated-kernel
-/// convention).
-#[derive(Debug, Clone, Copy)]
-struct MemAccess {
-    lo: usize,
-    hi: usize,
-    offset: usize,
-    mode: AddrMode,
-}
-
-impl MemAccess {
-    /// Conservative may-alias check with one precision upgrade: two
-    /// equal-stride strided accesses whose bases are incongruent modulo
-    /// the stride touch interleaved, disjoint element sets (the
-    /// shuffle-free kernel's lo/hi store pairs).
-    fn conflicts(&self, other: &MemAccess) -> bool {
-        if self.hi <= other.lo || other.hi <= self.lo {
-            return false;
-        }
-        if let (AddrMode::Strided { log2_stride: s1 }, AddrMode::Strided { log2_stride: s2 }) =
-            (self.mode, other.mode)
-        {
-            if s1 == s2 {
-                let stride = 1usize << s1;
-                return self.offset % stride == other.offset % stride;
-            }
-        }
-        true
-    }
-}
-
-/// The VDM footprint a vector transfer touches.
-fn vdm_access(instr: &Instruction) -> Option<MemAccess> {
-    match *instr {
-        Instruction::VLoad { offset, mode, .. } | Instruction::VStore { offset, mode, .. } => {
-            let last = mode.element_offset(VECTOR_LEN - 1);
-            let first = mode.element_offset(0);
-            let (lo, hi) = (first.min(last), first.max(last) + 1);
-            Some(MemAccess {
-                lo: offset as usize + lo,
-                hi: offset as usize + hi,
-                offset: offset as usize,
-                mode,
-            })
-        }
-        Instruction::VBroadcast { offset, .. } => Some(MemAccess {
-            lo: offset as usize,
-            hi: offset as usize + 1,
-            offset: offset as usize,
-            mode: AddrMode::Unit,
-        }),
-        // A gather's indices are register data: its footprint is unknown
-        // statically, so order it conservatively against every store.
-        Instruction::VGather { offset, .. } => Some(MemAccess {
-            lo: offset as usize,
-            hi: usize::MAX,
-            offset: offset as usize,
-            mode: AddrMode::Unit,
-        }),
-        _ => None,
-    }
-}
-
-fn tracked_srcs(instr: &Instruction) -> impl Iterator<Item = usize> + '_ {
-    let v = instr
-        .src_vregs()
-        .into_iter()
-        .flatten()
-        .map(|r| VREG_BASE + r.index() as usize);
-    let s = instr.src_sreg().map(|r| SREG_BASE + r.index() as usize);
-    let a = instr.src_areg().map(|r| AREG_BASE + r.index() as usize);
-    let m = instr.src_mreg().map(|r| MREG_BASE + r.index() as usize);
-    v.chain(s).chain(a).chain(m)
-}
-
-fn tracked_dsts(instr: &Instruction) -> impl Iterator<Item = usize> + '_ {
-    let v = instr
-        .dst_vregs()
-        .into_iter()
-        .flatten()
-        .map(|r| VREG_BASE + r.index() as usize);
-    let s = instr.dst_sreg().map(|r| SREG_BASE + r.index() as usize);
-    let a = instr.dst_areg().map(|r| AREG_BASE + r.index() as usize);
-    let m = instr.dst_mreg().map(|r| MREG_BASE + r.index() as usize);
-    v.chain(s).chain(a).chain(m)
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! Pre-decoded fast-path executor over the same architectural state as
-//! the reference interpreter.
+//! Fast-path executor over the same architectural state as the
+//! reference interpreter.
 //!
-//! [`FunctionalSim::run`] re-matches every instruction (register
-//! newtypes, addressing modes) and bounds-checks every lane on every
-//! step. This module executes a [`PredecodedProgram`] instead: one flat
-//! match per op on raw indices, one hoisted bounds check per vector
-//! access (using the span precomputed at decode time), and mod-arith
-//! inner loops over whole vectors with no per-element dispatch.
+//! [`FunctionalSim::run`] bounds-checks every lane of every access and
+//! dispatches arithmetic per element. This module executes a
+//! [`PredecodedProgram`] instead: one match per [`Instruction`], one
+//! hoisted bounds check per vector access (against the addressing
+//! mode's [`span`](AddrMode::span)), and mod-arith inner loops over
+//! whole vectors with no per-element dispatch.
 //!
-//! Two arithmetic tiers service the compute ops, selected per modulus
-//! through the shared [`Engine`] cache:
+//! Two arithmetic tiers service the compute instructions, selected per
+//! modulus through the shared [`Engine`] cache:
 //!
 //! * **Native u64** (`q < 2^63`): lanes are reduced to canonical `u64`
 //!   and multiplied with one widening multiply plus a Barrett (or, for
@@ -30,13 +30,13 @@
 //! to maintain:
 //!
 //! 1. Effective addresses are recomputed from `ARF[base] + offset` at
-//!    every execution of every op — never cached — so `aload`
+//!    every execution of every instruction — never cached — so `aload`
 //!    indirection and VDM/SDM growth between dispatches
 //!    ([`FunctionalSim::ensure_vdm`]) are handled by construction.
-//! 2. Any op the fast path cannot prove safe (a failed span check, a
-//!    gather with a hostile index, an invalid modulus) is re-executed
-//!    through the interpreter's own `step`, which raises the exact
-//!    error and leaves the exact partial state the oracle would.
+//! 2. Any instruction the fast path cannot prove safe (a failed span
+//!    check, a gather with a hostile index, an invalid modulus) is
+//!    re-executed through the interpreter's own `step`, which raises the
+//!    exact error and leaves the exact partial state the oracle would.
 //! 3. Every fallback, fault and run exit flushes all resident registers
 //!    first. In-place promotion only ever happens when all lanes are
 //!    canonical (`< q`), so a flush restores each lane to *exactly* the
@@ -48,8 +48,12 @@
 use crate::func::{shuffle_into, ExecError, FunctionalSim, ShuffleKind};
 use rpu_arith::{Engine, Modulus128, Modulus64};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
-use rpu_isa::decoded::{AluOp, DecodedOp, ShuffleOp};
-use rpu_isa::{AddrMode, PredecodedProgram, PromoteHint};
+use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, PromoteHint, VReg};
+
+#[inline]
+fn ix(r: VReg) -> usize {
+    usize::from(r.index())
+}
 
 /// Lane-wise vector-vector loop: sources are read into `scratch`, then
 /// the destination is replaced by pointer swap — alias-safe (`vd` may
@@ -58,19 +62,19 @@ use rpu_isa::{AddrMode, PredecodedProgram, PromoteHint};
 fn vv_into(
     vrf: &mut [Vec<u128>],
     scratch: &mut Vec<u128>,
-    vd: usize,
-    vs: usize,
-    vt: usize,
+    vd: VReg,
+    vs: VReg,
+    vt: VReg,
     f: impl Fn(u128, u128) -> u128,
 ) {
     {
-        let a = &vrf[vs];
-        let b = &vrf[vt];
+        let a = &vrf[ix(vs)];
+        let b = &vrf[ix(vt)];
         for ((o, &x), &y) in scratch.iter_mut().zip(a).zip(b) {
             *o = f(x, y);
         }
     }
-    std::mem::swap(&mut vrf[vd], scratch);
+    std::mem::swap(&mut vrf[ix(vd)], scratch);
 }
 
 /// Lane-wise vector-scalar loop (same swap discipline as [`vv_into`]).
@@ -78,17 +82,17 @@ fn vv_into(
 fn vs_into(
     vrf: &mut [Vec<u128>],
     scratch: &mut Vec<u128>,
-    vd: usize,
-    vs: usize,
+    vd: VReg,
+    vs: VReg,
     f: impl Fn(u128) -> u128,
 ) {
     {
-        let a = &vrf[vs];
+        let a = &vrf[ix(vs)];
         for (o, &x) in scratch.iter_mut().zip(a) {
             *o = f(x);
         }
     }
-    std::mem::swap(&mut vrf[vd], scratch);
+    std::mem::swap(&mut vrf[ix(vd)], scratch);
 }
 
 /// Canonicalizes one lane for the native-u64 tier. The compare-first
@@ -126,8 +130,8 @@ impl Residency {
     /// Marks `r` resident under `m` (its lanes already hold Montgomery
     /// form).
     #[inline]
-    fn set(&mut self, r: usize, m: Modulus128) {
-        if self.m[r].replace(m).is_none() {
+    fn set(&mut self, r: VReg, m: Modulus128) {
+        if self.m[ix(r)].replace(m).is_none() {
             self.active += 1;
         }
     }
@@ -135,18 +139,18 @@ impl Residency {
     /// Forgets any residence of `r` (its lanes are normal-form again,
     /// e.g. just overwritten by a normal-domain result).
     #[inline]
-    fn clear(&mut self, r: usize) {
-        if self.m[r].take().is_some() {
+    fn clear(&mut self, r: VReg) {
+        if self.m[ix(r)].take().is_some() {
             self.active -= 1;
         }
     }
 
     /// Converts `r` back to normal form if it is resident.
     #[inline]
-    fn flush(&mut self, vrf: &mut [Vec<u128>], r: usize) {
-        if let Some(m) = self.m[r].take() {
+    fn flush(&mut self, vrf: &mut [Vec<u128>], r: VReg) {
+        if let Some(m) = self.m[ix(r)].take() {
             self.active -= 1;
-            for lane in vrf[r].iter_mut() {
+            for lane in vrf[ix(r)].iter_mut() {
                 *lane = m.from_mont(*lane);
             }
         }
@@ -159,23 +163,23 @@ impl Residency {
         if self.active == 0 {
             return;
         }
-        for r in 0..NUM_VREGS {
+        for r in VReg::all() {
             self.flush(vrf, r);
         }
     }
 
-    /// Residence of `r` under exactly modulus `q`. A residence under a
-    /// *different* modulus is flushed (restoring normal form) so the
-    /// caller can treat the register as normal-domain.
+    /// `true` if `r` is resident under exactly modulus `q`. A residence
+    /// under a *different* modulus is flushed (restoring normal form) so
+    /// the caller can treat the register as normal-domain.
     #[inline]
-    fn resident_for(&mut self, vrf: &mut [Vec<u128>], r: usize, q: u128) -> Option<Modulus128> {
-        match self.m[r] {
-            Some(m) if m.value() == q => Some(m),
+    fn resident_for(&mut self, vrf: &mut [Vec<u128>], r: VReg, q: u128) -> bool {
+        match self.m[ix(r)] {
+            Some(m) if m.value() == q => true,
             Some(_) => {
                 self.flush(vrf, r);
-                None
+                false
             }
-            None => None,
+            None => false,
         }
     }
 
@@ -184,17 +188,45 @@ impl Residency {
     /// already be canonical — a non-canonical lane would not survive
     /// the round trip (`from_mont(to_mont(x)) = x mod q ≠ x`), so such
     /// registers simply stay normal-form.
-    fn try_promote(&mut self, vrf: &mut [Vec<u128>], r: usize, m: Modulus128) {
-        if self.m[r].is_some() || !m.is_odd() {
+    fn try_promote(&mut self, vrf: &mut [Vec<u128>], r: VReg, m: Modulus128) {
+        if self.m[ix(r)].is_some() || !m.is_odd() {
             return;
         }
         let q = m.value();
-        if vrf[r].iter().all(|&x| x < q) {
-            for lane in vrf[r].iter_mut() {
+        if vrf[ix(r)].iter().all(|&x| x < q) {
+            for lane in vrf[ix(r)].iter_mut() {
                 *lane = m.to_mont(*lane);
             }
             self.set(r, m);
         }
+    }
+
+    /// Which of the two multiplicative sources of a multiply under `m`
+    /// are resident, in [`PromoteHint`] slot order. When neither is,
+    /// the side the static plan proved profitable is promoted first, if
+    /// its lanes allow it.
+    fn mul_sources(
+        &mut self,
+        vrf: &mut [Vec<u128>],
+        [first, second]: [VReg; 2],
+        m: Modulus128,
+        hint: PromoteHint,
+    ) -> (bool, bool) {
+        let q = m.value();
+        let resident = (
+            self.resident_for(vrf, first, q),
+            self.resident_for(vrf, second, q),
+        );
+        if resident != (false, false) {
+            return resident;
+        }
+        match hint {
+            PromoteHint::First => self.try_promote(vrf, first, m),
+            PromoteHint::Second => self.try_promote(vrf, second, m),
+            PromoteHint::None => return resident,
+        }
+        // Re-read both: the two sources may be the same register.
+        (self.m[ix(first)].is_some(), self.m[ix(second)].is_some())
     }
 }
 
@@ -217,17 +249,16 @@ impl FunctionalSim {
         let mut scratch = vec![0u128; VECTOR_LEN];
         let mut scratch2 = vec![0u128; VECTOR_LEN];
         let mut res = Residency::new();
-        let instrs = program.program().instructions();
         let plan = program.domain_plan();
-        for (pc, op) in program.ops().iter().enumerate() {
-            if !self.fast_op(op, plan[pc], &mut res, &mut scratch, &mut scratch2) {
-                // Slow path: re-run the source instruction through the
+        for (pc, instr) in program.program().instructions().iter().enumerate() {
+            if !self.fast_op(instr, plan[pc], &mut res, &mut scratch, &mut scratch2) {
+                // Slow path: re-run the instruction through the
                 // interpreter for oracle-exact errors and partial state.
                 // The interpreter knows nothing about residency, so
                 // normalize every register first; a fault then leaves
                 // exactly the oracle's partial state.
                 res.flush_all(&mut self.vrf);
-                self.step(&instrs[pc], pc)?;
+                self.step(instr, pc)?;
             }
         }
         res.flush_all(&mut self.vrf);
@@ -238,8 +269,8 @@ impl FunctionalSim {
     /// interpreter's cache. `None` (invalid modulus) sends the caller
     /// to the interpreter fallback for the exact error.
     #[inline]
-    fn fast_modulus(&mut self, rm: usize) -> Option<Engine> {
-        let value = self.mrf[rm];
+    fn fast_modulus(&mut self, rm: MReg) -> Option<Engine> {
+        let value = self.mrf[usize::from(rm.index())];
         if let Some(m) = self.modulus_cache.get(&value) {
             return Some(*m);
         }
@@ -252,38 +283,51 @@ impl FunctionalSim {
     /// bounds: `Some(start)` means every lane of the access lands in
     /// `vdm[start .. start + span]`.
     #[inline]
-    fn vdm_window(&self, base: usize, offset: usize, span: usize) -> Option<usize> {
-        let start = (self.arf[base] as usize).checked_add(offset)?;
+    fn vdm_window(&self, base: AReg, offset: u32, span: usize) -> Option<usize> {
+        let start = self.effective(base, offset)?;
         let end = start.checked_add(span)?;
         (end <= self.vdm.len()).then_some(start)
     }
 
-    /// Executes one pre-decoded op on the fast path. Returns `false` if
-    /// the op must be replayed through the interpreter (possible fault
-    /// or unsupported corner) — in that case no architectural state has
+    /// Effective SDM address of a scalar load, if in bounds.
+    #[inline]
+    fn sdm_window(&self, base: AReg, offset: u32) -> Option<usize> {
+        let addr = self.effective(base, offset)?;
+        (addr < self.sdm.len()).then_some(addr)
+    }
+
+    /// `ARF[base] + offset`, unless it overflows.
+    #[inline]
+    fn effective(&self, base: AReg, offset: u32) -> Option<usize> {
+        (self.arf[usize::from(base.index())] as usize).checked_add(offset as usize)
+    }
+
+    /// Executes one instruction on the fast path. Returns `false` if it
+    /// must be replayed through the interpreter (possible fault or
+    /// unsupported corner) — in that case no architectural state has
     /// been mutated beyond domain flushes, which are value-preserving.
     #[inline]
     fn fast_op(
         &mut self,
-        op: &DecodedOp,
+        instr: &Instruction,
         hint: PromoteHint,
         res: &mut Residency,
         scratch: &mut Vec<u128>,
         scratch2: &mut Vec<u128>,
     ) -> bool {
-        match *op {
-            DecodedOp::Load {
+        use Instruction::*;
+        match *instr {
+            VLoad {
                 vd,
                 base,
                 offset,
                 mode,
-                span,
             } => {
-                let Some(start) = self.vdm_window(base, offset, span) else {
+                let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
                 res.clear(vd);
-                let dst = &mut self.vrf[vd];
+                let dst = &mut self.vrf[ix(vd)];
                 let vdm = &self.vdm;
                 match mode {
                     AddrMode::Unit => dst.copy_from_slice(&vdm[start..start + VECTOR_LEN]),
@@ -310,20 +354,19 @@ impl FunctionalSim {
                 }
                 true
             }
-            DecodedOp::Store {
+            VStore {
                 vs,
                 base,
                 offset,
                 mode,
-                span,
             } => {
                 // Stores are a domain boundary: memory only ever sees
                 // normal-form values.
                 res.flush(&mut self.vrf, vs);
-                let Some(start) = self.vdm_window(base, offset, span) else {
+                let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
-                let src = &self.vrf[vs];
+                let src = &self.vrf[ix(vs)];
                 let vdm = &mut self.vdm;
                 match mode {
                     AddrMode::Unit => vdm[start..start + VECTOR_LEN].copy_from_slice(src),
@@ -351,7 +394,7 @@ impl FunctionalSim {
                 }
                 true
             }
-            DecodedOp::Gather {
+            VGather {
                 vd,
                 base,
                 offset,
@@ -366,232 +409,203 @@ impl FunctionalSim {
                 }
                 // Indices are consumed as plain integers, not residues.
                 res.flush(&mut self.vrf, vi);
-                let Some(start) = (self.arf[base] as usize).checked_add(offset) else {
+                let Some(start) = self.effective(base, offset) else {
                     return false;
                 };
                 let len = self.vdm.len();
                 // Prove every lane in bounds first; any hostile index
                 // goes back to the interpreter, which reports the fault
                 // after committing exactly the preceding lanes.
-                for &idx in self.vrf[vi].iter() {
+                for &idx in self.vrf[ix(vi)].iter() {
                     match usize::try_from(idx).ok().and_then(|i| start.checked_add(i)) {
                         Some(addr) if addr < len => {}
                         _ => return false,
                     }
                 }
                 {
-                    let idxs = &self.vrf[vi];
+                    let idxs = &self.vrf[ix(vi)];
                     let vdm = &self.vdm;
                     for (o, &idx) in scratch.iter_mut().zip(idxs) {
                         *o = vdm[start + idx as usize];
                     }
                 }
-                std::mem::swap(&mut self.vrf[vd], scratch);
+                std::mem::swap(&mut self.vrf[ix(vd)], scratch);
                 res.clear(vd);
                 true
             }
-            DecodedOp::Broadcast { vd, base, offset } => {
+            VBroadcast { vd, base, offset } => {
                 let Some(start) = self.vdm_window(base, offset, 1) else {
                     return false;
                 };
                 let value = self.vdm[start];
-                self.vrf[vd].fill(value);
+                self.vrf[ix(vd)].fill(value);
                 res.clear(vd);
                 true
             }
-            DecodedOp::LoadScalar { rt, base, offset } => match self.sdm_window(base, offset) {
-                Some(addr) => {
-                    self.srf[rt] = self.sdm[addr];
-                    true
-                }
-                None => false,
-            },
-            DecodedOp::LoadModulus { rt, base, offset } => match self.sdm_window(base, offset) {
-                Some(addr) => {
-                    self.mrf[rt] = self.sdm[addr];
-                    true
-                }
-                None => false,
-            },
-            DecodedOp::LoadAddress { rt, base, offset } => match self.sdm_window(base, offset) {
-                Some(addr) => {
-                    self.arf[rt] = self.sdm[addr] as u64;
-                    true
-                }
-                None => false,
-            },
-            DecodedOp::VectorVector { op, vd, vs, vt, rm } => {
+            SLoad { rt, base, offset } => {
+                let Some(addr) = self.sdm_window(base, offset) else {
+                    return false;
+                };
+                self.srf[usize::from(rt.index())] = self.sdm[addr];
+                true
+            }
+            MLoad { rt, base, offset } => {
+                let Some(addr) = self.sdm_window(base, offset) else {
+                    return false;
+                };
+                self.mrf[usize::from(rt.index())] = self.sdm[addr];
+                true
+            }
+            ALoad { rt, base, offset } => {
+                let Some(addr) = self.sdm_window(base, offset) else {
+                    return false;
+                };
+                self.arf[usize::from(rt.index())] = self.sdm[addr] as u64;
+                true
+            }
+            VAddMod { vd, vs, vt, rm } | VSubMod { vd, vs, vt, rm } => {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
-                match (op, e) {
-                    (AluOp::Add, Engine::Native64(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        res.flush(&mut self.vrf, vt);
-                        vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                            m.add(lane64(m, a), lane64(m, b)) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Sub, Engine::Native64(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        res.flush(&mut self.vrf, vt);
-                        vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                            m.sub(lane64(m, a), lane64(m, b)) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Mul, Engine::Native64(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        res.flush(&mut self.vrf, vt);
-                        vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
+                // Additive ops consume both sources in normal form.
+                res.flush(&mut self.vrf, vs);
+                res.flush(&mut self.vrf, vt);
+                let vrf = &mut self.vrf;
+                match (e, matches!(instr, VSubMod { .. })) {
+                    (Engine::Native64(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                        m.add(lane64(m, a), lane64(m, b)) as u128
+                    }),
+                    (Engine::Native64(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                        m.sub(lane64(m, a), lane64(m, b)) as u128
+                    }),
+                    (Engine::Mont128(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                        m.add(m.reduce(a), m.reduce(b))
+                    }),
+                    (Engine::Mont128(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                        m.sub(m.reduce(a), m.reduce(b))
+                    }),
+                }
+                res.clear(vd);
+                true
+            }
+            VMulMod { vd, vs, vt, rm } => {
+                let Some(e) = self.fast_modulus(rm) else {
+                    return false;
+                };
+                let vrf = &mut self.vrf;
+                match e {
+                    Engine::Native64(m) => {
+                        res.flush(vrf, vs);
+                        res.flush(vrf, vt);
+                        vv_into(vrf, scratch, vd, vs, vt, |a, b| {
                             m.mul(lane64(m, a), lane64(m, b)) as u128
                         });
                         res.clear(vd);
                     }
-                    (AluOp::Add, Engine::Mont128(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        res.flush(&mut self.vrf, vt);
-                        vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                            m.add(m.reduce(a), m.reduce(b))
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Sub, Engine::Mont128(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        res.flush(&mut self.vrf, vt);
-                        vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                            m.sub(m.reduce(a), m.reduce(b))
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Mul, Engine::Mont128(m)) => {
-                        let q = m.value();
-                        let mut rs = res.resident_for(&mut self.vrf, vs, q);
-                        let mut rt = res.resident_for(&mut self.vrf, vt, q);
-                        if rs.is_none() && rt.is_none() {
-                            // Neither side resident: promote the side the
-                            // static plan proved profitable, if its lanes
-                            // allow it.
-                            match hint {
-                                PromoteHint::First => {
-                                    res.try_promote(&mut self.vrf, vs, m);
-                                    rs = res.m[vs];
-                                }
-                                PromoteHint::Second => {
-                                    res.try_promote(&mut self.vrf, vt, m);
-                                    rt = res.m[vt];
-                                }
-                                PromoteHint::None => {}
-                            }
-                        }
-                        match (rs.is_some(), rt.is_some()) {
-                            // Both Montgomery: one reduction, product
-                            // stays resident (abR = (ab)·R).
+                    Engine::Mont128(m) => {
+                        let resident = res.mul_sources(vrf, [vs, vt], m, hint);
+                        match resident {
+                            // Both Montgomery: one reduction, and the
+                            // product stays resident (abR = (ab)·R).
                             (true, true) => {
-                                vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                                    m.mont_mul_raw(a, b)
-                                });
-                                res.set(vd, m);
+                                vv_into(vrf, scratch, vd, vs, vt, |a, b| m.mont_mul_raw(a, b))
                             }
                             // Mixed domains: one reduction lands the
                             // product directly in normal form
                             // (aR · b · R^{-1} = ab).
-                            (true, false) => {
-                                vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                                    m.mont_mul_raw(a, m.reduce(b))
-                                });
-                                res.clear(vd);
-                            }
-                            (false, true) => {
-                                vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                                    m.mont_mul_raw(m.reduce(a), b)
-                                });
-                                res.clear(vd);
-                            }
+                            (true, false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                                m.mont_mul_raw(a, m.reduce(b))
+                            }),
+                            (false, true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                                m.mont_mul_raw(m.reduce(a), b)
+                            }),
                             // Both normal: the oracle's two-reduction
                             // multiply.
-                            (false, false) => {
-                                vv_into(&mut self.vrf, scratch, vd, vs, vt, |a, b| {
-                                    m.mul(m.reduce(a), m.reduce(b))
-                                });
-                                res.clear(vd);
-                            }
+                            (false, false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                                m.mul(m.reduce(a), m.reduce(b))
+                            }),
+                        }
+                        if resident == (true, true) {
+                            res.set(vd, m);
+                        } else {
+                            res.clear(vd);
                         }
                     }
                 }
                 true
             }
-            DecodedOp::VectorScalar { op, vd, vs, rt, rm } => {
+            VSAddMod { vd, vs, rt, rm } | VSSubMod { vd, vs, rt, rm } => {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
-                match (op, e) {
-                    (AluOp::Add, Engine::Native64(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        let s = m.reduce_wide(self.srf[rt]);
-                        vs_into(&mut self.vrf, scratch, vd, vs, |a| {
-                            m.add(lane64(m, a), s) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Sub, Engine::Native64(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        let s = m.reduce_wide(self.srf[rt]);
-                        vs_into(&mut self.vrf, scratch, vd, vs, |a| {
-                            m.sub(lane64(m, a), s) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Mul, Engine::Native64(m)) => {
-                        // Shoup: precompute the scalar's quotient once,
-                        // then one widening multiply per lane.
-                        res.flush(&mut self.vrf, vs);
-                        let s = m.reduce_wide(self.srf[rt]);
-                        let s_shoup = m.shoup(s);
-                        vs_into(&mut self.vrf, scratch, vd, vs, |a| {
-                            m.mul_shoup(lane64(m, a), s, s_shoup) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    (AluOp::Add, Engine::Mont128(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        let s = m.reduce(self.srf[rt]);
-                        vs_into(&mut self.vrf, scratch, vd, vs, |a| m.add(m.reduce(a), s));
-                        res.clear(vd);
-                    }
-                    (AluOp::Sub, Engine::Mont128(m)) => {
-                        res.flush(&mut self.vrf, vs);
-                        let s = m.reduce(self.srf[rt]);
-                        vs_into(&mut self.vrf, scratch, vd, vs, |a| m.sub(m.reduce(a), s));
-                        res.clear(vd);
-                    }
-                    (AluOp::Mul, Engine::Mont128(m)) => {
-                        let s = m.reduce(self.srf[rt]);
-                        if m.is_odd() {
-                            // One Montgomery reduction per lane instead
-                            // of the oracle's two: against a resident
-                            // source, s · aR · R^{-1} = s·a directly;
-                            // otherwise hoist the scalar into Montgomery
-                            // form once (sR · a · R^{-1} = s·a).
-                            if res.resident_for(&mut self.vrf, vs, m.value()).is_some() {
-                                vs_into(&mut self.vrf, scratch, vd, vs, |a| m.mont_mul_raw(s, a));
-                            } else {
-                                let s_mont = m.to_mont(s);
-                                vs_into(&mut self.vrf, scratch, vd, vs, |a| {
-                                    m.mont_mul_raw(s_mont, m.reduce(a))
-                                });
-                            }
+                res.flush(&mut self.vrf, vs);
+                let s = self.srf[usize::from(rt.index())];
+                let vrf = &mut self.vrf;
+                let sub = matches!(instr, VSSubMod { .. });
+                match e {
+                    Engine::Native64(m) => {
+                        let s = m.reduce_wide(s);
+                        if sub {
+                            vs_into(vrf, scratch, vd, vs, |a| m.sub(lane64(m, a), s) as u128);
                         } else {
-                            res.flush(&mut self.vrf, vs);
-                            vs_into(&mut self.vrf, scratch, vd, vs, |a| m.mul(m.reduce(a), s));
+                            vs_into(vrf, scratch, vd, vs, |a| m.add(lane64(m, a), s) as u128);
                         }
-                        res.clear(vd);
+                    }
+                    Engine::Mont128(m) => {
+                        let s = m.reduce(s);
+                        if sub {
+                            vs_into(vrf, scratch, vd, vs, |a| m.sub(m.reduce(a), s));
+                        } else {
+                            vs_into(vrf, scratch, vd, vs, |a| m.add(m.reduce(a), s));
+                        }
                     }
                 }
+                res.clear(vd);
                 true
             }
-            DecodedOp::Butterfly {
+            VSMulMod { vd, vs, rt, rm } => {
+                let Some(e) = self.fast_modulus(rm) else {
+                    return false;
+                };
+                let s = self.srf[usize::from(rt.index())];
+                let vrf = &mut self.vrf;
+                match e {
+                    Engine::Native64(m) => {
+                        // Shoup: precompute the scalar's quotient once,
+                        // then one widening multiply per lane.
+                        res.flush(vrf, vs);
+                        let s = m.reduce_wide(s);
+                        let s_shoup = m.shoup(s);
+                        vs_into(vrf, scratch, vd, vs, |a| {
+                            m.mul_shoup(lane64(m, a), s, s_shoup) as u128
+                        });
+                    }
+                    Engine::Mont128(m) if m.is_odd() => {
+                        // One Montgomery reduction per lane instead of
+                        // the oracle's two: against a resident source,
+                        // s · aR · R^{-1} = s·a directly; otherwise
+                        // hoist the scalar into Montgomery form once
+                        // (sR · a · R^{-1} = s·a).
+                        let s = m.reduce(s);
+                        if res.resident_for(vrf, vs, m.value()) {
+                            vs_into(vrf, scratch, vd, vs, |a| m.mont_mul_raw(s, a));
+                        } else {
+                            let s_mont = m.to_mont(s);
+                            vs_into(vrf, scratch, vd, vs, |a| {
+                                m.mont_mul_raw(s_mont, m.reduce(a))
+                            });
+                        }
+                    }
+                    Engine::Mont128(m) => {
+                        res.flush(vrf, vs);
+                        let s = m.reduce(s);
+                        vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a), s));
+                    }
+                }
+                res.clear(vd);
+                true
+            }
+            Bfly {
                 vd,
                 vd1,
                 vs,
@@ -602,14 +616,13 @@ impl FunctionalSim {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
+                // The addend is consumed in normal form.
+                res.flush(&mut self.vrf, vs);
                 match e {
                     Engine::Native64(m) => {
-                        res.flush(&mut self.vrf, vs);
                         res.flush(&mut self.vrf, vt);
                         res.flush(&mut self.vrf, vt1);
-                        let a = &self.vrf[vs];
-                        let b = &self.vrf[vt];
-                        let t = &self.vrf[vt1];
+                        let (a, b, t) = (&self.vrf[ix(vs)], &self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
                         for i in 0..VECTOR_LEN {
                             let prod = m.mul(lane64(m, b[i]), lane64(m, t[i]));
                             let ai = lane64(m, a[i]);
@@ -618,30 +631,11 @@ impl FunctionalSim {
                         }
                     }
                     Engine::Mont128(m) => {
-                        // The addend is consumed in normal form; the two
-                        // multiplicative sources can be resident.
-                        res.flush(&mut self.vrf, vs);
-                        let q = m.value();
-                        let mut rb = res.resident_for(&mut self.vrf, vt, q);
-                        let mut rt1 = res.resident_for(&mut self.vrf, vt1, q);
-                        if rb.is_none() && rt1.is_none() {
-                            match hint {
-                                PromoteHint::First => {
-                                    res.try_promote(&mut self.vrf, vt, m);
-                                    rb = res.m[vt];
-                                }
-                                PromoteHint::Second => {
-                                    res.try_promote(&mut self.vrf, vt1, m);
-                                    rt1 = res.m[vt1];
-                                }
-                                PromoteHint::None => {}
-                            }
-                        }
-                        let a = &self.vrf[vs];
-                        let b = &self.vrf[vt];
-                        let t = &self.vrf[vt1];
+                        // The two multiplicative sources can be resident.
+                        let resident = res.mul_sources(&mut self.vrf, [vt, vt1], m, hint);
+                        let (a, b, t) = (&self.vrf[ix(vs)], &self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
                         for i in 0..VECTOR_LEN {
-                            let prod = match (rb.is_some(), rt1.is_some()) {
+                            let prod = match resident {
                                 // Both resident: the raw product lands in
                                 // Montgomery form; one more reduction
                                 // brings it back — still no worse than
@@ -662,40 +656,40 @@ impl FunctionalSim {
                 // Swap the sum first, the difference second: if vd == vd1
                 // the difference wins, matching the interpreter's
                 // per-lane write order.
-                std::mem::swap(&mut self.vrf[vd], scratch);
-                std::mem::swap(&mut self.vrf[vd1], scratch2);
+                std::mem::swap(&mut self.vrf[ix(vd)], scratch);
+                std::mem::swap(&mut self.vrf[ix(vd1)], scratch2);
                 res.clear(vd);
                 res.clear(vd1);
                 true
             }
-            DecodedOp::Shuffle { op, vd, vs, vt } => {
-                let kind = match op {
-                    ShuffleOp::UnpkLo => ShuffleKind::UnpkLo,
-                    ShuffleOp::UnpkHi => ShuffleKind::UnpkHi,
-                    ShuffleOp::PkLo => ShuffleKind::PkLo,
-                    ShuffleOp::PkHi => ShuffleKind::PkHi,
-                };
-                // Shuffles interleave lanes from two registers whose
-                // domains may differ: normalize both.
-                res.flush(&mut self.vrf, vs);
-                res.flush(&mut self.vrf, vt);
-                {
-                    let s = &self.vrf[vs];
-                    let t = &self.vrf[vt];
-                    shuffle_into(s, t, kind, scratch);
-                }
-                std::mem::swap(&mut self.vrf[vd], scratch);
-                res.clear(vd);
-                true
+            UnpkLo { vd, vs, vt } => {
+                self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::UnpkLo)
             }
+            UnpkHi { vd, vs, vt } => {
+                self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::UnpkHi)
+            }
+            PkLo { vd, vs, vt } => self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::PkLo),
+            PkHi { vd, vs, vt } => self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::PkHi),
         }
     }
 
-    /// Effective SDM address of a scalar load, if in bounds.
-    #[inline]
-    fn sdm_window(&self, base: usize, offset: usize) -> Option<usize> {
-        let addr = (self.arf[base] as usize).checked_add(offset)?;
-        (addr < self.sdm.len()).then_some(addr)
+    /// Shuffles interleave lanes from two registers whose domains may
+    /// differ: normalize both, then swap the result in.
+    fn fast_shuffle(
+        &mut self,
+        res: &mut Residency,
+        scratch: &mut Vec<u128>,
+        vd: VReg,
+        vs: VReg,
+        vt: VReg,
+        kind: ShuffleKind,
+    ) -> bool {
+        res.flush(&mut self.vrf, vs);
+        res.flush(&mut self.vrf, vt);
+        shuffle_into(&self.vrf[ix(vs)], &self.vrf[ix(vt)], kind, scratch);
+        std::mem::swap(&mut self.vrf[ix(vd)], scratch);
+        res.clear(vd);
+        true
     }
 }
 
@@ -867,6 +861,27 @@ mod tests {
              vmulmod v4, v0, v1, m0\n\
              vmulmod v5, v1, v0, m0\n\
              vmulmod v6, v2, v2, m0\n\
+             vstore v2, [a0 + 1024], unit\n\
+             vstore v6, [a0 + 2048], unit\n",
+            1 << 13,
+            16,
+        );
+    }
+
+    #[test]
+    fn squaring_a_promoted_source_matches() {
+        // `vmulmod v2, v0, v0` with v0 reused by three later multiplies:
+        // the plan promotes v0 at the squaring, where both
+        // multiplicative sources are the *same* register — both sides
+        // must be treated as resident afterwards.
+        assert_differential(
+            "vload v0, [a0 + 0], unit\n\
+             vload v1, [a0 + 512], unit\n\
+             vmulmod v2, v0, v0, m0\n\
+             vmulmod v3, v0, v1, m0\n\
+             vmulmod v4, v0, v1, m0\n\
+             vmulmod v5, v0, v1, m0\n\
+             bfly v6, v7, v1, v0, v0, m0\n\
              vstore v2, [a0 + 1024], unit\n\
              vstore v6, [a0 + 2048], unit\n",
             1 << 13,
