@@ -52,7 +52,7 @@ use rpu_ntt::{RnsContext, RnsPolynomial};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One lane: a session plus its lifetime dispatch accounting.
@@ -311,7 +311,9 @@ pub struct ClusterRunReport {
     pub wall_us: f64,
     /// High-water mark of the pool's pending-job queues over the run
     /// (pinned + shared, jobs submitted but not yet started) — how deep
-    /// the backlog got, the number a serving scheduler watches.
+    /// the backlog got. (The serving layer queues served work itself and
+    /// seats only its per-lane init and loop jobs here, so under
+    /// `rpu-serve` this reads at most `2·lanes`.)
     pub queue_peak: usize,
     /// The structured dispatch events this run recorded, in dispatch
     /// order — empty unless a sink was installed via
@@ -346,7 +348,7 @@ impl ClusterRunReport {
 pub type PoolJob<'j> = Box<dyn FnOnce(&mut LaneWorker<'_, '_>) + Send + 'j>;
 
 /// Everything the pool's mutex guards: the queues plus the counters the
-/// scheduler and the report read from one place.
+/// workers and the report read from one place.
 struct PoolState<'j> {
     /// Lane-affine queues: jobs that must run on one particular lane, in
     /// submission order (lane-resident ciphertexts, ordered frees).
@@ -396,8 +398,11 @@ impl std::fmt::Debug for PoolState<'_> {
 ///   next idle lane takes the next job, so throughput work balances
 ///   itself whatever the job/lane ratio;
 /// * [`submit_to`](LanePool::submit_to) — lane-pinned jobs, FIFO per
-///   lane: for work that must touch one lane's resident state (a
-///   tenant's home-lane ciphertexts, an ordered teardown).
+///   lane: for work that must touch one lane's resident state. A pinned
+///   job may be as long-lived as the scope: the serving layer seats one
+///   service loop per lane this way and lets each loop pull tenant
+///   batches from the server's own queues, rather than submitting a
+///   pool job per batch.
 ///
 /// The pool is `Sync`: many client threads may submit concurrently
 /// while the workers drain. A job that panics is caught on its worker
@@ -463,8 +468,28 @@ impl<'j> LanePool<'j> {
         self.push(Some(lane), job);
     }
 
+    /// Locks the pool state once `ready` holds, parking on `cv` until
+    /// then — the one place a lock or wait result of the pool's mutex is
+    /// handled. Poison is recovered rather than propagated: jobs run
+    /// with the lock released, and every critical section below is a
+    /// few counter and queue updates that leave the state valid at each
+    /// step, so one panicking thread must not wedge the other lanes.
+    fn state_when(
+        &self,
+        cv: &Condvar,
+        ready: impl Fn(&PoolState<'j>) -> bool,
+    ) -> MutexGuard<'_, PoolState<'j>> {
+        let guard = self.queues.lock().unwrap_or_else(PoisonError::into_inner);
+        cv.wait_while(guard, |q| !ready(q))
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn state(&self) -> MutexGuard<'_, PoolState<'j>> {
+        self.state_when(&self.idle, |_| true)
+    }
+
     fn push(&self, lane: Option<usize>, job: PoolJob<'j>) {
-        let mut q = self.queues.lock().expect("not poisoned");
+        let mut q = self.state();
         assert!(q.open, "job submitted to a closed pool");
         match lane {
             Some(l) => q.pinned[l].push_back(job),
@@ -482,25 +507,22 @@ impl<'j> LanePool<'j> {
 
     /// Blocks until every job submitted so far has finished.
     pub fn wait_idle(&self) {
-        let mut q = self.queues.lock().expect("not poisoned");
-        while q.pending > 0 || q.active > 0 {
-            q = self.idle.wait(q).expect("not poisoned");
-        }
+        drop(self.state_when(&self.idle, |q| q.pending == 0 && q.active == 0));
     }
 
     /// Jobs submitted but not yet started (pinned + shared).
     pub fn queued(&self) -> usize {
-        self.queues.lock().expect("not poisoned").pending
+        self.state().pending
     }
 
     /// Jobs finished over the pool's lifetime.
     pub fn executed(&self) -> usize {
-        self.queues.lock().expect("not poisoned").executed
+        self.state().executed
     }
 
     /// High-water mark of the pending-job backlog so far.
     pub fn queue_peak(&self) -> usize {
-        self.queues.lock().expect("not poisoned").depth_peak
+        self.state().depth_peak
     }
 
     /// The first job panic the pool caught, as `(lane, message)` — the
@@ -508,34 +530,28 @@ impl<'j> LanePool<'j> {
     /// must be fatal ([`RpuCluster::run_jobs`] turns it into
     /// [`RpuError::LanePanic`]).
     pub fn panicked(&self) -> Option<(usize, String)> {
-        self.queues.lock().expect("not poisoned").panic.clone()
+        self.state().panic.clone()
     }
 
     /// Worker side: the next job for `lane` (its pinned queue first,
     /// then the shared queue), parking until one arrives. `None` means
     /// the pool shut down and drained — the worker loop exits.
     fn next_job(&self, lane: usize) -> Option<PoolJob<'j>> {
-        let mut q = self.queues.lock().expect("not poisoned");
-        loop {
-            let job = match q.pinned[lane].pop_front() {
-                Some(j) => Some(j),
-                None => q.shared.pop_front(),
-            };
-            if let Some(job) = job {
-                q.pending -= 1;
-                q.active += 1;
-                return Some(job);
-            }
-            if !q.open {
-                return None;
-            }
-            q = self.work.wait(q).expect("not poisoned");
-        }
+        let mut q = self.state_when(&self.work, |q| {
+            !q.pinned[lane].is_empty() || !q.shared.is_empty() || !q.open
+        });
+        let job = match q.pinned[lane].pop_front() {
+            Some(j) => j,
+            None => q.shared.pop_front()?,
+        };
+        q.pending -= 1;
+        q.active += 1;
+        Some(job)
     }
 
     /// Worker side: accounts a finished job (and its panic, if caught).
     fn finish(&self, lane: usize, panic: Option<Box<dyn Any + Send>>) {
-        let mut q = self.queues.lock().expect("not poisoned");
+        let mut q = self.state();
         q.active -= 1;
         q.executed += 1;
         if let Some(payload) = panic {
@@ -552,9 +568,7 @@ impl<'j> LanePool<'j> {
     /// Stops accepting work and wakes every parked worker; they drain
     /// what is already queued, then exit.
     fn close(&self) {
-        let mut q = self.queues.lock().expect("not poisoned");
-        q.open = false;
-        drop(q);
+        self.state().open = false;
         self.work.notify_all();
     }
 }
@@ -1002,10 +1016,11 @@ impl<'a> RpuCluster<'a> {
     ///
     /// This is the persistent engine behind
     /// [`run_jobs`](RpuCluster::run_jobs) — and behind the serving
-    /// layer's scheduler, which keeps one pool open for the lifetime of
-    /// the service instead of re-spawning threads per batch. The pool is
-    /// `Sync`, so `f` may share it with client threads of its own
-    /// (e.g. via [`std::thread::scope`]).
+    /// layer, which pins one long-lived service loop to each lane's
+    /// worker for the lifetime of the service (the worker threads are
+    /// the only threads it runs on). The pool is `Sync`, so `f` may
+    /// share it with client threads of its own (e.g. via
+    /// [`std::thread::scope`]).
     ///
     /// A job that **panics** is caught on its worker thread and recorded
     /// ([`LanePool::panicked`]); no mutex is poisoned and the pool keeps
@@ -1113,49 +1128,44 @@ impl<'a> RpuCluster<'a> {
         &mut self,
         jobs: Vec<LaneJob<'j, T>>,
     ) -> Result<(Vec<T>, ClusterRunReport), RpuError> {
-        let results: Vec<Mutex<Option<T>>> = (0..jobs.len()).map(|_| Mutex::new(None)).collect();
-        let failure: Mutex<Option<RpuError>> = Mutex::new(None);
+        // The run's outcome — per-job results and the first failure —
+        // behind one mutex with one lock site. Job panics are caught
+        // before they can cross a guard, and each write is a single
+        // assignment, so poison is recovered.
+        let outcome: Mutex<(Vec<Option<T>>, Option<RpuError>)> =
+            Mutex::new(((0..jobs.len()).map(|_| None).collect(), None));
+        let outcome_now = || outcome.lock().unwrap_or_else(PoisonError::into_inner);
         let ((), report) = self.with_workers(|pool| {
             for (t, job) in jobs.into_iter().enumerate() {
-                let results = &results;
-                let failure = &failure;
                 pool.submit(Box::new(move |w| {
                     // Abandon still-queued work the moment anything has
                     // failed — one-shot batches stop on first error.
-                    if failure.lock().expect("not poisoned").is_some() {
+                    if outcome_now().1.is_some() {
                         return;
                     }
-                    match std::panic::catch_unwind(AssertUnwindSafe(|| job(w))) {
-                        Ok(Ok(v)) => *results[t].lock().expect("not poisoned") = Some(v),
-                        Ok(Err(e)) => {
-                            failure.lock().expect("not poisoned").get_or_insert(e);
-                        }
-                        Err(payload) => {
-                            failure.lock().expect("not poisoned").get_or_insert(
-                                RpuError::LanePanic {
-                                    lane: w.lane_index(),
-                                    message: panic_message(payload.as_ref()),
-                                },
-                            );
-                        }
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| job(w)));
+                    let result = result.unwrap_or_else(|payload| {
+                        Err(RpuError::LanePanic {
+                            lane: w.lane_index(),
+                            message: panic_message(payload.as_ref()),
+                        })
+                    });
+                    let mut out = outcome_now();
+                    match result {
+                        Ok(v) => out.0[t] = Some(v),
+                        Err(e) => drop(out.1.get_or_insert(e)),
                     }
                 }));
             }
             pool.wait_idle();
         });
 
-        if let Some(e) = failure.into_inner().expect("not poisoned") {
+        let (results, failure) = outcome.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = failure {
             return Err(e);
         }
-        let outputs: Vec<T> = results
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("not poisoned")
-                    .expect("every job completed")
-            })
-            .collect();
-        Ok((outputs, report))
+        let outputs = results.into_iter().map(|v| v.expect("every job completed"));
+        Ok((outputs.collect(), report))
     }
 
     /// Runs `towers.len()` independent tower jobs across the lanes (a

@@ -119,9 +119,10 @@
 //! multi-tenant service on the cluster: typed encrypt/eval/decrypt jobs
 //! behind ticketed submission, weighted-fair scheduling, bounded queues
 //! with typed backpressure, and per-tenant key isolation. Its engine is
-//! [`RpuCluster::with_workers`] — one parked worker thread per lane
-//! draining a [`LanePool`] of shared (work-stealing) and lane-pinned
-//! jobs for as long as the service lives.
+//! [`RpuCluster::with_workers`] — one worker thread per lane, each
+//! running a lane-pinned [`LanePool`] job for as long as the service
+//! lives: that lane's service loop, which pulls the next tenant batch
+//! from the server's queues itself (no scheduler thread in between).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -67,14 +67,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "cluster: jobs={:?} queue_peak={}",
+        "served: completed={:?} of {} total, {} rejected",
         serve_report
-            .cluster
-            .per_lane
+            .tenants
             .iter()
-            .map(|l| l.jobs)
+            .map(|t| t.completed)
             .collect::<Vec<_>>(),
-        serve_report.cluster.queue_peak
+        serve_report.completed,
+        serve_report.rejected
     );
     Ok(())
 }

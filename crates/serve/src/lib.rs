@@ -12,14 +12,15 @@
 //!   [`JobRequest::Decrypt`], [`JobRequest::Free`]) and get a
 //!   [`JobTicket`] back immediately; [`JobTicket::poll`] and
 //!   [`JobTicket::wait`] resolve to the typed [`JobOutput`] once the
-//!   scheduler has run the job. Many client threads may submit
+//!   tenant's lane has run the job — or to a typed [`ServeError`]:
+//!   every ticket resolves, even if its batch panicked. Many client threads may submit
 //!   concurrently ([`ServerHandle`] is `Sync` and cheap to clone).
 //! * **Weighted-fair scheduling with batching** — every tenant has a
-//!   home lane; a scheduler thread drains per-tenant queues in virtual
-//!   -time order (cost ÷ weight), dispatching up to a configurable
-//!   quantum of *same-kind* jobs per pick so one tenant's streak rides a
-//!   warm kernel cache without starving its neighbors beyond their
-//!   weight.
+//!   home lane, and each lane pulls its own work: between batches it
+//!   takes the backlogged tenant homed there with the least virtual
+//!   time (cost ÷ weight) and up to a configurable quantum of its
+//!   *same-kind* jobs, so one tenant's streak rides a warm kernel cache
+//!   without starving its neighbors beyond their weight.
 //! * **Bounded queues, typed backpressure** — each tenant may have at
 //!   most [`ServeConfig::capacity`] jobs outstanding; submission beyond
 //!   that returns [`ServeError::QueueFull`] instead of growing memory
@@ -31,8 +32,10 @@
 //!   holds.
 //!
 //! The engine underneath is [`rpu::RpuCluster::with_workers`]: one
-//! parked worker thread per lane draining a [`rpu::LanePool`] for the
-//! lifetime of the service, with tenant jobs pinned to their home lane.
+//! worker thread per lane, each running that lane's service loop as a
+//! single pinned [`rpu::LanePool`] job for the lifetime of the service.
+//! There is no scheduler thread and no second queue between a tenant's
+//! queue and its lane.
 //!
 //! ```
 //! use rpu::ntt::rlwe::RlweParams;

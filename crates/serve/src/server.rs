@@ -1,35 +1,48 @@
-//! The serving core: tenant registry, weighted-fair batching
-//! scheduler, ticketed submission, and the [`serve`] entry point that
-//! keeps an [`rpu::RpuCluster`] worker pool alive for the lifetime of
-//! the service.
+//! The serving core: tenant registry, weighted-fair batching, ticketed
+//! submission, and the [`serve`] entry point, which seats one service
+//! loop per lane on an [`rpu::RpuCluster`] worker pool for the lifetime
+//! of the service.
 //!
 //! # Architecture
 //!
 //! ```text
-//! clients ──submit()──▶ per-tenant bounded queues ─┐
-//!                                                  │ WFQ pick + batch
-//!                                   scheduler thread ──submit_to(lane)──▶ LanePool
-//!                                                  ▲                        │
-//!                                                  └──── lane-free notify ──┘
+//! clients ──submit()──▶ per-tenant bounded queues     ServerState,
+//!                            │            ▲           one mutex
+//!     next_for(lane): admin  │            │ complete(job)
+//!     first, else min-vtime  ▼            │
+//!     tenant, ≤ quantum     lane loop 0 … lane loop k−1
+//!     same-kind jobs        (one per pool worker, for the service's life)
 //! ```
 //!
-//! All shared state lives in one [`ServerCore`] behind a single mutex;
-//! device work never runs under that lock. A batch job resolves its
-//! operands under a brief lock, runs its dispatch chain on the lane
-//! worker lock-free (safe because a tenant is homed to exactly one lane
-//! and a lane runs one batch at a time), then re-locks to publish
-//! results and wake the scheduler.
+//! There is one queue tier and no scheduler thread: lanes pull. Each
+//! lane's loop locks the state, asks [`ServerState::next_for`] for its
+//! next turn (a tenant batch or an admin task), unlocks, runs it on its
+//! own [`LaneWorker`], and re-locks only to publish each job's result.
+//! A tenant is homed to exactly one lane and a lane runs one turn at a
+//! time, so a tenant's device state is never touched concurrently.
+//!
+//! All shared state lives in one [`ServerCore`] behind a single mutex,
+//! reached only through [`ServerCore::lock`]; device work never runs
+//! under it. [`ServerState`] itself is a plain state machine — admit
+//! (`register` / `submit` / `admin`), `next_for(lane)`, `complete` —
+//! that knows no thread, condvar or device, which is what lets the
+//! scheduler suite at the bottom of this file drive it from seeded
+//! interleavings. Lock and wait results are handled in one function per
+//! mutex-owning type ([`ServerCore::lock_when`], [`Slot::value`]), and
+//! both recover from poison: every update leaves the guarded data valid
+//! at each step, so a panic on one thread must not take the others.
 
 use crate::ops;
 use crate::ServeError;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
 use rpu::recipes::{self, LaneKernels, LaneKsk, Temps};
 use rpu::{
-    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, LanePool,
-    LaneWorker, Rpu, RpuError,
+    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, LaneWorker,
+    Rpu, RpuError,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Fixed-point shift for virtual-time arithmetic (`vtime += cost ≪ 16
 /// / weight`), so integer weights divide without rounding the fairness
@@ -169,7 +182,8 @@ pub enum JobRequest {
         x: CtHandle,
         /// Right operand.
         y: CtHandle,
-        /// Number of slots to reduce over (≥ 1).
+        /// Number of slots to reduce over, in `[1, n]` for ring degree
+        /// `n` (slots past the ring degree do not exist).
         len: usize,
     },
     /// Decrypt a resident ciphertext; resolves to
@@ -240,7 +254,13 @@ pub struct ServeReport {
     pub rejected: u64,
     /// Per-tenant summaries, in registration order.
     pub tenants: Vec<TenantSummary>,
-    /// The underlying cluster run report.
+    /// The underlying cluster run report. Dispatches, cycles and
+    /// transfers are per lane as usual; the pool-level counters
+    /// describe the lane loops, not served work: each lane ran two pool
+    /// jobs (kernel init, then its loop), so `per_lane[l].jobs == 2`,
+    /// `wall_busy_us` spans the loop's whole life (parked time
+    /// included) and `queue_peak ≤ 2·lanes`. Served jobs are counted in
+    /// [`ServeReport::tenants`].
     pub cluster: ClusterRunReport,
     /// Live device buffers per lane after the drain — the
     /// key-isolation tests assert this returns to zero once every
@@ -252,23 +272,75 @@ pub struct ServeReport {
 // Tickets
 // ---------------------------------------------------------------------
 
+/// A resolve-once result slot shared by a job ticket or an admin call
+/// and whoever runs the work: the first resolution wins, and every
+/// waiter sees it.
 #[derive(Debug)]
-struct TicketCell {
-    slot: Mutex<Option<Result<JobOutput, ServeError>>>,
+struct Slot<T> {
+    value: Mutex<Option<Result<T, ServeError>>>,
     cv: Condvar,
 }
 
-impl TicketCell {
+impl<T> Slot<T> {
     fn new() -> Self {
-        TicketCell {
-            slot: Mutex::new(None),
+        Slot {
+            value: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    fn resolve(&self, result: Result<JobOutput, ServeError>) {
-        *self.slot.lock().expect("not poisoned") = Some(result);
+    /// The slot's one lock accessor: its value now, or with `block`
+    /// once resolved. Poison is recovered — the only write is a single
+    /// assignment.
+    fn value(&self, block: bool) -> MutexGuard<'_, Option<Result<T, ServeError>>> {
+        let guard = self.value.lock().unwrap_or_else(PoisonError::into_inner);
+        self.cv
+            .wait_while(guard, |v| block && v.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn resolve(&self, result: Result<T, ServeError>) {
+        self.value(false).get_or_insert(result);
         self.cv.notify_all();
+    }
+}
+
+impl<T: Clone> Slot<T> {
+    fn poll(&self) -> Option<Result<T, ServeError>> {
+        self.value(false).clone()
+    }
+
+    fn wait(&self) -> Result<T, ServeError> {
+        let resolved = self.value(true).clone();
+        resolved.expect("a blocking read returns a resolved slot")
+    }
+}
+
+/// The producer's end of a [`Slot`], held by whatever will produce the
+/// result: a queued job, an admin task, a lane's kernel compile.
+/// Dropping it unresolved — its holder unwinding, a lane loop gone —
+/// fails the slot, so nobody waits on work that will never finish.
+#[derive(Debug)]
+struct Resolver<T>(Arc<Slot<T>>);
+
+impl<T> Resolver<T> {
+    fn new() -> (Self, Arc<Slot<T>>) {
+        let slot = Arc::new(Slot::new());
+        (Resolver(Arc::clone(&slot)), slot)
+    }
+
+    fn resolve(&self, result: Result<T, ServeError>) {
+        self.0.resolve(result);
+    }
+}
+
+impl<T> Drop for Resolver<T> {
+    fn drop(&mut self) {
+        if self.0.value(false).is_none() {
+            self.resolve(Err(ServeError::Rpu(
+                "abandoned: the work panicked or its lane stopped".into(),
+            )));
+        }
     }
 }
 
@@ -276,55 +348,19 @@ impl TicketCell {
 /// observes the same resolution.
 #[derive(Debug, Clone)]
 pub struct JobTicket {
-    cell: Arc<TicketCell>,
+    cell: Arc<Slot<JobOutput>>,
 }
 
 impl JobTicket {
     /// Non-blocking check: `None` while the job is still queued or
     /// running.
     pub fn poll(&self) -> Option<Result<JobOutput, ServeError>> {
-        self.cell.slot.lock().expect("not poisoned").clone()
+        self.cell.poll()
     }
 
     /// Blocks until the job resolves.
     pub fn wait(&self) -> Result<JobOutput, ServeError> {
-        let mut slot = self.cell.slot.lock().expect("not poisoned");
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return result.clone();
-            }
-            slot = self.cell.cv.wait(slot).expect("not poisoned");
-        }
-    }
-}
-
-#[derive(Debug)]
-struct AdminLatch {
-    slot: Mutex<Option<Result<(), ServeError>>>,
-    cv: Condvar,
-}
-
-impl AdminLatch {
-    fn new() -> Self {
-        AdminLatch {
-            slot: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, result: Result<(), ServeError>) {
-        *self.slot.lock().expect("not poisoned") = Some(result);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<(), ServeError> {
-        let mut slot = self.slot.lock().expect("not poisoned");
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.cv.wait(slot).expect("not poisoned");
-        }
+        self.cell.wait()
     }
 }
 
@@ -382,7 +418,7 @@ impl WorkItem {
             WorkItem::Encrypt { .. } | WorkItem::Decrypt { .. } => 4,
             WorkItem::Mul { .. } => 26,
             WorkItem::Rotate { .. } => 24,
-            WorkItem::Dot { len, .. } => 26 + 26 * (len.saturating_sub(1) as u64),
+            WorkItem::Dot { len, .. } => 26u64.saturating_mul((*len).max(1) as u64),
             WorkItem::Free { .. } => 1,
         }
     }
@@ -390,7 +426,7 @@ impl WorkItem {
 
 #[derive(Debug)]
 struct QueuedJob {
-    ticket: Arc<TicketCell>,
+    ticket: Resolver<JobOutput>,
     work: WorkItem,
 }
 
@@ -453,23 +489,17 @@ impl TenantState {
         }
     }
 
+    fn unknown_ct(&self, id: u64) -> ServeError {
+        let tenant = self.id;
+        ServeError::UnknownCiphertext(CtHandle { tenant, id })
+    }
+
     fn ct(&self, id: u64) -> Result<DeviceCiphertext, ServeError> {
-        self.cts
-            .get(&id)
-            .copied()
-            .ok_or(ServeError::UnknownCiphertext(CtHandle {
-                tenant: self.id,
-                id,
-            }))
+        self.cts.get(&id).copied().ok_or(self.unknown_ct(id))
     }
 
     fn take_ct(&mut self, id: u64) -> Result<DeviceCiphertext, ServeError> {
-        self.cts
-            .remove(&id)
-            .ok_or(ServeError::UnknownCiphertext(CtHandle {
-                tenant: self.id,
-                id,
-            }))
+        self.cts.remove(&id).ok_or(self.unknown_ct(id))
     }
 
     /// Takes every device buffer the tenant holds — key material and
@@ -511,26 +541,35 @@ struct AdminTask {
     lane: usize,
     tenant: TenantId,
     kind: AdminKind,
-    latch: Arc<AdminLatch>,
+    latch: Resolver<()>,
 }
 
-/// What the scheduler hands a lane.
+/// A lane's next piece of work, as [`ServerState::next_for`] hands it
+/// out.
 #[derive(Debug)]
-enum Work {
+enum Turn {
     Admin(AdminTask),
     Batch {
         tenant: TenantId,
-        items: Vec<QueuedJob>,
+        jobs: Vec<QueuedJob>,
     },
+}
+
+/// What a finished job produced on the device, before
+/// [`ServerState::complete`] turns it into a [`JobOutput`].
+#[derive(Debug)]
+enum RawOut {
+    Ct(DeviceCiphertext),
+    Plain(Vec<u128>),
+    Freed,
 }
 
 #[derive(Debug)]
 struct ServerState {
     shutdown: bool,
     paused: bool,
+    /// Per lane: a turn handed out by `next_for` is still running.
     lane_busy: Vec<bool>,
-    /// Per-lane compiled kernel sets (populated by the init jobs).
-    kernels: Vec<Option<Arc<LaneKernels>>>,
     tenants: Vec<TenantState>,
     admin: VecDeque<AdminTask>,
     /// Per-lane virtual clock: the vtime of the last tenant served
@@ -547,7 +586,6 @@ impl ServerState {
             shutdown: false,
             paused: false,
             lane_busy: vec![false; lanes],
-            kernels: vec![None; lanes],
             tenants: Vec::new(),
             admin: VecDeque::new(),
             lane_vclock: vec![0; lanes],
@@ -570,84 +608,221 @@ impl ServerState {
             .ok_or(ServeError::UnknownTenant(id))
     }
 
-    fn lane_kernels(&self, lane: usize) -> Result<Arc<LaneKernels>, ServeError> {
-        self.kernels[lane]
-            .clone()
-            .ok_or_else(|| ServeError::BadRequest(format!("lane {lane} kernels not initialized")))
+    fn open(&self) -> Result<(), ServeError> {
+        if self.shutdown {
+            return Err(ServeError::ShuttingDown);
+        }
+        Ok(())
     }
 
-    /// All work drained and nothing running: safe to exit at shutdown.
-    fn idle(&self) -> bool {
-        self.admin.is_empty()
-            && self.tenants.iter().all(|t| t.queue.is_empty())
-            && self.lane_busy.iter().all(|b| !b)
+    /// Admits a tenant, homed round-robin; it has no keys until its
+    /// first `Keygen` admin task has run.
+    fn register(&mut self, spec: &TenantSpec) -> Result<TenantId, ServeError> {
+        self.open()?;
+        let id = TenantId(u32::try_from(self.tenants.len()).expect("tenant count fits u32"));
+        let home = self.tenants.len() % self.lane_vclock.len();
+        self.tenants.push(TenantState::new(id, home, spec));
+        Ok(id)
     }
 
-    /// One scheduling decision: for the first free lane with work,
-    /// admin tasks first (they bypass pause), else the min-virtual-time
-    /// active tenant homed there, popping up to `quantum` consecutive
-    /// same-kind jobs as one batch. Marks the lane busy. (There is no
-    /// scheduler-side dispatch log: batch jobs run under a tenant tag,
-    /// so the structured dispatch trace — [`rpu::RpuBuilder::trace`] —
-    /// is the audit trail.)
-    fn pick_work(&mut self, config: &ServeConfig) -> Option<(usize, Work)> {
-        for lane in 0..self.lane_busy.len() {
-            if self.lane_busy[lane] {
-                continue;
+    /// Admits an admin task for the tenant's home lane; returns that
+    /// lane (to wake) and the slot the task resolves.
+    fn admin(
+        &mut self,
+        tenant: TenantId,
+        kind: AdminKind,
+    ) -> Result<(usize, Arc<Slot<()>>), ServeError> {
+        self.open()?;
+        let lane = self.tenant(tenant)?.home;
+        let (latch, slot) = Resolver::new();
+        self.admin.push_back(AdminTask {
+            lane,
+            tenant,
+            kind,
+            latch,
+        });
+        Ok((lane, slot))
+    }
+
+    /// Admits a job: backpressure, then validation (ownership, rotation
+    /// keys, shapes — drawing encrypt randomness from the tenant's
+    /// stream), then the queue. Returns the tenant's home lane (to
+    /// wake) and the ticket.
+    fn submit(
+        &mut self,
+        ctx: &RlweContext,
+        capacity: usize,
+        tenant: TenantId,
+        request: JobRequest,
+    ) -> Result<(usize, JobTicket), ServeError> {
+        self.open()?;
+        let n = ctx.params().n;
+        let home = self.tenant(tenant)?.home;
+        let clock = self.lane_vclock[home];
+        let t = &mut self.tenants[tenant.index()];
+        if t.outstanding >= capacity {
+            t.rejected += 1;
+            self.rejected += 1;
+            return Err(ServeError::QueueFull { tenant, capacity });
+        }
+        let own = |ct: CtHandle| -> Result<u64, ServeError> {
+            if ct.tenant == tenant {
+                Ok(ct.id)
+            } else {
+                Err(ServeError::ForeignCiphertext { tenant, ct })
             }
-            if let Some(pos) = self.admin.iter().position(|a| a.lane == lane) {
-                let task = self.admin.remove(pos).expect("position is valid");
-                self.lane_busy[lane] = true;
-                return Some((lane, Work::Admin(task)));
+        };
+        let work = match request {
+            JobRequest::Encrypt { message } => {
+                if message.len() != n {
+                    return Err(ServeError::BadRequest(format!(
+                        "message has {} slots, ring degree is {n}",
+                        message.len()
+                    )));
+                }
+                t.keys()?;
+                let (a_coeffs, payload) = ctx.sample_mask_and_payload(&message, &mut t.rng);
+                WorkItem::Encrypt { a_coeffs, payload }
             }
-            if self.paused {
-                continue;
+            JobRequest::Mul { x, y } => WorkItem::Mul {
+                x: own(x)?,
+                y: own(y)?,
+            },
+            JobRequest::Rotate { ct, steps } => {
+                let g = *t
+                    .keys()?
+                    .steps_to_g
+                    .get(&steps)
+                    .ok_or(ServeError::NoRotationKey { tenant, steps })?;
+                WorkItem::Rotate { ct: own(ct)?, g }
             }
-            let best = self
-                .tenants
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.active && t.home == lane && !t.queue.is_empty())
-                .min_by_key(|(_, t)| (t.vtime, t.id))
-                .map(|(i, _)| i);
-            let Some(i) = best else { continue };
-            let kind = self.tenants[i]
-                .queue
-                .front()
-                .expect("queue is nonempty")
-                .work
-                .kind();
-            let mut items = Vec::new();
-            while items.len() < config.quantum.max(1) {
-                match self.tenants[i].queue.front() {
-                    Some(next) if next.work.kind() == kind => {
-                        items.push(self.tenants[i].queue.pop_front().expect("front exists"));
-                    }
-                    _ => break,
+            JobRequest::Dot { x, y, len } => {
+                if len == 0 || len > n {
+                    return Err(ServeError::BadRequest(format!(
+                        "dot over {len} slots, ring degree is {n}"
+                    )));
+                }
+                let g = if len > 1 {
+                    let rot1 = t.keys()?.steps_to_g.get(&1);
+                    Some(*rot1.ok_or(ServeError::NoRotationKey { tenant, steps: 1 })?)
+                } else {
+                    None
+                };
+                WorkItem::Dot {
+                    x: own(x)?,
+                    y: own(y)?,
+                    len,
+                    g,
                 }
             }
-            let cost: u128 = items.iter().map(|j| u128::from(j.work.cost())).sum();
-            let tenant = self.tenants[i].id;
-            self.lane_vclock[lane] = self.tenants[i].vtime;
-            let weight = u128::from(self.tenants[i].weight.max(1));
-            self.tenants[i].vtime += (cost << VTIME_SHIFT) / weight;
-            self.lane_busy[lane] = true;
-            return Some((lane, Work::Batch { tenant, items }));
+            JobRequest::Decrypt { ct } => WorkItem::Decrypt { ct: own(ct)? },
+            JobRequest::Free { ct } => WorkItem::Free { ct: own(ct)? },
+        };
+        let (ticket, cell) = Resolver::new();
+        if t.queue.is_empty() && t.vtime < clock {
+            t.vtime = clock;
         }
-        None
+        t.queue.push_back(QueuedJob { ticket, work });
+        t.outstanding += 1;
+        Ok((home, JobTicket { cell }))
+    }
+
+    /// The scheduling decision for one lane, asked by that lane's loop
+    /// between turns — so asking also says the lane's previous turn is
+    /// over. Admin tasks go first (they bypass pause; shutdown overrides
+    /// pause so a paused server still drains), else the weighted-fair
+    /// batch. `None` leaves the lane idle. (There is no scheduler-side
+    /// dispatch log: batches run under a tenant tag, so the structured
+    /// dispatch trace — [`rpu::RpuBuilder::trace`] — is the audit
+    /// trail.)
+    fn next_for(&mut self, lane: usize, quantum: usize) -> Option<Turn> {
+        let turn = if let Some(pos) = self.admin.iter().position(|a| a.lane == lane) {
+            self.admin.remove(pos).map(Turn::Admin)
+        } else if self.paused && !self.shutdown {
+            None
+        } else {
+            self.next_batch(lane, quantum)
+        };
+        self.lane_busy[lane] = turn.is_some();
+        turn
+    }
+
+    /// The min-virtual-time backlogged tenant homed on `lane`, and up
+    /// to `quantum` consecutive same-kind jobs off the front of its
+    /// queue, charged to its virtual time at `cost / weight`.
+    fn next_batch(&mut self, lane: usize, quantum: usize) -> Option<Turn> {
+        let backlogged = self
+            .tenants
+            .iter_mut()
+            .filter(|t| t.active && t.home == lane && !t.queue.is_empty());
+        let t = backlogged.min_by_key(|t| (t.vtime, t.id))?;
+        let kind = t.queue.front()?.work.kind();
+        let mut jobs = Vec::new();
+        let same_kind = |job: &QueuedJob| job.work.kind() == kind;
+        while jobs.len() < quantum.max(1) && t.queue.front().is_some_and(same_kind) {
+            jobs.extend(t.queue.pop_front());
+        }
+        let cost: u128 = jobs.iter().map(|j| u128::from(j.work.cost())).sum();
+        self.lane_vclock[lane] = t.vtime;
+        t.vtime += (cost << VTIME_SHIFT) / u128::from(t.weight);
+        Some(Turn::Batch { tenant: t.id, jobs })
+    }
+
+    /// Publishes one finished job: releases its backpressure slot,
+    /// registers a produced ciphertext, counts a success.
+    fn complete(
+        &mut self,
+        tenant: TenantId,
+        raw: Result<RawOut, ServeError>,
+    ) -> Result<JobOutput, ServeError> {
+        let t = self.tenant_mut(tenant)?;
+        t.outstanding = t.outstanding.saturating_sub(1);
+        let output = match raw? {
+            RawOut::Ct(ct) => {
+                let id = t.next_ct;
+                t.next_ct += 1;
+                t.cts.insert(id, ct);
+                JobOutput::Ciphertext(CtHandle { tenant, id })
+            }
+            RawOut::Plain(p) => JobOutput::Plaintext(p),
+            RawOut::Freed => JobOutput::Freed,
+        };
+        t.completed += 1;
+        self.completed += 1;
+        Ok(output)
+    }
+
+    /// Teardown's state half: deactivates the tenant, fails its queued
+    /// jobs, and hands back every device buffer it held for release on
+    /// its home lane.
+    fn retire(&mut self, tenant: TenantId) -> Result<Vec<DeviceBuffer>, ServeError> {
+        let t = self.tenant_mut(tenant)?;
+        t.active = false;
+        t.outstanding = t.outstanding.saturating_sub(t.queue.len());
+        for job in t.queue.drain(..) {
+            job.ticket.resolve(Err(ServeError::UnknownTenant(tenant)));
+        }
+        Ok(t.take_buffers())
+    }
+
+    /// Nothing queued, nothing running: what `wait_all` waits for.
+    fn quiescent(&self) -> bool {
+        self.admin.is_empty()
+            && !self.lane_busy.contains(&true)
+            && self.tenants.iter().all(|t| t.outstanding == 0)
     }
 }
 
-/// Everything the server shares between clients, the scheduler, and
-/// lane jobs.
+/// Everything the server shares between clients and lane loops.
 #[derive(Debug)]
 pub(crate) struct ServerCore {
     ctx: RlweContext,
     config: ServeConfig,
     state: Mutex<ServerState>,
-    /// Wakes the scheduler: new work, a lane freed, or shutdown.
-    sched: Condvar,
-    /// Wakes [`ServerHandle::wait_all`] waiters.
+    /// Per lane, wakes that lane's loop: work admitted for it, resume,
+    /// or shutdown.
+    wake: Vec<Condvar>,
+    /// Wakes [`ServerHandle::wait_all`] waiters: a lane went idle.
     drain: Condvar,
 }
 
@@ -657,8 +832,31 @@ impl ServerCore {
             ctx,
             config,
             state: Mutex::new(ServerState::new(lanes)),
-            sched: Condvar::new(),
+            wake: (0..lanes).map(|_| Condvar::new()).collect(),
             drain: Condvar::new(),
+        }
+    }
+
+    /// Locks the state once `ready` holds, parking on `cv` until then —
+    /// the one place a lock or wait result of the state mutex is
+    /// handled. Poison is recovered: see the module header.
+    fn lock_when(
+        &self,
+        cv: &Condvar,
+        mut ready: impl FnMut(&mut ServerState) -> bool,
+    ) -> MutexGuard<'_, ServerState> {
+        let guard = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        cv.wait_while(guard, |st| !ready(st))
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, ServerState> {
+        self.lock_when(&self.drain, |_| true)
+    }
+
+    fn wake_lanes(&self) {
+        for cv in &self.wake {
+            cv.notify_one();
         }
     }
 }
@@ -686,26 +884,9 @@ impl ServerHandle {
     /// [`ServeError::ShuttingDown`] after shutdown began, or the
     /// rendered RPU error if key upload fails.
     pub fn register_tenant(&self, spec: TenantSpec) -> Result<TenantId, ServeError> {
-        let latch = Arc::new(AdminLatch::new());
-        {
-            let mut st = self.core.state.lock().expect("not poisoned");
-            if st.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            let id = TenantId(u32::try_from(st.tenants.len()).expect("tenant count fits u32"));
-            let home = st.tenants.len() % st.lane_busy.len();
-            st.tenants.push(TenantState::new(id, home, &spec));
-            st.admin.push_back(AdminTask {
-                lane: home,
-                tenant: id,
-                kind: AdminKind::Keygen,
-                latch: Arc::clone(&latch),
-            });
-            drop(st);
-            self.core.sched.notify_all();
-            latch.wait()?;
-            Ok(id)
-        }
+        let id = self.core.lock().register(&spec)?;
+        self.admin(id, AdminKind::Keygen)?;
+        Ok(id)
     }
 
     /// Rotates the tenant's keys: fresh secret/relin/rotation keys from
@@ -737,22 +918,9 @@ impl ServerHandle {
     }
 
     fn admin(&self, tenant: TenantId, kind: AdminKind) -> Result<(), ServeError> {
-        let latch = Arc::new(AdminLatch::new());
-        {
-            let mut st = self.core.state.lock().expect("not poisoned");
-            if st.shutdown {
-                return Err(ServeError::ShuttingDown);
-            }
-            let home = st.tenant(tenant)?.home;
-            st.admin.push_back(AdminTask {
-                lane: home,
-                tenant,
-                kind,
-                latch: Arc::clone(&latch),
-            });
-        }
-        self.core.sched.notify_all();
-        latch.wait()
+        let (lane, done) = self.core.lock().admin(tenant, kind)?;
+        self.core.wake[lane].notify_one();
+        done.wait()
     }
 
     /// Submits a job for `tenant`, returning a [`JobTicket`]
@@ -771,91 +939,10 @@ impl ServerHandle {
     /// [`ServeError::ShuttingDown`].
     pub fn submit(&self, tenant: TenantId, request: JobRequest) -> Result<JobTicket, ServeError> {
         let core = &self.core;
-        let n = core.ctx.params().n;
-        let mut st = core.state.lock().expect("not poisoned");
-        if st.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
         let capacity = core.config.capacity;
-        st.tenant(tenant)?; // exists and active
-        let ti = tenant.index();
-        if st.tenants[ti].outstanding >= capacity {
-            st.rejected += 1;
-            st.tenants[ti].rejected += 1;
-            return Err(ServeError::QueueFull { tenant, capacity });
-        }
-        let own = |ct: CtHandle| -> Result<u64, ServeError> {
-            if ct.tenant == tenant {
-                Ok(ct.id)
-            } else {
-                Err(ServeError::ForeignCiphertext { tenant, ct })
-            }
-        };
-        let work = match request {
-            JobRequest::Encrypt { message } => {
-                if message.len() != n {
-                    return Err(ServeError::BadRequest(format!(
-                        "message has {} slots, ring degree is {n}",
-                        message.len()
-                    )));
-                }
-                st.tenants[ti].keys()?;
-                let (a_coeffs, payload) = core
-                    .ctx
-                    .sample_mask_and_payload(&message, &mut st.tenants[ti].rng);
-                WorkItem::Encrypt { a_coeffs, payload }
-            }
-            JobRequest::Mul { x, y } => WorkItem::Mul {
-                x: own(x)?,
-                y: own(y)?,
-            },
-            JobRequest::Rotate { ct, steps } => {
-                let g = *st.tenants[ti]
-                    .keys()?
-                    .steps_to_g
-                    .get(&steps)
-                    .ok_or(ServeError::NoRotationKey { tenant, steps })?;
-                WorkItem::Rotate { ct: own(ct)?, g }
-            }
-            JobRequest::Dot { x, y, len } => {
-                if len == 0 {
-                    return Err(ServeError::BadRequest("dot over zero slots".into()));
-                }
-                let g = if len > 1 {
-                    Some(
-                        *st.tenants[ti]
-                            .keys()?
-                            .steps_to_g
-                            .get(&1)
-                            .ok_or(ServeError::NoRotationKey { tenant, steps: 1 })?,
-                    )
-                } else {
-                    None
-                };
-                WorkItem::Dot {
-                    x: own(x)?,
-                    y: own(y)?,
-                    len,
-                    g,
-                }
-            }
-            JobRequest::Decrypt { ct } => WorkItem::Decrypt { ct: own(ct)? },
-            JobRequest::Free { ct } => WorkItem::Free { ct: own(ct)? },
-        };
-        let cell = Arc::new(TicketCell::new());
-        let clock = st.lane_vclock[st.tenants[ti].home];
-        let t = &mut st.tenants[ti];
-        if t.queue.is_empty() && t.vtime < clock {
-            t.vtime = clock;
-        }
-        t.queue.push_back(QueuedJob {
-            ticket: Arc::clone(&cell),
-            work,
-        });
-        t.outstanding += 1;
-        drop(st);
-        core.sched.notify_all();
-        Ok(JobTicket { cell })
+        let (lane, ticket) = core.lock().submit(&core.ctx, capacity, tenant, request)?;
+        core.wake[lane].notify_one();
+        Ok(ticket)
     }
 
     /// The ring parameters every tenant on this server shares.
@@ -866,25 +953,20 @@ impl ServerHandle {
     /// Blocks until every submitted job has resolved and no lane is
     /// running server work.
     pub fn wait_all(&self) {
-        let mut st = self.core.state.lock().expect("not poisoned");
-        while st.tenants.iter().any(|t| t.outstanding > 0)
-            || !st.admin.is_empty()
-            || st.lane_busy.iter().any(|b| *b)
-        {
-            st = self.core.drain.wait(st).expect("not poisoned");
-        }
+        drop(self.core.lock_when(&self.core.drain, |st| st.quiescent()));
     }
 
     /// Stops dispatching tenant batches (admin tasks still run); queued
-    /// jobs stay queued. For tests that prefill queues deterministically.
+    /// jobs stay queued until [`resume`](ServerHandle::resume) or
+    /// shutdown. For tests that prefill queues deterministically.
     pub fn pause(&self) {
-        self.core.state.lock().expect("not poisoned").paused = true;
+        self.core.lock().paused = true;
     }
 
     /// Resumes dispatching after [`pause`](ServerHandle::pause).
     pub fn resume(&self) {
-        self.core.state.lock().expect("not poisoned").paused = false;
-        self.core.sched.notify_all();
+        self.core.lock().paused = false;
+        self.core.wake_lanes();
     }
 
     /// One tenant's accounting snapshot.
@@ -894,7 +976,7 @@ impl ServerHandle {
     /// [`ServeError::UnknownTenant`] for unregistered ids (torn-down
     /// tenants still report).
     pub fn tenant_stats(&self, tenant: TenantId) -> Result<TenantSummary, ServeError> {
-        let st = self.core.state.lock().expect("not poisoned");
+        let st = self.core.lock();
         st.tenants
             .get(tenant.index())
             .map(TenantState::summary)
@@ -903,7 +985,7 @@ impl ServerHandle {
 
     /// Every tenant's accounting snapshot, in registration order.
     pub fn stats(&self) -> Vec<TenantSummary> {
-        let st = self.core.state.lock().expect("not poisoned");
+        let st = self.core.lock();
         st.tenants.iter().map(TenantState::summary).collect()
     }
 
@@ -913,105 +995,67 @@ impl ServerHandle {
     ///
     /// [`ServeError::UnknownTenant`].
     pub fn outstanding(&self, tenant: TenantId) -> Result<usize, ServeError> {
-        let st = self.core.state.lock().expect("not poisoned");
-        Ok(st.tenant(tenant)?.outstanding)
+        Ok(self.core.lock().tenant(tenant)?.outstanding)
     }
 }
 
 // ---------------------------------------------------------------------
-// Scheduler + lane-job bodies
+// The lane loop and what it runs
 // ---------------------------------------------------------------------
 
-fn finish_lane(core: &ServerCore, lane: usize) {
-    core.state.lock().expect("not poisoned").lane_busy[lane] = false;
-    core.sched.notify_all();
-    core.drain.notify_all();
-}
-
-/// The scheduler thread: waits for work or a freed lane, dispatches one
-/// batch per wakeup iteration, exits when shutdown has drained.
-fn scheduler_loop(pool: &LanePool<'_>, core: &Arc<ServerCore>) {
-    let mut st = core.state.lock().expect("not poisoned");
+/// One lane's service loop, seated on the lane's pool worker for the
+/// life of the service: take the next turn, run it with the state
+/// unlocked, repeat; return once shutdown finds the lane drained. Each
+/// turn runs under `catch_unwind`, so a panic costs that batch — the
+/// jobs it had not resolved fail through their [`Resolver`]s — not the
+/// lane.
+fn lane_loop(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels) {
+    let lane = w.lane_index();
     loop {
-        if let Some((lane, work)) = st.pick_work(&core.config) {
-            drop(st);
-            let job_core = Arc::clone(core);
-            match work {
-                Work::Admin(task) => pool.submit_to(
-                    lane,
-                    Box::new(move |w| {
-                        run_admin(w, &job_core, task);
-                        finish_lane(&job_core, lane);
-                    }),
-                ),
-                Work::Batch { tenant, items } => pool.submit_to(
-                    lane,
-                    Box::new(move |w| {
-                        // Tag the batch's dispatches with the tenant so
-                        // the structured trace is the fairness audit
-                        // trail; admin work stays untagged. The guard
-                        // restores the previous tag even on panic —
-                        // lane worker threads outlive the job.
-                        let _tag = rpu::TenantTag::new(tenant.index() as u32);
-                        for item in items {
-                            exec_item(w, &job_core, tenant, item);
-                        }
-                        drop(_tag);
-                        finish_lane(&job_core, lane);
-                    }),
-                ),
+        // With nothing to do, tell `wait_all` this lane is idle, then
+        // park until a submit, resume or shutdown wakes it.
+        let mut turn = None;
+        drop(core.lock_when(&core.wake[lane], |st| {
+            turn = st.next_for(lane, core.config.quantum);
+            if turn.is_none() {
+                core.drain.notify_all();
             }
-            st = core.state.lock().expect("not poisoned");
-            continue;
-        }
-        if st.shutdown && st.idle() {
-            return;
-        }
-        st = core.sched.wait(st).expect("not poisoned");
-    }
-}
-
-enum RawOut {
-    Ct(DeviceCiphertext),
-    Plain(Vec<u128>),
-    Freed,
-}
-
-/// Runs one job on the tenant's home lane and resolves its ticket.
-fn exec_item(w: &mut LaneWorker<'_, '_>, core: &ServerCore, tenant: TenantId, job: QueuedJob) {
-    let QueuedJob { ticket, work } = job;
-    let raw = exec_work(w, core, tenant, work);
-    let mut st = core.state.lock().expect("not poisoned");
-    let result = match st.tenant_mut(tenant) {
-        Err(e) => Err(e), // torn down mid-flight
-        Ok(t) => {
-            t.outstanding = t.outstanding.saturating_sub(1);
-            match raw {
-                Ok(RawOut::Ct(ct)) => {
-                    let id = t.next_ct;
-                    t.next_ct += 1;
-                    t.cts.insert(id, ct);
-                    t.completed += 1;
-                    Ok(JobOutput::Ciphertext(CtHandle { tenant, id }))
+            turn.is_some() || st.shutdown
+        }));
+        match turn {
+            None => return,
+            Some(Turn::Admin(task)) => {
+                let _ = catch_unwind(AssertUnwindSafe(|| run_admin(w, core, k, task)));
+            }
+            Some(Turn::Batch { tenant, jobs }) => {
+                let mut jobs = jobs.into_iter();
+                let ran = catch_unwind(AssertUnwindSafe(|| {
+                    // Tag the batch's dispatches with the tenant so the
+                    // structured trace is the fairness audit trail;
+                    // admin work stays untagged. The guard restores the
+                    // previous tag even on panic.
+                    let _tag = rpu::TenantTag::new(tenant.index() as u32);
+                    for job in jobs.by_ref() {
+                        let raw = exec_work(w, core, k, tenant, &job.work);
+                        let result = core.lock().complete(tenant, raw);
+                        job.ticket.resolve(result);
+                    }
+                }));
+                if ran.is_err() {
+                    // The job that unwound took its resolver (which
+                    // failed its ticket) with it and never reached
+                    // `complete`; the ones behind it never started.
+                    let lost = ServeError::Rpu(format!("lane {lane} panicked running the batch"));
+                    let mut st = core.lock();
+                    let _ = st.complete(tenant, Err(lost.clone()));
+                    for job in jobs {
+                        let result = st.complete(tenant, Err(lost.clone()));
+                        job.ticket.resolve(result);
+                    }
                 }
-                Ok(RawOut::Plain(p)) => {
-                    t.completed += 1;
-                    Ok(JobOutput::Plaintext(p))
-                }
-                Ok(RawOut::Freed) => {
-                    t.completed += 1;
-                    Ok(JobOutput::Freed)
-                }
-                Err(e) => Err(e),
             }
         }
-    };
-    if result.is_ok() {
-        st.completed += 1;
     }
-    drop(st);
-    core.drain.notify_all();
-    ticket.resolve(result);
 }
 
 /// The device side of one job: resolve operands under a brief lock,
@@ -1019,86 +1063,80 @@ fn exec_item(w: &mut LaneWorker<'_, '_>, core: &ServerCore, tenant: TenantId, jo
 fn exec_work(
     w: &mut LaneWorker<'_, '_>,
     core: &ServerCore,
+    k: &LaneKernels,
     tenant: TenantId,
-    work: WorkItem,
+    work: &WorkItem,
 ) -> Result<RawOut, ServeError> {
-    let lane = w.lane_index();
     let galois = |t: &TenantState, g: usize| {
         let key = t.keys()?.galois.get(&g).cloned();
         key.ok_or_else(|| ServeError::BadRequest(format!("no resident Galois key for g = {g}")))
     };
     match work {
         WorkItem::Encrypt { a_coeffs, payload } => {
-            let (k, sk) = {
-                let st = core.state.lock().expect("not poisoned");
-                (st.lane_kernels(lane)?, st.tenant(tenant)?.keys()?.sk_hat)
-            };
-            let (a, b) = recipes::encrypt(w, &k, sk, &a_coeffs, &payload)?;
+            let sk = core.lock().tenant(tenant)?.keys()?.sk_hat;
+            let (a, b) = recipes::encrypt(w, k, sk, a_coeffs, payload)?;
             Ok(RawOut::Ct(DeviceCiphertext { a, b }))
         }
         WorkItem::Mul { x, y } => {
-            let (k, relin, cx, cy) = {
-                let st = core.state.lock().expect("not poisoned");
+            let (relin, cx, cy) = {
+                let st = core.lock();
                 let t = st.tenant(tenant)?;
-                (
-                    st.lane_kernels(lane)?,
-                    t.keys()?.relin.clone(),
-                    t.ct(x)?,
-                    t.ct(y)?,
-                )
+                (t.keys()?.relin.clone(), t.ct(*x)?, t.ct(*y)?)
             };
-            Ok(RawOut::Ct(ops::mul(w, &k, &relin, cx, cy)?))
+            Ok(RawOut::Ct(ops::mul(w, k, &relin, cx, cy)?))
         }
         WorkItem::Rotate { ct, g } => {
-            let (k, (autom, gk), c) = {
-                let st = core.state.lock().expect("not poisoned");
+            let ((autom, gk), c) = {
+                let st = core.lock();
                 let t = st.tenant(tenant)?;
-                (st.lane_kernels(lane)?, galois(t, g)?, t.ct(ct)?)
+                (galois(t, *g)?, t.ct(*ct)?)
             };
-            Ok(RawOut::Ct(ops::apply_galois(w, &k, &autom, &gk, c)?))
+            Ok(RawOut::Ct(ops::apply_galois(w, k, &autom, &gk, c)?))
         }
         WorkItem::Dot { x, y, len, g } => {
-            let (k, relin, rot, cx, cy) = {
-                let st = core.state.lock().expect("not poisoned");
+            let (relin, rot, cx, cy) = {
+                let st = core.lock();
                 let t = st.tenant(tenant)?;
                 (
-                    st.lane_kernels(lane)?,
                     t.keys()?.relin.clone(),
                     g.map(|g| galois(t, g)).transpose()?,
-                    t.ct(x)?,
-                    t.ct(y)?,
+                    t.ct(*x)?,
+                    t.ct(*y)?,
                 )
             };
-            let out = ops::dot(w, &k, &relin, rot.as_ref(), cx, cy, len)?;
+            let out = ops::dot(w, k, &relin, rot.as_ref(), cx, cy, *len)?;
             Ok(RawOut::Ct(out))
         }
         WorkItem::Decrypt { ct } => {
-            let (k, sk, c) = {
-                let st = core.state.lock().expect("not poisoned");
+            let (sk, c) = {
+                let st = core.lock();
                 let t = st.tenant(tenant)?;
-                (st.lane_kernels(lane)?, t.keys()?.sk_hat, t.ct(ct)?)
+                (t.keys()?.sk_hat, t.ct(*ct)?)
             };
-            let noisy = recipes::phase(w, &k, sk, c.a, c.b)?;
+            let noisy = recipes::phase(w, k, sk, c.a, c.b)?;
             Ok(RawOut::Plain(core.ctx.decode_noisy(&noisy)))
         }
         WorkItem::Free { ct } => {
-            let c = {
-                let mut st = core.state.lock().expect("not poisoned");
-                st.tenant_mut(tenant)?.take_ct(ct)?
-            };
+            let c = core.lock().tenant_mut(tenant)?.take_ct(*ct)?;
             ops::free_ct(w, c)?;
             Ok(RawOut::Freed)
         }
     }
 }
 
-fn run_admin(w: &mut LaneWorker<'_, '_>, core: &ServerCore, task: AdminTask) {
+fn run_admin(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels, task: AdminTask) {
     let result = match task.kind {
-        AdminKind::Keygen => run_keygen(w, core, task.tenant),
-        AdminKind::Teardown => run_teardown(w, core, task.tenant),
+        AdminKind::Keygen => run_keygen(w, core, k, task.tenant),
+        AdminKind::Teardown => {
+            let stale = core.lock().retire(task.tenant);
+            stale.map(|buffers| {
+                for buf in buffers {
+                    let _ = w.free(buf);
+                }
+            })
+        }
     };
     task.latch.resolve(result);
-    core.drain.notify_all();
 }
 
 /// Generates the tenant's keys from its randomness stream (under the
@@ -1108,11 +1146,12 @@ fn run_admin(w: &mut LaneWorker<'_, '_>, core: &ServerCore, task: AdminTask) {
 fn run_keygen(
     w: &mut LaneWorker<'_, '_>,
     core: &ServerCore,
+    k: &LaneKernels,
     tenant: TenantId,
 ) -> Result<(), ServeError> {
     let base_log = core.config.ksk_base_log;
     let (sk_coeffs, relin_key, galois_keys, stale) = {
-        let mut st = core.state.lock().expect("not poisoned");
+        let mut st = core.lock();
         let t = st.tenant_mut(tenant)?;
         let rotations = t.rotations.clone();
         let sk = core.ctx.keygen(&mut t.rng);
@@ -1132,24 +1171,18 @@ fn run_keygen(
     for buf in stale {
         let _ = w.free(buf);
     }
-    let k = {
-        core.state
-            .lock()
-            .expect("not poisoned")
-            .lane_kernels(w.lane_index())?
-    };
     let params = core.ctx.params();
     let style = core.config.style;
     let mut t = Temps::default();
     let built = (|| {
-        let sk_hat = t.hold(recipes::upload_eval(w, &k, &sk_coeffs)?);
-        let relin = ops::upload_ksk(w, &k, &mut t, relin_key.key_switch_key())?;
+        let sk_hat = t.hold(recipes::upload_eval(w, k, &sk_coeffs)?);
+        let relin = ops::upload_ksk(w, k, &mut t, relin_key.key_switch_key())?;
         let mut galois = HashMap::new();
         let mut steps_to_g = HashMap::new();
         for (steps, gk) in &galois_keys {
             let g = gk.galois_element();
             let kern = w.compile(&AutomorphismSpec::new(params.n, params.q, g, style))?;
-            let dev = ops::upload_ksk(w, &k, &mut t, gk.key_switch_key())?;
+            let dev = ops::upload_ksk(w, k, &mut t, gk.key_switch_key())?;
             galois.insert(g, (kern, dev));
             steps_to_g.insert(*steps, g);
         }
@@ -1162,31 +1195,7 @@ fn run_keygen(
     })();
     // Heap exhaustion mid-upload must not strand half a key set.
     let keys = t.settle(built, TenantKeys::handles, |buf| w.free(buf))?;
-    let mut st = core.state.lock().expect("not poisoned");
-    st.tenant_mut(tenant)?.keys = Some(keys);
-    Ok(())
-}
-
-fn run_teardown(
-    w: &mut LaneWorker<'_, '_>,
-    core: &ServerCore,
-    tenant: TenantId,
-) -> Result<(), ServeError> {
-    let (stale, dropped) = {
-        let mut st = core.state.lock().expect("not poisoned");
-        let t = st.tenant_mut(tenant)?;
-        t.active = false;
-        let stale = t.take_buffers();
-        let dropped: Vec<Arc<TicketCell>> = t.queue.drain(..).map(|j| j.ticket).collect();
-        t.outstanding = t.outstanding.saturating_sub(dropped.len());
-        (stale, dropped)
-    };
-    for ticket in dropped {
-        ticket.resolve(Err(ServeError::UnknownTenant(tenant)));
-    }
-    for buf in stale {
-        let _ = w.free(buf);
-    }
+    core.lock().tenant_mut(tenant)?.keys = Some(keys);
     Ok(())
 }
 
@@ -1194,12 +1203,25 @@ fn run_teardown(
 // Entry point
 // ---------------------------------------------------------------------
 
+/// Begins shutdown when the [`serve`] closure returns *or unwinds*: the
+/// lane loops exit only once told to, and the pool's thread scope would
+/// otherwise wait on them forever.
+struct ShutdownOnDrop<'a>(&'a ServerCore);
+
+impl Drop for ShutdownOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.lock().shutdown = true;
+        self.0.wake_lanes();
+    }
+}
+
 /// Runs a multi-tenant server over `rpu`'s cluster for the duration of
-/// `f`: compiles the kernel set on every lane, starts the scheduler,
-/// and hands `f` a [`ServerHandle`] to register tenants and submit
-/// jobs through (clone it into as many client threads as you like).
-/// When `f` returns, the server drains every queued job, shuts down,
-/// and returns `f`'s result with the [`ServeReport`].
+/// `f`: compiles the kernel set on every lane, seats each lane's
+/// service loop, and hands `f` a [`ServerHandle`] to register tenants
+/// and submit jobs through (clone it into as many client threads as you
+/// like). When `f` returns, the server drains every queued job (paused
+/// or not), shuts down, and returns `f`'s result with the
+/// [`ServeReport`].
 ///
 /// # Errors
 ///
@@ -1213,56 +1235,41 @@ pub fn serve<R>(
 ) -> Result<(R, ServeReport), ServeError> {
     let ctx = RlweContext::new(config.params).map_err(RpuError::from)?;
     // An out-of-range base would only surface as a panic inside a
-    // keygen job — under the state lock, poisoning every client.
+    // keygen task, under the state lock.
     recipes::check_ksk_base_log(config.ksk_base_log)?;
     let mut cluster = rpu.cluster();
     let lanes = cluster.lane_count();
     let core = Arc::new(ServerCore::new(ctx, config, lanes));
-    let init_failure: Mutex<Option<RpuError>> = Mutex::new(None);
-    let (out, cluster_report) = cluster.with_workers(|pool| {
-        let params = core.ctx.params();
-        let style = core.config.style;
-        for lane in 0..lanes {
-            let job_core = Arc::clone(&core);
-            let init_failure = &init_failure;
-            pool.submit_to(
-                lane,
-                Box::new(
-                    move |w| match LaneKernels::compile(w, params.n, params.q, style) {
-                        Ok(k) => {
-                            job_core.state.lock().expect("not poisoned").kernels[lane] =
-                                Some(Arc::new(k));
-                        }
-                        Err(e) => {
-                            init_failure.lock().expect("not poisoned").get_or_insert(e);
-                        }
-                    },
-                ),
-            );
+    let (out, cluster_report) = cluster.with_workers(|pool| -> Result<R, ServeError> {
+        let RlweParams { n, q, .. } = config.params;
+        let compiling: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let (done, kernels) = Resolver::new();
+                let compile = move |w: &mut LaneWorker<'_, '_>| {
+                    let k = LaneKernels::compile(w, n, q, config.style);
+                    done.resolve(k.map_err(ServeError::from));
+                };
+                pool.submit_to(lane, Box::new(compile));
+                kernels
+            })
+            .collect();
+        let kernels = compiling.iter().map(|k| k.wait());
+        let kernels = kernels.collect::<Result<Vec<_>, _>>()?;
+        // From here the pool's workers belong to the lane loops until
+        // the guard, dropped after `f`, tells them to drain and return;
+        // `with_workers` joins them on the way out.
+        let _shutdown = ShutdownOnDrop(&core);
+        for (lane, k) in kernels.into_iter().enumerate() {
+            let core = &*core;
+            pool.submit_to(lane, Box::new(move |w| lane_loop(w, core, &k)));
         }
-        pool.wait_idle();
-        if let Some(e) = init_failure.lock().expect("not poisoned").take() {
-            return Err(ServeError::from(e));
-        }
-        let result = std::thread::scope(|scope| {
-            let sched = {
-                let core = Arc::clone(&core);
-                scope.spawn(move || scheduler_loop(pool, &core))
-            };
-            let handle = ServerHandle {
-                core: Arc::clone(&core),
-            };
-            let result = f(&handle);
-            core.state.lock().expect("not poisoned").shutdown = true;
-            core.sched.notify_all();
-            sched.join().expect("scheduler thread does not panic");
-            result
-        });
-        Ok(result)
+        Ok(f(&ServerHandle {
+            core: Arc::clone(&core),
+        }))
     });
     let result = out?;
     let resident_buffers = (0..lanes).map(|l| cluster.live_buffers(l)).collect();
-    let st = core.state.lock().expect("not poisoned");
+    let st = core.lock();
     let tenants = st.tenants.iter().map(TenantState::summary).collect();
     Ok((
         result,
@@ -1274,4 +1281,458 @@ pub fn serve<R>(
             resident_buffers,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    //! The drop guards, and the deterministic scheduler suite: seeded
+    //! random interleavings of admit / `next_for` / complete / pause /
+    //! resume / teardown against a bare [`ServerState`] — no thread, no
+    //! device — checked step by step against a model kept beside it.
+
+    use super::*;
+
+    fn ring() -> RlweContext {
+        let n = 16;
+        let q = rpu::PrimeTable::new().ntt_prime(n).expect("prime exists");
+        RlweContext::new(RlweParams { n, q, t: 257 }).expect("valid parameters")
+    }
+
+    #[test]
+    fn a_job_dropped_unresolved_fails_its_ticket() {
+        let ctx = ring();
+        let mut st = ServerState::new(1);
+        let tenant = st.register(&TenantSpec::new(1)).unwrap();
+        let ct = CtHandle { tenant, id: 0 };
+        let (_, queued) = st
+            .submit(&ctx, 4, tenant, JobRequest::Decrypt { ct })
+            .unwrap();
+        let Some(Turn::Batch { jobs, .. }) = st.next_for(0, 4) else {
+            panic!("the queued job is the lane's next turn");
+        };
+        assert_eq!(queued.poll(), None);
+        drop(jobs); // what a batch unwinding does to the jobs it held
+        assert!(matches!(queued.wait(), Err(ServeError::Rpu(_))));
+
+        // Same for a job still queued when the state itself goes away.
+        let (_, queued) = st.submit(&ctx, 4, tenant, JobRequest::Free { ct }).unwrap();
+        drop(st);
+        assert!(matches!(queued.wait(), Err(ServeError::Rpu(_))));
+    }
+
+    #[test]
+    fn an_admin_task_dropped_unresolved_fails_its_latch() {
+        let mut st = ServerState::new(2);
+        let tenant = st.register(&TenantSpec::new(1)).unwrap();
+        let (lane, done) = st.admin(tenant, AdminKind::Keygen).unwrap();
+        let Some(Turn::Admin(task)) = st.next_for(lane, 4) else {
+            panic!("the admin task is the lane's next turn");
+        };
+        assert_eq!(done.poll(), None);
+        drop(task);
+        assert!(matches!(done.wait(), Err(ServeError::Rpu(_))));
+    }
+
+    const CAPACITY: usize = 5;
+    /// The dearest job kind the suite submits (`Mul`, `Dot` over one
+    /// slot); `Decrypt` costs 4 and `Free` 1.
+    const MAX_JOB_COST: u64 = 26;
+
+    struct Admitted {
+        ticket: JobTicket,
+        kind: JobKind,
+        cost: u64,
+        handed_out: bool,
+    }
+
+    struct AdmittedAdmin {
+        tenant: TenantId,
+        kind: AdminKind,
+        done: Arc<Slot<()>>,
+    }
+
+    /// One interleaving: the state under test plus the suite's own
+    /// picture of what it should hold.
+    struct Sim<'a> {
+        st: ServerState,
+        ctx: &'a RlweContext,
+        rng: Splitmix,
+        lanes: usize,
+        quantum: usize,
+        jobs: Vec<Admitted>,
+        /// Per tenant: admitted and not yet handed out, oldest first.
+        queued: Vec<VecDeque<usize>>,
+        /// Per tenant: handed out and not yet completed.
+        in_flight: Vec<usize>,
+        retired: Vec<bool>,
+        /// Per tenant: the vtime last seen, which must never decrease.
+        vtime_seen: Vec<u128>,
+        /// Per tenant: total cost handed out.
+        served: Vec<u64>,
+        /// Per lane: admitted admin tasks, oldest first.
+        admin: Vec<VecDeque<AdmittedAdmin>>,
+        /// Per lane: the turn it is running.
+        running: Vec<Option<Turn>>,
+        /// Per pair of tenants: what each had been served when the
+        /// current stretch of picks with both backlogged began.
+        both_backlogged_since: HashMap<(usize, usize), (u64, u64)>,
+    }
+
+    impl<'a> Sim<'a> {
+        fn new(ctx: &'a RlweContext, seed: u64) -> Self {
+            let mut rng = Splitmix::new(seed);
+            let lanes = 1 + rng.below(3) as usize;
+            let quantum = 1 + rng.below(4) as usize;
+            let mut sim = Sim {
+                st: ServerState::new(lanes),
+                ctx,
+                rng,
+                lanes,
+                quantum,
+                jobs: Vec::new(),
+                queued: Vec::new(),
+                in_flight: Vec::new(),
+                retired: Vec::new(),
+                vtime_seen: Vec::new(),
+                served: Vec::new(),
+                admin: (0..lanes).map(|_| VecDeque::new()).collect(),
+                running: (0..lanes).map(|_| None).collect(),
+                both_backlogged_since: HashMap::new(),
+            };
+            for _ in 0..1 + sim.rng.below(3) {
+                sim.register();
+            }
+            sim
+        }
+
+        fn pick(&mut self, n: usize) -> usize {
+            self.rng.below(n as u128) as usize
+        }
+
+        fn tenants(&self) -> usize {
+            self.queued.len()
+        }
+
+        fn register(&mut self) {
+            let spec = TenantSpec::new(self.rng.next_u64()).weight(1 + self.pick(4) as u32);
+            let id = self.st.register(&spec).unwrap();
+            assert_eq!(id.index(), self.tenants());
+            assert_eq!(self.st.tenants[id.index()].home, id.index() % self.lanes);
+            self.queued.push(VecDeque::new());
+            self.in_flight.push(0);
+            self.retired.push(false);
+            self.vtime_seen.push(0);
+            self.served.push(0);
+            self.admit_admin(id, AdminKind::Keygen);
+        }
+
+        fn admit_admin(&mut self, tenant: TenantId, kind: AdminKind) {
+            match self.st.admin(tenant, kind) {
+                Ok((lane, done)) => {
+                    assert!(!self.st.shutdown && !self.retired[tenant.index()]);
+                    assert_eq!(lane, tenant.index() % self.lanes);
+                    self.admin[lane].push_back(AdmittedAdmin { tenant, kind, done });
+                }
+                Err(ServeError::ShuttingDown) => assert!(self.st.shutdown),
+                Err(e) => {
+                    assert_eq!(e, ServeError::UnknownTenant(tenant));
+                    assert!(self.retired[tenant.index()]);
+                }
+            }
+        }
+
+        fn submit(&mut self) {
+            let t = self.pick(self.tenants());
+            let tenant = TenantId(t as u32);
+            let own = CtHandle { tenant, id: 0 };
+            let (request, kind, cost) = match self.pick(5) {
+                0 => (JobRequest::Mul { x: own, y: own }, JobKind::Mul, 26),
+                1 => (JobRequest::Decrypt { ct: own }, JobKind::Decrypt, 4),
+                2 => (JobRequest::Free { ct: own }, JobKind::Free, 1),
+                3 => {
+                    let dot = JobRequest::Dot {
+                        x: own,
+                        y: own,
+                        len: 1,
+                    };
+                    (dot, JobKind::Dot, 26)
+                }
+                _ => {
+                    // Never admissible: somebody else's ciphertext.
+                    let ct = CtHandle {
+                        tenant: TenantId(t as u32 + 1),
+                        id: 0,
+                    };
+                    (JobRequest::Decrypt { ct }, JobKind::Decrypt, 0)
+                }
+            };
+            let home = t % self.lanes;
+            let newly_backlogged = self.queued[t].is_empty();
+            let (vtime, clock) = (self.st.tenants[t].vtime, self.st.lane_vclock[home]);
+            let rejected = self.st.tenants[t].rejected;
+            match self.st.submit(self.ctx, CAPACITY, tenant, request) {
+                Err(ServeError::ShuttingDown) => assert!(self.st.shutdown),
+                Err(ServeError::UnknownTenant(id)) => assert!(id == tenant && self.retired[t]),
+                Err(ServeError::QueueFull { capacity, .. }) => {
+                    assert_eq!(capacity, CAPACITY);
+                    assert_eq!(self.queued[t].len() + self.in_flight[t], CAPACITY);
+                    assert_eq!(self.st.tenants[t].rejected, rejected + 1);
+                }
+                Err(e) => {
+                    assert!(matches!(e, ServeError::ForeignCiphertext { .. }), "{e}");
+                    assert_eq!(cost, 0);
+                }
+                Ok((lane, ticket)) => {
+                    assert!(cost > 0 && !self.st.shutdown && !self.retired[t]);
+                    assert_eq!(lane, home);
+                    // A newly backlogged tenant starts at its lane's
+                    // clock, not in the past.
+                    let start = if newly_backlogged {
+                        vtime.max(clock)
+                    } else {
+                        vtime
+                    };
+                    assert_eq!(self.st.tenants[t].vtime, start);
+                    self.queued[t].push_back(self.jobs.len());
+                    self.jobs.push(Admitted {
+                        ticket,
+                        kind,
+                        cost,
+                        handed_out: false,
+                    });
+                }
+            }
+        }
+
+        /// Lane `lane`, between turns, asks for its next one.
+        fn ask(&mut self, lane: usize) {
+            assert!(self.running[lane].is_none());
+            let backlogged: Vec<usize> = (0..self.tenants())
+                .filter(|&t| t % self.lanes == lane && !self.retired[t])
+                .filter(|&t| !self.queued[t].is_empty())
+                .collect();
+            let vtimes: Vec<u128> = self.st.tenants.iter().map(|t| t.vtime).collect();
+            let turn = self.st.next_for(lane, self.quantum);
+            assert_eq!(self.st.lane_busy[lane], turn.is_some());
+            match &turn {
+                None => {
+                    assert!(self.admin[lane].is_empty());
+                    let held = self.st.paused && !self.st.shutdown;
+                    assert!(held || backlogged.is_empty());
+                }
+                Some(Turn::Admin(task)) => {
+                    let oldest = self.admin[lane].front().expect("one was admitted");
+                    let expected = (lane, oldest.tenant, oldest.kind);
+                    assert_eq!((task.lane, task.tenant, task.kind), expected);
+                    assert!(Arc::ptr_eq(&task.latch.0, &oldest.done));
+                }
+                Some(Turn::Batch { tenant, jobs }) => {
+                    assert!(self.admin[lane].is_empty(), "admin tasks go first");
+                    assert!(!self.st.paused || self.st.shutdown);
+                    let t = tenant.index();
+                    let least = backlogged.iter().min_by_key(|&&b| (vtimes[b], b));
+                    assert_eq!(Some(&t), least, "the least virtual time is served");
+                    // One tenant, one kind, at most a quantum, oldest
+                    // first, and as long as those three allow.
+                    let kind = jobs[0].work.kind();
+                    assert!(jobs.len() <= self.quantum);
+                    let mut cost = 0;
+                    for job in jobs {
+                        let next = self.queued[t].pop_front().expect("FIFO: it was queued");
+                        let admitted = &mut self.jobs[next];
+                        assert!(Arc::ptr_eq(&job.ticket.0, &admitted.ticket.cell));
+                        assert!(!admitted.handed_out, "handed out twice");
+                        admitted.handed_out = true;
+                        assert_eq!((job.work.kind(), admitted.kind), (kind, kind));
+                        assert_eq!(job.work.cost(), admitted.cost);
+                        cost += admitted.cost;
+                    }
+                    if let (true, Some(&next)) = (jobs.len() < self.quantum, self.queued[t].front())
+                    {
+                        assert_ne!(self.jobs[next].kind, kind, "the batch stopped early");
+                    }
+                    self.in_flight[t] += jobs.len();
+                    // Virtual time: the lane clock reads the served
+                    // tenant's start, which then advances by cost/weight.
+                    let weight = u128::from(self.st.tenants[t].weight);
+                    assert_eq!(self.st.lane_vclock[lane], vtimes[t]);
+                    let charged = (u128::from(cost) << VTIME_SHIFT) / weight;
+                    assert_eq!(self.st.tenants[t].vtime, vtimes[t] + charged);
+                    self.check_fairness(lane, &backlogged, t, cost);
+                    self.served[t] += cost;
+                }
+            }
+            self.running[lane] = turn;
+        }
+
+        /// Between two tenants of one lane, over any stretch of picks
+        /// with both backlogged, served cost per unit weight differs by
+        /// at most one maximal batch of each (the start-time fair
+        /// queueing bound). Called with `cost` just handed to `served`
+        /// and not yet added to `self.served`.
+        fn check_fairness(&mut self, lane: usize, backlogged: &[usize], served: usize, cost: u64) {
+            let on_lane: Vec<usize> = (lane..self.tenants()).step_by(self.lanes).collect();
+            let max_batch = self.quantum as u64 * MAX_JOB_COST;
+            for (a, &i) in on_lane.iter().enumerate() {
+                for &j in &on_lane[a + 1..] {
+                    if !(backlogged.contains(&i) && backlogged.contains(&j)) {
+                        self.both_backlogged_since.remove(&(i, j));
+                        continue;
+                    }
+                    let stretch = self.both_backlogged_since.entry((i, j));
+                    let (si, sj) = *stretch.or_insert((self.served[i], self.served[j]));
+                    let now = |t: usize| self.served[t] + if t == served { cost } else { 0 };
+                    let (di, dj) = (now(i) - si, now(j) - sj);
+                    let (wi, wj) = (self.st.tenants[i].weight, self.st.tenants[j].weight);
+                    let (wi, wj) = (u64::from(wi), u64::from(wj));
+                    assert!(
+                        (di * wj).abs_diff(dj * wi) <= max_batch * (wi + wj),
+                        "tenants {i} (weight {wi}) and {j} (weight {wj}) were served {di} and {dj}"
+                    );
+                }
+            }
+        }
+
+        /// Lane `lane` makes progress on its turn: finishes the next
+        /// job of its batch, or runs its admin task.
+        fn advance(&mut self, lane: usize) {
+            match self.running[lane].take().expect("the lane has a turn") {
+                Turn::Admin(task) => {
+                    let admitted = self.admin[lane].pop_front().expect("admitted");
+                    let AdmittedAdmin { tenant, kind, done } = admitted;
+                    let t = tenant.index();
+                    let result = match kind {
+                        AdminKind::Keygen => Ok(()), // device work only
+                        AdminKind::Teardown => self.st.retire(tenant).map(|buffers| {
+                            assert!(buffers.is_empty() && !self.retired[t]);
+                            assert_eq!(self.in_flight[t], 0, "same lane: nothing mid-batch");
+                            let gone = ServeError::UnknownTenant(tenant);
+                            for job in self.queued[t].drain(..) {
+                                assert_eq!(self.jobs[job].ticket.poll(), Some(Err(gone.clone())));
+                            }
+                            self.retired[t] = true;
+                        }),
+                    };
+                    if let Err(e) = &result {
+                        assert!(self.retired[t] && *e == ServeError::UnknownTenant(tenant));
+                    }
+                    task.latch.resolve(result.clone());
+                    assert_eq!(done.poll(), Some(result));
+                }
+                Turn::Batch { tenant, mut jobs } => {
+                    let job = jobs.remove(0);
+                    let result = self.st.complete(tenant, Ok(RawOut::Freed));
+                    assert_eq!(result, Ok(JobOutput::Freed));
+                    self.in_flight[tenant.index()] -= 1;
+                    job.ticket.resolve(result);
+                    if !jobs.is_empty() {
+                        self.running[lane] = Some(Turn::Batch { tenant, jobs });
+                    }
+                }
+            }
+        }
+
+        /// What must hold after every step.
+        fn check(&mut self) {
+            for (t, tenant) in self.st.tenants.iter().enumerate() {
+                assert!(tenant.vtime >= self.vtime_seen[t], "vtime went backwards");
+                self.vtime_seen[t] = tenant.vtime;
+                assert_eq!(tenant.active, !self.retired[t]);
+                assert!(tenant.outstanding <= CAPACITY);
+                if tenant.active {
+                    let expected = self.queued[t].len() + self.in_flight[t];
+                    assert_eq!(tenant.outstanding, expected);
+                }
+            }
+        }
+
+        fn step(&mut self) {
+            let lane = self.pick(self.lanes);
+            match self.pick(100) {
+                0..=39 => self.submit(),
+                40..=87 => match self.running[lane] {
+                    None => self.ask(lane),
+                    Some(_) => self.advance(lane),
+                },
+                88..=89 => self.st.paused = true,
+                90..=92 => self.st.paused = false,
+                93..=94 => {
+                    let tenant = TenantId(self.pick(self.tenants()) as u32);
+                    self.admit_admin(tenant, AdminKind::Teardown);
+                }
+                95..=96 => {
+                    let tenant = TenantId(self.pick(self.tenants()) as u32);
+                    self.admit_admin(tenant, AdminKind::Keygen);
+                }
+                _ if self.tenants() < 6 => self.register(),
+                _ => {}
+            }
+            self.check();
+        }
+
+        /// Shutdown, as [`serve`] does it — paused or not — then every
+        /// lane runs until it is told there is nothing left.
+        fn drain(mut self) -> usize {
+            self.st.shutdown = true;
+            self.submit();
+            self.admit_admin(TenantId(0), AdminKind::Teardown);
+            assert!(self.st.register(&TenantSpec::new(0)).is_err());
+            for lane in 0..self.lanes {
+                loop {
+                    while self.running[lane].is_some() {
+                        self.advance(lane);
+                        self.check();
+                    }
+                    self.ask(lane);
+                    if self.running[lane].is_none() {
+                        break;
+                    }
+                }
+            }
+            assert!(self.st.quiescent());
+            // Every admitted job was handed out exactly once (and then
+            // completed), or failed by its tenant's teardown.
+            let mut handed_out = 0;
+            for job in &self.jobs {
+                match job.ticket.poll().expect("every ticket resolves") {
+                    Ok(_) => assert!(job.handed_out),
+                    Err(e) => assert!(!job.handed_out, "failed after hand-out: {e}"),
+                }
+                handed_out += usize::from(job.handed_out);
+            }
+            assert_eq!(self.st.completed, handed_out as u64);
+            self.jobs.len()
+        }
+    }
+
+    /// Seeds are consecutive from here, so a failure's printed seed
+    /// replays alone with `interleaving(&ring(), seed)`.
+    const FIRST_SEED: u64 = 0x5EED_0000;
+    const INTERLEAVINGS: u64 = 10_000;
+
+    fn interleaving(ctx: &RlweContext, seed: u64) -> usize {
+        let mut sim = Sim::new(ctx, seed);
+        for _ in 0..100 {
+            sim.step();
+        }
+        sim.drain()
+    }
+
+    #[test]
+    fn scheduler_invariants_hold_over_seeded_interleavings() {
+        let ctx = ring();
+        let mut jobs = 0;
+        for seed in FIRST_SEED..FIRST_SEED + INTERLEAVINGS {
+            let run = catch_unwind(AssertUnwindSafe(|| interleaving(&ctx, seed)));
+            jobs += run.unwrap_or_else(|panic| {
+                eprintln!("scheduler suite: seed {seed:#x} failed");
+                std::panic::resume_unwind(panic)
+            });
+        }
+        println!("scheduler suite: {INTERLEAVINGS} interleavings, {jobs} jobs admitted");
+        assert!(
+            jobs as u64 > 10 * INTERLEAVINGS,
+            "the interleavings barely admit work"
+        );
+    }
 }

@@ -11,6 +11,7 @@ use rpu_serve::{
     serve, CtHandle, JobOutput, JobRequest, ServeConfig, ServeError, ServerHandle, TenantId,
     TenantSpec,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const N: usize = 1024;
@@ -733,4 +734,124 @@ fn traffic_warmup_ops_are_discarded_from_steady_state() {
     assert_eq!(all_warm.ops, 0);
     assert_eq!(all_warm.warmup_ops, 2 * jobs as u64);
     assert_eq!(all_warm.p50_us, 0);
+}
+
+/// Runs `body` on its own thread and fails — instead of hanging the
+/// suite — if it has not finished within two minutes. For the tests
+/// below, whose failure mode at the parent commit is a server that
+/// never returns.
+fn within_two_minutes<T: Send + 'static>(body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(body()));
+    finished
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("the server wedged (or the body panicked)")
+}
+
+/// `Dot::len` is outside input: a length past the ring degree names
+/// slots that do not exist and is refused at submission, however large
+/// (its cost used to overflow under the state lock). The refusal
+/// consumes nothing: the tenant's next job still resolves.
+#[test]
+fn dot_longer_than_the_ring_is_refused_at_submission() {
+    within_two_minutes(|| {
+        let rpu = Rpu::builder().lanes(1).build().unwrap();
+        serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
+            let spec = TenantSpec::new(4).rotations(vec![1]);
+            let tenant = server.register_tenant(spec).unwrap();
+            let message = message(7);
+            let ct = ct_of(submit_wait(server, tenant, JobRequest::Encrypt { message }));
+            for len in [usize::MAX, N + 1] {
+                let refused = server.submit(tenant, JobRequest::Dot { x: ct, y: ct, len });
+                assert!(
+                    matches!(refused, Err(ServeError::BadRequest(_))),
+                    "len {len}: got {refused:?}"
+                );
+            }
+            assert_eq!(server.outstanding(tenant).unwrap(), 0);
+            let in_range = JobRequest::Dot {
+                x: ct,
+                y: ct,
+                len: 2,
+            };
+            ct_of(submit_wait(server, tenant, in_range));
+        })
+        .unwrap();
+    });
+}
+
+/// Shutdown implies resume: returning from the `serve` closure with the
+/// server paused and jobs queued still drains them.
+#[test]
+fn returning_while_paused_still_drains_every_ticket() {
+    let (resolved, completed) = within_two_minutes(|| {
+        let rpu = Rpu::builder().lanes(1).build().unwrap();
+        let (tickets, report) = serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
+            let tenant = server.register_tenant(TenantSpec::new(5)).unwrap();
+            server.pause();
+            [1, 2].map(|seed| {
+                let message = message(seed);
+                server
+                    .submit(tenant, JobRequest::Encrypt { message })
+                    .unwrap()
+            })
+        })
+        .unwrap();
+        (tickets.map(|t| t.poll()), report.completed)
+    });
+    for ticket in resolved {
+        assert!(matches!(ticket, Some(Ok(JobOutput::Ciphertext(_)))));
+    }
+    assert_eq!(completed, 2);
+}
+
+/// A trace sink that panics inside the first dispatch it sees for a
+/// tagged tenant once armed — a fault injected on the lane thread, in
+/// the middle of a served batch.
+#[derive(Debug, Default)]
+struct PanickingSink {
+    armed: AtomicBool,
+}
+
+impl rpu::TraceSink for PanickingSink {
+    fn record(&self, event: DispatchEvent) {
+        if event.tenant.is_some() && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected fault: the sink panics mid-batch");
+        }
+    }
+}
+
+/// A panic inside a batch costs that batch, not the lane: every ticket
+/// of the batch resolves to an error, the tenant's backpressure slots
+/// come back, and the same lane goes on serving — the same tenant
+/// included.
+#[test]
+fn a_panicking_batch_costs_the_batch_not_the_lane() {
+    within_two_minutes(|| {
+        let sink = Arc::new(PanickingSink::default());
+        let rpu = Rpu::builder().lanes(1).trace(sink.clone()).build().unwrap();
+        let encrypt = || JobRequest::Encrypt {
+            message: message(8),
+        };
+        let (_, report) = serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
+            let tenant = server.register_tenant(TenantSpec::new(6)).unwrap();
+            let bystander = server.register_tenant(TenantSpec::new(7)).unwrap();
+            server.pause();
+            // Three same-kind jobs: one batch under the default quantum.
+            let batch = [(); 3].map(|()| server.submit(tenant, encrypt()).unwrap());
+            let spared = server.submit(bystander, encrypt()).unwrap();
+            sink.armed.store(true, Ordering::SeqCst);
+            server.resume();
+            let lost: Vec<_> = batch.iter().map(|t| t.wait()).collect();
+            spared.wait().expect("another tenant's batch is untouched");
+            server.wait_all();
+            // Equal virtual times break toward the lower id, so the
+            // armed sink met `tenant`'s batch; it was lost whole.
+            assert!(lost.iter().all(|r| r.is_err()), "{lost:?}");
+            assert_eq!(server.outstanding(tenant).unwrap(), 0);
+            ct_of(submit_wait(server, tenant, encrypt()));
+        })
+        .unwrap();
+        assert_eq!(report.rejected, 0);
+    });
 }
