@@ -1,79 +1,51 @@
-//! Pluggable per-modulus scalar arithmetic engines.
+//! Per-modulus lane arithmetic: which strategy services a modulus, and
+//! the one type that dispatches to it.
 //!
 //! Every lane of a B512 compute instruction evaluates the same scalar
 //! function `a ⊙ b mod q`; what differs between moduli is *how cheaply*
-//! that function can be computed. This module names the available
-//! strategies ([`EngineKind`]), exposes them behind one trait
-//! ([`ScalarEngine`]) so host-side code (NTT plans, golden models,
-//! benches) can be written once, and packages the two lane-speed
-//! implementations into a `Copy` dispatch enum ([`Engine`]) that the
-//! simulator's hot loops match on:
+//! that function can be computed. [`Engine`] is a `Copy` dispatch enum
+//! over the two concrete implementations, selected by modulus width,
+//! that the simulator's hot loops match on once per instruction:
 //!
-//! * [`Mont128Engine`] — the existing [`Modulus128`] Montgomery path
-//!   (R = 2^128). A normal-domain multiply costs two Montgomery
-//!   reductions; Montgomery-*resident* operands cost one.
-//! * [`Barrett64Engine`] — Barrett reduction with Shoup scalar
-//!   companions on [`Modulus64`], for moduli below 2⁶³. This is the
-//!   host/scalar form: values are held as `u64`.
-//! * [`NativeU64Engine`] — the same [`Modulus64`] core applied lane-wise
-//!   to the simulator's `u128` register files: each lane is reduced to
-//!   a canonical `u64`, multiplied with one 64×64→128 widening multiply
+//! * [`Engine::Mont128`] — the [`Modulus128`] Montgomery path
+//!   (R = 2^128). A multiply costs two Montgomery reductions, or one
+//!   when a factor is already held in Montgomery form.
+//! * [`Engine::Native64`] — [`Modulus64`] applied lane-wise to the
+//!   simulator's `u128` register files: each lane is reduced to a
+//!   canonical `u64`, multiplied with one 64×64→128 widening multiply
 //!   plus a Barrett (or Shoup) reduction, and widened back. Selected
-//!   automatically whenever the modulus fits 63 bits.
+//!   whenever the modulus fits 63 bits.
 //!
-//! All engines compute the *same* canonical results for the same
-//! inputs, so interpreter semantics are engine-independent; the
-//! differential and `isa_fuzz` suites pin this on both width classes.
+//! Both compute the *same* canonical results for the same inputs, so
+//! interpreter semantics are engine-independent; the differential and
+//! `isa_fuzz` suites pin this on both width classes. Host-side code that
+//! knows its width (NTT plans, golden models) calls [`Modulus64`] /
+//! [`Modulus128`] directly.
 
 use crate::mod128::Modulus128;
 use crate::mod64::Modulus64;
 
 /// Identifies which arithmetic engine services a modulus. Recorded in
-/// dispatch traces and used by codegen to pick which precomputed
-/// companion constants (Shoup vs Montgomery) to bake into SDM images.
+/// dispatch traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// 128-bit Montgomery multiplication (`Modulus128`), the only
     /// engine valid for moduli of 64..127 bits.
     Montgomery128,
-    /// Scalar Barrett/Shoup arithmetic on `u64` values (`Modulus64`);
-    /// the host-side form of the sub-63-bit tier.
-    Barrett64,
-    /// Lane-wise native `u64` arithmetic over the simulator's `u128`
-    /// registers; the vector form of the sub-63-bit tier.
+    /// Lane-wise native `u64` arithmetic (`Modulus64`) over the
+    /// simulator's `u128` registers, for moduli below 2⁶³.
     NativeU64,
 }
 
 impl EngineKind {
     /// The engine the simulator and dispatcher select for modulus `q`:
     /// [`EngineKind::NativeU64`] whenever `q` fits 63 bits, otherwise
-    /// [`EngineKind::Montgomery128`]. ([`EngineKind::Barrett64`] is the
-    /// host-scalar sibling of `NativeU64` and is never selected for
-    /// vector dispatch.)
+    /// [`EngineKind::Montgomery128`].
     pub fn for_modulus(q: u128) -> EngineKind {
         if q < (1u128 << 63) {
             EngineKind::NativeU64
         } else {
             EngineKind::Montgomery128
-        }
-    }
-
-    /// Stable single-byte id for wire formats and traces.
-    pub fn id(self) -> u8 {
-        match self {
-            EngineKind::Montgomery128 => 0,
-            EngineKind::Barrett64 => 1,
-            EngineKind::NativeU64 => 2,
-        }
-    }
-
-    /// Inverse of [`EngineKind::id`].
-    pub fn from_id(id: u8) -> Option<EngineKind> {
-        match id {
-            0 => Some(EngineKind::Montgomery128),
-            1 => Some(EngineKind::Barrett64),
-            2 => Some(EngineKind::NativeU64),
-            _ => None,
         }
     }
 }
@@ -82,159 +54,8 @@ impl core::fmt::Display for EngineKind {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             EngineKind::Montgomery128 => write!(f, "mont128"),
-            EngineKind::Barrett64 => write!(f, "barrett64"),
             EngineKind::NativeU64 => write!(f, "native64"),
         }
-    }
-}
-
-/// One scalar modular-arithmetic strategy. Inputs to [`add`], [`sub`],
-/// [`mul`], [`pow`] and [`inv`] must be canonical (`< q`); [`reduce`]
-/// canonicalizes. Every implementation returns identical values for
-/// identical inputs — the trait fixes *semantics*, implementations fix
-/// *cost*.
-///
-/// [`add`]: ScalarEngine::add
-/// [`sub`]: ScalarEngine::sub
-/// [`mul`]: ScalarEngine::mul
-/// [`pow`]: ScalarEngine::pow
-/// [`inv`]: ScalarEngine::inv
-/// [`reduce`]: ScalarEngine::reduce
-pub trait ScalarEngine {
-    /// Which strategy this is.
-    fn kind(&self) -> EngineKind;
-    /// The modulus `q`.
-    fn modulus(&self) -> u128;
-    /// `a mod q` for arbitrary `a`.
-    fn reduce(&self, a: u128) -> u128;
-    /// `(a + b) mod q` for canonical inputs.
-    fn add(&self, a: u128, b: u128) -> u128;
-    /// `(a - b) mod q` for canonical inputs.
-    fn sub(&self, a: u128, b: u128) -> u128;
-    /// `a · b mod q` for canonical inputs.
-    fn mul(&self, a: u128, b: u128) -> u128;
-    /// `base^exp mod q` for canonical `base`.
-    fn pow(&self, base: u128, exp: u128) -> u128;
-    /// Modular inverse of canonical `a` (for prime `q`).
-    fn inv(&self, a: u128) -> u128;
-    /// Precomputed multiplication companion of the canonical scalar
-    /// `w`: the Shoup quotient `⌊w·2⁶⁴/q⌋` for the `u64` engines, the
-    /// Montgomery form `w·R mod q` for the 128-bit engine (0 when the
-    /// modulus is even and has no Montgomery form). Codegen bakes these
-    /// into SDM images next to the scalars they accompany.
-    fn companion(&self, w: u128) -> u128;
-}
-
-/// [`ScalarEngine`] over the [`Modulus128`] Montgomery path.
-#[derive(Debug, Clone, Copy)]
-pub struct Mont128Engine(pub Modulus128);
-
-impl ScalarEngine for Mont128Engine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Montgomery128
-    }
-    fn modulus(&self) -> u128 {
-        self.0.value()
-    }
-    fn reduce(&self, a: u128) -> u128 {
-        self.0.reduce(a)
-    }
-    fn add(&self, a: u128, b: u128) -> u128 {
-        self.0.add(a, b)
-    }
-    fn sub(&self, a: u128, b: u128) -> u128 {
-        self.0.sub(a, b)
-    }
-    fn mul(&self, a: u128, b: u128) -> u128 {
-        self.0.mul(a, b)
-    }
-    fn pow(&self, base: u128, exp: u128) -> u128 {
-        self.0.pow(base, exp)
-    }
-    fn inv(&self, a: u128) -> u128 {
-        self.0.inv(a)
-    }
-    fn companion(&self, w: u128) -> u128 {
-        if self.0.is_odd() {
-            self.0.to_mont(w)
-        } else {
-            0
-        }
-    }
-}
-
-/// [`ScalarEngine`] over scalar Barrett/Shoup `u64` arithmetic.
-#[derive(Debug, Clone, Copy)]
-pub struct Barrett64Engine(pub Modulus64);
-
-impl ScalarEngine for Barrett64Engine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Barrett64
-    }
-    fn modulus(&self) -> u128 {
-        self.0.value() as u128
-    }
-    fn reduce(&self, a: u128) -> u128 {
-        self.0.reduce_wide(a) as u128
-    }
-    fn add(&self, a: u128, b: u128) -> u128 {
-        self.0.add(a as u64, b as u64) as u128
-    }
-    fn sub(&self, a: u128, b: u128) -> u128 {
-        self.0.sub(a as u64, b as u64) as u128
-    }
-    fn mul(&self, a: u128, b: u128) -> u128 {
-        self.0.mul(a as u64, b as u64) as u128
-    }
-    fn pow(&self, base: u128, exp: u128) -> u128 {
-        // Exponents above 2⁶⁴ reduce via Fermat: q is prime in every
-        // NTT context, so base^(q-1) = 1 and exp mod (q-1) suffices.
-        // Callers in this workspace never exceed u64 exponents.
-        let e = u64::try_from(exp).unwrap_or_else(|_| (exp % (self.modulus() - 1)) as u64);
-        self.0.pow(base as u64, e) as u128
-    }
-    fn inv(&self, a: u128) -> u128 {
-        self.0.inv(a as u64) as u128
-    }
-    fn companion(&self, w: u128) -> u128 {
-        self.0.shoup(w as u64) as u128
-    }
-}
-
-/// [`ScalarEngine`] for lane-wise native `u64` arithmetic on `u128`
-/// register lanes. Semantically identical to [`Barrett64Engine`]; the
-/// distinction is the calling convention (wide lanes in, wide lanes
-/// out) and the [`EngineKind`] recorded in traces.
-#[derive(Debug, Clone, Copy)]
-pub struct NativeU64Engine(pub Modulus64);
-
-impl ScalarEngine for NativeU64Engine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::NativeU64
-    }
-    fn modulus(&self) -> u128 {
-        self.0.value() as u128
-    }
-    fn reduce(&self, a: u128) -> u128 {
-        self.0.reduce_wide(a) as u128
-    }
-    fn add(&self, a: u128, b: u128) -> u128 {
-        self.0.add(a as u64, b as u64) as u128
-    }
-    fn sub(&self, a: u128, b: u128) -> u128 {
-        self.0.sub(a as u64, b as u64) as u128
-    }
-    fn mul(&self, a: u128, b: u128) -> u128 {
-        self.0.mul(a as u64, b as u64) as u128
-    }
-    fn pow(&self, base: u128, exp: u128) -> u128 {
-        Barrett64Engine(self.0).pow(base, exp)
-    }
-    fn inv(&self, a: u128) -> u128 {
-        self.0.inv(a as u64) as u128
-    }
-    fn companion(&self, w: u128) -> u128 {
-        self.0.shoup(w as u64) as u128
     }
 }
 
@@ -319,6 +140,19 @@ impl Engine {
             Engine::Native64(m) => m.mul(a as u64, b as u64) as u128,
         }
     }
+
+    /// Precomputed multiplication companion of the canonical scalar
+    /// `w`: the Shoup quotient `⌊w·2⁶⁴/q⌋` on [`Engine::Native64`], the
+    /// Montgomery form `w·R mod q` on [`Engine::Mont128`] (0 when the
+    /// modulus is even and has no Montgomery form). Codegen bakes these
+    /// into SDM images next to the scalars they accompany.
+    pub fn companion(self, w: u128) -> u128 {
+        match self {
+            Engine::Mont128(m) if m.is_odd() => m.to_mont(w),
+            Engine::Mont128(_) => 0,
+            Engine::Native64(m) => m.shoup(w as u64) as u128,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -329,11 +163,16 @@ mod tests {
     /// 60-bit NTT prime: 2^60 - 2^14 + 1.
     const Q60: u64 = 1152921504606830593;
 
-    fn engines_for(q: u64) -> (Mont128Engine, Barrett64Engine, NativeU64Engine) {
+    /// The three ways to compute mod a sub-63-bit `q`: the Montgomery
+    /// tier, the bare `Modulus64`, and the engine selected for `q`.
+    fn tiers_for(q: u64) -> (Modulus128, Modulus64, Engine) {
+        let engine = Engine::new(q as u128).unwrap();
+        assert_eq!(engine.kind(), EngineKind::NativeU64);
+        assert_eq!(engine.value(), q as u128);
         (
-            Mont128Engine(Modulus128::new(q as u128).unwrap()),
-            Barrett64Engine(Modulus64::new(q).unwrap()),
-            NativeU64Engine(Modulus64::new(q).unwrap()),
+            Modulus128::new(q as u128).unwrap(),
+            Modulus64::new(q).unwrap(),
+            engine,
         )
     }
 
@@ -377,75 +216,62 @@ mod tests {
     #[test]
     fn all_engines_agree_on_a_shared_modulus() {
         let q = find_ntt_prime_u64(59, 2048).unwrap();
-        let (m128, b64, n64) = engines_for(q);
-        let engines: [&dyn ScalarEngine; 3] = [&m128, &b64, &n64];
+        let (m128, m64, engine) = tiers_for(q);
+        let wide = Engine::Mont128(m128);
         let samples = [0u128, 1, 2, 17, q as u128 - 2, q as u128 - 1];
         for &a in &samples {
             for &b in &samples {
-                let want_mul = m128.mul(a, b);
-                let want_add = m128.add(a, b);
-                let want_sub = m128.sub(a, b);
-                for e in engines {
-                    assert_eq!(e.mul(a, b), want_mul, "mul {a} {b} via {}", e.kind());
-                    assert_eq!(e.add(a, b), want_add, "add {a} {b} via {}", e.kind());
-                    assert_eq!(e.sub(a, b), want_sub, "sub {a} {b} via {}", e.kind());
+                let (a64, b64) = (a as u64, b as u64);
+                for e in [wide, engine] {
+                    assert_eq!(e.mul(a, b), m128.mul(a, b), "mul {a} {b} via {}", e.kind());
+                    assert_eq!(e.add(a, b), m128.add(a, b), "add {a} {b} via {}", e.kind());
+                    assert_eq!(e.sub(a, b), m128.sub(a, b), "sub {a} {b} via {}", e.kind());
                 }
+                assert_eq!(m64.mul(a64, b64) as u128, m128.mul(a, b), "mul {a} {b}");
+                assert_eq!(m64.add(a64, b64) as u128, m128.add(a, b), "add {a} {b}");
+                assert_eq!(m64.sub(a64, b64) as u128, m128.sub(a, b), "sub {a} {b}");
             }
-            for e in engines {
-                assert_eq!(e.reduce(a + q as u128), m128.reduce(a + q as u128));
-                if a != 0 {
-                    assert_eq!(e.inv(a), m128.inv(a), "inv {a} via {}", e.kind());
-                    assert_eq!(e.mul(e.inv(a), a), 1);
-                }
-                assert_eq!(e.pow(a, 5), m128.pow(a, 5));
+            let unreduced = a + q as u128;
+            assert_eq!(wide.reduce(unreduced), m128.reduce(unreduced));
+            assert_eq!(engine.reduce(unreduced), m128.reduce(unreduced));
+            assert_eq!(m64.reduce_wide(unreduced) as u128, m128.reduce(unreduced));
+            if a != 0 {
+                assert_eq!(m64.inv(a as u64) as u128, m128.inv(a), "inv {a}");
+                assert_eq!(engine.mul(m128.inv(a), a), 1);
             }
+            assert_eq!(m64.pow(a as u64, 5) as u128, m128.pow(a, 5));
         }
     }
 
     #[test]
     fn even_moduli_agree_across_tiers() {
-        // Modulus64 and Modulus128 both accept even moduli; the engines
-        // must still agree (Mont128Engine falls back to exact division).
+        // Modulus64 and Modulus128 both accept even moduli; the tiers
+        // must still agree (Modulus128 falls back to exact division).
         let q = 3328u64; // even
-        let (m128, b64, n64) = engines_for(q);
+        let (m128, m64, engine) = tiers_for(q);
         for a in [0u128, 1, 2, 1663, 1664, 3327] {
             for b in [1u128, 2, 1664, 3327] {
-                assert_eq!(m128.mul(a, b), b64.mul(a, b));
-                assert_eq!(m128.mul(a, b), n64.mul(a, b));
+                assert_eq!(m128.mul(a, b), m64.mul(a as u64, b as u64) as u128);
+                assert_eq!(m128.mul(a, b), engine.mul(a, b));
+                assert_eq!(m128.mul(a, b), Engine::Mont128(m128).mul(a, b));
             }
         }
-        assert_eq!(m128.companion(5), 0, "no Montgomery form for even q");
+        assert_eq!(
+            Engine::Mont128(m128).companion(5),
+            0,
+            "no Montgomery form for even q"
+        );
     }
 
     #[test]
     fn companions_are_the_documented_precomputations() {
         let q = find_ntt_prime_u64(59, 2048).unwrap();
-        let (m128, b64, n64) = engines_for(q);
+        let (m128, m64, engine) = tiers_for(q);
         let w = 123_456_789u128 % q as u128;
-        assert_eq!(
-            m128.companion(w),
-            Modulus128::new(q as u128).unwrap().to_mont(w)
-        );
-        let shoup = Modulus64::new(q).unwrap().shoup(w as u64) as u128;
-        assert_eq!(b64.companion(w), shoup);
-        assert_eq!(n64.companion(w), shoup);
+        assert_eq!(Engine::Mont128(m128).companion(w), m128.to_mont(w));
+        let shoup = m64.shoup(w as u64);
+        assert_eq!(engine.companion(w), shoup as u128);
         // The Shoup companion actually multiplies correctly.
-        let m = Modulus64::new(q).unwrap();
-        assert_eq!(
-            m.mul_shoup(999, w as u64, shoup as u64),
-            m.mul(999, w as u64)
-        );
-    }
-
-    #[test]
-    fn engine_kind_ids_round_trip() {
-        for kind in [
-            EngineKind::Montgomery128,
-            EngineKind::Barrett64,
-            EngineKind::NativeU64,
-        ] {
-            assert_eq!(EngineKind::from_id(kind.id()), Some(kind));
-        }
-        assert_eq!(EngineKind::from_id(7), None);
+        assert_eq!(m64.mul_shoup(999, w as u64, shoup), m64.mul(999, w as u64));
     }
 }

@@ -48,9 +48,7 @@ mod u256;
 
 pub use bigint::UBig;
 pub use chain::{ChainError, ModulusChain};
-pub use engine::{
-    Barrett64Engine, Engine, EngineKind, Mont128Engine, NativeU64Engine, ScalarEngine,
-};
+pub use engine::{Engine, EngineKind};
 pub use gadget::{gadget_decompose, gadget_levels};
 pub use mod128::Modulus128;
 pub use mod64::Modulus64;

@@ -2,9 +2,7 @@
 //! the software cost of the operations a single LAW engine lane performs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rpu_arith::{
-    Barrett64Engine, Modulus128, Modulus64, Mont128Engine, NativeU64Engine, ScalarEngine, U256,
-};
+use rpu_arith::{Engine, Modulus128, Modulus64, U256};
 
 fn bench_mod64(c: &mut Criterion) {
     let q = rpu_arith::find_ntt_prime_u64(60, 1 << 17).expect("prime exists");
@@ -52,25 +50,27 @@ fn bench_mod128(c: &mut Criterion) {
     g.finish();
 }
 
-/// One row per scalar engine: the per-lane cost of a `vmulmod` as each
-/// strategy services it. The wide rows reproduce the 126-bit arithmetic
-/// floor (normal-domain = two Montgomery reductions, resident = one);
-/// the ≤63-bit rows are what the fast path's native-u64 tier pays per
-/// lane — `native_u64_lane` includes the u128→u64 canonicalization the
-/// simulator's register file forces, `shoup64` is the precomputed-
-/// companion form codegen bakes into SDM images.
+/// One row per strategy: the per-lane cost of a `vmulmod` as each one
+/// services it. The wide rows reproduce the 126-bit arithmetic floor
+/// (`montgomery128` = two Montgomery reductions, `_resident` = one, what
+/// a multiply against a Montgomery-form factor pays); the ≤63-bit rows
+/// are what the fast path's native-u64 tier pays per lane — `barrett64`
+/// is the bare `Modulus64` multiply, `native_u64_lane` the same through
+/// [`Engine`] with the u128↔u64 lane conversions the simulator's
+/// register file forces, `shoup64` the precomputed-companion form
+/// codegen bakes into SDM images.
 fn bench_engines(c: &mut Criterion) {
     let q_wide = rpu_arith::find_ntt_prime_u128(126, 1 << 17).expect("prime exists");
     let q_small = rpu_arith::find_ntt_prime_u64(59, 1 << 17).expect("prime exists");
-    let mont = Mont128Engine(Modulus128::new(q_wide).expect("in range"));
+    let m128 = Modulus128::new(q_wide).expect("in range");
     let m64 = Modulus64::new(q_small).expect("in range");
-    let barrett = Barrett64Engine(m64);
-    let native = NativeU64Engine(m64);
+    let mont = Engine::new(q_wide).expect("in range");
+    let native = Engine::new(q_small as u128).expect("in range");
 
     let a_wide = q_wide / 3;
     let b_wide = q_wide / 7;
-    let am = mont.0.to_mont(a_wide);
-    let bm = mont.0.to_mont(b_wide);
+    let am = m128.to_mont(a_wide);
+    let bm = m128.to_mont(b_wide);
     let a_small = (q_small / 3) as u128;
     let b_small = (q_small / 7) as u128;
     let w = q_small / 11;
@@ -81,10 +81,10 @@ fn bench_engines(c: &mut Criterion) {
         bench.iter(|| mont.mul(black_box(a_wide), black_box(b_wide)))
     });
     g.bench_function("montgomery128_resident", |bench| {
-        bench.iter(|| mont.0.mont_mul_raw(black_box(am), black_box(bm)))
+        bench.iter(|| m128.mont_mul_raw(black_box(am), black_box(bm)))
     });
     g.bench_function("barrett64", |bench| {
-        bench.iter(|| barrett.mul(black_box(a_small), black_box(b_small)))
+        bench.iter(|| m64.mul(black_box(a_small as u64), black_box(b_small as u64)))
     });
     g.bench_function("shoup64", |bench| {
         bench.iter(|| m64.mul_shoup(black_box(a_small as u64), w, ws))
@@ -109,7 +109,7 @@ fn bench_engines(c: &mut Criterion) {
     g.bench_function("vmulmod_512_montgomery128", |bench| {
         bench.iter(|| {
             for i in 0..512 {
-                out[i] = mont.0.mul(black_box(xs_w[i]), ys_w[i]);
+                out[i] = m128.mul(black_box(xs_w[i]), ys_w[i]);
             }
             black_box(out[511])
         })

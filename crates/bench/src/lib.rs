@@ -39,10 +39,10 @@ impl KernelCache {
             .expect("prime exists for paper ring sizes");
         let spec = NttSpec::new(n, q, direction, style);
         // Figure sweeps only re-time programs; skip functional verification.
-        let (entry, _) = cache
+        let (kernel, _) = cache
             .get_or_generate(&spec, false)
             .expect("valid parameters");
-        entry.kernel
+        kernel
     }
 }
 

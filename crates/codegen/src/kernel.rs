@@ -14,7 +14,7 @@
 //!   whose [`KernelKey`] identifies the generated kernel for caching.
 
 use crate::{CodegenError, CodegenStyle, Direction, NttKernel};
-use rpu_arith::{EngineKind, Modulus128, Modulus64, Mont128Engine, NativeU64Engine, ScalarEngine};
+use rpu_arith::{Engine, EngineKind};
 use rpu_isa::{PredecodedProgram, Program};
 use rpu_sim::{ExecError, FunctionalSim};
 use std::sync::OnceLock;
@@ -26,14 +26,7 @@ use std::sync::OnceLock;
 /// accompany so an SDM image carries everything a hardware lane engine
 /// would need — no on-device division or radix conversion at dispatch.
 pub(crate) fn scalar_companion(q: u128, w: u128) -> u128 {
-    match EngineKind::for_modulus(q) {
-        EngineKind::NativeU64 | EngineKind::Barrett64 => {
-            NativeU64Engine(Modulus64::new(q as u64).expect("valid modulus")).companion(w)
-        }
-        EngineKind::Montgomery128 => {
-            Mont128Engine(Modulus128::new(q).expect("valid modulus")).companion(w)
-        }
-    }
+    Engine::new(q).expect("valid modulus").companion(w)
 }
 
 /// The workload class of a generated kernel.
@@ -561,6 +554,7 @@ pub(crate) fn push_relocated(dst: &mut Program, src: &Program, vdm_delta: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpu_arith::{Modulus128, Modulus64};
 
     fn prime(n: usize) -> u128 {
         rpu_arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists")

@@ -10,9 +10,9 @@
 //!   configuration. Each lane is a full [`RpuSession`]: its own device
 //!   heap, kernel cache, and functional simulator, modeling `k` RPU dies
 //!   fed by one host. Lanes share the cluster's [`PrimeTable`], and the
-//!   cluster tracks which lane every buffer lives on so a handle used on
-//!   the wrong lane fails fast ([`BufferError::ForeignLane`]) instead of
-//!   corrupting a foreign heap.
+//!   cluster looks up which lane's heap a buffer lives on so a handle
+//!   used on the wrong lane fails fast ([`BufferError::ForeignLane`])
+//!   instead of corrupting a foreign heap.
 //! * [`RnsExecutor`] — shards an RNS-decomposed workload (tower-major
 //!   residue vectors, [`RnsPolynomial`] towers) across the lanes with a
 //!   work-stealing scheduler: tower jobs go into one shared queue and
@@ -50,7 +50,7 @@ use crate::RpuError;
 use rpu_codegen::{CodegenStyle, ConvolutionSpec, Kernel, KernelSpec};
 use rpu_ntt::{RnsContext, RnsPolynomial};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -108,10 +108,6 @@ pub type LaneJob<'j, T> =
 pub struct LaneWorker<'l, 'a> {
     index: usize,
     lane: &'l mut Lane<'a>,
-    /// The cluster's placement map when the lane is driven synchronously
-    /// ([`RpuCluster::lane`]); pool workers run concurrently and leave
-    /// placement to the heap probe in [`RpuCluster::locate`].
-    owners: Option<&'l mut HashMap<u64, usize>>,
 }
 
 impl<'l, 'a> LaneWorker<'l, 'a> {
@@ -146,7 +142,6 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     pub fn upload(&mut self, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
         let buf = self.lane.session.upload(data)?;
         self.lane.transfer.host_to_device += data.len();
-        self.track(buf);
         Ok(buf)
     }
 
@@ -156,9 +151,7 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     ///
     /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
     pub fn alloc(&mut self, len: usize) -> Result<DeviceBuffer, RpuError> {
-        let buf = self.lane.session.alloc(len)?;
-        self.track(buf);
-        Ok(buf)
+        self.lane.session.alloc(len)
     }
 
     /// Downloads a lane-local buffer, with accounting.
@@ -178,11 +171,7 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
     ///
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn free(&mut self, buf: DeviceBuffer) -> Result<(), RpuError> {
-        self.lane.session.free(buf)?;
-        if let Some(owners) = self.owners.as_mut() {
-            owners.remove(&buf.id());
-        }
-        Ok(())
+        self.lane.session.free(buf)
     }
 
     /// Dispatches a compiled kernel over this lane's resident buffers,
@@ -201,13 +190,6 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
         let report = self.lane.session.dispatch(kernel, inputs, outputs)?;
         self.lane.account(&report);
         Ok(report)
-    }
-
-    /// Records a fresh buffer in the placement map, if this worker keeps it.
-    fn track(&mut self, buf: DeviceBuffer) {
-        if let Some(owners) = self.owners.as_mut() {
-            owners.insert(buf.id(), self.index);
-        }
     }
 
     /// Uploads, dispatches the tower's fused convolution, downloads, and
@@ -595,8 +577,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// `k` independent RPU lanes behind one host: each lane owns a full
 /// [`RpuSession`] (device heap + kernel cache + functional simulator),
-/// the cluster owns the shared [`PrimeTable`] and the buffer → lane
-/// placement map.
+/// the cluster owns the shared [`PrimeTable`].
 ///
 /// Created by [`Rpu::cluster`] (the [`RpuBuilder::lanes`] count) or
 /// [`Rpu::cluster_with`] (explicit count). Lanes are separate devices:
@@ -610,10 +591,6 @@ pub struct RpuCluster<'a> {
     rpu: &'a Rpu,
     lanes: Vec<Lane<'a>>,
     primes: PrimeTable,
-    /// Buffer id → owning lane, for every buffer created through the
-    /// cluster API (lane-session buffers made directly through
-    /// [`RpuCluster::lane_session`] are validated by the session itself).
-    owners: HashMap<u64, usize>,
 }
 
 impl<'a> RpuCluster<'a> {
@@ -635,7 +612,6 @@ impl<'a> RpuCluster<'a> {
             rpu,
             lanes: (0..k).map(|index| Lane::new(rpu, index)).collect(),
             primes: PrimeTable::with_bits(rpu.prime_bits()),
-            owners: HashMap::new(),
         }
     }
 
@@ -659,8 +635,7 @@ impl<'a> RpuCluster<'a> {
         self.primes.ntt_prime(n)
     }
 
-    /// Direct access to one lane's session (buffers created this way are
-    /// still lane-validated, but not tracked in the placement map).
+    /// Direct access to one lane's session.
     ///
     /// # Panics
     ///
@@ -670,8 +645,7 @@ impl<'a> RpuCluster<'a> {
     }
 
     /// Drives `lane` synchronously from the calling thread: the same
-    /// [`LaneWorker`] surface (and accounting) a pool job gets, plus
-    /// placement-map upkeep for every buffer it creates or frees. The
+    /// [`LaneWorker`] surface (and accounting) a pool job gets. The
     /// cluster's own per-lane methods are thin calls through it.
     ///
     /// # Panics
@@ -681,17 +655,14 @@ impl<'a> RpuCluster<'a> {
         LaneWorker {
             index: lane,
             lane: &mut self.lanes[lane],
-            owners: Some(&mut self.owners),
         }
     }
 
-    /// The lane a cluster-tracked buffer lives on, probing the lane
-    /// heaps for untracked (session-created) handles.
+    /// The lane whose heap `buf` is live on, whoever allocated it —
+    /// the lane heaps are the only record of placement. (Buffer ids are
+    /// global and never reused, so at most one lane answers.)
     pub fn locate(&self, buf: &DeviceBuffer) -> Option<usize> {
-        self.owners
-            .get(&buf.id())
-            .copied()
-            .or_else(|| self.lanes.iter().position(|lane| lane.session.owns(buf)))
+        self.lanes.iter().position(|lane| lane.session.owns(buf))
     }
 
     /// Rejects buffers that are known to live on a different lane.
@@ -923,21 +894,21 @@ impl<'a> RpuCluster<'a> {
     }
 
     /// Serializes every lane's device state plus the buffer → lane
-    /// placement map as one versioned `SNAP_V1` cluster snapshot (see
-    /// [`RpuSession::snapshot`] for what each lane records).
+    /// placement map (derived from the lane heaps) as one versioned
+    /// `SNAP_V1` cluster snapshot (see [`RpuSession::snapshot`] for what
+    /// each lane records).
     pub fn snapshot_all(&self) -> Vec<u8> {
-        let mut owners: Vec<(u64, u64)> = self
-            .owners
-            .iter()
-            .map(|(&id, &lane)| (id, lane as u64))
+        let mut owners: Vec<(u64, u64)> = (0u64..)
+            .zip(&self.lanes)
+            .flat_map(|(i, lane)| lane.session.live_ids().map(move |id| (id, i)))
             .collect();
         owners.sort_unstable();
         let lanes: Vec<Vec<u8>> = self.lanes.iter().map(|l| l.session.snapshot()).collect();
         snapshot::encode_cluster(&owners, &lanes)
     }
 
-    /// Restores every lane (and the placement map) from a cluster
-    /// snapshot. Refuses while any lane still has live buffers — use
+    /// Restores every lane from a cluster snapshot. Refuses while any
+    /// lane still has live buffers — use
     /// [`restore_all_replacing`](RpuCluster::restore_all_replacing) to
     /// swap state out from under live handles atomically.
     ///
@@ -964,8 +935,9 @@ impl<'a> RpuCluster<'a> {
     ///
     /// # Errors
     ///
-    /// [`RpuError::Snapshot`] for corrupt or future-version bytes, a
-    /// lane-count or geometry mismatch, or a kernel that cannot be
+    /// [`RpuError::Snapshot`] for corrupt or future-version bytes
+    /// (including a placement map that disagrees with the lane heaps),
+    /// a lane-count or geometry mismatch, or a kernel that cannot be
     /// rebuilt. The cluster is unchanged on error.
     pub fn restore_all_replacing(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
         let (owners, lane_bytes) = snapshot::decode_cluster(bytes)?;
@@ -976,33 +948,27 @@ impl<'a> RpuCluster<'a> {
             }
             .into());
         }
-        let mut new_owners = HashMap::with_capacity(owners.len());
-        for &(id, lane) in &owners {
-            let lane: usize = lane.try_into().map_err(|_| {
-                RpuError::from(SnapshotError::Corrupt(
-                    "placement-map lane index overflows usize".into(),
-                ))
-            })?;
-            if lane >= self.lanes.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "placement map points buffer {id} at lane {lane}, but the \
-                     snapshot has {} lane(s)",
-                    self.lanes.len()
-                ))
-                .into());
-            }
-            new_owners.insert(id, lane);
-        }
         let prepared = self
             .lanes
             .iter()
             .zip(&lane_bytes)
             .map(|(lane, bytes)| lane.session.prepare_restore(bytes))
             .collect::<Result<Vec<_>, _>>()?;
+        // The placement map is redundant with the lane heaps; a snapshot
+        // whose two copies disagree is corrupt.
+        for &(id, lane) in &owners {
+            let named = usize::try_from(lane).ok().and_then(|l| prepared.get(l));
+            if !named.is_some_and(|lane| lane.holds(id)) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "placement map points buffer {id} at lane {lane} of {}, where it is not live",
+                    self.lanes.len()
+                ))
+                .into());
+            }
+        }
         for (lane, p) in self.lanes.iter_mut().zip(prepared) {
             lane.session.apply_restore(p);
         }
-        self.owners = new_owners;
         Ok(())
     }
 
@@ -1047,11 +1013,7 @@ impl<'a> RpuCluster<'a> {
             for (index, lane) in self.lanes.iter_mut().enumerate() {
                 scope.spawn(move || {
                     start.wait();
-                    let mut worker = LaneWorker {
-                        index,
-                        lane,
-                        owners: None,
-                    };
+                    let mut worker = LaneWorker { index, lane };
                     while let Some(job) = pool.next_job(index) {
                         // No lock is held across the job, and a panic is
                         // caught right here on the worker thread — so a

@@ -148,7 +148,7 @@ pub use lanes::{
 pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, DeviceKeySwitchKey, RlweEvaluator};
 pub use run::{Rpu, RunReport};
-pub use session::{CacheStats, CachedKernel, KernelCache, PrimeTable, RpuBuilder, RpuSession};
+pub use session::{CacheStats, KernelCache, PrimeTable, RpuBuilder, RpuSession};
 pub use snapshot::SnapshotError;
 pub use trace::{set_dispatch_tenant, DispatchEvent, RingTraceSink, TenantTag, TraceSink};
 

@@ -6,9 +6,9 @@ use crate::buffer::TransferStats;
 use crate::session::{RpuBuilder, RpuSession};
 use crate::trace::TraceSink;
 use crate::RpuError;
-use rpu_codegen::{CodegenStyle, Direction, KernelOp, NttKernel};
+use rpu_codegen::{CodegenStyle, Direction, KernelOp};
 use rpu_model::{AreaBreakdown, AreaModel, EnergyBreakdown, EnergyModel};
-use rpu_sim::{CycleSim, FunctionalSim, RpuConfig, SimStats};
+use rpu_sim::{CycleSim, RpuConfig, SimStats};
 use std::sync::Arc;
 
 /// A configured Ring Processing Unit instance.
@@ -39,7 +39,6 @@ pub struct Rpu {
     energy_model: EnergyModel,
     clock_ghz: f64,
     prime_bits: u32,
-    kernel_cache_capacity: Option<usize>,
     device_heap_elements: usize,
     lanes: usize,
     force_interpreter: bool,
@@ -76,8 +75,7 @@ pub struct RunReport {
     pub cache_hit: bool,
     /// Data-movement accounting: what this run uploaded, downloaded,
     /// copied on-device, and — for resident dispatches — avoided moving
-    /// entirely. All-zero for timing-only paths such as
-    /// [`Rpu::time_only`].
+    /// entirely.
     pub transfer: TransferStats,
 }
 
@@ -104,7 +102,6 @@ impl Rpu {
         energy_model: EnergyModel,
         clock_ghz: Option<f64>,
         prime_bits: u32,
-        kernel_cache_capacity: Option<usize>,
         device_heap_elements: usize,
         lanes: usize,
         force_interpreter: bool,
@@ -118,7 +115,6 @@ impl Rpu {
             energy_model,
             clock_ghz: clock_ghz.unwrap_or_else(|| config.frequency_ghz()),
             prime_bits,
-            kernel_cache_capacity,
             device_heap_elements,
             lanes,
             force_interpreter,
@@ -175,11 +171,6 @@ impl Rpu {
         self.prime_bits
     }
 
-    /// The kernel-cache LRU capacity sessions are created with, if any.
-    pub fn kernel_cache_capacity(&self) -> Option<usize> {
-        self.kernel_cache_capacity
-    }
-
     /// Capacity, in 128-bit elements, of the device-resident buffer heap
     /// each session lays out above its kernel workspace.
     pub fn device_heap_elements(&self) -> usize {
@@ -220,60 +211,22 @@ impl Rpu {
         &self.energy_model
     }
 
-    /// Cycle-times an already-generated NTT kernel (no functional run).
-    pub fn time_only(&self, kernel: &NttKernel) -> RunReport {
-        let key = rpu_codegen::KernelKey {
-            op: KernelOp::Ntt,
-            n: kernel.degree(),
-            q: kernel.modulus(),
-            direction: kernel.direction(),
-            style: kernel.style(),
-            param: 0,
-        };
-        self.assemble_report(kernel.program(), key, None, false, false)
-    }
-
-    /// Runs an NTT kernel through the functional simulator against its
-    /// golden model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Exec`] if the program faults.
-    pub fn verify_kernel(&self, kernel: &NttKernel) -> Result<bool, RpuError> {
-        let n = kernel.degree();
-        let q = kernel.modulus();
-        let input: Vec<u128> = (0..n as u128)
-            .map(|i| (i * 0x9E37_79B9 + 12345) % q)
-            .collect();
-        let mut sim = FunctionalSim::new(kernel.layout().total_elements, 16);
-        sim.write_vdm(0, &kernel.vdm_image(&input))
-            .map_err(RpuError::Exec)?;
-        sim.write_sdm(0, &kernel.sdm_image())
-            .map_err(RpuError::Exec)?;
-        sim.run(kernel.program()).map_err(RpuError::Exec)?;
-        let (off, len) = kernel.output_range();
-        let out = sim.read_vdm(off, len).map_err(RpuError::Exec)?;
-        Ok(out == kernel.expected_output(&input))
-    }
-
     /// Cycle-simulates a program (sessions memoize the result per kernel
     /// so warm dispatches skip re-simulation).
     pub(crate) fn time(&self, program: &rpu_isa::Program) -> SimStats {
         self.cycle_sim.simulate(program)
     }
 
-    /// The single `RunReport` construction site: cycle-simulates the
-    /// program (unless `stats` is supplied from a session memo) and
-    /// attaches the identity and verdict flags.
+    /// The single `RunReport` construction site: attaches the identity
+    /// and verdict flags to a session's memoized cycle `stats`.
     pub(crate) fn assemble_report(
         &self,
         program: &rpu_isa::Program,
         key: rpu_codegen::KernelKey,
-        stats: Option<SimStats>,
+        stats: SimStats,
         verified: bool,
         cache_hit: bool,
     ) -> RunReport {
-        let stats = stats.unwrap_or_else(|| self.cycle_sim.simulate(program));
         RunReport {
             op: key.op,
             n: key.n,

@@ -5,7 +5,7 @@
 //! derived from the instruction sequence alone is derived once, here,
 //! and reused by every dispatch. Today that is the domain plan: one
 //! advisory [`PromoteHint`] per instruction telling a Montgomery
-//! executor which multiplicative source is worth converting to resident
+//! executor which multiplicative source is worth caching in Montgomery
 //! form. Executors match [`Instruction`]s directly — there is no second
 //! op representation — and recompute effective addresses from
 //! `ARF[base] + offset` on every access (`aload` can retarget a base
@@ -20,14 +20,14 @@ use crate::regs::VReg;
 
 /// Advice attached to one multiply-class instruction by the static
 /// domain plan: which multiplicative source (if either) an executor
-/// should convert to Montgomery residence when it reaches it.
+/// should start caching in Montgomery form when it reaches it.
 ///
 /// Hints are *advisory*. They never change semantics: an executor that
-/// ignores them (or one whose runtime check — all lanes canonical, odd
-/// modulus — fails) computes the same results through the normal-domain
-/// path. They exist so a Montgomery executor promotes exactly the
+/// ignores them (or one servicing an even modulus, which has no
+/// Montgomery form) computes the same results through the two-reduction
+/// multiply. They exist so a Montgomery executor converts exactly the
 /// registers whose remaining static multiply uses pay for the
-/// conversion, instead of thrashing the domain on every multiply.
+/// conversion, instead of converting on every multiply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PromoteHint {
     /// No promotion at this instruction.
@@ -45,104 +45,74 @@ pub enum PromoteHint {
 /// it (raw VRF indices).
 struct DomainUses {
     /// Multiplicative sources — the operands a Montgomery executor can
-    /// take resident — in [`PromoteHint`] slot order.
-    mul: [Option<usize>; 2],
-    /// Registers read in *normal* form: uses that force a resident
-    /// register to be flushed back first.
-    normal: [Option<usize>; 3],
-    /// Registers (re)defined, ending any residence.
+    /// read from a cached Montgomery copy — in [`PromoteHint`] slot
+    /// order. `vsmulmod` has none: its hoisted scalar already folds the
+    /// multiply into one reduction.
+    mul: Option<[usize; 2]>,
+    /// Registers (re)defined, which drops their cached copy.
     defs: [Option<usize>; 2],
-    /// `true` for `vmulmod`, whose product of two resident sources is
-    /// itself resident.
-    product: bool,
 }
 
 impl DomainUses {
     fn of(instr: &Instruction) -> Self {
         let ix = |r: VReg| usize::from(r.index());
-        let srcs = instr.src_vregs().map(|r| r.map(ix));
-        let (mul, normal, product) = match *instr {
-            Instruction::VMulMod { .. } => ([srcs[0], srcs[1]], [None; 3], true),
-            // The addend is consumed in normal form.
-            Instruction::Bfly { .. } => ([srcs[1], srcs[2]], [srcs[0], None, None], false),
-            // A mixed-domain multiply consumes its vector source
-            // resident at no cost: neither promotable nor a flush.
-            Instruction::VSMulMod { .. } => ([None; 2], [None; 3], false),
-            // Everything else reads its vector sources in normal form.
-            _ => ([None; 2], srcs, false),
+        let mul = match *instr {
+            Instruction::VMulMod { vs, vt, .. } => Some([ix(vs), ix(vt)]),
+            Instruction::Bfly { vt, vt1, .. } => Some([ix(vt), ix(vt1)]),
+            _ => None,
         };
         DomainUses {
             mul,
-            normal,
             defs: instr.dst_vregs().map(|r| r.map(ix)),
-            product,
         }
     }
 }
 
-/// Profiles register `r` forward from `uses[start + 1..]` until its next
-/// redefinition: how many later instructions use it as a multiplicative
-/// source (each saves one Montgomery reduction if `r` is resident), and
-/// whether the residence would have to be flushed (a normal-form use,
-/// or survival to the end of the program) rather than dying with a
-/// redefinition.
-fn future_mul_profile(uses: &[DomainUses], start: usize, r: usize) -> (usize, bool) {
-    let mut count = 0usize;
+/// How many instructions in `uses[start + 1..]` use register `r` as a
+/// multiplicative source before its next redefinition; each one saves a
+/// Montgomery reduction if `r` has a cached Montgomery copy.
+fn future_mul_uses(uses: &[DomainUses], start: usize, r: usize) -> usize {
+    let mut count = 0;
     for u in &uses[start + 1..] {
-        if u.mul.contains(&Some(r)) {
-            count += 1;
-        }
-        if u.normal.contains(&Some(r)) {
-            return (count, true);
-        }
+        count += usize::from(u.mul.is_some_and(|m| m.contains(&r)));
         if u.defs.contains(&Some(r)) {
-            return (count, false);
+            break;
         }
     }
-    (count, true) // still resident at program end: flushed by the epilogue
+    count
 }
 
 /// Computes the static domain plan: one [`PromoteHint`] per instruction.
 ///
 /// A source is promoted at a multiply only when the conversion pays for
-/// itself — promotion costs one extra reduction now and (when the value
-/// is later needed in normal form) one flush, while every further
-/// multiplicative use before redefinition saves one reduction. At most
-/// one side of an instruction is ever promoted: a mixed-domain
-/// Montgomery multiply already folds two reductions into one, so
-/// promoting the second side buys nothing there.
+/// itself: building the copy costs one reduction per lane now, and
+/// every further multiplicative use before redefinition saves one, so
+/// it takes at least two of those. A multiply against one cached side
+/// already folds two reductions into one, so a second cached side buys
+/// nothing: an instruction with a cached source gets no hint, and one
+/// without promotes at most its more reused source.
 fn domain_plan(program: &Program) -> Vec<PromoteHint> {
+    const SLOTS: [PromoteHint; 2] = [PromoteHint::First, PromoteHint::Second];
     let uses: Vec<DomainUses> = program.instructions().iter().map(DomainUses::of).collect();
     let mut plan = vec![PromoteHint::None; uses.len()];
-    // Optimistic static view of which registers are Montgomery-resident.
-    let mut resident = [false; NUM_VREGS];
+    // Static view of which registers hold a cached Montgomery copy.
+    let mut cached = [false; NUM_VREGS];
     for (i, u) in uses.iter().enumerate() {
-        for reg in u.normal.into_iter().flatten() {
-            resident[reg] = false; // executor flushes before the instruction
-        }
-        let mut best: Option<(usize, usize)> = None; // (slot, net saving)
-        for (slot, r) in u.mul.iter().enumerate() {
-            let Some(r) = *r else { continue };
-            if resident[r] {
-                continue;
+        if let Some(mul) = u.mul.filter(|m| !m.iter().any(|&r| cached[r])) {
+            let mut best: Option<(usize, usize, PromoteHint)> = None; // (later uses, reg, hint)
+            for (r, hint) in mul.into_iter().zip(SLOTS) {
+                let count = future_mul_uses(&uses, i, r);
+                if count > best.map_or(1, |b| b.0) {
+                    best = Some((count, r, hint));
+                }
             }
-            let (count, flushed) = future_mul_profile(&uses, i, r);
-            let cost = 1 + usize::from(flushed);
-            if count > cost && best.is_none_or(|(_, saving)| count - cost > saving) {
-                best = Some((slot, count - cost));
+            if let Some((_, r, hint)) = best {
+                plan[i] = hint;
+                cached[r] = true;
             }
         }
-        if let Some((slot, _)) = best {
-            plan[i] = [PromoteHint::First, PromoteHint::Second][slot];
-            resident[u.mul[slot].expect("chosen slot is a source")] = true;
-        }
-        // A `vmulmod` of two resident sources yields a resident product;
-        // every other definition lands normal-form.
-        let product_resident = u.product && u.mul.iter().all(|r| r.is_some_and(|r| resident[r]));
-        for (di, reg) in u.defs.into_iter().enumerate() {
-            if let Some(reg) = reg {
-                resident[reg] = product_resident && di == 0;
-            }
+        for reg in u.defs.into_iter().flatten() {
+            cached[reg] = false;
         }
     }
     plan
@@ -266,9 +236,9 @@ mod tests {
 
     #[test]
     fn fanout_multiplies_promote_the_shared_source_once() {
-        // v1 feeds four multiplies and is then stored: promoting it at
-        // the first multiply saves three reductions for one promote and
-        // one flush.
+        // v1 feeds four multiplies and is then stored: caching it at the
+        // first multiply saves three reductions for one conversion (the
+        // store reads the register itself, which is never disturbed).
         let mut instrs = vec![vload(1), vload(2)];
         for vd in 3..7 {
             instrs.push(vmul(vd, 1, 2));
@@ -322,14 +292,18 @@ mod tests {
 
     #[test]
     fn redefinition_ends_the_profitability_window() {
-        // v1 has two future multiply uses but is reloaded between them:
-        // only the use before the reload counts, so no promotion.
+        // v1 and v2 each have two future multiply uses but are reloaded
+        // between them: only the use before the reload counts, so no
+        // promotion. (Both are reloaded because a copy costs nothing to
+        // drop: a source that merely survives to the end of the program
+        // with two later uses *is* worth caching.)
         let instrs = vec![
             vload(1),
             vload(2),
             vmul(3, 1, 2),
             vmul(4, 1, 2),
             vload(1),
+            vload(2),
             vmul(5, 1, 2),
         ];
         assert!(plan_of(instrs).iter().all(|h| *h == PromoteHint::None));

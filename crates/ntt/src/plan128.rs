@@ -7,9 +7,7 @@
 //! costs a single Montgomery reduction.
 
 use crate::NttError;
-use rpu_arith::{
-    power_table_bitrev, primitive_root_of_unity, Modulus128, Mont128Engine, ScalarEngine,
-};
+use rpu_arith::{power_table_bitrev, primitive_root_of_unity, Modulus128};
 
 /// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` with an odd prime
 /// `q < 2^127`.
@@ -68,19 +66,16 @@ impl Ntt128Plan {
         let psi_inv = modulus.inv(psi);
 
         // Twiddle tables come from the shared rpu-arith power-table
-        // helper; the Montgomery companions (w·R mod q) come from the
-        // Mont128 engine — the same precompute codegen bakes into SDM
-        // images, so every consumer maps scalars the same way.
-        let eng = Mont128Engine(modulus);
+        // helper, held in Montgomery form (w·R mod q; the modulus is odd).
         let fwd_mont: Vec<u128> = power_table_bitrev(modulus, psi, n)
             .into_iter()
-            .map(|w| eng.companion(w))
+            .map(|w| modulus.to_mont(w))
             .collect();
         let inv_mont: Vec<u128> = power_table_bitrev(modulus, psi_inv, n)
             .into_iter()
-            .map(|w| eng.companion(w))
+            .map(|w| modulus.to_mont(w))
             .collect();
-        let n_inv_mont = eng.companion(modulus.inv(n as u128 % q));
+        let n_inv_mont = modulus.to_mont(modulus.inv(n as u128 % q));
         Ok(Ntt128Plan {
             n,
             log_n,

@@ -6,10 +6,7 @@
 //! the "CPU-64b" series of the paper's Fig. 10.
 
 use crate::NttError;
-use rpu_arith::{
-    power_table_bitrev, primitive_root_of_unity, Barrett64Engine, Modulus128, Modulus64,
-    ScalarEngine,
-};
+use rpu_arith::{power_table_bitrev, primitive_root_of_unity, Modulus128, Modulus64};
 
 /// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` with `q < 2^62`.
 ///
@@ -69,12 +66,10 @@ impl Ntt64Plan {
             .map_err(|_| NttError::NoRootOfUnity { degree: n })? as u64;
         let log_n = n.trailing_zeros();
 
-        // Twiddle tables and their Shoup companions come from the shared
-        // rpu-arith helpers (power table in the 128-bit field, companions
-        // via the Barrett64 engine), so all NTT plans precompute through
-        // the same code.
+        // Twiddle tables come from the shared rpu-arith power-table
+        // helper (in the 128-bit field), so all NTT plans precompute
+        // through the same code.
         let psi_inv = modulus.inv(psi);
-        let eng = Barrett64Engine(modulus);
         let fwd: Vec<u64> = power_table_bitrev(m128, psi as u128, n)
             .into_iter()
             .map(|w| w as u64)
@@ -83,14 +78,8 @@ impl Ntt64Plan {
             .into_iter()
             .map(|w| w as u64)
             .collect();
-        let fwd_shoup = fwd
-            .iter()
-            .map(|&w| eng.companion(w as u128) as u64)
-            .collect();
-        let inv_shoup = inv
-            .iter()
-            .map(|&w| eng.companion(w as u128) as u64)
-            .collect();
+        let fwd_shoup = fwd.iter().map(|&w| modulus.shoup(w)).collect();
+        let inv_shoup = inv.iter().map(|&w| modulus.shoup(w)).collect();
         let n_inv = modulus.inv(n as u64 % q);
         Ok(Ntt64Plan {
             n,
@@ -102,7 +91,7 @@ impl Ntt64Plan {
             inv,
             inv_shoup,
             n_inv,
-            n_inv_shoup: eng.companion(n_inv as u128) as u64,
+            n_inv_shoup: modulus.shoup(n_inv),
         })
     }
 

@@ -15,18 +15,17 @@
 //!   and multiplied with one widening multiply plus a Barrett (or, for
 //!   vector-scalar, Shoup) reduction.
 //! * **Montgomery 128** (everything else): the [`Modulus128`] path,
-//!   extended with *domain residency* — a register whose remaining uses
-//!   are multiplicative can be converted to Montgomery form in place
-//!   (as advised by the program's static [`PromoteHint`] plan) so
-//!   chained `vmulmod`s cost one Montgomery reduction per lane instead
-//!   of two. Values convert back at domain boundaries: stores, adds,
-//!   shuffles, gather indices, interpreter fallbacks, faults, and the
-//!   end of every run. Residency is strictly run-local: it never leaks
-//!   into observable architectural state.
+//!   extended with a *Montgomery shadow cache* — a register the
+//!   program's static [`PromoteHint`] plan marks as a reused
+//!   multiplicative source gets a run-local copy of its lanes in
+//!   Montgomery form ([`Shadows`]), and multiplies that read the copy
+//!   cost one Montgomery reduction per lane instead of two. The
+//!   register itself always holds its architectural lanes; writing it
+//!   drops the copy.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
-//! architectural state after a fault. Three design rules make that cheap
+//! architectural state after a fault. Two design rules make that cheap
 //! to maintain:
 //!
 //! 1. Effective addresses are recomputed from `ARF[base] + offset` at
@@ -37,11 +36,9 @@
 //!    check, a gather with a hostile index, an invalid modulus) is
 //!    re-executed through the interpreter's own `step`, which raises the
 //!    exact error and leaves the exact partial state the oracle would.
-//! 3. Every fallback, fault and run exit flushes all resident registers
-//!    first. In-place promotion only ever happens when all lanes are
-//!    canonical (`< q`), so a flush restores each lane to *exactly* the
-//!    value the oracle holds — fault parity at conversion points is an
-//!    identity, not an approximation.
+//!
+//! Nothing the fast path keeps for itself is architectural state, so
+//! the fallback in rule 2 needs no preparation and a fault no repair.
 //!
 //! [`PromoteHint`]: rpu_isa::PromoteHint
 
@@ -95,6 +92,23 @@ fn vs_into(
     std::mem::swap(&mut vrf[ix(vd)], scratch);
 }
 
+/// The Montgomery-tier butterfly, lane by lane: `sum = a + x·y` and
+/// `diff = a - x·y`, with `mul` supplying the canonical product.
+#[inline]
+fn bfly_into(
+    m: Modulus128,
+    (a, x, y): (&[u128], &[u128], &[u128]),
+    (sum, diff): (&mut [u128], &mut [u128]),
+    mul: impl Fn(u128, u128) -> u128,
+) {
+    let outs = sum.iter_mut().zip(diff.iter_mut());
+    for (((s, d), &a), (&x, &y)) in outs.zip(a).zip(x.iter().zip(y)) {
+        let (a, prod) = (m.reduce(a), mul(x, y));
+        *s = m.add(a, prod);
+        *d = m.sub(a, prod);
+    }
+}
+
 /// Canonicalizes one lane for the native-u64 tier. The compare-first
 /// branch keeps already-canonical lanes (the overwhelmingly common
 /// case) to one u128 comparison.
@@ -107,126 +121,58 @@ fn lane64(m: Modulus64, x: u128) -> u64 {
     }
 }
 
-/// Run-local Montgomery-residency state: which vector registers
-/// currently hold Montgomery-form lanes, and under which modulus.
-///
-/// An entry is only ever created by an in-place promotion of fully
-/// canonical lanes (or by a resident×resident product, whose lanes are
-/// canonical Montgomery digits), so flushing an entry restores the
-/// exact normal-form values the oracle holds.
-struct Residency {
-    m: [Option<Modulus128>; NUM_VREGS],
-    active: usize,
+/// Run-local Montgomery copies of vector registers: for a shadowed
+/// register `r`, `lanes[r][i] = to_mont(reduce(vrf[r][i]))` under the
+/// modulus recorded in `q[r]`. The registers themselves are never
+/// touched, so the only duty is to [`forget`](Shadows::forget) the copy
+/// whenever its register is written.
+struct Shadows {
+    q: [Option<u128>; NUM_VREGS],
+    lanes: [Vec<u128>; NUM_VREGS],
 }
 
-impl Residency {
+impl Shadows {
     fn new() -> Self {
-        Residency {
-            m: [None; NUM_VREGS],
-            active: 0,
+        Shadows {
+            q: [None; NUM_VREGS],
+            lanes: std::array::from_fn(|_| Vec::new()),
         }
     }
 
-    /// Marks `r` resident under `m` (its lanes already hold Montgomery
-    /// form).
+    /// Forgets the copy of `r`, which is about to be (or was just)
+    /// overwritten.
     #[inline]
-    fn set(&mut self, r: VReg, m: Modulus128) {
-        if self.m[ix(r)].replace(m).is_none() {
-            self.active += 1;
-        }
+    fn forget(&mut self, r: VReg) {
+        self.q[ix(r)] = None;
     }
 
-    /// Forgets any residence of `r` (its lanes are normal-form again,
-    /// e.g. just overwritten by a normal-domain result).
-    #[inline]
-    fn clear(&mut self, r: VReg) {
-        if self.m[ix(r)].take().is_some() {
-            self.active -= 1;
-        }
-    }
-
-    /// Converts `r` back to normal form if it is resident.
-    #[inline]
-    fn flush(&mut self, vrf: &mut [Vec<u128>], r: VReg) {
-        if let Some(m) = self.m[ix(r)].take() {
-            self.active -= 1;
-            for lane in vrf[ix(r)].iter_mut() {
-                *lane = m.from_mont(*lane);
-            }
-        }
-    }
-
-    /// Converts every resident register back to normal form. Called
-    /// before interpreter fallbacks, after faults, and at run exit, so
-    /// observable state is always normal-domain.
-    fn flush_all(&mut self, vrf: &mut [Vec<u128>]) {
-        if self.active == 0 {
-            return;
-        }
-        for r in VReg::all() {
-            self.flush(vrf, r);
-        }
-    }
-
-    /// `true` if `r` is resident under exactly modulus `q`. A residence
-    /// under a *different* modulus is flushed (restoring normal form) so
-    /// the caller can treat the register as normal-domain.
-    #[inline]
-    fn resident_for(&mut self, vrf: &mut [Vec<u128>], r: VReg, q: u128) -> bool {
-        match self.m[ix(r)] {
-            Some(m) if m.value() == q => true,
-            Some(_) => {
-                self.flush(vrf, r);
-                false
-            }
-            None => false,
-        }
-    }
-
-    /// Converts `r` to Montgomery residence in place, if safe: the
-    /// modulus must be odd (have a Montgomery form) and every lane must
-    /// already be canonical — a non-canonical lane would not survive
-    /// the round trip (`from_mont(to_mont(x)) = x mod q ≠ x`), so such
-    /// registers simply stay normal-form.
-    fn try_promote(&mut self, vrf: &mut [Vec<u128>], r: VReg, m: Modulus128) {
-        if self.m[ix(r)].is_some() || !m.is_odd() {
-            return;
-        }
-        let q = m.value();
-        if vrf[ix(r)].iter().all(|&x| x < q) {
-            for lane in vrf[ix(r)].iter_mut() {
-                *lane = m.to_mont(*lane);
-            }
-            self.set(r, m);
-        }
-    }
-
-    /// Which of the two multiplicative sources of a multiply under `m`
-    /// are resident, in [`PromoteHint`] slot order. When neither is,
-    /// the side the static plan proved profitable is promoted first, if
-    /// its lanes allow it.
-    fn mul_sources(
+    /// For a multiply of `sources` under the odd modulus `m`: the
+    /// Montgomery copy of one source and the register holding the other
+    /// factor, or `None` when neither source has a copy. The source the
+    /// static plan hints at is copied first.
+    fn factor(
         &mut self,
-        vrf: &mut [Vec<u128>],
-        [first, second]: [VReg; 2],
+        vrf: &[Vec<u128>],
+        sources: [VReg; 2],
         m: Modulus128,
         hint: PromoteHint,
-    ) -> (bool, bool) {
-        let q = m.value();
-        let resident = (
-            self.resident_for(vrf, first, q),
-            self.resident_for(vrf, second, q),
-        );
-        if resident != (false, false) {
-            return resident;
+    ) -> Option<(&[u128], VReg)> {
+        if !m.is_odd() {
+            return None; // no Montgomery form
         }
-        match hint {
-            PromoteHint::First => self.try_promote(vrf, first, m),
-            PromoteHint::Second => self.try_promote(vrf, second, m),
-            PromoteHint::None => return resident,
+        let q = Some(m.value());
+        let hinted = match hint {
+            PromoteHint::None => None,
+            PromoteHint::First => Some(ix(sources[0])),
+            PromoteHint::Second => Some(ix(sources[1])),
+        };
+        if let Some(r) = hinted.filter(|&r| self.q[r] != q) {
+            self.lanes[r].clear();
+            self.lanes[r].extend(vrf[r].iter().map(|&x| m.to_mont(m.reduce(x))));
+            self.q[r] = q;
         }
-        // Re-read both: the two sources may be the same register.
-        (self.m[ix(first)].is_some(), self.m[ix(second)].is_some())
+        let slot = sources.iter().position(|&r| self.q[ix(r)] == q)?;
+        Some((&self.lanes[ix(sources[slot])], sources[1 - slot]))
     }
 }
 
@@ -248,20 +194,18 @@ impl FunctionalSim {
         // nothing.
         let mut scratch = vec![0u128; VECTOR_LEN];
         let mut scratch2 = vec![0u128; VECTOR_LEN];
-        let mut res = Residency::new();
+        let mut shadows = Shadows::new();
         let plan = program.domain_plan();
         for (pc, instr) in program.program().instructions().iter().enumerate() {
-            if !self.fast_op(instr, plan[pc], &mut res, &mut scratch, &mut scratch2) {
+            if !self.fast_op(instr, plan[pc], &mut shadows, &mut scratch, &mut scratch2) {
                 // Slow path: re-run the instruction through the
                 // interpreter for oracle-exact errors and partial state.
-                // The interpreter knows nothing about residency, so
-                // normalize every register first; a fault then leaves
-                // exactly the oracle's partial state.
-                res.flush_all(&mut self.vrf);
                 self.step(instr, pc)?;
+                for vd in instr.dst_vregs().into_iter().flatten() {
+                    shadows.forget(vd);
+                }
             }
         }
-        res.flush_all(&mut self.vrf);
         Ok(())
     }
 
@@ -305,13 +249,13 @@ impl FunctionalSim {
     /// Executes one instruction on the fast path. Returns `false` if it
     /// must be replayed through the interpreter (possible fault or
     /// unsupported corner) — in that case no architectural state has
-    /// been mutated beyond domain flushes, which are value-preserving.
+    /// been mutated.
     #[inline]
     fn fast_op(
         &mut self,
         instr: &Instruction,
         hint: PromoteHint,
-        res: &mut Residency,
+        shadows: &mut Shadows,
         scratch: &mut Vec<u128>,
         scratch2: &mut Vec<u128>,
     ) -> bool {
@@ -326,7 +270,7 @@ impl FunctionalSim {
                 let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
-                res.clear(vd);
+                shadows.forget(vd);
                 let dst = &mut self.vrf[ix(vd)];
                 let vdm = &self.vdm;
                 match mode {
@@ -360,9 +304,6 @@ impl FunctionalSim {
                 offset,
                 mode,
             } => {
-                // Stores are a domain boundary: memory only ever sees
-                // normal-form values.
-                res.flush(&mut self.vrf, vs);
                 let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
@@ -407,8 +348,6 @@ impl FunctionalSim {
                     // weird: let the oracle handle it.
                     return false;
                 }
-                // Indices are consumed as plain integers, not residues.
-                res.flush(&mut self.vrf, vi);
                 let Some(start) = self.effective(base, offset) else {
                     return false;
                 };
@@ -430,7 +369,7 @@ impl FunctionalSim {
                     }
                 }
                 std::mem::swap(&mut self.vrf[ix(vd)], scratch);
-                res.clear(vd);
+                shadows.forget(vd);
                 true
             }
             VBroadcast { vd, base, offset } => {
@@ -439,7 +378,7 @@ impl FunctionalSim {
                 };
                 let value = self.vdm[start];
                 self.vrf[ix(vd)].fill(value);
-                res.clear(vd);
+                shadows.forget(vd);
                 true
             }
             SLoad { rt, base, offset } => {
@@ -467,9 +406,6 @@ impl FunctionalSim {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
-                // Additive ops consume both sources in normal form.
-                res.flush(&mut self.vrf, vs);
-                res.flush(&mut self.vrf, vt);
                 let vrf = &mut self.vrf;
                 match (e, matches!(instr, VSubMod { .. })) {
                     (Engine::Native64(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
@@ -485,7 +421,7 @@ impl FunctionalSim {
                         m.sub(m.reduce(a), m.reduce(b))
                     }),
                 }
-                res.clear(vd);
+                shadows.forget(vd);
                 true
             }
             VMulMod { vd, vs, vt, rm } => {
@@ -494,51 +430,31 @@ impl FunctionalSim {
                 };
                 let vrf = &mut self.vrf;
                 match e {
-                    Engine::Native64(m) => {
-                        res.flush(vrf, vs);
-                        res.flush(vrf, vt);
-                        vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                            m.mul(lane64(m, a), lane64(m, b)) as u128
-                        });
-                        res.clear(vd);
-                    }
-                    Engine::Mont128(m) => {
-                        let resident = res.mul_sources(vrf, [vs, vt], m, hint);
-                        match resident {
-                            // Both Montgomery: one reduction, and the
-                            // product stays resident (abR = (ab)·R).
-                            (true, true) => {
-                                vv_into(vrf, scratch, vd, vs, vt, |a, b| m.mont_mul_raw(a, b))
+                    Engine::Native64(m) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                        m.mul(lane64(m, a), lane64(m, b)) as u128
+                    }),
+                    Engine::Mont128(m) => match shadows.factor(vrf, [vs, vt], m, hint) {
+                        // One reduction lands the product directly in
+                        // normal form (aR · b · R^{-1} = ab).
+                        Some((mont, other)) => {
+                            for ((o, &a), &b) in scratch.iter_mut().zip(mont).zip(&vrf[ix(other)]) {
+                                *o = m.mont_mul_raw(a, m.reduce(b));
                             }
-                            // Mixed domains: one reduction lands the
-                            // product directly in normal form
-                            // (aR · b · R^{-1} = ab).
-                            (true, false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                                m.mont_mul_raw(a, m.reduce(b))
-                            }),
-                            (false, true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                                m.mont_mul_raw(m.reduce(a), b)
-                            }),
-                            // Both normal: the oracle's two-reduction
-                            // multiply.
-                            (false, false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                                m.mul(m.reduce(a), m.reduce(b))
-                            }),
+                            std::mem::swap(&mut vrf[ix(vd)], scratch);
                         }
-                        if resident == (true, true) {
-                            res.set(vd, m);
-                        } else {
-                            res.clear(vd);
-                        }
-                    }
+                        // The oracle's two-reduction multiply.
+                        None => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
+                            m.mul(m.reduce(a), m.reduce(b))
+                        }),
+                    },
                 }
+                shadows.forget(vd);
                 true
             }
             VSAddMod { vd, vs, rt, rm } | VSSubMod { vd, vs, rt, rm } => {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
-                res.flush(&mut self.vrf, vs);
                 let s = self.srf[usize::from(rt.index())];
                 let vrf = &mut self.vrf;
                 let sub = matches!(instr, VSSubMod { .. });
@@ -560,7 +476,7 @@ impl FunctionalSim {
                         }
                     }
                 }
-                res.clear(vd);
+                shadows.forget(vd);
                 true
             }
             VSMulMod { vd, vs, rt, rm } => {
@@ -573,7 +489,6 @@ impl FunctionalSim {
                     Engine::Native64(m) => {
                         // Shoup: precompute the scalar's quotient once,
                         // then one widening multiply per lane.
-                        res.flush(vrf, vs);
                         let s = m.reduce_wide(s);
                         let s_shoup = m.shoup(s);
                         vs_into(vrf, scratch, vd, vs, |a| {
@@ -582,27 +497,19 @@ impl FunctionalSim {
                     }
                     Engine::Mont128(m) if m.is_odd() => {
                         // One Montgomery reduction per lane instead of
-                        // the oracle's two: against a resident source,
-                        // s · aR · R^{-1} = s·a directly; otherwise
-                        // hoist the scalar into Montgomery form once
-                        // (sR · a · R^{-1} = s·a).
-                        let s = m.reduce(s);
-                        if res.resident_for(vrf, vs, m.value()) {
-                            vs_into(vrf, scratch, vd, vs, |a| m.mont_mul_raw(s, a));
-                        } else {
-                            let s_mont = m.to_mont(s);
-                            vs_into(vrf, scratch, vd, vs, |a| {
-                                m.mont_mul_raw(s_mont, m.reduce(a))
-                            });
-                        }
+                        // the oracle's two: hoist the scalar into
+                        // Montgomery form once (sR · a · R^{-1} = s·a).
+                        let s_mont = m.to_mont(m.reduce(s));
+                        vs_into(vrf, scratch, vd, vs, |a| {
+                            m.mont_mul_raw(s_mont, m.reduce(a))
+                        });
                     }
                     Engine::Mont128(m) => {
-                        res.flush(vrf, vs);
                         let s = m.reduce(s);
                         vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a), s));
                     }
                 }
-                res.clear(vd);
+                shadows.forget(vd);
                 true
             }
             Bfly {
@@ -616,13 +523,10 @@ impl FunctionalSim {
                 let Some(e) = self.fast_modulus(rm) else {
                     return false;
                 };
-                // The addend is consumed in normal form.
-                res.flush(&mut self.vrf, vs);
+                let a = &self.vrf[ix(vs)];
                 match e {
                     Engine::Native64(m) => {
-                        res.flush(&mut self.vrf, vt);
-                        res.flush(&mut self.vrf, vt1);
-                        let (a, b, t) = (&self.vrf[ix(vs)], &self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
+                        let (b, t) = (&self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
                         for i in 0..VECTOR_LEN {
                             let prod = m.mul(lane64(m, b[i]), lane64(m, t[i]));
                             let ai = lane64(m, a[i]);
@@ -631,25 +535,18 @@ impl FunctionalSim {
                         }
                     }
                     Engine::Mont128(m) => {
-                        // The two multiplicative sources can be resident.
-                        let resident = res.mul_sources(&mut self.vrf, [vt, vt1], m, hint);
-                        let (a, b, t) = (&self.vrf[ix(vs)], &self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
-                        for i in 0..VECTOR_LEN {
-                            let prod = match resident {
-                                // Both resident: the raw product lands in
-                                // Montgomery form; one more reduction
-                                // brings it back — still no worse than
-                                // the oracle's two.
-                                (true, true) => m.from_mont(m.mont_mul_raw(b[i], t[i])),
-                                // One resident side folds the pair into a
-                                // single reduction.
-                                (true, false) => m.mont_mul_raw(b[i], m.reduce(t[i])),
-                                (false, true) => m.mont_mul_raw(m.reduce(b[i]), t[i]),
-                                (false, false) => m.mul(m.reduce(b[i]), m.reduce(t[i])),
-                            };
-                            let ai = m.reduce(a[i]);
-                            scratch[i] = m.add(ai, prod);
-                            scratch2[i] = m.sub(ai, prod);
+                        let outs = (&mut scratch[..], &mut scratch2[..]);
+                        match shadows.factor(&self.vrf, [vt, vt1], m, hint) {
+                            // A shadowed side folds the multiply into a
+                            // single reduction.
+                            Some((mont, other)) => {
+                                let ins = (&a[..], mont, &self.vrf[ix(other)][..]);
+                                bfly_into(m, ins, outs, |x, y| m.mont_mul_raw(x, m.reduce(y)));
+                            }
+                            None => {
+                                let ins = (&a[..], &self.vrf[ix(vt)][..], &self.vrf[ix(vt1)][..]);
+                                bfly_into(m, ins, outs, |x, y| m.mul(m.reduce(x), m.reduce(y)));
+                            }
                         }
                     }
                 }
@@ -658,37 +555,37 @@ impl FunctionalSim {
                 // per-lane write order.
                 std::mem::swap(&mut self.vrf[ix(vd)], scratch);
                 std::mem::swap(&mut self.vrf[ix(vd1)], scratch2);
-                res.clear(vd);
-                res.clear(vd1);
+                shadows.forget(vd);
+                shadows.forget(vd1);
                 true
             }
             UnpkLo { vd, vs, vt } => {
-                self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::UnpkLo)
+                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::UnpkLo)
             }
             UnpkHi { vd, vs, vt } => {
-                self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::UnpkHi)
+                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::UnpkHi)
             }
-            PkLo { vd, vs, vt } => self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::PkLo),
-            PkHi { vd, vs, vt } => self.fast_shuffle(res, scratch, vd, vs, vt, ShuffleKind::PkHi),
+            PkLo { vd, vs, vt } => {
+                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::PkLo)
+            }
+            PkHi { vd, vs, vt } => {
+                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::PkHi)
+            }
         }
     }
 
-    /// Shuffles interleave lanes from two registers whose domains may
-    /// differ: normalize both, then swap the result in.
     fn fast_shuffle(
         &mut self,
-        res: &mut Residency,
+        shadows: &mut Shadows,
         scratch: &mut Vec<u128>,
         vd: VReg,
         vs: VReg,
         vt: VReg,
         kind: ShuffleKind,
     ) -> bool {
-        res.flush(&mut self.vrf, vs);
-        res.flush(&mut self.vrf, vt);
         shuffle_into(&self.vrf[ix(vs)], &self.vrf[ix(vt)], kind, scratch);
         std::mem::swap(&mut self.vrf[ix(vd)], scratch);
-        res.clear(vd);
+        shadows.forget(vd);
         true
     }
 }
@@ -830,7 +727,8 @@ mod tests {
     fn montgomery_residency_survives_fanout_chains() {
         // v0 feeds five multiplies (the domain plan promotes it), the
         // products are stored, v0 itself is stored and reused in an add:
-        // every conversion boundary in one program, on both tiers.
+        // every kind of read of a shadowed register in one program, on
+        // both tiers.
         assert_differential(
             "vload v0, [a0 + 0], unit\n\
              vload v1, [a0 + 512], unit\n\
@@ -851,8 +749,8 @@ mod tests {
 
     #[test]
     fn resident_product_chains_match() {
-        // Promote both inputs independently so a resident×resident
-        // product (which itself stays resident) feeds further ops.
+        // Both inputs are reused often enough to be shadowed, in either
+        // operand order, and a product of theirs is squared.
         assert_differential(
             "vload v0, [a0 + 0], unit\n\
              vload v1, [a0 + 512], unit\n\
@@ -872,8 +770,8 @@ mod tests {
     fn squaring_a_promoted_source_matches() {
         // `vmulmod v2, v0, v0` with v0 reused by three later multiplies:
         // the plan promotes v0 at the squaring, where both
-        // multiplicative sources are the *same* register — both sides
-        // must be treated as resident afterwards.
+        // multiplicative sources are the *same* register: the shadow
+        // stands in for one side only, the register supplies the other.
         assert_differential(
             "vload v0, [a0 + 0], unit\n\
              vload v1, [a0 + 512], unit\n\
@@ -893,7 +791,8 @@ mod tests {
     fn mixed_width_moduli_in_one_program_match() {
         // m0 is seeded with the test modulus; m2 is loaded from SDM slot
         // 3 (a small value, servicing the native tier). Registers cross
-        // between the two moduli, forcing mismatched-residency flushes.
+        // between the two moduli: a shadow taken under m0 must not serve
+        // a multiply under m2.
         assert_differential(
             "mload m2, [a0 + 3]\n\
              vload v0, [a0 + 0], unit\n\
@@ -910,10 +809,10 @@ mod tests {
     }
 
     #[test]
-    fn unreduced_lanes_never_promote() {
-        // VDM holds values far above q: promotion's canonical-lane scan
-        // must refuse (a promote/flush round trip would reduce them),
-        // and results must still match the oracle exactly.
+    fn unreduced_lanes_are_shadowed_through_reduce() {
+        // VDM holds values far above q: the shadow holds
+        // to_mont(reduce(x)), the register keeps x itself, and results
+        // must still match the oracle exactly.
         let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
         let huge: Vec<u128> = (0..1024u128).map(|i| u128::MAX - i * 0x1234_5678).collect();
         interp.write_vdm(0, &huge).unwrap();
@@ -932,6 +831,122 @@ mod tests {
         assert_state_eq(&interp, &fast, "unreduced lanes");
         // The store of v0 must write back the original unreduced values.
         assert_eq!(fast.read_vdm(1024, 512).unwrap(), huge[..512]);
+    }
+
+    #[test]
+    fn writing_a_shadowed_register_drops_its_shadow() {
+        // v0 is promoted at the first multiply, then redefined by every
+        // kind of write the fast path has — the interpreter fallback of
+        // a self-referential gather included — and multiplied again: a
+        // stale shadow would supply the old lanes.
+        let writes = [
+            "vload v0, [a0 + 512], unit",
+            "vgather v0, [a0 + 512], v11",
+            "vgather v0, [a0 + 512], v0",
+            "vbroadcast v0, [a0 + 700]",
+            "vaddmod v0, v1, v6, m0",
+            "vsubmod v0, v1, v6, m0",
+            "vmulmod v0, v0, v1, m0",
+            "vsaddmod v0, v1, s1, m0",
+            "vssubmod v0, v1, s1, m0",
+            "vsmulmod v0, v1, s1, m0",
+            "bfly v0, v10, v1, v6, v8, m0",
+            "bfly v10, v0, v1, v6, v8, m0",
+            "unpklo v0, v1, v6",
+            "unpkhi v0, v1, v6",
+            "pklo v0, v1, v6",
+            "pkhi v0, v1, v6",
+        ];
+        for write in writes {
+            let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
+            let indices: Vec<u128> = (0..512u128).map(|i| i * 5 % 512).collect();
+            interp.write_vdm(0, &indices).unwrap();
+            fast.write_vdm(0, &indices).unwrap();
+            let program = predecoded(&format!(
+                "vload v0, [a0 + 0], unit\n\
+                 vload v11, [a0 + 0], unit\n\
+                 vload v1, [a0 + 1024], unit\n\
+                 vload v6, [a0 + 1536], unit\n\
+                 vload v8, [a0 + 2048], unit\n\
+                 sload s1, [a0 + 2]\n\
+                 vmulmod v2, v0, v1, m0\n\
+                 vmulmod v3, v0, v6, m0\n\
+                 vmulmod v4, v0, v8, m0\n\
+                 {write}\n\
+                 vmulmod v5, v0, v11, m0\n\
+                 vstore v5, [a0 + 4096], unit\n"
+            ));
+            assert_eq!(program.domain_plan()[6], PromoteHint::First, "{write}");
+            interp.run(program.program()).unwrap();
+            fast.run_predecoded(&program).unwrap();
+            assert_state_eq(&interp, &fast, write);
+        }
+    }
+
+    #[test]
+    fn a_shadow_serves_only_the_modulus_it_was_taken_under() {
+        // m2 is a second wide odd modulus: v0's shadow under m0 must not
+        // stand in for v0 in a multiply under m2.
+        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
+        for sim in [&mut interp, &mut fast] {
+            sim.write_sdm(3, &[Q - 0x1234_5678]).unwrap();
+        }
+        let program = predecoded(
+            "mload m2, [a0 + 3]\n\
+             vload v0, [a0 + 0], unit\n\
+             vload v1, [a0 + 512], unit\n\
+             vmulmod v2, v0, v1, m0\n\
+             vmulmod v3, v0, v1, m0\n\
+             vmulmod v4, v0, v1, m2\n\
+             vmulmod v5, v0, v1, m0\n\
+             vstore v4, [a0 + 1024], unit\n\
+             vstore v5, [a0 + 2048], unit\n",
+        );
+        assert_eq!(program.domain_plan()[3], PromoteHint::First);
+        interp.run(program.program()).unwrap();
+        fast.run_predecoded(&program).unwrap();
+        assert_state_eq(&interp, &fast, "two wide moduli");
+    }
+
+    #[test]
+    fn shadowed_registers_store_and_gather_as_themselves() {
+        // v0 (valid gather indices) and v6 (valid indices, then lanes far
+        // above q) are both promoted. Stores, a gather through v0 and
+        // the gather through v6 — which faults mid-vector at the first
+        // huge lane — must all see the registers' own lanes, never
+        // reduced or Montgomery-form ones.
+        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
+        let mut lanes: Vec<u128> = (0..1024u128).map(|i| i * 5 % 512).collect();
+        for (i, lane) in lanes.iter_mut().enumerate().skip(512 + 256) {
+            *lane = u128::MAX - i as u128 * 0x1234_5678;
+        }
+        interp.write_vdm(0, &lanes).unwrap();
+        fast.write_vdm(0, &lanes).unwrap();
+        let program = predecoded(
+            "vload v0, [a0 + 0], unit\n\
+             vload v6, [a0 + 512], unit\n\
+             vload v1, [a0 + 1024], unit\n\
+             vmulmod v2, v0, v1, m0\n\
+             vmulmod v3, v0, v1, m0\n\
+             vmulmod v7, v6, v2, m0\n\
+             vmulmod v8, v6, v3, m0\n\
+             vmulmod v9, v6, v3, m0\n\
+             vstore v0, [a0 + 2048], unit\n\
+             vstore v6, [a0 + 2560], unit\n\
+             vgather v4, [a0 + 1024], v0\n\
+             vmulmod v5, v0, v4, m0\n\
+             vstore v5, [a0 + 3072], unit\n\
+             vstore v9, [a0 + 3584], unit\n\
+             vgather v10, [a0 + 1024], v6\n",
+        );
+        assert_eq!(program.domain_plan()[3], PromoteHint::First, "v0");
+        assert_eq!(program.domain_plan()[5], PromoteHint::First, "v6");
+        let a = interp.run(program.program());
+        let b = fast.run_predecoded(&program);
+        assert!(a.is_err(), "the last gather walks out of bounds");
+        assert_eq!(a, b);
+        assert_state_eq(&interp, &fast, "shadowed index registers");
+        assert_eq!(fast.read_vdm(2048, 1024).unwrap(), lanes);
     }
 
     #[test]
@@ -971,9 +986,8 @@ mod tests {
 
     #[test]
     fn faults_at_conversion_points_leave_identical_partial_state() {
-        // Registers are Montgomery-resident when the store faults: the
-        // fault path must flush them back so the partial state matches
-        // the oracle bit for bit.
+        // v0 is shadowed when the store faults: the register file the
+        // fault leaves behind must match the oracle bit for bit.
         for q in [Q, Q60] {
             let vdm = 4 * 512 + 100; // final store's tail is out of bounds
             let mut interp = FunctionalSim::new(vdm, 16);

@@ -79,6 +79,45 @@ fn cross_lane_handles_error_not_corrupt() {
 }
 
 #[test]
+fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
+    // The lane heaps are the only record of placement: a buffer made
+    // through the cluster API and freed by a pool job (whose worker
+    // never saw a placement map) must not be located, blamed on its old
+    // lane, or written into a snapshot.
+    let n = 1024usize;
+    let data = vec![3u128; n];
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    let kernel = c.compile_on(1, &mul_spec(n, q)).unwrap();
+    let buf = c.upload_to(0, &data).unwrap();
+    assert_eq!(c.locate(&buf), Some(0));
+    c.with_workers(|pool| {
+        pool.submit_to(0, Box::new(move |w| w.free(buf).expect("live on lane 0")));
+    });
+    assert_eq!(c.live_buffers(0), 0);
+    assert_eq!(c.locate(&buf), None);
+
+    // Identical device state, identical bytes: a second cluster that
+    // made and freed the same buffer through the cluster API alone.
+    let mut fresh = rpu.cluster();
+    fresh.compile_on(1, &mul_spec(n, q)).unwrap();
+    let twin = fresh.upload_to(0, &data).unwrap();
+    fresh.free(twin).unwrap();
+    assert_eq!(c.snapshot_all(), fresh.snapshot_all());
+
+    let other = c.upload_to(1, &data).unwrap();
+    let out = c.alloc_on(1, n).unwrap();
+    let err = c
+        .dispatch_on(1, &kernel, &[other, buf], &[out])
+        .unwrap_err();
+    assert!(
+        matches!(err, RpuError::Buffer(BufferError::StaleHandle { id }) if id == buf.id()),
+        "got {err}"
+    );
+}
+
+#[test]
 fn failed_migrate_leaks_nothing() {
     // Regression (negative path): when the destination lane's heap
     // cannot take the buffer, `migrate` must leave the source live,

@@ -5,8 +5,16 @@
 //! encoder, the list scheduler or the hazard metadata that moves a
 //! single instruction or cycle fails here in milliseconds, without
 //! waiting for `perf/selfcheck.sh`.
+//!
+//! Each kernel's Montgomery domain plan is pinned the same way: how
+//! many `(First, Second)` promotion hints it carries, captured at the
+//! commit before the fast path's in-place residency became a shadow
+//! cache and the plan lost its flush-cost model. No n = 1024 kernel
+//! reuses a multiplicative source often enough to be hinted; the two
+//! larger forward NTTs below the table are the smallest and the
+//! headline kernels that are.
 
-use rpu::isa::Program;
+use rpu::isa::{Program, PromoteHint};
 use rpu::{
     AutomorphismSpec, CodegenStyle, ConvolutionSpec, CycleSim, Direction, ElementwiseOp,
     ElementwiseSpec, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec, RpuConfig,
@@ -32,6 +40,15 @@ struct Golden {
     words: u64,
     /// Cycle count on the (128, 128) design point.
     cycles: u64,
+    /// [`hint_counts`] of the kernel's domain plan.
+    hints: (usize, usize),
+}
+
+/// `(First, Second)` promotion hints in a kernel's static domain plan.
+fn hint_counts(kernel: &rpu::Kernel) -> (usize, usize) {
+    let plan = kernel.predecoded().domain_plan();
+    let count = |hint| plan.iter().filter(|h| **h == hint).count();
+    (count(PromoteHint::First), count(PromoteHint::Second))
 }
 
 /// Every generator; the moduli are the 126-bit and 59-bit NTT primes
@@ -49,6 +66,7 @@ fn goldens() -> Vec<Golden> {
         instructions,
         words,
         cycles,
+        hints: (0, 0),
     };
     #[rustfmt::skip]
     let rows = vec![
@@ -79,6 +97,21 @@ fn generated_programs_match_their_golden_fingerprints() {
         assert_eq!(p.len(), g.instructions, "{name}: instruction count");
         assert_eq!(fingerprint(&p.to_words()), g.words, "{name}: encoded words");
         assert_eq!(sim.simulate(p).cycles, g.cycles, "{name}: cycle count");
+        assert_eq!(hint_counts(&kernel), g.hints, "{name}: promotion hints");
+    }
+}
+
+#[test]
+fn larger_forward_ntts_keep_their_twiddle_promotions() {
+    // n = 4096 is the smallest degree whose kernels carry hints; 65536
+    // is the headline kernel, whose 40 promoted twiddle vectors are
+    // what the shadow cache is kept for.
+    for (n, hints) in [(4096usize, (0, 10)), (65536, (0, 40))] {
+        let q = rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists");
+        let kernel = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized)
+            .generate()
+            .expect("generates");
+        assert_eq!(hint_counts(&kernel), hints, "forward NTT, n = {n}");
     }
 }
 

@@ -471,7 +471,8 @@ fn cluster_snapshot_restores_lanes_and_ownership() {
 }
 
 /// Restoring a 2-lane snapshot into a 3-lane cluster is the typed lane
-/// mismatch; restoring under live buffers is the typed refusal.
+/// mismatch; restoring under live buffers is the typed refusal; a
+/// placement map that disagrees with the lane heaps is corrupt.
 #[test]
 fn cluster_restore_mismatches_are_typed() {
     let rpu = Rpu::builder().lanes(2).build().unwrap();
@@ -493,6 +494,24 @@ fn cluster_restore_mismatches_are_typed() {
         snap_err(cluster.restore_all(&bytes).unwrap_err()),
         SnapshotError::LiveBuffers { live: 1 }
     );
+
+    // The placement map is checked against the lane heaps it is derived
+    // from: an entry naming a lane the buffer is not live on (1), or a
+    // lane that does not exist (7), is corrupt. `OWNR` is the first
+    // section: header 12, tag + length 12, count 8, buffer id 8, lane.
+    let with_one = cluster.snapshot_all();
+    assert_eq!(with_one[12..16], *b"OWNR");
+    assert_eq!(with_one[40..48], 0u64.to_le_bytes());
+    for lane in [1u64, 7] {
+        let mut moved = with_one.clone();
+        moved[40..48].copy_from_slice(&lane.to_le_bytes());
+        assert!(matches!(
+            snap_err(cluster.restore_all_replacing(&moved).unwrap_err()),
+            SnapshotError::Corrupt(_)
+        ));
+        assert_eq!(cluster.snapshot_all(), with_one, "unchanged on error");
+    }
+
     cluster.free(live).unwrap();
     cluster.restore_all(&bytes).unwrap();
 }
