@@ -45,7 +45,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("`rpu_isa::ISA`, the one description of each instruction; do not edit.");
     println!("Word layout: `[63:55] VD1 | [54:49] VT1 | [48] FLAG | [47:44] OPCODE |");
     println!("[43:24] ADDRESS | [23:18] VD | [17:12] VS/MODE | [11:6] VT/RT/VALUE |");
-    println!("[5:0] RM`. Operands are listed in assembly order.\n");
+    println!("[5:0] RM`. Operands are listed in assembly order. Every element these");
+    println!("instructions move or compute on — a VDM or SDM word, a VRF lane, an");
+    println!("SRF or MRF entry — is 128 bits wide architecturally; the width the");
+    println!("simulator *stores* it in is not part of the ISA (see \"Lane storage");
+    println!("width\" in `docs/arith-engines.md`).\n");
     println!("| mnemonic | opcode | flag | pipe | multiplier | operands | sample word | sample |");
     println!("|---|---|---|---|---|---|---|---|");
     for info in &ISA {

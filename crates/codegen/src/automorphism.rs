@@ -165,6 +165,7 @@ impl KernelSpec for AutomorphismSpec {
             self.key(),
             program,
             base_image,
+            vec![(idx_off, 2 * n)], // index table, then sign table
             vec![0, q],
             vec![(0, n)],
             (out_off, n),

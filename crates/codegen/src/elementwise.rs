@@ -132,6 +132,7 @@ impl KernelSpec for ElementwiseSpec {
             self.key(),
             program,
             vec![0u128; total],
+            Vec::new(), // no VDM tables: the image is all operand windows
             vec![0, q],
             vec![(0, n), (n, n)],
             (2 * n, n),

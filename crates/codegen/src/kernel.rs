@@ -217,6 +217,12 @@ pub struct Kernel {
     /// Full VDM image with all operand regions zeroed (constant tables
     /// such as twiddles are pre-placed).
     base_image: Vec<u128>,
+    /// `(element offset, length)` of every span of `base_image` the
+    /// generator placed a table into — recorded by the generator, never
+    /// inferred from non-zero values (an automorphism's index table
+    /// legitimately contains index 0). Everything outside is scratch or
+    /// an operand window and is zero in the image.
+    constants: Vec<(usize, usize)>,
     sdm: Vec<u128>,
     /// `(element offset, length)` of each operand in the VDM.
     input_ranges: Vec<(usize, usize)>,
@@ -240,19 +246,32 @@ impl core::fmt::Debug for Kernel {
 
 impl Kernel {
     /// Assembles a kernel from its parts (generator-internal).
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         key: KernelKey,
         program: Program,
         base_image: Vec<u128>,
+        constants: Vec<(usize, usize)>,
         sdm: Vec<u128>,
         input_ranges: Vec<(usize, usize)>,
         output_range: (usize, usize),
         golden: GoldenFn,
     ) -> Self {
+        debug_assert!(
+            {
+                let mut rest = base_image.clone();
+                for &(off, len) in &constants {
+                    rest[off..off + len].fill(0);
+                }
+                rest.iter().all(|&x| x == 0)
+            },
+            "{key:?}: a table sits outside the declared constant spans"
+        );
         Kernel {
             key,
             program: PredecodedProgram::new(program),
             base_image,
+            constants,
             sdm,
             input_ranges,
             output_range,
@@ -321,6 +340,14 @@ impl Kernel {
         self.base_image.len()
     }
 
+    /// `(element offset, length)` of each constant table in the VDM
+    /// working set (twiddles, gather indices, sign vectors) — what
+    /// [`load_into`](Kernel::load_into) writes. Empty for kernels whose
+    /// only constants are SDM scalars.
+    pub fn constant_spans(&self) -> &[(usize, usize)] {
+        &self.constants
+    }
+
     /// Builds the initial VDM image for the given operands: constant
     /// tables pre-placed, each operand copied into its input range.
     ///
@@ -353,21 +380,43 @@ impl Kernel {
         self.sdm.len()
     }
 
-    /// Loads the kernel's *data-free* state into a simulator: the
-    /// constant VDM image (operand regions zeroed) at element 0 and the
-    /// SDM constants at element 0. After this, the kernel can be
-    /// dispatched repeatedly by refreshing only its operand ranges —
-    /// constants such as twiddle tables are never written by the
-    /// generated programs, so they stay valid across runs.
+    /// Loads the kernel's *data-free* state into a simulator: its
+    /// constant tables ([`constant_spans`](Kernel::constant_spans)) at
+    /// their working-set offsets and the SDM constants at element 0 —
+    /// and nothing else: operand windows and scratch keep whatever they
+    /// held (programs write scratch before reading it, and a dispatch
+    /// binds every operand window). Returns the number of elements
+    /// written. After this, the kernel can be dispatched repeatedly by
+    /// refreshing only its operand ranges — constants such as twiddle
+    /// tables are never written by the generated programs, so they stay
+    /// valid across runs.
     ///
     /// # Errors
     ///
     /// Returns [`ExecError::HostTransferOutOfBounds`] if the simulator's
     /// VDM or SDM is smaller than the kernel's working set (grow it
-    /// first with `ensure_vdm`/`ensure_sdm`).
-    pub fn load_into(&self, sim: &mut FunctionalSim) -> Result<(), ExecError> {
-        sim.write_vdm(0, &self.base_image)?;
-        sim.write_sdm(0, &self.sdm)
+    /// first with `ensure_vdm`/`ensure_sdm`); nothing is written.
+    pub fn load_into(&self, sim: &mut FunctionalSim) -> Result<usize, ExecError> {
+        // The whole working set must fit, not just the tables: a kernel
+        // with no VDM constants still runs over `total_elements`.
+        let fits = |memory, len, capacity| {
+            let oob = ExecError::HostTransferOutOfBounds {
+                memory,
+                offset: 0,
+                len,
+                capacity,
+            };
+            (len <= capacity).then_some(()).ok_or(oob)
+        };
+        fits("VDM", self.base_image.len(), sim.vdm_capacity())?;
+        fits("SDM", self.sdm.len(), sim.sdm_capacity())?;
+        let mut written = self.sdm.len();
+        for &(off, len) in &self.constants {
+            sim.write_vdm(off, &self.base_image[off..off + len])?;
+            written += len;
+        }
+        sim.write_sdm(0, &self.sdm)?;
+        Ok(written)
     }
 
     /// Golden output for the given operands, from the scalar model.
@@ -521,6 +570,7 @@ impl From<NttKernel> for Kernel {
         // A zero input leaves exactly the constant tables (twiddles) in
         // the image; the input range is re-filled per execution.
         let base_image = ntt.vdm_image(&vec![0u128; n]);
+        let constants = vec![ntt.layout().twiddle_span()];
         let sdm = ntt.sdm_image();
         let output_range = ntt.output_range();
         let schedule = ntt.schedule().clone();
@@ -533,6 +583,7 @@ impl From<NttKernel> for Kernel {
             key,
             ntt.into_program(),
             base_image,
+            constants,
             sdm,
             vec![(0, n)],
             output_range,

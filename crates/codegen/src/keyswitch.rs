@@ -124,6 +124,7 @@ impl KernelSpec for KeySwitchSpec {
             self.key(),
             program,
             base_image,
+            vec![fwd.layout().twiddle_span()], // the NTT window sits at 0
             fwd.sdm_image(), // [n_inv, q, companion(n_inv)], shared slot convention
             vec![(0, n), (key_off, n), (acc_off, n)],
             (out_off, n),

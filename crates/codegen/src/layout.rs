@@ -94,6 +94,14 @@ impl KernelLayout {
         self.twiddle_bases[s as usize] + v * VECTOR_LEN
     }
 
+    /// `(element offset, length)` of the twiddle tables: one contiguous
+    /// span from the end of the ping-pong buffers to the end of the
+    /// working set — the only part of an NTT kernel's VDM image that is
+    /// constant.
+    pub fn twiddle_span(&self) -> (usize, usize) {
+        (2 * self.n, self.total_elements - 2 * self.n)
+    }
+
     /// VDM footprint in bytes.
     pub fn total_bytes(&self) -> usize {
         self.total_elements * ELEM_BYTES

@@ -102,6 +102,12 @@ impl KernelSpec for ConvolutionSpec {
         base_image[..fwd_total].copy_from_slice(&fwd_consts);
         base_image[region_b..region_b + fwd_total].copy_from_slice(&fwd_consts);
         base_image[region_inv..].copy_from_slice(&inv.vdm_image(&zero));
+        let at = |region: usize, (off, len): (usize, usize)| (region + off, len);
+        let constants = vec![
+            fwd.layout().twiddle_span(),
+            at(region_b, fwd.layout().twiddle_span()),
+            at(region_inv, inv.layout().twiddle_span()),
+        ];
 
         let schedule = fwd.schedule().clone();
         let modulus = schedule.modulus();
@@ -119,6 +125,7 @@ impl KernelSpec for ConvolutionSpec {
             self.key(),
             program,
             base_image,
+            constants,
             fwd.sdm_image(), // [n_inv, q, companion(n_inv)], shared by all NTT segments
             vec![(0, n), (region_b, n)],
             (region_inv + inv_out, n),

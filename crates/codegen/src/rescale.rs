@@ -144,6 +144,7 @@ impl KernelSpec for RescaleSpec {
             self.key(),
             program,
             base_image,
+            vec![fwd.layout().twiddle_span()], // the NTT window sits at 0
             sdm,
             vec![(0, n), (hat_off, n)],
             (out_off, n),

@@ -183,8 +183,10 @@ pub struct TransferStats {
     /// Elements moved VDM → VDM on-device (operand binding + result
     /// write-back).
     pub device_copies: usize,
-    /// Constant-image elements written into the workspace (0 when the
-    /// kernel image was already resident).
+    /// Constant-image elements written on a kernel switch: the kernel's
+    /// VDM tables plus its SDM scalars — not its operand windows or
+    /// scratch, which a load leaves alone (0 when the kernel image was
+    /// already resident).
     pub image_elements: usize,
     /// `true` when the kernel's constant image was already loaded from a
     /// previous dispatch and did not have to be rewritten.

@@ -876,6 +876,16 @@ impl<'a> RpuCluster<'a> {
         self.lanes[lane].session.live_buffers()
     }
 
+    /// The word width `lane`'s simulator stores its elements in
+    /// ([`RpuSession::lane_bits`]): 64 or 128.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane_bits(&self, lane: usize) -> u32 {
+        self.lanes[lane].session.lane_bits()
+    }
+
     /// The busiest lane's total simulated time, in microseconds — the
     /// cluster's completion time so far.
     pub fn makespan_us(&self) -> f64 {

@@ -218,10 +218,11 @@ impl Rpu {
     }
 
     /// The single `RunReport` construction site: attaches the identity
-    /// and verdict flags to a session's memoized cycle `stats`.
+    /// and verdict flags to a session's memoized cycle `stats` and
+    /// instruction `mix`.
     pub(crate) fn assemble_report(
         &self,
-        program: &rpu_isa::Program,
+        mix: rpu_isa::InstructionMix,
         key: rpu_codegen::KernelKey,
         stats: SimStats,
         verified: bool,
@@ -233,7 +234,7 @@ impl Rpu {
             q: key.q,
             direction: key.direction,
             style: key.style,
-            mix: program.mix(),
+            mix,
             runtime_us: self.cycles_to_us(stats.cycles),
             energy: self.energy_model.breakdown(&stats),
             verified,

@@ -57,7 +57,7 @@ use crate::snapshot::{self, SessionImage, SnapshotError};
 use crate::trace::{self, DispatchEvent, TraceSink};
 use crate::RpuError;
 use rpu_codegen::{CodegenStyle, Direction, Kernel, KernelKey, KernelSpec, NttSpec};
-use rpu_isa::AReg;
+use rpu_isa::{AReg, InstructionMix};
 use rpu_model::{AreaModel, EnergyModel};
 use rpu_sim::{FunctionalSim, RpuConfig, SimStats};
 use std::collections::HashMap;
@@ -459,6 +459,9 @@ struct DeviceState {
     /// The kernel whose constant image currently occupies the
     /// workspace; dispatches of the same kernel skip the image rewrite.
     loaded: Option<KernelKey>,
+    /// Heap offsets of the operands of the dispatch in flight (kept so
+    /// binding them allocates nothing).
+    in_locs: Vec<usize>,
 }
 
 impl DeviceState {
@@ -470,6 +473,7 @@ impl DeviceState {
             workspace,
             heap: BufferAllocator::new(workspace, heap_elements),
             loaded: None,
+            in_locs: Vec::new(),
         }
     }
 
@@ -503,9 +507,10 @@ pub struct RpuSession<'a> {
     cache: KernelCache,
     primes: PrimeTable,
     device: DeviceState,
-    /// Memoized cycle-simulation results per kernel: timing is a pure
-    /// function of the program, so warm dispatches skip re-simulation.
-    timing: HashMap<KernelKey, SimStats>,
+    /// Memoized cycle-simulation results and instruction mix per kernel:
+    /// both are pure functions of the program, so warm dispatches skip
+    /// re-simulating and re-walking it.
+    timing: HashMap<KernelKey, (SimStats, InstructionMix)>,
     /// Lane index recorded on this session's trace events (0 for a
     /// standalone session; clusters set per-lane indices).
     lane: usize,
@@ -651,6 +656,15 @@ impl<'a> RpuSession<'a> {
         self.device.heap.capacity()
     }
 
+    /// The width, in bits, of the words the session's simulator stores
+    /// its elements in ([`FunctionalSim::lane_bits`]): 64 until an
+    /// upload, write, kernel image or restore brings a value of 2⁶⁴ or
+    /// more, 128 from then on. A session over sub-64-bit moduli stays
+    /// at 64 and moves half the bytes per element.
+    pub fn lane_bits(&self) -> u32 {
+        self.device.sim.lane_bits()
+    }
+
     /// Compiles (or recalls) the kernel for `spec` and verifies it once
     /// against its golden model — the per-*shape* step of the
     /// accelerator-runtime model. The result is what
@@ -692,10 +706,11 @@ impl<'a> RpuSession<'a> {
         let key = kernel.key();
         let verified = kernel.verification().unwrap_or(false);
         let cache_hit = true;
-        let started = Instant::now();
+        // The clock is read only for a sink that will record it.
+        let traced = self.rpu.trace_sink().map(|sink| (sink, Instant::now()));
         let transfer = self.dispatch_raw(kernel, inputs, outputs)?;
-        let stats = self.timed(kernel);
-        if let Some(sink) = self.rpu.trace_sink() {
+        let (stats, mix) = self.timed(kernel);
+        if let Some((sink, started)) = traced {
             sink.record(DispatchEvent {
                 seq: 0, // the sink assigns the real sequence number
                 key,
@@ -708,9 +723,9 @@ impl<'a> RpuSession<'a> {
                 tenant: trace::current_tenant(),
             });
         }
-        let mut report =
-            self.rpu
-                .assemble_report(kernel.program(), key, stats, verified, cache_hit);
+        let mut report = self
+            .rpu
+            .assemble_report(mix, key, stats, verified, cache_hit);
         report.transfer = transfer;
         Ok(report)
     }
@@ -745,7 +760,7 @@ impl<'a> RpuSession<'a> {
             .into());
         }
         // Resolve every handle before touching device state.
-        let mut in_locs = Vec::with_capacity(inputs.len());
+        self.device.in_locs.clear();
         for (buf, &(_, need)) in inputs.iter().zip(kernel.input_ranges()) {
             let (offset, len) = self.device.heap.resolve(buf)?;
             if len != need {
@@ -755,7 +770,7 @@ impl<'a> RpuSession<'a> {
                 }
                 .into());
             }
-            in_locs.push(offset);
+            self.device.in_locs.push(offset);
         }
         let (out_ws, out_len) = kernel.output_range();
         let (out_offset, got) = self.device.heap.resolve(&outputs[0])?;
@@ -772,19 +787,18 @@ impl<'a> RpuSession<'a> {
 
         // Load the kernel's constant image unless it is already resident.
         if self.device.loaded != Some(kernel.key()) {
-            if let Err(e) = kernel.load_into(&mut self.device.sim) {
-                // The workspace may hold a partial image now.
-                self.device.loaded = None;
-                return Err(RpuError::Exec(e));
-            }
-            transfer.image_elements = kernel.total_elements();
+            // The workspace may hold a partial image if this fails.
+            self.device.loaded = None;
+            transfer.image_elements = kernel
+                .load_into(&mut self.device.sim)
+                .map_err(RpuError::Exec)?;
             self.device.loaded = Some(kernel.key());
         } else {
             transfer.image_reused = true;
         }
 
         // Bind operands: heap → workspace, entirely on-device.
-        for (&src, &(dst, len)) in in_locs.iter().zip(kernel.input_ranges()) {
+        for (&src, &(dst, len)) in self.device.in_locs.iter().zip(kernel.input_ranges()) {
             self.device
                 .sim
                 .copy_vdm(dst, src, len)
@@ -818,12 +832,13 @@ impl<'a> RpuSession<'a> {
         Ok(transfer)
     }
 
-    /// The memoized cycle-simulation result for a kernel.
-    fn timed(&mut self, kernel: &Kernel) -> SimStats {
+    /// The memoized cycle-simulation result and instruction mix for a
+    /// kernel.
+    fn timed(&mut self, kernel: &Kernel) -> (SimStats, InstructionMix) {
         let rpu = self.rpu;
         self.timing
             .entry(kernel.key())
-            .or_insert_with(|| rpu.time(kernel.program()))
+            .or_insert_with(|| (rpu.time(kernel.program()), kernel.program().mix()))
             .clone()
     }
 
@@ -891,9 +906,9 @@ impl<'a> RpuSession<'a> {
             let _ = self.device.heap.free(&buf);
         }
         let data = result?;
-        let stats = self.timed(&kernel);
+        let (stats, mix) = self.timed(&kernel);
         let mut report = self.rpu.assemble_report(
-            kernel.program(),
+            mix,
             kernel.key(),
             stats,
             kernel.verification().unwrap_or(false),

@@ -6,14 +6,17 @@
 //! [`PredecodedProgram`] instead: one match per [`Instruction`], one
 //! hoisted bounds check per vector access (against the addressing
 //! mode's [`span`](AddrMode::span)), and mod-arith inner loops over
-//! whole vectors with no per-element dispatch.
+//! whole vectors with no per-element dispatch — written once over the
+//! [`Lane`] word the state is stored in, so a session whose values all
+//! fit 64 bits moves and computes on 8-byte lanes.
 //!
 //! Two arithmetic tiers service the compute instructions, selected per
 //! modulus through the shared [`Engine`] cache:
 //!
 //! * **Native u64** (`q < 2^63`): lanes are reduced to canonical `u64`
 //!   and multiplied with one widening multiply plus a Barrett (or, for
-//!   vector-scalar, Shoup) reduction.
+//!   vector-scalar, Shoup) reduction. On 64-bit lanes this tier does no
+//!   `u128` work beyond that multiply.
 //! * **Montgomery 128** (everything else): the [`Modulus128`] path,
 //!   extended with a *Montgomery shadow cache* — a register the
 //!   program's static [`PromoteHint`] plan marks as a reused
@@ -21,7 +24,8 @@
 //!   Montgomery form ([`Shadows`]), and multiplies that read the copy
 //!   cost one Montgomery reduction per lane instead of two. The
 //!   register itself always holds its architectural lanes; writing it
-//!   drops the copy.
+//!   drops the copy. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane
+//!   is widened going in and narrowed coming out.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
@@ -41,9 +45,12 @@
 //! the fallback in rule 2 needs no preparation and a fault no repair.
 //!
 //! [`PromoteHint`]: rpu_isa::PromoteHint
+//! [`FunctionalSim::run`]: crate::FunctionalSim::run
+//! [`FunctionalSim::ensure_vdm`]: crate::FunctionalSim::ensure_vdm
+//! [`ExecError`]: crate::ExecError
 
-use crate::func::{shuffle_into, ExecError, FunctionalSim, ShuffleKind};
-use rpu_arith::{Engine, Modulus128, Modulus64};
+use crate::func::{shuffle_into, Engines, ExecError, Lane, ShuffleKind, Store};
+use rpu_arith::{Engine, Modulus128};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, PromoteHint, VReg};
 
@@ -52,23 +59,24 @@ fn ix(r: VReg) -> usize {
     usize::from(r.index())
 }
 
-/// Lane-wise vector-vector loop: sources are read into `scratch`, then
-/// the destination is replaced by pointer swap — alias-safe (`vd` may
-/// equal `vs`/`vt`) with no per-lane bounds checks and no copies.
+/// Lane-wise vector-vector loop: `f`'s results (values that fit the
+/// lane word) are written into `scratch`, then the destination is
+/// replaced by pointer swap — alias-safe (`vd` may equal `vs`/`vt`) with
+/// no per-lane bounds checks and no copies.
 #[inline]
-fn vv_into(
-    vrf: &mut [Vec<u128>],
-    scratch: &mut Vec<u128>,
+fn vv_into<W: Lane>(
+    vrf: &mut [Vec<W>],
+    scratch: &mut Vec<W>,
     vd: VReg,
     vs: VReg,
     vt: VReg,
-    f: impl Fn(u128, u128) -> u128,
+    f: impl Fn(W, W) -> u128,
 ) {
     {
         let a = &vrf[ix(vs)];
         let b = &vrf[ix(vt)];
         for ((o, &x), &y) in scratch.iter_mut().zip(a).zip(b) {
-            *o = f(x, y);
+            *o = W::narrow(f(x, y));
         }
     }
     std::mem::swap(&mut vrf[ix(vd)], scratch);
@@ -76,69 +84,62 @@ fn vv_into(
 
 /// Lane-wise vector-scalar loop (same swap discipline as [`vv_into`]).
 #[inline]
-fn vs_into(
-    vrf: &mut [Vec<u128>],
-    scratch: &mut Vec<u128>,
+fn vs_into<W: Lane>(
+    vrf: &mut [Vec<W>],
+    scratch: &mut Vec<W>,
     vd: VReg,
     vs: VReg,
-    f: impl Fn(u128) -> u128,
+    f: impl Fn(W) -> u128,
 ) {
     {
         let a = &vrf[ix(vs)];
         for (o, &x) in scratch.iter_mut().zip(a) {
-            *o = f(x);
+            *o = W::narrow(f(x));
         }
     }
     std::mem::swap(&mut vrf[ix(vd)], scratch);
 }
 
 /// The Montgomery-tier butterfly, lane by lane: `sum = a + x·y` and
-/// `diff = a - x·y`, with `mul` supplying the canonical product.
+/// `diff = a - x·y`, with `mul` supplying the canonical product (`x` is
+/// a register's lanes or its Montgomery shadow).
 #[inline]
-fn bfly_into(
+fn bfly_into<W: Lane, X: Copy>(
     m: Modulus128,
-    (a, x, y): (&[u128], &[u128], &[u128]),
-    (sum, diff): (&mut [u128], &mut [u128]),
-    mul: impl Fn(u128, u128) -> u128,
+    (a, x, y): (&[W], &[X], &[W]),
+    (sum, diff): (&mut [W], &mut [W]),
+    mul: impl Fn(X, W) -> u128,
 ) {
     let outs = sum.iter_mut().zip(diff.iter_mut());
     for (((s, d), &a), (&x, &y)) in outs.zip(a).zip(x.iter().zip(y)) {
-        let (a, prod) = (m.reduce(a), mul(x, y));
-        *s = m.add(a, prod);
-        *d = m.sub(a, prod);
-    }
-}
-
-/// Canonicalizes one lane for the native-u64 tier. The compare-first
-/// branch keeps already-canonical lanes (the overwhelmingly common
-/// case) to one u128 comparison.
-#[inline]
-fn lane64(m: Modulus64, x: u128) -> u64 {
-    if x < m.value() as u128 {
-        x as u64
-    } else {
-        m.reduce_wide(x)
+        let (a, prod) = (m.reduce(a.widen()), mul(x, y));
+        *s = W::narrow(m.add(a, prod));
+        *d = W::narrow(m.sub(a, prod));
     }
 }
 
 /// Run-local Montgomery copies of vector registers: for a shadowed
 /// register `r`, `lanes[r][i] = to_mont(reduce(vrf[r][i]))` under the
-/// modulus recorded in `q[r]`. The registers themselves are never
-/// touched, so the only duty is to [`forget`](Shadows::forget) the copy
-/// whenever its register is written.
-struct Shadows {
+/// modulus recorded in `q[r]` — always `u128`, whatever width the
+/// registers are stored in. The registers themselves are never touched,
+/// so the only duty is to [`forget`](Shadows::forget) the copy whenever
+/// its register is written.
+#[derive(Debug, Clone)]
+pub(crate) struct Shadows {
     q: [Option<u128>; NUM_VREGS],
     lanes: [Vec<u128>; NUM_VREGS],
 }
 
-impl Shadows {
-    fn new() -> Self {
+impl Default for Shadows {
+    fn default() -> Self {
         Shadows {
             q: [None; NUM_VREGS],
             lanes: std::array::from_fn(|_| Vec::new()),
         }
     }
+}
 
+impl Shadows {
     /// Forgets the copy of `r`, which is about to be (or was just)
     /// overwritten.
     #[inline]
@@ -150,9 +151,9 @@ impl Shadows {
     /// Montgomery copy of one source and the register holding the other
     /// factor, or `None` when neither source has a copy. The source the
     /// static plan hints at is copied first.
-    fn factor(
+    fn factor<W: Lane>(
         &mut self,
-        vrf: &[Vec<u128>],
+        vrf: &[Vec<W>],
         sources: [VReg; 2],
         m: Modulus128,
         hint: PromoteHint,
@@ -168,7 +169,7 @@ impl Shadows {
         };
         if let Some(r) = hinted.filter(|&r| self.q[r] != q) {
             self.lanes[r].clear();
-            self.lanes[r].extend(vrf[r].iter().map(|&x| m.to_mont(m.reduce(x))));
+            self.lanes[r].extend(vrf[r].iter().map(|x| m.to_mont(m.reduce(x.widen()))));
             self.q[r] = q;
         }
         let slot = sources.iter().position(|&r| self.q[ix(r)] == q)?;
@@ -176,31 +177,25 @@ impl Shadows {
     }
 }
 
-impl FunctionalSim {
-    /// Executes a pre-decoded program to completion on the fast path.
+impl<W: Lane> Store<W> {
+    /// The body of [`FunctionalSim::run_predecoded`] in one lane width.
     ///
-    /// Observationally identical to running
-    /// [`run`](FunctionalSim::run) on the source program (see the
-    /// interpreter-as-oracle contract on [`FunctionalSim`]), at a small
-    /// fraction of the wall-clock cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same [`ExecError`] the interpreter would, with the
-    /// same architectural state retained up to the fault.
-    pub fn run_predecoded(&mut self, program: &PredecodedProgram) -> Result<(), ExecError> {
-        // Reusable full-vector scratch buffers: destination registers are
-        // replaced by pointer swap, so steady-state execution allocates
-        // nothing.
-        let mut scratch = vec![0u128; VECTOR_LEN];
-        let mut scratch2 = vec![0u128; VECTOR_LEN];
-        let mut shadows = Shadows::new();
+    /// [`FunctionalSim::run_predecoded`]: crate::FunctionalSim::run_predecoded
+    pub(crate) fn run_predecoded(
+        &mut self,
+        program: &PredecodedProgram,
+        engines: &mut Engines,
+        shadows: &mut Shadows,
+    ) -> Result<(), ExecError> {
+        // Shadows are run-local: since the last run the registers may
+        // have been rewritten by the interpreter or re-stored wider.
+        shadows.q.fill(None);
         let plan = program.domain_plan();
         for (pc, instr) in program.program().instructions().iter().enumerate() {
-            if !self.fast_op(instr, plan[pc], &mut shadows, &mut scratch, &mut scratch2) {
+            if !self.fast_op(instr, plan[pc], engines, shadows) {
                 // Slow path: re-run the instruction through the
                 // interpreter for oracle-exact errors and partial state.
-                self.step(instr, pc)?;
+                self.step(instr, pc, engines)?;
                 for vd in instr.dst_vregs().into_iter().flatten() {
                     shadows.forget(vd);
                 }
@@ -209,18 +204,12 @@ impl FunctionalSim {
         Ok(())
     }
 
-    /// Prepares the engine for the modulus in `MRF[rm]`, sharing the
-    /// interpreter's cache. `None` (invalid modulus) sends the caller
-    /// to the interpreter fallback for the exact error.
+    /// The engine for the modulus in `MRF[rm]`, from the cache the
+    /// interpreter shares. `None` (invalid modulus) sends the caller to
+    /// the interpreter fallback for the exact error.
     #[inline]
-    fn fast_modulus(&mut self, rm: MReg) -> Option<Engine> {
-        let value = self.mrf[usize::from(rm.index())];
-        if let Some(m) = self.modulus_cache.get(&value) {
-            return Some(*m);
-        }
-        let m = Engine::new(value)?;
-        self.modulus_cache.insert(value, m);
-        Some(m)
+    fn fast_modulus(&self, rm: MReg, engines: &mut Engines) -> Option<Engine> {
+        engines.get(self.mrf[usize::from(rm.index())].widen())
     }
 
     /// Effective VDM window of a static-mode access, if provably in
@@ -255,9 +244,8 @@ impl FunctionalSim {
         &mut self,
         instr: &Instruction,
         hint: PromoteHint,
+        engines: &mut Engines,
         shadows: &mut Shadows,
-        scratch: &mut Vec<u128>,
-        scratch2: &mut Vec<u128>,
     ) -> bool {
         use Instruction::*;
         match *instr {
@@ -355,18 +343,16 @@ impl FunctionalSim {
                 // Prove every lane in bounds first; any hostile index
                 // goes back to the interpreter, which reports the fault
                 // after committing exactly the preceding lanes.
-                for &idx in self.vrf[ix(vi)].iter() {
-                    match usize::try_from(idx).ok().and_then(|i| start.checked_add(i)) {
+                for idx in self.vrf[ix(vi)].iter() {
+                    let idx = usize::try_from(idx.widen()).ok();
+                    match idx.and_then(|i| start.checked_add(i)) {
                         Some(addr) if addr < len => {}
                         _ => return false,
                     }
                 }
-                {
-                    let idxs = &self.vrf[ix(vi)];
-                    let vdm = &self.vdm;
-                    for (o, &idx) in scratch.iter_mut().zip(idxs) {
-                        *o = vdm[start + idx as usize];
-                    }
+                let scratch = &mut self.scratch[0];
+                for (o, idx) in scratch.iter_mut().zip(&self.vrf[ix(vi)]) {
+                    *o = self.vdm[start + idx.widen() as usize];
                 }
                 std::mem::swap(&mut self.vrf[ix(vd)], scratch);
                 shadows.forget(vd);
@@ -399,52 +385,52 @@ impl FunctionalSim {
                 let Some(addr) = self.sdm_window(base, offset) else {
                     return false;
                 };
-                self.arf[usize::from(rt.index())] = self.sdm[addr] as u64;
+                self.arf[usize::from(rt.index())] = self.sdm[addr].widen() as u64;
                 true
             }
             VAddMod { vd, vs, vt, rm } | VSubMod { vd, vs, vt, rm } => {
-                let Some(e) = self.fast_modulus(rm) else {
+                let Some(e) = self.fast_modulus(rm, engines) else {
                     return false;
                 };
-                let vrf = &mut self.vrf;
+                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
                 match (e, matches!(instr, VSubMod { .. })) {
                     (Engine::Native64(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.add(lane64(m, a), lane64(m, b)) as u128
+                        m.add(a.canon(m), b.canon(m)).into()
                     }),
                     (Engine::Native64(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.sub(lane64(m, a), lane64(m, b)) as u128
+                        m.sub(a.canon(m), b.canon(m)).into()
                     }),
                     (Engine::Mont128(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.add(m.reduce(a), m.reduce(b))
+                        m.add(m.reduce(a.widen()), m.reduce(b.widen()))
                     }),
                     (Engine::Mont128(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.sub(m.reduce(a), m.reduce(b))
+                        m.sub(m.reduce(a.widen()), m.reduce(b.widen()))
                     }),
                 }
                 shadows.forget(vd);
                 true
             }
             VMulMod { vd, vs, vt, rm } => {
-                let Some(e) = self.fast_modulus(rm) else {
+                let Some(e) = self.fast_modulus(rm, engines) else {
                     return false;
                 };
-                let vrf = &mut self.vrf;
+                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
                 match e {
                     Engine::Native64(m) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.mul(lane64(m, a), lane64(m, b)) as u128
+                        m.mul(a.canon(m), b.canon(m)).into()
                     }),
                     Engine::Mont128(m) => match shadows.factor(vrf, [vs, vt], m, hint) {
                         // One reduction lands the product directly in
                         // normal form (aR · b · R^{-1} = ab).
                         Some((mont, other)) => {
-                            for ((o, &a), &b) in scratch.iter_mut().zip(mont).zip(&vrf[ix(other)]) {
-                                *o = m.mont_mul_raw(a, m.reduce(b));
+                            for ((o, &a), b) in scratch.iter_mut().zip(mont).zip(&vrf[ix(other)]) {
+                                *o = W::narrow(m.mont_mul_raw(a, m.reduce(b.widen())));
                             }
                             std::mem::swap(&mut vrf[ix(vd)], scratch);
                         }
                         // The oracle's two-reduction multiply.
                         None => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                            m.mul(m.reduce(a), m.reduce(b))
+                            m.mul(m.reduce(a.widen()), m.reduce(b.widen()))
                         }),
                     },
                 }
@@ -452,27 +438,27 @@ impl FunctionalSim {
                 true
             }
             VSAddMod { vd, vs, rt, rm } | VSSubMod { vd, vs, rt, rm } => {
-                let Some(e) = self.fast_modulus(rm) else {
+                let Some(e) = self.fast_modulus(rm, engines) else {
                     return false;
                 };
                 let s = self.srf[usize::from(rt.index())];
-                let vrf = &mut self.vrf;
+                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
                 let sub = matches!(instr, VSSubMod { .. });
                 match e {
                     Engine::Native64(m) => {
-                        let s = m.reduce_wide(s);
+                        let s = s.canon(m);
                         if sub {
-                            vs_into(vrf, scratch, vd, vs, |a| m.sub(lane64(m, a), s) as u128);
+                            vs_into(vrf, scratch, vd, vs, |a| m.sub(a.canon(m), s).into());
                         } else {
-                            vs_into(vrf, scratch, vd, vs, |a| m.add(lane64(m, a), s) as u128);
+                            vs_into(vrf, scratch, vd, vs, |a| m.add(a.canon(m), s).into());
                         }
                     }
                     Engine::Mont128(m) => {
-                        let s = m.reduce(s);
+                        let s = m.reduce(s.widen());
                         if sub {
-                            vs_into(vrf, scratch, vd, vs, |a| m.sub(m.reduce(a), s));
+                            vs_into(vrf, scratch, vd, vs, |a| m.sub(m.reduce(a.widen()), s));
                         } else {
-                            vs_into(vrf, scratch, vd, vs, |a| m.add(m.reduce(a), s));
+                            vs_into(vrf, scratch, vd, vs, |a| m.add(m.reduce(a.widen()), s));
                         }
                     }
                 }
@@ -480,33 +466,33 @@ impl FunctionalSim {
                 true
             }
             VSMulMod { vd, vs, rt, rm } => {
-                let Some(e) = self.fast_modulus(rm) else {
+                let Some(e) = self.fast_modulus(rm, engines) else {
                     return false;
                 };
                 let s = self.srf[usize::from(rt.index())];
-                let vrf = &mut self.vrf;
+                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
                 match e {
                     Engine::Native64(m) => {
                         // Shoup: precompute the scalar's quotient once,
                         // then one widening multiply per lane.
-                        let s = m.reduce_wide(s);
+                        let s = s.canon(m);
                         let s_shoup = m.shoup(s);
                         vs_into(vrf, scratch, vd, vs, |a| {
-                            m.mul_shoup(lane64(m, a), s, s_shoup) as u128
+                            m.mul_shoup(a.canon(m), s, s_shoup).into()
                         });
                     }
                     Engine::Mont128(m) if m.is_odd() => {
                         // One Montgomery reduction per lane instead of
                         // the oracle's two: hoist the scalar into
                         // Montgomery form once (sR · a · R^{-1} = s·a).
-                        let s_mont = m.to_mont(m.reduce(s));
+                        let s_mont = m.to_mont(m.reduce(s.widen()));
                         vs_into(vrf, scratch, vd, vs, |a| {
-                            m.mont_mul_raw(s_mont, m.reduce(a))
+                            m.mont_mul_raw(s_mont, m.reduce(a.widen()))
                         });
                     }
                     Engine::Mont128(m) => {
-                        let s = m.reduce(s);
-                        vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a), s));
+                        let s = m.reduce(s.widen());
+                        vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a.widen()), s));
                     }
                 }
                 shadows.forget(vd);
@@ -520,18 +506,19 @@ impl FunctionalSim {
                 vt1,
                 rm,
             } => {
-                let Some(e) = self.fast_modulus(rm) else {
+                let Some(e) = self.fast_modulus(rm, engines) else {
                     return false;
                 };
+                let [scratch, scratch2] = &mut self.scratch;
                 let a = &self.vrf[ix(vs)];
                 match e {
                     Engine::Native64(m) => {
                         let (b, t) = (&self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
                         for i in 0..VECTOR_LEN {
-                            let prod = m.mul(lane64(m, b[i]), lane64(m, t[i]));
-                            let ai = lane64(m, a[i]);
-                            scratch[i] = m.add(ai, prod) as u128;
-                            scratch2[i] = m.sub(ai, prod) as u128;
+                            let prod = m.mul(b[i].canon(m), t[i].canon(m));
+                            let ai = a[i].canon(m);
+                            scratch[i] = W::narrow(m.add(ai, prod).into());
+                            scratch2[i] = W::narrow(m.sub(ai, prod).into());
                         }
                     }
                     Engine::Mont128(m) => {
@@ -541,11 +528,15 @@ impl FunctionalSim {
                             // single reduction.
                             Some((mont, other)) => {
                                 let ins = (&a[..], mont, &self.vrf[ix(other)][..]);
-                                bfly_into(m, ins, outs, |x, y| m.mont_mul_raw(x, m.reduce(y)));
+                                bfly_into(m, ins, outs, |x, y| {
+                                    m.mont_mul_raw(x, m.reduce(y.widen()))
+                                });
                             }
                             None => {
                                 let ins = (&a[..], &self.vrf[ix(vt)][..], &self.vrf[ix(vt1)][..]);
-                                bfly_into(m, ins, outs, |x, y| m.mul(m.reduce(x), m.reduce(y)));
+                                bfly_into(m, ins, outs, |x, y| {
+                                    m.mul(m.reduce(x.widen()), m.reduce(y.widen()))
+                                });
                             }
                         }
                     }
@@ -559,30 +550,22 @@ impl FunctionalSim {
                 shadows.forget(vd1);
                 true
             }
-            UnpkLo { vd, vs, vt } => {
-                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::UnpkLo)
-            }
-            UnpkHi { vd, vs, vt } => {
-                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::UnpkHi)
-            }
-            PkLo { vd, vs, vt } => {
-                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::PkLo)
-            }
-            PkHi { vd, vs, vt } => {
-                self.fast_shuffle(shadows, scratch, vd, vs, vt, ShuffleKind::PkHi)
-            }
+            UnpkLo { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::UnpkLo),
+            UnpkHi { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::UnpkHi),
+            PkLo { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::PkLo),
+            PkHi { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::PkHi),
         }
     }
 
     fn fast_shuffle(
         &mut self,
         shadows: &mut Shadows,
-        scratch: &mut Vec<u128>,
         vd: VReg,
         vs: VReg,
         vt: VReg,
         kind: ShuffleKind,
     ) -> bool {
+        let scratch = &mut self.scratch[0];
         shuffle_into(&self.vrf[ix(vs)], &self.vrf[ix(vt)], kind, scratch);
         std::mem::swap(&mut self.vrf[ix(vd)], scratch);
         shadows.forget(vd);
@@ -593,7 +576,8 @@ impl FunctionalSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu_isa::{parse_asm, MReg, Program};
+    use crate::FunctionalSim;
+    use rpu_isa::{parse_asm, Program, SReg};
 
     const Q: u128 = 0xFFFF_FFFF_0000_0001;
     /// 60-bit NTT prime (2^60 - 2^14 + 1): exercises the native-u64 tier.
@@ -634,12 +618,24 @@ mod tests {
     }
 
     fn assert_state_eq(interp: &FunctionalSim, fast: &FunctionalSim, label: &str) {
-        assert_eq!(interp.vdm, fast.vdm, "VDM diverged: {label}");
-        assert_eq!(interp.sdm, fast.sdm, "SDM diverged: {label}");
-        assert_eq!(interp.vrf, fast.vrf, "VRF diverged: {label}");
-        assert_eq!(interp.srf, fast.srf, "SRF diverged: {label}");
-        assert_eq!(interp.arf, fast.arf, "ARF diverged: {label}");
-        assert_eq!(interp.mrf, fast.mrf, "MRF diverged: {label}");
+        let vdm = |s: &FunctionalSim| s.read_vdm(0, s.vdm_capacity()).unwrap();
+        let sdm = |s: &FunctionalSim| s.read_sdm(0, s.sdm_capacity()).unwrap();
+        let regs = |s: &FunctionalSim| {
+            let each = |f: &dyn Fn(u8) -> u128| (0..64).map(f).collect::<Vec<_>>();
+            (
+                (0..64).map(|r| s.vreg(VReg::at(r))).collect::<Vec<_>>(),
+                each(&|r| s.sreg(SReg::at(r))),
+                each(&|r| s.areg(AReg::at(r)).into()),
+                each(&|r| s.mreg(MReg::at(r))),
+            )
+        };
+        assert_eq!(vdm(interp), vdm(fast), "VDM diverged: {label}");
+        assert_eq!(sdm(interp), sdm(fast), "SDM diverged: {label}");
+        let ((iv, is, ia, im), (fv, fs, fa, fm)) = (regs(interp), regs(fast));
+        assert_eq!(iv, fv, "VRF diverged: {label}");
+        assert_eq!(is, fs, "SRF diverged: {label}");
+        assert_eq!(ia, fa, "ARF diverged: {label}");
+        assert_eq!(im, fm, "MRF diverged: {label}");
     }
 
     #[test]
@@ -906,6 +902,37 @@ mod tests {
         interp.run(program.program()).unwrap();
         fast.run_predecoded(&program).unwrap();
         assert_state_eq(&interp, &fast, "two wide moduli");
+    }
+
+    #[test]
+    fn shadows_do_not_outlive_a_run() {
+        // The shadow table lives in the simulator (a run allocates
+        // nothing), but its contents are run-local: v0 is shadowed by
+        // the first fast-path run, rewritten by an interpreter run in
+        // between, and multiplied again — without being reloaded — by a
+        // second fast-path run, which must see the new lanes.
+        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
+        let promote = predecoded(
+            "vload v0, [a0 + 0], unit\n\
+             vload v1, [a0 + 512], unit\n\
+             vmulmod v2, v0, v1, m0\n\
+             vmulmod v3, v0, v1, m0\n\
+             vmulmod v4, v0, v1, m0\n",
+        );
+        assert_eq!(promote.domain_plan()[2], PromoteHint::First);
+        let rewrite = parse_asm("t", "vload v0, [a0 + 1024], unit\n").unwrap();
+        let reuse = predecoded(
+            "vmulmod v5, v0, v1, m0\n\
+             vstore v5, [a0 + 2048], unit\n",
+        );
+        interp.run(promote.program()).unwrap();
+        fast.run_predecoded(&promote).unwrap();
+        for sim in [&mut interp, &mut fast] {
+            sim.run(&rewrite).unwrap();
+        }
+        interp.run(reuse.program()).unwrap();
+        fast.run_predecoded(&reuse).unwrap();
+        assert_state_eq(&interp, &fast, "stale shadow across runs");
     }
 
     #[test]

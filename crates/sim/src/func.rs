@@ -6,9 +6,10 @@
 //! about cycles; here it validates `rpu-codegen` kernels against
 //! `rpu-ntt`.
 
-use rpu_arith::Engine;
+use crate::fastpath::Shadows;
+use rpu_arith::{Engine, Modulus64};
 use rpu_isa::consts::{NUM_AREGS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
-use rpu_isa::{AReg, Instruction, MReg, Program, SReg, VReg};
+use rpu_isa::{AReg, Instruction, MReg, PredecodedProgram, Program, SReg, VReg};
 use std::collections::HashMap;
 
 /// Error raised during functional execution.
@@ -97,6 +98,124 @@ impl core::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// The word a lane is stored in. Architecturally every B512 element is
+/// 128 bits wide; the simulator stores elements in `u64` for as long as
+/// every value fits (see "Lane storage width" on [`FunctionalSim`]), and
+/// both executors are written once over this trait.
+pub(crate) trait Lane: Copy + Default {
+    /// The architectural value of the lane.
+    fn widen(self) -> u128;
+    /// Stores a value known to fit the word: any value for `u128`; for
+    /// `u64` a value below 2⁶⁴, which the narrow invariant guarantees of
+    /// everything an instruction can produce.
+    fn narrow(x: u128) -> Self;
+    /// The lane reduced into `[0, q)` for the native-u64 engine. The
+    /// compare-first branch keeps already-canonical lanes (the
+    /// overwhelmingly common case) to one comparison.
+    fn canon(self, m: Modulus64) -> u64;
+}
+
+impl Lane for u64 {
+    #[inline]
+    fn widen(self) -> u128 {
+        u128::from(self)
+    }
+    #[inline]
+    fn narrow(x: u128) -> u64 {
+        debug_assert!(x <= u128::from(u64::MAX), "narrow invariant broken");
+        x as u64
+    }
+    #[inline]
+    fn canon(self, m: Modulus64) -> u64 {
+        if self < m.value() {
+            self
+        } else {
+            m.reduce(self)
+        }
+    }
+}
+
+impl Lane for u128 {
+    #[inline]
+    fn widen(self) -> u128 {
+        self
+    }
+    #[inline]
+    fn narrow(x: u128) -> u128 {
+        x
+    }
+    #[inline]
+    fn canon(self, m: Modulus64) -> u64 {
+        if self < u128::from(m.value()) {
+            self as u64
+        } else {
+            m.reduce_wide(self)
+        }
+    }
+}
+
+/// The architectural state in one lane width, plus the fast path's two
+/// full-vector scratch buffers (destination registers are replaced by
+/// pointer swap, so steady-state execution allocates nothing).
+#[derive(Debug, Clone)]
+pub(crate) struct Store<W> {
+    pub(crate) vrf: Vec<Vec<W>>,
+    pub(crate) srf: [W; NUM_SREGS],
+    pub(crate) arf: [u64; NUM_AREGS],
+    pub(crate) mrf: [W; NUM_MREGS],
+    pub(crate) vdm: Vec<W>,
+    pub(crate) sdm: Vec<W>,
+    pub(crate) scratch: [Vec<W>; 2],
+}
+
+/// The state in whichever width it currently has. (One per simulator,
+/// never in a collection: the variants' size difference costs nothing.)
+#[derive(Debug, Clone)]
+#[allow(clippy::large_enum_variant)]
+enum Lanes {
+    Narrow(Store<u64>),
+    Wide(Store<u128>),
+}
+
+/// Evaluates `$body` with `$s` bound to the live [`Store`]: the one
+/// width dispatch of a host call or a run.
+macro_rules! on_store {
+    ($lanes:expr, $s:ident => $body:expr) => {
+        match $lanes {
+            Lanes::Narrow($s) => $body,
+            Lanes::Wide($s) => $body,
+        }
+    };
+}
+
+/// Prepared engines per modulus value (Montgomery / Barrett constants
+/// are expensive to derive), shared by both executors, behind a
+/// one-entry memo: a kernel names one modulus in nearly every compute
+/// instruction, and the memo spares those the hash of a `u128`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Engines {
+    map: HashMap<u128, Engine>,
+    last: Option<(u128, Engine)>,
+}
+
+impl Engines {
+    /// The engine for modulus `q`, or `None` when `q` is invalid.
+    /// `Engine::new` accepts exactly the `Modulus128` range [2, 2^127),
+    /// so which engine services a modulus never changes which moduli
+    /// fault.
+    #[inline]
+    pub(crate) fn get(&mut self, q: u128) -> Option<Engine> {
+        if self.last.map(|(last, _)| last) != Some(q) {
+            let e = match self.map.get(&q) {
+                Some(&e) => e,
+                None => *self.map.entry(q).or_insert(Engine::new(q)?),
+            };
+            self.last = Some((q, e));
+        }
+        self.last.map(|(_, e)| e)
+    }
+}
+
 /// Architectural state of an RPU plus the functional executor.
 ///
 /// # The interpreter-as-oracle contract
@@ -112,6 +231,23 @@ impl std::error::Error for ExecError {}
 /// or fault; the differential and fuzz suites in `tests/` hold it to
 /// that. Changes to instruction semantics must be made here first — the
 /// fast path follows the oracle, never the other way round.
+///
+/// # Lane storage width
+///
+/// Elements are 128 bits architecturally and every host-facing method
+/// speaks `u128`, but a new simulator *stores* them in 64-bit words. That
+/// is exact as long as every architectural value is below 2⁶⁴, a set all
+/// 18 instructions are closed under: loads, stores, gathers, broadcasts
+/// and shuffles copy; every `*mod` result is below `q = MRF[rm] < 2⁶⁴`;
+/// `aload` truncates to `u64` anyway. A wider value can therefore only
+/// arrive from the host, so the host writes
+/// ([`write_vdm`](FunctionalSim::write_vdm),
+/// [`write_sdm`](FunctionalSim::write_sdm),
+/// [`set_mrf`](FunctionalSim::set_mrf),
+/// [`set_srf`](FunctionalSim::set_srf)) check their data and, on the
+/// first value that does not fit, re-store the whole state in 128-bit
+/// words, once and for good ([`lane_bits`](FunctionalSim::lane_bits)
+/// reports which). Nothing observable depends on the width.
 ///
 /// # Examples
 ///
@@ -138,17 +274,35 @@ impl std::error::Error for ExecError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct FunctionalSim {
-    // Architectural state is pub(crate) so the fast-path executor
-    // (`fastpath.rs`) shares it without accessor overhead.
-    pub(crate) vrf: Vec<Vec<u128>>,
-    pub(crate) srf: [u128; NUM_SREGS],
-    pub(crate) arf: [u64; NUM_AREGS],
-    pub(crate) mrf: [u128; NUM_MREGS],
-    pub(crate) vdm: Vec<u128>,
-    pub(crate) sdm: Vec<u128>,
-    /// Cache of prepared per-modulus arithmetic engines (Montgomery /
-    /// Barrett constants are expensive to derive).
-    pub(crate) modulus_cache: HashMap<u128, Engine>,
+    lanes: Lanes,
+    engines: Engines,
+    /// The fast path's run-local Montgomery shadows (kept here so a run
+    /// allocates nothing).
+    shadows: Shadows,
+}
+
+/// Host → device copy into `dst[..src.len()]`.
+fn put<W: Lane>(dst: &mut [W], src: &[u128]) {
+    for (o, &x) in dst.iter_mut().zip(src) {
+        *o = W::narrow(x);
+    }
+}
+
+/// Device → host copy.
+fn get<W: Lane>(src: &[W]) -> Vec<u128> {
+    src.iter().map(|x| x.widen()).collect()
+}
+
+/// Grows a memory to at least `elements`, zero-filling the new tail. A
+/// memory's first allocation comes zeroed from the allocator rather than
+/// filled here, so the pages of a workspace no kernel ever touches are
+/// never made resident.
+fn grow<W: Lane>(memory: &mut Vec<W>, elements: usize) {
+    if memory.is_empty() {
+        *memory = vec![W::default(); elements];
+    } else if elements > memory.len() {
+        memory.resize(elements, W::default());
+    }
 }
 
 impl FunctionalSim {
@@ -156,13 +310,9 @@ impl FunctionalSim {
     /// 128-bit **elements**.
     pub fn new(vdm_elements: usize, sdm_elements: usize) -> Self {
         FunctionalSim {
-            vrf: vec![vec![0u128; VECTOR_LEN]; NUM_VREGS],
-            srf: [0; NUM_SREGS],
-            arf: [0; NUM_AREGS],
-            mrf: [0; NUM_MREGS],
-            vdm: vec![0; vdm_elements],
-            sdm: vec![0; sdm_elements],
-            modulus_cache: HashMap::new(),
+            lanes: Lanes::Narrow(Store::new(vdm_elements, sdm_elements)),
+            engines: Engines::default(),
+            shadows: Shadows::default(),
         }
     }
 
@@ -171,14 +321,24 @@ impl FunctionalSim {
         FunctionalSim::new(config.vdm_elements(), config.sdm_elements())
     }
 
+    /// The width, in bits, of the words the state is currently stored
+    /// in: 64 until the host writes a value that needs more, 128 from
+    /// then on (see "Lane storage width" above).
+    pub fn lane_bits(&self) -> u32 {
+        match self.lanes {
+            Lanes::Narrow(_) => 64,
+            Lanes::Wide(_) => 128,
+        }
+    }
+
     /// Current VDM capacity in elements.
     pub fn vdm_capacity(&self) -> usize {
-        self.vdm.len()
+        on_store!(&self.lanes, s => s.vdm.len())
     }
 
     /// Current SDM capacity in elements.
     pub fn sdm_capacity(&self) -> usize {
-        self.sdm.len()
+        on_store!(&self.lanes, s => s.sdm.len())
     }
 
     /// Grows the VDM to at least `elements` (zero-filling the new tail);
@@ -186,17 +346,13 @@ impl FunctionalSim {
     /// host that instantiated a larger VDM macro — the session layer uses
     /// it to lay out a resident-buffer heap above kernel workspaces.
     pub fn ensure_vdm(&mut self, elements: usize) {
-        if elements > self.vdm.len() {
-            self.vdm.resize(elements, 0);
-        }
+        on_store!(&mut self.lanes, s => grow(&mut s.vdm, elements))
     }
 
     /// Grows the SDM to at least `elements`; see
     /// [`ensure_vdm`](FunctionalSim::ensure_vdm).
     pub fn ensure_sdm(&mut self, elements: usize) {
-        if elements > self.sdm.len() {
-            self.sdm.resize(elements, 0);
-        }
+        on_store!(&mut self.lanes, s => grow(&mut s.sdm, elements))
     }
 
     /// Checks a host-transfer range against a memory's capacity (shared
@@ -219,6 +375,18 @@ impl FunctionalSim {
         }
     }
 
+    /// The one-way widening rule: host data about to enter a narrow
+    /// state that holds any value of 2⁶⁴ or more re-stores the whole
+    /// state in 128-bit words first. Callers bounds-check before this,
+    /// so a rejected transfer leaves the width alone.
+    fn admit(&mut self, data: &[u128]) {
+        if let Lanes::Narrow(s) = &self.lanes {
+            if data.iter().fold(0, |hi, &x| hi | (x >> 64)) != 0 {
+                self.lanes = Lanes::Wide(s.widened());
+            }
+        }
+    }
+
     /// Copies `len` elements inside the VDM from `src` to `dst` (the
     /// on-device transfer a dispatch uses to bind resident buffers to a
     /// kernel's operand windows — no host round trip). Overlapping
@@ -229,9 +397,9 @@ impl FunctionalSim {
     /// Returns [`ExecError::HostTransferOutOfBounds`] if either range
     /// exceeds VDM capacity; the VDM is untouched.
     pub fn copy_vdm(&mut self, dst: usize, src: usize, len: usize) -> Result<(), ExecError> {
-        Self::check_transfer("VDM", self.vdm.len(), src, len)?;
-        Self::check_transfer("VDM", self.vdm.len(), dst, len)?;
-        self.vdm.copy_within(src..src + len, dst);
+        Self::check_transfer("VDM", self.vdm_capacity(), src, len)?;
+        Self::check_transfer("VDM", self.vdm_capacity(), dst, len)?;
+        on_store!(&mut self.lanes, s => s.vdm.copy_within(src..src + len, dst));
         Ok(())
     }
 
@@ -242,8 +410,9 @@ impl FunctionalSim {
     /// Returns [`ExecError::HostTransferOutOfBounds`] if the write
     /// exceeds VDM capacity; the VDM is untouched.
     pub fn write_vdm(&mut self, offset: usize, data: &[u128]) -> Result<(), ExecError> {
-        Self::check_transfer("VDM", self.vdm.len(), offset, data.len())?;
-        self.vdm[offset..offset + data.len()].copy_from_slice(data);
+        Self::check_transfer("VDM", self.vdm_capacity(), offset, data.len())?;
+        self.admit(data);
+        on_store!(&mut self.lanes, s => put(&mut s.vdm[offset..], data));
         Ok(())
     }
 
@@ -254,8 +423,8 @@ impl FunctionalSim {
     /// Returns [`ExecError::HostTransferOutOfBounds`] if the read
     /// exceeds VDM capacity.
     pub fn read_vdm(&self, offset: usize, len: usize) -> Result<Vec<u128>, ExecError> {
-        Self::check_transfer("VDM", self.vdm.len(), offset, len)?;
-        Ok(self.vdm[offset..offset + len].to_vec())
+        Self::check_transfer("VDM", self.vdm_capacity(), offset, len)?;
+        Ok(on_store!(&self.lanes, s => get(&s.vdm[offset..offset + len])))
     }
 
     /// Reads `len` elements from the SDM at an element offset — the
@@ -267,8 +436,8 @@ impl FunctionalSim {
     /// Returns [`ExecError::HostTransferOutOfBounds`] if the read
     /// exceeds SDM capacity.
     pub fn read_sdm(&self, offset: usize, len: usize) -> Result<Vec<u128>, ExecError> {
-        Self::check_transfer("SDM", self.sdm.len(), offset, len)?;
-        Ok(self.sdm[offset..offset + len].to_vec())
+        Self::check_transfer("SDM", self.sdm_capacity(), offset, len)?;
+        Ok(on_store!(&self.lanes, s => get(&s.sdm[offset..offset + len])))
     }
 
     /// Writes elements into the SDM at an element offset.
@@ -278,35 +447,48 @@ impl FunctionalSim {
     /// Returns [`ExecError::HostTransferOutOfBounds`] if the write
     /// exceeds SDM capacity; the SDM is untouched.
     pub fn write_sdm(&mut self, offset: usize, data: &[u128]) -> Result<(), ExecError> {
-        Self::check_transfer("SDM", self.sdm.len(), offset, data.len())?;
-        self.sdm[offset..offset + data.len()].copy_from_slice(data);
+        Self::check_transfer("SDM", self.sdm_capacity(), offset, data.len())?;
+        self.admit(data);
+        on_store!(&mut self.lanes, s => put(&mut s.sdm[offset..], data));
         Ok(())
     }
 
     /// Sets a modulus register directly (hosts do this before launching a
     /// kernel, like the controlling RISC-V core in Section IV-A).
     pub fn set_mrf(&mut self, reg: MReg, value: u128) {
-        self.mrf[reg.index() as usize] = value;
+        self.admit(&[value]);
+        on_store!(&mut self.lanes, s => s.mrf[reg.index() as usize] = Lane::narrow(value))
     }
 
     /// Sets an address register directly.
     pub fn set_arf(&mut self, reg: AReg, value: u64) {
-        self.arf[reg.index() as usize] = value;
+        on_store!(&mut self.lanes, s => s.arf[reg.index() as usize] = value)
     }
 
     /// Sets a scalar register directly.
     pub fn set_srf(&mut self, reg: SReg, value: u128) {
-        self.srf[reg.index() as usize] = value;
+        self.admit(&[value]);
+        on_store!(&mut self.lanes, s => s.srf[reg.index() as usize] = Lane::narrow(value))
     }
 
     /// Reads a vector register.
-    pub fn vreg(&self, reg: VReg) -> &[u128] {
-        &self.vrf[reg.index() as usize]
+    pub fn vreg(&self, reg: VReg) -> Vec<u128> {
+        on_store!(&self.lanes, s => get(&s.vrf[reg.index() as usize]))
     }
 
     /// Reads a scalar register.
     pub fn sreg(&self, reg: SReg) -> u128 {
-        self.srf[reg.index() as usize]
+        on_store!(&self.lanes, s => s.srf[reg.index() as usize].widen())
+    }
+
+    /// Reads a modulus register.
+    pub fn mreg(&self, reg: MReg) -> u128 {
+        on_store!(&self.lanes, s => s.mrf[reg.index() as usize].widen())
+    }
+
+    /// Reads an address register.
+    pub fn areg(&self, reg: AReg) -> u64 {
+        on_store!(&self.lanes, s => s.arf[reg.index() as usize])
     }
 
     /// Executes a program to completion.
@@ -317,26 +499,75 @@ impl FunctionalSim {
     /// modulus; architectural state up to the faulting instruction is
     /// retained.
     pub fn run(&mut self, program: &Program) -> Result<(), ExecError> {
-        for (pc, instr) in program.instructions().iter().enumerate() {
-            self.step(instr, pc)?;
-        }
-        Ok(())
+        let (engines, instrs) = (&mut self.engines, program.instructions());
+        on_store!(&mut self.lanes, s => {
+            instrs.iter().enumerate().try_for_each(|(pc, instr)| s.step(instr, pc, engines))
+        })
     }
 
-    fn modulus(&mut self, rm: MReg, pc: usize) -> Result<Engine, ExecError> {
-        let value = self.mrf[rm.index() as usize];
-        if let Some(m) = self.modulus_cache.get(&value) {
-            return Ok(*m);
+    /// Executes a pre-decoded program to completion on the fast path
+    /// (`fastpath.rs`).
+    ///
+    /// Observationally identical to running
+    /// [`run`](FunctionalSim::run) on the source program (see the
+    /// interpreter-as-oracle contract above), at a small fraction of the
+    /// wall-clock cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns the same [`ExecError`] the interpreter would, with the
+    /// same architectural state retained up to the fault.
+    pub fn run_predecoded(&mut self, program: &PredecodedProgram) -> Result<(), ExecError> {
+        let (engines, shadows) = (&mut self.engines, &mut self.shadows);
+        on_store!(&mut self.lanes, s => s.run_predecoded(program, engines, shadows))
+    }
+}
+
+impl Store<u64> {
+    /// Every value re-stored in 128-bit words. Zero lanes are skipped
+    /// rather than copied, so an untouched stretch of a memory stays
+    /// untouched (not resident) in its wide copy.
+    fn widened(&self) -> Store<u128> {
+        let wide = |v: &Vec<u64>| {
+            let mut out = vec![0u128; v.len()];
+            for (o, &x) in out.iter_mut().zip(v).filter(|(_, &x)| x != 0) {
+                *o = u128::from(x);
+            }
+            out
+        };
+        Store {
+            vrf: self.vrf.iter().map(wide).collect(),
+            srf: self.srf.map(u128::from),
+            arf: self.arf,
+            mrf: self.mrf.map(u128::from),
+            vdm: wide(&self.vdm),
+            sdm: wide(&self.sdm),
+            scratch: [wide(&self.scratch[0]), wide(&self.scratch[1])],
         }
-        // Engine::new accepts exactly the Modulus128 range [2, 2^127),
-        // so which engine services a modulus never changes which moduli
-        // fault.
-        let m = Engine::new(value).ok_or(ExecError::InvalidModulus {
-            mreg: rm.index(),
-            pc,
-        })?;
-        self.modulus_cache.insert(value, m);
-        Ok(m)
+    }
+}
+
+impl<W: Lane> Store<W> {
+    fn new(vdm_elements: usize, sdm_elements: usize) -> Self {
+        let vector = vec![W::default(); VECTOR_LEN];
+        Store {
+            vrf: vec![vector.clone(); NUM_VREGS],
+            srf: [W::default(); NUM_SREGS],
+            arf: [0; NUM_AREGS],
+            mrf: [W::default(); NUM_MREGS],
+            vdm: vec![W::default(); vdm_elements],
+            sdm: vec![W::default(); sdm_elements],
+            scratch: [vector.clone(), vector],
+        }
+    }
+
+    fn modulus(&self, rm: MReg, pc: usize, engines: &mut Engines) -> Result<Engine, ExecError> {
+        engines
+            .get(self.mrf[rm.index() as usize].widen())
+            .ok_or(ExecError::InvalidModulus {
+                mreg: rm.index(),
+                pc,
+            })
     }
 
     fn vdm_addr(
@@ -378,8 +609,14 @@ impl FunctionalSim {
     /// Executes one instruction with full reference semantics. The fast
     /// path falls back to this for any op it cannot prove safe, so
     /// faulting instructions report errors (and leave partial state)
-    /// exactly as the oracle does.
-    pub(crate) fn step(&mut self, instr: &Instruction, pc: usize) -> Result<(), ExecError> {
+    /// exactly as the oracle does. Arithmetic is on the architectural
+    /// `u128` values whatever the storage width.
+    pub(crate) fn step(
+        &mut self,
+        instr: &Instruction,
+        pc: usize,
+        engines: &mut Engines,
+    ) -> Result<(), ExecError> {
         use Instruction::*;
         match *instr {
             VLoad {
@@ -413,7 +650,7 @@ impl FunctionalSim {
                 // Per-lane indexed load: indices come from a register, so
                 // every lane can read an arbitrary VDM element.
                 for i in 0..VECTOR_LEN {
-                    let idx = self.vrf[vi.index() as usize][i];
+                    let idx = self.vrf[vi.index() as usize][i].widen();
                     let lane_off = usize::try_from(idx).map_err(|_| ExecError::VdmOutOfBounds {
                         address: usize::MAX,
                         capacity: self.vdm.len(),
@@ -438,14 +675,14 @@ impl FunctionalSim {
             }
             ALoad { rt, base, offset } => {
                 let addr = self.sdm_addr(base, offset, pc)?;
-                self.arf[rt.index() as usize] = self.sdm[addr] as u64;
+                self.arf[rt.index() as usize] = self.sdm[addr].widen() as u64;
             }
             // ALU ops match the engine once per instruction and run a
             // monomorphized lane loop — per-lane dispatch through the
             // `Engine` enum would put a branch in front of every reduce
             // and multiply. Both variants compute identical canonical
             // results; only the machine arithmetic differs.
-            VAddMod { vd, vs, vt, rm } => match self.modulus(rm, pc)? {
+            VAddMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
                 Engine::Mont128(m) => {
                     self.lanewise_vv(vd, vs, vt, |a, b| m.add(m.reduce(a), m.reduce(b)))
                 }
@@ -453,7 +690,7 @@ impl FunctionalSim {
                     m.add(m.reduce_wide(a), m.reduce_wide(b)) as u128
                 }),
             },
-            VSubMod { vd, vs, vt, rm } => match self.modulus(rm, pc)? {
+            VSubMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
                 Engine::Mont128(m) => {
                     self.lanewise_vv(vd, vs, vt, |a, b| m.sub(m.reduce(a), m.reduce(b)))
                 }
@@ -461,7 +698,7 @@ impl FunctionalSim {
                     m.sub(m.reduce_wide(a), m.reduce_wide(b)) as u128
                 }),
             },
-            VMulMod { vd, vs, vt, rm } => match self.modulus(rm, pc)? {
+            VMulMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
                 Engine::Mont128(m) => {
                     self.lanewise_vv(vd, vs, vt, |a, b| m.mul(m.reduce(a), m.reduce(b)))
                 }
@@ -470,8 +707,8 @@ impl FunctionalSim {
                 }),
             },
             VSAddMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize];
-                match self.modulus(rm, pc)? {
+                let srf = self.srf[rt.index() as usize].widen();
+                match self.modulus(rm, pc, engines)? {
                     Engine::Mont128(m) => {
                         let s = m.reduce(srf);
                         self.lanewise_vs(vd, vs, |a| m.add(m.reduce(a), s));
@@ -483,8 +720,8 @@ impl FunctionalSim {
                 }
             }
             VSSubMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize];
-                match self.modulus(rm, pc)? {
+                let srf = self.srf[rt.index() as usize].widen();
+                match self.modulus(rm, pc, engines)? {
                     Engine::Mont128(m) => {
                         let s = m.reduce(srf);
                         self.lanewise_vs(vd, vs, |a| m.sub(m.reduce(a), s));
@@ -496,8 +733,8 @@ impl FunctionalSim {
                 }
             }
             VSMulMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize];
-                match self.modulus(rm, pc)? {
+                let srf = self.srf[rt.index() as usize].widen();
+                match self.modulus(rm, pc, engines)? {
                     Engine::Mont128(m) => {
                         let s = m.reduce(srf);
                         self.lanewise_vs(vd, vs, |a| m.mul(m.reduce(a), s));
@@ -516,27 +753,27 @@ impl FunctionalSim {
                 vt1,
                 rm,
             } => {
-                let engine = self.modulus(rm, pc)?;
+                let engine = self.modulus(rm, pc, engines)?;
                 // vd = vs + vt1*vt ; vd1 = vs - vt1*vt (CT butterfly).
                 // Read all sources before writing: vd/vd1 may alias them.
-                let a: Vec<u128> = self.vrf[vs.index() as usize].clone();
-                let b: Vec<u128> = self.vrf[vt.index() as usize].clone();
-                let t: Vec<u128> = self.vrf[vt1.index() as usize].clone();
+                let a = get(&self.vrf[vs.index() as usize]);
+                let b = get(&self.vrf[vt.index() as usize]);
+                let t = get(&self.vrf[vt1.index() as usize]);
                 match engine {
                     Engine::Mont128(m) => {
                         for i in 0..VECTOR_LEN {
                             let prod = m.mul(m.reduce(b[i]), m.reduce(t[i]));
                             let ai = m.reduce(a[i]);
-                            self.vrf[vd.index() as usize][i] = m.add(ai, prod);
-                            self.vrf[vd1.index() as usize][i] = m.sub(ai, prod);
+                            self.vrf[vd.index() as usize][i] = W::narrow(m.add(ai, prod));
+                            self.vrf[vd1.index() as usize][i] = W::narrow(m.sub(ai, prod));
                         }
                     }
                     Engine::Native64(m) => {
                         for i in 0..VECTOR_LEN {
                             let prod = m.mul(m.reduce_wide(b[i]), m.reduce_wide(t[i]));
                             let ai = m.reduce_wide(a[i]);
-                            self.vrf[vd.index() as usize][i] = m.add(ai, prod) as u128;
-                            self.vrf[vd1.index() as usize][i] = m.sub(ai, prod) as u128;
+                            self.vrf[vd.index() as usize][i] = W::narrow(m.add(ai, prod) as u128);
+                            self.vrf[vd1.index() as usize][i] = W::narrow(m.sub(ai, prod) as u128);
                         }
                     }
                 }
@@ -551,16 +788,16 @@ impl FunctionalSim {
 
     fn lanewise_vv(&mut self, vd: VReg, vs: VReg, vt: VReg, f: impl Fn(u128, u128) -> u128) {
         for i in 0..VECTOR_LEN {
-            let a = self.vrf[vs.index() as usize][i];
-            let b = self.vrf[vt.index() as usize][i];
-            self.vrf[vd.index() as usize][i] = f(a, b);
+            let a = self.vrf[vs.index() as usize][i].widen();
+            let b = self.vrf[vt.index() as usize][i].widen();
+            self.vrf[vd.index() as usize][i] = W::narrow(f(a, b));
         }
     }
 
     fn lanewise_vs(&mut self, vd: VReg, vs: VReg, f: impl Fn(u128) -> u128) {
         for i in 0..VECTOR_LEN {
-            let a = self.vrf[vs.index() as usize][i];
-            self.vrf[vd.index() as usize][i] = f(a);
+            let a = self.vrf[vs.index() as usize][i].widen();
+            self.vrf[vd.index() as usize][i] = W::narrow(f(a));
         }
     }
 
@@ -588,7 +825,7 @@ pub(crate) enum ShuffleKind {
 /// * `UNPKHI`: interleave the second halves of `vs` and `vt`.
 /// * `PKLO`: even-indexed `vs` elements then even-indexed `vt` elements.
 /// * `PKHI`: odd-indexed `vs` elements then odd-indexed `vt` elements.
-pub(crate) fn shuffle_into(s: &[u128], t: &[u128], kind: ShuffleKind, out: &mut [u128]) {
+pub(crate) fn shuffle_into<T: Copy>(s: &[T], t: &[T], kind: ShuffleKind, out: &mut [T]) {
     let n = s.len();
     let half = n / 2;
     match kind {

@@ -1,12 +1,12 @@
 //! Inspect a generated B512 kernel: the Listing-1 view of this
 //! reproduction. Prints the assembly head of the SPIRAL-style 1024-point
 //! NTT kernel, its instruction mix, the binary encoding of the first few
-//! words, and a busyboard-stall comparison against the unoptimized
-//! program.
+//! words, a busyboard-stall comparison against the unoptimized
+//! program, and the lane storage width a session running it holds.
 //!
 //! Run with: `cargo run --release --example inspect_kernel`
 
-use rpu::{CodegenStyle, CycleSim, Direction, NttKernel, PrimeTable, RpuConfig};
+use rpu::{CodegenStyle, CycleSim, Direction, NttKernel, PrimeTable, Rpu, RpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024usize;
@@ -59,5 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         su.stall_hazard,
         su.cycles as f64 / so.cycles as f64
     );
+
+    // Elements are 128 bits architecturally; the simulator stores them
+    // in 64-bit words for as long as every value fits.
+    println!("\nlane storage width of a session running this NTT:");
+    for bits in [126, 59] {
+        let rpu = Rpu::builder().prime_bits(bits).build()?;
+        let mut session = rpu.session();
+        session.ntt(n, Direction::Forward, CodegenStyle::Optimized)?;
+        println!("  {bits:>3}-bit prime: {}-bit lanes", session.lane_bits());
+    }
     Ok(())
 }

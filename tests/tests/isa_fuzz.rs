@@ -36,6 +36,16 @@
 //! (`small` | `wide` | `both`, default `both`) pins the classes a run
 //! samples — CI's small-prime leg sets `small`.
 //!
+//! The classes also differ in **lane storage width**: a small-class
+//! simulator holds no value of 2⁶⁴ or more, so it stores (and must keep
+//! storing — every case asserts it) its state in 64-bit words, while the
+//! wide class widens to 128-bit words as soon as its primes are seeded.
+//! Three further groups pin that mechanism itself: `narrow_closure_*`
+//! (random programs over a hostile all-below-2⁶⁴ state stay narrow and
+//! match a wide twin), `widening_*` (a wide value arriving through any
+//! host entry point between two programs) and the out-of-bounds
+//! host-write case.
+//!
 //! The case count defaults to 256 and is tunable with `RPU_FUZZ_CASES`
 //! (a long soak sets thousands); the generic `PROPTEST_CASES` variable
 //! still wins over both when set, since the proptest runner reads it
@@ -85,6 +95,16 @@ enum WidthClass {
 }
 
 impl WidthClass {
+    /// The word width a simulator seeded for this class stores its state
+    /// in — before *and* after any program: no instruction can produce a
+    /// value of 2⁶⁴ or more from a state that holds none.
+    fn lane_bits(self) -> u32 {
+        match self {
+            WidthClass::Small => 64,
+            WidthClass::Wide => 128,
+        }
+    }
+
     /// Primes seeded into `m0..m3` and cycled through the SDM.
     fn primes(self) -> &'static [u128; 4] {
         match self {
@@ -417,8 +437,10 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
 /// A fully seeded simulator: non-trivial VDM image, SDM holding the
 /// width class's valid primes, `m0..m3` and `s0..s3` preset. The top
 /// [`POISON_LEN`] VDM elements hold out-of-range gather indices (just
-/// past the VDM, and `u128::MAX`) for the fault-injection shape; the
-/// rest of the image stays below 3329 in **both** width classes, so
+/// past the VDM, and the largest values the class's lane width holds:
+/// `u64::MAX` down in the small class, so its state stays below 2⁶⁴;
+/// `u128::MAX` down in the wide class) for the fault-injection shape;
+/// the rest of the image stays below 3329 in **both** width classes, so
 /// ordinary gathers never fault on it — wide values reach vector state
 /// only through the SDM (`sload`/`mload`) and the SRF.
 fn fresh_sim(width: WidthClass) -> FunctionalSim {
@@ -427,11 +449,15 @@ fn fresh_sim(width: WidthClass) -> FunctionalSim {
     let mut image: Vec<u128> = (0..VDM_ELEMS as u128)
         .map(|i| (i * 37 + 11) % 3329)
         .collect();
+    let top = match width {
+        WidthClass::Small => u128::from(u64::MAX),
+        WidthClass::Wide => u128::MAX,
+    };
     for (i, slot) in image[POISON_BASE..].iter_mut().enumerate() {
         *slot = if i % 2 == 0 {
             (VDM_ELEMS + i) as u128
         } else {
-            u128::MAX - i as u128
+            top - i as u128
         };
     }
     sim.write_vdm(0, &image).unwrap();
@@ -441,15 +467,22 @@ fn fresh_sim(width: WidthClass) -> FunctionalSim {
         sim.set_mrf(MReg::at(i as u8), q);
         sim.set_srf(SReg::at(i as u8), q / 3);
     }
+    assert_eq!(sim.lane_bits(), width.lane_bits(), "{width:?} seed state");
     sim
 }
 
-/// Everything an integration test can observe of a simulator's state.
-fn observable_state(sim: &FunctionalSim) -> (Vec<u128>, Vec<Vec<u128>>, Vec<u128>) {
+/// Everything an integration test can observe of a simulator's state:
+/// both memories and all four register files.
+type Observed = (Vec<u128>, Vec<u128>, Vec<Vec<u128>>, [Vec<u128>; 3]);
+
+fn observable_state(sim: &FunctionalSim) -> Observed {
     let vdm = sim.read_vdm(0, VDM_ELEMS).unwrap();
+    let sdm = sim.read_sdm(0, SDM_ELEMS).unwrap();
     let vregs: Vec<Vec<u128>> = (0..64).map(|v| sim.vreg(VReg::at(v)).to_vec()).collect();
     let sregs: Vec<u128> = (0..64).map(|s| sim.sreg(SReg::at(s))).collect();
-    (vdm, vregs, sregs)
+    let mregs: Vec<u128> = (0..64).map(|m| sim.mreg(MReg::at(m))).collect();
+    let aregs: Vec<u128> = (0..64).map(|a| sim.areg(AReg::at(a)).into()).collect();
+    (vdm, sdm, vregs, [sregs, mregs, aregs])
 }
 
 /// Runs a program through all three execution paths and returns a
@@ -470,6 +503,15 @@ fn divergence(program: &Program, width: WidthClass) -> Option<String> {
     }
     if observable_state(&interp) != observable_state(&fast) {
         return Some("state mismatch, interpreter vs fast path".into());
+    }
+    for (path, sim) in [("interpreter", &interp), ("fast path", &fast)] {
+        if sim.lane_bits() != width.lane_bits() {
+            return Some(format!(
+                "{path} ended on {}-bit lanes, the {width:?} class runs on {}",
+                sim.lane_bits(),
+                width.lane_bits()
+            ));
+        }
     }
 
     let rt = match Program::from_words("rt", &program.to_words()) {
@@ -758,6 +800,175 @@ proptest! {
                 interp.read_vdm(0, VDM_ELEMS).unwrap(),
                 fast.read_vdm(0, VDM_ELEMS).unwrap()
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lane storage width: the narrow invariant and the one-way widening
+// ---------------------------------------------------------------------
+
+/// Moduli for the narrow-closure state, up to the top of the 64-bit
+/// range: a toy prime and the Mersenne prime 2⁶¹ − 1 (native-u64
+/// engine), then three the Montgomery-128 engine services on 64-bit
+/// lanes — the largest prime below 2⁶⁴, 2⁶⁴ − 1 itself (odd, composite)
+/// and an even one with no Montgomery form.
+const NARROW_MODULI: [u128; 5] = [
+    97,
+    (1 << 61) - 1,
+    (1 << 64) - 59,
+    (1 << 64) - 1,
+    (1 << 63) + 2,
+];
+
+/// A hostile all-below-2⁶⁴ state: every seventh VDM vector and the
+/// poison region hold arbitrary 64-bit values — non-canonical under
+/// every modulus, out of range as gather indices — the rest stays small
+/// so most programs run to completion; the SDM cycles through
+/// [`NARROW_MODULI`] and small scalars (so `aload` plants both sane and
+/// hostile addresses), and `m0..m3` / `s0..s3` are preset.
+fn narrow_sim(seed: u64) -> FunctionalSim {
+    let mut r = Rng(seed ^ 0x6e61_7272_6f77);
+    let mut sim = FunctionalSim::new(VDM_ELEMS, SDM_ELEMS);
+    let image: Vec<u128> = (0..VDM_ELEMS)
+        .map(|i| {
+            if (i / 512) % 7 == 6 || i >= POISON_BASE {
+                r.next().into()
+            } else {
+                (i as u128 * 37 + 11) % 3329
+            }
+        })
+        .collect();
+    sim.write_vdm(0, &image).unwrap();
+    let sdm: Vec<u128> = (0..SDM_ELEMS)
+        .map(|i| match i % 8 {
+            k @ 0..=4 => NARROW_MODULI[k],
+            _ => r.below(1 << 12).into(),
+        })
+        .collect();
+    sim.write_sdm(0, &sdm).unwrap();
+    for i in 0..4u8 {
+        sim.set_mrf(MReg::at(i), NARROW_MODULI[usize::from(i) + 1]);
+        sim.set_srf(SReg::at(i), r.next().into());
+    }
+    assert_eq!(sim.lane_bits(), 64, "nothing here needs more than 64 bits");
+    sim
+}
+
+/// The same architectural state on 128-bit lanes: widening is one-way,
+/// so writing one value of 2⁶⁴ or more and then the original back
+/// leaves an always-wide twin.
+fn wide_twin(sim: &FunctionalSim) -> FunctionalSim {
+    let mut twin = sim.clone();
+    let original = twin.sreg(SReg::at(63));
+    twin.set_srf(SReg::at(63), u128::MAX);
+    twin.set_srf(SReg::at(63), original);
+    assert_eq!(twin.lane_bits(), 128);
+    assert_eq!(observable_state(&twin), observable_state(sim));
+    twin
+}
+
+/// Runs `program` on a copy of `start` through the interpreter and
+/// through the fast path: `(outcome, state, lane width)` of each.
+fn both_paths(
+    start: &FunctionalSim,
+    program: &Program,
+) -> [(Result<(), rpu::sim::ExecError>, Observed, u32); 2] {
+    let mut interp = start.clone();
+    let oracle = interp.run(program);
+    let mut fast = start.clone();
+    let fast_out = fast.run_predecoded(&PredecodedProgram::new(program.clone()));
+    [
+        (oracle, observable_state(&interp), interp.lane_bits()),
+        (fast_out, observable_state(&fast), fast.lane_bits()),
+    ]
+}
+
+/// The four host entry points a value of 2⁶⁴ or more can arrive through.
+const HOST_ENTRY_POINTS: [&str; 4] = ["write_vdm", "write_sdm", "set_mrf", "set_srf"];
+
+/// Writes `value` through host entry point `entry` (an index into
+/// [`HOST_ENTRY_POINTS`]) at a fixed place.
+fn host_write(sim: &mut FunctionalSim, entry: usize, value: u128) {
+    match HOST_ENTRY_POINTS[entry] {
+        "write_vdm" => sim.write_vdm(700, &[3, value, 5]).unwrap(),
+        "write_sdm" => sim.write_sdm(9, &[value]).unwrap(),
+        "set_mrf" => sim.set_mrf(MReg::at(2), value),
+        _ => sim.set_srf(SReg::at(1), value),
+    }
+}
+
+/// An out-of-bounds host write is refused before the width is decided:
+/// the state keeps its 64-bit lanes and every value it held.
+#[test]
+fn widening_is_not_triggered_by_a_refused_host_write() {
+    let mut sim = narrow_sim(11);
+    let before = observable_state(&sim);
+    assert!(sim.write_vdm(VDM_ELEMS - 1, &[1, u128::MAX]).is_err());
+    assert!(sim.write_sdm(SDM_ELEMS, &[u128::MAX]).is_err());
+    assert!(sim.write_vdm(usize::MAX, &[u128::MAX]).is_err());
+    assert_eq!(sim.lane_bits(), 64, "a refused write must not widen");
+    assert_eq!(observable_state(&sim), before, "nor touch anything");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// The narrow invariant is closed under the ISA: from a state that
+    /// holds no value of 2⁶⁴ or more — non-canonical lanes and moduli up
+    /// to 2⁶⁴ − 1 included — no program widens the store, and on 64-bit
+    /// lanes both executors end exactly where they end on the wide twin:
+    /// lane for lane, register for register, fault for fault.
+    #[test]
+    fn narrow_closure_random_programs_stay_narrow_and_match_the_wide_twin(
+        seed in any::<u64>(),
+        len in 1usize..48,
+    ) {
+        let program = random_legal_program(seed, len);
+        let narrow = narrow_sim(seed);
+        let wide = wide_twin(&narrow);
+        let [n_interp, n_fast] = both_paths(&narrow, &program);
+        let [w_interp, w_fast] = both_paths(&wide, &program);
+        prop_assert_eq!((n_interp.2, n_fast.2), (64, 64), "a program widened the store");
+        prop_assert_eq!((w_interp.2, w_fast.2), (128, 128));
+        for (name, run) in [("narrow fast path", &n_fast), ("wide oracle", &w_interp), ("wide fast path", &w_fast)] {
+            prop_assert_eq!(&n_interp.0, &run.0, "outcome, narrow oracle vs {}:\n{}", name, program.to_asm());
+            prop_assert!(n_interp.1 == run.1, "state, narrow oracle vs {}:\n{}", name, program.to_asm());
+        }
+    }
+
+    /// A value of 2⁶⁴ or more arriving through any host entry point
+    /// between two programs widens the store there and then, and from
+    /// that point both executors track the always-wide twin exactly.
+    #[test]
+    fn widening_between_two_programs_matches_the_always_wide_twin(
+        seed in any::<u64>(),
+        entry in 0usize..4,
+        value in (1u128 << 64)..(1u128 << 127),
+    ) {
+        let first = random_legal_program(seed, 12);
+        let second = random_legal_program(seed ^ 0x5eed, 24);
+        let start = narrow_sim(seed);
+        let twin_start = wide_twin(&start);
+        // First program (its outcome is the closure property's business).
+        let mut sims = [start.clone(), start, twin_start.clone(), twin_start];
+        for (i, sim) in sims.iter_mut().enumerate() {
+            let _ = if i % 2 == 0 {
+                sim.run(&first)
+            } else {
+                sim.run_predecoded(&PredecodedProgram::new(first.clone()))
+            };
+            prop_assert_eq!(sim.lane_bits(), if i < 2 { 64 } else { 128 });
+            host_write(sim, entry, value);
+            prop_assert_eq!(sim.lane_bits(), 128, "{} must widen", HOST_ENTRY_POINTS[entry]);
+        }
+        let reference = both_paths(&sims[0], &second);
+        for sim in &sims {
+            let runs = both_paths(sim, &second);
+            for (got, want) in runs.iter().zip(&reference) {
+                prop_assert_eq!(&got.0, &want.0, "outcome after {}", HOST_ENTRY_POINTS[entry]);
+                prop_assert!(got.1 == want.1, "state after {}", HOST_ENTRY_POINTS[entry]);
+            }
         }
     }
 }

@@ -123,6 +123,11 @@ fn mul_and_rotate_match_host_exactly_across_lane_counts() {
         for ct in [x, y, prod, rotated] {
             eval.free_ciphertext(ct).unwrap();
         }
+        // A 126-bit modulus needs 128-bit lanes: every lane widened at
+        // its first key upload or kernel image.
+        for lane in 0..lanes {
+            assert_eq!(eval.cluster().lane_bits(lane), 128, "lane {lane}");
+        }
     }
 }
 

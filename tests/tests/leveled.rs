@@ -120,6 +120,11 @@ fn depth_3_chain_is_bit_exact(lanes: usize) {
     );
     assert_eq!(eval.decrypt(&dev_acc).unwrap(), expect, "lanes={lanes}");
     assert_eq!(host.decrypt(&host_sk, &host_acc), expect);
+    // Keys, ciphertexts, gadget digits, rescale corrections and every
+    // kernel image of a 59-bit chain fit 64 bits: no lane ever widened.
+    for lane in 0..lanes {
+        assert_eq!(eval.cluster().lane_bits(lane), 64, "lane {lane}");
+    }
 }
 
 #[test]

@@ -176,6 +176,75 @@ fn dispatch_after_restore_is_bit_exact() {
     }
 }
 
+/// Lane storage width is not device state: a 59-bit session that never
+/// left 64-bit lanes and its wide twin — the same op history, widened
+/// up front by writing one value of 2⁶⁴ or more into an operand and then
+/// the operand back — snapshot to identical `SNAP_V1` bytes (compared
+/// once every buffer is freed: live-buffer ids are process-global, so
+/// two sessions never share them), and each one's snapshot restores
+/// bit-exactly into a fresh session, which is narrow because every
+/// restored value fits.
+#[test]
+fn narrow_session_and_its_wide_twin_snapshot_to_the_same_bytes() {
+    use rpu::{Direction, NttSpec};
+    let n = rpu::smoke_cap(1024);
+    let style = CodegenStyle::Optimized;
+    let rpu = Rpu::builder().prime_bits(59).build().unwrap();
+    let history = |widen_first: bool| {
+        let mut s = rpu.session();
+        let q = s.primes_for(n).unwrap();
+        let a: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
+        let b: Vec<u128> = (0..n as u128).map(|i| (i * 57 + 3) % q).collect();
+        let ba = s.upload(&a).unwrap();
+        if widen_first {
+            s.write(&ba, &vec![u128::MAX; n]).unwrap();
+            s.write(&ba, &a).unwrap();
+        }
+        let bb = s.upload(&b).unwrap();
+        let out = s.alloc(n).unwrap();
+        // Two kernels, interleaved, so the workspace holds one kernel's
+        // leftovers under the other's constants.
+        let mul = s
+            .compile(&ElementwiseSpec::new(ElementwiseOp::MulMod, n, q, style))
+            .unwrap();
+        let ntt = s
+            .compile(&NttSpec::new(n, q, Direction::Forward, style))
+            .unwrap();
+        s.dispatch(&mul, &[ba, bb], &[out]).unwrap();
+        s.dispatch(&ntt, &[out], &[ba]).unwrap();
+        s.dispatch(&mul, &[ba, bb], &[out]).unwrap();
+        let (live, result) = (s.snapshot(), s.download(&out).unwrap());
+        for buf in [ba, bb, out] {
+            s.free(buf).unwrap();
+        }
+        (s.lane_bits(), s.snapshot(), live, result, out)
+    };
+    let narrow = history(false);
+    let wide = history(true);
+    assert_eq!((narrow.0, wide.0), (64, 128));
+    assert_eq!(narrow.3, wide.3, "same results on either width");
+    assert!(
+        narrow.1 == wide.1,
+        "lane storage width leaked into SNAP_V1 bytes"
+    );
+    for (_, _, live, result, out) in [&narrow, &wide] {
+        let mut fresh = rpu.session();
+        fresh.restore(live).unwrap();
+        assert_eq!(fresh.lane_bits(), 64, "every restored value fits 64 bits");
+        assert!(&fresh.snapshot() == live, "re-snapshot equality");
+        assert_eq!(&fresh.download(out).unwrap(), result);
+    }
+    // Restoring over a session that already widened keeps it wide
+    // (widening is one-way) and is just as exact.
+    let mut widened = rpu.session();
+    let scratch = widened.upload(&[u128::MAX]).unwrap();
+    widened.free(scratch).unwrap();
+    widened.restore(&narrow.2).unwrap();
+    assert_eq!(widened.lane_bits(), 128);
+    assert!(widened.snapshot() == narrow.2, "re-snapshot equality");
+    assert_eq!(widened.download(&narrow.4).unwrap(), narrow.3);
+}
+
 // ---------------------------------------------------------------------
 // Mid-pipeline leveled restore equivalence
 // ---------------------------------------------------------------------
