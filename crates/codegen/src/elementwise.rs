@@ -95,23 +95,8 @@ impl KernelSpec for ElementwiseSpec {
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
         let ElementwiseSpec { op, n, q, style } = *self;
-        if n == 0 || !n.is_multiple_of(VECTOR_LEN) {
-            return Err(CodegenError::UnsupportedDegree(n));
-        }
-        let modulus =
-            Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
-        let total = 3 * n;
-        check_working_set(total)?;
-
-        let mut program = Program::new(format!("{}{}_{}", self.key().op, n, style));
-        // SDM image is [0, q]: same slot convention as the NTT kernels.
-        // No baked scalar multiplicands, so no engine companions to
-        // append (see `crate::kernel::scalar_companion`).
-        program.push(Instruction::MLoad {
-            rt: MReg::at(0),
-            base: AReg::at(0),
-            offset: 1,
-        });
+        let name = format!("{}{}_{}", self.key().op, n, style);
+        let (mut program, modulus) = pointwise_prologue(name, n, q, 3)?;
         emit_pointwise(&mut program, op, n, style, 0, n, 2 * n);
         if style != CodegenStyle::Unoptimized {
             program = list_schedule(&program);
@@ -131,7 +116,7 @@ impl KernelSpec for ElementwiseSpec {
         Ok(Kernel::new(
             self.key(),
             program,
-            vec![0u128; total],
+            vec![0u128; 3 * n],
             Vec::new(), // no VDM tables: the image is all operand windows
             vec![0, q],
             vec![(0, n), (n, n)],
@@ -141,6 +126,34 @@ impl KernelSpec for ElementwiseSpec {
     }
 }
 
+/// What every kernel made only of pointwise stages starts with: the
+/// checks (`n` a non-zero multiple of the vector length, a valid
+/// modulus, a working set of `regions` `n`-element windows within the
+/// address field) and a program whose first instruction loads `q` into
+/// `m0`. The SDM image is `[0, q]`: same slot convention as the NTT
+/// kernels, and no baked scalar multiplicands, so no engine companions
+/// to append (see `crate::kernel::scalar_companion`).
+pub(crate) fn pointwise_prologue(
+    name: String,
+    n: usize,
+    q: u128,
+    regions: usize,
+) -> Result<(Program, Modulus128), CodegenError> {
+    if n == 0 || !n.is_multiple_of(VECTOR_LEN) {
+        return Err(CodegenError::UnsupportedDegree(n));
+    }
+    let modulus =
+        Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
+    check_working_set(regions * n)?;
+    let mut program = Program::new(name);
+    program.push(Instruction::MLoad {
+        rt: MReg::at(0),
+        base: AReg::at(0),
+        offset: 1,
+    });
+    Ok((program, modulus))
+}
+
 /// Emits the shared pipelined load–compute–store stream:
 /// `dst[i] = op(a_src[i], b_src[i])` over `n / 512` vectors, addressed
 /// as static element offsets off `a0`. With a non-unoptimized `style`,
@@ -148,8 +161,9 @@ impl KernelSpec for ElementwiseSpec {
 /// group `g` (the NTT generator's "rectangles" pipelining); callers run
 /// [`list_schedule`] afterwards. `m0` must already hold the modulus.
 ///
-/// Used by [`ElementwiseSpec`] (offsets `0, n, 2n`) and by the fused
-/// convolution pipeline's pointwise bridge.
+/// Used by [`ElementwiseSpec`] (offsets `0, n, 2n`), the key-switch
+/// multiply–accumulate, and the pointwise bridges of the fused
+/// convolution and rescale pipelines.
 pub(crate) fn emit_pointwise(
     program: &mut Program,
     op: ElementwiseOp,

@@ -28,9 +28,11 @@
 //! * [`AutomorphismSpec`] — the coefficient permutation of a Galois
 //!   automorphism `x → x^g` (HE rotation), realized with the `vgather`
 //!   indexed load and a baked-in index/sign table;
-//! * [`KeySwitchSpec`] — one gadget digit of a key switch (forward NTT →
-//!   multiply by a resident key component → accumulate), the inner loop
-//!   of relinearization and rotation;
+//! * [`KeySwitchSpec`] — one gadget digit of a key switch folded into
+//!   one accumulator (`acc' = d̂ ⊙ k̂ ⊕ acc` on the digit's evaluation
+//!   form and a resident key component; the digit's forward NTT is a
+//!   separate [`NttSpec`] dispatch both key components share), the inner
+//!   loop of relinearization and rotation;
 //! * [`RescaleSpec`] — one surviving tower's leveled rescale (forward
 //!   NTT of the rounding correction → subtract → scale by the dropped
 //!   prime's inverse), the device half of modulus switching.

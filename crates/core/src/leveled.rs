@@ -546,8 +546,9 @@ impl<'a> LeveledEvaluator<'a> {
     /// level: per-tower degree-2 tensor (five pointwise dispatches per
     /// tower), then RNS relinearization — the `c2` towers are
     /// inverse-transformed and downloaded, gadget-decomposed on the
-    /// host, and the digit products run as fused key-switch dispatches
-    /// against the resident key on every live tower's lane. The result
+    /// host, and each digit is transformed once per live tower and
+    /// multiply-accumulated against both components of the resident key
+    /// on that tower's lane. The result
     /// stays at the same level; follow with [`rescale`](Self::rescale)
     /// (or use [`mul_rescale`](Self::mul_rescale)) to shed the noise
     /// growth.
@@ -600,8 +601,7 @@ impl<'a> LeveledEvaluator<'a> {
                 for (j, digit) in digits.iter().enumerate() {
                     for lane in 0..lanes.min(level + 1) {
                         let towers = (lane..=level).step_by(lanes);
-                        let targets =
-                            towers.map(|k| (&self.kernels[k].ksw, key[k].part(j), acc[k]));
+                        let targets = towers.map(|k| (&self.kernels[k], key[k].part(j), acc[k]));
                         recipes::ksw_digit(&mut self.cluster.lane(lane), digit, targets)?;
                     }
                 }

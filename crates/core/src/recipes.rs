@@ -14,6 +14,13 @@
 //! | [`crate::LeveledEvaluator`] | tower `l` → lane `l % k`, cross-tower digit loop, rescale | caller thread |
 //! | `rpu-serve` | everything on the tenant's home lane | persistent pool worker |
 //!
+//! The key switch is the one chain with something to share: a gadget
+//! digit meets two key components (`â_j`, `b̂_j`) per target modulus, so
+//! [`ksw_digit`] transforms it once with the lane's `fwd` kernel and
+//! runs the multiply–accumulate kernel `ksw` twice on the shared `d̂`
+//! (the hoisting of Halevi & Shoup, CRYPTO 2018) instead of paying for
+//! an NTT inside each accumulation.
+//!
 //! Not part of the supported API: the module is public only so
 //! `rpu-serve` can reach it.
 
@@ -59,7 +66,8 @@ pub struct LaneKernels {
     pub pwadd: Arc<Kernel>,
     /// Pointwise subtract.
     pub pwsub: Arc<Kernel>,
-    /// The fused NTT-multiply-accumulate gadget digit kernel.
+    /// The key-switch digit multiply–accumulate `acc' = d̂ ⊙ k̂ ⊕ acc`
+    /// (evaluation domain; [`ksw_digit`] runs `fwd` first).
     pub ksw: Arc<Kernel>,
 }
 
@@ -363,35 +371,41 @@ pub fn accumulators(
     }
 }
 
-/// One gadget digit on one lane: upload the digit, fold it into each
-/// target's accumulators with that target's fused kernel (`â_j` then
-/// `b̂_j`), free it. A target is `(ksw kernel, (â_j, b̂_j), (acc_a,
-/// acc_b))`; the single-modulus front ends pass one, the leveled one
-/// passes every live tower on the lane (a digit is `< B`, valid in
-/// every tower).
+/// One gadget digit on one lane: upload the digit once, then per target
+/// transform it once under that target's modulus and fold the shared
+/// `d̂` into both accumulators (`â_j` then `b̂_j`) — three dispatches,
+/// one NTT. A target is `(lane kernels, (â_j, b̂_j), (acc_a, acc_b))`;
+/// the single-modulus front ends pass one, the leveled one passes every
+/// live tower on the lane (a digit is `< B`, valid in every tower), and
+/// each tower's NTT overwrites the one `d̂` temp.
 ///
 /// # Errors
 ///
-/// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
+/// Returns [`RpuError`] on heap exhaustion or a dispatch fault; the
+/// digit and `d̂` are released either way.
 pub fn ksw_digit<'k>(
     w: &mut LaneWorker<'_, '_>,
     digit: &[u128],
     targets: impl IntoIterator<
         Item = (
-            &'k Arc<Kernel>,
+            &'k LaneKernels,
             (DeviceBuffer, DeviceBuffer),
             (DeviceBuffer, DeviceBuffer),
         ),
     >,
 ) -> Result<(), RpuError> {
-    let d = w.upload(digit)?;
-    let run = targets.into_iter().try_for_each(|(ksw, key, acc)| {
-        w.dispatch(ksw, &[d, key.0, acc.0], &[acc.0])?;
-        w.dispatch(ksw, &[d, key.1, acc.1], &[acc.1])?;
-        Ok(())
-    });
-    let _ = w.free(d);
-    run
+    let mut t = Temps::default();
+    let run = (|| {
+        let d = t.hold(w.upload(digit)?);
+        let d_hat = t.hold(w.alloc(digit.len())?);
+        targets.into_iter().try_for_each(|(k, key, acc)| {
+            w.dispatch(&k.fwd, &[d], &[d_hat])?;
+            w.dispatch(&k.ksw, &[d_hat, key.0, acc.0], &[acc.0])?;
+            w.dispatch(&k.ksw, &[d_hat, key.1, acc.1], &[acc.1])?;
+            Ok(())
+        })
+    })();
+    t.settle(run, |_| [], |buf| w.free(buf))
 }
 
 /// The Galois automorphism `σ_g` on one component: iNTT, then the

@@ -96,8 +96,8 @@ fn no_key(what: &str, call: &str) -> RpuError {
 ///
 /// Created over an [`Rpu`]; opens a cluster with the configured
 /// ([`crate::RpuBuilder::lanes`]) lane count. The six recipe kernel
-/// shapes (forward/inverse NTT, pointwise mul/add/sub, fused key-switch
-/// digit) are compiled and golden-verified once per lane at
+/// shapes (forward/inverse NTT, pointwise mul/add/sub, key-switch digit
+/// multiply–accumulate) are compiled and golden-verified once per lane at
 /// construction; after that every operation is pure dispatch traffic.
 ///
 /// The ring degree must be one the kernel generators support (a power
@@ -605,7 +605,7 @@ impl<'a> RlweEvaluator<'a> {
             let jobs = digits.iter().enumerate().map(|(j, digit)| {
                 Box::new(move |w: &mut LaneWorker<'_, '_>| {
                     let l = w.lane_index();
-                    let target = (&kernels[l].ksw, key.per_lane[l].part(j), accs[l]);
+                    let target = (&kernels[l], key.per_lane[l].part(j), accs[l]);
                     recipes::ksw_digit(w, digit, [target])
                 }) as LaneJob<'_, ()>
             });

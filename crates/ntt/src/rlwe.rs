@@ -437,7 +437,8 @@ impl RlweContext {
     /// `src_coeffs` into digits and returns
     /// `(Σ_j d̂_j·â_j, Σ_j d̂_j·b̂_j)` in evaluation form — the pair the
     /// caller folds into its base ciphertext. This is the exact dataflow
-    /// the RPU runs as `ℓ` fused NTT-multiply-accumulate dispatches.
+    /// the RPU runs as, per digit, one NTT dispatch and two
+    /// multiply-accumulate dispatches on its output.
     pub fn key_switch(&self, src_coeffs: &[u128], ksk: &KeySwitchKey) -> (Polynomial, Polynomial) {
         let levels = ksk.levels();
         let digits = gadget_decompose(src_coeffs, ksk.base_log, levels);

@@ -65,7 +65,7 @@ fn key_switch(
         t.hold(acc.0);
         t.hold(acc.1);
         for (j, digit) in digits.iter().enumerate() {
-            recipes::ksw_digit(w, digit, [(&k.ksw, ksk.part(j), acc)])?;
+            recipes::ksw_digit(w, digit, [(k, ksk.part(j), acc)])?;
         }
         Ok(acc)
     })();

@@ -6,7 +6,8 @@
 //! against the host oracle or fails with the typed
 //! `BufferError::OutOfMemory`, and every lane is back to its pre-op
 //! live-buffer count. The sweep body is shared; the front end is its
-//! input.
+//! input. One allocation gets a case of its own below the sweeps: the
+//! `d̂` temp `recipes::ksw_digit` takes after its digit upload.
 
 use rpu::arith::gadget_levels;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
@@ -267,4 +268,34 @@ fn served_mul_and_rotate() {
             live: [vec![0], report.resident_buffers],
         }
     });
+}
+
+/// The allocation inside a key-switch digit step: with exactly one ring
+/// element of heap left the digit uploads, its transform `d̂` does not
+/// fit, and the uploaded digit must go back with the typed error.
+#[test]
+fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
+    use rpu::recipes::{self, LaneKernels};
+
+    let heap = 8 * N;
+    let rpu = Rpu::builder().device_heap_elements(heap).build().unwrap();
+    let mut cluster = rpu.cluster();
+    let q = cluster.primes_for(N).unwrap();
+    let k = LaneKernels::compile(&mut cluster.lane(0), N, q, CodegenStyle::Optimized).unwrap();
+    let filler = cluster.alloc_on(0, heap - N).unwrap();
+    let live = cluster.live_buffers(0);
+    let uploaded = |c: &rpu::RpuCluster<'_>| c.lane_stats(0).transfer.host_to_device;
+    let before = uploaded(&cluster);
+
+    // No dispatch is reached, so any handle stands in for key and
+    // accumulators.
+    let target = (&k, (filler, filler), (filler, filler));
+    let run = recipes::ksw_digit(&mut cluster.lane(0), &message(7), [target]);
+    assert!(unless_oom(run).is_none(), "d̂ cannot fit");
+    assert_eq!(uploaded(&cluster), before + N, "the digit itself did fit");
+    assert_eq!(cluster.lane_stats(0).dispatches, 0);
+    assert_eq!(cluster.live_buffers(0), live, "the digit was released");
+    cluster
+        .alloc_on(0, N)
+        .expect("its ring element is free again");
 }
