@@ -7,14 +7,17 @@
 //! over the two concrete implementations, selected by modulus width,
 //! that the simulator's hot loops match on once per instruction:
 //!
-//! * [`Engine::Mont128`] — the [`Modulus128`] Montgomery path
-//!   (R = 2^128). A multiply costs two Montgomery reductions, or one
-//!   when a factor is already held in Montgomery form.
+//! * [`Engine::Mont128`] — [`Modulus128`]: a multiply is one normalised
+//!   Barrett pass (eleven word multiplies, odd or even modulus alike).
+//!   The name records what the tier *adds* for odd moduli: a factor
+//!   already held in Montgomery form (R = 2^128) multiplies in one
+//!   Montgomery reduction — the same eleven word multiplies without the
+//!   Barrett pass's shifts — which the simulator's shadow cache uses.
 //! * [`Engine::Native64`] — [`Modulus64`] applied lane-wise to the
-//!   simulator's `u128` register files: each lane is reduced to a
-//!   canonical `u64`, multiplied with one 64×64→128 widening multiply
-//!   plus a Barrett (or Shoup) reduction, and widened back. Selected
-//!   whenever the modulus fits 63 bits.
+//!   simulator's register files: each lane is reduced to a canonical
+//!   `u64`, multiplied with one 64×64→128 widening multiply plus a
+//!   single-word Barrett (or Shoup) reduction, and widened back.
+//!   Selected whenever the modulus fits 63 bits.
 //!
 //! Both compute the *same* canonical results for the same inputs, so
 //! interpreter semantics are engine-independent; the differential and
@@ -29,8 +32,8 @@ use crate::mod64::Modulus64;
 /// dispatch traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// 128-bit Montgomery multiplication (`Modulus128`), the only
-    /// engine valid for moduli of 64..127 bits.
+    /// 128-bit lanes (`Modulus128`: Barrett products, Montgomery form
+    /// on request), the only engine valid for moduli of 64..127 bits.
     Montgomery128,
     /// Lane-wise native `u64` arithmetic (`Modulus64`) over the
     /// simulator's `u128` registers, for moduli below 2⁶³.
@@ -70,7 +73,7 @@ impl core::fmt::Display for EngineKind {
 /// (`InvalidModulus`) faults identically regardless of width.
 #[derive(Debug, Clone, Copy)]
 pub enum Engine {
-    /// 128-bit Montgomery lanes.
+    /// 128-bit lanes, Montgomery form available for odd moduli.
     Mont128(Modulus128),
     /// Native `u64` lanes (q < 2⁶³).
     Native64(Modulus64),
@@ -246,7 +249,7 @@ mod tests {
     #[test]
     fn even_moduli_agree_across_tiers() {
         // Modulus64 and Modulus128 both accept even moduli; the tiers
-        // must still agree (Modulus128 falls back to exact division).
+        // must still agree (both run the same Barrett pass as for odd q).
         let q = 3328u64; // even
         let (m128, m64, engine) = tiers_for(q);
         for a in [0u128, 1, 2, 1663, 1664, 3327] {

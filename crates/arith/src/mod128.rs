@@ -5,18 +5,47 @@
 //! single tower can hold the large coefficients demanded by 128-bit-secure
 //! CKKS/BGV parameters without RNS decomposition.
 //!
-//! For odd moduli (every NTT prime is odd) multiplication uses Montgomery
-//! reduction with `R = 2^128`, which needs only three 128×128→256-bit
-//! multiplies. A division-based path handles the general case.
+//! A normal-domain product ([`Modulus128::mul`]) is reduced in one
+//! *normalised Barrett* pass (Barrett, CRYPTO '86; HAC Alg. 14.42) — the
+//! same code for every modulus in range, odd or even: with the modulus
+//! pre-shifted to exactly 127 bits, `qn = q << s`, and the reciprocal
+//! `mu = ⌊(2^254 − 1) / qn⌋`,
+//!
+//! ```text
+//! x = (a << s) · b                   < 2^253, given b < 2^126 (see below)
+//! q̂ = ⌊⌊x / 2^125⌋ · mu / 2^129⌋     ⌊x / qn⌋ − 1 ≤ q̂ ≤ ⌊x / qn⌋
+//! r = lo128(x) − lo128(q̂ · qn)       < 2·qn < 2^128
+//! r − qn if r ≥ qn, then r >> s
+//! ```
+//!
+//! — eleven 64×64 word multiplies (4 + 4 + 3), every shift but the two
+//! by `s` a constant, and no domain to enter or leave. *Why q̂ is off by
+//! at most one:* write `x = x₁·2^125 + x₀` and `2^254 − 1 = mu·qn + t` with
+//! `t < qn`; then `x/qn − x₁·mu/2^129 = x₀/qn + x₁·(t + 1)/(qn·2^129)`,
+//! and `x₀ < 2^125 ≤ qn/2` bounds the first term below ½ while
+//! `x₁ < 2^128` (that is `x < 2^253`) and `t + 1 ≤ qn` bound the second
+//! below ½. So the remainder before correction fits 128 bits and one
+//! conditional subtraction finishes it. *Why `x < 2^253`:* `a << s < qn
+//! < 2^127`, and `b < q < 2^126` whenever `s ≥ 1`; a modulus above
+//! `2^126` can hold a factor `b ≥ 2^126`, which is multiplied as
+//! `q − b < 2^126` and the product negated.
+//!
+//! Montgomery form (`R = 2^128`, odd moduli only) stays available for
+//! callers that keep a factor in it across many products — the host NTT
+//! plans' twiddle tables, the simulator's shadow cache, [`Modulus128::pow`]
+//! — where [`Modulus128::mont_mul_raw`] is the same eleven word multiplies
+//! without the shifts.
 
 use crate::U256;
 
-/// A modulus `2 <= q < 2^127` with precomputed Montgomery constants.
+/// A modulus `2 <= q < 2^127` with precomputed Barrett and Montgomery
+/// constants.
 ///
-/// The `q < 2^127` bound keeps `a + b` (reduced operands) and the final
-/// Montgomery correction inside `u128`/`U256` without extra carry words; it
-/// is documented in DESIGN.md and does not restrict any workload in the
-/// paper (RNS tower primes are chosen well below the datapath width).
+/// The `q < 2^127` bound keeps `a + b` (reduced operands), the Barrett
+/// remainder and the final Montgomery correction inside `u128`/`U256`
+/// without extra carry words; it is documented in DESIGN.md and does not
+/// restrict any workload in the paper (RNS tower primes are chosen well
+/// below the datapath width).
 ///
 /// # Examples
 ///
@@ -34,6 +63,12 @@ use crate::U256;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Modulus128 {
     q: u128,
+    /// `lz(q) − 1`: the shift that brings `q` to exactly 127 bits.
+    shift: u32,
+    /// `q << shift`, in `[2^126, 2^127)`.
+    qn: u128,
+    /// `⌊(2^254 − 1) / qn⌋`, in `[2^127, 2^128)`.
+    mu: u128,
     /// `-q^{-1} mod 2^128`; only valid when `q` is odd.
     neg_q_inv: u128,
     /// `2^128 mod q` (the Montgomery representation of 1).
@@ -49,8 +84,23 @@ impl Modulus128 {
         if !(2..1u128 << 127).contains(&q) {
             return None;
         }
-        let odd = q & 1 == 1;
-        let (neg_q_inv, r_mod_q, r2_mod_q) = if odd {
+        let shift = q.leading_zeros() - 1;
+        // ⌊(2^254 − 1) / (q << shift)⌋ = ⌊(2^(254 − shift) − 1) / q⌋:
+        // dividing by `q` itself keeps a modulus of 64 bits or fewer on
+        // `U256`'s limb path (`is_prime_u128` builds one of these per
+        // candidate).
+        let mu = U256::MAX.shr(2 + shift).div_rem_u128(q).0.lo();
+        let mut m = Modulus128 {
+            q,
+            shift,
+            qn: q << shift,
+            mu,
+            neg_q_inv: 0,
+            r_mod_q: 0,
+            r2_mod_q: 0,
+            odd: q & 1 == 1,
+        };
+        if m.odd {
             // Newton–Hensel iteration: x <- x(2 - qx) doubles the number of
             // correct low bits each step; 7 steps reach 128 bits from 3.
             let mut x: u128 = q; // correct mod 2^3 for odd q
@@ -58,20 +108,13 @@ impl Modulus128 {
                 x = x.wrapping_mul(2u128.wrapping_sub(q.wrapping_mul(x)));
             }
             debug_assert_eq!(q.wrapping_mul(x), 1);
-            let neg_q_inv = x.wrapping_neg();
-            let r_mod_q = U256::new(1, 0).rem_u128(q);
-            let r2_mod_q = U256::mul_wide(r_mod_q, r_mod_q).rem_u128(q);
-            (neg_q_inv, r_mod_q, r2_mod_q)
-        } else {
-            (0, 0, 0)
-        };
-        Some(Modulus128 {
-            q,
-            neg_q_inv,
-            r_mod_q,
-            r2_mod_q,
-            odd,
-        })
+            m.neg_q_inv = x.wrapping_neg();
+            // 2^128 mod q: odd q ≥ 3 never divides 2^128, so the `+ 1`
+            // cannot reach q.
+            m.r_mod_q = u128::MAX % q + 1;
+            m.r2_mod_q = m.mul(m.r_mod_q, m.r_mod_q);
+        }
+        Some(m)
     }
 
     /// Returns the modulus value.
@@ -80,7 +123,7 @@ impl Modulus128 {
         self.q
     }
 
-    /// Returns `true` if the modulus is odd (fast Montgomery path enabled).
+    /// Returns `true` if the modulus is odd (it has a Montgomery form).
     #[inline]
     pub const fn is_odd(self) -> bool {
         self.odd
@@ -136,8 +179,7 @@ impl Modulus128 {
 
     /// Montgomery reduction: computes `t * 2^-128 mod q` for `t < q * 2^128`.
     ///
-    /// Only callable for odd moduli (enforced by a debug assertion; the
-    /// public entry points route even moduli to the division path).
+    /// Only callable for odd moduli (enforced by a debug assertion).
     #[inline]
     fn mont_reduce(self, t: U256) -> u128 {
         debug_assert!(self.odd);
@@ -185,20 +227,29 @@ impl Modulus128 {
         self.mont_mul(a, b)
     }
 
-    /// Modular multiplication of reduced operands (normal domain).
-    ///
-    /// Odd moduli use two Montgomery multiplications; even moduli fall back
-    /// to a full 256-bit product and division.
+    /// Modular multiplication of reduced operands (normal domain): one
+    /// normalised Barrett pass for every modulus, odd or even (derivation
+    /// in the module header).
     #[inline]
     pub fn mul(self, a: u128, b: u128) -> u128 {
         debug_assert!(a < self.q && b < self.q);
-        if self.odd {
-            // (a*b*R^-1) * R^2 * R^-1 = a*b mod q
-            let t = self.mont_mul(a, b);
-            self.mont_mul(t, self.r2_mod_q)
-        } else {
-            U256::mul_wide(a, b).rem_u128(self.q)
+        // Only a modulus above 2^126 has such a factor: multiply by its
+        // negative, which is below 2^126, and negate the product.
+        if b >> 126 != 0 {
+            return self.neg(self.barrett(a, self.q - b));
         }
+        self.barrett(a, b)
+    }
+
+    /// `a · b mod q` for `a < q`, `b < min(q, 2^126)`.
+    #[inline]
+    fn barrett(self, a: u128, b: u128) -> u128 {
+        let x = U256::mul_wide(a << self.shift, b);
+        let x1 = (x.hi() << 3) | (x.lo() >> 125);
+        let q_hat = U256::mul_wide(x1, self.mu).hi() >> 1;
+        let r = x.lo().wrapping_sub(q_hat.wrapping_mul(self.qn));
+        let r = if r >= self.qn { r - self.qn } else { r };
+        r >> self.shift
     }
 
     /// Modular exponentiation by squaring.
@@ -282,8 +333,55 @@ mod tests {
     }
 
     #[test]
+    fn one_correction_after_the_quotient_estimate_is_needed() {
+        // The estimate is one short here: without the conditional
+        // subtraction (q − 1)² mod q comes out as q + 1.
+        let q = 80809629393379699292740320869633673469;
+        let m = Modulus128::new(q).unwrap();
+        assert_eq!(m.mul(q - 1, q - 1), 1);
+    }
+
+    #[test]
+    fn factors_of_126_bits_and_more_are_multiplied_negated() {
+        // q > 2^126: operands on both sides of 2^126, the zero product
+        // (whose negation must stay 0) included.
+        for q in [(1u128 << 127) - 1, (1u128 << 126) + 2] {
+            let m = Modulus128::new(q).unwrap();
+            let edge = [0, 1, (1 << 126) - 1, 1 << 126, (1 << 126) + 1, q - 1];
+            for a in edge {
+                for b in edge {
+                    assert_eq!(m.mul(a, b), naive_mul(a, b, q), "q={q} a={a} b={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn precomputed_constants_are_the_documented_quotients() {
+        for q in [
+            2u128,
+            3,
+            3329,
+            (1 << 64) - 1,
+            1 << 64,
+            Q126(),
+            (1 << 127) - 1,
+        ] {
+            let m = Modulus128::new(q).unwrap();
+            assert_eq!(m.qn >> 126, 1, "q={q}");
+            assert_eq!(m.qn >> m.shift, q);
+            let top = U256::MAX.shr(2); // 2^254 − 1
+            assert_eq!(U256::from(m.mu), top.div_rem_u128(m.qn).0, "q={q}");
+            if m.odd {
+                assert_eq!(m.r_mod_q, U256::new(1, 0).rem_u128(q), "q={q}");
+                assert_eq!(m.r2_mod_q, naive_mul(m.r_mod_q, m.r_mod_q, q), "q={q}");
+            }
+        }
+    }
+
+    #[test]
     fn mul_matches_naive_even() {
-        let q = (1u128 << 100) - 2; // even modulus exercises division path
+        let q = (1u128 << 100) - 2; // even: no Montgomery form, same Barrett pass
         let m = Modulus128::new(q).unwrap();
         for (a, b) in [(q - 1, q - 1), (12345, 678910), (q / 2, 2)] {
             assert_eq!(m.mul(a, b), naive_mul(a, b, q));

@@ -1,10 +1,12 @@
 //! Fast modular arithmetic for word-sized (≤ 63-bit) moduli.
 //!
 //! This is the arithmetic used by the CPU baseline in Fig. 10 of the paper
-//! (the "CPU-64b" series). It implements Barrett reduction for general
-//! products and the Harvey/Shoup butterfly trick for multiplications by a
-//! precomputed constant (twiddle factors), which is what state-of-the-art
-//! CPU NTT libraries such as OpenFHE use.
+//! (the "CPU-64b" series). It implements Barrett reduction — a
+//! single-word pass for products of reduced operands, a two-word
+//! reciprocal for arbitrary 128-bit values — and the Harvey/Shoup
+//! butterfly trick for multiplications by a precomputed constant (twiddle
+//! factors), which is what state-of-the-art CPU NTT libraries such as
+//! OpenFHE use.
 
 /// A prime (or at least odd) modulus `q < 2^63` with precomputed Barrett
 /// constants.
@@ -27,6 +29,12 @@ pub struct Modulus64 {
     /// floor(2^128 / q), stored as (hi, lo) 64-bit halves.
     barrett_hi: u64,
     barrett_lo: u64,
+    /// `lz(q) − 1`: the shift that brings `q` to exactly 63 bits.
+    shift: u32,
+    /// `q << shift`, in `[2^62, 2^63)`.
+    qn: u64,
+    /// `⌊(2^126 − 1) / qn⌋`, in `[2^63, 2^64)`.
+    mu: u64,
 }
 
 impl Modulus64 {
@@ -47,10 +55,15 @@ impl Modulus64 {
             // q divides 2^128 exactly (q is a power of two).
             quot += 1;
         }
+        let shift = q.leading_zeros() - 1;
+        let qn = q << shift;
         Some(Modulus64 {
             q,
             barrett_hi: (quot >> 64) as u64,
             barrett_lo: quot as u64,
+            shift,
+            qn,
+            mu: (((1u128 << 126) - 1) / qn as u128) as u64,
         })
     }
 
@@ -118,11 +131,35 @@ impl Modulus64 {
         }
     }
 
-    /// Modular multiplication of reduced operands via Barrett reduction.
+    /// Modular multiplication of reduced operands: [`Modulus128::mul`]'s
+    /// normalised Barrett pass at half the width — three word multiplies
+    /// where [`reduce_wide`](Modulus64::reduce_wide) on the product takes
+    /// seven.
+    ///
+    /// [`Modulus128::mul`]: crate::Modulus128::mul
     #[inline]
     pub fn mul(self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        self.reduce_wide(a as u128 * b as u128)
+        // Only a modulus above 2^62 has such a factor: multiply by its
+        // negative, which is below 2^62, and negate the product.
+        if b >> 62 != 0 {
+            return self.neg(self.barrett(a, self.q - b));
+        }
+        self.barrett(a, b)
+    }
+
+    /// `a · b mod q` for `a < q`, `b < min(q, 2^62)`. The derivation in
+    /// `mod128.rs` holds with every exponent halved: `x < 2^125`, the
+    /// quotient estimate is at most one short, the remainder before
+    /// correction is below `2·qn < 2^64`.
+    #[inline]
+    fn barrett(self, a: u64, b: u64) -> u64 {
+        let x = (a << self.shift) as u128 * b as u128;
+        let x1 = (x >> 61) as u64;
+        let q_hat = ((x1 as u128 * self.mu as u128) >> 65) as u64;
+        let r = (x as u64).wrapping_sub(q_hat.wrapping_mul(self.qn));
+        let r = if r >= self.qn { r - self.qn } else { r };
+        r >> self.shift
     }
 
     /// Precomputes the Shoup constant `floor(w * 2^64 / q)` for a fixed

@@ -161,18 +161,6 @@ impl U256 {
         self.hi == 0 && self.lo == 0
     }
 
-    /// Returns the index of the highest set bit, or `None` for zero.
-    #[inline]
-    pub const fn highest_bit(self) -> Option<u32> {
-        if self.hi != 0 {
-            Some(255 - self.hi.leading_zeros())
-        } else if self.lo != 0 {
-            Some(127 - self.lo.leading_zeros())
-        } else {
-            None
-        }
-    }
-
     /// Returns bit `i` (0 = least significant).
     ///
     /// # Panics
@@ -191,8 +179,9 @@ impl U256 {
     /// Divides `self` by a non-zero 128-bit divisor, returning
     /// `(quotient, remainder)`.
     ///
-    /// Uses restoring binary long division. The quotient is truncated to
-    /// 256 bits (it always fits because the divisor is at least 1).
+    /// Schoolbook long division on native `u128` operations: by 64-bit
+    /// limbs when the divisor fits one, otherwise the high word by native
+    /// division and the low word by one two-word-by-one-word step.
     ///
     /// # Panics
     ///
@@ -205,7 +194,6 @@ impl U256 {
         // Fast path: divisor fits in 64 bits -> do limbwise long division
         // with u128 intermediates (4 limbs of 64 bits).
         if d <= u64::MAX as u128 {
-            let d64 = d as u64;
             let limbs = [
                 (self.lo & 0xFFFF_FFFF_FFFF_FFFF) as u64,
                 (self.lo >> 64) as u64,
@@ -216,36 +204,15 @@ impl U256 {
             let mut rem: u128 = 0;
             for i in (0..4).rev() {
                 let cur = (rem << 64) | limbs[i] as u128;
-                q[i] = (cur / d64 as u128) as u64;
-                rem = cur % d64 as u128;
+                q[i] = (cur / d) as u64;
+                rem = cur - q[i] as u128 * d;
             }
             let qlo = q[0] as u128 | ((q[1] as u128) << 64);
             let qhi = q[2] as u128 | ((q[3] as u128) << 64);
             return (U256::new(qhi, qlo), rem);
         }
-        // General case: bitwise restoring division. The remainder always
-        // fits in 128 bits once it is `< d`.
-        let top = self.highest_bit().expect("hi != 0 so value is non-zero");
-        let mut rem: u128 = 0;
-        let mut quot = U256::ZERO;
-        let mut i = top as i32;
-        while i >= 0 {
-            // rem < d < 2^128, so `rem << 1 | bit` may spill into bit 128.
-            // When it does, the true value is 2^128 + rem_new >= d, and the
-            // wrapping subtraction below still yields the correct residue.
-            let carry_out = rem >> 127 == 1;
-            rem = (rem << 1) | self.bit(i as u32) as u128;
-            if carry_out || rem >= d {
-                rem = rem.wrapping_sub(d);
-                if i >= 128 {
-                    quot.hi |= 1u128 << (i - 128);
-                } else {
-                    quot.lo |= 1u128 << i;
-                }
-            }
-            i -= 1;
-        }
-        (quot, rem)
+        let (q_lo, rem) = div_2by1(self.hi % d, self.lo, d);
+        (U256::new(self.hi / d, q_lo), rem)
     }
 
     /// Reduces `self` modulo a non-zero 128-bit modulus.
@@ -257,6 +224,46 @@ impl U256 {
     pub fn rem_u128(self, m: u128) -> u128 {
         self.div_rem_u128(m).1
     }
+}
+
+/// Divides the two-word value `u1·2^128 + u0` by `v`, for `u1 < v` (so
+/// the quotient fits one word), returning `(quotient, remainder)`:
+/// Knuth's Algorithm D in base 2^64 for a two-digit divisor (Hacker's
+/// Delight §9-4, `divlu`, with `u128` for its words).
+fn div_2by1(u1: u128, u0: u128, v: u128) -> (u128, u128) {
+    debug_assert!(u1 < v);
+    const B: u128 = 1 << 64;
+    // Normalise so the divisor's top bit is set; `u1 < v` keeps the
+    // shifted dividend's top word below the shifted divisor.
+    let s = v.leading_zeros();
+    let v = v << s;
+    let (v1, v0) = (v >> 64, v % B);
+    let top = if s == 0 {
+        u1
+    } else {
+        (u1 << s) | (u0 >> (128 - s))
+    };
+    let low = u0 << s;
+    // One quotient digit of `(num·B + next) / v` for `num < v`: estimate
+    // from the divisor's top digit, then correct (at most twice).
+    let digit = |num: u128, next: u128| {
+        let (mut q, mut rhat) = (num / v1, num % v1);
+        while q >= B || q * v0 > (rhat << 64 | next) {
+            q -= 1;
+            rhat += v1;
+            if rhat >= B {
+                break;
+            }
+        }
+        q
+    };
+    // `num·B + next − q·v` is below `v`, so computing it modulo 2^128
+    // loses nothing.
+    let rest = |num: u128, next: u128, q: u128| (num << 64 | next).wrapping_sub(q.wrapping_mul(v));
+    let q1 = digit(top, low >> 64);
+    let mid = rest(top, low >> 64, q1);
+    let q0 = digit(mid, low % B);
+    (q1 << 64 | q0, rest(mid, low % B, q0) >> s)
 }
 
 impl From<u128> for U256 {
@@ -352,6 +359,58 @@ mod tests {
         assert_eq!(r2, 5);
     }
 
+    /// Restoring binary long division, one bit per step: the reference
+    /// the word-level path is checked against.
+    fn div_rem_bitwise(v: U256, d: u128) -> (U256, u128) {
+        let mut rem: u128 = 0;
+        let mut quot = U256::ZERO;
+        for i in (0..256).rev() {
+            // rem < d < 2^128, so `rem << 1 | bit` may spill into bit 128.
+            // When it does, the true value is 2^128 + rem_new >= d, and the
+            // wrapping subtraction below still yields the correct residue.
+            let carry_out = rem >> 127 == 1;
+            rem = (rem << 1) | v.bit(i) as u128;
+            if carry_out || rem >= d {
+                rem = rem.wrapping_sub(d);
+                if i >= 128 {
+                    quot.hi |= 1u128 << (i - 128);
+                } else {
+                    quot.lo |= 1u128 << i;
+                }
+            }
+        }
+        (quot, rem)
+    }
+
+    #[test]
+    fn word_division_matches_bitwise_division_at_the_edges() {
+        // Divisors and dividend words around every boundary the digit
+        // estimate and its corrections care about: powers of two, all-ones
+        // halves, a top digit of exactly 2^63, and neighbours of the
+        // divisor itself.
+        let mut words = vec![0u128, 1, 2, u128::MAX, u128::MAX - 1];
+        for k in [62, 63, 64, 65, 126, 127] {
+            let p = 1u128 << k;
+            words.extend([p - 1, p, p + 1, p | (p >> 1), (p - 1) ^ ((1 << 32) - 1)]);
+        }
+        words.extend([
+            u128::MAX << 64,
+            (1 << 127) | u64::MAX as u128,
+            (u64::MAX as u128) << 63,
+            0x8000_0000_0000_0000_FFFF_FFFF_FFFF_FFFF,
+            0x8000_0000_0000_0001_0000_0000_0000_0000,
+            0xFFFF_FFFF_FFFF_FFFE_FFFF_FFFF_FFFF_FFFF,
+        ]);
+        for &d in words.iter().filter(|&&d| d != 0) {
+            for &hi in words.iter().chain(&[d - 1, d, d.wrapping_add(1)]) {
+                for &lo in &words {
+                    let v = U256::new(hi, lo);
+                    assert_eq!(v.div_rem_u128(d), div_rem_bitwise(v, d), "{v} / {d}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn rem_matches_mod_for_128bit_values() {
         let m = 0xFFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FF61u128; // arbitrary
@@ -365,7 +424,6 @@ mod tests {
         assert!(v.bit(1));
         assert!(!v.bit(0));
         assert!(v.bit(128));
-        assert_eq!(v.highest_bit(), Some(128));
     }
 
     #[test]

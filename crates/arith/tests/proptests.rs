@@ -12,6 +12,27 @@ fn arb_mod128() -> impl Strategy<Value = Modulus128> {
     (3u128..(1u128 << 127)).prop_map(|q| Modulus128::new(q | 1).expect("odd q in range"))
 }
 
+/// The five shapes of `bits`-wide modulus the two `mul`s are checked
+/// on: a random odd one, a random even one, `2^(bits−1)`, `2^bits − 1`
+/// and `2^(bits−1) + 1`.
+fn moduli_of_width(bits: u32, r: u128) -> [u128; 5] {
+    let top = 1u128 << (bits - 1);
+    let random = top | (r & (top - 1));
+    [random | 1, random & !1, top, (top << 1) - 1, top + 1]
+}
+
+/// A reduced operand, half the time one of the boundary values
+/// `0, 1, q/2, q − 1` (the last is at or above 2^126 for a 127-bit `q`).
+fn biased_operand(sel: u8, r: u128, q: u128) -> u128 {
+    match sel {
+        0 => 0,
+        1 => 1,
+        2 => q / 2,
+        3 => q - 1,
+        _ => r % q,
+    }
+}
+
 /// An arbitrary modulus in `[2, 2^63)`.
 fn arb_mod64() -> impl Strategy<Value = Modulus64> {
     (2u64..(1u64 << 63)).prop_map(|q| Modulus64::new(q).expect("q in range"))
@@ -63,6 +84,29 @@ proptest! {
     }
 
     #[test]
+    fn mod128_mul_is_exact_at_every_width(r in any::<u128>(),
+                                          (sa, ra) in (0u8..8, any::<u128>()),
+                                          (sb, rb) in (0u8..8, any::<u128>())) {
+        // The interpreter, the fast path's plain arms and the golden
+        // models all call `Modulus128::mul`, so this — exact 256-bit
+        // division, and Montgomery where it exists — is its only
+        // independent reference.
+        for bits in 2..=127 {
+            for q in moduli_of_width(bits, r) {
+                let m = Modulus128::new(q).expect("2 <= q < 2^127");
+                let (a, b) = (biased_operand(sa, ra, q), biased_operand(sb, rb, q));
+                let expect = U256::mul_wide(a, b).rem_u128(q);
+                prop_assert_eq!(m.mul(a, b), expect, "q={} a={} b={}", q, a, b);
+                prop_assert_eq!(m.mul(b, a), expect, "q={} a={} b={}", q, b, a);
+                if m.is_odd() {
+                    let mont = m.mont_mul_raw(m.to_mont(a), m.to_mont(b));
+                    prop_assert_eq!(m.from_mont(mont), expect, "q={} a={} b={}", q, a, b);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn mod128_distributive(m in arb_mod128(),
                            a in any::<u128>(), b in any::<u128>(), c in any::<u128>()) {
         let q = m.value();
@@ -102,6 +146,22 @@ proptest! {
         prop_assert_eq!(m64.mul(a, b) as u128, m128.mul(a as u128, b as u128));
         prop_assert_eq!(m64.add(a, b) as u128, m128.add(a as u128, b as u128));
         prop_assert_eq!(m64.sub(a, b) as u128, m128.sub(a as u128, b as u128));
+    }
+
+    #[test]
+    fn mod64_mul_is_exact_at_every_width(r in any::<u128>(),
+                                         (sa, ra) in (0u8..8, any::<u128>()),
+                                         (sb, rb) in (0u8..8, any::<u128>())) {
+        // The same pass at half the width, against native division.
+        for bits in 2..=63 {
+            for q in moduli_of_width(bits, r) {
+                let m = Modulus64::new(q as u64).expect("2 <= q < 2^63");
+                let (a, b) = (biased_operand(sa, ra, q), biased_operand(sb, rb, q));
+                let expect = a * b % q;
+                prop_assert_eq!(m.mul(a as u64, b as u64) as u128, expect, "q={} a={} b={}", q, a, b);
+                prop_assert_eq!(m.mul(b as u64, a as u64) as u128, expect, "q={} a={} b={}", q, b, a);
+            }
+        }
     }
 
     #[test]

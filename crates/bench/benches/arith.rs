@@ -52,8 +52,9 @@ fn bench_mod128(c: &mut Criterion) {
 
 /// One row per strategy: the per-lane cost of a `vmulmod` as each one
 /// services it. The wide rows reproduce the 126-bit arithmetic floor
-/// (`montgomery128` = two Montgomery reductions, `_resident` = one, what
-/// a multiply against a Montgomery-form factor pays); the ≤63-bit rows
+/// (`montgomery128` = the plain multiply, one Barrett pass; `_resident` =
+/// one Montgomery reduction, what a multiply against a Montgomery-form
+/// factor pays); the ≤63-bit rows
 /// are what the fast path's native-u64 tier pays per lane — `barrett64`
 /// is the bare `Modulus64` multiply, `native_u64_lane` the same through
 /// [`Engine`] with the u128↔u64 lane conversions the simulator's

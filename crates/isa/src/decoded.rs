@@ -24,7 +24,7 @@ use crate::regs::VReg;
 ///
 /// Hints are *advisory*. They never change semantics: an executor that
 /// ignores them (or one servicing an even modulus, which has no
-/// Montgomery form) computes the same results through the two-reduction
+/// Montgomery form) computes the same results through the plain
 /// multiply. They exist so a Montgomery executor converts exactly the
 /// registers whose remaining static multiply uses pay for the
 /// conversion, instead of converting on every multiply.
@@ -46,8 +46,7 @@ pub enum PromoteHint {
 struct DomainUses {
     /// Multiplicative sources — the operands a Montgomery executor can
     /// read from a cached Montgomery copy — in [`PromoteHint`] slot
-    /// order. `vsmulmod` has none: its hoisted scalar already folds the
-    /// multiply into one reduction.
+    /// order. `vsmulmod` has none: its other factor is a scalar.
     mul: Option<[usize; 2]>,
     /// Registers (re)defined, which drops their cached copy.
     defs: [Option<usize>; 2],
@@ -69,8 +68,8 @@ impl DomainUses {
 }
 
 /// How many instructions in `uses[start + 1..]` use register `r` as a
-/// multiplicative source before its next redefinition; each one saves a
-/// Montgomery reduction if `r` has a cached Montgomery copy.
+/// multiplicative source before its next redefinition; each one is
+/// cheaper if `r` has a cached Montgomery copy.
 fn future_mul_uses(uses: &[DomainUses], start: usize, r: usize) -> usize {
     let mut count = 0;
     for u in &uses[start + 1..] {
@@ -84,13 +83,16 @@ fn future_mul_uses(uses: &[DomainUses], start: usize, r: usize) -> usize {
 
 /// Computes the static domain plan: one [`PromoteHint`] per instruction.
 ///
-/// A source is promoted at a multiply only when the conversion pays for
-/// itself: building the copy costs one reduction per lane now, and
-/// every further multiplicative use before redefinition saves one, so
-/// it takes at least two of those. A multiply against one cached side
-/// already folds two reductions into one, so a second cached side buys
-/// nothing: an instruction with a cached source gets no hint, and one
-/// without promotes at most its more reused source.
+/// A source is promoted at a multiply only when at least two further
+/// multiplicative uses follow before its redefinition. Building the
+/// copy costs one Montgomery multiply per lane and each use saves the
+/// plain multiply's shifts — about a fifth of it — so a copy pays from
+/// about five uses: the threshold sits below break-even, harmlessly for
+/// generated kernels (every hint there has at least four uses,
+/// `docs/arith-engines.md`), and moving it re-pins the golden hint
+/// counts. A multiply needs only one cached side, so an instruction
+/// with a cached source gets no hint, and one without promotes at most
+/// its more reused source.
 fn domain_plan(program: &Program) -> Vec<PromoteHint> {
     const SLOTS: [PromoteHint; 2] = [PromoteHint::First, PromoteHint::Second];
     let uses: Vec<DomainUses> = program.instructions().iter().map(DomainUses::of).collect();

@@ -25,7 +25,7 @@
 
 use crate::rlwe::Splitmix;
 use crate::{Ntt128Plan, NttError, Polynomial};
-use rpu_arith::{gadget_decompose, gadget_levels, ChainError, ModulusChain};
+use rpu_arith::{gadget_decompose, gadget_levels, ChainError, Engine, ModulusChain};
 use std::sync::Arc;
 
 /// Error from leveled-ciphertext operations.
@@ -606,7 +606,9 @@ impl LeveledContext {
     /// `δ = t·center(t^{-1}·d mod p)` — the unique polynomial with
     /// `δ ≡ d (mod p)`, `δ ≡ 0 (mod t)`, and `|δ| ≤ t·p/2`. Subtracting
     /// `δ` makes the component divisible by `p` without disturbing the
-    /// plaintext. Shared verbatim by the device rescale path.
+    /// plaintext. Shared verbatim by the device rescale path, which
+    /// waits on it between a download and the re-upload — so each tower
+    /// computes on the [`Engine`] its width selects, as the device does.
     ///
     /// # Panics
     ///
@@ -614,8 +616,9 @@ impl LeveledContext {
     pub fn rescale_correction(&self, level: usize, d: &[u128]) -> Vec<Vec<u128>> {
         assert!(level > 0, "no tower below level 0");
         assert_eq!(d.len(), self.n, "dropped tower length must equal n");
+        let engine = |l| Engine::new(self.chain.prime(l)).expect("chain primes are valid moduli");
         let p = self.chain.prime(level);
-        let mp = self.chain.modulus(level);
+        let mp = engine(level);
         let t_inv = self.chain.t_inv(level);
         let t = self.chain.t();
         // Centered u = t^{-1}·d mod p as (sign, magnitude) pairs.
@@ -632,7 +635,7 @@ impl LeveledContext {
             .collect();
         (0..level)
             .map(|i| {
-                let mi = self.chain.modulus(i);
+                let mi = engine(i);
                 let t_i = mi.reduce(t);
                 centered
                     .iter()

@@ -17,15 +17,18 @@
 //!   and multiplied with one widening multiply plus a Barrett (or, for
 //!   vector-scalar, Shoup) reduction. On 64-bit lanes this tier does no
 //!   `u128` work beyond that multiply.
-//! * **Montgomery 128** (everything else): the [`Modulus128`] path,
-//!   extended with a *Montgomery shadow cache* — a register the
+//! * **Montgomery 128** (everything else): the [`Modulus128`] path —
+//!   one Barrett pass per product, the multiply the interpreter uses —
+//!   extended with a *Montgomery shadow cache*: a register the
 //!   program's static [`PromoteHint`] plan marks as a reused
 //!   multiplicative source gets a run-local copy of its lanes in
 //!   Montgomery form ([`Shadows`]), and multiplies that read the copy
-//!   cost one Montgomery reduction per lane instead of two. The
-//!   register itself always holds its architectural lanes; writing it
-//!   drops the copy. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane
-//!   is widened going in and narrowed coming out.
+//!   take one Montgomery reduction per lane — the same eleven word
+//!   multiplies as the Barrett pass without its shifts, which
+//!   `docs/arith-engines.md` prices on the 64K NTT. The register itself
+//!   always holds its architectural lanes; writing it drops the copy.
+//!   On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane is widened going
+//!   in and narrowed coming out.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
@@ -420,15 +423,15 @@ impl<W: Lane> Store<W> {
                         m.mul(a.canon(m), b.canon(m)).into()
                     }),
                     Engine::Mont128(m) => match shadows.factor(vrf, [vs, vt], m, hint) {
-                        // One reduction lands the product directly in
-                        // normal form (aR · b · R^{-1} = ab).
+                        // One Montgomery reduction lands the product
+                        // directly in normal form (aR · b · R^{-1} = ab).
                         Some((mont, other)) => {
                             for ((o, &a), b) in scratch.iter_mut().zip(mont).zip(&vrf[ix(other)]) {
                                 *o = W::narrow(m.mont_mul_raw(a, m.reduce(b.widen())));
                             }
                             std::mem::swap(&mut vrf[ix(vd)], scratch);
                         }
-                        // The oracle's two-reduction multiply.
+                        // The oracle's multiply.
                         None => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
                             m.mul(m.reduce(a.widen()), m.reduce(b.widen()))
                         }),
@@ -481,15 +484,6 @@ impl<W: Lane> Store<W> {
                             m.mul_shoup(a.canon(m), s, s_shoup).into()
                         });
                     }
-                    Engine::Mont128(m) if m.is_odd() => {
-                        // One Montgomery reduction per lane instead of
-                        // the oracle's two: hoist the scalar into
-                        // Montgomery form once (sR · a · R^{-1} = s·a).
-                        let s_mont = m.to_mont(m.reduce(s.widen()));
-                        vs_into(vrf, scratch, vd, vs, |a| {
-                            m.mont_mul_raw(s_mont, m.reduce(a.widen()))
-                        });
-                    }
                     Engine::Mont128(m) => {
                         let s = m.reduce(s.widen());
                         vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a.widen()), s));
@@ -524,8 +518,8 @@ impl<W: Lane> Store<W> {
                     Engine::Mont128(m) => {
                         let outs = (&mut scratch[..], &mut scratch2[..]);
                         match shadows.factor(&self.vrf, [vt, vt1], m, hint) {
-                            // A shadowed side folds the multiply into a
-                            // single reduction.
+                            // A shadowed side multiplies through
+                            // Montgomery.
                             Some((mont, other)) => {
                                 let ins = (&a[..], mont, &self.vrf[ix(other)][..]);
                                 bfly_into(m, ins, outs, |x, y| {

@@ -30,11 +30,19 @@
 //! the fast path services them with different arithmetic engines: the
 //! *small* class seeds the MRF/SDM with ≤63-bit primes (tiny towers
 //! plus a 60-bit NTT prime, dispatched to native u64 lanes) and the
-//! *wide* class with 120/126-bit primes (dispatched to 128-bit
-//! Montgomery with register-domain residency, so Montgomery
-//! conversion points sit directly in the fuzzed path). `RPU_FUZZ_WIDTH`
-//! (`small` | `wide` | `both`, default `both`) pins the classes a run
-//! samples — CI's small-prime leg sets `small`.
+//! *wide* class with 120/126/127-bit primes and one even 126-bit
+//! modulus (dispatched to the `Modulus128` engine). The wide class is a
+//! genuinely **two-implementation** check of the wide multiply: the
+//! interpreter reduces every product in one Barrett pass
+//! (`Modulus128::mul`), while the fast path multiplies through
+//! Montgomery wherever the static plan shadows a source register —
+//! every `vmulmod`/`bfly` whose operand is reused, which the
+//! compute-heavy shapes produce constantly and generated kernels do
+//! from n = 4096 up. The 127-bit primes put factors on both sides of
+//! 2¹²⁶ (the Barrett pass multiplies those negated); the even modulus
+//! has no Montgomery form at all. `RPU_FUZZ_WIDTH` (`small` | `wide` |
+//! `both`, default `both`) pins the classes a run samples — CI's
+//! small-prime leg sets `small`.
 //!
 //! The classes also differ in **lane storage width**: a small-class
 //! simulator holds no value of 2⁶⁴ or more, so it stores (and must keep
@@ -89,8 +97,8 @@ const SMALL_PRIMES: [u128; 4] = [97, 193, 3329, 1_152_921_504_606_830_593];
 enum WidthClass {
     /// ≤63-bit primes: the fast path uses native u64 lanes.
     Small,
-    /// 120/126-bit primes: the fast path uses 128-bit Montgomery with
-    /// register-domain residency.
+    /// 120/126/127-bit primes and an even 126-bit modulus: the fast path
+    /// uses the `Modulus128` engine, Montgomery shadows included.
     Wide,
 }
 
@@ -105,16 +113,22 @@ impl WidthClass {
         }
     }
 
-    /// Primes seeded into `m0..m3` and cycled through the SDM.
-    fn primes(self) -> &'static [u128; 4] {
+    /// Moduli seeded into `m0..` (the generator mostly draws `m0..m3`)
+    /// and cycled through the SDM. The wide class leads with one of each
+    /// kind — 120-, 126-, 127-bit prime, even — so all four sit in the
+    /// registers programs favour; the second prime of each width arrives
+    /// through `mload` and the roaming MRF draw.
+    fn primes(self) -> &'static [u128] {
         match self {
             WidthClass::Small => &SMALL_PRIMES,
             WidthClass::Wide => {
-                static WIDE: OnceLock<[u128; 4]> = OnceLock::new();
+                static WIDE: OnceLock<[u128; 7]> = OnceLock::new();
                 WIDE.get_or_init(|| {
                     let p120 = rpu::arith::find_ntt_prime_chain(120, 2048, 2);
                     let p126 = rpu::arith::find_ntt_prime_chain(126, 2048, 2);
-                    [p120[0], p120[1], p126[0], p126[1]]
+                    let p127 = rpu::arith::find_ntt_prime_chain(127, 2048, 2);
+                    let even = p126[1] - 1;
+                    [p120[0], p126[0], p127[0], even, p120[1], p126[1], p127[1]]
                 })
             }
         }
@@ -435,7 +449,8 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
 }
 
 /// A fully seeded simulator: non-trivial VDM image, SDM holding the
-/// width class's valid primes, `m0..m3` and `s0..s3` preset. The top
+/// width class's valid moduli, one `m` and one `s` register preset per
+/// modulus. The top
 /// [`POISON_LEN`] VDM elements hold out-of-range gather indices (just
 /// past the VDM, and the largest values the class's lane width holds:
 /// `u64::MAX` down in the small class, so its state stays below 2⁶⁴;
