@@ -13,13 +13,15 @@
 //!   cluster looks up which lane's heap a buffer lives on so a handle
 //!   used on the wrong lane fails fast ([`BufferError::ForeignLane`])
 //!   instead of corrupting a foreign heap.
+//!   Its one concurrency primitive is [`RpuCluster::on_lanes`]: a
+//!   closure runs once per lane on that lane's own scoped OS thread
+//!   while the calling thread runs the host's side;
+//!   [`run_jobs`](RpuCluster::run_jobs) is the batch form on top of it.
 //! * [`RnsExecutor`] — shards an RNS-decomposed workload (tower-major
-//!   residue vectors, [`RnsPolynomial`] towers) across the lanes with a
-//!   work-stealing scheduler: tower jobs go into one shared queue and
-//!   every lane runs on its own OS thread, pulling the next tower the
-//!   moment it finishes the last — so lanes never idle while work
-//!   remains, whatever the tower/lane ratio. Results are CRT-recombined
-//!   on the host.
+//!   residue vectors, [`RnsPolynomial`] towers) across the lanes: every
+//!   lane takes the next un-started tower the moment it finishes the
+//!   last — so lanes never idle while work remains, whatever the
+//!   tower/lane ratio. Results are CRT-recombined on the host.
 //!
 //! ```
 //! use rpu::{RnsExecutor, Rpu};
@@ -50,9 +52,8 @@ use crate::RpuError;
 use rpu_codegen::{CodegenStyle, ConvolutionSpec, Kernel, KernelSpec};
 use rpu_ntt::{RnsContext, RnsPolynomial};
 use std::any::Any;
-use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One lane: a session plus its lifetime dispatch accounting.
@@ -62,11 +63,6 @@ struct Lane<'a> {
     dispatches: u64,
     cycles: u64,
     busy_us: f64,
-    /// Jobs this lane executed through a worker pool.
-    jobs: u64,
-    /// Host wall-clock spent *executing* pool jobs on this lane, in
-    /// microseconds (excludes time parked waiting for work).
-    wall_busy_us: f64,
     transfer: TransferStats,
 }
 
@@ -79,8 +75,6 @@ impl<'a> Lane<'a> {
             dispatches: 0,
             cycles: 0,
             busy_us: 0.0,
-            jobs: 0,
-            wall_busy_us: 0.0,
             transfer: TransferStats::default(),
         }
     }
@@ -95,15 +89,17 @@ impl<'a> Lane<'a> {
 }
 
 /// One generic unit of work for [`RpuCluster::run_jobs`]: runs on
-/// whichever lane steals it, driving that lane through the
+/// whichever lane takes it, driving that lane through the
 /// [`LaneWorker`] it is handed.
 pub type LaneJob<'j, T> =
     Box<dyn FnOnce(&mut LaneWorker<'_, '_>) -> Result<T, RpuError> + Send + 'j>;
 
-/// A lane as seen from inside a work-stealing job: the lane's session
-/// plus per-lane accounting, so everything a job uploads, dispatches,
-/// and downloads lands in that lane's [`LaneStats`] (and therefore in
-/// the run's [`ClusterRunReport`]).
+/// A lane as seen by whoever drives it — a [`RpuCluster::on_lanes`]
+/// closure on the lane's thread, a [`LaneJob`], or the calling thread
+/// through [`RpuCluster::lane`]: the lane's session plus per-lane
+/// accounting, so everything uploaded, dispatched and downloaded lands
+/// in that lane's [`LaneStats`] (and therefore in the run's
+/// [`ClusterRunReport`]).
 #[derive(Debug)]
 pub struct LaneWorker<'l, 'a> {
     index: usize,
@@ -191,29 +187,6 @@ impl<'l, 'a> LaneWorker<'l, 'a> {
         self.lane.account(&report);
         Ok(report)
     }
-
-    /// Uploads, dispatches the tower's fused convolution, downloads, and
-    /// frees — one complete tower job, entirely lane-local.
-    fn run_tower(
-        &mut self,
-        n: usize,
-        q: u128,
-        a: &[u128],
-        b: &[u128],
-        style: CodegenStyle,
-    ) -> Result<Vec<u128>, RpuError> {
-        let kernel = self.compile(&ConvolutionSpec::new(n, q, style))?;
-        let mut t = Temps::default();
-        let result = (|| {
-            let da = t.hold(self.upload(a)?);
-            let db = t.hold(self.upload(b)?);
-            let dc = t.hold(self.alloc(n)?);
-            self.dispatch(&kernel, &[da, db], &[dc])?;
-            self.download(&dc)
-        })();
-        // Tower buffers never outlive the job, success or not.
-        t.settle(result, |_| [], |buf| self.free(buf))
-    }
 }
 
 /// A snapshot of one lane's accounting: how much work it has absorbed
@@ -228,16 +201,6 @@ pub struct LaneStats {
     pub cycles: u64,
     /// Total simulated on-RPU time, in microseconds.
     pub busy_us: f64,
-    /// Pool jobs executed on this lane ([`RpuCluster::run_jobs`] /
-    /// [`RpuCluster::with_workers`]); direct `dispatch_on` traffic does
-    /// not count as a job.
-    pub jobs: u64,
-    /// Host wall-clock spent executing pool jobs on this lane, in
-    /// microseconds — the lane's *occupancy*, as opposed to `busy_us`
-    /// which is simulated device time. Time parked waiting for work is
-    /// excluded, so `wall_busy_us / report.wall_us` is the lane's
-    /// utilization over a run.
-    pub wall_busy_us: f64,
     /// Aggregated data movement (uploads, downloads, on-device copies).
     pub transfer: TransferStats,
 }
@@ -252,8 +215,6 @@ impl LaneStats {
             dispatches,
             cycles: after.cycles - before.cycles,
             busy_us: after.busy_us - before.busy_us,
-            jobs: after.jobs - before.jobs,
-            wall_busy_us: after.wall_busy_us - before.wall_busy_us,
             transfer: TransferStats {
                 host_to_device: after.transfer.host_to_device - before.transfer.host_to_device,
                 device_to_host: after.transfer.device_to_host - before.transfer.device_to_host,
@@ -272,7 +233,9 @@ impl LaneStats {
 /// the makespan/sequential comparison that quantifies the overlap.
 #[derive(Debug, Clone)]
 pub struct ClusterRunReport {
-    /// Towers (independent jobs) executed.
+    /// Independent units executed: the jobs of a
+    /// [`run_jobs`](RpuCluster::run_jobs) call, or one per lane under a
+    /// bare [`on_lanes`](RpuCluster::on_lanes).
     pub towers: usize,
     /// Lanes in the cluster (idle lanes included).
     pub lanes: usize,
@@ -291,12 +254,16 @@ pub struct ClusterRunReport {
     /// Host wall-clock of the sharded run, in microseconds (the lanes'
     /// functional simulators really do run on parallel OS threads).
     pub wall_us: f64,
-    /// High-water mark of the pool's pending-job queues over the run
-    /// (pinned + shared, jobs submitted but not yet started) — how deep
-    /// the backlog got. (The serving layer queues served work itself and
-    /// seats only its per-lane init and loop jobs here, so under
-    /// `rpu-serve` this reads at most `2·lanes`.)
+    /// Jobs handed to the [`run_jobs`](RpuCluster::run_jobs) call — all
+    /// of them are pending before the first lane starts; 0 under a bare
+    /// [`on_lanes`](RpuCluster::on_lanes), which queues nothing (the
+    /// serving layer queues served work itself).
     pub queue_peak: usize,
+    /// The first lane (lowest index) whose closure panicked, as
+    /// `(lane, message)`. The panic is contained on that lane's thread
+    /// and the other lanes run on, so long-lived callers read this to
+    /// learn that a lane died.
+    pub panicked: Option<(usize, String)>,
     /// The structured dispatch events this run recorded, in dispatch
     /// order — empty unless a sink was installed via
     /// [`RpuBuilder::trace`](crate::RpuBuilder::trace) (and the sink
@@ -319,250 +286,6 @@ impl ClusterRunReport {
     /// Lanes that executed at least one tower of this run.
     pub fn lanes_used(&self) -> usize {
         self.per_lane.iter().filter(|l| l.dispatches > 0).count()
-    }
-}
-
-/// One unit of work for a persistent [`LanePool`]: it runs on a worker
-/// thread, driving whichever lane it lands on through the
-/// [`LaneWorker`] it is handed. Pool jobs carry no return channel —
-/// callers thread results out through whatever shared state the closure
-/// captures (a ticket cell, a `Mutex<Vec<_>>` slot, a condvar).
-pub type PoolJob<'j> = Box<dyn FnOnce(&mut LaneWorker<'_, '_>) + Send + 'j>;
-
-/// Everything the pool's mutex guards: the queues plus the counters the
-/// workers and the report read from one place.
-struct PoolState<'j> {
-    /// Lane-affine queues: jobs that must run on one particular lane, in
-    /// submission order (lane-resident ciphertexts, ordered frees).
-    pinned: Vec<VecDeque<PoolJob<'j>>>,
-    /// The work-stealing queue: any lane takes the next job the moment
-    /// it goes idle.
-    shared: VecDeque<PoolJob<'j>>,
-    /// Still accepting work; flips when the owning scope shuts down, at
-    /// which point workers drain what is queued and exit.
-    open: bool,
-    /// Jobs currently executing on some worker.
-    active: usize,
-    /// Jobs submitted but not yet started (pinned + shared).
-    pending: usize,
-    /// Jobs finished — successfully or by caught panic — over the
-    /// pool's lifetime.
-    executed: usize,
-    /// High-water mark of `pending`.
-    depth_peak: usize,
-    /// First caught job panic, as `(lane, message)`.
-    panic: Option<(usize, String)>,
-}
-
-impl std::fmt::Debug for PoolState<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolState")
-            .field(
-                "pinned",
-                &self.pinned.iter().map(VecDeque::len).collect::<Vec<_>>(),
-            )
-            .field("shared", &self.shared.len())
-            .field("open", &self.open)
-            .field("active", &self.active)
-            .field("pending", &self.pending)
-            .field("executed", &self.executed)
-            .field("depth_peak", &self.depth_peak)
-            .field("panic", &self.panic)
-            .finish()
-    }
-}
-
-/// A persistent per-lane worker pool over an [`RpuCluster`], created by
-/// [`RpuCluster::with_workers`]. One OS thread per lane stays parked on
-/// the pool for the scope's lifetime; callers feed it two kinds of work:
-///
-/// * [`submit`](LanePool::submit) — any-lane jobs, work-stealing: the
-///   next idle lane takes the next job, so throughput work balances
-///   itself whatever the job/lane ratio;
-/// * [`submit_to`](LanePool::submit_to) — lane-pinned jobs, FIFO per
-///   lane: for work that must touch one lane's resident state. A pinned
-///   job may be as long-lived as the scope: the serving layer seats one
-///   service loop per lane this way and lets each loop pull tenant
-///   batches from the server's own queues, rather than submitting a
-///   pool job per batch.
-///
-/// The pool is `Sync`: many client threads may submit concurrently
-/// while the workers drain. A job that panics is caught on its worker
-/// thread and recorded ([`panicked`](LanePool::panicked)); the pool
-/// keeps draining — long-lived callers decide whether that is fatal.
-#[derive(Debug)]
-pub struct LanePool<'j> {
-    lanes: usize,
-    queues: Mutex<PoolState<'j>>,
-    /// Signals workers: new work, or shutdown.
-    work: Condvar,
-    /// Signals waiters: the pool just went idle.
-    idle: Condvar,
-}
-
-impl<'j> LanePool<'j> {
-    fn new(lanes: usize) -> Self {
-        LanePool {
-            lanes,
-            queues: Mutex::new(PoolState {
-                pinned: (0..lanes).map(|_| VecDeque::new()).collect(),
-                shared: VecDeque::new(),
-                open: true,
-                active: 0,
-                pending: 0,
-                executed: 0,
-                depth_peak: 0,
-                panic: None,
-            }),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        }
-    }
-
-    /// Number of lanes (worker threads) feeding from this pool.
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
-    /// Submits a job any lane may steal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool has already shut down (impossible through
-    /// [`RpuCluster::with_workers`], which closes the pool only after
-    /// the caller's closure returns).
-    pub fn submit(&self, job: PoolJob<'j>) {
-        self.push(None, job);
-    }
-
-    /// Submits a job pinned to `lane`: it runs there and nowhere else,
-    /// after every pinned job submitted to that lane before it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range or the pool has shut down.
-    pub fn submit_to(&self, lane: usize, job: PoolJob<'j>) {
-        assert!(
-            lane < self.lanes,
-            "pinned submit to lane {lane} of a {}-lane pool",
-            self.lanes
-        );
-        self.push(Some(lane), job);
-    }
-
-    /// Locks the pool state once `ready` holds, parking on `cv` until
-    /// then — the one place a lock or wait result of the pool's mutex is
-    /// handled. Poison is recovered rather than propagated: jobs run
-    /// with the lock released, and every critical section below is a
-    /// few counter and queue updates that leave the state valid at each
-    /// step, so one panicking thread must not wedge the other lanes.
-    fn state_when(
-        &self,
-        cv: &Condvar,
-        ready: impl Fn(&PoolState<'j>) -> bool,
-    ) -> MutexGuard<'_, PoolState<'j>> {
-        let guard = self.queues.lock().unwrap_or_else(PoisonError::into_inner);
-        cv.wait_while(guard, |q| !ready(q))
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn state(&self) -> MutexGuard<'_, PoolState<'j>> {
-        self.state_when(&self.idle, |_| true)
-    }
-
-    fn push(&self, lane: Option<usize>, job: PoolJob<'j>) {
-        let mut q = self.state();
-        assert!(q.open, "job submitted to a closed pool");
-        match lane {
-            Some(l) => q.pinned[l].push_back(job),
-            None => q.shared.push_back(job),
-        }
-        q.pending += 1;
-        if q.pending > q.depth_peak {
-            q.depth_peak = q.pending;
-        }
-        drop(q);
-        // Pinned work must reach one specific parked worker, and the
-        // condvar cannot aim — wake them all, the others re-park.
-        self.work.notify_all();
-    }
-
-    /// Blocks until every job submitted so far has finished.
-    pub fn wait_idle(&self) {
-        drop(self.state_when(&self.idle, |q| q.pending == 0 && q.active == 0));
-    }
-
-    /// Jobs submitted but not yet started (pinned + shared).
-    pub fn queued(&self) -> usize {
-        self.state().pending
-    }
-
-    /// Jobs finished over the pool's lifetime.
-    pub fn executed(&self) -> usize {
-        self.state().executed
-    }
-
-    /// High-water mark of the pending-job backlog so far.
-    pub fn queue_peak(&self) -> usize {
-        self.state().depth_peak
-    }
-
-    /// The first job panic the pool caught, as `(lane, message)` — the
-    /// pool keeps draining after a panic, so check this where a panic
-    /// must be fatal ([`RpuCluster::run_jobs`] turns it into
-    /// [`RpuError::LanePanic`]).
-    pub fn panicked(&self) -> Option<(usize, String)> {
-        self.state().panic.clone()
-    }
-
-    /// Worker side: the next job for `lane` (its pinned queue first,
-    /// then the shared queue), parking until one arrives. `None` means
-    /// the pool shut down and drained — the worker loop exits.
-    fn next_job(&self, lane: usize) -> Option<PoolJob<'j>> {
-        let mut q = self.state_when(&self.work, |q| {
-            !q.pinned[lane].is_empty() || !q.shared.is_empty() || !q.open
-        });
-        let job = match q.pinned[lane].pop_front() {
-            Some(j) => j,
-            None => q.shared.pop_front()?,
-        };
-        q.pending -= 1;
-        q.active += 1;
-        Some(job)
-    }
-
-    /// Worker side: accounts a finished job (and its panic, if caught).
-    fn finish(&self, lane: usize, panic: Option<Box<dyn Any + Send>>) {
-        let mut q = self.state();
-        q.active -= 1;
-        q.executed += 1;
-        if let Some(payload) = panic {
-            if q.panic.is_none() {
-                q.panic = Some((lane, panic_message(payload.as_ref())));
-            }
-        }
-        if q.pending == 0 && q.active == 0 {
-            drop(q);
-            self.idle.notify_all();
-        }
-    }
-
-    /// Stops accepting work and wakes every parked worker; they drain
-    /// what is already queued, then exit.
-    fn close(&self) {
-        self.state().open = false;
-        self.work.notify_all();
-    }
-}
-
-/// Closes the pool even if the caller's closure unwinds — parked
-/// workers would otherwise never observe shutdown and the owning thread
-/// scope would join forever.
-struct PoolCloseGuard<'p, 'j>(&'p LanePool<'j>);
-
-impl Drop for PoolCloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -645,7 +368,7 @@ impl<'a> RpuCluster<'a> {
     }
 
     /// Drives `lane` synchronously from the calling thread: the same
-    /// [`LaneWorker`] surface (and accounting) a pool job gets. The
+    /// [`LaneWorker`] surface (and accounting) a lane thread gets. The
     /// cluster's own per-lane methods are thin calls through it.
     ///
     /// # Panics
@@ -744,8 +467,8 @@ impl<'a> RpuCluster<'a> {
     /// The move is **failure-atomic**: the source is freed only after
     /// the destination copy exists, so when the destination lane's
     /// allocation fails (heap exhausted) the source stays live and
-    /// downloadable with its placement-map entry intact — nothing leaks
-    /// and nothing half-moves. If freeing the source somehow fails, the
+    /// downloadable on its lane — nothing leaks and nothing
+    /// half-moves. If freeing the source somehow fails, the
     /// destination copy is rolled back before the error propagates.
     ///
     /// # Errors
@@ -847,8 +570,6 @@ impl<'a> RpuCluster<'a> {
             dispatches: l.dispatches,
             cycles: l.cycles,
             busy_us: l.busy_us,
-            jobs: l.jobs,
-            wall_busy_us: l.wall_busy_us,
             transfer: l.transfer,
         }
     }
@@ -982,65 +703,48 @@ impl<'a> RpuCluster<'a> {
         Ok(())
     }
 
-    /// Spawns one persistent worker thread per lane and hands the
-    /// calling thread a [`LanePool`] to feed: `f` submits shared
-    /// (any-lane, work-stealing) or pinned (lane-affine, per-lane FIFO)
-    /// jobs while the workers drain them concurrently. When `f` returns
-    /// the pool closes, the workers finish whatever is still queued and
-    /// exit, and `f`'s result comes back with the aggregated
-    /// [`ClusterRunReport`] for everything that ran.
+    /// The cluster's one concurrency primitive: runs `lane_main` once
+    /// per lane, each on that lane's own scoped OS thread with the
+    /// lane's [`LaneWorker`], while `host` runs on the calling thread.
+    /// Returns `host`'s result once every lane has returned, with the
+    /// aggregated [`ClusterRunReport`] for everything the lanes did.
     ///
-    /// This is the persistent engine behind
-    /// [`run_jobs`](RpuCluster::run_jobs) — and behind the serving
-    /// layer, which pins one long-lived service loop to each lane's
-    /// worker for the lifetime of the service (the worker threads are
-    /// the only threads it runs on). The pool is `Sync`, so `f` may
-    /// share it with client threads of its own (e.g. via
-    /// [`std::thread::scope`]).
+    /// Nothing here tells a lane to stop: a `lane_main` that loops must
+    /// watch state `host` can reach (the serving layer arms a shutdown
+    /// guard first thing in `host`, so its lane loops are released even
+    /// when `host` unwinds — the scope joins before the panic resumes).
     ///
-    /// A job that **panics** is caught on its worker thread and recorded
-    /// ([`LanePool::panicked`]); no mutex is poisoned and the pool keeps
-    /// draining, so a faulty job cannot wedge the cluster — long-lived
-    /// callers decide whether a panic is fatal. Buffers the panicking
-    /// job had allocated on its lane are leaked (their handles died with
-    /// the job); the cluster itself stays usable.
-    pub fn with_workers<'j, R>(
+    /// A `lane_main` that **panics** takes only its own thread down:
+    /// the other lanes and `host` run on, and the report names the lane
+    /// ([`ClusterRunReport::panicked`]). Buffers it had allocated on its
+    /// lane are leaked (their handles died with it); the cluster itself
+    /// stays usable.
+    pub fn on_lanes<R>(
         &mut self,
-        f: impl FnOnce(&LanePool<'j>) -> R,
+        lane_main: impl Fn(&mut LaneWorker<'_, 'a>) + Sync,
+        host: impl FnOnce() -> R,
     ) -> (R, ClusterRunReport) {
         let before: Vec<LaneStats> = self.stats();
         let trace_start = self.rpu.trace_sink().map(|sink| sink.next_seq());
         let nlanes = self.lanes.len();
-        let pool = LanePool::new(nlanes);
-        // Release `f` only once every worker thread is actually parked
-        // on the pool, so a fast caller cannot fill *and* observe the
-        // queues before all lanes exist.
-        let start = std::sync::Barrier::new(nlanes + 1);
         let started = Instant::now();
-        let out = std::thread::scope(|scope| {
-            let pool = &pool;
-            let start = &start;
-            for (index, lane) in self.lanes.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    start.wait();
-                    let mut worker = LaneWorker { index, lane };
-                    while let Some(job) = pool.next_job(index) {
-                        // No lock is held across the job, and a panic is
-                        // caught right here on the worker thread — so a
-                        // faulty job can never poison the queue state
-                        // the other lanes are draining.
-                        let t0 = Instant::now();
-                        let outcome =
-                            std::panic::catch_unwind(AssertUnwindSafe(|| job(&mut worker)));
-                        worker.lane.jobs += 1;
-                        worker.lane.wall_busy_us += t0.elapsed().as_secs_f64() * 1e6;
-                        pool.finish(index, outcome.err());
-                    }
-                });
+        let (out, panicked) = std::thread::scope(|scope| {
+            let lane_main = &lane_main;
+            let threads: Vec<_> = (self.lanes.iter_mut().enumerate())
+                .map(|(index, lane)| {
+                    scope.spawn(move || lane_main(&mut LaneWorker { index, lane }))
+                })
+                .collect();
+            let out = host();
+            // Joining by hand is what contains a lane's panic: the scope
+            // re-raises only panics of threads nobody joined.
+            let mut panicked = None;
+            for (index, thread) in threads.into_iter().enumerate() {
+                if let Err(payload) = thread.join() {
+                    panicked.get_or_insert((index, panic_message(payload.as_ref())));
+                }
             }
-            start.wait();
-            let _close = PoolCloseGuard(pool);
-            f(pool)
+            (out, panicked)
         });
         let wall_us = started.elapsed().as_secs_f64() * 1e6;
 
@@ -1058,7 +762,7 @@ impl<'a> RpuCluster<'a> {
             transfer.absorb(&l.transfer);
         }
         let report = ClusterRunReport {
-            towers: pool.executed(),
+            towers: nlanes,
             lanes: nlanes,
             per_lane,
             makespan_us,
@@ -1066,7 +770,8 @@ impl<'a> RpuCluster<'a> {
             total_cycles,
             transfer,
             wall_us,
-            queue_peak: pool.queue_peak(),
+            queue_peak: 0,
+            panicked,
             trace: match (self.rpu.trace_sink(), trace_start) {
                 (Some(sink), Some(start)) => sink.events_since(start),
                 _ => Vec::new(),
@@ -1075,109 +780,80 @@ impl<'a> RpuCluster<'a> {
         (out, report)
     }
 
-    /// Runs `jobs.len()` independent lane jobs across the lanes with the
-    /// work-stealing scheduler — the engine behind [`RnsExecutor`]'s
-    /// tower sharding *and* the per-digit key-switch products of
-    /// `RlweEvaluator::mul`/`rotate`. Every lane runs on its own OS
-    /// thread, pulling the next un-started job from the shared queue
-    /// until it drains; results come back in job order plus the
-    /// aggregated report. (A one-shot convenience over
-    /// [`with_workers`](RpuCluster::with_workers).)
+    /// Runs `jobs.len()` independent lane jobs across the lanes — the
+    /// engine behind [`RnsExecutor`]'s tower sharding *and* the
+    /// per-digit key-switch products of `RlweEvaluator::mul`/`rotate`.
+    /// Every lane runs on its own OS thread
+    /// ([`on_lanes`](RpuCluster::on_lanes)), taking the next un-started
+    /// job until none is left, so no lane idles while work remains;
+    /// results come back in job order plus the aggregated report.
     ///
     /// A job that **panics** (as opposed to returning an error) is
-    /// caught on the worker thread and surfaced as
-    /// [`RpuError::LanePanic`] — the queue drains cleanly and no mutex
-    /// is poisoned, so the remaining lanes stop instead of wedging.
-    /// Buffers the panicking job had allocated on its lane are leaked
-    /// (their handles died with the job); the cluster itself stays
-    /// usable.
+    /// caught on its lane's thread and surfaced as
+    /// [`RpuError::LanePanic`] — no mutex is poisoned, so the remaining
+    /// lanes stop instead of wedging. Buffers the panicking job had
+    /// allocated on its lane are leaked (their handles died with the
+    /// job); the cluster itself stays usable.
     ///
     /// # Errors
     ///
-    /// Returns the first job error or panic (remaining queued work is
+    /// Returns the first job error or panic (un-started jobs are
     /// abandoned; in-flight jobs finish their current dispatch).
     pub fn run_jobs<'j, T: Send>(
         &mut self,
         jobs: Vec<LaneJob<'j, T>>,
     ) -> Result<(Vec<T>, ClusterRunReport), RpuError> {
-        // The run's outcome — per-job results and the first failure —
-        // behind one mutex with one lock site. Job panics are caught
-        // before they can cross a guard, and each write is a single
-        // assignment, so poison is recovered.
-        let outcome: Mutex<(Vec<Option<T>>, Option<RpuError>)> =
-            Mutex::new(((0..jobs.len()).map(|_| None).collect(), None));
-        let outcome_now = || outcome.lock().unwrap_or_else(PoisonError::into_inner);
-        let ((), report) = self.with_workers(|pool| {
-            for (t, job) in jobs.into_iter().enumerate() {
-                pool.submit(Box::new(move |w| {
-                    // Abandon still-queued work the moment anything has
-                    // failed — one-shot batches stop on first error.
-                    if outcome_now().1.is_some() {
-                        return;
-                    }
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| job(w)));
-                    let result = result.unwrap_or_else(|payload| {
-                        Err(RpuError::LanePanic {
-                            lane: w.lane_index(),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    });
-                    let mut out = outcome_now();
-                    match result {
-                        Ok(v) => out.0[t] = Some(v),
-                        Err(e) => drop(out.1.get_or_insert(e)),
-                    }
-                }));
-            }
-            pool.wait_idle();
+        /// The whole run behind one mutex with one lock site. Job
+        /// panics are caught before they can cross a guard, and each
+        /// write is a single assignment, so poison is recovered.
+        struct Run<J, T> {
+            unstarted: J,
+            results: Vec<Option<T>>,
+            failure: Option<RpuError>,
+        }
+        let total = jobs.len();
+        let run = Mutex::new(Run {
+            unstarted: jobs.into_iter().enumerate(),
+            results: (0..total).map(|_| None).collect(),
+            failure: None,
         });
+        let run_now = || run.lock().unwrap_or_else(PoisonError::into_inner);
+        let ((), mut report) = self.on_lanes(
+            |w| loop {
+                // One-shot batches stop on the first failure.
+                let next = {
+                    let mut run = run_now();
+                    run.failure
+                        .is_none()
+                        .then(|| run.unstarted.next())
+                        .flatten()
+                };
+                let Some((t, job)) = next else { break };
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| job(w)));
+                let result = result.unwrap_or_else(|payload| {
+                    Err(RpuError::LanePanic {
+                        lane: w.lane_index(),
+                        message: panic_message(payload.as_ref()),
+                    })
+                });
+                let mut run = run_now();
+                match result {
+                    Ok(v) => run.results[t] = Some(v),
+                    Err(e) => drop(run.failure.get_or_insert(e)),
+                }
+            },
+            || (),
+        );
+        report.towers = total;
+        report.queue_peak = total;
 
-        let (results, failure) = outcome.into_inner().unwrap_or_else(PoisonError::into_inner);
-        if let Some(e) = failure {
+        let run = run.into_inner().unwrap_or_else(PoisonError::into_inner);
+        if let Some(e) = run.failure {
             return Err(e);
         }
-        let outputs = results.into_iter().map(|v| v.expect("every job completed"));
+        let outputs = (run.results.into_iter()).map(|v| v.expect("every job completed"));
         Ok((outputs.collect(), report))
     }
-
-    /// Runs `towers.len()` independent tower jobs across the lanes (a
-    /// [`run_jobs`](RpuCluster::run_jobs) convenience for the fused
-    /// negacyclic convolution).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first tower error (remaining queued work is
-    /// abandoned; in-flight towers finish their dispatch).
-    pub fn run_towers(
-        &mut self,
-        towers: &[TowerJob<'_>],
-        style: CodegenStyle,
-    ) -> Result<(Vec<Vec<u128>>, ClusterRunReport), RpuError> {
-        let jobs: Vec<LaneJob<'_, Vec<u128>>> = towers
-            .iter()
-            .map(|job| {
-                let job = *job;
-                Box::new(move |w: &mut LaneWorker<'_, '_>| {
-                    w.run_tower(job.n, job.q, job.a, job.b, style)
-                }) as LaneJob<'_, Vec<u128>>
-            })
-            .collect();
-        self.run_jobs(jobs)
-    }
-}
-
-/// One independent unit of sharded work: a negacyclic product in tower
-/// `q`'s residue field.
-#[derive(Debug, Clone, Copy)]
-pub struct TowerJob<'t> {
-    /// Ring degree.
-    pub n: usize,
-    /// The tower modulus.
-    pub q: u128,
-    /// First operand's residues mod `q` (length `n`).
-    pub a: &'t [u128],
-    /// Second operand's residues mod `q` (length `n`).
-    pub b: &'t [u128],
 }
 
 /// Shards RNS-decomposed ring workloads across an [`RpuCluster`] and
@@ -1215,8 +891,9 @@ impl<'a> RnsExecutor<'a> {
     /// The full tower-sharded negacyclic multiply: tower `t` of the
     /// result is `a_towers[t] ·_neg b_towers[t] (mod moduli[t])`, each
     /// tower one fused-convolution dispatch (forward NTT ×2 → pointwise
-    /// multiply → inverse NTT) on whichever lane steals it. One upload
-    /// per tower operand, one download per tower product.
+    /// multiply → inverse NTT) on whichever lane takes it: upload both
+    /// operands, dispatch, download the product, free — entirely
+    /// lane-local.
     ///
     /// # Errors
     ///
@@ -1242,12 +919,24 @@ impl<'a> RnsExecutor<'a> {
                 "tower {t} has the wrong length for ring degree {n}"
             )));
         }
-        let jobs: Vec<TowerJob<'_>> = moduli
-            .iter()
-            .zip(a_towers.iter().zip(b_towers))
-            .map(|(&q, (a, b))| TowerJob { n, q, a, b })
-            .collect();
-        self.cluster.run_towers(&jobs, self.style)
+        let style = self.style;
+        let jobs = moduli.iter().zip(a_towers.iter().zip(b_towers));
+        let jobs = jobs.map(|(&q, (a, b))| {
+            Box::new(move |w: &mut LaneWorker<'_, '_>| {
+                let kernel = w.compile(&ConvolutionSpec::new(n, q, style))?;
+                let mut t = Temps::default();
+                let result = (|| {
+                    let da = t.hold(w.upload(a)?);
+                    let db = t.hold(w.upload(b)?);
+                    let dc = t.hold(w.alloc(n)?);
+                    w.dispatch(&kernel, &[da, db], &[dc])?;
+                    w.download(&dc)
+                })();
+                // Tower buffers never outlive the job, success or not.
+                t.settle(result, |_| [], |buf| w.free(buf))
+            }) as LaneJob<'_, Vec<u128>>
+        });
+        self.cluster.run_jobs(jobs.collect())
     }
 
     /// Multiplies two [`RnsPolynomial`]s on the cluster: towers are
@@ -1287,8 +976,8 @@ mod tests {
     use super::*;
     use rpu_arith::find_ntt_prime_chain;
 
-    /// Lanes must be shippable to worker threads: a compile-time
-    /// property the work-stealing scheduler rests on.
+    /// Lanes must be shippable to their threads: a compile-time
+    /// property `on_lanes` rests on.
     #[test]
     fn sessions_are_send() {
         fn assert_send<T: Send>() {}

@@ -91,8 +91,9 @@
 //! RNS towers are independent work (Section II-B), so they shard:
 //! [`RpuBuilder::lanes`] builds an [`RpuCluster`] of `k` full sessions
 //! (one simulated RPU die each) and [`RnsExecutor`] spreads tower jobs
-//! over them with a work-stealing scheduler, CRT-recombining on the
-//! host — 8 towers on 4 lanes finish in a 2-tower makespan:
+//! over them — each lane, on its own thread, takes the next un-started
+//! tower — CRT-recombining on the host; 8 towers on 4 lanes finish in a
+//! 2-tower makespan:
 //!
 //! ```
 //! use rpu::{RnsExecutor, Rpu};
@@ -119,10 +120,10 @@
 //! multi-tenant service on the cluster: typed encrypt/eval/decrypt jobs
 //! behind ticketed submission, weighted-fair scheduling, bounded queues
 //! with typed backpressure, and per-tenant key isolation. Its engine is
-//! [`RpuCluster::with_workers`] — one worker thread per lane, each
-//! running a lane-pinned [`LanePool`] job for as long as the service
-//! lives: that lane's service loop, which pulls the next tenant batch
-//! from the server's queues itself (no scheduler thread in between).
+//! [`RpuCluster::on_lanes`] — one thread per lane, each running that
+//! lane's service loop for as long as the service lives, pulling the
+//! next tenant batch from the server's queues itself (no scheduler
+//! thread in between).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -141,10 +142,7 @@ mod trace;
 
 pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
 pub use explore::{evaluate_point, explore_design_space, paper_sweep, PAPER_BANKS, PAPER_HPLES};
-pub use lanes::{
-    ClusterRunReport, LaneJob, LanePool, LaneStats, LaneWorker, PoolJob, RnsExecutor, RpuCluster,
-    TowerJob,
-};
+pub use lanes::{ClusterRunReport, LaneJob, LaneStats, LaneWorker, RnsExecutor, RpuCluster};
 pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, DeviceKeySwitchKey, RlweEvaluator};
 pub use run::{Rpu, RunReport};
@@ -217,9 +215,9 @@ pub enum RpuError {
     /// The leveled-ciphertext layer rejected an operation (bad chain,
     /// bottom-of-chain rescale, level out of range, …).
     Leveled(rpu_ntt::leveled::LeveledError),
-    /// A lane worker panicked mid-job in the cluster scheduler; the
-    /// panic was caught on the worker thread and the run aborted cleanly
-    /// (no poisoned queue, no wedged lanes).
+    /// A lane job panicked under [`RpuCluster::run_jobs`]; the panic was
+    /// caught on the lane's thread and the run aborted cleanly (no
+    /// poisoned lock, no wedged lanes).
     LanePanic {
         /// The lane whose job panicked.
         lane: usize,

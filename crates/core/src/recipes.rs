@@ -3,16 +3,17 @@
 //!
 //! The paper's case for an ISA is that each ciphertext operation is the
 //! same few B512 kernels chained in software (Fig. 1). This module is
-//! that chain, written once against [`LaneWorker`] — the surface a pool
-//! job, a synchronously driven cluster lane ([`crate::RpuCluster::lane`])
-//! and the serving layer all share. What the front ends add on top is
+//! that chain, written once against [`LaneWorker`] — the surface a lane
+//! thread ([`crate::RpuCluster::on_lanes`]), a synchronously driven
+//! cluster lane ([`crate::RpuCluster::lane`]) and the serving layer all
+//! share. What the front ends add on top is
 //! *placement* only:
 //!
 //! | front end | placement | who drives the lane |
 //! |---|---|---|
-//! | [`crate::RlweEvaluator`] | mask / payload component lanes, work-stolen key-switch digits, fold | caller thread + one-shot pool |
+//! | [`crate::RlweEvaluator`] | mask / payload component lanes, work-stolen key-switch digits, fold | caller thread; digits on lane threads (`run_jobs`) |
 //! | [`crate::LeveledEvaluator`] | tower `l` → lane `l % k`, cross-tower digit loop, rescale | caller thread |
-//! | `rpu-serve` | everything on the tenant's home lane | persistent pool worker |
+//! | `rpu-serve` | everything on the tenant's home lane | the lane's thread, for the service's life (`on_lanes`) |
 //!
 //! The key switch is the one chain with something to share: a gadget
 //! digit meets two key components (`â_j`, `b̂_j`) per target modulus, so

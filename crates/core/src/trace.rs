@@ -191,7 +191,7 @@ pub(crate) fn current_tenant() -> Option<u32> {
 
 /// RAII guard tagging all dispatches made by the current thread with a
 /// tenant id; the previous tag is restored on drop (including unwind),
-/// so persistent worker threads never leak a stale tag across jobs.
+/// so long-lived lane threads never leak a stale tag across jobs.
 #[derive(Debug)]
 pub struct TenantTag {
     prev: Option<u32>,

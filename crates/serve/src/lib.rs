@@ -31,10 +31,10 @@
 //!   [`ServerHandle::teardown`] releases every device buffer the tenant
 //!   holds.
 //!
-//! The engine underneath is [`rpu::RpuCluster::with_workers`]: one
-//! worker thread per lane, each running that lane's service loop as a
-//! single pinned [`rpu::LanePool`] job for the lifetime of the service.
-//! There is no scheduler thread and no second queue between a tenant's
+//! The engine underneath is [`rpu::RpuCluster::on_lanes`]: one thread
+//! per lane, each compiling its kernel set and then running that lane's
+//! service loop for the lifetime of the service, while the calling
+//! thread runs the client closure. There is no scheduler thread and no second queue between a tenant's
 //! queue and its lane.
 //!
 //! ```

@@ -4,9 +4,9 @@
 //! tenant's *home lane*, so — unlike [`rpu::RlweEvaluator`], which
 //! shards ciphertext components across lanes and work-steals key-switch
 //! digits — the serving layer runs each operation as one chain on ONE
-//! lane, driven through the [`LaneWorker`] a pool job is handed. Batches
-//! for different tenants on different lanes overlap at the pool level
-//! instead.
+//! lane, driven through the [`LaneWorker`] its lane thread is handed.
+//! Batches for different tenants on different lanes overlap lane
+//! against lane instead.
 //!
 //! The chains' building blocks (kernel set, key upload, encrypt, phase,
 //! tensor cross terms, gadget digit, Galois permute, temp hygiene) are

@@ -1,7 +1,7 @@
 //! The serving core: tenant registry, weighted-fair batching, ticketed
-//! submission, and the [`serve`] entry point, which seats one service
-//! loop per lane on an [`rpu::RpuCluster`] worker pool for the lifetime
-//! of the service.
+//! submission, and the [`serve`] entry point, which runs one service
+//! loop per lane on an [`rpu::RpuCluster`]'s lane threads for the
+//! lifetime of the service.
 //!
 //! # Architecture
 //!
@@ -11,7 +11,7 @@
 //!     next_for(lane): admin  │            │ complete(job)
 //!     first, else min-vtime  ▼            │
 //!     tenant, ≤ quantum     lane loop 0 … lane loop k−1
-//!     same-kind jobs        (one per pool worker, for the service's life)
+//!     same-kind jobs        (one per lane thread, for the service's life)
 //! ```
 //!
 //! There is one queue tier and no scheduler thread: lanes pull. Each
@@ -255,12 +255,9 @@ pub struct ServeReport {
     /// Per-tenant summaries, in registration order.
     pub tenants: Vec<TenantSummary>,
     /// The underlying cluster run report. Dispatches, cycles and
-    /// transfers are per lane as usual; the pool-level counters
-    /// describe the lane loops, not served work: each lane ran two pool
-    /// jobs (kernel init, then its loop), so `per_lane[l].jobs == 2`,
-    /// `wall_busy_us` spans the loop's whole life (parked time
-    /// included) and `queue_peak ≤ 2·lanes`. Served jobs are counted in
-    /// [`ServeReport::tenants`].
+    /// transfers are per lane as usual; `panicked` names a lane whose
+    /// thread died outside a turn (its tenants stop being served).
+    /// Served jobs are counted in [`ServeReport::tenants`].
     pub cluster: ClusterRunReport,
     /// Live device buffers per lane after the drain — the
     /// key-isolation tests assert this returns to zero once every
@@ -1003,8 +1000,8 @@ impl ServerHandle {
 // The lane loop and what it runs
 // ---------------------------------------------------------------------
 
-/// One lane's service loop, seated on the lane's pool worker for the
-/// life of the service: take the next turn, run it with the state
+/// One lane's service loop, run on the lane's thread for the life of
+/// the service: take the next turn, run it with the state
 /// unlocked, repeat; return once shutdown finds the lane drained. Each
 /// turn runs under `catch_unwind`, so a panic costs that batch — the
 /// jobs it had not resolved fail through their [`Resolver`]s — not the
@@ -1204,8 +1201,8 @@ fn run_keygen(
 // ---------------------------------------------------------------------
 
 /// Begins shutdown when the [`serve`] closure returns *or unwinds*: the
-/// lane loops exit only once told to, and the pool's thread scope would
-/// otherwise wait on them forever.
+/// lane loops exit only once told to, and `on_lanes` would otherwise
+/// wait on them forever.
 struct ShutdownOnDrop<'a>(&'a ServerCore);
 
 impl Drop for ShutdownOnDrop<'_> {
@@ -1216,7 +1213,7 @@ impl Drop for ShutdownOnDrop<'_> {
 }
 
 /// Runs a multi-tenant server over `rpu`'s cluster for the duration of
-/// `f`: compiles the kernel set on every lane, seats each lane's
+/// `f`: compiles the kernel set on every lane, starts each lane's
 /// service loop, and hands `f` a [`ServerHandle`] to register tenants
 /// and submit jobs through (clone it into as many client threads as you
 /// like). When `f` returns, the server drains every queued job (paused
@@ -1240,33 +1237,32 @@ pub fn serve<R>(
     let mut cluster = rpu.cluster();
     let lanes = cluster.lane_count();
     let core = Arc::new(ServerCore::new(ctx, config, lanes));
-    let (out, cluster_report) = cluster.with_workers(|pool| -> Result<R, ServeError> {
-        let RlweParams { n, q, .. } = config.params;
-        let compiling: Vec<_> = (0..lanes)
-            .map(|lane| {
-                let (done, kernels) = Resolver::new();
-                let compile = move |w: &mut LaneWorker<'_, '_>| {
-                    let k = LaneKernels::compile(w, n, q, config.style);
-                    done.resolve(k.map_err(ServeError::from));
-                };
-                pool.submit_to(lane, Box::new(compile));
-                kernels
-            })
-            .collect();
-        let kernels = compiling.iter().map(|k| k.wait());
-        let kernels = kernels.collect::<Result<Vec<_>, _>>()?;
-        // From here the pool's workers belong to the lane loops until
-        // the guard, dropped after `f`, tells them to drain and return;
-        // `with_workers` joins them on the way out.
-        let _shutdown = ShutdownOnDrop(&core);
-        for (lane, k) in kernels.into_iter().enumerate() {
-            let core = &*core;
-            pool.submit_to(lane, Box::new(move |w| lane_loop(w, core, &k)));
-        }
-        Ok(f(&ServerHandle {
-            core: Arc::clone(&core),
-        }))
-    });
+    let RlweParams { n, q, .. } = config.params;
+    let compiled: Vec<_> = (0..lanes).map(|_| Arc::new(Slot::new())).collect();
+    let (out, cluster_report) = cluster.on_lanes(
+        |w| {
+            // Dropped unresolved — the compile panicked — it fails the
+            // slot, so the host below never waits on a dead lane.
+            let verdict = Resolver(Arc::clone(&compiled[w.lane_index()]));
+            match LaneKernels::compile(w, n, q, config.style) {
+                Ok(k) => {
+                    verdict.resolve(Ok(()));
+                    lane_loop(w, &core, &k);
+                }
+                Err(e) => verdict.resolve(Err(e.into())),
+            }
+        },
+        || -> Result<R, ServeError> {
+            // Armed before the wait: when one lane fails to compile,
+            // the lanes that did compile are already in their loops and
+            // leave only once told to.
+            let _shutdown = ShutdownOnDrop(&core);
+            compiled.iter().try_for_each(|lane| lane.wait())?;
+            Ok(f(&ServerHandle {
+                core: Arc::clone(&core),
+            }))
+        },
+    );
     let result = out?;
     let resident_buffers = (0..lanes).map(|l| cluster.live_buffers(l)).collect();
     let st = core.lock();
@@ -1285,7 +1281,8 @@ pub fn serve<R>(
 
 #[cfg(test)]
 mod tests {
-    //! The drop guards, and the deterministic scheduler suite: seeded
+    //! The drop guards, a `serve` whose lanes cannot compile, and the
+    //! deterministic scheduler suite: seeded
     //! random interleavings of admit / `next_for` / complete / pause /
     //! resume / teardown against a bare [`ServerState`] — no thread, no
     //! device — checked step by step against a model kept beside it.
@@ -1331,6 +1328,17 @@ mod tests {
         assert_eq!(done.poll(), None);
         drop(task);
         assert!(matches!(done.wait(), Err(ServeError::Rpu(_))));
+    }
+
+    /// The generators need n ≥ 1024, so every lane of a 16-coefficient
+    /// ring fails its compile: `serve` returns that error, having joined
+    /// its lanes, and never calls `f`.
+    #[test]
+    fn a_lane_that_cannot_compile_fails_serve_without_hanging() {
+        let rpu = Rpu::builder().lanes(2).build().expect("default device");
+        let config = ServeConfig::new(ring().params());
+        let served = serve(&rpu, config, |_| panic!("no lane compiled"));
+        assert!(matches!(served, Err(ServeError::Rpu(_))), "{served:?}");
     }
 
     const CAPACITY: usize = 5;

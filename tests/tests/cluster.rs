@@ -1,13 +1,15 @@
 //! Multi-lane cluster semantics: lane isolation (a buffer belongs to
-//! exactly one lane), work-stealing distribution, aggregated reports,
-//! and the negative paths that keep handle misuse an error instead of
-//! heap corruption.
+//! exactly one lane), the `on_lanes` primitive and the work-conserving
+//! `run_jobs` on top of it, aggregated reports, and the negative paths
+//! that keep handle misuse an error instead of heap corruption.
 
 use rpu::arith::find_ntt_prime_chain;
 use rpu::{
     BufferError, CodegenStyle, ElementwiseOp, ElementwiseSpec, LaneJob, LaneWorker, RnsExecutor,
     Rpu, RpuError,
 };
+use std::sync::{mpsc, Mutex};
+use std::time::Duration;
 
 fn mul_spec(n: usize, q: u128) -> ElementwiseSpec {
     ElementwiseSpec::new(ElementwiseOp::MulMod, n, q, CodegenStyle::Optimized)
@@ -81,7 +83,7 @@ fn cross_lane_handles_error_not_corrupt() {
 #[test]
 fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
     // The lane heaps are the only record of placement: a buffer made
-    // through the cluster API and freed by a pool job (whose worker
+    // through the cluster API and freed on a lane thread (whose worker
     // never saw a placement map) must not be located, blamed on its old
     // lane, or written into a snapshot.
     let n = 1024usize;
@@ -92,9 +94,14 @@ fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
     let kernel = c.compile_on(1, &mul_spec(n, q)).unwrap();
     let buf = c.upload_to(0, &data).unwrap();
     assert_eq!(c.locate(&buf), Some(0));
-    c.with_workers(|pool| {
-        pool.submit_to(0, Box::new(move |w| w.free(buf).expect("live on lane 0")));
-    });
+    c.on_lanes(
+        |w| {
+            if w.lane_index() == 0 {
+                w.free(buf).expect("live on lane 0");
+            }
+        },
+        || (),
+    );
     assert_eq!(c.live_buffers(0), 0);
     assert_eq!(c.locate(&buf), None);
 
@@ -115,6 +122,86 @@ fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
         matches!(err, RpuError::Buffer(BufferError::StaleHandle { id }) if id == buf.id()),
         "got {err}"
     );
+}
+
+#[test]
+fn on_lanes_runs_the_host_while_the_lanes_run() {
+    // Lane 0 speaks first and cannot return before the host answers; the
+    // host cannot return before lane 0's second message. A host run
+    // before the lanes start, or after they are joined, never completes
+    // the exchange (the timeouts turn that hang into a failure).
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut c = rpu.cluster();
+    let wait = Duration::from_secs(60);
+    let (to_lane, from_host) = mpsc::channel::<u32>();
+    let (to_host, from_lane) = mpsc::channel::<u32>();
+    let from_host = Mutex::new(from_host); // a `Receiver` is not `Sync`
+    let (got, report) = c.on_lanes(
+        |w| {
+            if w.lane_index() == 0 {
+                to_host.send(1).unwrap();
+                let reply = from_host.lock().unwrap().recv_timeout(wait).unwrap();
+                to_host.send(reply + 1).unwrap();
+            }
+        },
+        || {
+            let hello = from_lane.recv_timeout(wait).unwrap();
+            to_lane.send(hello + 10).unwrap();
+            from_lane.recv_timeout(wait).unwrap()
+        },
+    );
+    assert_eq!(got, 12);
+    assert_eq!((report.lanes, report.towers, report.queue_peak), (2, 2, 0));
+    assert_eq!(report.panicked, None);
+}
+
+#[test]
+fn a_panicking_lane_is_contained_and_reported() {
+    // Lane 1 dies at once; lane 0's work still lands in the report, the
+    // report names the dead lane, and the cluster serves the next run.
+    // (The deliberate panic prints a banner to stderr — expected.)
+    let n = 1024usize;
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    let kernel = c.compile_on(0, &mul_spec(n, q)).unwrap();
+    let ((), report) = c.on_lanes(
+        |w| {
+            if w.lane_index() == 1 {
+                panic!("deliberate lane failure");
+            }
+            let x = w.upload(&vec![3u128; n]).unwrap();
+            let y = w.alloc(n).unwrap();
+            w.dispatch(&kernel, &[x, x], &[y]).unwrap();
+            assert_eq!(w.download(&y).unwrap(), vec![9u128; n]);
+            w.free(x).unwrap();
+            w.free(y).unwrap();
+        },
+        || (),
+    );
+    assert_eq!(report.per_lane[0].dispatches, 1);
+    assert_eq!(report.per_lane[1].dispatches, 0);
+    assert_eq!(
+        report.panicked,
+        Some((1, "deliberate lane failure".to_string()))
+    );
+    let jobs: Vec<LaneJob<'_, usize>> = (0..4usize)
+        .map(|i| Box::new(move |_w: &mut LaneWorker<'_, '_>| Ok(i)) as LaneJob<'_, usize>)
+        .collect();
+    let (got, report) = c.run_jobs(jobs).unwrap();
+    assert_eq!(got, vec![0, 1, 2, 3]);
+    assert_eq!(report.panicked, None);
+}
+
+#[test]
+fn an_empty_batch_is_an_empty_success() {
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let (got, report) = rpu
+        .cluster()
+        .run_jobs(Vec::<LaneJob<'_, ()>>::new())
+        .unwrap();
+    assert!(got.is_empty());
+    assert_eq!((report.towers, report.queue_peak), (0, 0));
 }
 
 #[test]

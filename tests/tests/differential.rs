@@ -273,9 +273,7 @@ fn eight_tower_multiply_on_two_lanes_is_exact_and_faster() {
         }
         assert_eq!(report.towers, towers);
         // With 8 equal-cost towers on 2 lanes even a skewed 5/3 split
-        // clears 1.4x (the ideal 4/4 split gives 2.0x — see
-        // benches/cluster.rs and EXPERIMENTS.md for the measured
-        // scaling).
+        // clears 1.4x (the ideal 4/4 split gives 2.0x).
         if report.lanes_used() == 2 && report.speedup() > 1.4 {
             balanced = Some(report);
             break;
