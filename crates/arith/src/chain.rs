@@ -158,19 +158,22 @@ impl ModulusChain {
     ///
     /// # Errors
     ///
-    /// Returns [`ChainError::TooFewPrimes`] when the bounded search
-    /// cannot find `levels` distinct primes, or any [`ChainError`] the
-    /// explicit constructor can raise.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n` is a non-zero power of two, `t >= 2`, and
-    /// `1 <= bits <= 127` (forwarded from the prime search).
+    /// Returns [`ChainError::BadPlaintextModulus`] for `t < 2`,
+    /// [`ChainError::TooFewPrimes`] when the bounded search cannot find
+    /// `levels` distinct primes — none at all for `n = 0`, `bits`
+    /// outside `1..=127`, or a stride `2n·t` past `u128` — or any
+    /// [`ChainError`] the explicit constructor can raise. An `n` that is
+    /// not a power of two still yields a chain (`q ≡ 1 mod 2n·t` needs
+    /// no ring); the ring built over it rejects the degree.
     pub fn generate(n: usize, t: u128, bits: u32, levels: usize) -> Result<Self, ChainError> {
-        assert!(n != 0 && n.is_power_of_two(), "n must be a power of two");
-        assert!(t >= 2, "plaintext modulus must be at least 2");
-        let stride = 2 * (n as u128) * t;
-        let primes = find_congruent_prime_chain(bits, stride, levels);
+        if t < 2 {
+            return Err(ChainError::BadPlaintextModulus(t));
+        }
+        // The search asserts its range; outside it there is nothing to find.
+        let searchable = (1..=127).contains(&bits);
+        let stride = (2 * n as u128).checked_mul(t);
+        let stride = stride.filter(|&s| s != 0 && searchable);
+        let primes = stride.map_or_else(Vec::new, |s| find_congruent_prime_chain(bits, s, levels));
         if primes.len() < levels {
             return Err(ChainError::TooFewPrimes {
                 wanted: levels,
@@ -287,6 +290,37 @@ mod tests {
         assert_eq!(chain.product_at(3).rem_u128(65537), 1);
         let bits = chain.log2_q(3);
         assert!(bits > 4.0 * 55.0 && bits < 4.0 * 59.0);
+    }
+
+    #[test]
+    fn generate_returns_typed_errors_for_caller_input_it_used_to_assert_on() {
+        assert!(matches!(
+            ModulusChain::generate(64, 1, 40, 2),
+            Err(ChainError::BadPlaintextModulus(1))
+        ));
+        let nothing_to_find = [
+            (64, 257, 0),
+            (64, 257, 128),
+            (0, 257, 40),
+            (64, u128::MAX, 40),
+        ];
+        for (n, t, bits) in nothing_to_find {
+            assert!(
+                matches!(
+                    ModulusChain::generate(n, t, bits, 2),
+                    Err(ChainError::TooFewPrimes {
+                        wanted: 2,
+                        found: 0
+                    })
+                ),
+                "n={n} t={t} bits={bits}"
+            );
+        }
+        // q ≡ 1 (mod 2·1000·t) needs no ring; the ring setup rejects n.
+        assert_eq!(
+            ModulusChain::generate(1000, 257, 40, 2).unwrap().levels(),
+            2
+        );
     }
 
     #[test]

@@ -505,12 +505,11 @@ impl<'a> LeveledEvaluator<'a> {
         rk: &LeveledRelinKey,
         key: &mut DeviceLeveledRelinKey,
     ) -> Result<(), RpuError> {
-        for digits in rk.parts() {
+        for i in 0..rk.parts().len() {
             key.keys.push(Vec::with_capacity(self.kernels.len()));
             for k in 0..self.kernels.len() {
                 let (mut w, kernels) = self.tower(k);
-                let share = digits.iter().map(|(a, b)| (a[k].coeffs(), b[k].coeffs()));
-                let share = recipes::upload_ksk(&mut w, kernels, rk.base_log(), share)?;
+                let share = recipes::upload_ksk(&mut w, kernels, rk.base_log(), rk.share(i, k))?;
                 key.keys.last_mut().expect("just pushed").push(share);
             }
         }

@@ -504,8 +504,7 @@ impl<'a> RlweEvaluator<'a> {
         };
         for lane in 0..self.kernels.len() {
             let (mut w, k) = self.lane(lane);
-            let digits = ksk.parts().iter().map(|(a, b)| (a.coeffs(), b.coeffs()));
-            match recipes::upload_ksk(&mut w, k, ksk.base_log(), digits) {
+            match recipes::upload_ksk(&mut w, k, ksk.base_log(), ksk.share(0, 0)) {
                 Ok(lane_key) => key.per_lane.push(lane_key),
                 Err(e) => {
                     // Heap exhaustion must not strand the lanes done so far.

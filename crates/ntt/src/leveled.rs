@@ -1,12 +1,16 @@
 //! Leveled RNS ciphertexts — the host-reference oracle for depth-`L`
 //! homomorphic evaluation.
 //!
-//! Extends the single-modulus scheme of [`crate::rlwe`] to a
-//! [`ModulusChain`]: a ciphertext component is a vector of tower
-//! polynomials, one per live chain prime, and every ring operation runs
-//! per tower. After each multiplication the ciphertext is *rescaled* —
-//! divided (with rounding) by the last live prime — which both shrinks
-//! the noise by ~`log2(q_l)` bits and drops one tower of work.
+//! The chain face of the host's one RLWE scheme (the private `scheme`
+//! module, written over `k ≥ 1` towers; [`crate::rlwe`] is its one-tower
+//! face): a ciphertext component is a vector of tower polynomials, one
+//! per live prime of a [`ModulusChain`], and keygen, sampling,
+//! encryption, the phase, the relinearization key, the gadget key switch
+//! and tensor+relinearize delegate there. What lives here is what a
+//! chain adds — CRT decoding, level alignment, the [`NoiseBudget`] and
+//! *rescaling*: after each multiplication the ciphertext is divided
+//! (with rounding) by the last live prime, which both shrinks the noise
+//! by ~`log2(q_l)` bits and drops one tower of work.
 //!
 //! Because every chain prime satisfies `q ≡ 1 (mod t)`, the implicit
 //! rescale factor `q_l^{-1} mod t` is `1`: LSB-encoded plaintexts pass
@@ -23,9 +27,10 @@
 //!
 //! [`measure_noise`]: LeveledContext::measure_noise
 
-use crate::rlwe::Splitmix;
+use crate::rlwe::{KeySwitchKey, Splitmix};
+use crate::scheme;
 use crate::{Ntt128Plan, NttError, Polynomial};
-use rpu_arith::{gadget_decompose, gadget_levels, ChainError, Engine, ModulusChain};
+use rpu_arith::{ChainError, Engine, ModulusChain};
 use std::sync::Arc;
 
 /// Error from leveled-ciphertext operations.
@@ -246,15 +251,10 @@ impl LeveledCiphertext {
                 max: ctx.max_level(),
             });
         }
-        let lift = |towers: Vec<Vec<u128>>| -> Result<Vec<Polynomial>, LeveledError> {
-            towers
-                .into_iter()
-                .enumerate()
-                .map(|(l, coeffs)| {
-                    let mut p = Polynomial::from_coeffs(&ctx.plans[l], coeffs)?;
-                    p.to_evaluation();
-                    Ok(p)
-                })
+        let lift = |towers: Vec<Vec<u128>>| -> Result<Vec<Polynomial>, NttError> {
+            let lifted = ctx.plans.iter().zip(towers);
+            lifted
+                .map(|(plan, coeffs)| scheme::lift(plan, coeffs))
                 .collect()
         };
         Ok(LeveledCiphertext {
@@ -266,38 +266,9 @@ impl LeveledCiphertext {
     }
 }
 
-/// A leveled relinearization key: for each source tower `i` and gadget
-/// digit `j` (base `B = 2^base_log`, `ℓ_i = ⌈bits(q_i)/base_log⌉`
-/// digits), a full-RNS pair `(a_{ij}, b_{ij} = a_{ij}·s + t·e_{ij} +
-/// B^j·ŝ²_i)` where `ŝ²_i` is `s²` on tower `i` and zero on every other
-/// tower (the RNS indicator of the digit's origin). Mod-dropping the
-/// key is a tower truncation, like the ciphertexts it serves.
-#[derive(Debug, Clone)]
-pub struct LeveledRelinKey {
-    base_log: u32,
-    /// `parts[i][j] = (a, b)` with one polynomial per chain tower,
-    /// evaluation form.
-    parts: Vec<Vec<(Vec<Polynomial>, Vec<Polynomial>)>>,
-}
-
-impl LeveledRelinKey {
-    /// The digit base exponent `log2(B)`.
-    pub fn base_log(&self) -> u32 {
-        self.base_log
-    }
-
-    /// The per-(tower, digit) key pairs; `parts()[i][j]` serves digit
-    /// `j` of source tower `i`.
-    pub fn parts(&self) -> &[Vec<(Vec<Polynomial>, Vec<Polynomial>)>] {
-        &self.parts
-    }
-
-    /// Total digit products `Σ_{i ≤ level} ℓ_i` a key switch at `level`
-    /// performs — the `parts` factor of the noise model.
-    pub fn parts_at_level(&self, level: usize) -> usize {
-        self.parts[..=level].iter().map(Vec::len).sum()
-    }
-}
+/// A leveled relinearization key: the one [`KeySwitchKey`] type with
+/// target `s²`, one source tower per chain prime.
+pub type LeveledRelinKey = KeySwitchKey;
 
 /// The leveled encryption/evaluation context: a modulus chain plus one
 /// NTT plan per chain prime. The definitional host oracle for the
@@ -330,8 +301,12 @@ impl LeveledContext {
     ///
     /// # Errors
     ///
-    /// Returns [`LeveledError`] if prime generation or ring setup fails.
+    /// Returns [`LeveledError`] if prime generation or ring setup fails
+    /// — for any `n`, `t`, `bits` and `levels`, never a panic.
     pub fn generate(n: usize, t: u128, bits: u32, levels: usize) -> Result<Self, LeveledError> {
+        if n < 2 || !n.is_power_of_two() {
+            return Err(NttError::InvalidDegree(n).into());
+        }
         let chain = ModulusChain::generate(n, t, bits, levels)?;
         LeveledContext::new(n, chain)
     }
@@ -365,26 +340,9 @@ impl LeveledContext {
     /// draws, shared across towers (an accelerator replaying the stream
     /// reproduces the key bit-exactly).
     pub fn keygen(&self, rng: &mut Splitmix) -> LeveledSecretKey {
-        let signs: Vec<u8> = (0..self.n).map(|_| (rng.next_u64() % 3) as u8).collect();
-        let s = self
-            .plans
-            .iter()
-            .map(|plan| {
-                let q = plan.modulus().value();
-                let coeffs: Vec<u128> = signs
-                    .iter()
-                    .map(|&v| match v {
-                        0 => 0,
-                        1 => 1,
-                        _ => q - 1,
-                    })
-                    .collect();
-                let mut p = Polynomial::from_coeffs(plan, coeffs).expect("length matches");
-                p.to_evaluation();
-                p
-            })
-            .collect();
-        LeveledSecretKey { s }
+        LeveledSecretKey {
+            s: scheme::keygen(&self.plans, rng),
+        }
     }
 
     /// The randomness front half of [`encrypt`](Self::encrypt): the
@@ -403,37 +361,7 @@ impl LeveledContext {
         message: &[u128],
         rng: &mut Splitmix,
     ) -> (Vec<Vec<u128>>, Vec<Vec<u128>>) {
-        assert_eq!(message.len(), self.n, "message length must equal n");
-        let t = self.chain.t();
-        let masks: Vec<Vec<u128>> = self
-            .plans
-            .iter()
-            .map(|plan| {
-                let q = plan.modulus().value();
-                (0..self.n).map(|_| rng.below(q)).collect()
-            })
-            .collect();
-        let errors: Vec<i64> = (0..self.n).map(|_| rng.small_error_signed()).collect();
-        let payloads = self
-            .plans
-            .iter()
-            .map(|plan| {
-                let q = plan.modulus().value();
-                message
-                    .iter()
-                    .zip(&errors)
-                    .map(|(&m, &e)| {
-                        let m = m % t;
-                        if e >= 0 {
-                            (m + t * e as u128) % q
-                        } else {
-                            (m + q - t * (-e) as u128 % q) % q
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        (masks, payloads)
+        scheme::sample_mask_and_payload(&self.plans, self.chain.t(), message, rng)
     }
 
     /// Encrypts a plaintext vector (coefficients mod `t`) at the top
@@ -448,17 +376,7 @@ impl LeveledContext {
         message: &[u128],
         rng: &mut Splitmix,
     ) -> LeveledCiphertext {
-        let (masks, payloads) = self.sample_mask_and_payload(message, rng);
-        let mut a = Vec::with_capacity(self.plans.len());
-        let mut b = Vec::with_capacity(self.plans.len());
-        for (l, (mask, payload)) in masks.into_iter().zip(payloads).enumerate() {
-            let mut a_l = Polynomial::from_coeffs(&self.plans[l], mask).expect("length matches");
-            a_l.to_evaluation();
-            let mut p_l = Polynomial::from_coeffs(&self.plans[l], payload).expect("length matches");
-            p_l.to_evaluation();
-            b.push(a_l.mul(&sk.s[l]).add(&p_l));
-            a.push(a_l);
-        }
+        let (a, b) = scheme::encrypt(&self.plans, self.chain.t(), &sk.s, message, rng);
         LeveledCiphertext {
             level: self.max_level(),
             a,
@@ -499,15 +417,7 @@ impl LeveledContext {
 
     /// Decrypts a ciphertext back to coefficients mod `t`.
     pub fn decrypt(&self, sk: &LeveledSecretKey, ct: &LeveledCiphertext) -> Vec<u128> {
-        let towers = self.phase_towers(sk, ct);
-        self.decode_phase_towers(&towers)
-    }
-
-    /// Per-tower phase coefficients `b_l − a_l·s_l`, natural order.
-    fn phase_towers(&self, sk: &LeveledSecretKey, ct: &LeveledCiphertext) -> Vec<Vec<u128>> {
-        (0..=ct.level)
-            .map(|l| ct.b[l].sub(&ct.a[l].mul(&sk.s[l])).coeffs())
-            .collect()
+        self.decode_phase_towers(&scheme::phase(&sk.s, &ct.a, &ct.b))
     }
 
     /// Floor-`log2` of the largest centered phase magnitude across
@@ -535,8 +445,7 @@ impl LeveledContext {
     /// largest centered phase magnitude, in bits) by decrypting against
     /// the host oracle — the debug path that validates the tracker.
     pub fn measure_noise(&self, sk: &LeveledSecretKey, ct: &LeveledCiphertext) -> f64 {
-        let towers = self.phase_towers(sk, ct);
-        self.phase_noise_bits(&towers)
+        self.phase_noise_bits(&scheme::phase(&sk.s, &ct.a, &ct.b))
     }
 
     /// Homomorphic addition with automatic level alignment: the result
@@ -671,9 +580,8 @@ impl LeveledContext {
             let delta = self.rescale_correction(level, &dropped);
             (0..level)
                 .map(|i| {
-                    let mut d_i = Polynomial::from_coeffs(&self.plans[i], delta[i].clone())
-                        .expect("length matches");
-                    d_i.to_evaluation();
+                    let d_i =
+                        scheme::lift(&self.plans[i], delta[i].clone()).expect("length matches");
                     towers[i].sub(&d_i).scale(self.chain.p_inv(level, i))
                 })
                 .collect()
@@ -698,60 +606,8 @@ impl LeveledContext {
         rng: &mut Splitmix,
         base_log: u32,
     ) -> LeveledRelinKey {
-        let t = self.chain.t();
-        let parts = (0..self.chain.levels())
-            .map(|i| {
-                let levels_i = gadget_levels(self.chain.prime(i), base_log);
-                (0..levels_i)
-                    .map(|j| {
-                        let masks: Vec<Vec<u128>> = self
-                            .plans
-                            .iter()
-                            .map(|plan| {
-                                let q = plan.modulus().value();
-                                (0..self.n).map(|_| rng.below(q)).collect()
-                            })
-                            .collect();
-                        let errors: Vec<i64> =
-                            (0..self.n).map(|_| rng.small_error_signed()).collect();
-                        let mut a_parts = Vec::with_capacity(self.plans.len());
-                        let mut b_parts = Vec::with_capacity(self.plans.len());
-                        for (k, plan) in self.plans.iter().enumerate() {
-                            let m = plan.modulus();
-                            let q = m.value();
-                            let noise: Vec<u128> = errors
-                                .iter()
-                                .map(|&e| {
-                                    if e >= 0 {
-                                        t * e as u128 % q
-                                    } else {
-                                        q - t * (-e) as u128 % q
-                                    }
-                                })
-                                .collect();
-                            let mut a_k = Polynomial::from_coeffs(plan, masks[k].clone())
-                                .expect("length matches");
-                            a_k.to_evaluation();
-                            let mut e_k =
-                                Polynomial::from_coeffs(plan, noise).expect("length matches");
-                            e_k.to_evaluation();
-                            let mut b_k = a_k.mul(&sk.s[k]).add(&e_k);
-                            if k == i {
-                                // B^j·s² lands only on the digit's own
-                                // tower: the RNS indicator element.
-                                let base = m.reduce(1u128 << base_log.min(127));
-                                let s2 = sk.s[k].mul(&sk.s[k]);
-                                b_k = b_k.add(&s2.scale(m.pow(base, j as u128)));
-                            }
-                            a_parts.push(a_k);
-                            b_parts.push(b_k);
-                        }
-                        (a_parts, b_parts)
-                    })
-                    .collect()
-            })
-            .collect();
-        LeveledRelinKey { base_log, parts }
+        let s2: Vec<Polynomial> = sk.s.iter().map(|s| s.mul(s)).collect();
+        scheme::keyswitch_keygen(&self.plans, self.chain.t(), &sk.s, &s2, rng, base_log)
     }
 
     /// The gadget-decomposed RNS key switch at `level`: decomposes each
@@ -771,30 +627,7 @@ impl LeveledContext {
         c2_towers: &[Vec<u128>],
         rk: &LeveledRelinKey,
     ) -> (Vec<Polynomial>, Vec<Polynomial>) {
-        assert_eq!(c2_towers.len(), level + 1, "one source vector per tower");
-        let mut acc_a: Vec<Polynomial> = (0..=level)
-            .map(|k| {
-                let mut z = Polynomial::zero(&self.plans[k]);
-                z.to_evaluation();
-                z
-            })
-            .collect();
-        let mut acc_b = acc_a.clone();
-        for (i, src) in c2_towers.iter().enumerate() {
-            let levels_i = rk.parts[i].len();
-            let digits = gadget_decompose(src, rk.base_log, levels_i);
-            for (j, digit) in digits.into_iter().enumerate() {
-                let (a_ij, b_ij) = &rk.parts[i][j];
-                for k in 0..=level {
-                    let mut d = Polynomial::from_coeffs(&self.plans[k], digit.clone())
-                        .expect("length matches");
-                    d.to_evaluation();
-                    acc_a[k] = acc_a[k].add(&d.mul(&a_ij[k]));
-                    acc_b[k] = acc_b[k].add(&d.mul(&b_ij[k]));
-                }
-            }
-        }
-        (acc_a, acc_b)
+        scheme::key_switch(&self.plans[..=level], c2_towers, rk)
     }
 
     /// Ciphertext×ciphertext multiplication at the operands' common
@@ -811,17 +644,7 @@ impl LeveledContext {
         y: &LeveledCiphertext,
     ) -> LeveledCiphertext {
         let level = x.level.min(y.level);
-        let mut c0 = Vec::with_capacity(level + 1);
-        let mut c1 = Vec::with_capacity(level + 1);
-        let mut c2 = Vec::with_capacity(level + 1);
-        for l in 0..=level {
-            c0.push(x.b[l].mul(&y.b[l]));
-            c1.push(x.a[l].mul(&y.b[l]).add(&x.b[l].mul(&y.a[l])));
-            c2.push(x.a[l].mul(&y.a[l]).coeffs());
-        }
-        let (ka, kb) = self.key_switch(level, &c2, rk);
-        let a = c1.iter().zip(&ka).map(|(c, k)| c.add(k)).collect();
-        let b = c0.iter().zip(&kb).map(|(c, k)| c.add(k)).collect();
+        let (a, b) = scheme::mul(&self.plans[..=level], rk, (&x.a, &x.b), (&y.a, &y.b));
         LeveledCiphertext {
             level,
             a,
@@ -831,7 +654,7 @@ impl LeveledContext {
                 self.n,
                 self.chain.t(),
                 rk.parts_at_level(level),
-                rk.base_log,
+                rk.base_log(),
             ),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The OpenFHE substitute of this reproduction: a scalar, CPU-side
 //! implementation of the Number Theoretic Transform and the polynomial
-//! operations RLWE workloads are built from. It serves three roles:
+//! operations RLWE workloads are built from. It serves four roles:
 //!
 //! 1. **Golden model** — the RPU functional simulator's outputs are
 //!    checked against [`PeaseSchedule::forward`]/[`PeaseSchedule::inverse`]
@@ -11,7 +11,15 @@
 //!    128-bit CPU NTTs for the paper's Fig. 10 speedup comparison.
 //! 3. **Workload substrate** — [`Polynomial`]/[`RnsPolynomial`] implement
 //!    the ring operations (negacyclic multiplication, RNS towers) that the
-//!    examples and benches exercise end-to-end.
+//!    examples and the `perf` workloads exercise end-to-end.
+//! 4. **Host oracle** — one RLWE scheme, written once over `k ≥ 1` RNS
+//!    towers in the private `scheme` module, with two faces: [`rlwe`]
+//!    (one modulus; adds Galois rotation and plaintext multiplication)
+//!    and [`leveled`] (a modulus chain; adds rescaling, level alignment
+//!    and the noise tracker). Both share one key-switch key type and one
+//!    copy of every pinned randomness stream, and every device front end
+//!    (`RlweEvaluator`, `LeveledEvaluator`, `rpu-serve`) is bit-exact
+//!    against one of them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -26,6 +34,7 @@ mod plan64;
 mod poly;
 pub mod rlwe;
 mod rns_poly;
+mod scheme;
 
 #[doc(hidden)]
 pub mod testutil;

@@ -1,5 +1,15 @@
 //! A minimal RLWE symmetric encryption scheme — the workload the RPU
-//! exists to accelerate (Section II-A and Fig. 1 of the paper).
+//! exists to accelerate (Section II-A and Fig. 1 of the paper) — over a
+//! single modulus.
+//!
+//! The host has one scheme, written over `k ≥ 1` RNS towers in the
+//! private `scheme` module; this is its one-tower face and
+//! [`crate::leveled`] its chain face, and the two agree bit for bit on
+//! a one-prime chain (`tests/one_scheme.rs`). Keygen, sampling,
+//! encryption, the phase, key-switch keys, the gadget key switch and
+//! tensor+relinearize delegate; what lives here is what a single
+//! modulus adds — [`RlweParams`], the `u128` `decode_noisy`, plaintext
+//! multiplication, Galois keys and rotation.
 //!
 //! A ciphertext is a pair `(a, b = a·s + t·e + m)` over
 //! `Z_q[x]/(x^n + 1)` with a small ternary secret `s` and small error
@@ -26,8 +36,10 @@
 //! traffic through the stack; it makes no constant-time or
 //! parameter-security claims.
 
+pub use crate::scheme::KeySwitchKey;
+use crate::scheme::{self, Pair};
 use crate::{Ntt128Plan, NttError, Polynomial};
-use rpu_arith::{gadget_decompose, gadget_levels};
+use std::slice::from_ref;
 use std::sync::Arc;
 
 /// Parameters of the toy scheme.
@@ -74,6 +86,19 @@ impl Ciphertext {
         &self.b
     }
 
+    /// Both components as one-tower ring elements.
+    fn towers(&self) -> (&[Polynomial], &[Polynomial]) {
+        (from_ref(&self.a), from_ref(&self.b))
+    }
+
+    /// A one-tower pair of the tower-generic scheme as a ciphertext.
+    fn from_towers((a, b): Pair<Polynomial>) -> Self {
+        Ciphertext {
+            a: only(a),
+            b: only(b),
+        }
+    }
+
     /// Rebuilds a ciphertext from natural-order coefficient vectors
     /// (e.g. downloaded from an accelerator); both components are
     /// converted to the evaluation form ciphertexts are stored in.
@@ -87,12 +112,16 @@ impl Ciphertext {
         a: Vec<u128>,
         b: Vec<u128>,
     ) -> Result<Self, NttError> {
-        let mut a = Polynomial::from_coeffs(&ctx.plan, a)?;
-        let mut b = Polynomial::from_coeffs(&ctx.plan, b)?;
-        a.to_evaluation();
-        b.to_evaluation();
-        Ok(Ciphertext { a, b })
+        Ok(Ciphertext {
+            a: scheme::lift(&ctx.plan, a)?,
+            b: scheme::lift(&ctx.plan, b)?,
+        })
     }
+}
+
+/// Unwraps the one tower of a result of the tower-generic scheme.
+fn only<T>(towers: Vec<T>) -> T {
+    towers.into_iter().next().expect("one tower")
 }
 
 /// The encryption/decryption context.
@@ -100,34 +129,6 @@ impl Ciphertext {
 pub struct RlweContext {
     params: RlweParams,
     plan: Arc<Ntt128Plan>,
-}
-
-/// A gadget-decomposed key-switch key: for each digit level `j`, a pair
-/// `(a_j, b_j = a_j·s + t·e_j + B^j·M)` encrypting the scaled switch
-/// target `M` (e.g. `s²` for relinearization, `−σ_g(s)` for rotation)
-/// under `s`, with digit base `B = 2^base_log`. Components are stored in
-/// evaluation form — the form an accelerator keeps them resident in.
-#[derive(Debug, Clone)]
-pub struct KeySwitchKey {
-    base_log: u32,
-    parts: Vec<(Polynomial, Polynomial)>,
-}
-
-impl KeySwitchKey {
-    /// The digit base exponent `log2(B)`.
-    pub fn base_log(&self) -> u32 {
-        self.base_log
-    }
-
-    /// Number of gadget digits `ℓ`.
-    pub fn levels(&self) -> usize {
-        self.parts.len()
-    }
-
-    /// The per-digit `(a_j, b_j)` pairs, evaluation form.
-    pub fn parts(&self) -> &[(Polynomial, Polynomial)] {
-        &self.parts
-    }
 }
 
 /// A relinearization key: switches the `s²` component of a degree-2
@@ -193,15 +194,6 @@ impl Splitmix {
         (((self.next_u64() as u128) << 64) | self.next_u64() as u128) % bound
     }
 
-    /// A ternary value in `{-1, 0, 1}` represented mod `q`.
-    pub(crate) fn ternary(&mut self, q: u128) -> u128 {
-        match self.next_u64() % 3 {
-            0 => 0,
-            1 => 1,
-            _ => q - 1,
-        }
-    }
-
     /// A small centred error in `[-4, 4]` as a signed value.
     pub(crate) fn small_error_signed(&mut self) -> i64 {
         (self.next_u64() % 9) as i64 - 4
@@ -233,24 +225,17 @@ impl RlweContext {
         &self.plan
     }
 
-    /// `t·e mod q` for a freshly drawn small signed error `e` — the
-    /// noise term of the LSB encoding (`|e| ≤ 4`, so the product never
-    /// approaches `q` and stays exact in `u128`).
-    fn sample_noise(&self, rng: &mut Splitmix) -> u128 {
-        let (q, t) = (self.params.q, self.params.t);
-        let e = rng.small_error_signed();
-        if e >= 0 {
-            t * e as u128 % q
-        } else {
-            q - t * (-e) as u128 % q
-        }
+    /// The context as the one-tower ring of the tower-generic scheme.
+    fn ring(&self) -> &[Arc<Ntt128Plan>] {
+        from_ref(&self.plan)
     }
 
     /// The randomness front half of [`encrypt`](RlweContext::encrypt):
     /// samples the uniform mask `a` and the payload `m + t·e`, both as
-    /// natural-order coefficient vectors. Exposed so an accelerator
-    /// runtime can draw the *same* randomness stream as the host path
-    /// and finish `b = a·s + payload` on-device.
+    /// natural-order coefficient vectors — `n` mask draws, then `n`
+    /// error draws. Exposed so an accelerator runtime can draw the
+    /// *same* randomness stream as the host path and finish
+    /// `b = a·s + payload` on-device.
     ///
     /// # Panics
     ///
@@ -260,45 +245,33 @@ impl RlweContext {
         message: &[u128],
         rng: &mut Splitmix,
     ) -> (Vec<u128>, Vec<u128>) {
-        assert_eq!(message.len(), self.params.n, "message length must equal n");
-        let n = self.params.n;
-        let q = self.params.q;
-        let a_coeffs: Vec<u128> = (0..n).map(|_| rng.below(q)).collect();
-        let payload: Vec<u128> = message
-            .iter()
-            .map(|&m| {
-                let noise = self.sample_noise(rng);
-                ((m % self.params.t) + noise) % q
-            })
-            .collect();
-        (a_coeffs, payload)
+        let (masks, payloads) =
+            scheme::sample_mask_and_payload(self.ring(), self.params.t, message, rng);
+        (only(masks), only(payloads))
     }
 
     /// Samples a ternary secret key.
     pub fn keygen(&self, rng: &mut Splitmix) -> SecretKey {
-        let coeffs: Vec<u128> = (0..self.params.n)
-            .map(|_| rng.ternary(self.params.q))
-            .collect();
-        let mut s = Polynomial::from_coeffs(&self.plan, coeffs).expect("length matches");
-        s.to_evaluation();
-        SecretKey { s }
+        SecretKey {
+            s: only(scheme::keygen(self.ring(), rng)),
+        }
     }
 
-    /// Encrypts a plaintext vector (coefficients mod `t`).
+    /// Encrypts a plaintext vector (coefficients mod `t`) as
+    /// `(a, b = a·s + t·e + m)`.
     ///
     /// # Panics
     ///
     /// Panics if `message.len() != n`.
     pub fn encrypt(&self, sk: &SecretKey, message: &[u128], rng: &mut Splitmix) -> Ciphertext {
-        let (a_coeffs, payload_coeffs) = self.sample_mask_and_payload(message, rng);
-        let mut a = Polynomial::from_coeffs(&self.plan, a_coeffs).expect("length matches");
-        a.to_evaluation();
-        // b = a*s + t*e + m
-        let mut payload =
-            Polynomial::from_coeffs(&self.plan, payload_coeffs).expect("length matches");
-        payload.to_evaluation();
-        let b = a.mul(&sk.s).add(&payload);
-        Ciphertext { a, b }
+        let t = self.params.t;
+        Ciphertext::from_towers(scheme::encrypt(
+            self.ring(),
+            t,
+            from_ref(&sk.s),
+            message,
+            rng,
+        ))
     }
 
     /// Decodes a noisy phase polynomial `m + t·e (mod q)` to plaintext
@@ -326,8 +299,8 @@ impl RlweContext {
     /// Decrypts a ciphertext back to coefficients mod `t`.
     pub fn decrypt(&self, sk: &SecretKey, ct: &Ciphertext) -> Vec<u128> {
         // phase = b - a*s = m + t*e, then centered mod t
-        let noisy = ct.b.sub(&ct.a.mul(&sk.s));
-        self.decode_noisy(&noisy.coeffs())
+        let (a, b) = ct.towers();
+        self.decode_noisy(&only(scheme::phase(from_ref(&sk.s), a, b)))
     }
 
     /// Homomorphic addition.
@@ -354,8 +327,7 @@ impl RlweContext {
     /// Panics if `plain.len() != n`.
     pub fn mul_plain(&self, x: &Ciphertext, plain: &[u128]) -> Ciphertext {
         assert_eq!(plain.len(), self.params.n, "plaintext length must equal n");
-        let mut p = Polynomial::from_coeffs(&self.plan, plain.to_vec()).expect("length matches");
-        p.to_evaluation();
+        let p = scheme::lift(&self.plan, plain.to_vec()).expect("length matches");
         Ciphertext {
             a: x.a.mul(&p),
             b: x.b.mul(&p),
@@ -364,7 +336,7 @@ impl RlweContext {
 
     /// Generates a key-switch key for target `M` (evaluation form):
     /// `ℓ` pairs `(a_j, b_j = a_j·s + t·e_j + B^j·M)`. The randomness
-    /// order is fixed — per level, `n` mask draws then `n` error draws —
+    /// order is fixed — per digit, `n` mask draws then `n` error draws —
     /// so an accelerator runtime replaying the same stream produces
     /// bit-identical key material.
     fn keyswitch_keygen(
@@ -374,26 +346,8 @@ impl RlweContext {
         rng: &mut Splitmix,
         base_log: u32,
     ) -> KeySwitchKey {
-        let (n, q) = (self.params.n, self.params.q);
-        let m = self.plan.modulus();
-        let levels = gadget_levels(q, base_log);
-        let base = m.reduce(1u128 << base_log.min(127));
-        let parts = (0..levels)
-            .map(|j| {
-                let a_coeffs: Vec<u128> = (0..n).map(|_| rng.below(q)).collect();
-                let noise: Vec<u128> = (0..n).map(|_| self.sample_noise(rng)).collect();
-                let mut a = Polynomial::from_coeffs(&self.plan, a_coeffs).expect("length matches");
-                a.to_evaluation();
-                let mut e = Polynomial::from_coeffs(&self.plan, noise).expect("length matches");
-                e.to_evaluation();
-                let b = a
-                    .mul(&sk.s)
-                    .add(&e)
-                    .add(&target.scale(m.pow(base, j as u128)));
-                (a, b)
-            })
-            .collect();
-        KeySwitchKey { base_log, parts }
+        let (s, target) = (from_ref(&sk.s), from_ref(target));
+        scheme::keyswitch_keygen(self.ring(), self.params.t, s, target, rng, base_log)
     }
 
     /// Generates a relinearization key: a key-switch key for `s²`, the
@@ -440,19 +394,8 @@ impl RlweContext {
     /// the RPU runs as, per digit, one NTT dispatch and two
     /// multiply-accumulate dispatches on its output.
     pub fn key_switch(&self, src_coeffs: &[u128], ksk: &KeySwitchKey) -> (Polynomial, Polynomial) {
-        let levels = ksk.levels();
-        let digits = gadget_decompose(src_coeffs, ksk.base_log, levels);
-        let mut acc_a = Polynomial::zero(&self.plan);
-        let mut acc_b = Polynomial::zero(&self.plan);
-        acc_a.to_evaluation();
-        acc_b.to_evaluation();
-        for (digit, (a_j, b_j)) in digits.into_iter().zip(&ksk.parts) {
-            let mut d = Polynomial::from_coeffs(&self.plan, digit).expect("length matches");
-            d.to_evaluation();
-            acc_a = acc_a.add(&d.mul(a_j));
-            acc_b = acc_b.add(&d.mul(b_j));
-        }
-        (acc_a, acc_b)
+        let (a, b) = scheme::key_switch(self.ring(), &[src_coeffs], ksk);
+        (only(a), only(b))
     }
 
     /// Ciphertext×ciphertext multiplication: tensor to the degree-2
@@ -462,14 +405,7 @@ impl RlweContext {
     /// `Z_q`; decrypts to `m1·m2 mod (x^n + 1, t)` while the accumulated
     /// noise stays below `q/2`.
     pub fn mul(&self, rk: &RelinKey, x: &Ciphertext, y: &Ciphertext) -> Ciphertext {
-        let c0 = x.b.mul(&y.b);
-        let c1 = x.a.mul(&y.b).add(&x.b.mul(&y.a));
-        let c2 = x.a.mul(&y.a);
-        let (ka, kb) = self.key_switch(&c2.coeffs(), &rk.ksk);
-        Ciphertext {
-            a: c1.add(&ka),
-            b: c0.add(&kb),
-        }
+        Ciphertext::from_towers(scheme::mul(self.ring(), &rk.ksk, x.towers(), y.towers()))
     }
 
     /// Applies the Galois automorphism `x → x^g` homomorphically:
@@ -721,7 +657,9 @@ mod tests {
         let ksk = rk.key_switch_key();
         assert_eq!(ksk.base_log(), 16);
         assert_eq!(ksk.levels() as u32, q_bits.div_ceil(16));
-        assert_eq!(ksk.parts().len(), ksk.levels());
+        // one source tower, one coefficient pair per digit in its only share
+        assert_eq!(ksk.parts().len(), 1);
+        assert_eq!(ksk.share(0, 0).count(), ksk.levels());
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub(crate) fn upload_ksk(
     t: &mut Temps,
     ksk: &KeySwitchKey,
 ) -> Result<LaneKsk, RpuError> {
-    let digits = ksk.parts().iter().map(|(a, b)| (a.coeffs(), b.coeffs()));
-    let dev = recipes::upload_ksk(w, k, ksk.base_log(), digits)?;
+    let dev = recipes::upload_ksk(w, k, ksk.base_log(), ksk.share(0, 0))?;
     for buf in dev.handles() {
         t.hold(buf);
     }

@@ -4,21 +4,13 @@
 //! client thread per tenant, and drives a seeded stream of jobs whose
 //! kind is drawn from a weighted [`OpMix`]. Every random draw comes
 //! from a [`Splitmix`] stream derived from [`TrafficSpec::seed`], so a
-//! given spec replays the identical job sequence run after run — the
-//! property the bench harness relies on to compare configurations.
+//! given spec replays the identical job sequence run after run, so two
+//! configurations can be compared on the same jobs.
 //!
 //! Clients submit in bursts of [`TrafficSpec::burst`] tickets before
 //! draining, modelling arrival pressure; a [`ServeError::QueueFull`]
 //! rejection drains one in-flight ticket and retries (the retry count
 //! is reported, so backpressure is visible in the results).
-//!
-//! For steady-state benchmarking, [`TrafficSpec::warmup`] marks each
-//! client's first `warmup` completions as cache/JIT warmup: their
-//! latencies are excluded from the percentiles, and throughput is
-//! measured over the window from the moment the *last* client finished
-//! warming up until the drain — so `ops_per_sec` reflects the
-//! steady-state kernel-cache-hot regime rather than being dragged down
-//! by first-dispatch compilation.
 
 use crate::server::{CtHandle, JobOutput, JobRequest, ServerHandle, TenantId, TenantSpec};
 use crate::ServeError;
@@ -132,64 +124,41 @@ pub struct TrafficSpec {
     /// Tickets a client keeps in flight before draining — the arrival
     /// burst size.
     pub burst: usize,
-    /// Per-client completions treated as warmup: discarded from the
-    /// latency percentiles, and the throughput window opens only once
-    /// every client has completed this many jobs. Clamped to each
-    /// client's job count. `0` (the default) measures everything.
-    pub warmup: usize,
 }
 
 impl TrafficSpec {
     /// A spec with the given seed, mix, and tenant loads, bursting 8
-    /// jobs at a time with no warmup discard.
+    /// jobs at a time.
     pub fn new(seed: u64, mix: OpMix, tenants: Vec<TenantLoad>) -> Self {
         TrafficSpec {
             seed,
             mix,
             tenants,
             burst: 8,
-            warmup: 0,
         }
-    }
-
-    /// Sets the per-client warmup completions excluded from the
-    /// steady-state measurements.
-    pub fn warmup(mut self, ops: usize) -> Self {
-        self.warmup = ops;
-        self
     }
 }
 
-/// What a traffic run measured. With [`TrafficSpec::warmup`] set, all
-/// throughput and latency figures describe the **steady-state window**
-/// only; the discarded warmup completions are reported separately.
+/// What a traffic run measured.
 #[derive(Debug, Clone)]
 pub struct TrafficReport {
-    /// Steady-state jobs completed over all tenants (warmup excluded).
+    /// Jobs completed over all tenants.
     pub ops: u64,
-    /// Per-client warmup completions discarded from `ops`, the
-    /// percentiles, and the throughput window.
-    pub warmup_ops: u64,
     /// Submissions retried after a [`ServeError::QueueFull`].
     pub retries: u64,
-    /// Wall-clock time from first submission to full drain (warmup
-    /// included — the cost of the warmup phase stays visible here).
+    /// Wall-clock time from first submission to full drain.
     pub wall: Duration,
-    /// Steady-state jobs per second, measured from the moment the last
-    /// client finished warming up until the drain.
+    /// Jobs per second over `wall`.
     pub ops_per_sec: f64,
-    /// Median steady-state job latency (submit → resolve), microseconds.
+    /// Median job latency (submit → resolve), microseconds.
     pub p50_us: u128,
-    /// 99th-percentile steady-state job latency, microseconds.
+    /// 99th-percentile job latency, microseconds.
     pub p99_us: u128,
 }
 
 struct ClientStats {
+    /// One submit → resolve sample per completed job.
     latencies_us: Vec<u128>,
-    completed: u64,
-    warmup_completed: u64,
-    /// When this client's warmup quota was met (immediately, if zero).
-    warmup_done: Option<Instant>,
     retries: u64,
 }
 
@@ -224,8 +193,7 @@ pub fn run_traffic(server: &ServerHandle, spec: &TrafficSpec) -> Result<TrafficR
                 let seed = spec
                     .seed
                     .wrapping_add((i as u64 + 1).wrapping_mul(0xd1b5_4a32_d192_ed03));
-                let warmup = spec.warmup;
-                scope.spawn(move || drive_client(&server, tid, load.jobs, burst, mix, seed, warmup))
+                scope.spawn(move || drive_client(&server, tid, load.jobs, burst, mix, seed))
             })
             .collect();
         handles
@@ -234,26 +202,16 @@ pub fn run_traffic(server: &ServerHandle, spec: &TrafficSpec) -> Result<TrafficR
             .collect()
     });
     server.wait_all();
-    let end = Instant::now();
-    let wall = end.duration_since(start);
+    let wall = start.elapsed();
     let mut latencies: Vec<u128> = Vec::new();
-    let mut completed = 0u64;
-    let mut warmup_ops = 0u64;
     let mut retries = 0u64;
-    // The steady-state window opens when the slowest client finishes
-    // its warmup quota.
-    let mut steady_start = start;
     for outcome in outcomes {
         let stats = outcome?;
         latencies.extend(stats.latencies_us);
-        completed += stats.completed;
-        warmup_ops += stats.warmup_completed;
         retries += stats.retries;
-        if let Some(done) = stats.warmup_done {
-            steady_start = steady_start.max(done);
-        }
     }
     latencies.sort_unstable();
+    let completed = latencies.len() as u64;
     let pct = |p: f64| -> u128 {
         if latencies.is_empty() {
             return 0;
@@ -261,10 +219,9 @@ pub fn run_traffic(server: &ServerHandle, spec: &TrafficSpec) -> Result<TrafficR
         let idx = ((latencies.len() as f64 - 1.0) * p).round() as usize;
         latencies[idx.min(latencies.len() - 1)]
     };
-    let secs = end.duration_since(steady_start).as_secs_f64();
+    let secs = wall.as_secs_f64();
     Ok(TrafficReport {
         ops: completed,
-        warmup_ops,
         retries,
         wall,
         ops_per_sec: if secs > 0.0 {
@@ -279,9 +236,7 @@ pub fn run_traffic(server: &ServerHandle, spec: &TrafficSpec) -> Result<TrafficR
 
 /// One client: draws job kinds from the mix, keeps a pool of live
 /// ciphertext handles for eval/decrypt/free draws, submits in bursts,
-/// and measures submit-to-resolve latency per job. The first `warmup`
-/// completions (clamped to the job count) are tallied separately and
-/// contribute no latency samples.
+/// and measures submit-to-resolve latency per job.
 fn drive_client(
     server: &ServerHandle,
     tenant: TenantId,
@@ -289,22 +244,13 @@ fn drive_client(
     burst: usize,
     mix: OpMix,
     seed: u64,
-    warmup: usize,
 ) -> Result<ClientStats, ServeError> {
     let n = server.params().n;
-    let warmup = warmup.min(jobs) as u64;
     let mut rng = Splitmix::new(seed);
     let mut live: Vec<CtHandle> = Vec::new();
     let mut inflight: Vec<(Instant, crate::server::JobTicket)> = Vec::new();
     let mut stats = ClientStats {
         latencies_us: Vec::with_capacity(jobs),
-        completed: 0,
-        warmup_completed: 0,
-        warmup_done: if warmup == 0 {
-            Some(Instant::now())
-        } else {
-            None
-        },
         retries: 0,
     };
     let total_weight = mix.total().max(1);
@@ -315,17 +261,9 @@ fn drive_client(
      -> Result<(), ServeError> {
         let (submitted, ticket) = inflight.remove(0);
         let out = ticket.wait()?;
-        if stats.warmup_completed < warmup {
-            stats.warmup_completed += 1;
-            if stats.warmup_completed == warmup {
-                stats.warmup_done = Some(Instant::now());
-            }
-        } else {
-            stats
-                .latencies_us
-                .push(submitted.elapsed().as_micros().max(1));
-            stats.completed += 1;
-        }
+        stats
+            .latencies_us
+            .push(submitted.elapsed().as_micros().max(1));
         if let JobOutput::Ciphertext(ct) = out {
             live.push(ct);
         }

@@ -686,54 +686,32 @@ fn handles_are_send_and_sync() {
     assert_send_sync::<ServeError>();
 }
 
-/// Steady-state bench mode: with `warmup` set, each client's first
-/// completions are tallied separately and excluded from the latency
-/// samples; the combined completion count is conserved, so nothing is
-/// double-counted or dropped.
+/// The traffic harness drains: every job of every client completes and
+/// is counted once, with a latency sample behind the percentiles.
 #[test]
-fn traffic_warmup_ops_are_discarded_from_steady_state() {
+fn traffic_run_completes_and_counts_every_job() {
     use rpu_serve::{run_traffic, OpMix, ServeConfig, TenantLoad, TrafficSpec};
 
     let jobs = 12usize;
-    let warmup = 5usize;
-    let run = |warmup: usize| {
-        let rpu = Rpu::builder()
-            .lanes(2)
-            .device_heap_elements(1 << 20)
-            .build()
-            .unwrap();
-        let spec = TrafficSpec::new(
-            11,
-            OpMix::transport(),
-            vec![TenantLoad::new(jobs), TenantLoad::new(jobs)],
-        )
-        .warmup(warmup);
-        let (report, _) = serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
-            run_traffic(server, &spec)
-        })
+    let rpu = Rpu::builder()
+        .lanes(2)
+        .device_heap_elements(1 << 20)
+        .build()
         .unwrap();
-        report.unwrap()
-    };
-
-    let cold = run(0);
-    assert_eq!(cold.warmup_ops, 0);
-    assert_eq!(cold.ops, 2 * jobs as u64);
-
-    let steady = run(warmup);
-    assert_eq!(steady.warmup_ops, 2 * warmup as u64);
-    assert_eq!(
-        steady.ops + steady.warmup_ops,
-        cold.ops,
-        "warmup must move completions out of the steady count, not lose them"
+    let spec = TrafficSpec::new(
+        11,
+        OpMix::transport(),
+        vec![TenantLoad::new(jobs), TenantLoad::new(jobs)],
     );
-    assert!(steady.p50_us > 0 && steady.p99_us >= steady.p50_us);
-
-    // Warmup beyond the job count clamps: everything is warmup, the
-    // steady window is empty but the run still drains cleanly.
-    let all_warm = run(jobs * 3);
-    assert_eq!(all_warm.ops, 0);
-    assert_eq!(all_warm.warmup_ops, 2 * jobs as u64);
-    assert_eq!(all_warm.p50_us, 0);
+    let (report, served) = serve(&rpu, ServeConfig::new(params(&rpu)), |server| {
+        run_traffic(server, &spec)
+    })
+    .unwrap();
+    let report = report.unwrap();
+    assert_eq!(report.ops, 2 * jobs as u64);
+    assert_eq!(served.completed, report.ops);
+    assert!(report.p50_us > 0 && report.p99_us >= report.p50_us);
+    assert!(report.ops_per_sec > 0.0);
 }
 
 /// Runs `body` on its own thread and fails — instead of hanging the
