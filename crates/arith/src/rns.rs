@@ -205,41 +205,6 @@ impl RnsBasis {
         }
         acc
     }
-
-    /// Exact basis conversion: maps residues in this basis to the residue
-    /// of the reconstructed value `x ∈ [0, Q)` modulo an arbitrary target
-    /// `m` — without materializing the big integer. Evaluates the Garner
-    /// mixed-radix expansion `x = v_0 + q_0 (v_1 + q_1 (...))` directly in
-    /// `Z_m`, so the conversion is exact for any `m` (coprime to the basis
-    /// or not).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `residues.len() != self.len()`.
-    pub fn convert_to_modulus(&self, residues: &[u128], m: Modulus128) -> u128 {
-        assert_eq!(
-            residues.len(),
-            self.moduli.len(),
-            "residue count must match basis size"
-        );
-        // Mixed-radix digits, exactly as in `reconstruct`.
-        let mut digits = Vec::with_capacity(self.moduli.len());
-        for (j, mj) in self.moduli.iter().enumerate() {
-            let mut u = residues[j] % mj.value();
-            for (i, &d) in digits.iter().enumerate() {
-                u = mj.sub(u, mj.reduce(d));
-                u = mj.mul(u, self.inverses[j][i]);
-            }
-            digits.push(u);
-        }
-        // Horner evaluation of the mixed-radix form in Z_m.
-        let mut acc = 0u128;
-        for j in (0..digits.len()).rev() {
-            acc = m.mul(acc, m.reduce(self.moduli[j].value()));
-            acc = m.add(acc, m.reduce(digits[j]));
-        }
-        acc
-    }
 }
 
 /// Extended-Euclid modular inverse; `a` and `m` must be coprime.
@@ -365,26 +330,5 @@ mod tests {
     fn reconstruct_wrong_len_panics() {
         let basis = RnsBasis::new(vec![3, 5]).unwrap();
         let _ = basis.reconstruct(&[1]);
-    }
-
-    #[test]
-    fn convert_to_modulus_matches_reconstruct() {
-        let primes = find_ntt_prime_chain(40, 1 << 8, 3);
-        let basis = RnsBasis::new(primes).unwrap();
-        let targets = [2u128, 7, 65537, (1 << 61) - 1, 1u128 << 100];
-        for seed in 0..8u128 {
-            let x = UBig::from_u128(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-                .mul_u128((seed + 2) << 40);
-            let r = basis.decompose(&x);
-            let full = basis.reconstruct(&r);
-            for &t in &targets {
-                let m = Modulus128::new(t).unwrap();
-                assert_eq!(
-                    basis.convert_to_modulus(&r, m),
-                    full.rem_u128(t),
-                    "seed {seed}, target {t}"
-                );
-            }
-        }
     }
 }

@@ -10,7 +10,7 @@ use rpu_bench::{cap_n, print_comparison, KernelCache, PaperRow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = cap_n(65536);
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     eprintln!("generating shuffle-based and strided-memory 64K kernels...");
     let shuffled = cache.get(n, Direction::Forward, CodegenStyle::Optimized);
     let strided = cache.get(n, Direction::Forward, CodegenStyle::StridedMemory);

@@ -11,7 +11,7 @@ use rpu_bench::{cap_n, print_comparison, KernelCache, PaperRow};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RpuConfig::pareto_128x128();
     let sim = CycleSim::new(config).map_err(rpu::RpuError::Config)?;
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     let kernel = cache.get(cap_n(16384), Direction::Forward, CodegenStyle::Optimized);
     let rpu_ns = config.cycles_to_us(sim.simulate(kernel.program()).cycles) * 1000.0;
 

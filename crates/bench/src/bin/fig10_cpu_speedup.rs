@@ -12,7 +12,7 @@ use rpu_bench::{cap_n, print_comparison, smoke_mode, KernelCache, PaperRow};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RpuConfig::pareto_128x128();
     let sim = CycleSim::new(config).map_err(rpu::RpuError::Config)?;
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     eprintln!("measuring host CPU baselines with {threads} threads...");
 

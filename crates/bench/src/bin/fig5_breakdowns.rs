@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // (c) energy breakdown of the 64K NTT on (128, 128)
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     let kernel = cache.get(cap_n(65536), Direction::Forward, CodegenStyle::Optimized);
     let config = RpuConfig::pareto_128x128();
     let stats = CycleSim::new(config)

@@ -8,7 +8,7 @@ use rpu_bench::{cap_n, print_comparison, KernelCache, PaperRow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = cap_n(65536);
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     eprintln!("generating optimized and unoptimized 64K kernels...");
     let opt = cache.get(n, Direction::Forward, CodegenStyle::Optimized);
     let unopt = cache.get(n, Direction::Forward, CodegenStyle::Unoptimized);

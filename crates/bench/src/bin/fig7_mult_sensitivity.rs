@@ -7,7 +7,7 @@ use rpu::{CodegenStyle, CycleSim, Direction, RpuConfig};
 use rpu_bench::{cap_n, print_comparison, KernelCache, PaperRow};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
     let kernel = cache.get(cap_n(65536), Direction::Forward, CodegenStyle::Optimized);
 
     let cycles_at = |latency: u32, ii: u32| -> u64 {

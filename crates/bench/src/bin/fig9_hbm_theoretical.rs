@@ -10,7 +10,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = RpuConfig::pareto_128x128();
     let sim = CycleSim::new(config).map_err(rpu::RpuError::Config)?;
     let hbm = HbmModel::default();
-    let cache = KernelCache::new();
+    let mut cache = KernelCache::new();
 
     println!("Fig. 9: (128,128) RPU, 512 GB/s HBM2");
     println!(

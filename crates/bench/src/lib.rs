@@ -5,18 +5,18 @@
 //! published ones. EXPERIMENTS.md records a captured run.
 
 use rpu::{CodegenStyle, Direction, Kernel, NttSpec, PrimeTable};
-use serde::Serialize;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Kernel cache: figure sweeps re-time the same program under many
 /// configurations; generation (especially for 64K) is the slow part.
 ///
-/// A thread-safe wrapper over the session layer's [`rpu::KernelCache`]
-/// and [`PrimeTable`], so the figure binaries share the exact cache and
-/// prime-lookup machinery production sessions use.
+/// The session layer's [`rpu::KernelCache`] and [`PrimeTable`] side by
+/// side, so the figure binaries share the exact cache and prime-lookup
+/// machinery production sessions use.
 #[derive(Debug, Default)]
 pub struct KernelCache {
-    inner: Mutex<(rpu::KernelCache, PrimeTable)>,
+    cache: rpu::KernelCache,
+    primes: PrimeTable,
 }
 
 impl KernelCache {
@@ -31,23 +31,17 @@ impl KernelCache {
     /// # Panics
     ///
     /// Panics if generation fails (figure parameters are all valid).
-    pub fn get(&self, n: usize, direction: Direction, style: CodegenStyle) -> Arc<Kernel> {
-        let mut guard = self.inner.lock().expect("cache poisoned");
-        let (cache, primes) = &mut *guard;
-        let q = primes
-            .ntt_prime(n)
-            .expect("prime exists for paper ring sizes");
+    pub fn get(&mut self, n: usize, direction: Direction, style: CodegenStyle) -> Arc<Kernel> {
+        let q = (self.primes.ntt_prime(n)).expect("prime exists for paper ring sizes");
         let spec = NttSpec::new(n, q, direction, style);
         // Figure sweeps only re-time programs; skip functional verification.
-        let (kernel, _) = cache
-            .get_or_generate(&spec, false)
-            .expect("valid parameters");
-        kernel
+        let generated = self.cache.get_or_generate(&spec, false);
+        generated.expect("valid parameters").0
     }
 }
 
 /// One measured-vs-published comparison row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PaperRow {
     /// What is being compared.
     pub metric: String,
@@ -72,11 +66,42 @@ pub fn print_comparison(title: &str, rows: &[PaperRow]) {
         println!("{:<w$}  {:>18}  {:>18}", r.metric, r.paper, r.measured);
     }
     if std::env::var("RPU_BENCH_JSON").is_ok() {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(rows).unwrap_or_else(|_| "{}".into())
-        );
+        println!("{}", rows_json(rows));
     }
+}
+
+/// `rows` as a pretty-printed JSON array of `{metric, paper, measured}`
+/// objects.
+fn rows_json(rows: &[PaperRow]) -> String {
+    let objects: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            let fields = [
+                ("metric", &r.metric),
+                ("paper", &r.paper),
+                ("measured", &r.measured),
+            ]
+            .map(|(name, value)| format!("    \"{name}\": {}", json_string(value)));
+            format!("  {{\n{}\n  }}", fields.join(",\n"))
+        })
+        .collect();
+    format!("[\n{}\n]", objects.join(",\n"))
+}
+
+/// `s` as a JSON string literal: `"`, `\` and control characters
+/// escaped, everything else verbatim.
+fn json_string(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 /// Formats a float with sensible precision for tables.
@@ -123,9 +148,25 @@ mod tests {
 
     #[test]
     fn cache_returns_same_kernel() {
-        let c = KernelCache::new();
+        let mut c = KernelCache::new();
         let a = c.get(1024, Direction::Forward, CodegenStyle::Optimized);
         let b = c.get(1024, Direction::Forward, CodegenStyle::Optimized);
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn json_dump_escapes_and_keeps_its_shape() {
+        let row = |metric: &str| PaperRow {
+            metric: metric.into(),
+            paper: "17".into(),
+            measured: "a\\b\t\u{1}".into(),
+        };
+        assert_eq!(rows_json(&[]), "[\n\n]");
+        assert_eq!(
+            rows_json(&[row("say \"hi\""), row("µs")]),
+            "[\n  {\n    \"metric\": \"say \\\"hi\\\"\",\n    \"paper\": \"17\",\n    \
+             \"measured\": \"a\\\\b\\u0009\\u0001\"\n  },\n  {\n    \"metric\": \"µs\",\n    \
+             \"paper\": \"17\",\n    \"measured\": \"a\\\\b\\u0009\\u0001\"\n  }\n]"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Multi-lane RNS execution: [`RpuCluster`] and [`RnsExecutor`].
+//! Multi-lane RNS execution: [`RpuCluster`].
 //!
 //! The paper's central observation (Section II-B) is that a
 //! wide-coefficient ring operation decomposes into **independent** RNS
@@ -7,37 +7,39 @@
 //! well as up. This module adds that scale-out layer:
 //!
 //! * [`RpuCluster`] — `k` independent lanes over one [`Rpu`]
-//!   configuration. Each lane is a full [`RpuSession`]: its own device
-//!   heap, kernel cache, and functional simulator, modeling `k` RPU dies
-//!   fed by one host. Lanes share the cluster's [`PrimeTable`], and the
-//!   cluster looks up which lane's heap a buffer lives on so a handle
-//!   used on the wrong lane fails fast ([`BufferError::ForeignLane`])
-//!   instead of corrupting a foreign heap.
+//!   configuration. A lane *is* an [`RpuSession`]: its own device heap,
+//!   kernel cache, functional simulator and lifetime accounting
+//!   ([`RpuSession::stats`]), modeling `k` RPU dies fed by one host.
+//!   Lanes share the cluster's [`PrimeTable`], and the cluster looks up
+//!   which lane's heap a buffer lives on so a handle used on the wrong
+//!   lane fails fast ([`BufferError::ForeignLane`]) instead of
+//!   corrupting a foreign heap.
 //!   Its one concurrency primitive is [`RpuCluster::on_lanes`]: a
 //!   closure runs once per lane on that lane's own scoped OS thread
 //!   while the calling thread runs the host's side;
 //!   [`run_jobs`](RpuCluster::run_jobs) is the batch form on top of it.
-//! * [`RnsExecutor`] — shards an RNS-decomposed workload (tower-major
-//!   residue vectors, [`RnsPolynomial`] towers) across the lanes: every
-//!   lane takes the next un-started tower the moment it finishes the
-//!   last — so lanes never idle while work remains, whatever the
-//!   tower/lane ratio. Results are CRT-recombined on the host.
+//! * [`RpuCluster::negacyclic_mul_towers`] — shards an RNS-decomposed
+//!   product (tower-major residue vectors) across the lanes: every lane
+//!   takes the next un-started tower the moment it finishes the last —
+//!   so lanes never idle while work remains, whatever the tower/lane
+//!   ratio. Results are CRT-recombined on the host.
 //!
 //! ```
-//! use rpu::{RnsExecutor, Rpu};
+//! use rpu::Rpu;
 //! use rpu::arith::{find_ntt_prime_chain, RnsBasis};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let rpu = Rpu::builder().lanes(2).build()?;
-//! let mut exec = RnsExecutor::new(rpu.cluster());
+//! let mut cluster = rpu.cluster();
 //! let n = 1024;
 //! let primes = find_ntt_prime_chain(60, 2 * n as u128, 4);
 //! let basis = RnsBasis::new(primes.clone())?;
 //! let a = basis.split_u128_poly(&vec![3u128; n]);
 //! let b = basis.split_u128_poly(&vec![5u128; n]);
-//! let (towers, report) = exec.negacyclic_mul_towers(n, &primes, &a, &b)?;
+//! let (towers, report) = cluster.negacyclic_mul_towers(n, &primes, &a, &b)?;
 //! assert_eq!(towers.len(), 4);
 //! assert!(report.speedup() > 1.0); // 4 towers over 2 lanes overlap
+//! assert_eq!(cluster.total_dispatches(), 4); // a lane's totals are its session's
 //! # Ok(())
 //! # }
 //! ```
@@ -45,165 +47,19 @@
 use crate::buffer::{BufferError, DeviceBuffer, TransferStats};
 use crate::recipes::Temps;
 use crate::run::{Rpu, RunReport};
-use crate::session::{CacheStats, PrimeTable, RpuSession};
+use crate::session::{CacheStats, LaneStats, PrimeTable, RpuSession};
 use crate::snapshot::{self, SnapshotError};
 use crate::trace::DispatchEvent;
 use crate::RpuError;
 use rpu_codegen::{CodegenStyle, ConvolutionSpec, Kernel, KernelSpec};
-use rpu_ntt::{RnsContext, RnsPolynomial};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// One lane: a session plus its lifetime dispatch accounting.
-#[derive(Debug)]
-struct Lane<'a> {
-    session: RpuSession<'a>,
-    dispatches: u64,
-    cycles: u64,
-    busy_us: f64,
-    transfer: TransferStats,
-}
-
-impl<'a> Lane<'a> {
-    fn new(rpu: &'a Rpu, index: usize) -> Self {
-        let mut session = rpu.session();
-        session.set_lane(index);
-        Lane {
-            session,
-            dispatches: 0,
-            cycles: 0,
-            busy_us: 0.0,
-            transfer: TransferStats::default(),
-        }
-    }
-
-    /// Folds one dispatch report into the lane's running totals.
-    fn account(&mut self, report: &RunReport) {
-        self.dispatches += 1;
-        self.cycles += report.stats.cycles;
-        self.busy_us += report.runtime_us;
-        self.transfer.absorb(&report.transfer);
-    }
-}
-
 /// One generic unit of work for [`RpuCluster::run_jobs`]: runs on
-/// whichever lane takes it, driving that lane through the
-/// [`LaneWorker`] it is handed.
-pub type LaneJob<'j, T> =
-    Box<dyn FnOnce(&mut LaneWorker<'_, '_>) -> Result<T, RpuError> + Send + 'j>;
-
-/// A lane as seen by whoever drives it — a [`RpuCluster::on_lanes`]
-/// closure on the lane's thread, a [`LaneJob`], or the calling thread
-/// through [`RpuCluster::lane`]: the lane's session plus per-lane
-/// accounting, so everything uploaded, dispatched and downloaded lands
-/// in that lane's [`LaneStats`] (and therefore in the run's
-/// [`ClusterRunReport`]).
-#[derive(Debug)]
-pub struct LaneWorker<'l, 'a> {
-    index: usize,
-    lane: &'l mut Lane<'a>,
-}
-
-impl<'l, 'a> LaneWorker<'l, 'a> {
-    /// The lane this worker drives (jobs use it to pick lane-resident
-    /// key material, kernels, or accumulators out of per-lane tables).
-    pub fn lane_index(&self) -> usize {
-        self.index
-    }
-
-    /// Raw access to the lane's session — traffic through it bypasses
-    /// the per-lane transfer accounting (dispatch accounting still
-    /// happens inside the session's reports only). Prefer the worker's
-    /// own methods.
-    pub fn session(&mut self) -> &mut RpuSession<'a> {
-        &mut self.lane.session
-    }
-
-    /// Compiles (or recalls) `spec` on this lane's kernel cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError`] if generation fails or verification faults.
-    pub fn compile<S: KernelSpec + ?Sized>(&mut self, spec: &S) -> Result<Arc<Kernel>, RpuError> {
-        self.lane.session.compile(spec)
-    }
-
-    /// Uploads `data` into a fresh lane-local buffer, with accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
-    pub fn upload(&mut self, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
-        let buf = self.lane.session.upload(data)?;
-        self.lane.transfer.host_to_device += data.len();
-        Ok(buf)
-    }
-
-    /// Allocates `len` elements on this lane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
-    pub fn alloc(&mut self, len: usize) -> Result<DeviceBuffer, RpuError> {
-        self.lane.session.alloc(len)
-    }
-
-    /// Downloads a lane-local buffer, with accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] for stale handles.
-    pub fn download(&mut self, buf: &DeviceBuffer) -> Result<Vec<u128>, RpuError> {
-        let data = self.lane.session.download(buf)?;
-        self.lane.transfer.device_to_host += data.len();
-        Ok(data)
-    }
-
-    /// Frees a lane-local buffer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] for stale handles.
-    pub fn free(&mut self, buf: DeviceBuffer) -> Result<(), RpuError> {
-        self.lane.session.free(buf)
-    }
-
-    /// Dispatches a compiled kernel over this lane's resident buffers,
-    /// folding the report into the lane's accounting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] for stale handles or shape
-    /// mismatches, [`RpuError::Exec`] if the program faults.
-    pub fn dispatch(
-        &mut self,
-        kernel: &Arc<Kernel>,
-        inputs: &[DeviceBuffer],
-        outputs: &[DeviceBuffer],
-    ) -> Result<RunReport, RpuError> {
-        let report = self.lane.session.dispatch(kernel, inputs, outputs)?;
-        self.lane.account(&report);
-        Ok(report)
-    }
-}
-
-/// A snapshot of one lane's accounting: how much work it has absorbed
-/// and what data movement that cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneStats {
-    /// The lane index.
-    pub lane: usize,
-    /// Kernels dispatched on this lane.
-    pub dispatches: u64,
-    /// Total simulated cycles across those dispatches.
-    pub cycles: u64,
-    /// Total simulated on-RPU time, in microseconds.
-    pub busy_us: f64,
-    /// Aggregated data movement (uploads, downloads, on-device copies).
-    pub transfer: TransferStats,
-}
+/// whichever lane takes it, driving that lane's session.
+pub type LaneJob<'j, T> = Box<dyn FnOnce(&mut RpuSession<'_>) -> Result<T, RpuError> + Send + 'j>;
 
 impl LaneStats {
     /// The per-lane delta `after - before` (what one sharded run added).
@@ -312,28 +168,17 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[derive(Debug)]
 pub struct RpuCluster<'a> {
     rpu: &'a Rpu,
-    lanes: Vec<Lane<'a>>,
+    lanes: Vec<RpuSession<'a>>,
     primes: PrimeTable,
 }
 
 impl<'a> RpuCluster<'a> {
-    /// Builds a `k`-lane cluster (used by [`Rpu::cluster`] /
-    /// [`Rpu::cluster_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is outside `[1, 64]` — the same bound
-    /// [`RpuBuilder::lanes`](crate::RpuBuilder::lanes) enforces as a
-    /// build error.
+    /// Builds a `k`-lane cluster; [`Rpu::cluster`] and
+    /// [`Rpu::cluster_with`] have checked `k` against `[1, 64]`.
     pub(crate) fn new(rpu: &'a Rpu, k: usize) -> Self {
-        assert!(
-            (1..=crate::session::MAX_LANES).contains(&k),
-            "cluster lane count must be in [1, {}], got {k}",
-            crate::session::MAX_LANES
-        );
         RpuCluster {
             rpu,
-            lanes: (0..k).map(|index| Lane::new(rpu, index)).collect(),
+            lanes: (0..k).map(|lane| RpuSession::new(rpu, lane)).collect(),
             primes: PrimeTable::with_bits(rpu.prime_bits()),
         }
     }
@@ -358,34 +203,25 @@ impl<'a> RpuCluster<'a> {
         self.primes.ntt_prime(n)
     }
 
-    /// Direct access to one lane's session.
+    /// One lane's session, driven synchronously from the calling
+    /// thread — the same session a lane thread gets under
+    /// [`on_lanes`](RpuCluster::on_lanes), so whatever is uploaded,
+    /// dispatched or downloaded through it lands in
+    /// [`lane_stats`](RpuCluster::lane_stats). The cluster's own
+    /// per-lane methods are thin calls through it.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn lane_session(&mut self, lane: usize) -> &mut RpuSession<'a> {
-        &mut self.lanes[lane].session
-    }
-
-    /// Drives `lane` synchronously from the calling thread: the same
-    /// [`LaneWorker`] surface (and accounting) a lane thread gets. The
-    /// cluster's own per-lane methods are thin calls through it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane(&mut self, lane: usize) -> LaneWorker<'_, 'a> {
-        LaneWorker {
-            index: lane,
-            lane: &mut self.lanes[lane],
-        }
+        &mut self.lanes[lane]
     }
 
     /// The lane whose heap `buf` is live on, whoever allocated it —
     /// the lane heaps are the only record of placement. (Buffer ids are
     /// global and never reused, so at most one lane answers.)
     pub fn locate(&self, buf: &DeviceBuffer) -> Option<usize> {
-        self.lanes.iter().position(|lane| lane.session.owns(buf))
+        self.lanes.iter().position(|lane| lane.owns(buf))
     }
 
     /// Rejects buffers that are known to live on a different lane.
@@ -419,7 +255,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn alloc_on(&mut self, lane: usize, len: usize) -> Result<DeviceBuffer, RpuError> {
-        self.lane(lane).alloc(len)
+        self.lanes[lane].alloc(len)
     }
 
     /// Uploads `data` into a fresh buffer on `lane`.
@@ -432,7 +268,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn upload_to(&mut self, lane: usize, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
-        self.lane(lane).upload(data)
+        self.lanes[lane].upload(data)
     }
 
     /// Downloads a buffer from whichever lane owns it.
@@ -444,7 +280,7 @@ impl<'a> RpuCluster<'a> {
         let lane = self
             .locate(buf)
             .ok_or(RpuError::Buffer(BufferError::StaleHandle { id: buf.id() }))?;
-        self.lane(lane).download(buf)
+        self.lanes[lane].download(buf)
     }
 
     /// Frees a buffer on whichever lane owns it.
@@ -457,7 +293,7 @@ impl<'a> RpuCluster<'a> {
         let lane = self
             .locate(&buf)
             .ok_or(RpuError::Buffer(BufferError::StaleHandle { id: buf.id() }))?;
-        self.lane(lane).free(buf)
+        self.lanes[lane].free(buf)
     }
 
     /// Moves a buffer to another lane through the host link (lanes share
@@ -531,7 +367,7 @@ impl<'a> RpuCluster<'a> {
         lane: usize,
         spec: &S,
     ) -> Result<Arc<Kernel>, RpuError> {
-        self.lane(lane).compile(spec)
+        self.lanes[lane].compile(spec)
     }
 
     /// Dispatches a compiled kernel on `lane` over that lane's resident
@@ -555,7 +391,7 @@ impl<'a> RpuCluster<'a> {
     ) -> Result<RunReport, RpuError> {
         self.check_residency(lane, inputs)?;
         self.check_residency(lane, outputs)?;
-        self.lane(lane).dispatch(kernel, inputs, outputs)
+        self.lanes[lane].dispatch(kernel, inputs, outputs)
     }
 
     /// One lane's lifetime accounting.
@@ -564,19 +400,12 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn lane_stats(&self, lane: usize) -> LaneStats {
-        let l = &self.lanes[lane];
-        LaneStats {
-            lane,
-            dispatches: l.dispatches,
-            cycles: l.cycles,
-            busy_us: l.busy_us,
-            transfer: l.transfer,
-        }
+        self.lanes[lane].stats()
     }
 
     /// Every lane's lifetime accounting.
     pub fn stats(&self) -> Vec<LaneStats> {
-        (0..self.lanes.len()).map(|i| self.lane_stats(i)).collect()
+        self.lanes.iter().map(RpuSession::stats).collect()
     }
 
     /// One lane's kernel-cache counters.
@@ -585,7 +414,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn cache_stats(&self, lane: usize) -> CacheStats {
-        self.lanes[lane].session.cache_stats()
+        self.lanes[lane].cache_stats()
     }
 
     /// Live device buffers on `lane` — what the lane is holding.
@@ -594,7 +423,7 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn live_buffers(&self, lane: usize) -> usize {
-        self.lanes[lane].session.live_buffers()
+        self.lanes[lane].live_buffers()
     }
 
     /// The word width `lane`'s simulator stores its elements in
@@ -604,24 +433,27 @@ impl<'a> RpuCluster<'a> {
     ///
     /// Panics if `lane` is out of range.
     pub fn lane_bits(&self, lane: usize) -> u32 {
-        self.lanes[lane].session.lane_bits()
+        self.lanes[lane].lane_bits()
     }
 
     /// The busiest lane's total simulated time, in microseconds — the
     /// cluster's completion time so far.
     pub fn makespan_us(&self) -> f64 {
-        self.lanes.iter().map(|l| l.busy_us).fold(0.0, f64::max)
+        self.lanes
+            .iter()
+            .map(|l| l.stats().busy_us)
+            .fold(0.0, f64::max)
     }
 
     /// Total simulated time across every lane, in microseconds (what one
     /// lane running everything sequentially would take).
     pub fn total_busy_us(&self) -> f64 {
-        self.lanes.iter().map(|l| l.busy_us).sum()
+        self.lanes.iter().map(|l| l.stats().busy_us).sum()
     }
 
     /// Kernels dispatched across every lane.
     pub fn total_dispatches(&self) -> u64 {
-        self.lanes.iter().map(|l| l.dispatches).sum()
+        self.lanes.iter().map(|l| l.stats().dispatches).sum()
     }
 
     /// Serializes every lane's device state plus the buffer → lane
@@ -631,10 +463,10 @@ impl<'a> RpuCluster<'a> {
     pub fn snapshot_all(&self) -> Vec<u8> {
         let mut owners: Vec<(u64, u64)> = (0u64..)
             .zip(&self.lanes)
-            .flat_map(|(i, lane)| lane.session.live_ids().map(move |id| (id, i)))
+            .flat_map(|(i, lane)| lane.live_ids().map(move |id| (id, i)))
             .collect();
         owners.sort_unstable();
-        let lanes: Vec<Vec<u8>> = self.lanes.iter().map(|l| l.session.snapshot()).collect();
+        let lanes: Vec<Vec<u8>> = self.lanes.iter().map(RpuSession::snapshot).collect();
         snapshot::encode_cluster(&owners, &lanes)
     }
 
@@ -650,7 +482,7 @@ impl<'a> RpuCluster<'a> {
     /// [`restore_all_replacing`](RpuCluster::restore_all_replacing) can
     /// return. The cluster is unchanged on error.
     pub fn restore_all(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
-        let live: usize = self.lanes.iter().map(|l| l.session.live_buffers()).sum();
+        let live: usize = self.lanes.iter().map(RpuSession::live_buffers).sum();
         if live > 0 {
             return Err(SnapshotError::LiveBuffers { live }.into());
         }
@@ -683,7 +515,7 @@ impl<'a> RpuCluster<'a> {
             .lanes
             .iter()
             .zip(&lane_bytes)
-            .map(|(lane, bytes)| lane.session.prepare_restore(bytes))
+            .map(|(lane, bytes)| lane.prepare_restore(bytes))
             .collect::<Result<Vec<_>, _>>()?;
         // The placement map is redundant with the lane heaps; a snapshot
         // whose two copies disagree is corrupt.
@@ -698,14 +530,14 @@ impl<'a> RpuCluster<'a> {
             }
         }
         for (lane, p) in self.lanes.iter_mut().zip(prepared) {
-            lane.session.apply_restore(p);
+            lane.apply_restore(p);
         }
         Ok(())
     }
 
     /// The cluster's one concurrency primitive: runs `lane_main` once
     /// per lane, each on that lane's own scoped OS thread with the
-    /// lane's [`LaneWorker`], while `host` runs on the calling thread.
+    /// lane's session, while `host` runs on the calling thread.
     /// Returns `host`'s result once every lane has returned, with the
     /// aggregated [`ClusterRunReport`] for everything the lanes did.
     ///
@@ -721,7 +553,7 @@ impl<'a> RpuCluster<'a> {
     /// stays usable.
     pub fn on_lanes<R>(
         &mut self,
-        lane_main: impl Fn(&mut LaneWorker<'_, 'a>) + Sync,
+        lane_main: impl Fn(&mut RpuSession<'a>) + Sync,
         host: impl FnOnce() -> R,
     ) -> (R, ClusterRunReport) {
         let before: Vec<LaneStats> = self.stats();
@@ -730,10 +562,8 @@ impl<'a> RpuCluster<'a> {
         let started = Instant::now();
         let (out, panicked) = std::thread::scope(|scope| {
             let lane_main = &lane_main;
-            let threads: Vec<_> = (self.lanes.iter_mut().enumerate())
-                .map(|(index, lane)| {
-                    scope.spawn(move || lane_main(&mut LaneWorker { index, lane }))
-                })
+            let threads: Vec<_> = (self.lanes.iter_mut())
+                .map(|lane| scope.spawn(move || lane_main(lane)))
                 .collect();
             let out = host();
             // Joining by hand is what contains a lane's panic: the scope
@@ -781,8 +611,9 @@ impl<'a> RpuCluster<'a> {
     }
 
     /// Runs `jobs.len()` independent lane jobs across the lanes — the
-    /// engine behind [`RnsExecutor`]'s tower sharding *and* the
-    /// per-digit key-switch products of `RlweEvaluator::mul`/`rotate`.
+    /// engine behind the tower sharding of
+    /// [`negacyclic_mul_towers`](RpuCluster::negacyclic_mul_towers) *and*
+    /// the per-digit key-switch products of `RlweEvaluator::mul`/`rotate`.
     /// Every lane runs on its own OS thread
     /// ([`on_lanes`](RpuCluster::on_lanes)), taking the next un-started
     /// job until none is left, so no lane idles while work remains;
@@ -854,46 +685,15 @@ impl<'a> RpuCluster<'a> {
         let outputs = (run.results.into_iter()).map(|v| v.expect("every job completed"));
         Ok((outputs.collect(), report))
     }
-}
 
-/// Shards RNS-decomposed ring workloads across an [`RpuCluster`] and
-/// CRT-recombines on the host — the paper's Fig. 1 dataflow, with the
-/// per-tower kernels spread over parallel lanes instead of looped
-/// through one session.
-#[derive(Debug)]
-pub struct RnsExecutor<'a> {
-    cluster: RpuCluster<'a>,
-    style: CodegenStyle,
-}
-
-impl<'a> RnsExecutor<'a> {
-    /// Wraps a cluster with the default ([`CodegenStyle::Optimized`])
-    /// kernel style.
-    pub fn new(cluster: RpuCluster<'a>) -> Self {
-        Self::with_style(cluster, CodegenStyle::Optimized)
-    }
-
-    /// Wraps a cluster with an explicit kernel style.
-    pub fn with_style(cluster: RpuCluster<'a>, style: CodegenStyle) -> Self {
-        RnsExecutor { cluster, style }
-    }
-
-    /// The underlying cluster (lane statistics, manual buffer work).
-    pub fn cluster(&self) -> &RpuCluster<'a> {
-        &self.cluster
-    }
-
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut RpuCluster<'a> {
-        &mut self.cluster
-    }
-
-    /// The full tower-sharded negacyclic multiply: tower `t` of the
-    /// result is `a_towers[t] ·_neg b_towers[t] (mod moduli[t])`, each
-    /// tower one fused-convolution dispatch (forward NTT ×2 → pointwise
-    /// multiply → inverse NTT) on whichever lane takes it: upload both
-    /// operands, dispatch, download the product, free — entirely
-    /// lane-local.
+    /// The tower-sharded negacyclic multiply — the paper's Fig. 1
+    /// dataflow with the per-tower kernels spread over parallel lanes
+    /// instead of looped through one session: tower `t` of the result is
+    /// `a_towers[t] ·_neg b_towers[t] (mod moduli[t])`, each tower one
+    /// fused-convolution dispatch (forward NTT ×2 → pointwise multiply →
+    /// inverse NTT) on whichever lane takes it: upload both operands,
+    /// dispatch, download the product, free — entirely lane-local. CRT
+    /// recombination (`RnsBasis::recombine_poly`) is the host's.
     ///
     /// # Errors
     ///
@@ -919,11 +719,10 @@ impl<'a> RnsExecutor<'a> {
                 "tower {t} has the wrong length for ring degree {n}"
             )));
         }
-        let style = self.style;
         let jobs = moduli.iter().zip(a_towers.iter().zip(b_towers));
         let jobs = jobs.map(|(&q, (a, b))| {
-            Box::new(move |w: &mut LaneWorker<'_, '_>| {
-                let kernel = w.compile(&ConvolutionSpec::new(n, q, style))?;
+            Box::new(move |w: &mut RpuSession<'_>| {
+                let kernel = w.compile(&ConvolutionSpec::new(n, q, CodegenStyle::Optimized))?;
                 let mut t = Temps::default();
                 let result = (|| {
                     let da = t.hold(w.upload(a)?);
@@ -936,38 +735,7 @@ impl<'a> RnsExecutor<'a> {
                 t.settle(result, |_| [], |buf| w.free(buf))
             }) as LaneJob<'_, Vec<u128>>
         });
-        self.cluster.run_jobs(jobs.collect())
-    }
-
-    /// Multiplies two [`RnsPolynomial`]s on the cluster: towers are
-    /// sharded across lanes, and the products are lifted back into an
-    /// `RnsPolynomial` over the same context (CRT reconstruction — e.g.
-    /// [`RnsPolynomial::to_big_coeffs`] — then happens on the host
-    /// whenever the caller wants wide coefficients).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Config`] if the operands use different
-    /// contexts, [`RpuError::Ring`] if the products cannot be lifted, or
-    /// the first lane error.
-    pub fn mul(
-        &mut self,
-        a: &RnsPolynomial,
-        b: &RnsPolynomial,
-    ) -> Result<(RnsPolynomial, ClusterRunReport), RpuError> {
-        let ctx: &Arc<RnsContext> = a.rns_context();
-        if !Arc::ptr_eq(ctx, b.rns_context()) {
-            return Err(RpuError::Config(
-                "operands must share an RNS context".into(),
-            ));
-        }
-        let n = ctx.degree();
-        let moduli = ctx.modulus_values();
-        let a_towers = a.tower_coeffs();
-        let b_towers = b.tower_coeffs();
-        let (products, report) = self.negacyclic_mul_towers(n, &moduli, &a_towers, &b_towers)?;
-        let lifted = RnsPolynomial::from_tower_coeffs(ctx, &products)?;
-        Ok((lifted, report))
+        self.run_jobs(jobs.collect())
     }
 }
 
@@ -981,7 +749,6 @@ mod tests {
     #[test]
     fn sessions_are_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<Lane<'static>>();
         assert_send::<RpuSession<'static>>();
         assert_send::<RpuError>();
     }
@@ -1034,12 +801,12 @@ mod tests {
             .collect();
 
         let rpu = Rpu::builder().lanes(2).build().unwrap();
-        let mut exec = RnsExecutor::new(rpu.cluster());
+        let mut c = rpu.cluster();
         // Retry a pathologically starved split (timing-dependent);
         // exactness and traffic accounting are asserted every attempt.
         let mut balanced = None;
         for _ in 0..3 {
-            let (got, report) = exec.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
+            let (got, report) = c.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
             for (t, &q) in primes.iter().enumerate() {
                 let plan = rpu_ntt::Ntt128Plan::new(n, q).unwrap();
                 assert_eq!(got[t], plan.negacyclic_mul(&a[t], &b[t]), "tower {t}");
@@ -1059,30 +826,22 @@ mod tests {
         let report = balanced.expect("both lanes must steal work within 3 runs");
         assert!(report.makespan_us > 0.0 && report.wall_us > 0.0);
         for lane in 0..2 {
-            assert_eq!(exec.cluster().lane_session_mem(lane), 0);
+            assert_eq!(c.lane_session(lane).device_mem_in_use(), 0);
         }
     }
 
     #[test]
     fn executor_shape_errors() {
         let rpu = Rpu::builder().build().unwrap();
-        let mut exec = RnsExecutor::new(rpu.cluster());
-        let bad = exec.negacyclic_mul_towers(1024, &[97, 193], &[vec![0; 1024]], &[vec![0; 1024]]);
+        let mut c = rpu.cluster();
+        let bad = c.negacyclic_mul_towers(1024, &[97, 193], &[vec![0; 1024]], &[vec![0; 1024]]);
         assert!(matches!(bad, Err(RpuError::Config(_))));
-        let bad = exec.negacyclic_mul_towers(
+        let bad = c.negacyclic_mul_towers(
             1024,
             &[97],
             &[vec![0; 512]], // wrong length
             &[vec![0; 1024]],
         );
         assert!(matches!(bad, Err(RpuError::Config(_))));
-    }
-
-    impl<'a> RpuCluster<'a> {
-        /// Test helper: a lane's resident element count without taking
-        /// `&mut self`.
-        fn lane_session_mem(&self, lane: usize) -> usize {
-            self.lanes[lane].session.device_mem_in_use()
-        }
     }
 }

@@ -31,9 +31,10 @@
 //! at 1, 2, and 4 lanes).
 
 use crate::buffer::DeviceBuffer;
-use crate::lanes::{LaneWorker, RpuCluster};
+use crate::lanes::RpuCluster;
 use crate::recipes::{self, LaneKernels, LaneKsk, Temps};
 use crate::run::Rpu;
+use crate::session::RpuSession;
 use crate::RpuError;
 use rpu_arith::{gadget_decompose, ModulusChain};
 use rpu_codegen::{CodegenStyle, Kernel, RescaleSpec};
@@ -154,8 +155,8 @@ impl<'a> LeveledEvaluator<'a> {
         let lanes = cluster.lane_count();
         let kernels = (0..ctx.chain().levels())
             .map(|l| {
-                let mut w = cluster.lane(l % lanes);
-                LaneKernels::compile(&mut w, ctx.n(), ctx.chain().prime(l), style)
+                let w = cluster.lane_session(l % lanes);
+                LaneKernels::compile(w, ctx.n(), ctx.chain().prime(l), style)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(LeveledEvaluator {
@@ -242,10 +243,10 @@ impl<'a> LeveledEvaluator<'a> {
         ct.noise.remaining(self.ctx.chain().log2_q(ct.level))
     }
 
-    /// Tower `l`'s lane worker and kernel set, for one recipe call.
-    fn tower(&mut self, l: usize) -> (LaneWorker<'_, 'a>, &LaneKernels) {
+    /// Tower `l`'s lane session and kernel set, for one recipe call.
+    fn tower(&mut self, l: usize) -> (&mut RpuSession<'a>, &LaneKernels) {
         let lane = self.tower_lane(l);
-        (self.cluster.lane(lane), &self.kernels[l])
+        (self.cluster.lane_session(lane), &self.kernels[l])
     }
 
     /// Builds a ciphertext tower by tower from `tower(self, l) →
@@ -292,8 +293,8 @@ impl<'a> LeveledEvaluator<'a> {
         let mut t = Temps::default();
         let uploaded = (0..self.kernels.len())
             .map(|l| {
-                let (mut w, k) = self.tower(l);
-                Ok(t.hold(recipes::upload_eval(&mut w, k, &sk.s_coeffs(l))?))
+                let (w, k) = self.tower(l);
+                Ok(t.hold(recipes::upload_eval(w, k, &sk.s_coeffs(l))?))
             })
             .collect::<Result<Vec<_>, _>>();
         self.sk = t.settle(uploaded, Vec::clone, |buf| self.cluster.free(buf))?;
@@ -336,8 +337,8 @@ impl<'a> LeveledEvaluator<'a> {
         let noise = NoiseBudget::fresh(self.ctx.chain().t());
         self.per_tower(self.ctx.max_level(), noise, |ev, l| {
             let sk = ev.sk[l];
-            let (mut w, k) = ev.tower(l);
-            recipes::encrypt(&mut w, k, sk, &masks[l], &payloads[l])
+            let (w, k) = ev.tower(l);
+            recipes::encrypt(w, k, sk, &masks[l], &payloads[l])
         })
     }
 
@@ -378,8 +379,8 @@ impl<'a> LeveledEvaluator<'a> {
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
         let noise = x.noise.after_add(y.noise);
         self.per_tower(x.level.min(y.level), noise, |ev, l| {
-            let (mut w, k) = ev.tower(l);
-            recipes::pointwise_pair(&mut w, pick(k), (x.a[l], x.b[l]), (y.a[l], y.b[l]))
+            let (w, k) = ev.tower(l);
+            recipes::pointwise_pair(w, pick(k), (x.a[l], x.b[l]), (y.a[l], y.b[l]))
         })
     }
 
@@ -451,12 +452,12 @@ impl<'a> LeveledEvaluator<'a> {
         let scaled = (|| {
             let mut scaled = [Vec::with_capacity(level), Vec::with_capacity(level)];
             for (towers, out) in [&ct.a, &ct.b].into_iter().zip(&mut scaled) {
-                let (mut w, k) = self.tower(level);
-                let dropped = recipes::download_coeffs(&mut w, k, towers[level])?;
+                let (w, k) = self.tower(level);
+                let dropped = recipes::download_coeffs(w, k, towers[level])?;
                 let delta = self.ctx.rescale_correction(level, &dropped);
                 for (i, delta_i) in delta.iter().enumerate() {
                     let kernel = self.rescale_kernel(level, i)?;
-                    let mut w = self.cluster.lane(i % self.cluster.lane_count());
+                    let w = self.cluster.lane_session(i % self.cluster.lane_count());
                     let d = t.hold(w.upload(delta_i)?);
                     let out_i = t.hold(w.alloc(delta_i.len())?);
                     w.dispatch(&kernel, &[d, towers[i]], &[out_i])?;
@@ -508,8 +509,8 @@ impl<'a> LeveledEvaluator<'a> {
         for i in 0..rk.parts().len() {
             key.keys.push(Vec::with_capacity(self.kernels.len()));
             for k in 0..self.kernels.len() {
-                let (mut w, kernels) = self.tower(k);
-                let share = recipes::upload_ksk(&mut w, kernels, rk.base_log(), rk.share(i, k))?;
+                let (w, kernels) = self.tower(k);
+                let share = recipes::upload_ksk(w, kernels, rk.base_log(), rk.share(i, k))?;
                 key.keys.last_mut().expect("just pushed").push(share);
             }
         }
@@ -579,12 +580,12 @@ impl<'a> LeveledEvaluator<'a> {
             let mut c10 = Vec::with_capacity(level + 1);
             let mut c2_coeffs = Vec::with_capacity(level + 1);
             for l in 0..=level {
-                let (mut w, k) = self.tower(l);
-                let c0 = t.hold(recipes::pointwise(&mut w, &k.pwmul, x.b[l], y.b[l])?);
+                let (w, k) = self.tower(l);
+                let c0 = t.hold(recipes::pointwise(w, &k.pwmul, x.b[l], y.b[l])?);
                 let (xl, yl) = ((x.a[l], x.b[l]), (y.a[l], y.b[l]));
-                c10.push((t.hold(recipes::cross_terms(&mut w, k, xl, yl)?), c0));
-                let c2 = recipes::pointwise(&mut w, &k.pwmul, x.a[l], y.a[l])?;
-                let coeffs = recipes::download_coeffs(&mut w, k, c2);
+                c10.push((t.hold(recipes::cross_terms(w, k, xl, yl)?), c0));
+                let c2 = recipes::pointwise(w, &k.pwmul, x.a[l], y.a[l])?;
+                let coeffs = recipes::download_coeffs(w, k, c2);
                 w.free(c2)?;
                 c2_coeffs.push(coeffs?);
             }
@@ -592,7 +593,7 @@ impl<'a> LeveledEvaluator<'a> {
             // digit of every source tower into every live tower.
             let mut acc = Vec::with_capacity(level + 1);
             for k in 0..=level {
-                let pair = recipes::accumulators(&mut self.tower(k).0, n)?;
+                let pair = recipes::accumulators(self.tower(k).0, n)?;
                 acc.push((t.hold(pair.0), t.hold(pair.1)));
             }
             for (src, key) in c2_coeffs.iter().zip(&relin.keys) {
@@ -601,14 +602,14 @@ impl<'a> LeveledEvaluator<'a> {
                     for lane in 0..lanes.min(level + 1) {
                         let towers = (lane..=level).step_by(lanes);
                         let targets = towers.map(|k| (&self.kernels[k], key[k].part(j), acc[k]));
-                        recipes::ksw_digit(&mut self.cluster.lane(lane), digit, targets)?;
+                        recipes::ksw_digit(self.cluster.lane_session(lane), digit, targets)?;
                     }
                 }
             }
             // Combine: a = c1 + Σ d̂·â, b = c0 + Σ d̂·b̂, per tower.
             self.per_tower(level, noise, |ev, l| {
-                let (mut w, k) = ev.tower(l);
-                recipes::pointwise_pair(&mut w, &k.pwadd, c10[l], acc[l])
+                let (w, k) = ev.tower(l);
+                recipes::pointwise_pair(w, &k.pwadd, c10[l], acc[l])
             })
         })();
         // The result towers are per_tower's; every temp here goes back.
@@ -641,8 +642,8 @@ impl<'a> LeveledEvaluator<'a> {
         self.resident_key(ct.level)?;
         let towers = (0..=ct.level).map(|l| {
             let sk = self.sk[l];
-            let (mut w, k) = self.tower(l);
-            recipes::phase(&mut w, k, sk, ct.a[l], ct.b[l])
+            let (w, k) = self.tower(l);
+            recipes::phase(w, k, sk, ct.a[l], ct.b[l])
         });
         towers.collect()
     }
@@ -686,9 +687,9 @@ impl<'a> LeveledEvaluator<'a> {
         let mut a = Vec::with_capacity(ct.level + 1);
         let mut b = Vec::with_capacity(ct.level + 1);
         for l in 0..=ct.level {
-            let (mut w, k) = self.tower(l);
-            a.push(recipes::download_coeffs(&mut w, k, ct.a[l])?);
-            b.push(recipes::download_coeffs(&mut w, k, ct.b[l])?);
+            let (w, k) = self.tower(l);
+            a.push(recipes::download_coeffs(w, k, ct.a[l])?);
+            b.push(recipes::download_coeffs(w, k, ct.b[l])?);
         }
         Ok(LeveledCiphertext::from_coeff_towers(
             &self.ctx, a, b, ct.noise,

@@ -12,8 +12,7 @@
 //! ([`RpuBuilder`] / [`RpuSession`]), the device-resident buffer
 //! runtime ([`DeviceBuffer`] / [`RpuSession::dispatch`] /
 //! [`RlweEvaluator`]), the multi-lane RNS execution engine
-//! ([`RpuCluster`] / [`RnsExecutor`]), and design-space exploration
-//! helpers.
+//! ([`RpuCluster`]), and design-space exploration helpers.
 //!
 //! # Quickstart
 //!
@@ -90,23 +89,25 @@
 //!
 //! RNS towers are independent work (Section II-B), so they shard:
 //! [`RpuBuilder::lanes`] builds an [`RpuCluster`] of `k` full sessions
-//! (one simulated RPU die each) and [`RnsExecutor`] spreads tower jobs
-//! over them — each lane, on its own thread, takes the next un-started
-//! tower — CRT-recombining on the host; 8 towers on 4 lanes finish in a
+//! (one simulated RPU die each; a lane's accounting is its session's
+//! [`stats`](RpuSession::stats)) and
+//! [`RpuCluster::negacyclic_mul_towers`] spreads tower jobs over them —
+//! each lane, on its own thread, takes the next un-started tower —
+//! with CRT recombination on the host; 8 towers on 4 lanes finish in a
 //! 2-tower makespan:
 //!
 //! ```
-//! use rpu::{RnsExecutor, Rpu};
+//! use rpu::Rpu;
 //! use rpu::arith::{find_ntt_prime_chain, RnsBasis};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let rpu = Rpu::builder().lanes(2).build()?;
-//! let mut exec = RnsExecutor::new(rpu.cluster());
+//! let mut cluster = rpu.cluster();
 //! let primes = find_ntt_prime_chain(60, 2 * 1024, 4);
 //! let basis = RnsBasis::new(primes.clone())?;
 //! let a = basis.split_u128_poly(&vec![7u128; 1024]);
 //! let b = basis.split_u128_poly(&vec![9u128; 1024]);
-//! let (products, report) = exec.negacyclic_mul_towers(1024, &primes, &a, &b)?;
+//! let (products, report) = cluster.negacyclic_mul_towers(1024, &primes, &a, &b)?;
 //! let wide = basis.recombine_poly(&products);
 //! assert_eq!(products.len(), 4);
 //! assert!(report.speedup() > 1.0);
@@ -142,11 +143,11 @@ mod trace;
 
 pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
 pub use explore::{evaluate_point, explore_design_space, paper_sweep, PAPER_BANKS, PAPER_HPLES};
-pub use lanes::{ClusterRunReport, LaneJob, LaneStats, LaneWorker, RnsExecutor, RpuCluster};
+pub use lanes::{ClusterRunReport, LaneJob, RpuCluster};
 pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, DeviceKeySwitchKey, RlweEvaluator};
 pub use run::{Rpu, RunReport};
-pub use session::{CacheStats, KernelCache, PrimeTable, RpuBuilder, RpuSession};
+pub use session::{CacheStats, KernelCache, LaneStats, PrimeTable, RpuBuilder, RpuSession};
 pub use snapshot::SnapshotError;
 pub use trace::{set_dispatch_tenant, DispatchEvent, RingTraceSink, TenantTag, TraceSink};
 
@@ -168,7 +169,7 @@ pub use rpu_model::{AreaModel, DesignPoint, EnergyModel, F1Comparison};
 pub use rpu_ntt::leveled::{
     LeveledCiphertext, LeveledContext, LeveledError, LeveledRelinKey, LeveledSecretKey, NoiseBudget,
 };
-pub use rpu_ntt::{Ntt128Plan, Ntt64Plan, PeaseSchedule, Polynomial, RnsPolynomial};
+pub use rpu_ntt::{Ntt128Plan, Ntt64Plan, PeaseSchedule, Polynomial};
 pub use rpu_sim::{CycleSim, FunctionalSim, HbmModel, RpuConfig, SimStats};
 
 /// Clamps a requested ring size to `cap` for reduced-size smoke runs:

@@ -3,13 +3,13 @@
 //!
 //! The paper's case for an ISA is that each ciphertext operation is the
 //! same few B512 kernels chained in software (Fig. 1). This module is
-//! that chain, written once against [`LaneWorker`] — the surface a lane
-//! thread ([`crate::RpuCluster::on_lanes`]), a synchronously driven
-//! cluster lane ([`crate::RpuCluster::lane`]) and the serving layer all
-//! share. What the front ends add on top is
-//! *placement* only:
+//! that chain, written once against [`RpuSession`] — a lane *is* its
+//! session, whether a lane thread ([`crate::RpuCluster::on_lanes`]), the
+//! calling thread ([`crate::RpuCluster::lane_session`]) or the serving
+//! layer drives it, and the session counts what each step moves. What
+//! the front ends add on top is *placement* only:
 //!
-//! | front end | placement | who drives the lane |
+//! | front end | placement | who drives the lane's session |
 //! |---|---|---|
 //! | [`crate::RlweEvaluator`] | mask / payload component lanes, work-stolen key-switch digits, fold | caller thread; digits on lane threads (`run_jobs`) |
 //! | [`crate::LeveledEvaluator`] | tower `l` → lane `l % k`, cross-tower digit loop, rescale | caller thread |
@@ -26,7 +26,7 @@
 //! `rpu-serve` can reach it.
 
 use crate::buffer::DeviceBuffer;
-use crate::lanes::LaneWorker;
+use crate::session::RpuSession;
 use crate::RpuError;
 use rpu_codegen::{
     CodegenStyle, Direction, ElementwiseOp, ElementwiseSpec, Kernel, KeySwitchSpec, NttSpec,
@@ -79,7 +79,7 @@ impl LaneKernels {
     ///
     /// Returns [`RpuError`] if generation fails or verification faults.
     pub fn compile(
-        w: &mut LaneWorker<'_, '_>,
+        w: &mut RpuSession<'_>,
         n: usize,
         q: u128,
         style: CodegenStyle,
@@ -168,7 +168,7 @@ impl Temps {
 ///
 /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
 pub fn upload_eval(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     coeffs: &[u128],
 ) -> Result<DeviceBuffer, RpuError> {
@@ -190,7 +190,7 @@ pub fn upload_eval(
 /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
 /// dispatch fault.
 pub fn download_coeffs(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     hat: DeviceBuffer,
 ) -> Result<Vec<u128>, RpuError> {
@@ -209,7 +209,7 @@ pub fn download_coeffs(
 /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
 /// dispatch fault.
 pub fn pointwise(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     kernel: &Arc<Kernel>,
     x: DeviceBuffer,
     y: DeviceBuffer,
@@ -229,7 +229,7 @@ pub fn pointwise(
 ///
 /// Returns [`RpuError`] as [`pointwise`] does.
 pub fn pointwise_pair(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     kernel: &Arc<Kernel>,
     x: (DeviceBuffer, DeviceBuffer),
     y: (DeviceBuffer, DeviceBuffer),
@@ -246,7 +246,7 @@ pub fn pointwise_pair(
 ///
 /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
 pub fn encrypt(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     sk_hat: DeviceBuffer,
     mask: &[u128],
@@ -271,7 +271,7 @@ pub fn encrypt(
 /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
 /// dispatch fault.
 pub fn phase(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     sk_hat: DeviceBuffer,
     a_hat: DeviceBuffer,
@@ -288,7 +288,7 @@ pub fn phase(
 ///
 /// Returns [`RpuError`] as [`phase`] does.
 pub fn phase_tail(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     b_hat: DeviceBuffer,
     t: DeviceBuffer,
@@ -307,7 +307,7 @@ pub fn phase_tail(
 /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
 /// dispatch fault.
 pub fn cross_terms(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     x: (DeviceBuffer, DeviceBuffer),
     y: (DeviceBuffer, DeviceBuffer),
@@ -330,7 +330,7 @@ pub fn cross_terms(
 /// Returns [`RpuError`] on heap exhaustion or a dispatch fault; a
 /// half-uploaded key is released first.
 pub fn upload_ksk(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     base_log: u32,
     digits: impl IntoIterator<Item = (Vec<u128>, Vec<u128>)>,
@@ -358,7 +358,7 @@ pub fn upload_ksk(
 ///
 /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
 pub fn accumulators(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     n: usize,
 ) -> Result<(DeviceBuffer, DeviceBuffer), RpuError> {
     let zeros = vec![0u128; n];
@@ -385,7 +385,7 @@ pub fn accumulators(
 /// Returns [`RpuError`] on heap exhaustion or a dispatch fault; the
 /// digit and `d̂` are released either way.
 pub fn ksw_digit<'k>(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     digit: &[u128],
     targets: impl IntoIterator<
         Item = (
@@ -419,7 +419,7 @@ pub fn ksw_digit<'k>(
 /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
 /// dispatch fault.
 pub fn galois_permute(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     autom: &Arc<Kernel>,
     hat: DeviceBuffer,

@@ -27,7 +27,7 @@
 //! ciphertexts exactly, on any lane count.
 
 use crate::buffer::{BufferError, DeviceBuffer};
-use crate::lanes::{LaneJob, LaneWorker, RpuCluster};
+use crate::lanes::{LaneJob, RpuCluster};
 use crate::recipes::{self, LaneKernels, LaneKsk, Temps};
 use crate::run::Rpu;
 use crate::session::RpuSession;
@@ -142,7 +142,7 @@ impl<'a> RlweEvaluator<'a> {
         let ctx = RlweContext::new(params)?;
         let mut cluster = rpu.cluster();
         let kernels = (0..cluster.lane_count())
-            .map(|lane| LaneKernels::compile(&mut cluster.lane(lane), params.n, params.q, style))
+            .map(|lane| LaneKernels::compile(cluster.lane_session(lane), params.n, params.q, style))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RlweEvaluator {
             lane_a: 0,
@@ -205,9 +205,9 @@ impl<'a> RlweEvaluator<'a> {
         self.cluster.makespan_us()
     }
 
-    /// `lane`'s worker and kernel set, for one recipe call.
-    fn lane(&mut self, lane: usize) -> (LaneWorker<'_, 'a>, &LaneKernels) {
-        (self.cluster.lane(lane), &self.kernels[lane])
+    /// `lane`'s session and kernel set, for one recipe call.
+    fn lane(&mut self, lane: usize) -> (&mut RpuSession<'a>, &LaneKernels) {
+        (self.cluster.lane_session(lane), &self.kernels[lane])
     }
 
     /// One pointwise dispatch into a fresh buffer on `lane`.
@@ -218,8 +218,8 @@ impl<'a> RlweEvaluator<'a> {
         x: DeviceBuffer,
         y: DeviceBuffer,
     ) -> Result<DeviceBuffer, RpuError> {
-        let (mut w, k) = self.lane(lane);
-        recipes::pointwise(&mut w, pick(k), x, y)
+        let (w, k) = self.lane(lane);
+        recipes::pointwise(w, pick(k), x, y)
     }
 
     /// Ends an operation's temp scope, keeping the result's components.
@@ -263,13 +263,13 @@ impl<'a> RlweEvaluator<'a> {
         }
         let coeffs = sk.s_coeffs();
         let (la, lb) = (self.lane_a, self.lane_b);
-        let (mut w, k) = self.lane(la);
-        let sk_a = recipes::upload_eval(&mut w, k, &coeffs)?;
+        let (w, k) = self.lane(la);
+        let sk_a = recipes::upload_eval(w, k, &coeffs)?;
         let sk_b = if lb == la {
             sk_a
         } else {
-            let (mut w, k) = self.lane(lb);
-            let up = recipes::upload_eval(&mut w, k, &coeffs);
+            let (w, k) = self.lane(lb);
+            let up = recipes::upload_eval(w, k, &coeffs);
             up.inspect_err(|_| drop(self.cluster.free(sk_a)))?
         };
         self.sk = Some((sk_a, sk_b));
@@ -311,11 +311,11 @@ impl<'a> RlweEvaluator<'a> {
             let a = if lb == la {
                 None
             } else {
-                let (mut w, k) = self.lane(la);
-                Some(t.hold(recipes::upload_eval(&mut w, k, &mask)?))
+                let (w, k) = self.lane(la);
+                Some(t.hold(recipes::upload_eval(w, k, &mask)?))
             };
-            let (mut w, k) = self.lane(lb);
-            let (a_work, b) = recipes::encrypt(&mut w, k, sk, &mask, &payload)?;
+            let (w, k) = self.lane(lb);
+            let (a_work, b) = recipes::encrypt(w, k, sk, &mask, &payload)?;
             t.hold(a_work);
             Ok(DeviceCiphertext {
                 a: a.unwrap_or(a_work),
@@ -394,13 +394,13 @@ impl<'a> RlweEvaluator<'a> {
         let (la, lb) = (self.lane_a, self.lane_b);
         let mut t = Temps::default();
         let ct = (|| {
-            let (mut w, k) = self.lane(la);
-            let p_a = t.hold(recipes::upload_eval(&mut w, k, plain)?);
+            let (w, k) = self.lane(la);
+            let p_a = t.hold(recipes::upload_eval(w, k, plain)?);
             let p_b = if lb == la {
                 p_a
             } else {
-                let (mut w, k) = self.lane(lb);
-                t.hold(recipes::upload_eval(&mut w, k, plain)?)
+                let (w, k) = self.lane(lb);
+                t.hold(recipes::upload_eval(w, k, plain)?)
             };
             self.componentwise(|k| &k.pwmul, x, (p_a, p_b))
         })();
@@ -425,8 +425,8 @@ impl<'a> RlweEvaluator<'a> {
         let t = self.pointwise_on(self.lane_a, |k| &k.pwmul, ct.a, sk)?;
         let moved = self.cluster.migrate(t, self.lane_b);
         let t = moved.inspect_err(|_| drop(self.cluster.free(t)))?;
-        let (mut w, k) = self.lane(self.lane_b);
-        let noisy = recipes::phase_tail(&mut w, k, ct.b, t)?;
+        let (w, k) = self.lane(self.lane_b);
+        let noisy = recipes::phase_tail(w, k, ct.b, t)?;
         Ok(self.ctx.decode_noisy(&noisy))
     }
 
@@ -438,10 +438,10 @@ impl<'a> RlweEvaluator<'a> {
     ///
     /// Returns [`RpuError`] on stale handles or dispatch failure.
     pub fn download_ciphertext(&mut self, ct: &DeviceCiphertext) -> Result<Ciphertext, RpuError> {
-        let (mut w, k) = self.lane(self.lane_a);
-        let a = recipes::download_coeffs(&mut w, k, ct.a)?;
-        let (mut w, k) = self.lane(self.lane_b);
-        let b = recipes::download_coeffs(&mut w, k, ct.b)?;
+        let (w, k) = self.lane(self.lane_a);
+        let a = recipes::download_coeffs(w, k, ct.a)?;
+        let (w, k) = self.lane(self.lane_b);
+        let b = recipes::download_coeffs(w, k, ct.b)?;
         Ok(Ciphertext::from_coeff_parts(&self.ctx, a, b)?)
     }
 
@@ -503,8 +503,8 @@ impl<'a> RlweEvaluator<'a> {
             per_lane: Vec::with_capacity(self.kernels.len()),
         };
         for lane in 0..self.kernels.len() {
-            let (mut w, k) = self.lane(lane);
-            match recipes::upload_ksk(&mut w, k, ksk.base_log(), ksk.share(0, 0)) {
+            let (w, k) = self.lane(lane);
+            match recipes::upload_ksk(w, k, ksk.base_log(), ksk.share(0, 0)) {
                 Ok(lane_key) => key.per_lane.push(lane_key),
                 Err(e) => {
                     // Heap exhaustion must not strand the lanes done so far.
@@ -597,12 +597,12 @@ impl<'a> RlweEvaluator<'a> {
         let totals = (|| {
             let mut accs = Vec::with_capacity(self.kernels.len());
             for lane in 0..self.kernels.len() {
-                let acc = recipes::accumulators(&mut self.cluster.lane(lane), src_coeffs.len())?;
+                let acc = recipes::accumulators(self.cluster.lane_session(lane), src_coeffs.len())?;
                 accs.push((t.hold(acc.0), t.hold(acc.1)));
             }
             let (kernels, accs) = (&self.kernels, &accs);
             let jobs = digits.iter().enumerate().map(|(j, digit)| {
-                Box::new(move |w: &mut LaneWorker<'_, '_>| {
+                Box::new(move |w: &mut RpuSession<'_>| {
                     let l = w.lane_index();
                     let target = (&kernels[l], key.per_lane[l].part(j), accs[l]);
                     recipes::ksw_digit(w, digit, [target])
@@ -628,7 +628,7 @@ impl<'a> RlweEvaluator<'a> {
         let tot = partials[home];
         for (_, &acc) in partials.iter().enumerate().filter(|(l, _)| *l != home) {
             let moved = t.hold(self.cluster.migrate(acc, home)?);
-            let (mut w, k) = self.lane(home);
+            let (w, k) = self.lane(home);
             w.dispatch(&k.pwadd, &[tot, moved], &[tot])?;
             w.free(moved)?;
         }
@@ -673,10 +673,10 @@ impl<'a> RlweEvaluator<'a> {
                 let xb = t.hold(self.cluster.replicate(&x.b, la)?);
                 (xb, t.hold(self.cluster.replicate(&y.b, la)?))
             };
-            let (mut w, k) = self.lane(la);
-            let c1 = t.hold(recipes::cross_terms(&mut w, k, (x.a, xb), (y.a, yb))?);
+            let (w, k) = self.lane(la);
+            let c1 = t.hold(recipes::cross_terms(w, k, (x.a, xb), (y.a, yb))?);
             // Relinearize: digits of c2 through the scheduled key switch.
-            let c2_coeffs = recipes::download_coeffs(&mut w, k, c2)?;
+            let c2_coeffs = recipes::download_coeffs(w, k, c2)?;
             let (ka, kb) = self.key_switch(&c2_coeffs, &relin)?;
             t.hold(ka);
             t.hold(kb);
@@ -734,11 +734,11 @@ impl<'a> RlweEvaluator<'a> {
         })?;
         let mut t = Temps::default();
         let out = (|| {
-            let (mut w, k) = self.lane(self.lane_a);
-            let a_perm = t.hold(recipes::galois_permute(&mut w, k, &autom_a, ct.a)?);
+            let (w, k) = self.lane(self.lane_a);
+            let a_perm = t.hold(recipes::galois_permute(w, k, &autom_a, ct.a)?);
             let sigma_a = w.download(&a_perm)?;
-            let (mut w, k) = self.lane(self.lane_b);
-            let b_perm = t.hold(recipes::galois_permute(&mut w, k, &autom_b, ct.b)?);
+            let (w, k) = self.lane(self.lane_b);
+            let b_perm = t.hold(recipes::galois_permute(w, k, &autom_b, ct.b)?);
             let sigma_b = t.hold(w.alloc(b_perm.len())?);
             w.dispatch(&k.fwd, &[b_perm], &[sigma_b])?;
             // a'' is purely the accumulated mask-side product; b'' folds
@@ -778,6 +778,6 @@ impl<'a> RlweEvaluator<'a> {
         let params = self.ctx.params();
         let spec = ConvolutionSpec::new(params.n, params.q, self.style);
         let conv = self.cluster.compile_on(lane, &spec)?;
-        recipes::pointwise(&mut self.cluster.lane(lane), &conv, *a, *b)
+        recipes::pointwise(self.cluster.lane_session(lane), &conv, *a, *b)
     }
 }

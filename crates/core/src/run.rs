@@ -3,7 +3,7 @@
 //! area/energy models.
 
 use crate::buffer::TransferStats;
-use crate::session::{RpuBuilder, RpuSession};
+use crate::session::{check_lanes, RpuBuilder, RpuSession};
 use crate::trace::TraceSink;
 use crate::RpuError;
 use rpu_codegen::{CodegenStyle, Direction, KernelOp};
@@ -126,7 +126,7 @@ impl Rpu {
     /// table over this instance. Independent sessions do not share
     /// caches.
     pub fn session(&self) -> RpuSession<'_> {
-        RpuSession::new(self)
+        RpuSession::new(self, 0)
     }
 
     /// Opens a multi-lane cluster with the configured
@@ -140,12 +140,12 @@ impl Rpu {
     /// Opens a cluster with an explicit lane count, overriding the
     /// configured default (sweeps over lane counts reuse one `Rpu`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `k` is outside `[1, 64]` (the
+    /// Returns [`RpuError::Config`] if `k` is outside `[1, 64]` (the
     /// [`RpuBuilder::lanes`] bound).
-    pub fn cluster_with(&self, k: usize) -> crate::RpuCluster<'_> {
-        crate::RpuCluster::new(self, k)
+    pub fn cluster_with(&self, k: usize) -> Result<crate::RpuCluster<'_>, RpuError> {
+        Ok(crate::RpuCluster::new(self, check_lanes(k)?))
     }
 
     /// The lane count [`Rpu::cluster`] builds

@@ -47,6 +47,9 @@
 //! let r = s.dispatch(&mul, &[y, w], &[x])?;     // chain over residents
 //! assert!(r.transfer.image_reused && r.transfer.host_to_device == 0);
 //! assert_eq!(s.download(&x)?[0], 75);           // device → host, once
+//! // The session counted all of it where it happened.
+//! let total = s.stats();
+//! assert_eq!((total.dispatches, total.transfer.host_elements()), (2, 3 * 1024));
 //! # Ok(())
 //! # }
 //! ```
@@ -105,7 +108,19 @@ pub struct RpuBuilder {
 
 /// Most lanes a cluster may be built with: past this the simulated VDM
 /// heaps dwarf any host the simulator runs on.
-pub(crate) const MAX_LANES: usize = 64;
+const MAX_LANES: usize = 64;
+
+/// The one lane-count check, for [`RpuBuilder::build`] and
+/// [`Rpu::cluster_with`].
+pub(crate) fn check_lanes(k: usize) -> Result<usize, RpuError> {
+    if (1..=MAX_LANES).contains(&k) {
+        Ok(k)
+    } else {
+        Err(RpuError::Config(format!(
+            "lanes must be in [1, {MAX_LANES}], got {k}"
+        )))
+    }
+}
 
 impl Default for RpuBuilder {
     fn default() -> Self {
@@ -238,12 +253,7 @@ impl RpuBuilder {
                 self.prime_bits
             )));
         }
-        if !(1..=MAX_LANES).contains(&self.lanes) {
-            return Err(RpuError::Config(format!(
-                "lanes must be in [1, {MAX_LANES}], got {}",
-                self.lanes
-            )));
-        }
+        check_lanes(self.lanes)?;
         let max = rpu_isa::consts::VDM_MAX_BYTES / rpu_isa::consts::ELEM_BYTES;
         let workspace = self.config.vdm_elements();
         let heap = match self.device_heap_elements {
@@ -348,6 +358,24 @@ impl PrimeTable {
         self.primes.insert(n, q);
         Ok(q)
     }
+}
+
+/// A snapshot of one session's lifetime accounting
+/// ([`RpuSession::stats`]): how much work it has absorbed and what data
+/// movement that cost. A cluster lane *is* its session, so this is also
+/// the per-lane record of a [`ClusterRunReport`](crate::ClusterRunReport).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LaneStats {
+    /// The lane index (0 for a standalone session).
+    pub lane: usize,
+    /// Kernels dispatched on this lane.
+    pub dispatches: u64,
+    /// Total simulated cycles across those dispatches.
+    pub cycles: u64,
+    /// Total simulated on-RPU time, in microseconds.
+    pub busy_us: f64,
+    /// Aggregated data movement (uploads, downloads, on-device copies).
+    pub transfer: TransferStats,
 }
 
 /// Counters describing a [`KernelCache`]'s behavior.
@@ -511,26 +539,42 @@ pub struct RpuSession<'a> {
     /// both are pure functions of the program, so warm dispatches skip
     /// re-simulating and re-walking it.
     timing: HashMap<KernelKey, (SimStats, InstructionMix)>,
-    /// Lane index recorded on this session's trace events (0 for a
-    /// standalone session; clusters set per-lane indices).
-    lane: usize,
+    /// Lifetime accounting, updated where each thing happens (`upload`,
+    /// `write`, `download`, `finish`). `stats.lane` is the index stamped
+    /// on trace events: 0 for a standalone session, the lane's own in a
+    /// cluster. A diagnostic like the cache counters: kept across
+    /// `restore`, never serialized.
+    stats: LaneStats,
 }
 
 impl<'a> RpuSession<'a> {
-    pub(crate) fn new(rpu: &'a Rpu) -> Self {
+    pub(crate) fn new(rpu: &'a Rpu, lane: usize) -> Self {
         RpuSession {
             rpu,
             cache: KernelCache::new(),
             primes: PrimeTable::with_bits(rpu.prime_bits()),
             device: DeviceState::new(rpu.config().vdm_elements(), rpu.device_heap_elements()),
             timing: HashMap::new(),
-            lane: 0,
+            stats: LaneStats {
+                lane,
+                ..LaneStats::default()
+            },
         }
     }
 
-    /// Sets the lane index stamped on this session's trace events.
-    pub(crate) fn set_lane(&mut self, lane: usize) {
-        self.lane = lane;
+    /// The session's lifetime accounting: kernels dispatched (one-shot
+    /// [`run_with`](RpuSession::run_with) round trips included), their
+    /// simulated cycles and time, and every element moved over the host
+    /// link or copied on-device.
+    pub fn stats(&self) -> LaneStats {
+        self.stats
+    }
+
+    /// The lane this session is in its cluster (0 when standalone) —
+    /// jobs use it to pick lane-resident key material, kernels, or
+    /// accumulators out of per-lane tables.
+    pub fn lane_index(&self) -> usize {
+        self.stats.lane
     }
 
     /// The RPU this session runs on.
@@ -577,6 +621,7 @@ impl<'a> RpuSession<'a> {
             .sim
             .write_vdm(buf.offset_elements(), data)
             .map_err(RpuError::Exec)?;
+        self.stats.transfer.host_to_device += data.len();
         Ok(buf)
     }
 
@@ -600,6 +645,7 @@ impl<'a> RpuSession<'a> {
             .sim
             .write_vdm(offset, data)
             .map_err(RpuError::Exec)?;
+        self.stats.transfer.host_to_device += len;
         Ok(())
     }
 
@@ -611,10 +657,10 @@ impl<'a> RpuSession<'a> {
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn download(&mut self, buf: &DeviceBuffer) -> Result<Vec<u128>, RpuError> {
         let (offset, len) = self.device.heap.resolve(buf)?;
-        self.device
-            .sim
-            .read_vdm(offset, len)
-            .map_err(RpuError::Exec)
+        let data = self.device.sim.read_vdm(offset, len);
+        let data = data.map_err(RpuError::Exec)?;
+        self.stats.transfer.device_to_host += len;
+        Ok(data)
     }
 
     /// Frees a device buffer; the handle becomes stale and the space is
@@ -703,31 +749,42 @@ impl<'a> RpuSession<'a> {
         inputs: &[DeviceBuffer],
         outputs: &[DeviceBuffer],
     ) -> Result<RunReport, RpuError> {
-        let key = kernel.key();
-        let verified = kernel.verification().unwrap_or(false);
-        let cache_hit = true;
         // The clock is read only for a sink that will record it.
         let traced = self.rpu.trace_sink().map(|sink| (sink, Instant::now()));
-        let transfer = self.dispatch_raw(kernel, inputs, outputs)?;
-        let (stats, mix) = self.timed(kernel);
+        let moved = self.dispatch_raw(kernel, inputs, outputs)?;
+        let report = self.finish(kernel, true, moved);
         if let Some((sink, started)) = traced {
             sink.record(DispatchEvent {
                 seq: 0, // the sink assigns the real sequence number
-                key,
+                key: kernel.key(),
                 engine: kernel.engine(),
-                lane: self.lane,
+                lane: self.stats.lane,
                 inputs: inputs.iter().map(DeviceBuffer::id).collect(),
                 outputs: outputs.iter().map(DeviceBuffer::id).collect(),
-                cycles: stats.cycles,
+                cycles: report.stats.cycles,
                 wall_ns: started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
                 tenant: trace::current_tenant(),
             });
         }
+        Ok(report)
+    }
+
+    /// The shared tail of [`dispatch`](RpuSession::dispatch) and the
+    /// one-shot round trip: the report of one executed kernel (memoized
+    /// timing, the kernel's verdict, what `dispatch_raw` `moved`),
+    /// folded into the session's lifetime [`stats`](RpuSession::stats).
+    fn finish(&mut self, kernel: &Kernel, cache_hit: bool, moved: TransferStats) -> RunReport {
+        let (stats, mix) = self.timed(kernel);
+        let verified = kernel.verification().unwrap_or(false);
         let mut report = self
             .rpu
-            .assemble_report(mix, key, stats, verified, cache_hit);
-        report.transfer = transfer;
-        Ok(report)
+            .assemble_report(mix, kernel.key(), stats, verified, cache_hit);
+        report.transfer = moved;
+        self.stats.dispatches += 1;
+        self.stats.cycles += report.stats.cycles;
+        self.stats.busy_us += report.runtime_us;
+        self.stats.transfer.absorb(&moved);
+        report
     }
 
     /// The data-movement core of a dispatch (no timing, no report).
@@ -881,40 +938,26 @@ impl<'a> RpuSession<'a> {
             }
             .into());
         }
-        let mut transfer = TransferStats::default();
         let mut buffers = Vec::with_capacity(operands.len() + 1);
-        let result: Result<Vec<u128>, RpuError> = (|| {
-            let mut inputs = Vec::with_capacity(operands.len());
+        let result: Result<_, RpuError> = (|| {
             for op in operands {
-                let buf = self.upload(op)?;
-                transfer.host_to_device += buf.len();
-                buffers.push(buf);
-                inputs.push(buf);
+                buffers.push(self.upload(op)?);
             }
             let out = self.alloc(kernel.output_range().1)?;
             buffers.push(out);
-            let t = self.dispatch_raw(&kernel, &inputs, &[out])?;
-            transfer.device_copies = t.device_copies;
-            transfer.image_elements = t.image_elements;
-            transfer.image_reused = t.image_reused;
-            let data = self.download(&out)?;
-            transfer.device_to_host += data.len();
-            Ok(data)
+            let moved = self.dispatch_raw(&kernel, &buffers[..operands.len()], &[out])?;
+            Ok((self.download(&out)?, moved))
         })();
         // Scratch buffers never outlive the call, success or not.
         for buf in buffers {
             let _ = self.device.heap.free(&buf);
         }
-        let data = result?;
-        let (stats, mix) = self.timed(&kernel);
-        let mut report = self.rpu.assemble_report(
-            mix,
-            kernel.key(),
-            stats,
-            kernel.verification().unwrap_or(false),
-            hit,
-        );
-        report.transfer = transfer;
+        let (data, moved) = result?;
+        // `upload` and `download` have already counted the host link in
+        // the lifetime stats; the report of this run names it too.
+        let mut report = self.finish(&kernel, hit, moved);
+        report.transfer.host_to_device = operands.iter().map(|op| op.len()).sum();
+        report.transfer.device_to_host = data.len();
         Ok((data, report))
     }
 

@@ -9,9 +9,11 @@
 //!    (and those against [`Ntt128Plan`] and O(n²) direct evaluation).
 //! 2. **CPU baseline** — [`baseline`] provides the timed 64-bit and
 //!    128-bit CPU NTTs for the paper's Fig. 10 speedup comparison.
-//! 3. **Workload substrate** — [`Polynomial`]/[`RnsPolynomial`] implement
-//!    the ring operations (negacyclic multiplication, RNS towers) that the
-//!    examples and the `perf` workloads exercise end-to-end.
+//! 3. **Workload substrate** — [`Polynomial`] implements the ring
+//!    operations (negacyclic multiplication, domain tracking) that the
+//!    examples and the `perf` workloads exercise end-to-end; a
+//!    multi-tower element is a `&[Polynomial]`, one per tower, as the
+//!    `scheme` module writes it.
 //! 4. **Host oracle** — one RLWE scheme, written once over `k ≥ 1` RNS
 //!    towers in the private `scheme` module, with two faces: [`rlwe`]
 //!    (one modulus; adds Galois rotation and plaintext multiplication)
@@ -33,7 +35,6 @@ mod plan128;
 mod plan64;
 mod poly;
 pub mod rlwe;
-mod rns_poly;
 mod scheme;
 
 #[doc(hidden)]
@@ -45,4 +46,3 @@ pub use pease::PeaseSchedule;
 pub use plan128::Ntt128Plan;
 pub use plan64::Ntt64Plan;
 pub use poly::{Domain, Polynomial};
-pub use rns_poly::{RnsContext, RnsPolynomial};

@@ -175,18 +175,6 @@ impl PeaseSchedule {
         tw[j & (tw.len() - 1)]
     }
 
-    /// Inverse twiddle for butterfly pair `j` at stage `s` (normal domain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s >= self.stages()` or `j >= n/2`.
-    #[inline]
-    pub fn twiddle_inv(&self, s: u32, j: usize) -> u128 {
-        assert!(j < self.n / 2, "pair index out of range");
-        let tw = &self.stage_tw_inv[s as usize];
-        tw[j & (tw.len() - 1)]
-    }
-
     /// The distinct twiddle vectors needed at stage `s` for vector length
     /// `vlen`: entry `v` holds the twiddles for pair block `j0 = m*vlen`
     /// with `m ≡ v (mod len)`. Stages with `2^s <= vlen` need exactly one

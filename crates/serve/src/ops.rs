@@ -4,7 +4,7 @@
 //! tenant's *home lane*, so — unlike [`rpu::RlweEvaluator`], which
 //! shards ciphertext components across lanes and work-steals key-switch
 //! digits — the serving layer runs each operation as one chain on ONE
-//! lane, driven through the [`LaneWorker`] its lane thread is handed.
+//! lane, driven through the [`RpuSession`] its lane thread is handed.
 //! Batches for different tenants on different lanes overlap lane
 //! against lane instead.
 //!
@@ -15,17 +15,17 @@
 //! randomness stream produces bit-identical ciphertexts (pinned in
 //! `tests/tests/serve.rs`). This module owns only what one home lane
 //! adds: the in-order digit loop, and the `mul` / `apply_galois` / `dot`
-//! compositions over a single [`LaneWorker`].
+//! compositions over a single [`RpuSession`].
 
 use rpu::arith::gadget_decompose;
 use rpu::ntt::rlwe::KeySwitchKey;
 use rpu::recipes::{self, LaneKernels, LaneKsk, Temps};
-use rpu::{DeviceBuffer, DeviceCiphertext, Kernel, LaneWorker, RpuError};
+use rpu::{DeviceBuffer, DeviceCiphertext, Kernel, RpuError, RpuSession};
 use std::sync::Arc;
 
 /// Ends an operation's temp scope, keeping the result's components.
 fn settle(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     temps: Temps,
     ct: Result<DeviceCiphertext, RpuError>,
 ) -> Result<DeviceCiphertext, RpuError> {
@@ -35,7 +35,7 @@ fn settle(
 /// Uploads a host key-switch key to the home lane, holding its handles
 /// in the caller's scope `t`.
 pub(crate) fn upload_ksk(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     t: &mut Temps,
     ksk: &KeySwitchKey,
@@ -52,7 +52,7 @@ pub(crate) fn upload_ksk(
 /// accumulators in digit order (the order the host reference uses, so
 /// sums match bit-exactly). Returns `(Σ d̂_j·â_j, Σ d̂_j·b̂_j)`.
 fn key_switch(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     src_coeffs: &[u128],
     ksk: &LaneKsk,
@@ -76,7 +76,7 @@ fn key_switch(
 /// switch the `c2` digits back to degree 1 against the tenant's relin
 /// key.
 pub(crate) fn mul(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     relin: &LaneKsk,
     x: DeviceCiphertext,
@@ -103,7 +103,7 @@ pub(crate) fn mul(
 /// coefficients feed the gadget key switch that brings the result back
 /// under the tenant's key.
 pub(crate) fn apply_galois(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     autom: &Arc<Kernel>,
     gk: &LaneKsk,
@@ -127,7 +127,7 @@ pub(crate) fn apply_galois(
 
 /// Homomorphic addition: one pointwise dispatch per component.
 fn add(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     x: DeviceCiphertext,
     y: DeviceCiphertext,
@@ -144,7 +144,7 @@ fn add(
 /// the identical chain: `p = mul(x, y); acc = p; cur = p;` then
 /// repeatedly `cur = σ₁(cur); acc = acc + cur`.
 pub(crate) fn dot(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     k: &LaneKernels,
     relin: &LaneKsk,
     rot: Option<&(Arc<Kernel>, LaneKsk)>,
@@ -171,7 +171,7 @@ pub(crate) fn dot(
 }
 
 /// Frees both components of a resident ciphertext.
-pub(crate) fn free_ct(w: &mut LaneWorker<'_, '_>, ct: DeviceCiphertext) -> Result<(), RpuError> {
+pub(crate) fn free_ct(w: &mut RpuSession<'_>, ct: DeviceCiphertext) -> Result<(), RpuError> {
     w.free(ct.a)?;
     w.free(ct.b)
 }

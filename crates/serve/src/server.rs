@@ -17,7 +17,7 @@
 //! There is one queue tier and no scheduler thread: lanes pull. Each
 //! lane's loop locks the state, asks [`ServerState::next_for`] for its
 //! next turn (a tenant batch or an admin task), unlocks, runs it on its
-//! own [`LaneWorker`], and re-locks only to publish each job's result.
+//! own [`RpuSession`], and re-locks only to publish each job's result.
 //! A tenant is homed to exactly one lane and a lane runs one turn at a
 //! time, so a tenant's device state is never touched concurrently.
 //!
@@ -37,8 +37,8 @@ use crate::ServeError;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
 use rpu::recipes::{self, LaneKernels, LaneKsk, Temps};
 use rpu::{
-    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, LaneWorker,
-    Rpu, RpuError,
+    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, Rpu,
+    RpuError, RpuSession,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -1006,7 +1006,7 @@ impl ServerHandle {
 /// turn runs under `catch_unwind`, so a panic costs that batch — the
 /// jobs it had not resolved fail through their [`Resolver`]s — not the
 /// lane.
-fn lane_loop(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels) {
+fn lane_loop(w: &mut RpuSession<'_>, core: &ServerCore, k: &LaneKernels) {
     let lane = w.lane_index();
     loop {
         // With nothing to do, tell `wait_all` this lane is idle, then
@@ -1058,7 +1058,7 @@ fn lane_loop(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels) {
 /// The device side of one job: resolve operands under a brief lock,
 /// run the dispatch chain lock-free.
 fn exec_work(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     core: &ServerCore,
     k: &LaneKernels,
     tenant: TenantId,
@@ -1121,7 +1121,7 @@ fn exec_work(
     }
 }
 
-fn run_admin(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels, task: AdminTask) {
+fn run_admin(w: &mut RpuSession<'_>, core: &ServerCore, k: &LaneKernels, task: AdminTask) {
     let result = match task.kind {
         AdminKind::Keygen => run_keygen(w, core, k, task.tenant),
         AdminKind::Teardown => {
@@ -1141,7 +1141,7 @@ fn run_admin(w: &mut LaneWorker<'_, '_>, core: &ServerCore, k: &LaneKernels, tas
 /// replays: secret key, relin key, then rotation keys in spec order),
 /// releases stale material, and uploads the new keys to the home lane.
 fn run_keygen(
-    w: &mut LaneWorker<'_, '_>,
+    w: &mut RpuSession<'_>,
     core: &ServerCore,
     k: &LaneKernels,
     tenant: TenantId,

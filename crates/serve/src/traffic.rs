@@ -66,19 +66,6 @@ impl OpMix {
         }
     }
 
-    /// Dot-product mix: the long fused reduction dominates.
-    pub fn dot_product() -> Self {
-        OpMix {
-            encrypt: 3,
-            mul: 1,
-            rotate: 0,
-            dot: 2,
-            decrypt: 1,
-            free: 2,
-            dot_len: 4,
-        }
-    }
-
     fn total(&self) -> u128 {
         u128::from(self.encrypt)
             + u128::from(self.mul)

@@ -16,7 +16,7 @@
 
 use rpu::arith::{find_ntt_prime_chain, Modulus128, RnsBasis};
 use rpu::ntt::testutil::test_vector;
-use rpu::{Ntt128Plan, RnsExecutor, Rpu};
+use rpu::{Ntt128Plan, Rpu};
 
 /// Parses `--lanes k` / `--towers t` from the command line.
 fn flag(name: &str, default: usize) -> usize {
@@ -55,8 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // cache + functional simulator each) behind one work-stealing
     // scheduler. Every tower is one fused-kernel job.
     let rpu = Rpu::builder().lanes(lanes).build()?;
-    let mut exec = RnsExecutor::new(rpu.cluster());
-    let (tower_products, report) = exec.negacyclic_mul_towers(n, &primes, &a_towers, &b_towers)?;
+    let mut cluster = rpu.cluster();
+    let (tower_products, report) =
+        cluster.negacyclic_mul_towers(n, &primes, &a_towers, &b_towers)?;
 
     // Check every tower against the scalar golden model.
     for (t, &q) in primes.iter().enumerate() {
@@ -106,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let total: u64 = report.per_lane.iter().map(|l| l.dispatches).sum();
     let resident: usize = (0..report.lanes)
-        .map(|l| exec.cluster_mut().lane_session(l).device_mem_in_use())
+        .map(|l| cluster.lane_session(l).device_mem_in_use())
         .sum();
     println!(
         "\nRNS pipeline complete: {towers} towers as {total} fused dispatches, \

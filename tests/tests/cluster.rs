@@ -5,8 +5,7 @@
 
 use rpu::arith::find_ntt_prime_chain;
 use rpu::{
-    BufferError, CodegenStyle, ElementwiseOp, ElementwiseSpec, LaneJob, LaneWorker, RnsExecutor,
-    Rpu, RpuError,
+    BufferError, CodegenStyle, ElementwiseOp, ElementwiseSpec, LaneJob, Rpu, RpuError, RpuSession,
 };
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
@@ -20,7 +19,7 @@ fn builder_lane_count_flows_into_cluster() {
     let rpu = Rpu::builder().lanes(4).build().unwrap();
     assert_eq!(rpu.lanes(), 4);
     assert_eq!(rpu.cluster().lane_count(), 4);
-    assert_eq!(rpu.cluster_with(2).lane_count(), 2);
+    assert_eq!(rpu.cluster_with(2).unwrap().lane_count(), 2);
     // default stays single-lane
     assert_eq!(Rpu::builder().build().unwrap().cluster().lane_count(), 1);
     // out-of-range counts are rejected at build
@@ -32,6 +31,18 @@ fn builder_lane_count_flows_into_cluster() {
         Rpu::builder().lanes(65).build(),
         Err(RpuError::Config(_))
     ));
+}
+
+#[test]
+fn an_explicit_lane_count_out_of_range_is_an_error_not_a_panic() {
+    let rpu = Rpu::builder().build().unwrap();
+    for k in [0, 65] {
+        assert!(
+            matches!(rpu.cluster_with(k), Err(RpuError::Config(_))),
+            "cluster_with({k})"
+        );
+    }
+    assert_eq!(rpu.cluster_with(64).unwrap().lane_count(), 64);
 }
 
 #[test]
@@ -156,6 +167,62 @@ fn on_lanes_runs_the_host_while_the_lanes_run() {
 }
 
 #[test]
+fn traffic_through_a_lane_session_is_that_lanes_traffic() {
+    // A lane is its session: whatever the caller drives through
+    // `lane_session(l)` — one-shot round trips included — shows in
+    // `lane_stats(l)`, and an `on_lanes` report is the delta of the
+    // same counters, so it holds only what happened inside the run.
+    let n = 1024usize;
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    let spec = mul_spec(n, q);
+    let kernel = c.compile_on(1, &spec).unwrap();
+    assert_eq!(c.lane_session(1).lane_index(), 1);
+
+    let s = c.lane_session(1);
+    let x = s.upload(&vec![3u128; n]).unwrap();
+    let y = s.alloc(n).unwrap();
+    let direct = s.dispatch(&kernel, &[x, x], &[y]).unwrap();
+    assert_eq!(s.download(&y).unwrap(), vec![9u128; n]);
+    let (_, one_shot) = s
+        .run_with(&spec, &[&vec![2u128; n], &vec![5u128; n]])
+        .unwrap();
+    let outside = c.lane_stats(1);
+    assert_eq!(outside, c.lane_session(1).stats());
+    assert_eq!(outside.lane, 1);
+    assert_eq!(outside.dispatches, 2);
+    assert_eq!(outside.cycles, direct.stats.cycles + one_shot.stats.cycles);
+    assert_eq!(outside.transfer.host_to_device, 3 * n);
+    assert_eq!(outside.transfer.device_to_host, 2 * n);
+    assert_eq!(c.lane_stats(0).dispatches, 0);
+    assert_eq!(c.lane_stats(0).transfer.host_elements(), 0);
+    assert_eq!(c.total_dispatches(), 2);
+
+    // Inside a run: lane 1 dispatches once more over the resident
+    // buffers and downloads; lane 0 stays idle.
+    let ((), report) = c.on_lanes(
+        |w| {
+            if w.lane_index() == 1 {
+                w.dispatch(&kernel, &[y, x], &[y]).unwrap();
+                assert_eq!(w.download(&y).unwrap(), vec![27u128; n]);
+            }
+        },
+        || (),
+    );
+    let inside = report.per_lane[1];
+    assert_eq!(inside.dispatches, 1);
+    assert_eq!(inside.cycles, direct.stats.cycles);
+    assert_eq!(inside.transfer.host_to_device, 0);
+    assert_eq!(inside.transfer.device_to_host, n);
+    assert_eq!(report.per_lane[0].dispatches, 0);
+    assert_eq!(report.transfer.host_elements(), n);
+    let total = c.lane_stats(1);
+    assert_eq!(total.dispatches, outside.dispatches + inside.dispatches);
+    assert_eq!(total.transfer.device_to_host, 3 * n);
+}
+
+#[test]
 fn a_panicking_lane_is_contained_and_reported() {
     // Lane 1 dies at once; lane 0's work still lands in the report, the
     // report names the dead lane, and the cluster serves the next run.
@@ -186,7 +253,7 @@ fn a_panicking_lane_is_contained_and_reported() {
         Some((1, "deliberate lane failure".to_string()))
     );
     let jobs: Vec<LaneJob<'_, usize>> = (0..4usize)
-        .map(|i| Box::new(move |_w: &mut LaneWorker<'_, '_>| Ok(i)) as LaneJob<'_, usize>)
+        .map(|i| Box::new(move |_w: &mut RpuSession<'_>| Ok(i)) as LaneJob<'_, usize>)
         .collect();
     let (got, report) = c.run_jobs(jobs).unwrap();
     assert_eq!(got, vec![0, 1, 2, 3]);
@@ -274,7 +341,7 @@ fn panicking_job_surfaces_as_error_not_hang() {
     // an unrelated concurrent failure's diagnostics.)
     let jobs: Vec<LaneJob<'_, u64>> = (0..8)
         .map(|i| {
-            Box::new(move |w: &mut LaneWorker<'_, '_>| {
+            Box::new(move |w: &mut RpuSession<'_>| {
                 if i == 3 {
                     panic!("deliberate mid-job failure");
                 }
@@ -294,7 +361,7 @@ fn panicking_job_surfaces_as_error_not_hang() {
     }
     // The cluster is not wedged: a healthy follow-up run completes.
     let jobs: Vec<LaneJob<'_, u64>> = (0..4)
-        .map(|i| Box::new(move |_w: &mut LaneWorker<'_, '_>| Ok(i as u64)) as LaneJob<'_, u64>)
+        .map(|i| Box::new(move |_w: &mut RpuSession<'_>| Ok(i as u64)) as LaneJob<'_, u64>)
         .collect();
     let (got, report) = c.run_jobs(jobs).unwrap();
     assert_eq!(got, vec![0, 1, 2, 3]);
@@ -309,7 +376,7 @@ fn failing_job_error_short_circuits_cleanly() {
     let mut c = rpu.cluster();
     let jobs: Vec<LaneJob<'_, ()>> = (0..6)
         .map(|i| {
-            Box::new(move |_w: &mut LaneWorker<'_, '_>| {
+            Box::new(move |_w: &mut RpuSession<'_>| {
                 if i % 2 == 1 {
                     Err(RpuError::Config(format!("job {i} refused")))
                 } else {
@@ -334,7 +401,7 @@ fn work_stealing_keeps_every_lane_busy() {
         .map(|&q| (0..n as u128).map(|i| (i * 3 + 1) % q).collect())
         .collect();
     let rpu = Rpu::builder().lanes(3).build().unwrap();
-    let mut exec = RnsExecutor::new(rpu.cluster());
+    let mut exec = rpu.cluster();
     // The split depends on thread timing; retry on a pathologically
     // starved run (warm caches make repeats of that negligible). The
     // work-conserving invariants hold on every attempt: all towers
@@ -378,41 +445,11 @@ fn executor_failure_surfaces_not_hangs() {
     let bad = 97u128; // 97 ≢ 1 (mod 2048): no negacyclic NTT
     let a = vec![vec![1u128; n], vec![1u128; n]];
     let rpu = Rpu::builder().lanes(2).build().unwrap();
-    let mut exec = RnsExecutor::new(rpu.cluster());
+    let mut exec = rpu.cluster();
     let err = exec
         .negacyclic_mul_towers(n, &[good, bad], &a, &a)
         .unwrap_err();
     assert!(matches!(err, RpuError::Codegen(_)), "got {err}");
-}
-
-#[test]
-fn rns_polynomial_mul_round_trips_through_cluster() {
-    // RnsExecutor::mul over RnsPolynomial towers == host RnsPolynomial
-    // mul, including CRT reconstruction of the wide coefficients.
-    let n = rpu::smoke_cap(1024);
-    let primes = find_ntt_prime_chain(60, 2 * n as u128, 3);
-    let ctx = rpu::RnsPolynomial::context(n, &primes).unwrap();
-    let a_coeffs: Vec<u128> = (0..n as u128).map(|i| (i << 64) | (i * 977 + 5)).collect();
-    let b_coeffs: Vec<u128> = (0..n as u128).map(|i| u128::MAX - i * 3).collect();
-    let a = rpu::RnsPolynomial::from_u128_coeffs(&ctx, &a_coeffs).unwrap();
-    let b = rpu::RnsPolynomial::from_u128_coeffs(&ctx, &b_coeffs).unwrap();
-
-    let rpu_dev = Rpu::builder().lanes(2).build().unwrap();
-    let mut exec = RnsExecutor::new(rpu_dev.cluster());
-    let (got, report) = exec.mul(&a, &b).unwrap();
-    let want = a.mul(&b);
-    assert_eq!(got.tower_coeffs(), want.tower_coeffs());
-    assert_eq!(
-        got.to_big_coeffs(),
-        want.to_big_coeffs(),
-        "CRT-wide coefficients agree"
-    );
-    assert_eq!(report.towers, 3);
-
-    // mismatched contexts are rejected up front
-    let other = rpu::RnsPolynomial::context(n, &primes[..2]).unwrap();
-    let c = rpu::RnsPolynomial::from_u128_coeffs(&other, &a_coeffs).unwrap();
-    assert!(matches!(exec.mul(&a, &c), Err(RpuError::Config(_))));
 }
 
 #[test]

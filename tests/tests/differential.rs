@@ -8,7 +8,7 @@
 //! * the host NTT polynomial library ([`Polynomial::mul`]);
 //! * the `O(n²)` naive transform ([`baseline::naive_forward`] /
 //!   [`naive_inverse`](baseline::naive_inverse)), for the smallest ring;
-//! * single-lane vs multi-lane [`RnsExecutor`] runs (the scheduler may
+//! * single-lane vs multi-lane `negacyclic_mul_towers` runs (the scheduler may
 //!   place towers anywhere; results must not depend on placement).
 //!
 //! Ring sizes honour `RPU_MAX_N` so the CI matrix can run the suite at
@@ -20,7 +20,7 @@ use rpu::ntt::baseline;
 use rpu::ntt::{Ntt128Plan, Polynomial};
 use rpu::{
     AutomorphismSpec, CodegenStyle, ConvolutionSpec, Direction, ElementwiseOp, ElementwiseSpec,
-    KernelSpec, KeySwitchSpec, NttSpec, RnsExecutor, Rpu,
+    KernelSpec, KeySwitchSpec, NttSpec, Rpu,
 };
 
 /// A deterministic residue vector mod `q`.
@@ -87,11 +87,11 @@ proptest! {
             .collect();
 
         let rpu = Rpu::builder().build().unwrap();
-        let mut single = RnsExecutor::new(rpu.cluster_with(1));
+        let mut single = rpu.cluster_with(1).unwrap();
         let (seq, seq_report) = single.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
 
         let wide = Rpu::builder().lanes(lanes).build().unwrap();
-        let mut multi = RnsExecutor::new(wide.cluster());
+        let mut multi = wide.cluster();
         let (par, par_report) = multi.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
 
         prop_assert_eq!(seq, par);
@@ -223,19 +223,19 @@ fn fast_path_is_bit_exact_across_lane_counts() {
         .collect();
 
     let interp = Rpu::builder().force_interpreter(true).build().unwrap();
-    let mut oracle = RnsExecutor::new(interp.cluster_with(1));
+    let mut oracle = interp.cluster_with(1).unwrap();
     let (want, _) = oracle.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
 
     for lanes in [1usize, 2, 4] {
         let rpu = Rpu::builder().lanes(lanes).build().unwrap();
-        let mut exec = RnsExecutor::new(rpu.cluster());
+        let mut exec = rpu.cluster();
         let (got, _) = exec.negacyclic_mul_towers(n, &primes, &a, &b).unwrap();
         assert_eq!(got, want, "lanes={lanes}");
     }
 }
 
 /// The acceptance shape: an 8-tower multiply at the (possibly capped)
-/// 4K ring through a ≥2-lane `RnsExecutor` is bit-exact with the host
+/// 4K ring through a ≥2-lane cluster is bit-exact with the host
 /// `Polynomial::mul` per tower, and the sharded run's simulated
 /// throughput beats the sequential single-session loop.
 #[test]
@@ -256,7 +256,7 @@ fn eight_tower_multiply_on_two_lanes_is_exact_and_faster() {
         .collect();
 
     let rpu = Rpu::builder().lanes(2).build().unwrap();
-    let mut exec = RnsExecutor::new(rpu.cluster());
+    let mut exec = rpu.cluster();
     // A pathologically loaded host can starve one lane thread for a
     // whole run; re-running (with now-warm kernel caches) makes that
     // astronomically unlikely to repeat. Exactness is asserted on

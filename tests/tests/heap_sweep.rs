@@ -281,7 +281,7 @@ fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
     let rpu = Rpu::builder().device_heap_elements(heap).build().unwrap();
     let mut cluster = rpu.cluster();
     let q = cluster.primes_for(N).unwrap();
-    let k = LaneKernels::compile(&mut cluster.lane(0), N, q, CodegenStyle::Optimized).unwrap();
+    let k = LaneKernels::compile(cluster.lane_session(0), N, q, CodegenStyle::Optimized).unwrap();
     let filler = cluster.alloc_on(0, heap - N).unwrap();
     let live = cluster.live_buffers(0);
     let uploaded = |c: &rpu::RpuCluster<'_>| c.lane_stats(0).transfer.host_to_device;
@@ -290,7 +290,7 @@ fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
     // No dispatch is reached, so any handle stands in for key and
     // accumulators.
     let target = (&k, (filler, filler), (filler, filler));
-    let run = recipes::ksw_digit(&mut cluster.lane(0), &message(7), [target]);
+    let run = recipes::ksw_digit(cluster.lane_session(0), &message(7), [target]);
     assert!(unless_oom(run).is_none(), "d̂ cannot fit");
     assert_eq!(uploaded(&cluster), before + N, "the digit itself did fit");
     assert_eq!(cluster.lane_stats(0).dispatches, 0);

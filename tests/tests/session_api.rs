@@ -261,3 +261,63 @@ fn session_cache_accounting_is_one_lookup_per_run() {
         second.transfer.host_to_device
     );
 }
+
+#[test]
+fn standalone_session_counts_what_it_moves_where_it_happens() {
+    // upload → k × dispatch → download → one run_with: the lifetime
+    // stats name exactly those elements, k + 1 dispatches and the
+    // summed cycles — with no cluster around the session.
+    let n = 1024usize;
+    let q = prime(n);
+    let rpu = Rpu::builder().build().unwrap();
+    let mut s = rpu.session();
+    assert_eq!(s.lane_index(), 0);
+    assert_eq!(s.stats(), rpu::LaneStats::default());
+
+    let spec = ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, CodegenStyle::Optimized);
+    let add = s.compile(&spec).unwrap();
+    let x = s.upload(&test_vector(n, q, 1)).unwrap();
+    let y = s.upload(&test_vector(n, q, 2)).unwrap();
+    let k = 5u64;
+    let (mut cycles, mut busy_us, mut copies, mut image) = (0, 0.0, 0, 0);
+    let mut fold = |r: &rpu::RunReport| {
+        cycles += r.stats.cycles;
+        busy_us += r.runtime_us;
+        copies += r.transfer.device_copies;
+        image += r.transfer.image_elements;
+    };
+    for _ in 0..k {
+        fold(&s.dispatch(&add, &[x, y], &[y]).unwrap());
+    }
+    let got = s.download(&y).unwrap();
+    assert_eq!(got.len(), n);
+    let (_, one_shot) = s.run_with(&spec, &[&got, &got]).unwrap();
+    assert_eq!(one_shot.transfer.host_to_device, 2 * n);
+    assert_eq!(one_shot.transfer.device_to_host, n);
+    fold(&one_shot);
+
+    let stats = s.stats();
+    assert_eq!(stats.dispatches, k + 1);
+    assert_eq!(stats.cycles, cycles);
+    assert!((stats.busy_us - busy_us).abs() < 1e-9);
+    assert_eq!(stats.transfer.host_to_device, 2 * n + 2 * n);
+    assert_eq!(stats.transfer.device_to_host, n + n);
+    assert_eq!(stats.transfer.device_copies, copies);
+    assert_eq!(stats.transfer.image_elements, image);
+    assert!(stats.transfer.image_reused);
+
+    // An in-place overwrite is host → device traffic too; alloc, free
+    // and a failed call move nothing.
+    s.write(&x, &got).unwrap();
+    let scratch = s.alloc(n).unwrap();
+    s.free(scratch).unwrap();
+    assert!(s.download(&scratch).is_err());
+    assert!(s.dispatch(&add, &[x], &[y]).is_err());
+    let after = s.stats();
+    assert_eq!(
+        after.transfer.host_to_device,
+        stats.transfer.host_to_device + n
+    );
+    assert_eq!(after.transfer.device_to_host, stats.transfer.device_to_host);
+    assert_eq!(after.dispatches, stats.dispatches);
+}

@@ -404,7 +404,7 @@ fn corrupt_snapshots_fail_typed_and_leave_the_session_unchanged() {
     ));
 
     // A cluster restore refuses session-kind bytes (and vice versa).
-    let mut cluster2 = rpu2.cluster_with(1);
+    let mut cluster2 = rpu2.cluster_with(1).unwrap();
     assert!(matches!(
         snap_err(cluster2.restore_all(&bytes).unwrap_err()),
         SnapshotError::Corrupt(_)
@@ -537,6 +537,47 @@ fn cluster_snapshot_restores_lanes_and_ownership() {
     assert_eq!(cluster2.locate(&b1), Some(1));
     cluster2.free(b0).unwrap();
     cluster2.free(b1).unwrap();
+}
+
+/// Lifetime stats are diagnostics like the cache counters: a restore
+/// neither rolls them back nor zeroes them, and they are never
+/// serialized — traffic that moves only the counters leaves a session's
+/// snapshot bytes alone (`snapshot_bytes.rs` pins the bytes themselves).
+#[test]
+fn stats_survive_a_restore_and_never_reach_the_snapshot_bytes() {
+    let n = 1024usize;
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut cluster = rpu.cluster();
+    let q = cluster.primes_for(n).unwrap();
+    let spec = ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, CodegenStyle::Optimized);
+    let add = cluster.compile_on(0, &spec).unwrap();
+    let x = cluster.upload_to(0, &test_data(n, 3)).unwrap();
+    cluster.upload_to(1, &test_data(n, 4)).unwrap();
+    cluster.dispatch_on(0, &add, &[x, x], &[x]).unwrap();
+    let bytes = cluster.snapshot_all();
+    let at_snapshot = cluster.stats();
+
+    let late = cluster.upload_to(1, &test_data(n, 5)).unwrap();
+    cluster.dispatch_on(0, &add, &[x, x], &[x]).unwrap();
+    cluster.download(&late).unwrap();
+    let before_restore = cluster.stats();
+    assert_ne!(before_restore, at_snapshot);
+    cluster.restore_all_replacing(&bytes).unwrap();
+    assert_eq!(
+        cluster.stats(),
+        before_restore,
+        "restore leaves stats alone"
+    );
+    assert!(cluster.download(&late).is_err(), "device state did go back");
+
+    let mut s = rpu.session();
+    let ba = s.upload(&test_data(700, 1)).unwrap();
+    let bb = s.upload(&test_data(300, 2)).unwrap();
+    s.free(bb).unwrap();
+    let bytes = s.snapshot();
+    s.download(&ba).unwrap();
+    assert_ne!(s.stats().transfer.device_to_host, 0);
+    assert!(s.snapshot() == bytes, "counters are not device state");
 }
 
 /// Restoring a 2-lane snapshot into a 3-lane cluster is the typed lane
