@@ -25,10 +25,28 @@
 //! and `x₀ < 2^125 ≤ qn/2` bounds the first term below ½ while
 //! `x₁ < 2^128` (that is `x < 2^253`) and `t + 1 ≤ qn` bound the second
 //! below ½. So the remainder before correction fits 128 bits and one
-//! conditional subtraction finishes it. *Why `x < 2^253`:* `a << s < qn
-//! < 2^127`, and `b < q < 2^126` whenever `s ≥ 1`; a modulus above
-//! `2^126` can hold a factor `b ≥ 2^126`, which is multiplied as
-//! `q − b < 2^126` and the product negated.
+//! conditional subtraction of `qn` (a mask select, below) finishes it.
+//! *Why `x < 2^253`:* `a << s < qn < 2^127`, and `b < q < 2^126`
+//! whenever `s ≥ 1`; a modulus above `2^126` can hold a factor
+//! `b ≥ 2^126`, which is multiplied as `q − b < 2^126` and the product
+//! negated.
+//!
+//! *Branch-free corrections.* Every conditional correction here — in
+//! [`add`](Modulus128::add), [`sub`](Modulus128::sub),
+//! [`neg`](Modulus128::neg), the end of the Barrett pass and the end of
+//! a Montgomery reduction — subtracts first and then adds the modulus
+//! `m` back through a mask, `d + (m & sign(d))`, instead of comparing
+//! and branching: in an NTT the outcome of each comparison is a coin
+//! flip per lane, and the mispredictions cost a butterfly more than its
+//! eleven-word-multiply product. The sign test is exact because every
+//! corrected difference lies in `[−m, m)` — `a + b − q`, `a − b` and
+//! `0 − a` for reduced operands under `m = q`, the Montgomery `r − q`
+//! with `r < 2q`, the Barrett `r − qn` with `r < 2·qn` — and
+//! `m ≤ qn < 2^127`, so its two's-complement form is negative exactly
+//! when the difference is. [`reduce`](Modulus128::reduce) keeps its
+//! compare-first branch, the one exception: it guards a division, and
+//! in steady state its operands are canonical, so it is always
+//! predicted.
 //!
 //! Montgomery form (`R = 2^128`, odd moduli only) stays available for
 //! callers that keep a factor in it across many products — the host NTT
@@ -38,12 +56,20 @@
 
 use crate::U256;
 
+/// `d + m` when `d`, read as `i128`, is negative, else `d`: the mask
+/// select every correction ends with (exactness in the module header).
+#[inline(always)]
+const fn lift(d: u128, m: u128) -> u128 {
+    d.wrapping_add(m & ((d as i128) >> 127) as u128)
+}
+
 /// A modulus `2 <= q < 2^127` with precomputed Barrett and Montgomery
 /// constants.
 ///
 /// The `q < 2^127` bound keeps `a + b` (reduced operands), the Barrett
 /// remainder and the final Montgomery correction inside `u128`/`U256`
-/// without extra carry words; it is documented in DESIGN.md and does not
+/// without extra carry words and makes every correction's sign test
+/// exact (module header); it is documented in DESIGN.md and does not
 /// restrict any workload in the paper (RNS tower primes are chosen well
 /// below the datapath width).
 ///
@@ -147,34 +173,22 @@ impl Modulus128 {
     #[inline]
     pub const fn add(self, a: u128, b: u128) -> u128 {
         debug_assert!(a < self.q && b < self.q);
-        let s = a + b; // q < 2^127 so no overflow
-        if s >= self.q {
-            s - self.q
-        } else {
-            s
-        }
+        // q < 2^127, so `a + b` cannot overflow.
+        lift((a + b).wrapping_sub(self.q), self.q)
     }
 
     /// Modular subtraction of reduced operands.
     #[inline]
     pub const fn sub(self, a: u128, b: u128) -> u128 {
         debug_assert!(a < self.q && b < self.q);
-        if a >= b {
-            a - b
-        } else {
-            a + self.q - b
-        }
+        lift(a.wrapping_sub(b), self.q)
     }
 
     /// Modular negation of a reduced operand.
     #[inline]
     pub const fn neg(self, a: u128) -> u128 {
         debug_assert!(a < self.q);
-        if a == 0 {
-            0
-        } else {
-            self.q - a
-        }
+        lift(a.wrapping_neg(), self.q)
     }
 
     /// Montgomery reduction: computes `t * 2^-128 mod q` for `t < q * 2^128`.
@@ -187,16 +201,9 @@ impl Modulus128 {
         let mq = U256::mul_wide(m, self.q);
         let (sum, carry) = t.overflowing_add(mq);
         // (t + m*q) / 2^128 < 2q < 2^128 because q < 2^127, so a carry out
-        // of the 256-bit sum is impossible; handle it defensively anyway by
-        // folding 2^128 - q into the wrapped value.
+        // of the 256-bit sum is impossible.
         debug_assert!(!carry);
-        let mut r = sum.hi();
-        if carry {
-            r = r.wrapping_sub(self.q);
-        } else if r >= self.q {
-            r -= self.q;
-        }
-        r
+        lift(sum.hi().wrapping_sub(self.q), self.q)
     }
 
     /// Montgomery multiplication: `a * b * 2^-128 mod q` (odd `q` only).
@@ -248,8 +255,7 @@ impl Modulus128 {
         let x1 = (x.hi() << 3) | (x.lo() >> 125);
         let q_hat = U256::mul_wide(x1, self.mu).hi() >> 1;
         let r = x.lo().wrapping_sub(q_hat.wrapping_mul(self.qn));
-        let r = if r >= self.qn { r - self.qn } else { r };
-        r >> self.shift
+        lift(r.wrapping_sub(self.qn), self.qn) >> self.shift
     }
 
     /// Modular exponentiation by squaring.
@@ -403,6 +409,29 @@ mod tests {
         let am = m.to_mont(a);
         let bm = m.to_mont(b);
         assert_eq!(m.from_mont(m.mont_mul_raw(am, bm)), m.mul(a, b));
+    }
+
+    #[test]
+    fn masked_corrections_at_the_top_of_the_range() {
+        // At q = 2^127 − 1 a sum reaches 2^128 − 4 and a difference
+        // −(2^127 − 2): the sign bit of every corrected value is bit 127.
+        for q in [(1u128 << 127) - 1, (1u128 << 126) + 1] {
+            let m = Modulus128::new(q).unwrap();
+            let top = 1u128 << 126;
+            let edge = [0, 1, 2, top - 1, top, q / 2, q / 2 + 1, q - 2, q - 1];
+            for a in edge {
+                assert_eq!(m.neg(a), (q - a) % q, "q={q} a={a}");
+                for b in edge {
+                    assert_eq!(m.add(a, b), (a + b) % q, "q={q} a={a} b={b}");
+                    assert_eq!(m.sub(a, b), (a + q - b) % q, "q={q} a={a} b={b}");
+                    assert_eq!(m.mul(a, b), naive_mul(a, b, q), "q={q} a={a} b={b}");
+                    let raw = m.mont_mul_raw(a, b);
+                    assert!(raw < q, "q={q} a={a} b={b}");
+                    let (x, y) = (m.from_mont(a), m.from_mont(b));
+                    assert_eq!(m.from_mont(raw), naive_mul(x, y, q), "q={q} a={a} b={b}");
+                }
+            }
+        }
     }
 
     #[test]

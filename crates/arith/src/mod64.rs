@@ -7,12 +7,28 @@
 //! butterfly trick for multiplications by a precomputed constant (twiddle
 //! factors), which is what state-of-the-art CPU NTT libraries such as
 //! OpenFHE use.
+//!
+//! Every correction — in [`add`](Modulus64::add), [`sub`](Modulus64::sub),
+//! [`neg`](Modulus64::neg), [`mul_shoup`](Modulus64::mul_shoup) and the
+//! end of the Barrett pass — is `Modulus128`'s mask select at half the
+//! width: subtract, then add the modulus back when the difference, read
+//! as `i64`, is negative. Every corrected difference lies in `[−m, m)`
+//! for a modulus `m ≤ qn < 2^63`, so the sign test is exact. In an NTT
+//! butterfly a compare-and-branch here is a coin flip per element; in
+//! the host NTT's Shoup loop its mispredictions cost the 64K transform
+//! about six times its arithmetic.
+
+/// `d + m` when `d`, read as `i64`, is negative, else `d`.
+#[inline(always)]
+const fn lift(d: u64, m: u64) -> u64 {
+    d.wrapping_add(m & ((d as i64) >> 63) as u64)
+}
 
 /// A prime (or at least odd) modulus `q < 2^63` with precomputed Barrett
 /// constants.
 ///
 /// The `q < 2^63` bound guarantees that `a + b` for reduced operands never
-/// overflows `u64`, so [`add`](Modulus64::add) is branch-plus-subtract.
+/// overflows `u64` and that every correction's sign test is exact.
 ///
 /// # Examples
 ///
@@ -101,34 +117,22 @@ impl Modulus64 {
     #[inline]
     pub const fn add(self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        let s = a + b; // cannot overflow: q < 2^63
-        if s >= self.q {
-            s - self.q
-        } else {
-            s
-        }
+        // q < 2^63, so `a + b` cannot overflow.
+        lift((a + b).wrapping_sub(self.q), self.q)
     }
 
     /// Modular subtraction of reduced operands.
     #[inline]
     pub const fn sub(self, a: u64, b: u64) -> u64 {
         debug_assert!(a < self.q && b < self.q);
-        if a >= b {
-            a - b
-        } else {
-            a + self.q - b
-        }
+        lift(a.wrapping_sub(b), self.q)
     }
 
     /// Modular negation of a reduced operand.
     #[inline]
     pub const fn neg(self, a: u64) -> u64 {
         debug_assert!(a < self.q);
-        if a == 0 {
-            0
-        } else {
-            self.q - a
-        }
+        lift(a.wrapping_neg(), self.q)
     }
 
     /// Modular multiplication of reduced operands: [`Modulus128::mul`]'s
@@ -158,8 +162,7 @@ impl Modulus64 {
         let x1 = (x >> 61) as u64;
         let q_hat = ((x1 as u128 * self.mu as u128) >> 65) as u64;
         let r = (x as u64).wrapping_sub(q_hat.wrapping_mul(self.qn));
-        let r = if r >= self.qn { r - self.qn } else { r };
-        r >> self.shift
+        lift(r.wrapping_sub(self.qn), self.qn) >> self.shift
     }
 
     /// Precomputes the Shoup constant `floor(w * 2^64 / q)` for a fixed
@@ -177,12 +180,9 @@ impl Modulus64 {
     pub fn mul_shoup(self, a: u64, w: u64, w_shoup: u64) -> u64 {
         debug_assert!(a < self.q && w < self.q);
         let quot = ((w_shoup as u128 * a as u128) >> 64) as u64;
+        // The quotient estimate is at most one short: r < 2q.
         let r = (w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(self.q));
-        if r >= self.q {
-            r - self.q
-        } else {
-            r
-        }
+        lift(r.wrapping_sub(self.q), self.q)
     }
 
     /// Modular exponentiation by squaring.
@@ -265,6 +265,26 @@ mod tests {
         assert_eq!(m.sub(0, 1), Q60 - 1);
         assert_eq!(m.neg(0), 0);
         assert_eq!(m.neg(5), Q60 - 5);
+    }
+
+    #[test]
+    fn masked_corrections_at_the_top_of_the_range() {
+        // At q = 2^63 − 1 a sum reaches 2^64 − 4: the sign bit of every
+        // corrected value is bit 63.
+        for q in [(1u64 << 63) - 1, (1u64 << 62) + 1] {
+            let m = Modulus64::new(q).unwrap();
+            let edge = [0, 1, 2, (1 << 62) - 1, 1 << 62, q / 2, q - 2, q - 1];
+            for a in edge {
+                assert_eq!(m.neg(a), (q - a) % q, "q={q} a={a}");
+                for b in edge {
+                    let prod = (a as u128 * b as u128 % q as u128) as u64;
+                    assert_eq!(m.add(a, b), (a + b) % q, "q={q} a={a} b={b}");
+                    assert_eq!(m.sub(a, b), (a + q - b) % q, "q={q} a={a} b={b}");
+                    assert_eq!(m.mul(a, b), prod, "q={q} a={a} b={b}");
+                    assert_eq!(m.mul_shoup(a, b, m.shoup(b)), prod, "q={q} a={a} b={b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,9 @@ fn arb_mod128() -> impl Strategy<Value = Modulus128> {
     (3u128..(1u128 << 127)).prop_map(|q| Modulus128::new(q | 1).expect("odd q in range"))
 }
 
-/// The five shapes of `bits`-wide modulus the two `mul`s are checked
-/// on: a random odd one, a random even one, `2^(bits−1)`, `2^bits − 1`
-/// and `2^(bits−1) + 1`.
+/// The five shapes of `bits`-wide modulus the at-every-width properties
+/// are checked on: a random odd one, a random even one, `2^(bits−1)`,
+/// `2^bits − 1` and `2^(bits−1) + 1`.
 fn moduli_of_width(bits: u32, r: u128) -> [u128; 5] {
     let top = 1u128 << (bits - 1);
     let random = top | (r & (top - 1));
@@ -102,6 +102,53 @@ proptest! {
                     let mont = m.mont_mul_raw(m.to_mont(a), m.to_mont(b));
                     prop_assert_eq!(m.from_mont(mont), expect, "q={} a={} b={}", q, a, b);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn add_sub_neg_are_exact_at_every_width(r in any::<u128>(),
+                                            (sa, ra) in (0u8..8, any::<u128>()),
+                                            (sb, rb) in (0u8..8, any::<u128>())) {
+        // Each result is a masked correction of a difference in [−q, q);
+        // the pairs reach a sum of exactly q (`a + (q − a)`), of 2q − 2
+        // (both operands q − 1) and `a == b`. `Modulus64` up to 63 bits.
+        for bits in 2..=127 {
+            for q in moduli_of_width(bits, r) {
+                let m = Modulus128::new(q).expect("2 <= q < 2^127");
+                let m64 = (bits <= 63).then(|| Modulus64::new(q as u64).expect("2 <= q < 2^63"));
+                let (a, b) = (biased_operand(sa, ra, q), biased_operand(sb, rb, q));
+                for (x, y) in [(a, b), (b, a), (a, a), (a, (q - a) % q)] {
+                    let (sum, diff) = ((x + y) % q, (x + q - y) % q);
+                    prop_assert_eq!(m.add(x, y), sum, "q={} a={} b={}", q, x, y);
+                    prop_assert_eq!(m.sub(x, y), diff, "q={} a={} b={}", q, x, y);
+                    if let Some(m64) = m64 {
+                        prop_assert_eq!(m64.add(x as u64, y as u64) as u128, sum, "q={} a={} b={}", q, x, y);
+                        prop_assert_eq!(m64.sub(x as u64, y as u64) as u128, diff, "q={} a={} b={}", q, x, y);
+                    }
+                }
+                prop_assert_eq!(m.neg(a), (q - a) % q, "q={} a={}", q, a);
+                if let Some(m64) = m64 {
+                    prop_assert_eq!(m64.neg(a as u64) as u128, (q - a) % q, "q={} a={}", q, a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mod128_mont_mul_raw_is_reduced_at_every_width(r in any::<u128>(),
+                                                     (sa, ra) in (0u8..8, any::<u128>()),
+                                                     (sb, rb) in (0u8..8, any::<u128>())) {
+        // `a` and `b` read as Montgomery forms: the product must come
+        // back below q and equal `mul` of the two normal forms.
+        for bits in 2..=127 {
+            for q in moduli_of_width(bits, r).into_iter().filter(|q| q & 1 == 1) {
+                let m = Modulus128::new(q).expect("2 <= q < 2^127");
+                let (a, b) = (biased_operand(sa, ra, q), biased_operand(sb, rb, q));
+                let raw = m.mont_mul_raw(a, b);
+                prop_assert!(raw < q, "q={} a={} b={}: {}", q, a, b, raw);
+                let expect = m.mul(m.from_mont(a), m.from_mont(b));
+                prop_assert_eq!(m.from_mont(raw), expect, "q={} a={} b={}", q, a, b);
             }
         }
     }

@@ -214,15 +214,18 @@ pub struct Kernel {
     /// to keep reused multiplicative sources resident across chained
     /// `vmulmod`s.
     program: PredecodedProgram,
-    /// Full VDM image with all operand regions zeroed (constant tables
-    /// such as twiddles are pre-placed).
-    base_image: Vec<u128>,
-    /// `(element offset, length)` of every span of `base_image` the
+    /// VDM elements of the working set.
+    total: usize,
+    /// `(element offset, length)` of every span of the working set the
     /// generator placed a table into — recorded by the generator, never
     /// inferred from non-zero values (an automorphism's index table
     /// legitimately contains index 0). Everything outside is scratch or
     /// an operand window and is zero in the image.
     constants: Vec<(usize, usize)>,
+    /// The contents of `constants`, concatenated in span order: the only
+    /// part of the image worth keeping (a 64K NTT's working set is
+    /// nearly three times its twiddle tables).
+    tables: Vec<u128>,
     sdm: Vec<u128>,
     /// `(element offset, length)` of each operand in the VDM.
     input_ranges: Vec<(usize, usize)>,
@@ -237,7 +240,7 @@ impl core::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("key", &self.key)
             .field("instructions", &self.program.len())
-            .field("total_elements", &self.base_image.len())
+            .field("total_elements", &self.total)
             .field("inputs", &self.input_ranges)
             .field("output_range", &self.output_range)
             .finish_non_exhaustive()
@@ -267,11 +270,17 @@ impl Kernel {
             },
             "{key:?}: a table sits outside the declared constant spans"
         );
+        let tables = constants
+            .iter()
+            .flat_map(|&(off, len)| &base_image[off..off + len])
+            .copied()
+            .collect();
         Kernel {
             key,
             program: PredecodedProgram::new(program),
-            base_image,
+            total: base_image.len(),
             constants,
+            tables,
             sdm,
             input_ranges,
             output_range,
@@ -337,7 +346,7 @@ impl Kernel {
 
     /// Total VDM elements the kernel's working set occupies.
     pub fn total_elements(&self) -> usize {
-        self.base_image.len()
+        self.total
     }
 
     /// `(element offset, length)` of each constant table in the VDM
@@ -348,8 +357,19 @@ impl Kernel {
         &self.constants
     }
 
-    /// Builds the initial VDM image for the given operands: constant
-    /// tables pre-placed, each operand copied into its input range.
+    /// Each constant span's offset with its table.
+    fn placed_tables(&self) -> impl Iterator<Item = (usize, &[u128])> {
+        let mut rest = self.tables.as_slice();
+        self.constants.iter().map(move |&(off, len)| {
+            let (table, tail) = rest.split_at(len);
+            rest = tail;
+            (off, table)
+        })
+    }
+
+    /// Builds the initial VDM image for the given operands: zeros, the
+    /// constant tables at their spans, each operand copied into its
+    /// input range.
     ///
     /// # Panics
     ///
@@ -362,7 +382,10 @@ impl Kernel {
             "kernel takes {} operand(s)",
             self.input_ranges.len()
         );
-        let mut image = self.base_image.clone();
+        let mut image = vec![0u128; self.total];
+        for (off, table) in self.placed_tables() {
+            image[off..off + table.len()].copy_from_slice(table);
+        }
         for (op, &(off, len)) in operands.iter().zip(&self.input_ranges) {
             assert_eq!(op.len(), len, "operand length must match its range");
             image[off..off + len].copy_from_slice(op);
@@ -408,15 +431,13 @@ impl Kernel {
             };
             (len <= capacity).then_some(()).ok_or(oob)
         };
-        fits("VDM", self.base_image.len(), sim.vdm_capacity())?;
+        fits("VDM", self.total, sim.vdm_capacity())?;
         fits("SDM", self.sdm.len(), sim.sdm_capacity())?;
-        let mut written = self.sdm.len();
-        for &(off, len) in &self.constants {
-            sim.write_vdm(off, &self.base_image[off..off + len])?;
-            written += len;
+        for (off, table) in self.placed_tables() {
+            sim.write_vdm(off, table)?;
         }
         sim.write_sdm(0, &self.sdm)?;
-        Ok(written)
+        Ok(self.tables.len() + self.sdm.len())
     }
 
     /// Golden output for the given operands, from the scalar model.

@@ -85,12 +85,14 @@ fn future_mul_uses(uses: &[DomainUses], start: usize, r: usize) -> usize {
 ///
 /// A source is promoted at a multiply only when at least two further
 /// multiplicative uses follow before its redefinition. Building the
-/// copy costs one Montgomery multiply per lane and each use saves the
-/// plain multiply's shifts — about a fifth of it — so a copy pays from
-/// about five uses: the threshold sits below break-even, harmlessly for
-/// generated kernels (every hint there has at least four uses,
-/// `docs/arith-engines.md`), and moving it re-pins the golden hint
-/// counts. A multiply needs only one cached side, so an instruction
+/// copy costs one Montgomery multiply per lane (~7.5 ns) and each use
+/// saves about a third of one (a butterfly reads ~9.7 ns per lane
+/// shadowed against ~12.3 plain), so a copy pays from about three
+/// uses — the promoting multiply plus the two the threshold asks for
+/// (a bare `vmulmod` saves less and needs about five). Every hint
+/// in a generated kernel has at least four (`docs/arith-engines.md`),
+/// and moving the threshold re-pins the golden hint counts. A
+/// multiply needs only one cached side, so an instruction
 /// with a cached source gets no hint, and one without promotes at most
 /// its more reused source.
 fn domain_plan(program: &Program) -> Vec<PromoteHint> {
