@@ -8,11 +8,12 @@
 //! that the simulator's hot loops match on once per instruction:
 //!
 //! * [`Engine::Mont128`] — [`Modulus128`]: a multiply is one normalised
-//!   Barrett pass (eleven word multiplies, odd or even modulus alike).
-//!   The name records what the tier *adds* for odd moduli: a factor
-//!   already held in Montgomery form (R = 2^128) multiplies in one
-//!   Montgomery reduction — the same eleven word multiplies without the
-//!   Barrett pass's shifts — which the simulator's shadow cache uses.
+//!   Barrett pass (eleven word multiplies, odd or even modulus alike),
+//!   and a factor whose Shoup quotient is known — a kernel's twiddles,
+//!   a vector-scalar multiply's scalar — multiplies through
+//!   [`Modulus128::mul_shoup`], one high product and two low ones, which
+//!   the simulator's fast path uses. (The name is historical: Montgomery
+//!   form stays on [`Modulus128`] for the host NTT plans.)
 //! * [`Engine::Native64`] — [`Modulus64`] applied lane-wise to the
 //!   simulator's register files: each lane is reduced to a canonical
 //!   `u64`, multiplied with one 64×64→128 widening multiply plus a
@@ -32,8 +33,9 @@ use crate::mod64::Modulus64;
 /// dispatch traces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// 128-bit lanes (`Modulus128`: Barrett products, Montgomery form
-    /// on request), the only engine valid for moduli of 64..127 bits.
+    /// 128-bit lanes (`Modulus128`: Barrett products, Shoup products by
+    /// known constants), the only engine valid for moduli of 64..127
+    /// bits.
     Montgomery128,
     /// Lane-wise native `u64` arithmetic (`Modulus64`) over the
     /// simulator's `u128` registers, for moduli below 2⁶³.
@@ -73,7 +75,8 @@ impl core::fmt::Display for EngineKind {
 /// (`InvalidModulus`) faults identically regardless of width.
 #[derive(Debug, Clone, Copy)]
 pub enum Engine {
-    /// 128-bit lanes, Montgomery form available for odd moduli.
+    /// 128-bit lanes: Barrett products, Shoup products by known
+    /// constants.
     Mont128(Modulus128),
     /// Native `u64` lanes (q < 2⁶³).
     Native64(Modulus64),
@@ -145,14 +148,13 @@ impl Engine {
     }
 
     /// Precomputed multiplication companion of the canonical scalar
-    /// `w`: the Shoup quotient `⌊w·2⁶⁴/q⌋` on [`Engine::Native64`], the
-    /// Montgomery form `w·R mod q` on [`Engine::Mont128`] (0 when the
-    /// modulus is even and has no Montgomery form). Codegen bakes these
-    /// into SDM images next to the scalars they accompany.
+    /// `w`: its Shoup quotient, `⌊w·2⁶⁴/q⌋` on [`Engine::Native64`] and
+    /// `⌊w·2¹²⁸/q⌋` on [`Engine::Mont128`] (odd or even modulus alike).
+    /// Codegen bakes these into SDM images next to the scalars they
+    /// accompany.
     pub fn companion(self, w: u128) -> u128 {
         match self {
-            Engine::Mont128(m) if m.is_odd() => m.to_mont(w),
-            Engine::Mont128(_) => 0,
+            Engine::Mont128(m) => m.shoup(w),
             Engine::Native64(m) => m.shoup(w as u64) as u128,
         }
     }
@@ -259,11 +261,9 @@ mod tests {
                 assert_eq!(m128.mul(a, b), Engine::Mont128(m128).mul(a, b));
             }
         }
-        assert_eq!(
-            Engine::Mont128(m128).companion(5),
-            0,
-            "no Montgomery form for even q"
-        );
+        // An even modulus has a Shoup companion all the same.
+        let c = Engine::Mont128(m128).companion(5);
+        assert_eq!(m128.mul_shoup(1663, 5, c), m128.mul(1663, 5));
     }
 
     #[test]
@@ -271,10 +271,15 @@ mod tests {
         let q = find_ntt_prime_u64(59, 2048).unwrap();
         let (m128, m64, engine) = tiers_for(q);
         let w = 123_456_789u128 % q as u128;
-        assert_eq!(Engine::Mont128(m128).companion(w), m128.to_mont(w));
+        let wide = Engine::Mont128(m128).companion(w);
+        assert_eq!(wide, m128.shoup(w));
+        // ⌊w·2¹²⁸/q⌋ by two steps of native long division (q < 2⁶³).
+        let (hi, rem) = ((w << 64) / q as u128, (w << 64) % q as u128);
+        assert_eq!(wide, (hi << 64) | ((rem << 64) / q as u128));
         let shoup = m64.shoup(w as u64);
         assert_eq!(engine.companion(w), shoup as u128);
-        // The Shoup companion actually multiplies correctly.
+        // Both Shoup companions actually multiply correctly.
         assert_eq!(m64.mul_shoup(999, w as u64, shoup), m64.mul(999, w as u64));
+        assert_eq!(m128.mul_shoup(999, w, wide), m128.mul(999, w));
     }
 }

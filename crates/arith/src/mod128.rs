@@ -33,25 +33,45 @@
 //!
 //! *Branch-free corrections.* Every conditional correction here — in
 //! [`add`](Modulus128::add), [`sub`](Modulus128::sub),
-//! [`neg`](Modulus128::neg), the end of the Barrett pass and the end of
-//! a Montgomery reduction — subtracts first and then adds the modulus
+//! [`neg`](Modulus128::neg), the end of the Barrett pass, the end of a
+//! Montgomery reduction and the end of a Shoup product (below) —
+//! subtracts first and then adds the modulus
 //! `m` back through a mask, `d + (m & sign(d))`, instead of comparing
 //! and branching: in an NTT the outcome of each comparison is a coin
 //! flip per lane, and the mispredictions cost a butterfly more than its
 //! eleven-word-multiply product. The sign test is exact because every
 //! corrected difference lies in `[−m, m)` — `a + b − q`, `a − b` and
-//! `0 − a` for reduced operands under `m = q`, the Montgomery `r − q`
-//! with `r < 2q`, the Barrett `r − qn` with `r < 2·qn` — and
+//! `0 − a` for reduced operands under `m = q`, the Montgomery and Shoup
+//! `r − q` with `r < 2q`, the Barrett `r − qn` with `r < 2·qn` — and
 //! `m ≤ qn < 2^127`, so its two's-complement form is negative exactly
 //! when the difference is. [`reduce`](Modulus128::reduce) keeps its
 //! compare-first branch, the one exception: it guards a division, and
 //! in steady state its operands are canonical, so it is always
 //! predicted.
 //!
+//! *Multiplying by a known constant.* When one factor `w` is fixed — a
+//! twiddle, a kernel's scalar — its Shoup quotient
+//! `w′ = ⌊w·2^128 / q⌋` ([`Modulus128::shoup`], one division, paid once)
+//! turns every later product into [`Modulus128::mul_shoup`] (Shoup;
+//! Harvey, J. Symb. Comput. 2014):
+//!
+//! ```text
+//! q̂ = ⌊a · w′ / 2^128⌋               ⌊a·w / q⌋ − 1 ≤ q̂ ≤ ⌊a·w / q⌋
+//! r = lo128(w · a) − lo128(q̂ · q)    < 2q < 2^128
+//! r − q if r ≥ q                     (the same mask select)
+//! ```
+//!
+//! — one high product and two low ones, ten word multiplies with two on
+//! the critical path where the Barrett pass chains three. *Why q̂ is at
+//! most one short:* `w′ > w·2^128/q − 1`, so `a·w′/2^128 > a·w/q − a/2^128`
+//! and `a < 2^128` keeps the loss below one. Nothing here needs `q` odd
+//! or `a` reduced: the bound holds for every `u128` factor `a` and every
+//! modulus in range, and `2q < 2^128` keeps the remainder in one word.
+//!
 //! Montgomery form (`R = 2^128`, odd moduli only) stays available for
 //! callers that keep a factor in it across many products — the host NTT
-//! plans' twiddle tables, the simulator's shadow cache, [`Modulus128::pow`]
-//! — where [`Modulus128::mont_mul_raw`] is the same eleven word multiplies
+//! plans' twiddle tables, [`Modulus128::pow`] — where
+//! [`Modulus128::mont_mul_raw`] is the same eleven word multiplies
 //! without the shifts.
 
 use crate::U256;
@@ -258,6 +278,25 @@ impl Modulus128 {
         lift(r.wrapping_sub(self.qn), self.qn) >> self.shift
     }
 
+    /// The Shoup quotient `⌊w·2^128 / q⌋` of a reduced constant `w`,
+    /// which [`mul_shoup`](Modulus128::mul_shoup) multiplies through.
+    pub fn shoup(self, w: u128) -> u128 {
+        debug_assert!(w < self.q);
+        // w < q, so the quotient fits one word.
+        U256::new(w, 0).div_rem_u128(self.q).0.lo()
+    }
+
+    /// `a · w mod q` for the reduced constant `w` and its quotient
+    /// `w_shoup = shoup(w)`; `a` may be any `u128` (derivation in the
+    /// module header).
+    #[inline]
+    pub fn mul_shoup(self, a: u128, w: u128, w_shoup: u128) -> u128 {
+        debug_assert!(w < self.q);
+        let q_hat = U256::mul_wide(w_shoup, a).hi();
+        let r = w.wrapping_mul(a).wrapping_sub(q_hat.wrapping_mul(self.q));
+        lift(r.wrapping_sub(self.q), self.q)
+    }
+
     /// Modular exponentiation by squaring.
     pub fn pow(self, base: u128, mut exp: u128) -> u128 {
         let mut base = self.reduce(base);
@@ -429,6 +468,30 @@ mod tests {
                     assert!(raw < q, "q={q} a={a} b={b}");
                     let (x, y) = (m.from_mont(a), m.from_mont(b));
                     assert_eq!(m.from_mont(raw), naive_mul(x, y, q), "q={q} a={a} b={b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shoup_products_at_the_top_of_the_range() {
+        // The quotient is one short and the remainder reaches 2q − 1 <
+        // 2^128 near q = 2^127; unreduced factors up to 2^128 − 1 are
+        // exact too.
+        for q in [(1u128 << 127) - 1, (1u128 << 126) + 1] {
+            let m = Modulus128::new(q).unwrap();
+            let top = 1u128 << 126;
+            let edge = [0, 1, 2, top - 1, top, q / 2, q - 2, q - 1];
+            for w in edge {
+                let ws = m.shoup(w);
+                assert_eq!(
+                    U256::from(ws),
+                    U256::new(w, 0).div_rem_u128(q).0,
+                    "q={q} w={w}"
+                );
+                for a in edge.into_iter().chain([q, u128::MAX - 1, u128::MAX]) {
+                    let expect = naive_mul(a, w, q);
+                    assert_eq!(m.mul_shoup(a, w, ws), expect, "q={q} a={a} w={w}");
                 }
             }
         }

@@ -107,6 +107,27 @@ proptest! {
     }
 
     #[test]
+    fn mod128_mul_shoup_is_exact_at_every_width(r in any::<u128>(),
+                                                (sa, ra) in (0u8..8, any::<u128>()),
+                                                (sw, rw) in (0u8..8, any::<u128>()),
+                                                unreduced in any::<u128>()) {
+        // The fast path multiplies every viewed table value through this:
+        // its quotient is exact division, its product is `mul`'s on a
+        // reduced factor and `mul` of the reduced factor on any other.
+        for bits in 2..=127 {
+            for q in moduli_of_width(bits, r) {
+                let m = Modulus128::new(q).expect("2 <= q < 2^127");
+                let (a, w) = (biased_operand(sa, ra, q), biased_operand(sw, rw, q));
+                let ws = m.shoup(w);
+                prop_assert_eq!(U256::from(ws), U256::new(w, 0).div_rem_u128(q).0, "q={} w={}", q, w);
+                prop_assert_eq!(m.mul_shoup(a, w, ws), m.mul(a, w), "q={} a={} w={}", q, a, w);
+                let expect = m.mul(unreduced % q, w);
+                prop_assert_eq!(m.mul_shoup(unreduced, w, ws), expect, "q={} a={} w={}", q, unreduced, w);
+            }
+        }
+    }
+
+    #[test]
     fn add_sub_neg_are_exact_at_every_width(r in any::<u128>(),
                                             (sa, ra) in (0u8..8, any::<u128>()),
                                             (sb, rb) in (0u8..8, any::<u128>())) {

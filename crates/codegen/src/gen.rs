@@ -123,9 +123,10 @@ impl NttKernel {
         &self.program
     }
 
-    /// Consumes the kernel, yielding the program without a clone.
-    pub fn into_program(self) -> Program {
-        self.program
+    /// Consumes the kernel, yielding the program and the schedule
+    /// without a clone (a golden model keeps the schedule).
+    pub(crate) fn into_parts(self) -> (Program, PeaseSchedule) {
+        (self.program, self.schedule)
     }
 
     /// The VDM layout.
@@ -188,7 +189,7 @@ impl NttKernel {
     ///
     /// Slot 2 is the engine companion of the final-scale constant
     /// (`crate::kernel::scalar_companion`): the Shoup quotient of
-    /// `n^{-1}` for sub-63-bit moduli, its Montgomery form otherwise.
+    /// `n^{-1}`, 64-bit for sub-63-bit moduli and 128-bit otherwise.
     /// The generated programs only ever read slots 0 and 1; the
     /// companion rides along so the image is complete for a hardware
     /// lane engine. Fused kernels append further scalars after it.

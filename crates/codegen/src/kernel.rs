@@ -16,15 +16,15 @@
 use crate::{CodegenError, CodegenStyle, Direction, NttKernel};
 use rpu_arith::{Engine, EngineKind};
 use rpu_isa::{PredecodedProgram, Program};
-use rpu_sim::{ExecError, FunctionalSim};
+use rpu_sim::{ConstantTables, ExecError, FunctionalSim};
 use std::sync::OnceLock;
 
 /// The precomputed multiplication companion of scalar `w` under the
-/// engine that will service modulus `q` at dispatch: the Shoup quotient
-/// `⌊w·2⁶⁴/q⌋` for sub-63-bit moduli, the Montgomery form `w·R mod q`
-/// for everything wider. Generators bake these next to the scalars they
-/// accompany so an SDM image carries everything a hardware lane engine
-/// would need — no on-device division or radix conversion at dispatch.
+/// engine that will service modulus `q` at dispatch: its Shoup quotient,
+/// `⌊w·2⁶⁴/q⌋` for sub-63-bit moduli and `⌊w·2¹²⁸/q⌋` for everything
+/// wider. Generators bake these next to the scalars they accompany so an
+/// SDM image carries everything a hardware lane engine would need — no
+/// on-device division at dispatch.
 pub(crate) fn scalar_companion(q: u128, w: u128) -> u128 {
     Engine::new(q).expect("valid modulus").companion(w)
 }
@@ -207,25 +207,18 @@ pub(crate) type GoldenFn = Box<dyn Fn(&[&[u128]]) -> Vec<u128> + Send + Sync>;
 /// over resident buffers).
 pub struct Kernel {
     key: KernelKey,
-    /// The generated program together with what is derived from it once
-    /// at generation time (the kernel cache is the amortization point):
-    /// the static domain plan (`PredecodedProgram::domain_plan`),
-    /// per-instruction Montgomery-promotion hints the fast path consults
-    /// to keep reused multiplicative sources resident across chained
-    /// `vmulmod`s.
+    /// The generated program, prepared once for the fast-path executor.
     program: PredecodedProgram,
     /// VDM elements of the working set.
     total: usize,
-    /// `(element offset, length)` of every span of the working set the
-    /// generator placed a table into — recorded by the generator, never
-    /// inferred from non-zero values (an automorphism's index table
-    /// legitimately contains index 0). Everything outside is scratch or
-    /// an operand window and is zero in the image.
-    constants: Vec<(usize, usize)>,
-    /// The contents of `constants`, concatenated in span order: the only
-    /// part of the image worth keeping (a 64K NTT's working set is
-    /// nearly three times its twiddle tables).
-    tables: Vec<u128>,
+    /// Every span of the working set the generator placed a table into —
+    /// recorded by the generator, never inferred from non-zero values
+    /// (an automorphism's index table legitimately contains index 0) —
+    /// with its values and, under a wide modulus, their Shoup quotients:
+    /// the only part of the image worth keeping (a 64K NTT's working set
+    /// is nearly three times its twiddle tables). Everything outside is
+    /// scratch or an operand window and is zero in the image.
+    tables: ConstantTables,
     sdm: Vec<u128>,
     /// `(element offset, length)` of each operand in the VDM.
     input_ranges: Vec<(usize, usize)>,
@@ -270,17 +263,20 @@ impl Kernel {
             },
             "{key:?}: a table sits outside the declared constant spans"
         );
-        let tables = constants
+        let values = constants
             .iter()
             .flat_map(|&(off, len)| &base_image[off..off + len])
             .copied()
             .collect();
+        // Free the image (the whole working set, larger than its
+        // tables) before `ConstantTables::new` allocates the quotients.
+        let total = base_image.len();
+        drop(base_image);
         Kernel {
             key,
             program: PredecodedProgram::new(program),
-            total: base_image.len(),
-            constants,
-            tables,
+            total,
+            tables: ConstantTables::new(key.q, constants, values),
             sdm,
             input_ranges,
             output_range,
@@ -323,8 +319,8 @@ impl Kernel {
         self.program.program()
     }
 
-    /// The program with its static domain plan, for the fast-path
-    /// executor (`FunctionalSim::run_predecoded`).
+    /// The program prepared for the fast-path executor
+    /// (`FunctionalSim::run_predecoded`).
     pub fn predecoded(&self) -> &PredecodedProgram {
         &self.program
     }
@@ -354,17 +350,7 @@ impl Kernel {
     /// [`load_into`](Kernel::load_into) writes. Empty for kernels whose
     /// only constants are SDM scalars.
     pub fn constant_spans(&self) -> &[(usize, usize)] {
-        &self.constants
-    }
-
-    /// Each constant span's offset with its table.
-    fn placed_tables(&self) -> impl Iterator<Item = (usize, &[u128])> {
-        let mut rest = self.tables.as_slice();
-        self.constants.iter().map(move |&(off, len)| {
-            let (table, tail) = rest.split_at(len);
-            rest = tail;
-            (off, table)
-        })
+        self.tables.spans()
     }
 
     /// Builds the initial VDM image for the given operands: zeros, the
@@ -383,7 +369,7 @@ impl Kernel {
             self.input_ranges.len()
         );
         let mut image = vec![0u128; self.total];
-        for (off, table) in self.placed_tables() {
+        for (off, table) in self.tables.placed() {
             image[off..off + table.len()].copy_from_slice(table);
         }
         for (op, &(off, len)) in operands.iter().zip(&self.input_ranges) {
@@ -405,7 +391,9 @@ impl Kernel {
 
     /// Loads the kernel's *data-free* state into a simulator: its
     /// constant tables ([`constant_spans`](Kernel::constant_spans)) at
-    /// their working-set offsets and the SDM constants at element 0 —
+    /// their working-set offsets, through
+    /// [`FunctionalSim::load_constants`] so the fast path multiplies by
+    /// them through their quotients, and the SDM constants at element 0 —
     /// and nothing else: operand windows and scratch keep whatever they
     /// held (programs write scratch before reading it, and a dispatch
     /// binds every operand window). Returns the number of elements
@@ -433,11 +421,9 @@ impl Kernel {
         };
         fits("VDM", self.total, sim.vdm_capacity())?;
         fits("SDM", self.sdm.len(), sim.sdm_capacity())?;
-        for (off, table) in self.placed_tables() {
-            sim.write_vdm(off, table)?;
-        }
+        let tables = sim.load_constants(&self.tables)?;
         sim.write_sdm(0, &self.sdm)?;
-        Ok(self.tables.len() + self.sdm.len())
+        Ok(tables + self.sdm.len())
     }
 
     /// Golden output for the given operands, from the scalar model.
@@ -594,15 +580,15 @@ impl From<NttKernel> for Kernel {
         let constants = vec![ntt.layout().twiddle_span()];
         let sdm = ntt.sdm_image();
         let output_range = ntt.output_range();
-        let schedule = ntt.schedule().clone();
         let direction = ntt.direction();
+        let (program, schedule) = ntt.into_parts();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| match direction {
             Direction::Forward => schedule.forward(ops[0]),
             Direction::Inverse => schedule.inverse(ops[0]),
         });
         Kernel::new(
             key,
-            ntt.into_program(),
+            program,
             base_image,
             constants,
             sdm,
@@ -676,7 +662,7 @@ mod tests {
     #[test]
     fn sdm_images_carry_engine_companions() {
         let n = 1024usize;
-        // Wide modulus: slot 2 is the Montgomery form of n^{-1}.
+        // Wide modulus: slot 2 is the 128-bit Shoup quotient of n^{-1}.
         let q = prime(n);
         let kernel = NttSpec::new(n, q, Direction::Inverse, CodegenStyle::Optimized)
             .generate()
@@ -684,7 +670,8 @@ mod tests {
         let sdm = kernel.sdm_image();
         let m = Modulus128::new(q).unwrap();
         assert_eq!(sdm[1], q);
-        assert_eq!(sdm[2], m.to_mont(sdm[0]));
+        assert_eq!(sdm[2], m.shoup(sdm[0]));
+        assert_eq!(m.mul_shoup(12345, sdm[0], sdm[2]), m.mul(12345, sdm[0]));
         // Narrow modulus: slot 2 is the Shoup quotient of n^{-1}.
         let q59 = rpu_arith::find_ntt_prime_u64(59, 2 * n as u64).expect("prime exists");
         let kernel = NttSpec::new(n, q59 as u128, Direction::Inverse, CodegenStyle::Optimized)

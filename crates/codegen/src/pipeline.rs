@@ -109,7 +109,8 @@ impl KernelSpec for ConvolutionSpec {
             at(region_inv, inv.layout().twiddle_span()),
         ];
 
-        let schedule = fwd.schedule().clone();
+        let sdm = fwd.sdm_image(); // [n_inv, q, companion(n_inv)], shared by all NTT segments
+        let (_, schedule) = fwd.into_parts();
         let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
             let fa = schedule.forward(ops[0]);
@@ -126,7 +127,7 @@ impl KernelSpec for ConvolutionSpec {
             program,
             base_image,
             constants,
-            fwd.sdm_image(), // [n_inv, q, companion(n_inv)], shared by all NTT segments
+            sdm,
             vec![(0, n), (region_b, n)],
             (region_inv + inv_out, n),
             golden,

@@ -93,8 +93,8 @@ impl KernelSpec for RescaleSpec {
 
         let p_inv = rpu_arith::mod_inverse(p % q, q);
         // SDM layout: the NTT slots [n⁻¹, q, companion(n⁻¹)], then p⁻¹
-        // and its engine companion (Shoup quotient or Montgomery form,
-        // matching the engine the modulus width selects at dispatch).
+        // and its engine companion (its Shoup quotient at the width the
+        // engine the modulus selects at dispatch multiplies in).
         let mut sdm = fwd.sdm_image();
         let p_inv_slot = sdm.len();
         sdm.push(p_inv);
@@ -129,8 +129,9 @@ impl KernelSpec for RescaleSpec {
 
         let mut base_image = vec![0u128; total];
         base_image[..w].copy_from_slice(&fwd.vdm_image(&vec![0u128; n]));
+        let constants = vec![fwd.layout().twiddle_span()]; // the NTT window sits at 0
 
-        let schedule = fwd.schedule().clone();
+        let (_, schedule) = fwd.into_parts();
         let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
             let delta_hat = schedule.forward(ops[0]);
@@ -144,7 +145,7 @@ impl KernelSpec for RescaleSpec {
             self.key(),
             program,
             base_image,
-            vec![fwd.layout().twiddle_span()], // the NTT window sits at 0
+            constants,
             sdm,
             vec![(0, n), (hat_off, n)],
             (out_off, n),

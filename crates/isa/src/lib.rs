@@ -40,7 +40,7 @@ mod regs;
 pub mod table;
 
 pub use asm::{parse_asm, ParseAsmError};
-pub use decoded::{PredecodedProgram, PromoteHint};
+pub use decoded::PredecodedProgram;
 pub use encode::{decode, encode, DecodeError};
 pub use instr::{AddrMode, Instruction, PipeClass, VdmFootprint};
 pub use program::{InstructionMix, Program};

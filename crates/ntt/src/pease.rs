@@ -53,17 +53,17 @@ pub struct PeaseSchedule {
     log_n: u32,
     q: Modulus128,
     psi: u128,
-    /// `stage_tw[s][r]` = twiddle for sub-ring `r` at stage `s`
-    /// (`r = j mod 2^s` for pair index `j`), in the normal domain.
-    stage_tw: Vec<Vec<u128>>,
-    /// Montgomery-form copies for the fast scalar reference.
+    /// `stage_tw_mont[s][r]` = twiddle for sub-ring `r` at stage `s`
+    /// (`r = j mod 2^s` for pair index `j`), in Montgomery form: the one
+    /// table both [`forward`](PeaseSchedule::forward) and
+    /// [`inverse`](PeaseSchedule::inverse) read. Sub-ring `r` at stage
+    /// `s` is `(x^{n/2^s} − psi^e)` with `e = (2·bitrev_s(r) + 1)·n/2^s`,
+    /// so its inverse twiddle `psi^{−e/2} = −psi^{n − e/2}` is the
+    /// negated twiddle of sub-ring `r ^ (2^s − 1)`, whose exponent is
+    /// `n − e/2`; and the normal-domain twiddles code generation asks for
+    /// are converted back on demand. A schedule — which a kernel's
+    /// golden model keeps — holds one table and nothing derivable.
     stage_tw_mont: Vec<Vec<u128>>,
-    /// Inverses of `stage_tw` (normal domain).
-    stage_tw_inv: Vec<Vec<u128>>,
-    stage_tw_inv_mont: Vec<Vec<u128>>,
-    /// Final-position evaluation exponents: output `p` is the input
-    /// polynomial evaluated at `psi^final_exp[p]`.
-    final_exp: Vec<u128>,
     n_inv: u128,
 }
 
@@ -86,42 +86,13 @@ impl PeaseSchedule {
             .map_err(|_| NttError::NoRootOfUnity { degree: n })?;
         let log_n = n.trailing_zeros();
 
-        // Exponent tree: the ring at stage 0 is (x^n - psi^n); the
-        // sub-ring with id bits r at stage s is (x^{n/2^s} - psi^{e(s,r)}),
-        // and children ids append their branch bit at the LSB:
-        //   e(s+1, (r<<1)|b) = e(s,r)/2 + b*n.
-        let mut exps: Vec<Vec<u128>> = Vec::with_capacity(log_n as usize + 1);
-        exps.push(vec![n as u128]);
-        for s in 0..log_n as usize {
-            let prev = &exps[s];
-            let mut next = vec![0u128; prev.len() * 2];
-            for (r, &e) in prev.iter().enumerate() {
-                debug_assert_eq!(e % 2, 0, "exponent must stay even pre-leaf");
-                next[r << 1] = e / 2;
-                next[(r << 1) | 1] = e / 2 + n as u128;
-            }
-            exps.push(next);
-        }
-        let final_exp = exps.pop().expect("log_n+1 levels were pushed");
-
-        let psi_inv = modulus.inv(psi);
-        let mut stage_tw = Vec::with_capacity(log_n as usize);
         let mut stage_tw_mont = Vec::with_capacity(log_n as usize);
-        let mut stage_tw_inv = Vec::with_capacity(log_n as usize);
-        let mut stage_tw_inv_mont = Vec::with_capacity(log_n as usize);
-        for stage_exps in &exps {
-            let tw: Vec<u128> = stage_exps
-                .iter()
-                .map(|&e| modulus.pow(psi, e / 2))
-                .collect();
-            let tw_inv: Vec<u128> = stage_exps
-                .iter()
-                .map(|&e| modulus.pow(psi_inv, e / 2))
-                .collect();
-            stage_tw_mont.push(tw.iter().map(|&t| modulus.to_mont(t)).collect());
-            stage_tw_inv_mont.push(tw_inv.iter().map(|&t| modulus.to_mont(t)).collect());
-            stage_tw.push(tw);
-            stage_tw_inv.push(tw_inv);
+        // The sub-ring exponents of stage s (`exponents` below).
+        let mut exps = vec![n as u128];
+        for _ in 0..log_n {
+            let twiddle = |&e: &u128| modulus.to_mont(modulus.pow(psi, e / 2));
+            stage_tw_mont.push(exps.iter().map(twiddle).collect());
+            exps = exps.iter().flat_map(|&e| exponents(e, n)).collect();
         }
         let n_inv = modulus.inv(n as u128 % q);
         Ok(PeaseSchedule {
@@ -129,11 +100,7 @@ impl PeaseSchedule {
             log_n,
             q: modulus,
             psi,
-            stage_tw,
             stage_tw_mont,
-            stage_tw_inv,
-            stage_tw_inv_mont,
-            final_exp,
             n_inv,
         })
     }
@@ -171,8 +138,12 @@ impl PeaseSchedule {
     #[inline]
     pub fn twiddle(&self, s: u32, j: usize) -> u128 {
         assert!(j < self.n / 2, "pair index out of range");
-        let tw = &self.stage_tw[s as usize];
-        tw[j & (tw.len() - 1)]
+        self.sub_ring_twiddle(s, j & ((1 << s) - 1))
+    }
+
+    /// Sub-ring `r`'s twiddle at stage `s`, in the normal domain.
+    fn sub_ring_twiddle(&self, s: u32, r: usize) -> u128 {
+        self.q.from_mont(self.stage_tw_mont[s as usize][r])
     }
 
     /// The distinct twiddle vectors needed at stage `s` for vector length
@@ -186,7 +157,7 @@ impl PeaseSchedule {
     ///
     /// Panics if `vlen` is not a power of two or `s >= self.stages()`.
     pub fn twiddle_vectors(&self, s: u32, vlen: usize) -> Vec<Vec<u128>> {
-        self.twiddle_vectors_from(&self.stage_tw, s, vlen)
+        self.twiddle_vectors_from(s, vlen, |r| self.sub_ring_twiddle(s, r))
     }
 
     /// Inverse-twiddle analogue of
@@ -196,21 +167,27 @@ impl PeaseSchedule {
     ///
     /// Panics if `vlen` is not a power of two or `s >= self.stages()`.
     pub fn twiddle_inv_vectors(&self, s: u32, vlen: usize) -> Vec<Vec<u128>> {
-        self.twiddle_vectors_from(&self.stage_tw_inv, s, vlen)
+        let mask = (1 << s) - 1;
+        self.twiddle_vectors_from(s, vlen, |r| self.q.neg(self.sub_ring_twiddle(s, r ^ mask)))
     }
 
-    fn twiddle_vectors_from(&self, table: &[Vec<u128>], s: u32, vlen: usize) -> Vec<Vec<u128>> {
+    /// The vectors of `twiddle(r)` over stage `s`'s sub-rings `r`.
+    fn twiddle_vectors_from(
+        &self,
+        s: u32,
+        vlen: usize,
+        twiddle: impl Fn(usize) -> u128,
+    ) -> Vec<Vec<u128>> {
         assert!(
             vlen.is_power_of_two(),
             "vector length must be a power of two"
         );
-        let tw = &table[s as usize];
-        let period = tw.len(); // 2^s
+        let period = self.stage_tw_mont[s as usize].len(); // 2^s
         let count = (period / vlen).max(1);
         (0..count)
             .map(|v| {
                 (0..vlen)
-                    .map(|i| tw[(v * vlen + i) & (period - 1)])
+                    .map(|i| twiddle((v * vlen + i) & (period - 1)))
                     .collect()
             })
             .collect()
@@ -220,7 +197,7 @@ impl PeaseSchedule {
     /// [`twiddle_vectors`](PeaseSchedule::twiddle_vectors)) pair block `m`
     /// (pairs `m*vlen .. (m+1)*vlen`) uses at stage `s`.
     pub fn twiddle_vector_index(&self, s: u32, block: usize, vlen: usize) -> usize {
-        let period = self.stage_tw[s as usize].len();
+        let period = self.stage_tw_mont[s as usize].len();
         let count = (period / vlen).max(1);
         block % count
     }
@@ -265,15 +242,16 @@ impl PeaseSchedule {
         let mut cur = x.to_vec();
         let mut next = vec![0u128; self.n];
         for s in (0..self.log_n).rev() {
-            let tw = &self.stage_tw_inv_mont[s as usize];
+            let tw = &self.stage_tw_mont[s as usize];
             let mask = tw.len() - 1;
             for j in 0..half {
                 // Undo: y0 = a + t b, y1 = a - t b (the /2 is folded into
-                // the final n^{-1} scale).
-                let u = q.add(cur[2 * j], cur[2 * j + 1]);
-                let v = q.mont_mul_raw(q.sub(cur[2 * j], cur[2 * j + 1]), tw[j & mask]);
-                next[j] = u;
-                next[j + half] = v;
+                // the final n^{-1} scale): (y0 − y1)·t⁻¹, where
+                // t⁻¹ = −tw[r ^ mask] (the field's note), is
+                // (y1 − y0)·tw[r ^ mask].
+                let (y0, y1) = (cur[2 * j], cur[2 * j + 1]);
+                next[j] = q.add(y0, y1);
+                next[j + half] = q.mont_mul_raw(q.sub(y1, y0), tw[(j & mask) ^ mask]);
             }
             core::mem::swap(&mut cur, &mut next);
         }
@@ -294,7 +272,7 @@ impl PeaseSchedule {
         // bitrev(i). Equate exponents.
         (0..self.n)
             .map(|p| {
-                let e = self.final_exp[p];
+                let e = self.output_exponent(p);
                 debug_assert_eq!(e % 2, 1, "leaf exponents are odd");
                 let i = ((e - 1) / 2) as usize;
                 bit_reverse(i, self.log_n)
@@ -303,10 +281,23 @@ impl PeaseSchedule {
     }
 
     /// Evaluation exponent of output position `p`: the forward transform
-    /// leaves `x(psi^exponent)` there.
+    /// leaves `x(psi^exponent)` there. Position `p`'s bits, most
+    /// significant first, are the branches its sub-ring took at stages
+    /// `0, 1, …`.
     pub fn output_exponent(&self, p: usize) -> u128 {
-        self.final_exp[p]
+        (0..self.log_n).rev().fold(self.n as u128, |e, bit| {
+            exponents(e, self.n)[(p >> bit) & 1]
+        })
     }
+}
+
+/// The exponent tree: the ring at stage 0 is `(x^n − psi^n)`, and the
+/// sub-ring `(x^m − psi^e)` splits into `(x^{m/2} − psi^{e/2})` and
+/// `(x^{m/2} − psi^{e/2 + n})` — its children's exponents, whose ids
+/// append branch bit 0 or 1 at the LSB.
+fn exponents(e: u128, n: usize) -> [u128; 2] {
+    debug_assert_eq!(e % 2, 0, "exponent must stay even pre-leaf");
+    [e / 2, e / 2 + n as u128]
 }
 
 #[cfg(test)]
@@ -411,6 +402,21 @@ mod tests {
                 for i in (0..vlen).step_by(97) {
                     assert_eq!(vecv[i], s.twiddle(stage, v * vlen + i));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_twiddles_come_from_the_forward_table() {
+        // Each inverse twiddle is read as a negated forward twiddle of
+        // another sub-ring; it must be the forward twiddle's inverse.
+        let s = pease128(1 << 12);
+        let q = s.modulus();
+        for stage in 0..s.stages() {
+            let fwd = s.twiddle_vectors(stage, 512);
+            let inv = s.twiddle_inv_vectors(stage, 512);
+            for (f, i) in fwd.iter().flatten().zip(inv.iter().flatten()) {
+                assert_eq!(q.mul(*f, *i), 1, "stage {stage}");
             }
         }
     }

@@ -19,16 +19,21 @@
 //!   `u128` work beyond that multiply.
 //! * **Montgomery 128** (everything else): the [`Modulus128`] path —
 //!   one Barrett pass per product, the multiply the interpreter uses —
-//!   extended with a *Montgomery shadow cache*: a register the
-//!   program's static [`PromoteHint`] plan marks as a reused
-//!   multiplicative source gets a run-local copy of its lanes in
-//!   Montgomery form ([`Shadows`]), and multiplies that read the copy
-//!   take one Montgomery reduction per lane — the same eleven word
-//!   multiplies as the Barrett pass without its shifts, which
-//!   `docs/arith-engines.md` prices on the 64K NTT. The register itself
-//!   always holds its architectural lanes; writing it drops the copy.
-//!   On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane is widened going
-//!   in and narrowed coming out.
+//!   except where one factor is a known constant, which multiplies
+//!   through its Shoup quotient ([`Modulus128::mul_shoup`], one high
+//!   product and two low ones; `docs/arith-engines.md` prices it). A
+//!   `vsmulmod` computes its scalar's quotient once per instruction. A
+//!   vector register gets the quotients of its lanes by *viewing* a
+//!   kernel's constant table ([`Views`]): a unit `vload` or a
+//!   `vbroadcast` whose window lies inside a span
+//!   [`FunctionalSim::load_constants`] recorded, and whose loaded lanes
+//!   equal the table's values there, points the register at the
+//!   table's quotients, computed once when the kernel was generated.
+//!   The view is keyed by the table's modulus, is run-local, and is
+//!   dropped by any write to the register; the register itself always
+//!   holds its architectural lanes, and the interpreter never reads a
+//!   quotient. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane is
+//!   widened going in and narrowed coming out.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
@@ -47,15 +52,16 @@
 //! Nothing the fast path keeps for itself is architectural state, so
 //! the fallback in rule 2 needs no preparation and a fault no repair.
 //!
-//! [`PromoteHint`]: rpu_isa::PromoteHint
 //! [`FunctionalSim::run`]: crate::FunctionalSim::run
 //! [`FunctionalSim::ensure_vdm`]: crate::FunctionalSim::ensure_vdm
+//! [`FunctionalSim::load_constants`]: crate::FunctionalSim::load_constants
 //! [`ExecError`]: crate::ExecError
 
+use crate::constants::ConstantTables;
 use crate::func::{shuffle_into, Engines, ExecError, Lane, ShuffleKind, Store};
 use rpu_arith::{Engine, Modulus128};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
-use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, PromoteHint, VReg};
+use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, VReg};
 
 #[inline]
 fn ix(r: VReg) -> usize {
@@ -103,80 +109,134 @@ fn vs_into<W: Lane>(
     std::mem::swap(&mut vrf[ix(vd)], scratch);
 }
 
-/// The Montgomery-tier butterfly, lane by lane: `sum = a + x·y` and
-/// `diff = a - x·y`, with `mul` supplying the canonical product (`x` is
-/// a register's lanes or its Montgomery shadow).
+/// The wide butterfly, lane by lane: `sum = a + prod` and
+/// `diff = a − prod` for the canonical products `prods`.
 #[inline]
-fn bfly_into<W: Lane, X: Copy>(
+fn bfly_into<W: Lane>(
     m: Modulus128,
-    (a, x, y): (&[W], &[X], &[W]),
+    a: &[W],
+    prods: impl Iterator<Item = u128>,
     (sum, diff): (&mut [W], &mut [W]),
-    mul: impl Fn(X, W) -> u128,
 ) {
     let outs = sum.iter_mut().zip(diff.iter_mut());
-    for (((s, d), &a), (&x, &y)) in outs.zip(a).zip(x.iter().zip(y)) {
-        let (a, prod) = (m.reduce(a.widen()), mul(x, y));
+    for (((s, d), &a), prod) in outs.zip(a).zip(prods) {
+        let a = m.reduce(a.widen());
         *s = W::narrow(m.add(a, prod));
         *d = W::narrow(m.sub(a, prod));
     }
 }
 
-/// Run-local Montgomery copies of vector registers: for a shadowed
-/// register `r`, `lanes[r][i] = to_mont(reduce(vrf[r][i]))` under the
-/// modulus recorded in `q[r]` — always `u128`, whatever width the
-/// registers are stored in. The registers themselves are never touched,
-/// so the only duty is to [`forget`](Shadows::forget) the copy whenever
-/// its register is written.
-#[derive(Debug, Clone)]
-pub(crate) struct Shadows {
-    q: [Option<u128>; NUM_VREGS],
-    lanes: [Vec<u128>; NUM_VREGS],
+/// The factors of a product by a viewed register: the other source's
+/// lanes `x`, the viewed lanes `w`, and `w`'s quotients `wq`.
+type Factors<'a, W> = (&'a [W], &'a [W], &'a [u128]);
+
+/// `x · w` lane by lane, `w` multiplied through its quotients `wq`.
+/// The loops over it, like every view lookup, stay out of line
+/// (`#[inline(never)]` below): inlined into `fast_op` they moved the
+/// narrow arms' code and slowed them.
+fn shoup_products<W: Lane>(m: Modulus128, f: Factors<'_, W>) -> impl Iterator<Item = u128> + '_ {
+    let lanes = f.0.iter().zip(f.1).zip(f.2);
+    lanes.map(move |((&x, &w), &wq)| m.mul_shoup(x.widen(), m.reduce(w.widen()), wq))
 }
 
-impl Default for Shadows {
-    fn default() -> Self {
-        Shadows {
-            q: [None; NUM_VREGS],
-            lanes: std::array::from_fn(|_| Vec::new()),
-        }
+/// [`bfly_into`] with the product taken through `w`'s quotients.
+#[inline(never)]
+fn bfly_shoup<W: Lane>(m: Modulus128, a: &[W], f: Factors<W>, outs: (&mut [W], &mut [W])) {
+    bfly_into(m, a, shoup_products(m, f), outs);
+}
+
+/// `out = x · w` through `w`'s quotients.
+#[inline(never)]
+fn mul_shoup_into<W: Lane>(m: Modulus128, f: Factors<W>, out: &mut [W]) {
+    for (o, prod) in out.iter_mut().zip(shoup_products(m, f)) {
+        *o = W::narrow(prod);
     }
 }
 
-impl Shadows {
-    /// Forgets the copy of `r`, which is about to be (or was just)
+/// `vd = vs · s` through the quotient of the reduced scalar `s`,
+/// computed once.
+#[inline(never)]
+fn smul_shoup<W: Lane>(
+    vrf: &mut [Vec<W>],
+    scratch: &mut Vec<W>,
+    (vd, vs): (VReg, VReg),
+    m: Modulus128,
+    s: u128,
+) {
+    let sq = m.shoup(s);
+    vs_into(vrf, scratch, vd, vs, |a| m.mul_shoup(a.widen(), s, sq));
+}
+
+/// Where a viewing register's lanes sit in loaded tables.
+#[derive(Debug, Clone, Copy)]
+struct View {
+    /// Index into the simulator's loaded tables, whose modulus is the
+    /// only one the quotients serve.
+    table: usize,
+    /// Index of lane 0's value in the tables.
+    at: usize,
+    /// Loaded by `vbroadcast`: every lane is the value at `at`.
+    splat: bool,
+}
+
+/// Run-local views, per vector register, of the Shoup quotients of the
+/// constant tables the host loaded (module header). The registers
+/// themselves are never touched, so the only duty is to
+/// [`forget`](Views::forget) a view whenever its register is written.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Views {
+    /// One entry per vector register (sized by each run).
+    of: Vec<Option<View>>,
+    /// A broadcast view's one quotient, spread over every lane.
+    splat: Vec<u128>,
+}
+
+impl Views {
+    /// Forgets the view of `r`, which is about to be (or was just)
     /// overwritten.
     #[inline]
     fn forget(&mut self, r: VReg) {
-        self.q[ix(r)] = None;
+        self.of[ix(r)] = None;
     }
 
-    /// For a multiply of `sources` under the odd modulus `m`: the
-    /// Montgomery copy of one source and the register holding the other
-    /// factor, or `None` when neither source has a copy. The source the
-    /// static plan hints at is copied first.
-    fn factor<W: Lane>(
-        &mut self,
-        vrf: &[Vec<W>],
+    /// `vd` was just loaded from `vdm[start..]` with `lanes` (one lane:
+    /// a broadcast): it views a loaded table if the window lies inside
+    /// one of its spans and every lane equals the table's value there.
+    /// (Callers skip the call when no table is loaded.)
+    #[inline(never)]
+    fn take<W: Lane>(&mut self, vd: VReg, constants: &[ConstantTables], start: usize, lanes: &[W]) {
+        self.of[ix(vd)] = constants.iter().enumerate().find_map(|(table, c)| {
+            let at = c.find(start, lanes.len())?;
+            let values = &c.tables().values[at..at + lanes.len()];
+            let same = values.iter().zip(lanes).all(|(&v, x)| x.widen() == v);
+            let splat = lanes.len() == 1;
+            same.then_some(View { table, at, splat })
+        });
+    }
+
+    /// For a multiply of `sources` under modulus `q`: the lanes of the
+    /// other source, of the first source with a view under `q`, and that
+    /// view's quotients — or `None` when neither has such a view.
+    #[inline(never)]
+    fn factor<'a, W: Lane>(
+        &'a mut self,
+        (vrf, constants): (&'a [Vec<W>], &'a [ConstantTables]),
         sources: [VReg; 2],
-        m: Modulus128,
-        hint: PromoteHint,
-    ) -> Option<(&[u128], VReg)> {
-        if !m.is_odd() {
-            return None; // no Montgomery form
-        }
-        let q = Some(m.value());
-        let hinted = match hint {
-            PromoteHint::None => None,
-            PromoteHint::First => Some(ix(sources[0])),
-            PromoteHint::Second => Some(ix(sources[1])),
+        q: u128,
+    ) -> Option<Factors<'a, W>> {
+        let keyed = |v: &View| constants[v.table].tables().q == q;
+        let viewed = |i: usize| Some((i, self.of[ix(sources[i])].filter(keyed)?));
+        let (slot, v) = viewed(0).or_else(|| viewed(1))?;
+        let all = &constants[v.table].tables().quotients;
+        let quotients = if v.splat {
+            self.splat.clear();
+            self.splat.resize(VECTOR_LEN, all[v.at]);
+            &self.splat[..]
+        } else {
+            &all[v.at..v.at + VECTOR_LEN]
         };
-        if let Some(r) = hinted.filter(|&r| self.q[r] != q) {
-            self.lanes[r].clear();
-            self.lanes[r].extend(vrf[r].iter().map(|x| m.to_mont(m.reduce(x.widen()))));
-            self.q[r] = q;
-        }
-        let slot = sources.iter().position(|&r| self.q[ix(r)] == q)?;
-        Some((&self.lanes[ix(sources[slot])], sources[1 - slot]))
+        let (x, w) = (&vrf[ix(sources[1 - slot])], &vrf[ix(sources[slot])]);
+        Some((x, w, quotients))
     }
 }
 
@@ -188,19 +248,21 @@ impl<W: Lane> Store<W> {
         &mut self,
         program: &PredecodedProgram,
         engines: &mut Engines,
-        shadows: &mut Shadows,
+        views: &mut Views,
+        constants: &[ConstantTables],
     ) -> Result<(), ExecError> {
-        // Shadows are run-local: since the last run the registers may
-        // have been rewritten by the interpreter or re-stored wider.
-        shadows.q.fill(None);
-        let plan = program.domain_plan();
+        // Views are run-local: since the last run the registers may
+        // have been rewritten by the interpreter or the spans by the
+        // host.
+        views.of.clear();
+        views.of.resize(NUM_VREGS, None);
         for (pc, instr) in program.program().instructions().iter().enumerate() {
-            if !self.fast_op(instr, plan[pc], engines, shadows) {
+            if !self.fast_op(instr, engines, views, constants) {
                 // Slow path: re-run the instruction through the
                 // interpreter for oracle-exact errors and partial state.
                 self.step(instr, pc, engines)?;
                 for vd in instr.dst_vregs().into_iter().flatten() {
-                    shadows.forget(vd);
+                    views.forget(vd);
                 }
             }
         }
@@ -246,9 +308,9 @@ impl<W: Lane> Store<W> {
     fn fast_op(
         &mut self,
         instr: &Instruction,
-        hint: PromoteHint,
         engines: &mut Engines,
-        shadows: &mut Shadows,
+        views: &mut Views,
+        constants: &[ConstantTables],
     ) -> bool {
         use Instruction::*;
         match *instr {
@@ -261,11 +323,16 @@ impl<W: Lane> Store<W> {
                 let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
-                shadows.forget(vd);
+                views.forget(vd);
                 let dst = &mut self.vrf[ix(vd)];
                 let vdm = &self.vdm;
                 match mode {
-                    AddrMode::Unit => dst.copy_from_slice(&vdm[start..start + VECTOR_LEN]),
+                    AddrMode::Unit => {
+                        dst.copy_from_slice(&vdm[start..start + VECTOR_LEN]);
+                        if !constants.is_empty() {
+                            views.take(vd, constants, start, dst);
+                        }
+                    }
                     AddrMode::Strided { log2_stride } => {
                         let stride = 1usize << log2_stride;
                         for (o, v) in dst.iter_mut().zip(vdm[start..].iter().step_by(stride)) {
@@ -358,7 +425,7 @@ impl<W: Lane> Store<W> {
                     *o = self.vdm[start + idx.widen() as usize];
                 }
                 std::mem::swap(&mut self.vrf[ix(vd)], scratch);
-                shadows.forget(vd);
+                views.forget(vd);
                 true
             }
             VBroadcast { vd, base, offset } => {
@@ -367,7 +434,10 @@ impl<W: Lane> Store<W> {
                 };
                 let value = self.vdm[start];
                 self.vrf[ix(vd)].fill(value);
-                shadows.forget(vd);
+                views.forget(vd);
+                if !constants.is_empty() {
+                    views.take(vd, constants, start, &[value]);
+                }
                 true
             }
             SLoad { rt, base, offset } => {
@@ -410,7 +480,7 @@ impl<W: Lane> Store<W> {
                         m.sub(m.reduce(a.widen()), m.reduce(b.widen()))
                     }),
                 }
-                shadows.forget(vd);
+                views.forget(vd);
                 true
             }
             VMulMod { vd, vs, vt, rm } => {
@@ -422,13 +492,10 @@ impl<W: Lane> Store<W> {
                     Engine::Native64(m) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
                         m.mul(a.canon(m), b.canon(m)).into()
                     }),
-                    Engine::Mont128(m) => match shadows.factor(vrf, [vs, vt], m, hint) {
-                        // One Montgomery reduction lands the product
-                        // directly in normal form (aR · b · R^{-1} = ab).
-                        Some((mont, other)) => {
-                            for ((o, &a), b) in scratch.iter_mut().zip(mont).zip(&vrf[ix(other)]) {
-                                *o = W::narrow(m.mont_mul_raw(a, m.reduce(b.widen())));
-                            }
+                    Engine::Mont128(m) => match views.factor((vrf, constants), [vt, vs], m.value())
+                    {
+                        Some(factors) => {
+                            mul_shoup_into(m, factors, scratch);
                             std::mem::swap(&mut vrf[ix(vd)], scratch);
                         }
                         // The oracle's multiply.
@@ -437,7 +504,7 @@ impl<W: Lane> Store<W> {
                         }),
                     },
                 }
-                shadows.forget(vd);
+                views.forget(vd);
                 true
             }
             VSAddMod { vd, vs, rt, rm } | VSSubMod { vd, vs, rt, rm } => {
@@ -465,7 +532,7 @@ impl<W: Lane> Store<W> {
                         }
                     }
                 }
-                shadows.forget(vd);
+                views.forget(vd);
                 true
             }
             VSMulMod { vd, vs, rt, rm } => {
@@ -485,11 +552,10 @@ impl<W: Lane> Store<W> {
                         });
                     }
                     Engine::Mont128(m) => {
-                        let s = m.reduce(s.widen());
-                        vs_into(vrf, scratch, vd, vs, |a| m.mul(m.reduce(a.widen()), s));
+                        smul_shoup(vrf, scratch, (vd, vs), m, m.reduce(s.widen()))
                     }
                 }
-                shadows.forget(vd);
+                views.forget(vd);
                 true
             }
             Bfly {
@@ -508,29 +574,23 @@ impl<W: Lane> Store<W> {
                 match e {
                     Engine::Native64(m) => {
                         let (b, t) = (&self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
-                        for i in 0..VECTOR_LEN {
-                            let prod = m.mul(b[i].canon(m), t[i].canon(m));
-                            let ai = a[i].canon(m);
-                            scratch[i] = W::narrow(m.add(ai, prod).into());
-                            scratch2[i] = W::narrow(m.sub(ai, prod).into());
+                        let outs = scratch.iter_mut().zip(scratch2.iter_mut());
+                        for (((s, d), &a), (&b, &t)) in outs.zip(a).zip(b.iter().zip(t)) {
+                            let (a, prod) = (a.canon(m), m.mul(b.canon(m), t.canon(m)));
+                            *s = W::narrow(m.add(a, prod).into());
+                            *d = W::narrow(m.sub(a, prod).into());
                         }
                     }
                     Engine::Mont128(m) => {
-                        let outs = (&mut scratch[..], &mut scratch2[..]);
-                        match shadows.factor(&self.vrf, [vt, vt1], m, hint) {
-                            // A shadowed side multiplies through
-                            // Montgomery.
-                            Some((mont, other)) => {
-                                let ins = (&a[..], mont, &self.vrf[ix(other)][..]);
-                                bfly_into(m, ins, outs, |x, y| {
-                                    m.mont_mul_raw(x, m.reduce(y.widen()))
-                                });
-                            }
+                        let (vrf, outs) = (&self.vrf, (&mut scratch[..], &mut scratch2[..]));
+                        match views.factor((vrf, constants), [vt1, vt], m.value()) {
+                            Some(factors) => bfly_shoup(m, a, factors, outs),
                             None => {
-                                let ins = (&a[..], &self.vrf[ix(vt)][..], &self.vrf[ix(vt1)][..]);
-                                bfly_into(m, ins, outs, |x, y| {
+                                let (b, t) = (&vrf[ix(vt)], &vrf[ix(vt1)]);
+                                let prods = b.iter().zip(t).map(|(&x, &y)| {
                                     m.mul(m.reduce(x.widen()), m.reduce(y.widen()))
                                 });
+                                bfly_into(m, a, prods, outs);
                             }
                         }
                     }
@@ -540,20 +600,20 @@ impl<W: Lane> Store<W> {
                 // per-lane write order.
                 std::mem::swap(&mut self.vrf[ix(vd)], scratch);
                 std::mem::swap(&mut self.vrf[ix(vd1)], scratch2);
-                shadows.forget(vd);
-                shadows.forget(vd1);
+                views.forget(vd);
+                views.forget(vd1);
                 true
             }
-            UnpkLo { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::UnpkLo),
-            UnpkHi { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::UnpkHi),
-            PkLo { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::PkLo),
-            PkHi { vd, vs, vt } => self.fast_shuffle(shadows, vd, vs, vt, ShuffleKind::PkHi),
+            UnpkLo { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::UnpkLo),
+            UnpkHi { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::UnpkHi),
+            PkLo { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::PkLo),
+            PkHi { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::PkHi),
         }
     }
 
     fn fast_shuffle(
         &mut self,
-        shadows: &mut Shadows,
+        views: &mut Views,
         vd: VReg,
         vs: VReg,
         vt: VReg,
@@ -562,20 +622,30 @@ impl<W: Lane> Store<W> {
         let scratch = &mut self.scratch[0];
         shuffle_into(&self.vrf[ix(vs)], &self.vrf[ix(vt)], kind, scratch);
         std::mem::swap(&mut self.vrf[ix(vd)], scratch);
-        shadows.forget(vd);
+        views.forget(vd);
         true
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! The tests named for a *shadow* pin a register's view: run-local
+    //! quotients the register does not hold itself, which every write
+    //! to it must drop.
+
     use super::*;
-    use crate::FunctionalSim;
+    use crate::{ConstantTables, FunctionalSim};
     use rpu_isa::{parse_asm, Program, SReg};
 
+    /// The wide engine on 64-bit lanes.
     const Q: u128 = 0xFFFF_FFFF_0000_0001;
     /// 60-bit NTT prime (2^60 - 2^14 + 1): exercises the native-u64 tier.
     const Q60: u128 = 1152921504606830593;
+    /// A 126-bit modulus (any modulus in range is valid): the wide engine
+    /// on 128-bit lanes.
+    const Q126: u128 = (1 << 126) - 137;
+    /// An even wide modulus: Shoup quotients need no odd `q`.
+    const EVEN: u128 = (1 << 100) - 2;
 
     fn predecoded(asm: &str) -> PredecodedProgram {
         PredecodedProgram::new(parse_asm("t", asm).unwrap())
@@ -630,6 +700,53 @@ mod tests {
         assert_eq!(is, fs, "SRF diverged: {label}");
         assert_eq!(ia, fa, "ARF diverged: {label}");
         assert_eq!(im, fm, "MRF diverged: {label}");
+    }
+
+    /// Table values below `q`, spread over its whole range.
+    fn table_values(q: u128, len: usize) -> Vec<u128> {
+        let spread = |i: u128| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+        (0..len as u128).map(|i| spread(i + 1) % q).collect()
+    }
+
+    /// Loads `values` at VDM offset `off` as a one-span constant table
+    /// under modulus `q`.
+    fn attach(sim: &mut FunctionalSim, q: u128, off: usize, values: &[u128]) {
+        let tables = ConstantTables::new(q, vec![(off, values.len())], values.to_vec());
+        assert_eq!(sim.load_constants(&tables), Ok(values.len()));
+    }
+
+    /// Whether `v{r}` views a table after the last fast-path run.
+    fn viewed(sim: &FunctionalSim, r: u8) -> bool {
+        sim.views.of[usize::from(r)].is_some()
+    }
+
+    /// A seeded pair under `q` whose VDM `[0, 1024)` is a constant table
+    /// of [`table_values`] and `[2048, 4096)` data spread over `[0, q)`
+    /// too: a small multiplicand can hide a wrong quotient.
+    fn table_pair(q: u128) -> (FunctionalSim, FunctionalSim) {
+        let (mut interp, mut fast) = seeded_pair_mod(q, 1 << 13, 16);
+        let values = table_values(q, 3072);
+        for sim in [&mut interp, &mut fast] {
+            attach(sim, q, 0, &values[..1024]);
+            sim.write_vdm(2048, &values[1024..]).unwrap();
+        }
+        (interp, fast)
+    }
+
+    /// Runs `asm` on both sims and asserts identical outcomes and state.
+    fn run_both(interp: &mut FunctionalSim, fast: &mut FunctionalSim, asm: &str) {
+        let program = predecoded(asm);
+        let a = interp.run(program.program());
+        let b = fast.run_predecoded(&program);
+        assert_eq!(a, b, "outcomes must match for {asm:?}");
+        assert_state_eq(interp, fast, asm);
+    }
+
+    /// [`run_both`] on a [`table_pair`]; returns the fast sim.
+    fn assert_differential_with_table(q: u128, asm: &str) -> FunctionalSim {
+        let (mut interp, mut fast) = table_pair(q);
+        run_both(&mut interp, &mut fast, asm);
+        fast
     }
 
     #[test]
@@ -715,120 +832,129 @@ mod tests {
 
     #[test]
     fn montgomery_residency_survives_fanout_chains() {
-        // v0 feeds five multiplies (the domain plan promotes it), the
-        // products are stored, v0 itself is stored and reused in an add:
-        // every kind of read of a shadowed register in one program, on
-        // both tiers.
-        assert_differential(
-            "vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
-             vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v2, m0\n\
-             vmulmod v4, v0, v3, m0\n\
-             vmulmod v5, v0, v4, m0\n\
-             vmulmod v6, v0, v5, m0\n\
-             vaddmod v7, v0, v6, m0\n\
-             vsmulmod v8, v0, s1, m0\n\
-             vstore v0, [a0 + 1024], unit\n\
-             vstore v6, [a0 + 2048], unit\n\
-             vstore v7, [a0 + 3072], unit\n",
-            1 << 13,
-            16,
-        );
+        // v0 views the table through a unit load, v9 through a
+        // broadcast; together they feed five multiplies and a butterfly,
+        // v0 itself is stored and reused in an add and a vector-scalar
+        // multiply: every kind of read of a viewing register, on the
+        // wide engine over 64-bit lanes, 128-bit lanes and an even
+        // modulus.
+        for q in [Q, Q126, EVEN] {
+            let fast = assert_differential_with_table(
+                q,
+                "vload v0, [a0 + 0], unit\n\
+                 vload v1, [a0 + 2048], unit\n\
+                 vbroadcast v9, [a0 + 600]\n\
+                 vmulmod v2, v0, v1, m0\n\
+                 vmulmod v3, v0, v2, m0\n\
+                 vmulmod v4, v3, v0, m0\n\
+                 vmulmod v5, v9, v4, m0\n\
+                 bfly v6, v7, v1, v2, v9, m0\n\
+                 vaddmod v8, v0, v6, m0\n\
+                 vsmulmod v10, v0, s1, m0\n\
+                 vstore v0, [a0 + 4096], unit\n\
+                 vstore v5, [a0 + 4608], unit\n\
+                 vstore v7, [a0 + 5120], unit\n\
+                 vstore v10, [a0 + 5632], unit\n",
+            );
+            assert!(viewed(&fast, 0) && viewed(&fast, 9), "q={q}");
+            assert!(
+                !viewed(&fast, 1) && !viewed(&fast, 2),
+                "data is not a table (q={q})"
+            );
+        }
     }
 
     #[test]
     fn resident_product_chains_match() {
-        // Both inputs are reused often enough to be shadowed, in either
-        // operand order, and a product of theirs is squared.
-        assert_differential(
+        // Both inputs view the table, in either operand order, and a
+        // product of theirs (no view) is squared.
+        let fast = assert_differential_with_table(
+            Q126,
             "vload v0, [a0 + 0], unit\n\
              vload v1, [a0 + 512], unit\n\
              vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
-             vmulmod v4, v0, v1, m0\n\
-             vmulmod v5, v1, v0, m0\n\
+             vmulmod v3, v1, v0, m0\n\
              vmulmod v6, v2, v2, m0\n\
-             vstore v2, [a0 + 1024], unit\n\
+             vstore v3, [a0 + 1024], unit\n\
              vstore v6, [a0 + 2048], unit\n",
-            1 << 13,
-            16,
         );
+        assert!(viewed(&fast, 0) && viewed(&fast, 1) && !viewed(&fast, 2));
     }
 
     #[test]
     fn squaring_a_promoted_source_matches() {
-        // `vmulmod v2, v0, v0` with v0 reused by three later multiplies:
-        // the plan promotes v0 at the squaring, where both
-        // multiplicative sources are the *same* register: the shadow
-        // stands in for one side only, the register supplies the other.
-        assert_differential(
-            "vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
-             vmulmod v2, v0, v0, m0\n\
-             vmulmod v3, v0, v1, m0\n\
-             vmulmod v4, v0, v1, m0\n\
-             vmulmod v5, v0, v1, m0\n\
-             bfly v6, v7, v1, v0, v0, m0\n\
-             vstore v2, [a0 + 1024], unit\n\
-             vstore v6, [a0 + 2048], unit\n",
-            1 << 13,
-            16,
-        );
+        // Both multiplicative sources are the *same* viewing register:
+        // the view supplies one side's quotients, the register both
+        // sides' lanes.
+        for q in [Q, Q126, EVEN] {
+            let fast = assert_differential_with_table(
+                q,
+                "vload v0, [a0 + 0], unit\n\
+                 vload v1, [a0 + 2048], unit\n\
+                 vmulmod v2, v0, v0, m0\n\
+                 bfly v6, v7, v1, v0, v0, m0\n\
+                 vstore v2, [a0 + 4096], unit\n\
+                 vstore v6, [a0 + 4608], unit\n\
+                 vstore v7, [a0 + 5120], unit\n",
+            );
+            assert!(viewed(&fast, 0), "q={q}");
+        }
     }
 
     #[test]
     fn mixed_width_moduli_in_one_program_match() {
-        // m0 is seeded with the test modulus; m2 is loaded from SDM slot
-        // 3 (a small value, servicing the native tier). Registers cross
-        // between the two moduli: a shadow taken under m0 must not serve
-        // a multiply under m2.
-        assert_differential(
-            "mload m2, [a0 + 3]\n\
-             vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
-             vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
-             vmulmod v4, v0, v1, m2\n\
-             vmulmod v5, v0, v1, m0\n\
-             vstore v4, [a0 + 1024], unit\n\
-             vstore v5, [a0 + 2048], unit\n",
-            1 << 13,
-            16,
-        );
+        // m0 is seeded with the table's modulus; m2 is loaded from SDM
+        // slot 3 (a small value, servicing the native tier): a view taken
+        // under m0 must not serve a multiply under m2.
+        for q in [Q, Q126] {
+            assert_differential_with_table(
+                q,
+                "mload m2, [a0 + 3]\n\
+                 vload v0, [a0 + 0], unit\n\
+                 vload v1, [a0 + 2048], unit\n\
+                 vmulmod v2, v0, v1, m0\n\
+                 vmulmod v4, v0, v1, m2\n\
+                 bfly v5, v6, v1, v1, v0, m2\n\
+                 vstore v4, [a0 + 4096], unit\n\
+                 vstore v5, [a0 + 4608], unit\n",
+            );
+        }
     }
 
     #[test]
     fn unreduced_lanes_are_shadowed_through_reduce() {
-        // VDM holds values far above q: the shadow holds
-        // to_mont(reduce(x)), the register keeps x itself, and results
-        // must still match the oracle exactly.
-        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
-        let huge: Vec<u128> = (0..1024u128).map(|i| u128::MAX - i * 0x1234_5678).collect();
-        interp.write_vdm(0, &huge).unwrap();
-        fast.write_vdm(0, &huge).unwrap();
-        let program = predecoded(
-            "vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
-             vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
-             vmulmod v4, v0, v1, m0\n\
-             vstore v0, [a0 + 1024], unit\n\
-             vstore v4, [a0 + 2048], unit\n",
-        );
-        interp.run(program.program()).unwrap();
-        fast.run_predecoded(&program).unwrap();
-        assert_state_eq(&interp, &fast, "unreduced lanes");
-        // The store of v0 must write back the original unreduced values.
-        assert_eq!(fast.read_vdm(1024, 512).unwrap(), huge[..512]);
+        // The table holds values far above q: its quotients are those of
+        // the values reduced, the register keeps the values themselves,
+        // and results must still match the oracle exactly.
+        let huge: Vec<u128> = (0..512u128).map(|i| u128::MAX - i * 0x1234_5678).collect();
+        for q in [Q, Q126, EVEN] {
+            let (mut interp, mut fast) = seeded_pair_mod(q, 1 << 13, 16);
+            attach(&mut interp, q, 0, &huge);
+            attach(&mut fast, q, 0, &huge);
+            run_both(
+                &mut interp,
+                &mut fast,
+                "vload v0, [a0 + 0], unit\n\
+                 vload v1, [a0 + 2048], unit\n\
+                 vmulmod v2, v1, v0, m0\n\
+                 bfly v3, v4, v1, v1, v0, m0\n\
+                 vstore v0, [a0 + 1024], unit\n\
+                 vstore v2, [a0 + 1536], unit\n\
+                 vstore v4, [a0 + 2560], unit\n",
+            );
+            assert!(viewed(&fast, 0), "q={q}");
+            // The store of v0 must write back the original unreduced values.
+            assert_eq!(fast.read_vdm(1024, 512).unwrap(), huge);
+        }
     }
 
     #[test]
     fn writing_a_shadowed_register_drops_its_shadow() {
-        // v0 is promoted at the first multiply, then redefined by every
-        // kind of write the fast path has — the interpreter fallback of
-        // a self-referential gather included — and multiplied again: a
-        // stale shadow would supply the old lanes.
+        // v0 views the table (gather indices), then is redefined by every
+        // kind of write the fast path has — the interpreter fallback of a
+        // self-referential gather included — and multiplied again by a
+        // register with no view: a stale view would supply the old
+        // lanes' quotients.
         let writes = [
             "vload v0, [a0 + 512], unit",
             "vgather v0, [a0 + 512], v11",
@@ -847,127 +973,256 @@ mod tests {
             "pklo v0, v1, v6",
             "pkhi v0, v1, v6",
         ];
-        for write in writes {
+        let indices: Vec<u128> = (0..512u128).map(|i| i * 5 % 512).collect();
+        for (k, write) in [""].into_iter().chain(writes).enumerate() {
             let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
-            let indices: Vec<u128> = (0..512u128).map(|i| i * 5 % 512).collect();
-            interp.write_vdm(0, &indices).unwrap();
-            fast.write_vdm(0, &indices).unwrap();
-            let program = predecoded(&format!(
-                "vload v0, [a0 + 0], unit\n\
-                 vload v11, [a0 + 0], unit\n\
-                 vload v1, [a0 + 1024], unit\n\
-                 vload v6, [a0 + 1536], unit\n\
-                 vload v8, [a0 + 2048], unit\n\
-                 sload s1, [a0 + 2]\n\
-                 vmulmod v2, v0, v1, m0\n\
-                 vmulmod v3, v0, v6, m0\n\
-                 vmulmod v4, v0, v8, m0\n\
-                 {write}\n\
-                 vmulmod v5, v0, v11, m0\n\
-                 vstore v5, [a0 + 4096], unit\n"
-            ));
-            assert_eq!(program.domain_plan()[6], PromoteHint::First, "{write}");
-            interp.run(program.program()).unwrap();
-            fast.run_predecoded(&program).unwrap();
-            assert_state_eq(&interp, &fast, write);
+            for sim in [&mut interp, &mut fast] {
+                attach(sim, Q, 0, &indices);
+                sim.write_vdm(4096, &indices).unwrap();
+            }
+            run_both(
+                &mut interp,
+                &mut fast,
+                &format!(
+                    "vload v0, [a0 + 0], unit\n\
+                     vload v11, [a0 + 4096], unit\n\
+                     vload v1, [a0 + 1024], unit\n\
+                     vload v6, [a0 + 1536], unit\n\
+                     vload v8, [a0 + 2048], unit\n\
+                     sload s1, [a0 + 2]\n\
+                     vmulmod v2, v0, v1, m0\n\
+                     {write}\n\
+                     vmulmod v5, v0, v11, m0\n\
+                     vstore v5, [a0 + 4608], unit\n"
+                ),
+            );
+            // The first case writes nothing: v0 keeps its view.
+            assert_eq!(viewed(&fast, 0), k == 0, "{write:?}");
         }
     }
 
     #[test]
     fn a_shadow_serves_only_the_modulus_it_was_taken_under() {
-        // m2 is a second wide odd modulus: v0's shadow under m0 must not
-        // stand in for v0 in a multiply under m2.
-        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
+        // m2 is a second wide modulus: v0's view under m0 must not stand
+        // in for v0 in a multiply under m2.
+        let (mut interp, mut fast) = table_pair(Q);
         for sim in [&mut interp, &mut fast] {
             sim.write_sdm(3, &[Q - 0x1234_5678]).unwrap();
         }
-        let program = predecoded(
+        run_both(
+            &mut interp,
+            &mut fast,
             "mload m2, [a0 + 3]\n\
              vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
+             vload v1, [a0 + 2048], unit\n\
              vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
              vmulmod v4, v0, v1, m2\n\
-             vmulmod v5, v0, v1, m0\n\
-             vstore v4, [a0 + 1024], unit\n\
-             vstore v5, [a0 + 2048], unit\n",
+             bfly v5, v6, v1, v1, v0, m2\n\
+             vsmulmod v7, v0, s1, m2\n\
+             vstore v4, [a0 + 4096], unit\n\
+             vstore v6, [a0 + 4608], unit\n",
         );
-        assert_eq!(program.domain_plan()[3], PromoteHint::First);
-        interp.run(program.program()).unwrap();
-        fast.run_predecoded(&program).unwrap();
-        assert_state_eq(&interp, &fast, "two wide moduli");
+        assert!(viewed(&fast, 0));
     }
 
     #[test]
     fn shadows_do_not_outlive_a_run() {
-        // The shadow table lives in the simulator (a run allocates
-        // nothing), but its contents are run-local: v0 is shadowed by
-        // the first fast-path run, rewritten by an interpreter run in
-        // between, and multiplied again — without being reloaded — by a
-        // second fast-path run, which must see the new lanes.
-        let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
-        let promote = predecoded(
+        // The view table lives in the simulator (a run allocates
+        // nothing), but its contents are run-local: v0 views the table
+        // after the first fast-path run, is rewritten by an interpreter
+        // run in between, and multiplied again — without being reloaded
+        // — by a second fast-path run, which must see the new lanes.
+        let (mut interp, mut fast) = table_pair(Q126);
+        run_both(
+            &mut interp,
+            &mut fast,
             "vload v0, [a0 + 0], unit\n\
-             vload v1, [a0 + 512], unit\n\
-             vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
-             vmulmod v4, v0, v1, m0\n",
+             vload v1, [a0 + 2048], unit\n\
+             vmulmod v2, v0, v1, m0\n",
         );
-        assert_eq!(promote.domain_plan()[2], PromoteHint::First);
-        let rewrite = parse_asm("t", "vload v0, [a0 + 1024], unit\n").unwrap();
-        let reuse = predecoded(
-            "vmulmod v5, v0, v1, m0\n\
-             vstore v5, [a0 + 2048], unit\n",
-        );
-        interp.run(promote.program()).unwrap();
-        fast.run_predecoded(&promote).unwrap();
+        assert!(viewed(&fast, 0));
+        let rewrite = parse_asm("t", "vload v0, [a0 + 3072], unit\n").unwrap();
         for sim in [&mut interp, &mut fast] {
             sim.run(&rewrite).unwrap();
         }
-        interp.run(reuse.program()).unwrap();
-        fast.run_predecoded(&reuse).unwrap();
-        assert_state_eq(&interp, &fast, "stale shadow across runs");
+        run_both(
+            &mut interp,
+            &mut fast,
+            "vmulmod v5, v1, v0, m0\n\
+             vstore v5, [a0 + 4096], unit\n",
+        );
+        assert!(!viewed(&fast, 0));
     }
 
     #[test]
     fn shadowed_registers_store_and_gather_as_themselves() {
         // v0 (valid gather indices) and v6 (valid indices, then lanes far
-        // above q) are both promoted. Stores, a gather through v0 and
+        // above q) both view the table. Stores, a gather through v0 and
         // the gather through v6 — which faults mid-vector at the first
-        // huge lane — must all see the registers' own lanes, never
-        // reduced or Montgomery-form ones.
+        // huge lane — must all see the registers' own lanes.
         let (mut interp, mut fast) = seeded_pair(1 << 13, 16);
         let mut lanes: Vec<u128> = (0..1024u128).map(|i| i * 5 % 512).collect();
         for (i, lane) in lanes.iter_mut().enumerate().skip(512 + 256) {
             *lane = u128::MAX - i as u128 * 0x1234_5678;
         }
-        interp.write_vdm(0, &lanes).unwrap();
-        fast.write_vdm(0, &lanes).unwrap();
+        for sim in [&mut interp, &mut fast] {
+            attach(sim, Q, 0, &lanes);
+        }
         let program = predecoded(
             "vload v0, [a0 + 0], unit\n\
              vload v6, [a0 + 512], unit\n\
              vload v1, [a0 + 1024], unit\n\
              vmulmod v2, v0, v1, m0\n\
-             vmulmod v3, v0, v1, m0\n\
              vmulmod v7, v6, v2, m0\n\
-             vmulmod v8, v6, v3, m0\n\
-             vmulmod v9, v6, v3, m0\n\
              vstore v0, [a0 + 2048], unit\n\
              vstore v6, [a0 + 2560], unit\n\
              vgather v4, [a0 + 1024], v0\n\
              vmulmod v5, v0, v4, m0\n\
              vstore v5, [a0 + 3072], unit\n\
-             vstore v9, [a0 + 3584], unit\n\
+             vstore v7, [a0 + 3584], unit\n\
              vgather v10, [a0 + 1024], v6\n",
         );
-        assert_eq!(program.domain_plan()[3], PromoteHint::First, "v0");
-        assert_eq!(program.domain_plan()[5], PromoteHint::First, "v6");
         let a = interp.run(program.program());
         let b = fast.run_predecoded(&program);
         assert!(a.is_err(), "the last gather walks out of bounds");
         assert_eq!(a, b);
-        assert_state_eq(&interp, &fast, "shadowed index registers");
+        assert_state_eq(&interp, &fast, "viewing index registers");
+        assert!(viewed(&fast, 0) && viewed(&fast, 6));
         assert_eq!(fast.read_vdm(2048, 1024).unwrap(), lanes);
+    }
+
+    #[test]
+    fn no_view_of_a_table_the_program_or_the_host_changed() {
+        // Each case changes part of the table at [0, 1024) — a program
+        // store with and without new values, a host write, an on-device
+        // copy, a second table over its top half — or reads a window
+        // straddling its end; v0 then multiplies. Only lanes that still
+        // equal a recorded table's values may view it.
+        let other = table_values(Q126 - 2, 512);
+        let unit = "vload v0, [a0 + 0], unit";
+        type Host<'a> = &'a dyn Fn(&mut FunctionalSim);
+        let cases: [(&str, Host, &str, &str, bool); 7] = [
+            (
+                "store of other values",
+                &|_| {},
+                "vstore v1, [a0 + 0], unit",
+                unit,
+                false,
+            ),
+            (
+                "store of the same values",
+                &|_| {},
+                "vstore v3, [a0 + 0], unit",
+                unit,
+                true,
+            ),
+            (
+                "host write",
+                &|s| s.write_vdm(100, &[7]).unwrap(),
+                "",
+                unit,
+                false,
+            ),
+            (
+                "on-device copy",
+                &|s| s.copy_vdm(0, 2048, 512).unwrap(),
+                "",
+                unit,
+                false,
+            ),
+            (
+                "host write elsewhere",
+                &|s| s.write_vdm(1024, &[7]).unwrap(),
+                "",
+                unit,
+                true,
+            ),
+            (
+                "second table",
+                &|s| attach(s, Q126 - 2, 512, &other),
+                "",
+                unit,
+                false,
+            ),
+            (
+                "straddling window",
+                &|_| {},
+                "",
+                "vload v0, [a0 + 768], unit",
+                false,
+            ),
+        ];
+        for (name, host, store, load, view) in cases {
+            let (mut interp, mut fast) = table_pair(Q126);
+            for sim in [&mut interp, &mut fast] {
+                host(sim);
+            }
+            run_both(
+                &mut interp,
+                &mut fast,
+                &format!(
+                    "vload v1, [a0 + 2048], unit\n\
+                     vload v3, [a0 + 0], unit\n\
+                     {store}\n\
+                     {load}\n\
+                     vmulmod v2, v1, v0, m0\n\
+                     bfly v4, v5, v1, v1, v0, m0\n\
+                     vstore v2, [a0 + 4096], unit\n\
+                     vstore v5, [a0 + 4608], unit\n"
+                ),
+            );
+            assert_eq!(viewed(&fast, 0), view, "{name}");
+        }
+        // The second table's own lanes view it, under its own modulus.
+        let (mut interp, mut fast) = table_pair(Q126);
+        for sim in [&mut interp, &mut fast] {
+            attach(sim, Q126 - 2, 512, &other);
+            sim.set_mrf(MReg::at(1), Q126 - 2);
+        }
+        run_both(
+            &mut interp,
+            &mut fast,
+            "vload v0, [a0 + 512], unit\n\
+             vload v1, [a0 + 2048], unit\n\
+             vmulmod v2, v1, v0, m1\n\
+             vmulmod v3, v1, v0, m0\n\
+             vstore v2, [a0 + 4096], unit\n",
+        );
+        assert!(viewed(&fast, 0));
+        assert_eq!(fast.constants.len(), 1, "the first table's span is gone");
+        // A narrow modulus's tables carry no quotients, so nothing is
+        // recorded for them.
+        let mut narrow = FunctionalSim::new(1024, 16);
+        attach(&mut narrow, Q60, 0, &[1, 2, 3]);
+        assert!(narrow.constants.is_empty());
+    }
+
+    #[test]
+    fn faults_at_conversion_points_leave_identical_partial_state() {
+        // v0 views the table when the store faults: the register file
+        // the fault leaves behind must match the oracle bit for bit.
+        for q in [Q, Q60] {
+            let vdm = 4 * 512 + 100; // final store's tail is out of bounds
+            let mut interp = FunctionalSim::new(vdm, 16);
+            interp.set_mrf(MReg::at(0), q);
+            let data: Vec<u128> = (0..vdm as u128).map(|i| (i * 31 + 5) % q).collect();
+            interp.write_vdm(0, &data).unwrap();
+            attach(&mut interp, q, 0, &table_values(q, 512));
+            let mut fast = interp.clone();
+            let program = predecoded(
+                "vload v0, [a0 + 0], unit\n\
+                 vload v1, [a0 + 512], unit\n\
+                 vmulmod v2, v0, v1, m0\n\
+                 vmulmod v3, v0, v1, m0\n\
+                 vmulmod v4, v0, v1, m0\n\
+                 vstore v4, [a0 + 2048], unit\n",
+            );
+            let a = interp.run(program.program());
+            let b = fast.run_predecoded(&program);
+            assert!(a.is_err(), "store must fault (q={q})");
+            assert_eq!(a, b, "fault must match (q={q})");
+            assert_state_eq(&interp, &fast, "fault at conversion point");
+        }
     }
 
     #[test]
@@ -1002,33 +1257,6 @@ mod tests {
             assert!(a.is_err(), "case must fault: {asm:?}");
             assert_eq!(a, b, "fault must match for {asm:?}");
             assert_state_eq(&interp, &fast, asm);
-        }
-    }
-
-    #[test]
-    fn faults_at_conversion_points_leave_identical_partial_state() {
-        // v0 is shadowed when the store faults: the register file the
-        // fault leaves behind must match the oracle bit for bit.
-        for q in [Q, Q60] {
-            let vdm = 4 * 512 + 100; // final store's tail is out of bounds
-            let mut interp = FunctionalSim::new(vdm, 16);
-            interp.set_mrf(MReg::at(0), q);
-            let data: Vec<u128> = (0..vdm as u128).map(|i| (i * 31 + 5) % q).collect();
-            interp.write_vdm(0, &data).unwrap();
-            let mut fast = interp.clone();
-            let program = predecoded(
-                "vload v0, [a0 + 0], unit\n\
-                 vload v1, [a0 + 512], unit\n\
-                 vmulmod v2, v0, v1, m0\n\
-                 vmulmod v3, v0, v1, m0\n\
-                 vmulmod v4, v0, v1, m0\n\
-                 vstore v4, [a0 + 2048], unit\n",
-            );
-            let a = interp.run(program.program());
-            let b = fast.run_predecoded(&program);
-            assert!(a.is_err(), "store must fault (q={q})");
-            assert_eq!(a, b, "fault must match (q={q})");
-            assert_state_eq(&interp, &fast, "fault at conversion point");
         }
     }
 

@@ -6,7 +6,8 @@
 //! about cycles; here it validates `rpu-codegen` kernels against
 //! `rpu-ntt`.
 
-use crate::fastpath::Shadows;
+use crate::constants::ConstantTables;
+use crate::fastpath::Views;
 use rpu_arith::{Engine, Modulus64};
 use rpu_isa::consts::{NUM_AREGS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, Instruction, MReg, PredecodedProgram, Program, SReg, VReg};
@@ -276,9 +277,13 @@ impl Engines {
 pub struct FunctionalSim {
     lanes: Lanes,
     engines: Engines,
-    /// The fast path's run-local Montgomery shadows (kept here so a run
-    /// allocates nothing).
-    shadows: Shadows,
+    /// Tables [`load_constants`](FunctionalSim::load_constants) wrote
+    /// whose spans the host has not written over since (only tables
+    /// with quotients: nothing else reads them).
+    pub(crate) constants: Vec<ConstantTables>,
+    /// The fast path's run-local views of their quotients (kept here so
+    /// a run allocates nothing).
+    pub(crate) views: Views,
 }
 
 /// Host → device copy into `dst[..src.len()]`.
@@ -312,7 +317,8 @@ impl FunctionalSim {
         FunctionalSim {
             lanes: Lanes::Narrow(Store::new(vdm_elements, sdm_elements)),
             engines: Engines::default(),
-            shadows: Shadows::default(),
+            constants: Vec::new(),
+            views: Views::default(),
         }
     }
 
@@ -399,6 +405,7 @@ impl FunctionalSim {
     pub fn copy_vdm(&mut self, dst: usize, src: usize, len: usize) -> Result<(), ExecError> {
         Self::check_transfer("VDM", self.vdm_capacity(), src, len)?;
         Self::check_transfer("VDM", self.vdm_capacity(), dst, len)?;
+        self.forget_constants(dst, len);
         on_store!(&mut self.lanes, s => s.vdm.copy_within(src..src + len, dst));
         Ok(())
     }
@@ -411,9 +418,40 @@ impl FunctionalSim {
     /// exceeds VDM capacity; the VDM is untouched.
     pub fn write_vdm(&mut self, offset: usize, data: &[u128]) -> Result<(), ExecError> {
         Self::check_transfer("VDM", self.vdm_capacity(), offset, data.len())?;
+        self.forget_constants(offset, data.len());
         self.admit(data);
         on_store!(&mut self.lanes, s => put(&mut s.vdm[offset..], data));
         Ok(())
+    }
+
+    /// Writes a kernel's constant tables at their spans, like
+    /// [`write_vdm`](FunctionalSim::write_vdm) per span, and remembers
+    /// the tables until the host writes over any of their spans, so the
+    /// fast path can multiply a register loaded from one through the
+    /// tables' quotients. Returns the number of elements written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError::HostTransferOutOfBounds`] if a span exceeds
+    /// VDM capacity; nothing is written.
+    pub fn load_constants(&mut self, tables: &ConstantTables) -> Result<usize, ExecError> {
+        for &(off, len) in tables.spans() {
+            Self::check_transfer("VDM", self.vdm_capacity(), off, len)?;
+        }
+        for (off, values) in tables.placed() {
+            self.write_vdm(off, values)?;
+        }
+        if !tables.tables().quotients.is_empty() {
+            self.constants.push(tables.clone());
+        }
+        Ok(tables.tables().values.len())
+    }
+
+    /// Forgets every loaded table with a span `[off, off + len)` writes
+    /// over.
+    fn forget_constants(&mut self, off: usize, len: usize) {
+        let apart = |&(o, l): &(usize, usize)| o + l <= off || off + len <= o;
+        self.constants.retain(|t| t.spans().iter().all(apart));
     }
 
     /// Reads `len` elements from the VDM at an element offset.
@@ -518,8 +556,8 @@ impl FunctionalSim {
     /// Returns the same [`ExecError`] the interpreter would, with the
     /// same architectural state retained up to the fault.
     pub fn run_predecoded(&mut self, program: &PredecodedProgram) -> Result<(), ExecError> {
-        let (engines, shadows) = (&mut self.engines, &mut self.shadows);
-        on_store!(&mut self.lanes, s => s.run_predecoded(program, engines, shadows))
+        let (engines, views, constants) = (&mut self.engines, &mut self.views, &self.constants);
+        on_store!(&mut self.lanes, s => s.run_predecoded(program, engines, views, constants))
     }
 }
 
@@ -829,16 +867,12 @@ pub(crate) fn shuffle_into<T: Copy>(s: &[T], t: &[T], kind: ShuffleKind, out: &m
     let n = s.len();
     let half = n / 2;
     match kind {
-        ShuffleKind::UnpkLo => {
-            for i in 0..half {
-                out[2 * i] = s[i];
-                out[2 * i + 1] = t[i];
-            }
-        }
-        ShuffleKind::UnpkHi => {
-            for i in 0..half {
-                out[2 * i] = s[half + i];
-                out[2 * i + 1] = t[half + i];
+        ShuffleKind::UnpkLo | ShuffleKind::UnpkHi => {
+            let from = if kind == ShuffleKind::UnpkLo { 0 } else { half };
+            let pairs = out.chunks_exact_mut(2).zip(&s[from..]).zip(&t[from..]);
+            for ((o, &x), &y) in pairs {
+                o[0] = x;
+                o[1] = y;
             }
         }
         ShuffleKind::PkLo => {

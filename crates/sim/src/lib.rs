@@ -23,6 +23,7 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
+mod constants;
 mod cycle;
 mod fastpath;
 mod func;
@@ -30,6 +31,7 @@ mod hbm;
 mod stats;
 
 pub use config::RpuConfig;
+pub use constants::ConstantTables;
 pub use cycle::{CycleSim, InstrTrace};
 pub use func::{ExecError, FunctionalSim};
 pub use hbm::HbmModel;

@@ -6,18 +6,18 @@
 //! single instruction or cycle fails here in milliseconds, without
 //! waiting for `perf/selfcheck.sh`.
 //!
-//! Each kernel's Montgomery domain plan is pinned the same way: how
-//! many `(First, Second)` promotion hints it carries, captured at the
-//! commit before the fast path's in-place residency became a shadow
-//! cache and the plan lost its flush-cost model. No n = 1024 kernel
-//! reuses a multiplicative source often enough to be hinted; the two
-//! larger forward NTTs below the table are the smallest and the
-//! headline kernels that are.
+//! Each kernel's constant-fed multiplies are checked statically beside
+//! them: every `bfly` twiddle, and every `vmulmod` twiddle of an inverse
+//! NTT, must come from a unit `vload` or a `vbroadcast` inside one of
+//! the kernel's `constant_spans()` — the loads the fast path gives a
+//! view of the tables' Shoup quotients — and how many multiplies of each
+//! kind are fed that way is pinned per kernel. The two larger forward
+//! NTTs below the table are checked the same way.
 
-use rpu::isa::{Program, PromoteHint};
+use rpu::isa::{AddrMode, Instruction, Program, VReg};
 use rpu::{
     AutomorphismSpec, CodegenStyle, ConvolutionSpec, CycleSim, Direction, ElementwiseOp,
-    ElementwiseSpec, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec, RpuConfig,
+    ElementwiseSpec, Kernel, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec, RpuConfig,
 };
 
 const N: usize = 1024;
@@ -40,15 +40,61 @@ struct Golden {
     words: u64,
     /// Cycle count on the (128, 128) design point.
     cycles: u64,
-    /// [`hint_counts`] of the kernel's domain plan.
-    hints: (usize, usize),
+    /// [`table_fed`] of the kernel.
+    table_fed: (usize, usize),
 }
 
-/// `(First, Second)` promotion hints in a kernel's static domain plan.
-fn hint_counts(kernel: &rpu::Kernel) -> (usize, usize) {
-    let plan = kernel.predecoded().domain_plan();
-    let count = |hint| plan.iter().filter(|h| **h == hint).count();
-    (count(PromoteHint::First), count(PromoteHint::Second))
+/// `(bfly, vmulmod)` instructions whose twiddle slot — a `bfly`'s `vt1`,
+/// a `vmulmod`'s `vt` — was last defined by a unit `vload` or a
+/// `vbroadcast` that reads inside one of the kernel's constant spans
+/// (generated programs address the VDM as `a0 + offset`, `a0 = 0`).
+fn table_fed(kernel: &Kernel) -> (usize, usize) {
+    let instrs = kernel.program().instructions();
+    let from_table = |pc: usize, r: VReg| {
+        let def = instrs[..pc]
+            .iter()
+            .rev()
+            .find(|i| i.dst_vregs().contains(&Some(r)));
+        let window = match def {
+            Some(&Instruction::VLoad {
+                offset,
+                mode: AddrMode::Unit,
+                ..
+            }) => (offset, 512),
+            Some(&Instruction::VBroadcast { offset, .. }) => (offset, 1),
+            _ => return false,
+        };
+        let (start, len) = (window.0 as usize, window.1);
+        kernel
+            .constant_spans()
+            .iter()
+            .any(|&(off, span)| off <= start && start + len <= off + span)
+    };
+    let mut fed = (0, 0);
+    for (pc, instr) in instrs.iter().enumerate() {
+        match *instr {
+            Instruction::Bfly { vt1, .. } => fed.0 += usize::from(from_table(pc, vt1)),
+            Instruction::VMulMod { vt, .. } => fed.1 += usize::from(from_table(pc, vt)),
+            _ => {}
+        }
+    }
+    fed
+}
+
+/// How many instructions of a kernel are `bfly`s and `vmulmod`s.
+fn multiplies(kernel: &Kernel) -> (usize, usize) {
+    let count = |f: fn(&Instruction) -> bool| {
+        kernel
+            .program()
+            .instructions()
+            .iter()
+            .filter(|i| f(i))
+            .count()
+    };
+    (
+        count(|i| matches!(i, Instruction::Bfly { .. })),
+        count(|i| matches!(i, Instruction::VMulMod { .. })),
+    )
 }
 
 /// Every generator; the moduli are the 126-bit and 59-bit NTT primes
@@ -60,32 +106,32 @@ fn goldens() -> Vec<Golden> {
     let p = u128::from(rpu::arith::find_ntt_prime_u64(59, 2 * N as u64).expect("prime exists"));
     let ntt = |d, s| -> Box<dyn KernelSpec> { Box::new(NttSpec::new(N, q, d, s)) };
     let pw = |op| -> Box<dyn KernelSpec> { Box::new(ElementwiseSpec::new(op, N, q, Optimized)) };
-    let golden = |name, spec, instructions, words, cycles| Golden {
+    let golden = |name, spec, instructions, words, cycles, table_fed| Golden {
         name,
         spec,
         instructions,
         words,
         cycles,
-        hints: (0, 0),
+        table_fed,
     };
     #[rustfmt::skip]
     let rows = vec![
-        golden("ntt_fwd_opt", ntt(Forward, Optimized), 81, 0x8c254a24cd9b2bf6, 420),
-        golden("ntt_inv_opt", ntt(Inverse, Optimized), 108, 0x8472882ef557d3d1, 537),
-        golden("ntt_fwd_unopt", ntt(Forward, Unoptimized), 81, 0xaeef05f744b41d76, 429),
-        golden("ntt_inv_unopt", ntt(Inverse, Unoptimized), 108, 0x5fb15fb6813bacb1, 558),
-        golden("ntt_fwd_strided", ntt(Forward, StridedMemory), 61, 0xa2d261cc8483dadd, 446),
-        golden("ntt_inv_strided", ntt(Inverse, StridedMemory), 88, 0xbd339e98ae8c467f, 523),
-        golden("pw_mul", pw(ElementwiseOp::MulMod), 9, 0x5a86dfeaa21fcc57, 40),
-        golden("pw_add", pw(ElementwiseOp::AddMod), 9, 0x568fe4f0f27026bf, 38),
-        golden("pw_sub", pw(ElementwiseOp::SubMod), 9, 0xe70f38a86aaa03ff, 38),
-        golden("convolution", Box::new(ConvolutionSpec::new(N, q, Optimized)), 278, 0xa77bb5ef84d34c38, 1392),
+        golden("ntt_fwd_opt", ntt(Forward, Optimized), 81, 0x8c254a24cd9b2bf6, 420, (10, 0)),
+        golden("ntt_inv_opt", ntt(Inverse, Optimized), 108, 0x8472882ef557d3d1, 537, (0, 10)),
+        golden("ntt_fwd_unopt", ntt(Forward, Unoptimized), 81, 0xaeef05f744b41d76, 429, (10, 0)),
+        golden("ntt_inv_unopt", ntt(Inverse, Unoptimized), 108, 0x5fb15fb6813bacb1, 558, (0, 10)),
+        golden("ntt_fwd_strided", ntt(Forward, StridedMemory), 61, 0xa2d261cc8483dadd, 446, (10, 0)),
+        golden("ntt_inv_strided", ntt(Inverse, StridedMemory), 88, 0xbd339e98ae8c467f, 523, (0, 10)),
+        golden("pw_mul", pw(ElementwiseOp::MulMod), 9, 0x5a86dfeaa21fcc57, 40, (0, 0)),
+        golden("pw_add", pw(ElementwiseOp::AddMod), 9, 0x568fe4f0f27026bf, 38, (0, 0)),
+        golden("pw_sub", pw(ElementwiseOp::SubMod), 9, 0xe70f38a86aaa03ff, 38, (0, 0)),
+        golden("convolution", Box::new(ConvolutionSpec::new(N, q, Optimized)), 278, 0xa77bb5ef84d34c38, 1392, (20, 10)),
         // Re-pinned by PR 17: the digit's forward NTT left the kernel (the
         // recipes dispatch `ntt_fwd_opt` once per digit and share d̂), so
         // this row is the bare multiply–accumulate. No other row moved.
-        golden("keyswitch_digit", Box::new(KeySwitchSpec::new(N, q, Optimized)), 17, 0xfbbcb4a588c85e8e, 69),
-        golden("automorphism_g5", Box::new(AutomorphismSpec::new(N, q, 5, Optimized)), 11, 0x468b651dd64bdbf4, 78),
-        golden("rescale", Box::new(RescaleSpec::new(N, q, p, Optimized)), 96, 0x62ee0010259fec4a, 475),
+        golden("keyswitch_digit", Box::new(KeySwitchSpec::new(N, q, Optimized)), 17, 0xfbbcb4a588c85e8e, 69, (0, 0)),
+        golden("automorphism_g5", Box::new(AutomorphismSpec::new(N, q, 5, Optimized)), 11, 0x468b651dd64bdbf4, 78, (0, 2)),
+        golden("rescale", Box::new(RescaleSpec::new(N, q, p, Optimized)), 96, 0x62ee0010259fec4a, 475, (10, 0)),
     ];
     rows
 }
@@ -100,21 +146,52 @@ fn generated_programs_match_their_golden_fingerprints() {
         assert_eq!(p.len(), g.instructions, "{name}: instruction count");
         assert_eq!(fingerprint(&p.to_words()), g.words, "{name}: encoded words");
         assert_eq!(sim.simulate(p).cycles, g.cycles, "{name}: cycle count");
-        assert_eq!(hint_counts(&kernel), g.hints, "{name}: promotion hints");
+        assert_eq!(
+            table_fed(&kernel),
+            g.table_fed,
+            "{name}: table-fed multiplies"
+        );
     }
 }
 
 #[test]
-fn larger_forward_ntts_keep_their_twiddle_promotions() {
-    // n = 4096 is the smallest degree whose kernels carry hints; 65536
-    // is the headline kernel, whose 40 promoted twiddle vectors are
-    // what the shadow cache is kept for.
-    for (n, hints) in [(4096usize, (0, 10)), (65536, (0, 40))] {
+fn every_twiddle_is_loaded_from_a_constant_span() {
+    // The pinned kernels, the smallest degree with several twiddle
+    // vectors per stage and the headline kernel, whose last two stages
+    // load a twiddle vector per butterfly.
+    let mut kernels: Vec<(String, Kernel, bool)> = goldens()
+        .into_iter()
+        .map(|g| {
+            let inverse = g.name.starts_with("ntt_inv");
+            (
+                g.name.to_string(),
+                g.spec.generate().expect("generates"),
+                inverse,
+            )
+        })
+        .collect();
+    for n in [4096usize, 65536] {
         let q = rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists");
-        let kernel = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized)
-            .generate()
-            .expect("generates");
-        assert_eq!(hint_counts(&kernel), hints, "forward NTT, n = {n}");
+        let spec = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized);
+        kernels.push((
+            format!("forward NTT, n = {n}"),
+            spec.generate().expect("generates"),
+            false,
+        ));
+    }
+    for (name, kernel, inverse) in &kernels {
+        let (bfly, vmulmod) = multiplies(kernel);
+        let (fed_bfly, fed_vmulmod) = table_fed(kernel);
+        assert_eq!(
+            fed_bfly, bfly,
+            "{name}: a bfly twiddle not loaded from a table"
+        );
+        if *inverse {
+            assert_eq!(
+                fed_vmulmod, vmulmod,
+                "{name}: a vmulmod twiddle not loaded from a table"
+            );
+        }
     }
 }
 

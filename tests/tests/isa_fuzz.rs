@@ -24,7 +24,13 @@
 //! indices from a poisoned VDM region, and scalar/modulus/address
 //! loads aimed past the end of the SDM — so error parity between the
 //! interpreter and the fast path is exercised as hard as success
-//! parity.
+//! parity. A **constants shape** aims its loads, broadcasts and stores
+//! at two constant tables every seeded simulator carries
+//! (`FunctionalSim::load_constants`, one under `m0`'s modulus and one
+//! under `m3`'s) and multiplies by what it loaded: the fast path
+//! multiplies a register loaded unchanged from a table through the
+//! table's Shoup quotients, and the stores make sure a changed table
+//! is not.
 //!
 //! Programs are also drawn across two **modulus-width classes**, since
 //! the fast path services them with different arithmetic engines: the
@@ -34,13 +40,14 @@
 //! modulus (dispatched to the `Modulus128` engine). The wide class is a
 //! genuinely **two-implementation** check of the wide multiply: the
 //! interpreter reduces every product in one Barrett pass
-//! (`Modulus128::mul`), while the fast path multiplies through
-//! Montgomery wherever the static plan shadows a source register —
-//! every `vmulmod`/`bfly` whose operand is reused, which the
-//! compute-heavy shapes produce constantly and generated kernels do
-//! from n = 4096 up. The 127-bit primes put factors on both sides of
-//! 2¹²⁶ (the Barrett pass multiplies those negated); the even modulus
-//! has no Montgomery form at all. `RPU_FUZZ_WIDTH` (`small` | `wide` |
+//! (`Modulus128::mul`), while the fast path multiplies through Shoup
+//! quotients (`Modulus128::mul_shoup`) wherever a source was loaded
+//! from a constant table — what the constants shape does constantly and
+//! every generated kernel does with its twiddles — and in every
+//! `vsmulmod`. The 127-bit primes put factors on both sides of 2¹²⁶
+//! (the Barrett pass multiplies those negated); the even modulus, which
+//! has no Montgomery form, carries the second table: Shoup needs no odd
+//! modulus. `RPU_FUZZ_WIDTH` (`small` | `wide` |
 //! `both`, default `both`) pins the classes a run samples — CI's
 //! small-prime leg sets `small`.
 //!
@@ -69,6 +76,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rpu::isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, Program, SReg, VReg};
+use rpu::sim::ConstantTables;
 use rpu::FunctionalSim;
 
 const VDM_ELEMS: usize = 1 << 14;
@@ -80,6 +88,11 @@ const SDM_ELEMS: usize = 64;
 /// load anywhere in the first half stays in bounds itself.
 const POISON_LEN: usize = 1024;
 const POISON_BASE: usize = VDM_ELEMS - POISON_LEN;
+
+/// Two constant tables of this many elements each sit just below the
+/// poison region, above where ordinary unit loads reach.
+const TABLE_LEN: usize = 1024;
+const TABLE_BASE: usize = POISON_BASE - 2 * TABLE_LEN;
 
 /// ≤63-bit moduli pre-seeded into `m0..m3` and cycled through the SDM
 /// in the **small** width class (so `mload`/`aload` pick up values that
@@ -98,7 +111,7 @@ enum WidthClass {
     /// ≤63-bit primes: the fast path uses native u64 lanes.
     Small,
     /// 120/126/127-bit primes and an even 126-bit modulus: the fast path
-    /// uses the `Modulus128` engine, Montgomery shadows included.
+    /// uses the `Modulus128` engine, Shoup quotients included.
     Wide,
 }
 
@@ -177,10 +190,6 @@ impl Rng {
         self.next() % n
     }
 
-    fn vreg(&mut self) -> VReg {
-        VReg::at(self.below(64) as u8)
-    }
-
     fn sreg(&mut self) -> SReg {
         SReg::at(self.below(64) as u8)
     }
@@ -255,12 +264,12 @@ fn fuzz_cases() -> u32 {
 /// deeper into single subsystems than uniform draws — long load/store
 /// runs hit address-generation corner cases, dense compute runs hit
 /// ALU/fault parity, butterfly/pack runs hit the permute network, and
-/// gather runs hit indexed addressing. The last two shapes are
-/// **fault injectors**: they steer programs into typed runtime errors
+/// gather runs hit indexed addressing. Shapes 4 and 5 are **fault
+/// injectors**: they steer programs into typed runtime errors
 /// (out-of-range gather indices, SDM accesses past the end) so both
 /// execution paths must agree on the exact `ExecError`, not just on
-/// successful results.
-const SHAPES: [[u32; 18]; 6] = [
+/// successful results. The last shape aims at the constant tables.
+const SHAPES: [[u32; 18]; 7] = [
     // Memory-heavy: loads, stores, broadcasts, scalar/modulus/address
     // loads dominate.
     [8, 8, 2, 6, 5, 5, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1],
@@ -276,12 +285,27 @@ const SHAPES: [[u32; 18]; 6] = [
     // Fault injector: scalar/modulus/address loads roam past the end
     // of the SDM mid-program.
     [2, 1, 1, 1, 10, 10, 10, 3, 2, 3, 3, 2, 3, 1, 1, 1, 1, 1],
+    // Constants: loads, broadcasts and stores aimed at the tables, and
+    // the multiplies that read what they loaded.
+    [10, 8, 1, 3, 1, 1, 1, 1, 1, 10, 1, 1, 2, 10, 1, 1, 1, 1],
 ];
 
 /// Index of the gather-fault shape in [`SHAPES`].
 const GATHER_FAULT_SHAPE: usize = 4;
 /// Index of the SDM-exhaustion shape in [`SHAPES`].
 const SDM_FAULT_SHAPE: usize = 5;
+/// Index of the constants shape in [`SHAPES`].
+const CONSTANTS_SHAPE: usize = 6;
+
+/// A VDM offset for the constants shape, three times in four: a window
+/// starting at one of eight quarter-table steps through the two tables,
+/// so windows meet — inside one table, straddling both, or running off
+/// the second into the poison region.
+fn table_offset(r: &mut Rng, shape_idx: usize) -> Option<u32> {
+    let step = TABLE_LEN as u64 / 4;
+    (shape_idx == CONSTANTS_SHAPE && r.below(4) != 0)
+        .then(|| (TABLE_BASE as u64 + step * r.below(8)) as u32)
+}
 
 /// SDM offset draw, specialized by shape: the exhaustion shape spreads
 /// offsets over `[0, SDM_ELEMS * 3/2)` so roughly a third of its
@@ -324,7 +348,30 @@ fn random_legal_program(seed: u64, len: usize) -> Program {
 fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
     let mut r = Rng(seed);
     let shape = &SHAPES[shape_idx];
+    // The constants shape keeps to eight registers, so its loads,
+    // stores and multiplies meet.
+    let pool = if shape_idx == CONSTANTS_SHAPE { 8 } else { 64 };
+    let vreg = |r: &mut Rng| VReg::at(r.below(pool) as u8);
+    // ... and to the tables' moduli, `m0` and `m3`, three times in four.
+    let mreg = |r: &mut Rng| match shape_idx == CONSTANTS_SHAPE && r.below(4) != 0 {
+        true => MReg::at(3 * r.below(2) as u8),
+        false => r.mreg(),
+    };
     let mut p = Program::new(format!("fuzz_{seed:x}_s{shape_idx}"));
+    if shape_idx == CONSTANTS_SHAPE {
+        // Non-zero multiplicands: a product by zero hides a wrong
+        // quotient.
+        for vd in 0..pool as u8 {
+            let offset = r.below(VDM_ELEMS as u64 / 2) as u32;
+            let (base, mode) = (AReg::at(0), AddrMode::Unit);
+            p.push(Instruction::VLoad {
+                vd: VReg::at(vd),
+                base,
+                offset,
+                mode,
+            });
+        }
+    }
     for _ in 0..len {
         let instr = match weighted_kind(&mut r, shape) {
             0 => {
@@ -336,32 +383,49 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
                         (POISON_BASE as u64 + r.below(POISON_LEN as u64 / 2)) as u32,
                         AddrMode::Unit,
                     )
+                } else if let Some(offset) = table_offset(&mut r, shape_idx) {
+                    (offset, AddrMode::Unit)
                 } else {
                     (r.offset(), r.mode())
                 };
                 Instruction::VLoad {
-                    vd: r.vreg(),
+                    vd: vreg(&mut r),
                     base: r.areg(),
                     offset,
                     mode,
                 }
             }
-            1 => Instruction::VStore {
-                vs: r.vreg(),
-                base: r.areg(),
-                offset: r.offset(),
-                mode: r.mode(),
+            1 => match table_offset(&mut r, shape_idx) {
+                Some(offset) => Instruction::VStore {
+                    vs: vreg(&mut r),
+                    base: AReg::at(0),
+                    offset,
+                    mode: AddrMode::Unit,
+                },
+                None => Instruction::VStore {
+                    vs: vreg(&mut r),
+                    base: r.areg(),
+                    offset: r.offset(),
+                    mode: r.mode(),
+                },
             },
             2 => Instruction::VGather {
-                vd: r.vreg(),
+                vd: vreg(&mut r),
                 base: r.areg(),
                 offset: r.offset(),
-                vi: r.vreg(),
+                vi: vreg(&mut r),
             },
-            3 => Instruction::VBroadcast {
-                vd: r.vreg(),
-                base: r.areg(),
-                offset: r.offset(),
+            3 => match table_offset(&mut r, shape_idx) {
+                Some(offset) => Instruction::VBroadcast {
+                    vd: vreg(&mut r),
+                    base: AReg::at(0),
+                    offset,
+                },
+                None => Instruction::VBroadcast {
+                    vd: vreg(&mut r),
+                    base: r.areg(),
+                    offset: r.offset(),
+                },
             },
             4 => Instruction::SLoad {
                 rt: r.sreg(),
@@ -379,68 +443,68 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
                 offset: sdm_shaped_offset(&mut r, shape_idx),
             },
             7 => Instruction::VAddMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
-                rm: r.mreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
+                rm: mreg(&mut r),
             },
             8 => Instruction::VSubMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
-                rm: r.mreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
+                rm: mreg(&mut r),
             },
             9 => Instruction::VMulMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
-                rm: r.mreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
+                rm: mreg(&mut r),
             },
             10 => Instruction::VSAddMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
                 rt: r.sreg(),
-                rm: r.mreg(),
+                rm: mreg(&mut r),
             },
             11 => Instruction::VSSubMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
                 rt: r.sreg(),
-                rm: r.mreg(),
+                rm: mreg(&mut r),
             },
             12 => Instruction::VSMulMod {
-                vd: r.vreg(),
-                vs: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
                 rt: r.sreg(),
-                rm: r.mreg(),
+                rm: mreg(&mut r),
             },
             13 => Instruction::Bfly {
-                vd: r.vreg(),
-                vd1: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
-                vt1: r.vreg(),
-                rm: r.mreg(),
+                vd: vreg(&mut r),
+                vd1: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
+                vt1: vreg(&mut r),
+                rm: mreg(&mut r),
             },
             14 => Instruction::UnpkLo {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
             },
             15 => Instruction::UnpkHi {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
             },
             16 => Instruction::PkLo {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
             },
             _ => Instruction::PkHi {
-                vd: r.vreg(),
-                vs: r.vreg(),
-                vt: r.vreg(),
+                vd: vreg(&mut r),
+                vs: vreg(&mut r),
+                vt: vreg(&mut r),
             },
         };
         p.push(instr);
@@ -454,10 +518,12 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
 /// [`POISON_LEN`] VDM elements hold out-of-range gather indices (just
 /// past the VDM, and the largest values the class's lane width holds:
 /// `u64::MAX` down in the small class, so its state stays below 2⁶⁴;
-/// `u128::MAX` down in the wide class) for the fault-injection shape;
-/// the rest of the image stays below 3329 in **both** width classes, so
-/// ordinary gathers never fault on it — wide values reach vector state
-/// only through the SDM (`sload`/`mload`) and the SRF.
+/// `u128::MAX` down in the wide class) for the fault-injection shape.
+/// Below them sit the two constant tables, residues spread over the
+/// whole range of `m0`'s and `m3`'s moduli; the rest of the image stays
+/// below 3329 in **both** width classes, so ordinary gathers never
+/// fault on it — wide values reach vector state only through the
+/// tables, the SDM (`sload`/`mload`) and the SRF.
 fn fresh_sim(width: WidthClass) -> FunctionalSim {
     let primes = width.primes();
     let mut sim = FunctionalSim::new(VDM_ELEMS, SDM_ELEMS);
@@ -476,6 +542,15 @@ fn fresh_sim(width: WidthClass) -> FunctionalSim {
         };
     }
     sim.write_vdm(0, &image).unwrap();
+    for (t, q) in [primes[0], primes[3]].into_iter().enumerate() {
+        let spread = |i: u128| i.wrapping_mul(0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835);
+        let values = (1..=TABLE_LEN as u128)
+            .map(|i| spread(i + t as u128) % q)
+            .collect();
+        let span = (TABLE_BASE + t * TABLE_LEN, TABLE_LEN);
+        let tables = ConstantTables::new(q, vec![span], values);
+        sim.load_constants(&tables).unwrap();
+    }
     let sdm: Vec<u128> = (0..SDM_ELEMS).map(|i| primes[i % primes.len()]).collect();
     sim.write_sdm(0, &sdm).unwrap();
     for (i, &q) in primes.iter().enumerate() {

@@ -7,7 +7,7 @@
 //!
 //! The `RlweEvaluator` case honours `RPU_MAX_N`, so the wide-prime CI
 //! leg runs it at n = 4096 — the smallest degree whose forward NTT
-//! carries Montgomery promotion hints.
+//! holds several twiddle vectors per stage.
 
 use rpu::arith::gadget_levels;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
