@@ -207,7 +207,7 @@ impl ModulusChain {
         self.primes[l]
     }
 
-    /// Montgomery context for chain prime `q_l`.
+    /// Arithmetic context for chain prime `q_l`.
     ///
     /// # Panics
     ///

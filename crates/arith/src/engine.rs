@@ -12,8 +12,8 @@
 //!   and a factor whose Shoup quotient is known — a kernel's twiddles,
 //!   a vector-scalar multiply's scalar — multiplies through
 //!   [`Modulus128::mul_shoup`], one high product and two low ones, which
-//!   the simulator's fast path uses. (The name is historical: Montgomery
-//!   form stays on [`Modulus128`] for the host NTT plans.)
+//!   the simulator's fast path uses. (The name is historical: every
+//!   product here is Barrett or Shoup.)
 //! * [`Engine::Native64`] — [`Modulus64`] applied lane-wise to the
 //!   simulator's register files: each lane is reduced to a canonical
 //!   `u64`, multiplied with one 64×64→128 widening multiply plus a
@@ -146,18 +146,6 @@ impl Engine {
             Engine::Native64(m) => m.mul(a as u64, b as u64) as u128,
         }
     }
-
-    /// Precomputed multiplication companion of the canonical scalar
-    /// `w`: its Shoup quotient, `⌊w·2⁶⁴/q⌋` on [`Engine::Native64`] and
-    /// `⌊w·2¹²⁸/q⌋` on [`Engine::Mont128`] (odd or even modulus alike).
-    /// Codegen bakes these into SDM images next to the scalars they
-    /// accompany.
-    pub fn companion(self, w: u128) -> u128 {
-        match self {
-            Engine::Mont128(m) => m.shoup(w),
-            Engine::Native64(m) => m.shoup(w as u64) as u128,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,7 +156,7 @@ mod tests {
     /// 60-bit NTT prime: 2^60 - 2^14 + 1.
     const Q60: u64 = 1152921504606830593;
 
-    /// The three ways to compute mod a sub-63-bit `q`: the Montgomery
+    /// The three ways to compute mod a sub-63-bit `q`: the 128-bit
     /// tier, the bare `Modulus64`, and the engine selected for `q`.
     fn tiers_for(q: u64) -> (Modulus128, Modulus64, Engine) {
         let engine = Engine::new(q as u128).unwrap();
@@ -261,25 +249,8 @@ mod tests {
                 assert_eq!(m128.mul(a, b), Engine::Mont128(m128).mul(a, b));
             }
         }
-        // An even modulus has a Shoup companion all the same.
-        let c = Engine::Mont128(m128).companion(5);
+        // An even modulus has a Shoup quotient all the same.
+        let c = m128.shoup(5);
         assert_eq!(m128.mul_shoup(1663, 5, c), m128.mul(1663, 5));
-    }
-
-    #[test]
-    fn companions_are_the_documented_precomputations() {
-        let q = find_ntt_prime_u64(59, 2048).unwrap();
-        let (m128, m64, engine) = tiers_for(q);
-        let w = 123_456_789u128 % q as u128;
-        let wide = Engine::Mont128(m128).companion(w);
-        assert_eq!(wide, m128.shoup(w));
-        // ⌊w·2¹²⁸/q⌋ by two steps of native long division (q < 2⁶³).
-        let (hi, rem) = ((w << 64) / q as u128, (w << 64) % q as u128);
-        assert_eq!(wide, (hi << 64) | ((rem << 64) / q as u128));
-        let shoup = m64.shoup(w as u64);
-        assert_eq!(engine.companion(w), shoup as u128);
-        // Both Shoup companions actually multiply correctly.
-        assert_eq!(m64.mul_shoup(999, w as u64, shoup), m64.mul(999, w as u64));
-        assert_eq!(m128.mul_shoup(999, w, wide), m128.mul(999, w));
     }
 }

@@ -8,8 +8,8 @@
 //! * [`U256`] — 256-bit intermediates for 128-bit modular multiplication.
 //! * [`Modulus64`] — Barrett/Shoup arithmetic for word-sized moduli (the
 //!   CPU-64b baseline of Fig. 10).
-//! * [`Modulus128`] — Montgomery arithmetic for up-to-127-bit moduli (the
-//!   RPU's native 128-bit datapath).
+//! * [`Modulus128`] — Barrett/Shoup arithmetic for up-to-127-bit moduli
+//!   (the RPU's native 128-bit datapath).
 //! * NTT-friendly prime generation ([`find_ntt_prime_u128`]) and roots of
 //!   unity ([`primitive_root_of_unity`]) for twiddle tables.
 //! * [`RnsBasis`] — the Residue Number System decomposition of

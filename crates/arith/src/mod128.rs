@@ -33,16 +33,15 @@
 //!
 //! *Branch-free corrections.* Every conditional correction here — in
 //! [`add`](Modulus128::add), [`sub`](Modulus128::sub),
-//! [`neg`](Modulus128::neg), the end of the Barrett pass, the end of a
-//! Montgomery reduction and the end of a Shoup product (below) —
-//! subtracts first and then adds the modulus
+//! [`neg`](Modulus128::neg), the end of the Barrett pass and the end of
+//! a Shoup product (below) — subtracts first and then adds the modulus
 //! `m` back through a mask, `d + (m & sign(d))`, instead of comparing
 //! and branching: in an NTT the outcome of each comparison is a coin
 //! flip per lane, and the mispredictions cost a butterfly more than its
 //! eleven-word-multiply product. The sign test is exact because every
 //! corrected difference lies in `[−m, m)` — `a + b − q`, `a − b` and
-//! `0 − a` for reduced operands under `m = q`, the Montgomery and Shoup
-//! `r − q` with `r < 2q`, the Barrett `r − qn` with `r < 2·qn` — and
+//! `0 − a` for reduced operands under `m = q`, the Shoup `r − q` with
+//! `r < 2q`, the Barrett `r − qn` with `r < 2·qn` — and
 //! `m ≤ qn < 2^127`, so its two's-complement form is negative exactly
 //! when the difference is. [`reduce`](Modulus128::reduce) keeps its
 //! compare-first branch, the one exception: it guards a division, and
@@ -68,11 +67,10 @@
 //! or `a` reduced: the bound holds for every `u128` factor `a` and every
 //! modulus in range, and `2q < 2^128` keeps the remainder in one word.
 //!
-//! Montgomery form (`R = 2^128`, odd moduli only) stays available for
-//! callers that keep a factor in it across many products — the host NTT
-//! plans' twiddle tables, [`Modulus128::pow`] — where
-//! [`Modulus128::mont_mul_raw`] is the same eleven word multiplies
-//! without the shifts.
+//! These two are the only products. The host NTT plans multiply their
+//! twiddles through Shoup quotients, as the simulator's fast path does,
+//! and [`pow`](Modulus128::pow) is square-and-multiply over
+//! [`mul`](Modulus128::mul).
 
 use crate::U256;
 
@@ -83,12 +81,11 @@ const fn lift(d: u128, m: u128) -> u128 {
     d.wrapping_add(m & ((d as i128) >> 127) as u128)
 }
 
-/// A modulus `2 <= q < 2^127` with precomputed Barrett and Montgomery
-/// constants.
+/// A modulus `2 <= q < 2^127` with its precomputed Barrett constants.
 ///
 /// The `q < 2^127` bound keeps `a + b` (reduced operands), the Barrett
-/// remainder and the final Montgomery correction inside `u128`/`U256`
-/// without extra carry words and makes every correction's sign test
+/// remainder and the Shoup remainder inside `u128`/`U256` without extra
+/// carry words and makes every correction's sign test
 /// exact (module header); it is documented in DESIGN.md and does not
 /// restrict any workload in the paper (RNS tower primes are chosen well
 /// below the datapath width).
@@ -115,13 +112,6 @@ pub struct Modulus128 {
     qn: u128,
     /// `⌊(2^254 − 1) / qn⌋`, in `[2^127, 2^128)`.
     mu: u128,
-    /// `-q^{-1} mod 2^128`; only valid when `q` is odd.
-    neg_q_inv: u128,
-    /// `2^128 mod q` (the Montgomery representation of 1).
-    r_mod_q: u128,
-    /// `2^256 mod q` (used to convert into Montgomery form).
-    r2_mod_q: u128,
-    odd: bool,
 }
 
 impl Modulus128 {
@@ -136,43 +126,18 @@ impl Modulus128 {
         // `U256`'s limb path (`is_prime_u128` builds one of these per
         // candidate).
         let mu = U256::MAX.shr(2 + shift).div_rem_u128(q).0.lo();
-        let mut m = Modulus128 {
+        Some(Modulus128 {
             q,
             shift,
             qn: q << shift,
             mu,
-            neg_q_inv: 0,
-            r_mod_q: 0,
-            r2_mod_q: 0,
-            odd: q & 1 == 1,
-        };
-        if m.odd {
-            // Newton–Hensel iteration: x <- x(2 - qx) doubles the number of
-            // correct low bits each step; 7 steps reach 128 bits from 3.
-            let mut x: u128 = q; // correct mod 2^3 for odd q
-            for _ in 0..7 {
-                x = x.wrapping_mul(2u128.wrapping_sub(q.wrapping_mul(x)));
-            }
-            debug_assert_eq!(q.wrapping_mul(x), 1);
-            m.neg_q_inv = x.wrapping_neg();
-            // 2^128 mod q: odd q ≥ 3 never divides 2^128, so the `+ 1`
-            // cannot reach q.
-            m.r_mod_q = u128::MAX % q + 1;
-            m.r2_mod_q = m.mul(m.r_mod_q, m.r_mod_q);
-        }
-        Some(m)
+        })
     }
 
     /// Returns the modulus value.
     #[inline]
     pub const fn value(self) -> u128 {
         self.q
-    }
-
-    /// Returns `true` if the modulus is odd (it has a Montgomery form).
-    #[inline]
-    pub const fn is_odd(self) -> bool {
-        self.odd
     }
 
     /// Reduces an arbitrary `u128` into `[0, q)`.
@@ -209,49 +174,6 @@ impl Modulus128 {
     pub const fn neg(self, a: u128) -> u128 {
         debug_assert!(a < self.q);
         lift(a.wrapping_neg(), self.q)
-    }
-
-    /// Montgomery reduction: computes `t * 2^-128 mod q` for `t < q * 2^128`.
-    ///
-    /// Only callable for odd moduli (enforced by a debug assertion).
-    #[inline]
-    fn mont_reduce(self, t: U256) -> u128 {
-        debug_assert!(self.odd);
-        let m = t.lo().wrapping_mul(self.neg_q_inv);
-        let mq = U256::mul_wide(m, self.q);
-        let (sum, carry) = t.overflowing_add(mq);
-        // (t + m*q) / 2^128 < 2q < 2^128 because q < 2^127, so a carry out
-        // of the 256-bit sum is impossible.
-        debug_assert!(!carry);
-        lift(sum.hi().wrapping_sub(self.q), self.q)
-    }
-
-    /// Montgomery multiplication: `a * b * 2^-128 mod q` (odd `q` only).
-    #[inline]
-    fn mont_mul(self, a: u128, b: u128) -> u128 {
-        self.mont_reduce(U256::mul_wide(a, b))
-    }
-
-    /// Converts a reduced value into Montgomery form (`a * 2^128 mod q`).
-    #[inline]
-    pub fn to_mont(self, a: u128) -> u128 {
-        debug_assert!(self.odd, "Montgomery form requires an odd modulus");
-        self.mont_mul(a, self.r2_mod_q)
-    }
-
-    /// Converts a value out of Montgomery form.
-    #[inline]
-    pub fn from_mont(self, a: u128) -> u128 {
-        debug_assert!(self.odd, "Montgomery form requires an odd modulus");
-        self.mont_reduce(U256::from(a))
-    }
-
-    /// Multiplies two values that are both in Montgomery form, yielding a
-    /// Montgomery-form product. This is the hot path for the reference NTT.
-    #[inline]
-    pub fn mont_mul_raw(self, a: u128, b: u128) -> u128 {
-        debug_assert!(self.odd, "Montgomery form requires an odd modulus");
-        self.mont_mul(a, b)
     }
 
     /// Modular multiplication of reduced operands (normal domain): one
@@ -300,28 +222,15 @@ impl Modulus128 {
     /// Modular exponentiation by squaring.
     pub fn pow(self, base: u128, mut exp: u128) -> u128 {
         let mut base = self.reduce(base);
-        if self.odd {
-            let mut acc = self.r_mod_q; // 1 in Montgomery form
-            base = self.to_mont(base);
-            while exp > 0 {
-                if exp & 1 == 1 {
-                    acc = self.mont_mul(acc, base);
-                }
-                base = self.mont_mul(base, base);
-                exp >>= 1;
+        let mut acc = 1u128 % self.q;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = self.mul(acc, base);
             }
-            self.from_mont(acc)
-        } else {
-            let mut acc = 1u128 % self.q;
-            while exp > 0 {
-                if exp & 1 == 1 {
-                    acc = self.mul(acc, base);
-                }
-                base = self.mul(base, base);
-                exp >>= 1;
-            }
-            acc
+            base = self.mul(base, base);
+            exp >>= 1;
         }
+        acc
     }
 
     /// Modular inverse via Fermat's little theorem.
@@ -417,37 +326,16 @@ mod tests {
             assert_eq!(m.qn >> m.shift, q);
             let top = U256::MAX.shr(2); // 2^254 − 1
             assert_eq!(U256::from(m.mu), top.div_rem_u128(m.qn).0, "q={q}");
-            if m.odd {
-                assert_eq!(m.r_mod_q, U256::new(1, 0).rem_u128(q), "q={q}");
-                assert_eq!(m.r2_mod_q, naive_mul(m.r_mod_q, m.r_mod_q, q), "q={q}");
-            }
         }
     }
 
     #[test]
     fn mul_matches_naive_even() {
-        let q = (1u128 << 100) - 2; // even: no Montgomery form, same Barrett pass
+        let q = (1u128 << 100) - 2; // even: the same Barrett pass
         let m = Modulus128::new(q).unwrap();
         for (a, b) in [(q - 1, q - 1), (12345, 678910), (q / 2, 2)] {
             assert_eq!(m.mul(a, b), naive_mul(a, b, q));
         }
-    }
-
-    #[test]
-    fn mont_round_trip() {
-        let m = Modulus128::new(Q126()).unwrap();
-        for a in [0u128, 1, 42, Q126() - 1, Q126() / 7] {
-            assert_eq!(m.from_mont(m.to_mont(a)), a);
-        }
-    }
-
-    #[test]
-    fn mont_mul_raw_consistent() {
-        let m = Modulus128::new(Q126()).unwrap();
-        let (a, b) = (Q126() / 5, Q126() / 9);
-        let am = m.to_mont(a);
-        let bm = m.to_mont(b);
-        assert_eq!(m.from_mont(m.mont_mul_raw(am, bm)), m.mul(a, b));
     }
 
     #[test]
@@ -464,10 +352,6 @@ mod tests {
                     assert_eq!(m.add(a, b), (a + b) % q, "q={q} a={a} b={b}");
                     assert_eq!(m.sub(a, b), (a + q - b) % q, "q={q} a={a} b={b}");
                     assert_eq!(m.mul(a, b), naive_mul(a, b, q), "q={q} a={a} b={b}");
-                    let raw = m.mont_mul_raw(a, b);
-                    assert!(raw < q, "q={q} a={a} b={b}");
-                    let (x, y) = (m.from_mont(a), m.from_mont(b));
-                    assert_eq!(m.from_mont(raw), naive_mul(x, y, q), "q={q} a={a} b={b}");
                 }
             }
         }

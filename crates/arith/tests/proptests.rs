@@ -89,8 +89,7 @@ proptest! {
                                           (sb, rb) in (0u8..8, any::<u128>())) {
         // The interpreter, the fast path's plain arms and the golden
         // models all call `Modulus128::mul`, so this — exact 256-bit
-        // division, and Montgomery where it exists — is its only
-        // independent reference.
+        // division — is its only independent reference.
         for bits in 2..=127 {
             for q in moduli_of_width(bits, r) {
                 let m = Modulus128::new(q).expect("2 <= q < 2^127");
@@ -98,10 +97,6 @@ proptest! {
                 let expect = U256::mul_wide(a, b).rem_u128(q);
                 prop_assert_eq!(m.mul(a, b), expect, "q={} a={} b={}", q, a, b);
                 prop_assert_eq!(m.mul(b, a), expect, "q={} a={} b={}", q, b, a);
-                if m.is_odd() {
-                    let mont = m.mont_mul_raw(m.to_mont(a), m.to_mont(b));
-                    prop_assert_eq!(m.from_mont(mont), expect, "q={} a={} b={}", q, a, b);
-                }
             }
         }
     }
@@ -157,24 +152,6 @@ proptest! {
     }
 
     #[test]
-    fn mod128_mont_mul_raw_is_reduced_at_every_width(r in any::<u128>(),
-                                                     (sa, ra) in (0u8..8, any::<u128>()),
-                                                     (sb, rb) in (0u8..8, any::<u128>())) {
-        // `a` and `b` read as Montgomery forms: the product must come
-        // back below q and equal `mul` of the two normal forms.
-        for bits in 2..=127 {
-            for q in moduli_of_width(bits, r).into_iter().filter(|q| q & 1 == 1) {
-                let m = Modulus128::new(q).expect("2 <= q < 2^127");
-                let (a, b) = (biased_operand(sa, ra, q), biased_operand(sb, rb, q));
-                let raw = m.mont_mul_raw(a, b);
-                prop_assert!(raw < q, "q={} a={} b={}: {}", q, a, b, raw);
-                let expect = m.mul(m.from_mont(a), m.from_mont(b));
-                prop_assert_eq!(m.from_mont(raw), expect, "q={} a={} b={}", q, a, b);
-            }
-        }
-    }
-
-    #[test]
     fn mod128_distributive(m in arb_mod128(),
                            a in any::<u128>(), b in any::<u128>(), c in any::<u128>()) {
         let q = m.value();
@@ -194,16 +171,23 @@ proptest! {
     }
 
     #[test]
-    fn mod128_mont_round_trip(m in arb_mod128(), a in any::<u128>()) {
-        let a = a % m.value();
-        prop_assert_eq!(m.from_mont(m.to_mont(a)), a);
-    }
-
-    #[test]
-    fn mod128_pow_laws(m in arb_mod128(), a in any::<u128>(), e in 0u128..1000, f in 0u128..1000) {
-        let a = a % m.value();
-        // a^e * a^f = a^(e+f)
-        prop_assert_eq!(m.mul(m.pow(a, e), m.pow(a, f)), m.pow(a, e + f));
+    fn mod128_pow_laws(r in any::<u128>(), (sa, ra) in (0u8..8, any::<u128>()),
+                       e in 0u128..1000, f in 0u128..1000) {
+        // `pow` is square-and-multiply over `mul` for every modulus, odd
+        // or even: check it against repeated `mul` and a^e·a^f = a^(e+f).
+        for bits in 2..=127 {
+            for q in moduli_of_width(bits, r) {
+                let m = Modulus128::new(q).expect("2 <= q < 2^127");
+                let a = biased_operand(sa, ra, q);
+                let mut repeated = 1 % q;
+                for k in 0..8 {
+                    prop_assert_eq!(m.pow(a, k), repeated, "q={} a={} e={}", q, a, k);
+                    repeated = m.mul(repeated, a);
+                }
+                let lhs = m.mul(m.pow(a, e), m.pow(a, f));
+                prop_assert_eq!(lhs, m.pow(a, e + f), "q={} a={} e={} f={}", q, a, e, f);
+            }
+        }
     }
 
     #[test]

@@ -104,8 +104,7 @@ impl KernelSpec for AutomorphismSpec {
         let m0 = MReg::at(0);
         let mut program = Program::new(format!("autom{n}_g{g}_{style}"));
         // SDM image is [0, q]: the elementwise slot convention. The
-        // sign fix-up constants (±1) live in the VDM as vectors, not as
-        // SDM scalars, so there are no engine companions to bake.
+        // sign fix-up constants (±1) live in the VDM as vectors.
         program.push(Instruction::MLoad {
             rt: m0,
             base,

@@ -130,9 +130,7 @@ impl KernelSpec for ElementwiseSpec {
 /// checks (`n` a non-zero multiple of the vector length, a valid
 /// modulus, a working set of `regions` `n`-element windows within the
 /// address field) and a program whose first instruction loads `q` into
-/// `m0`. The SDM image is `[0, q]`: same slot convention as the NTT
-/// kernels, and no baked scalar multiplicands, so no engine companions
-/// to append (see `crate::kernel::scalar_companion`).
+/// `m0`. The SDM image is `[0, q]`: the NTT kernels' slot convention.
 pub(crate) fn pointwise_prologue(
     name: String,
     n: usize,

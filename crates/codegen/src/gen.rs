@@ -185,18 +185,11 @@ impl NttKernel {
         image
     }
 
-    /// Builds the SDM image: `[n^{-1}, q, companion(n^{-1})]`.
-    ///
-    /// Slot 2 is the engine companion of the final-scale constant
-    /// (`crate::kernel::scalar_companion`): the Shoup quotient of
-    /// `n^{-1}`, 64-bit for sub-63-bit moduli and 128-bit otherwise.
-    /// The generated programs only ever read slots 0 and 1; the
-    /// companion rides along so the image is complete for a hardware
-    /// lane engine. Fused kernels append further scalars after it.
+    /// Builds the SDM image: `[n^{-1}, q]`, the two scalars the
+    /// generated programs read. Fused kernels append further scalars
+    /// after them.
     pub fn sdm_image(&self) -> Vec<u128> {
-        let q = self.schedule.modulus().value();
-        let n_inv = self.schedule.n_inv();
-        vec![n_inv, q, crate::kernel::scalar_companion(q, n_inv)]
+        vec![self.schedule.n_inv(), self.schedule.modulus().value()]
     }
 
     /// Where the kernel's output lives in the VDM (element offset, length).
@@ -225,8 +218,7 @@ impl NttKernel {
     }
 
     fn prologue(&mut self) {
-        // MRF[0] <- q, SRF[0] <- n^{-1}; SDM image is
-        // [n_inv, q, companion(n_inv)].
+        // MRF[0] <- q, SRF[0] <- n^{-1}; SDM image is [n_inv, q].
         self.push(Instruction::MLoad {
             rt: MOD,
             base: BASE,

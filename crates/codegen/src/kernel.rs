@@ -14,20 +14,10 @@
 //!   whose [`KernelKey`] identifies the generated kernel for caching.
 
 use crate::{CodegenError, CodegenStyle, Direction, NttKernel};
-use rpu_arith::{Engine, EngineKind};
+use rpu_arith::EngineKind;
 use rpu_isa::{PredecodedProgram, Program};
 use rpu_sim::{ConstantTables, ExecError, FunctionalSim};
 use std::sync::OnceLock;
-
-/// The precomputed multiplication companion of scalar `w` under the
-/// engine that will service modulus `q` at dispatch: its Shoup quotient,
-/// `⌊w·2⁶⁴/q⌋` for sub-63-bit moduli and `⌊w·2¹²⁸/q⌋` for everything
-/// wider. Generators bake these next to the scalars they accompany so an
-/// SDM image carries everything a hardware lane engine would need — no
-/// on-device division at dispatch.
-pub(crate) fn scalar_companion(q: u128, w: u128) -> u128 {
-    Engine::new(q).expect("valid modulus").companion(w)
-}
 
 /// The workload class of a generated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -308,8 +298,7 @@ impl Kernel {
     /// The arithmetic engine dispatch selects for this kernel, derived
     /// from the modulus width: [`EngineKind::NativeU64`] below 2⁶³,
     /// [`EngineKind::Montgomery128`] otherwise. Recorded per dispatch in
-    /// `DispatchEvent` and matched by the SDM companion constants the
-    /// generator baked (`scalar_companion`).
+    /// `DispatchEvent`.
     pub fn engine(&self) -> EngineKind {
         EngineKind::for_modulus(self.key.q)
     }
@@ -612,7 +601,6 @@ pub(crate) fn push_relocated(dst: &mut Program, src: &Program, vdm_delta: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu_arith::{Modulus128, Modulus64};
 
     fn prime(n: usize) -> u128 {
         rpu_arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists")
@@ -657,34 +645,6 @@ mod tests {
             .generate()
             .unwrap();
         assert_eq!(narrow.engine(), EngineKind::NativeU64);
-    }
-
-    #[test]
-    fn sdm_images_carry_engine_companions() {
-        let n = 1024usize;
-        // Wide modulus: slot 2 is the 128-bit Shoup quotient of n^{-1}.
-        let q = prime(n);
-        let kernel = NttSpec::new(n, q, Direction::Inverse, CodegenStyle::Optimized)
-            .generate()
-            .unwrap();
-        let sdm = kernel.sdm_image();
-        let m = Modulus128::new(q).unwrap();
-        assert_eq!(sdm[1], q);
-        assert_eq!(sdm[2], m.shoup(sdm[0]));
-        assert_eq!(m.mul_shoup(12345, sdm[0], sdm[2]), m.mul(12345, sdm[0]));
-        // Narrow modulus: slot 2 is the Shoup quotient of n^{-1}.
-        let q59 = rpu_arith::find_ntt_prime_u64(59, 2 * n as u64).expect("prime exists");
-        let kernel = NttSpec::new(n, q59 as u128, Direction::Inverse, CodegenStyle::Optimized)
-            .generate()
-            .unwrap();
-        let sdm = kernel.sdm_image();
-        let m64 = Modulus64::new(q59).unwrap();
-        assert_eq!(sdm[2], m64.shoup(sdm[0] as u64) as u128);
-        // The companion actually multiplies correctly.
-        assert_eq!(
-            m64.mul_shoup(12345, sdm[0] as u64, sdm[2] as u64),
-            m64.mul(12345, sdm[0] as u64)
-        );
     }
 
     #[test]

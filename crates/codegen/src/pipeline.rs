@@ -16,7 +16,7 @@
 //! relocated to disjoint VDM windows (generated kernels address memory
 //! as `a0 + static offset`, so relocation is a static offset shift);
 //! the pointwise stage bridges the two forward outputs into the inverse
-//! input. All segments share one SDM block `[n^{-1}, q, companion(n^{-1})]`.
+//! input. All segments share one SDM block `[n^{-1}, q]`.
 
 use crate::elementwise::emit_pointwise;
 use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
@@ -109,7 +109,7 @@ impl KernelSpec for ConvolutionSpec {
             at(region_inv, inv.layout().twiddle_span()),
         ];
 
-        let sdm = fwd.sdm_image(); // [n_inv, q, companion(n_inv)], shared by all NTT segments
+        let sdm = fwd.sdm_image(); // [n_inv, q], shared by all NTT segments
         let (_, schedule) = fwd.into_parts();
         let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {

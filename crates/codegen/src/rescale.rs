@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! VDM:  [ fwd-NTT window: δ in, δ̂ out ][ ĉ ][ ĉ − δ̂ ][ out ]
-//! SDM:  [ n⁻¹, q, companion(n⁻¹), p⁻¹, companion(p⁻¹) ]
+//! SDM:  [ n⁻¹, q, p⁻¹ ]
 //! ```
 //!
 //! Because the NTT is linear and `δ`, `p⁻¹` are exact integers, the
@@ -92,13 +92,10 @@ impl KernelSpec for RescaleSpec {
         check_working_set(total)?;
 
         let p_inv = rpu_arith::mod_inverse(p % q, q);
-        // SDM layout: the NTT slots [n⁻¹, q, companion(n⁻¹)], then p⁻¹
-        // and its engine companion (its Shoup quotient at the width the
-        // engine the modulus selects at dispatch multiplies in).
+        // SDM layout: the NTT slots [n⁻¹, q], then p⁻¹.
         let mut sdm = fwd.sdm_image();
         let p_inv_slot = sdm.len();
         sdm.push(p_inv);
-        sdm.push(crate::kernel::scalar_companion(q, p_inv));
         let (fwd_out, _) = fwd.output_range();
         let mut program = Program::new(format!("rescale{n}_{style}"));
         // Forward transform of δ (window 0); its prologue leaves q in m0

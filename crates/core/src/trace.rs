@@ -18,7 +18,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use rpu_codegen::{EngineKind, KernelKey};
 
@@ -33,7 +33,7 @@ pub struct DispatchEvent {
     pub key: KernelKey,
     /// The arithmetic engine that serviced the dispatch, selected from
     /// the kernel's modulus width (`Kernel::engine()`): native u64
-    /// lanes below 2⁶³, 128-bit Montgomery otherwise. Stable across
+    /// lanes below 2⁶³, 128-bit lanes otherwise. Stable across
     /// snapshot/restore — a restored session re-derives the same engine
     /// from the re-pinned kernel's key.
     pub engine: EngineKind,
@@ -108,15 +108,22 @@ impl RingTraceSink {
         }
     }
 
+    /// The ring, recovered if a thread panicked while holding it:
+    /// [`record`](TraceSink::record) assigns `seq` and counts the event
+    /// before it pushes, so every guarded update leaves valid data.
+    fn state(&self) -> MutexGuard<'_, RingState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Total number of events ever recorded (including ones the ring
     /// has since dropped).
     pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("trace sink poisoned").recorded
+        self.state().recorded
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("trace sink poisoned").events.len()
+        self.state().events.len()
     }
 
     /// True if no events are retained.
@@ -126,14 +133,12 @@ impl RingTraceSink {
 
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<DispatchEvent> {
-        let inner = self.inner.lock().expect("trace sink poisoned");
-        inner.events.iter().cloned().collect()
+        self.state().events.iter().cloned().collect()
     }
 
     /// Drops all retained events (sequence numbering continues).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("trace sink poisoned");
-        inner.events.clear();
+        self.state().events.clear();
     }
 }
 
@@ -146,7 +151,7 @@ impl Default for RingTraceSink {
 
 impl TraceSink for RingTraceSink {
     fn record(&self, mut event: DispatchEvent) {
-        let mut inner = self.inner.lock().expect("trace sink poisoned");
+        let mut inner = self.state();
         event.seq = inner.recorded;
         inner.recorded += 1;
         if self.capacity == 0 {
@@ -159,12 +164,11 @@ impl TraceSink for RingTraceSink {
     }
 
     fn next_seq(&self) -> u64 {
-        self.inner.lock().expect("trace sink poisoned").recorded
+        self.state().recorded
     }
 
     fn events_since(&self, since: u64) -> Vec<DispatchEvent> {
-        let inner = self.inner.lock().expect("trace sink poisoned");
-        inner
+        self.state()
             .events
             .iter()
             .filter(|e| e.seq >= since)
@@ -253,6 +257,28 @@ mod tests {
         sink.clear();
         assert!(sink.is_empty());
         assert_eq!(sink.recorded(), 5);
+    }
+
+    #[test]
+    fn a_poisoned_ring_keeps_recording_and_reading() {
+        let sink = RingTraceSink::new(2);
+        sink.record(event());
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = sink.inner.lock();
+                panic!("a lane dies holding the trace lock");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(sink.inner.is_poisoned());
+        sink.record(event());
+        sink.record(event());
+        assert_eq!(sink.recorded(), 3);
+        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1, 2]);
+        assert_eq!(sink.events_since(2).len(), 1);
+        assert_eq!(sink.next_seq(), 3);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! The paper measured OpenFHE NTTs on a 32-core AMD EPYC 7502 for 64-bit
 //! and 128-bit data. We reproduce the *shape* of that comparison on the
-//! host CPU: a Harvey/Shoup 64-bit transform and a Montgomery 128-bit
-//! transform, single-threaded or multi-threaded (one thread per
-//! contiguous block of butterfly work inside every stage).
+//! host CPU: the same Shoup-twiddle transform at 64 and at 128 bits,
+//! single-threaded or multi-threaded (one thread per contiguous block
+//! of butterfly work inside every stage).
 //!
 //! Absolute numbers differ from the paper's testbed, which EXPERIMENTS.md
 //! records; the qualitative findings — speedup grows with ring size and
@@ -67,9 +67,9 @@ pub fn naive_inverse(m: Modulus128, psi: u128, x: &[u128]) -> Vec<u128> {
 /// Which CPU data width to benchmark (the two series of Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuWidth {
-    /// 64-bit residues with Harvey/Shoup butterflies.
+    /// 64-bit residues with Shoup butterflies.
     Bits64,
-    /// 128-bit residues with Montgomery butterflies.
+    /// 128-bit residues with Shoup butterflies.
     Bits128,
 }
 

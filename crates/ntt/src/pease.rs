@@ -28,7 +28,7 @@
 //! broadcast a scalar twiddle (Listing 1's `_vbroadcast`).
 
 use crate::NttError;
-use rpu_arith::{bit_reverse, primitive_root_of_unity, Modulus128};
+use rpu_arith::{bit_reverse, power_table, primitive_root_of_unity, Modulus128};
 
 /// The constant-geometry NTT schedule: per-stage twiddles plus scalar
 /// forward/inverse reference transforms.
@@ -53,22 +53,21 @@ pub struct PeaseSchedule {
     log_n: u32,
     q: Modulus128,
     psi: u128,
-    /// `stage_tw_mont[s][r]` = twiddle for sub-ring `r` at stage `s`
-    /// (`r = j mod 2^s` for pair index `j`), in Montgomery form: the one
-    /// table both [`forward`](PeaseSchedule::forward) and
+    /// `stage_tw[s][r]` = twiddle for sub-ring `r` at stage `s`
+    /// (`r = j mod 2^s` for pair index `j`): the one table both
+    /// [`forward`](PeaseSchedule::forward) and
     /// [`inverse`](PeaseSchedule::inverse) read. Sub-ring `r` at stage
     /// `s` is `(x^{n/2^s} − psi^e)` with `e = (2·bitrev_s(r) + 1)·n/2^s`,
     /// so its inverse twiddle `psi^{−e/2} = −psi^{n − e/2}` is the
     /// negated twiddle of sub-ring `r ^ (2^s − 1)`, whose exponent is
-    /// `n − e/2`; and the normal-domain twiddles code generation asks for
-    /// are converted back on demand. A schedule — which a kernel's
-    /// golden model keeps — holds one table and nothing derivable.
-    stage_tw_mont: Vec<Vec<u128>>,
+    /// `n − e/2`. A schedule — which a kernel's golden model keeps —
+    /// holds one table and nothing derivable.
+    stage_tw: Vec<Vec<u128>>,
     n_inv: u128,
 }
 
 impl PeaseSchedule {
-    /// Builds the schedule for ring degree `n` (power of two ≥ 2) and odd
+    /// Builds the schedule for ring degree `n` (power of two ≥ 2) and
     /// prime `q ≡ 1 (mod 2n)`.
     ///
     /// # Errors
@@ -79,19 +78,18 @@ impl PeaseSchedule {
             return Err(NttError::InvalidDegree(n));
         }
         let modulus = Modulus128::new(q).ok_or(NttError::InvalidModulus)?;
-        if !modulus.is_odd() {
-            return Err(NttError::InvalidModulus);
-        }
         let psi = primitive_root_of_unity(modulus, 2 * n as u128)
             .map_err(|_| NttError::NoRootOfUnity { degree: n })?;
         let log_n = n.trailing_zeros();
 
-        let mut stage_tw_mont = Vec::with_capacity(log_n as usize);
+        // Every sub-ring exponent is below 2n, so its twiddle psi^(e/2)
+        // is an entry of one table of psi's first n powers.
+        let powers = power_table(modulus, psi, n);
+        let mut stage_tw = Vec::with_capacity(log_n as usize);
         // The sub-ring exponents of stage s (`exponents` below).
         let mut exps = vec![n as u128];
         for _ in 0..log_n {
-            let twiddle = |&e: &u128| modulus.to_mont(modulus.pow(psi, e / 2));
-            stage_tw_mont.push(exps.iter().map(twiddle).collect());
+            stage_tw.push(exps.iter().map(|&e| powers[(e / 2) as usize]).collect());
             exps = exps.iter().flat_map(|&e| exponents(e, n)).collect();
         }
         let n_inv = modulus.inv(n as u128 % q);
@@ -100,7 +98,7 @@ impl PeaseSchedule {
             log_n,
             q: modulus,
             psi,
-            stage_tw_mont,
+            stage_tw,
             n_inv,
         })
     }
@@ -141,9 +139,9 @@ impl PeaseSchedule {
         self.sub_ring_twiddle(s, j & ((1 << s) - 1))
     }
 
-    /// Sub-ring `r`'s twiddle at stage `s`, in the normal domain.
+    /// Sub-ring `r`'s twiddle at stage `s`.
     fn sub_ring_twiddle(&self, s: u32, r: usize) -> u128 {
-        self.q.from_mont(self.stage_tw_mont[s as usize][r])
+        self.stage_tw[s as usize][r]
     }
 
     /// The distinct twiddle vectors needed at stage `s` for vector length
@@ -182,7 +180,7 @@ impl PeaseSchedule {
             vlen.is_power_of_two(),
             "vector length must be a power of two"
         );
-        let period = self.stage_tw_mont[s as usize].len(); // 2^s
+        let period = self.stage_tw[s as usize].len(); // 2^s
         let count = (period / vlen).max(1);
         (0..count)
             .map(|v| {
@@ -197,7 +195,7 @@ impl PeaseSchedule {
     /// [`twiddle_vectors`](PeaseSchedule::twiddle_vectors)) pair block `m`
     /// (pairs `m*vlen .. (m+1)*vlen`) uses at stage `s`.
     pub fn twiddle_vector_index(&self, s: u32, block: usize, vlen: usize) -> usize {
-        let period = self.stage_tw_mont[s as usize].len();
+        let period = self.stage_tw[s as usize].len();
         let count = (period / vlen).max(1);
         block % count
     }
@@ -215,12 +213,10 @@ impl PeaseSchedule {
         let mut cur = x.to_vec();
         let mut next = vec![0u128; self.n];
         for s in 0..self.log_n {
-            let tw = &self.stage_tw_mont[s as usize];
+            let tw = &self.stage_tw[s as usize];
             let mask = tw.len() - 1;
             for j in 0..half {
-                // Montgomery-form twiddle × normal-domain data gives a
-                // normal-domain product in one reduction.
-                let t = q.mont_mul_raw(cur[j + half], tw[j & mask]);
+                let t = q.mul(cur[j + half], tw[j & mask]);
                 next[2 * j] = q.add(cur[j], t);
                 next[2 * j + 1] = q.sub(cur[j], t);
             }
@@ -242,7 +238,7 @@ impl PeaseSchedule {
         let mut cur = x.to_vec();
         let mut next = vec![0u128; self.n];
         for s in (0..self.log_n).rev() {
-            let tw = &self.stage_tw_mont[s as usize];
+            let tw = &self.stage_tw[s as usize];
             let mask = tw.len() - 1;
             for j in 0..half {
                 // Undo: y0 = a + t b, y1 = a - t b (the /2 is folded into
@@ -251,13 +247,12 @@ impl PeaseSchedule {
                 // (y1 − y0)·tw[r ^ mask].
                 let (y0, y1) = (cur[2 * j], cur[2 * j + 1]);
                 next[j] = q.add(y0, y1);
-                next[j + half] = q.mont_mul_raw(q.sub(y1, y0), tw[(j & mask) ^ mask]);
+                next[j + half] = q.mul(q.sub(y1, y0), tw[(j & mask) ^ mask]);
             }
             core::mem::swap(&mut cur, &mut next);
         }
-        let n_inv_mont = q.to_mont(self.n_inv);
         for v in cur.iter_mut() {
-            *v = q.mont_mul_raw(*v, n_inv_mont);
+            *v = q.mul(*v, self.n_inv);
         }
         cur
     }
@@ -316,6 +311,11 @@ mod tests {
         assert!(matches!(
             PeaseSchedule::new(64, 97), // 97 ≢ 1 mod 128
             Err(NttError::NoRootOfUnity { degree: 64 })
+        ));
+        // An even q: q − 1 is odd, so no 2n divides it.
+        assert!(matches!(
+            PeaseSchedule::new(8, 98),
+            Err(NttError::NoRootOfUnity { degree: 8 })
         ));
     }
 

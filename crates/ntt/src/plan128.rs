@@ -2,14 +2,15 @@
 //!
 //! Used two ways in this reproduction: as the golden reference the RPU's
 //! functional simulator is validated against (the role OpenFHE outputs
-//! played in the paper), and as the "CPU-128b" baseline of Fig. 10. The
-//! butterflies keep data in Montgomery form throughout, so each multiply
-//! costs a single Montgomery reduction.
+//! played in the paper), and as the "CPU-128b" baseline of Fig. 10. It
+//! is [`Ntt64Plan`](crate::Ntt64Plan)'s algorithm at twice the width:
+//! every twiddle carries its Shoup quotient, so each butterfly multiply
+//! is one [`Modulus128::mul_shoup`] on normal-domain data.
 
 use crate::NttError;
 use rpu_arith::{power_table_bitrev, primitive_root_of_unity, Modulus128};
 
-/// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` with an odd prime
+/// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` with a prime
 /// `q < 2^127`.
 ///
 /// Same ordering conventions as [`Ntt64Plan`](crate::Ntt64Plan): forward
@@ -37,17 +38,19 @@ pub struct Ntt128Plan {
     log_n: u32,
     q: Modulus128,
     psi: u128,
-    /// Montgomery-form `psi^bitrev(i)`.
-    fwd_mont: Vec<u128>,
-    /// Montgomery-form `psi^{-bitrev(i)}`.
-    inv_mont: Vec<u128>,
-    /// Montgomery-form `n^{-1}`.
-    n_inv_mont: u128,
+    /// `psi^bitrev(i)` for CT stages, with Shoup quotients.
+    fwd: Vec<u128>,
+    fwd_shoup: Vec<u128>,
+    /// `psi^{-bitrev(i)}` for GS stages, with Shoup quotients.
+    inv: Vec<u128>,
+    inv_shoup: Vec<u128>,
+    n_inv: u128,
+    n_inv_shoup: u128,
 }
 
 impl Ntt128Plan {
-    /// Plans a transform for ring degree `n` (power of two ≥ 2) and odd
-    /// prime modulus `q ≡ 1 (mod 2n)`, `q < 2^127`.
+    /// Plans a transform for ring degree `n` (power of two ≥ 2) and prime
+    /// modulus `q ≡ 1 (mod 2n)`, `q < 2^127`.
     ///
     /// # Errors
     ///
@@ -57,33 +60,29 @@ impl Ntt128Plan {
             return Err(NttError::InvalidDegree(n));
         }
         let modulus = Modulus128::new(q).ok_or(NttError::InvalidModulus)?;
-        if !modulus.is_odd() {
-            return Err(NttError::InvalidModulus);
-        }
         let psi = primitive_root_of_unity(modulus, 2 * n as u128)
             .map_err(|_| NttError::NoRootOfUnity { degree: n })?;
         let log_n = n.trailing_zeros();
         let psi_inv = modulus.inv(psi);
 
         // Twiddle tables come from the shared rpu-arith power-table
-        // helper, held in Montgomery form (w·R mod q; the modulus is odd).
-        let fwd_mont: Vec<u128> = power_table_bitrev(modulus, psi, n)
-            .into_iter()
-            .map(|w| modulus.to_mont(w))
-            .collect();
-        let inv_mont: Vec<u128> = power_table_bitrev(modulus, psi_inv, n)
-            .into_iter()
-            .map(|w| modulus.to_mont(w))
-            .collect();
-        let n_inv_mont = modulus.to_mont(modulus.inv(n as u128 % q));
+        // helper, each entry beside its Shoup quotient.
+        let fwd = power_table_bitrev(modulus, psi, n);
+        let inv = power_table_bitrev(modulus, psi_inv, n);
+        let fwd_shoup = fwd.iter().map(|&w| modulus.shoup(w)).collect();
+        let inv_shoup = inv.iter().map(|&w| modulus.shoup(w)).collect();
+        let n_inv = modulus.inv(n as u128 % q);
         Ok(Ntt128Plan {
             n,
             log_n,
             q: modulus,
             psi,
-            fwd_mont,
-            inv_mont,
-            n_inv_mont,
+            fwd,
+            fwd_shoup,
+            inv,
+            inv_shoup,
+            n_inv,
+            n_inv_shoup: modulus.shoup(n_inv),
         })
     }
 
@@ -115,27 +114,22 @@ impl Ntt128Plan {
     pub fn forward(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must equal ring degree");
         let q = self.q;
-        for v in x.iter_mut() {
-            *v = q.to_mont(*v);
-        }
         let mut t = self.n;
         let mut m = 1usize;
         while m < self.n {
             t >>= 1;
             for i in 0..m {
                 let j1 = 2 * i * t;
-                let s = self.fwd_mont[m + i];
+                let s = self.fwd[m + i];
+                let s_sh = self.fwd_shoup[m + i];
                 for j in j1..j1 + t {
                     let u = x[j];
-                    let v = q.mont_mul_raw(x[j + t], s);
+                    let v = q.mul_shoup(x[j + t], s, s_sh);
                     x[j] = q.add(u, v);
                     x[j + t] = q.sub(u, v);
                 }
             }
             m <<= 1;
-        }
-        for v in x.iter_mut() {
-            *v = q.from_mont(*v);
         }
     }
 
@@ -148,21 +142,19 @@ impl Ntt128Plan {
     pub fn inverse(&self, x: &mut [u128]) {
         assert_eq!(x.len(), self.n, "input length must equal ring degree");
         let q = self.q;
-        for v in x.iter_mut() {
-            *v = q.to_mont(*v);
-        }
         let mut t = 1usize;
         let mut m = self.n;
         while m > 1 {
             let h = m / 2;
             let mut j1 = 0usize;
             for i in 0..h {
-                let s = self.inv_mont[h + i];
+                let s = self.inv[h + i];
+                let s_sh = self.inv_shoup[h + i];
                 for j in j1..j1 + t {
                     let u = x[j];
                     let v = x[j + t];
                     x[j] = q.add(u, v);
-                    x[j + t] = q.mont_mul_raw(q.sub(u, v), s);
+                    x[j + t] = q.mul_shoup(q.sub(u, v), s, s_sh);
                 }
                 j1 += 2 * t;
             }
@@ -170,7 +162,7 @@ impl Ntt128Plan {
             m = h;
         }
         for v in x.iter_mut() {
-            *v = q.from_mont(q.mont_mul_raw(*v, self.n_inv_mont));
+            *v = q.mul_shoup(*v, self.n_inv, self.n_inv_shoup);
         }
     }
 
@@ -209,6 +201,17 @@ impl Ntt128Plan {
 mod tests {
     use super::*;
     use crate::testutil::{plan128, schoolbook_negacyclic};
+
+    #[test]
+    fn rejects_an_even_modulus() {
+        // q − 1 is odd, so no 2n divides it: root search finds none.
+        for q in [98u128, (1 << 126) + 2] {
+            assert_eq!(
+                Ntt128Plan::new(8, q).unwrap_err(),
+                NttError::NoRootOfUnity { degree: 8 }
+            );
+        }
+    }
 
     #[test]
     fn round_trip_many_sizes() {

@@ -38,10 +38,10 @@ pub struct Ntt64Plan {
     log_n: u32,
     q: Modulus64,
     psi: u64,
-    /// `psi^bitrev(i)` for CT stages, with Shoup companions.
+    /// `psi^bitrev(i)` for CT stages, with Shoup quotients.
     fwd: Vec<u64>,
     fwd_shoup: Vec<u64>,
-    /// `psi^{-bitrev(i)}` for GS stages, with Shoup companions.
+    /// `psi^{-bitrev(i)}` for GS stages, with Shoup quotients.
     inv: Vec<u64>,
     inv_shoup: Vec<u64>,
     n_inv: u64,

@@ -6,14 +6,16 @@
 use crate::{Ntt128Plan, PeaseSchedule};
 use rpu_arith::Modulus128;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Returns a cached NTT-friendly prime `q ≡ 1 (mod modulo)` just below
 /// `2^bits`. Prime search is deterministic, so caching is sound.
 pub fn cached_prime(bits: u32, modulo: u128) -> u128 {
     static CACHE: OnceLock<Mutex<HashMap<(u32, u128), u128>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut guard = cache.lock().expect("prime cache poisoned");
+    // Every entry is inserted whole, so a panic elsewhere in a test
+    // leaves the cache valid.
+    let mut guard = cache.lock().unwrap_or_else(PoisonError::into_inner);
     *guard
         .entry((bits, modulo))
         .or_insert_with(|| rpu_arith::find_ntt_prime_u128(bits, modulo).expect("prime exists"))

@@ -1,11 +1,14 @@
 //! Golden-vector tests: every fast transform (the iterative 64- and
 //! 128-bit plans and the Pease constant-geometry schedule) is checked
 //! element-for-element against the naive `O(n²)` reference in
-//! `rpu_ntt::baseline`, for small rings in both directions.
+//! `rpu_ntt::baseline`, for small rings in both directions; and one
+//! fixed seed's scheme output is pinned as literals.
 
 use rpu_arith::{bit_reverse, Modulus128};
 use rpu_ntt::baseline::{naive_forward, naive_inverse};
-use rpu_ntt::{Ntt128Plan, Ntt64Plan, PeaseSchedule};
+use rpu_ntt::leveled::LeveledContext;
+use rpu_ntt::rlwe::{RlweContext, RlweParams, Splitmix};
+use rpu_ntt::{Ntt128Plan, Ntt64Plan, PeaseSchedule, Polynomial};
 
 const SIZES: [usize; 3] = [8, 16, 64];
 
@@ -168,4 +171,99 @@ fn pease_standard_permutation_consistent_with_naive() {
             assert_eq!(standard[perm[p]], pease[p], "n={n} p={p}");
         }
     }
+}
+
+/// The first two words of `p` (evaluation form, as stored).
+fn head(p: &Polynomial) -> [u128; 2] {
+    [p.values()[0], p.values()[1]]
+}
+
+#[test]
+fn scheme_vector_of_a_fixed_seed() {
+    // Host and device sample through one copy of each draw, so no
+    // differential suite notices a reordered draw: this pins the stream,
+    // the secret key and a ciphertext of one seed as literals, on one
+    // 126-bit single-modulus context and a two-tower 59-bit chain.
+    const N: usize = 64;
+    const T: u128 = 257;
+    const SEED: u64 = 0x601D_5EED;
+    let message: Vec<u128> = (0..N as u128).map(|i| (i * 5 + 3) % T).collect();
+
+    let mut rng = Splitmix::new(SEED);
+    let draws = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+    assert_eq!(
+        draws,
+        [
+            2577022850582050420,
+            9112579856464184963,
+            4643397193641111637
+        ]
+    );
+
+    let q = rpu_arith::find_ntt_prime_u128(126, 2 * N as u128).expect("prime exists");
+    assert_eq!(q, 85070591730234615865843651857942040321);
+    let ctx = RlweContext::new(RlweParams { n: N, q, t: T }).expect("valid parameters");
+    let mut rng = Splitmix::new(SEED);
+    let sk = ctx.keygen(&mut rng);
+    let mut s = Polynomial::from_coeffs(ctx.plan(), sk.s_coeffs()).expect("length matches");
+    s.to_evaluation();
+    let ct = ctx.encrypt(&sk, &message, &mut rng);
+    assert_eq!(
+        head(&s),
+        [
+            84512650758308859834705225146793662930,
+            84837771519957842348929190519772203919
+        ],
+        "secret key"
+    );
+    assert_eq!(
+        head(ct.a()),
+        [
+            78820043334569714335402809446350594783,
+            34440576345582269721268252140769887630
+        ],
+        "mask"
+    );
+    assert_eq!(
+        head(ct.b()),
+        [
+            60919365250776941842686705458060094437,
+            64148541985058954216291430431591129947
+        ],
+        "payload"
+    );
+
+    let lv = LeveledContext::generate(N, T, 59, 2).expect("two 59-bit primes exist");
+    assert_eq!(
+        lv.chain().primes(),
+        [576460752303421441, 576460752301941121]
+    );
+    let mut rng = Splitmix::new(SEED);
+    let sk = lv.keygen(&mut rng);
+    let ct = lv.encrypt(&sk, &message, &mut rng);
+    let towers = |k: usize| {
+        [
+            head(&sk.towers()[k]),
+            head(&ct.a_towers()[k]),
+            head(&ct.b_towers()[k]),
+        ]
+    };
+    assert_eq!(
+        towers(0),
+        [
+            [552181817879492879, 93472707574273254],
+            [520523745382162715, 327926330845836000],
+            [230967169135133682, 268558866087112485]
+        ],
+        "tower 0: secret key, mask, payload"
+    );
+    assert_eq!(
+        towers(1),
+        [
+            [220398836559562696, 209419794682502544],
+            [328471555392376185, 83511772444935642],
+            [13805917012177733, 437029821382573636]
+        ],
+        "tower 1: secret key, mask, payload"
+    );
 }

@@ -189,8 +189,8 @@ macro_rules! on_store {
     };
 }
 
-/// Prepared engines per modulus value (Montgomery / Barrett constants
-/// are expensive to derive), shared by both executors, behind a
+/// Prepared engines per modulus value (Barrett constants are
+/// expensive to derive), shared by both executors, behind a
 /// one-entry memo: a kernel names one modulus in nearly every compute
 /// instruction, and the memo spares those the hash of a `u128`.
 #[derive(Debug, Clone, Default)]

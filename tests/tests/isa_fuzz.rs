@@ -45,9 +45,8 @@
 //! from a constant table — what the constants shape does constantly and
 //! every generated kernel does with its twiddles — and in every
 //! `vsmulmod`. The 127-bit primes put factors on both sides of 2¹²⁶
-//! (the Barrett pass multiplies those negated); the even modulus, which
-//! has no Montgomery form, carries the second table: Shoup needs no odd
-//! modulus. `RPU_FUZZ_WIDTH` (`small` | `wide` |
+//! (the Barrett pass multiplies those negated); the even modulus
+//! carries the second table: Shoup needs no odd modulus. `RPU_FUZZ_WIDTH` (`small` | `wide` |
 //! `both`, default `both`) pins the classes a run samples — CI's
 //! small-prime leg sets `small`.
 //!
@@ -842,9 +841,9 @@ proptest! {
 
     /// Interpreter == fast path == encode/decode round trip, on outcome
     /// and on all observable state, for random legal programs in both
-    /// modulus-width classes (native-u64 and Montgomery-residency
-    /// engines). On divergence, the failure message carries a greedily
-    /// shrunken minimal reproducer instead of the raw random program.
+    /// modulus-width classes (native-u64 and 128-bit engines). On
+    /// divergence, the failure message carries a greedily shrunken
+    /// minimal reproducer instead of the raw random program.
     #[test]
     fn three_executions_of_a_random_program_agree(
         seed in any::<u64>(),
@@ -902,7 +901,7 @@ proptest! {
 /// range: a toy prime and the Mersenne prime 2⁶¹ − 1 (native-u64
 /// engine), then three the Montgomery-128 engine services on 64-bit
 /// lanes — the largest prime below 2⁶⁴, 2⁶⁴ − 1 itself (odd, composite)
-/// and an even one with no Montgomery form.
+/// and an even one.
 const NARROW_MODULI: [u128; 5] = [
     97,
     (1 << 61) - 1,
