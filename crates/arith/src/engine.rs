@@ -5,24 +5,24 @@
 //! function `a ⊙ b mod q`; what differs between moduli is *how cheaply*
 //! that function can be computed. [`Engine`] is a `Copy` dispatch enum
 //! over the two concrete implementations, selected by modulus width,
-//! that the simulator's hot loops match on once per instruction:
+//! that the simulator's fast path matches on once per instruction:
 //!
-//! * [`Engine::Mont128`] — [`Modulus128`]: a multiply is one normalised
+//! * [`Engine::Wide`] — [`Modulus128`]: a multiply is one normalised
 //!   Barrett pass (eleven word multiplies, odd or even modulus alike),
 //!   and a factor whose Shoup quotient is known — a kernel's twiddles,
 //!   a vector-scalar multiply's scalar — multiplies through
-//!   [`Modulus128::mul_shoup`], one high product and two low ones, which
-//!   the simulator's fast path uses. (The name is historical: every
-//!   product here is Barrett or Shoup.)
-//! * [`Engine::Native64`] — [`Modulus64`] applied lane-wise to the
+//!   [`Modulus128::mul_shoup`], one high product and two low ones.
+//! * [`Engine::Narrow`] — [`Modulus64`] applied lane-wise to the
 //!   simulator's register files: each lane is reduced to a canonical
 //!   `u64`, multiplied with one 64×64→128 widening multiply plus a
 //!   single-word Barrett (or Shoup) reduction, and widened back.
 //!   Selected whenever the modulus fits 63 bits.
 //!
-//! Both compute the *same* canonical results for the same inputs, so
-//! interpreter semantics are engine-independent; the differential and
-//! `isa_fuzz` suites pin this on both width classes. Host-side code that
+//! Both compute the *same* canonical results for the same inputs. The
+//! simulator's interpreter, the reference the fast path is checked
+//! against, computes every modulus with [`Modulus128`] and never selects
+//! an engine, so the differential and `isa_fuzz` suites compare the
+//! narrow engine with an independent arithmetic. Host-side code that
 //! knows its width (NTT plans, golden models) calls [`Modulus64`] /
 //! [`Modulus128`] directly.
 
@@ -35,7 +35,8 @@ use crate::mod64::Modulus64;
 pub enum EngineKind {
     /// 128-bit lanes (`Modulus128`: Barrett products, Shoup products by
     /// known constants), the only engine valid for moduli of 64..127
-    /// bits.
+    /// bits. The name, and its `"mont128"` display, are historical: the
+    /// benchmark's metric names carry them.
     Montgomery128,
     /// Lane-wise native `u64` arithmetic (`Modulus64`) over the
     /// simulator's `u128` registers, for moduli below 2⁶³.
@@ -69,17 +70,17 @@ impl core::fmt::Display for EngineKind {
 /// calling through a vtable per lane.
 ///
 /// Selection rule (shared with [`EngineKind::for_modulus`]): moduli
-/// below 2⁶³ run on [`Engine::Native64`]; everything else runs on
-/// [`Engine::Mont128`]. Validity is *exactly* the [`Modulus128::new`]
-/// range `[2, 2^127)`, so a modulus the interpreter faults on
-/// (`InvalidModulus`) faults identically regardless of width.
+/// below 2⁶³ run on [`Engine::Narrow`]; everything else runs on
+/// [`Engine::Wide`]. Validity is *exactly* the [`Modulus128::new`]
+/// range `[2, 2^127)`, so the moduli an engine refuses are the ones the
+/// interpreter's `Modulus128` faults on (`InvalidModulus`).
 #[derive(Debug, Clone, Copy)]
 pub enum Engine {
     /// 128-bit lanes: Barrett products, Shoup products by known
     /// constants.
-    Mont128(Modulus128),
+    Wide(Modulus128),
     /// Native `u64` lanes (q < 2⁶³).
-    Native64(Modulus64),
+    Narrow(Modulus64),
 }
 
 impl Engine {
@@ -89,25 +90,25 @@ impl Engine {
         if q < (1u128 << 63) {
             // In-range for the native tier iff in-range for Modulus128:
             // both reject q < 2. u64 conversion cannot fail below 2^63.
-            Modulus64::new(q as u64).map(Engine::Native64)
+            Modulus64::new(q as u64).map(Engine::Narrow)
         } else {
-            Modulus128::new(q).map(Engine::Mont128)
+            Modulus128::new(q).map(Engine::Wide)
         }
     }
 
     /// Which strategy this engine dispatches to.
     pub fn kind(self) -> EngineKind {
         match self {
-            Engine::Mont128(_) => EngineKind::Montgomery128,
-            Engine::Native64(_) => EngineKind::NativeU64,
+            Engine::Wide(_) => EngineKind::Montgomery128,
+            Engine::Narrow(_) => EngineKind::NativeU64,
         }
     }
 
     /// The modulus `q`.
     pub fn value(self) -> u128 {
         match self {
-            Engine::Mont128(m) => m.value(),
-            Engine::Native64(m) => m.value() as u128,
+            Engine::Wide(m) => m.value(),
+            Engine::Narrow(m) => m.value() as u128,
         }
     }
 
@@ -115,8 +116,8 @@ impl Engine {
     #[inline]
     pub fn reduce(self, a: u128) -> u128 {
         match self {
-            Engine::Mont128(m) => m.reduce(a),
-            Engine::Native64(m) => m.reduce_wide(a) as u128,
+            Engine::Wide(m) => m.reduce(a),
+            Engine::Narrow(m) => m.reduce_wide(a) as u128,
         }
     }
 
@@ -124,8 +125,8 @@ impl Engine {
     #[inline]
     pub fn add(self, a: u128, b: u128) -> u128 {
         match self {
-            Engine::Mont128(m) => m.add(a, b),
-            Engine::Native64(m) => m.add(a as u64, b as u64) as u128,
+            Engine::Wide(m) => m.add(a, b),
+            Engine::Narrow(m) => m.add(a as u64, b as u64) as u128,
         }
     }
 
@@ -133,8 +134,8 @@ impl Engine {
     #[inline]
     pub fn sub(self, a: u128, b: u128) -> u128 {
         match self {
-            Engine::Mont128(m) => m.sub(a, b),
-            Engine::Native64(m) => m.sub(a as u64, b as u64) as u128,
+            Engine::Wide(m) => m.sub(a, b),
+            Engine::Narrow(m) => m.sub(a as u64, b as u64) as u128,
         }
     }
 
@@ -142,8 +143,8 @@ impl Engine {
     #[inline]
     pub fn mul(self, a: u128, b: u128) -> u128 {
         match self {
-            Engine::Mont128(m) => m.mul(a, b),
-            Engine::Native64(m) => m.mul(a as u64, b as u64) as u128,
+            Engine::Wide(m) => m.mul(a, b),
+            Engine::Narrow(m) => m.mul(a as u64, b as u64) as u128,
         }
     }
 }
@@ -183,8 +184,8 @@ mod tests {
         );
         let wide = find_ntt_prime_u128(126, 2048).unwrap();
         assert_eq!(EngineKind::for_modulus(wide), EngineKind::Montgomery128);
-        assert!(matches!(Engine::new(3329), Some(Engine::Native64(_))));
-        assert!(matches!(Engine::new(wide), Some(Engine::Mont128(_))));
+        assert!(matches!(Engine::new(3329), Some(Engine::Narrow(_))));
+        assert!(matches!(Engine::new(wide), Some(Engine::Wide(_))));
     }
 
     #[test]
@@ -210,7 +211,7 @@ mod tests {
     fn all_engines_agree_on_a_shared_modulus() {
         let q = find_ntt_prime_u64(59, 2048).unwrap();
         let (m128, m64, engine) = tiers_for(q);
-        let wide = Engine::Mont128(m128);
+        let wide = Engine::Wide(m128);
         let samples = [0u128, 1, 2, 17, q as u128 - 2, q as u128 - 1];
         for &a in &samples {
             for &b in &samples {
@@ -246,7 +247,7 @@ mod tests {
             for b in [1u128, 2, 1664, 3327] {
                 assert_eq!(m128.mul(a, b), m64.mul(a as u64, b as u64) as u128);
                 assert_eq!(m128.mul(a, b), engine.mul(a, b));
-                assert_eq!(m128.mul(a, b), Engine::Mont128(m128).mul(a, b));
+                assert_eq!(m128.mul(a, b), Engine::Wide(m128).mul(a, b));
             }
         }
         // An even modulus has a Shoup quotient all the same.

@@ -24,8 +24,8 @@ const fn lift(d: u64, m: u64) -> u64 {
     d.wrapping_add(m & ((d as i64) >> 63) as u64)
 }
 
-/// A prime (or at least odd) modulus `q < 2^63` with precomputed Barrett
-/// constants.
+/// A modulus `2 <= q < 2^63`, prime or not, odd or even, with its
+/// precomputed Barrett constants.
 ///
 /// The `q < 2^63` bound guarantees that `a + b` for reduced operands never
 /// overflows `u64` and that every correction's sign test is exact.
@@ -59,12 +59,9 @@ impl Modulus64 {
         if !(2..1u64 << 63).contains(&q) {
             return None;
         }
-        // floor(2^128 / q) via 128-bit long division in two steps:
-        //   hi = floor(2^64 / q) ... but we need the full 128-bit quotient.
-        // Compute floor((2^128 - 1) / q); since q does not divide 2^128
-        // exactly unless q is a power of two (excluded: q >= 2 and odd in
-        // practice), the difference only matters when q | 2^128. Handle the
-        // exact case by noting floor(2^128/q) = floor((2^128-1)/q) + [q | 2^128].
+        // floor(2^128 / q) = floor((2^128 - 1) / q) + [q | 2^128]: the
+        // correction is one exactly when q is a power of two, a valid
+        // (even) modulus like any other.
         let max = u128::MAX;
         let mut quot = max / q as u128;
         if max % q as u128 == q as u128 - 1 {

@@ -59,7 +59,7 @@ impl ConstantTables {
         let total: usize = spans.iter().map(|&(_, len)| len).sum();
         assert_eq!(values.len(), total, "one value per span element");
         let quotients = match Engine::new(q) {
-            Some(Engine::Mont128(m)) => values.iter().map(|&w| m.shoup(m.reduce(w))).collect(),
+            Some(Engine::Wide(m)) => values.iter().map(|&w| m.shoup(m.reduce(w))).collect(),
             _ => Vec::new(),
         };
         ConstantTables(Arc::new(Tables {

@@ -10,30 +10,32 @@
 //! [`Lane`] word the state is stored in, so a session whose values all
 //! fit 64 bits moves and computes on 8-byte lanes.
 //!
-//! Two arithmetic tiers service the compute instructions, selected per
-//! modulus through the shared [`Engine`] cache:
+//! Two engines service the modular instructions, selected per modulus
+//! through the shared [`Engine`] cache. Each instruction is written
+//! once, over [`ModArith`], and monomorphised per engine at the one
+//! `match` on [`Engine`] in `fast_op`:
 //!
-//! * **Native u64** (`q < 2^63`): lanes are reduced to canonical `u64`
-//!   and multiplied with one widening multiply plus a Barrett (or, for
-//!   vector-scalar, Shoup) reduction. On 64-bit lanes this tier does no
-//!   `u128` work beyond that multiply.
-//! * **Montgomery 128** (everything else): the [`Modulus128`] path —
-//!   one Barrett pass per product, the multiply the interpreter uses —
-//!   except where one factor is a known constant, which multiplies
-//!   through its Shoup quotient ([`Modulus128::mul_shoup`], one high
-//!   product and two low ones; `docs/arith-engines.md` prices it). A
-//!   `vsmulmod` computes its scalar's quotient once per instruction. A
-//!   vector register gets the quotients of its lanes by *viewing* a
-//!   kernel's constant table ([`Views`]): a unit `vload` or a
-//!   `vbroadcast` whose window lies inside a span
-//!   [`FunctionalSim::load_constants`] recorded, and whose loaded lanes
-//!   equal the table's values there, points the register at the
-//!   table's quotients, computed once when the kernel was generated.
-//!   The view is keyed by the table's modulus, is run-local, and is
-//!   dropped by any write to the register; the register itself always
-//!   holds its architectural lanes, and the interpreter never reads a
-//!   quotient. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane is
-//!   widened going in and narrowed coming out.
+//! * **Narrow** ([`Modulus64`], `q < 2^63`): lanes are reduced to
+//!   canonical `u64` and multiplied with one widening multiply plus a
+//!   Barrett (or, for vector-scalar, Shoup) reduction. On 64-bit lanes
+//!   this engine does no `u128` work beyond that multiply.
+//! * **Wide** ([`Modulus128`], everything else): one Barrett pass per
+//!   product, the multiply the interpreter uses, except where one factor
+//!   is a known constant, which multiplies through its Shoup quotient
+//!   ([`Modulus128::mul_shoup`], one high product and two low ones;
+//!   `docs/arith-engines.md` prices it). A `vsmulmod` computes its
+//!   scalar's quotient once per instruction, on either engine. A vector
+//!   register gets the quotients of its lanes by *viewing* a kernel's
+//!   constant table ([`Views`]): a unit `vload` or a `vbroadcast` whose
+//!   window lies inside a span [`FunctionalSim::load_constants`]
+//!   recorded, and whose loaded lanes equal the table's values there,
+//!   points the register at the table's quotients, computed once when
+//!   the kernel was generated. The view is keyed by the table's modulus,
+//!   is run-local, and is dropped by any write to the register; the
+//!   register itself always holds its architectural lanes, and the
+//!   interpreter never reads a quotient. Only a wide modulus's tables
+//!   carry quotients. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane
+//!   is widened going in and narrowed coming out.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
@@ -59,70 +61,130 @@
 
 use crate::constants::ConstantTables;
 use crate::func::{shuffle_into, Engines, ExecError, Lane, ShuffleKind, Store};
-use rpu_arith::{Engine, Modulus128};
+use rpu_arith::{Engine, Modulus128, Modulus64};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
-use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, VReg};
+use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, SReg, VReg};
 
 #[inline]
 fn ix(r: VReg) -> usize {
     usize::from(r.index())
 }
 
-/// Lane-wise vector-vector loop: `f`'s results (values that fit the
-/// lane word) are written into `scratch`, then the destination is
-/// replaced by pointer swap — alias-safe (`vd` may equal `vs`/`vt`) with
-/// no per-lane bounds checks and no copies.
-#[inline]
-fn vv_into<W: Lane>(
-    vrf: &mut [Vec<W>],
-    scratch: &mut Vec<W>,
-    vd: VReg,
-    vs: VReg,
-    vt: VReg,
-    f: impl Fn(W, W) -> u128,
-) {
-    {
-        let a = &vrf[ix(vs)];
-        let b = &vrf[ix(vt)];
-        for ((o, &x), &y) in scratch.iter_mut().zip(a).zip(b) {
-            *o = W::narrow(f(x, y));
-        }
-    }
-    std::mem::swap(&mut vrf[ix(vd)], scratch);
+/// One engine's modular arithmetic, over its own word: the fast path
+/// writes each modular instruction once, over this trait. `canon`
+/// reduces a stored lane of either width into `[0, q)`; `add`, `sub`,
+/// `mul` and `shoup` take canonical words; `mul_shoup` takes the lane
+/// itself, which the narrow engine reduces first and the wide engine's
+/// Shoup product takes as it is.
+pub(crate) trait ModArith: Copy {
+    /// `u64` for the narrow engine, `u128` for the wide one.
+    type Word: Lane;
+    fn canon<W: Lane>(self, x: W) -> Self::Word;
+    fn add(self, a: Self::Word, b: Self::Word) -> Self::Word;
+    fn sub(self, a: Self::Word, b: Self::Word) -> Self::Word;
+    fn mul(self, a: Self::Word, b: Self::Word) -> Self::Word;
+    fn shoup(self, w: Self::Word) -> Self::Word;
+    fn mul_shoup<W: Lane>(self, a: W, w: Self::Word, w_shoup: Self::Word) -> Self::Word;
+    /// The modulus as the engine whose constant tables carry Shoup
+    /// quotients (the wide one), or `None`: a register never views a
+    /// narrow table.
+    fn viewable(self) -> Option<Modulus128>;
 }
 
-/// Lane-wise vector-scalar loop (same swap discipline as [`vv_into`]).
-#[inline]
-fn vs_into<W: Lane>(
-    vrf: &mut [Vec<W>],
-    scratch: &mut Vec<W>,
-    vd: VReg,
-    vs: VReg,
-    f: impl Fn(W) -> u128,
-) {
-    {
-        let a = &vrf[ix(vs)];
-        for (o, &x) in scratch.iter_mut().zip(a) {
-            *o = W::narrow(f(x));
+/// Implements [`ModArith`] for `$m`: the four methods that are the
+/// modulus's own, then the `$rest` that differ.
+macro_rules! mod_arith {
+    ($m:ty => $word:ty; $($rest:tt)*) => {
+        impl ModArith for $m {
+            type Word = $word;
+            #[inline]
+            fn add(self, a: $word, b: $word) -> $word {
+                <$m>::add(self, a, b)
+            }
+            #[inline]
+            fn sub(self, a: $word, b: $word) -> $word {
+                <$m>::sub(self, a, b)
+            }
+            #[inline]
+            fn mul(self, a: $word, b: $word) -> $word {
+                <$m>::mul(self, a, b)
+            }
+            #[inline]
+            fn shoup(self, w: $word) -> $word {
+                <$m>::shoup(self, w)
+            }
+            $($rest)*
         }
-    }
-    std::mem::swap(&mut vrf[ix(vd)], scratch);
+    };
 }
 
-/// The wide butterfly, lane by lane: `sum = a + prod` and
-/// `diff = a − prod` for the canonical products `prods`.
+mod_arith! { Modulus64 => u64;
+    /// The compare-first branch keeps already-canonical lanes (the
+    /// overwhelmingly common case) to one comparison.
+    #[inline]
+    fn canon<W: Lane>(self, x: W) -> u64 {
+        let x = x.widen();
+        if x < u128::from(self.value()) {
+            x as u64
+        } else {
+            self.reduce_wide(x)
+        }
+    }
+    #[inline]
+    fn mul_shoup<W: Lane>(self, a: W, w: u64, w_shoup: u64) -> u64 {
+        Modulus64::mul_shoup(self, self.canon(a), w, w_shoup)
+    }
+    #[inline]
+    fn viewable(self) -> Option<Modulus128> {
+        None
+    }
+}
+
+mod_arith! { Modulus128 => u128;
+    #[inline]
+    fn canon<W: Lane>(self, x: W) -> u128 {
+        self.reduce(x.widen())
+    }
+    #[inline]
+    fn mul_shoup<W: Lane>(self, a: W, w: u128, w_shoup: u128) -> u128 {
+        Modulus128::mul_shoup(self, a.widen(), w, w_shoup)
+    }
+    #[inline]
+    fn viewable(self) -> Option<Modulus128> {
+        Some(self)
+    }
+}
+
+/// `out[i] = f(a[i], b[i])`.
 #[inline]
-fn bfly_into<W: Lane>(
-    m: Modulus128,
+fn map2_into<W: Lane, X: Lane>(out: &mut [W], a: &[W], b: &[W], f: impl Fn(W, W) -> X) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = W::narrow(f(x, y).widen());
+    }
+}
+
+/// `out[i] = f(a[i])`.
+#[inline]
+fn map_into<W: Lane, X: Lane>(out: &mut [W], a: &[W], f: impl Fn(W) -> X) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = W::narrow(f(x).widen());
+    }
+}
+
+/// The butterfly, lane by lane: `sum = a + prod` and `diff = a − prod`
+/// for the canonical products `prods`.
+#[inline]
+fn bfly_into<A: ModArith, W: Lane>(
+    m: A,
     a: &[W],
-    prods: impl Iterator<Item = u128>,
+    prods: impl Iterator<Item = A::Word>,
     (sum, diff): (&mut [W], &mut [W]),
 ) {
     let outs = sum.iter_mut().zip(diff.iter_mut());
     for (((s, d), &a), prod) in outs.zip(a).zip(prods) {
-        let a = m.reduce(a.widen());
-        *s = W::narrow(m.add(a, prod));
-        *d = W::narrow(m.sub(a, prod));
+        let a = m.canon(a);
+        *s = W::narrow(m.add(a, prod).widen());
+        *d = W::narrow(m.sub(a, prod).widen());
     }
 }
 
@@ -151,20 +213,6 @@ fn mul_shoup_into<W: Lane>(m: Modulus128, f: Factors<W>, out: &mut [W]) {
     for (o, prod) in out.iter_mut().zip(shoup_products(m, f)) {
         *o = W::narrow(prod);
     }
-}
-
-/// `vd = vs · s` through the quotient of the reduced scalar `s`,
-/// computed once.
-#[inline(never)]
-fn smul_shoup<W: Lane>(
-    vrf: &mut [Vec<W>],
-    scratch: &mut Vec<W>,
-    (vd, vs): (VReg, VReg),
-    m: Modulus128,
-    s: u128,
-) {
-    let sq = m.shoup(s);
-    vs_into(vrf, scratch, vd, vs, |a| m.mul_shoup(a.widen(), s, sq));
 }
 
 /// Where a viewing register's lanes sit in loaded tables.
@@ -214,17 +262,18 @@ impl Views {
         });
     }
 
-    /// For a multiply of `sources` under modulus `q`: the lanes of the
-    /// other source, of the first source with a view under `q`, and that
-    /// view's quotients — or `None` when neither has such a view.
+    /// For a multiply of `sources` under the wide modulus `m`: `m`, and
+    /// the lanes of the other source, of the first source with a view
+    /// under `m`, and that view's quotients — or `None` when neither
+    /// source has such a view.
     #[inline(never)]
     fn factor<'a, W: Lane>(
         &'a mut self,
         (vrf, constants): (&'a [Vec<W>], &'a [ConstantTables]),
         sources: [VReg; 2],
-        q: u128,
-    ) -> Option<Factors<'a, W>> {
-        let keyed = |v: &View| constants[v.table].tables().q == q;
+        m: Modulus128,
+    ) -> Option<(Modulus128, Factors<'a, W>)> {
+        let keyed = |v: &View| constants[v.table].tables().q == m.value();
         let viewed = |i: usize| Some((i, self.of[ix(sources[i])].filter(keyed)?));
         let (slot, v) = viewed(0).or_else(|| viewed(1))?;
         let all = &constants[v.table].tables().quotients;
@@ -236,7 +285,7 @@ impl Views {
             &all[v.at..v.at + VECTOR_LEN]
         };
         let (x, w) = (&vrf[ix(sources[1 - slot])], &vrf[ix(sources[slot])]);
-        Some((x, w, quotients))
+        Some((m, (x, w, quotients)))
     }
 }
 
@@ -274,7 +323,8 @@ impl<W: Lane> Store<W> {
     /// the interpreter fallback for the exact error.
     #[inline]
     fn fast_modulus(&self, rm: MReg, engines: &mut Engines) -> Option<Engine> {
-        engines.get(self.mrf[usize::from(rm.index())].widen())
+        let q = self.mrf[usize::from(rm.index())].widen();
+        engines.get(q).map(|(e, _)| e)
     }
 
     /// Effective VDM window of a static-mode access, if provably in
@@ -461,153 +511,98 @@ impl<W: Lane> Store<W> {
                 self.arf[usize::from(rt.index())] = self.sdm[addr].widen() as u64;
                 true
             }
-            VAddMod { vd, vs, vt, rm } | VSubMod { vd, vs, vt, rm } => {
-                let Some(e) = self.fast_modulus(rm, engines) else {
-                    return false;
-                };
-                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
-                match (e, matches!(instr, VSubMod { .. })) {
-                    (Engine::Native64(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.add(a.canon(m), b.canon(m)).into()
-                    }),
-                    (Engine::Native64(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.sub(a.canon(m), b.canon(m)).into()
-                    }),
-                    (Engine::Mont128(m), false) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.add(m.reduce(a.widen()), m.reduce(b.widen()))
-                    }),
-                    (Engine::Mont128(m), true) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.sub(m.reduce(a.widen()), m.reduce(b.widen()))
-                    }),
+            VAddMod { rm, vd, .. }
+            | VSubMod { rm, vd, .. }
+            | VMulMod { rm, vd, .. }
+            | VSAddMod { rm, vd, .. }
+            | VSSubMod { rm, vd, .. }
+            | VSMulMod { rm, vd, .. }
+            | Bfly { rm, vd, .. } => {
+                match self.fast_modulus(rm, engines) {
+                    Some(Engine::Narrow(m)) => self.modular(instr, vd, m, views, constants),
+                    Some(Engine::Wide(m)) => self.modular(instr, vd, m, views, constants),
+                    None => return false,
                 }
-                views.forget(vd);
-                true
-            }
-            VMulMod { vd, vs, vt, rm } => {
-                let Some(e) = self.fast_modulus(rm, engines) else {
-                    return false;
-                };
-                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
-                match e {
-                    Engine::Native64(m) => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                        m.mul(a.canon(m), b.canon(m)).into()
-                    }),
-                    Engine::Mont128(m) => match views.factor((vrf, constants), [vt, vs], m.value())
-                    {
-                        Some(factors) => {
-                            mul_shoup_into(m, factors, scratch);
-                            std::mem::swap(&mut vrf[ix(vd)], scratch);
-                        }
-                        // The oracle's multiply.
-                        None => vv_into(vrf, scratch, vd, vs, vt, |a, b| {
-                            m.mul(m.reduce(a.widen()), m.reduce(b.widen()))
-                        }),
-                    },
-                }
-                views.forget(vd);
-                true
-            }
-            VSAddMod { vd, vs, rt, rm } | VSSubMod { vd, vs, rt, rm } => {
-                let Some(e) = self.fast_modulus(rm, engines) else {
-                    return false;
-                };
-                let s = self.srf[usize::from(rt.index())];
-                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
-                let sub = matches!(instr, VSSubMod { .. });
-                match e {
-                    Engine::Native64(m) => {
-                        let s = s.canon(m);
-                        if sub {
-                            vs_into(vrf, scratch, vd, vs, |a| m.sub(a.canon(m), s).into());
-                        } else {
-                            vs_into(vrf, scratch, vd, vs, |a| m.add(a.canon(m), s).into());
-                        }
-                    }
-                    Engine::Mont128(m) => {
-                        let s = m.reduce(s.widen());
-                        if sub {
-                            vs_into(vrf, scratch, vd, vs, |a| m.sub(m.reduce(a.widen()), s));
-                        } else {
-                            vs_into(vrf, scratch, vd, vs, |a| m.add(m.reduce(a.widen()), s));
-                        }
-                    }
-                }
-                views.forget(vd);
-                true
-            }
-            VSMulMod { vd, vs, rt, rm } => {
-                let Some(e) = self.fast_modulus(rm, engines) else {
-                    return false;
-                };
-                let s = self.srf[usize::from(rt.index())];
-                let (vrf, scratch) = (&mut self.vrf, &mut self.scratch[0]);
-                match e {
-                    Engine::Native64(m) => {
-                        // Shoup: precompute the scalar's quotient once,
-                        // then one widening multiply per lane.
-                        let s = s.canon(m);
-                        let s_shoup = m.shoup(s);
-                        vs_into(vrf, scratch, vd, vs, |a| {
-                            m.mul_shoup(a.canon(m), s, s_shoup).into()
-                        });
-                    }
-                    Engine::Mont128(m) => {
-                        smul_shoup(vrf, scratch, (vd, vs), m, m.reduce(s.widen()))
-                    }
-                }
-                views.forget(vd);
-                true
-            }
-            Bfly {
-                vd,
-                vd1,
-                vs,
-                vt,
-                vt1,
-                rm,
-            } => {
-                let Some(e) = self.fast_modulus(rm, engines) else {
-                    return false;
-                };
-                let [scratch, scratch2] = &mut self.scratch;
-                let a = &self.vrf[ix(vs)];
-                match e {
-                    Engine::Native64(m) => {
-                        let (b, t) = (&self.vrf[ix(vt)], &self.vrf[ix(vt1)]);
-                        let outs = scratch.iter_mut().zip(scratch2.iter_mut());
-                        for (((s, d), &a), (&b, &t)) in outs.zip(a).zip(b.iter().zip(t)) {
-                            let (a, prod) = (a.canon(m), m.mul(b.canon(m), t.canon(m)));
-                            *s = W::narrow(m.add(a, prod).into());
-                            *d = W::narrow(m.sub(a, prod).into());
-                        }
-                    }
-                    Engine::Mont128(m) => {
-                        let (vrf, outs) = (&self.vrf, (&mut scratch[..], &mut scratch2[..]));
-                        match views.factor((vrf, constants), [vt1, vt], m.value()) {
-                            Some(factors) => bfly_shoup(m, a, factors, outs),
-                            None => {
-                                let (b, t) = (&vrf[ix(vt)], &vrf[ix(vt1)]);
-                                let prods = b.iter().zip(t).map(|(&x, &y)| {
-                                    m.mul(m.reduce(x.widen()), m.reduce(y.widen()))
-                                });
-                                bfly_into(m, a, prods, outs);
-                            }
-                        }
-                    }
-                }
-                // Swap the sum first, the difference second: if vd == vd1
-                // the difference wins, matching the interpreter's
-                // per-lane write order.
-                std::mem::swap(&mut self.vrf[ix(vd)], scratch);
-                std::mem::swap(&mut self.vrf[ix(vd1)], scratch2);
-                views.forget(vd);
-                views.forget(vd1);
                 true
             }
             UnpkLo { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::UnpkLo),
             UnpkHi { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::UnpkHi),
             PkLo { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::PkLo),
             PkHi { vd, vs, vt } => self.fast_shuffle(views, vd, vs, vt, ShuffleKind::PkHi),
+        }
+    }
+
+    /// Executes a modular instruction under `m`, one of the seven
+    /// `fast_op` hands over: the results go to the scratch buffers,
+    /// which then replace the destination `vd` (and a butterfly's `vd1`).
+    #[inline]
+    fn modular<A: ModArith>(
+        &mut self,
+        instr: &Instruction,
+        vd: VReg,
+        m: A,
+        views: &mut Views,
+        constants: &[ConstantTables],
+    ) {
+        use Instruction::*;
+        let ([out, out1], vrf) = (&mut self.scratch, &self.vrf);
+        let lanes = |r: VReg| &vrf[ix(r)][..];
+        let scalar = |rt: SReg| m.canon(self.srf[usize::from(rt.index())]);
+        match *instr {
+            VAddMod { vs, vt, .. } => map2_into(out, lanes(vs), lanes(vt), |a, b| {
+                m.add(m.canon(a), m.canon(b))
+            }),
+            VSubMod { vs, vt, .. } => map2_into(out, lanes(vs), lanes(vt), |a, b| {
+                m.sub(m.canon(a), m.canon(b))
+            }),
+            VMulMod { vs, vt, .. } => match m
+                .viewable()
+                .and_then(|w| views.factor((vrf, constants), [vt, vs], w))
+            {
+                Some((w, factors)) => mul_shoup_into(w, factors, out),
+                None => map2_into(out, lanes(vs), lanes(vt), |a, b| {
+                    m.mul(m.canon(a), m.canon(b))
+                }),
+            },
+            VSAddMod { vs, rt, .. } => {
+                let s = scalar(rt);
+                map_into(out, lanes(vs), |a| m.add(m.canon(a), s));
+            }
+            VSSubMod { vs, rt, .. } => {
+                let s = scalar(rt);
+                map_into(out, lanes(vs), |a| m.sub(m.canon(a), s));
+            }
+            VSMulMod { vs, rt, .. } => {
+                // Shoup: the scalar's quotient once, then one high
+                // product per lane.
+                let s = scalar(rt);
+                let s_shoup = m.shoup(s);
+                map_into(out, lanes(vs), |a| m.mul_shoup(a, s, s_shoup));
+            }
+            Bfly { vs, vt, vt1, .. } => {
+                let outs = (&mut out[..], &mut out1[..]);
+                match m
+                    .viewable()
+                    .and_then(|w| views.factor((vrf, constants), [vt1, vt], w))
+                {
+                    Some((w, factors)) => bfly_shoup(w, lanes(vs), factors, outs),
+                    None => {
+                        let prod = |(&x, &y)| m.mul(m.canon(x), m.canon(y));
+                        let prods = lanes(vt).iter().zip(lanes(vt1)).map(prod);
+                        bfly_into(m, lanes(vs), prods, outs);
+                    }
+                }
+            }
+            _ => unreachable!("{instr:?} is not a modular instruction"),
+        }
+        // A butterfly's sum first, its difference second: if vd == vd1
+        // the difference wins, matching the interpreter's per-lane write
+        // order.
+        std::mem::swap(&mut self.vrf[ix(vd)], &mut self.scratch[0]);
+        views.forget(vd);
+        if let Bfly { vd1, .. } = *instr {
+            std::mem::swap(&mut self.vrf[ix(vd1)], &mut self.scratch[1]);
+            views.forget(vd1);
         }
     }
 
@@ -1301,6 +1296,46 @@ mod tests {
         sim.write_vdm(0, &vec![9u128; 512]).unwrap();
         sim.run_predecoded(&program).unwrap();
         assert_eq!(sim.read_vdm(512, 512).unwrap(), vec![9u128; 512]);
+    }
+
+    #[test]
+    fn both_engines_agree_on_hostile_lanes() {
+        // Under a narrow modulus both `ModArith` impls apply, and they
+        // must agree on lanes at and past the edges of [0, q), in either
+        // storage width; `mul_shoup` takes its lane unreduced.
+        fn agree<W: Lane + std::fmt::Debug>(q: u64, lanes: &[W]) {
+            let (n, w) = (
+                Modulus64::new(q).unwrap(),
+                Modulus128::new(q.into()).unwrap(),
+            );
+            for &x in lanes {
+                let c = n.canon(x);
+                assert_eq!(u128::from(c), w.canon(x), "canon {x:?} mod {q}");
+                assert_eq!(
+                    u128::from(c),
+                    x.widen() % u128::from(q),
+                    "canon {x:?} mod {q}"
+                );
+                for &y in lanes {
+                    let (d, e) = (n.canon(y), w.canon(y));
+                    let label = format!("{x:?}, {y:?} mod {q}");
+                    assert_eq!(u128::from(n.add(c, d)), w.add(w.canon(x), e), "add {label}");
+                    assert_eq!(u128::from(n.sub(c, d)), w.sub(w.canon(x), e), "sub {label}");
+                    assert_eq!(u128::from(n.mul(c, d)), w.mul(w.canon(x), e), "mul {label}");
+                    let (nq, wq) = (n.shoup(d), w.shoup(e));
+                    let shoup = ModArith::mul_shoup(w, x, e, wq);
+                    let narrow = ModArith::mul_shoup(n, x, d, nq);
+                    assert_eq!(u128::from(narrow), shoup, "mul_shoup {label}");
+                    assert_eq!(shoup, w.mul(w.canon(x), e), "mul_shoup {label}");
+                }
+            }
+        }
+        for q in [97, (1 << 60) - (1 << 14) + 1, (1 << 63) - 25] {
+            let narrow = [0, q - 1, q, u64::MAX];
+            agree(q, &narrow);
+            let wide = narrow.map(u128::from);
+            agree(q, &[&wide[..], &[1 << 64, u128::MAX]].concat());
+        }
     }
 
     #[test]

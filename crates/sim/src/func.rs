@@ -8,7 +8,7 @@
 
 use crate::constants::ConstantTables;
 use crate::fastpath::Views;
-use rpu_arith::{Engine, Modulus64};
+use rpu_arith::{Engine, Modulus128};
 use rpu_isa::consts::{NUM_AREGS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, Instruction, MReg, PredecodedProgram, Program, SReg, VReg};
 use std::collections::HashMap;
@@ -110,10 +110,6 @@ pub(crate) trait Lane: Copy + Default {
     /// `u64` a value below 2⁶⁴, which the narrow invariant guarantees of
     /// everything an instruction can produce.
     fn narrow(x: u128) -> Self;
-    /// The lane reduced into `[0, q)` for the native-u64 engine. The
-    /// compare-first branch keeps already-canonical lanes (the
-    /// overwhelmingly common case) to one comparison.
-    fn canon(self, m: Modulus64) -> u64;
 }
 
 impl Lane for u64 {
@@ -126,14 +122,6 @@ impl Lane for u64 {
         debug_assert!(x <= u128::from(u64::MAX), "narrow invariant broken");
         x as u64
     }
-    #[inline]
-    fn canon(self, m: Modulus64) -> u64 {
-        if self < m.value() {
-            self
-        } else {
-            m.reduce(self)
-        }
-    }
 }
 
 impl Lane for u128 {
@@ -144,14 +132,6 @@ impl Lane for u128 {
     #[inline]
     fn narrow(x: u128) -> u128 {
         x
-    }
-    #[inline]
-    fn canon(self, m: Modulus64) -> u64 {
-        if self < u128::from(m.value()) {
-            self as u64
-        } else {
-            m.reduce_wide(self)
-        }
     }
 }
 
@@ -189,31 +169,38 @@ macro_rules! on_store {
     };
 }
 
-/// Prepared engines per modulus value (Barrett constants are
-/// expensive to derive), shared by both executors, behind a
-/// one-entry memo: a kernel names one modulus in nearly every compute
+/// The prepared arithmetic of one modulus: the fast path's engine and
+/// the interpreter's reference.
+pub(crate) type Prepared = (Engine, Modulus128);
+
+/// Prepared arithmetic per modulus value (Barrett constants are
+/// expensive to derive), shared by both executors, behind a one-entry
+/// memo: a kernel names one modulus in nearly every compute
 /// instruction, and the memo spares those the hash of a `u128`.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Engines {
-    map: HashMap<u128, Engine>,
-    last: Option<(u128, Engine)>,
+    map: HashMap<u128, Prepared>,
+    last: Option<(u128, Prepared)>,
 }
 
 impl Engines {
-    /// The engine for modulus `q`, or `None` when `q` is invalid.
-    /// `Engine::new` accepts exactly the `Modulus128` range [2, 2^127),
-    /// so which engine services a modulus never changes which moduli
-    /// fault.
+    /// The fast path's engine and the interpreter's `Modulus128` for
+    /// modulus `q`, or `None` when `q` is invalid. `Engine::new` and
+    /// `Modulus128::new` accept exactly the same range, [2, 2^127), so
+    /// the two executors fault on the same moduli.
     #[inline]
-    pub(crate) fn get(&mut self, q: u128) -> Option<Engine> {
+    pub(crate) fn get(&mut self, q: u128) -> Option<Prepared> {
         if self.last.map(|(last, _)| last) != Some(q) {
-            let e = match self.map.get(&q) {
-                Some(&e) => e,
-                None => *self.map.entry(q).or_insert(Engine::new(q)?),
+            let p = match self.map.get(&q) {
+                Some(&p) => p,
+                None => *self
+                    .map
+                    .entry(q)
+                    .or_insert((Engine::new(q)?, Modulus128::new(q)?)),
             };
-            self.last = Some((q, e));
+            self.last = Some((q, p));
         }
-        self.last.map(|(_, e)| e)
+        self.last.map(|(_, p)| p)
     }
 }
 
@@ -232,6 +219,13 @@ impl Engines {
 /// or fault; the differential and fuzz suites in `tests/` hold it to
 /// that. Changes to instruction semantics must be made here first — the
 /// fast path follows the oracle, never the other way round.
+///
+/// The interpreter computes every modular instruction with
+/// [`Modulus128`], whatever the modulus's width, and never selects an
+/// [`Engine`]. So for a modulus below 2⁶³ those suites check the fast
+/// path's narrow engine (`Modulus64`) against a second, independent
+/// implementation. The wide engine is `Modulus128` itself; its own
+/// reference is exact division, in `rpu-arith`'s property tests.
 ///
 /// # Lane storage width
 ///
@@ -599,13 +593,11 @@ impl<W: Lane> Store<W> {
         }
     }
 
-    fn modulus(&self, rm: MReg, pc: usize, engines: &mut Engines) -> Result<Engine, ExecError> {
-        engines
-            .get(self.mrf[rm.index() as usize].widen())
-            .ok_or(ExecError::InvalidModulus {
-                mreg: rm.index(),
-                pc,
-            })
+    /// The reference arithmetic of the modulus in `MRF[rm]`.
+    fn modulus(&self, rm: MReg, pc: usize, engines: &mut Engines) -> Result<Modulus128, ExecError> {
+        let (mreg, q) = (rm.index(), self.mrf[rm.index() as usize].widen());
+        let invalid = ExecError::InvalidModulus { mreg, pc };
+        engines.get(q).map(|(_, m)| m).ok_or(invalid)
     }
 
     fn vdm_addr(
@@ -715,73 +707,34 @@ impl<W: Lane> Store<W> {
                 let addr = self.sdm_addr(base, offset, pc)?;
                 self.arf[rt.index() as usize] = self.sdm[addr].widen() as u64;
             }
-            // ALU ops match the engine once per instruction and run a
-            // monomorphized lane loop — per-lane dispatch through the
-            // `Engine` enum would put a branch in front of every reduce
-            // and multiply. Both variants compute identical canonical
-            // results; only the machine arithmetic differs.
-            VAddMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
-                Engine::Mont128(m) => {
-                    self.lanewise_vv(vd, vs, vt, |a, b| m.add(m.reduce(a), m.reduce(b)))
-                }
-                Engine::Native64(m) => self.lanewise_vv(vd, vs, vt, |a, b| {
-                    m.add(m.reduce_wide(a), m.reduce_wide(b)) as u128
-                }),
-            },
-            VSubMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
-                Engine::Mont128(m) => {
-                    self.lanewise_vv(vd, vs, vt, |a, b| m.sub(m.reduce(a), m.reduce(b)))
-                }
-                Engine::Native64(m) => self.lanewise_vv(vd, vs, vt, |a, b| {
-                    m.sub(m.reduce_wide(a), m.reduce_wide(b)) as u128
-                }),
-            },
-            VMulMod { vd, vs, vt, rm } => match self.modulus(rm, pc, engines)? {
-                Engine::Mont128(m) => {
-                    self.lanewise_vv(vd, vs, vt, |a, b| m.mul(m.reduce(a), m.reduce(b)))
-                }
-                Engine::Native64(m) => self.lanewise_vv(vd, vs, vt, |a, b| {
-                    m.mul(m.reduce_wide(a), m.reduce_wide(b)) as u128
-                }),
-            },
+            // Every modulus, narrow or wide, computes with `Modulus128`
+            // (see the oracle contract on `FunctionalSim`).
+            VAddMod { vd, vs, vt, rm } => {
+                let m = self.modulus(rm, pc, engines)?;
+                self.lanewise_vv(vd, vs, vt, |a, b| m.add(m.reduce(a), m.reduce(b)));
+            }
+            VSubMod { vd, vs, vt, rm } => {
+                let m = self.modulus(rm, pc, engines)?;
+                self.lanewise_vv(vd, vs, vt, |a, b| m.sub(m.reduce(a), m.reduce(b)));
+            }
+            VMulMod { vd, vs, vt, rm } => {
+                let m = self.modulus(rm, pc, engines)?;
+                self.lanewise_vv(vd, vs, vt, |a, b| m.mul(m.reduce(a), m.reduce(b)));
+            }
             VSAddMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize].widen();
-                match self.modulus(rm, pc, engines)? {
-                    Engine::Mont128(m) => {
-                        let s = m.reduce(srf);
-                        self.lanewise_vs(vd, vs, |a| m.add(m.reduce(a), s));
-                    }
-                    Engine::Native64(m) => {
-                        let s = m.reduce_wide(srf);
-                        self.lanewise_vs(vd, vs, |a| m.add(m.reduce_wide(a), s) as u128);
-                    }
-                }
+                let m = self.modulus(rm, pc, engines)?;
+                let s = m.reduce(self.srf[rt.index() as usize].widen());
+                self.lanewise_vs(vd, vs, |a| m.add(m.reduce(a), s));
             }
             VSSubMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize].widen();
-                match self.modulus(rm, pc, engines)? {
-                    Engine::Mont128(m) => {
-                        let s = m.reduce(srf);
-                        self.lanewise_vs(vd, vs, |a| m.sub(m.reduce(a), s));
-                    }
-                    Engine::Native64(m) => {
-                        let s = m.reduce_wide(srf);
-                        self.lanewise_vs(vd, vs, |a| m.sub(m.reduce_wide(a), s) as u128);
-                    }
-                }
+                let m = self.modulus(rm, pc, engines)?;
+                let s = m.reduce(self.srf[rt.index() as usize].widen());
+                self.lanewise_vs(vd, vs, |a| m.sub(m.reduce(a), s));
             }
             VSMulMod { vd, vs, rt, rm } => {
-                let srf = self.srf[rt.index() as usize].widen();
-                match self.modulus(rm, pc, engines)? {
-                    Engine::Mont128(m) => {
-                        let s = m.reduce(srf);
-                        self.lanewise_vs(vd, vs, |a| m.mul(m.reduce(a), s));
-                    }
-                    Engine::Native64(m) => {
-                        let s = m.reduce_wide(srf);
-                        self.lanewise_vs(vd, vs, |a| m.mul(m.reduce_wide(a), s) as u128);
-                    }
-                }
+                let m = self.modulus(rm, pc, engines)?;
+                let s = m.reduce(self.srf[rt.index() as usize].widen());
+                self.lanewise_vs(vd, vs, |a| m.mul(m.reduce(a), s));
             }
             Bfly {
                 vd,
@@ -791,29 +744,17 @@ impl<W: Lane> Store<W> {
                 vt1,
                 rm,
             } => {
-                let engine = self.modulus(rm, pc, engines)?;
+                let m = self.modulus(rm, pc, engines)?;
                 // vd = vs + vt1*vt ; vd1 = vs - vt1*vt (CT butterfly).
                 // Read all sources before writing: vd/vd1 may alias them.
                 let a = get(&self.vrf[vs.index() as usize]);
                 let b = get(&self.vrf[vt.index() as usize]);
                 let t = get(&self.vrf[vt1.index() as usize]);
-                match engine {
-                    Engine::Mont128(m) => {
-                        for i in 0..VECTOR_LEN {
-                            let prod = m.mul(m.reduce(b[i]), m.reduce(t[i]));
-                            let ai = m.reduce(a[i]);
-                            self.vrf[vd.index() as usize][i] = W::narrow(m.add(ai, prod));
-                            self.vrf[vd1.index() as usize][i] = W::narrow(m.sub(ai, prod));
-                        }
-                    }
-                    Engine::Native64(m) => {
-                        for i in 0..VECTOR_LEN {
-                            let prod = m.mul(m.reduce_wide(b[i]), m.reduce_wide(t[i]));
-                            let ai = m.reduce_wide(a[i]);
-                            self.vrf[vd.index() as usize][i] = W::narrow(m.add(ai, prod) as u128);
-                            self.vrf[vd1.index() as usize][i] = W::narrow(m.sub(ai, prod) as u128);
-                        }
-                    }
+                for i in 0..VECTOR_LEN {
+                    let prod = m.mul(m.reduce(b[i]), m.reduce(t[i]));
+                    let ai = m.reduce(a[i]);
+                    self.vrf[vd.index() as usize][i] = W::narrow(m.add(ai, prod));
+                    self.vrf[vd1.index() as usize][i] = W::narrow(m.sub(ai, prod));
                 }
             }
             UnpkLo { vd, vs, vt } => self.shuffle(vd, vs, vt, ShuffleKind::UnpkLo),
