@@ -170,12 +170,15 @@ impl Modulus64 {
         (((w as u128) << 64) / self.q as u128) as u64
     }
 
-    /// Multiplies `a` by the fixed constant `w` using its precomputed Shoup
-    /// constant `w_shoup`. Roughly 2× faster than [`mul`](Modulus64::mul)
-    /// on most CPUs; this is the core of the Harvey NTT butterfly.
+    /// Multiplies `a` by the fixed constant `w < q` using its precomputed
+    /// Shoup constant `w_shoup`. Roughly 2× faster than
+    /// [`mul`](Modulus64::mul) on most CPUs; this is the core of the
+    /// Harvey NTT butterfly. `a` may be any `u64`, reduced or not: the
+    /// quotient estimate falls short of `⌊w·a/q⌋` by `w_shoup`'s
+    /// truncation times `a / 2^64`, less than one, so `r < 2q < 2^64`.
     #[inline]
     pub fn mul_shoup(self, a: u64, w: u64, w_shoup: u64) -> u64 {
-        debug_assert!(a < self.q && w < self.q);
+        debug_assert!(w < self.q);
         let quot = ((w_shoup as u128 * a as u128) >> 64) as u64;
         // The quotient estimate is at most one short: r < 2q.
         let r = (w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(self.q));

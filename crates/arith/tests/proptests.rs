@@ -225,6 +225,22 @@ proptest! {
     }
 
     #[test]
+    fn mod64_mul_shoup_takes_any_64_bit_lane(q in 2u64..(1u64 << 63), w in any::<u64>(), a in any::<u64>()) {
+        // The fast path multiplies a stored lane through a table's
+        // quotient without reducing it first: exact for every `a < 2^64`,
+        // at the lane edges, at the top modulus and at an even one.
+        for q in [q, (1 << 63) - 1, (q | 2) & !1] {
+            let m = Modulus64::new(q).expect("2 <= q < 2^63");
+            let w = w % q;
+            let ws = m.shoup(w);
+            for a in [0, q - 1, q, u64::MAX, a] {
+                let expect = (a as u128 * w as u128 % q as u128) as u64;
+                prop_assert_eq!(m.mul_shoup(a, w, ws), expect, "q={} a={} w={}", q, a, w);
+            }
+        }
+    }
+
+    #[test]
     fn mod64_reduce_wide_matches(m in arb_mod64(), x in any::<u128>()) {
         prop_assert_eq!(m.reduce_wide(x) as u128, x % m.value() as u128);
     }

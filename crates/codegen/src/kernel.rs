@@ -204,7 +204,7 @@ pub struct Kernel {
     /// Every span of the working set the generator placed a table into —
     /// recorded by the generator, never inferred from non-zero values
     /// (an automorphism's index table legitimately contains index 0) —
-    /// with its values and, under a wide modulus, their Shoup quotients:
+    /// with its values and their Shoup quotients:
     /// the only part of the image worth keeping (a 64K NTT's working set
     /// is nearly three times its twiddle tables). Everything outside is
     /// scratch or an operand window and is zero in the image.
@@ -342,6 +342,12 @@ impl Kernel {
         self.tables.spans()
     }
 
+    /// The constant tables [`load_into`](Kernel::load_into) writes, with
+    /// their Shoup quotients.
+    pub fn constant_tables(&self) -> &ConstantTables {
+        &self.tables
+    }
+
     /// Builds the initial VDM image for the given operands: zeros, the
     /// constant tables at their spans, each operand copied into its
     /// input range.
@@ -358,9 +364,7 @@ impl Kernel {
             self.input_ranges.len()
         );
         let mut image = vec![0u128; self.total];
-        for (off, table) in self.tables.placed() {
-            image[off..off + table.len()].copy_from_slice(table);
-        }
+        self.tables.place(&mut image);
         for (op, &(off, len)) in operands.iter().zip(&self.input_ranges) {
             assert_eq!(op.len(), len, "operand length must match its range");
             image[off..off + len].copy_from_slice(op);

@@ -1196,25 +1196,26 @@ impl<'a> RpuSession<'a> {
             .write_vdm(0, &image.vdm)
             .expect("ensured to cover the image");
         let vdm_tail = self.device.sim.vdm_capacity() - image.vdm.len();
-        if vdm_tail > 0 {
-            self.device
-                .sim
-                .write_vdm(image.vdm.len(), &vec![0u128; vdm_tail])
-                .expect("tail is in bounds");
-        }
+        self.device
+            .sim
+            .write_vdm(image.vdm.len(), &vec![0u128; vdm_tail])
+            .expect("tail is in bounds");
         self.device.sim.ensure_sdm(image.sdm.len());
         self.device
             .sim
             .write_sdm(0, &image.sdm)
             .expect("ensured to cover the image");
         let sdm_tail = self.device.sim.sdm_capacity() - image.sdm.len();
-        if sdm_tail > 0 {
-            self.device
-                .sim
-                .write_sdm(image.sdm.len(), &vec![0u128; sdm_tail])
-                .expect("tail is in bounds");
-        }
+        self.device
+            .sim
+            .write_sdm(image.sdm.len(), &vec![0u128; sdm_tail])
+            .expect("tail is in bounds");
         self.device.loaded = image.loaded;
+        // The writes dropped the loaded kernel's tables: take them back
+        // if the image holds them, so its twiddles keep their quotients.
+        if let Some(k) = kernels.iter().find(|k| Some(k.key()) == image.loaded) {
+            self.device.sim.adopt_constants(k.constant_tables());
+        }
         self.cache.reseed(kernels);
         live.into_iter()
             .map(|(id, offset, len)| DeviceBuffer::from_raw(id, offset, len))

@@ -17,25 +17,30 @@
 //!
 //! * **Narrow** ([`Modulus64`], `q < 2^63`): lanes are reduced to
 //!   canonical `u64` and multiplied with one widening multiply plus a
-//!   Barrett (or, for vector-scalar, Shoup) reduction. On 64-bit lanes
-//!   this engine does no `u128` work beyond that multiply.
+//!   single-word Barrett reduction. On 64-bit lanes this engine does no
+//!   `u128` work beyond that multiply.
 //! * **Wide** ([`Modulus128`], everything else): one Barrett pass per
-//!   product, the multiply the interpreter uses, except where one factor
-//!   is a known constant, which multiplies through its Shoup quotient
-//!   ([`Modulus128::mul_shoup`], one high product and two low ones;
-//!   `docs/arith-engines.md` prices it). A `vsmulmod` computes its
-//!   scalar's quotient once per instruction, on either engine. A vector
-//!   register gets the quotients of its lanes by *viewing* a kernel's
-//!   constant table ([`Views`]): a unit `vload` or a `vbroadcast` whose
-//!   window lies inside a span [`FunctionalSim::load_constants`]
-//!   recorded, and whose loaded lanes equal the table's values there,
-//!   points the register at the table's quotients, computed once when
-//!   the kernel was generated. The view is keyed by the table's modulus,
-//!   is run-local, and is dropped by any write to the register; the
-//!   register itself always holds its architectural lanes, and the
-//!   interpreter never reads a quotient. Only a wide modulus's tables
-//!   carry quotients. On 64-bit lanes (`q` in `[2^63, 2^64)`) each lane
-//!   is widened going in and narrowed coming out.
+//!   product, the multiply the interpreter uses. On 64-bit lanes (`q` in
+//!   `[2^63, 2^64)`) each lane is widened going in and narrowed coming
+//!   out.
+//!
+//! On both engines a factor that is a known constant multiplies through
+//! its Shoup quotient instead (`mul_shoup`; `docs/arith-engines.md`
+//! prices it), the other factor taken as it is stored. A `vsmulmod`
+//! computes its scalar's quotient once per instruction. A vector
+//! register gets the quotients of its lanes by *viewing* a kernel's
+//! constant table ([`Views`]): a unit `vload` or a `vbroadcast` whose
+//! window lies inside a span of a table [`FunctionalSim::load_constants`]
+//! registered points the register at the table's quotients, computed in
+//! the engine's own word when the kernel was generated. No load reads
+//! the lanes it views: the **store rule** keeps a table registered only
+//! while nothing may have written over its spans — a host write or
+//! copy, an interpreter run, or a `vstore` whose window reaches a span,
+//! dropped before the store or its interpreter fallback writes a lane.
+//! The view is keyed by the table's modulus, is run-local, and is
+//! dropped by any write to the register; the register itself always
+//! holds its architectural lanes, and the interpreter never reads a
+//! quotient.
 //!
 //! **Exactness contract:** the fast path is observationally identical to
 //! the interpreter — same results, same [`ExecError`]s, same partial
@@ -59,7 +64,7 @@
 //! [`FunctionalSim::load_constants`]: crate::FunctionalSim::load_constants
 //! [`ExecError`]: crate::ExecError
 
-use crate::constants::ConstantTables;
+use crate::constants::{on_words, ConstantTables, Tables, Words};
 use crate::func::{shuffle_into, Engines, ExecError, Lane, ShuffleKind, Store};
 use rpu_arith::{Engine, Modulus128, Modulus64};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
@@ -74,9 +79,9 @@ fn ix(r: VReg) -> usize {
 /// writes each modular instruction once, over this trait. `canon`
 /// reduces a stored lane of either width into `[0, q)`; `add`, `sub`,
 /// `mul` and `shoup` take canonical words; `mul_shoup` takes the lane
-/// itself, which the narrow engine reduces first and the wide engine's
-/// Shoup product takes as it is.
-pub(crate) trait ModArith: Copy {
+/// itself, which the narrow engine reduces only when it does not fit 64
+/// bits and the wide engine's Shoup product takes as it is.
+pub(crate) trait ModArith: Copy + 'static {
     /// `u64` for the narrow engine, `u128` for the wide one.
     type Word: Lane;
     fn canon<W: Lane>(self, x: W) -> Self::Word;
@@ -85,18 +90,28 @@ pub(crate) trait ModArith: Copy {
     fn mul(self, a: Self::Word, b: Self::Word) -> Self::Word;
     fn shoup(self, w: Self::Word) -> Self::Word;
     fn mul_shoup<W: Lane>(self, a: W, w: Self::Word, w_shoup: Self::Word) -> Self::Word;
-    /// The modulus as the engine whose constant tables carry Shoup
-    /// quotients (the wide one), or `None`: a register never views a
-    /// narrow table.
-    fn viewable(self) -> Option<Modulus128>;
+    /// The quotients of `t` if it was made under this modulus.
+    fn quotients(self, t: &Tables) -> Option<&[Self::Word]>;
+    /// This engine's buffer for a broadcast view's quotient.
+    fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<Self::Word>;
 }
 
-/// Implements [`ModArith`] for `$m`: the four methods that are the
-/// modulus's own, then the `$rest` that differ.
+/// Implements [`ModArith`] for `$m`, whose tables are `Words::$words`
+/// and broadcast quotients `Views::splat.$splat`: the six methods
+/// written alike for both engines, then the `$rest` that differ.
 macro_rules! mod_arith {
-    ($m:ty => $word:ty; $($rest:tt)*) => {
+    ($m:ty => $word:ty, $words:ident, $splat:tt; $($rest:tt)*) => {
         impl ModArith for $m {
             type Word = $word;
+            fn quotients(self, t: &Tables) -> Option<&[$word]> {
+                match &t.words {
+                    Words::$words(quotients, _) if t.q == self.value().into() => Some(quotients),
+                    _ => None,
+                }
+            }
+            fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<$word> {
+                &mut buffers.$splat
+            }
             #[inline]
             fn add(self, a: $word, b: $word) -> $word {
                 <$m>::add(self, a, b)
@@ -118,7 +133,7 @@ macro_rules! mod_arith {
     };
 }
 
-mod_arith! { Modulus64 => u64;
+mod_arith! { Modulus64 => u64, Narrow, 0;
     /// The compare-first branch keeps already-canonical lanes (the
     /// overwhelmingly common case) to one comparison.
     #[inline]
@@ -130,17 +145,15 @@ mod_arith! { Modulus64 => u64;
             self.reduce_wide(x)
         }
     }
+    /// Shoup's product is exact for any 64-bit factor.
     #[inline]
     fn mul_shoup<W: Lane>(self, a: W, w: u64, w_shoup: u64) -> u64 {
-        Modulus64::mul_shoup(self, self.canon(a), w, w_shoup)
-    }
-    #[inline]
-    fn viewable(self) -> Option<Modulus128> {
-        None
+        let a = u64::try_from(a.widen()).unwrap_or_else(|_| self.canon(a));
+        Modulus64::mul_shoup(self, a, w, w_shoup)
     }
 }
 
-mod_arith! { Modulus128 => u128;
+mod_arith! { Modulus128 => u128, Wide, 1;
     #[inline]
     fn canon<W: Lane>(self, x: W) -> u128 {
         self.reduce(x.widen())
@@ -148,10 +161,6 @@ mod_arith! { Modulus128 => u128;
     #[inline]
     fn mul_shoup<W: Lane>(self, a: W, w: u128, w_shoup: u128) -> u128 {
         Modulus128::mul_shoup(self, a.widen(), w, w_shoup)
-    }
-    #[inline]
-    fn viewable(self) -> Option<Modulus128> {
-        Some(self)
     }
 }
 
@@ -188,38 +197,41 @@ fn bfly_into<A: ModArith, W: Lane>(
     }
 }
 
-/// The factors of a product by a viewed register: the other source's
-/// lanes `x`, the viewed lanes `w`, and `w`'s quotients `wq`.
-type Factors<'a, W> = (&'a [W], &'a [W], &'a [u128]);
+/// The factors of a product by a viewed register under `A`: the other
+/// source's lanes `x`, the viewed lanes `w`, and `w`'s quotients `wq`.
+type Factors<'a, W, A> = (&'a [W], &'a [W], &'a [<A as ModArith>::Word]);
 
 /// `x · w` lane by lane, `w` multiplied through its quotients `wq`.
 /// The loops over it, like every view lookup, stay out of line
 /// (`#[inline(never)]` below): inlined into `fast_op` they moved the
 /// narrow arms' code and slowed them.
-fn shoup_products<W: Lane>(m: Modulus128, f: Factors<'_, W>) -> impl Iterator<Item = u128> + '_ {
+fn shoup_products<'a, A: ModArith, W: Lane>(
+    m: A,
+    f: Factors<'a, W, A>,
+) -> impl Iterator<Item = A::Word> + 'a {
     let lanes = f.0.iter().zip(f.1).zip(f.2);
-    lanes.map(move |((&x, &w), &wq)| m.mul_shoup(x.widen(), m.reduce(w.widen()), wq))
+    lanes.map(move |((&x, &w), &wq)| m.mul_shoup(x, m.canon(w), wq))
 }
 
 /// [`bfly_into`] with the product taken through `w`'s quotients.
 #[inline(never)]
-fn bfly_shoup<W: Lane>(m: Modulus128, a: &[W], f: Factors<W>, outs: (&mut [W], &mut [W])) {
+fn bfly_shoup<A: ModArith, W: Lane>(m: A, a: &[W], f: Factors<W, A>, outs: (&mut [W], &mut [W])) {
     bfly_into(m, a, shoup_products(m, f), outs);
 }
 
 /// `out = x · w` through `w`'s quotients.
 #[inline(never)]
-fn mul_shoup_into<W: Lane>(m: Modulus128, f: Factors<W>, out: &mut [W]) {
+fn mul_shoup_into<A: ModArith, W: Lane>(m: A, f: Factors<W, A>, out: &mut [W]) {
     for (o, prod) in out.iter_mut().zip(shoup_products(m, f)) {
-        *o = W::narrow(prod);
+        *o = W::narrow(prod.widen());
     }
 }
 
-/// Where a viewing register's lanes sit in loaded tables.
+/// Where a viewing register's lanes sit in registered tables.
 #[derive(Debug, Clone, Copy)]
 struct View {
-    /// Index into the simulator's loaded tables, whose modulus is the
-    /// only one the quotients serve.
+    /// Index into the registered tables, whose modulus is the only one
+    /// the quotients serve.
     table: usize,
     /// Index of lane 0's value in the tables.
     at: usize,
@@ -227,19 +239,45 @@ struct View {
     splat: bool,
 }
 
-/// Run-local views, per vector register, of the Shoup quotients of the
-/// constant tables the host loaded (module header). The registers
-/// themselves are never touched, so the only duty is to
-/// [`forget`](Views::forget) a view whenever its register is written.
+/// The constant tables the store rule keeps registered, and run-local
+/// views, per vector register, of their Shoup quotients (module
+/// header). The registers themselves are never touched, so the only
+/// duties are to [`forget`](Views::forget) a view whenever its register
+/// is written and to [`forget_tables`](Views::forget_tables) a table
+/// whenever its spans may be.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Views {
+    /// Loaded tables with quotients that nothing has written over since.
+    pub(crate) tables: Vec<ConstantTables>,
     /// One entry per vector register (sized by each run).
     of: Vec<Option<View>>,
-    /// A broadcast view's one quotient, spread over every lane.
-    splat: Vec<u128>,
+    /// A broadcast view's one quotient, spread over every lane, in each
+    /// engine's word.
+    splat: (Vec<u64>, Vec<u128>),
 }
 
 impl Views {
+    /// Registers `tables` unless no value has a quotient (no spans, or
+    /// no quotients under their modulus): those serve no multiply.
+    pub(crate) fn register(&mut self, tables: &ConstantTables) {
+        if on_words!(tables, (quotients, _) => !quotients.is_empty()) {
+            self.tables.push(tables.clone());
+        }
+    }
+
+    /// The store rule: drops every registered table with a span that a
+    /// write to `[start, start + len)` may reach, and with them every
+    /// view (their indices shift).
+    #[inline]
+    pub(crate) fn forget_tables(&mut self, start: usize, len: usize) {
+        let end = start.saturating_add(len);
+        let apart = |t: &ConstantTables| t.spans().iter().all(|&(o, l)| o + l <= start || end <= o);
+        if !self.tables.iter().all(apart) {
+            self.tables.retain(apart);
+            self.of.fill(None);
+        }
+    }
+
     /// Forgets the view of `r`, which is about to be (or was just)
     /// overwritten.
     #[inline]
@@ -247,45 +285,45 @@ impl Views {
         self.of[ix(r)] = None;
     }
 
-    /// `vd` was just loaded from `vdm[start..]` with `lanes` (one lane:
-    /// a broadcast): it views a loaded table if the window lies inside
-    /// one of its spans and every lane equals the table's value there.
-    /// (Callers skip the call when no table is loaded.)
+    /// `vd` was just loaded from `vdm[start..start + len]` (one lane: a
+    /// broadcast): it views a registered table if the window lies inside
+    /// one of its spans. The store rule makes the lanes the table's
+    /// values there. (Callers skip the call when no table is registered.)
     #[inline(never)]
-    fn take<W: Lane>(&mut self, vd: VReg, constants: &[ConstantTables], start: usize, lanes: &[W]) {
-        self.of[ix(vd)] = constants.iter().enumerate().find_map(|(table, c)| {
-            let at = c.find(start, lanes.len())?;
-            let values = &c.tables().values[at..at + lanes.len()];
-            let same = values.iter().zip(lanes).all(|(&v, x)| x.widen() == v);
-            let splat = lanes.len() == 1;
-            same.then_some(View { table, at, splat })
+    fn take(&mut self, vd: VReg, start: usize, len: usize) {
+        self.of[ix(vd)] = self.tables.iter().enumerate().find_map(|(table, c)| {
+            let (at, splat) = (c.find(start, len)?, len == 1);
+            Some(View { table, at, splat })
         });
     }
 
-    /// For a multiply of `sources` under the wide modulus `m`: `m`, and
-    /// the lanes of the other source, of the first source with a view
-    /// under `m`, and that view's quotients — or `None` when neither
-    /// source has such a view.
+    /// For a multiply of `sources` under `m`: the lanes of the other
+    /// source, of the first source with a view of a table made under
+    /// `m`, and that view's quotients — or `None` when neither source
+    /// has such a view.
     #[inline(never)]
-    fn factor<'a, W: Lane>(
+    fn factor<'a, W: Lane, A: ModArith>(
         &'a mut self,
-        (vrf, constants): (&'a [Vec<W>], &'a [ConstantTables]),
+        vrf: &'a [Vec<W>],
         sources: [VReg; 2],
-        m: Modulus128,
-    ) -> Option<(Modulus128, Factors<'a, W>)> {
-        let keyed = |v: &View| constants[v.table].tables().q == m.value();
-        let viewed = |i: usize| Some((i, self.of[ix(sources[i])].filter(keyed)?));
-        let (slot, v) = viewed(0).or_else(|| viewed(1))?;
-        let all = &constants[v.table].tables().quotients;
+        m: A,
+    ) -> Option<Factors<'a, W, A>> {
+        let Views { tables, of, splat } = self;
+        let viewed = |i: usize| {
+            let v = of[ix(sources[i])]?;
+            Some((i, v, m.quotients(&tables[v.table].0)?))
+        };
+        let (slot, v, all) = viewed(0).or_else(|| viewed(1))?;
         let quotients = if v.splat {
-            self.splat.clear();
-            self.splat.resize(VECTOR_LEN, all[v.at]);
-            &self.splat[..]
+            let (one, splat) = (all[v.at], A::splat(splat));
+            splat.clear();
+            splat.resize(VECTOR_LEN, one);
+            &splat[..]
         } else {
             &all[v.at..v.at + VECTOR_LEN]
         };
         let (x, w) = (&vrf[ix(sources[1 - slot])], &vrf[ix(sources[slot])]);
-        Some((m, (x, w, quotients)))
+        Some((x, w, quotients))
     }
 }
 
@@ -298,15 +336,13 @@ impl<W: Lane> Store<W> {
         program: &PredecodedProgram,
         engines: &mut Engines,
         views: &mut Views,
-        constants: &[ConstantTables],
     ) -> Result<(), ExecError> {
         // Views are run-local: since the last run the registers may
-        // have been rewritten by the interpreter or the spans by the
-        // host.
+        // have been rewritten by the interpreter.
         views.of.clear();
         views.of.resize(NUM_VREGS, None);
         for (pc, instr) in program.program().instructions().iter().enumerate() {
-            if !self.fast_op(instr, engines, views, constants) {
+            if !self.fast_op(instr, engines, views) {
                 // Slow path: re-run the instruction through the
                 // interpreter for oracle-exact errors and partial state.
                 self.step(instr, pc, engines)?;
@@ -355,13 +391,7 @@ impl<W: Lane> Store<W> {
     /// unsupported corner) — in that case no architectural state has
     /// been mutated.
     #[inline]
-    fn fast_op(
-        &mut self,
-        instr: &Instruction,
-        engines: &mut Engines,
-        views: &mut Views,
-        constants: &[ConstantTables],
-    ) -> bool {
+    fn fast_op(&mut self, instr: &Instruction, engines: &mut Engines, views: &mut Views) -> bool {
         use Instruction::*;
         match *instr {
             VLoad {
@@ -379,8 +409,8 @@ impl<W: Lane> Store<W> {
                 match mode {
                     AddrMode::Unit => {
                         dst.copy_from_slice(&vdm[start..start + VECTOR_LEN]);
-                        if !constants.is_empty() {
-                            views.take(vd, constants, start, dst);
+                        if !views.tables.is_empty() {
+                            views.take(vd, start, VECTOR_LEN);
                         }
                     }
                     AddrMode::Strided { log2_stride } => {
@@ -412,6 +442,11 @@ impl<W: Lane> Store<W> {
                 offset,
                 mode,
             } => {
+                // The store rule, before the store or its interpreter
+                // fallback writes a lane (an overflowing address writes
+                // none).
+                let start = self.effective(base, offset).unwrap_or(usize::MAX);
+                views.forget_tables(start, mode.span());
                 let Some(start) = self.vdm_window(base, offset, mode.span()) else {
                     return false;
                 };
@@ -485,8 +520,8 @@ impl<W: Lane> Store<W> {
                 let value = self.vdm[start];
                 self.vrf[ix(vd)].fill(value);
                 views.forget(vd);
-                if !constants.is_empty() {
-                    views.take(vd, constants, start, &[value]);
+                if !views.tables.is_empty() {
+                    views.take(vd, start, 1);
                 }
                 true
             }
@@ -519,8 +554,8 @@ impl<W: Lane> Store<W> {
             | VSMulMod { rm, vd, .. }
             | Bfly { rm, vd, .. } => {
                 match self.fast_modulus(rm, engines) {
-                    Some(Engine::Narrow(m)) => self.modular(instr, vd, m, views, constants),
-                    Some(Engine::Wide(m)) => self.modular(instr, vd, m, views, constants),
+                    Some(Engine::Narrow(m)) => self.modular(instr, vd, m, views),
+                    Some(Engine::Wide(m)) => self.modular(instr, vd, m, views),
                     None => return false,
                 }
                 true
@@ -536,14 +571,7 @@ impl<W: Lane> Store<W> {
     /// `fast_op` hands over: the results go to the scratch buffers,
     /// which then replace the destination `vd` (and a butterfly's `vd1`).
     #[inline]
-    fn modular<A: ModArith>(
-        &mut self,
-        instr: &Instruction,
-        vd: VReg,
-        m: A,
-        views: &mut Views,
-        constants: &[ConstantTables],
-    ) {
+    fn modular<A: ModArith>(&mut self, instr: &Instruction, vd: VReg, m: A, views: &mut Views) {
         use Instruction::*;
         let ([out, out1], vrf) = (&mut self.scratch, &self.vrf);
         let lanes = |r: VReg| &vrf[ix(r)][..];
@@ -555,11 +583,8 @@ impl<W: Lane> Store<W> {
             VSubMod { vs, vt, .. } => map2_into(out, lanes(vs), lanes(vt), |a, b| {
                 m.sub(m.canon(a), m.canon(b))
             }),
-            VMulMod { vs, vt, .. } => match m
-                .viewable()
-                .and_then(|w| views.factor((vrf, constants), [vt, vs], w))
-            {
-                Some((w, factors)) => mul_shoup_into(w, factors, out),
+            VMulMod { vs, vt, .. } => match views.factor(vrf, [vt, vs], m) {
+                Some(factors) => mul_shoup_into(m, factors, out),
                 None => map2_into(out, lanes(vs), lanes(vt), |a, b| {
                     m.mul(m.canon(a), m.canon(b))
                 }),
@@ -581,11 +606,8 @@ impl<W: Lane> Store<W> {
             }
             Bfly { vs, vt, vt1, .. } => {
                 let outs = (&mut out[..], &mut out1[..]);
-                match m
-                    .viewable()
-                    .and_then(|w| views.factor((vrf, constants), [vt1, vt], w))
-                {
-                    Some((w, factors)) => bfly_shoup(w, lanes(vs), factors, outs),
+                match views.factor(vrf, [vt1, vt], m) {
+                    Some(factors) => bfly_shoup(m, lanes(vs), factors, outs),
                     None => {
                         let prod = |(&x, &y)| m.mul(m.canon(x), m.canon(y));
                         let prods = lanes(vt).iter().zip(lanes(vt1)).map(prod);
@@ -636,6 +658,9 @@ mod tests {
     const Q: u128 = 0xFFFF_FFFF_0000_0001;
     /// 60-bit NTT prime (2^60 - 2^14 + 1): exercises the native-u64 tier.
     const Q60: u128 = 1152921504606830593;
+    /// A 59-bit modulus, as the leveled workload's towers: the narrow
+    /// engine on 64-bit lanes.
+    const Q59: u128 = (1 << 59) - 55;
     /// A 126-bit modulus (any modulus in range is valid): the wide engine
     /// on 128-bit lanes.
     const Q126: u128 = (1 << 126) - 137;
@@ -1088,108 +1113,177 @@ mod tests {
 
     #[test]
     fn no_view_of_a_table_the_program_or_the_host_changed() {
-        // Each case changes part of the table at [0, 1024) — a program
-        // store with and without new values, a host write, an on-device
-        // copy, a second table over its top half — or reads a window
-        // straddling its end; v0 then multiplies. Only lanes that still
-        // equal a recorded table's values may view it.
-        let other = table_values(Q126 - 2, 512);
-        let unit = "vload v0, [a0 + 0], unit";
-        type Host<'a> = &'a dyn Fn(&mut FunctionalSim);
-        let cases: [(&str, Host, &str, &str, bool); 7] = [
-            (
-                "store of other values",
-                &|_| {},
-                "vstore v1, [a0 + 0], unit",
-                unit,
-                false,
-            ),
-            (
-                "store of the same values",
-                &|_| {},
-                "vstore v3, [a0 + 0], unit",
-                unit,
-                true,
-            ),
-            (
-                "host write",
-                &|s| s.write_vdm(100, &[7]).unwrap(),
-                "",
-                unit,
-                false,
-            ),
-            (
-                "on-device copy",
-                &|s| s.copy_vdm(0, 2048, 512).unwrap(),
-                "",
-                unit,
-                false,
-            ),
-            (
-                "host write elsewhere",
-                &|s| s.write_vdm(1024, &[7]).unwrap(),
-                "",
-                unit,
-                true,
-            ),
-            (
-                "second table",
-                &|s| attach(s, Q126 - 2, 512, &other),
-                "",
-                unit,
-                false,
-            ),
-            (
-                "straddling window",
-                &|_| {},
-                "",
-                "vload v0, [a0 + 768], unit",
-                false,
-            ),
-        ];
-        for (name, host, store, load, view) in cases {
-            let (mut interp, mut fast) = table_pair(Q126);
+        // Each case writes over part of the table at [0, 1024) — a
+        // program store with and without new values, in this run or an
+        // earlier one, a store that faults half-way through its
+        // interpreter fallback, a host write, an on-device copy, a
+        // second table over its top half — or reads a window straddling
+        // its end; v0 then multiplies. A table stays registered only
+        // while nothing may have written over its spans, on either
+        // engine: the wide one on 128-bit lanes and the narrow one on
+        // 64-bit lanes and, after an unrelated wide scalar, on 128-bit
+        // lanes.
+        for (q, bits) in [(Q126, 128), (Q59, 64), (Q59, 128)] {
+            let other = table_values(q - 2, 512);
+            let unit = "vload v0, [a0 + 0], unit";
+            let run = |asm: &str| {
+                let program = predecoded(asm);
+                move |s: &mut FunctionalSim| s.run_predecoded(&program).map_or((), drop)
+            };
+            let stored = run("vload v3, [a0 + 0], unit\nvstore v3, [a0 + 0], unit");
+            let faulted = run("vload v3, [a0 + 2048], unit\nvstore v3, [a0 + 0], stride:32");
+            type Host<'a> = &'a dyn Fn(&mut FunctionalSim);
+            let cases: [(&str, Host, &str, &str, bool); 9] = [
+                (
+                    "store of other values",
+                    &|_| {},
+                    "vstore v1, [a0 + 0], unit",
+                    unit,
+                    false,
+                ),
+                (
+                    "store of the same values",
+                    &|_| {},
+                    "vstore v3, [a0 + 0], unit",
+                    unit,
+                    false,
+                ),
+                ("store in an earlier run", &stored, "", unit, false),
+                (
+                    "faulting store in an earlier run",
+                    &faulted,
+                    "",
+                    unit,
+                    false,
+                ),
+                (
+                    "host write",
+                    &|s| s.write_vdm(100, &[7]).unwrap(),
+                    "",
+                    unit,
+                    false,
+                ),
+                (
+                    "on-device copy",
+                    &|s| s.copy_vdm(0, 2048, 512).unwrap(),
+                    "",
+                    unit,
+                    false,
+                ),
+                (
+                    "host write elsewhere",
+                    &|s| s.write_vdm(1024, &[7]).unwrap(),
+                    "",
+                    unit,
+                    true,
+                ),
+                (
+                    "second table",
+                    &|s| attach(s, q - 2, 512, &other),
+                    "",
+                    unit,
+                    false,
+                ),
+                (
+                    "straddling window",
+                    &|_| {},
+                    "",
+                    "vload v0, [a0 + 768], unit",
+                    false,
+                ),
+            ];
+            for (name, host, store, load, view) in cases {
+                let (mut interp, mut fast) = table_pair(q);
+                for sim in [&mut interp, &mut fast] {
+                    sim.set_srf(SReg::at(63), u128::from(bits == 128) << 64);
+                    host(sim);
+                }
+                run_both(
+                    &mut interp,
+                    &mut fast,
+                    &format!(
+                        "vload v1, [a0 + 2048], unit\n\
+                         vload v3, [a0 + 0], unit\n\
+                         {store}\n\
+                         {load}\n\
+                         vmulmod v2, v1, v0, m0\n\
+                         bfly v4, v5, v1, v1, v0, m0\n\
+                         vstore v2, [a0 + 4096], unit\n\
+                         vstore v5, [a0 + 4608], unit\n"
+                    ),
+                );
+                assert_eq!(viewed(&fast, 0), view, "{name} (q={q})");
+                assert_eq!(fast.lane_bits(), bits, "{name} (q={q})");
+            }
+            // The second table's own lanes view it, under its own modulus.
+            let (mut interp, mut fast) = table_pair(q);
             for sim in [&mut interp, &mut fast] {
-                host(sim);
+                attach(sim, q - 2, 512, &other);
+                sim.set_mrf(MReg::at(1), q - 2);
             }
             run_both(
                 &mut interp,
                 &mut fast,
-                &format!(
-                    "vload v1, [a0 + 2048], unit\n\
-                     vload v3, [a0 + 0], unit\n\
-                     {store}\n\
-                     {load}\n\
-                     vmulmod v2, v1, v0, m0\n\
-                     bfly v4, v5, v1, v1, v0, m0\n\
-                     vstore v2, [a0 + 4096], unit\n\
-                     vstore v5, [a0 + 4608], unit\n"
-                ),
+                "vload v0, [a0 + 512], unit\n\
+                 vload v1, [a0 + 2048], unit\n\
+                 vmulmod v2, v1, v0, m1\n\
+                 vmulmod v3, v1, v0, m0\n\
+                 vstore v2, [a0 + 4096], unit\n",
             );
-            assert_eq!(viewed(&fast, 0), view, "{name}");
+            assert!(viewed(&fast, 0), "q={q}");
+            assert_eq!(fast.views.tables.len(), 1, "the first table's span is gone");
         }
-        // The second table's own lanes view it, under its own modulus.
-        let (mut interp, mut fast) = table_pair(Q126);
+        // Under a narrow modulus a table with a value of 2^64 or more
+        // carries no quotients: a register may view it, but a multiply
+        // by that register goes through Barrett.
+        let (mut interp, mut fast) = seeded_pair_mod(Q59, 1 << 13, 16);
+        let huge = [&table_values(Q59, 511)[..], &[u128::MAX]].concat();
         for sim in [&mut interp, &mut fast] {
-            attach(sim, Q126 - 2, 512, &other);
-            sim.set_mrf(MReg::at(1), Q126 - 2);
+            attach(sim, Q59, 0, &huge);
         }
         run_both(
             &mut interp,
             &mut fast,
-            "vload v0, [a0 + 512], unit\n\
+            "vload v0, [a0 + 0], unit\n\
              vload v1, [a0 + 2048], unit\n\
-             vmulmod v2, v1, v0, m1\n\
-             vmulmod v3, v1, v0, m0\n\
-             vstore v2, [a0 + 4096], unit\n",
+             vmulmod v2, v1, v0, m0\n\
+             bfly v3, v4, v1, v1, v0, m0\n",
         );
-        assert!(viewed(&fast, 0));
-        assert_eq!(fast.constants.len(), 1, "the first table's span is gone");
-        // A narrow modulus's tables carry no quotients, so nothing is
-        // recorded for them.
-        let mut narrow = FunctionalSim::new(1024, 16);
-        attach(&mut narrow, Q60, 0, &[1, 2, 3]);
-        assert!(narrow.constants.is_empty());
+        assert_eq!(fast.lane_bits(), 128);
+    }
+
+    #[test]
+    fn adopted_tables_register_only_over_their_own_values() {
+        // A restore writes the whole VDM, which drops every table; the
+        // host then adopts the loaded kernel's tables, which registers
+        // them only if every span still holds their values.
+        for q in [Q126, Q59] {
+            let values = table_values(q, 1024);
+            let tables = ConstantTables::new(q, vec![(0, 512), (1024, 512)], values.clone());
+            let mut sim = FunctionalSim::new(4096, 16);
+            sim.set_mrf(MReg::at(0), q);
+            sim.adopt_constants(&tables);
+            assert!(sim.views.tables.is_empty(), "the VDM holds zeros (q={q})");
+            sim.write_vdm(0, &values[..512]).unwrap();
+            sim.write_vdm(1024, &values[512..]).unwrap();
+            let mut changed = sim.clone();
+            changed.write_vdm(1024 + 511, &[values[1023] ^ 1]).unwrap();
+            changed.adopt_constants(&tables);
+            assert!(changed.views.tables.is_empty(), "one word differs (q={q})");
+            sim.adopt_constants(&tables);
+            assert_eq!(sim.views.tables.len(), 1, "q={q}");
+            let program = predecoded("vload v0, [a0 + 1024], unit\nvmulmod v1, v0, v0, m0\n");
+            sim.run_predecoded(&program).unwrap();
+            assert!(viewed(&sim, 0), "q={q}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "spans ascend without overlapping")]
+    fn overlapping_spans_are_refused() {
+        // Loading them would leave the first span's values partly
+        // overwritten by the second's, and a view of it stale.
+        ConstantTables::new(Q59, vec![(0, 512), (256, 512)], vec![1; 1024]);
     }
 
     #[test]

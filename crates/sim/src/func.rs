@@ -6,7 +6,7 @@
 //! about cycles; here it validates `rpu-codegen` kernels against
 //! `rpu-ntt`.
 
-use crate::constants::ConstantTables;
+use crate::constants::{on_words, ConstantTables};
 use crate::fastpath::Views;
 use rpu_arith::{Engine, Modulus128};
 use rpu_isa::consts::{NUM_AREGS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
@@ -271,19 +271,17 @@ impl Engines {
 pub struct FunctionalSim {
     lanes: Lanes,
     engines: Engines,
-    /// Tables [`load_constants`](FunctionalSim::load_constants) wrote
-    /// whose spans the host has not written over since (only tables
-    /// with quotients: nothing else reads them).
-    pub(crate) constants: Vec<ConstantTables>,
-    /// The fast path's run-local views of their quotients (kept here so
-    /// a run allocates nothing).
+    /// The tables [`load_constants`](FunctionalSim::load_constants)
+    /// registered that nothing has written over since, and the fast
+    /// path's run-local views of their quotients (kept here so a run
+    /// allocates nothing).
     pub(crate) views: Views,
 }
 
 /// Host → device copy into `dst[..src.len()]`.
-fn put<W: Lane>(dst: &mut [W], src: &[u128]) {
-    for (o, &x) in dst.iter_mut().zip(src) {
-        *o = W::narrow(x);
+pub(crate) fn put<W: Lane, X: Lane>(dst: &mut [W], src: &[X]) {
+    for (o, x) in dst.iter_mut().zip(src) {
+        *o = W::narrow(x.widen());
     }
 }
 
@@ -311,7 +309,6 @@ impl FunctionalSim {
         FunctionalSim {
             lanes: Lanes::Narrow(Store::new(vdm_elements, sdm_elements)),
             engines: Engines::default(),
-            constants: Vec::new(),
             views: Views::default(),
         }
     }
@@ -379,9 +376,9 @@ impl FunctionalSim {
     /// state that holds any value of 2⁶⁴ or more re-stores the whole
     /// state in 128-bit words first. Callers bounds-check before this,
     /// so a rejected transfer leaves the width alone.
-    fn admit(&mut self, data: &[u128]) {
+    fn admit<X: Lane>(&mut self, data: &[X]) {
         if let Lanes::Narrow(s) = &self.lanes {
-            if data.iter().fold(0, |hi, &x| hi | (x >> 64)) != 0 {
+            if data.iter().fold(0, |hi, x| hi | (x.widen() >> 64)) != 0 {
                 self.lanes = Lanes::Wide(s.widened());
             }
         }
@@ -399,7 +396,7 @@ impl FunctionalSim {
     pub fn copy_vdm(&mut self, dst: usize, src: usize, len: usize) -> Result<(), ExecError> {
         Self::check_transfer("VDM", self.vdm_capacity(), src, len)?;
         Self::check_transfer("VDM", self.vdm_capacity(), dst, len)?;
-        self.forget_constants(dst, len);
+        self.views.forget_tables(dst, len);
         on_store!(&mut self.lanes, s => s.vdm.copy_within(src..src + len, dst));
         Ok(())
     }
@@ -412,17 +409,25 @@ impl FunctionalSim {
     /// exceeds VDM capacity; the VDM is untouched.
     pub fn write_vdm(&mut self, offset: usize, data: &[u128]) -> Result<(), ExecError> {
         Self::check_transfer("VDM", self.vdm_capacity(), offset, data.len())?;
-        self.forget_constants(offset, data.len());
-        self.admit(data);
-        on_store!(&mut self.lanes, s => put(&mut s.vdm[offset..], data));
+        self.put_vdm(offset, data);
         Ok(())
     }
 
+    /// [`write_vdm`](FunctionalSim::write_vdm) of words of either width,
+    /// after its bounds check.
+    fn put_vdm<X: Lane>(&mut self, offset: usize, data: &[X]) {
+        self.views.forget_tables(offset, data.len());
+        self.admit(data);
+        on_store!(&mut self.lanes, s => put(&mut s.vdm[offset..], data));
+    }
+
     /// Writes a kernel's constant tables at their spans, like
-    /// [`write_vdm`](FunctionalSim::write_vdm) per span, and remembers
-    /// the tables until the host writes over any of their spans, so the
-    /// fast path can multiply a register loaded from one through the
-    /// tables' quotients. Returns the number of elements written.
+    /// [`write_vdm`](FunctionalSim::write_vdm) per span, and registers
+    /// them until a host write or copy, a program's `vstore` or an
+    /// interpreter [`run`](FunctionalSim::run) may write over any of
+    /// their spans, so the fast path can multiply a register loaded from
+    /// one through the tables' quotients. Returns the number of elements
+    /// written.
     ///
     /// # Errors
     ///
@@ -432,20 +437,26 @@ impl FunctionalSim {
         for &(off, len) in tables.spans() {
             Self::check_transfer("VDM", self.vdm_capacity(), off, len)?;
         }
-        for (off, values) in tables.placed() {
-            self.write_vdm(off, values)?;
-        }
-        if !tables.tables().quotients.is_empty() {
-            self.constants.push(tables.clone());
-        }
-        Ok(tables.tables().values.len())
+        on_words!(tables, (_, values) => for (off, table) in tables.placed(values) {
+            self.put_vdm(off, table);
+        });
+        self.views.register(tables);
+        Ok(tables.spans().iter().map(|&(_, len)| len).sum())
     }
 
-    /// Forgets every loaded table with a span `[off, off + len)` writes
-    /// over.
-    fn forget_constants(&mut self, off: usize, len: usize) {
-        let apart = |&(o, l): &(usize, usize)| o + l <= off || off + len <= o;
-        self.constants.retain(|t| t.spans().iter().all(apart));
+    /// Registers `tables` as [`load_constants`](FunctionalSim::load_constants)
+    /// does, without writing them, if the VDM holds their values at
+    /// every span — for a host that restored a VDM image over tables it
+    /// had loaded. This compares every table element once.
+    pub fn adopt_constants(&mut self, tables: &ConstantTables) {
+        let held = on_words!(tables, (_, values) => tables.placed(values).all(|(off, table)| {
+            on_store!(&self.lanes, s => s.vdm.get(off..off + table.len()).is_some_and(|lanes| {
+                lanes.iter().zip(table).all(|(x, w)| x.widen() == w.widen())
+            }))
+        }));
+        if held {
+            self.views.register(tables);
+        }
     }
 
     /// Reads `len` elements from the VDM at an element offset.
@@ -531,6 +542,8 @@ impl FunctionalSim {
     /// modulus; architectural state up to the faulting instruction is
     /// retained.
     pub fn run(&mut self, program: &Program) -> Result<(), ExecError> {
+        // The interpreter keeps no store rule: it may write over any table.
+        self.views.forget_tables(0, usize::MAX);
         let (engines, instrs) = (&mut self.engines, program.instructions());
         on_store!(&mut self.lanes, s => {
             instrs.iter().enumerate().try_for_each(|(pc, instr)| s.step(instr, pc, engines))
@@ -550,8 +563,8 @@ impl FunctionalSim {
     /// Returns the same [`ExecError`] the interpreter would, with the
     /// same architectural state retained up to the fault.
     pub fn run_predecoded(&mut self, program: &PredecodedProgram) -> Result<(), ExecError> {
-        let (engines, views, constants) = (&mut self.engines, &mut self.views, &self.constants);
-        on_store!(&mut self.lanes, s => s.run_predecoded(program, engines, views, constants))
+        let (engines, views) = (&mut self.engines, &mut self.views);
+        on_store!(&mut self.lanes, s => s.run_predecoded(program, engines, views))
     }
 }
 

@@ -160,8 +160,31 @@ fn generated_programs_match_their_golden_fingerprints() {
 #[test]
 fn every_twiddle_is_loaded_from_a_constant_span() {
     // The pinned kernels, the smallest degree with several twiddle
-    // vectors per stage and the headline kernel, whose last two stages
-    // load a twiddle vector per butterfly.
+    // vectors per stage, the headline kernel, whose last two stages
+    // load a twiddle vector per butterfly, and the leveled workload's
+    // 59-bit kernels (narrow twiddles multiply through their quotients
+    // too): its forward and inverse NTT and its fused rescale, which
+    // drops the top prime of a 4 × 59-bit chain.
+    let chain = rpu::LeveledContext::generate(N, 65537, 59, 4).expect("chain exists");
+    let (q, p) = (chain.chain().prime(0), chain.chain().prime(3));
+    let style = CodegenStyle::Optimized;
+    let leveled: [(&str, Box<dyn KernelSpec>, bool); 3] = [
+        (
+            "forward",
+            Box::new(NttSpec::new(N, q, Direction::Forward, style)),
+            false,
+        ),
+        (
+            "inverse",
+            Box::new(NttSpec::new(N, q, Direction::Inverse, style)),
+            true,
+        ),
+        ("rescale", Box::new(RescaleSpec::new(N, q, p, style)), false),
+    ];
+    let leveled = leveled.into_iter().map(|(name, spec, inverse)| {
+        let kernel = spec.generate().expect("generates");
+        (format!("59-bit leveled {name}"), kernel, inverse)
+    });
     let mut kernels: Vec<(String, Kernel, bool)> = goldens()
         .into_iter()
         .map(|g| {
@@ -182,6 +205,7 @@ fn every_twiddle_is_loaded_from_a_constant_span() {
             false,
         ));
     }
+    kernels.extend(leveled);
     for (name, kernel, inverse) in &kernels {
         let (bfly, vmulmod) = multiplies(kernel);
         let (fed_bfly, fed_vmulmod) = table_fed(kernel);

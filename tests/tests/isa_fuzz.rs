@@ -46,7 +46,10 @@
 //! every generated kernel does with its twiddles — and in every
 //! `vsmulmod`. The 127-bit primes put factors on both sides of 2¹²⁶
 //! (the Barrett pass multiplies those negated); the even modulus
-//! carries the second table: Shoup needs no odd modulus. `RPU_FUZZ_WIDTH` (`small` | `wide` |
+//! carries the second table: Shoup needs no odd modulus. The small
+//! class checks the narrow engine the same way: its second table is
+//! under the 60-bit prime, whose `u64` quotients the fast path
+//! multiplies through with `Modulus64::mul_shoup`. `RPU_FUZZ_WIDTH` (`small` | `wide` |
 //! `both`, default `both`) pins the classes a run samples — CI's
 //! small-prime leg sets `small`.
 //!
@@ -358,10 +361,14 @@ fn random_shaped_program(seed: u64, len: usize, shape_idx: usize) -> Program {
     };
     let mut p = Program::new(format!("fuzz_{seed:x}_s{shape_idx}"));
     if shape_idx == CONSTANTS_SHAPE {
-        // Non-zero multiplicands: a product by zero hides a wrong
-        // quotient.
+        // Non-zero multiplicands, half of them full-width table lanes: a
+        // product by zero hides a wrong quotient, and a product by a small
+        // lane one that is off by one.
         for vd in 0..pool as u8 {
-            let offset = r.below(VDM_ELEMS as u64 / 2) as u32;
+            let offset = match vd % 2 {
+                0 => (TABLE_BASE as u64 + r.below(2 * TABLE_LEN as u64 - 512)) as u32,
+                _ => r.below(VDM_ELEMS as u64 / 2) as u32,
+            };
             let (base, mode) = (AReg::at(0), AddrMode::Unit);
             p.push(Instruction::VLoad {
                 vd: VReg::at(vd),
