@@ -38,7 +38,12 @@
 //! let b = basis.split_u128_poly(&vec![5u128; n]);
 //! let (towers, report) = cluster.negacyclic_mul_towers(n, &primes, &a, &b)?;
 //! assert_eq!(towers.len(), 4);
-//! assert!(report.speedup() > 1.0); // 4 towers over 2 lanes overlap
+//! // One lane thread may take every tower; when both take some, the
+//! // 4 towers over 2 lanes overlap.
+//! assert!((1.0..=2.0).contains(&report.speedup()));
+//! if report.lanes_used() == 2 {
+//!     assert!(report.speedup() > 1.0);
+//! }
 //! assert_eq!(cluster.total_dispatches(), 4); // a lane's totals are its session's
 //! # Ok(())
 //! # }

@@ -1,28 +1,31 @@
-//! [`LeveledEvaluator`]: leveled RNS ciphertexts on an [`RpuCluster`],
-//! placed by *tower* — depth-`L` homomorphic evaluation over
-//! device-resident tower buffers.
+//! [`LeveledEvaluator`]: leveled RNS ciphertexts on an
+//! [`RpuCluster`](crate::RpuCluster), placed by *tower* — the
+//! many-tower instance of the device core [`crate::evaluator`], for
+//! depth-`L` homomorphic evaluation over device-resident tower buffers.
 //!
 //! A leveled ciphertext is `2·(level + 1)` ring elements — mask and
-//! payload towers, one pair per live prime of the [`ModulusChain`] — and
-//! every tower runs the same lane-local [`crate::recipes`] as the
-//! single-modulus front ends (encrypt, phase, tensor cross terms, gadget
-//! digit), each with its own modulus' kernel set. This module owns only
-//! what is specific to the leveled front end:
+//! payload towers, one pair per live prime of the [`ModulusChain`]. Every
+//! operation the single-modulus face shares — encrypt, add/sub, the
+//! tensor + relinearize `mul`, the key switch, decrypt, download, free —
+//! and the key state behind them are the core's, run under
+//! [`Placement::Tower`]: tower `l` lives on lane `l % lanes` with its six
+//! recipe kernels compiled there, and relinearization decomposes each
+//! `c2` source tower once and folds every digit into every live tower's
+//! accumulators, uploading it once per lane ([`DeviceLeveledRelinKey`]
+//! holds tower `k`'s share of each source tower's key on tower `k`'s
+//! lane). [`LeveledEvaluator`] is the core's [`Evaluator`] over a
+//! [`LeveledContext`], so the accessors both faces share (context,
+//! cluster, timing, gadget base, relin key) are the core's. This module
+//! owns only what is specific to the leveled face:
 //!
-//! * **placement** — tower `l` lives on lane `l % lanes`, with the six
-//!   recipe kernels compiled there once per tower at construction;
-//! * **the cross-tower digit loop** — relinearization decomposes each
-//!   `c2` source tower on the host and folds every digit into *every*
-//!   live tower's accumulators, uploading it once per lane
-//!   ([`DeviceLeveledRelinKey`] holds tower `k`'s share of each source
-//!   tower's key on tower `k`'s lane);
 //! * **rescale** — the dropped tower comes back to the host for the
 //!   exact rounding correction `δ`
 //!   ([`LeveledContext::rescale_correction`]) and each surviving tower
 //!   runs one fused `(ĉ − NTT(δ))·p⁻¹` dispatch ([`RescaleSpec`],
 //!   compiled lazily per `(dropped level, surviving tower)` since its
 //!   identity includes the dropped prime);
-//! * level alignment, mod-drop, and the per-ciphertext [`NoiseBudget`].
+//! * level alignment, mod-drop, the per-ciphertext [`NoiseBudget`], and
+//!   cluster snapshots.
 //!
 //! The dataflow mirrors the host oracle [`LeveledContext`] *exactly* —
 //! the same pinned randomness streams, the same rounding corrections —
@@ -31,115 +34,60 @@
 //! at 1, 2, and 4 lanes).
 
 use crate::buffer::DeviceBuffer;
-use crate::lanes::RpuCluster;
-use crate::recipes::{self, LaneKernels, LaneKsk, Temps};
+use crate::evaluator::{Evaluator, Pick, Placement, Towers};
+use crate::recipes::{self, Temps};
 use crate::run::Rpu;
-use crate::session::RpuSession;
-use crate::RpuError;
-use rpu_arith::{gadget_decompose, ModulusChain};
-use rpu_codegen::{CodegenStyle, Kernel, RescaleSpec};
+use crate::{DeviceKeySwitchKey, RpuError};
+use rpu_arith::ModulusChain;
+use rpu_codegen::{CodegenStyle, RescaleSpec};
 use rpu_ntt::leveled::{
-    LeveledCiphertext, LeveledContext, LeveledError, LeveledRelinKey, LeveledSecretKey, NoiseBudget,
+    LeveledCiphertext, LeveledContext, LeveledError, LeveledSecretKey, NoiseBudget,
 };
 use rpu_ntt::rlwe::Splitmix;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A leveled RNS ciphertext resident on the cluster: per live tower
 /// `l ≤ level`, the evaluation-form mask `â_l` and payload `b̂_l` on
 /// lane `l % lanes`, plus the tracked noise bound.
 #[derive(Debug, Clone)]
 pub struct DeviceLeveledCiphertext {
-    level: usize,
-    a: Vec<DeviceBuffer>,
-    b: Vec<DeviceBuffer>,
+    towers: Towers,
     noise: NoiseBudget,
 }
 
 impl DeviceLeveledCiphertext {
     /// The ciphertext's level (`towers − 1`).
     pub fn level(&self) -> usize {
-        self.level
+        self.towers[0].len() - 1
     }
 
     /// The resident mask towers `â_0 ..= â_level`.
     pub fn a_towers(&self) -> &[DeviceBuffer] {
-        &self.a
+        &self.towers[0]
     }
 
     /// The resident payload towers `b̂_0 ..= b̂_level`.
     pub fn b_towers(&self) -> &[DeviceBuffer] {
-        &self.b
+        &self.towers[1]
     }
 
     /// The tracked worst-case noise bound.
     pub fn noise(&self) -> NoiseBudget {
         self.noise
     }
-
-    /// Every tower handle, masks then payloads.
-    fn handles(&self) -> Vec<DeviceBuffer> {
-        [&self.a[..], &self.b[..]].concat()
-    }
 }
 
-/// Leveled relinearization key material resident on the cluster: for
-/// each source tower `i`, tower `k`'s share of the full-RNS key — the
-/// digit-indexed `(â_{ij,k}, b̂_{ij,k})` pairs of a [`LaneKsk`] — on
-/// tower `k`'s lane. Mod-dropping the key is implicit — a key switch at
-/// `level` simply never touches towers above it.
-#[derive(Debug, Clone)]
-pub struct DeviceLeveledRelinKey {
-    /// `keys[i][k]`: source tower `i`'s digits, tower `k`'s polynomials.
-    keys: Vec<Vec<LaneKsk>>,
-}
-
-impl DeviceLeveledRelinKey {
-    /// The digit base exponent `log2(B)`.
-    pub fn base_log(&self) -> u32 {
-        self.keys[0][0].base_log()
-    }
-
-    /// Total digit products `Σ_{i ≤ level} ℓ_i` a key switch at `level`
-    /// performs — the `parts` factor of the noise model.
-    pub fn parts_at_level(&self, level: usize) -> usize {
-        self.keys[..=level].iter().map(|k| k[0].levels()).sum()
-    }
-
-    /// Total resident elements this key occupies across all lanes.
-    pub fn resident_elements(&self) -> usize {
-        self.handles().map(|buf| buf.len()).sum()
-    }
-
-    fn handles(&self) -> impl Iterator<Item = DeviceBuffer> + '_ {
-        self.keys.iter().flatten().flat_map(LaneKsk::handles)
-    }
-}
-
-fn no_key(what: &str, call: &str) -> RpuError {
-    RpuError::Config(format!("no {what}: call LeveledEvaluator::{call} first"))
-}
+/// Leveled relinearization key material resident on the cluster: the
+/// device core's one key-switch key type, holding for each source tower
+/// `i` tower `k`'s share of the full-RNS key on tower `k`'s lane (as
+/// [`rpu_ntt::leveled::LeveledRelinKey`] is the host's one type).
+pub type DeviceLeveledRelinKey = DeviceKeySwitchKey;
 
 /// Runs leveled RNS ciphertext operations as chains of kernel
 /// dispatches over device-resident tower buffers, sharded round-robin
-/// across the lanes of an [`RpuCluster`], with on-RPU rescaling and a
-/// per-ciphertext [`NoiseBudget`] tracker.
-#[derive(Debug)]
-pub struct LeveledEvaluator<'a> {
-    cluster: RpuCluster<'a>,
-    ctx: LeveledContext,
-    style: CodegenStyle,
-    /// Per-tower recipe kernels (index = tower = chain level).
-    kernels: Vec<LaneKernels>,
-    /// Fused rescale kernels by `(dropped level, surviving tower)`.
-    rescale_kernels: HashMap<(usize, usize), Arc<Kernel>>,
-    /// The secret key in evaluation form, one resident buffer per tower.
-    sk: Vec<DeviceBuffer>,
-    /// Host copy of the secret key (derives key-switch material).
-    host_sk: Option<LeveledSecretKey>,
-    ksk_base_log: u32,
-    relin: Option<DeviceLeveledRelinKey>,
-}
+/// across the lanes of an [`RpuCluster`](crate::RpuCluster), with
+/// on-RPU rescaling and a per-ciphertext [`NoiseBudget`] tracker: the
+/// device evaluator over a [`LeveledContext`], placed by tower.
+pub type LeveledEvaluator<'a> = Evaluator<'a, LeveledContext, LeveledSecretKey>;
 
 impl<'a> LeveledEvaluator<'a> {
     /// Builds an evaluator over `ctx`'s modulus chain: compiles and
@@ -151,30 +99,8 @@ impl<'a> LeveledEvaluator<'a> {
     /// Returns [`RpuError::Codegen`] if the ring degree is outside what
     /// the kernel generators support.
     pub fn new(rpu: &'a Rpu, ctx: LeveledContext, style: CodegenStyle) -> Result<Self, RpuError> {
-        let mut cluster = rpu.cluster();
-        let lanes = cluster.lane_count();
-        let kernels = (0..ctx.chain().levels())
-            .map(|l| {
-                let w = cluster.lane_session(l % lanes);
-                LaneKernels::compile(w, ctx.n(), ctx.chain().prime(l), style)
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(LeveledEvaluator {
-            cluster,
-            ctx,
-            style,
-            kernels,
-            rescale_kernels: HashMap::new(),
-            sk: Vec::new(),
-            host_sk: None,
-            ksk_base_log: recipes::DEFAULT_KSK_BASE_LOG,
-            relin: None,
-        })
-    }
-
-    /// The host-side reference context (same chain, same plans).
-    pub fn context(&self) -> &LeveledContext {
-        &self.ctx
+        let (n, primes) = (ctx.n(), ctx.chain().primes().to_vec());
+        Evaluator::open(rpu, Placement::Tower, n, &primes, ctx, style)
     }
 
     /// The modulus chain the evaluator runs over.
@@ -182,47 +108,26 @@ impl<'a> LeveledEvaluator<'a> {
         self.ctx.chain()
     }
 
-    /// The cluster the evaluator shards over.
-    pub fn cluster(&self) -> &RpuCluster<'a> {
-        &self.cluster
-    }
-
     /// The lane tower `l` is resident on.
     pub fn tower_lane(&self, l: usize) -> usize {
-        l % self.cluster.lane_count()
-    }
-
-    /// Kernels dispatched so far, across every lane.
-    pub fn dispatch_count(&self) -> u64 {
-        self.cluster.total_dispatches()
-    }
-
-    /// Total simulated on-RPU time of every dispatch, in microseconds —
-    /// the sequential-equivalent cost.
-    pub fn simulated_us(&self) -> f64 {
-        self.cluster.total_busy_us()
-    }
-
-    /// The busiest lane's simulated time, in microseconds — the
-    /// overlapped completion time of the multi-lane deployment.
-    pub fn makespan_us(&self) -> f64 {
-        self.cluster.makespan_us()
+        Placement::Tower.homes(l, self.cluster().lane_count())[0]
     }
 
     /// Serializes the underlying cluster's full device state — key
     /// material, resident ciphertext towers, kernel caches — as one
-    /// `SNAP_V1` cluster snapshot ([`RpuCluster::snapshot_all`]).
+    /// `SNAP_V1` cluster snapshot
+    /// ([`RpuCluster::snapshot_all`](crate::RpuCluster::snapshot_all)).
     ///
     /// Every evaluator operation after key generation and encryption is
     /// deterministic (no fresh host randomness), so a mid-pipeline
     /// snapshot restored later and driven through the same remaining
     /// operations reproduces bit-identical ciphertext towers.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.cluster.snapshot_all()
+        self.cluster().snapshot_all()
     }
 
     /// Restores the underlying cluster to a snapshotted state
-    /// ([`RpuCluster::restore_all_replacing`]): ciphertext and key
+    /// ([`RpuCluster::restore_all_replacing`](crate::RpuCluster::restore_all_replacing)): ciphertext and key
     /// handles captured at snapshot time become valid again, and
     /// buffers created after the snapshot become stale on their lane.
     /// Host-side state (contexts, noise trackers, handle structs) is
@@ -240,32 +145,7 @@ impl<'a> LeveledEvaluator<'a> {
     /// against the ciphertext's current live modulus). Negative means
     /// the tracker predicts decryption failure.
     pub fn remaining_bits(&self, ct: &DeviceLeveledCiphertext) -> f64 {
-        ct.noise.remaining(self.ctx.chain().log2_q(ct.level))
-    }
-
-    /// Tower `l`'s lane session and kernel set, for one recipe call.
-    fn tower(&mut self, l: usize) -> (&mut RpuSession<'a>, &LaneKernels) {
-        let lane = self.tower_lane(l);
-        (self.cluster.lane_session(lane), &self.kernels[l])
-    }
-
-    /// Builds a ciphertext tower by tower from `tower(self, l) →
-    /// (â_l, b̂_l)`; a failure frees the towers already built.
-    fn per_tower(
-        &mut self,
-        level: usize,
-        noise: NoiseBudget,
-        mut tower: impl FnMut(&mut Self, usize) -> Result<(DeviceBuffer, DeviceBuffer), RpuError>,
-    ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        let mut t = Temps::default();
-        let towers = (0..=level)
-            .map(|l| tower(self, l).map(|(a, b)| (t.hold(a), t.hold(b))))
-            .collect::<Result<Vec<_>, _>>();
-        let ct = towers.map(|towers| {
-            let (a, b) = towers.into_iter().unzip();
-            DeviceLeveledCiphertext { level, a, b, noise }
-        });
-        t.settle(ct, |ct| ct.handles(), |buf| self.cluster.free(buf))
+        ct.noise.remaining(self.ctx.chain().log2_q(ct.level()))
     }
 
     /// Samples a ternary secret key on the host (the stream
@@ -283,35 +163,11 @@ impl<'a> LeveledEvaluator<'a> {
     /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
     pub fn keygen(&mut self, rng: &mut Splitmix) -> Result<LeveledSecretKey, RpuError> {
         let sk = self.ctx.keygen(rng);
-        self.host_sk = None;
-        for old in std::mem::take(&mut self.sk) {
-            let _ = self.cluster.free(old);
-        }
-        if let Some(old) = self.relin.take() {
-            self.release_key(&old);
-        }
-        let mut t = Temps::default();
-        let uploaded = (0..self.kernels.len())
-            .map(|l| {
-                let (w, k) = self.tower(l);
-                Ok(t.hold(recipes::upload_eval(w, k, &sk.s_coeffs(l))?))
-            })
-            .collect::<Result<Vec<_>, _>>();
-        self.sk = t.settle(uploaded, Vec::clone, |buf| self.cluster.free(buf))?;
-        self.host_sk = Some(sk.clone());
+        let towers: Vec<_> = (0..self.ctx.chain().levels())
+            .map(|l| sk.s_coeffs(l))
+            .collect();
+        self.install_key(&sk, &towers)?;
         Ok(sk)
-    }
-
-    fn resident_key(&self, l: usize) -> Result<DeviceBuffer, RpuError> {
-        let sk = self.sk.get(l).copied();
-        sk.ok_or_else(|| no_key("resident secret key", "keygen"))
-    }
-
-    /// Best-effort release of a whole device key.
-    fn release_key(&mut self, key: &DeviceLeveledRelinKey) {
-        for buf in key.handles() {
-            let _ = self.cluster.free(buf);
-        }
     }
 
     /// Encrypts a plaintext vector (coefficients mod `t`) at the top
@@ -332,14 +188,9 @@ impl<'a> LeveledEvaluator<'a> {
         message: &[u128],
         rng: &mut Splitmix,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        self.resident_key(self.ctx.max_level())?;
-        let (masks, payloads) = self.ctx.sample_mask_and_payload(message, rng);
+        let towers = self.encrypt_towers(|ctx| ctx.sample_mask_and_payload(message, rng))?;
         let noise = NoiseBudget::fresh(self.ctx.chain().t());
-        self.per_tower(self.ctx.max_level(), noise, |ev, l| {
-            let sk = ev.sk[l];
-            let (w, k) = ev.tower(l);
-            recipes::encrypt(w, k, sk, &masks[l], &payloads[l])
-        })
+        Ok(DeviceLeveledCiphertext { towers, noise })
     }
 
     /// Homomorphic addition with automatic level alignment: one
@@ -375,13 +226,11 @@ impl<'a> LeveledEvaluator<'a> {
         &mut self,
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
-        pick: fn(&LaneKernels) -> &Arc<Kernel>,
+        pick: Pick,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
+        let towers = self.ops().pointwise_ct(pick, &x.towers, &y.towers)?;
         let noise = x.noise.after_add(y.noise);
-        self.per_tower(x.level.min(y.level), noise, |ev, l| {
-            let (w, k) = ev.tower(l);
-            recipes::pointwise_pair(w, pick(k), (x.a[l], x.b[l]), (y.a[l], y.b[l]))
-        })
+        Ok(DeviceLeveledCiphertext { towers, noise })
     }
 
     /// Explicit mod-drop to a lower level: consumes the ciphertext,
@@ -398,30 +247,14 @@ impl<'a> LeveledEvaluator<'a> {
         mut ct: DeviceLeveledCiphertext,
         level: usize,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        if level > ct.level {
-            let (requested, max) = (level, ct.level);
+        if level > ct.level() {
+            let (requested, max) = (level, ct.level());
             self.free_ciphertext(ct)?;
             return Err(LeveledError::LevelTooHigh { requested, max }.into());
         }
-        for buf in ct.a.drain(level + 1..).chain(ct.b.drain(level + 1..)) {
-            self.cluster.free(buf)?;
-        }
-        ct.level = level;
+        let dropped = ct.towers.each_mut().map(|c| c.split_off(level + 1));
+        self.ops().free(dropped)?;
         Ok(ct)
-    }
-
-    /// The fused rescale kernel for dropping `q_level` on surviving
-    /// tower `i`, compiled on first use (the dropped prime is part of
-    /// the kernel identity).
-    fn rescale_kernel(&mut self, level: usize, i: usize) -> Result<Arc<Kernel>, RpuError> {
-        if let Some(k) = self.rescale_kernels.get(&(level, i)) {
-            return Ok(Arc::clone(k));
-        }
-        let chain = self.ctx.chain();
-        let spec = RescaleSpec::new(self.ctx.n(), chain.prime(i), chain.prime(level), self.style);
-        let kernel = self.cluster.compile_on(self.tower_lane(i), &spec)?;
-        self.rescale_kernels.insert((level, i), Arc::clone(&kernel));
-        Ok(kernel)
     }
 
     /// Rescales: divides (with rounding) by the last live prime,
@@ -440,36 +273,38 @@ impl<'a> LeveledEvaluator<'a> {
         &mut self,
         ct: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        let level = ct.level;
+        let level = ct.level();
         if level == 0 {
             return Err(LeveledError::BottomLevel.into());
         }
-        let chain = self.ctx.chain();
+        let style = self.style;
+        let (mut ops, ctx) = self.ops_and_context();
+        let chain = ctx.chain();
         let noise = ct
             .noise
-            .after_rescale(chain.prime(level), self.ctx.n(), chain.t());
+            .after_rescale(chain.prime(level), ctx.n(), chain.t());
         let mut t = Temps::default();
         let scaled = (|| {
-            let mut scaled = [Vec::with_capacity(level), Vec::with_capacity(level)];
-            for (towers, out) in [&ct.a, &ct.b].into_iter().zip(&mut scaled) {
-                let (w, k) = self.tower(level);
+            let mut scaled = Towers::default();
+            for (towers, out) in ct.towers.iter().zip(&mut scaled) {
+                let (w, k) = ops.at(ops.homes(level)[0], level);
                 let dropped = recipes::download_coeffs(w, k, towers[level])?;
-                let delta = self.ctx.rescale_correction(level, &dropped);
-                for (i, delta_i) in delta.iter().enumerate() {
-                    let kernel = self.rescale_kernel(level, i)?;
-                    let w = self.cluster.lane_session(i % self.cluster.lane_count());
+                for (i, delta_i) in ctx.rescale_correction(level, &dropped).iter().enumerate() {
+                    let (w, _) = ops.at(ops.homes(i)[0], i);
+                    // Compiled on first use: the dropped prime is part of
+                    // the kernel's identity, so the lane caches one per
+                    // (dropped level, surviving tower).
+                    let spec = RescaleSpec::new(ctx.n(), chain.prime(i), chain.prime(level), style);
+                    let kernel = w.compile(&spec)?;
                     let d = t.hold(w.upload(delta_i)?);
-                    let out_i = t.hold(w.alloc(delta_i.len())?);
-                    w.dispatch(&kernel, &[d, towers[i]], &[out_i])?;
+                    out.push(t.hold(recipes::apply(w, &kernel, &[d, towers[i]])?));
                     w.free(d)?;
-                    out.push(out_i);
                 }
             }
-            let [a, b] = scaled;
-            let level = level - 1;
-            Ok(DeviceLeveledCiphertext { level, a, b, noise })
+            Ok(scaled)
         })();
-        t.settle(scaled, |ct| ct.handles(), |buf| self.cluster.free(buf))
+        let towers = ops.settle(t, scaled)?;
+        Ok(DeviceLeveledCiphertext { towers, noise })
     }
 
     /// Generates a leveled relinearization key — host-side gadget
@@ -484,62 +319,9 @@ impl<'a> LeveledEvaluator<'a> {
     /// [`keygen`](Self::keygen), or [`RpuError`] on heap exhaustion /
     /// dispatch failure during upload.
     pub fn relin_keygen(&mut self, rng: &mut Splitmix) -> Result<(), RpuError> {
-        let sk = self.host_sk.as_ref();
-        let sk = sk.ok_or_else(|| no_key("resident secret key", "keygen"))?;
-        let rk = self.ctx.relin_keygen(sk, rng, self.ksk_base_log);
-        let mut key = DeviceLeveledRelinKey { keys: Vec::new() };
-        if let Err(e) = self.upload_relin_key(&rk, &mut key) {
-            // Heap exhaustion must not strand the shares uploaded so far.
-            self.release_key(&key);
-            return Err(e);
-        }
-        if let Some(old) = self.relin.replace(key) {
-            self.release_key(&old);
-        }
-        Ok(())
-    }
-
-    /// Uploads tower `k`'s share of every source tower's key to tower
-    /// `k`'s lane, appending to `key` as it goes.
-    fn upload_relin_key(
-        &mut self,
-        rk: &LeveledRelinKey,
-        key: &mut DeviceLeveledRelinKey,
-    ) -> Result<(), RpuError> {
-        for i in 0..rk.parts().len() {
-            key.keys.push(Vec::with_capacity(self.kernels.len()));
-            for k in 0..self.kernels.len() {
-                let (w, kernels) = self.tower(k);
-                let share = recipes::upload_ksk(w, kernels, rk.base_log(), rk.share(i, k))?;
-                key.keys.last_mut().expect("just pushed").push(share);
-            }
-        }
-        Ok(())
-    }
-
-    /// The resident relinearization key, if generated.
-    pub fn relin_key(&self) -> Option<&DeviceLeveledRelinKey> {
-        self.relin.as_ref()
-    }
-
-    /// The gadget digit base exponent future
-    /// [`relin_keygen`](Self::relin_keygen) calls use (`log2(B)`,
-    /// default 16).
-    pub fn key_base_log(&self) -> u32 {
-        self.ksk_base_log
-    }
-
-    /// Overrides the gadget digit base for *future* key generations.
-    /// Smaller bases mean more digits (more dispatches, less noise per
-    /// digit). The host oracle must be given the same base for
-    /// bit-exact cross-checks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Config`] outside `[1, 64]`.
-    pub fn set_key_base_log(&mut self, base_log: u32) -> Result<(), RpuError> {
-        self.ksk_base_log = recipes::check_ksk_base_log(base_log)?;
-        Ok(())
+        let base_log = self.key_base_log();
+        let rk = self.ctx.relin_keygen(self.host_key()?, rng, base_log);
+        self.set_relin(&rk)
     }
 
     /// Ciphertext×ciphertext multiplication at the operands' common
@@ -565,55 +347,12 @@ impl<'a> LeveledEvaluator<'a> {
         x: &DeviceLeveledCiphertext,
         y: &DeviceLeveledCiphertext,
     ) -> Result<DeviceLeveledCiphertext, RpuError> {
-        let relin = self.relin.clone();
-        let relin = relin.ok_or_else(|| no_key("relinearization key", "relin_keygen"))?;
-        let level = x.level.min(y.level);
-        let (n, lanes) = (self.ctx.n(), self.cluster.lane_count());
-        let parts = relin.parts_at_level(level);
-        let noise = x
-            .noise
-            .after_mul(y.noise, n, self.ctx.chain().t(), parts, relin.base_log());
-        let mut t = Temps::default();
-        let ct = (|| {
-            // Per-tower tensor; c2 comes back to coefficients for the
-            // host-side gadget decomposition.
-            let mut c10 = Vec::with_capacity(level + 1);
-            let mut c2_coeffs = Vec::with_capacity(level + 1);
-            for l in 0..=level {
-                let (w, k) = self.tower(l);
-                let c0 = t.hold(recipes::pointwise(w, &k.pwmul, x.b[l], y.b[l])?);
-                let (xl, yl) = ((x.a[l], x.b[l]), (y.a[l], y.b[l]));
-                c10.push((t.hold(recipes::cross_terms(w, k, xl, yl)?), c0));
-                let c2 = recipes::pointwise(w, &k.pwmul, x.a[l], y.a[l])?;
-                let coeffs = recipes::download_coeffs(w, k, c2);
-                w.free(c2)?;
-                c2_coeffs.push(coeffs?);
-            }
-            // Key switch: zero accumulators per live tower, then every
-            // digit of every source tower into every live tower.
-            let mut acc = Vec::with_capacity(level + 1);
-            for k in 0..=level {
-                let pair = recipes::accumulators(self.tower(k).0, n)?;
-                acc.push((t.hold(pair.0), t.hold(pair.1)));
-            }
-            for (src, key) in c2_coeffs.iter().zip(&relin.keys) {
-                let digits = gadget_decompose(src, relin.base_log(), key[0].levels());
-                for (j, digit) in digits.iter().enumerate() {
-                    for lane in 0..lanes.min(level + 1) {
-                        let towers = (lane..=level).step_by(lanes);
-                        let targets = towers.map(|k| (&self.kernels[k], key[k].part(j), acc[k]));
-                        recipes::ksw_digit(self.cluster.lane_session(lane), digit, targets)?;
-                    }
-                }
-            }
-            // Combine: a = c1 + Σ d̂·â, b = c0 + Σ d̂·b̂, per tower.
-            self.per_tower(level, noise, |ev, l| {
-                let (w, k) = ev.tower(l);
-                recipes::pointwise_pair(w, &k.pwadd, c10[l], acc[l])
-            })
-        })();
-        // The result towers are per_tower's; every temp here goes back.
-        t.settle(ct, |_| [], |buf| self.cluster.free(buf))
+        let relin = self.relin()?;
+        let parts = relin.parts_at_level(x.level().min(y.level()));
+        let (n, t) = (self.ctx.n(), self.ctx.chain().t());
+        let noise = x.noise.after_mul(y.noise, n, t, parts, relin.base_log());
+        let towers = self.mul_towers(&x.towers, &y.towers)?;
+        Ok(DeviceLeveledCiphertext { towers, noise })
     }
 
     /// Fused level-aware multiply: [`mul`](Self::mul) followed by
@@ -635,19 +374,6 @@ impl<'a> LeveledEvaluator<'a> {
         rescaled
     }
 
-    /// Per-tower phase coefficients `b̂_l ⊖ â_l·ŝ_l` (natural order,
-    /// downloaded) — the on-device front half of decryption and noise
-    /// measurement.
-    fn phase_towers(&mut self, ct: &DeviceLeveledCiphertext) -> Result<Vec<Vec<u128>>, RpuError> {
-        self.resident_key(ct.level)?;
-        let towers = (0..=ct.level).map(|l| {
-            let sk = self.sk[l];
-            let (w, k) = self.tower(l);
-            recipes::phase(w, k, sk, ct.a[l], ct.b[l])
-        });
-        towers.collect()
-    }
-
     /// Decrypts a resident ciphertext with the resident secret key:
     /// per-tower phase on-device, CRT decode on the host.
     ///
@@ -656,7 +382,7 @@ impl<'a> LeveledEvaluator<'a> {
     /// Returns [`RpuError::Config`] without a prior
     /// [`keygen`](Self::keygen), or [`RpuError`] on dispatch failure.
     pub fn decrypt(&mut self, ct: &DeviceLeveledCiphertext) -> Result<Vec<u128>, RpuError> {
-        let towers = self.phase_towers(ct)?;
+        let towers = self.phase_towers(&ct.towers)?;
         Ok(self.ctx.decode_phase_towers(&towers))
     }
 
@@ -669,7 +395,7 @@ impl<'a> LeveledEvaluator<'a> {
     ///
     /// Returns [`RpuError`] as [`decrypt`](Self::decrypt) does.
     pub fn measure_noise(&mut self, ct: &DeviceLeveledCiphertext) -> Result<f64, RpuError> {
-        let towers = self.phase_towers(ct)?;
+        let towers = self.phase_towers(&ct.towers)?;
         Ok(self.ctx.phase_noise_bits(&towers))
     }
 
@@ -684,13 +410,7 @@ impl<'a> LeveledEvaluator<'a> {
         &mut self,
         ct: &DeviceLeveledCiphertext,
     ) -> Result<LeveledCiphertext, RpuError> {
-        let mut a = Vec::with_capacity(ct.level + 1);
-        let mut b = Vec::with_capacity(ct.level + 1);
-        for l in 0..=ct.level {
-            let (w, k) = self.tower(l);
-            a.push(recipes::download_coeffs(w, k, ct.a[l])?);
-            b.push(recipes::download_coeffs(w, k, ct.b[l])?);
-        }
+        let [a, b] = self.ops().download(&ct.towers)?;
         Ok(LeveledCiphertext::from_coeff_towers(
             &self.ctx, a, b, ct.noise,
         )?)
@@ -702,9 +422,6 @@ impl<'a> LeveledEvaluator<'a> {
     ///
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn free_ciphertext(&mut self, ct: DeviceLeveledCiphertext) -> Result<(), RpuError> {
-        for buf in ct.handles() {
-            self.cluster.free(buf)?;
-        }
-        Ok(())
+        self.ops().free(ct.towers)
     }
 }

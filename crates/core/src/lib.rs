@@ -81,9 +81,14 @@
 //! ```
 //!
 //! [`RlweEvaluator`] builds full ciphertext pipelines on this runtime:
-//! encrypt/add/sub/mul_plain/decrypt as chains of dispatches over
+//! encrypt/add/sub/mul/rotate/decrypt as chains of dispatches over
 //! resident ciphertexts, verified against the host
-//! [`rpu_ntt::rlwe::RlweContext`].
+//! [`rpu_ntt::rlwe::RlweContext`]. It and the leveled RNS
+//! [`LeveledEvaluator`] are two faces of one device evaluator: every op
+//! body, the gadget key switch and the key state are written once over
+//! RNS towers, and the faces differ only in which lane holds each
+//! tower's mask and payload — by component for the single-modulus face,
+//! by tower for the leveled one.
 //!
 //! # Multi-lane RNS execution
 //!
@@ -93,8 +98,8 @@
 //! [`stats`](RpuSession::stats)) and
 //! [`RpuCluster::negacyclic_mul_towers`] spreads tower jobs over them —
 //! each lane, on its own thread, takes the next un-started tower —
-//! with CRT recombination on the host; 8 towers on 4 lanes finish in a
-//! 2-tower makespan:
+//! with CRT recombination on the host; 8 towers on 4 lanes that balance
+//! finish in a 2-tower makespan:
 //!
 //! ```
 //! use rpu::Rpu;
@@ -110,7 +115,12 @@
 //! let (products, report) = cluster.negacyclic_mul_towers(1024, &primes, &a, &b)?;
 //! let wide = basis.recombine_poly(&products);
 //! assert_eq!(products.len(), 4);
-//! assert!(report.speedup() > 1.0);
+//! // Which lane thread takes which tower is up to the threads: between
+//! // no overlap (one lane took all four) and the full two-lane gain.
+//! assert!((1.0..=2.0).contains(&report.speedup()));
+//! if report.lanes_used() == 2 {
+//!     assert!(report.speedup() > 1.0);
+//! }
 //! # Ok(())
 //! # }
 //! ```
@@ -124,12 +134,15 @@
 //! [`RpuCluster::on_lanes`] — one thread per lane, each running that
 //! lane's service loop for as long as the service lives, pulling the
 //! next tenant batch from the server's queues itself (no scheduler
-//! thread in between).
+//! thread in between). A served job runs the same evaluator op bodies
+//! as the two evaluators, with everything on the tenant's home lane.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod buffer;
+#[doc(hidden)]
+pub mod evaluator;
 mod explore;
 mod lanes;
 mod leveled;
@@ -142,10 +155,11 @@ mod snapshot;
 mod trace;
 
 pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
+pub use evaluator::{DeviceKeySwitchKey, Evaluator};
 pub use explore::{evaluate_point, explore_design_space, paper_sweep, PAPER_BANKS, PAPER_HPLES};
 pub use lanes::{ClusterRunReport, LaneJob, RpuCluster};
 pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
-pub use rlwe::{DeviceCiphertext, DeviceKeySwitchKey, RlweEvaluator};
+pub use rlwe::{DeviceCiphertext, RlweEvaluator};
 pub use run::{Rpu, RunReport};
 pub use session::{CacheStats, KernelCache, LaneStats, PrimeTable, RpuBuilder, RpuSession};
 pub use snapshot::SnapshotError;

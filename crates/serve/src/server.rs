@@ -34,11 +34,12 @@
 
 use crate::ops;
 use crate::ServeError;
+use rpu::evaluator::{GaloisKey, Ops, Towers};
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
-use rpu::recipes::{self, LaneKernels, LaneKsk, Temps};
+use rpu::recipes::{self, LaneKernels, Temps};
 use rpu::{
-    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext, Rpu,
-    RpuError, RpuSession,
+    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext,
+    DeviceKeySwitchKey, Rpu, RpuError, RpuSession,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -427,23 +428,27 @@ struct QueuedJob {
     work: WorkItem,
 }
 
-/// A tenant's resident key material.
+/// A tenant's resident key material, in the device core's key types.
 #[derive(Debug)]
 struct TenantKeys {
-    sk_hat: DeviceBuffer,
-    relin: LaneKsk,
-    /// Galois element → (compiled `σ_g` kernel, resident key).
-    galois: HashMap<usize, (Arc<rpu::Kernel>, LaneKsk)>,
+    /// The secret key; both components share the one home-lane copy.
+    sk: Towers,
+    relin: DeviceKeySwitchKey,
+    /// Galois element → resident key (with its compiled `σ_g` kernel).
+    galois: HashMap<usize, GaloisKey>,
     /// Rotation steps → Galois element.
     steps_to_g: HashMap<usize, usize>,
 }
 
 impl TenantKeys {
     fn handles(&self) -> Vec<DeviceBuffer> {
-        let rotations = self.galois.values().map(|(_, ksk)| ksk);
+        let rotations = self.galois.values().map(|gk| &gk.key);
         let ksks = [&self.relin].into_iter().chain(rotations);
-        let ksks = ksks.flat_map(LaneKsk::handles);
-        [self.sk_hat].into_iter().chain(ksks).collect()
+        let mut sk = self.sk.concat();
+        sk.dedup();
+        sk.into_iter()
+            .chain(ksks.flat_map(DeviceKeySwitchKey::handles))
+            .collect()
     }
 }
 
@@ -1068,11 +1073,15 @@ fn exec_work(
         let key = t.keys()?.galois.get(&g).cloned();
         key.ok_or_else(|| ServeError::BadRequest(format!("no resident Galois key for g = {g}")))
     };
+    let mut ops = Ops::single(w, k);
     match work {
         WorkItem::Encrypt { a_coeffs, payload } => {
-            let sk = core.lock().tenant(tenant)?.keys()?.sk_hat;
-            let (a, b) = recipes::encrypt(w, k, sk, a_coeffs, payload)?;
-            Ok(RawOut::Ct(DeviceCiphertext { a, b }))
+            let sk = core.lock().tenant(tenant)?.keys()?.sk.clone();
+            let (masks, payloads) = (
+                std::slice::from_ref(a_coeffs),
+                std::slice::from_ref(payload),
+            );
+            Ok(RawOut::Ct(ops.encrypt(&sk, masks, payloads)?.into()))
         }
         WorkItem::Mul { x, y } => {
             let (relin, cx, cy) = {
@@ -1080,15 +1089,15 @@ fn exec_work(
                 let t = st.tenant(tenant)?;
                 (t.keys()?.relin.clone(), t.ct(*x)?, t.ct(*y)?)
             };
-            Ok(RawOut::Ct(ops::mul(w, k, &relin, cx, cy)?))
+            Ok(RawOut::Ct(ops.mul(&relin, &cx.into(), &cy.into())?.into()))
         }
         WorkItem::Rotate { ct, g } => {
-            let ((autom, gk), c) = {
+            let (gk, c) = {
                 let st = core.lock();
                 let t = st.tenant(tenant)?;
                 (galois(t, *g)?, t.ct(*ct)?)
             };
-            Ok(RawOut::Ct(ops::apply_galois(w, k, &autom, &gk, c)?))
+            Ok(RawOut::Ct(ops.apply_galois(&gk, &c.into())?.into()))
         }
         WorkItem::Dot { x, y, len, g } => {
             let (relin, rot, cx, cy) = {
@@ -1101,21 +1110,21 @@ fn exec_work(
                     t.ct(*y)?,
                 )
             };
-            let out = ops::dot(w, k, &relin, rot.as_ref(), cx, cy, *len)?;
+            let out = ops::dot(ops, &relin, rot.as_ref(), cx, cy, *len)?;
             Ok(RawOut::Ct(out))
         }
         WorkItem::Decrypt { ct } => {
             let (sk, c) = {
                 let st = core.lock();
                 let t = st.tenant(tenant)?;
-                (t.keys()?.sk_hat, t.ct(*ct)?)
+                (t.keys()?.sk.clone(), t.ct(*ct)?)
             };
-            let noisy = recipes::phase(w, k, sk, c.a, c.b)?;
-            Ok(RawOut::Plain(core.ctx.decode_noisy(&noisy)))
+            let noisy = ops.phase(&sk, &c.into())?;
+            Ok(RawOut::Plain(core.ctx.decode_noisy(&noisy[0])))
         }
         WorkItem::Free { ct } => {
             let c = core.lock().tenant_mut(tenant)?.take_ct(*ct)?;
-            ops::free_ct(w, c)?;
+            ops.free(c.into())?;
             Ok(RawOut::Freed)
         }
     }
@@ -1170,21 +1179,25 @@ fn run_keygen(
     }
     let params = core.ctx.params();
     let style = core.config.style;
+    let mut ops = Ops::single(w, k);
     let mut t = Temps::default();
     let built = (|| {
-        let sk_hat = t.hold(recipes::upload_eval(w, k, &sk_coeffs)?);
-        let relin = ops::upload_ksk(w, k, &mut t, relin_key.key_switch_key())?;
+        let sk = ops.upload_eval(&[sk_coeffs])?;
+        t.hold_all(sk.concat());
+        let relin = ops.upload_key(relin_key.key_switch_key())?;
+        t.hold_all(relin.handles());
         let mut galois = HashMap::new();
         let mut steps_to_g = HashMap::new();
         for (steps, gk) in &galois_keys {
             let g = gk.galois_element();
-            let kern = w.compile(&AutomorphismSpec::new(params.n, params.q, g, style))?;
-            let dev = ops::upload_ksk(w, k, &mut t, gk.key_switch_key())?;
-            galois.insert(g, (kern, dev));
+            let spec = AutomorphismSpec::new(params.n, params.q, g, style);
+            let dev = ops.galois_key(&spec, gk.key_switch_key())?;
+            t.hold_all(dev.key.handles());
+            galois.insert(g, dev);
             steps_to_g.insert(*steps, g);
         }
         Ok(TenantKeys {
-            sk_hat,
+            sk,
             relin,
             galois,
             steps_to_g,

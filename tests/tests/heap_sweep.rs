@@ -8,12 +8,20 @@
 //! live-buffer count. The sweep body is shared; the front end is its
 //! input. One allocation gets a case of its own below the sweeps: the
 //! `d̂` temp `recipes::ksw_digit` takes after its digit upload.
+//!
+//! The key material gets sweeps of its own, from an empty heap up to
+//! "every key fits": `keygen`, `relin_keygen` (and `rotation_keygen` on
+//! the single-modulus face) on both evaluators, and `register_tenant`
+//! on `rpu-serve`. Every call fits or fails typed and leaves every lane
+//! as it found it; a failed `keygen` leaves the evaluator keyless, and a
+//! failed second `relin_keygen` leaves the first key multiplying
+//! bit-exactly.
 
 use rpu::arith::gadget_levels;
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
 use rpu::{
     BufferError, CodegenStyle, LeveledContext, LeveledEvaluator, PrimeTable, RlweEvaluator, Rpu,
-    RpuError,
+    RpuCluster, RpuError,
 };
 use rpu_serve::{serve, JobOutput, JobRequest, ServeConfig, ServeError, TenantSpec};
 
@@ -298,4 +306,189 @@ fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
     cluster
         .alloc_on(0, N)
         .expect("its ring element is free again");
+}
+
+/// How far one key-material probe got at one heap size.
+#[derive(Debug, PartialEq, PartialOrd)]
+enum KeyStage {
+    /// `keygen` ran out of heap; the evaluator was left keyless.
+    Keyless,
+    /// Some key after the secret key ran out of heap.
+    Partial,
+    /// The second relinearization key ran out of heap and the first
+    /// still multiplied bit-exactly.
+    OldKeyWorked,
+    /// Every key fit.
+    AllFit,
+}
+
+/// Every lane's live-buffer count.
+fn live(cluster: &RpuCluster<'_>) -> Vec<usize> {
+    (0..cluster.lane_count())
+        .map(|l| cluster.live_buffers(l))
+        .collect()
+}
+
+/// Runs one key call: `Some` if it fit, `None` on typed heap exhaustion
+/// — after which every lane must be back to its pre-call live-buffer
+/// count, as `lanes_live` reads it.
+fn key_call<E, T>(
+    eval: &mut E,
+    lanes_live: impl Fn(&E) -> Vec<usize>,
+    call: impl FnOnce(&mut E) -> Result<T, RpuError>,
+) -> Option<T> {
+    let before = lanes_live(eval);
+    let out = unless_oom(call(eval));
+    if out.is_none() {
+        assert_eq!(lanes_live(eval), before, "a failed key call left buffers");
+    }
+    out
+}
+
+/// Steps the per-lane heap up from empty one ring element at a time
+/// until `probe` sees every key fit; every stage must be reached on the
+/// way, in order.
+fn sweep_keys(name: &str, lanes: usize, probe: impl Fn(&Rpu) -> KeyStage) {
+    let mut seen = Vec::new();
+    for heap in (0..200 * N).step_by(N) {
+        let rpu = Rpu::builder()
+            .lanes(lanes)
+            .device_heap_elements(heap)
+            .build()
+            .unwrap();
+        let stage = probe(&rpu);
+        if seen.last() != Some(&stage) {
+            seen.push(stage);
+        }
+        if seen.last() == Some(&KeyStage::AllFit) {
+            break;
+        }
+    }
+    assert!(seen.windows(2).all(|w| w[0] < w[1]), "{name}: {seen:?}");
+    let every = [
+        KeyStage::Keyless,
+        KeyStage::Partial,
+        KeyStage::OldKeyWorked,
+        KeyStage::AllFit,
+    ];
+    assert_eq!(seen, every, "{name}: stages reached");
+}
+
+#[test]
+fn rlwe_evaluator_key_material() {
+    let q = PrimeTable::new().ntt_prime(N).unwrap();
+    let p = RlweParams { n: N, q, t: T };
+    sweep_keys("RlweEvaluator", 2, |rpu| {
+        let mut eval = RlweEvaluator::new(rpu, p, CodegenStyle::Optimized).unwrap();
+        let host = RlweContext::new(p).unwrap();
+        let (mut rng, mut host_rng) = (Splitmix::new(SEED), Splitmix::new(SEED));
+        let base_log = eval.key_base_log();
+        let lanes_live = |e: &RlweEvaluator<'_>| live(e.cluster());
+        if key_call(&mut eval, lanes_live, |e| e.keygen(&mut rng)).is_none() {
+            let keyless = eval.encrypt(&message(1), &mut rng);
+            assert!(matches!(keyless, Err(RpuError::Config(_))), "keyless");
+            return KeyStage::Keyless;
+        }
+        let keys = (|| {
+            key_call(&mut eval, lanes_live, |e| e.relin_keygen(&mut rng))?;
+            key_call(&mut eval, lanes_live, |e| e.rotation_keygen(1, &mut rng))
+        })();
+        let Some(g) = keys else {
+            return KeyStage::Partial;
+        };
+        let (m1, m2) = (message(1), message(2));
+        let (Some(x), Some(y)) = (
+            unless_oom(eval.encrypt(&m1, &mut rng)),
+            unless_oom(eval.encrypt(&m2, &mut rng)),
+        ) else {
+            return KeyStage::Partial;
+        };
+        if key_call(&mut eval, lanes_live, |e| e.relin_keygen(&mut rng)).is_some() {
+            return KeyStage::AllFit;
+        }
+        let Some(product) = unless_oom(eval.mul(&x, &y)) else {
+            return KeyStage::Partial;
+        };
+        let sk = host.keygen(&mut host_rng);
+        let rk = host.relin_keygen(&sk, &mut host_rng, base_log);
+        host.galois_keygen(&sk, g, &mut host_rng, base_log).unwrap();
+        let hx = host.encrypt(&sk, &m1, &mut host_rng);
+        let want = host.mul(&rk, &hx, &host.encrypt(&sk, &m2, &mut host_rng));
+        let got = eval.download_ciphertext(&product).unwrap();
+        assert_eq!(got.a().values(), want.a().values());
+        assert_eq!(got.b().values(), want.b().values());
+        KeyStage::OldKeyWorked
+    });
+}
+
+#[test]
+fn leveled_evaluator_key_material() {
+    const BASE_LOG: u32 = 32;
+    let chain = || LeveledContext::generate(N, T, 59, 2).unwrap();
+    sweep_keys("LeveledEvaluator", 2, |rpu| {
+        let host = chain();
+        let mut eval = LeveledEvaluator::new(rpu, chain(), CodegenStyle::Optimized).unwrap();
+        eval.set_key_base_log(BASE_LOG).unwrap();
+        let (mut rng, mut host_rng) = (Splitmix::new(SEED), Splitmix::new(SEED));
+        let lanes_live = |e: &LeveledEvaluator<'_>| live(e.cluster());
+        if key_call(&mut eval, lanes_live, |e| e.keygen(&mut rng)).is_none() {
+            let keyless = eval.encrypt(&message(3), &mut rng);
+            assert!(matches!(keyless, Err(RpuError::Config(_))), "keyless");
+            return KeyStage::Keyless;
+        }
+        if key_call(&mut eval, lanes_live, |e| e.relin_keygen(&mut rng)).is_none() {
+            return KeyStage::Partial;
+        }
+        let (m1, m2) = (message(3), message(4));
+        let (Some(x), Some(y)) = (
+            unless_oom(eval.encrypt(&m1, &mut rng)),
+            unless_oom(eval.encrypt(&m2, &mut rng)),
+        ) else {
+            return KeyStage::Partial;
+        };
+        if key_call(&mut eval, lanes_live, |e| e.relin_keygen(&mut rng)).is_some() {
+            return KeyStage::AllFit;
+        }
+        let Some(product) = unless_oom(eval.mul(&x, &y)) else {
+            return KeyStage::Partial;
+        };
+        let sk = host.keygen(&mut host_rng);
+        let rk = host.relin_keygen(&sk, &mut host_rng, BASE_LOG);
+        let hx = host.encrypt(&sk, &m1, &mut host_rng);
+        let want = host.mul(&rk, &hx, &host.encrypt(&sk, &m2, &mut host_rng));
+        let got = eval.download_ciphertext(&product).unwrap();
+        for l in 0..=want.level() {
+            assert_eq!(got.a_towers()[l].values(), want.a_towers()[l].values());
+            assert_eq!(got.b_towers()[l].values(), want.b_towers()[l].values());
+        }
+        KeyStage::OldKeyWorked
+    });
+}
+
+#[test]
+fn served_tenant_registration() {
+    let q = PrimeTable::new().ntt_prime(N).unwrap();
+    let config = ServeConfig::new(RlweParams { n: N, q, t: T });
+    let oom = |e: &ServeError| matches!(e, ServeError::Rpu(m) if m.contains("heap exhausted"));
+    let mut fit = false;
+    for heap in (0..100 * N).step_by(N) {
+        let rpu = Rpu::builder().device_heap_elements(heap).build().unwrap();
+        let (registered, report) = serve(&rpu, config, |server| {
+            let spec = TenantSpec::new(SEED).rotations(vec![1]);
+            match server.register_tenant(spec) {
+                Ok(tenant) => server.teardown(tenant).is_ok(),
+                Err(e) => {
+                    assert!(oom(&e), "typed exhaustion, got {e}");
+                    false
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(report.resident_buffers, [0], "heap {heap}: buffers left");
+        if registered {
+            fit = true;
+            break;
+        }
+    }
+    assert!(fit, "the tenant's keys never fit");
 }
