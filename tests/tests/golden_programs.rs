@@ -13,11 +13,18 @@
 //! view of the tables' Shoup quotients — and how many multiplies of each
 //! kind are fed that way is pinned per kernel. The two larger forward
 //! NTTs below the table are checked the same way.
+//!
+//! Beyond the table, the headline 64K forward NTT, the kernels the
+//! benchmark's n = 2048 workloads dispatch and one `StridedMemory` NTT
+//! pin their encoded words and *every* `SimStats` field — busy cycles,
+//! stalls and each event count the energy model reads — and the 64K
+//! kernel's energy breakdown is pinned exactly.
 
 use rpu::isa::{AddrMode, Instruction, Program, VReg};
 use rpu::{
     AutomorphismSpec, CodegenStyle, ConvolutionSpec, CycleSim, Direction, ElementwiseOp,
-    ElementwiseSpec, Kernel, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec, RpuConfig,
+    ElementwiseSpec, EnergyModel, Kernel, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec,
+    RpuConfig, SimStats,
 };
 
 const N: usize = 1024;
@@ -155,6 +162,124 @@ fn generated_programs_match_their_golden_fingerprints() {
             "{name}: table-fed multiplies"
         );
     }
+}
+
+/// A kernel pinned beyond the n = 1024 table: its encoded words and
+/// every `SimStats` field on the (128, 128) design point, so a
+/// mistyped event count or occupancy in the timing model shows here
+/// and not only as a shifted energy estimate.
+struct PinnedStats {
+    name: &'static str,
+    spec: Box<dyn KernelSpec>,
+    /// [`fingerprint`] of `program().to_words()`.
+    words: u64,
+    stats: SimStats,
+}
+
+/// The headline 64K forward NTT, the four kernels the benchmark's
+/// n = 2048 workloads dispatch, and one `StridedMemory` NTT, whose
+/// strided transfers meet VDM bank conflicts.
+fn pinned_stats() -> Vec<PinnedStats> {
+    use CodegenStyle::{Optimized, StridedMemory};
+    use Direction::{Forward, Inverse};
+    let q = |n: usize| rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists");
+    let ntt = |n, d, s| -> Box<dyn KernelSpec> { Box::new(NttSpec::new(n, q(n), d, s)) };
+    let pin = |name, spec, words, stats| PinnedStats {
+        name,
+        spec,
+        words,
+        stats,
+    };
+    #[rustfmt::skip]
+    let pins = vec![
+        pin("ntt_fwd_opt_65536", ntt(65536, Forward, Optimized), 0xbbafee501f5acc8f, SimStats {
+            cycles: 9030,
+            count_load_store: 4265, count_compute: 1024, count_shuffle: 2048,
+            busy_load_store: 17_057, busy_compute: 4096, busy_shuffle: 8192,
+            stall_hazard: 1392, stall_queue_full: 293, max_hazard_wait: 10, max_shuffle_hazard_wait: 10,
+            vdm_elem_reads: 1_134_081, vdm_elem_writes: 1_048_576, vrf_elem_reads: 3_670_016, vrf_elem_writes: 3_231_744,
+            mult_ops: 524_288, add_ops: 1_048_576, vbar_elems: 2_183_168, sbar_elems: 1_048_576,
+            im_fetches: 7337, sdm_elem_accesses: 1,
+        }),
+        pin("ntt_fwd_opt_2048", ntt(2048, Forward, Optimized), 0x6529f18545ad8ec3, SimStats {
+            cycles: 519,
+            count_load_store: 101, count_compute: 22, count_shuffle: 44,
+            busy_load_store: 401, busy_compute: 88, busy_shuffle: 176,
+            stall_hazard: 344, stall_queue_full: 0, max_hazard_wait: 11, max_shuffle_hazard_wait: 6,
+            vdm_elem_reads: 28_161, vdm_elem_writes: 22_528, vrf_elem_reads: 78_848, vrf_elem_writes: 73_728,
+            mult_ops: 11_264, add_ops: 22_528, vbar_elems: 51_200, sbar_elems: 22_528,
+            im_fetches: 167, sdm_elem_accesses: 1,
+        }),
+        pin("ntt_inv_opt_2048", ntt(2048, Inverse, Optimized), 0x4f9dba11ebeee4b0, SimStats {
+            cycles: 639,
+            count_load_store: 110, count_compute: 70, count_shuffle: 44,
+            busy_load_store: 434, busy_compute: 280, busy_shuffle: 176,
+            stall_hazard: 407, stall_queue_full: 0, max_hazard_wait: 15, max_shuffle_hazard_wait: 15,
+            vdm_elem_reads: 30_720, vdm_elem_writes: 24_576, vrf_elem_reads: 116_736, vrf_elem_writes: 89_088,
+            mult_ops: 13_312, add_ops: 22_528, vbar_elems: 55_296, sbar_elems: 22_528,
+            im_fetches: 224, sdm_elem_accesses: 2,
+        }),
+        pin("automorphism_g5_2048", Box::new(AutomorphismSpec::new(2048, q(2048), 5, Optimized)), 0x47b4a7006c4996c2, SimStats {
+            cycles: 153,
+            count_load_store: 17, count_compute: 4, count_shuffle: 0,
+            busy_load_store: 81, busy_compute: 16, busy_shuffle: 0,
+            stall_hazard: 124, stall_queue_full: 0, max_hazard_wait: 15, max_shuffle_hazard_wait: 0,
+            vdm_elem_reads: 6144, vdm_elem_writes: 2048, vrf_elem_reads: 6144, vrf_elem_writes: 8192,
+            mult_ops: 2048, add_ops: 0, vbar_elems: 8192, sbar_elems: 0,
+            im_fetches: 21, sdm_elem_accesses: 1,
+        }),
+        pin("keyswitch_digit_2048", Box::new(KeySwitchSpec::new(2048, q(2048), Optimized)), 0xa4724a3e6cc49fb6, SimStats {
+            cycles: 101,
+            count_load_store: 25, count_compute: 8, count_shuffle: 0,
+            busy_load_store: 97, busy_compute: 32, busy_shuffle: 0,
+            stall_hazard: 60, stall_queue_full: 0, max_hazard_wait: 7, max_shuffle_hazard_wait: 0,
+            vdm_elem_reads: 8192, vdm_elem_writes: 4096, vrf_elem_reads: 12_288, vrf_elem_writes: 12_288,
+            mult_ops: 2048, add_ops: 2048, vbar_elems: 12_288, sbar_elems: 0,
+            im_fetches: 33, sdm_elem_accesses: 1,
+        }),
+        pin("ntt_inv_strided_1024", ntt(N, Inverse, StridedMemory), 0xbd339e98ae8c467f, SimStats {
+            cycles: 523,
+            count_load_store: 56, count_compute: 32, count_shuffle: 0,
+            busy_load_store: 298, busy_compute: 128, busy_shuffle: 0,
+            stall_hazard: 427, stall_queue_full: 0, max_hazard_wait: 25, max_shuffle_hazard_wait: 0,
+            vdm_elem_reads: 16_384, vdm_elem_writes: 11_264, vrf_elem_reads: 43_008, vrf_elem_writes: 32_768,
+            mult_ops: 6144, add_ops: 10_240, vbar_elems: 27_648, sbar_elems: 0,
+            im_fetches: 88, sdm_elem_accesses: 2,
+        }),
+    ];
+    pins
+}
+
+#[test]
+fn pinned_kernels_keep_their_words_and_every_sim_stat() {
+    let sim = CycleSim::new(RpuConfig::pareto_128x128()).expect("valid config");
+    for pinned in pinned_stats() {
+        let kernel = pinned.spec.generate().expect("generates");
+        let p = kernel.program();
+        let name = pinned.name;
+        assert_eq!(sim.simulate(p), pinned.stats, "{name}: SimStats");
+        assert_eq!(
+            fingerprint(&p.to_words()),
+            pinned.words,
+            "{name}: encoded words"
+        );
+    }
+}
+
+#[test]
+fn the_headline_kernels_energy_breakdown_is_pinned() {
+    let q = rpu::arith::find_ntt_prime_u128(126, 2 * 65536).expect("prime exists");
+    let spec = NttSpec::new(65536, q, Direction::Forward, CodegenStyle::Optimized);
+    let kernel = spec.generate().expect("generates");
+    let sim = CycleSim::new(RpuConfig::pareto_128x128()).expect("valid config");
+    let e = EnergyModel::default().breakdown(&sim.simulate(kernel.program()));
+    let parts = [e.law, e.vrf, e.vdm, e.vbar, e.sbar, e.im, e.sdm];
+    #[rustfmt::skip]
+    let pinned = [
+        32.8204288, 9.524428799999999, 5.151070519999999, 1.1352473600000001,
+        0.49283071999999994, 0.0491579, 4.9999999999999996e-6,
+    ];
+    assert_eq!(parts, pinned, "law, vrf, vdm, vbar, sbar, im, sdm (µJ)");
 }
 
 #[test]
