@@ -1,13 +1,14 @@
 //! Table I: the B512 instruction encoding, printed from the one
 //! instruction table in `rpu-isa` — every row with its opcode, flag bit,
-//! operand-to-field assignment, pipeline class, and a sample instruction
-//! whose 64-bit word is verified through the decode round trip.
+//! operand-to-field assignment, pipeline class, cost class, and a sample
+//! instruction whose 64-bit word is verified through the decode round
+//! trip.
 //!
 //! Everything up to the `end of generated table` marker is committed as
 //! `docs/b512-isa.md`; CI regenerates and diffs it.
 
 use rpu::isa::table::{Operand, Reach};
-use rpu::isa::{decode, encode, ISA};
+use rpu::isa::{decode, encode, CostClass, Latency, Occupancy, ISA};
 use rpu_bench::{print_comparison, PaperRow};
 
 /// One operand as `FIELD=file`, `(w)` marking a destination.
@@ -39,6 +40,42 @@ fn operand_cell(operand: &Operand) -> String {
     }
 }
 
+/// A cost class as `occupancy; latency; events`, naming only the
+/// events the instruction causes.
+fn cost_cell(cost: &CostClass) -> String {
+    let occupancy = match cost.occupancy {
+        Occupancy::Lanes => "⌈512/H⌉",
+        Occupancy::Multiplier => "⌈512/H⌉·II",
+        Occupancy::Banks => "max(⌈512/H⌉, busiest bank)",
+        Occupancy::Gather => "2·max(⌈512/H⌉, ⌈512/B⌉)",
+        Occupancy::Sdm => "1",
+    };
+    let latency = match cost.latency {
+        Latency::LoadStore => "ls",
+        Latency::Add => "add",
+        Latency::Mult => "mult",
+        Latency::MultAdd => "mult + add",
+        Latency::Shuffle => "shuffle",
+    };
+    let e = &cost.events;
+    let events: Vec<String> = [
+        ("VRF r", e.vrf_reads),
+        ("VRF w", e.vrf_writes),
+        ("VDM r", e.vdm_reads),
+        ("VDM w", e.vdm_writes),
+        ("SDM", e.sdm_accesses),
+        ("mult", e.mult_ops),
+        ("add", e.add_ops),
+        ("VBAR", e.vbar),
+        ("SBAR", e.sbar),
+    ]
+    .iter()
+    .filter(|&&(_, count)| count > 0)
+    .map(|(name, count)| format!("{name} {count}"))
+    .collect();
+    format!("{occupancy}; {latency}; {}", events.join(", "))
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("# B512 instruction table\n");
     println!("Generated by `cargo run --release -p rpu-bench --bin table1_isa` from");
@@ -49,8 +86,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("instructions move or compute on — a VDM or SDM word, a VRF lane, an");
     println!("SRF or MRF entry — is 128 bits wide architecturally; the width the");
     println!("simulator *stores* it in is not part of the ISA (see \"Lane storage");
-    println!("width\" in `docs/arith-engines.md`).\n");
-    println!("| mnemonic | opcode | flag | pipe | multiplier | operands | sample word | sample |");
+    println!("width\" in `docs/arith-engines.md`).");
+    println!("The cost class is what `rpu_sim::cost` times, for the cycle model and");
+    println!("the list scheduler alike: issue occupancy in cycles (H HPLEs, B VDM");
+    println!("banks, II the multiplier's initiation interval), the configured latency");
+    println!("after it, and the elements each structure the energy model prices sees.\n");
+    println!("| mnemonic | opcode | flag | pipe | cost class | operands | sample word | sample |");
     println!("|---|---|---|---|---|---|---|---|");
     for info in &ISA {
         let sample = info.sample();
@@ -63,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             info.opcode,
             u8::from(info.flag),
             info.pipe,
-            if info.multiplier { "yes" } else { "" },
+            cost_cell(&info.cost),
             operands.join(", "),
         );
     }

@@ -8,9 +8,17 @@
 //! round-robins across the three backend pipelines. Interleaving
 //! independent LSI/CI/SI chains keeps all three decoupled queues fed,
 //! which is precisely what the in-order busyboard frontend needs.
+//!
+//! The scheduler times instructions with the cycle model's own
+//! [`rpu_sim::cost`] at the reference configuration, so it sees the
+//! machine the cycle model simulates: a new instruction needs a cost
+//! class in its `ISA` row, not a timing arm here.
 
-use rpu_isa::{Instruction, PipeClass, Program, VdmFootprint, NUM_FLAT_REGS};
-use rpu_sim::{CycleSim, RpuConfig};
+use rpu_isa::{Program, VdmFootprint, NUM_FLAT_REGS};
+use rpu_sim::{cost, CycleSim, RpuConfig};
+
+/// The design point the scheduler times for: the paper's (128, 128).
+const REFERENCE: RpuConfig = RpuConfig::pareto_128x128();
 
 /// Reschedules a program, preserving semantics exactly.
 ///
@@ -76,11 +84,10 @@ pub fn list_schedule(program: &Program) -> Program {
     }
 
     // Greedy *time-aware* emission: simulate the in-order busyboard
-    // frontend against a reference timing model (the paper's (128,128)
-    // design point) and, at each step, emit the ready instruction that
-    // the frontend could dispatch soonest. Ties break toward the
-    // original program order, so a well-pipelined input is preserved and
-    // a naive one is repaired.
+    // frontend with the cycle model's costs at `REFERENCE` and, at each
+    // step, emit the ready instruction that the frontend could dispatch
+    // soonest. Ties break toward the original program order, so a
+    // well-pipelined input is preserved and a naive one is repaired.
     let mut ready: Vec<usize> = Vec::new();
     for (i, &d) in indeg.iter().enumerate() {
         if d == 0 {
@@ -89,7 +96,7 @@ pub fn list_schedule(program: &Program) -> Program {
     }
     // data_ready[i]: estimated cycle all producers of i have completed.
     let mut data_ready: Vec<u64> = vec![0; n];
-    let mut unit_free = [0u64; 4]; // load, store, compute, shuffle
+    let mut unit_free = [0u64; 4]; // indexed by `rpu_sim::Unit`
     let mut out = Program::new(program.name().to_string());
     let mut t: u64 = 0;
     let mut emitted = 0usize;
@@ -102,10 +109,10 @@ pub fn list_schedule(program: &Program) -> Program {
             .expect("DAG must not deadlock: program order is a valid topo order");
         ready.swap_remove(pos);
         let dispatch = data_ready[i].max(t);
-        let (unit, occ, lat) = ref_timing(&instrs[i]);
-        let issue = (dispatch + 1).max(unit_free[unit]);
-        unit_free[unit] = issue + occ;
-        let done = issue + occ + lat;
+        let c = cost(&instrs[i], &REFERENCE);
+        let issue = (dispatch + 1).max(unit_free[c.unit as usize]);
+        unit_free[c.unit as usize] = issue + c.occupancy;
+        let done = issue + c.occupancy + c.latency;
         out.push(instrs[i]);
         emitted += 1;
         t = dispatch + 1;
@@ -119,37 +126,20 @@ pub fn list_schedule(program: &Program) -> Program {
         }
     }
 
-    // The greedy heuristic approximates the machine with `ref_timing`
-    // and is not globally optimal, so it can occasionally disturb an
-    // input that was already well pipelined. Score both orders under
-    // the real (128, 128) reference machine and keep the faster one:
-    // scheduling then never regresses *on the reference config* (other
-    // geometries may still prefer the original order). The two extra
-    // simulations are single-pass and cheap next to kernel emission.
-    let sim = CycleSim::new(RpuConfig::pareto_128x128()).expect("reference config is valid");
+    // The greedy pass models neither queue depth nor a register's
+    // release once its readers have read it (a WAR edge waits for the
+    // reader's completion), and it is not globally optimal, so it can
+    // disturb an input that was already well pipelined (the unoptimized
+    // n = 2048 automorphism is one). Score both orders under the full
+    // cycle model at `REFERENCE` and keep the faster: scheduling then
+    // never regresses *on the reference config* (other geometries may
+    // still prefer the original order). The two simulations are
+    // single-pass and cheap next to kernel emission.
+    let sim = CycleSim::new(REFERENCE).expect("reference config is valid");
     if sim.simulate(&out).cycles <= sim.simulate(program).cycles {
         out
     } else {
         program.clone()
-    }
-}
-
-/// Reference timing used for scheduling decisions: the (128, 128) design
-/// point with default IP latencies. `(unit, occupancy, latency)`.
-fn ref_timing(instr: &Instruction) -> (usize, u64, u64) {
-    const LANE_CYCLES: u64 = 4; // 512 lanes / 128 HPLEs
-    match instr.pipe_class() {
-        PipeClass::LoadStore => match instr.vdm_footprint() {
-            // Vector transfers: loads and stores have separate VBAR paths.
-            Some(acc) => (usize::from(acc.store), LANE_CYCLES, 4),
-            // Scalar (SDM) loads.
-            None => (0, 1, 4),
-        },
-        PipeClass::Compute => {
-            let lat = if instr.uses_multiplier() { 6 } else { 2 };
-            (2, LANE_CYCLES, lat)
-        }
-        PipeClass::Shuffle => (3, LANE_CYCLES, 4),
     }
 }
 
@@ -216,6 +206,22 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn keeps_its_input_when_the_greedy_order_is_slower() {
+        // The greedy order of the unoptimized n = 2048 automorphism is
+        // slower under the cycle model than the emitted one, so the
+        // keep-the-faster guard must hand the input back unchanged.
+        use crate::{AutomorphismSpec, CodegenStyle, KernelSpec};
+        let q = rpu_arith::find_ntt_prime_u128(126, 4096).unwrap();
+        let spec = AutomorphismSpec::new(2048, q, 5, CodegenStyle::Unoptimized);
+        let kernel = spec.generate().unwrap();
+        let program = kernel.program();
+        assert_eq!(
+            list_schedule(program).instructions(),
+            program.instructions()
+        );
     }
 
     #[test]

@@ -331,10 +331,14 @@ impl Instruction {
         self.info().mnemonic
     }
 
-    /// `true` if this instruction performs a modular multiplication
-    /// (relevant to the multiplier-latency sensitivity study of Fig. 7).
-    pub fn uses_multiplier(&self) -> bool {
-        self.info().multiplier
+    /// The addressing mode of a vector load or store; `None` for every
+    /// instruction without one.
+    pub fn addr_mode(&self) -> Option<AddrMode> {
+        let (op, o) = self.parts();
+        op.info()
+            .operands
+            .contains(&Operand::Mode)
+            .then_some(o.mode)
     }
 
     /// Every register operand as `(file, index, written)`; the base of
@@ -534,7 +538,7 @@ mod tests {
             [Some(VReg::at(3)), Some(VReg::at(4)), Some(VReg::at(5))]
         );
         assert_eq!(i.dst_vregs(), [Some(VReg::at(1)), Some(VReg::at(2))]);
-        assert!(i.uses_multiplier());
+        assert_eq!(i.info().cost.occupancy, crate::table::Occupancy::Multiplier);
         assert_eq!(i.src_mreg(), Some(MReg::at(0)));
     }
 

@@ -45,4 +45,7 @@ pub use encode::{decode, encode, DecodeError};
 pub use instr::{AddrMode, Instruction, PipeClass, VdmFootprint};
 pub use program::{InstructionMix, Program};
 pub use regs::{AReg, MReg, SReg, VReg};
-pub use table::{Op, OpInfo, Operand, RegFile, ADDRESS_BITS, ISA, NUM_FLAT_REGS};
+pub use table::{
+    CostClass, Events, Latency, Occupancy, Op, OpInfo, Operand, RegFile, ADDRESS_BITS, ISA,
+    NUM_FLAT_REGS,
+};

@@ -2,16 +2,17 @@
 //!
 //! [`ISA`] has one row per instruction — mnemonic, 4-bit opcode and flag
 //! bit, the operands in assembly order (each naming the encoding field
-//! that carries it), pipeline class, multiplier use — and
+//! that carries it), pipeline class, cost class — and
 //! `Instruction::parts` / `Instruction::from_parts` convert between an
 //! [`Instruction`] and `(row, operand values)`. Everything about an
 //! instruction that is not its semantics is a function over those three:
 //! the binary encoder and strict decoder, the assembler and `Display`,
-//! the register-set accessors, VDM relocation, and the hazard metadata
-//! (registers read/written, VDM footprint) the cycle model and the list
-//! scheduler share. What remains hand-written per opcode is the enum,
-//! the two conversions, and the three semantic walkers in `rpu-sim`
-//! (interpreter, fast path, instruction timing).
+//! the register-set accessors, VDM relocation, the hazard metadata
+//! (registers read/written, VDM footprint) and the timing (`rpu_sim::cost`
+//! evaluates a row's [`CostClass`] against a configuration) that the
+//! cycle model, the energy counts and the list scheduler share. What
+//! remains hand-written per opcode is the enum, the two conversions,
+//! and the two semantic walkers in `rpu-sim` (interpreter, fast path).
 //!
 //! Word layout (bit ranges inclusive):
 //!
@@ -20,7 +21,7 @@
 //!   VD1     VT1   FLAG  Opcode  Address    VD    VS/Mode  VT/RT/Value   RM
 //! ```
 
-use crate::consts::{NUM_AREGS, NUM_INSTRUCTIONS, NUM_MREGS, NUM_SREGS, NUM_VREGS};
+use crate::consts::{NUM_AREGS, NUM_INSTRUCTIONS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
 use crate::instr::{AddrMode, Instruction, PipeClass};
 use crate::regs::{AReg, MReg, SReg, VReg};
 
@@ -176,8 +177,8 @@ pub struct OpInfo {
     pub operands: &'static [Operand],
     /// The backend pipeline the instruction dispatches to.
     pub pipe: PipeClass,
-    /// `true` if the instruction performs a modular multiplication.
-    pub multiplier: bool,
+    /// What the instruction costs: its timing and its events.
+    pub cost: CostClass,
 }
 
 impl OpInfo {
@@ -239,6 +240,105 @@ const BFLY: &[Operand] = &[
 ];
 const SHUFFLE: &[Operand] = &[dst(V, Vd), src(V, Vs), src(V, Vt)];
 
+/// How long an instruction holds its pipeline's issue slot, as a
+/// function of the configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Occupancy {
+    /// `⌈512 / HPLEs⌉` cycles: one element per HPLE slice per cycle
+    /// (a lane-limited compute, a shuffle through the SBAR, or a
+    /// broadcast bound by the per-slice VRF write port).
+    Lanes,
+    /// [`Lanes`](Occupancy::Lanes) times the multiplier's initiation
+    /// interval.
+    Multiplier,
+    /// A vector transfer under its addressing mode: the slower of the
+    /// per-slice VRF ports and the busiest (element-interleaved) VDM
+    /// bank.
+    Banks,
+    /// An indexed load, whose bank pattern is data: a double-pumped
+    /// VBAR pass, twice the port- or bank-limited unit-stride cost,
+    /// rather than a conflict-free spread the hardware cannot promise.
+    Gather,
+    /// One cycle: a scalar (SDM) access.
+    Sdm,
+}
+
+/// Which configured latency an instruction's results land after,
+/// counted from the end of its occupancy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Latency {
+    /// Through the VBAR (`ls_latency`).
+    LoadStore,
+    /// The modular adder (`add_latency`).
+    Add,
+    /// The modular multiplier (`mult_latency`).
+    Mult,
+    /// A multiply feeding an add (`mult_latency + add_latency`).
+    MultAdd,
+    /// Through the SBAR (`shuffle_latency`).
+    Shuffle,
+}
+
+/// What one instruction does to each energy-priced structure, in
+/// 128-bit elements (lane operations for `mult` and `add`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[allow(missing_docs)] // each field is the `SimStats` counter of that name
+pub struct Events {
+    pub vrf_reads: u32,
+    pub vrf_writes: u32,
+    pub vdm_reads: u32,
+    pub vdm_writes: u32,
+    pub sdm_accesses: u32,
+    pub mult_ops: u32,
+    pub add_ops: u32,
+    pub vbar: u32,
+    pub sbar: u32,
+}
+
+/// An instruction's cost class: its timing, and the events it causes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CostClass {
+    /// How long it holds its pipeline.
+    pub occupancy: Occupancy,
+    /// How long after that its results land.
+    pub latency: Latency,
+    /// What it reads, writes, moves and computes.
+    pub events: Events,
+}
+
+/// The cost classes, shared between rows of the same timing. Events
+/// are per instruction, in elements of a `VL`-lane vector.
+#[rustfmt::skip]
+mod costs {
+    use super::{CostClass, Events, Latency, Occupancy, VECTOR_LEN};
+    use Latency::{Add, LoadStore, Mult, MultAdd, Shuffle};
+    use Occupancy::{Banks, Gather, Lanes, Multiplier, Sdm};
+
+    const VL: u32 = VECTOR_LEN as u32;
+    const fn class(
+        occupancy: Occupancy,
+        latency: Latency,
+        [vrf_reads, vrf_writes, vdm_reads, vdm_writes, sdm_accesses, mult_ops, add_ops, vbar, sbar]: [u32; 9],
+    ) -> CostClass {
+        let events = Events { vrf_reads, vrf_writes, vdm_reads, vdm_writes, sdm_accesses, mult_ops, add_ops, vbar, sbar };
+        CostClass { occupancy, latency, events }
+    }
+
+    //                                                                    VRF r   VRF w   VDM r  VDM w  SDM  mult  add     VBAR  SBAR
+    pub(super) const LOAD: CostClass      = class(Banks,      LoadStore, [0,      VL,     VL,    0,     0,   0,    0,      VL,   0]);
+    pub(super) const STORE: CostClass     = class(Banks,      LoadStore, [VL,     0,      0,     VL,    0,   0,    0,      VL,   0]);
+    pub(super) const GATHER: CostClass    = class(Gather,     LoadStore, [0,      VL,     VL,    0,     0,   0,    0,      VL,   0]);
+    // One VDM read, fanned out on the VBAR.
+    pub(super) const BROADCAST: CostClass = class(Lanes,      LoadStore, [0,      VL,     1,     0,     0,   0,    0,      VL,   0]);
+    pub(super) const SCALAR: CostClass    = class(Sdm,        LoadStore, [0,      0,      0,     0,     1,   0,    0,      0,    0]);
+    pub(super) const VV_ADD: CostClass    = class(Lanes,      Add,       [2 * VL, VL,     0,     0,     0,   0,    VL,     0,    0]);
+    pub(super) const VS_ADD: CostClass    = class(Lanes,      Add,       [VL,     VL,     0,     0,     0,   0,    VL,     0,    0]);
+    pub(super) const VV_MUL: CostClass    = class(Multiplier, Mult,      [2 * VL, VL,     0,     0,     0,   VL,   0,      0,    0]);
+    pub(super) const VS_MUL: CostClass    = class(Multiplier, Mult,      [VL,     VL,     0,     0,     0,   VL,   0,      0,    0]);
+    pub(super) const BFLY: CostClass      = class(Multiplier, MultAdd,   [3 * VL, 2 * VL, 0,     0,     0,   VL,   2 * VL, 0,    0]);
+    pub(super) const SHUFFLE: CostClass   = class(Lanes,      Shuffle,   [VL,     VL,     0,     0,     0,   0,    0,      0,    VL]);
+}
+
 const fn row(
     op: Op,
     mnemonic: &'static str,
@@ -246,7 +346,7 @@ const fn row(
     flag: bool,
     operands: &'static [Operand],
     pipe: PipeClass,
-    multiplier: bool,
+    cost: CostClass,
 ) -> OpInfo {
     OpInfo {
         op,
@@ -255,7 +355,7 @@ const fn row(
         flag,
         operands,
         pipe,
-        multiplier,
+        cost,
     }
 }
 
@@ -268,25 +368,25 @@ use PipeClass::{Compute, LoadStore, Shuffle};
 /// static addressing mode.
 #[rustfmt::skip]
 pub static ISA: [OpInfo; NUM_INSTRUCTIONS] = [
-    //  op            mnemonic      opcode flag   operands   pipe       multiplier
-    row(Op::VLoad,      "vload",       0,  false, LOAD,      LoadStore, false),
-    row(Op::VStore,     "vstore",      1,  false, STORE,     LoadStore, false),
-    row(Op::VGather,    "vgather",     0,  true,  GATHER,    LoadStore, false),
-    row(Op::VBroadcast, "vbroadcast",  2,  false, BROADCAST, LoadStore, false),
-    row(Op::SLoad,      "sload",       3,  false, SLOAD,     LoadStore, false),
-    row(Op::MLoad,      "mload",       4,  false, MLOAD,     LoadStore, false),
-    row(Op::ALoad,      "aload",       5,  false, ALOAD,     LoadStore, false),
-    row(Op::VAddMod,    "vaddmod",     6,  false, VV,        Compute,   false),
-    row(Op::VSubMod,    "vsubmod",     7,  false, VV,        Compute,   false),
-    row(Op::VMulMod,    "vmulmod",     8,  false, VV,        Compute,   true),
-    row(Op::VSAddMod,   "vsaddmod",    9,  false, VS,        Compute,   false),
-    row(Op::VSSubMod,   "vssubmod",   10,  false, VS,        Compute,   false),
-    row(Op::VSMulMod,   "vsmulmod",   11,  false, VS,        Compute,   true),
-    row(Op::Bfly,       "bfly",        6,  true,  BFLY,      Compute,   true),
-    row(Op::UnpkLo,     "unpklo",     12,  false, SHUFFLE,   Shuffle,   false),
-    row(Op::UnpkHi,     "unpkhi",     13,  false, SHUFFLE,   Shuffle,   false),
-    row(Op::PkLo,       "pklo",       14,  false, SHUFFLE,   Shuffle,   false),
-    row(Op::PkHi,       "pkhi",       15,  false, SHUFFLE,   Shuffle,   false),
+    //  op            mnemonic      opcode flag   operands   pipe       cost class
+    row(Op::VLoad,      "vload",       0,  false, LOAD,      LoadStore, costs::LOAD),
+    row(Op::VStore,     "vstore",      1,  false, STORE,     LoadStore, costs::STORE),
+    row(Op::VGather,    "vgather",     0,  true,  GATHER,    LoadStore, costs::GATHER),
+    row(Op::VBroadcast, "vbroadcast",  2,  false, BROADCAST, LoadStore, costs::BROADCAST),
+    row(Op::SLoad,      "sload",       3,  false, SLOAD,     LoadStore, costs::SCALAR),
+    row(Op::MLoad,      "mload",       4,  false, MLOAD,     LoadStore, costs::SCALAR),
+    row(Op::ALoad,      "aload",       5,  false, ALOAD,     LoadStore, costs::SCALAR),
+    row(Op::VAddMod,    "vaddmod",     6,  false, VV,        Compute,   costs::VV_ADD),
+    row(Op::VSubMod,    "vsubmod",     7,  false, VV,        Compute,   costs::VV_ADD),
+    row(Op::VMulMod,    "vmulmod",     8,  false, VV,        Compute,   costs::VV_MUL),
+    row(Op::VSAddMod,   "vsaddmod",    9,  false, VS,        Compute,   costs::VS_ADD),
+    row(Op::VSSubMod,   "vssubmod",   10,  false, VS,        Compute,   costs::VS_ADD),
+    row(Op::VSMulMod,   "vsmulmod",   11,  false, VS,        Compute,   costs::VS_MUL),
+    row(Op::Bfly,       "bfly",        6,  true,  BFLY,      Compute,   costs::BFLY),
+    row(Op::UnpkLo,     "unpklo",     12,  false, SHUFFLE,   Shuffle,   costs::SHUFFLE),
+    row(Op::UnpkHi,     "unpkhi",     13,  false, SHUFFLE,   Shuffle,   costs::SHUFFLE),
+    row(Op::PkLo,       "pklo",       14,  false, SHUFFLE,   Shuffle,   costs::SHUFFLE),
+    row(Op::PkHi,       "pkhi",       15,  false, SHUFFLE,   Shuffle,   costs::SHUFFLE),
 ];
 
 /// The operand values of one instruction, in the row's assembly order.
@@ -622,7 +722,30 @@ mod tests {
             let areg = sample.src_areg().map(|r| r.index());
             assert_eq!(areg, typed(RegFile::Address, &reads).first().copied());
             assert_eq!(sample.pipe_class(), info.pipe);
-            assert_eq!(sample.uses_multiplier(), info.multiplier);
+        }
+    }
+
+    #[test]
+    fn cost_classes_agree_with_their_rows() {
+        for info in &ISA {
+            let (c, e) = (info.cost, info.cost.events);
+            let name = info.mnemonic;
+            let has_mode = info.operands.contains(&Operand::Mode);
+            assert_eq!(c.occupancy == Occupancy::Banks, has_mode, "{name}");
+            assert_eq!(
+                c.occupancy == Occupancy::Multiplier,
+                e.mult_ops > 0,
+                "{name}"
+            );
+            let stores =
+                (info.operands.iter()).any(|o| matches!(o, Operand::Mem { store: true, .. }));
+            assert_eq!(stores, e.vdm_writes > 0, "{name}");
+            let pipe = match c.latency {
+                Latency::LoadStore => PipeClass::LoadStore,
+                Latency::Add | Latency::Mult | Latency::MultAdd => PipeClass::Compute,
+                Latency::Shuffle => PipeClass::Shuffle,
+            };
+            assert_eq!(pipe, info.pipe, "{name}");
         }
     }
 

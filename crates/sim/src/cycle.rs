@@ -20,6 +20,11 @@
 //! * **Shuffle pipeline** — SIs stream `HPLEs` elements per cycle
 //!   through the SBAR.
 //!
+//! What each instruction costs is its row's `CostClass` in the ISA
+//! table, evaluated against the configuration by [`cost`] — the one
+//! timing function, which the list scheduler calls too. The events the
+//! energy model prices accrue from the same row.
+//!
 //! Because dispatch and issue are in order within each pipeline, the
 //! whole schedule is computable in a single pass over the program; the
 //! simulator is event-driven rather than cycle-stepped, which makes the
@@ -28,8 +33,90 @@
 
 use crate::{RpuConfig, SimStats};
 use rpu_isa::consts::VECTOR_LEN;
-use rpu_isa::{AddrMode, Instruction, PipeClass, Program, VdmFootprint, NUM_FLAT_REGS};
+use rpu_isa::{
+    AddrMode, Instruction, Latency, Occupancy, PipeClass, Program, VdmFootprint, NUM_FLAT_REGS,
+};
 use std::collections::VecDeque;
+
+/// An issue unit. The load/store pipeline has separate load and store
+/// paths through the VBAR, so a load and a store can stream at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Unit {
+    /// The load path: vector and scalar loads.
+    Load,
+    /// The store path: whatever writes the VDM.
+    Store,
+    /// The HPLEs.
+    Compute,
+    /// The SBAR.
+    Shuffle,
+}
+
+/// What one instruction costs on one configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cost {
+    /// The unit it issues on.
+    pub unit: Unit,
+    /// Cycles it holds that unit.
+    pub occupancy: u64,
+    /// Cycles after the occupancy until its results are visible.
+    pub latency: u64,
+}
+
+/// Evaluates an instruction's cost class (its `ISA` row) against a
+/// configuration. `cfg` must be valid ([`RpuConfig::validate`]).
+pub fn cost(instr: &Instruction, cfg: &RpuConfig) -> Cost {
+    let info = instr.info();
+    let vl = VECTOR_LEN as u64;
+    let banks = cfg.vdm_banks as u64;
+    // One element per HPLE slice (lane, VRF port) per cycle.
+    let lanes = vl.div_ceil(cfg.num_hples as u64);
+    let occupancy = match info.cost.occupancy {
+        Occupancy::Lanes => lanes,
+        Occupancy::Multiplier => lanes * u64::from(cfg.mult_ii),
+        Occupancy::Banks => lanes.max(instr.addr_mode().map_or(0, |m| busiest_bank(m, banks))),
+        Occupancy::Gather => 2 * lanes.max(vl.div_ceil(banks)),
+        Occupancy::Sdm => 1,
+    };
+    let latency = match info.cost.latency {
+        Latency::LoadStore => cfg.ls_latency,
+        Latency::Add => cfg.add_latency,
+        Latency::Mult => cfg.mult_latency,
+        Latency::MultAdd => cfg.mult_latency + cfg.add_latency,
+        Latency::Shuffle => cfg.shuffle_latency,
+    };
+    let unit = match info.pipe {
+        // What writes the VDM takes the store path.
+        PipeClass::LoadStore if info.cost.events.vdm_writes > 0 => Unit::Store,
+        PipeClass::LoadStore => Unit::Load,
+        PipeClass::Compute => Unit::Compute,
+        PipeClass::Shuffle => Unit::Shuffle,
+    };
+    Cost {
+        unit,
+        occupancy,
+        latency: latency.into(),
+    }
+}
+
+/// Elements the busiest of `banks` (a power of two) element-interleaved
+/// VDM banks serves when one vector moves under `mode`. Every mode
+/// spreads the 512 elements evenly over the banks it reaches, so this
+/// is 512 over that number (`tests::busiest_bank_counts_every_element`
+/// checks it against counting).
+fn busiest_bank(mode: AddrMode, banks: u64) -> u64 {
+    let block = |log2: u8| 1u64.checked_shl(log2.into()).unwrap_or(u64::MAX);
+    let reached = match mode {
+        AddrMode::Unit => banks,
+        AddrMode::Strided { log2_stride } => (banks / block(log2_stride)).max(1),
+        // Each block is followed by an equal gap: blocks narrower than
+        // the bank count never reach half of the banks.
+        AddrMode::StridedSkip { log2_block } if block(log2_block) < banks => banks / 2,
+        AddrMode::StridedSkip { .. } => banks,
+        AddrMode::Repeated { log2_block } => banks.min(block(log2_block)),
+    };
+    VECTOR_LEN as u64 / reached.min(VECTOR_LEN as u64)
+}
 
 /// Cycle-accurate simulator for one RPU configuration.
 ///
@@ -114,22 +201,17 @@ impl CycleSim {
     ) -> SimStats {
         let mut stats = SimStats::default();
         let cfg = &self.config;
-        let lanes_cycles = VECTOR_LEN.div_ceil(cfg.num_hples) as u64;
 
         // Busyboard state: earliest cycle each register's pending write
         // completes, and earliest cycle its pending reads release.
         let mut write_ready = [0u64; NUM_FLAT_REGS];
         let mut read_release = [0u64; NUM_FLAT_REGS];
 
-        // Pipeline issue availability. Load/store has separate load and
-        // store paths through the VBAR.
-        let mut free_compute = 0u64;
-        let mut free_shuffle = 0u64;
-        let mut free_load = 0u64;
-        let mut free_store = 0u64;
+        // Issue availability of each unit, indexed by `Unit`.
+        let mut unit_free = [0u64; 4];
 
         // Queue occupancy: issue-start times of instructions that have
-        // been dispatched to each queue.
+        // been dispatched to each pipeline's queue, indexed by class.
         let mut queues: [VecDeque<u64>; 3] = [VecDeque::new(), VecDeque::new(), VecDeque::new()];
 
         // Memory ordering through the VDM: in-flight store/load element
@@ -145,14 +227,10 @@ impl CycleSim {
         let mut makespan = 0u64;
 
         for instr in program.instructions() {
-            stats.im_fetches += 1;
-            let class = instr.pipe_class();
-            stats.count_class(class);
-            let qidx = match class {
-                PipeClass::LoadStore => 0,
-                PipeClass::Compute => 1,
-                PipeClass::Shuffle => 2,
-            };
+            let info = instr.info();
+            let class = info.pipe;
+            let c = cost(instr, cfg);
+            stats.record(class, c.occupancy, &info.cost.events);
 
             // --- busyboard check: sources need pending writes done;
             // destinations need pending writes done AND pending reads
@@ -166,7 +244,7 @@ impl CycleSim {
             }
 
             // --- queue-full check ---
-            let queue = &mut queues[qidx];
+            let queue = &mut queues[class as usize];
             let queue_ready = if queue.len() >= cfg.queue_depth {
                 // frontend must wait until the oldest queued entry issues
                 *queue.front().expect("non-empty at capacity")
@@ -189,12 +267,9 @@ impl CycleSim {
                 queue.pop_front();
             }
 
-            // --- issue scheduling on the target unit ---
-            let (occupancy, latency) = self.instr_timing(instr, lanes_cycles, &mut stats);
-
             // Memory-ordering floor for VDM transfers.
             let footprint = instr.vdm_footprint();
-            let is_store = footprint.is_some_and(|acc| acc.store);
+            let is_store = c.unit == Unit::Store;
             let mut mem_ready = 0u64;
             if let Some(acc) = footprint {
                 let earlier_loads = if is_store { &inflight_loads[..] } else { &[] };
@@ -205,25 +280,21 @@ impl CycleSim {
                 }
             }
 
-            let unit_free = match class {
-                PipeClass::Compute => &mut free_compute,
-                PipeClass::Shuffle => &mut free_shuffle,
-                PipeClass::LoadStore if is_store => &mut free_store,
-                PipeClass::LoadStore => &mut free_load,
-            };
             // +1 models the dispatch-to-issue handoff through the queue.
+            let unit_free = &mut unit_free[c.unit as usize];
             let issue = (dispatch + 1).max(*unit_free).max(mem_ready);
-            *unit_free = issue + occupancy;
+            let read_done = issue + c.occupancy;
+            let write_done = read_done + c.latency;
+            *unit_free = read_done;
             queue.push_back(issue);
 
             if let Some(acc) = footprint {
-                let done = issue + occupancy + latency as u64;
                 let list = if is_store {
                     &mut inflight_stores
                 } else {
                     &mut inflight_loads
                 };
-                list.push((acc, done));
+                list.push((acc, write_done));
                 // prune entries that can no longer constrain anything
                 if list.len() > 256 {
                     let floor = dispatch;
@@ -231,15 +302,7 @@ impl CycleSim {
                 }
             }
 
-            match class {
-                PipeClass::LoadStore => stats.busy_load_store += occupancy,
-                PipeClass::Compute => stats.busy_compute += occupancy,
-                PipeClass::Shuffle => stats.busy_shuffle += occupancy,
-            }
-
             // --- busyboard updates ---
-            let read_done = issue + occupancy;
-            let write_done = issue + occupancy + latency as u64;
             for r in instr.reg_reads() {
                 read_release[r] = read_release[r].max(read_done);
             }
@@ -266,118 +329,6 @@ impl CycleSim {
 
         stats.cycles = makespan;
         stats
-    }
-
-    /// Returns `(issue occupancy, completion latency)` for an instruction
-    /// and accrues its event counts into `stats`.
-    fn instr_timing(
-        &self,
-        instr: &Instruction,
-        lanes_cycles: u64,
-        stats: &mut SimStats,
-    ) -> (u64, u32) {
-        let cfg = &self.config;
-        let vl = VECTOR_LEN as u64;
-        use Instruction::*;
-        match *instr {
-            VLoad { mode, .. } | VStore { mode, .. } => {
-                let is_store = matches!(instr, VStore { .. });
-                let bank_cycles = self.bank_limited_cycles(mode);
-                // HPLE-side VRF port: one VBAR element per slice per cycle.
-                let port_cycles = vl.div_ceil(cfg.num_hples as u64);
-                let occ = bank_cycles.max(port_cycles);
-                if is_store {
-                    stats.vdm_elem_writes += vl;
-                    stats.vrf_elem_reads += vl;
-                } else {
-                    stats.vdm_elem_reads += vl;
-                    stats.vrf_elem_writes += vl;
-                }
-                stats.vbar_elems += vl;
-                (occ, cfg.ls_latency)
-            }
-            VGather { .. } => {
-                // Indexed routing: the bank pattern is data-dependent, so
-                // the model charges a double-pumped VBAR pass — twice the
-                // port-limited unit-stride cost — rather than assuming a
-                // conflict-free spread the hardware cannot guarantee.
-                let port_cycles = vl.div_ceil(cfg.num_hples as u64);
-                let bank_floor = vl.div_ceil(cfg.vdm_banks as u64);
-                stats.vdm_elem_reads += vl;
-                stats.vrf_elem_writes += vl;
-                stats.vbar_elems += vl;
-                (2 * port_cycles.max(bank_floor), cfg.ls_latency)
-            }
-            VBroadcast { .. } => {
-                stats.vdm_elem_reads += 1;
-                stats.vrf_elem_writes += vl;
-                stats.vbar_elems += vl;
-                // one VDM read, fanned out on the VBAR; still limited by
-                // the per-slice write port
-                (vl.div_ceil(cfg.num_hples as u64), cfg.ls_latency)
-            }
-            SLoad { .. } | MLoad { .. } | ALoad { .. } => {
-                stats.sdm_elem_accesses += 1;
-                (1, cfg.ls_latency)
-            }
-            VAddMod { .. } | VSubMod { .. } => {
-                stats.add_ops += vl;
-                stats.vrf_elem_reads += 2 * vl;
-                stats.vrf_elem_writes += vl;
-                (lanes_cycles, cfg.add_latency)
-            }
-            VSAddMod { .. } | VSSubMod { .. } => {
-                stats.add_ops += vl;
-                stats.vrf_elem_reads += vl;
-                stats.vrf_elem_writes += vl;
-                (lanes_cycles, cfg.add_latency)
-            }
-            VMulMod { .. } => {
-                stats.mult_ops += vl;
-                stats.vrf_elem_reads += 2 * vl;
-                stats.vrf_elem_writes += vl;
-                (lanes_cycles * cfg.mult_ii as u64, cfg.mult_latency)
-            }
-            VSMulMod { .. } => {
-                stats.mult_ops += vl;
-                stats.vrf_elem_reads += vl;
-                stats.vrf_elem_writes += vl;
-                (lanes_cycles * cfg.mult_ii as u64, cfg.mult_latency)
-            }
-            Bfly { .. } => {
-                stats.mult_ops += vl;
-                stats.add_ops += 2 * vl;
-                stats.vrf_elem_reads += 3 * vl;
-                stats.vrf_elem_writes += 2 * vl;
-                (
-                    lanes_cycles * cfg.mult_ii as u64,
-                    cfg.mult_latency + cfg.add_latency,
-                )
-            }
-            UnpkLo { .. } | UnpkHi { .. } | PkLo { .. } | PkHi { .. } => {
-                stats.vrf_elem_reads += vl;
-                stats.vrf_elem_writes += vl;
-                stats.sbar_elems += vl;
-                (lanes_cycles, cfg.shuffle_latency)
-            }
-        }
-    }
-
-    /// Cycles the banked VDM needs to source/sink one 512-element vector
-    /// under the given addressing mode: the maximum number of elements
-    /// mapped to any single bank (banks are element-interleaved).
-    fn bank_limited_cycles(&self, mode: AddrMode) -> u64 {
-        let banks = self.config.vdm_banks;
-        match mode {
-            AddrMode::Unit => (VECTOR_LEN as u64).div_ceil(banks as u64),
-            _ => {
-                let mut counts = vec![0u64; banks];
-                for i in 0..VECTOR_LEN {
-                    counts[mode.element_offset(i) % banks] += 1;
-                }
-                counts.into_iter().max().unwrap_or(0)
-            }
-        }
     }
 }
 
@@ -557,6 +508,30 @@ mod tests {
         // total makespan is LS-bound either way
         assert_eq!(sd.count_load_store, 64);
         assert!(ss.cycles >= sd.cycles);
+    }
+
+    #[test]
+    fn busiest_bank_counts_every_element() {
+        let values = 0..64u8;
+        let modes = values.flat_map(|v| {
+            [
+                AddrMode::Strided { log2_stride: v },
+                AddrMode::StridedSkip { log2_block: v },
+                AddrMode::Repeated { log2_block: v },
+            ]
+        });
+        let modes: Vec<AddrMode> = modes.chain([AddrMode::Unit]).collect();
+        for banks in (3..=9).map(|b| 1usize << b) {
+            for &mode in &modes {
+                let mut load = vec![0u64; banks];
+                for i in 0..VECTOR_LEN {
+                    load[mode.element_offset(i) % banks] += 1;
+                }
+                let counted = load.into_iter().max().unwrap();
+                let got = busiest_bank(mode, banks as u64);
+                assert_eq!(got, counted, "{mode} over {banks} banks");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ mod stats;
 
 pub use config::RpuConfig;
 pub use constants::ConstantTables;
-pub use cycle::{CycleSim, InstrTrace};
+pub use cycle::{cost, Cost, CycleSim, InstrTrace, Unit};
 pub use func::{ExecError, FunctionalSim};
 pub use hbm::HbmModel;
 pub use stats::SimStats;

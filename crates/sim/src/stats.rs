@@ -4,7 +4,7 @@
 //! runtime), the energy model in `rpu-model` (event counts × per-event
 //! energy), and the stall-attribution analysis behind Fig. 6.
 
-use rpu_isa::PipeClass;
+use rpu_isa::{Events, PipeClass};
 
 /// Cycle-level statistics for one kernel execution.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -62,13 +62,26 @@ impl SimStats {
         self.count_load_store + self.count_compute + self.count_shuffle
     }
 
-    /// Records an executed instruction of the given class.
-    pub(crate) fn count_class(&mut self, class: PipeClass) {
-        match class {
-            PipeClass::LoadStore => self.count_load_store += 1,
-            PipeClass::Compute => self.count_compute += 1,
-            PipeClass::Shuffle => self.count_shuffle += 1,
-        }
+    /// Records one fetched and executed instruction: its class, the
+    /// cycles it held its pipeline, and the events of its cost class.
+    pub(crate) fn record(&mut self, class: PipeClass, occupancy: u64, e: &Events) {
+        let (count, busy) = match class {
+            PipeClass::LoadStore => (&mut self.count_load_store, &mut self.busy_load_store),
+            PipeClass::Compute => (&mut self.count_compute, &mut self.busy_compute),
+            PipeClass::Shuffle => (&mut self.count_shuffle, &mut self.busy_shuffle),
+        };
+        *count += 1;
+        *busy += occupancy;
+        self.im_fetches += 1;
+        self.vrf_elem_reads += u64::from(e.vrf_reads);
+        self.vrf_elem_writes += u64::from(e.vrf_writes);
+        self.vdm_elem_reads += u64::from(e.vdm_reads);
+        self.vdm_elem_writes += u64::from(e.vdm_writes);
+        self.sdm_elem_accesses += u64::from(e.sdm_accesses);
+        self.mult_ops += u64::from(e.mult_ops);
+        self.add_ops += u64::from(e.add_ops);
+        self.vbar_elems += u64::from(e.vbar);
+        self.sbar_elems += u64::from(e.sbar);
     }
 
     /// Utilization of a pipeline as busy-cycles / total-cycles.
