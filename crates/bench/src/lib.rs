@@ -4,39 +4,54 @@
 //! paper's evaluation section and prints the measured values next to the
 //! published ones. EXPERIMENTS.md records a captured run.
 
-use rpu::{CodegenStyle, Direction, Kernel, NttSpec, PrimeTable};
+use rpu::{CodegenStyle, Direction, Kernel, NttSpec, PrimeTable, Rpu};
 use std::sync::Arc;
 
 /// Kernel cache: figure sweeps re-time the same program under many
 /// configurations; generation (especially for 64K) is the slow part.
 ///
-/// The session layer's [`rpu::KernelCache`] and [`PrimeTable`] side by
-/// side, so the figure binaries share the exact cache and prime-lookup
-/// machinery production sessions use.
-#[derive(Debug, Default)]
+/// An [`Rpu`]'s kernel store and a [`PrimeTable`] side by side, so the
+/// figure binaries time the same verified kernels production sessions
+/// dispatch.
+#[derive(Debug)]
 pub struct KernelCache {
-    cache: rpu::KernelCache,
+    rpu: Rpu,
     primes: PrimeTable,
 }
 
-impl KernelCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl Default for KernelCache {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// Returns the kernel for `(n, direction, style)`, generating it on
-    /// first use with an automatically chosen ~126-bit prime.
+impl KernelCache {
+    /// Creates an empty cache over the paper's (128, 128) design point.
     ///
     /// # Panics
     ///
-    /// Panics if generation fails (figure parameters are all valid).
+    /// Panics if the default design point fails to build.
+    pub fn new() -> Self {
+        KernelCache {
+            rpu: Rpu::builder()
+                .build()
+                .expect("the default design point builds"),
+            primes: PrimeTable::new(),
+        }
+    }
+
+    /// Returns the kernel for `(n, direction, style)`, generated and
+    /// verified on first use with an automatically chosen ~126-bit
+    /// prime.
+    ///
+    /// # Panics
+    ///
+    /// Panics if generation or verification fails (figure parameters
+    /// are all valid).
     pub fn get(&mut self, n: usize, direction: Direction, style: CodegenStyle) -> Arc<Kernel> {
         let q = (self.primes.ntt_prime(n)).expect("prime exists for paper ring sizes");
         let spec = NttSpec::new(n, q, direction, style);
-        // Figure sweeps only re-time programs; skip functional verification.
-        let generated = self.cache.get_or_generate(&spec, false);
-        generated.expect("valid parameters").0
+        self.rpu.session().compile(&spec).expect("valid parameters")
     }
 }
 

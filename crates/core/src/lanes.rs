@@ -8,9 +8,10 @@
 //!
 //! * [`RpuCluster`] — `k` independent lanes over one [`Rpu`]
 //!   configuration. A lane *is* an [`RpuSession`]: its own device heap,
-//!   kernel cache, functional simulator and lifetime accounting
+//!   functional simulator and lifetime accounting
 //!   ([`RpuSession::stats`]), modeling `k` RPU dies fed by one host.
-//!   Lanes share the cluster's [`PrimeTable`], and the cluster looks up
+//!   Lanes share the cluster's [`PrimeTable`] and the `Rpu`'s
+//!   [`KernelStore`](crate::KernelStore), and the cluster looks up
 //!   which lane's heap a buffer lives on so a handle used on the wrong
 //!   lane fails fast ([`BufferError::ForeignLane`]) instead of
 //!   corrupting a foreign heap.
@@ -160,8 +161,9 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// `k` independent RPU lanes behind one host: each lane owns a full
-/// [`RpuSession`] (device heap + kernel cache + functional simulator),
-/// the cluster owns the shared [`PrimeTable`].
+/// [`RpuSession`] (device heap + functional simulator), the cluster owns
+/// the shared [`PrimeTable`], and every lane loads its programs from the
+/// `Rpu`'s one [`KernelStore`](crate::KernelStore).
 ///
 /// Created by [`Rpu::cluster`] (the [`RpuBuilder::lanes`] count) or
 /// [`Rpu::cluster_with`] (explicit count). Lanes are separate devices:
@@ -356,9 +358,10 @@ impl<'a> RpuCluster<'a> {
         self.upload_to(to, &data)
     }
 
-    /// Compiles (or recalls) `spec` on `lane`'s kernel cache, verifying
-    /// it once against the golden model — lane caches are independent,
-    /// exactly as `k` devices each holding their own program store.
+    /// The kernel for `spec` on `lane`, from the `Rpu`'s kernel store:
+    /// generated and verified once against the golden model however
+    /// many lanes ask, as one program is loaded onto `k` devices. The
+    /// request counts on `lane`'s [`cache_stats`](RpuCluster::cache_stats).
     ///
     /// # Errors
     ///
@@ -413,7 +416,8 @@ impl<'a> RpuCluster<'a> {
         self.lanes.iter().map(RpuSession::stats).collect()
     }
 
-    /// One lane's kernel-cache counters.
+    /// One lane's kernel counters (its first request for a key is its
+    /// miss).
     ///
     /// # Panics
     ///

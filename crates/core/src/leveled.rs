@@ -114,7 +114,7 @@ impl<'a> LeveledEvaluator<'a> {
     }
 
     /// Serializes the underlying cluster's full device state — key
-    /// material, resident ciphertext towers, kernel caches — as one
+    /// material, resident ciphertext towers, each lane's kernel keys — as one
     /// `SNAP_V1` cluster snapshot
     /// ([`RpuCluster::snapshot_all`](crate::RpuCluster::snapshot_all)).
     ///
@@ -292,7 +292,7 @@ impl<'a> LeveledEvaluator<'a> {
                 for (i, delta_i) in ctx.rescale_correction(level, &dropped).iter().enumerate() {
                     let (w, _) = ops.at(ops.homes(i)[0], i);
                     // Compiled on first use: the dropped prime is part of
-                    // the kernel's identity, so the lane caches one per
+                    // the kernel's identity, so the store holds one per
                     // (dropped level, surviving tower).
                     let spec = RescaleSpec::new(ctx.n(), chain.prime(i), chain.prime(level), style);
                     let kernel = w.compile(&spec)?;

@@ -17,9 +17,9 @@
 //! # Quickstart
 //!
 //! Build an [`Rpu`], open a session, and run workload specs through it.
-//! The session caches generated kernels by `(op, n, q, direction,
-//! style)` and memoizes NTT-prime searches, so repeated and batched runs
-//! pay generation cost once:
+//! The `Rpu` stores generated kernels by `(op, n, q, direction, style)`
+//! for all its sessions and the session memoizes NTT-prime searches, so
+//! repeated and batched runs pay generation cost once:
 //!
 //! ```
 //! use rpu::{CodegenStyle, ConvolutionSpec, Direction, NttSpec, Rpu};
@@ -152,6 +152,7 @@ mod rlwe;
 mod run;
 mod session;
 mod snapshot;
+mod store;
 mod trace;
 
 pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
@@ -161,8 +162,9 @@ pub use lanes::{ClusterRunReport, LaneJob, RpuCluster};
 pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, RlweEvaluator};
 pub use run::{Rpu, RunReport};
-pub use session::{CacheStats, KernelCache, LaneStats, PrimeTable, RpuBuilder, RpuSession};
+pub use session::{CacheStats, LaneStats, PrimeTable, RpuBuilder, RpuSession};
 pub use snapshot::SnapshotError;
+pub use store::KernelStore;
 pub use trace::{set_dispatch_tenant, DispatchEvent, RingTraceSink, TenantTag, TraceSink};
 
 // Re-export the component crates under stable names.
@@ -282,6 +284,12 @@ impl std::error::Error for RpuError {
 impl From<rpu_codegen::CodegenError> for RpuError {
     fn from(e: rpu_codegen::CodegenError) -> Self {
         RpuError::Codegen(e)
+    }
+}
+
+impl From<rpu_sim::ExecError> for RpuError {
+    fn from(e: rpu_sim::ExecError) -> Self {
+        RpuError::Exec(e)
     }
 }
 

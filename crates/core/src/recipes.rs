@@ -69,7 +69,8 @@ pub struct LaneKernels {
 }
 
 impl LaneKernels {
-    /// Compiles (or recalls from the lane's cache) all six shapes.
+    /// Fetches all six shapes for the lane from the `Rpu`'s kernel
+    /// store, which builds each key once for every lane.
     ///
     /// # Errors
     ///

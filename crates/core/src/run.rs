@@ -4,6 +4,7 @@
 
 use crate::buffer::TransferStats;
 use crate::session::{check_lanes, RpuBuilder, RpuSession};
+use crate::store::KernelStore;
 use crate::trace::TraceSink;
 use crate::RpuError;
 use rpu_codegen::{CodegenStyle, Direction, KernelOp};
@@ -34,7 +35,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct Rpu {
     config: RpuConfig,
-    cycle_sim: CycleSim,
+    kernels: KernelStore,
     area_model: AreaModel,
     energy_model: EnergyModel,
     clock_ghz: f64,
@@ -95,44 +96,40 @@ impl Rpu {
         RpuBuilder::new()
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The built instance of a checked `builder`, with its resolved
+    /// heap size.
     pub(crate) fn from_builder(
-        config: RpuConfig,
-        area_model: AreaModel,
-        energy_model: EnergyModel,
-        clock_ghz: Option<f64>,
-        prime_bits: u32,
+        builder: RpuBuilder,
         device_heap_elements: usize,
-        lanes: usize,
-        force_interpreter: bool,
-        trace: Option<Arc<dyn TraceSink>>,
     ) -> Result<Self, RpuError> {
+        let config = builder.config;
         let cycle_sim = CycleSim::new(config).map_err(RpuError::Config)?;
         Ok(Rpu {
             config,
-            cycle_sim,
-            area_model,
-            energy_model,
-            clock_ghz: clock_ghz.unwrap_or_else(|| config.frequency_ghz()),
-            prime_bits,
+            kernels: KernelStore::new(cycle_sim),
+            area_model: builder.area_model,
+            energy_model: builder.energy_model,
+            clock_ghz: builder.clock_ghz.unwrap_or_else(|| config.frequency_ghz()),
+            prime_bits: builder.prime_bits,
             device_heap_elements,
-            lanes,
-            force_interpreter,
-            trace,
+            lanes: builder.lanes,
+            force_interpreter: builder.force_interpreter,
+            trace: builder.trace,
         })
     }
 
-    /// Opens a workload session: a kernel cache plus a memoized prime
-    /// table over this instance. Independent sessions do not share
-    /// caches.
+    /// Opens a workload session over this instance: its own device
+    /// heap and prime table, fetching kernels from the instance's
+    /// [`KernelStore`], which every session and lane of it shares.
     pub fn session(&self) -> RpuSession<'_> {
         RpuSession::new(self, 0)
     }
 
     /// Opens a multi-lane cluster with the configured
     /// ([`RpuBuilder::lanes`]) lane count: `k` independent sessions —
-    /// each its own device heap, kernel cache, and functional simulator
-    /// — behind one scheduler. See [`crate::RpuCluster`].
+    /// each its own device heap and functional simulator, all fetching
+    /// kernels from this instance's [`KernelStore`]. See
+    /// [`crate::RpuCluster`].
     pub fn cluster(&self) -> crate::RpuCluster<'_> {
         crate::RpuCluster::new(self, self.lanes)
     }
@@ -211,14 +208,14 @@ impl Rpu {
         &self.energy_model
     }
 
-    /// Cycle-simulates a program (sessions memoize the result per kernel
-    /// so warm dispatches skip re-simulation).
-    pub(crate) fn time(&self, program: &rpu_isa::Program) -> SimStats {
-        self.cycle_sim.simulate(program)
+    /// The instance's kernel store: every kernel its sessions and lanes
+    /// compile, each generated, verified and cycle-timed once.
+    pub fn kernel_store(&self) -> &KernelStore {
+        &self.kernels
     }
 
     /// The single `RunReport` construction site: attaches the identity
-    /// and verdict flags to a session's memoized cycle `stats` and
+    /// and verdict flags to a kernel's stored cycle `stats` and
     /// instruction `mix`.
     pub(crate) fn assemble_report(
         &self,

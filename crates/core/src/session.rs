@@ -1,13 +1,15 @@
-//! The session-based workload API: [`RpuBuilder`], [`RpuSession`],
-//! [`KernelCache`], and [`PrimeTable`].
+//! The session-based workload API: [`RpuBuilder`], [`RpuSession`] and
+//! [`PrimeTable`].
 //!
 //! Real RLWE traffic runs the *same* handful of kernels over and over —
 //! the same ring degrees, the same RNS tower primes, forward and inverse
-//! transforms, pointwise ciphertext arithmetic. A session amortizes
-//! everything that is per-*kernel* rather than per-*run*: SPIRAL-style
-//! program generation, functional verification against the golden model,
-//! and the NTT-prime search. Beyond kernel caching, a session owns the
-//! **device state** of a simulated RPU: ring data uploaded once lives in
+//! transforms, pointwise ciphertext arithmetic. What is per-*kernel*
+//! rather than per-*run* — SPIRAL-style program generation, functional
+//! verification against the golden model and cycle timing — happens
+//! once per [`Rpu`], in its [`KernelStore`](crate::KernelStore); a
+//! session keeps the kernels it asked for and memoizes the NTT-prime
+//! search. Beyond that, a session owns the **device state** of a
+//! simulated RPU: ring data uploaded once lives in
 //! a resident-buffer heap ([`RpuSession::alloc`] /
 //! [`upload`](RpuSession::upload)) and a stream of compiled kernels is
 //! [`dispatch`](RpuSession::dispatch)ed over it without any host round
@@ -57,12 +59,13 @@
 use crate::buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
 use crate::run::{Rpu, RunReport};
 use crate::snapshot::{self, SessionImage, SnapshotError};
+use crate::store::Stored;
 use crate::trace::{self, DispatchEvent, TraceSink};
 use crate::RpuError;
 use rpu_codegen::{CodegenStyle, Direction, Kernel, KernelKey, KernelSpec, NttSpec};
-use rpu_isa::{AReg, InstructionMix};
+use rpu_isa::AReg;
 use rpu_model::{AreaModel, EnergyModel};
-use rpu_sim::{FunctionalSim, RpuConfig, SimStats};
+use rpu_sim::{FunctionalSim, RpuConfig};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -76,8 +79,7 @@ const DEFAULT_PRIME_BITS: u32 = 126;
 const MAX_PRIME_BITS: u32 = 126;
 
 /// Builder for a configured [`Rpu`]: microarchitecture, hardware models,
-/// clock, and session policies (prime width, kernel-cache bound, device
-/// heap size).
+/// clock, and session policies (prime width, device heap size, lanes).
 ///
 /// # Examples
 ///
@@ -95,15 +97,15 @@ const MAX_PRIME_BITS: u32 = 126;
 /// ```
 #[derive(Debug, Clone)]
 pub struct RpuBuilder {
-    config: RpuConfig,
-    area_model: AreaModel,
-    energy_model: EnergyModel,
-    clock_ghz: Option<f64>,
-    prime_bits: u32,
+    pub(crate) config: RpuConfig,
+    pub(crate) area_model: AreaModel,
+    pub(crate) energy_model: EnergyModel,
+    pub(crate) clock_ghz: Option<f64>,
+    pub(crate) prime_bits: u32,
     device_heap_elements: Option<usize>,
-    lanes: usize,
-    force_interpreter: bool,
-    trace: Option<Arc<dyn TraceSink>>,
+    pub(crate) lanes: usize,
+    pub(crate) force_interpreter: bool,
+    pub(crate) trace: Option<Arc<dyn TraceSink>>,
 }
 
 /// Most lanes a cluster may be built with: past this the simulated VDM
@@ -197,10 +199,11 @@ impl RpuBuilder {
     }
 
     /// Sets how many independent RPU lanes `Rpu::cluster` builds
-    /// (default 1). Each lane is a full session — its own device heap,
-    /// kernel cache, and functional simulator — so `k` lanes model `k`
-    /// RPU dies fed by one host, the scale-out axis of the paper's RNS
-    /// decomposition (every tower is independent work).
+    /// (default 1). Each lane is a full session — its own device heap
+    /// and functional simulator — so `k` lanes model `k` RPU dies fed by
+    /// one host, the scale-out axis of the paper's RNS decomposition
+    /// (every tower is independent work). The lanes load their programs
+    /// from the one [`KernelStore`](crate::KernelStore) of the `Rpu`.
     pub fn lanes(mut self, k: usize) -> Self {
         self.lanes = k;
         self
@@ -270,17 +273,7 @@ impl RpuBuilder {
             // heap never exceeds the architectural maximum.
             None => workspace.min(max.saturating_sub(workspace)),
         };
-        Rpu::from_builder(
-            self.config,
-            self.area_model,
-            self.energy_model,
-            self.clock_ghz,
-            self.prime_bits,
-            heap,
-            self.lanes,
-            self.force_interpreter,
-            self.trace,
-        )
+        Rpu::from_builder(self, heap)
     }
 }
 
@@ -378,99 +371,16 @@ pub struct LaneStats {
     pub transfer: TransferStats,
 }
 
-/// Counters describing a [`KernelCache`]'s behavior.
+/// A session's kernel counters ([`RpuSession::cache_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (no regeneration).
+    /// Requests for a key the session had asked for before.
     pub hits: u64,
-    /// Lookups that required generating a kernel.
+    /// First requests for a key (the kernel came from the `Rpu`'s
+    /// store, built there if no session had asked for it yet).
     pub misses: u64,
-    /// Kernels currently cached.
+    /// Keys the session holds.
     pub entries: usize,
-}
-
-/// A cache of generated kernels keyed by [`KernelKey`] — the `(op, n, q,
-/// direction, style)` identity of a spec.
-///
-/// Sessions own one internally; the figure-regeneration binaries share
-/// one across sweeps. Generation is the expensive step (schedule
-/// construction, emission, list scheduling, and optionally functional
-/// verification), so a hit skips all of it.
-#[derive(Debug, Default)]
-pub struct KernelCache {
-    map: HashMap<KernelKey, Arc<Kernel>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl KernelCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the cached (or freshly generated) kernel for `spec`,
-    /// plus whether it was a cache hit. With `verify` set, the kernel is
-    /// checked against its golden model on first need; the verdict is
-    /// memoized on the kernel itself ([`Kernel::verification`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Codegen`] if generation fails or
-    /// [`RpuError::Exec`] if verification faults.
-    pub fn get_or_generate<S: KernelSpec + ?Sized>(
-        &mut self,
-        spec: &S,
-        verify: bool,
-    ) -> Result<(Arc<Kernel>, bool), RpuError> {
-        let key = spec.key();
-        let hit = self.map.contains_key(&key);
-        if hit {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-            self.map.insert(key, Arc::new(spec.generate()?));
-        }
-        let kernel = &self.map[&key];
-        if verify {
-            kernel.verify().map_err(RpuError::Exec)?;
-        }
-        Ok((Arc::clone(kernel), hit))
-    }
-
-    /// Hit/miss/occupancy counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            entries: self.map.len(),
-        }
-    }
-
-    /// Number of cached kernels.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The key of every cached kernel, sorted by wire encoding so the
-    /// order (and thus a snapshot's bytes) is deterministic.
-    pub fn keys(&self) -> Vec<KernelKey> {
-        let mut keys: Vec<KernelKey> = self.map.keys().copied().collect();
-        keys.sort_unstable_by_key(|k| k.to_bytes());
-        keys
-    }
-
-    /// Replaces the cached kernels with `kernels` (snapshot restore).
-    /// Hit/miss counters are diagnostics, not device state, and are
-    /// kept.
-    pub(crate) fn reseed(&mut self, kernels: Vec<Arc<Kernel>>) {
-        self.map = kernels.into_iter().map(|k| (k.key(), k)).collect();
-    }
 }
 
 /// The persistent device state of a session: the functional simulator
@@ -514,7 +424,8 @@ impl DeviceState {
     }
 }
 
-/// A workload session on an [`Rpu`]: owns a [`KernelCache`], a
+/// A workload session on an [`Rpu`]: the kernels it asked for (fetched
+/// from the `Rpu`'s [`KernelStore`](crate::KernelStore)), a
 /// [`PrimeTable`], and the device state — resident buffers plus the
 /// functional simulator they live in — so repeated, batched, and
 /// pipelined runs amortize generation *and* data movement.
@@ -523,7 +434,7 @@ impl DeviceState {
 ///
 /// * **One-shot**: [`run`](RpuSession::run) / [`ntt`](RpuSession::ntt)
 ///   — upload-dispatch-download per call, kernel generation amortized by
-///   the cache. Every call pays the full host round trip.
+///   the store. Every call pays the full host round trip.
 /// * **Resident**: [`upload`](RpuSession::upload) operands once,
 ///   [`compile`](RpuSession::compile) kernels once per shape, then
 ///   [`dispatch`](RpuSession::dispatch) chains over [`DeviceBuffer`]s;
@@ -532,17 +443,17 @@ impl DeviceState {
 #[derive(Debug)]
 pub struct RpuSession<'a> {
     rpu: &'a Rpu,
-    cache: KernelCache,
+    /// The store entries this session asked for, by key: what a
+    /// snapshot's key section lists and a dispatch reads its timing from.
+    kernels: HashMap<KernelKey, Arc<Stored>>,
+    /// The hits and misses of [`cache_stats`](RpuSession::cache_stats).
+    counts: CacheStats,
     primes: PrimeTable,
     device: DeviceState,
-    /// Memoized cycle-simulation results and instruction mix per kernel:
-    /// both are pure functions of the program, so warm dispatches skip
-    /// re-simulating and re-walking it.
-    timing: HashMap<KernelKey, (SimStats, InstructionMix)>,
     /// Lifetime accounting, updated where each thing happens (`upload`,
     /// `write`, `download`, `finish`). `stats.lane` is the index stamped
     /// on trace events: 0 for a standalone session, the lane's own in a
-    /// cluster. A diagnostic like the cache counters: kept across
+    /// cluster. A diagnostic like the kernel counters: kept across
     /// `restore`, never serialized.
     stats: LaneStats,
 }
@@ -551,10 +462,10 @@ impl<'a> RpuSession<'a> {
     pub(crate) fn new(rpu: &'a Rpu, lane: usize) -> Self {
         RpuSession {
             rpu,
-            cache: KernelCache::new(),
+            kernels: HashMap::new(),
+            counts: CacheStats::default(),
             primes: PrimeTable::with_bits(rpu.prime_bits()),
             device: DeviceState::new(rpu.config().vdm_elements(), rpu.device_heap_elements()),
-            timing: HashMap::new(),
             stats: LaneStats {
                 lane,
                 ..LaneStats::default()
@@ -617,10 +528,7 @@ impl<'a> RpuSession<'a> {
     /// Returns [`RpuError::Buffer`] when the heap is exhausted.
     pub fn upload(&mut self, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
         let buf = self.alloc(data.len())?;
-        self.device
-            .sim
-            .write_vdm(buf.offset_elements(), data)
-            .map_err(RpuError::Exec)?;
+        self.device.sim.write_vdm(buf.offset_elements(), data)?;
         self.stats.transfer.host_to_device += data.len();
         Ok(buf)
     }
@@ -641,10 +549,7 @@ impl<'a> RpuSession<'a> {
             }
             .into());
         }
-        self.device
-            .sim
-            .write_vdm(offset, data)
-            .map_err(RpuError::Exec)?;
+        self.device.sim.write_vdm(offset, data)?;
         self.stats.transfer.host_to_device += len;
         Ok(())
     }
@@ -657,8 +562,7 @@ impl<'a> RpuSession<'a> {
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn download(&mut self, buf: &DeviceBuffer) -> Result<Vec<u128>, RpuError> {
         let (offset, len) = self.device.heap.resolve(buf)?;
-        let data = self.device.sim.read_vdm(offset, len);
-        let data = data.map_err(RpuError::Exec)?;
+        let data = self.device.sim.read_vdm(offset, len)?;
         self.stats.transfer.device_to_host += len;
         Ok(data)
     }
@@ -711,8 +615,9 @@ impl<'a> RpuSession<'a> {
         self.device.sim.lane_bits()
     }
 
-    /// Compiles (or recalls) the kernel for `spec` and verifies it once
-    /// against its golden model — the per-*shape* step of the
+    /// The kernel for `spec` from the `Rpu`'s store, which generates,
+    /// verifies against its golden model and cycle-times each key once
+    /// for every session — the per-*shape* step of the
     /// accelerator-runtime model. The result is what
     /// [`dispatch`](RpuSession::dispatch) binds data to.
     ///
@@ -723,8 +628,21 @@ impl<'a> RpuSession<'a> {
     /// verdict is memoized on the kernel ([`Kernel::verification`]) and
     /// surfaces as `verified: false` on every report.
     pub fn compile<S: KernelSpec + ?Sized>(&mut self, spec: &S) -> Result<Arc<Kernel>, RpuError> {
-        let (kernel, _) = self.cache.get_or_generate(spec, true)?;
-        Ok(kernel)
+        Ok(Arc::clone(&self.fetch(spec)?.0.kernel))
+    }
+
+    /// The store entry for `spec` and whether this session had asked
+    /// for its key before (a hit).
+    fn fetch<S: KernelSpec + ?Sized>(&mut self, spec: &S) -> Result<(Arc<Stored>, bool), RpuError> {
+        let key = spec.key();
+        if let Some(stored) = self.kernels.get(&key) {
+            self.counts.hits += 1;
+            return Ok((Arc::clone(stored), true));
+        }
+        self.counts.misses += 1;
+        let stored = self.rpu.kernel_store().get(spec)?;
+        self.kernels.insert(key, Arc::clone(&stored));
+        Ok((stored, false))
     }
 
     /// Dispatches a compiled kernel over device-resident buffers: binds
@@ -770,11 +688,14 @@ impl<'a> RpuSession<'a> {
     }
 
     /// The shared tail of [`dispatch`](RpuSession::dispatch) and the
-    /// one-shot round trip: the report of one executed kernel (memoized
-    /// timing, the kernel's verdict, what `dispatch_raw` `moved`),
-    /// folded into the session's lifetime [`stats`](RpuSession::stats).
+    /// one-shot round trip: the report of one executed kernel (its
+    /// stored timing, its verdict, what `dispatch_raw` `moved`), folded
+    /// into the session's lifetime [`stats`](RpuSession::stats).
     fn finish(&mut self, kernel: &Kernel, cache_hit: bool, moved: TransferStats) -> RunReport {
-        let (stats, mix) = self.timed(kernel);
+        let (stats, mix) = match self.kernels.get(&kernel.key()) {
+            Some(stored) => (stored.stats.clone(), stored.mix),
+            None => self.rpu.kernel_store().timing(kernel),
+        };
         let verified = kernel.verification().unwrap_or(false);
         let mut report = self
             .rpu
@@ -846,9 +767,7 @@ impl<'a> RpuSession<'a> {
         if self.device.loaded != Some(kernel.key()) {
             // The workspace may hold a partial image if this fails.
             self.device.loaded = None;
-            transfer.image_elements = kernel
-                .load_into(&mut self.device.sim)
-                .map_err(RpuError::Exec)?;
+            transfer.image_elements = kernel.load_into(&mut self.device.sim)?;
             self.device.loaded = Some(kernel.key());
         } else {
             transfer.image_reused = true;
@@ -856,10 +775,7 @@ impl<'a> RpuSession<'a> {
 
         // Bind operands: heap → workspace, entirely on-device.
         for (&src, &(dst, len)) in self.device.in_locs.iter().zip(kernel.input_ranges()) {
-            self.device
-                .sim
-                .copy_vdm(dst, src, len)
-                .map_err(RpuError::Exec)?;
+            self.device.sim.copy_vdm(dst, src, len)?;
             transfer.device_copies += len;
         }
 
@@ -881,22 +797,9 @@ impl<'a> RpuSession<'a> {
         }
 
         // Result write-back: workspace → heap, still on-device.
-        self.device
-            .sim
-            .copy_vdm(out_offset, out_ws, out_len)
-            .map_err(RpuError::Exec)?;
+        self.device.sim.copy_vdm(out_offset, out_ws, out_len)?;
         transfer.device_copies += out_len;
         Ok(transfer)
-    }
-
-    /// The memoized cycle-simulation result and instruction mix for a
-    /// kernel.
-    fn timed(&mut self, kernel: &Kernel) -> (SimStats, InstructionMix) {
-        let rpu = self.rpu;
-        self.timing
-            .entry(kernel.key())
-            .or_insert_with(|| (rpu.time(kernel.program()), kernel.program().mix()))
-            .clone()
     }
 
     // ------------------------------------------------------------------
@@ -918,16 +821,16 @@ impl<'a> RpuSession<'a> {
         spec: &S,
         operands: &[&[u128]],
     ) -> Result<(Vec<u128>, RunReport), RpuError> {
-        let (kernel, hit) = self.cache.get_or_generate(spec, true)?;
-        self.round_trip(kernel, hit, operands)
+        let (stored, hit) = self.fetch(spec)?;
+        self.round_trip(&stored.kernel, hit, operands)
     }
 
     /// Shared upload-dispatch-download core of [`run`](RpuSession::run)
-    /// and [`run_with`](RpuSession::run_with) (one cache lookup already
-    /// done by the caller).
+    /// and [`run_with`](RpuSession::run_with) (the kernel already
+    /// fetched by the caller).
     fn round_trip(
         &mut self,
-        kernel: Arc<Kernel>,
+        kernel: &Kernel,
         hit: bool,
         operands: &[&[u128]],
     ) -> Result<(Vec<u128>, RunReport), RpuError> {
@@ -945,7 +848,7 @@ impl<'a> RpuSession<'a> {
             }
             let out = self.alloc(kernel.output_range().1)?;
             buffers.push(out);
-            let moved = self.dispatch_raw(&kernel, &buffers[..operands.len()], &[out])?;
+            let moved = self.dispatch_raw(kernel, &buffers[..operands.len()], &[out])?;
             Ok((self.download(&out)?, moved))
         })();
         // Scratch buffers never outlive the call, success or not.
@@ -955,7 +858,7 @@ impl<'a> RpuSession<'a> {
         let (data, moved) = result?;
         // `upload` and `download` have already counted the host link in
         // the lifetime stats; the report of this run names it too.
-        let mut report = self.finish(&kernel, hit, moved);
+        let mut report = self.finish(kernel, hit, moved);
         report.transfer.host_to_device = operands.iter().map(|op| op.len()).sum();
         report.transfer.device_to_host = data.len();
         Ok((data, report))
@@ -964,8 +867,9 @@ impl<'a> RpuSession<'a> {
     /// Runs one workload spec end to end on deterministic synthetic
     /// operands — a thin upload-dispatch-download convenience over the
     /// resident-buffer path. The first run of a spec pays kernel
-    /// generation + golden-model verification; warm runs reuse the
-    /// cached kernel and memoized cycle timing but still pay the full
+    /// generation + golden-model verification unless the `Rpu`'s store
+    /// already holds it; warm runs reuse the kernel and its stored cycle
+    /// timing but still pay the full
     /// per-call data round trip, *including* a lane-exact functional
     /// execution of the kernel (that is what a run now is). Chained
     /// workloads should [`dispatch`](RpuSession::dispatch) over resident
@@ -977,15 +881,15 @@ impl<'a> RpuSession<'a> {
     /// Returns [`RpuError`] if generation, verification, or execution
     /// fails.
     pub fn run<S: KernelSpec + ?Sized>(&mut self, spec: &S) -> Result<RunReport, RpuError> {
-        let (kernel, hit) = self.cache.get_or_generate(spec, true)?;
-        let operands = kernel.synthetic_operands();
+        let (stored, hit) = self.fetch(spec)?;
+        let operands = stored.kernel.synthetic_operands();
         let refs: Vec<&[u128]> = operands.iter().map(Vec::as_slice).collect();
-        let (_, report) = self.round_trip(kernel, hit, &refs)?;
+        let (_, report) = self.round_trip(&stored.kernel, hit, &refs)?;
         Ok(report)
     }
 
     /// Runs a heterogeneous batch of specs in order, returning one
-    /// report per spec. Duplicate specs within the batch hit the cache.
+    /// report per spec. Duplicate specs within the batch are hits.
     ///
     /// # Errors
     ///
@@ -1009,8 +913,8 @@ impl<'a> RpuSession<'a> {
         self.run(&NttSpec::new(n, q, direction, style))
     }
 
-    /// The cached kernel for `spec` (generated and verified on first
-    /// use), for callers that want to execute it on their own data via
+    /// The kernel for `spec` (generated and verified on its key's first
+    /// request to the `Rpu`), for callers that want to execute it on their own data via
     /// [`Kernel::execute`] rather than just time it. Alias of
     /// [`compile`](RpuSession::compile).
     ///
@@ -1021,9 +925,14 @@ impl<'a> RpuSession<'a> {
         self.compile(spec)
     }
 
-    /// Hit/miss/occupancy counters of the session's kernel cache.
+    /// The session's kernel counters: a session's first request for a
+    /// key is its miss, every later one a hit.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        let entries = self.kernels.len();
+        CacheStats {
+            entries,
+            ..self.counts
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1031,28 +940,22 @@ impl<'a> RpuSession<'a> {
     // ------------------------------------------------------------------
 
     /// Serializes the session's full persistent device state — VDM/SDM
-    /// contents, the heap map (live and free blocks), the kernel-cache
-    /// keys, and the loaded-image identity — as versioned `SNAP_V1`
+    /// contents, the heap map (live and free blocks), the keys of the
+    /// kernels the session asked for, and the loaded-image identity — as versioned `SNAP_V1`
     /// bytes (see `docs/snapshot-format.md`). Identical device state
     /// always produces identical bytes.
     ///
-    /// Cache hit/miss counters and memoized cycle timings are
-    /// diagnostics, not device state, and are not serialized; register
+    /// Kernel hit/miss counters are diagnostics, not device state, and
+    /// are not serialized; register
     /// files are not serialized either, because every generated program
     /// initializes the registers it reads.
     pub fn snapshot(&self) -> Vec<u8> {
-        let vdm_len = self.device.sim.vdm_capacity();
-        let sdm_len = self.device.sim.sdm_capacity();
-        let vdm = self
-            .device
-            .sim
-            .read_vdm(0, vdm_len)
-            .expect("full-range VDM read is always in bounds");
-        let sdm = self
-            .device
-            .sim
-            .read_sdm(0, sdm_len)
-            .expect("full-range SDM read is always in bounds");
+        // Sorted by wire encoding, so equal state gives equal bytes.
+        let mut keys: Vec<KernelKey> = self.kernels.keys().copied().collect();
+        keys.sort_unstable_by_key(|k| k.to_bytes());
+        let sim = &self.device.sim;
+        let vdm = sim.read_vdm(0, sim.vdm_capacity()).expect("full range");
+        let sdm = sim.read_sdm(0, sim.sdm_capacity()).expect("full range");
         let image = SessionImage {
             workspace: self.device.workspace as u64,
             heap_base: self.device.heap.base() as u64,
@@ -1074,7 +977,7 @@ impl<'a> RpuSession<'a> {
                 .into_iter()
                 .map(|(offset, len)| (offset as u64, len as u64))
                 .collect(),
-            keys: self.cache.keys(),
+            keys,
             loaded: self.device.loaded,
         };
         snapshot::encode_session(&image)
@@ -1111,7 +1014,7 @@ impl<'a> RpuSession<'a> {
     /// [`BufferError::StaleHandle`] — never a double free), and ids are
     /// never recycled. Returns handles to the snapshot's live buffers.
     ///
-    /// All fallible work (decode, geometry checks, kernel regeneration)
+    /// All fallible work (decode, geometry checks, fetching the kernels)
     /// happens before any mutation, so the session is unchanged on
     /// error.
     ///
@@ -1119,15 +1022,16 @@ impl<'a> RpuSession<'a> {
     ///
     /// [`RpuError::Snapshot`] for corrupt or future-version bytes, a
     /// geometry mismatch with this session, or a kernel that cannot be
-    /// rebuilt.
+    /// built.
     pub fn restore_replacing(&mut self, bytes: &[u8]) -> Result<Vec<DeviceBuffer>, RpuError> {
         let prepared = self.prepare_restore(bytes)?;
         Ok(self.apply_restore(prepared))
     }
 
     /// The fallible half of a restore: decode, geometry checks against
-    /// this session, heap-map validation, and kernel regeneration — no
-    /// mutation. Clusters prepare every lane before applying any, so a
+    /// this session, heap-map validation, and each snapshotted kernel
+    /// from the `Rpu`'s store (built there only if it lacks the key) —
+    /// no mutation. Clusters prepare every lane before applying any, so a
     /// multi-lane restore is all-or-nothing.
     pub(crate) fn prepare_restore(&self, bytes: &[u8]) -> Result<PreparedRestore, RpuError> {
         let image = snapshot::decode_session(bytes)?;
@@ -1162,18 +1066,15 @@ impl<'a> RpuSession<'a> {
         scratch
             .restore_state(live, free, high_water)
             .map_err(|detail| SnapshotError::Corrupt(format!("heap map: {detail}")))?;
-        let mut kernels = Vec::with_capacity(image.keys.len());
-        for key in &image.keys {
-            let spec = rpu_codegen::spec_for_key(key).ok_or_else(|| {
-                RpuError::from(SnapshotError::KernelRebuild {
-                    detail: format!("no kernel spec reproduces the snapshotted key {key:?}"),
-                })
-            })?;
-            let kernel = spec.generate().map_err(|e| SnapshotError::KernelRebuild {
-                detail: format!("regenerating {key:?} failed: {e}"),
-            })?;
-            kernels.push(Arc::new(kernel));
-        }
+        let kernels = image.keys.iter().map(|key| {
+            let spec = rpu_codegen::spec_for_key(key)
+                .ok_or_else(|| format!("no kernel spec reproduces the snapshotted key {key:?}"))?;
+            let stored = self.rpu.kernel_store().get(&*spec);
+            stored.map_err(|e| format!("building {key:?} failed: {e}"))
+        });
+        let kernels = kernels
+            .collect::<Result<_, _>>()
+            .map_err(|detail| SnapshotError::KernelRebuild { detail })?;
         Ok(PreparedRestore { image, kernels })
     }
 
@@ -1190,45 +1091,40 @@ impl<'a> RpuSession<'a> {
         // Grow-only simulator: write the snapshotted contents and zero
         // any tail beyond them, so the restored device contents are
         // canonical even when this session's sim had grown larger.
-        self.device.sim.ensure_vdm(image.vdm.len());
-        self.device
-            .sim
-            .write_vdm(0, &image.vdm)
+        let sim = &mut self.device.sim;
+        let (vdm, sdm) = (image.vdm.len(), image.sdm.len());
+        sim.ensure_vdm(vdm);
+        sim.ensure_sdm(sdm);
+        let vdm_tail = vec![0u128; sim.vdm_capacity() - vdm];
+        let sdm_tail = vec![0u128; sim.sdm_capacity() - sdm];
+        sim.write_vdm(0, &image.vdm)
             .expect("ensured to cover the image");
-        let vdm_tail = self.device.sim.vdm_capacity() - image.vdm.len();
-        self.device
-            .sim
-            .write_vdm(image.vdm.len(), &vec![0u128; vdm_tail])
-            .expect("tail is in bounds");
-        self.device.sim.ensure_sdm(image.sdm.len());
-        self.device
-            .sim
-            .write_sdm(0, &image.sdm)
+        sim.write_vdm(vdm, &vdm_tail).expect("tail is in bounds");
+        sim.write_sdm(0, &image.sdm)
             .expect("ensured to cover the image");
-        let sdm_tail = self.device.sim.sdm_capacity() - image.sdm.len();
-        self.device
-            .sim
-            .write_sdm(image.sdm.len(), &vec![0u128; sdm_tail])
-            .expect("tail is in bounds");
-        self.device.loaded = image.loaded;
+        sim.write_sdm(sdm, &sdm_tail).expect("tail is in bounds");
         // The writes dropped the loaded kernel's tables: take them back
         // if the image holds them, so its twiddles keep their quotients.
-        if let Some(k) = kernels.iter().find(|k| Some(k.key()) == image.loaded) {
-            self.device.sim.adopt_constants(k.constant_tables());
+        if let Some(s) = kernels
+            .iter()
+            .find(|s| Some(s.kernel.key()) == image.loaded)
+        {
+            sim.adopt_constants(s.kernel.constant_tables());
         }
-        self.cache.reseed(kernels);
+        self.device.loaded = image.loaded;
+        self.kernels = kernels.into_iter().map(|s| (s.kernel.key(), s)).collect();
         live.into_iter()
             .map(|(id, offset, len)| DeviceBuffer::from_raw(id, offset, len))
             .collect()
     }
 }
 
-/// A decoded, validated, kernel-regenerated restore, ready to apply
-/// infallibly (see [`RpuSession::prepare_restore`]).
+/// A decoded, validated restore with its kernels fetched, ready to
+/// apply infallibly (see [`RpuSession::prepare_restore`]).
 #[derive(Debug)]
 pub(crate) struct PreparedRestore {
     image: SessionImage,
-    kernels: Vec<Arc<Kernel>>,
+    kernels: Vec<Arc<Stored>>,
 }
 
 impl PreparedRestore {

@@ -1,8 +1,8 @@
 //! The `SNAP_V1` versioned device-snapshot wire format.
 //!
 //! A snapshot serializes the full persistent device state of a session
-//! — VDM/SDM images, the heap map (live and free blocks), the
-//! kernel-cache keys, and the loaded-image identity — behind a
+//! — VDM/SDM images, the heap map (live and free blocks), the keys of
+//! the kernels it asked for, and the loaded-image identity — behind a
 //! versioned header with explicit endianness and length-prefixed
 //! sections. Cluster snapshots wrap one session snapshot per lane plus
 //! the buffer→lane placement map.
@@ -88,8 +88,8 @@ pub enum SnapshotError {
         /// The target session's value.
         target: u64,
     },
-    /// A cached kernel recorded in the snapshot could not be rebuilt on
-    /// the target (unknown key, or generation failed).
+    /// A kernel recorded in the snapshot could not be built on the
+    /// target (unknown key, or generation or verification failed).
     KernelRebuild {
         /// Human-readable cause.
         detail: String,
@@ -163,7 +163,7 @@ pub(crate) struct SessionImage {
     pub live: LiveBlocks,
     /// Free blocks as `(offset, len)`, sorted by offset.
     pub free: FreeBlocks,
-    /// Keys of every kernel the cache held, sorted by encoding.
+    /// Keys of every kernel the session asked for, sorted by encoding.
     pub keys: Vec<KernelKey>,
     /// Identity of the kernel image resident in the workspace, if any.
     pub loaded: Option<KernelKey>,

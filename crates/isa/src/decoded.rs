@@ -2,7 +2,7 @@
 //!
 //! A compiled kernel never changes after `compile()`; this wrapper is
 //! the type the fast-path executor (`FunctionalSim::run_predecoded`)
-//! takes and the kernel cache hands out, so anything later derived from
+//! takes and the kernel store hands out, so anything later derived from
 //! the instruction sequence alone is derived once, here. Today nothing
 //! is: executors match [`Instruction`](crate::Instruction)s directly —
 //! there is no second op representation — and recompute effective

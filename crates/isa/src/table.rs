@@ -327,7 +327,8 @@ mod costs {
     //                                                                    VRF r   VRF w   VDM r  VDM w  SDM  mult  add     VBAR  SBAR
     pub(super) const LOAD: CostClass      = class(Banks,      LoadStore, [0,      VL,     VL,    0,     0,   0,    0,      VL,   0]);
     pub(super) const STORE: CostClass     = class(Banks,      LoadStore, [VL,     0,      0,     VL,    0,   0,    0,      VL,   0]);
-    pub(super) const GATHER: CostClass    = class(Gather,     LoadStore, [0,      VL,     VL,    0,     0,   0,    0,      VL,   0]);
+    // Reads its index vector (VT) from the VRF.
+    pub(super) const GATHER: CostClass    = class(Gather,     LoadStore, [VL,     VL,     VL,    0,     0,   0,    0,      VL,   0]);
     // One VDM read, fanned out on the VBAR.
     pub(super) const BROADCAST: CostClass = class(Lanes,      LoadStore, [0,      VL,     1,     0,     0,   0,    0,      VL,   0]);
     pub(super) const SCALAR: CostClass    = class(Sdm,        LoadStore, [0,      0,      0,     0,     1,   0,    0,      0,    0]);

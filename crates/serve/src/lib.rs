@@ -3,7 +3,7 @@
 //! The paper positions the RPU as a *datacenter* accelerator for
 //! encrypted workloads, which is only credible if the software stack
 //! can accept concurrent encrypt/eval/decrypt traffic from many tenants
-//! and keep warm kernel caches busy. This crate turns the one-shot
+//! and keep warm kernels busy. This crate turns the one-shot
 //! [`rpu::RpuCluster`] into that persistent service:
 //!
 //! * **Ticketed submission** — clients submit typed jobs
@@ -19,7 +19,7 @@
 //!   home lane, and each lane pulls its own work: between batches it
 //!   takes the backlogged tenant homed there with the least virtual
 //!   time (cost ÷ weight) and up to a configurable quantum of its
-//!   *same-kind* jobs, so one tenant's streak rides a warm kernel cache
+//!   *same-kind* jobs, so one tenant's streak rides a loaded kernel image
 //!   without starving its neighbors beyond their weight.
 //! * **Bounded queues, typed backpressure** — each tenant may have at
 //!   most [`ServeConfig::capacity`] jobs outstanding; submission beyond

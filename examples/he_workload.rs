@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("homomorphic weighted sum verified after on-RPU decryption");
 
-    // Accounting: the whole workload was served by six cached kernel
+    // Accounting: the whole workload was served by six stored kernel
     // shapes; everything after compilation is dispatch traffic over
     // resident buffers.
     let dispatches = eval.dispatch_count();
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nworkload traffic: {dispatches} kernel dispatches, {us:.2} us simulated \
          RPU time ({:.2} us per dispatch);\n\
          two-lane makespan: {makespan:.2} us ({:.2}x overlap);\n\
-         kernel shapes compiled per lane: {} (cache entries: {}), resident \
+         kernel shapes fetched per lane: {} (session entries: {}), resident \
          elements in use on lane 0: {}",
         us / dispatches as f64,
         us / makespan,

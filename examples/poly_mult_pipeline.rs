@@ -51,9 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a_towers = basis.split_u128_poly(&a_coeffs);
     let b_towers = basis.split_u128_poly(&b_coeffs);
 
-    // The cluster: `lanes` independent sessions (device heap + kernel
-    // cache + functional simulator each) behind one work-stealing
-    // scheduler. Every tower is one fused-kernel job.
+    // The cluster: `lanes` independent sessions (device heap +
+    // functional simulator each, kernels from the `Rpu`'s one store)
+    // behind one work-stealing scheduler. Every tower is one fused-kernel job.
     let rpu = Rpu::builder().lanes(lanes).build()?;
     let mut cluster = rpu.cluster();
     let (tower_products, report) =

@@ -50,10 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if run.verified { "yes" } else { "NO" },
         );
     }
-    let stats = session.cache_stats();
     println!(
-        "\nsession kernel cache: {} kernels generated, {} hits",
-        stats.misses, stats.hits
+        "\nkernel store: {} kernels generated and verified, {} session hits",
+        rpu.kernel_store().generated(),
+        session.cache_stats().hits
     );
 
     println!();

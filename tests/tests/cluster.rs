@@ -4,10 +4,12 @@
 //! that keep handle misuse an error instead of heap corruption.
 
 use rpu::arith::find_ntt_prime_chain;
+use rpu::recipes::LaneKernels;
 use rpu::{
-    BufferError, CodegenStyle, ElementwiseOp, ElementwiseSpec, LaneJob, Rpu, RpuError, RpuSession,
+    BufferError, CodegenStyle, Direction, ElementwiseOp, ElementwiseSpec, KernelSpec, LaneJob,
+    NttSpec, Rpu, RpuError, RpuSession,
 };
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Duration;
 
 fn mul_spec(n: usize, q: u128) -> ElementwiseSpec {
@@ -515,4 +517,101 @@ fn multi_lane_evaluator_matches_host_rlwe() {
     assert!(s0.dispatches > 0 && s1.dispatches > 0);
     // overlap: the busiest lane is strictly cheaper than the sum
     assert!(eval.makespan_us() < eval.simulated_us());
+}
+
+/// Builds `LaneKernels` for `(n, q)` on every lane of a fresh 4-lane
+/// `Rpu`, sequentially through `lane_session` or all lanes at once
+/// through `on_lanes`, and checks that its store generated and verified
+/// each of the six keys once while every lane still counts six misses.
+fn compile_everywhere(concurrently: bool) {
+    let n = 4096;
+    let rpu = Rpu::builder().lanes(4).build().unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    if concurrently {
+        // Every lane asks for the first key at the same moment.
+        let start = Barrier::new(4);
+        let ((), report) = c.on_lanes(
+            |w| {
+                start.wait();
+                LaneKernels::compile(w, n, q, CodegenStyle::Optimized).expect("compiles");
+            },
+            || (),
+        );
+        assert_eq!(report.panicked, None);
+    } else {
+        for lane in 0..4 {
+            LaneKernels::compile(c.lane_session(lane), n, q, CodegenStyle::Optimized).unwrap();
+        }
+    }
+    let store = rpu.kernel_store();
+    assert_eq!((store.generated(), store.verified()), (6, 6));
+    for lane in 0..4 {
+        let st = c.cache_stats(lane);
+        assert_eq!((st.misses, st.hits, st.entries), (6, 0, 6), "lane {lane}");
+    }
+}
+
+#[test]
+fn lanes_compiling_one_after_another_build_each_key_once() {
+    compile_everywhere(false);
+}
+
+#[test]
+fn lanes_compiling_at_once_build_each_key_once() {
+    compile_everywhere(true);
+}
+
+#[test]
+fn a_key_that_cannot_build_fails_every_lane_and_stores_nothing() {
+    let (done, finished) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let rpu = Rpu::builder().lanes(2).build().unwrap();
+        let mut c = rpu.cluster();
+        // 97 ≢ 1 (mod 2048): no degree-1024 NTT, so no kernel.
+        let bad = NttSpec::new(1024, 97, Direction::Forward, CodegenStyle::Optimized);
+        let start = Barrier::new(2);
+        let errors = Mutex::new(Vec::new());
+        c.on_lanes(
+            |w| {
+                start.wait();
+                let err = w.compile(&bad).expect_err("no kernel for this modulus");
+                errors.lock().unwrap().push(err);
+            },
+            || (),
+        );
+        let store = rpu.kernel_store();
+        let held = (store.contains(&bad.key()), store.generated());
+        done.send((errors.into_inner().unwrap(), held)).unwrap();
+    });
+    let (errors, held) = finished
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a lane hung on the failed key");
+    worker.join().unwrap();
+    assert_eq!(errors.len(), 2);
+    assert!(
+        errors.iter().all(|e| matches!(e, RpuError::Codegen(_))),
+        "{errors:?}"
+    );
+    assert_eq!(held, (false, 0));
+}
+
+#[test]
+fn a_restore_on_the_same_rpu_builds_nothing() {
+    let n = 1024;
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    for lane in 0..2 {
+        LaneKernels::compile(c.lane_session(lane), n, q, CodegenStyle::Optimized).unwrap();
+    }
+    let snap = c.snapshot_all();
+    let mut twin = rpu.cluster();
+    twin.restore_all(&snap).unwrap();
+    assert_eq!(rpu.kernel_store().generated(), 6);
+    assert_eq!(twin.snapshot_all(), snap);
+    assert_eq!(
+        (twin.cache_stats(1).misses, twin.cache_stats(1).entries),
+        (0, 6)
+    );
 }

@@ -222,12 +222,14 @@ fn pinned_stats() -> Vec<PinnedStats> {
             mult_ops: 13_312, add_ops: 22_528, vbar_elems: 55_296, sbar_elems: 22_528,
             im_fetches: 224, sdm_elem_accesses: 2,
         }),
+        // `vrf_elem_reads` re-pinned 6144 → 8192 when `vgather` began
+        // counting the read of its index vector (4 gathers × 512 lanes).
         pin("automorphism_g5_2048", Box::new(AutomorphismSpec::new(2048, q(2048), 5, Optimized)), 0x47b4a7006c4996c2, SimStats {
             cycles: 153,
             count_load_store: 17, count_compute: 4, count_shuffle: 0,
             busy_load_store: 81, busy_compute: 16, busy_shuffle: 0,
             stall_hazard: 124, stall_queue_full: 0, max_hazard_wait: 15, max_shuffle_hazard_wait: 0,
-            vdm_elem_reads: 6144, vdm_elem_writes: 2048, vrf_elem_reads: 6144, vrf_elem_writes: 8192,
+            vdm_elem_reads: 6144, vdm_elem_writes: 2048, vrf_elem_reads: 8192, vrf_elem_writes: 8192,
             mult_ops: 2048, add_ops: 0, vbar_elems: 8192, sbar_elems: 0,
             im_fetches: 21, sdm_elem_accesses: 1,
         }),
