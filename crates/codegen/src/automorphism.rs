@@ -1,23 +1,25 @@
-//! The Galois-automorphism kernel: an on-device coefficient permutation.
+//! The Galois-automorphism kernel: an on-device permutation of Pease-order
+//! evaluation vectors.
 //!
 //! HE rotation applies `σ_g : a(x) → a(x^g)` to every ciphertext
-//! component — on coefficients, an arbitrary permutation with sign
-//! fix-ups (`x^{ig mod 2n} = ±x^{ig mod n}`). No static B512 addressing
-//! mode can express it, which is exactly what the `vgather` indexed
+//! component. The device keeps ciphertexts in evaluation form, where
+//! `σ_g` is a pure permutation of evaluation points with no signs
+//! ([`rpu_ntt::evaluation_map`]): the forward transform leaves `a(ψ^{e_k})`
+//! at position `k`, and `σ_g(a)(ψ^{e_k}) = a(ψ^{g·e_k})`. So a rotation
+//! needs no transform around its permutation. No static B512 addressing
+//! mode can express the routing, which is what the `vgather` indexed
 //! load exists for: the generator bakes the permutation's index table
-//! and a `{1, q-1}` sign table into the kernel image as constants, and
-//! the program streams
+//! into the kernel image as a constant, and the program streams
 //!
 //! ```text
 //! vload   vi, index[v]     ; where does lane i read from?
 //! vgather vg, input, vi    ; route: one VBAR pass per vector
-//! vload   vs, sign[v]      ; +1 or q-1 per lane
-//! vmulmod vo, vg, vs, m0   ; apply the negacyclic sign
-//! vstore  vo, output[v]
+//! vstore  vg, output[v]
 //! ```
 //!
-//! The permutation itself comes from [`rpu_ntt::automorphism_map`] — the
-//! same single definition the host reference and every golden model use.
+//! The routing comes from [`rpu_ntt::evaluation_map`], which derives it
+//! from the Pease output exponents in the same module as the coefficient
+//! routing the host reference uses.
 
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
@@ -26,14 +28,14 @@ use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::Modulus128;
 use rpu_isa::consts::VECTOR_LEN;
-use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program};
-use rpu_ntt::{apply_automorphism, automorphism_map};
+use rpu_isa::{AReg, AddrMode, Instruction, Program};
+use rpu_ntt::evaluation_map;
 
-/// Specification of the coefficient permutation of `σ_g` over
-/// `Z_q[x]/(x^n + 1)`: input and output are natural-order coefficient
-/// vectors. The Galois element is part of the kernel identity
-/// ([`KernelKey::param`]), so rotations by different amounts cache as
-/// distinct kernels.
+/// Specification of `σ_g` over `Z_q[x]/(x^n + 1)` on evaluation form:
+/// input and output are Pease-order evaluation vectors (the forward NTT
+/// kernel's output order). The Galois element is part of the kernel
+/// identity ([`KernelKey::param`]), so rotations by different amounts
+/// cache as distinct kernels.
 ///
 /// # Examples
 ///
@@ -50,7 +52,7 @@ use rpu_ntt::{apply_automorphism, automorphism_map};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AutomorphismSpec {
-    /// Ring degree (multiple of 512).
+    /// Ring degree (a power of two, multiple of 512).
     pub n: usize,
     /// The modulus (any valid 127-bit-or-less modulus > 1).
     pub q: u128,
@@ -86,30 +88,22 @@ impl KernelSpec for AutomorphismSpec {
         if n == 0 || !n.is_multiple_of(VECTOR_LEN) {
             return Err(CodegenError::UnsupportedDegree(n));
         }
-        let modulus =
-            Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
-        let map = automorphism_map(n, g).map_err(CodegenError::Schedule)?;
-        // Layout: [input n][output n][index table n][sign table n].
-        let (out_off, idx_off, sign_off) = (n, 2 * n, 3 * n);
-        let total = 4 * n;
+        // The permutation reads no modulus, but the index table is a
+        // constant table keyed under it.
+        Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
+        let map = evaluation_map(n, g).map_err(CodegenError::Schedule)?;
+        // Layout: [input n][output n][index table n].
+        let (out_off, idx_off) = (n, 2 * n);
+        let total = 3 * n;
         check_working_set(total)?;
 
         let mut base_image = vec![0u128; total];
-        for (j, &(src, negate)) in map.iter().enumerate() {
+        for (j, &src) in map.iter().enumerate() {
             base_image[idx_off + j] = src as u128;
-            base_image[sign_off + j] = if negate { q - 1 } else { 1 };
         }
 
         let base = AReg::at(0);
-        let m0 = MReg::at(0);
         let mut program = Program::new(format!("autom{n}_g{g}_{style}"));
-        // SDM image is [0, q]: the elementwise slot convention. The
-        // sign fix-up constants (±1) live in the VDM as vectors.
-        program.push(Instruction::MLoad {
-            rt: m0,
-            base,
-            offset: 1,
-        });
         let mut pool = RegPool::new(1, 48);
         for v in 0..n / VECTOR_LEN {
             let at = |region: usize| (region + v * VECTOR_LEN) as u32;
@@ -128,44 +122,26 @@ impl KernelSpec for AutomorphismSpec {
                 vi,
             });
             pool.release(vi);
-            let vs = pool.alloc();
-            program.push(Instruction::VLoad {
-                vd: vs,
-                base,
-                offset: at(sign_off),
-                mode: AddrMode::Unit,
-            });
-            let vo = pool.alloc();
-            program.push(Instruction::VMulMod {
-                vd: vo,
-                vs: vg,
-                vt: vs,
-                rm: m0,
-            });
-            pool.release(vg);
-            pool.release(vs);
             program.push(Instruction::VStore {
-                vs: vo,
+                vs: vg,
                 base,
                 offset: at(out_off),
                 mode: AddrMode::Unit,
             });
-            pool.release(vo);
+            pool.release(vg);
         }
         if style != CodegenStyle::Unoptimized {
             program = list_schedule(&program);
         }
 
-        let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
-            let reduced: Vec<u128> = ops[0].iter().map(|&c| modulus.reduce(c)).collect();
-            apply_automorphism(&reduced, g, q).expect("spec validated g at generation")
-        });
+        let golden: GoldenFn =
+            Box::new(move |ops: &[&[u128]]| map.iter().map(|&src| ops[0][src]).collect());
         Ok(Kernel::new(
             self.key(),
             program,
             base_image,
-            vec![(idx_off, 2 * n)], // index table, then sign table
-            vec![0, q],
+            vec![(idx_off, n)],
+            Vec::new(),
             vec![(0, n)],
             (out_off, n),
             golden,
@@ -176,6 +152,7 @@ impl KernelSpec for AutomorphismSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpu_ntt::{apply_automorphism, PeaseSchedule};
 
     fn prime(n: usize) -> u128 {
         rpu_arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists")
@@ -192,23 +169,28 @@ mod tests {
             AutomorphismSpec::new(1024, q, 6, CodegenStyle::Optimized).generate(),
             Err(CodegenError::Schedule(_))
         ));
+        // A multiple of 512 that is no power of two has no Pease order.
+        assert!(matches!(
+            AutomorphismSpec::new(1536, q, 5, CodegenStyle::Optimized).generate(),
+            Err(CodegenError::Schedule(_))
+        ));
     }
 
     #[test]
     fn verifies_and_matches_reference_for_many_elements() {
+        // The reference: σ_g on coefficients, then the forward transform.
         let n = 1024usize;
         let q = prime(n);
+        let sched = PeaseSchedule::new(n, q).unwrap();
+        let coeffs: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
+        let input = sched.forward(&coeffs);
         for g in [1usize, 3, 5, 25, 2 * n - 1] {
+            let want = sched.forward(&apply_automorphism(&coeffs, g, q).unwrap());
             for style in [CodegenStyle::Optimized, CodegenStyle::Unoptimized] {
                 let kernel = AutomorphismSpec::new(n, q, g, style).generate().unwrap();
                 assert!(kernel.verify().unwrap(), "g={g} {style:?}");
+                assert_eq!(kernel.execute(&[&input]).unwrap(), want, "g={g} {style:?}");
             }
-            let kernel = AutomorphismSpec::new(n, q, g, CodegenStyle::Optimized)
-                .generate()
-                .unwrap();
-            let input: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
-            let got = kernel.execute(&[&input]).unwrap();
-            assert_eq!(got, apply_automorphism(&input, g, q).unwrap(), "g={g}");
         }
     }
 
@@ -233,5 +215,31 @@ mod tests {
             .unwrap();
         let input: Vec<u128> = (0..n as u128).map(|i| (i * 7 + 3) % q).collect();
         assert_eq!(kernel.execute(&[&input]).unwrap(), input);
+    }
+
+    #[test]
+    fn streams_a_load_a_gather_and_a_store_per_vector() {
+        // No sign table, no multiply: three instructions per vector over
+        // a three-region working set.
+        let n = 2048usize;
+        let kernel = AutomorphismSpec::new(n, prime(n), 5, CodegenStyle::Optimized)
+            .generate()
+            .unwrap();
+        let mut mnemonics: Vec<&str> = kernel
+            .program()
+            .instructions()
+            .iter()
+            .map(|i| i.mnemonic())
+            .collect();
+        mnemonics.sort_unstable();
+        let vectors = n / VECTOR_LEN;
+        let want: Vec<&str> = ["vgather", "vload", "vstore"]
+            .iter()
+            .flat_map(|&m| std::iter::repeat_n(m, vectors))
+            .collect();
+        assert_eq!(mnemonics, want);
+        assert_eq!(kernel.total_elements(), 3 * n);
+        assert_eq!(kernel.constant_spans(), [(2 * n, n)]);
+        assert_eq!(kernel.sdm_elements(), 0);
     }
 }

@@ -33,12 +33,14 @@ pub enum KernelOp {
     /// The full negacyclic polynomial product: forward NTT of both
     /// operands, pointwise multiply, inverse NTT — one B512 program.
     NegacyclicMul,
-    /// The coefficient permutation of a Galois automorphism
-    /// `x → x^g` over `Z_q[x]/(x^n + 1)` (indexed gather + sign fix-up).
+    /// A Galois automorphism `x → x^g` over `Z_q[x]/(x^n + 1)` on
+    /// evaluation form: a permutation of Pease-order evaluation points
+    /// (indexed gather).
     Automorphism,
-    /// One gadget digit of a key switch: forward NTT of the digit,
-    /// pointwise multiply by a resident key component, accumulate —
-    /// one fused B512 program.
+    /// One gadget digit of a key switch on evaluation form: pointwise
+    /// multiply of the transformed digit by a resident key component,
+    /// accumulate (the digit's forward NTT is a separate `Ntt`
+    /// dispatch).
     KeySwitch,
     /// One surviving tower's share of a leveled rescale: forward NTT of
     /// the rounding correction `δ`, subtract from the evaluation-form
@@ -335,7 +337,7 @@ impl Kernel {
     }
 
     /// `(element offset, length)` of each constant table in the VDM
-    /// working set (twiddles, gather indices, sign vectors) — what
+    /// working set (twiddles, gather indices) — what
     /// [`load_into`](Kernel::load_into) writes. Empty for kernels whose
     /// only constants are SDM scalars.
     pub fn constant_spans(&self) -> &[(usize, usize)] {

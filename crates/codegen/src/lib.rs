@@ -25,9 +25,10 @@
 //! * [`ConvolutionSpec`] — the fused negacyclic polynomial product
 //!   (forward NTT ×2 → pointwise multiply → inverse NTT) of Fig. 1,
 //!   as a single B512 program;
-//! * [`AutomorphismSpec`] — the coefficient permutation of a Galois
-//!   automorphism `x → x^g` (HE rotation), realized with the `vgather`
-//!   indexed load and a baked-in index/sign table;
+//! * [`AutomorphismSpec`] — a Galois automorphism `x → x^g` (HE
+//!   rotation) on evaluation form, a pure permutation of Pease-order
+//!   evaluation points realized with the `vgather` indexed load and a
+//!   baked-in index table;
 //! * [`KeySwitchSpec`] — one gadget digit of a key switch folded into
 //!   one accumulator (`acc' = d̂ ⊙ k̂ ⊕ acc` on the digit's evaluation
 //!   form and a resident key component; the digit's forward NTT is a

@@ -191,7 +191,7 @@ impl DeviceKeySwitchKey {
     }
 }
 
-/// A resident Galois key: the `σ_g` coefficient-permutation kernels of
+/// A resident Galois key: the `σ_g` evaluation-permutation kernels of
 /// tower 0's `[mask, payload]` lanes, and the key-switch key that brings
 /// a permuted ciphertext back under the original secret.
 #[derive(Debug, Clone)]
@@ -546,12 +546,13 @@ impl<'r, 'a> Ops<'r, 'a> {
     }
 
     /// Applies the Galois automorphism `x → x^g` to a one-tower
-    /// ciphertext: each component is inverse-NTT'd and permuted by the
-    /// on-device `σ_g` kernel (a `vgather` program) on its lane; the
-    /// permuted payload is re-transformed while the permuted mask's
-    /// coefficients feed the key switch that brings the result back under
-    /// the original key (the switched mask is rebuilt entirely from key
-    /// material).
+    /// ciphertext in evaluation form: each component is permuted on its
+    /// lane by the `σ_g` kernel (a `vgather` program over Pease-order
+    /// evaluation points, exact on residues). The permuted payload is the
+    /// result's payload base as it stands; only the permuted mask is
+    /// inverse-transformed, for its coefficients to feed the key switch
+    /// that brings the result back under the original key (the switched
+    /// mask is rebuilt entirely from key material).
     ///
     /// # Errors
     ///
@@ -562,16 +563,14 @@ impl<'r, 'a> Ops<'r, 'a> {
         let out = (|| {
             let mut perm = [ct[0][0], ct[1][0]];
             for (c, lane) in [la, lb].into_iter().enumerate() {
-                let (w, k) = self.at(lane, 0);
-                let coef = t.hold(recipes::apply(w, &k.inv, &[perm[c]])?);
-                perm[c] = t.hold(recipes::apply(w, &gk.autom[c], &[coef])?);
+                let w = self.dev.lane(lane);
+                perm[c] = t.hold(recipes::apply(w, &gk.autom[c], &[perm[c]])?);
             }
-            let sigma_a = self.dev.lane(la).download(&perm[0])?;
-            let (w, k) = self.at(lb, 0);
-            let sigma_b = t.hold(recipes::apply(w, &k.fwd, &[perm[1]])?);
+            let (w, k) = self.at(la, 0);
+            let sigma_a = recipes::download_coeffs(w, k, perm[0])?;
             let [ka, kb] = self.key_switch(&[sigma_a], &gk.key)?;
             t.hold_all([ka[0], kb[0]]);
-            let b = self.pointwise(lb, 0, |k| &k.pwadd, sigma_b, kb[0])?;
+            let b = self.pointwise(lb, 0, |k| &k.pwadd, perm[1], kb[0])?;
             Ok([ka, vec![b]])
         })();
         self.settle(t, out)

@@ -1,7 +1,7 @@
 //! Design-space exploration — the sweep machinery behind Figs. 3 and 4.
 
 use crate::{Rpu, RpuError};
-use rpu_codegen::{CodegenStyle, Direction, NttKernel};
+use rpu_codegen::{CodegenStyle, Direction, NttSpec};
 use rpu_model::{AreaModel, DesignPoint};
 use rpu_sim::{CycleSim, RpuConfig};
 
@@ -13,7 +13,8 @@ pub const PAPER_BANKS: [usize; 4] = [32, 64, 128, 256];
 
 /// Sweeps (HPLEs × banks) for an `n`-point NTT, returning one evaluated
 /// [`DesignPoint`] per configuration — Fig. 3's scatter. The kernel is
-/// generated once and re-timed per configuration, exactly as the paper's
+/// fetched once from an [`Rpu`]'s kernel store, which golden-verifies
+/// it, and re-timed per configuration, exactly as the paper's
 /// simulator-based exploration does.
 ///
 /// # Errors
@@ -37,7 +38,8 @@ pub fn explore_design_space(
     }
     let q = rpu_arith::find_ntt_prime_u128(126, 2 * n as u128)
         .ok_or(RpuError::NoPrime { degree: n })?;
-    let kernel = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized)?;
+    let spec = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized);
+    let kernel = Rpu::builder().build()?.session().compile(&spec)?;
     let area_model = AreaModel::default();
     let mut points = Vec::with_capacity(hples.len() * banks.len());
     for &h in hples {

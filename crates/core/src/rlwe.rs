@@ -282,8 +282,9 @@ impl<'a> RlweEvaluator<'a> {
     }
 
     /// Generates and uploads the Galois key for the automorphism
-    /// `x → x^g`, and compiles the `σ_g` coefficient-permutation kernel
-    /// on both component lanes. Returns the (normalized) Galois element.
+    /// `x → x^g`, and compiles the `σ_g` kernel — a permutation of
+    /// Pease-order evaluation points — on both component lanes. Returns
+    /// the (normalized) Galois element.
     ///
     /// # Errors
     ///
@@ -355,15 +356,16 @@ impl<'a> RlweEvaluator<'a> {
     }
 
     /// Applies the Galois automorphism `x → x^g` to a resident
-    /// ciphertext: each component is inverse-NTT'd and permuted by the
-    /// on-device `σ_g` coefficient-permutation kernel (the `vgather`
-    /// program compiled at
-    /// [`galois_keygen`](RlweEvaluator::galois_keygen)); the permuted
-    /// payload is re-transformed on its lane while the permuted mask's
-    /// coefficients feed the gadget key switch that brings the result
-    /// back under the original key (the switched mask is rebuilt
-    /// entirely from key material). Decrypts to `σ_g(m) mod t`,
-    /// bit-exactly equal to [`RlweContext::apply_galois`] on any lane
+    /// ciphertext without leaving evaluation form: each component is
+    /// permuted on its lane by the `σ_g` kernel (the `vgather` program
+    /// over Pease-order evaluation points compiled at
+    /// [`galois_keygen`](RlweEvaluator::galois_keygen)). The permuted
+    /// payload stays as it is; only the permuted mask is inverse-NTT'd,
+    /// for its coefficients to feed the gadget key switch that brings
+    /// the result back under the original key (the switched mask is
+    /// rebuilt entirely from key material). Decrypts to `σ_g(m) mod t`,
+    /// bit-exactly equal to [`RlweContext::apply_galois`] — which
+    /// permutes coefficients, an independent routing — on any lane
     /// count.
     ///
     /// # Errors

@@ -1105,13 +1105,13 @@ impl<'a> RpuSession<'a> {
         sim.write_sdm(sdm, &sdm_tail).expect("tail is in bounds");
         // The writes dropped the loaded kernel's tables: take them back
         // if the image holds them, so its twiddles keep their quotients.
-        if let Some(s) = kernels
-            .iter()
+        // An image that does not hold them (a writer whose kernel for
+        // that key had other tables) is not resident: the next dispatch
+        // loads this build's.
+        let held = (kernels.iter())
             .find(|s| Some(s.kernel.key()) == image.loaded)
-        {
-            sim.adopt_constants(s.kernel.constant_tables());
-        }
-        self.device.loaded = image.loaded;
+            .is_some_and(|s| sim.adopt_constants(s.kernel.constant_tables()));
+        self.device.loaded = image.loaded.filter(|_| held);
         self.kernels = kernels.into_iter().map(|s| (s.kernel.key(), s)).collect();
         live.into_iter()
             .map(|(id, offset, len)| DeviceBuffer::from_raw(id, offset, len))

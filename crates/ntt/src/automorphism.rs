@@ -4,15 +4,23 @@
 //! ring automorphism — the algebraic core of HE "rotation": applying
 //! `σ_g` to both components of an RLWE ciphertext yields an encryption
 //! of `σ_g(m)` under the rotated key `σ_g(s)`, which a key switch brings
-//! back to `s`. On coefficients it is a pure permutation with sign
-//! fix-ups: `x^{ig mod 2n} = (-1)^{⌊ig/n⌋} x^{ig mod n}`.
+//! back to `s`. It has two routings, both defined here:
 //!
-//! This module is the *single* definition of that permutation, shared by
-//! the host reference ([`Polynomial::automorphism`]), the RPU kernel
-//! generator's index/sign tables, and every golden model.
+//! * on coefficients ([`automorphism_map`]), a permutation with sign
+//!   fix-ups: `x^{ig mod 2n} = (-1)^{⌊ig/n⌋} x^{ig mod n}`;
+//! * on Pease-order evaluation vectors ([`evaluation_map`]), a pure
+//!   permutation of evaluation points without signs: position `k`
+//!   holds `a(ψ^{e_k})`, so `σ_g(a)(ψ^{e_k}) = a(ψ^{g·e_k})` is the
+//!   value at the position whose exponent is `g·e_k mod 2n`.
+//!
+//! This module is the *single* definition of `σ_g`: the host reference
+//! ([`Polynomial::automorphism`] and the RLWE oracle) permutes
+//! coefficients, and the RPU kernel generator bakes the evaluation
+//! routing into its index table and golden model.
 //!
 //! [`Polynomial::automorphism`]: crate::Polynomial::automorphism
 
+use crate::pease::output_exponent;
 use crate::NttError;
 
 /// The coefficient routing of `σ_g` on a degree-`n` negacyclic ring:
@@ -25,12 +33,7 @@ use crate::NttError;
 /// and [`NttError::InvalidGaloisElement`] unless `g` is odd (even `g`
 /// are not units mod `2n`, so they are not automorphisms).
 pub fn automorphism_map(n: usize, g: usize) -> Result<Vec<(usize, bool)>, NttError> {
-    if n < 2 || !n.is_power_of_two() {
-        return Err(NttError::InvalidDegree(n));
-    }
-    if g.is_multiple_of(2) {
-        return Err(NttError::InvalidGaloisElement { g });
-    }
+    check(n, g)?;
     let two_n = 2 * n;
     let g = g % two_n;
     // i → i·g mod 2n is a bijection on Z_2n for odd g; restricted to
@@ -46,6 +49,39 @@ pub fn automorphism_map(n: usize, g: usize) -> Result<Vec<(usize, bool)>, NttErr
     }
     debug_assert!(map.iter().all(|&(i, _)| i != usize::MAX));
     Ok(map)
+}
+
+/// The evaluation-point routing of `σ_g` on a degree-`n` Pease-order
+/// evaluation vector (the output order of [`PeaseSchedule::forward`]):
+/// entry `k` of the result is the position `π(k)` with
+/// `forward(σ_g a)[k] = forward(a)[π(k)]`, where
+/// `e_{π(k)} = g·e_k mod 2n` and `e_p` is
+/// [`PeaseSchedule::output_exponent`]`(p)`. The routing depends on `n`
+/// and `g` only, and it is exact on residues: no value is computed.
+///
+/// # Errors
+///
+/// Returns [`NttError::InvalidDegree`] unless `n` is a power of two ≥ 2,
+/// and [`NttError::InvalidGaloisElement`] unless `g` is odd.
+///
+/// [`PeaseSchedule::forward`]: crate::PeaseSchedule::forward
+/// [`PeaseSchedule::output_exponent`]: crate::PeaseSchedule::output_exponent
+pub fn evaluation_map(n: usize, g: usize) -> Result<Vec<usize>, NttError> {
+    check(n, g)?;
+    let two_n = 2 * n as u128;
+    let g = g as u128 % two_n;
+    // The n output exponents are the n odd residues mod 2n, each once:
+    // index the positions by (e − 1) / 2.
+    let exps: Vec<u128> = (0..n).map(|p| output_exponent(n, p)).collect();
+    let mut at = vec![usize::MAX; n];
+    for (p, &e) in exps.iter().enumerate() {
+        at[(e / 2) as usize] = p;
+    }
+    debug_assert!(at.iter().all(|&p| p != usize::MAX));
+    Ok(exps
+        .iter()
+        .map(|&e| at[((g * e % two_n) / 2) as usize])
+        .collect())
 }
 
 /// Applies `σ_g` to a natural-order coefficient vector mod `q`
@@ -67,6 +103,18 @@ pub fn apply_automorphism(coeffs: &[u128], g: usize, q: u128) -> Result<Vec<u128
             }
         })
         .collect())
+}
+
+/// Rejects a degree that is not a power of two ≥ 2 and an even `g`
+/// (even `g` are not units mod `2n`, so they are not automorphisms).
+fn check(n: usize, g: usize) -> Result<(), NttError> {
+    if n < 2 || !n.is_power_of_two() {
+        return Err(NttError::InvalidDegree(n));
+    }
+    if g.is_multiple_of(2) {
+        return Err(NttError::InvalidGaloisElement { g });
+    }
+    Ok(())
 }
 
 /// The Galois element realizing a rotation by `steps` positions in the
@@ -96,6 +144,16 @@ mod tests {
         ));
         assert!(matches!(
             automorphism_map(12, 3),
+            Err(NttError::InvalidDegree(12))
+        ));
+        let eval = evaluation_map(8, 1 + 16).unwrap();
+        assert!(eval.iter().enumerate().all(|(k, &p)| k == p));
+        assert!(matches!(
+            evaluation_map(8, 4),
+            Err(NttError::InvalidGaloisElement { g: 4 })
+        ));
+        assert!(matches!(
+            evaluation_map(12, 3),
             Err(NttError::InvalidDegree(12))
         ));
     }

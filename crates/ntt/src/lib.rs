@@ -40,7 +40,7 @@ mod scheme;
 #[doc(hidden)]
 pub mod testutil;
 
-pub use automorphism::{apply_automorphism, automorphism_map, galois_element};
+pub use automorphism::{apply_automorphism, automorphism_map, evaluation_map, galois_element};
 pub use error::NttError;
 pub use pease::PeaseSchedule;
 pub use plan128::Ntt128Plan;

@@ -280,10 +280,16 @@ impl PeaseSchedule {
     /// significant first, are the branches its sub-ring took at stages
     /// `0, 1, …`.
     pub fn output_exponent(&self, p: usize) -> u128 {
-        (0..self.log_n).rev().fold(self.n as u128, |e, bit| {
-            exponents(e, self.n)[(p >> bit) & 1]
-        })
+        output_exponent(self.n, p)
     }
+}
+
+/// [`PeaseSchedule::output_exponent`] for degree `n` (a power of two):
+/// the exponent tree depends on `n` alone, not on the modulus or root.
+pub(crate) fn output_exponent(n: usize, p: usize) -> u128 {
+    (0..n.trailing_zeros())
+        .rev()
+        .fold(n as u128, |e, bit| exponents(e, n)[(p >> bit) & 1])
 }
 
 /// The exponent tree: the ring at stage 0 is `(x^n − psi^n)`, and the

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use rpu_ntt::testutil::{cached_prime, pease128, plan128, schoolbook_negacyclic};
-use rpu_ntt::{Ntt64Plan, PeaseSchedule};
+use rpu_ntt::{apply_automorphism, evaluation_map, Ntt64Plan, PeaseSchedule};
 
 /// A random ring degree 2^k for k in 1..=9 and a seed.
 fn arb_ring() -> impl Strategy<Value = (usize, u64)> {
@@ -104,5 +104,30 @@ proptest! {
         let fb = s.forward(&b);
         let prod: Vec<u128> = fa.iter().zip(&fb).map(|(&x, &y)| q.mul(x, y)).collect();
         prop_assert_eq!(s.inverse(&prod), schoolbook_negacyclic(q, &a, &b));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// `σ_g` on coefficients, transformed, is the evaluation routing of
+    /// `σ_g` applied to the transform — at every degree 2 … 4096, under a
+    /// 59-bit and a 126-bit modulus, for `g` ∈ {1, 3, 5, 5^k, 2n − 1}.
+    #[test]
+    fn automorphism_is_a_permutation_of_evaluations(seed in any::<u64>(), k in any::<usize>()) {
+        for n in (1..=12).map(|b| 1usize << b) {
+            let g_k = rpu_ntt::galois_element(n, k % n);
+            for q in [cached_prime(59, 2 * n as u128), cached_prime(126, 2 * n as u128)] {
+                let s = PeaseSchedule::new(n, q).unwrap();
+                let x = random_residues(n, q, seed);
+                let fx = s.forward(&x);
+                for g in [1, 3, 5, g_k, 2 * n - 1] {
+                    let want = s.forward(&apply_automorphism(&x, g, q).unwrap());
+                    let map = evaluation_map(n, g).unwrap();
+                    let got: Vec<u128> = map.iter().map(|&p| fx[p]).collect();
+                    prop_assert_eq!(got, want, "n={} g={} q={}", n, g, q);
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use rpu_arith::Engine;
 use std::sync::Arc;
 
 /// The constant tables of one kernel's VDM working set — twiddles,
-/// gather indices, sign vectors — as `(element offset, length)` spans
+/// gather indices — as `(element offset, length)` spans
 /// and their values, each with its Shoup quotient (of the value
 /// reduced), computed once here in the words of the engine the modulus
 /// selects: under a narrow modulus a `u64` value and a `u64` quotient

@@ -1262,15 +1262,18 @@ mod tests {
             let tables = ConstantTables::new(q, vec![(0, 512), (1024, 512)], values.clone());
             let mut sim = FunctionalSim::new(4096, 16);
             sim.set_mrf(MReg::at(0), q);
-            sim.adopt_constants(&tables);
+            assert!(!sim.adopt_constants(&tables), "the VDM holds zeros (q={q})");
             assert!(sim.views.tables.is_empty(), "the VDM holds zeros (q={q})");
             sim.write_vdm(0, &values[..512]).unwrap();
             sim.write_vdm(1024, &values[512..]).unwrap();
             let mut changed = sim.clone();
             changed.write_vdm(1024 + 511, &[values[1023] ^ 1]).unwrap();
-            changed.adopt_constants(&tables);
+            assert!(
+                !changed.adopt_constants(&tables),
+                "one word differs (q={q})"
+            );
             assert!(changed.views.tables.is_empty(), "one word differs (q={q})");
-            sim.adopt_constants(&tables);
+            assert!(sim.adopt_constants(&tables), "q={q}");
             assert_eq!(sim.views.tables.len(), 1, "q={q}");
             let program = predecoded("vload v0, [a0 + 1024], unit\nvmulmod v1, v0, v0, m0\n");
             sim.run_predecoded(&program).unwrap();

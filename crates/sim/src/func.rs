@@ -447,8 +447,9 @@ impl FunctionalSim {
     /// Registers `tables` as [`load_constants`](FunctionalSim::load_constants)
     /// does, without writing them, if the VDM holds their values at
     /// every span — for a host that restored a VDM image over tables it
-    /// had loaded. This compares every table element once.
-    pub fn adopt_constants(&mut self, tables: &ConstantTables) {
+    /// had loaded — and returns whether it did. This compares every
+    /// table element once.
+    pub fn adopt_constants(&mut self, tables: &ConstantTables) -> bool {
         let held = on_words!(tables, (_, values) => tables.placed(values).all(|(off, table)| {
             on_store!(&self.lanes, s => s.vdm.get(off..off + table.len()).is_some_and(|lanes| {
                 lanes.iter().zip(table).all(|(x, w)| x.widen() == w.widen())
@@ -457,6 +458,7 @@ impl FunctionalSim {
         if held {
             self.views.register(tables);
         }
+        held
     }
 
     /// Reads `len` elements from the VDM at an element offset.

@@ -2,8 +2,8 @@
 //! exercising the two operations that make realistic HE workloads
 //! possible: ciphertext×ciphertext multiplication (tensor +
 //! gadget-decomposed relinearization) and Galois rotation (the
-//! `vgather` coefficient-permutation kernel + the same key-switch
-//! machinery).
+//! `vgather` kernel that permutes evaluation points + the same
+//! key-switch machinery).
 //!
 //! Two demonstrations on one encrypted sensor vector:
 //!

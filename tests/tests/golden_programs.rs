@@ -137,7 +137,9 @@ fn goldens() -> Vec<Golden> {
         // recipes dispatch `ntt_fwd_opt` once per digit and share d̂), so
         // this row is the bare multiply–accumulate. No other row moved.
         golden("keyswitch_digit", Box::new(KeySwitchSpec::new(N, q, Optimized)), 17, 0xfbbcb4a588c85e8e, 69, (0, 0)),
-        golden("automorphism_g5", Box::new(AutomorphismSpec::new(N, q, 5, Optimized)), 11, 0x468b651dd64bdbf4, 78, (0, 2)),
+        // Re-pinned when σ_g moved to evaluation form (was 11
+        // instructions, 78 cycles, two table-fed sign multiplies).
+        golden("automorphism_g5", Box::new(AutomorphismSpec::new(N, q, 5, Optimized)), 6, 0x0aaf6ff2b6eb645d, 52, (0, 0)),
         // Re-pinned when the SDM companion slots went: p⁻¹ moved from
         // slot 3 to slot 2, so its `sload` offset changed. Counts and
         // cycles did not move.
@@ -222,16 +224,17 @@ fn pinned_stats() -> Vec<PinnedStats> {
             mult_ops: 13_312, add_ops: 22_528, vbar_elems: 55_296, sbar_elems: 22_528,
             im_fetches: 224, sdm_elem_accesses: 2,
         }),
-        // `vrf_elem_reads` re-pinned 6144 → 8192 when `vgather` began
-        // counting the read of its index vector (4 gathers × 512 lanes).
-        pin("automorphism_g5_2048", Box::new(AutomorphismSpec::new(2048, q(2048), 5, Optimized)), 0x47b4a7006c4996c2, SimStats {
-            cycles: 153,
-            count_load_store: 17, count_compute: 4, count_shuffle: 0,
-            busy_load_store: 81, busy_compute: 16, busy_shuffle: 0,
-            stall_hazard: 124, stall_queue_full: 0, max_hazard_wait: 15, max_shuffle_hazard_wait: 0,
-            vdm_elem_reads: 6144, vdm_elem_writes: 2048, vrf_elem_reads: 8192, vrf_elem_writes: 8192,
-            mult_ops: 2048, add_ops: 0, vbar_elems: 8192, sbar_elems: 0,
-            im_fetches: 21, sdm_elem_accesses: 1,
+        // Re-pinned when σ_g moved to evaluation form: per vector a
+        // `vload` of the index, a `vgather` and a `vstore` — no sign
+        // table, no `vmulmod`, no modulus load.
+        pin("automorphism_g5_2048", Box::new(AutomorphismSpec::new(2048, q(2048), 5, Optimized)), 0xa3d40d91ba36c2f5, SimStats {
+            cycles: 100,
+            count_load_store: 12, count_compute: 0, count_shuffle: 0,
+            busy_load_store: 64, busy_compute: 0, busy_shuffle: 0,
+            stall_hazard: 80, stall_queue_full: 0, max_hazard_wait: 12, max_shuffle_hazard_wait: 0,
+            vdm_elem_reads: 4096, vdm_elem_writes: 2048, vrf_elem_reads: 4096, vrf_elem_writes: 4096,
+            mult_ops: 0, add_ops: 0, vbar_elems: 6144, sbar_elems: 0,
+            im_fetches: 12, sdm_elem_accesses: 0,
         }),
         pin("keyswitch_digit_2048", Box::new(KeySwitchSpec::new(2048, q(2048), Optimized)), 0xa4724a3e6cc49fb6, SimStats {
             cycles: 101,

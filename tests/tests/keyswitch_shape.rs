@@ -109,9 +109,26 @@ fn rlwe_mul_and_rotate_transform_each_digit_once() {
     drain(&sink);
     let prod = eval.mul(&x, &y).unwrap();
     assert_digits_transformed_once("mul", &drain(&sink), levels, 0);
-    // One forward NTT outside the key switch: the permuted payload's.
+    // A rotation permutes both components in evaluation form: no
+    // forward NTT outside the key switch, and one inverse NTT — the
+    // permuted mask's, whose coefficients the key switch decomposes.
     let rotated = eval.rotate(&x, 1).unwrap();
-    assert_digits_transformed_once("rotate", &drain(&sink), levels, 1);
+    let events = drain(&sink);
+    assert_digits_transformed_once("rotate", &events, levels, 0);
+    let count = |op, dir| {
+        let of = |e: &&DispatchEvent| (e.key.op, e.key.direction) == (op, dir);
+        events.iter().filter(of).count()
+    };
+    assert_eq!(
+        count(KernelOp::Ntt, Direction::Inverse),
+        1,
+        "rotate: inverse NTTs"
+    );
+    assert_eq!(
+        count(KernelOp::Automorphism, Direction::Forward),
+        2,
+        "rotate: σ_g dispatches"
+    );
 
     // The composition is still the key switch the host computes.
     let t = rpu::arith::Modulus128::new(T).unwrap();

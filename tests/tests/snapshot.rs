@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use rpu::ntt::rlwe::Splitmix;
+use rpu::ntt::{automorphism_map, evaluation_map};
 use rpu::{
-    CodegenStyle, DeviceLeveledCiphertext, ElementwiseOp, ElementwiseSpec, EngineKind,
-    LeveledContext, LeveledEvaluator, RingTraceSink, Rpu, RpuError, SnapshotError,
+    AutomorphismSpec, CodegenStyle, DeviceLeveledCiphertext, ElementwiseOp, ElementwiseSpec,
+    EngineKind, LeveledContext, LeveledEvaluator, RingTraceSink, Rpu, RpuError, SnapshotError,
 };
 use std::sync::Arc;
 
@@ -174,6 +175,56 @@ fn dispatch_after_restore_is_bit_exact() {
             "post-restore dispatches must report the same engine as pre-snapshot"
         );
     }
+}
+
+/// A snapshot names its resident kernel by key, and a key's kernel is
+/// whatever this build generates for it. An image written by a build
+/// whose kernel for the key had other tables — an `Automorphism` key's
+/// coefficient routing, from before `σ_g` moved to evaluation form — is
+/// not trusted as resident: the next dispatch loads this build's tables
+/// and permutes correctly.
+#[test]
+fn a_restored_image_without_its_kernels_tables_is_reloaded() {
+    let n = 1024usize;
+    let rpu = Rpu::builder().build().unwrap();
+    let mut s = rpu.session();
+    let q = s.primes_for(n).unwrap();
+    let spec = AutomorphismSpec::new(n, q, 5, CodegenStyle::Optimized);
+    let kernel = s.compile(&spec).unwrap();
+    let x: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
+    let bx = s.upload(&x).unwrap();
+    let out = s.alloc(n).unwrap();
+    s.dispatch(&kernel, &[bx], &[out]).unwrap();
+    let want: Vec<u128> = (evaluation_map(n, 5).unwrap().iter())
+        .map(|&p| x[p])
+        .collect();
+    assert_eq!(s.download(&out).unwrap(), want);
+
+    // The earlier writer's image: the coefficient routing in the index
+    // table's span. The VDM section's payload starts at byte 84 (header
+    // 12, `META` 12 + 48, `VDM ` tag and length 12), 16 bytes a word.
+    let mut bytes = s.snapshot();
+    let (span, len) = kernel.constant_spans()[0];
+    let old = automorphism_map(n, 5).unwrap();
+    assert_eq!(old.len(), len);
+    for (j, &(src, _)) in old.iter().enumerate() {
+        let at = 84 + 16 * (span + j);
+        bytes[at..at + 16].copy_from_slice(&(src as u128).to_le_bytes());
+    }
+
+    let rpu2 = Rpu::builder().build().unwrap();
+    let mut s2 = rpu2.session();
+    s2.restore(&bytes).unwrap();
+    let kernel2 = s2.compile(&spec).unwrap();
+    let report = s2.dispatch(&kernel2, &[bx], &[out]).unwrap();
+    assert!(!report.transfer.image_reused, "the image held other tables");
+    assert_eq!(s2.download(&out).unwrap(), want);
+
+    // The same build's image is resident as it was.
+    s2.restore_replacing(&s.snapshot()).unwrap();
+    let report = s2.dispatch(&kernel2, &[bx], &[out]).unwrap();
+    assert!(report.transfer.image_reused);
+    assert_eq!(s2.download(&out).unwrap(), want);
 }
 
 /// Lane storage width is not device state: a 59-bit session that never
