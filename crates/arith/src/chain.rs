@@ -8,10 +8,13 @@
 //! for CRT at each level, `t^{-1} mod q_l` for the rounding correction,
 //! and `q_l^{-1} mod q_i` for the surviving-tower scale step.
 //!
-//! Chain primes are chosen with `q ≡ 1 (mod 2n·t)`: the `2n` part makes
-//! each tower NTT-friendly, and the `t` part makes every rescale
-//! plaintext-neutral — the implicit factor `q_l^{-1} mod t` is `1`, so
-//! LSB-encoded plaintexts survive any number of rescales unchanged.
+//! [`ModulusChain::generate`] picks primes `q ≡ 1 (mod 2n·t)`: the `2n`
+//! part makes each tower NTT-friendly, and the `t` part makes every
+//! rescale plaintext-neutral — the implicit factor `q_l^{-1} mod t` is
+//! `1`, so LSB-encoded plaintexts survive any number of rescales
+//! unchanged. [`ModulusChain::new`] accepts any primes above `t` (a
+//! single-modulus RLWE prime is rarely `≡ 1 mod t`); the rescale that
+//! would drop a prime `≢ 1 (mod t)` refuses it instead.
 
 use crate::{find_congruent_prime_chain, is_prime_u128, Modulus128, RnsBasis, RnsError, UBig};
 
@@ -22,8 +25,8 @@ pub enum ChainError {
     BadPlaintextModulus(u128),
     /// A chain prime failed the primality test.
     NotPrime(u128),
-    /// A chain prime was not `≡ 1 (mod t)` — rescale would scale the
-    /// plaintext by `q^{-1} mod t ≠ 1`.
+    /// A rescale would drop a chain prime that is not `≡ 1 (mod t)`, and
+    /// so scale the plaintext by `q^{-1} mod t ≠ 1`.
     NotCongruentToOneModT {
         /// The offending chain prime.
         prime: u128,
@@ -108,8 +111,7 @@ impl ModulusChain {
     /// # Errors
     ///
     /// Returns a [`ChainError`] when `t` is out of range, a modulus is
-    /// not prime, a prime is not `≡ 1 (mod t)`, or the primes do not
-    /// form a valid RNS basis.
+    /// not prime, or the primes do not form a valid RNS basis.
     pub fn new(primes: Vec<u128>, t: u128) -> Result<Self, ChainError> {
         for &q in &primes {
             if !is_prime_u128(q) {
@@ -117,9 +119,6 @@ impl ModulusChain {
             }
             if t < 2 || t >= q {
                 return Err(ChainError::BadPlaintextModulus(t));
-            }
-            if q % t != 1 {
-                return Err(ChainError::NotCongruentToOneModT { prime: q, t });
             }
         }
         let bases: Vec<RnsBasis> = (0..primes.len())
@@ -331,10 +330,9 @@ mod tests {
             ModulusChain::new(primes.clone(), 1),
             Err(ChainError::BadPlaintextModulus(1))
         ));
-        assert!(matches!(
-            ModulusChain::new(primes.clone(), 65537),
-            Err(ChainError::NotCongruentToOneModT { .. })
-        ));
+        // q ≢ 1 (mod t) is a chain; the rescale that drops such a prime refuses.
+        assert!(primes.iter().all(|&q| q % 65537 != 1));
+        assert_eq!(ModulusChain::new(primes.clone(), 65537).unwrap().t(), 65537);
         assert!(matches!(
             ModulusChain::new(vec![15], 7),
             Err(ChainError::NotPrime(15))

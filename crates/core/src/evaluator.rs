@@ -8,18 +8,25 @@
 //! so each op body exists once:
 //!
 //! * [`Ops`] — the bodies (encrypt, add/sub, tensor + relinearize `mul`,
-//!   the key switch, phase, download, free, the one-tower
-//!   `apply_galois`, key upload) over a device, its kernel sets and a
+//!   the key switch, phase, download, free, `apply_galois` over every
+//!   live tower, key upload) over a device, its kernel sets and a
 //!   placement. The device is an [`RpuCluster`] for the evaluators and
 //!   the one [`RpuSession`] a serving lane thread holds
 //!   ([`Ops::single`]).
-//! * [`Evaluator`] — the one evaluator type: the cluster, one kernel set
-//!   per (lane, tower) slot, the host context, and the key state
-//!   (resident secret key, the host copy key-switch keys derive from,
-//!   the gadget base, the relinearization and Galois keys), retired
-//!   together on re-key. [`crate::RlweEvaluator`] and
-//!   [`crate::LeveledEvaluator`] are its instances over the two host
-//!   contexts; each adds only its own methods.
+//! * [`Evaluator`] — the one evaluator type, generic only over the
+//!   face's resident ciphertext type ([`Resident`]): the cluster, one
+//!   kernel set per (lane, tower) slot, the host context (one
+//!   [`LeveledContext`]; a single-modulus one is a one-prime chain), and
+//!   the key state (resident secret key, the host copy key-switch keys
+//!   derive from, the gadget base, the relinearization and Galois keys),
+//!   retired together on re-key. Every public op — keygen, encrypt,
+//!   add/sub, `mul`, `mul_plain`, key generation, rotation, decrypt,
+//!   download, free, snapshot/restore, rescale, mod-drop and the noise
+//!   queries — is written once in its one `impl`.
+//!   [`crate::RlweEvaluator`] and [`crate::LeveledEvaluator`] are its
+//!   instances over [`crate::DeviceCiphertext`] and
+//!   [`crate::DeviceLeveledCiphertext`]; each face adds only its
+//!   constructor and a placement accessor.
 //!
 //! The key switch is written once too: each live source tower is
 //! gadget-decomposed once, every (source, digit) job runs
@@ -31,16 +38,18 @@
 //! Not part of the supported API: the module is public only so
 //! `rpu-serve` can reach it.
 
-use crate::buffer::DeviceBuffer;
+use crate::buffer::{BufferError, DeviceBuffer};
 use crate::lanes::{LaneJob, RpuCluster};
 use crate::recipes::{self, LaneKernels, Temps};
 use crate::run::Rpu;
 use crate::session::RpuSession;
 use crate::RpuError;
 use rpu_arith::gadget_decompose;
-use rpu_codegen::{AutomorphismSpec, CodegenStyle, Kernel};
-use rpu_ntt::rlwe::KeySwitchKey;
+use rpu_codegen::{AutomorphismSpec, CodegenStyle, ConvolutionSpec, Kernel, RescaleSpec};
+use rpu_ntt::leveled::{LeveledContext, LeveledError, NoiseBudget};
+use rpu_ntt::rlwe::{Ciphertext, KeySwitchKey, SecretKey, Splitmix};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// A resident ciphertext by component, `[masks, payloads]`: one
@@ -191,18 +200,18 @@ impl DeviceKeySwitchKey {
     }
 }
 
-/// A resident Galois key: the `σ_g` evaluation-permutation kernels of
-/// tower 0's `[mask, payload]` lanes, and the key-switch key that brings
-/// a permuted ciphertext back under the original secret.
+/// A resident Galois key: per tower, the `σ_g` evaluation-permutation
+/// kernels of its `[mask, payload]` lanes, and the key-switch key that
+/// brings a permuted ciphertext back under the original secret.
 #[derive(Debug, Clone)]
 pub struct GaloisKey {
-    autom: [Arc<Kernel>; 2],
+    autom: Vec<[Arc<Kernel>; 2]>,
     /// The key-switch key.
     pub key: DeviceKeySwitchKey,
 }
 
 /// The "call X first" error of every evaluator.
-pub(crate) fn no_key(what: &str, call: &str) -> RpuError {
+fn no_key(what: &str, call: &str) -> RpuError {
     RpuError::Config(format!("no {what}: call {call} first"))
 }
 
@@ -227,12 +236,12 @@ impl<'r, 'a> Ops<'r, 'a> {
     }
 
     /// The `[mask, payload]` lanes of tower `l`.
-    pub(crate) fn homes(&self, l: usize) -> [usize; 2] {
+    fn homes(&self, l: usize) -> [usize; 2] {
         self.placement.homes(l, self.dev.count())
     }
 
     /// `lane`'s session and the kernel set of tower `l` there.
-    pub(crate) fn at(&mut self, lane: usize, l: usize) -> (&mut RpuSession<'a>, &'r LaneKernels) {
+    fn at(&mut self, lane: usize, l: usize) -> (&mut RpuSession<'a>, &'r LaneKernels) {
         let kernels: &'r [LaneKernels] = self.kernels;
         (self.dev.lane(lane), &kernels[self.placement.slot(lane, l)])
     }
@@ -249,15 +258,10 @@ impl<'r, 'a> Ops<'r, 'a> {
         recipes::apply(w, pick(k), &[x, y])
     }
 
-    /// Copies `buf` from lane `from` to lane `to` over the host link
+    /// Copies `x` from lane `from` to lane `to` over the host link
     /// (lanes share no memory).
-    fn carry(
-        &mut self,
-        buf: DeviceBuffer,
-        from: usize,
-        to: usize,
-    ) -> Result<DeviceBuffer, RpuError> {
-        let data = self.dev.lane(from).download(&buf)?;
+    fn carry(&mut self, x: DeviceBuffer, from: usize, to: usize) -> Result<DeviceBuffer, RpuError> {
+        let data = self.dev.lane(from).download(&x)?;
         self.dev.lane(to).upload(&data)
     }
 
@@ -287,7 +291,7 @@ impl<'r, 'a> Ops<'r, 'a> {
 
     /// Best-effort release of buffers known to be live (a handle listed
     /// twice is freed once).
-    pub(crate) fn release(&mut self, bufs: impl IntoIterator<Item = DeviceBuffer>) {
+    fn release(&mut self, bufs: impl IntoIterator<Item = DeviceBuffer>) {
         for buf in bufs {
             let _ = self.dev.free(buf);
         }
@@ -299,9 +303,8 @@ impl<'r, 'a> Ops<'r, 'a> {
     ///
     /// Returns [`RpuError::Buffer`] for stale handles.
     pub fn free(&mut self, ct: Towers) -> Result<(), RpuError> {
-        ct.concat()
-            .into_iter()
-            .try_for_each(|buf| self.dev.free(buf))
+        let bufs = ct.concat();
+        bufs.into_iter().try_for_each(|buf| self.dev.free(buf))
     }
 
     /// Uploads one coefficient vector per tower and forward-transforms it
@@ -402,7 +405,7 @@ impl<'r, 'a> Ops<'r, 'a> {
     /// # Errors
     ///
     /// Returns [`RpuError`] on stale handles or dispatch failure.
-    pub(crate) fn download(&mut self, ct: &Towers) -> Result<[Vec<Vec<u128>>; 2], RpuError> {
+    fn download(&mut self, ct: &Towers) -> Result<[Vec<Vec<u128>>; 2], RpuError> {
         let mut out = [Vec::new(), Vec::new()];
         for (l, (&a, &b)) in ct[0].iter().zip(&ct[1]).enumerate() {
             for (c, hat) in [a, b].into_iter().enumerate() {
@@ -545,33 +548,38 @@ impl<'r, 'a> Ops<'r, 'a> {
         self.settle(t, out)
     }
 
-    /// Applies the Galois automorphism `x → x^g` to a one-tower
-    /// ciphertext in evaluation form: each component is permuted on its
-    /// lane by the `σ_g` kernel (a `vgather` program over Pease-order
-    /// evaluation points, exact on residues). The permuted payload is the
-    /// result's payload base as it stands; only the permuted mask is
-    /// inverse-transformed, for its coefficients to feed the key switch
-    /// that brings the result back under the original key (the switched
-    /// mask is rebuilt entirely from key material).
+    /// Applies the Galois automorphism `x → x^g` to a ciphertext in
+    /// evaluation form, on every live tower: each component tower is
+    /// permuted on its lane by that tower's `σ_g` kernel (a `vgather`
+    /// program over Pease-order evaluation points, exact on residues).
+    /// The permuted payload towers are the result's payload base as they
+    /// stand; only the permuted mask towers are inverse-transformed, for
+    /// their coefficients to feed the one key switch that brings the
+    /// result back under the original key (the switched mask is rebuilt
+    /// entirely from key material).
     ///
     /// # Errors
     ///
     /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
     pub fn apply_galois(&mut self, gk: &GaloisKey, ct: &Towers) -> Result<Towers, RpuError> {
-        let [la, lb] = self.homes(0);
         let mut t = Temps::default();
         let out = (|| {
-            let mut perm = [ct[0][0], ct[1][0]];
-            for (c, lane) in [la, lb].into_iter().enumerate() {
-                let w = self.dev.lane(lane);
-                perm[c] = t.hold(recipes::apply(w, &gk.autom[c], &[perm[c]])?);
+            let (mut sigma_a, mut perm_b) = (Vec::new(), Vec::new());
+            for (l, autom) in gk.autom.iter().enumerate().take(ct[0].len()) {
+                let [la, lb] = self.homes(l);
+                let a = t.hold(recipes::apply(self.dev.lane(la), &autom[0], &[ct[0][l]])?);
+                perm_b.push(t.hold(recipes::apply(self.dev.lane(lb), &autom[1], &[ct[1][l]])?));
+                let (w, k) = self.at(la, l);
+                sigma_a.push(recipes::download_coeffs(w, k, a)?);
             }
-            let (w, k) = self.at(la, 0);
-            let sigma_a = recipes::download_coeffs(w, k, perm[0])?;
-            let [ka, kb] = self.key_switch(&[sigma_a], &gk.key)?;
-            t.hold_all([ka[0], kb[0]]);
-            let b = self.pointwise(lb, 0, |k| &k.pwadd, perm[1], kb[0])?;
-            Ok([ka, vec![b]])
+            let [ka, kb] = self.key_switch(&sigma_a, &gk.key)?;
+            t.hold_all(ka.iter().chain(&kb).copied());
+            let mut b = Vec::with_capacity(kb.len());
+            for (l, (&perm, &switched)) in perm_b.iter().zip(&kb).enumerate() {
+                let sum = self.pointwise(self.homes(l)[1], l, |k| &k.pwadd, perm, switched);
+                b.push(t.hold(sum?));
+            }
+            Ok([ka, b])
         })();
         self.settle(t, out)
     }
@@ -600,81 +608,85 @@ impl<'r, 'a> Ops<'r, 'a> {
             .collect::<Result<_, _>>();
         let base_log = ksk.base_log();
         let key = shares.map(|shares| DeviceKeySwitchKey { base_log, shares });
-        t.settle(
-            key,
-            |key| key.handles().collect::<Vec<_>>(),
-            |buf| self.dev.free(buf),
-        )
+        let handles = |key: &DeviceKeySwitchKey| key.handles().collect::<Vec<_>>();
+        t.settle(key, handles, |buf| self.dev.free(buf))
     }
 
-    /// Compiles `σ_g` on tower 0's component lanes and uploads its
-    /// key-switch key.
+    /// Compiles `σ_g` on every tower's component lanes (`specs[l]` for
+    /// tower `l`) and uploads its key-switch key.
     ///
     /// # Errors
     ///
     /// Returns [`RpuError`] if compilation or the upload fails.
     pub fn galois_key(
         &mut self,
-        spec: &AutomorphismSpec,
+        specs: &[AutomorphismSpec],
         ksk: &KeySwitchKey,
     ) -> Result<GaloisKey, RpuError> {
-        let [la, lb] = self.homes(0);
-        let a = self.dev.lane(la).compile(spec)?;
-        let b = if lb == la {
-            Arc::clone(&a)
-        } else {
-            self.dev.lane(lb).compile(spec)?
-        };
+        let autom = (specs.iter().enumerate())
+            .map(|(l, spec)| {
+                let [la, lb] = self.homes(l);
+                let a = self.dev.lane(la).compile(spec)?;
+                let b = (lb != la).then(|| self.dev.lane(lb).compile(spec));
+                Ok([Arc::clone(&a), b.transpose()?.unwrap_or(a)])
+            })
+            .collect::<Result<_, RpuError>>()?;
         let key = self.upload_key(ksk)?;
-        Ok(GaloisKey { autom: [a, b], key })
+        Ok(GaloisKey { autom, key })
     }
 }
 
-/// The one device evaluator, over the host context `C` it is bit-exact
-/// against and that context's secret-key type `S`: the cluster, one
-/// kernel set per slot of its [`Placement`], and the key state — the
-/// resident secret key, the host copy key-switch keys derive from, the
-/// gadget base, and the resident relinearization and Galois keys,
-/// retired together on re-key. [`crate::RlweEvaluator`] and
-/// [`crate::LeveledEvaluator`] are its two instances; the methods here
-/// are the ones they share.
-#[derive(Debug)]
-pub struct Evaluator<'a, C, S> {
-    pub(crate) cluster: RpuCluster<'a>,
-    pub(crate) ctx: C,
-    pub(crate) style: CodegenStyle,
-    placement: Placement,
-    kernels: Vec<LaneKernels>,
-    sk: Option<Towers>,
-    host_sk: Option<S>,
-    base_log: u32,
-    relin: Option<DeviceKeySwitchKey>,
-    pub(crate) galois: HashMap<usize, GaloisKey>,
+/// A face's resident ciphertext: the [`Towers`] it holds and its
+/// tracked noise bound. [`Evaluator`]'s ops are written once over it.
+pub trait Resident: Sized {
+    /// The resident `[masks, payloads]` and the noise bound.
+    fn parts(&self) -> (Towers, NoiseBudget);
+
+    /// Wraps an op's result.
+    fn wrap(towers: Towers, noise: NoiseBudget) -> Self;
 }
 
-impl<'a, C, S: Clone> Evaluator<'a, C, S> {
+/// The one device evaluator, generic over its face's resident
+/// ciphertext type `Ct`: the cluster, one kernel set per slot of its
+/// [`Placement`], the host context it is bit-exact against, and the key
+/// state — the resident secret key, the host copy key-switch keys derive
+/// from, the gadget base, and the resident relinearization and Galois
+/// keys, retired together on re-key. [`crate::RlweEvaluator`] and
+/// [`crate::LeveledEvaluator`] are its two instances; every op is
+/// written here once, for both.
+#[derive(Debug)]
+pub struct Evaluator<'a, Ct> {
+    cluster: RpuCluster<'a>,
+    ctx: LeveledContext,
+    style: CodegenStyle,
+    placement: Placement,
+    kernels: Vec<LaneKernels>,
+    sk: Option<(Towers, SecretKey)>,
+    base_log: u32,
+    relin: Option<DeviceKeySwitchKey>,
+    galois: HashMap<usize, GaloisKey>,
+    ct: PhantomData<fn() -> Ct>,
+}
+
+impl<'a, Ct: Resident> Evaluator<'a, Ct> {
     /// Opens a cluster with the configured lane count and compiles and
     /// golden-verifies the six recipe kernel shapes of every slot, tower
-    /// `l` under `primes[l]`; after that every operation is pure
+    /// `l` under chain prime `q_l`; after that every operation is pure
     /// dispatch traffic.
     pub(crate) fn open(
         rpu: &'a Rpu,
         placement: Placement,
-        n: usize,
-        primes: &[u128],
-        ctx: C,
+        ctx: LeveledContext,
         style: CodegenStyle,
     ) -> Result<Self, RpuError> {
         let mut cluster = rpu.cluster();
-        let lanes = cluster.lane_count();
-        let slots = match placement {
-            Placement::Component => lanes,
-            _ => primes.len(),
-        };
+        let (lanes, primes) = (cluster.lane_count(), ctx.chain().primes());
+        let component = placement == Placement::Component;
+        let slots = if component { lanes } else { primes.len() };
         let kernels = (0..slots)
             .map(|s| {
                 let (lane, l) = placement.place(s, lanes);
-                LaneKernels::compile(cluster.lane_session(lane), n, primes[l], style)
+                LaneKernels::compile(cluster.lane_session(lane), ctx.n(), primes[l], style)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Evaluator {
@@ -684,20 +696,16 @@ impl<'a, C, S: Clone> Evaluator<'a, C, S> {
             placement,
             kernels,
             sk: None,
-            host_sk: None,
             base_log: recipes::DEFAULT_KSK_BASE_LOG,
             relin: None,
             galois: HashMap::new(),
+            ct: PhantomData,
         })
     }
 
-    /// The op bodies over this evaluator's cluster.
-    pub(crate) fn ops(&mut self) -> Ops<'_, 'a> {
-        self.ops_and_context().0
-    }
-
-    /// The op bodies beside the host context, borrowed apart.
-    pub(crate) fn ops_and_context(&mut self) -> (Ops<'_, 'a>, &C) {
+    /// The op bodies over this evaluator's cluster, beside the host
+    /// context (borrowed apart).
+    fn ops(&mut self) -> (Ops<'_, 'a>, &LeveledContext) {
         let ops = Ops {
             dev: Device::Cluster(&mut self.cluster),
             kernels: &self.kernels,
@@ -706,14 +714,31 @@ impl<'a, C, S: Clone> Evaluator<'a, C, S> {
         (ops, &self.ctx)
     }
 
-    /// The host-side reference context (same parameters, same chain).
-    pub fn context(&self) -> &C {
+    /// The host-side reference context (same chain, same parameters).
+    pub fn context(&self) -> &LeveledContext {
         &self.ctx
+    }
+
+    /// The modulus chain the evaluator runs over (one prime for an
+    /// [`crate::RlweEvaluator`]).
+    pub fn chain(&self) -> &rpu_arith::ModulusChain {
+        self.ctx.chain()
     }
 
     /// The cluster the evaluator shards over.
     pub fn cluster(&self) -> &RpuCluster<'a> {
         &self.cluster
+    }
+
+    /// Mutable access to the cluster (lane sessions, buffer migration).
+    pub fn cluster_mut(&mut self) -> &mut RpuCluster<'a> {
+        &mut self.cluster
+    }
+
+    /// Lane 0's session (cache statistics, manual buffer work for
+    /// [`convolve`](Self::convolve) operands).
+    pub fn session(&mut self) -> &mut RpuSession<'a> {
+        self.cluster.lane_session(0)
     }
 
     /// Kernels dispatched so far, across every lane.
@@ -760,90 +785,441 @@ impl<'a, C, S: Clone> Evaluator<'a, C, S> {
         self.relin.as_ref()
     }
 
-    /// The resident relinearization key, or the "call `relin_keygen`"
-    /// error.
-    pub(crate) fn relin(&self) -> Result<&DeviceKeySwitchKey, RpuError> {
-        let relin = self.relin.as_ref();
-        relin.ok_or_else(|| no_key("relinearization key", "relin_keygen"))
+    /// The resident Galois key for element `g`, if generated.
+    pub fn galois_key(&self, g: usize) -> Option<&DeviceKeySwitchKey> {
+        self.galois.get(&g).map(|gk| &gk.key)
     }
 
-    /// The resident secret key, or the "call `keygen`" error.
-    fn secret_key(&self) -> Result<Towers, RpuError> {
-        let sk = self.sk.clone();
-        sk.ok_or_else(|| no_key("resident secret key", "keygen"))
-    }
-
-    /// The host secret key key-switch keys derive from.
-    pub(crate) fn host_key(&self) -> Result<&S, RpuError> {
-        let sk = self.host_sk.as_ref();
+    /// The resident secret key beside the host copy key-switch keys
+    /// derive from, or the "call `keygen`" error.
+    fn key(&self) -> Result<&(Towers, SecretKey), RpuError> {
+        let sk = self.sk.as_ref();
         sk.ok_or_else(|| no_key("secret key", "keygen"))
     }
 
-    /// Installs a freshly sampled secret key. The whole key state is
-    /// retired first — host copy, resident copies, and every key-switch
-    /// key derived from it — so a failed upload leaves the evaluator
-    /// keyless rather than half re-keyed; then each tower's coefficients
-    /// go to its component lanes in evaluation form.
-    pub(crate) fn install_key(&mut self, host: &S, towers: &[Vec<u128>]) -> Result<(), RpuError> {
-        self.host_sk = None;
+    /// Samples a secret key on the host (the stream
+    /// [`LeveledContext::keygen`] draws), uploads each tower's
+    /// coefficients to its component lanes and transforms them there,
+    /// where the key stays resident for every later `encrypt` /
+    /// `decrypt`. Returns the host-form key for cross-checking against
+    /// the oracle.
+    ///
+    /// Re-keying retires the whole previous key state first — host copy,
+    /// resident copies, and every key-switch key derived from it — so a
+    /// failed upload leaves the evaluator keyless rather than half
+    /// re-keyed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
+    pub fn keygen(&mut self, rng: &mut Splitmix) -> Result<SecretKey, RpuError> {
+        let sk = self.ctx.keygen(rng);
+        let old = self.sk.take().into_iter().flat_map(|(sk, _)| sk.concat());
         let keys = self.relin.take().into_iter();
         let keys = keys.chain(self.galois.drain().map(|(_, gk)| gk.key));
-        let stale: Vec<_> = keys
-            .flat_map(|key| key.handles().collect::<Vec<_>>())
-            .collect();
-        let sk = self.sk.take().map(|sk| sk.concat());
-        self.ops().release(sk.into_iter().flatten().chain(stale));
-        self.sk = Some(self.ops().upload_eval(towers)?);
-        self.host_sk = Some(host.clone());
+        let stale = old.chain(keys.flat_map(|key| key.handles().collect::<Vec<_>>()));
+        let stale: Vec<_> = stale.collect();
+        self.ops().0.release(stale);
+        let towers: Vec<_> = (0..self.chain().levels()).map(|l| sk.s_coeffs(l)).collect();
+        let resident = self.ops().0.upload_eval(&towers)?;
+        self.sk = Some((resident, sk.clone()));
+        Ok(sk)
+    }
+
+    /// Encrypts a plaintext vector (coefficients mod `t`) at the top
+    /// level: randomness is sampled on the host (the stream
+    /// [`LeveledContext::encrypt`] draws, only once the key is known to
+    /// exist), then per tower `b̂ = â ⊙ ŝ ⊕ payload̂` runs entirely on the
+    /// tower's payload lane (see [`Ops::encrypt`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without a prior
+    /// [`keygen`](Self::keygen), or [`RpuError`] on heap exhaustion /
+    /// dispatch failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `message.len() != n`.
+    pub fn encrypt(&mut self, message: &[u128], rng: &mut Splitmix) -> Result<Ct, RpuError> {
+        let sk = self.key()?.0.clone();
+        let (masks, payloads) = self.ctx.sample_mask_and_payload(message, rng);
+        let towers = self.ops().0.encrypt(&sk, &masks, &payloads)?;
+        Ok(Ct::wrap(towers, NoiseBudget::fresh(self.chain().t())))
+    }
+
+    /// Homomorphic addition with automatic level alignment: one
+    /// pointwise dispatch per live tower and component, on that
+    /// component's lane (overlapping when the components' lanes differ).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
+    /// dispatch fault.
+    pub fn add(&mut self, x: &Ct, y: &Ct) -> Result<Ct, RpuError> {
+        self.add_sub(|k| &k.pwadd, x, y)
+    }
+
+    /// Homomorphic subtraction with automatic level alignment.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on stale handles, heap exhaustion, or a
+    /// dispatch fault.
+    pub fn sub(&mut self, x: &Ct, y: &Ct) -> Result<Ct, RpuError> {
+        self.add_sub(|k| &k.pwsub, x, y)
+    }
+
+    fn add_sub(&mut self, pick: Pick, x: &Ct, y: &Ct) -> Result<Ct, RpuError> {
+        let ((x, x_noise), (y, y_noise)) = (x.parts(), y.parts());
+        let towers = self.ops().0.pointwise_ct(pick, &x, &y)?;
+        Ok(Ct::wrap(towers, x_noise.after_add(y_noise)))
+    }
+
+    /// Multiplication by a plaintext polynomial with small non-negative
+    /// coefficients: the plaintext is uploaded and forward-transformed
+    /// once per live tower and component lane, then each component tower
+    /// is multiplied on its own lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plain.len() != n`.
+    pub fn mul_plain(&mut self, x: &Ct, plain: &[u128]) -> Result<Ct, RpuError> {
+        let n = self.ctx.n();
+        assert_eq!(plain.len(), n, "plaintext length must equal n");
+        let (x, noise) = x.parts();
+        let (mut ops, _) = self.ops();
+        let p = ops.upload_eval(&vec![plain; x[0].len()])?;
+        let ct = ops.pointwise_ct(|k| &k.pwmul, &x, &p);
+        ops.release(p.concat());
+        let max = plain.iter().copied().max().unwrap_or(0);
+        Ok(Ct::wrap(ct?, noise.after_mul_plain(n, max)))
+    }
+
+    /// Ciphertext×ciphertext multiplication at the operands' common
+    /// level ([`Ops::mul`]): the per-tower degree-2 tensor, then the `c2`
+    /// towers are inverse-transformed, gadget-decomposed on the host, and
+    /// every digit is multiply-accumulated against the resident
+    /// relinearization key ([`relin_keygen`](Self::relin_keygen)). The
+    /// result stays at the same level; follow with
+    /// [`rescale`](Self::rescale) (or use
+    /// [`mul_rescale`](Self::mul_rescale)) to shed the noise growth.
+    ///
+    /// Bit-exactly equal to the host [`LeveledContext::mul`] on any lane
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without a relinearization key, or
+    /// [`RpuError`] on heap exhaustion / dispatch failure.
+    pub fn mul(&mut self, x: &Ct, y: &Ct) -> Result<Ct, RpuError> {
+        let relin = self.relin.clone();
+        let relin = relin.ok_or_else(|| no_key("relinearization key", "relin_keygen"))?;
+        let ((x, x_noise), (y, y_noise)) = (x.parts(), y.parts());
+        let parts = relin.parts_at_level(x[0].len().min(y[0].len()) - 1);
+        let (n, t) = (self.ctx.n(), self.chain().t());
+        let noise = x_noise.after_mul(y_noise, n, t, parts, relin.base_log());
+        let towers = self.ops().0.mul(&relin, &x, &y)?;
+        Ok(Ct::wrap(towers, noise))
+    }
+
+    /// Fused level-aware multiply: [`mul`](Self::mul) followed by
+    /// [`rescale`](Self::rescale), freeing the intermediate product.
+    /// The result lives one level below the operands' common level.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] as `mul` and `rescale` do (including
+    /// [`RpuError::Leveled`] when the operands are already at level 0).
+    pub fn mul_rescale(&mut self, x: &Ct, y: &Ct) -> Result<Ct, RpuError> {
+        let product = self.mul(x, y)?;
+        let rescaled = self.rescale(&product);
+        self.free_ciphertext(product)?;
+        rescaled
+    }
+
+    /// Generates a relinearization key — host-side gadget encryptions of
+    /// `s²` drawn from `rng` (the stream [`LeveledContext::relin_keygen`]
+    /// uses, so host and device key material match bit-exactly) — and
+    /// uploads every slot's share to its lane, replacing any previous
+    /// key (a failed upload keeps the previous one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without a prior
+    /// [`keygen`](Self::keygen), or [`RpuError`] on heap exhaustion /
+    /// dispatch failure during upload.
+    pub fn relin_keygen(&mut self, rng: &mut Splitmix) -> Result<(), RpuError> {
+        let rk = self.ctx.relin_keygen(&self.key()?.1, rng, self.base_log);
+        let key = self.ops().0.upload_key(&rk)?;
+        let old = self.relin.replace(key);
+        self.ops()
+            .0
+            .release(old.iter().flat_map(|old| old.handles()));
         Ok(())
     }
 
-    /// Uploads a relinearization key, releasing the one it replaces (a
-    /// failed upload keeps the previous key).
-    pub(crate) fn set_relin(&mut self, ksk: &KeySwitchKey) -> Result<(), RpuError> {
-        let key = self.ops().upload_key(ksk)?;
-        if let Some(old) = self.relin.replace(key) {
-            self.ops().release(old.handles());
-        }
-        Ok(())
+    /// Generates and uploads the Galois key for the automorphism
+    /// `x → x^g` (the stream [`LeveledContext::galois_keygen`] draws),
+    /// and compiles the `σ_g` kernel — a permutation of Pease-order
+    /// evaluation points — of every tower on its component lanes.
+    /// Replaces any key for `g`; returns the (normalized) Galois element.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without a prior keygen,
+    /// [`RpuError::Ring`] for an even `g`, or [`RpuError`] on upload
+    /// failure.
+    pub fn galois_keygen(&mut self, g: usize, rng: &mut Splitmix) -> Result<usize, RpuError> {
+        let sk = &self.key()?.1;
+        let gk = self.ctx.galois_keygen(sk, g, rng, self.base_log)?;
+        let (g, n, style) = (gk.galois_element(), self.ctx.n(), self.style);
+        let spec = |&q: &u128| AutomorphismSpec::new(n, q, g, style);
+        let specs: Vec<_> = self.chain().primes().iter().map(spec).collect();
+        let key = self.ops().0.galois_key(&specs, gk.key_switch_key())?;
+        let old = self.galois.insert(g, key);
+        self.ops()
+            .0
+            .release(old.iter().flat_map(|old| old.key.handles()));
+        Ok(g)
     }
 
-    /// Compiles `σ_g` and uploads its key, replacing any key for `g`.
-    pub(crate) fn set_galois(
-        &mut self,
-        g: usize,
-        spec: &AutomorphismSpec,
-        ksk: &KeySwitchKey,
-    ) -> Result<(), RpuError> {
-        let key = self.ops().galois_key(spec, ksk)?;
-        if let Some(old) = self.galois.insert(g, key) {
-            self.ops().release(old.key.handles());
-        }
-        Ok(())
+    /// Generates the rotation key for `steps` positions
+    /// (`g = 5^steps mod 2n`); see
+    /// [`galois_keygen`](Self::galois_keygen).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] as `galois_keygen` does.
+    pub fn rotation_keygen(&mut self, steps: usize, rng: &mut Splitmix) -> Result<usize, RpuError> {
+        let g = self.ctx.galois_element(steps);
+        self.galois_keygen(g, rng)
     }
 
-    /// Encrypts under the resident secret key; `sample` draws the
-    /// per-tower `(masks, payloads)` from the host stream only once the
-    /// key is known to exist.
-    pub(crate) fn encrypt_towers(
-        &mut self,
-        sample: impl FnOnce(&C) -> (Vec<Vec<u128>>, Vec<Vec<u128>>),
-    ) -> Result<Towers, RpuError> {
-        let sk = self.secret_key()?;
-        let (masks, payloads) = sample(&self.ctx);
-        self.ops().encrypt(&sk, &masks, &payloads)
+    /// Homomorphic rotation by `steps` positions: applies the Galois
+    /// automorphism `x → x^{5^steps mod 2n}` via
+    /// [`apply_galois`](Self::apply_galois). Requires the matching
+    /// [`rotation_keygen`](Self::rotation_keygen).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without the rotation key, or
+    /// [`RpuError`] on dispatch failure.
+    pub fn rotate(&mut self, ct: &Ct, steps: usize) -> Result<Ct, RpuError> {
+        let g = self.ctx.galois_element(steps);
+        self.apply_galois(ct, g)
+    }
+
+    /// Applies the Galois automorphism `x → x^g` to a resident
+    /// ciphertext at any level without leaving evaluation form
+    /// ([`Ops::apply_galois`]): each live tower is permuted on its lanes
+    /// by the `σ_g` kernels compiled at
+    /// [`galois_keygen`](Self::galois_keygen), and one key switch over
+    /// the permuted mask towers brings the result back under the
+    /// original key. Decrypts to `σ_g(m) mod t`, bit-exactly equal to
+    /// [`LeveledContext::apply_galois`] — which permutes coefficients, an
+    /// independent routing — on any lane count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] if no Galois key for `g` is
+    /// resident, or [`RpuError`] on dispatch failure.
+    pub fn apply_galois(&mut self, ct: &Ct, g: usize) -> Result<Ct, RpuError> {
+        let g = g % (2 * self.ctx.n());
+        let gk = self.galois.get(&g).cloned();
+        let gk = gk.ok_or_else(|| no_key(&format!("Galois key for g = {g}"), "galois_keygen"))?;
+        let (towers, noise) = ct.parts();
+        let (n, t, key) = (self.ctx.n(), self.chain().t(), &gk.key);
+        let parts = key.parts_at_level(towers[0].len() - 1);
+        let noise = noise.after_key_switch(n, t, parts, key.base_log());
+        Ok(Ct::wrap(self.ops().0.apply_galois(&gk, &towers)?, noise))
     }
 
     /// Per-tower phase coefficients under the resident secret key.
-    pub(crate) fn phase_towers(&mut self, ct: &Towers) -> Result<Vec<Vec<u128>>, RpuError> {
-        let sk = self.secret_key()?;
-        self.ops().phase(&sk, ct)
+    fn phase(&mut self, ct: &Ct) -> Result<Vec<Vec<u128>>, RpuError> {
+        let sk = self.key()?.0.clone();
+        self.ops().0.phase(&sk, &ct.parts().0)
     }
 
-    /// Multiplies and relinearizes against the resident relinearization
-    /// key.
-    pub(crate) fn mul_towers(&mut self, x: &Towers, y: &Towers) -> Result<Towers, RpuError> {
-        let relin = self.relin()?.clone();
-        self.ops().mul(&relin, x, y)
+    /// Decrypts a resident ciphertext with the resident secret key: the
+    /// per-tower phase on-device ([`Ops::phase`]; only the noisy
+    /// coefficient vectors are downloaded), the decoding to plaintext
+    /// on the host ([`LeveledContext::decode_phase_towers`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Config`] without a prior
+    /// [`keygen`](Self::keygen), or [`RpuError`] on dispatch failure.
+    pub fn decrypt(&mut self, ct: &Ct) -> Result<Vec<u128>, RpuError> {
+        let towers = self.phase(ct)?;
+        Ok(self.ctx.decode_phase_towers(&towers))
+    }
+
+    /// Measures the actual noise of a resident ciphertext (floor-`log2`
+    /// of the largest centered phase magnitude, in bits) — the debug
+    /// path that validates the [`NoiseBudget`] tracker; measured never
+    /// exceeds the tracked bound.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] as [`decrypt`](Self::decrypt) does.
+    pub fn measure_noise(&mut self, ct: &Ct) -> Result<f64, RpuError> {
+        let towers = self.phase(ct)?;
+        Ok(self.ctx.phase_noise_bits(&towers))
+    }
+
+    /// Estimated noise budget left for `ct` in bits (tracker bound
+    /// against the ciphertext's current live modulus). Negative means
+    /// the tracker predicts decryption failure.
+    pub fn remaining_bits(&self, ct: &Ct) -> f64 {
+        let (towers, noise) = ct.parts();
+        noise.remaining(self.chain().log2_q(towers[0].len() - 1))
+    }
+
+    /// Downloads a resident ciphertext into host form (via on-device
+    /// inverse NTTs on each buffer's lane), e.g. to cross-check ring
+    /// elements against the [`LeveledContext`] oracle.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on stale handles or dispatch failure.
+    pub fn download_ciphertext(&mut self, ct: &Ct) -> Result<Ciphertext, RpuError> {
+        let (towers, noise) = ct.parts();
+        let (mut ops, ctx) = self.ops();
+        let [a, b] = ops.download(&towers)?;
+        Ok(Ciphertext::from_coeff_towers(ctx, a, b, noise)?)
+    }
+
+    /// Frees every buffer of a resident ciphertext.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Buffer`] for stale handles.
+    pub fn free_ciphertext(&mut self, ct: Ct) -> Result<(), RpuError> {
+        self.ops().0.free(ct.parts().0)
+    }
+
+    /// Explicit mod-drop to a lower level: consumes the ciphertext,
+    /// frees the towers above `level`, and returns the truncated rest.
+    /// Exact while the phase magnitude stays below `Q_level / 2`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Leveled`] if `level` exceeds the ciphertext's
+    /// (the ciphertext is freed in full in that case — the handles would
+    /// otherwise leak).
+    pub fn mod_drop(&mut self, ct: Ct, level: usize) -> Result<Ct, RpuError> {
+        let (mut towers, noise) = ct.parts();
+        let max = towers[0].len() - 1;
+        if level > max {
+            self.ops().0.free(towers)?;
+            let requested = level;
+            return Err(LeveledError::LevelTooHigh { requested, max }.into());
+        }
+        let dropped = towers.each_mut().map(|c| c.split_off(level + 1));
+        self.ops().0.free(dropped)?;
+        Ok(Ct::wrap(towers, noise))
+    }
+
+    /// Rescales: divides (with rounding) by the last live prime,
+    /// dropping one tower. Per component, the dropped tower is
+    /// inverse-transformed and downloaded, the host derives the exact
+    /// rounding correction `δ` ([`LeveledContext::rescale_correction`]),
+    /// and every surviving tower runs one fused `(ĉ − NTT(δ))·p⁻¹`
+    /// dispatch ([`RescaleSpec`]) on its lane. The input ciphertext is
+    /// untouched; the result is freshly allocated at `level − 1`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError::Leveled`] at level 0 (so always for an
+    /// [`crate::RlweEvaluator`]) or when the dropped prime is
+    /// `≢ 1 (mod t)` ([`LeveledContext::check_rescale`]), or
+    /// [`RpuError`] on heap exhaustion / dispatch failure.
+    pub fn rescale(&mut self, ct: &Ct) -> Result<Ct, RpuError> {
+        let (towers, noise) = ct.parts();
+        let level = towers[0].len() - 1;
+        self.ctx.check_rescale(level)?;
+        let (style, (mut ops, ctx)) = (self.style, self.ops());
+        let (n, chain) = (ctx.n(), ctx.chain());
+        let noise = noise.after_rescale(chain.prime(level), n, chain.t());
+        let mut t = Temps::default();
+        let scaled = (|| {
+            let mut scaled = Towers::default();
+            for (c, (towers, out)) in towers.iter().zip(&mut scaled).enumerate() {
+                let (w, k) = ops.at(ops.homes(level)[c], level);
+                let dropped = recipes::download_coeffs(w, k, towers[level])?;
+                for (i, delta_i) in ctx.rescale_correction(level, &dropped).iter().enumerate() {
+                    let (w, _) = ops.at(ops.homes(i)[c], i);
+                    // Compiled on first use: the dropped prime is part of
+                    // the kernel's identity, so the store holds one per
+                    // (dropped level, surviving tower).
+                    let spec = RescaleSpec::new(n, chain.prime(i), chain.prime(level), style);
+                    let kernel = w.compile(&spec)?;
+                    let d = t.hold(w.upload(delta_i)?);
+                    out.push(t.hold(recipes::apply(w, &kernel, &[d, towers[i]])?));
+                    w.free(d)?;
+                }
+            }
+            Ok(scaled)
+        })();
+        Ok(Ct::wrap(ops.settle(t, scaled)?, noise))
+    }
+
+    /// Serializes the underlying cluster's full device state — key
+    /// material, resident ciphertext towers, each lane's kernel keys — as
+    /// one `SNAP_V1` cluster snapshot
+    /// ([`RpuCluster::snapshot_all`](crate::RpuCluster::snapshot_all)).
+    ///
+    /// Every evaluator operation after key generation and encryption is
+    /// deterministic (no fresh host randomness), so a mid-pipeline
+    /// snapshot restored later and driven through the same remaining
+    /// operations reproduces bit-identical ciphertexts.
+    pub fn snapshot(&self) -> Vec<u8> {
+        self.cluster.snapshot_all()
+    }
+
+    /// Restores the underlying cluster to a snapshotted state
+    /// ([`RpuCluster::restore_all_replacing`](crate::RpuCluster::restore_all_replacing)):
+    /// ciphertext and key handles captured at snapshot time become valid
+    /// again, and buffers created after the snapshot become stale on
+    /// their lane. Host-side state (contexts, keys, noise trackers,
+    /// handle structs) is the caller's to keep from snapshot time.
+    ///
+    /// # Errors
+    ///
+    /// [`RpuError::Snapshot`] for corrupt bytes or a cluster mismatch;
+    /// the evaluator is unchanged on error.
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
+        self.cluster.restore_all_replacing(bytes)
+    }
+
+    /// The full negacyclic polynomial product `a ·_neg b` modulo `q_0`
+    /// over resident *coefficient-domain* buffers, as one fused kernel
+    /// dispatch (forward NTT ×2 → pointwise multiply → inverse NTT) —
+    /// the dataflow of a ciphertext–ciphertext multiplication (Fig. 1).
+    /// The dispatch runs on whichever lane holds the operands (the
+    /// kernel is compiled there on first use); operands on different
+    /// lanes are rejected ([`BufferError::ForeignLane`]) rather than
+    /// silently moved.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RpuError`] on stale or cross-lane handles, heap
+    /// exhaustion, or a dispatch fault.
+    pub fn convolve(
+        &mut self,
+        a: &DeviceBuffer,
+        b: &DeviceBuffer,
+    ) -> Result<DeviceBuffer, RpuError> {
+        let stale = RpuError::Buffer(BufferError::StaleHandle { id: a.id() });
+        let lane = self.cluster.locate(a).ok_or(stale)?;
+        self.cluster.check_residency(lane, &[*b])?;
+        let spec = ConvolutionSpec::new(self.ctx.n(), self.chain().prime(0), self.style);
+        let conv = self.cluster.compile_on(lane, &spec)?;
+        recipes::apply(self.cluster.lane_session(lane), &conv, &[*a, *b])
     }
 }

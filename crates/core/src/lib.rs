@@ -84,11 +84,11 @@
 //! encrypt/add/sub/mul/rotate/decrypt as chains of dispatches over
 //! resident ciphertexts, verified against the host
 //! [`rpu_ntt::rlwe::RlweContext`]. It and the leveled RNS
-//! [`LeveledEvaluator`] are two faces of one device evaluator: every op
-//! body, the gadget key switch and the key state are written once over
-//! RNS towers, and the faces differ only in which lane holds each
-//! tower's mask and payload — by component for the single-modulus face,
-//! by tower for the leveled one.
+//! [`LeveledEvaluator`] are one device evaluator, [`Evaluator`]: every
+//! public op, the gadget key switch and the key state are written once
+//! over RNS towers, and the two differ only in their ciphertext handle
+//! and in which lane holds each tower's mask and payload — by component
+//! for one prime, by tower for a chain.
 //!
 //! # Multi-lane RNS execution
 //!
@@ -159,7 +159,7 @@ pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
 pub use evaluator::{DeviceKeySwitchKey, Evaluator};
 pub use explore::{evaluate_point, explore_design_space, paper_sweep, PAPER_BANKS, PAPER_HPLES};
 pub use lanes::{ClusterRunReport, LaneJob, RpuCluster};
-pub use leveled::{DeviceLeveledCiphertext, DeviceLeveledRelinKey, LeveledEvaluator};
+pub use leveled::{DeviceLeveledCiphertext, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, RlweEvaluator};
 pub use run::{Rpu, RunReport};
 pub use session::{CacheStats, LaneStats, PrimeTable, RpuBuilder, RpuSession};
@@ -182,9 +182,7 @@ pub use rpu_codegen::{
     RescaleSpec,
 };
 pub use rpu_model::{AreaModel, DesignPoint, EnergyModel, F1Comparison};
-pub use rpu_ntt::leveled::{
-    LeveledCiphertext, LeveledContext, LeveledError, LeveledRelinKey, LeveledSecretKey, NoiseBudget,
-};
+pub use rpu_ntt::leveled::{LeveledContext, LeveledError, NoiseBudget};
 pub use rpu_ntt::{Ntt128Plan, Ntt64Plan, PeaseSchedule, Polynomial};
 pub use rpu_sim::{CycleSim, FunctionalSim, HbmModel, RpuConfig, SimStats};
 

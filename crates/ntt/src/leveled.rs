@@ -1,25 +1,27 @@
 //! Leveled RNS ciphertexts — the host-reference oracle for depth-`L`
-//! homomorphic evaluation.
+//! homomorphic evaluation, and the one host context.
 //!
-//! The chain face of the host's one RLWE scheme (the private `scheme`
-//! module, written over `k ≥ 1` towers; [`crate::rlwe`] is its one-tower
-//! face): a ciphertext component is a vector of tower polynomials, one
-//! per live prime of a [`ModulusChain`], and keygen, sampling,
-//! encryption, the phase, the relinearization key, the gadget key switch
-//! and tensor+relinearize delegate there. What lives here is what a
-//! chain adds — CRT decoding, level alignment, the [`NoiseBudget`] and
-//! *rescaling*: after each multiplication the ciphertext is divided
-//! (with rounding) by the last live prime, which both shrinks the noise
-//! by ~`log2(q_l)` bits and drops one tower of work.
+//! [`LeveledContext`] is the host's one RLWE context: a [`ModulusChain`]
+//! plus one NTT plan per chain prime. Its scheme operations — keygen,
+//! sampling, encryption, decryption, add/sub, plaintext multiplication,
+//! relinearization and Galois keys, tensor + relinearize, rotation —
+//! are written once over towers in the private `scheme` module; a
+//! single-modulus context ([`crate::rlwe::RlweContext`]) is the same
+//! type over a one-prime chain. What lives here is what a chain adds —
+//! CRT decoding, level alignment, the [`NoiseBudget`] and *rescaling*:
+//! after each multiplication the ciphertext is divided (with rounding)
+//! by the last live prime, which both shrinks the noise by
+//! ~`log2(q_l)` bits and drops one tower of work.
 //!
-//! Because every chain prime satisfies `q ≡ 1 (mod t)`, the implicit
-//! rescale factor `q_l^{-1} mod t` is `1`: LSB-encoded plaintexts pass
-//! through any number of rescales unchanged, and level alignment between
-//! operands is a plain tower truncation (mod-drop) with no scale
-//! bookkeeping.
+//! Rescaling by `q_l` multiplies an LSB-encoded plaintext by
+//! `q_l^{-1} mod t`, so [`rescale`](LeveledContext::rescale) requires
+//! the dropped prime to be `≡ 1 (mod t)` (primes from
+//! [`LeveledContext::generate`] are) and returns a typed error
+//! otherwise. Mod-drop and decoding need no congruence: decoding
+//! corrects a negative phase by `Q_l mod t` whatever it is.
 //!
 //! Everything here is the bit-exact definitional oracle for the
-//! on-device `LeveledEvaluator` in the `rpu` crate: the same rounding
+//! on-device evaluators in the `rpu` crate: the same rounding
 //! corrections, the same pinned randomness order, the same tower
 //! layouts. The [`NoiseBudget`] tracker maintains a rigorous worst-case
 //! bound on the centered phase magnitude; [`measure_noise`] decrypts
@@ -27,8 +29,7 @@
 //!
 //! [`measure_noise`]: LeveledContext::measure_noise
 
-use crate::rlwe::{KeySwitchKey, Splitmix};
-use crate::scheme;
+use crate::scheme::{lift, Ciphertext, SecretKey};
 use crate::{Ntt128Plan, NttError, Polynomial};
 use rpu_arith::{ChainError, Engine, ModulusChain};
 use std::sync::Arc;
@@ -133,11 +134,29 @@ impl NoiseBudget {
         parts: usize,
         base_log: u32,
     ) -> Self {
-        let tensor = (n as f64).log2() + self.bits + other.bits;
-        let relin =
+        let tensor = NoiseBudget {
+            bits: (n as f64).log2() + self.bits + other.bits,
+        };
+        tensor.after_key_switch(n, t, parts, base_log)
+    }
+
+    /// After a key switch of `parts` digit products (a rotation, or the
+    /// relinearization half of [`after_mul`](Self::after_mul)): the
+    /// phase keeps its magnitude (`σ_g` permutes coefficients up to
+    /// sign) and gains `parts·n·B·4t`.
+    pub fn after_key_switch(self, n: usize, t: u128, parts: usize, base_log: u32) -> Self {
+        let switch =
             (parts as f64).log2() + (n as f64).log2() + base_log as f64 + (4.0 * t as f64).log2();
         NoiseBudget {
-            bits: log2_sum(tensor, relin),
+            bits: log2_sum(self.bits, switch),
+        }
+    }
+
+    /// After multiplying by a plaintext whose coefficients are at most
+    /// `max`: the negacyclic product bound `n·max·|x|`.
+    pub fn after_mul_plain(self, n: usize, max: u128) -> Self {
+        NoiseBudget {
+            bits: self.bits + (n as f64 * max.max(1) as f64).log2(),
         }
     }
 
@@ -166,118 +185,15 @@ impl NoiseBudget {
     }
 }
 
-/// A leveled secret key: one ternary polynomial, stored per tower in
-/// evaluation form (the same `{-1, 0, 1}` draw reduced modulo each
-/// chain prime).
-#[derive(Debug, Clone)]
-pub struct LeveledSecretKey {
-    /// `s mod q_l` in evaluation form, one per chain prime.
-    s: Vec<Polynomial>,
-}
-
-impl LeveledSecretKey {
-    /// Natural-order coefficients of `s mod q_l` — what an accelerator
-    /// runtime uploads before transforming the key on-device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `l` is not a valid tower index.
-    pub fn s_coeffs(&self, l: usize) -> Vec<u128> {
-        self.s[l].coeffs()
-    }
-
-    /// The per-tower secret polynomials, evaluation form.
-    pub fn towers(&self) -> &[Polynomial] {
-        &self.s
-    }
-}
-
-/// A leveled RNS ciphertext `(a, b)` at some level `l`: each component
-/// holds `l + 1` tower polynomials (evaluation form), and the phase
-/// `b − a·s ≡ m + t·e (mod Q_l)`.
-#[derive(Debug, Clone)]
-pub struct LeveledCiphertext {
-    level: usize,
-    a: Vec<Polynomial>,
-    b: Vec<Polynomial>,
-    noise: NoiseBudget,
-}
-
-impl LeveledCiphertext {
-    /// The ciphertext's level (`towers − 1`).
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// The mask towers `a mod q_0 ..= q_l`, evaluation form.
-    pub fn a_towers(&self) -> &[Polynomial] {
-        &self.a
-    }
-
-    /// The payload towers `b mod q_0 ..= q_l`, evaluation form.
-    pub fn b_towers(&self) -> &[Polynomial] {
-        &self.b
-    }
-
-    /// The tracked noise bound.
-    pub fn noise(&self) -> NoiseBudget {
-        self.noise
-    }
-
-    /// Rebuilds a ciphertext from per-tower natural-order coefficient
-    /// vectors (e.g. downloaded from an accelerator), tagging it with an
-    /// explicit noise estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LeveledError`] if the tower counts disagree with each
-    /// other or the chain, or a vector length differs from `n`.
-    pub fn from_coeff_towers(
-        ctx: &LeveledContext,
-        a: Vec<Vec<u128>>,
-        b: Vec<Vec<u128>>,
-        noise: NoiseBudget,
-    ) -> Result<Self, LeveledError> {
-        if a.len() != b.len() || a.is_empty() {
-            return Err(LeveledError::LevelTooHigh {
-                requested: a.len().max(b.len()),
-                max: ctx.max_level(),
-            });
-        }
-        let level = a.len() - 1;
-        if level > ctx.max_level() {
-            return Err(LeveledError::LevelTooHigh {
-                requested: level,
-                max: ctx.max_level(),
-            });
-        }
-        let lift = |towers: Vec<Vec<u128>>| -> Result<Vec<Polynomial>, NttError> {
-            let lifted = ctx.plans.iter().zip(towers);
-            lifted
-                .map(|(plan, coeffs)| scheme::lift(plan, coeffs))
-                .collect()
-        };
-        Ok(LeveledCiphertext {
-            level,
-            a: lift(a)?,
-            b: lift(b)?,
-            noise,
-        })
-    }
-}
-
-/// A leveled relinearization key: the one [`KeySwitchKey`] type with
-/// target `s²`, one source tower per chain prime.
-pub type LeveledRelinKey = KeySwitchKey;
-
-/// The leveled encryption/evaluation context: a modulus chain plus one
-/// NTT plan per chain prime. The definitional host oracle for the
-/// on-device `LeveledEvaluator`.
+/// The host's one encryption/evaluation context: a modulus chain plus
+/// one NTT plan per chain prime. The definitional host oracle for both
+/// on-device evaluators; [`crate::rlwe::RlweContext`] is this type over
+/// a one-prime chain.
 #[derive(Debug)]
 pub struct LeveledContext {
-    n: usize,
-    chain: ModulusChain,
-    plans: Vec<Arc<Ntt128Plan>>,
+    pub(crate) n: usize,
+    pub(crate) chain: ModulusChain,
+    pub(crate) plans: Vec<Arc<Ntt128Plan>>,
 }
 
 impl LeveledContext {
@@ -287,7 +203,7 @@ impl LeveledContext {
     ///
     /// Returns [`LeveledError::Ntt`] if any chain prime does not admit
     /// a degree-`n` negacyclic NTT.
-    pub fn new(n: usize, chain: ModulusChain) -> Result<Self, LeveledError> {
+    pub fn from_chain(n: usize, chain: ModulusChain) -> Result<Self, LeveledError> {
         let plans = chain
             .primes()
             .iter()
@@ -308,7 +224,7 @@ impl LeveledContext {
             return Err(NttError::InvalidDegree(n).into());
         }
         let chain = ModulusChain::generate(n, t, bits, levels)?;
-        LeveledContext::new(n, chain)
+        LeveledContext::from_chain(n, chain)
     }
 
     /// Ring degree `n`.
@@ -336,88 +252,45 @@ impl LeveledContext {
         self.chain.levels() - 1
     }
 
-    /// Samples a ternary secret key. Randomness order: `n` ternary
-    /// draws, shared across towers (an accelerator replaying the stream
-    /// reproduces the key bit-exactly).
-    pub fn keygen(&self, rng: &mut Splitmix) -> LeveledSecretKey {
-        LeveledSecretKey {
-            s: scheme::keygen(&self.plans, rng),
-        }
-    }
-
-    /// The randomness front half of [`encrypt`](Self::encrypt): the
-    /// per-tower uniform masks and per-tower payloads `m + t·e`, as
-    /// natural-order coefficient vectors. Randomness order is pinned —
-    /// tower-major mask draws (`n` below `q_0`, then `n` below `q_1`,
-    /// …), then `n` shared signed error draws — so an accelerator
-    /// runtime replaying the stream finishes `b_l = a_l·s_l + payload_l`
-    /// on-device bit-exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `message.len() != n`.
-    pub fn sample_mask_and_payload(
-        &self,
-        message: &[u128],
-        rng: &mut Splitmix,
-    ) -> (Vec<Vec<u128>>, Vec<Vec<u128>>) {
-        scheme::sample_mask_and_payload(&self.plans, self.chain.t(), message, rng)
-    }
-
-    /// Encrypts a plaintext vector (coefficients mod `t`) at the top
-    /// level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `message.len() != n`.
-    pub fn encrypt(
-        &self,
-        sk: &LeveledSecretKey,
-        message: &[u128],
-        rng: &mut Splitmix,
-    ) -> LeveledCiphertext {
-        let (a, b) = scheme::encrypt(&self.plans, self.chain.t(), &sk.s, message, rng);
-        LeveledCiphertext {
-            level: self.max_level(),
-            a,
-            b,
-            noise: NoiseBudget::fresh(self.chain.t()),
-        }
-    }
-
     /// Decodes per-tower phase coefficients (`m + t·e mod Q_l`,
-    /// natural order) to plaintext residues: CRT-combine, center into
-    /// `(−Q_l/2, Q_l/2]`, reduce mod `t`. Because `Q_l ≡ 1 (mod t)`,
-    /// the negative branch is a single `−1` correction. Shared by
-    /// [`decrypt`](Self::decrypt) and by accelerator runtimes that
-    /// download the per-tower noisy vectors and finish host-side.
+    /// natural order) to plaintext residues: center into
+    /// `(−Q_l/2, Q_l/2]` and reduce mod `t`. A negative phase `x − Q_l`
+    /// decodes to `(x mod t + t − (Q_l mod t)) mod t`, for any `Q_l`. One
+    /// tower decodes in plain `u128` arithmetic; several CRT-combine
+    /// first. Shared by [`decrypt`](Self::decrypt) and by accelerator
+    /// runtimes that download the per-tower noisy vectors and finish
+    /// host-side.
     ///
     /// # Panics
     ///
     /// Panics if the tower count or a vector length is inconsistent.
     pub fn decode_phase_towers(&self, towers: &[Vec<u128>]) -> Vec<u128> {
-        let level = towers.len() - 1;
-        let basis = self.chain.basis(level);
-        let big_q = basis.product();
         let t = self.chain.t();
+        let decode = |m: u128, negative: bool, q_mod_t: u128| {
+            if negative {
+                (m + t - q_mod_t) % t
+            } else {
+                m
+            }
+        };
+        if let [noisy] = towers {
+            let q = self.chain.prime(0);
+            let q_mod_t = q % t;
+            return noisy
+                .iter()
+                .map(|&c| decode(c % t, c > q / 2, q_mod_t))
+                .collect();
+        }
+        let basis = self.chain.basis(towers.len() - 1);
+        let big_q = basis.product();
+        let q_mod_t = big_q.rem_u128(t);
         (0..self.n)
             .map(|c| {
                 let residues: Vec<u128> = towers.iter().map(|tw| tw[c]).collect();
                 let x = basis.reconstruct(&residues);
-                let m = x.rem_u128(t);
-                if x.mul_u128(2) > big_q {
-                    // x encodes the negative value x − Q, and Q ≡ 1 mod t.
-                    (m + t - 1) % t
-                } else {
-                    m
-                }
+                decode(x.rem_u128(t), x.mul_u128(2) > big_q, q_mod_t)
             })
             .collect()
-    }
-
-    /// Decrypts a ciphertext back to coefficients mod `t`.
-    pub fn decrypt(&self, sk: &LeveledSecretKey, ct: &LeveledCiphertext) -> Vec<u128> {
-        self.decode_phase_towers(&scheme::phase(&sk.s, &ct.a, &ct.b))
     }
 
     /// Floor-`log2` of the largest centered phase magnitude across
@@ -444,42 +317,8 @@ impl LeveledContext {
     /// Measures the actual noise of a ciphertext (floor-`log2` of the
     /// largest centered phase magnitude, in bits) by decrypting against
     /// the host oracle — the debug path that validates the tracker.
-    pub fn measure_noise(&self, sk: &LeveledSecretKey, ct: &LeveledCiphertext) -> f64 {
-        self.phase_noise_bits(&scheme::phase(&sk.s, &ct.a, &ct.b))
-    }
-
-    /// Homomorphic addition with automatic level alignment: the result
-    /// lives at `min(x.level, y.level)` and higher towers of the deeper
-    /// operand are implicitly mod-dropped.
-    pub fn add(&self, x: &LeveledCiphertext, y: &LeveledCiphertext) -> LeveledCiphertext {
-        self.add_sub(x, y, false)
-    }
-
-    /// Homomorphic subtraction with automatic level alignment.
-    pub fn sub(&self, x: &LeveledCiphertext, y: &LeveledCiphertext) -> LeveledCiphertext {
-        self.add_sub(x, y, true)
-    }
-
-    fn add_sub(
-        &self,
-        x: &LeveledCiphertext,
-        y: &LeveledCiphertext,
-        subtract: bool,
-    ) -> LeveledCiphertext {
-        let level = x.level.min(y.level);
-        let combine = |xs: &[Polynomial], ys: &[Polynomial]| -> Vec<Polynomial> {
-            xs[..=level]
-                .iter()
-                .zip(&ys[..=level])
-                .map(|(a, b)| if subtract { a.sub(b) } else { a.add(b) })
-                .collect()
-        };
-        LeveledCiphertext {
-            level,
-            a: combine(&x.a, &y.a),
-            b: combine(&x.b, &y.b),
-            noise: x.noise.after_add(y.noise),
-        }
+    pub fn measure_noise(&self, sk: &SecretKey, ct: &Ciphertext) -> f64 {
+        self.phase_noise_bits(&self.phase(sk, ct))
     }
 
     /// Explicit mod-drop to a lower level: truncates towers. Exact
@@ -489,19 +328,15 @@ impl LeveledContext {
     /// # Errors
     ///
     /// Returns [`LeveledError::LevelTooHigh`] if `level > x.level`.
-    pub fn mod_drop(
-        &self,
-        x: &LeveledCiphertext,
-        level: usize,
-    ) -> Result<LeveledCiphertext, LeveledError> {
-        if level > x.level {
+    pub fn mod_drop(&self, x: &Ciphertext, level: usize) -> Result<Ciphertext, LeveledError> {
+        if level > x.level() {
+            let max = x.level();
             return Err(LeveledError::LevelTooHigh {
                 requested: level,
-                max: x.level,
+                max,
             });
         }
-        Ok(LeveledCiphertext {
-            level,
+        Ok(Ciphertext {
             a: x.a[..=level].to_vec(),
             b: x.b[..=level].to_vec(),
             noise: x.noise,
@@ -561,6 +396,31 @@ impl LeveledContext {
             .collect()
     }
 
+    /// Whether a ciphertext at `level` may rescale: there must be a tower
+    /// below it, and the dropped prime must be `≡ 1 (mod t)` — otherwise
+    /// the division would scale the plaintext by `q_level^{-1} mod t`.
+    /// The one check of the host and the device rescale.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LeveledError::BottomLevel`] at level 0, and
+    /// [`ChainError::NotCongruentToOneModT`] (as [`LeveledError::Chain`])
+    /// for a dropped prime `≢ 1 (mod t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` exceeds the chain.
+    pub fn check_rescale(&self, level: usize) -> Result<(), LeveledError> {
+        let (prime, t) = (self.chain.prime(level), self.chain.t());
+        if level == 0 {
+            Err(LeveledError::BottomLevel)
+        } else if prime % t != 1 {
+            Err(ChainError::NotCongruentToOneModT { prime, t }.into())
+        } else {
+            Ok(())
+        }
+    }
+
     /// Rescales: divides (with rounding) by the last live prime,
     /// dropping one tower. Per component and surviving tower `i`:
     /// `c'_i = (c_i − δ)·q_level^{-1} mod q_i`. The plaintext is
@@ -569,100 +429,33 @@ impl LeveledContext {
     ///
     /// # Errors
     ///
-    /// Returns [`LeveledError::BottomLevel`] at level 0.
-    pub fn rescale(&self, x: &LeveledCiphertext) -> Result<LeveledCiphertext, LeveledError> {
-        if x.level == 0 {
-            return Err(LeveledError::BottomLevel);
-        }
-        let level = x.level;
+    /// Returns the [`check_rescale`](Self::check_rescale) errors.
+    pub fn rescale(&self, x: &Ciphertext) -> Result<Ciphertext, LeveledError> {
+        let level = x.level();
+        self.check_rescale(level)?;
         let scale_component = |towers: &[Polynomial]| -> Vec<Polynomial> {
             let dropped = towers[level].coeffs();
             let delta = self.rescale_correction(level, &dropped);
             (0..level)
                 .map(|i| {
-                    let d_i =
-                        scheme::lift(&self.plans[i], delta[i].clone()).expect("length matches");
+                    let d_i = lift(&self.plans[i], delta[i].clone()).expect("length matches");
                     towers[i].sub(&d_i).scale(self.chain.p_inv(level, i))
                 })
                 .collect()
         };
-        Ok(LeveledCiphertext {
-            level: level - 1,
+        let (p, t) = (self.chain.prime(level), self.chain.t());
+        Ok(Ciphertext {
             a: scale_component(&x.a),
             b: scale_component(&x.b),
-            noise: x
-                .noise
-                .after_rescale(self.chain.prime(level), self.n, self.chain.t()),
+            noise: x.noise.after_rescale(p, self.n, t),
         })
-    }
-
-    /// Generates a leveled relinearization key for `s²`. Randomness
-    /// order is pinned per part `(i, j)`: tower-major mask draws (`n`
-    /// below each `q_k`), then `n` shared error draws — replayable by an
-    /// accelerator runtime.
-    pub fn relin_keygen(
-        &self,
-        sk: &LeveledSecretKey,
-        rng: &mut Splitmix,
-        base_log: u32,
-    ) -> LeveledRelinKey {
-        let s2: Vec<Polynomial> = sk.s.iter().map(|s| s.mul(s)).collect();
-        scheme::keyswitch_keygen(&self.plans, self.chain.t(), &sk.s, &s2, rng, base_log)
-    }
-
-    /// The gadget-decomposed RNS key switch at `level`: decomposes each
-    /// source tower of `c2` into digits and accumulates
-    /// `(Σ_{ij} d̂_{ij}·â_{ij,k}, Σ_{ij} d̂_{ij}·b̂_{ij,k})` on every live
-    /// tower `k`. Digits are `< 2^base_log`, valid in every tower
-    /// without conversion — the RNS analogue of the single-modulus
-    /// dataflow, and exactly what the RPU runs as fused dispatches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c2_towers.len() != level + 1` or `level` exceeds the
-    /// chain.
-    pub fn key_switch(
-        &self,
-        level: usize,
-        c2_towers: &[Vec<u128>],
-        rk: &LeveledRelinKey,
-    ) -> (Vec<Polynomial>, Vec<Polynomial>) {
-        scheme::key_switch(&self.plans[..=level], c2_towers, rk)
-    }
-
-    /// Ciphertext×ciphertext multiplication at the operands' common
-    /// level: per tower, tensor to
-    /// `(c0, c1, c2) = (b_x·b_y, a_x·b_y + b_x·a_y, a_x·a_y)`, then
-    /// relinearize the `s²` component with the RNS key switch. The
-    /// result stays at the same level — follow with
-    /// [`rescale`](Self::rescale) to shed the noise growth (the
-    /// evaluator's `mul` fuses both).
-    pub fn mul(
-        &self,
-        rk: &LeveledRelinKey,
-        x: &LeveledCiphertext,
-        y: &LeveledCiphertext,
-    ) -> LeveledCiphertext {
-        let level = x.level.min(y.level);
-        let (a, b) = scheme::mul(&self.plans[..=level], rk, (&x.a, &x.b), (&y.a, &y.b));
-        LeveledCiphertext {
-            level,
-            a,
-            b,
-            noise: x.noise.after_mul(
-                y.noise,
-                self.n,
-                self.chain.t(),
-                rk.parts_at_level(level),
-                rk.base_log(),
-            ),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rlwe::Splitmix;
     use rpu_arith::Modulus128;
 
     const T: u128 = 65537;
@@ -767,7 +560,7 @@ mod tests {
         expect = crate::testutil::schoolbook_negacyclic(tm, &expect, &m3);
         expect = crate::testutil::schoolbook_negacyclic(tm, &expect, &m4);
 
-        let cts: Vec<LeveledCiphertext> = [&m1, &m2, &m3, &m4]
+        let cts: Vec<Ciphertext> = [&m1, &m2, &m3, &m4]
             .iter()
             .map(|m| c.encrypt(&sk, m, &mut rng))
             .collect();
@@ -827,13 +620,13 @@ mod tests {
         let ct = c.encrypt(&sk, &m, &mut rng);
         let a: Vec<Vec<u128>> = ct.a_towers().iter().map(|p| p.coeffs()).collect();
         let b: Vec<Vec<u128>> = ct.b_towers().iter().map(|p| p.coeffs()).collect();
-        let rebuilt = LeveledCiphertext::from_coeff_towers(&c, a, b, ct.noise()).unwrap();
+        let rebuilt = Ciphertext::from_coeff_towers(&c, a, b, ct.noise()).unwrap();
         for l in 0..=1 {
             assert_eq!(rebuilt.a_towers()[l].values(), ct.a_towers()[l].values());
             assert_eq!(rebuilt.b_towers()[l].values(), ct.b_towers()[l].values());
         }
         assert_eq!(c.decrypt(&sk, &rebuilt), m);
-        assert!(LeveledCiphertext::from_coeff_towers(
+        assert!(Ciphertext::from_coeff_towers(
             &c,
             vec![vec![0; 64]; 3],
             vec![vec![0; 64]; 3],

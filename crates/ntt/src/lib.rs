@@ -14,14 +14,16 @@
 //!    examples and the `perf` workloads exercise end-to-end; a
 //!    multi-tower element is a `&[Polynomial]`, one per tower, as the
 //!    `scheme` module writes it.
-//! 4. **Host oracle** — one RLWE scheme, written once over `k ≥ 1` RNS
-//!    towers in the private `scheme` module, with two faces: [`rlwe`]
-//!    (one modulus; adds Galois rotation and plaintext multiplication)
-//!    and [`leveled`] (a modulus chain; adds rescaling, level alignment
-//!    and the noise tracker). Both share one key-switch key type and one
-//!    copy of every pinned randomness stream, and every device front end
-//!    (`RlweEvaluator`, `LeveledEvaluator`, `rpu-serve`) is bit-exact
-//!    against one of them.
+//! 4. **Host oracle** — one RLWE scheme and one context,
+//!    [`LeveledContext`](leveled::LeveledContext) over a modulus chain:
+//!    its operations are written once over `k ≥ 1` RNS towers in the
+//!    private `scheme` module, [`leveled`] adds what a chain of several
+//!    primes needs (rescaling, level alignment, the noise tracker), and
+//!    [`rlwe`] builds the same context over a one-prime chain. One type
+//!    each for the secret key, the ciphertext, the key-switch key and the
+//!    Galois key, one copy of every pinned randomness stream, and every
+//!    device front end (`RlweEvaluator`, `LeveledEvaluator`,
+//!    `rpu-serve`) is bit-exact against it.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -46,3 +48,4 @@ pub use pease::PeaseSchedule;
 pub use plan128::Ntt128Plan;
 pub use plan64::Ntt64Plan;
 pub use poly::{Domain, Polynomial};
+pub use scheme::{Ciphertext, GaloisKey, KeySwitchKey, SecretKey};

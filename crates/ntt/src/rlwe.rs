@@ -1,15 +1,19 @@
 //! A minimal RLWE symmetric encryption scheme — the workload the RPU
 //! exists to accelerate (Section II-A and Fig. 1 of the paper) — over a
-//! single modulus.
+//! single modulus: the one host context over a one-prime chain.
 //!
-//! The host has one scheme, written over `k ≥ 1` RNS towers in the
-//! private `scheme` module; this is its one-tower face and
-//! [`crate::leveled`] its chain face, and the two agree bit for bit on
-//! a one-prime chain (`tests/one_scheme.rs`). Keygen, sampling,
-//! encryption, the phase, key-switch keys, the gadget key switch and
-//! tensor+relinearize delegate; what lives here is what a single
-//! modulus adds — [`RlweParams`], the `u128` `decode_noisy`, plaintext
-//! multiplication, Galois keys and rotation.
+//! The host has one scheme and one context, [`LeveledContext`], written
+//! over `k ≥ 1` RNS towers (the private `scheme` module); an
+//! [`RlweContext`] is that type, built by [`RlweContext::new`] over the
+//! one-prime chain `[params.q]`. Its ciphertexts sit at level 0; every
+//! operation — keygen, sampling, encryption, decryption, add/sub,
+//! plaintext multiplication, relinearization and Galois keys,
+//! ciphertext×ciphertext multiplication, rotation — is the one
+//! context's, and rescale answers
+//! [`crate::leveled::LeveledError::BottomLevel`].
+//! What lives here is the parameter set [`RlweParams`], that
+//! constructor, and the deterministic [`Splitmix`] stream every pinned
+//! draw comes from.
 //!
 //! A ciphertext is a pair `(a, b = a·s + t·e + m)` over
 //! `Z_q[x]/(x^n + 1)` with a small ternary secret `s` and small error
@@ -19,28 +23,18 @@
 //! ciphertext×ciphertext multiplication *exact*: the tensor
 //! `(m1 + t·e1)(m2 + t·e2) = m1·m2 + t·(…)` needs no rescaling, so the
 //! whole multiply — tensor, gadget decomposition, relinearization —
-//! runs in `Z_q` end to end and decrypts with a centered `mod t`.
-//! (The earlier MSB/`Δ·m` encoding cannot do this: `Δ² > q`, so a
-//! BFV-exact multiply needs the `t/q` rounding of an un-reduced tensor,
-//! which a single-modulus pipeline never materializes.)
-//!
-//! Supported homomorphic operations: addition, subtraction, plaintext
-//! multiplication, ciphertext×ciphertext multiplication with
-//! gadget-decomposed relinearization ([`RlweContext::mul`] /
-//! [`RelinKey`]), and Galois rotation ([`RlweContext::apply_galois`] /
-//! [`GaloisKey`]). Every polynomial product runs through the NTT —
-//! exactly the dataflow the RPU accelerates — and every operation here
-//! is the bit-exact host reference for the on-device `RlweEvaluator`.
+//! runs in `Z_q` end to end and decrypts with a centered `mod t`. So
+//! `q` need not be `≡ 1 (mod t)`: decoding corrects a negative phase by
+//! `q mod t`.
 //!
 //! This is a pedagogical implementation for driving realistic RLWE
 //! traffic through the stack; it makes no constant-time or
 //! parameter-security claims.
 
-pub use crate::scheme::KeySwitchKey;
-use crate::scheme::{self, Pair};
-use crate::{Ntt128Plan, NttError, Polynomial};
-use std::slice::from_ref;
-use std::sync::Arc;
+pub use crate::leveled::LeveledContext;
+pub use crate::scheme::{Ciphertext, GaloisKey, KeySwitchKey, SecretKey};
+use crate::{NttError, Polynomial};
+use rpu_arith::ModulusChain;
 
 /// Parameters of the toy scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,119 +47,9 @@ pub struct RlweParams {
     pub t: u128,
 }
 
-/// A secret key: a ternary polynomial in NTT (evaluation) form.
-#[derive(Debug, Clone)]
-pub struct SecretKey {
-    s: Polynomial,
-}
-
-impl SecretKey {
-    /// The secret polynomial's natural-order coefficients (converted
-    /// back out of evaluation form) — what an accelerator runtime
-    /// uploads before transforming the key on-device.
-    pub fn s_coeffs(&self) -> Vec<u128> {
-        self.s.coeffs()
-    }
-}
-
-/// A symmetric RLWE ciphertext `(a, b)`.
-#[derive(Debug, Clone)]
-pub struct Ciphertext {
-    a: Polynomial,
-    b: Polynomial,
-}
-
-impl Ciphertext {
-    /// The mask component `a`.
-    pub fn a(&self) -> &Polynomial {
-        &self.a
-    }
-
-    /// The payload component `b = a·s + t·e + m`.
-    pub fn b(&self) -> &Polynomial {
-        &self.b
-    }
-
-    /// Both components as one-tower ring elements.
-    fn towers(&self) -> (&[Polynomial], &[Polynomial]) {
-        (from_ref(&self.a), from_ref(&self.b))
-    }
-
-    /// A one-tower pair of the tower-generic scheme as a ciphertext.
-    fn from_towers((a, b): Pair<Polynomial>) -> Self {
-        Ciphertext {
-            a: only(a),
-            b: only(b),
-        }
-    }
-
-    /// Rebuilds a ciphertext from natural-order coefficient vectors
-    /// (e.g. downloaded from an accelerator); both components are
-    /// converted to the evaluation form ciphertexts are stored in.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::InvalidDegree`] if either length does not
-    /// match the context's ring degree.
-    pub fn from_coeff_parts(
-        ctx: &RlweContext,
-        a: Vec<u128>,
-        b: Vec<u128>,
-    ) -> Result<Self, NttError> {
-        Ok(Ciphertext {
-            a: scheme::lift(&ctx.plan, a)?,
-            b: scheme::lift(&ctx.plan, b)?,
-        })
-    }
-}
-
-/// Unwraps the one tower of a result of the tower-generic scheme.
-fn only<T>(towers: Vec<T>) -> T {
-    towers.into_iter().next().expect("one tower")
-}
-
-/// The encryption/decryption context.
-#[derive(Debug)]
-pub struct RlweContext {
-    params: RlweParams,
-    plan: Arc<Ntt128Plan>,
-}
-
-/// A relinearization key: switches the `s²` component of a degree-2
-/// tensor ciphertext back to degree 1.
-#[derive(Debug, Clone)]
-pub struct RelinKey {
-    ksk: KeySwitchKey,
-}
-
-impl RelinKey {
-    /// The underlying key-switch key.
-    pub fn key_switch_key(&self) -> &KeySwitchKey {
-        &self.ksk
-    }
-}
-
-/// A Galois key for the automorphism `x → x^g`: switches `σ_g(s)` back
-/// to `s`. The key material encrypts `−B^j·σ_g(s)` — the negation folds
-/// the rotation key switch into the same accumulate-add dataflow as
-/// relinearization (one fused kernel shape serves both).
-#[derive(Debug, Clone)]
-pub struct GaloisKey {
-    g: usize,
-    ksk: KeySwitchKey,
-}
-
-impl GaloisKey {
-    /// The Galois element this key switches from.
-    pub fn galois_element(&self) -> usize {
-        self.g
-    }
-
-    /// The underlying key-switch key.
-    pub fn key_switch_key(&self) -> &KeySwitchKey {
-        &self.ksk
-    }
-}
+/// The single-modulus context: the one host context over a one-prime
+/// chain.
+pub type RlweContext = LeveledContext;
 
 /// A tiny deterministic PRNG (splitmix64) so tests and examples are
 /// reproducible without external dependencies.
@@ -200,243 +84,24 @@ impl Splitmix {
     }
 }
 
-impl RlweContext {
-    /// Builds a context.
+impl LeveledContext {
+    /// Builds a single-modulus context: the one-prime chain `[q]` with
+    /// plaintext modulus `t`.
     ///
     /// # Errors
     ///
     /// Returns [`NttError`] if `q` does not admit a degree-`n` negacyclic
-    /// NTT, or if `t >= q` (no room for noise).
+    /// NTT, and [`NttError::InvalidModulus`] if `q` is not prime or
+    /// `t` is not in `[2, q)` (no room for noise).
     pub fn new(params: RlweParams) -> Result<Self, NttError> {
-        if params.t >= params.q || params.t < 2 {
+        let RlweParams { n, q, t } = params;
+        if t >= q || t < 2 {
             return Err(NttError::InvalidModulus);
         }
-        let plan = Polynomial::context(params.n, params.q)?;
-        Ok(RlweContext { params, plan })
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> RlweParams {
-        self.params
-    }
-
-    /// The shared ring context (NTT plan) ciphertext polynomials use.
-    pub fn plan(&self) -> &Arc<Ntt128Plan> {
-        &self.plan
-    }
-
-    /// The context as the one-tower ring of the tower-generic scheme.
-    fn ring(&self) -> &[Arc<Ntt128Plan>] {
-        from_ref(&self.plan)
-    }
-
-    /// The randomness front half of [`encrypt`](RlweContext::encrypt):
-    /// samples the uniform mask `a` and the payload `m + t·e`, both as
-    /// natural-order coefficient vectors — `n` mask draws, then `n`
-    /// error draws. Exposed so an accelerator runtime can draw the
-    /// *same* randomness stream as the host path and finish
-    /// `b = a·s + payload` on-device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `message.len() != n`.
-    pub fn sample_mask_and_payload(
-        &self,
-        message: &[u128],
-        rng: &mut Splitmix,
-    ) -> (Vec<u128>, Vec<u128>) {
-        let (masks, payloads) =
-            scheme::sample_mask_and_payload(self.ring(), self.params.t, message, rng);
-        (only(masks), only(payloads))
-    }
-
-    /// Samples a ternary secret key.
-    pub fn keygen(&self, rng: &mut Splitmix) -> SecretKey {
-        SecretKey {
-            s: only(scheme::keygen(self.ring(), rng)),
-        }
-    }
-
-    /// Encrypts a plaintext vector (coefficients mod `t`) as
-    /// `(a, b = a·s + t·e + m)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `message.len() != n`.
-    pub fn encrypt(&self, sk: &SecretKey, message: &[u128], rng: &mut Splitmix) -> Ciphertext {
-        let t = self.params.t;
-        Ciphertext::from_towers(scheme::encrypt(
-            self.ring(),
-            t,
-            from_ref(&sk.s),
-            message,
-            rng,
-        ))
-    }
-
-    /// Decodes a noisy phase polynomial `m + t·e (mod q)` to plaintext
-    /// residues: each coefficient is centered into `(-q/2, q/2]` and
-    /// reduced mod `t` — exact as long as the accumulated noise stays
-    /// below `q/2`. Shared by [`decrypt`](RlweContext::decrypt) and by
-    /// accelerator runtimes that download the noisy vector and finish
-    /// decoding host-side.
-    pub fn decode_noisy(&self, noisy: &[u128]) -> Vec<u128> {
-        let (q, t) = (self.params.q, self.params.t);
-        noisy
-            .iter()
-            .map(|&c| {
-                if c > q / 2 {
-                    // c represents the negative value c - q, and
-                    // (c - q) mod t = (c mod t) - (q mod t) mod t
-                    ((c % t) + (t - q % t) % t) % t
-                } else {
-                    c % t
-                }
-            })
-            .collect()
-    }
-
-    /// Decrypts a ciphertext back to coefficients mod `t`.
-    pub fn decrypt(&self, sk: &SecretKey, ct: &Ciphertext) -> Vec<u128> {
-        // phase = b - a*s = m + t*e, then centered mod t
-        let (a, b) = ct.towers();
-        self.decode_noisy(&only(scheme::phase(from_ref(&sk.s), a, b)))
-    }
-
-    /// Homomorphic addition.
-    pub fn add(&self, x: &Ciphertext, y: &Ciphertext) -> Ciphertext {
-        Ciphertext {
-            a: x.a.add(&y.a),
-            b: x.b.add(&y.b),
-        }
-    }
-
-    /// Homomorphic subtraction.
-    pub fn sub(&self, x: &Ciphertext, y: &Ciphertext) -> Ciphertext {
-        Ciphertext {
-            a: x.a.sub(&y.a),
-            b: x.b.sub(&y.b),
-        }
-    }
-
-    /// Multiplication by a *plaintext* polynomial with small coefficients
-    /// (noise grows with the plaintext's size; keep entries tiny).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `plain.len() != n`.
-    pub fn mul_plain(&self, x: &Ciphertext, plain: &[u128]) -> Ciphertext {
-        assert_eq!(plain.len(), self.params.n, "plaintext length must equal n");
-        let p = scheme::lift(&self.plan, plain.to_vec()).expect("length matches");
-        Ciphertext {
-            a: x.a.mul(&p),
-            b: x.b.mul(&p),
-        }
-    }
-
-    /// Generates a key-switch key for target `M` (evaluation form):
-    /// `ℓ` pairs `(a_j, b_j = a_j·s + t·e_j + B^j·M)`. The randomness
-    /// order is fixed — per digit, `n` mask draws then `n` error draws —
-    /// so an accelerator runtime replaying the same stream produces
-    /// bit-identical key material.
-    fn keyswitch_keygen(
-        &self,
-        sk: &SecretKey,
-        target: &Polynomial,
-        rng: &mut Splitmix,
-        base_log: u32,
-    ) -> KeySwitchKey {
-        let (s, target) = (from_ref(&sk.s), from_ref(target));
-        scheme::keyswitch_keygen(self.ring(), self.params.t, s, target, rng, base_log)
-    }
-
-    /// Generates a relinearization key: a key-switch key for `s²`, the
-    /// degree-2 component a tensor ciphertext leaves behind.
-    pub fn relin_keygen(&self, sk: &SecretKey, rng: &mut Splitmix, base_log: u32) -> RelinKey {
-        let s2 = sk.s.mul(&sk.s);
-        RelinKey {
-            ksk: self.keyswitch_keygen(sk, &s2, rng, base_log),
-        }
-    }
-
-    /// Generates a Galois key for the automorphism `x → x^g`: a
-    /// key-switch key for `−σ_g(s)` (negated so rotation uses the same
-    /// accumulate-add key-switch as relinearization).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::InvalidGaloisElement`] for even `g`.
-    pub fn galois_keygen(
-        &self,
-        sk: &SecretKey,
-        g: usize,
-        rng: &mut Splitmix,
-        base_log: u32,
-    ) -> Result<GaloisKey, NttError> {
-        let sigma_s = sk.s.automorphism(g)?;
-        let neg = sigma_s.scale(self.params.q - 1);
-        Ok(GaloisKey {
-            g: g % (2 * self.params.n),
-            ksk: self.keyswitch_keygen(sk, &neg, rng, base_log),
-        })
-    }
-
-    /// The Galois element realizing a rotation by `steps`
-    /// ([`crate::galois_element`]: `5^steps mod 2n`).
-    pub fn galois_element(&self, steps: usize) -> usize {
-        crate::galois_element(self.params.n, steps)
-    }
-
-    /// The gadget-decomposed key-switch inner product: decomposes
-    /// `src_coeffs` into digits and returns
-    /// `(Σ_j d̂_j·â_j, Σ_j d̂_j·b̂_j)` in evaluation form — the pair the
-    /// caller folds into its base ciphertext. This is the exact dataflow
-    /// the RPU runs as, per digit, one NTT dispatch and two
-    /// multiply-accumulate dispatches on its output.
-    pub fn key_switch(&self, src_coeffs: &[u128], ksk: &KeySwitchKey) -> (Polynomial, Polynomial) {
-        let (a, b) = scheme::key_switch(self.ring(), &[src_coeffs], ksk);
-        (only(a), only(b))
-    }
-
-    /// Ciphertext×ciphertext multiplication: tensor to the degree-2
-    /// ciphertext `(c0, c1, c2) = (b1·b2, a1·b2 + b1·a2, a1·a2)` whose
-    /// phase is `c0 − c1·s + c2·s²`, then relinearize the `s²` component
-    /// back to degree 1 with the gadget-decomposed key switch. Exact in
-    /// `Z_q`; decrypts to `m1·m2 mod (x^n + 1, t)` while the accumulated
-    /// noise stays below `q/2`.
-    pub fn mul(&self, rk: &RelinKey, x: &Ciphertext, y: &Ciphertext) -> Ciphertext {
-        Ciphertext::from_towers(scheme::mul(self.ring(), &rk.ksk, x.towers(), y.towers()))
-    }
-
-    /// Applies the Galois automorphism `x → x^g` homomorphically:
-    /// permutes both components (an encryption of `σ_g(m)` under
-    /// `σ_g(s)`), then key-switches back to `s` using the digits of the
-    /// permuted mask. Decrypts to `σ_g(m) mod t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::InvalidGaloisElement`] if `gk`'s element and
-    /// the requested automorphism cannot be applied (even `g`).
-    pub fn apply_galois(&self, gk: &GaloisKey, ct: &Ciphertext) -> Result<Ciphertext, NttError> {
-        let sigma_a = ct.a.automorphism(gk.g)?;
-        let sigma_b = ct.b.automorphism(gk.g)?;
-        let (ka, kb) = self.key_switch(&sigma_a.coeffs(), &gk.ksk);
-        Ok(Ciphertext {
-            a: ka,
-            b: sigma_b.add(&kb),
-        })
-    }
-
-    /// The expected plaintext of a rotation: `σ_g(m) mod (x^n + 1, t)`
-    /// — the reference tests compare decrypted rotations against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::InvalidGaloisElement`] for even `g`.
-    pub fn rotate_plaintext(&self, message: &[u128], g: usize) -> Result<Vec<u128>, NttError> {
-        let t = self.params.t;
-        let reduced: Vec<u128> = message.iter().map(|&v| v % t).collect();
-        crate::apply_automorphism(&reduced, g, t)
+        let plan = Polynomial::context(n, q)?;
+        let chain = ModulusChain::new(vec![q], t).map_err(|_| NttError::InvalidModulus)?;
+        let plans = vec![plan];
+        Ok(LeveledContext { n, chain, plans })
     }
 }
 
@@ -475,7 +140,11 @@ mod tests {
         let msg = vec![5u128; 32];
         let ct1 = c.encrypt(&sk, &msg, &mut rng);
         let ct2 = c.encrypt(&sk, &msg, &mut rng);
-        assert_ne!(ct1.a.coeffs(), ct2.a.coeffs(), "fresh randomness per ct");
+        assert_ne!(
+            ct1.a().coeffs(),
+            ct2.a().coeffs(),
+            "fresh randomness per ct"
+        );
         assert_eq!(c.decrypt(&sk, &ct1), c.decrypt(&sk, &ct2));
     }
 
@@ -540,12 +209,12 @@ mod tests {
         let _ = c.keygen(&mut rng2); // advance identically
         let msg: Vec<u128> = (0..64).map(|i| i * 3 % 65537).collect();
         let ct = c.encrypt(&sk, &msg, &mut rng1);
-        let (a_coeffs, payload) = c.sample_mask_and_payload(&msg, &mut rng2);
-        let mut a = Polynomial::from_coeffs(c.plan(), a_coeffs).unwrap();
-        let mut p = Polynomial::from_coeffs(c.plan(), payload).unwrap();
+        let (mut a_coeffs, mut payload) = c.sample_mask_and_payload(&msg, &mut rng2);
+        let mut a = Polynomial::from_coeffs(c.plan(0), a_coeffs.remove(0)).unwrap();
+        let mut p = Polynomial::from_coeffs(c.plan(0), payload.remove(0)).unwrap();
         a.to_evaluation();
         p.to_evaluation();
-        let b = a.mul(&sk.s).add(&p);
+        let b = a.mul(&sk.towers()[0]).add(&p);
         assert_eq!(ct.a().values(), a.values());
         assert_eq!(ct.b().values(), b.values());
     }
@@ -557,10 +226,13 @@ mod tests {
         let sk = c.keygen(&mut rng);
         let msg: Vec<u128> = (0..32).map(|i| i * 7 % 65537).collect();
         let ct = c.encrypt(&sk, &msg, &mut rng);
-        let rebuilt = Ciphertext::from_coeff_parts(&c, ct.a().coeffs(), ct.b().coeffs()).unwrap();
+        let parts = |a: Vec<u128>, b: Vec<u128>| {
+            Ciphertext::from_coeff_towers(&c, vec![a], vec![b], ct.noise())
+        };
+        let rebuilt = parts(ct.a().coeffs(), ct.b().coeffs()).unwrap();
         assert_eq!(rebuilt.a().values(), ct.a().values());
         assert_eq!(c.decrypt(&sk, &rebuilt), msg);
-        assert!(Ciphertext::from_coeff_parts(&c, vec![0; 31], vec![0; 32]).is_err());
+        assert!(parts(vec![0; 31], vec![0; 32]).is_err());
     }
 
     #[test]
@@ -652,9 +324,9 @@ mod tests {
         let c = ctx(32);
         let mut rng = Splitmix::new(1);
         let sk = c.keygen(&mut rng);
-        let q_bits = 128 - c.params().q.leading_zeros();
+        let q_bits = 128 - c.chain().prime(0).leading_zeros();
         let rk = c.relin_keygen(&sk, &mut rng, 16);
-        let ksk = rk.key_switch_key();
+        let ksk = &rk;
         assert_eq!(ksk.base_log(), 16);
         assert_eq!(ksk.levels() as u32, q_bits.div_ceil(16));
         // one source tower, one coefficient pair per digit in its only share

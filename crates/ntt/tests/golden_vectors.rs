@@ -205,7 +205,7 @@ fn scheme_vector_of_a_fixed_seed() {
     let ctx = RlweContext::new(RlweParams { n: N, q, t: T }).expect("valid parameters");
     let mut rng = Splitmix::new(SEED);
     let sk = ctx.keygen(&mut rng);
-    let mut s = Polynomial::from_coeffs(ctx.plan(), sk.s_coeffs()).expect("length matches");
+    let mut s = Polynomial::from_coeffs(ctx.plan(0), sk.s_coeffs(0)).expect("length matches");
     s.to_evaluation();
     let ct = ctx.encrypt(&sk, &message, &mut rng);
     assert_eq!(

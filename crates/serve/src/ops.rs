@@ -15,7 +15,7 @@
 
 use rpu::evaluator::{GaloisKey, Ops, Towers};
 use rpu::recipes::Temps;
-use rpu::{DeviceCiphertext, DeviceKeySwitchKey, RpuError};
+use rpu::{DeviceKeySwitchKey, RpuError};
 
 /// Encrypted dot product over the first `len` slots: multiply the
 /// operands (with relinearization), then — given the 1-step rotation's
@@ -28,12 +28,12 @@ pub(crate) fn dot(
     mut ops: Ops<'_, '_>,
     relin: &DeviceKeySwitchKey,
     rot: Option<&GaloisKey>,
-    x: DeviceCiphertext,
-    y: DeviceCiphertext,
+    x: &Towers,
+    y: &Towers,
     len: usize,
-) -> Result<DeviceCiphertext, RpuError> {
-    let p = ops.mul(relin, &x.into(), &y.into())?;
-    let Some(gk) = rot else { return Ok(p.into()) };
+) -> Result<Towers, RpuError> {
+    let p = ops.mul(relin, x, y)?;
+    let Some(gk) = rot else { return Ok(p) };
     let mut t = Temps::default();
     let mut hold = |ct: Towers| {
         t.hold_all(ct.concat());
@@ -47,5 +47,5 @@ pub(crate) fn dot(
         }
         Ok(acc)
     })();
-    ops.settle(t, acc).map(Into::into)
+    ops.settle(t, acc)
 }

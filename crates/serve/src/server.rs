@@ -38,8 +38,8 @@ use rpu::evaluator::{GaloisKey, Ops, Towers};
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
 use rpu::recipes::{self, LaneKernels, Temps};
 use rpu::{
-    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceCiphertext,
-    DeviceKeySwitchKey, Rpu, RpuError, RpuSession,
+    AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceKeySwitchKey, Rpu,
+    RpuError, RpuSession,
 };
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -370,8 +370,8 @@ impl JobTicket {
 #[derive(Debug)]
 enum WorkItem {
     Encrypt {
-        a_coeffs: Vec<u128>,
-        payload: Vec<u128>,
+        masks: Vec<Vec<u128>>,
+        payloads: Vec<Vec<u128>>,
     },
     Mul {
         x: u64,
@@ -465,7 +465,7 @@ struct TenantState {
     rng: Splitmix,
     rotations: Vec<usize>,
     keys: Option<TenantKeys>,
-    cts: HashMap<u64, DeviceCiphertext>,
+    cts: HashMap<u64, Towers>,
     next_ct: u64,
     completed: u64,
     rejected: u64,
@@ -496,11 +496,11 @@ impl TenantState {
         ServeError::UnknownCiphertext(CtHandle { tenant, id })
     }
 
-    fn ct(&self, id: u64) -> Result<DeviceCiphertext, ServeError> {
-        self.cts.get(&id).copied().ok_or(self.unknown_ct(id))
+    fn ct(&self, id: u64) -> Result<Towers, ServeError> {
+        self.cts.get(&id).cloned().ok_or(self.unknown_ct(id))
     }
 
-    fn take_ct(&mut self, id: u64) -> Result<DeviceCiphertext, ServeError> {
+    fn take_ct(&mut self, id: u64) -> Result<Towers, ServeError> {
         self.cts.remove(&id).ok_or(self.unknown_ct(id))
     }
 
@@ -508,7 +508,7 @@ impl TenantState {
     /// resident ciphertexts — for release on its home lane.
     fn take_buffers(&mut self) -> Vec<DeviceBuffer> {
         let keys = self.keys.take().map_or_else(Vec::new, |k| k.handles());
-        let cts = self.cts.drain().flat_map(|(_, ct)| [ct.a, ct.b]);
+        let cts = self.cts.drain().flat_map(|(_, ct)| ct.concat());
         keys.into_iter().chain(cts).collect()
     }
 
@@ -561,7 +561,7 @@ enum Turn {
 /// [`ServerState::complete`] turns it into a [`JobOutput`].
 #[derive(Debug)]
 enum RawOut {
-    Ct(DeviceCiphertext),
+    Ct(Towers),
     Plain(Vec<u128>),
     Freed,
 }
@@ -658,7 +658,7 @@ impl ServerState {
         request: JobRequest,
     ) -> Result<(usize, JobTicket), ServeError> {
         self.open()?;
-        let n = ctx.params().n;
+        let n = ctx.n();
         let home = self.tenant(tenant)?.home;
         let clock = self.lane_vclock[home];
         let t = &mut self.tenants[tenant.index()];
@@ -683,8 +683,8 @@ impl ServerState {
                     )));
                 }
                 t.keys()?;
-                let (a_coeffs, payload) = ctx.sample_mask_and_payload(&message, &mut t.rng);
-                WorkItem::Encrypt { a_coeffs, payload }
+                let (masks, payloads) = ctx.sample_mask_and_payload(&message, &mut t.rng);
+                WorkItem::Encrypt { masks, payloads }
             }
             JobRequest::Mul { x, y } => WorkItem::Mul {
                 x: own(x)?,
@@ -949,7 +949,7 @@ impl ServerHandle {
 
     /// The ring parameters every tenant on this server shares.
     pub fn params(&self) -> RlweParams {
-        self.core.ctx.params()
+        self.core.config.params
     }
 
     /// Blocks until every submitted job has resolved and no lane is
@@ -1075,13 +1075,9 @@ fn exec_work(
     };
     let mut ops = Ops::single(w, k);
     match work {
-        WorkItem::Encrypt { a_coeffs, payload } => {
+        WorkItem::Encrypt { masks, payloads } => {
             let sk = core.lock().tenant(tenant)?.keys()?.sk.clone();
-            let (masks, payloads) = (
-                std::slice::from_ref(a_coeffs),
-                std::slice::from_ref(payload),
-            );
-            Ok(RawOut::Ct(ops.encrypt(&sk, masks, payloads)?.into()))
+            Ok(RawOut::Ct(ops.encrypt(&sk, masks, payloads)?))
         }
         WorkItem::Mul { x, y } => {
             let (relin, cx, cy) = {
@@ -1089,7 +1085,7 @@ fn exec_work(
                 let t = st.tenant(tenant)?;
                 (t.keys()?.relin.clone(), t.ct(*x)?, t.ct(*y)?)
             };
-            Ok(RawOut::Ct(ops.mul(&relin, &cx.into(), &cy.into())?.into()))
+            Ok(RawOut::Ct(ops.mul(&relin, &cx, &cy)?))
         }
         WorkItem::Rotate { ct, g } => {
             let (gk, c) = {
@@ -1097,7 +1093,7 @@ fn exec_work(
                 let t = st.tenant(tenant)?;
                 (galois(t, *g)?, t.ct(*ct)?)
             };
-            Ok(RawOut::Ct(ops.apply_galois(&gk, &c.into())?.into()))
+            Ok(RawOut::Ct(ops.apply_galois(&gk, &c)?))
         }
         WorkItem::Dot { x, y, len, g } => {
             let (relin, rot, cx, cy) = {
@@ -1110,7 +1106,7 @@ fn exec_work(
                     t.ct(*y)?,
                 )
             };
-            let out = ops::dot(ops, &relin, rot.as_ref(), cx, cy, *len)?;
+            let out = ops::dot(ops, &relin, rot.as_ref(), &cx, &cy, *len)?;
             Ok(RawOut::Ct(out))
         }
         WorkItem::Decrypt { ct } => {
@@ -1119,12 +1115,12 @@ fn exec_work(
                 let t = st.tenant(tenant)?;
                 (t.keys()?.sk.clone(), t.ct(*ct)?)
             };
-            let noisy = ops.phase(&sk, &c.into())?;
-            Ok(RawOut::Plain(core.ctx.decode_noisy(&noisy[0])))
+            let noisy = ops.phase(&sk, &c)?;
+            Ok(RawOut::Plain(core.ctx.decode_phase_towers(&noisy)))
         }
         WorkItem::Free { ct } => {
             let c = core.lock().tenant_mut(tenant)?.take_ct(*ct)?;
-            ops.free(c.into())?;
+            ops.free(c)?;
             Ok(RawOut::Freed)
         }
     }
@@ -1172,26 +1168,26 @@ fn run_keygen(
             gks.push((steps, gk));
         }
         // Old-key ciphertexts are meaningless now: reclaim them too.
-        (sk.s_coeffs(), rk, gks, t.take_buffers())
+        (sk.s_coeffs(0), rk, gks, t.take_buffers())
     };
     for buf in stale {
         let _ = w.free(buf);
     }
-    let params = core.ctx.params();
+    let params = core.config.params;
     let style = core.config.style;
     let mut ops = Ops::single(w, k);
     let mut t = Temps::default();
     let built = (|| {
         let sk = ops.upload_eval(&[sk_coeffs])?;
         t.hold_all(sk.concat());
-        let relin = ops.upload_key(relin_key.key_switch_key())?;
+        let relin = ops.upload_key(&relin_key)?;
         t.hold_all(relin.handles());
         let mut galois = HashMap::new();
         let mut steps_to_g = HashMap::new();
         for (steps, gk) in &galois_keys {
             let g = gk.galois_element();
             let spec = AutomorphismSpec::new(params.n, params.q, g, style);
-            let dev = ops.galois_key(&spec, gk.key_switch_key())?;
+            let dev = ops.galois_key(&[spec], gk.key_switch_key())?;
             t.hold_all(dev.key.handles());
             galois.insert(g, dev);
             steps_to_g.insert(*steps, g);
@@ -1302,10 +1298,14 @@ mod tests {
 
     use super::*;
 
-    fn ring() -> RlweContext {
+    fn params() -> RlweParams {
         let n = 16;
         let q = rpu::PrimeTable::new().ntt_prime(n).expect("prime exists");
-        RlweContext::new(RlweParams { n, q, t: 257 }).expect("valid parameters")
+        RlweParams { n, q, t: 257 }
+    }
+
+    fn ring() -> RlweContext {
+        RlweContext::new(params()).expect("valid parameters")
     }
 
     #[test]
@@ -1349,7 +1349,7 @@ mod tests {
     #[test]
     fn a_lane_that_cannot_compile_fails_serve_without_hanging() {
         let rpu = Rpu::builder().lanes(2).build().expect("default device");
-        let config = ServeConfig::new(ring().params());
+        let config = ServeConfig::new(params());
         let served = serve(&rpu, config, |_| panic!("no lane compiled"));
         assert!(matches!(served, Err(ServeError::Rpu(_))), "{served:?}");
     }

@@ -37,7 +37,7 @@ fn synced<'a>(
     RlweEvaluator<'a>,
     RlweContext,
     rpu::ntt::rlwe::SecretKey,
-    rpu::ntt::rlwe::RelinKey,
+    rpu::ntt::rlwe::KeySwitchKey,
     Vec<rpu::ntt::rlwe::GaloisKey>,
     Splitmix,
     Splitmix,

@@ -14,9 +14,10 @@
 use proptest::prelude::*;
 use rpu::ntt::rlwe::Splitmix;
 use rpu::ntt::testutil::schoolbook_negacyclic;
+use rpu::ntt::Ciphertext;
 use rpu::{
-    CodegenStyle, DeviceLeveledCiphertext, LeveledCiphertext, LeveledContext, LeveledEvaluator,
-    Rpu, RpuError,
+    CodegenStyle, DeviceLeveledCiphertext, LeveledContext, LeveledError, LeveledEvaluator, Rpu,
+    RpuError,
 };
 
 const T: u128 = 65537;
@@ -36,7 +37,7 @@ fn message(n: usize, seed: u128) -> Vec<u128> {
 fn assert_same_ring_elements(
     eval: &mut LeveledEvaluator<'_>,
     dev: &DeviceLeveledCiphertext,
-    host: &LeveledCiphertext,
+    host: &Ciphertext,
     what: &str,
 ) {
     assert_eq!(dev.level(), host.level(), "{what}: level");
@@ -85,7 +86,7 @@ fn depth_3_chain_is_bit_exact(lanes: usize) {
         .iter()
         .map(|m| eval.encrypt(m, &mut dev_rng).unwrap())
         .collect();
-    let host_cts: Vec<LeveledCiphertext> = msgs
+    let host_cts: Vec<Ciphertext> = msgs
         .iter()
         .map(|m| host.encrypt(&host_sk, m, &mut host_rng))
         .collect();
@@ -237,6 +238,101 @@ fn failed_rekey_leaves_no_half_key_behind() {
     let msg = message(n, 3);
     let ct = eval.encrypt(&msg, &mut rng).unwrap();
     assert_eq!(eval.decrypt(&ct).unwrap(), msg);
+}
+
+/// Rotation on a depth-3 chain, before and after a rescale: the device
+/// permutes every live tower and key-switches over all of them, and the
+/// result equals the host oracle's ring elements and noise bound at
+/// every step.
+fn leveled_rotation_is_bit_exact(lanes: usize) {
+    let n = rpu::smoke_cap(1024);
+    let rpu = Rpu::builder().lanes(lanes).build().unwrap();
+    let ctx = LeveledContext::generate(n, T, BITS, 4).unwrap();
+    let host = LeveledContext::generate(n, T, BITS, 4).unwrap();
+    let mut eval = LeveledEvaluator::new(&rpu, ctx, CodegenStyle::Optimized).unwrap();
+    eval.set_key_base_log(BASE_LOG).unwrap();
+    let (mut dev_rng, mut host_rng) = (Splitmix::new(0x207A7E), Splitmix::new(0x207A7E));
+    eval.keygen(&mut dev_rng).unwrap();
+    let host_sk = host.keygen(&mut host_rng);
+    let g = eval.rotation_keygen(1, &mut dev_rng).unwrap();
+    let host_gk = host
+        .galois_keygen(&host_sk, g, &mut host_rng, BASE_LOG)
+        .unwrap();
+    let m = message(n, 4);
+    let x = eval.encrypt(&m, &mut dev_rng).unwrap();
+    let hx = host.encrypt(&host_sk, &m, &mut host_rng);
+
+    let rotated = eval.rotate(&x, 1).unwrap();
+    let host_rotated = host.apply_galois(&host_gk, &hx).unwrap();
+    assert_same_ring_elements(&mut eval, &rotated, &host_rotated, "rotation at level 3");
+    let rescaled = eval.rescale(&rotated).unwrap();
+    let host_rescaled = host.rescale(&host_rotated).unwrap();
+    let again = eval.rotate(&rescaled, 1).unwrap();
+    let host_again = host.apply_galois(&host_gk, &host_rescaled).unwrap();
+    assert_same_ring_elements(&mut eval, &again, &host_again, "rotation at level 2");
+    assert_eq!(again.noise(), host_again.noise(), "one noise model");
+    assert!(eval.measure_noise(&again).unwrap() <= again.noise().bits());
+
+    let twice = host.rotate_plaintext(&host.rotate_plaintext(&m, g).unwrap(), g);
+    assert_eq!(eval.decrypt(&again).unwrap(), twice.unwrap(), "σ_g twice");
+    assert_eq!(
+        host.decrypt(&host_sk, &host_again),
+        eval.decrypt(&again).unwrap()
+    );
+    for ct in [x, rotated, rescaled, again] {
+        eval.free_ciphertext(ct).unwrap();
+    }
+}
+
+#[test]
+fn leveled_rotation_is_bit_exact_on_one_lane() {
+    leveled_rotation_is_bit_exact(1);
+}
+
+#[test]
+fn leveled_rotation_is_bit_exact_on_two_lanes() {
+    leveled_rotation_is_bit_exact(2);
+}
+
+/// A chain of single-modulus RLWE primes (`≡ 1 mod 2n`, `≢ 1 mod t`)
+/// builds, encrypts and decrypts on the device — decoding corrects the
+/// sign by `Q mod t` — but its rescale is refused with the host's typed
+/// error, before any dispatch.
+#[test]
+fn rescale_refuses_a_dropped_prime_not_congruent_to_one_mod_t() {
+    let n = rpu::smoke_cap(1024);
+    let candidates = rpu::arith::find_congruent_prime_chain(BITS, 2 * n as u128, 8);
+    let primes: Vec<u128> = candidates
+        .into_iter()
+        .filter(|&q| q % T != 1)
+        .take(2)
+        .collect();
+    let chain = rpu::arith::ModulusChain::new(primes.clone(), T).unwrap();
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let ctx = LeveledContext::from_chain(n, chain).unwrap();
+    let mut eval = LeveledEvaluator::new(&rpu, ctx, CodegenStyle::Optimized).unwrap();
+    let mut rng = Splitmix::new(0x2F2);
+    eval.keygen(&mut rng).unwrap();
+    let m = message(n, 6);
+    let ct = eval.encrypt(&m, &mut rng).unwrap();
+    assert_eq!(eval.decrypt(&ct).unwrap(), m);
+    let before = eval.dispatch_count();
+    let refused = rpu::arith::ChainError::NotCongruentToOneModT {
+        prime: primes[1],
+        t: T,
+    };
+    assert!(matches!(
+        eval.rescale(&ct),
+        Err(RpuError::Leveled(LeveledError::Chain(e))) if e == refused
+    ));
+    assert_eq!(eval.dispatch_count(), before, "refused before any dispatch");
+    let floor = eval.mod_drop(ct, 0).unwrap();
+    assert_eq!(
+        eval.decrypt(&floor).unwrap(),
+        m,
+        "mod-drop needs no congruence"
+    );
+    eval.free_ciphertext(floor).unwrap();
 }
 
 // ---------------------------------------------------------------------

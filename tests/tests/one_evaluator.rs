@@ -1,8 +1,8 @@
 //! The two device evaluators are one evaluator: on a one-prime chain,
 //! `LeveledEvaluator` and an `RlweEvaluator` over that chain's prime,
 //! driven from the same seed, hold the same secret key, encrypt to the
-//! same ring elements and multiply to the same product, word for word,
-//! at one lane and at two. The device twin of `rpu-ntt`'s
+//! same ring elements, multiply to the same product and rotate to the
+//! same rotation, word for word, at one lane and at two. The device twin of `rpu-ntt`'s
 //! `one_scheme.rs`, which pins the same agreement for the host oracles.
 //!
 //! On one lane the two faces' placements coincide, so their `mul` must
@@ -55,11 +55,13 @@ fn both_faces_agree(lanes: usize) {
     );
     assert_eq!(
         sk_l.s_coeffs(0),
-        sk_r.s_coeffs(),
+        sk_r.s_coeffs(0),
         "{lanes} lanes: secret key"
     );
     lv.relin_keygen(&mut rng_l).unwrap();
     rl.relin_keygen(&mut rng_r).unwrap();
+    lv.rotation_keygen(1, &mut rng_l).unwrap();
+    rl.rotation_keygen(1, &mut rng_r).unwrap();
 
     let (m1, m2) = (message(1), message(2));
     let (x_l, x_r) = (
@@ -79,10 +81,12 @@ fn both_faces_agree(lanes: usize) {
     if lanes == 1 {
         assert_eq!(mul_l, mul_r, "one lane: both faces' mul dispatch alike");
     }
+    let (rot_l, rot_r) = (lv.rotate(&x_l, 1).unwrap(), rl.rotate(&x_r, 1).unwrap());
     for (what, l, r) in [
         ("fresh x", &x_l, &x_r),
         ("fresh y", &y_l, &y_r),
         ("mul", &p_l, &p_r),
+        ("rotate", &rot_l, &rot_r),
     ] {
         let (l, r) = (
             lv.download_ciphertext(l).unwrap(),

@@ -8,11 +8,12 @@
 //! handles stale instead of dangling.
 
 use proptest::prelude::*;
-use rpu::ntt::rlwe::Splitmix;
+use rpu::ntt::rlwe::{RlweParams, Splitmix};
 use rpu::ntt::{automorphism_map, evaluation_map};
 use rpu::{
     AutomorphismSpec, CodegenStyle, DeviceLeveledCiphertext, ElementwiseOp, ElementwiseSpec,
-    EngineKind, LeveledContext, LeveledEvaluator, RingTraceSink, Rpu, RpuError, SnapshotError,
+    EngineKind, LeveledContext, LeveledEvaluator, RingTraceSink, RlweEvaluator, Rpu, RpuError,
+    SnapshotError,
 };
 use std::sync::Arc;
 
@@ -398,6 +399,42 @@ fn depth_3_chain_restores_mid_pipeline_on_two_lanes() {
 #[test]
 fn depth_3_chain_restores_mid_pipeline_on_four_lanes() {
     mid_pipeline_restore_matches(4, 3);
+}
+
+/// An `RlweEvaluator` snapshots its cluster like a leveled one: a
+/// restored state snapshots to the same bytes, work done after the
+/// snapshot (a rotation) is undone by the restore, and the handles held
+/// from snapshot time still decrypt and rotate.
+#[test]
+fn an_rlwe_evaluator_snapshot_restores_to_the_same_bytes() {
+    let n = rpu::smoke_cap(1024);
+    let rpu = Rpu::builder().lanes(2).build().unwrap();
+    let q = rpu.session().primes_for(n).unwrap();
+    let params = RlweParams { n, q, t: T };
+    let mut eval = RlweEvaluator::new(&rpu, params, CodegenStyle::Optimized).unwrap();
+    let mut rng = Splitmix::new(0x05A0_F71E);
+    eval.keygen(&mut rng).unwrap();
+    eval.relin_keygen(&mut rng).unwrap();
+    eval.rotation_keygen(1, &mut rng).unwrap();
+    let m = message(n, 2);
+    let x = eval.encrypt(&m, &mut rng).unwrap();
+    let product = eval.mul(&x, &x).unwrap();
+    let bytes = eval.snapshot();
+    eval.restore(&bytes).unwrap();
+    assert!(eval.snapshot() == bytes, "snapshot → restore → snapshot");
+
+    let rotated = eval.rotate(&product, 1).unwrap();
+    assert!(eval.snapshot() != bytes, "the rotation is device state");
+    eval.restore(&bytes).unwrap();
+    assert!(matches!(eval.decrypt(&rotated), Err(RpuError::Buffer(_))));
+    assert_eq!(eval.decrypt(&x).unwrap(), m, "snapshot-time handles live");
+    let again = eval.rotate(&product, 1).unwrap();
+    let (plain, g) = (
+        eval.decrypt(&product).unwrap(),
+        eval.context().galois_element(1),
+    );
+    let expect = eval.context().rotate_plaintext(&plain, g).unwrap();
+    assert_eq!(eval.decrypt(&again).unwrap(), expect);
 }
 
 // ---------------------------------------------------------------------
