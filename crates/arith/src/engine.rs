@@ -23,8 +23,9 @@
 //! against, computes every modulus with [`Modulus128`] and never selects
 //! an engine, so the differential and `isa_fuzz` suites compare the
 //! narrow engine with an independent arithmetic. Host-side code that
-//! knows its width (NTT plans, golden models) calls [`Modulus64`] /
-//! [`Modulus128`] directly.
+//! knows its width (golden models, the NTT plan at a chosen width)
+//! calls [`Modulus64`] / [`Modulus128`] directly or through
+//! [`ModArith`](crate::ModArith).
 
 use crate::mod128::Modulus128;
 use crate::mod64::Modulus64;
@@ -153,6 +154,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::primes::{find_ntt_prime_u128, find_ntt_prime_u64};
+    use crate::ModArith;
 
     /// 60-bit NTT prime: 2^60 - 2^14 + 1.
     const Q60: u64 = 1152921504606830593;

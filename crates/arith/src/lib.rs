@@ -10,6 +10,10 @@
 //!   CPU-64b baseline of Fig. 10).
 //! * [`Modulus128`] — Barrett/Shoup arithmetic for up-to-127-bit moduli
 //!   (the RPU's native 128-bit datapath).
+//! * [`ModArith`] and [`Lane`] — one modular word: both moduli implement
+//!   `ModArith` over their own [`Lane`] word (`u64`, `u128`), so every
+//!   algorithm that differs only by width — the host NTT plan, `pow`,
+//!   `inv`, Miller–Rabin, the simulator's fast path — is written once.
 //! * NTT-friendly prime generation ([`find_ntt_prime_u128`]) and roots of
 //!   unity ([`primitive_root_of_unity`]) for twiddle tables.
 //! * [`RnsBasis`] — the Residue Number System decomposition of
@@ -20,7 +24,7 @@
 //! Find a 126-bit NTT prime for a 64K ring and build its negacyclic root:
 //!
 //! ```
-//! use rpu_arith::{find_ntt_prime_u128, Modulus128, primitive_root_of_unity};
+//! use rpu_arith::{find_ntt_prime_u128, ModArith, Modulus128, primitive_root_of_unity};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let n = 1u128 << 16; // ring degree 65536
@@ -41,6 +45,7 @@ mod engine;
 mod gadget;
 mod mod128;
 mod mod64;
+mod modarith;
 mod primes;
 mod rns;
 mod roots;
@@ -52,6 +57,7 @@ pub use engine::{Engine, EngineKind};
 pub use gadget::{gadget_decompose, gadget_levels};
 pub use mod128::Modulus128;
 pub use mod64::Modulus64;
+pub use modarith::{Lane, ModArith};
 pub use primes::{
     find_congruent_prime_chain, find_ntt_prime_chain, find_ntt_prime_u128, find_ntt_prime_u64,
     is_prime_u128, is_prime_u64,

@@ -67,10 +67,10 @@
 //! or `a` reduced: the bound holds for every `u128` factor `a` and every
 //! modulus in range, and `2q < 2^128` keeps the remainder in one word.
 //!
-//! These two are the only products. The host NTT plans multiply their
+//! These two are the only products. The host NTT plan multiplies its
 //! twiddles through Shoup quotients, as the simulator's fast path does,
-//! and [`pow`](Modulus128::pow) is square-and-multiply over
-//! [`mul`](Modulus128::mul).
+//! and [`ModArith::pow`](crate::ModArith::pow), written once for both
+//! widths, is square-and-multiply over [`mul`](Modulus128::mul).
 
 use crate::U256;
 
@@ -218,36 +218,12 @@ impl Modulus128 {
         let r = w.wrapping_mul(a).wrapping_sub(q_hat.wrapping_mul(self.q));
         lift(r.wrapping_sub(self.q), self.q)
     }
-
-    /// Modular exponentiation by squaring.
-    pub fn pow(self, base: u128, mut exp: u128) -> u128 {
-        let mut base = self.reduce(base);
-        let mut acc = 1u128 % self.q;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = self.mul(acc, base);
-            }
-            base = self.mul(base, base);
-            exp >>= 1;
-        }
-        acc
-    }
-
-    /// Modular inverse via Fermat's little theorem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a ≡ 0 (mod q)`. The result is only a true inverse when
-    /// `q` is prime.
-    pub fn inv(self, a: u128) -> u128 {
-        assert!(self.reduce(a) != 0, "zero has no modular inverse");
-        self.pow(a, self.q - 2)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModArith;
 
     use std::sync::OnceLock;
 

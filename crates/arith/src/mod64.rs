@@ -184,31 +184,6 @@ impl Modulus64 {
         let r = (w.wrapping_mul(a)).wrapping_sub(quot.wrapping_mul(self.q));
         lift(r.wrapping_sub(self.q), self.q)
     }
-
-    /// Modular exponentiation by squaring.
-    pub fn pow(self, mut base: u64, mut exp: u64) -> u64 {
-        base = self.reduce(base);
-        let mut acc = 1u64 % self.q;
-        while exp > 0 {
-            if exp & 1 == 1 {
-                acc = self.mul(acc, base);
-            }
-            base = self.mul(base, base);
-            exp >>= 1;
-        }
-        acc
-    }
-
-    /// Modular inverse via Fermat's little theorem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a == 0`. The result is only a true inverse when `q` is
-    /// prime (which all NTT moduli in this workspace are).
-    pub fn inv(self, a: u64) -> u64 {
-        assert!(a != 0, "zero has no modular inverse");
-        self.pow(a, self.q - 2)
-    }
 }
 
 /// Returns the high 128 bits of the 256-bit product `a * b`.
@@ -220,6 +195,7 @@ fn mul_u128_hi(a: u128, b: u128) -> u128 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModArith;
 
     const Q: u64 = 0xFFFF_FFFF_0000_0001; // Goldilocks, too big (2^64-ish)
     const Q60: u64 = 1152921504606830593; // 60-bit NTT prime: 2^60 - 2^14 + 1

@@ -5,7 +5,7 @@
 //! finds such primes for both word-sized and large-word (up to 127-bit)
 //! targets, mirroring the parameter generation OpenFHE performs.
 
-use crate::{Modulus128, Modulus64};
+use crate::{Lane, ModArith, Modulus128, Modulus64};
 
 /// Deterministic Miller–Rabin witnesses that are sufficient for all
 /// 64-bit integers (Sinclair's 7-base set).
@@ -33,32 +33,11 @@ pub fn is_prime_u64(n: u64) -> bool {
             return false;
         }
     }
-    let m = match Modulus64::new(n) {
-        Some(m) => m,
+    match Modulus64::new(n) {
+        Some(m) => miller_rabin(m, &WITNESSES_64),
         // n >= 2^63: fall through to the 128-bit tester.
-        None => return is_prime_u128(n as u128),
-    };
-    let d = n - 1;
-    let s = d.trailing_zeros();
-    let d = d >> s;
-    'witness: for &a in &WITNESSES_64 {
-        let a = a % n;
-        if a == 0 {
-            continue;
-        }
-        let mut x = m.pow(a, d);
-        if x == 1 || x == n - 1 {
-            continue;
-        }
-        for _ in 1..s {
-            x = m.mul(x, x);
-            if x == n - 1 {
-                continue 'witness;
-            }
-        }
-        return false;
+        None => is_prime_u128(n as u128),
     }
-    true
 }
 
 /// Returns `true` if `n < 2^127` passes Miller–Rabin with the fixed
@@ -80,22 +59,28 @@ pub fn is_prime_u128(n: u128) -> bool {
             return false;
         }
     }
-    let m = Modulus128::new(n).expect("2 <= n < 2^127");
-    let d = n - 1;
-    let s = d.trailing_zeros();
-    let d = d >> s;
-    'witness: for &a in &WITNESSES_128 {
-        let a = a % n;
-        if a == 0 {
+    miller_rabin(Modulus128::new(n).expect("2 <= n < 2^127"), &WITNESSES_128)
+}
+
+/// Miller–Rabin on the odd modulus `m > 2` with each of `witnesses`:
+/// `false` as soon as one proves `m` composite.
+fn miller_rabin<M: ModArith>(m: M, witnesses: &[M::Word]) -> bool {
+    let n = m.value().widen();
+    let s = (n - 1).trailing_zeros();
+    let d = M::Word::narrow((n - 1) >> s);
+    let (one, minus_one) = (M::Word::narrow(1), M::Word::narrow(n - 1));
+    'witness: for &a in witnesses {
+        let a = m.canon(a);
+        if a == M::Word::default() {
             continue;
         }
         let mut x = m.pow(a, d);
-        if x == 1 || x == n - 1 {
+        if x == one || x == minus_one {
             continue;
         }
         for _ in 1..s {
             x = m.mul(x, x);
-            if x == n - 1 {
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -266,6 +251,16 @@ mod tests {
         // 2047 = 23 * 89 is a strong pseudoprime to base 2.
         assert!(!is_prime_u64(2047));
         assert!(!is_prime_u128(2047));
+    }
+
+    #[test]
+    fn strong_pseudoprimes_to_many_bases_rejected() {
+        // 3215031751 = 151 · 751 · 28351 passes bases 2, 3, 5 and 7;
+        // 3825123056546413051 passes every prime base up to 23.
+        for c in [3215031751u64, 3825123056546413051] {
+            assert!(!is_prime_u64(c), "{c} is composite");
+            assert!(!is_prime_u128(c.into()), "{c} is composite");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! how the twiddle tables consumed by both the reference NTT and the RPU
 //! programs are seeded.
 
-use crate::Modulus128;
+use crate::{Lane, ModArith};
 
 /// Error returned when a root of unity cannot be constructed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,42 +48,44 @@ impl std::error::Error for FindRootError {}
 /// # Examples
 ///
 /// ```
-/// use rpu_arith::{Modulus128, primitive_root_of_unity};
+/// use rpu_arith::{ModArith, Modulus128, primitive_root_of_unity};
 ///
 /// let q = Modulus128::new(97).unwrap(); // 97 = 3 * 2^5 + 1
 /// let w = primitive_root_of_unity(q, 32).unwrap();
 /// assert_eq!(q.pow(w, 32), 1);
 /// assert_eq!(q.pow(w, 16), 96); // w^(order/2) = -1  => primitive
 /// ```
-pub fn primitive_root_of_unity(q: Modulus128, order: u128) -> Result<u128, FindRootError> {
+pub fn primitive_root_of_unity<M: ModArith>(q: M, order: u128) -> Result<M::Word, FindRootError> {
     if order == 0 || !order.is_power_of_two() {
         return Err(FindRootError::OrderNotPowerOfTwo);
     }
     if order == 1 {
-        return Ok(1);
+        return Ok(M::Word::narrow(1));
     }
-    if !(q.value() - 1).is_multiple_of(order) {
+    let minus_one = q.value().widen() - 1;
+    if !minus_one.is_multiple_of(order) {
         return Err(FindRootError::OrderDoesNotDivide);
     }
-    let exp = (q.value() - 1) / order;
+    // order divides q − 1, so both exponents fit the word.
+    let (exp, half) = (
+        M::Word::narrow(minus_one / order),
+        M::Word::narrow(order / 2),
+    );
     for candidate in 2..10_000u128 {
-        let g = q.pow(candidate, exp);
+        let g = q.pow(M::Word::narrow(candidate), exp);
         // g has order dividing `order`; it is primitive iff g^(order/2) = -1.
-        if q.pow(g, order / 2) == q.value() - 1 {
+        if q.pow(g, half).widen() == minus_one {
             return Ok(g);
         }
     }
     Err(FindRootError::SearchExhausted)
 }
 
-/// Precomputed powers of a root of unity: `table[i] = w^i mod q`.
-///
-/// # Panics
-///
-/// Panics if `count == 0` is fine (returns empty) — no panics.
-pub fn power_table(q: Modulus128, w: u128, count: usize) -> Vec<u128> {
+/// Precomputed powers of a root of unity: `table[i] = w^i mod q`, at
+/// either modulus width.
+pub fn power_table<M: ModArith>(q: M, w: M::Word, count: usize) -> Vec<M::Word> {
     let mut out = Vec::with_capacity(count);
-    let mut acc = 1u128 % q.value();
+    let mut acc = M::Word::narrow(1);
     for _ in 0..count {
         out.push(acc);
         acc = q.mul(acc, w);
@@ -99,7 +101,7 @@ pub fn power_table(q: Modulus128, w: u128, count: usize) -> Vec<u128> {
 /// # Panics
 ///
 /// Panics if `count` is not a power of two.
-pub fn power_table_bitrev(q: Modulus128, w: u128, count: usize) -> Vec<u128> {
+pub fn power_table_bitrev<M: ModArith>(q: M, w: M::Word, count: usize) -> Vec<M::Word> {
     assert!(count.is_power_of_two(), "count must be a power of two");
     let bits = count.trailing_zeros();
     let plain = power_table(q, w, count);
@@ -118,7 +120,7 @@ pub fn bit_reverse(i: usize, bits: u32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find_ntt_prime_u128;
+    use crate::{find_ntt_prime_u128, Modulus128};
 
     #[test]
     fn root_in_small_field() {

@@ -5,7 +5,7 @@
 //! example-based unit tests inside each module.
 
 use proptest::prelude::*;
-use rpu_arith::{Modulus128, Modulus64, RnsBasis, UBig, U256};
+use rpu_arith::{ModArith, Modulus128, Modulus64, RnsBasis, UBig, U256};
 
 /// An arbitrary odd modulus in `[3, 2^127)`.
 fn arb_mod128() -> impl Strategy<Value = Modulus128> {

@@ -873,8 +873,9 @@ impl<'a> RpuSession<'a> {
     /// per-call data round trip, *including* a lane-exact functional
     /// execution of the kernel (that is what a run now is). Chained
     /// workloads should [`dispatch`](RpuSession::dispatch) over resident
-    /// buffers; sweeps that only need cycle timing can hold the
-    /// [`kernel`](RpuSession::kernel) and reuse one report's `stats`.
+    /// buffers; sweeps that only need cycle timing can hold the kernel
+    /// [`compile`](RpuSession::compile) returns and reuse one report's
+    /// `stats`.
     ///
     /// # Errors
     ///
@@ -911,18 +912,6 @@ impl<'a> RpuSession<'a> {
     ) -> Result<RunReport, RpuError> {
         let q = self.primes_for(n)?;
         self.run(&NttSpec::new(n, q, direction, style))
-    }
-
-    /// The kernel for `spec` (generated and verified on its key's first
-    /// request to the `Rpu`), for callers that want to execute it on their own data via
-    /// [`Kernel::execute`] rather than just time it. Alias of
-    /// [`compile`](RpuSession::compile).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError`] if generation or verification fails.
-    pub fn kernel<S: KernelSpec + ?Sized>(&mut self, spec: &S) -> Result<Arc<Kernel>, RpuError> {
-        self.compile(spec)
     }
 
     /// The session's kernel counters: a session's first request for a
@@ -1088,22 +1077,11 @@ impl<'a> RpuSession<'a> {
             .heap
             .restore_state(live.clone(), free, high_water)
             .expect("prepare validated the heap map");
-        // Grow-only simulator: write the snapshotted contents and zero
-        // any tail beyond them, so the restored device contents are
-        // canonical even when this session's sim had grown larger.
+        // The memories become exactly the image's, so the restored
+        // session snapshots to the bytes it was restored from.
         let sim = &mut self.device.sim;
-        let (vdm, sdm) = (image.vdm.len(), image.sdm.len());
-        sim.ensure_vdm(vdm);
-        sim.ensure_sdm(sdm);
-        let vdm_tail = vec![0u128; sim.vdm_capacity() - vdm];
-        let sdm_tail = vec![0u128; sim.sdm_capacity() - sdm];
-        sim.write_vdm(0, &image.vdm)
-            .expect("ensured to cover the image");
-        sim.write_vdm(vdm, &vdm_tail).expect("tail is in bounds");
-        sim.write_sdm(0, &image.sdm)
-            .expect("ensured to cover the image");
-        sim.write_sdm(sdm, &sdm_tail).expect("tail is in bounds");
-        // The writes dropped the loaded kernel's tables: take them back
+        sim.restore_memories(&image.vdm, &image.sdm);
+        // The restore dropped the loaded kernel's tables: take them back
         // if the image holds them, so its twiddles keep their quotients.
         // An image that does not hold them (a writer whose kernel for
         // that key had other tables) is not resident: the next dispatch

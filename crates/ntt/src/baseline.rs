@@ -11,8 +11,8 @@
 //! 128-bit CPU arithmetic widens the accelerator's advantage — are
 //! host-independent.
 
-use crate::{Ntt128Plan, Ntt64Plan, NttError};
-use rpu_arith::Modulus128;
+use crate::{Ntt128Plan, Ntt64Plan, NttError, NttPlan};
+use rpu_arith::{ModArith, Modulus128};
 use std::time::{Duration, Instant};
 
 /// Naive `O(n²)` negacyclic forward transform — the golden-vector
@@ -141,45 +141,38 @@ impl CpuBaseline {
     pub fn measure(&self, width: CpuWidth, threads: usize, iters: usize) -> BaselineMeasurement {
         assert!(iters > 0, "need at least one iteration");
         assert!(threads > 0, "need at least one thread");
-        let n = self.plan64.degree();
         let elapsed = match width {
-            CpuWidth::Bits64 => {
-                let q = self.plan64.modulus().value();
-                let data: Vec<u64> = (0..n as u64).map(|i| (i * 7 + 3) % q).collect();
-                run_threads(threads, || {
-                    let mut x = data.clone();
-                    let start = Instant::now();
-                    for _ in 0..iters {
-                        self.plan64.forward(&mut x);
-                        std::hint::black_box(&x);
-                    }
-                    start.elapsed()
-                })
-            }
-            CpuWidth::Bits128 => {
-                let q = self.plan128.modulus().value();
-                let data: Vec<u128> = (0..n as u128).map(|i| (i * 7 + 3) % q).collect();
-                run_threads(threads, || {
-                    let mut x = data.clone();
-                    let start = Instant::now();
-                    for _ in 0..iters {
-                        self.plan128.forward(&mut x);
-                        std::hint::black_box(&x);
-                    }
-                    start.elapsed()
-                })
-            }
+            CpuWidth::Bits64 => time_forward(&self.plan64, threads, iters),
+            CpuWidth::Bits128 => time_forward(&self.plan128, threads, iters),
         };
         // Throughput view: `threads * iters` transforms completed in the
         // max thread time.
         let per_ntt = elapsed / (iters as u32 * threads as u32);
         BaselineMeasurement {
             width,
-            degree: n,
+            degree: self.plan64.degree(),
             threads,
             time_per_ntt: per_ntt,
         }
     }
+}
+
+/// Times `iters` forward transforms by `plan` on each of `threads`
+/// threads, each on its own polynomial: the slowest thread's time.
+fn time_forward<M: ModArith>(plan: &NttPlan<M>, threads: usize, iters: usize) -> Duration {
+    let q = plan.modulus();
+    let data: Vec<M::Word> = (0..plan.degree() as u128)
+        .map(|i| q.canon(i * 7 + 3))
+        .collect();
+    run_threads(threads, || {
+        let mut x = data.clone();
+        let start = Instant::now();
+        for _ in 0..iters {
+            plan.forward(&mut x);
+            std::hint::black_box(&x);
+        }
+        start.elapsed()
+    })
 }
 
 /// Runs `f` on `threads` threads, returning the maximum wall time.

@@ -7,8 +7,10 @@
 //! 1. **Golden model** — the RPU functional simulator's outputs are
 //!    checked against [`PeaseSchedule::forward`]/[`PeaseSchedule::inverse`]
 //!    (and those against [`Ntt128Plan`] and O(n²) direct evaluation).
-//! 2. **CPU baseline** — [`baseline`] provides the timed 64-bit and
-//!    128-bit CPU NTTs for the paper's Fig. 10 speedup comparison.
+//! 2. **CPU baseline** — [`baseline`] times one NTT plan, [`NttPlan`],
+//!    written once over `rpu-arith`'s `ModArith` and planned at 64 bits
+//!    ([`Ntt64Plan`]) and at 128 ([`Ntt128Plan`]), for the paper's
+//!    Fig. 10 speedup comparison.
 //! 3. **Workload substrate** — [`Polynomial`] implements the ring
 //!    operations (negacyclic multiplication, domain tracking) that the
 //!    examples and the `perf` workloads exercise end-to-end; a
@@ -34,7 +36,6 @@ mod error;
 pub mod leveled;
 mod pease;
 mod plan128;
-mod plan64;
 mod poly;
 pub mod rlwe;
 mod scheme;
@@ -45,7 +46,6 @@ pub mod testutil;
 pub use automorphism::{apply_automorphism, automorphism_map, evaluation_map, galois_element};
 pub use error::NttError;
 pub use pease::PeaseSchedule;
-pub use plan128::Ntt128Plan;
-pub use plan64::Ntt64Plan;
+pub use plan128::{Ntt128Plan, Ntt64Plan, NttPlan};
 pub use poly::{Domain, Polynomial};
 pub use scheme::{Ciphertext, GaloisKey, KeySwitchKey, SecretKey};

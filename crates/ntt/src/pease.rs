@@ -28,7 +28,7 @@
 //! broadcast a scalar twiddle (Listing 1's `_vbroadcast`).
 
 use crate::NttError;
-use rpu_arith::{bit_reverse, power_table, primitive_root_of_unity, Modulus128};
+use rpu_arith::{bit_reverse, power_table, primitive_root_of_unity, ModArith, Modulus128};
 
 /// The constant-geometry NTT schedule: per-stage twiddles plus scalar
 /// forward/inverse reference transforms.

@@ -1,20 +1,69 @@
-//! Large-word (up to 127-bit) negacyclic NTT — the RPU's native precision.
+//! The negacyclic NTT plan of the host side, written once over the
+//! modular word ([`ModArith`]) and planned at two widths:
 //!
-//! Used two ways in this reproduction: as the golden reference the RPU's
-//! functional simulator is validated against (the role OpenFHE outputs
-//! played in the paper), and as the "CPU-128b" baseline of Fig. 10. It
-//! is [`Ntt64Plan`](crate::Ntt64Plan)'s algorithm at twice the width:
-//! every twiddle carries its Shoup quotient, so each butterfly multiply
-//! is one [`Modulus128::mul_shoup`] on normal-domain data.
+//! * [`Ntt128Plan`] (`NttPlan<Modulus128>`, `q < 2^127`) — the RPU's
+//!   native precision: the golden reference the functional simulator is
+//!   validated against (the role OpenFHE outputs played in the paper)
+//!   and the "CPU-128b" baseline of Fig. 10;
+//! * [`Ntt64Plan`] (`NttPlan<Modulus64>`, `q < 2^63`) — the "CPU-64b"
+//!   baseline of Fig. 10.
+//!
+//! The algorithm is the one OpenFHE and SEAL run on CPUs: the
+//! Cooley–Tukey forward transform and Gentleman–Sande inverse with
+//! Harvey's butterflies, every twiddle beside its Shoup quotient, so
+//! each butterfly multiply is one `mul_shoup` on normal-domain data.
+//! Fig. 10's 128b/64b gap therefore compares the same code at two word
+//! widths.
 
 use crate::NttError;
-use rpu_arith::{power_table_bitrev, primitive_root_of_unity, Modulus128};
+use rpu_arith::{power_table_bitrev, primitive_root_of_unity, ModArith, Modulus128, Modulus64};
 
-/// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` with a prime
-/// `q < 2^127`.
+/// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` for a prime `q` in
+/// the range of the modulus type `M`.
 ///
-/// Same ordering conventions as [`Ntt64Plan`](crate::Ntt64Plan): forward
-/// is natural → bit-reversed, inverse is bit-reversed → natural.
+/// The forward transform maps natural-order coefficients to a
+/// bit-reversed evaluation order; the inverse accepts that order and
+/// returns natural-order coefficients. Pointwise multiplication between
+/// two forward-transformed polynomials therefore implements negacyclic
+/// convolution.
+#[derive(Debug, Clone)]
+pub struct NttPlan<M: ModArith> {
+    n: usize,
+    log_n: u32,
+    q: M,
+    psi: M::Word,
+    /// `psi^bitrev(i)` for CT stages, with Shoup quotients.
+    fwd: Vec<M::Word>,
+    fwd_shoup: Vec<M::Word>,
+    /// `psi^{-bitrev(i)}` for GS stages, with Shoup quotients.
+    inv: Vec<M::Word>,
+    inv_shoup: Vec<M::Word>,
+    n_inv: M::Word,
+    n_inv_shoup: M::Word,
+}
+
+/// The plan at 64 bits, `q < 2^63`: the CPU-64b baseline.
+///
+/// # Examples
+///
+/// ```
+/// use rpu_ntt::Ntt64Plan;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let q = rpu_arith::find_ntt_prime_u64(60, 2048).expect("prime exists");
+/// let plan = Ntt64Plan::new(1024, q)?; // q ≡ 1 mod 2n
+/// let mut x: Vec<u64> = (0..1024).collect();
+/// let original = x.clone();
+/// plan.forward(&mut x);
+/// plan.inverse(&mut x);
+/// assert_eq!(x, original);
+/// # Ok(())
+/// # }
+/// ```
+pub type Ntt64Plan = NttPlan<Modulus64>;
+
+/// The plan at 128 bits, `q < 2^127`: the golden model and the
+/// CPU-128b baseline.
 ///
 /// # Examples
 ///
@@ -32,34 +81,20 @@ use rpu_arith::{power_table_bitrev, primitive_root_of_unity, Modulus128};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct Ntt128Plan {
-    n: usize,
-    log_n: u32,
-    q: Modulus128,
-    psi: u128,
-    /// `psi^bitrev(i)` for CT stages, with Shoup quotients.
-    fwd: Vec<u128>,
-    fwd_shoup: Vec<u128>,
-    /// `psi^{-bitrev(i)}` for GS stages, with Shoup quotients.
-    inv: Vec<u128>,
-    inv_shoup: Vec<u128>,
-    n_inv: u128,
-    n_inv_shoup: u128,
-}
+pub type Ntt128Plan = NttPlan<Modulus128>;
 
-impl Ntt128Plan {
+impl<M: ModArith> NttPlan<M> {
     /// Plans a transform for ring degree `n` (power of two ≥ 2) and prime
-    /// modulus `q ≡ 1 (mod 2n)`, `q < 2^127`.
+    /// modulus `q ≡ 1 (mod 2n)` in `M`'s range.
     ///
     /// # Errors
     ///
     /// Returns [`NttError`] if the degree or modulus is unsupported.
-    pub fn new(n: usize, q: u128) -> Result<Self, NttError> {
+    pub fn new(n: usize, q: M::Word) -> Result<Self, NttError> {
         if n < 2 || !n.is_power_of_two() {
             return Err(NttError::InvalidDegree(n));
         }
-        let modulus = Modulus128::new(q).ok_or(NttError::InvalidModulus)?;
+        let modulus = M::new(q).ok_or(NttError::InvalidModulus)?;
         let psi = primitive_root_of_unity(modulus, 2 * n as u128)
             .map_err(|_| NttError::NoRootOfUnity { degree: n })?;
         let log_n = n.trailing_zeros();
@@ -71,8 +106,8 @@ impl Ntt128Plan {
         let inv = power_table_bitrev(modulus, psi_inv, n);
         let fwd_shoup = fwd.iter().map(|&w| modulus.shoup(w)).collect();
         let inv_shoup = inv.iter().map(|&w| modulus.shoup(w)).collect();
-        let n_inv = modulus.inv(n as u128 % q);
-        Ok(Ntt128Plan {
+        let n_inv = modulus.inv(modulus.canon(n as u128));
+        Ok(NttPlan {
             n,
             log_n,
             q: modulus,
@@ -97,12 +132,12 @@ impl Ntt128Plan {
     }
 
     /// The modulus.
-    pub fn modulus(&self) -> Modulus128 {
+    pub fn modulus(&self) -> M {
         self.q
     }
 
     /// The primitive `2n`-th root of unity used by this plan.
-    pub fn psi(&self) -> u128 {
+    pub fn psi(&self) -> M::Word {
         self.psi
     }
 
@@ -111,7 +146,7 @@ impl Ntt128Plan {
     /// # Panics
     ///
     /// Panics if `x.len() != self.degree()`.
-    pub fn forward(&self, x: &mut [u128]) {
+    pub fn forward(&self, x: &mut [M::Word]) {
         assert_eq!(x.len(), self.n, "input length must equal ring degree");
         let q = self.q;
         let mut t = self.n;
@@ -139,7 +174,7 @@ impl Ntt128Plan {
     /// # Panics
     ///
     /// Panics if `x.len() != self.degree()`.
-    pub fn inverse(&self, x: &mut [u128]) {
+    pub fn inverse(&self, x: &mut [M::Word]) {
         assert_eq!(x.len(), self.n, "input length must equal ring degree");
         let q = self.q;
         let mut t = 1usize;
@@ -171,7 +206,7 @@ impl Ntt128Plan {
     /// # Panics
     ///
     /// Panics if the lengths differ from the ring degree.
-    pub fn pointwise(&self, a: &[u128], b: &[u128], out: &mut [u128]) {
+    pub fn pointwise(&self, a: &[M::Word], b: &[M::Word], out: &mut [M::Word]) {
         assert_eq!(a.len(), self.n);
         assert_eq!(b.len(), self.n);
         assert_eq!(out.len(), self.n);
@@ -185,12 +220,12 @@ impl Ntt128Plan {
     /// # Panics
     ///
     /// Panics if the lengths differ from the ring degree.
-    pub fn negacyclic_mul(&self, a: &[u128], b: &[u128]) -> Vec<u128> {
+    pub fn negacyclic_mul(&self, a: &[M::Word], b: &[M::Word]) -> Vec<M::Word> {
         let mut fa = a.to_vec();
         let mut fb = b.to_vec();
         self.forward(&mut fa);
         self.forward(&mut fb);
-        let mut out = vec![0u128; self.n];
+        let mut out = vec![M::Word::default(); self.n];
         self.pointwise(&fa, &fb, &mut out);
         self.inverse(&mut out);
         out
@@ -200,44 +235,129 @@ impl Ntt128Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{plan128, schoolbook_negacyclic};
+    use crate::testutil::{cached_prime, schoolbook_negacyclic};
+    use rpu_arith::Lane;
+
+    /// A `2n`-NTT prime of 60 bits for [`Modulus64`], of 126 for
+    /// [`Modulus128`].
+    fn plan<M: ModArith>(n: usize) -> NttPlan<M> {
+        let bits = if size_of::<M::Word>() == 8 { 60 } else { 126 };
+        let q = cached_prime(bits, 2 * n as u128);
+        NttPlan::new(n, M::Word::narrow(q)).expect("plan parameters are valid")
+    }
+
+    /// `f(i) mod q` for `i < n`.
+    fn residues<M: ModArith>(q: M, n: usize, f: impl Fn(u128) -> u128) -> Vec<M::Word> {
+        (0..n as u128).map(|i| q.canon(f(i))).collect()
+    }
+
+    #[test]
+    fn rejects_bad_degree() {
+        fn check<M: ModArith>() {
+            for n in [0, 3] {
+                let err = NttPlan::<M>::new(n, M::Word::narrow(97)).unwrap_err();
+                assert_eq!(err, NttError::InvalidDegree(n));
+            }
+        }
+        check::<Modulus64>();
+        check::<Modulus128>();
+    }
+
+    #[test]
+    fn rejects_bad_modulus() {
+        fn check<M: ModArith>() {
+            // 13 ≡ 1 mod 4 fails for n=4 (needs mod 8).
+            let err = NttPlan::<M>::new(4, M::Word::narrow(13)).unwrap_err();
+            assert_eq!(err, NttError::NoRootOfUnity { degree: 4 });
+        }
+        check::<Modulus64>();
+        check::<Modulus128>();
+    }
 
     #[test]
     fn rejects_an_even_modulus() {
-        // q − 1 is odd, so no 2n divides it: root search finds none.
-        for q in [98u128, (1 << 126) + 2] {
-            assert_eq!(
-                Ntt128Plan::new(8, q).unwrap_err(),
-                NttError::NoRootOfUnity { degree: 8 }
-            );
+        fn check<M: ModArith>() {
+            // q − 1 is odd, so no 2n divides it: root search finds none.
+            let top = 1u128 << (8 * size_of::<M::Word>() - 2);
+            for q in [98, top + 2] {
+                let err = NttPlan::<M>::new(8, M::Word::narrow(q)).unwrap_err();
+                assert_eq!(err, NttError::NoRootOfUnity { degree: 8 });
+            }
         }
+        check::<Modulus64>();
+        check::<Modulus128>();
     }
 
     #[test]
     fn round_trip_many_sizes() {
-        for log_n in [1usize, 3, 8, 11] {
-            let n = 1 << log_n;
-            let p = plan128(n);
-            let q = p.modulus().value();
-            let orig: Vec<u128> = (0..n as u128).map(|i| (i * i * 7 + 13) % q).collect();
-            let mut x = orig.clone();
-            p.forward(&mut x);
-            p.inverse(&mut x);
-            assert_eq!(x, orig, "n={n}");
+        fn check<M: ModArith>() {
+            for log_n in [1usize, 2, 3, 5, 8, 10, 11, 12] {
+                let n = 1 << log_n;
+                let p = plan::<M>(n);
+                let orig = residues(p.modulus(), n, |i| i * i * 7 + 13);
+                let mut x = orig.clone();
+                p.forward(&mut x);
+                assert_ne!(x, orig, "transform must not be identity");
+                p.inverse(&mut x);
+                assert_eq!(x, orig, "n={n}");
+            }
         }
+        check::<Modulus64>();
+        check::<Modulus128>();
+    }
+
+    #[test]
+    fn negacyclic_wraparound_sign() {
+        fn check<M: ModArith>() {
+            // (x^(n-1)) * x = x^n = -1 mod x^n + 1.
+            let n = 8;
+            let p = plan::<M>(n);
+            let (zero, one) = (M::Word::default(), M::Word::narrow(1));
+            let mut a = vec![zero; n];
+            a[n - 1] = one;
+            let mut b = vec![zero; n];
+            b[1] = one;
+            let mut expect = vec![zero; n];
+            expect[0] = p.modulus().sub(zero, one);
+            assert_eq!(p.negacyclic_mul(&a, &b), expect);
+        }
+        check::<Modulus64>();
+        check::<Modulus128>();
     }
 
     #[test]
     fn matches_schoolbook() {
-        let n = 32;
-        let p = plan128(n);
-        let q = p.modulus().value();
-        let a: Vec<u128> = (0..n as u128).map(|i| (i * 1_000_003 + 5) % q).collect();
-        let b: Vec<u128> = (0..n as u128).map(|i| (i * 37 + 11) % q).collect();
-        assert_eq!(
-            p.negacyclic_mul(&a, &b),
-            schoolbook_negacyclic(p.modulus(), &a, &b)
-        );
+        fn check<M: ModArith>() {
+            let n = 32;
+            let p = plan::<M>(n);
+            let a = residues(p.modulus(), n, |i| i * 1_000_003 + 5);
+            let b = residues(p.modulus(), n, |i| i * 37 + 11);
+            let expect = schoolbook_negacyclic(p.modulus(), &a, &b);
+            assert_eq!(p.negacyclic_mul(&a, &b), expect);
+        }
+        check::<Modulus64>();
+        check::<Modulus128>();
+    }
+
+    #[test]
+    fn linearity() {
+        fn check<M: ModArith>() {
+            let n = 64;
+            let p = plan::<M>(n);
+            let q = p.modulus();
+            let a = residues(q, n, |i| i * 31 + 5);
+            let b = residues(q, n, |i| i * 17 + 2);
+            let sum: Vec<_> = a.iter().zip(&b).map(|(&x, &y)| q.add(x, y)).collect();
+            let [mut fa, mut fb, mut fs] = [a, b, sum];
+            for x in [&mut fa, &mut fb, &mut fs] {
+                p.forward(x);
+            }
+            for i in 0..n {
+                assert_eq!(fs[i], q.add(fa[i], fb[i]));
+            }
+        }
+        check::<Modulus64>();
+        check::<Modulus128>();
     }
 
     #[test]
@@ -245,7 +365,7 @@ mod tests {
         // A prime small enough for both backends.
         let n = 64usize;
         let q = rpu_arith::find_ntt_prime_u64(59, 2 * n as u64).unwrap();
-        let p64 = crate::Ntt64Plan::new(n, q).unwrap();
+        let p64 = Ntt64Plan::new(n, q).unwrap();
         let p128 = Ntt128Plan::new(n, q as u128).unwrap();
         let a64: Vec<u64> = (0..n as u64).map(|i| (i * 123 + 7) % q).collect();
         let a128: Vec<u128> = a64.iter().map(|&v| v as u128).collect();
@@ -259,22 +379,24 @@ mod tests {
 
     #[test]
     fn forward_output_is_evaluation_at_odd_psi_powers() {
-        // out[bitrev(i)] should equal a(psi^(2i+1)) — verify directly for
-        // a small ring.
-        let n = 8usize;
-        let p = plan128(n);
-        let q = p.modulus();
-        let a: Vec<u128> = (1..=n as u128).collect();
-        let mut f = a.clone();
-        p.forward(&mut f);
-        for i in 0..n {
-            let point = q.pow(p.psi(), (2 * i + 1) as u128);
-            let mut acc = 0u128;
-            for j in (0..n).rev() {
-                acc = q.add(q.mul(acc, point), a[j]);
+        fn check<M: ModArith>() {
+            // out[bitrev(i)] should equal a(psi^(2i+1)) — verify directly
+            // for a small ring.
+            let n = 8usize;
+            let p = plan::<M>(n);
+            let q = p.modulus();
+            let a = residues(q, n, |i| i + 1);
+            let mut f = a.clone();
+            p.forward(&mut f);
+            for i in 0..n {
+                let point = q.pow(p.psi(), M::Word::narrow(2 * i as u128 + 1));
+                let zero = M::Word::default();
+                let acc = (a.iter().rev()).fold(zero, |acc, &c| q.add(q.mul(acc, point), c));
+                let r = rpu_arith::bit_reverse(i, p.log_degree());
+                assert_eq!(f[r], acc, "i={i}");
             }
-            let r = rpu_arith::bit_reverse(i, p.log_degree());
-            assert_eq!(f[r], acc, "i={i}");
         }
+        check::<Modulus64>();
+        check::<Modulus128>();
     }
 }

@@ -18,7 +18,7 @@
 use crate::leveled::{LeveledContext, LeveledError, NoiseBudget};
 use crate::rlwe::Splitmix;
 use crate::{Ntt128Plan, NttError, Polynomial};
-use rpu_arith::{gadget_decompose, gadget_levels};
+use rpu_arith::{gadget_decompose, gadget_levels, ModArith};
 use std::sync::Arc;
 
 /// The `(mask, payload)` halves of a pair, one entry per tower.

@@ -4,7 +4,7 @@
 //! validate against the same golden implementations.
 
 use crate::{Ntt128Plan, PeaseSchedule};
-use rpu_arith::Modulus128;
+use rpu_arith::ModArith;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -34,14 +34,14 @@ pub fn pease128(n: usize) -> PeaseSchedule {
 }
 
 /// O(n²) schoolbook negacyclic product, the ground truth for all fast
-/// polynomial multiplication paths.
-pub fn schoolbook_negacyclic(m: Modulus128, a: &[u128], b: &[u128]) -> Vec<u128> {
+/// polynomial multiplication paths, at either modulus width.
+pub fn schoolbook_negacyclic<M: ModArith>(m: M, a: &[M::Word], b: &[M::Word]) -> Vec<M::Word> {
     let n = a.len();
     assert_eq!(b.len(), n);
-    let mut out = vec![0u128; n];
+    let mut out = vec![M::Word::default(); n];
     for (i, &ai) in a.iter().enumerate() {
         for (j, &bj) in b.iter().enumerate() {
-            let prod = m.mul(ai % m.value(), bj % m.value());
+            let prod = m.mul(m.canon(ai), m.canon(bj));
             let k = (i + j) % n;
             if i + j < n {
                 out[k] = m.add(out[k], prod);

@@ -7,13 +7,15 @@
 //! hoisted bounds check per vector access (against the addressing
 //! mode's [`span`](AddrMode::span)), and mod-arith inner loops over
 //! whole vectors with no per-element dispatch — written once over the
-//! [`Lane`] word the state is stored in, so a session whose values all
-//! fit 64 bits moves and computes on 8-byte lanes.
+//! [`Lane`] word the state is stored in (`rpu-arith`'s, like
+//! [`ModArith`]), so a session whose values all fit 64 bits moves and
+//! computes on 8-byte lanes.
 //!
 //! Two engines service the modular instructions, selected per modulus
 //! through the shared [`Engine`] cache. Each instruction is written
-//! once, over [`ModArith`], and monomorphised per engine at the one
-//! `match` on [`Engine`] in `fast_op`:
+//! once, over the engine's [`ModArith`] plus [`Tabled`] (this module's
+//! lookup of the engine's words in constant tables), and monomorphised
+//! per engine at the one `match` on [`Engine`] in `fast_op`:
 //!
 //! * **Narrow** ([`Modulus64`], `q < 2^63`): lanes are reduced to
 //!   canonical `u64` and multiplied with one widening multiply plus a
@@ -65,8 +67,8 @@
 //! [`ExecError`]: crate::ExecError
 
 use crate::constants::{on_words, ConstantTables, Tables, Words};
-use crate::func::{shuffle_into, Engines, ExecError, Lane, ShuffleKind, Store};
-use rpu_arith::{Engine, Modulus128, Modulus64};
+use crate::func::{shuffle_into, Engines, ExecError, ShuffleKind, Store};
+use rpu_arith::{Engine, Lane, ModArith, Modulus128, Modulus64};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, SReg, VReg};
 
@@ -75,92 +77,36 @@ fn ix(r: VReg) -> usize {
     usize::from(r.index())
 }
 
-/// One engine's modular arithmetic, over its own word: the fast path
-/// writes each modular instruction once, over this trait. `canon`
-/// reduces a stored lane of either width into `[0, q)`; `add`, `sub`,
-/// `mul` and `shoup` take canonical words; `mul_shoup` takes the lane
-/// itself, which the narrow engine reduces only when it does not fit 64
-/// bits and the wide engine's Shoup product takes as it is.
-pub(crate) trait ModArith: Copy + 'static {
-    /// `u64` for the narrow engine, `u128` for the wide one.
-    type Word: Lane;
-    fn canon<W: Lane>(self, x: W) -> Self::Word;
-    fn add(self, a: Self::Word, b: Self::Word) -> Self::Word;
-    fn sub(self, a: Self::Word, b: Self::Word) -> Self::Word;
-    fn mul(self, a: Self::Word, b: Self::Word) -> Self::Word;
-    fn shoup(self, w: Self::Word) -> Self::Word;
-    fn mul_shoup<W: Lane>(self, a: W, w: Self::Word, w_shoup: Self::Word) -> Self::Word;
+/// What the fast path adds to an engine's [`ModArith`]: where its
+/// words sit in a kernel's constant tables and in a broadcast view.
+pub(crate) trait Tabled: ModArith {
     /// The quotients of `t` if it was made under this modulus.
     fn quotients(self, t: &Tables) -> Option<&[Self::Word]>;
     /// This engine's buffer for a broadcast view's quotient.
     fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<Self::Word>;
 }
 
-/// Implements [`ModArith`] for `$m`, whose tables are `Words::$words`
-/// and broadcast quotients `Views::splat.$splat`: the six methods
-/// written alike for both engines, then the `$rest` that differ.
-macro_rules! mod_arith {
-    ($m:ty => $word:ty, $words:ident, $splat:tt; $($rest:tt)*) => {
-        impl ModArith for $m {
-            type Word = $word;
-            fn quotients(self, t: &Tables) -> Option<&[$word]> {
-                match &t.words {
-                    Words::$words(quotients, _) if t.q == self.value().into() => Some(quotients),
-                    _ => None,
-                }
-            }
-            fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<$word> {
-                &mut buffers.$splat
-            }
-            #[inline]
-            fn add(self, a: $word, b: $word) -> $word {
-                <$m>::add(self, a, b)
-            }
-            #[inline]
-            fn sub(self, a: $word, b: $word) -> $word {
-                <$m>::sub(self, a, b)
-            }
-            #[inline]
-            fn mul(self, a: $word, b: $word) -> $word {
-                <$m>::mul(self, a, b)
-            }
-            #[inline]
-            fn shoup(self, w: $word) -> $word {
-                <$m>::shoup(self, w)
-            }
-            $($rest)*
-        }
-    };
-}
-
-mod_arith! { Modulus64 => u64, Narrow, 0;
-    /// The compare-first branch keeps already-canonical lanes (the
-    /// overwhelmingly common case) to one comparison.
-    #[inline]
-    fn canon<W: Lane>(self, x: W) -> u64 {
-        let x = x.widen();
-        if x < u128::from(self.value()) {
-            x as u64
-        } else {
-            self.reduce_wide(x)
+impl Tabled for Modulus64 {
+    fn quotients(self, t: &Tables) -> Option<&[u64]> {
+        match &t.words {
+            Words::Narrow(quotients, _) if t.q == self.value().into() => Some(quotients),
+            _ => None,
         }
     }
-    /// Shoup's product is exact for any 64-bit factor.
-    #[inline]
-    fn mul_shoup<W: Lane>(self, a: W, w: u64, w_shoup: u64) -> u64 {
-        let a = u64::try_from(a.widen()).unwrap_or_else(|_| self.canon(a));
-        Modulus64::mul_shoup(self, a, w, w_shoup)
+    fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<u64> {
+        &mut buffers.0
     }
 }
 
-mod_arith! { Modulus128 => u128, Wide, 1;
-    #[inline]
-    fn canon<W: Lane>(self, x: W) -> u128 {
-        self.reduce(x.widen())
+impl Tabled for Modulus128 {
+    fn quotients(self, t: &Tables) -> Option<&[u128]> {
+        match &t.words {
+            Words::Wide(quotients, _) if t.q == self.value() => Some(quotients),
+            _ => None,
+        }
     }
-    #[inline]
-    fn mul_shoup<W: Lane>(self, a: W, w: u128, w_shoup: u128) -> u128 {
-        Modulus128::mul_shoup(self, a.widen(), w, w_shoup)
+    fn splat(buffers: &mut (Vec<u64>, Vec<u128>)) -> &mut Vec<u128> {
+        &mut buffers.1
     }
 }
 
@@ -302,7 +248,7 @@ impl Views {
     /// `m`, and that view's quotients — or `None` when neither source
     /// has such a view.
     #[inline(never)]
-    fn factor<'a, W: Lane, A: ModArith>(
+    fn factor<'a, W: Lane, A: Tabled>(
         &'a mut self,
         vrf: &'a [Vec<W>],
         sources: [VReg; 2],
@@ -571,7 +517,7 @@ impl<W: Lane> Store<W> {
     /// `fast_op` hands over: the results go to the scratch buffers,
     /// which then replace the destination `vd` (and a butterfly's `vd1`).
     #[inline]
-    fn modular<A: ModArith>(&mut self, instr: &Instruction, vd: VReg, m: A, views: &mut Views) {
+    fn modular<A: Tabled>(&mut self, instr: &Instruction, vd: VReg, m: A, views: &mut Views) {
         use Instruction::*;
         let ([out, out1], vrf) = (&mut self.scratch, &self.vrf);
         let lanes = |r: VReg| &vrf[ix(r)][..];
@@ -1117,7 +1063,8 @@ mod tests {
         // program store with and without new values, in this run or an
         // earlier one, a store that faults half-way through its
         // interpreter fallback, a host write, an on-device copy, a
-        // second table over its top half — or reads a window straddling
+        // restore of the memories' own image, a second table over its
+        // top half — or reads a window straddling
         // its end; v0 then multiplies. A table stays registered only
         // while nothing may have written over its spans, on either
         // engine: the wide one on 128-bit lanes and the narrow one on
@@ -1133,7 +1080,12 @@ mod tests {
             let stored = run("vload v3, [a0 + 0], unit\nvstore v3, [a0 + 0], unit");
             let faulted = run("vload v3, [a0 + 2048], unit\nvstore v3, [a0 + 0], stride:32");
             type Host<'a> = &'a dyn Fn(&mut FunctionalSim);
-            let cases: [(&str, Host, &str, &str, bool); 9] = [
+            let restored = |s: &mut FunctionalSim| {
+                let vdm = s.read_vdm(0, s.vdm_capacity()).unwrap();
+                let sdm = s.read_sdm(0, s.sdm_capacity()).unwrap();
+                s.restore_memories(&vdm, &sdm);
+            };
+            let cases: [(&str, Host, &str, &str, bool); 10] = [
                 (
                     "store of other values",
                     &|_| {},
@@ -1170,6 +1122,7 @@ mod tests {
                     unit,
                     false,
                 ),
+                ("restore", &restored, "", unit, false),
                 (
                     "host write elsewhere",
                     &|s| s.write_vdm(1024, &[7]).unwrap(),

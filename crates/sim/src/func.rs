@@ -8,7 +8,7 @@
 
 use crate::constants::{on_words, ConstantTables};
 use crate::fastpath::Views;
-use rpu_arith::{Engine, Modulus128};
+use rpu_arith::{Engine, Lane, Modulus128};
 use rpu_isa::consts::{NUM_AREGS, NUM_MREGS, NUM_SREGS, NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, Instruction, MReg, PredecodedProgram, Program, SReg, VReg};
 use std::collections::HashMap;
@@ -98,42 +98,6 @@ impl core::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// The word a lane is stored in. Architecturally every B512 element is
-/// 128 bits wide; the simulator stores elements in `u64` for as long as
-/// every value fits (see "Lane storage width" on [`FunctionalSim`]), and
-/// both executors are written once over this trait.
-pub(crate) trait Lane: Copy + Default {
-    /// The architectural value of the lane.
-    fn widen(self) -> u128;
-    /// Stores a value known to fit the word: any value for `u128`; for
-    /// `u64` a value below 2⁶⁴, which the narrow invariant guarantees of
-    /// everything an instruction can produce.
-    fn narrow(x: u128) -> Self;
-}
-
-impl Lane for u64 {
-    #[inline]
-    fn widen(self) -> u128 {
-        u128::from(self)
-    }
-    #[inline]
-    fn narrow(x: u128) -> u64 {
-        debug_assert!(x <= u128::from(u64::MAX), "narrow invariant broken");
-        x as u64
-    }
-}
-
-impl Lane for u128 {
-    #[inline]
-    fn widen(self) -> u128 {
-        self
-    }
-    #[inline]
-    fn narrow(x: u128) -> u128 {
-        x
-    }
-}
 
 /// The architectural state in one lane width, plus the fast path's two
 /// full-vector scratch buffers (destination registers are replaced by
@@ -350,6 +314,23 @@ impl FunctionalSim {
     /// [`ensure_vdm`](FunctionalSim::ensure_vdm).
     pub fn ensure_sdm(&mut self, elements: usize) {
         on_store!(&mut self.lanes, s => grow(&mut s.sdm, elements))
+    }
+
+    /// Replaces the VDM and SDM with `vdm` and `sdm`, each memory's
+    /// capacity becoming exactly its image's length — a snapshot
+    /// restore. Like a write over their spans, this drops every
+    /// registered constant table.
+    pub fn restore_memories(&mut self, vdm: &[u128], sdm: &[u128]) {
+        self.views.forget_tables(0, usize::MAX);
+        self.admit(vdm);
+        self.admit(sdm);
+        on_store!(&mut self.lanes, s => {
+            for (memory, image) in [(&mut s.vdm, vdm), (&mut s.sdm, sdm)] {
+                memory.clear();
+                memory.resize(image.len(), Default::default());
+                put(memory, image);
+            }
+        })
     }
 
     /// Checks a host-transfer range against a memory's capacity (shared

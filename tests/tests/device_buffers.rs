@@ -378,7 +378,7 @@ fn run_with_matches_kernel_execute() {
     let a = test_data(1024, 7).iter().map(|v| v % q).collect::<Vec<_>>();
     let b = test_data(1024, 8).iter().map(|v| v % q).collect::<Vec<_>>();
     let (got, report) = s.run_with(&spec, &[&a, &b]).unwrap();
-    let expect = s.kernel(&spec).unwrap().execute(&[&a, &b]).unwrap();
+    let expect = s.compile(&spec).unwrap().execute(&[&a, &b]).unwrap();
     assert_eq!(got, expect);
     assert_eq!(report.transfer.host_to_device, 2048);
     assert_eq!(report.transfer.device_to_host, 1024);

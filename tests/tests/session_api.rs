@@ -28,7 +28,7 @@ fn convolution_matches_reference(n: usize) {
     // Real data through the cached kernel vs rpu_ntt's Polynomial::mul.
     let a = test_vector(n, q, 11);
     let b = test_vector(n, q, 22);
-    let kernel = session.kernel(&spec).unwrap();
+    let kernel = session.compile(&spec).unwrap();
     let got = kernel.execute(&[&a, &b]).unwrap();
 
     let ctx = Polynomial::context(n, q).unwrap();

@@ -426,6 +426,7 @@ fn an_rlwe_evaluator_snapshot_restores_to_the_same_bytes() {
     let rotated = eval.rotate(&product, 1).unwrap();
     assert!(eval.snapshot() != bytes, "the rotation is device state");
     eval.restore(&bytes).unwrap();
+    assert!(eval.snapshot() == bytes, "rotate → restore → snapshot");
     assert!(matches!(eval.decrypt(&rotated), Err(RpuError::Buffer(_))));
     assert_eq!(eval.decrypt(&x).unwrap(), m, "snapshot-time handles live");
     let again = eval.rotate(&product, 1).unwrap();
