@@ -36,6 +36,13 @@ mod error;
 pub mod leveled;
 mod pease;
 mod plan128;
+/// The plan's tests at 64 bits; `plan128`'s tests run them at 128.
+#[cfg(test)]
+mod plan64 {
+    mod tests {
+        crate::plan128::plan_tests!(rpu_arith::Modulus64);
+    }
+}
 mod poly;
 pub mod rlwe;
 mod scheme;

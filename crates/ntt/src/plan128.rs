@@ -232,68 +232,62 @@ impl<M: ModArith> NttPlan<M> {
     }
 }
 
+/// The plan's tests, written once over the word and instantiated once
+/// per width: `plan128::tests` runs them on [`Modulus128`],
+/// `plan64::tests` (in the crate root) on [`Modulus64`].
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::testutil::{cached_prime, schoolbook_negacyclic};
-    use rpu_arith::Lane;
+macro_rules! plan_tests {
+    ($m:ty) => {
+        use rpu_arith::{Lane, ModArith};
+        use $crate::testutil::{cached_prime, schoolbook_negacyclic};
+        use $crate::{NttError, NttPlan};
 
-    /// A `2n`-NTT prime of 60 bits for [`Modulus64`], of 126 for
-    /// [`Modulus128`].
-    fn plan<M: ModArith>(n: usize) -> NttPlan<M> {
-        let bits = if size_of::<M::Word>() == 8 { 60 } else { 126 };
-        let q = cached_prime(bits, 2 * n as u128);
-        NttPlan::new(n, M::Word::narrow(q)).expect("plan parameters are valid")
-    }
+        type M = $m;
+        type Word = <M as ModArith>::Word;
 
-    /// `f(i) mod q` for `i < n`.
-    fn residues<M: ModArith>(q: M, n: usize, f: impl Fn(u128) -> u128) -> Vec<M::Word> {
-        (0..n as u128).map(|i| q.canon(f(i))).collect()
-    }
+        /// A `2n`-NTT prime of 60 bits for `Modulus64`, of 126 for
+        /// `Modulus128`.
+        fn plan(n: usize) -> NttPlan<M> {
+            let bits = if size_of::<Word>() == 8 { 60 } else { 126 };
+            let q = cached_prime(bits, 2 * n as u128);
+            NttPlan::new(n, Word::narrow(q)).expect("plan parameters are valid")
+        }
 
-    #[test]
-    fn rejects_bad_degree() {
-        fn check<M: ModArith>() {
+        /// `f(i) mod q` for `i < n`.
+        fn residues(q: M, n: usize, f: impl Fn(u128) -> u128) -> Vec<Word> {
+            (0..n as u128).map(|i| q.canon(f(i))).collect()
+        }
+
+        #[test]
+        fn rejects_bad_degree() {
             for n in [0, 3] {
-                let err = NttPlan::<M>::new(n, M::Word::narrow(97)).unwrap_err();
+                let err = NttPlan::<M>::new(n, Word::narrow(97)).unwrap_err();
                 assert_eq!(err, NttError::InvalidDegree(n));
             }
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn rejects_bad_modulus() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn rejects_bad_modulus() {
             // 13 ≡ 1 mod 4 fails for n=4 (needs mod 8).
-            let err = NttPlan::<M>::new(4, M::Word::narrow(13)).unwrap_err();
+            let err = NttPlan::<M>::new(4, Word::narrow(13)).unwrap_err();
             assert_eq!(err, NttError::NoRootOfUnity { degree: 4 });
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn rejects_an_even_modulus() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn rejects_an_even_modulus() {
             // q − 1 is odd, so no 2n divides it: root search finds none.
-            let top = 1u128 << (8 * size_of::<M::Word>() - 2);
+            let top = 1u128 << (8 * size_of::<Word>() - 2);
             for q in [98, top + 2] {
-                let err = NttPlan::<M>::new(8, M::Word::narrow(q)).unwrap_err();
+                let err = NttPlan::<M>::new(8, Word::narrow(q)).unwrap_err();
                 assert_eq!(err, NttError::NoRootOfUnity { degree: 8 });
             }
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn round_trip_many_sizes() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn round_trip_many_sizes() {
             for log_n in [1usize, 2, 3, 5, 8, 10, 11, 12] {
                 let n = 1 << log_n;
-                let p = plan::<M>(n);
+                let p = plan(n);
                 let orig = residues(p.modulus(), n, |i| i * i * 7 + 13);
                 let mut x = orig.clone();
                 p.forward(&mut x);
@@ -302,17 +296,13 @@ mod tests {
                 assert_eq!(x, orig, "n={n}");
             }
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn negacyclic_wraparound_sign() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn negacyclic_wraparound_sign() {
             // (x^(n-1)) * x = x^n = -1 mod x^n + 1.
             let n = 8;
-            let p = plan::<M>(n);
-            let (zero, one) = (M::Word::default(), M::Word::narrow(1));
+            let p = plan(n);
+            let (zero, one) = (Word::default(), Word::narrow(1));
             let mut a = vec![zero; n];
             a[n - 1] = one;
             let mut b = vec![zero; n];
@@ -321,29 +311,21 @@ mod tests {
             expect[0] = p.modulus().sub(zero, one);
             assert_eq!(p.negacyclic_mul(&a, &b), expect);
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn matches_schoolbook() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn matches_schoolbook() {
             let n = 32;
-            let p = plan::<M>(n);
+            let p = plan(n);
             let a = residues(p.modulus(), n, |i| i * 1_000_003 + 5);
             let b = residues(p.modulus(), n, |i| i * 37 + 11);
             let expect = schoolbook_negacyclic(p.modulus(), &a, &b);
             assert_eq!(p.negacyclic_mul(&a, &b), expect);
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
 
-    #[test]
-    fn linearity() {
-        fn check<M: ModArith>() {
+        #[test]
+        fn linearity() {
             let n = 64;
-            let p = plan::<M>(n);
+            let p = plan(n);
             let q = p.modulus();
             let a = residues(q, n, |i| i * 31 + 5);
             let b = residues(q, n, |i| i * 17 + 2);
@@ -356,9 +338,35 @@ mod tests {
                 assert_eq!(fs[i], q.add(fa[i], fb[i]));
             }
         }
-        check::<Modulus64>();
-        check::<Modulus128>();
-    }
+
+        #[test]
+        fn forward_output_is_evaluation_at_odd_psi_powers() {
+            // out[bitrev(i)] should equal a(psi^(2i+1)) — verify directly
+            // for a small ring.
+            let n = 8usize;
+            let p = plan(n);
+            let q = p.modulus();
+            let a = residues(q, n, |i| i + 1);
+            let mut f = a.clone();
+            p.forward(&mut f);
+            for i in 0..n {
+                let point = q.pow(p.psi(), Word::narrow(2 * i as u128 + 1));
+                let zero = Word::default();
+                let acc = (a.iter().rev()).fold(zero, |acc, &c| q.add(q.mul(acc, point), c));
+                let r = rpu_arith::bit_reverse(i, p.log_degree());
+                assert_eq!(f[r], acc, "i={i}");
+            }
+        }
+    };
+}
+#[cfg(test)]
+pub(crate) use plan_tests;
+
+#[cfg(test)]
+mod tests {
+    use crate::{Ntt128Plan, Ntt64Plan};
+
+    plan_tests!(rpu_arith::Modulus128);
 
     #[test]
     fn agrees_with_64bit_plan_on_shared_modulus() {
@@ -375,28 +383,5 @@ mod tests {
         p128.forward(&mut f128v);
         let widened: Vec<u128> = f64v.iter().map(|&v| v as u128).collect();
         assert_eq!(widened, f128v);
-    }
-
-    #[test]
-    fn forward_output_is_evaluation_at_odd_psi_powers() {
-        fn check<M: ModArith>() {
-            // out[bitrev(i)] should equal a(psi^(2i+1)) — verify directly
-            // for a small ring.
-            let n = 8usize;
-            let p = plan::<M>(n);
-            let q = p.modulus();
-            let a = residues(q, n, |i| i + 1);
-            let mut f = a.clone();
-            p.forward(&mut f);
-            for i in 0..n {
-                let point = q.pow(p.psi(), M::Word::narrow(2 * i as u128 + 1));
-                let zero = M::Word::default();
-                let acc = (a.iter().rev()).fold(zero, |acc, &c| q.add(q.mul(acc, point), c));
-                let r = rpu_arith::bit_reverse(i, p.log_degree());
-                assert_eq!(f[r], acc, "i={i}");
-            }
-        }
-        check::<Modulus64>();
-        check::<Modulus128>();
     }
 }
