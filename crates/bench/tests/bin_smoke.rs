@@ -57,3 +57,24 @@ fn smoke_json_output() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains('{'), "expected JSON in output:\n{stdout}");
 }
+
+#[test]
+fn kernel_table_matches_the_committed_table() {
+    // docs/kernels.tsv is kernel_table's output; a change that moves any
+    // generated kernel must regenerate it and say why.
+    let out = Command::new(env!("CARGO_BIN_EXE_kernel_table"))
+        .output()
+        .expect("spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/kernels.tsv");
+    let committed = std::fs::read_to_string(path).expect("docs/kernels.tsv");
+    let generated = String::from_utf8(out.stdout).expect("utf-8");
+    for (line, (got, want)) in generated.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(got, want, "docs/kernels.tsv line {}", line + 1);
+    }
+    assert_eq!(generated.lines().count(), committed.lines().count());
+}

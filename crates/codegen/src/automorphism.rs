@@ -24,7 +24,7 @@
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
-use crate::sched::list_schedule;
+use crate::sched::push_segment;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::Modulus128;
 use rpu_isa::consts::VECTOR_LEN;
@@ -97,32 +97,29 @@ impl KernelSpec for AutomorphismSpec {
         let total = 3 * n;
         check_working_set(total)?;
 
-        let mut base_image = vec![0u128; total];
-        for (j, &src) in map.iter().enumerate() {
-            base_image[idx_off + j] = src as u128;
-        }
+        let index: Vec<u128> = map.iter().map(|&src| src as u128).collect();
 
         let base = AReg::at(0);
-        let mut program = Program::new(format!("autom{n}_g{g}_{style}"));
+        let mut seg = Program::new("autom");
         let mut pool = RegPool::new(1, 48);
         for v in 0..n / VECTOR_LEN {
             let at = |region: usize| (region + v * VECTOR_LEN) as u32;
             let vi = pool.alloc();
-            program.push(Instruction::VLoad {
+            seg.push(Instruction::VLoad {
                 vd: vi,
                 base,
                 offset: at(idx_off),
                 mode: AddrMode::Unit,
             });
             let vg = pool.alloc();
-            program.push(Instruction::VGather {
+            seg.push(Instruction::VGather {
                 vd: vg,
                 base,
                 offset: 0, // indices are absolute within the input region
                 vi,
             });
             pool.release(vi);
-            program.push(Instruction::VStore {
+            seg.push(Instruction::VStore {
                 vs: vg,
                 base,
                 offset: at(out_off),
@@ -130,17 +127,16 @@ impl KernelSpec for AutomorphismSpec {
             });
             pool.release(vg);
         }
-        if style != CodegenStyle::Unoptimized {
-            program = list_schedule(&program);
-        }
+        let mut program = Program::new(format!("autom{n}_g{g}_{style}"));
+        push_segment(&mut program, &seg, style, &[0]);
 
         let golden: GoldenFn =
             Box::new(move |ops: &[&[u128]]| map.iter().map(|&src| ops[0][src]).collect());
         Ok(Kernel::new(
             self.key(),
             program,
-            base_image,
-            vec![(idx_off, n)],
+            total,
+            &[(idx_off, &index)],
             Vec::new(),
             vec![(0, n)],
             (out_off, n),

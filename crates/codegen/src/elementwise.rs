@@ -13,7 +13,7 @@
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
-use crate::sched::list_schedule;
+use crate::sched::push_segment;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::Modulus128;
 use rpu_isa::consts::VECTOR_LEN;
@@ -95,12 +95,10 @@ impl KernelSpec for ElementwiseSpec {
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
         let ElementwiseSpec { op, n, q, style } = *self;
-        let name = format!("{}{}_{}", self.key().op, n, style);
-        let (mut program, modulus) = pointwise_prologue(name, n, q, 3)?;
-        emit_pointwise(&mut program, op, n, style, 0, n, 2 * n);
-        if style != CodegenStyle::Unoptimized {
-            program = list_schedule(&program);
-        }
+        let (mut seg, modulus) = pointwise_prologue(n, q, 3)?;
+        emit_pointwise(&mut seg, op, n, style, 0, n, 2 * n);
+        let mut program = Program::new(format!("{}{}_{}", self.key().op, n, style));
+        push_segment(&mut program, &seg, style, &[0]);
 
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
             ops[0]
@@ -116,8 +114,8 @@ impl KernelSpec for ElementwiseSpec {
         Ok(Kernel::new(
             self.key(),
             program,
-            vec![0u128; 3 * n],
-            Vec::new(), // no VDM tables: the image is all operand windows
+            3 * n,
+            &[], // no VDM tables: the image is all operand windows
             vec![0, q],
             vec![(0, n), (n, n)],
             (2 * n, n),
@@ -129,10 +127,9 @@ impl KernelSpec for ElementwiseSpec {
 /// What every kernel made only of pointwise stages starts with: the
 /// checks (`n` a non-zero multiple of the vector length, a valid
 /// modulus, a working set of `regions` `n`-element windows within the
-/// address field) and a program whose first instruction loads `q` into
+/// address field) and a segment whose first instruction loads `q` into
 /// `m0`. The SDM image is `[0, q]`: the NTT kernels' slot convention.
 pub(crate) fn pointwise_prologue(
-    name: String,
     n: usize,
     q: u128,
     regions: usize,
@@ -143,7 +140,7 @@ pub(crate) fn pointwise_prologue(
     let modulus =
         Modulus128::new(q).ok_or(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus))?;
     check_working_set(regions * n)?;
-    let mut program = Program::new(name);
+    let mut program = Program::new("pointwise");
     program.push(Instruction::MLoad {
         rt: MReg::at(0),
         base: AReg::at(0),
@@ -156,11 +153,12 @@ pub(crate) fn pointwise_prologue(
 /// `dst[i] = op(a_src[i], b_src[i])` over `n / 512` vectors, addressed
 /// as static element offsets off `a0`. With a non-unoptimized `style`,
 /// loads of group `g+1` are issued before the compute/store phase of
-/// group `g` (the NTT generator's "rectangles" pipelining); callers run
-/// [`list_schedule`] afterwards. `m0` must already hold the modulus.
+/// group `g` (the NTT generator's "rectangles" pipelining); callers
+/// append the stream with `push_segment`, which list-schedules it. `m0`
+/// must already hold the modulus.
 ///
 /// Used by [`ElementwiseSpec`] (offsets `0, n, 2n`), the key-switch
-/// multiply–accumulate, and the pointwise bridges of the fused
+/// multiply–accumulate, and the pointwise stages of the fused
 /// convolution and rescale pipelines.
 pub(crate) fn emit_pointwise(
     program: &mut Program,

@@ -1,23 +1,24 @@
-//! The NTT kernel generators — our stand-in for the paper's SPIRAL
-//! backend (Section V).
+//! The NTT emitter — our stand-in for the paper's SPIRAL backend
+//! (Section V). [`Ntt::emit`] writes one forward or inverse transform
+//! straight from the shared [`PeaseSchedule`]; [`NttSpec`](crate::NttSpec)
+//! and the fused kernels place it in their programs.
 //!
-//! Two program flavours are produced for every (n, direction):
+//! Two program flavours are emitted for every (n, direction):
 //!
-//! * [`CodegenStyle::Unoptimized`] — block-sequential emission through a
-//!   fixed 8-register window, reloading twiddles every block. This is
-//!   the "program with no knowledge of the RPU micro-architecture" of
-//!   Fig. 6: register reuse creates busyboard WAR/WAW stalls and the
-//!   decoupled pipelines starve.
+//! * [`CodegenStyle::Unoptimized`] — the same computation emitted in
+//!   plain dependency order, with no software pipelining and no list
+//!   scheduling: the "program with no knowledge of the RPU
+//!   micro-architecture" of Fig. 6, whose chains stall the in-order
+//!   busyboard frontend.
 //! * [`CodegenStyle::Optimized`] — the hardware-aware program: precise
 //!   live-range register allocation over a 47-register pool (renaming),
 //!   per-stage twiddle caching in dedicated registers, and a software
 //!   pipeline that issues the loads of butterfly group `g+1` before the
 //!   compute/shuffle/store phase of group `g` — the "rectangles"
-//!   decomposition of Section V — followed by a greedy time-aware list
-//!   scheduling pass.
+//!   decomposition of Section V — followed by the greedy time-aware list
+//!   scheduling pass every segment of a kernel gets.
 
 use crate::layout::{check_working_set, KernelLayout};
-use crate::sched::list_schedule;
 use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program, SReg, VReg};
@@ -31,9 +32,94 @@ const TW_CACHE_BASE: u8 = 48;
 /// Software-pipeline group size (butterfly blocks per "rectangle").
 const GROUP: usize = 4;
 
-/// A generated NTT kernel: program plus memory images and metadata.
-#[derive(Debug, Clone)]
-pub struct NttKernel {
+/// One emitted NTT, ready to place in a kernel at a window offset: its
+/// program (not yet list-scheduled), the extent of its window, and the
+/// twiddle table the program reads, beside the schedule its golden model
+/// runs.
+#[derive(Debug)]
+pub(crate) struct Ntt {
+    pub(crate) program: Program,
+    /// VDM elements of the window: two ping-pong buffers, then the
+    /// twiddle table.
+    pub(crate) window: usize,
+    /// Where the output lands: the buffer the last stage wrote.
+    pub(crate) output: usize,
+    /// Where the twiddle table starts, after the two buffers.
+    pub(crate) twiddle_at: usize,
+    /// Every stage's distinct twiddle vectors, in stage order.
+    pub(crate) twiddles: Vec<u128>,
+    pub(crate) schedule: PeaseSchedule,
+}
+
+impl Ntt {
+    /// Emits a transform of degree `n` (a power of two, ≥ 1024 so a
+    /// butterfly block fills the 512-lane vectors) under a prime
+    /// `q ≡ 1 (mod 2n)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError`] for unsupported degrees/moduli or if the
+    /// working set would not fit the addressable VDM.
+    pub(crate) fn emit(
+        n: usize,
+        q: u128,
+        direction: Direction,
+        style: CodegenStyle,
+    ) -> Result<Self, CodegenError> {
+        if n < 2 * VECTOR_LEN || !n.is_power_of_two() {
+            return Err(CodegenError::UnsupportedDegree(n));
+        }
+        let schedule = PeaseSchedule::new(n, q)?;
+        let stages = schedule.stages();
+        let twiddle_counts: Vec<usize> = (0..stages)
+            .map(|s| ((1usize << s) / VECTOR_LEN).max(1))
+            .collect();
+        let layout = KernelLayout::new(n, twiddle_counts);
+        check_working_set(layout.total_elements)?;
+        let mut e = Emitter {
+            program: Program::new("ntt"),
+            layout,
+            schedule,
+            direction,
+            style,
+        };
+        match direction {
+            Direction::Forward => e.emit_forward(style != CodegenStyle::Unoptimized),
+            Direction::Inverse => e.emit_inverse(style != CodegenStyle::Unoptimized),
+        }
+        let Emitter {
+            program,
+            layout,
+            schedule,
+            ..
+        } = e;
+        let twiddles = (0..stages)
+            .flat_map(|s| match direction {
+                Direction::Forward => schedule.twiddle_vectors(s, VECTOR_LEN),
+                Direction::Inverse => schedule.twiddle_inv_vectors(s, VECTOR_LEN),
+            })
+            .flatten()
+            .collect();
+        Ok(Ntt {
+            program,
+            window: layout.total_elements,
+            output: layout.output_offset,
+            twiddle_at: layout.twiddle_bases[0],
+            twiddles,
+            schedule,
+        })
+    }
+
+    /// The SDM image the program reads: `[n^{-1}, q]`. Fused kernels
+    /// append further scalars after it.
+    pub(crate) fn sdm(&self) -> Vec<u128> {
+        vec![self.schedule.n_inv(), self.schedule.modulus().value()]
+    }
+}
+
+/// The state of one NTT's emission.
+#[derive(Debug)]
+struct Emitter {
     program: Program,
     layout: KernelLayout,
     schedule: PeaseSchedule,
@@ -74,141 +160,7 @@ impl RegPool {
     }
 }
 
-impl NttKernel {
-    /// Generates a kernel for ring degree `n` (power of two, ≥ 1024 so a
-    /// butterfly block fills the 512-lane vectors) and prime `q ≡ 1
-    /// (mod 2n)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError`] for unsupported degrees/moduli or if the
-    /// working set would not fit the 32 MiB architectural VDM.
-    pub fn generate(
-        n: usize,
-        q: u128,
-        direction: Direction,
-        style: CodegenStyle,
-    ) -> Result<Self, CodegenError> {
-        if n < 2 * VECTOR_LEN || !n.is_power_of_two() {
-            return Err(CodegenError::UnsupportedDegree(n));
-        }
-        let schedule = PeaseSchedule::new(n, q)?;
-        let stages = schedule.stages();
-        let twiddle_counts: Vec<usize> = (0..stages)
-            .map(|s| ((1usize << s) / VECTOR_LEN).max(1))
-            .collect();
-        let layout = KernelLayout::new(n, twiddle_counts);
-        check_working_set(layout.total_elements)?;
-        let mut kernel = NttKernel {
-            program: Program::new(format!("ntt{}x{}_{}_{}", n, VECTOR_LEN, direction, style)),
-            layout,
-            schedule,
-            direction,
-            style,
-        };
-        match (direction, style) {
-            (Direction::Forward, CodegenStyle::Unoptimized) => kernel.emit_forward_unoptimized(),
-            (Direction::Forward, _) => kernel.emit_forward_optimized(),
-            (Direction::Inverse, CodegenStyle::Unoptimized) => kernel.emit_inverse_unoptimized(),
-            (Direction::Inverse, _) => kernel.emit_inverse_optimized(),
-        }
-        if style != CodegenStyle::Unoptimized {
-            kernel.program = list_schedule(&kernel.program);
-        }
-        Ok(kernel)
-    }
-
-    /// The generated B512 program.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Consumes the kernel, yielding the program and the schedule
-    /// without a clone (a golden model keeps the schedule).
-    pub(crate) fn into_parts(self) -> (Program, PeaseSchedule) {
-        (self.program, self.schedule)
-    }
-
-    /// The VDM layout.
-    pub fn layout(&self) -> &KernelLayout {
-        &self.layout
-    }
-
-    /// The underlying constant-geometry schedule.
-    pub fn schedule(&self) -> &PeaseSchedule {
-        &self.schedule
-    }
-
-    /// Transform direction.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    /// Codegen style.
-    pub fn style(&self) -> CodegenStyle {
-        self.style
-    }
-
-    /// Ring degree.
-    pub fn degree(&self) -> usize {
-        self.layout.n
-    }
-
-    /// The modulus.
-    pub fn modulus(&self) -> u128 {
-        self.schedule.modulus().value()
-    }
-
-    /// Builds the initial VDM image for an input polynomial: input in
-    /// buffer A, twiddle tables in place, everything else zero.
-    ///
-    /// Forward kernels take natural-order coefficients; inverse kernels
-    /// take Pease-ordered evaluations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.degree()`.
-    pub fn vdm_image(&self, input: &[u128]) -> Vec<u128> {
-        assert_eq!(input.len(), self.layout.n, "input length must equal n");
-        let mut image = vec![0u128; self.layout.total_elements];
-        image[..self.layout.n].copy_from_slice(input);
-        for s in 0..self.schedule.stages() {
-            let vectors = match self.direction {
-                Direction::Forward => self.schedule.twiddle_vectors(s, VECTOR_LEN),
-                Direction::Inverse => self.schedule.twiddle_inv_vectors(s, VECTOR_LEN),
-            };
-            for (v, vector) in vectors.iter().enumerate() {
-                let base = self.layout.twiddle_vector_offset(s, v);
-                image[base..base + VECTOR_LEN].copy_from_slice(vector);
-            }
-        }
-        image
-    }
-
-    /// Builds the SDM image: `[n^{-1}, q]`, the two scalars the
-    /// generated programs read. Fused kernels append further scalars
-    /// after them.
-    pub fn sdm_image(&self) -> Vec<u128> {
-        vec![self.schedule.n_inv(), self.schedule.modulus().value()]
-    }
-
-    /// Where the kernel's output lives in the VDM (element offset, length).
-    pub fn output_range(&self) -> (usize, usize) {
-        (self.layout.output_offset, self.layout.n)
-    }
-
-    /// Golden output for a given input, from the scalar schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.degree()`.
-    pub fn expected_output(&self, input: &[u128]) -> Vec<u128> {
-        match self.direction {
-            Direction::Forward => self.schedule.forward(input),
-            Direction::Inverse => self.schedule.inverse(input),
-        }
-    }
-
+impl Emitter {
     // ------------------------------------------------------------------
     // emission helpers
     // ------------------------------------------------------------------
@@ -307,15 +259,14 @@ impl NttKernel {
     // forward kernels
     // ------------------------------------------------------------------
 
-    fn emit_forward_optimized(&mut self) {
-        self.emit_forward(true);
-    }
-
     /// Emits the forward kernel. With `pipelined = true` (the optimized
     /// program), loads of butterfly group `g+1` are dispatched before the
-    /// compute/shuffle/store phase of group `g`; without it (the Fig. 6
-    /// baseline) each group is emitted in plain dependency order and the
-    /// in-order frontend stalls on every chain.
+    /// compute/shuffle/store phase of group `g`. Without it — the Fig. 6
+    /// baseline: the same SPIRAL computation, renamed registers and
+    /// cached twiddles, with no knowledge of the microarchitecture and
+    /// no list scheduling — each group is emitted in plain dependency
+    /// order, so "the shuffle, like other instructions, is always
+    /// stalled waiting for the result of the previous instruction".
     fn emit_forward(&mut self, pipelined: bool) {
         self.prologue();
         let half = self.layout.n / 2;
@@ -441,23 +392,9 @@ impl NttKernel {
         }
     }
 
-    fn emit_forward_unoptimized(&mut self) {
-        // The Fig. 6 baseline: the same SPIRAL computation — renamed
-        // registers, cached twiddles — emitted in plain dependency order
-        // with no knowledge of the microarchitecture: no software
-        // pipelining and no list scheduling, so "the shuffle, like other
-        // instructions, is always stalled waiting for the result of the
-        // previous instruction".
-        self.emit_forward(false);
-    }
-
     // ------------------------------------------------------------------
     // inverse kernels
     // ------------------------------------------------------------------
-
-    fn emit_inverse_optimized(&mut self) {
-        self.emit_inverse(true);
-    }
 
     /// Emits the inverse kernel; `pipelined` as in
     /// [`emit_forward`](Self::emit_forward).
@@ -601,12 +538,6 @@ impl NttKernel {
             pool.release(u);
             pool.release(v);
         }
-    }
-
-    fn emit_inverse_unoptimized(&mut self) {
-        // Same philosophy as the forward baseline: plain dependency
-        // order, no pipelining, no scheduling.
-        self.emit_inverse(false);
     }
 
     /// Scales the output buffer by `n^{-1}` (SRF[0]) in place — the /n of

@@ -2,19 +2,22 @@
 //!
 //! The paper's RPU is not an NTT ASIC: the B512 ISA runs arbitrary
 //! vectorized modular arithmetic, and RLWE traffic mixes transforms with
-//! pointwise ciphertext operations (Section II-A, Fig. 1). This module
-//! generalizes the original one-shot NTT facade into that shape:
+//! pointwise ciphertext operations (Section II-A, Fig. 1). Every
+//! generator therefore produces the same shape:
 //!
 //! * [`Kernel`] — a generated program together with everything needed to
-//!   run and check it: VDM/SDM memory images, operand input ranges, the
-//!   output range, and a scalar golden model.
+//!   run and check it: its constant tables and SDM image, operand input
+//!   ranges, the output range, and a scalar golden model.
 //! * [`KernelSpec`] — the object-safe trait each workload generator
-//!   implements ([`NttSpec`], [`ElementwiseSpec`](crate::ElementwiseSpec),
-//!   [`ConvolutionSpec`](crate::ConvolutionSpec)); a spec is a pure value
-//!   whose [`KernelKey`] identifies the generated kernel for caching.
+//!   implements ([`NttSpec`] here, the others in their own modules); a
+//!   spec is a pure value whose [`KernelKey`] identifies the generated
+//!   kernel for caching.
 
-use crate::{CodegenError, CodegenStyle, Direction, NttKernel};
+use crate::gen::Ntt;
+use crate::sched::push_segment;
+use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::EngineKind;
+use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{PredecodedProgram, Program};
 use rpu_sim::{ConstantTables, ExecError, FunctionalSim};
 use std::sync::OnceLock;
@@ -233,42 +236,27 @@ impl core::fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Assembles a kernel from its parts (generator-internal).
+    /// Assembles a kernel from what its generator declares: a working
+    /// set of `total` VDM elements and, at their offsets, the tables the
+    /// program reads (generator-internal).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         key: KernelKey,
         program: Program,
-        base_image: Vec<u128>,
-        constants: Vec<(usize, usize)>,
+        total: usize,
+        tables: &[(usize, &[u128])],
         sdm: Vec<u128>,
         input_ranges: Vec<(usize, usize)>,
         output_range: (usize, usize),
         golden: GoldenFn,
     ) -> Self {
-        debug_assert!(
-            {
-                let mut rest = base_image.clone();
-                for &(off, len) in &constants {
-                    rest[off..off + len].fill(0);
-                }
-                rest.iter().all(|&x| x == 0)
-            },
-            "{key:?}: a table sits outside the declared constant spans"
-        );
-        let values = constants
-            .iter()
-            .flat_map(|&(off, len)| &base_image[off..off + len])
-            .copied()
-            .collect();
-        // Free the image (the whole working set, larger than its
-        // tables) before `ConstantTables::new` allocates the quotients.
-        let total = base_image.len();
-        drop(base_image);
+        let spans = tables.iter().map(|&(off, t)| (off, t.len())).collect();
+        let values = tables.iter().flat_map(|&(_, t)| t).copied().collect();
         Kernel {
             key,
             program: PredecodedProgram::new(program),
             total,
-            tables: ConstantTables::new(key.q, constants, values),
+            tables: ConstantTables::new(key.q, spans, values),
             sdm,
             input_ranges,
             output_range,
@@ -500,8 +488,9 @@ impl Kernel {
     }
 }
 
-/// Specification of a single forward or inverse negacyclic NTT — the
-/// session-API form of [`NttKernel::generate`].
+/// Specification of a single forward or inverse negacyclic NTT: the
+/// input in natural-order coefficients, the output in Pease-order
+/// evaluations (or the reverse for [`Direction::Inverse`]).
 ///
 /// # Examples
 ///
@@ -553,55 +542,33 @@ impl KernelSpec for NttSpec {
     }
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
-        NttKernel::generate(self.n, self.q, self.direction, self.style).map(Kernel::from)
-    }
-}
-
-impl From<NttKernel> for Kernel {
-    /// Wraps a generated NTT kernel in the uniform [`Kernel`] contract.
-    fn from(ntt: NttKernel) -> Self {
-        let n = ntt.degree();
-        let key = KernelKey {
-            op: KernelOp::Ntt,
+        let NttSpec {
             n,
-            q: ntt.modulus(),
-            direction: ntt.direction(),
-            style: ntt.style(),
-            param: 0,
-        };
-        // A zero input leaves exactly the constant tables (twiddles) in
-        // the image; the input range is re-filled per execution.
-        let base_image = ntt.vdm_image(&vec![0u128; n]);
-        let constants = vec![ntt.layout().twiddle_span()];
-        let sdm = ntt.sdm_image();
-        let output_range = ntt.output_range();
-        let direction = ntt.direction();
-        let (program, schedule) = ntt.into_parts();
+            q,
+            direction,
+            style,
+        } = *self;
+        let ntt = Ntt::emit(n, q, direction, style)?;
+        let mut program = Program::new(format!("ntt{n}x{VECTOR_LEN}_{direction}_{style}"));
+        push_segment(&mut program, &ntt.program, style, &[0]);
+        let sdm = ntt.sdm();
+        let tables = [(ntt.twiddle_at, &ntt.twiddles[..])];
+        let schedule = ntt.schedule;
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| match direction {
             Direction::Forward => schedule.forward(ops[0]),
             Direction::Inverse => schedule.inverse(ops[0]),
         });
-        Kernel::new(
-            key,
+        Ok(Kernel::new(
+            self.key(),
             program,
-            base_image,
-            constants,
+            ntt.window,
+            &tables,
             sdm,
             vec![(0, n)],
-            output_range,
+            (ntt.output, n),
             golden,
-        )
+        ))
     }
-}
-
-/// Appends `src`'s instructions to `dst` with every VDM reference
-/// shifted by `vdm_delta` elements. SDM references (`sload`/`mload`/
-/// `aload`) are left untouched — pipeline segments share one scalar
-/// constant block. Generated kernels address memory as `a0 + offset`
-/// with `a0 = 0`, so shifting the static offsets relocates the segment.
-pub(crate) fn push_relocated(dst: &mut Program, src: &Program, vdm_delta: usize) {
-    let delta = vdm_delta as u32;
-    dst.extend(src.instructions().iter().map(|i| i.relocated(delta)));
 }
 
 #[cfg(test)]
@@ -624,19 +591,40 @@ mod tests {
     }
 
     #[test]
-    fn kernel_matches_legacy_ntt_kernel() {
-        let n = 1024usize;
-        let q = prime(n);
-        let legacy =
-            NttKernel::generate(n, q, Direction::Inverse, CodegenStyle::Optimized).unwrap();
-        let input: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 5) % q).collect();
-        let expect_img = legacy.vdm_image(&input);
-        let expect_out = legacy.expected_output(&input);
-        let (off, len) = legacy.output_range();
-        let kernel = Kernel::from(legacy);
-        assert_eq!(kernel.vdm_image(&[&input]), expect_img);
-        assert_eq!(kernel.expected_output(&[&input]), expect_out);
-        assert_eq!(kernel.output_range(), (off, len));
+    fn ntt_kernel_twiddles_and_output_follow_the_schedule() {
+        // 10 stages leave the output in buffer A, 11 in buffer B.
+        for (n, output) in [(1024usize, 0), (2048, 2048)] {
+            let q = prime(n);
+            let schedule = rpu_ntt::PeaseSchedule::new(n, q).unwrap();
+            let input: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 5) % q).collect();
+            for direction in [Direction::Forward, Direction::Inverse] {
+                let spec = NttSpec::new(n, q, direction, CodegenStyle::Optimized);
+                let kernel = spec.generate().unwrap();
+                // One table after the two ping-pong buffers: each stage's
+                // distinct twiddle vectors, stage by stage.
+                let table: Vec<u128> = (0..schedule.stages())
+                    .flat_map(|s| match direction {
+                        Direction::Forward => schedule.twiddle_vectors(s, VECTOR_LEN),
+                        Direction::Inverse => schedule.twiddle_inv_vectors(s, VECTOR_LEN),
+                    })
+                    .flatten()
+                    .collect();
+                assert_eq!(kernel.constant_spans(), [(2 * n, table.len())]);
+                assert_eq!(kernel.total_elements(), 2 * n + table.len());
+                let image = kernel.vdm_image(&[&input]);
+                assert_eq!(image[..n], input[..]);
+                assert!(image[n..2 * n].iter().all(|&x| x == 0));
+                assert_eq!(image[2 * n..], table[..]);
+                assert_eq!(kernel.sdm_image(), [schedule.n_inv(), q]);
+                let want = match direction {
+                    Direction::Forward => schedule.forward(&input),
+                    Direction::Inverse => schedule.inverse(&input),
+                };
+                assert_eq!(kernel.expected_output(&[&input]), want);
+                assert_eq!(kernel.output_range(), (output, n));
+                assert_eq!(kernel.execute(&[&input]).unwrap(), want, "{direction:?}");
+            }
+        }
     }
 
     #[test]
@@ -663,10 +651,14 @@ mod tests {
         )
         .unwrap();
         let mut out = Program::new("out");
-        push_relocated(&mut out, &p, 1000);
+        push_segment(&mut out, &p, CodegenStyle::Unoptimized, &[1000, 2000]);
         let asm = out.to_asm();
         assert!(asm.contains("mload   m0, [a0 + 1]"), "asm: {asm}");
         assert!(asm.contains("[a0 + 1016]"), "asm: {asm}");
         assert!(asm.contains("[a0 + 1032]"), "asm: {asm}");
+        // one copy per window, in window order
+        assert_eq!(out.len(), 2 * p.len());
+        assert_eq!(out.instructions()[3], p.instructions()[0]);
+        assert!(asm.contains("[a0 + 2016]"), "asm: {asm}");
     }
 }

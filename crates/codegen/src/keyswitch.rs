@@ -24,8 +24,8 @@
 //! [`NttSpec`]: crate::NttSpec
 
 use crate::elementwise::{emit_pointwise, pointwise_prologue};
-use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
-use crate::sched::list_schedule;
+use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::sched::push_segment;
 use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp};
 use rpu_isa::Program;
 
@@ -79,22 +79,20 @@ impl KernelSpec for KeySwitchSpec {
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
         let KeySwitchSpec { n, q, style } = *self;
-        let (mut program, modulus) = pointwise_prologue(format!("keyswitch{n}_{style}"), n, q, 5)?;
+        let (prologue, modulus) = pointwise_prologue(n, q, 5)?;
+        let mut program = Program::new(format!("keyswitch{n}_{style}"));
+        push_segment(&mut program, &prologue, style, &[0]);
         let (key_off, acc_off, prod_off, out_off) = (n, 2 * n, 3 * n, 4 * n);
-        // Each stage is scheduled in isolation so the list scheduler never
-        // reorders across the barrier between them (the same discipline
-        // as the fused convolution pipeline); within a stage every load
-        // and store touches a disjoint range.
+        // Each stage is its own segment (the same discipline as the fused
+        // convolution pipeline); within a stage every load and store
+        // touches a disjoint range.
         for (op, a_src, b_src, dst) in [
             (ElementwiseOp::MulMod, 0, key_off, prod_off),
             (ElementwiseOp::AddMod, prod_off, acc_off, out_off),
         ] {
             let mut seg = Program::new("stage");
             emit_pointwise(&mut seg, op, n, style, a_src, b_src, dst);
-            if style != CodegenStyle::Unoptimized {
-                seg = list_schedule(&seg);
-            }
-            push_relocated(&mut program, &seg, 0);
+            push_segment(&mut program, &seg, style, &[0]);
         }
 
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
@@ -106,8 +104,8 @@ impl KernelSpec for KeySwitchSpec {
         Ok(Kernel::new(
             self.key(),
             program,
-            vec![0u128; 5 * n],
-            Vec::new(), // no VDM tables: the image is all operand windows
+            5 * n,
+            &[], // no VDM tables: the image is all operand windows
             vec![0, q],
             vec![(0, n), (key_off, n), (acc_off, n)],
             (out_off, n),

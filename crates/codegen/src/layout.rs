@@ -1,4 +1,5 @@
-//! VDM/SDM memory layout for generated NTT kernels.
+//! The VDM layout of an emitted NTT, and the working-set check every
+//! generator runs.
 //!
 //! Generated kernels use absolute element offsets with the convention
 //! `ARF[a0] = 0` (the reset state), which the host can relocate by
@@ -30,23 +31,23 @@ pub(crate) fn check_working_set(total_elements: usize) -> Result<(), CodegenErro
     Ok(())
 }
 
-/// Element-offset map of a kernel's VDM working set.
+/// Element-offset map of an NTT's VDM window.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KernelLayout {
+pub(crate) struct KernelLayout {
     /// Ring degree.
-    pub n: usize,
-    /// Offset of ping-pong buffer A (kernel input lives here).
-    pub buffer_a: usize,
+    pub(crate) n: usize,
+    /// Offset of ping-pong buffer A (the input lives here).
+    pub(crate) buffer_a: usize,
     /// Offset of ping-pong buffer B.
-    pub buffer_b: usize,
+    pub(crate) buffer_b: usize,
     /// Per-stage twiddle-table base offsets.
-    pub twiddle_bases: Vec<usize>,
+    pub(crate) twiddle_bases: Vec<usize>,
     /// Number of distinct 512-element twiddle vectors per stage.
-    pub twiddle_counts: Vec<usize>,
-    /// Offset of the buffer holding the kernel output.
-    pub output_offset: usize,
+    pub(crate) twiddle_counts: Vec<usize>,
+    /// Offset of the buffer holding the output.
+    pub(crate) output_offset: usize,
     /// Total VDM elements used.
-    pub total_elements: usize,
+    pub(crate) total_elements: usize,
 }
 
 impl KernelLayout {
@@ -55,7 +56,7 @@ impl KernelLayout {
     ///
     /// The output lands in buffer A when the stage count is even, B when
     /// odd (the ping-pong parity).
-    pub fn new(n: usize, twiddle_counts: Vec<usize>) -> Self {
+    pub(crate) fn new(n: usize, twiddle_counts: Vec<usize>) -> Self {
         let stages = twiddle_counts.len();
         let mut next = 2 * n;
         let mut twiddle_bases = Vec::with_capacity(stages);
@@ -76,7 +77,7 @@ impl KernelLayout {
     }
 
     /// The input/output buffer offsets at stage `s` (ping-pong parity).
-    pub fn stage_buffers(&self, s: u32) -> (usize, usize) {
+    pub(crate) fn stage_buffers(&self, s: u32) -> (usize, usize) {
         if s.is_multiple_of(2) {
             (self.buffer_a, self.buffer_b)
         } else {
@@ -89,22 +90,9 @@ impl KernelLayout {
     /// # Panics
     ///
     /// Panics if `v` is out of range for the stage.
-    pub fn twiddle_vector_offset(&self, s: u32, v: usize) -> usize {
+    pub(crate) fn twiddle_vector_offset(&self, s: u32, v: usize) -> usize {
         assert!(v < self.twiddle_counts[s as usize], "twiddle vector index");
         self.twiddle_bases[s as usize] + v * VECTOR_LEN
-    }
-
-    /// `(element offset, length)` of the twiddle tables: one contiguous
-    /// span from the end of the ping-pong buffers to the end of the
-    /// working set — the only part of an NTT kernel's VDM image that is
-    /// constant.
-    pub fn twiddle_span(&self) -> (usize, usize) {
-        (2 * self.n, self.total_elements - 2 * self.n)
-    }
-
-    /// VDM footprint in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.total_elements * ELEM_BYTES
     }
 }
 

@@ -1,27 +1,22 @@
-//! # rpu-codegen — SPIRAL-style B512 program generation for the NTT
+//! # rpu-codegen — SPIRAL-style B512 program generation
 //!
 //! The paper programs the RPU through a new SPIRAL backend (Section V):
 //! the Pease/Korn–Lambiotte constant-geometry NTT breakdown, register
 //! allocation, store-to-load-aware emission, and a greedy instruction
-//! scheduler. This crate reproduces that flow in Rust:
+//! scheduler. This crate reproduces that flow in Rust behind one
+//! contract: a [`KernelSpec`] generates a [`Kernel`] — its program, the
+//! constant tables and SDM scalars of its working set, its operand map,
+//! and a scalar golden model — identified by a [`KernelKey`] for
+//! caching. Six generators are built in:
 //!
-//! * [`NttKernel::generate`] emits forward/inverse negacyclic NTT kernels
-//!   for ring degrees 1K–64K (and beyond, VDM permitting) directly from
-//!   the shared [`rpu_ntt::PeaseSchedule`], in two styles:
-//!   hardware-aware **optimized** (register renaming, twiddle caching,
-//!   software-pipelined "rectangles", list scheduling) and naive
-//!   **unoptimized** (the Fig. 6 baseline).
-//! * [`list_schedule`] is the standalone scheduling pass.
-//!
-//! Beyond the raw NTT, the crate exposes the uniform [`KernelSpec`] →
-//! [`Kernel`] contract of the session API: every workload generator
-//! produces a [`Kernel`] carrying its program, VDM/SDM memory images,
-//! operand map, and scalar golden model, identified by a [`KernelKey`]
-//! for caching. Three generators are built in:
-//!
-//! * [`NttSpec`] — one forward or inverse NTT (wraps [`NttKernel`]);
-//! * [`ElementwiseSpec`] — lane-wise `vmulmod`/`vaddmod` streams
-//!   (ciphertext add, NTT-domain multiply);
+//! * [`NttSpec`] — one forward or inverse negacyclic NTT for ring degrees
+//!   1K–64K (and beyond, VDM permitting), emitted directly from the
+//!   shared [`rpu_ntt::PeaseSchedule`] in two styles: hardware-aware
+//!   **optimized** (register renaming, twiddle caching, software-pipelined
+//!   "rectangles", list scheduling) and naive **unoptimized** (the Fig. 6
+//!   baseline);
+//! * [`ElementwiseSpec`] — lane-wise `vmulmod`/`vaddmod`/`vsubmod`
+//!   streams (ciphertext add, NTT-domain multiply);
 //! * [`ConvolutionSpec`] — the fused negacyclic polynomial product
 //!   (forward NTT ×2 → pointwise multiply → inverse NTT) of Fig. 1,
 //!   as a single B512 program;
@@ -38,19 +33,22 @@
 //!   NTT of the rounding correction → subtract → scale by the dropped
 //!   prime's inverse), the device half of modulus switching.
 //!
-//! Generated kernels carry their VDM/SDM memory images and golden
-//! outputs, so the functional simulator can verify them end to end.
+//! Every generator assembles its program from segments — an NTT, a
+//! pointwise stage — each list-scheduled on its own ([`list_schedule`],
+//! the standalone pass) and placed at its VDM window. A kernel verifies
+//! itself end to end on the functional simulator against its golden
+//! model.
 //!
 //! # Examples
 //!
 //! ```
-//! use rpu_codegen::{CodegenStyle, Direction, NttKernel};
+//! use rpu_codegen::{CodegenStyle, Direction, KernelSpec, NttSpec};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let q = rpu_arith::find_ntt_prime_u128(126, 2048).expect("prime exists");
-//! let k = NttKernel::generate(1024, q, Direction::Forward, CodegenStyle::Optimized)?;
-//! assert!(k.program().len() > 0);
-//! println!("{}", k.program().to_asm());
+//! let kernel = NttSpec::new(1024, q, Direction::Forward, CodegenStyle::Optimized).generate()?;
+//! assert!(kernel.verify()?);
+//! println!("{}", kernel.program().to_asm());
 //! # Ok(())
 //! # }
 //! ```
@@ -70,10 +68,8 @@ mod sched;
 
 pub use automorphism::AutomorphismSpec;
 pub use elementwise::{ElementwiseOp, ElementwiseSpec};
-pub use gen::NttKernel;
 pub use kernel::{Kernel, KernelKey, KernelOp, KernelSpec, NttSpec};
 pub use keyswitch::KeySwitchSpec;
-pub use layout::KernelLayout;
 pub use pipeline::ConvolutionSpec;
 pub use rescale::RescaleSpec;
 pub use sched::list_schedule;

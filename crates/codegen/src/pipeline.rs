@@ -12,17 +12,20 @@
 //!        A in, Â out          B in, B̂ out          Â·B̂ in, C out
 //! ```
 //!
-//! The three NTT regions are independently generated [`NttKernel`]s
-//! relocated to disjoint VDM windows (generated kernels address memory
-//! as `a0 + static offset`, so relocation is a static offset shift);
-//! the pointwise stage bridges the two forward outputs into the inverse
-//! input. All segments share one SDM block `[n^{-1}, q]`.
+//! The three NTT regions are the NTT emitter's programs placed in
+//! disjoint VDM windows (generated kernels address memory as
+//! `a0 + static offset`, so placing a segment is a static offset
+//! shift), each window with its own twiddle table; a pointwise stage
+//! bridges the two forward outputs into the inverse input. All segments
+//! share one SDM block `[n^{-1}, q]`.
 
 use crate::elementwise::emit_pointwise;
-use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::gen::Ntt;
+use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
-use crate::sched::list_schedule;
-use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp, NttKernel};
+use crate::sched::push_segment;
+use crate::ElementwiseOp::MulMod;
+use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_isa::Program;
 
 /// Specification of a fused negacyclic polynomial multiplication:
@@ -73,44 +76,35 @@ impl KernelSpec for ConvolutionSpec {
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
         let ConvolutionSpec { n, q, style } = *self;
-        let fwd = NttKernel::generate(n, q, Direction::Forward, style)?;
-        let inv = NttKernel::generate(n, q, Direction::Inverse, style)?;
-        let fwd_total = fwd.layout().total_elements;
-        let region_b = fwd_total;
-        let region_inv = 2 * fwd_total;
-        let total = 2 * fwd_total + inv.layout().total_elements;
+        let fwd = Ntt::emit(n, q, Direction::Forward, style)?;
+        let inv = Ntt::emit(n, q, Direction::Inverse, style)?;
+        let (region_b, region_inv) = (fwd.window, 2 * fwd.window);
+        let total = region_inv + inv.window;
         check_working_set(total)?;
 
-        let (fwd_out, _) = fwd.output_range();
-        let (inv_out, _) = inv.output_range();
         let mut program = Program::new(format!("negamul{}_{}", n, style));
-        // Forward transforms of A (window 0) and B (window fwd_total).
-        push_relocated(&mut program, fwd.program(), 0);
-        push_relocated(&mut program, fwd.program(), region_b);
+        // Forward transforms of A (window 0) and B (window region_b).
+        push_segment(&mut program, &fwd.program, style, &[0, region_b]);
         // Pointwise multiply Â·B̂ into the inverse segment's input buffer
         // (its ping-pong buffer A, at the start of its window). m0 still
         // holds q from the forward prologues.
-        program = pointwise_bridge(program, n, style, fwd_out, region_b + fwd_out, region_inv);
-        // Inverse transform back to coefficients (window 2 * fwd_total).
-        push_relocated(&mut program, inv.program(), region_inv);
+        let mut pointwise = Program::new("pointwise");
+        let (a_hat, b_hat) = (fwd.output, region_b + fwd.output);
+        emit_pointwise(&mut pointwise, MulMod, n, style, a_hat, b_hat, region_inv);
+        push_segment(&mut program, &pointwise, style, &[0]);
+        // Inverse transform back to coefficients (window region_inv).
+        push_segment(&mut program, &inv.program, style, &[region_inv]);
 
-        // Constant tables: each window keeps its own twiddles (duplicated
-        // across the two forward windows; VDM capacity is checked above).
-        let mut base_image = vec![0u128; total];
-        let zero = vec![0u128; n];
-        let fwd_consts = fwd.vdm_image(&zero);
-        base_image[..fwd_total].copy_from_slice(&fwd_consts);
-        base_image[region_b..region_b + fwd_total].copy_from_slice(&fwd_consts);
-        base_image[region_inv..].copy_from_slice(&inv.vdm_image(&zero));
-        let at = |region: usize, (off, len): (usize, usize)| (region + off, len);
-        let constants = vec![
-            fwd.layout().twiddle_span(),
-            at(region_b, fwd.layout().twiddle_span()),
-            at(region_inv, inv.layout().twiddle_span()),
+        // Each window keeps its own twiddles (the forward table twice;
+        // VDM capacity is checked above). All segments share one SDM
+        // block [n^{-1}, q].
+        let sdm = fwd.sdm();
+        let tables = [
+            (fwd.twiddle_at, &fwd.twiddles[..]),
+            (region_b + fwd.twiddle_at, &fwd.twiddles[..]),
+            (region_inv + inv.twiddle_at, &inv.twiddles[..]),
         ];
-
-        let sdm = fwd.sdm_image(); // [n_inv, q], shared by all NTT segments
-        let (_, schedule) = fwd.into_parts();
+        let schedule = fwd.schedule;
         let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
             let fa = schedule.forward(ops[0]);
@@ -125,50 +119,20 @@ impl KernelSpec for ConvolutionSpec {
         Ok(Kernel::new(
             self.key(),
             program,
-            base_image,
-            constants,
+            total,
+            &tables,
             sdm,
             vec![(0, n), (region_b, n)],
-            (region_inv + inv_out, n),
+            (region_inv + inv.output, n),
             golden,
         ))
     }
 }
 
-/// Appends the pointwise-multiply stage: `dst[v] = a_src[v] * b_src[v]`
-/// over `n / 512` vectors, via the shared
-/// [`emit_pointwise`](crate::elementwise::emit_pointwise) emitter. The
-/// segment is scheduled in isolation (the NTT segments were already
-/// scheduled at generation) so the list scheduler never reorders across
-/// the memory barrier between stages.
-fn pointwise_bridge(
-    mut program: Program,
-    n: usize,
-    style: CodegenStyle,
-    a_src: usize,
-    b_src: usize,
-    dst: usize,
-) -> Program {
-    let mut stage = Program::new("pointwise");
-    emit_pointwise(
-        &mut stage,
-        ElementwiseOp::MulMod,
-        n,
-        style,
-        a_src,
-        b_src,
-        dst,
-    );
-    if style != CodegenStyle::Unoptimized {
-        stage = list_schedule(&stage);
-    }
-    push_relocated(&mut program, &stage, 0);
-    program
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NttSpec;
     use rpu_isa::consts::VECTOR_LEN;
     use rpu_ntt::testutil::{schoolbook_negacyclic, test_vector};
 
@@ -204,11 +168,14 @@ mod tests {
     fn program_is_three_ntts_plus_pointwise() {
         let n = 2048usize;
         let q = prime(n);
-        let conv = ConvolutionSpec::new(n, q, CodegenStyle::Optimized)
+        let style = CodegenStyle::Optimized;
+        let conv = ConvolutionSpec::new(n, q, style).generate().unwrap();
+        let fwd = NttSpec::new(n, q, Direction::Forward, style)
             .generate()
             .unwrap();
-        let fwd = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
-        let inv = NttKernel::generate(n, q, Direction::Inverse, CodegenStyle::Optimized).unwrap();
+        let inv = NttSpec::new(n, q, Direction::Inverse, style)
+            .generate()
+            .unwrap();
         let pointwise = 4 * (n / VECTOR_LEN); // 2 loads + 1 mul + 1 store per vector
         assert_eq!(
             conv.program().len(),
@@ -217,7 +184,7 @@ mod tests {
         // the working set is three NTT windows
         assert_eq!(
             conv.total_elements(),
-            2 * fwd.layout().total_elements + inv.layout().total_elements
+            2 * fwd.total_elements() + inv.total_elements()
         );
     }
 }

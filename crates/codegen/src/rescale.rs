@@ -19,10 +19,12 @@
 //! domain divide-and-round — the differential suites pin this.
 
 use crate::elementwise::emit_pointwise;
-use crate::kernel::{push_relocated, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::gen::Ntt;
+use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
-use crate::sched::list_schedule;
-use crate::{CodegenError, CodegenStyle, Direction, ElementwiseOp, NttKernel};
+use crate::sched::push_segment;
+use crate::ElementwiseOp::SubMod;
+use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, Program, SReg, VReg};
 
@@ -83,8 +85,8 @@ impl KernelSpec for RescaleSpec {
             // p must be invertible mod q for the scale stage to exist.
             return Err(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus));
         }
-        let fwd = NttKernel::generate(n, q, Direction::Forward, style)?;
-        let w = fwd.layout().total_elements;
+        let fwd = Ntt::emit(n, q, Direction::Forward, style)?;
+        let w = fwd.window;
         // Regions above the NTT window; each stage reads and writes
         // disjoint ranges so the list scheduler stays honest.
         let (hat_off, diff_off, out_off) = (w, w + n, w + 2 * n);
@@ -93,42 +95,24 @@ impl KernelSpec for RescaleSpec {
 
         let p_inv = rpu_arith::mod_inverse(p % q, q);
         // SDM layout: the NTT slots [n⁻¹, q], then p⁻¹.
-        let mut sdm = fwd.sdm_image();
+        let mut sdm = fwd.sdm();
         let p_inv_slot = sdm.len();
         sdm.push(p_inv);
-        let (fwd_out, _) = fwd.output_range();
         let mut program = Program::new(format!("rescale{n}_{style}"));
         // Forward transform of δ (window 0); its prologue leaves q in m0
         // for the pointwise stages.
-        push_relocated(&mut program, fwd.program(), 0);
+        push_segment(&mut program, &fwd.program, style, &[0]);
         // ĉ − δ̂ → diff.
-        let mut seg = Program::new("sub");
-        emit_pointwise(
-            &mut seg,
-            ElementwiseOp::SubMod,
-            n,
-            style,
-            hat_off,
-            fwd_out,
-            diff_off,
-        );
-        if style != CodegenStyle::Unoptimized {
-            seg = list_schedule(&seg);
-        }
-        push_relocated(&mut program, &seg, 0);
+        let mut sub = Program::new("sub");
+        emit_pointwise(&mut sub, SubMod, n, style, hat_off, fwd.output, diff_off);
+        push_segment(&mut program, &sub, style, &[0]);
         // diff · p⁻¹ → out, p⁻¹ broadcast from its SDM slot.
-        let mut seg = Program::new("scale");
-        emit_scale_by_scalar(&mut seg, n, diff_off, out_off, p_inv_slot);
-        if style != CodegenStyle::Unoptimized {
-            seg = list_schedule(&seg);
-        }
-        push_relocated(&mut program, &seg, 0);
+        let mut scale = Program::new("scale");
+        emit_scale_by_scalar(&mut scale, n, diff_off, out_off, p_inv_slot);
+        push_segment(&mut program, &scale, style, &[0]);
 
-        let mut base_image = vec![0u128; total];
-        base_image[..w].copy_from_slice(&fwd.vdm_image(&vec![0u128; n]));
-        let constants = vec![fwd.layout().twiddle_span()]; // the NTT window sits at 0
-
-        let (_, schedule) = fwd.into_parts();
+        let tables = [(fwd.twiddle_at, &fwd.twiddles[..])]; // the NTT window sits at 0
+        let schedule = fwd.schedule;
         let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
             let delta_hat = schedule.forward(ops[0]);
@@ -141,8 +125,8 @@ impl KernelSpec for RescaleSpec {
         Ok(Kernel::new(
             self.key(),
             program,
-            base_image,
-            constants,
+            total,
+            &tables,
             sdm,
             vec![(0, n), (hat_off, n)],
             (out_off, n),

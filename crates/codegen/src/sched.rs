@@ -14,6 +14,7 @@
 //! machine the cycle model simulates: a new instruction needs a cost
 //! class in its `ISA` row, not a timing arm here.
 
+use crate::CodegenStyle;
 use rpu_isa::{Program, VdmFootprint, NUM_FLAT_REGS};
 use rpu_sim::{cost, CycleSim, RpuConfig};
 
@@ -140,6 +141,28 @@ pub fn list_schedule(program: &Program) -> Program {
         out
     } else {
         program.clone()
+    }
+}
+
+/// Appends one segment of a kernel — an NTT, a pointwise stage — to
+/// `program`, once per window offset in `windows`: list-scheduled on its
+/// own (once) unless `style` is [`CodegenStyle::Unoptimized`], so the
+/// scheduler never reorders across the memory barrier between two
+/// stages, then with every VDM reference shifted by the window's offset.
+/// SDM references (`sload`/`mload`/`aload`) stay: a kernel's segments
+/// share one scalar block. Generated segments address memory as
+/// `a0 + offset` with `a0 = 0`, so the shift places the segment in its
+/// window.
+pub(crate) fn push_segment(
+    program: &mut Program,
+    seg: &Program,
+    style: CodegenStyle,
+    windows: &[usize],
+) {
+    let scheduled = (style != CodegenStyle::Unoptimized).then(|| list_schedule(seg));
+    let seg = scheduled.as_ref().unwrap_or(seg);
+    for &at in windows {
+        program.extend(seg.instructions().iter().map(|i| i.relocated(at as u32)));
     }
 }
 

@@ -4,15 +4,21 @@
 //! SPIRAL run through the functional simulator and match OpenFHE's
 //! output".
 
-use rpu_codegen::{CodegenStyle, Direction, NttKernel};
+use rpu_codegen::{CodegenError, CodegenStyle, Direction, Kernel, KernelSpec, NttSpec};
 use rpu_isa::consts::VECTOR_LEN;
 use rpu_ntt::testutil::{cached_prime, test_vector};
 use rpu_sim::FunctionalSim;
 
+fn ntt(n: usize, q: u128, direction: Direction, style: CodegenStyle) -> Kernel {
+    NttSpec::new(n, q, direction, style)
+        .generate()
+        .expect("generation succeeds")
+}
+
 /// Runs a kernel on the functional simulator and returns its output.
-fn run_kernel(kernel: &NttKernel, input: &[u128]) -> Vec<u128> {
-    let mut sim = FunctionalSim::new(kernel.layout().total_elements, 16);
-    sim.write_vdm(0, &kernel.vdm_image(input)).unwrap();
+fn run_kernel(kernel: &Kernel, input: &[u128]) -> Vec<u128> {
+    let mut sim = FunctionalSim::new(kernel.total_elements(), 16);
+    sim.write_vdm(0, &kernel.vdm_image(&[input])).unwrap();
     sim.write_sdm(0, &kernel.sdm_image()).unwrap();
     sim.run(kernel.program())
         .expect("kernel must execute cleanly");
@@ -22,10 +28,10 @@ fn run_kernel(kernel: &NttKernel, input: &[u128]) -> Vec<u128> {
 
 fn check(n: usize, direction: Direction, style: CodegenStyle) {
     let q = cached_prime(126, 2 * n as u128);
-    let kernel = NttKernel::generate(n, q, direction, style).expect("generation succeeds");
+    let kernel = ntt(n, q, direction, style);
     let input = test_vector(n, q, n as u64 ^ 0xC0FFEE);
     let got = run_kernel(&kernel, &input);
-    let expect = kernel.expected_output(&input);
+    let expect = kernel.expected_output(&[&input]);
     assert_eq!(got, expect, "n={n} {direction:?} {style:?}");
 }
 
@@ -80,8 +86,8 @@ fn forward_then_inverse_round_trip_on_hardware() {
     // able to complete a full forward+inverse round trip by itself.
     let n = 2048usize;
     let q = cached_prime(126, 2 * n as u128);
-    let fwd = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
-    let inv = NttKernel::generate(n, q, Direction::Inverse, CodegenStyle::Optimized).unwrap();
+    let fwd = ntt(n, q, Direction::Forward, CodegenStyle::Optimized);
+    let inv = ntt(n, q, Direction::Inverse, CodegenStyle::Optimized);
     let input = test_vector(n, q, 42);
     let transformed = run_kernel(&fwd, &input);
     let back = run_kernel(&inv, &transformed);
@@ -93,8 +99,8 @@ fn optimized_and_unoptimized_agree() {
     let n = 1024usize;
     let q = cached_prime(126, 2 * n as u128);
     let input = test_vector(n, q, 7);
-    let opt = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
-    let unopt = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Unoptimized).unwrap();
+    let opt = ntt(n, q, Direction::Forward, CodegenStyle::Optimized);
+    let unopt = ntt(n, q, Direction::Forward, CodegenStyle::Unoptimized);
     assert_eq!(run_kernel(&opt, &input), run_kernel(&unopt, &input));
 }
 
@@ -103,7 +109,7 @@ fn instruction_counts_match_paper_formula() {
     // The paper quotes 1024 CIs for the 64K NTT: (n/1024)·log2(n).
     for (n, log_n) in [(1024usize, 10u32), (4096, 12), (65536, 16)] {
         let q = cached_prime(126, 2 * n as u128);
-        let k = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
+        let k = ntt(n, q, Direction::Forward, CodegenStyle::Optimized);
         let mix = k.program().mix();
         let expect_ci = (n / 1024) * log_n as usize;
         assert_eq!(mix.compute, expect_ci, "n={n}");
@@ -121,14 +127,14 @@ fn kernel_64k_validates() {
 
 #[test]
 fn rejects_small_or_odd_degrees() {
-    use rpu_codegen::CodegenError;
     let q = cached_prime(126, 2048);
+    let generate = |n| NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized).generate();
     assert!(matches!(
-        NttKernel::generate(512, q, Direction::Forward, CodegenStyle::Optimized),
+        generate(512),
         Err(CodegenError::UnsupportedDegree(512))
     ));
     assert!(matches!(
-        NttKernel::generate(1000, q, Direction::Forward, CodegenStyle::Optimized),
+        generate(1000),
         Err(CodegenError::UnsupportedDegree(1000))
     ));
 }
@@ -137,15 +143,19 @@ fn rejects_small_or_odd_degrees() {
 fn vdm_image_places_twiddles() {
     let n = 1024usize;
     let q = cached_prime(126, 2 * n as u128);
-    let k = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
-    let image = k.vdm_image(&vec![0u128; n]);
+    let k = ntt(n, q, Direction::Forward, CodegenStyle::Optimized);
+    let image = k.vdm_image(&[&vec![0u128; n]]);
+    // one twiddle table after the two ping-pong buffers, stage 0 first
+    let [(base, _)] = k.constant_spans() else {
+        panic!("one table: {:?}", k.constant_spans())
+    };
+    assert_eq!(*base, 2 * n);
     // stage-0 twiddle is psi^{n/2}; its square is -1
     let m = rpu_arith::Modulus128::new(q).unwrap();
-    let t0 = image[k.layout().twiddle_vector_offset(0, 0)];
+    let t0 = image[*base];
     assert_eq!(m.mul(t0, t0), q - 1);
     // all VECTOR_LEN entries of the stage-0 vector are equal
-    let base = k.layout().twiddle_vector_offset(0, 0);
-    assert!(image[base..base + VECTOR_LEN].iter().all(|&v| v == t0));
+    assert!(image[*base..*base + VECTOR_LEN].iter().all(|&v| v == t0));
 }
 
 #[test]
@@ -167,9 +177,9 @@ fn strided_memory_inverse_2k() {
 fn strided_memory_has_no_shuffles() {
     let n = 4096usize;
     let q = cached_prime(126, 2 * n as u128);
-    let k = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::StridedMemory).unwrap();
+    let k = ntt(n, q, Direction::Forward, CodegenStyle::StridedMemory);
     assert_eq!(k.program().mix().shuffle, 0, "shuffle-free by construction");
     // same butterfly count as the shuffle version
-    let opt = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
+    let opt = ntt(n, q, Direction::Forward, CodegenStyle::Optimized);
     assert_eq!(k.program().mix().compute, opt.program().mix().compute);
 }

@@ -178,8 +178,7 @@ pub use rpu_sim as sim;
 // And the most-used types at the top level.
 pub use rpu_codegen::{
     AutomorphismSpec, CodegenStyle, ConvolutionSpec, Direction, ElementwiseOp, ElementwiseSpec,
-    EngineKind, Kernel, KernelKey, KernelOp, KernelSpec, KeySwitchSpec, NttKernel, NttSpec,
-    RescaleSpec,
+    EngineKind, Kernel, KernelKey, KernelOp, KernelSpec, KeySwitchSpec, NttSpec, RescaleSpec,
 };
 pub use rpu_model::{AreaModel, DesignPoint, EnergyModel, F1Comparison};
 pub use rpu_ntt::leveled::{LeveledContext, LeveledError, NoiseBudget};

@@ -2,7 +2,7 @@
 //! the fast path multiplies it through, in its engine's own words.
 
 use crate::func::put;
-use rpu_arith::Engine;
+use rpu_arith::{Engine, ModArith};
 use std::sync::Arc;
 
 /// The constant tables of one kernel's VDM working set — twiddles,
@@ -68,6 +68,11 @@ macro_rules! on_words {
 }
 pub(crate) use on_words;
 
+/// Each value's Shoup quotient under `m`, of the value reduced.
+fn quotients<M: ModArith>(m: M, values: &[M::Word]) -> Vec<M::Word> {
+    values.iter().map(|&w| m.shoup(m.canon(w))).collect()
+}
+
 impl ConstantTables {
     /// Tables for a kernel under modulus `q`: `values` holds the
     /// contents of `spans`, concatenated in span order. This computes
@@ -86,13 +91,9 @@ impl ConstantTables {
         let words = match Engine::new(q) {
             Some(Engine::Narrow(m)) if values.iter().all(|&w| w >> 64 == 0) => {
                 let values: Vec<u64> = values.iter().map(|&w| w as u64).collect();
-                let quotients = values.iter().map(|&w| m.shoup(m.reduce(w))).collect();
-                Words::Narrow(quotients, values)
+                Words::Narrow(quotients(m, &values), values)
             }
-            Some(Engine::Wide(m)) => {
-                let quotients = values.iter().map(|&w| m.shoup(m.reduce(w))).collect();
-                Words::Wide(quotients, values)
-            }
+            Some(Engine::Wide(m)) => Words::Wide(quotients(m, &values), values),
             _ => Words::Wide(Vec::new(), values),
         };
         ConstantTables(Arc::new(Tables { q, spans, words }))

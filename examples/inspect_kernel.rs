@@ -6,13 +6,13 @@
 //!
 //! Run with: `cargo run --release --example inspect_kernel`
 
-use rpu::{CodegenStyle, CycleSim, Direction, NttKernel, PrimeTable, Rpu, RpuConfig};
+use rpu::{CodegenStyle, CycleSim, Direction, KernelSpec, NttSpec, PrimeTable, Rpu, RpuConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1024usize;
     let q = PrimeTable::new().ntt_prime(n)?;
 
-    let kernel = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized)?;
+    let kernel = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized).generate()?;
     let program = kernel.program();
 
     println!(
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Busyboard behaviour: optimized vs unoptimized (the Fig. 6 story).
-    let unopt = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Unoptimized)?;
+    let unopt = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Unoptimized).generate()?;
     let sim = CycleSim::new(RpuConfig::pareto_128x128()).map_err(rpu::RpuError::Config)?;
     let so = sim.simulate(program);
     let su = sim.simulate(unopt.program());

@@ -5,15 +5,17 @@
 
 use rpu::model::{best_perf_per_area, pareto_frontier, AreaModel, EnergyModel};
 use rpu::{
-    explore_design_space, CodegenStyle, CycleSim, Direction, HbmModel, NttKernel, RpuConfig,
+    explore_design_space, CodegenStyle, CycleSim, Direction, HbmModel, Kernel, KernelSpec, NttSpec,
+    RpuConfig,
 };
 
-fn kernel(n: usize, style: CodegenStyle) -> NttKernel {
+fn kernel(n: usize, style: CodegenStyle) -> Kernel {
     let q = rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists");
-    NttKernel::generate(n, q, Direction::Forward, style).expect("generates")
+    let spec = NttSpec::new(n, q, Direction::Forward, style);
+    spec.generate().expect("generates")
 }
 
-fn cycles(k: &NttKernel, h: usize, b: usize) -> u64 {
+fn cycles(k: &Kernel, h: usize, b: usize) -> u64 {
     CycleSim::new(RpuConfig::with_geometry(h, b))
         .expect("valid")
         .simulate(k.program())

@@ -2,7 +2,9 @@
 //! through codegen, binary encoding, functional execution, cycle timing,
 //! and the hardware models.
 
-use rpu::{CodegenStyle, CycleSim, Direction, FunctionalSim, NttKernel, Rpu, RpuConfig};
+use rpu::{
+    CodegenStyle, CycleSim, Direction, FunctionalSim, Kernel, KernelSpec, NttSpec, Rpu, RpuConfig,
+};
 
 /// The complete flow for one ring size, through every crate:
 /// prime (arith) → schedule (ntt) → kernel (codegen) → binary round trip
@@ -10,8 +12,9 @@ use rpu::{CodegenStyle, CycleSim, Direction, FunctionalSim, NttKernel, Rpu, RpuC
 /// timing (sim) → area/energy (model).
 fn full_stack(n: usize) {
     let q = rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists");
-    let kernel =
-        NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).expect("generates");
+    let kernel = NttSpec::new(n, q, Direction::Forward, CodegenStyle::Optimized)
+        .generate()
+        .expect("generates");
 
     // Binary round trip through the 64-bit instruction words.
     let words = kernel.program().to_words();
@@ -26,14 +29,14 @@ fn full_stack(n: usize) {
     // Functional execution of the *decoded* program matches the golden
     // model (proves the encoding carries full semantics).
     let input: Vec<u128> = (0..n as u128).map(|i| (i * i + 17) % q).collect();
-    let mut sim = FunctionalSim::new(kernel.layout().total_elements, 16);
-    sim.write_vdm(0, &kernel.vdm_image(&input)).unwrap();
+    let mut sim = FunctionalSim::new(kernel.total_elements(), 16);
+    sim.write_vdm(0, &kernel.vdm_image(&[&input])).unwrap();
     sim.write_sdm(0, &kernel.sdm_image()).unwrap();
     sim.run(&decoded).expect("executes");
     let (off, len) = kernel.output_range();
     assert_eq!(
         sim.read_vdm(off, len).unwrap(),
-        kernel.expected_output(&input)
+        kernel.expected_output(&[&input])
     );
 
     // Cycle timing is positive and the energy model consumes the stats.
@@ -60,14 +63,17 @@ fn full_stack_inverse_round_trip() {
     // with both executed from their binary encodings
     let n = 1024usize;
     let q = rpu::arith::find_ntt_prime_u128(126, 2 * n as u128).unwrap();
-    let fwd = NttKernel::generate(n, q, Direction::Forward, CodegenStyle::Optimized).unwrap();
-    let inv = NttKernel::generate(n, q, Direction::Inverse, CodegenStyle::Optimized).unwrap();
+    let ntt = |d| NttSpec::new(n, q, d, CodegenStyle::Optimized).generate();
+    let (fwd, inv) = (
+        ntt(Direction::Forward).unwrap(),
+        ntt(Direction::Inverse).unwrap(),
+    );
     let input: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 5) % q).collect();
 
-    let run = |k: &NttKernel, data: &[u128]| {
+    let run = |k: &Kernel, data: &[u128]| {
         let p = rpu::isa::Program::from_words("x", &k.program().to_words()).unwrap();
-        let mut sim = FunctionalSim::new(k.layout().total_elements, 16);
-        sim.write_vdm(0, &k.vdm_image(data)).unwrap();
+        let mut sim = FunctionalSim::new(k.total_elements(), 16);
+        sim.write_vdm(0, &k.vdm_image(&[data])).unwrap();
         sim.write_sdm(0, &k.sdm_image()).unwrap();
         sim.run(&p).unwrap();
         let (off, len) = k.output_range();
