@@ -8,8 +8,8 @@
 //! so each op body exists once:
 //!
 //! * [`Ops`] — the bodies (encrypt, add/sub, tensor + relinearize `mul`,
-//!   the key switch, phase, download, free, `apply_galois` over every
-//!   live tower, key upload) over a device, its kernel sets and a
+//!   the key switch, phase, free, `apply_galois` over every live tower,
+//!   upload, key upload) over a device, its kernel sets and a
 //!   placement. The device is an [`RpuCluster`] for the evaluators and
 //!   the one [`RpuSession`] a serving lane thread holds
 //!   ([`Ops::single`]).
@@ -48,6 +48,7 @@ use rpu_arith::gadget_decompose;
 use rpu_codegen::{AutomorphismSpec, CodegenStyle, ConvolutionSpec, Kernel, RescaleSpec};
 use rpu_ntt::leveled::{LeveledContext, LeveledError, NoiseBudget};
 use rpu_ntt::rlwe::{Ciphertext, KeySwitchKey, SecretKey, Splitmix};
+use rpu_ntt::{Domain, Polynomial};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -307,19 +308,25 @@ impl<'r, 'a> Ops<'r, 'a> {
         bufs.into_iter().try_for_each(|buf| self.dev.free(buf))
     }
 
-    /// Uploads one coefficient vector per tower and forward-transforms it
-    /// on each of the tower's component lanes — one shared handle when
-    /// both are one lane.
+    /// Uploads one host vector per tower, in domain `from`, as an
+    /// evaluation-form buffer on each of the tower's component lanes —
+    /// one shared handle when both are one lane. Coefficients are
+    /// forward-transformed there ([`recipes::upload_eval`]); evaluations
+    /// are already in the lane's order and run nothing.
     ///
     /// # Errors
     ///
     /// Returns [`RpuError`] on heap exhaustion or a dispatch fault.
-    pub fn upload_eval<C: AsRef<[u128]>>(&mut self, towers: &[C]) -> Result<Towers, RpuError> {
+    pub fn upload(&mut self, towers: &[&[u128]], from: Domain) -> Result<Towers, RpuError> {
         self.per_tower(towers.len(), |ops, t, l| {
             let [la, lb] = ops.homes(l);
             let mut up = |lane| -> Result<_, RpuError> {
                 let (w, k) = ops.at(lane, l);
-                Ok(t.hold(recipes::upload_eval(w, k, towers[l].as_ref())?))
+                let hat = match from {
+                    Domain::Coefficient => recipes::upload_eval(w, k, towers[l]),
+                    Domain::Evaluation => w.upload(towers[l]),
+                };
+                Ok(t.hold(hat?))
             };
             let a = up(la)?;
             Ok([a, if lb == la { a } else { up(lb)? }])
@@ -397,23 +404,6 @@ impl<'r, 'a> Ops<'r, 'a> {
             noisy
         });
         towers.collect()
-    }
-
-    /// Downloads every tower of both components in coefficient form (an
-    /// inverse NTT on its lane first), `[masks, payloads]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError`] on stale handles or dispatch failure.
-    fn download(&mut self, ct: &Towers) -> Result<[Vec<Vec<u128>>; 2], RpuError> {
-        let mut out = [Vec::new(), Vec::new()];
-        for (l, (&a, &b)) in ct[0].iter().zip(&ct[1]).enumerate() {
-            for (c, hat) in [a, b].into_iter().enumerate() {
-                let (w, k) = self.at(self.homes(l)[c], l);
-                out[c].push(recipes::download_coeffs(w, k, hat)?);
-            }
-        }
-        Ok(out)
     }
 
     /// Ciphertext×ciphertext multiplication at the operands' common
@@ -585,26 +575,26 @@ impl<'r, 'a> Ops<'r, 'a> {
     }
 
     /// Uploads a host key-switch key: every source tower's share of each
-    /// slot's tower, on the slot's lane.
+    /// slot's tower, on the slot's lane, as the host's evaluations —
+    /// already the lane's evaluation order, so no transform on either
+    /// side and no dispatch.
     ///
     /// # Errors
     ///
-    /// Returns [`RpuError`] on heap exhaustion or a dispatch fault; the
-    /// shares uploaded so far are released first.
+    /// Returns [`RpuError`] on heap exhaustion; the shares uploaded so
+    /// far are released first.
     pub fn upload_key(&mut self, ksk: &KeySwitchKey) -> Result<DeviceKeySwitchKey, RpuError> {
-        let (lanes, kernels, placement) = (self.dev.count(), self.kernels, self.placement);
+        let (lanes, slots, placement) = (self.dev.count(), self.kernels.len(), self.placement);
         let mut t = Temps::default();
         let mut upload = |i: usize, s: usize| {
             let (lane, l) = placement.place(s, lanes);
-            let (w, k) = (self.dev.lane(lane), &kernels[s]);
-            let share = ksk.share(i, l).map(|(a_j, b_j)| {
-                let a = t.hold(recipes::upload_eval(w, k, &a_j)?);
-                Ok((a, t.hold(recipes::upload_eval(w, k, &b_j)?)))
-            });
+            let w = self.dev.lane(lane);
+            let mut up = |v: &[u128]| w.upload(v).map(|hat| t.hold(hat));
+            let share = ksk.share(i, l).map(|(a, b)| Ok((up(a)?, up(b)?)));
             share.collect::<Result<Share, RpuError>>()
         };
         let shares = (0..ksk.parts().len())
-            .map(|i| (0..kernels.len()).map(|s| upload(i, s)).collect())
+            .map(|i| (0..slots).map(|s| upload(i, s)).collect())
             .collect::<Result<_, _>>();
         let base_log = ksk.base_log();
         let key = shares.map(|shares| DeviceKeySwitchKey { base_log, shares });
@@ -798,9 +788,10 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
     }
 
     /// Samples a secret key on the host (the stream
-    /// [`LeveledContext::keygen`] draws), uploads each tower's
-    /// coefficients to its component lanes and transforms them there,
-    /// where the key stays resident for every later `encrypt` /
+    /// [`LeveledContext::keygen`] draws) and uploads each tower's
+    /// evaluations to its component lanes — already the lane's
+    /// evaluation order, so no transform on either side and no dispatch
+    /// — where the key stays resident for every later `encrypt` /
     /// `decrypt`. Returns the host-form key for cross-checking against
     /// the oracle.
     ///
@@ -820,8 +811,8 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
         let stale = old.chain(keys.flat_map(|key| key.handles().collect::<Vec<_>>()));
         let stale: Vec<_> = stale.collect();
         self.ops().0.release(stale);
-        let towers: Vec<_> = (0..self.chain().levels()).map(|l| sk.s_coeffs(l)).collect();
-        let resident = self.ops().0.upload_eval(&towers)?;
+        let towers: Vec<_> = sk.towers().iter().map(Polynomial::values).collect();
+        let resident = self.ops().0.upload(&towers, Domain::Evaluation)?;
         self.sk = Some((resident, sk.clone()));
         Ok(sk)
     }
@@ -893,7 +884,7 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
         assert_eq!(plain.len(), n, "plaintext length must equal n");
         let (x, noise) = x.parts();
         let (mut ops, _) = self.ops();
-        let p = ops.upload_eval(&vec![plain; x[0].len()])?;
+        let p = ops.upload(&vec![plain; x[0].len()], Domain::Coefficient)?;
         let ct = ops.pointwise_ct(|k| &k.pwmul, &x, &p);
         ops.release(p.concat());
         let max = plain.iter().copied().max().unwrap_or(0);
@@ -1080,18 +1071,22 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
         noise.remaining(self.chain().log2_q(towers[0].len() - 1))
     }
 
-    /// Downloads a resident ciphertext into host form (via on-device
-    /// inverse NTTs on each buffer's lane), e.g. to cross-check ring
-    /// elements against the [`LeveledContext`] oracle.
+    /// Downloads a resident ciphertext into host form, e.g. to
+    /// cross-check ring elements against the [`LeveledContext`] oracle:
+    /// each buffer's evaluations cross as they are — the lane's order is
+    /// the host's — so no transform runs on either side and nothing is
+    /// dispatched.
     ///
     /// # Errors
     ///
-    /// Returns [`RpuError`] on stale handles or dispatch failure.
+    /// Returns [`RpuError`] on stale handles.
     pub fn download_ciphertext(&mut self, ct: &Ct) -> Result<Ciphertext, RpuError> {
         let (towers, noise) = ct.parts();
-        let (mut ops, ctx) = self.ops();
-        let [a, b] = ops.download(&towers)?;
-        Ok(Ciphertext::from_coeff_towers(ctx, a, b, noise)?)
+        let mut down = |c: &[DeviceBuffer]| -> Result<Vec<_>, RpuError> {
+            c.iter().map(|buf| self.cluster.download(buf)).collect()
+        };
+        let (a, b) = (down(&towers[0])?, down(&towers[1])?);
+        Ok(Ciphertext::from_eval_towers(&self.ctx, a, b, noise)?)
     }
 
     /// Frees every buffer of a resident ciphertext.

@@ -612,21 +612,21 @@ mod tests {
     }
 
     #[test]
-    fn from_coeff_towers_round_trips() {
+    fn from_eval_towers_round_trips() {
         let c = ctx(64, 55, 2);
         let mut rng = Splitmix::new(31);
         let sk = c.keygen(&mut rng);
         let m = msg(64, 9);
         let ct = c.encrypt(&sk, &m, &mut rng);
-        let a: Vec<Vec<u128>> = ct.a_towers().iter().map(|p| p.coeffs()).collect();
-        let b: Vec<Vec<u128>> = ct.b_towers().iter().map(|p| p.coeffs()).collect();
-        let rebuilt = Ciphertext::from_coeff_towers(&c, a, b, ct.noise()).unwrap();
+        let a: Vec<Vec<u128>> = ct.a_towers().iter().map(|p| p.values().to_vec()).collect();
+        let b: Vec<Vec<u128>> = ct.b_towers().iter().map(|p| p.values().to_vec()).collect();
+        let rebuilt = Ciphertext::from_eval_towers(&c, a, b, ct.noise()).unwrap();
         for l in 0..=1 {
             assert_eq!(rebuilt.a_towers()[l].values(), ct.a_towers()[l].values());
             assert_eq!(rebuilt.b_towers()[l].values(), ct.b_towers()[l].values());
         }
         assert_eq!(c.decrypt(&sk, &rebuilt), m);
-        assert!(Ciphertext::from_coeff_towers(
+        assert!(Ciphertext::from_eval_towers(
             &c,
             vec![vec![0; 64]; 3],
             vec![vec![0; 64]; 3],

@@ -261,6 +261,13 @@ impl PeaseSchedule {
     /// bit-reversed order produced by
     /// [`Ntt128Plan::forward`](crate::Ntt128Plan::forward):
     /// `standard[perm[p]] == pease[p]`.
+    ///
+    /// It is the identity at every degree: position `p` evaluates at
+    /// `psi^(2·bitrev(p) + 1)` in both orders (the tests pin it), so a
+    /// Pease-order vector — what the RPU's NTT kernels write — already
+    /// is a [`Domain::Evaluation`](crate::Domain::Evaluation)
+    /// polynomial's values, and evaluation-form data crosses between
+    /// host and device as it is.
     pub fn to_standard_permutation(&self) -> Vec<usize> {
         // Pease position p evaluates at psi^final_exp[p]; the standard
         // in-place CT leaves the evaluation at psi^(2i+1) in position
@@ -381,6 +388,30 @@ mod tests {
             for p in 0..n {
                 assert_eq!(pease_out[p], std_out[perm[p]], "n={n} p={p}");
             }
+        }
+    }
+
+    #[test]
+    fn pease_order_is_the_standard_bit_reversed_order() {
+        // Every output exponent is 2·bitrev(p) + 1, the evaluation the
+        // standard in-place transform leaves at position p.
+        for log_n in 1..=16u32 {
+            let n = 1usize << log_n;
+            for p in 0..n {
+                let e = output_exponent(n, p);
+                assert_eq!(e, 2 * bit_reverse(p, log_n) as u128 + 1, "n={n} p={p}");
+            }
+        }
+        // So the two transforms agree word for word, and the map between
+        // their orders is the identity.
+        for n in [1024usize, 2048, 4096, 65536] {
+            let (s, plan) = (pease128(n), plan128(n));
+            let perm = s.to_standard_permutation();
+            assert!(perm.iter().enumerate().all(|(p, &i)| p == i), "n={n}");
+            let x = test_vector(n, s.modulus().value(), n as u64);
+            let mut standard = x.clone();
+            plan.forward(&mut standard);
+            assert_eq!(s.forward(&x), standard, "n={n}");
         }
     }
 

@@ -80,6 +80,20 @@ impl Polynomial {
         })
     }
 
+    /// Wraps evaluations in the bit-reversed order of
+    /// [`Ntt128Plan::forward`] (reduced automatically) — the values of a
+    /// [`Domain::Evaluation`] polynomial. No transform runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NttError::InvalidDegree`] if the length does not match
+    /// the context's ring degree.
+    pub fn from_evaluations(ctx: &Arc<Ntt128Plan>, values: Vec<u128>) -> Result<Self, NttError> {
+        let mut p = Self::from_coeffs(ctx, values)?;
+        p.domain = Domain::Evaluation;
+        Ok(p)
+    }
+
     /// The zero polynomial.
     pub fn zero(ctx: &Arc<Ntt128Plan>) -> Self {
         Polynomial {

@@ -220,19 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn coeff_parts_round_trip() {
+    fn eval_parts_round_trip() {
         let c = ctx(32);
         let mut rng = Splitmix::new(5);
         let sk = c.keygen(&mut rng);
         let msg: Vec<u128> = (0..32).map(|i| i * 7 % 65537).collect();
         let ct = c.encrypt(&sk, &msg, &mut rng);
-        let parts = |a: Vec<u128>, b: Vec<u128>| {
-            Ciphertext::from_coeff_towers(&c, vec![a], vec![b], ct.noise())
+        let parts = |a: &[u128], b: &[u128]| {
+            Ciphertext::from_eval_towers(&c, vec![a.to_vec()], vec![b.to_vec()], ct.noise())
         };
-        let rebuilt = parts(ct.a().coeffs(), ct.b().coeffs()).unwrap();
+        let rebuilt = parts(ct.a().values(), ct.b().values()).unwrap();
         assert_eq!(rebuilt.a().values(), ct.a().values());
         assert_eq!(c.decrypt(&sk, &rebuilt), msg);
-        assert!(parts(vec![0; 31], vec![0; 32]).is_err());
+        assert!(parts(&[0; 31], &[0; 32]).is_err());
     }
 
     #[test]

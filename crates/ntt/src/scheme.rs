@@ -32,8 +32,10 @@ pub struct SecretKey {
 }
 
 impl SecretKey {
-    /// Natural-order coefficients of `s mod q_l` — what an accelerator
-    /// runtime uploads before transforming the key on-device.
+    /// Natural-order coefficients of `s mod q_l` (an inverse NTT of
+    /// [`towers`](Self::towers)`()[l]`). An accelerator runtime uploads
+    /// the evaluations instead, which its forward NTT would only
+    /// recompute.
     ///
     /// # Panics
     ///
@@ -90,15 +92,16 @@ impl Ciphertext {
         self.noise
     }
 
-    /// Rebuilds a ciphertext from per-tower natural-order coefficient
-    /// vectors (e.g. downloaded from an accelerator), tagging it with an
-    /// explicit noise estimate.
+    /// Rebuilds a ciphertext from per-tower evaluation vectors in the
+    /// bit-reversed order of [`Ntt128Plan::forward`] (e.g. downloaded
+    /// from an accelerator, whose Pease order is this order), tagging it
+    /// with an explicit noise estimate. No transform runs.
     ///
     /// # Errors
     ///
     /// Returns [`LeveledError`] if the tower counts disagree with each
     /// other or the chain, or a vector length differs from `n`.
-    pub fn from_coeff_towers(
+    pub fn from_eval_towers(
         ctx: &LeveledContext,
         a: Vec<Vec<u128>>,
         b: Vec<Vec<u128>>,
@@ -109,11 +112,11 @@ impl Ciphertext {
             let requested = a.len().max(b.len()).saturating_sub(1);
             return Err(LeveledError::LevelTooHigh { requested, max });
         }
-        let lift_all = |towers: Vec<Vec<u128>>| -> Result<Vec<Polynomial>, NttError> {
-            let lifted = ctx.plans.iter().zip(towers);
-            lifted.map(|(plan, coeffs)| lift(plan, coeffs)).collect()
+        let wrap = |(plan, v)| Polynomial::from_evaluations(plan, v);
+        let wrap_all = |towers: Vec<_>| -> Result<Vec<_>, NttError> {
+            ctx.plans.iter().zip(towers).map(wrap).collect()
         };
-        let (a, b) = (lift_all(a)?, lift_all(b)?);
+        let (a, b) = (wrap_all(a)?, wrap_all(b)?);
         Ok(Ciphertext { a, b, noise })
     }
 }
@@ -159,16 +162,17 @@ impl KeySwitchKey {
     }
 
     /// Tower `k`'s share of source tower `i`: per digit, the `(a, b)`
-    /// natural-order coefficient pair — what the lane that owns tower
-    /// `k` uploads and keeps resident.
+    /// evaluation pair (bit-reversed order, as stored) — what the lane
+    /// that owns tower `k` uploads as it is (its Pease order is this
+    /// order) and keeps resident. No transform runs.
     ///
     /// # Panics
     ///
     /// Panics if `i` or `k` is not a tower of this key.
-    pub fn share(&self, i: usize, k: usize) -> impl Iterator<Item = Pair<u128>> + '_ {
+    pub fn share(&self, i: usize, k: usize) -> impl Iterator<Item = (&[u128], &[u128])> + '_ {
         self.parts[i]
             .iter()
-            .map(move |(a, b)| (a[k].coeffs(), b[k].coeffs()))
+            .map(move |(a, b)| (a[k].values(), b[k].values()))
     }
 }
 

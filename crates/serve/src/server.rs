@@ -36,6 +36,7 @@ use crate::ops;
 use crate::ServeError;
 use rpu::evaluator::{GaloisKey, Ops, Towers};
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
+use rpu::ntt::Domain;
 use rpu::recipes::{self, LaneKernels, Temps};
 use rpu::{
     AutomorphismSpec, ClusterRunReport, CodegenStyle, DeviceBuffer, DeviceKeySwitchKey, Rpu,
@@ -1144,7 +1145,8 @@ fn run_admin(w: &mut RpuSession<'_>, core: &ServerCore, k: &LaneKernels, task: A
 /// Generates the tenant's keys from its randomness stream (under the
 /// state lock, so the draw order is the submission order a host mirror
 /// replays: secret key, relin key, then rotation keys in spec order),
-/// releases stale material, and uploads the new keys to the home lane.
+/// releases stale material, and uploads the new keys to the home lane
+/// in evaluation form, outside the lock (no transform, no dispatch).
 fn run_keygen(
     w: &mut RpuSession<'_>,
     core: &ServerCore,
@@ -1152,7 +1154,7 @@ fn run_keygen(
     tenant: TenantId,
 ) -> Result<(), ServeError> {
     let base_log = core.config.ksk_base_log;
-    let (sk_coeffs, relin_key, galois_keys, stale) = {
+    let (sk, relin_key, galois_keys, stale) = {
         let mut st = core.lock();
         let t = st.tenant_mut(tenant)?;
         let rotations = t.rotations.clone();
@@ -1168,7 +1170,7 @@ fn run_keygen(
             gks.push((steps, gk));
         }
         // Old-key ciphertexts are meaningless now: reclaim them too.
-        (sk.s_coeffs(0), rk, gks, t.take_buffers())
+        (sk, rk, gks, t.take_buffers())
     };
     for buf in stale {
         let _ = w.free(buf);
@@ -1178,7 +1180,7 @@ fn run_keygen(
     let mut ops = Ops::single(w, k);
     let mut t = Temps::default();
     let built = (|| {
-        let sk = ops.upload_eval(&[sk_coeffs])?;
+        let sk = ops.upload(&[sk.towers()[0].values()], Domain::Evaluation)?;
         t.hold_all(sk.concat());
         let relin = ops.upload_key(&relin_key)?;
         t.hold_all(relin.handles());

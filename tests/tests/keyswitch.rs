@@ -269,23 +269,48 @@ fn missing_keys_error_cleanly() {
 fn failed_rekey_leaves_no_half_key_behind() {
     let n = 1024usize;
     // Room for a relin key (2·ℓ·n = 16n), so only the key check stops it.
-    let rpu = Rpu::builder().device_heap_elements(40 * n).build().unwrap();
+    let rpu = Rpu::builder()
+        .lanes(2)
+        .device_heap_elements(40 * n)
+        .build()
+        .unwrap();
     let mut eval = RlweEvaluator::new(&rpu, params(n), CodegenStyle::Optimized).unwrap();
     let mut rng = Splitmix::new(0xDEAD);
+    // A key uploads in evaluation form, n elements per lane and no
+    // transient, so with the rest of both heaps full a re-key fits only
+    // if it frees the live old key first.
+    let keyless = eval.snapshot();
     eval.keygen(&mut rng).unwrap();
-    // Fill the heap (the hole the key's raw upload left, then the rest):
-    // re-keying frees the old key's n elements, but the upload needs 2n
-    // (raw + transformed).
-    let fillers = [n, 38 * n].map(|len| eval.cluster_mut().alloc_on(0, len).unwrap());
+    let full = [0, 1].map(|lane| eval.cluster_mut().alloc_on(lane, 39 * n).unwrap());
+    eval.keygen(&mut rng).unwrap();
+    for buf in full {
+        eval.cluster_mut().free(buf).unwrap();
+    }
+    // So lose the resident copy instead: restore the device to before
+    // the first key (the host copy stays). Then leave room for the mask
+    // lane's replica only, so the re-key uploads lane 0's copy before
+    // lane 1's fails, and must roll it back.
+    eval.restore(&keyless).unwrap();
+    let fillers = [(0, 39 * n), (1, 40 * n)]
+        .map(|(lane, len)| eval.cluster_mut().alloc_on(lane, len).unwrap());
+    let before = eval.cluster().lane_stats(0).transfer;
     let rekey = eval.keygen(&mut rng);
     assert!(
         matches!(rekey, Err(RpuError::Buffer(_))),
         "re-key must exhaust the heap, got {rekey:?}"
     );
+    let after = eval.cluster().lane_stats(0).transfer;
+    assert_eq!(
+        after.host_to_device - before.host_to_device,
+        n,
+        "lane 0's replica went up first"
+    );
     for filler in fillers {
         eval.cluster_mut().free(filler).unwrap();
     }
-    assert_eq!(eval.cluster().live_buffers(0), 0, "nothing stranded");
+    for lane in 0..2 {
+        assert_eq!(eval.cluster().live_buffers(lane), 0, "nothing stranded");
+    }
     assert!(matches!(
         eval.relin_keygen(&mut rng),
         Err(RpuError::Config(_))

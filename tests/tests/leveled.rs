@@ -209,21 +209,33 @@ fn failed_rekey_leaves_no_half_key_behind() {
     let ctx = LeveledContext::generate(n, T, BITS, 4).unwrap();
     let mut eval = LeveledEvaluator::new(&rpu, ctx, CodegenStyle::Optimized).unwrap();
     let mut rng = Splitmix::new(0xDEAD);
+    // A key uploads in evaluation form, 4n elements and no transient, so
+    // with the rest of the heap full a re-key fits only if it frees the
+    // live old key first.
+    let keyless = eval.snapshot();
     eval.keygen(&mut rng).unwrap();
-    // Fill the heap with level-0 ciphertexts (2n each, no transients):
-    // re-keying frees the old key's 4n, one short of the 5n its upload
-    // peaks at.
-    let fresh = eval.encrypt(&message(n, 1), &mut rng).unwrap();
-    let x = eval.mod_drop(fresh, 0).unwrap();
-    let fillers: Vec<_> = (0..5).map(|_| eval.add(&x, &x).unwrap()).collect();
+    let full = eval.cluster_mut().alloc_on(0, 12 * n).unwrap();
+    eval.keygen(&mut rng).unwrap();
+    eval.cluster_mut().free(full).unwrap();
+    // So lose the resident copy instead: restore the device to before
+    // the first key (the host copy stays). Then leave room for two of the
+    // four towers, so the re-key uploads towers 0 and 1 before tower 2
+    // fails, and must roll both back.
+    eval.restore(&keyless).unwrap();
+    let filler = eval.cluster_mut().alloc_on(0, 14 * n).unwrap();
+    let before = eval.cluster().lane_stats(0).transfer;
     let rekey = eval.keygen(&mut rng);
     assert!(
         matches!(rekey, Err(RpuError::Buffer(_))),
         "re-key must exhaust the heap, got {rekey:?}"
     );
-    for ct in fillers.into_iter().chain([x]) {
-        eval.free_ciphertext(ct).unwrap();
-    }
+    let after = eval.cluster().lane_stats(0).transfer;
+    assert_eq!(
+        after.host_to_device - before.host_to_device,
+        2 * n,
+        "towers 0 and 1 went up first"
+    );
+    eval.cluster_mut().free(filler).unwrap();
     assert_eq!(eval.cluster().live_buffers(0), 0, "nothing stranded");
     assert!(matches!(
         eval.relin_keygen(&mut rng),
