@@ -16,8 +16,11 @@ use crate::{Modulus128, Modulus64};
 
 /// The word a residue or a simulator lane is stored in. Architecturally
 /// every B512 element is 128 bits wide; a narrower word holds a value
-/// for as long as it fits.
-pub trait Lane: Copy + Default + Eq + core::fmt::Debug + Send + Sync + 'static {
+/// for as long as it fits. `!w` complements all of the word's bits, so
+/// the Shoup quotient of `q − w` is `!shoup(w)` at either width.
+pub trait Lane:
+    Copy + Default + Eq + core::ops::Not<Output = Self> + core::fmt::Debug + Send + Sync + 'static
+{
     /// The value of the word.
     fn widen(self) -> u128;
     /// Stores a value known to fit the word: any value for `u128`; for

@@ -18,8 +18,9 @@
 //! ```
 //!
 //! The routing comes from [`rpu_ntt::evaluation_map`], which derives it
-//! from the Pease output exponents in the same module as the coefficient
-//! routing the host reference uses.
+//! from the output exponents `2·bitrev(p) + 1` of the forward transform,
+//! in the same module as the coefficient routing the host reference
+//! uses.
 
 use crate::gen::RegPool;
 use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
@@ -148,7 +149,7 @@ impl KernelSpec for AutomorphismSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpu_ntt::{apply_automorphism, PeaseSchedule};
+    use rpu_ntt::{apply_automorphism, Ntt128Plan};
 
     fn prime(n: usize) -> u128 {
         rpu_arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists")
@@ -177,11 +178,15 @@ mod tests {
         // The reference: σ_g on coefficients, then the forward transform.
         let n = 1024usize;
         let q = prime(n);
-        let sched = PeaseSchedule::new(n, q).unwrap();
+        let plan = Ntt128Plan::new(n, q).unwrap();
+        let forward = |mut x: Vec<u128>| {
+            plan.forward(&mut x);
+            x
+        };
         let coeffs: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
-        let input = sched.forward(&coeffs);
+        let input = forward(coeffs.clone());
         for g in [1usize, 3, 5, 25, 2 * n - 1] {
-            let want = sched.forward(&apply_automorphism(&coeffs, g, q).unwrap());
+            let want = forward(apply_automorphism(&coeffs, g, q).unwrap());
             for style in [CodegenStyle::Optimized, CodegenStyle::Unoptimized] {
                 let kernel = AutomorphismSpec::new(n, q, g, style).generate().unwrap();
                 assert!(kernel.verify().unwrap(), "g={g} {style:?}");

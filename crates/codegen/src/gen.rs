@@ -1,7 +1,9 @@
 //! The NTT emitter — our stand-in for the paper's SPIRAL backend
 //! (Section V). [`Ntt::emit`] writes one forward or inverse transform
-//! straight from the shared [`PeaseSchedule`]; [`NttSpec`](crate::NttSpec)
-//! and the fused kernels place it in their programs.
+//! from the twiddles of a [`PeaseSchedule`]; [`NttSpec`](crate::NttSpec)
+//! and the fused kernels place it in their programs and verify it
+//! against the host plan, [`rpu_ntt::Ntt128Plan`], which shares no
+//! table with the schedule.
 //!
 //! Two program flavours are emitted for every (n, direction):
 //!
@@ -34,8 +36,7 @@ const GROUP: usize = 4;
 
 /// One emitted NTT, ready to place in a kernel at a window offset: its
 /// program (not yet list-scheduled), the extent of its window, and the
-/// twiddle table the program reads, beside the schedule its golden model
-/// runs.
+/// twiddle table and scalars the program reads.
 #[derive(Debug)]
 pub(crate) struct Ntt {
     pub(crate) program: Program,
@@ -48,7 +49,8 @@ pub(crate) struct Ntt {
     pub(crate) twiddle_at: usize,
     /// Every stage's distinct twiddle vectors, in stage order.
     pub(crate) twiddles: Vec<u128>,
-    pub(crate) schedule: PeaseSchedule,
+    /// The SDM scalars the program reads: `[n^{-1}, q]`.
+    sdm: [u128; 2],
 }
 
 impl Ntt {
@@ -106,14 +108,14 @@ impl Ntt {
             output: layout.output_offset,
             twiddle_at: layout.twiddle_bases[0],
             twiddles,
-            schedule,
+            sdm: [schedule.n_inv(), q],
         })
     }
 
     /// The SDM image the program reads: `[n^{-1}, q]`. Fused kernels
     /// append further scalars after it.
     pub(crate) fn sdm(&self) -> Vec<u128> {
-        vec![self.schedule.n_inv(), self.schedule.modulus().value()]
+        self.sdm.to_vec()
     }
 }
 

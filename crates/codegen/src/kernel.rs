@@ -19,6 +19,7 @@ use crate::{CodegenError, CodegenStyle, Direction};
 use rpu_arith::EngineKind;
 use rpu_isa::consts::VECTOR_LEN;
 use rpu_isa::{PredecodedProgram, Program};
+use rpu_ntt::Ntt128Plan;
 use rpu_sim::{ConstantTables, ExecError, FunctionalSim};
 use std::sync::OnceLock;
 
@@ -187,6 +188,18 @@ pub trait KernelSpec {
 
 /// The golden-model closure: operand slices in, expected output out.
 pub(crate) type GoldenFn = Box<dyn Fn(&[&[u128]]) -> Vec<u128> + Send + Sync>;
+
+/// The host plan a golden model transforms with, built from `(n, q)`
+/// alone when the model runs: it shares no table with the emitter, and
+/// a kernel keeps no plan between verdicts.
+///
+/// # Panics
+///
+/// Never for an `(n, q)` the emitter accepted: the plan checks the
+/// same degree, modulus and root of unity.
+pub(crate) fn host_plan(n: usize, q: u128) -> Ntt128Plan {
+    Ntt128Plan::new(n, q).expect("the emitter accepted (n, q)")
+}
 
 /// A generated kernel: a **data-free** compiled program plus everything
 /// needed to bind operands to it at dispatch time — the constant-only
@@ -553,10 +566,14 @@ impl KernelSpec for NttSpec {
         push_segment(&mut program, &ntt.program, style, &[0]);
         let sdm = ntt.sdm();
         let tables = [(ntt.twiddle_at, &ntt.twiddles[..])];
-        let schedule = ntt.schedule;
-        let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| match direction {
-            Direction::Forward => schedule.forward(ops[0]),
-            Direction::Inverse => schedule.inverse(ops[0]),
+        let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
+            let plan = host_plan(n, q);
+            let mut x = ops[0].to_vec();
+            match direction {
+                Direction::Forward => plan.forward(&mut x),
+                Direction::Inverse => plan.inverse(&mut x),
+            }
+            x
         });
         Ok(Kernel::new(
             self.key(),
@@ -596,6 +613,7 @@ mod tests {
         for (n, output) in [(1024usize, 0), (2048, 2048)] {
             let q = prime(n);
             let schedule = rpu_ntt::PeaseSchedule::new(n, q).unwrap();
+            let plan = Ntt128Plan::new(n, q).unwrap();
             let input: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 5) % q).collect();
             for direction in [Direction::Forward, Direction::Inverse] {
                 let spec = NttSpec::new(n, q, direction, CodegenStyle::Optimized);
@@ -616,10 +634,11 @@ mod tests {
                 assert!(image[n..2 * n].iter().all(|&x| x == 0));
                 assert_eq!(image[2 * n..], table[..]);
                 assert_eq!(kernel.sdm_image(), [schedule.n_inv(), q]);
-                let want = match direction {
-                    Direction::Forward => schedule.forward(&input),
-                    Direction::Inverse => schedule.inverse(&input),
-                };
+                let mut want = input.clone();
+                match direction {
+                    Direction::Forward => plan.forward(&mut want),
+                    Direction::Inverse => plan.inverse(&mut want),
+                }
                 assert_eq!(kernel.expected_output(&[&input]), want);
                 assert_eq!(kernel.output_range(), (output, n));
                 assert_eq!(kernel.execute(&[&input]).unwrap(), want, "{direction:?}");

@@ -120,7 +120,7 @@ mod tests {
     use crate::NttSpec;
     use rpu_arith::Modulus128;
     use rpu_isa::consts::VECTOR_LEN;
-    use rpu_ntt::PeaseSchedule;
+    use rpu_ntt::Ntt128Plan;
 
     fn prime(n: usize) -> u128 {
         rpu_arith::find_ntt_prime_u128(126, 2 * n as u128).expect("prime exists")
@@ -160,8 +160,8 @@ mod tests {
         let acc: Vec<u128> = (0..n as u128).map(|i| (i * 41 + 3) % q).collect();
         let d_hat = fwd.execute(&[&d]).unwrap();
         let got = kernel.execute(&[&d_hat, &k, &acc]).unwrap();
-        let sched = PeaseSchedule::new(n, q).unwrap();
-        let hat = sched.forward(&d);
+        let mut hat = d.clone();
+        Ntt128Plan::new(n, q).unwrap().forward(&mut hat);
         for i in (0..n).step_by(97) {
             assert_eq!(got[i], m.add(m.mul(hat[i], k[i]), acc[i]), "lane {i}");
         }
@@ -197,7 +197,7 @@ mod tests {
         let q = prime(n);
         let m = Modulus128::new(q).unwrap();
         let (fwd, kernel) = fwd_and_ksw(n, q);
-        let sched = PeaseSchedule::new(n, q).unwrap();
+        let plan = Ntt128Plan::new(n, q).unwrap();
         let digit = |s: u128| -> Vec<u128> { (0..n as u128).map(|i| (i * s + 5) % q).collect() };
         let key = |s: u128| -> Vec<u128> { (0..n as u128).map(|i| (i + s) % q).collect() };
         let mut acc = vec![0u128; n];
@@ -207,7 +207,8 @@ mod tests {
             let k = key(j * 7 + 1);
             let d_hat = fwd.execute(&[&d]).unwrap();
             acc = kernel.execute(&[&d_hat, &k, &acc]).unwrap();
-            let hat = sched.forward(&d);
+            let mut hat = d.clone();
+            plan.forward(&mut hat);
             for i in 0..n {
                 expect[i] = m.add(expect[i], m.mul(hat[i], k[i]));
             }

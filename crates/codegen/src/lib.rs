@@ -10,8 +10,8 @@
 //! caching. Six generators are built in:
 //!
 //! * [`NttSpec`] — one forward or inverse negacyclic NTT for ring degrees
-//!   1K–64K (and beyond, VDM permitting), emitted directly from the
-//!   shared [`rpu_ntt::PeaseSchedule`] in two styles: hardware-aware
+//!   1K–64K (and beyond, VDM permitting), emitted from the twiddles of a
+//!   [`rpu_ntt::PeaseSchedule`] in two styles: hardware-aware
 //!   **optimized** (register renaming, twiddle caching, software-pipelined
 //!   "rectangles", list scheduling) and naive **unoptimized** (the Fig. 6
 //!   baseline);
@@ -37,7 +37,8 @@
 //! pointwise stage — each list-scheduled on its own ([`list_schedule`],
 //! the standalone pass) and placed at its VDM window. A kernel verifies
 //! itself end to end on the functional simulator against its golden
-//! model.
+//! model, which transforms with the host plan ([`rpu_ntt::Ntt128Plan`])
+//! and never with the schedule the emitter read.
 //!
 //! # Examples
 //!

@@ -21,7 +21,7 @@
 
 use crate::elementwise::emit_pointwise;
 use crate::gen::Ntt;
-use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::kernel::{host_plan, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
 use crate::sched::push_segment;
 use crate::ElementwiseOp::MulMod;
@@ -104,18 +104,8 @@ impl KernelSpec for ConvolutionSpec {
             (region_b + fwd.twiddle_at, &fwd.twiddles[..]),
             (region_inv + inv.twiddle_at, &inv.twiddles[..]),
         ];
-        let schedule = fwd.schedule;
-        let modulus = schedule.modulus();
-        let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
-            let fa = schedule.forward(ops[0]);
-            let fb = schedule.forward(ops[1]);
-            let prod: Vec<u128> = fa
-                .iter()
-                .zip(&fb)
-                .map(|(&x, &y)| modulus.mul(x, y))
-                .collect();
-            schedule.inverse(&prod)
-        });
+        let golden: GoldenFn =
+            Box::new(move |ops: &[&[u128]]| host_plan(n, q).negacyclic_mul(ops[0], ops[1]));
         Ok(Kernel::new(
             self.key(),
             program,

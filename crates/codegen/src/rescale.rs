@@ -20,7 +20,7 @@
 
 use crate::elementwise::emit_pointwise;
 use crate::gen::Ntt;
-use crate::kernel::{GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
+use crate::kernel::{host_plan, GoldenFn, Kernel, KernelKey, KernelOp, KernelSpec};
 use crate::layout::check_working_set;
 use crate::sched::push_segment;
 use crate::ElementwiseOp::SubMod;
@@ -112,10 +112,11 @@ impl KernelSpec for RescaleSpec {
         push_segment(&mut program, &scale, style, &[0]);
 
         let tables = [(fwd.twiddle_at, &fwd.twiddles[..])]; // the NTT window sits at 0
-        let schedule = fwd.schedule;
-        let modulus = schedule.modulus();
         let golden: GoldenFn = Box::new(move |ops: &[&[u128]]| {
-            let delta_hat = schedule.forward(ops[0]);
+            let plan = host_plan(n, q);
+            let modulus = plan.modulus();
+            let mut delta_hat = ops[0].to_vec();
+            plan.forward(&mut delta_hat);
             ops[1]
                 .iter()
                 .zip(&delta_hat)
@@ -180,7 +181,7 @@ fn emit_scale_by_scalar(
 mod tests {
     use super::*;
     use rpu_arith::{Modulus128, ModulusChain};
-    use rpu_ntt::PeaseSchedule;
+    use rpu_ntt::Ntt128Plan;
 
     fn chain(n: usize) -> ModulusChain {
         ModulusChain::generate(n, 65537, 59, 2).expect("chain exists")
@@ -213,8 +214,8 @@ mod tests {
         let delta: Vec<u128> = (0..n as u128).map(|i| (i * 17 + 1) % q).collect();
         let chat: Vec<u128> = (0..n as u128).map(|i| (i * 29 + 2) % q).collect();
         let got = kernel.execute(&[&delta, &chat]).unwrap();
-        let sched = PeaseSchedule::new(n, q).unwrap();
-        let hat = sched.forward(&delta);
+        let mut hat = delta.clone();
+        Ntt128Plan::new(n, q).unwrap().forward(&mut hat);
         for i in (0..n).step_by(97) {
             assert_eq!(got[i], m.mul(m.sub(chat[i], hat[i]), p_inv), "lane {i}");
         }

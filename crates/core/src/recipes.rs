@@ -18,14 +18,13 @@
 //! (the hoisting of Halevi & Shoup, CRYPTO 2018) instead of paying for
 //! an NTT inside each accumulation.
 //!
-//! Evaluations need no transform to cross the host link: a lane keeps
-//! them in the Pease order its `fwd` kernel writes, which is the
-//! bit-reversed order of [`rpu_ntt::Ntt128Plan::forward`] — a
-//! [`rpu_ntt::Domain::Evaluation`] polynomial's values — word for word
-//! ([`rpu_ntt::PeaseSchedule::to_standard_permutation`] is the
-//! identity). So key material and the secret key are uploaded as the
-//! host's evaluations and a ciphertext is downloaded as the device's,
-//! with no NTT on either side and no dispatch; [`upload_eval`] and
+//! Evaluations need no transform to cross the host link: a lane's `fwd`
+//! kernel is verified word for word against
+//! [`rpu_ntt::Ntt128Plan::forward`], so it writes a
+//! [`rpu_ntt::Domain::Evaluation`] polynomial's values in their order.
+//! So key material and the secret key are uploaded as the host's
+//! evaluations and a ciphertext is downloaded as the device's, with no
+//! NTT on either side and no dispatch; [`upload_eval`] and
 //! [`download_coeffs`] are for coefficients.
 //!
 //! Not part of the supported API: the module is public only so

@@ -8,10 +8,10 @@
 //!
 //! * on coefficients ([`automorphism_map`]), a permutation with sign
 //!   fix-ups: `x^{ig mod 2n} = (-1)^{⌊ig/n⌋} x^{ig mod n}`;
-//! * on Pease-order evaluation vectors ([`evaluation_map`]), a pure
-//!   permutation of evaluation points without signs: position `k`
-//!   holds `a(ψ^{e_k})`, so `σ_g(a)(ψ^{e_k}) = a(ψ^{g·e_k})` is the
-//!   value at the position whose exponent is `g·e_k mod 2n`.
+//! * on evaluation vectors ([`evaluation_map`]), a pure permutation of
+//!   evaluation points without signs: position `k` holds `a(ψ^{e_k})`,
+//!   so `σ_g(a)(ψ^{e_k}) = a(ψ^{g·e_k})` is the value at the position
+//!   whose exponent is `g·e_k mod 2n`.
 //!
 //! This module is the *single* definition of `σ_g`: the host reference
 //! ([`Polynomial::automorphism`] and the RLWE oracle) permutes
@@ -20,8 +20,8 @@
 //!
 //! [`Polynomial::automorphism`]: crate::Polynomial::automorphism
 
-use crate::pease::output_exponent;
 use crate::NttError;
+use rpu_arith::bit_reverse;
 
 /// The coefficient routing of `σ_g` on a degree-`n` negacyclic ring:
 /// entry `j` of the result is `(i, negate)` meaning output coefficient
@@ -51,36 +51,31 @@ pub fn automorphism_map(n: usize, g: usize) -> Result<Vec<(usize, bool)>, NttErr
     Ok(map)
 }
 
-/// The evaluation-point routing of `σ_g` on a degree-`n` Pease-order
-/// evaluation vector (the output order of [`PeaseSchedule::forward`]):
-/// entry `k` of the result is the position `π(k)` with
-/// `forward(σ_g a)[k] = forward(a)[π(k)]`, where
-/// `e_{π(k)} = g·e_k mod 2n` and `e_p` is
-/// [`PeaseSchedule::output_exponent`]`(p)`. The routing depends on `n`
-/// and `g` only, and it is exact on residues: no value is computed.
+/// The evaluation-point routing of `σ_g` on a degree-`n` evaluation
+/// vector in the bit-reversed order of
+/// [`Ntt128Plan::forward`](crate::Ntt128Plan::forward), which is the
+/// Pease order the RPU's forward NTT kernels write: entry `k` of the
+/// result is the position `π(k)` with `forward(σ_g a)[k] =
+/// forward(a)[π(k)]`, where `e_{π(k)} = g·e_k mod 2n` and position `p`
+/// holds the evaluation at `psi^(e_p)`, `e_p = 2·bitrev(p) + 1`. The
+/// routing depends on `n` and `g` only, and it is exact on residues: no
+/// value is computed.
 ///
 /// # Errors
 ///
 /// Returns [`NttError::InvalidDegree`] unless `n` is a power of two ≥ 2,
 /// and [`NttError::InvalidGaloisElement`] unless `g` is odd.
-///
-/// [`PeaseSchedule::forward`]: crate::PeaseSchedule::forward
-/// [`PeaseSchedule::output_exponent`]: crate::PeaseSchedule::output_exponent
 pub fn evaluation_map(n: usize, g: usize) -> Result<Vec<usize>, NttError> {
     check(n, g)?;
+    let log_n = n.trailing_zeros();
     let two_n = 2 * n as u128;
     let g = g as u128 % two_n;
-    // The n output exponents are the n odd residues mod 2n, each once:
-    // index the positions by (e − 1) / 2.
-    let exps: Vec<u128> = (0..n).map(|p| output_exponent(n, p)).collect();
-    let mut at = vec![usize::MAX; n];
-    for (p, &e) in exps.iter().enumerate() {
-        at[(e / 2) as usize] = p;
-    }
-    debug_assert!(at.iter().all(|&p| p != usize::MAX));
-    Ok(exps
-        .iter()
-        .map(|&e| at[((g * e % two_n) / 2) as usize])
+    // Exponent e sits at position bitrev((e − 1) / 2).
+    Ok((0..n)
+        .map(|k| {
+            let e = 2 * bit_reverse(k, log_n) as u128 + 1;
+            bit_reverse((g * e % two_n / 2) as usize, log_n)
+        })
         .collect())
 }
 

@@ -21,8 +21,7 @@ use std::time::{Duration, Instant};
 /// Returns `X` in natural index order: `X[i] = x(psi^(2i+1))`, i.e. the
 /// polynomial evaluated at the odd powers of the primitive `2n`-th root
 /// `psi`. Note [`Ntt128Plan::forward`] leaves this value at position
-/// `bit_reverse(i)` and [`crate::PeaseSchedule::forward`] at the
-/// position given by [`crate::PeaseSchedule::output_exponent`].
+/// `bit_reverse(i)`.
 ///
 /// # Panics
 ///

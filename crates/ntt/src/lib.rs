@@ -4,9 +4,9 @@
 //! implementation of the Number Theoretic Transform and the polynomial
 //! operations RLWE workloads are built from. It serves four roles:
 //!
-//! 1. **Golden model** — the RPU functional simulator's outputs are
-//!    checked against [`PeaseSchedule::forward`]/[`PeaseSchedule::inverse`]
-//!    (and those against [`Ntt128Plan`] and O(n²) direct evaluation).
+//! 1. **Golden model** — every generated kernel is checked against
+//!    [`Ntt128Plan`] (and the plan against O(n²) direct evaluation);
+//!    [`PeaseSchedule`] only lays out the twiddles the emitter writes.
 //! 2. **CPU baseline** — [`baseline`] times one NTT plan, [`NttPlan`],
 //!    written once over `rpu-arith`'s `ModArith` and planned at 64 bits
 //!    ([`Ntt64Plan`]) and at 128 ([`Ntt128Plan`]), for the paper's

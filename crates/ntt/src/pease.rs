@@ -1,4 +1,4 @@
-//! Pease constant-geometry negacyclic NTT.
+//! Pease constant-geometry negacyclic NTT schedule.
 //!
 //! Section V of the paper explains that the long 512-element vectors of
 //! the RPU forced a reformulation of the NTT dataflow, and that the
@@ -9,12 +9,13 @@
 //! interleaved at `2j` / `2j+1` — precisely an `UNPKLO`/`UNPKHI` pair on
 //! vector registers.
 //!
-//! This module is the *scalar golden model* of that schedule. The
-//! `rpu-codegen` crate emits B512 programs stage-for-stage from the same
-//! [`PeaseSchedule`], so the functional simulator can be checked
-//! element-exactly against [`PeaseSchedule::forward`], which in turn is
-//! checked here against the standard in-place NTT and an O(n²) direct
-//! evaluation.
+//! This module holds what the `rpu-codegen` emitter reads to write that
+//! dataflow as B512 programs: each stage's twiddles, laid out as the
+//! vectors a kernel keeps in its VDM, plus `psi`, `n⁻¹` and the
+//! modulus. It is not a second definition of the transform: every
+//! emitted kernel is verified against [`Ntt128Plan`](crate::Ntt128Plan),
+//! which shares no table with this schedule, and the Pease output order
+//! is the plan's bit-reversed order.
 //!
 //! # The ring-splitting view
 //!
@@ -28,10 +29,10 @@
 //! broadcast a scalar twiddle (Listing 1's `_vbroadcast`).
 
 use crate::NttError;
-use rpu_arith::{bit_reverse, power_table, primitive_root_of_unity, ModArith, Modulus128};
+use rpu_arith::{power_table, primitive_root_of_unity, ModArith, Modulus128};
 
-/// The constant-geometry NTT schedule: per-stage twiddles plus scalar
-/// forward/inverse reference transforms.
+/// The constant-geometry NTT schedule: the per-stage twiddles the
+/// emitter writes into a kernel.
 ///
 /// # Examples
 ///
@@ -41,9 +42,9 @@ use rpu_arith::{bit_reverse, power_table, primitive_root_of_unity, ModArith, Mod
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let q = rpu_arith::find_ntt_prime_u128(126, 2048).expect("prime exists");
 /// let sched = PeaseSchedule::new(1024, q)?;
-/// let x: Vec<u128> = (0..1024).collect();
-/// let f = sched.forward(&x);
-/// assert_eq!(sched.inverse(&f), x);
+/// assert_eq!(sched.stages(), 10);
+/// // Stage 0 has one sub-ring, so one twiddle vector of 512 lanes.
+/// assert_eq!(sched.twiddle_vectors(0, 512), [vec![sched.twiddle(0, 0); 512]]);
 /// # Ok(())
 /// # }
 /// ```
@@ -55,13 +56,13 @@ pub struct PeaseSchedule {
     psi: u128,
     /// `stage_tw[s][r]` = twiddle for sub-ring `r` at stage `s`
     /// (`r = j mod 2^s` for pair index `j`): the one table both
-    /// [`forward`](PeaseSchedule::forward) and
-    /// [`inverse`](PeaseSchedule::inverse) read. Sub-ring `r` at stage
-    /// `s` is `(x^{n/2^s} − psi^e)` with `e = (2·bitrev_s(r) + 1)·n/2^s`,
-    /// so its inverse twiddle `psi^{−e/2} = −psi^{n − e/2}` is the
-    /// negated twiddle of sub-ring `r ^ (2^s − 1)`, whose exponent is
-    /// `n − e/2`. A schedule — which a kernel's golden model keeps —
-    /// holds one table and nothing derivable.
+    /// [`twiddle_vectors`](PeaseSchedule::twiddle_vectors) and
+    /// [`twiddle_inv_vectors`](PeaseSchedule::twiddle_inv_vectors)
+    /// read. Sub-ring `r` at stage `s` is `(x^{n/2^s} − psi^e)` with
+    /// `e = (2·bitrev_s(r) + 1)·n/2^s`, so its inverse twiddle
+    /// `psi^{−e/2} = −psi^{n − e/2}` is the negated twiddle of sub-ring
+    /// `r ^ (2^s − 1)`, whose exponent is `n − e/2`. A schedule holds
+    /// one table and nothing derivable.
     stage_tw: Vec<Vec<u128>>,
     n_inv: u128,
 }
@@ -200,103 +201,23 @@ impl PeaseSchedule {
         block % count
     }
 
-    /// Scalar reference forward transform (out-of-place): natural-order
-    /// coefficients in, **Pease order** out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.degree()`.
-    pub fn forward(&self, x: &[u128]) -> Vec<u128> {
-        assert_eq!(x.len(), self.n, "input length must equal ring degree");
-        let q = self.q;
-        let half = self.n / 2;
-        let mut cur = x.to_vec();
-        let mut next = vec![0u128; self.n];
-        for s in 0..self.log_n {
-            let tw = &self.stage_tw[s as usize];
-            let mask = tw.len() - 1;
-            for j in 0..half {
-                let t = q.mul(cur[j + half], tw[j & mask]);
-                next[2 * j] = q.add(cur[j], t);
-                next[2 * j + 1] = q.sub(cur[j], t);
-            }
-            core::mem::swap(&mut cur, &mut next);
-        }
-        cur
-    }
-
-    /// Scalar reference inverse transform: Pease order in, natural-order
-    /// coefficients out (including the `n^{-1}` scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.degree()`.
-    pub fn inverse(&self, x: &[u128]) -> Vec<u128> {
-        assert_eq!(x.len(), self.n, "input length must equal ring degree");
-        let q = self.q;
-        let half = self.n / 2;
-        let mut cur = x.to_vec();
-        let mut next = vec![0u128; self.n];
-        for s in (0..self.log_n).rev() {
-            let tw = &self.stage_tw[s as usize];
-            let mask = tw.len() - 1;
-            for j in 0..half {
-                // Undo: y0 = a + t b, y1 = a - t b (the /2 is folded into
-                // the final n^{-1} scale): (y0 − y1)·t⁻¹, where
-                // t⁻¹ = −tw[r ^ mask] (the field's note), is
-                // (y1 − y0)·tw[r ^ mask].
-                let (y0, y1) = (cur[2 * j], cur[2 * j + 1]);
-                next[j] = q.add(y0, y1);
-                next[j + half] = q.mul(q.sub(y1, y0), tw[(j & mask) ^ mask]);
-            }
-            core::mem::swap(&mut cur, &mut next);
-        }
-        for v in cur.iter_mut() {
-            *v = q.mul(*v, self.n_inv);
-        }
-        cur
-    }
-
     /// Permutation mapping Pease output positions to the standard
     /// bit-reversed order produced by
     /// [`Ntt128Plan::forward`](crate::Ntt128Plan::forward):
     /// `standard[perm[p]] == pease[p]`.
     ///
     /// It is the identity at every degree: position `p` evaluates at
-    /// `psi^(2·bitrev(p) + 1)` in both orders (the tests pin it), so a
-    /// Pease-order vector — what the RPU's NTT kernels write — already
-    /// is a [`Domain::Evaluation`](crate::Domain::Evaluation)
-    /// polynomial's values, and evaluation-form data crosses between
-    /// host and device as it is.
+    /// `psi^(2·bitrev(p) + 1)` in both orders. What makes that hold for
+    /// the RPU's NTT kernels is that each one is verified word for word
+    /// against the plan. So a Pease-order vector already is a
+    /// [`Domain::Evaluation`](crate::Domain::Evaluation) polynomial's
+    /// values, and evaluation-form data crosses between host and device
+    /// as it is. The method stays only while the benchmark's oracle
+    /// gathers through it, and goes with the benchmark-only change that
+    /// drops that gather.
     pub fn to_standard_permutation(&self) -> Vec<usize> {
-        // Pease position p evaluates at psi^final_exp[p]; the standard
-        // in-place CT leaves the evaluation at psi^(2i+1) in position
-        // bitrev(i). Equate exponents.
-        (0..self.n)
-            .map(|p| {
-                let e = self.output_exponent(p);
-                debug_assert_eq!(e % 2, 1, "leaf exponents are odd");
-                let i = ((e - 1) / 2) as usize;
-                bit_reverse(i, self.log_n)
-            })
-            .collect()
+        (0..self.n).collect()
     }
-
-    /// Evaluation exponent of output position `p`: the forward transform
-    /// leaves `x(psi^exponent)` there. Position `p`'s bits, most
-    /// significant first, are the branches its sub-ring took at stages
-    /// `0, 1, …`.
-    pub fn output_exponent(&self, p: usize) -> u128 {
-        output_exponent(self.n, p)
-    }
-}
-
-/// [`PeaseSchedule::output_exponent`] for degree `n` (a power of two):
-/// the exponent tree depends on `n` alone, not on the modulus or root.
-pub(crate) fn output_exponent(n: usize, p: usize) -> u128 {
-    (0..n.trailing_zeros())
-        .rev()
-        .fold(n as u128, |e, bit| exponents(e, n)[(p >> bit) & 1])
 }
 
 /// The exponent tree: the ring at stage 0 is `(x^n − psi^n)`, and the
@@ -311,7 +232,7 @@ fn exponents(e: u128, n: usize) -> [u128; 2] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{pease128, plan128, test_vector};
+    use crate::testutil::pease128;
 
     #[test]
     fn rejects_bad_parameters() {
@@ -342,76 +263,6 @@ mod tests {
         // all pairs share it
         for j in 0..8 {
             assert_eq!(s.twiddle(0, j), t0);
-        }
-    }
-
-    #[test]
-    fn forward_is_evaluation_at_leaf_exponents() {
-        let n = 16usize;
-        let s = pease128(n);
-        let q = s.modulus();
-        let x = test_vector(n, q.value(), 7);
-        let f = s.forward(&x);
-        for (p, &fp) in f.iter().enumerate() {
-            let point = q.pow(s.psi(), s.output_exponent(p));
-            let mut acc = 0u128;
-            for j in (0..n).rev() {
-                acc = q.add(q.mul(acc, point), x[j]);
-            }
-            assert_eq!(fp, acc, "p={p}");
-        }
-    }
-
-    #[test]
-    fn round_trip_many_sizes() {
-        for log_n in [1u32, 2, 4, 7, 10] {
-            let n = 1usize << log_n;
-            let s = pease128(n);
-            let x = test_vector(n, s.modulus().value(), log_n as u64);
-            assert_eq!(s.inverse(&s.forward(&x)), x, "n={n}");
-        }
-    }
-
-    #[test]
-    fn matches_standard_plan_up_to_permutation() {
-        for n in [8usize, 64, 512, 2048] {
-            let s = pease128(n);
-            let plan = plan128(n);
-            assert_eq!(s.modulus().value(), plan.modulus().value());
-            // Plans find roots deterministically, so psi matches too.
-            assert_eq!(s.psi(), plan.psi());
-            let x = test_vector(n, s.modulus().value(), 99);
-            let pease_out = s.forward(&x);
-            let mut std_out = x.clone();
-            plan.forward(&mut std_out);
-            let perm = s.to_standard_permutation();
-            for p in 0..n {
-                assert_eq!(pease_out[p], std_out[perm[p]], "n={n} p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn pease_order_is_the_standard_bit_reversed_order() {
-        // Every output exponent is 2·bitrev(p) + 1, the evaluation the
-        // standard in-place transform leaves at position p.
-        for log_n in 1..=16u32 {
-            let n = 1usize << log_n;
-            for p in 0..n {
-                let e = output_exponent(n, p);
-                assert_eq!(e, 2 * bit_reverse(p, log_n) as u128 + 1, "n={n} p={p}");
-            }
-        }
-        // So the two transforms agree word for word, and the map between
-        // their orders is the identity.
-        for n in [1024usize, 2048, 4096, 65536] {
-            let (s, plan) = (pease128(n), plan128(n));
-            let perm = s.to_standard_permutation();
-            assert!(perm.iter().enumerate().all(|(p, &i)| p == i), "n={n}");
-            let x = test_vector(n, s.modulus().value(), n as u64);
-            let mut standard = x.clone();
-            plan.forward(&mut standard);
-            assert_eq!(s.forward(&x), standard, "n={n}");
         }
     }
 
@@ -467,21 +318,5 @@ mod tests {
         assert_eq!(s.twiddle_vector_index(11, 5, vlen), 1);
         // stage 3: one vector for all blocks
         assert_eq!(s.twiddle_vector_index(3, 3, vlen), 0);
-    }
-
-    #[test]
-    fn negacyclic_product_via_pease_domain() {
-        // Pointwise multiplication in the Pease domain implements
-        // negacyclic convolution, same as the standard domain.
-        let n = 64usize;
-        let s = pease128(n);
-        let q = s.modulus();
-        let a = test_vector(n, q.value(), 1);
-        let b = test_vector(n, q.value(), 2);
-        let fa = s.forward(&a);
-        let fb = s.forward(&b);
-        let prod: Vec<u128> = fa.iter().zip(&fb).map(|(&x, &y)| q.mul(x, y)).collect();
-        let c = s.inverse(&prod);
-        assert_eq!(c, crate::testutil::schoolbook_negacyclic(q, &a, &b));
     }
 }

@@ -16,7 +16,9 @@
 //! widths.
 
 use crate::NttError;
-use rpu_arith::{power_table_bitrev, primitive_root_of_unity, ModArith, Modulus128, Modulus64};
+use rpu_arith::{
+    bit_reverse, power_table_bitrev, primitive_root_of_unity, ModArith, Modulus128, Modulus64,
+};
 
 /// A planned negacyclic NTT over `Z_q[x]/(x^n + 1)` for a prime `q` in
 /// the range of the modulus type `M`.
@@ -98,14 +100,23 @@ impl<M: ModArith> NttPlan<M> {
         let psi = primitive_root_of_unity(modulus, 2 * n as u128)
             .map_err(|_| NttError::NoRootOfUnity { degree: n })?;
         let log_n = n.trailing_zeros();
-        let psi_inv = modulus.inv(psi);
 
-        // Twiddle tables come from the shared rpu-arith power-table
-        // helper, each entry beside its Shoup quotient.
+        // The forward table comes from the shared rpu-arith power-table
+        // helper, each entry beside its Shoup quotient. The inverse table
+        // is read off it: psi^(−j) = −psi^(n − j) for 0 < j < n, and the
+        // quotient of q − w is !shoup(w) for w ≠ 0 (every power of psi).
         let fwd = power_table_bitrev(modulus, psi, n);
-        let inv = power_table_bitrev(modulus, psi_inv, n);
-        let fwd_shoup = fwd.iter().map(|&w| modulus.shoup(w)).collect();
-        let inv_shoup = inv.iter().map(|&w| modulus.shoup(w)).collect();
+        let fwd_shoup: Vec<_> = fwd.iter().map(|&w| modulus.shoup(w)).collect();
+        let zero = M::Word::default();
+        let (inv, inv_shoup) = (0..n)
+            .map(|k| match k {
+                0 => (fwd[0], fwd_shoup[0]),
+                _ => {
+                    let at = bit_reverse(n - bit_reverse(k, log_n), log_n);
+                    (modulus.sub(zero, fwd[at]), !fwd_shoup[at])
+                }
+            })
+            .unzip();
         let n_inv = modulus.inv(modulus.canon(n as u128));
         Ok(NttPlan {
             n,
@@ -232,6 +243,14 @@ impl<M: ModArith> NttPlan<M> {
     }
 }
 
+#[cfg(test)]
+impl<M: ModArith> NttPlan<M> {
+    /// The inverse twiddle table and its Shoup quotients.
+    pub(crate) fn inverse_table(&self) -> (&[M::Word], &[M::Word]) {
+        (&self.inv, &self.inv_shoup)
+    }
+}
+
 /// The plan's tests, written once over the word and instantiated once
 /// per width: `plan128::tests` runs them on [`Modulus128`],
 /// `plan64::tests` (in the crate root) on [`Modulus64`].
@@ -280,6 +299,21 @@ macro_rules! plan_tests {
             for q in [98, top + 2] {
                 let err = NttPlan::<M>::new(8, Word::narrow(q)).unwrap_err();
                 assert_eq!(err, NttError::NoRootOfUnity { degree: 8 });
+            }
+        }
+
+        #[test]
+        fn inverse_table_is_the_power_table_of_psi_inverse() {
+            // The table read off the forward one, word for word what
+            // powering psi⁻¹ and dividing for every quotient gives.
+            for n in [2usize, 4, 1024, 2048, 65536] {
+                let p = plan(n);
+                let q = p.modulus();
+                let want = rpu_arith::power_table_bitrev(q, q.inv(p.psi()), n);
+                let want_shoup: Vec<Word> = want.iter().map(|&w| q.shoup(w)).collect();
+                let (inv, inv_shoup) = p.inverse_table();
+                assert_eq!(inv, want, "n={n}");
+                assert_eq!(inv_shoup, want_shoup, "n={n}");
             }
         }
 
@@ -364,9 +398,43 @@ pub(crate) use plan_tests;
 
 #[cfg(test)]
 mod tests {
+    use crate::baseline::naive_forward;
+    use crate::testutil::{plan128, test_vector};
     use crate::{Ntt128Plan, Ntt64Plan};
+    use rpu_arith::bit_reverse;
 
     plan_tests!(rpu_arith::Modulus128);
+
+    #[test]
+    fn output_exponent_is_two_bitrev_plus_one() {
+        // Position p of the forward transform holds x(psi^(2·bitrev(p)+1)).
+        // Every NTT kernel is verified against this plan, so this is the
+        // order a lane's evaluations are in too. Every position against
+        // the naive transform up to n = 4096 …
+        for log_n in 1..=12u32 {
+            let n = 1usize << log_n;
+            let p = plan128(n);
+            let x = test_vector(n, p.modulus().value(), n as u64);
+            let naive = naive_forward(p.modulus(), p.psi(), &x);
+            let mut f = x.clone();
+            p.forward(&mut f);
+            for (pos, &v) in f.iter().enumerate() {
+                assert_eq!(v, naive[bit_reverse(pos, log_n)], "n={n} p={pos}");
+            }
+        }
+        // … and sampled positions by Horner evaluation at n = 2^16.
+        let n = 1usize << 16;
+        let p = plan128(n);
+        let q = p.modulus();
+        let x = test_vector(n, q.value(), n as u64);
+        let mut f = x.clone();
+        p.forward(&mut f);
+        for pos in (0..n).step_by(4093).chain([1, n - 1]) {
+            let point = q.pow(p.psi(), 2 * bit_reverse(pos, 16) as u128 + 1);
+            let want = (x.iter().rev()).fold(0, |acc, &c| q.add(q.mul(acc, point), c));
+            assert_eq!(f[pos], want, "n={n} p={pos}");
+        }
+    }
 
     #[test]
     fn agrees_with_64bit_plan_on_shared_modulus() {

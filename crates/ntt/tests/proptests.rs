@@ -2,8 +2,8 @@
 //! hold for arbitrary inputs and ring sizes.
 
 use proptest::prelude::*;
-use rpu_ntt::testutil::{cached_prime, pease128, plan128, schoolbook_negacyclic};
-use rpu_ntt::{apply_automorphism, evaluation_map, Ntt64Plan, PeaseSchedule};
+use rpu_ntt::testutil::{cached_prime, plan128, schoolbook_negacyclic};
+use rpu_ntt::{apply_automorphism, evaluation_map, Ntt128Plan, Ntt64Plan};
 
 /// A random ring degree 2^k for k in 1..=9 and a seed.
 fn arb_ring() -> impl Strategy<Value = (usize, u64)> {
@@ -25,27 +25,6 @@ proptest! {
         p.forward(&mut x);
         p.inverse(&mut x);
         prop_assert_eq!(x, orig);
-    }
-
-    #[test]
-    fn pease_round_trip((n, seed) in arb_ring()) {
-        let s = pease128(n);
-        let x = random_residues(n, s.modulus().value(), seed);
-        prop_assert_eq!(s.inverse(&s.forward(&x)), x);
-    }
-
-    #[test]
-    fn pease_equals_standard_under_permutation((n, seed) in arb_ring()) {
-        let s = pease128(n);
-        let p = plan128(n);
-        let x = random_residues(n, s.modulus().value(), seed);
-        let pease = s.forward(&x);
-        let mut std_out = x.clone();
-        p.forward(&mut std_out);
-        let perm = s.to_standard_permutation();
-        for i in 0..n {
-            prop_assert_eq!(pease[i], std_out[perm[i]]);
-        }
     }
 
     #[test]
@@ -82,7 +61,7 @@ proptest! {
         let n = 128usize;
         let q = cached_prime(59, 2 * n as u128) as u64;
         let p64 = Ntt64Plan::new(n, q).expect("valid parameters");
-        let p128 = rpu_ntt::Ntt128Plan::new(n, q as u128).expect("valid parameters");
+        let p128 = Ntt128Plan::new(n, q as u128).expect("valid parameters");
         let a: Vec<u64> = random_residues(n, q as u128, seed)
             .into_iter().map(|v| v as u64).collect();
         let mut x64 = a.clone();
@@ -91,19 +70,6 @@ proptest! {
         p128.forward(&mut x128);
         let widened: Vec<u128> = x64.iter().map(|&v| v as u128).collect();
         prop_assert_eq!(widened, x128);
-    }
-
-    #[test]
-    fn pease_pointwise_is_negacyclic_convolution(seed in any::<u64>()) {
-        let n = 16usize;
-        let s: PeaseSchedule = pease128(n);
-        let q = s.modulus();
-        let a = random_residues(n, q.value(), seed);
-        let b = random_residues(n, q.value(), seed ^ 0xABCD);
-        let fa = s.forward(&a);
-        let fb = s.forward(&b);
-        let prod: Vec<u128> = fa.iter().zip(&fb).map(|(&x, &y)| q.mul(x, y)).collect();
-        prop_assert_eq!(s.inverse(&prod), schoolbook_negacyclic(q, &a, &b));
     }
 }
 
@@ -118,11 +84,15 @@ proptest! {
         for n in (1..=12).map(|b| 1usize << b) {
             let g_k = rpu_ntt::galois_element(n, k % n);
             for q in [cached_prime(59, 2 * n as u128), cached_prime(126, 2 * n as u128)] {
-                let s = PeaseSchedule::new(n, q).unwrap();
+                let plan = Ntt128Plan::new(n, q).unwrap();
+                let forward = |mut x: Vec<u128>| {
+                    plan.forward(&mut x);
+                    x
+                };
                 let x = random_residues(n, q, seed);
-                let fx = s.forward(&x);
+                let fx = forward(x.clone());
                 for g in [1, 3, 5, g_k, 2 * n - 1] {
-                    let want = s.forward(&apply_automorphism(&x, g, q).unwrap());
+                    let want = forward(apply_automorphism(&x, g, q).unwrap());
                     let map = evaluation_map(n, g).unwrap();
                     let got: Vec<u128> = map.iter().map(|&p| fx[p]).collect();
                     prop_assert_eq!(got, want, "n={} g={} q={}", n, g, q);
