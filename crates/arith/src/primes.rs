@@ -111,24 +111,38 @@ const SEARCH_BUDGET: u32 = 1 << 16;
 /// two (the only case ring processing needs, and it keeps the stride
 /// search exact).
 pub fn find_ntt_prime_u128(bits: u32, modulo: u128) -> Option<u128> {
+    assert_ntt_search(bits, modulo);
+    walk(bits, modulo, 1).pop()
+}
+
+/// The argument checks of the power-of-two searches.
+fn assert_ntt_search(bits: u32, modulo: u128) {
     assert!((1..=127).contains(&bits), "bits must be in 1..=127");
     assert!(
         modulo != 0 && modulo.is_power_of_two(),
         "modulo must be a power of two"
     );
-    let top = 1u128 << bits;
-    // Largest candidate of the form k*modulo + 1 below 2^bits.
-    let mut k = (top - 2) / modulo;
+}
+
+/// The one descending walk every search runs: the first `count` primes
+/// of the form `k·stride + 1` below `2^bits`, largest first. The budget
+/// bounds the composites tested in a row and refreshes per prime found,
+/// so the walk never exceeds `count × SEARCH_BUDGET` candidates.
+fn walk(bits: u32, stride: u128, count: usize) -> Vec<u128> {
+    let mut k = ((1u128 << bits) - 2) / stride;
+    let mut out = Vec::with_capacity(count);
     let mut budget = SEARCH_BUDGET;
-    while k > 0 && budget > 0 {
-        let q = k * modulo + 1;
+    while k > 0 && out.len() < count && budget > 0 {
+        let q = k * stride + 1;
         if is_prime_u128(q) {
-            return Some(q);
+            out.push(q);
+            budget = SEARCH_BUDGET;
+        } else {
+            budget -= 1;
         }
         k -= 1;
-        budget -= 1;
     }
-    None
+    out
 }
 
 /// Finds the largest prime `q < 2^bits` with `q ≡ 1 (mod modulo)`, for
@@ -153,28 +167,8 @@ pub fn find_ntt_prime_u64(bits: u32, modulo: u64) -> Option<u64> {
 ///
 /// Panics unless `1 <= bits <= 127` and `modulo` is a non-zero power of two.
 pub fn find_ntt_prime_chain(bits: u32, modulo: u128, count: usize) -> Vec<u128> {
-    assert!((1..=127).contains(&bits), "bits must be in 1..=127");
-    assert!(
-        modulo != 0 && modulo.is_power_of_two(),
-        "modulo must be a power of two"
-    );
-    let top = 1u128 << bits;
-    let mut k = (top - 2) / modulo;
-    let mut out = Vec::with_capacity(count);
-    // Bounded like the single-prime search: the budget refreshes per
-    // prime found, so the walk never exceeds count × SEARCH_BUDGET.
-    let mut budget = SEARCH_BUDGET;
-    while k > 0 && out.len() < count && budget > 0 {
-        let q = k * modulo + 1;
-        if is_prime_u128(q) {
-            out.push(q);
-            budget = SEARCH_BUDGET;
-        } else {
-            budget -= 1;
-        }
-        k -= 1;
-    }
-    out
+    assert_ntt_search(bits, modulo);
+    walk(bits, modulo, count)
 }
 
 /// Finds `count` distinct primes just below `2^bits` with
@@ -194,24 +188,7 @@ pub fn find_ntt_prime_chain(bits: u32, modulo: u128, count: usize) -> Vec<u128> 
 pub fn find_congruent_prime_chain(bits: u32, stride: u128, count: usize) -> Vec<u128> {
     assert!((1..=127).contains(&bits), "bits must be in 1..=127");
     assert!(stride != 0, "stride must be non-zero");
-    let top = 1u128 << bits;
-    if top <= 2 {
-        return Vec::new();
-    }
-    let mut k = (top - 2) / stride;
-    let mut out = Vec::with_capacity(count);
-    let mut budget = SEARCH_BUDGET;
-    while k > 0 && out.len() < count && budget > 0 {
-        let q = k * stride + 1;
-        if is_prime_u128(q) {
-            out.push(q);
-            budget = SEARCH_BUDGET;
-        } else {
-            budget -= 1;
-        }
-        k -= 1;
-    }
-    out
+    walk(bits, stride, count)
 }
 
 #[cfg(test)]
@@ -306,6 +283,22 @@ mod tests {
             assert!(is_prime_u128(q));
             assert_eq!(q % stride, 1);
             assert!(q < 1u128 << 60);
+        }
+    }
+
+    #[test]
+    fn single_prime_is_the_chains_first() {
+        // One walk behind every search: the single-prime search answers
+        // what a one-prime chain holds, found or not, at every width.
+        for bits in (1..=127).step_by(7).chain([59, 60, 62, 126, 127]) {
+            for modulo in [2u128, 1 << 11, 1 << 17] {
+                let chain = find_ntt_prime_chain(bits, modulo, 1);
+                assert_eq!(
+                    find_ntt_prime_u128(bits, modulo),
+                    chain.first().copied(),
+                    "bits {bits}, modulo {modulo}"
+                );
+            }
         }
     }
 

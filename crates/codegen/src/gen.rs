@@ -54,25 +54,34 @@ pub(crate) struct Ntt {
 }
 
 impl Ntt {
-    /// Emits a transform of degree `n` (a power of two, ≥ 1024 so a
-    /// butterfly block fills the 512-lane vectors) under a prime
-    /// `q ≡ 1 (mod 2n)`.
+    /// The schedule a transform of degree `n` (a power of two, ≥ 1024
+    /// so a butterfly block fills the 512-lane vectors) under a prime
+    /// `q ≡ 1 (mod 2n)` is emitted from. One schedule serves both
+    /// directions, so a kernel that emits both builds it once.
     ///
     /// # Errors
     ///
-    /// Returns [`CodegenError`] for unsupported degrees/moduli or if the
-    /// working set would not fit the addressable VDM.
-    pub(crate) fn emit(
-        n: usize,
-        q: u128,
-        direction: Direction,
-        style: CodegenStyle,
-    ) -> Result<Self, CodegenError> {
+    /// Returns [`CodegenError`] for unsupported degrees/moduli.
+    pub(crate) fn schedule(n: usize, q: u128) -> Result<PeaseSchedule, CodegenError> {
         if n < 2 * VECTOR_LEN || !n.is_power_of_two() {
             return Err(CodegenError::UnsupportedDegree(n));
         }
-        let schedule = PeaseSchedule::new(n, q)?;
-        let stages = schedule.stages();
+        Ok(PeaseSchedule::new(n, q)?)
+    }
+
+    /// Emits a transform in `direction` from `schedule`
+    /// ([`Ntt::schedule`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError`] if the working set would not fit the
+    /// addressable VDM.
+    pub(crate) fn emit(
+        schedule: &PeaseSchedule,
+        direction: Direction,
+        style: CodegenStyle,
+    ) -> Result<Self, CodegenError> {
+        let (n, stages) = (schedule.degree(), schedule.stages());
         let twiddle_counts: Vec<usize> = (0..stages)
             .map(|s| ((1usize << s) / VECTOR_LEN).max(1))
             .collect();
@@ -90,10 +99,7 @@ impl Ntt {
             Direction::Inverse => e.emit_inverse(style != CodegenStyle::Unoptimized),
         }
         let Emitter {
-            program,
-            layout,
-            schedule,
-            ..
+            program, layout, ..
         } = e;
         let twiddles = (0..stages)
             .flat_map(|s| match direction {
@@ -108,7 +114,7 @@ impl Ntt {
             output: layout.output_offset,
             twiddle_at: layout.twiddle_bases[0],
             twiddles,
-            sdm: [schedule.n_inv(), q],
+            sdm: [schedule.n_inv(), schedule.modulus().value()],
         })
     }
 
@@ -121,10 +127,10 @@ impl Ntt {
 
 /// The state of one NTT's emission.
 #[derive(Debug)]
-struct Emitter {
+struct Emitter<'s> {
     program: Program,
     layout: KernelLayout,
-    schedule: PeaseSchedule,
+    schedule: &'s PeaseSchedule,
     direction: Direction,
     style: CodegenStyle,
 }
@@ -162,7 +168,7 @@ impl RegPool {
     }
 }
 
-impl Emitter {
+impl Emitter<'_> {
     // ------------------------------------------------------------------
     // emission helpers
     // ------------------------------------------------------------------

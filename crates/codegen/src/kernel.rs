@@ -170,9 +170,9 @@ impl KernelKey {
 /// A specification of one RPU workload: a pure value that knows its
 /// [`KernelKey`] and how to generate the corresponding [`Kernel`].
 ///
-/// The trait is object-safe so heterogeneous workloads can be batched
-/// (`&[&dyn KernelSpec]`); see `RpuSession::run_batch` in the `rpu`
-/// facade crate.
+/// The trait is object-safe so heterogeneous workloads can be held as
+/// one batch (`&[&dyn KernelSpec]`), each run through `RpuSession::run`
+/// in the `rpu` facade crate.
 pub trait KernelSpec {
     /// The cache identity of the kernel this spec generates.
     fn key(&self) -> KernelKey;
@@ -561,7 +561,7 @@ impl KernelSpec for NttSpec {
             direction,
             style,
         } = *self;
-        let ntt = Ntt::emit(n, q, direction, style)?;
+        let ntt = Ntt::emit(&Ntt::schedule(n, q)?, direction, style)?;
         let mut program = Program::new(format!("ntt{n}x{VECTOR_LEN}_{direction}_{style}"));
         push_segment(&mut program, &ntt.program, style, &[0]);
         let sdm = ntt.sdm();

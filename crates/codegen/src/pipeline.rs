@@ -76,8 +76,9 @@ impl KernelSpec for ConvolutionSpec {
 
     fn generate(&self) -> Result<Kernel, CodegenError> {
         let ConvolutionSpec { n, q, style } = *self;
-        let fwd = Ntt::emit(n, q, Direction::Forward, style)?;
-        let inv = Ntt::emit(n, q, Direction::Inverse, style)?;
+        let schedule = Ntt::schedule(n, q)?;
+        let fwd = Ntt::emit(&schedule, Direction::Forward, style)?;
+        let inv = Ntt::emit(&schedule, Direction::Inverse, style)?;
         let (region_b, region_inv) = (fwd.window, 2 * fwd.window);
         let total = region_inv + inv.window;
         check_working_set(total)?;

@@ -85,7 +85,7 @@ impl KernelSpec for RescaleSpec {
             // p must be invertible mod q for the scale stage to exist.
             return Err(CodegenError::Schedule(rpu_ntt::NttError::InvalidModulus));
         }
-        let fwd = Ntt::emit(n, q, Direction::Forward, style)?;
+        let fwd = Ntt::emit(&Ntt::schedule(n, q)?, Direction::Forward, style)?;
         let w = fwd.window;
         // Regions above the NTT window; each stage reads and writes
         // disjoint ranges so the list scheduler stays honest.

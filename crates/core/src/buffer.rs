@@ -86,7 +86,9 @@ pub enum BufferError {
     },
     /// Zero-length allocations are rejected.
     ZeroLength,
-    /// The handle was freed, or belongs to a different session.
+    /// The handle was freed, or belongs to a different session (another
+    /// lane of a cluster included): buffer ids are global and never
+    /// reused, so no other heap can mistake it for one of its own.
     StaleHandle {
         /// The offending handle's id.
         id: u64,
@@ -111,16 +113,6 @@ pub enum BufferError {
         required: usize,
         /// Workspace capacity in elements.
         capacity: usize,
-    },
-    /// A buffer resident on one cluster lane was used on another; lanes
-    /// are separate devices, so handles never travel between them.
-    ForeignLane {
-        /// The offending handle's id.
-        id: u64,
-        /// The lane the buffer lives on.
-        owner: usize,
-        /// The lane the operation targeted.
-        used_on: usize,
     },
 }
 
@@ -155,11 +147,6 @@ impl core::fmt::Display for BufferError {
                 f,
                 "kernel working set of {required} elements exceeds the session \
                  workspace of {capacity}"
-            ),
-            BufferError::ForeignLane { id, owner, used_on } => write!(
-                f,
-                "device buffer {id} is resident on lane {owner} but was used on \
-                 lane {used_on}; lanes do not share memory"
             ),
         }
     }

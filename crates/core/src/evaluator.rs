@@ -38,14 +38,14 @@
 //! Not part of the supported API: the module is public only so
 //! `rpu-serve` can reach it.
 
-use crate::buffer::{BufferError, DeviceBuffer};
+use crate::buffer::DeviceBuffer;
 use crate::lanes::{LaneJob, RpuCluster};
 use crate::recipes::{self, LaneKernels, Temps};
 use crate::run::Rpu;
 use crate::session::RpuSession;
 use crate::RpuError;
 use rpu_arith::gadget_decompose;
-use rpu_codegen::{AutomorphismSpec, CodegenStyle, ConvolutionSpec, Kernel, RescaleSpec};
+use rpu_codegen::{AutomorphismSpec, CodegenStyle, Kernel, RescaleSpec};
 use rpu_ntt::leveled::{LeveledContext, LeveledError, NoiseBudget};
 use rpu_ntt::rlwe::{Ciphertext, KeySwitchKey, SecretKey, Splitmix};
 use rpu_ntt::{Domain, Polynomial};
@@ -71,10 +71,10 @@ pub type Pick = fn(&LaneKernels) -> &Arc<Kernel>;
 /// | `Single` (`rpu-serve`'s lane threads) | lane 0, both | lane 0 | in order on the one lane |
 ///
 /// With two component lanes the two dispatches of a per-component step
-/// land on different devices and overlap; the tensor's cross terms then
-/// need the payloads replicated onto the mask lane, and decryption moves
-/// `â ⊙ ŝ` to the payload lane — the placement's only cross-lane traffic
-/// besides the key switch's fold.
+/// land on different devices and overlap; encryption then moves `â` to
+/// the mask lane, the tensor's cross terms need the payloads replicated
+/// onto it, and decryption moves `â ⊙ ŝ` to the payload lane — the
+/// placement's only cross-lane traffic besides the key switch's fold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Mask on lane 0, payload on lane `1 % lanes`; key material
@@ -335,10 +335,10 @@ impl<'r, 'a> Ops<'r, 'a> {
 
     /// Encrypts host-sampled randomness per tower under the resident
     /// secret key `sk`: `b̂ = â ⊙ ŝ ⊕ payload̂` runs entirely on the
-    /// tower's payload lane. When the mask lane is another, the mask is
-    /// uploaded there too (replicating host-known coefficients is cheaper
-    /// than a cross-lane move) and the payload lane's working copy goes
-    /// back with the op's temps.
+    /// tower's payload lane. When the mask lane is another, the payload
+    /// lane's `â` crosses to it over the host link ([`carry`](Ops::carry):
+    /// the mask is transformed once) and the payload lane's working copy
+    /// goes back with the op's temps.
     ///
     /// # Errors
     ///
@@ -357,8 +357,7 @@ impl<'r, 'a> Ops<'r, 'a> {
             let b = t.hold(recipes::apply(w, &k.pwmul, &[a, sk[1][l]])?); // â ⊙ ŝ
             w.dispatch(&k.pwadd, &[b, p], &[b])?; // ⊕ p̂
             if la != lb {
-                let (w, k) = ops.at(la, l);
-                a = t.hold(recipes::upload_eval(w, k, &masks[l])?);
+                a = t.hold(ops.carry(a, lb, la)?);
             }
             Ok([a, b])
         })
@@ -723,31 +722,6 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
     /// Mutable access to the cluster (lane sessions, buffer migration).
     pub fn cluster_mut(&mut self) -> &mut RpuCluster<'a> {
         &mut self.cluster
-    }
-
-    /// Lane 0's session (cache statistics, manual buffer work for
-    /// [`convolve`](Self::convolve) operands).
-    pub fn session(&mut self) -> &mut RpuSession<'a> {
-        self.cluster.lane_session(0)
-    }
-
-    /// Kernels dispatched so far, across every lane.
-    pub fn dispatch_count(&self) -> u64 {
-        self.cluster.total_dispatches()
-    }
-
-    /// Total simulated on-RPU time of every dispatch so far, in
-    /// microseconds — the *sequential-equivalent* cost. Dispatches on
-    /// different lanes overlap; [`makespan_us`](Evaluator::makespan_us)
-    /// is the overlapped completion time.
-    pub fn simulated_us(&self) -> f64 {
-        self.cluster.total_busy_us()
-    }
-
-    /// The busiest lane's simulated time, in microseconds — what the
-    /// multi-lane deployment actually takes.
-    pub fn makespan_us(&self) -> f64 {
-        self.cluster.makespan_us()
     }
 
     /// The gadget digit base exponent key-switch keys are generated
@@ -1178,7 +1152,7 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
     }
 
     /// Restores the underlying cluster to a snapshotted state
-    /// ([`RpuCluster::restore_all_replacing`](crate::RpuCluster::restore_all_replacing)):
+    /// ([`RpuCluster::restore_all`](crate::RpuCluster::restore_all)):
     /// ciphertext and key handles captured at snapshot time become valid
     /// again, and buffers created after the snapshot become stale on
     /// their lane. Host-side state (contexts, keys, noise trackers,
@@ -1189,32 +1163,6 @@ impl<'a, Ct: Resident> Evaluator<'a, Ct> {
     /// [`RpuError::Snapshot`] for corrupt bytes or a cluster mismatch;
     /// the evaluator is unchanged on error.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
-        self.cluster.restore_all_replacing(bytes)
-    }
-
-    /// The full negacyclic polynomial product `a ·_neg b` modulo `q_0`
-    /// over resident *coefficient-domain* buffers, as one fused kernel
-    /// dispatch (forward NTT ×2 → pointwise multiply → inverse NTT) —
-    /// the dataflow of a ciphertext–ciphertext multiplication (Fig. 1).
-    /// The dispatch runs on whichever lane holds the operands (the
-    /// kernel is compiled there on first use); operands on different
-    /// lanes are rejected ([`BufferError::ForeignLane`]) rather than
-    /// silently moved.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError`] on stale or cross-lane handles, heap
-    /// exhaustion, or a dispatch fault.
-    pub fn convolve(
-        &mut self,
-        a: &DeviceBuffer,
-        b: &DeviceBuffer,
-    ) -> Result<DeviceBuffer, RpuError> {
-        let stale = RpuError::Buffer(BufferError::StaleHandle { id: a.id() });
-        let lane = self.cluster.locate(a).ok_or(stale)?;
-        self.cluster.check_residency(lane, &[*b])?;
-        let spec = ConvolutionSpec::new(self.ctx.n(), self.chain().prime(0), self.style);
-        let conv = self.cluster.compile_on(lane, &spec)?;
-        recipes::apply(self.cluster.lane_session(lane), &conv, &[*a, *b])
+        self.cluster.restore_all(bytes)
     }
 }

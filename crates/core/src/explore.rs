@@ -58,33 +58,6 @@ pub fn explore_design_space(
     Ok(points)
 }
 
-/// Convenience: the full paper sweep (7 × 4 configurations) for `n`.
-///
-/// # Errors
-///
-/// Returns [`RpuError`] if kernel generation fails.
-pub fn paper_sweep(n: usize) -> Result<Vec<DesignPoint>, RpuError> {
-    explore_design_space(n, &PAPER_HPLES, &PAPER_BANKS)
-}
-
-/// Runs one `(HPLEs, banks)` configuration for an `n`-point NTT.
-///
-/// # Errors
-///
-/// Returns [`RpuError`] on invalid configuration or generation failure.
-pub fn evaluate_point(n: usize, hples: usize, banks: usize) -> Result<DesignPoint, RpuError> {
-    let rpu = Rpu::new(RpuConfig::with_geometry(hples, banks))?;
-    let run = rpu
-        .session()
-        .ntt(n, Direction::Forward, CodegenStyle::Optimized)?;
-    Ok(DesignPoint {
-        hples,
-        banks,
-        runtime_us: run.runtime_us,
-        area_mm2: rpu.area().total(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,10 +11,10 @@
 //!   functional simulator and lifetime accounting
 //!   ([`RpuSession::stats`]), modeling `k` RPU dies fed by one host.
 //!   Lanes share the cluster's [`PrimeTable`] and the `Rpu`'s
-//!   [`KernelStore`](crate::KernelStore), and the cluster looks up
-//!   which lane's heap a buffer lives on so a handle used on the wrong
-//!   lane fails fast ([`BufferError::ForeignLane`]) instead of
-//!   corrupting a foreign heap.
+//!   [`KernelStore`](crate::KernelStore). Buffer ids are global and
+//!   never reused, so a handle used on the wrong lane is one that
+//!   lane's heap has never held: it fails as
+//!   [`BufferError::StaleHandle`] instead of corrupting a foreign heap.
 //!   Its one concurrency primitive is [`RpuCluster::on_lanes`]: a
 //!   closure runs once per lane on that lane's own scoped OS thread
 //!   while the calling thread runs the host's side;
@@ -52,15 +52,15 @@
 
 use crate::buffer::{BufferError, DeviceBuffer, TransferStats};
 use crate::recipes::Temps;
-use crate::run::{Rpu, RunReport};
-use crate::session::{CacheStats, LaneStats, PrimeTable, RpuSession};
+use crate::run::Rpu;
+use crate::session::{LaneStats, PrimeTable, RpuSession};
 use crate::snapshot::{self, SnapshotError};
 use crate::trace::DispatchEvent;
 use crate::RpuError;
-use rpu_codegen::{CodegenStyle, ConvolutionSpec, Kernel, KernelSpec};
+use rpu_codegen::{CodegenStyle, ConvolutionSpec};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// One generic unit of work for [`RpuCluster::run_jobs`]: runs on
@@ -167,9 +167,10 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///
 /// Created by [`Rpu::cluster`] (the [`RpuBuilder::lanes`] count) or
 /// [`Rpu::cluster_with`] (explicit count). Lanes are separate devices:
-/// buffers never travel between them, and the cluster rejects a handle
-/// used on the wrong lane with [`BufferError::ForeignLane`] before it
-/// can touch a foreign heap.
+/// buffers never travel between them, and a lane's session refuses a
+/// handle its heap never held ([`BufferError::StaleHandle`]). Per-lane
+/// work goes through [`lane_session`](RpuCluster::lane_session), and
+/// per-lane accounting is [`stats`](RpuCluster::stats)`()[lane]`.
 ///
 /// [`RpuBuilder::lanes`]: crate::RpuBuilder::lanes
 #[derive(Debug)]
@@ -212,10 +213,9 @@ impl<'a> RpuCluster<'a> {
 
     /// One lane's session, driven synchronously from the calling
     /// thread — the same session a lane thread gets under
-    /// [`on_lanes`](RpuCluster::on_lanes), so whatever is uploaded,
-    /// dispatched or downloaded through it lands in
-    /// [`lane_stats`](RpuCluster::lane_stats). The cluster's own
-    /// per-lane methods are thin calls through it.
+    /// [`on_lanes`](RpuCluster::on_lanes), so whatever is allocated,
+    /// uploaded, compiled, dispatched or downloaded through it lands in
+    /// [`stats`](RpuCluster::stats)`()[lane]`.
     ///
     /// # Panics
     ///
@@ -229,53 +229,6 @@ impl<'a> RpuCluster<'a> {
     /// global and never reused, so at most one lane answers.)
     pub fn locate(&self, buf: &DeviceBuffer) -> Option<usize> {
         self.lanes.iter().position(|lane| lane.owns(buf))
-    }
-
-    /// Rejects buffers that are known to live on a different lane.
-    pub(crate) fn check_residency(
-        &self,
-        lane: usize,
-        bufs: &[DeviceBuffer],
-    ) -> Result<(), RpuError> {
-        for buf in bufs {
-            if let Some(owner) = self.locate(buf) {
-                if owner != lane {
-                    return Err(BufferError::ForeignLane {
-                        id: buf.id(),
-                        owner,
-                        used_on: lane,
-                    }
-                    .into());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Allocates `len` elements on `lane`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn alloc_on(&mut self, lane: usize, len: usize) -> Result<DeviceBuffer, RpuError> {
-        self.lanes[lane].alloc(len)
-    }
-
-    /// Uploads `data` into a fresh buffer on `lane`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] when the lane's heap is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn upload_to(&mut self, lane: usize, data: &[u128]) -> Result<DeviceBuffer, RpuError> {
-        self.lanes[lane].upload(data)
     }
 
     /// Downloads a buffer from whichever lane owns it.
@@ -330,7 +283,7 @@ impl<'a> RpuCluster<'a> {
             return Ok(buf);
         }
         let data = self.download(&buf)?;
-        let moved = self.upload_to(to, &data)?;
+        let moved = self.lanes[to].upload(&data)?;
         if let Err(e) = self.free(buf) {
             // Never leak the copy when the source release fails: roll
             // the destination back and surface the original error.
@@ -340,109 +293,9 @@ impl<'a> RpuCluster<'a> {
         Ok(moved)
     }
 
-    /// Copies a buffer to another lane over the host link **without**
-    /// freeing the source — the replication primitive ciphertext
-    /// operations use when both lanes need the same operand (lanes share
-    /// no memory). Same-lane replication produces an independent copy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] for stale handles or an exhausted
-    /// target heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is out of range.
-    pub fn replicate(&mut self, buf: &DeviceBuffer, to: usize) -> Result<DeviceBuffer, RpuError> {
-        let data = self.download(buf)?;
-        self.upload_to(to, &data)
-    }
-
-    /// The kernel for `spec` on `lane`, from the `Rpu`'s kernel store:
-    /// generated and verified once against the golden model however
-    /// many lanes ask, as one program is loaded onto `k` devices. The
-    /// request counts on `lane`'s [`cache_stats`](RpuCluster::cache_stats).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError`] if generation fails or verification faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn compile_on<S: KernelSpec + ?Sized>(
-        &mut self,
-        lane: usize,
-        spec: &S,
-    ) -> Result<Arc<Kernel>, RpuError> {
-        self.lanes[lane].compile(spec)
-    }
-
-    /// Dispatches a compiled kernel on `lane` over that lane's resident
-    /// buffers, with per-lane accounting. Buffers known to live on a
-    /// different lane are rejected with [`BufferError::ForeignLane`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RpuError::Buffer`] for foreign or stale handles and
-    /// shape mismatches, [`RpuError::Exec`] if the program faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn dispatch_on(
-        &mut self,
-        lane: usize,
-        kernel: &Arc<Kernel>,
-        inputs: &[DeviceBuffer],
-        outputs: &[DeviceBuffer],
-    ) -> Result<RunReport, RpuError> {
-        self.check_residency(lane, inputs)?;
-        self.check_residency(lane, outputs)?;
-        self.lanes[lane].dispatch(kernel, inputs, outputs)
-    }
-
-    /// One lane's lifetime accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_stats(&self, lane: usize) -> LaneStats {
-        self.lanes[lane].stats()
-    }
-
     /// Every lane's lifetime accounting.
     pub fn stats(&self) -> Vec<LaneStats> {
         self.lanes.iter().map(RpuSession::stats).collect()
-    }
-
-    /// One lane's kernel counters (its first request for a key is its
-    /// miss).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn cache_stats(&self, lane: usize) -> CacheStats {
-        self.lanes[lane].cache_stats()
-    }
-
-    /// Live device buffers on `lane` — what the lane is holding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn live_buffers(&self, lane: usize) -> usize {
-        self.lanes[lane].live_buffers()
-    }
-
-    /// The word width `lane`'s simulator stores its elements in
-    /// ([`RpuSession::lane_bits`]): 64 or 128.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn lane_bits(&self, lane: usize) -> u32 {
-        self.lanes[lane].lane_bits()
     }
 
     /// The busiest lane's total simulated time, in microseconds — the
@@ -479,31 +332,12 @@ impl<'a> RpuCluster<'a> {
         snapshot::encode_cluster(&owners, &lanes)
     }
 
-    /// Restores every lane from a cluster snapshot. Refuses while any
-    /// lane still has live buffers — use
-    /// [`restore_all_replacing`](RpuCluster::restore_all_replacing) to
-    /// swap state out from under live handles atomically.
-    ///
-    /// # Errors
-    ///
-    /// [`RpuError::Snapshot`] — [`SnapshotError::LiveBuffers`] when any
-    /// lane has live allocations, plus every failure
-    /// [`restore_all_replacing`](RpuCluster::restore_all_replacing) can
-    /// return. The cluster is unchanged on error.
-    pub fn restore_all(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
-        let live: usize = self.lanes.iter().map(RpuSession::live_buffers).sum();
-        if live > 0 {
-            return Err(SnapshotError::LiveBuffers { live }.into());
-        }
-        self.restore_all_replacing(bytes)
-    }
-
-    /// Restores every lane from a cluster snapshot even if lanes have
-    /// live buffers: every lane is prepared (decoded, geometry-checked,
-    /// kernels regenerated) before *any* lane is mutated, so a
-    /// multi-lane restore is all-or-nothing. Buffers allocated after
-    /// the snapshot become stale on their lane (never double-freed);
-    /// handles held since the snapshot keep resolving.
+    /// Restores every lane from a cluster snapshot, live buffers or
+    /// not: every lane is prepared (decoded, geometry-checked, kernels
+    /// fetched) before *any* lane is mutated, so a multi-lane restore
+    /// is all-or-nothing. Buffers allocated after the snapshot become
+    /// stale on their lane (never double-freed); handles held since the
+    /// snapshot keep resolving.
     ///
     /// # Errors
     ///
@@ -511,7 +345,7 @@ impl<'a> RpuCluster<'a> {
     /// (including a placement map that disagrees with the lane heaps),
     /// a lane-count or geometry mismatch, or a kernel that cannot be
     /// rebuilt. The cluster is unchanged on error.
-    pub fn restore_all_replacing(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
+    pub fn restore_all(&mut self, bytes: &[u8]) -> Result<(), RpuError> {
         let (owners, lane_bytes) = snapshot::decode_cluster(bytes)?;
         if lane_bytes.len() != self.lanes.len() {
             return Err(SnapshotError::LaneCountMismatch {
@@ -767,7 +601,7 @@ mod tests {
         let rpu = Rpu::builder().lanes(3).build().unwrap();
         let mut c = rpu.cluster();
         assert_eq!(c.lane_count(), 3);
-        let x = c.upload_to(0, &vec![7u128; 64]).unwrap();
+        let x = c.lane_session(0).upload(&vec![7u128; 64]).unwrap();
         assert_eq!(c.locate(&x), Some(0));
         assert_eq!(c.lane_session(0).device_mem_in_use(), 64);
         assert_eq!(c.lane_session(1).device_mem_in_use(), 0);
@@ -781,7 +615,7 @@ mod tests {
         let rpu = Rpu::builder().lanes(2).build().unwrap();
         let mut c = rpu.cluster();
         let data: Vec<u128> = (0..256).collect();
-        let x = c.upload_to(0, &data).unwrap();
+        let x = c.lane_session(0).upload(&data).unwrap();
         let y = c.migrate(x, 1).unwrap();
         assert_eq!(c.locate(&y), Some(1));
         assert_eq!(c.download(&y).unwrap(), data);

@@ -157,7 +157,7 @@ mod trace;
 
 pub use buffer::{BufferAllocator, BufferError, DeviceBuffer, TransferStats};
 pub use evaluator::{DeviceKeySwitchKey, Evaluator};
-pub use explore::{evaluate_point, explore_design_space, paper_sweep, PAPER_BANKS, PAPER_HPLES};
+pub use explore::{explore_design_space, PAPER_BANKS, PAPER_HPLES};
 pub use lanes::{ClusterRunReport, LaneJob, RpuCluster};
 pub use leveled::{DeviceLeveledCiphertext, LeveledEvaluator};
 pub use rlwe::{DeviceCiphertext, RlweEvaluator};

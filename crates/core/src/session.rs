@@ -889,16 +889,6 @@ impl<'a> RpuSession<'a> {
         Ok(report)
     }
 
-    /// Runs a heterogeneous batch of specs in order, returning one
-    /// report per spec. Duplicate specs within the batch are hits.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error; prior successful runs are discarded.
-    pub fn run_batch(&mut self, specs: &[&dyn KernelSpec]) -> Result<Vec<RunReport>, RpuError> {
-        specs.iter().map(|spec| self.run(*spec)).collect()
-    }
-
     /// Convenience: run an NTT with the session's default prime for `n`.
     ///
     /// # Errors
@@ -977,31 +967,11 @@ impl<'a> RpuSession<'a> {
     /// ids, offsets, and lengths — handles held since the snapshot keep
     /// resolving).
     ///
-    /// Refuses to run while this session still has live buffers, so a
-    /// handle can never silently outlive the state it pointed into; use
-    /// [`restore_replacing`](RpuSession::restore_replacing) to swap
-    /// state out from under live handles atomically.
-    ///
-    /// # Errors
-    ///
-    /// [`RpuError::Snapshot`] — [`SnapshotError::LiveBuffers`] when the
-    /// session has live allocations, or any decode/geometry/kernel-
-    /// rebuild failure (see [`SnapshotError`]). The session is
-    /// unchanged on error.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<Vec<DeviceBuffer>, RpuError> {
-        let live = self.live_buffers();
-        if live > 0 {
-            return Err(SnapshotError::LiveBuffers { live }.into());
-        }
-        self.restore_replacing(bytes)
-    }
-
-    /// Restores the session to a snapshotted state even if it has live
-    /// buffers: the entire device state (heap map included) is replaced
-    /// in one step, every buffer allocated after the snapshot becomes
-    /// stale (its id is absent from the restored heap, so use returns
-    /// [`BufferError::StaleHandle`] — never a double free), and ids are
-    /// never recycled. Returns handles to the snapshot's live buffers.
+    /// Live buffers are no obstacle: the entire device state (heap map
+    /// included) is replaced in one step, every buffer allocated after
+    /// the snapshot becomes stale (its id is absent from the restored
+    /// heap, so use returns [`BufferError::StaleHandle`] — never a
+    /// double free), and ids are never recycled.
     ///
     /// All fallible work (decode, geometry checks, fetching the kernels)
     /// happens before any mutation, so the session is unchanged on
@@ -1011,8 +981,8 @@ impl<'a> RpuSession<'a> {
     ///
     /// [`RpuError::Snapshot`] for corrupt or future-version bytes, a
     /// geometry mismatch with this session, or a kernel that cannot be
-    /// built.
-    pub fn restore_replacing(&mut self, bytes: &[u8]) -> Result<Vec<DeviceBuffer>, RpuError> {
+    /// built (see [`SnapshotError`]).
+    pub fn restore(&mut self, bytes: &[u8]) -> Result<Vec<DeviceBuffer>, RpuError> {
         let prepared = self.prepare_restore(bytes)?;
         Ok(self.apply_restore(prepared))
     }

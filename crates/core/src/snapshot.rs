@@ -62,14 +62,6 @@ pub enum SnapshotError {
     /// endianness marker, wrong kind, missing section, malformed heap
     /// map, …).
     Corrupt(String),
-    /// `restore` was called on a session that still has live device
-    /// buffers; freeing them implicitly would invite double frees. Free
-    /// them first, or use the replacing restore, which atomically
-    /// invalidates them.
-    LiveBuffers {
-        /// Live buffers in the target session.
-        live: usize,
-    },
     /// A cluster snapshot's lane count does not match the target
     /// cluster.
     LaneCountMismatch {
@@ -109,11 +101,6 @@ impl core::fmt::Display for SnapshotError {
                 write!(f, "snapshot truncated while decoding {section}")
             }
             SnapshotError::Corrupt(detail) => write!(f, "snapshot is corrupt: {detail}"),
-            SnapshotError::LiveBuffers { live } => write!(
-                f,
-                "session still has {live} live device buffer(s); free them first or \
-                 use the replacing restore"
-            ),
             SnapshotError::LaneCountMismatch { snapshot, cluster } => write!(
                 f,
                 "cluster snapshot has {snapshot} lane(s) but the target cluster has \

@@ -1275,7 +1275,9 @@ pub fn serve<R>(
         },
     );
     let result = out?;
-    let resident_buffers = (0..lanes).map(|l| cluster.live_buffers(l)).collect();
+    let resident_buffers = (0..lanes)
+        .map(|l| cluster.lane_session(l).live_buffers())
+        .collect();
     let st = core.lock();
     let tenants = st.tenants.iter().map(TenantState::summary).collect();
     Ok((

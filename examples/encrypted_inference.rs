@@ -207,9 +207,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- accounting -----------------------------------------------
-    let dispatches = eval.dispatch_count();
-    let us = eval.simulated_us();
-    let makespan = eval.makespan_us();
+    let cluster = eval.cluster();
+    let dispatches = cluster.total_dispatches();
+    let us = cluster.total_busy_us();
+    let makespan = cluster.makespan_us();
     println!(
         "workload traffic: {dispatches} kernel dispatches, {us:.2} us simulated RPU time;\n\
          {lanes}-lane makespan: {makespan:.2} us ({:.2}x overlap)",

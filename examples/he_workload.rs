@@ -66,10 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Accounting: the whole workload was served by six stored kernel
     // shapes; everything after compilation is dispatch traffic over
     // resident buffers.
-    let dispatches = eval.dispatch_count();
-    let us = eval.simulated_us();
-    let makespan = eval.makespan_us();
-    let stats = eval.session().cache_stats();
+    let cluster = eval.cluster();
+    let dispatches = cluster.total_dispatches();
+    let us = cluster.total_busy_us();
+    let makespan = cluster.makespan_us();
+    let lane0 = eval.cluster_mut().lane_session(0);
+    let stats = lane0.cache_stats();
     println!(
         "\nworkload traffic: {dispatches} kernel dispatches, {us:.2} us simulated \
          RPU time ({:.2} us per dispatch);\n\
@@ -80,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         us / makespan,
         stats.misses,
         stats.entries,
-        eval.session().device_mem_in_use(),
+        lane0.device_mem_in_use(),
     );
     Ok(())
 }

@@ -108,9 +108,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("rotate-and-accumulate over steps {steps:?} verified after on-RPU decryption");
 
     // --- accounting -----------------------------------------------
-    let dispatches = eval.dispatch_count();
-    let us = eval.simulated_us();
-    let makespan = eval.makespan_us();
+    let cluster = eval.cluster();
+    let dispatches = cluster.total_dispatches();
+    let us = cluster.total_busy_us();
+    let makespan = cluster.makespan_us();
     println!(
         "\nworkload traffic: {dispatches} kernel dispatches, {us:.2} us simulated RPU time;\n\
          {lanes}-lane makespan: {makespan:.2} us ({:.2}x overlap)",

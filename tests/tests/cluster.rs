@@ -4,10 +4,11 @@
 //! that keep handle misuse an error instead of heap corruption.
 
 use rpu::arith::find_ntt_prime_chain;
+use rpu::ntt::Ntt128Plan;
 use rpu::recipes::LaneKernels;
 use rpu::{
-    BufferError, CodegenStyle, Direction, ElementwiseOp, ElementwiseSpec, KernelSpec, LaneJob,
-    NttSpec, Rpu, RpuError, RpuSession,
+    BufferError, CodegenStyle, ConvolutionSpec, Direction, ElementwiseOp, ElementwiseSpec,
+    KernelSpec, LaneJob, NttSpec, Rpu, RpuError, RpuSession,
 };
 use std::sync::{mpsc, Barrier, Mutex};
 use std::time::Duration;
@@ -49,48 +50,46 @@ fn an_explicit_lane_count_out_of_range_is_an_error_not_a_panic() {
 
 #[test]
 fn cross_lane_handles_error_not_corrupt() {
+    // Lanes are separate devices and buffer ids are global and never
+    // reused, so a lane's session has never held another lane's handle:
+    // its heap refuses it before the dispatch touches any device state
+    // or counter.
     let n = 1024usize;
     let rpu = Rpu::builder().lanes(2).build().unwrap();
     let mut c = rpu.cluster();
     let q = c.primes_for(n).unwrap();
-    let kernel = c.compile_on(1, &mul_spec(n, q)).unwrap();
+    let kernel = c.lane_session(1).compile(&mul_spec(n, q)).unwrap();
 
-    let x0 = c.upload_to(0, &vec![3u128; n]).unwrap(); // lane 0
-    let x1 = c.upload_to(1, &vec![5u128; n]).unwrap(); // lane 1
-    let y1 = c.alloc_on(1, n).unwrap();
+    let x0 = c.lane_session(0).upload(&vec![3u128; n]).unwrap();
+    let y0 = c.lane_session(0).alloc(n).unwrap();
+    let x1 = c.lane_session(1).upload(&vec![5u128; n]).unwrap();
+    let y1 = c.lane_session(1).upload(&vec![7u128; n]).unwrap();
+    let lane0 = c.lane_session(0).snapshot();
+    let stats1 = c.stats()[1];
 
-    // A lane-0 input buffer on a lane-1 dispatch must error…
-    let err = c.dispatch_on(1, &kernel, &[x0, x1], &[y1]).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            RpuError::Buffer(BufferError::ForeignLane {
-                owner: 0,
-                used_on: 1,
-                ..
-            })
-        ),
-        "got {err}"
-    );
-    // …as must a foreign output buffer.
-    let y0 = c.alloc_on(0, n).unwrap();
-    assert!(matches!(
-        c.dispatch_on(1, &kernel, &[x1, x1], &[y0]),
-        Err(RpuError::Buffer(BufferError::ForeignLane { .. }))
-    ));
-    // Lane 1's data was never touched by the failed dispatches.
-    assert_eq!(c.download(&x1).unwrap(), vec![5u128; n]);
-    // The same handles dispatched on their own lane still work.
-    let report = c.dispatch_on(1, &kernel, &[x1, x1], &[y1]).unwrap();
+    // A lane-0 input, then a lane-0 output, on a lane-1 dispatch.
+    let foreign_input = c.lane_session(1).dispatch(&kernel, &[x0, x1], &[y1]);
+    let foreign_output = c.lane_session(1).dispatch(&kernel, &[x1, x1], &[y0]);
+    for (err, id) in [(foreign_input, x0.id()), (foreign_output, y0.id())] {
+        assert!(
+            matches!(err, Err(RpuError::Buffer(BufferError::StaleHandle { id: got })) if got == id),
+            "got {err:?}"
+        );
+    }
+    // Lane 1's counters and data, and lane 0's state, are untouched.
+    assert_eq!(c.stats()[1], stats1);
+    assert_eq!(c.lane_session(1).download(&x1).unwrap(), vec![5u128; n]);
+    assert_eq!(c.lane_session(1).download(&y1).unwrap(), vec![7u128; n]);
+    assert_eq!(c.lane_session(0).snapshot(), lane0);
+    assert_eq!(c.download(&x0).unwrap(), vec![3u128; n]);
+
+    // The same kernel over lane 1's own handles still runs.
+    let report = c
+        .lane_session(1)
+        .dispatch(&kernel, &[x1, x1], &[y1])
+        .unwrap();
     assert!(report.verified);
     assert_eq!(c.download(&y1).unwrap(), vec![25u128; n]);
-
-    // Raw lane sessions enforce the same isolation (globally-unique
-    // handle ids): lane 1's session has never heard of a lane-0 buffer.
-    assert!(matches!(
-        c.lane_session(1).download(&x0),
-        Err(RpuError::Buffer(BufferError::StaleHandle { .. }))
-    ));
 }
 
 #[test]
@@ -104,8 +103,8 @@ fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
     let rpu = Rpu::builder().lanes(2).build().unwrap();
     let mut c = rpu.cluster();
     let q = c.primes_for(n).unwrap();
-    let kernel = c.compile_on(1, &mul_spec(n, q)).unwrap();
-    let buf = c.upload_to(0, &data).unwrap();
+    let kernel = c.lane_session(1).compile(&mul_spec(n, q)).unwrap();
+    let buf = c.lane_session(0).upload(&data).unwrap();
     assert_eq!(c.locate(&buf), Some(0));
     c.on_lanes(
         |w| {
@@ -115,21 +114,22 @@ fn a_buffer_freed_by_a_pool_job_is_gone_from_the_placement_map() {
         },
         || (),
     );
-    assert_eq!(c.live_buffers(0), 0);
+    assert_eq!(c.lane_session(0).live_buffers(), 0);
     assert_eq!(c.locate(&buf), None);
 
     // Identical device state, identical bytes: a second cluster that
     // made and freed the same buffer through the cluster API alone.
     let mut fresh = rpu.cluster();
-    fresh.compile_on(1, &mul_spec(n, q)).unwrap();
-    let twin = fresh.upload_to(0, &data).unwrap();
+    fresh.lane_session(1).compile(&mul_spec(n, q)).unwrap();
+    let twin = fresh.lane_session(0).upload(&data).unwrap();
     fresh.free(twin).unwrap();
     assert_eq!(c.snapshot_all(), fresh.snapshot_all());
 
-    let other = c.upload_to(1, &data).unwrap();
-    let out = c.alloc_on(1, n).unwrap();
+    let other = c.lane_session(1).upload(&data).unwrap();
+    let out = c.lane_session(1).alloc(n).unwrap();
     let err = c
-        .dispatch_on(1, &kernel, &[other, buf], &[out])
+        .lane_session(1)
+        .dispatch(&kernel, &[other, buf], &[out])
         .unwrap_err();
     assert!(
         matches!(err, RpuError::Buffer(BufferError::StaleHandle { id }) if id == buf.id()),
@@ -179,7 +179,7 @@ fn traffic_through_a_lane_session_is_that_lanes_traffic() {
     let mut c = rpu.cluster();
     let q = c.primes_for(n).unwrap();
     let spec = mul_spec(n, q);
-    let kernel = c.compile_on(1, &spec).unwrap();
+    let kernel = c.lane_session(1).compile(&spec).unwrap();
     assert_eq!(c.lane_session(1).lane_index(), 1);
 
     let s = c.lane_session(1);
@@ -190,15 +190,15 @@ fn traffic_through_a_lane_session_is_that_lanes_traffic() {
     let (_, one_shot) = s
         .run_with(&spec, &[&vec![2u128; n], &vec![5u128; n]])
         .unwrap();
-    let outside = c.lane_stats(1);
+    let outside = c.stats()[1];
     assert_eq!(outside, c.lane_session(1).stats());
     assert_eq!(outside.lane, 1);
     assert_eq!(outside.dispatches, 2);
     assert_eq!(outside.cycles, direct.stats.cycles + one_shot.stats.cycles);
     assert_eq!(outside.transfer.host_to_device, 3 * n);
     assert_eq!(outside.transfer.device_to_host, 2 * n);
-    assert_eq!(c.lane_stats(0).dispatches, 0);
-    assert_eq!(c.lane_stats(0).transfer.host_elements(), 0);
+    assert_eq!(c.stats()[0].dispatches, 0);
+    assert_eq!(c.stats()[0].transfer.host_elements(), 0);
     assert_eq!(c.total_dispatches(), 2);
 
     // Inside a run: lane 1 dispatches once more over the resident
@@ -219,7 +219,7 @@ fn traffic_through_a_lane_session_is_that_lanes_traffic() {
     assert_eq!(inside.transfer.device_to_host, n);
     assert_eq!(report.per_lane[0].dispatches, 0);
     assert_eq!(report.transfer.host_elements(), n);
-    let total = c.lane_stats(1);
+    let total = c.stats()[1];
     assert_eq!(total.dispatches, outside.dispatches + inside.dispatches);
     assert_eq!(total.transfer.device_to_host, 3 * n);
 }
@@ -233,7 +233,7 @@ fn a_panicking_lane_is_contained_and_reported() {
     let rpu = Rpu::builder().lanes(2).build().unwrap();
     let mut c = rpu.cluster();
     let q = c.primes_for(n).unwrap();
-    let kernel = c.compile_on(0, &mul_spec(n, q)).unwrap();
+    let kernel = c.lane_session(0).compile(&mul_spec(n, q)).unwrap();
     let ((), report) = c.on_lanes(
         |w| {
             if w.lane_index() == 1 {
@@ -287,9 +287,9 @@ fn failed_migrate_leaks_nothing() {
         .unwrap();
     let mut c = rpu.cluster();
     let data: Vec<u128> = (0..1024).collect();
-    let src = c.upload_to(0, &data).unwrap();
+    let src = c.lane_session(0).upload(&data).unwrap();
     // Exhaust lane 1 completely.
-    let hog = c.upload_to(1, &vec![7u128; 4096]).unwrap();
+    let hog = c.lane_session(1).upload(&vec![7u128; 4096]).unwrap();
     let err = c.migrate(src, 1).unwrap_err();
     assert!(
         matches!(err, RpuError::Buffer(BufferError::OutOfMemory { .. })),
@@ -309,24 +309,6 @@ fn failed_migrate_leaks_nothing() {
     assert_eq!(c.locate(&moved), Some(1));
     assert_eq!(c.download(&moved).unwrap(), data);
     assert_eq!(c.lane_session(0).device_mem_in_use(), 0);
-}
-
-#[test]
-fn replicate_copies_without_consuming_the_source() {
-    let rpu = Rpu::builder().lanes(2).build().unwrap();
-    let mut c = rpu.cluster();
-    let data: Vec<u128> = (0..256).collect();
-    let src = c.upload_to(0, &data).unwrap();
-    let copy = c.replicate(&src, 1).unwrap();
-    assert_eq!(c.locate(&src), Some(0));
-    assert_eq!(c.locate(&copy), Some(1));
-    assert_eq!(c.download(&src).unwrap(), data);
-    assert_eq!(c.download(&copy).unwrap(), data);
-    // same-lane replication is an independent copy, not an alias
-    let twin = c.replicate(&src, 0).unwrap();
-    assert_ne!(twin.id(), src.id());
-    c.free(src).unwrap();
-    assert_eq!(c.download(&twin).unwrap(), data);
 }
 
 #[test]
@@ -455,27 +437,38 @@ fn executor_failure_surfaces_not_hangs() {
 }
 
 #[test]
-fn evaluator_convolve_rejects_split_operands() {
-    // RlweEvaluator::convolve over buffers on different lanes must
-    // refuse rather than silently migrate or corrupt.
-    use rpu::ntt::rlwe::RlweParams;
+fn a_convolution_over_split_operands_is_refused() {
+    // A fused negacyclic product over operands on different lanes is
+    // refused by the dispatching lane rather than silently migrated or
+    // computed over a foreign heap; co-resident operands work on either
+    // lane.
     let n = 1024usize;
     let rpu = Rpu::builder().lanes(2).build().unwrap();
-    let q = rpu.session().primes_for(n).unwrap();
-    let mut eval =
-        rpu::RlweEvaluator::new(&rpu, RlweParams { n, q, t: 65537 }, CodegenStyle::Optimized)
-            .unwrap();
-    let data = vec![1u128; n];
-    let da = eval.cluster_mut().upload_to(0, &data).unwrap();
-    let db = eval.cluster_mut().upload_to(1, &data).unwrap();
+    let mut c = rpu.cluster();
+    let q = c.primes_for(n).unwrap();
+    let spec = ConvolutionSpec::new(n, q, CodegenStyle::Optimized);
+    let a: Vec<u128> = (0..n as u128).map(|i| (i * 31 + 7) % q).collect();
+    let b: Vec<u128> = (0..n as u128).map(|i| (i * 17 + 3) % q).collect();
+    let want = Ntt128Plan::new(n, q).unwrap().negacyclic_mul(&a, &b);
+    let da = c.lane_session(0).upload(&a).unwrap();
+    let db = c.lane_session(1).upload(&b).unwrap();
+    let conv = c.lane_session(0).compile(&spec).unwrap();
+    let out = c.lane_session(0).alloc(n).unwrap();
     assert!(matches!(
-        eval.convolve(&da, &db),
-        Err(RpuError::Buffer(BufferError::ForeignLane { .. }))
+        c.lane_session(0).dispatch(&conv, &[da, db], &[out]),
+        Err(RpuError::Buffer(BufferError::StaleHandle { id })) if id == db.id()
     ));
-    // co-resident operands work, on either lane
-    let db0 = eval.cluster_mut().upload_to(0, &data).unwrap();
-    let out = eval.convolve(&da, &db0).unwrap();
-    assert_eq!(eval.cluster_mut().download(&out).unwrap().len(), n);
+    for lane in [0, 1] {
+        let w = c.lane_session(lane);
+        let conv = w.compile(&spec).unwrap();
+        let (x, y, z) = (
+            w.upload(&a).unwrap(),
+            w.upload(&b).unwrap(),
+            w.alloc(n).unwrap(),
+        );
+        w.dispatch(&conv, &[x, y], &[z]).unwrap();
+        assert_eq!(w.download(&z).unwrap(), want, "lane {lane}");
+    }
 }
 
 #[test]
@@ -512,11 +505,11 @@ fn multi_lane_evaluator_matches_host_rlwe() {
     assert_eq!(eval.decrypt(&ct).unwrap(), msg);
 
     // both lanes actually carried dispatches
-    let s0 = eval.cluster().lane_stats(0);
-    let s1 = eval.cluster().lane_stats(1);
+    let cluster = eval.cluster();
+    let [s0, s1] = [0, 1].map(|l| cluster.stats()[l]);
     assert!(s0.dispatches > 0 && s1.dispatches > 0);
     // overlap: the busiest lane is strictly cheaper than the sum
-    assert!(eval.makespan_us() < eval.simulated_us());
+    assert!(cluster.makespan_us() < cluster.total_busy_us());
 }
 
 /// Builds `LaneKernels` for `(n, q)` on every lane of a fresh 4-lane
@@ -547,7 +540,7 @@ fn compile_everywhere(concurrently: bool) {
     let store = rpu.kernel_store();
     assert_eq!((store.generated(), store.verified()), (6, 6));
     for lane in 0..4 {
-        let st = c.cache_stats(lane);
+        let st = c.lane_session(lane).cache_stats();
         assert_eq!((st.misses, st.hits, st.entries), (6, 0, 6), "lane {lane}");
     }
 }
@@ -611,7 +604,10 @@ fn a_restore_on_the_same_rpu_builds_nothing() {
     assert_eq!(rpu.kernel_store().generated(), 6);
     assert_eq!(twin.snapshot_all(), snap);
     assert_eq!(
-        (twin.cache_stats(1).misses, twin.cache_stats(1).entries),
+        (
+            twin.lane_session(1).cache_stats().misses,
+            twin.lane_session(1).cache_stats().entries
+        ),
         (0, 6)
     );
 }

@@ -174,7 +174,7 @@ proptest! {
                 0 | 1 => {
                     let data = test_data(len, seed ^ i as u64);
                     let lane = (sel / 4) as usize % 2;
-                    if let Ok(buf) = c.upload_to(lane, &data) {
+                    if let Ok(buf) = c.lane_session(lane).upload(&data) {
                         live.push((buf, data));
                     }
                 }

@@ -125,8 +125,8 @@ fn rlwe_evaluator_mul_and_rotate() {
         let hx = host.encrypt(&sk, &m1, &mut host_rng);
         let hy = host.encrypt(&sk, &m2, &mut host_rng);
 
-        let live = |e: &RlweEvaluator<'_>| (0..2).map(|l| e.cluster().live_buffers(l)).collect();
-        let before: Vec<usize> = live(&eval);
+        let live = |e: &mut RlweEvaluator<'_>| live(e.cluster_mut());
+        let before: Vec<usize> = live(&mut eval);
         let mut outcome = Outcome::Fit;
         let ops = [
             (unless_oom(eval.mul(&x, &y)), host.mul(&rk, &hx, &hy)),
@@ -147,7 +147,7 @@ fn rlwe_evaluator_mul_and_rotate() {
         }
         Probe {
             outcome,
-            live: [before, live(&eval)],
+            live: [before, live(&mut eval)],
         }
     });
 }
@@ -179,8 +179,8 @@ fn leveled_evaluator_mul_rescale() {
         let hx = host.encrypt(&sk, &m1, &mut host_rng);
         let hy = host.encrypt(&sk, &m2, &mut host_rng);
 
-        let live = |e: &LeveledEvaluator<'_>| (0..2).map(|l| e.cluster().live_buffers(l)).collect();
-        let before: Vec<usize> = live(&eval);
+        let live = |e: &mut LeveledEvaluator<'_>| live(e.cluster_mut());
+        let before: Vec<usize> = live(&mut eval);
         let outcome = match unless_oom(eval.mul_rescale(&x, &y)) {
             None => Outcome::OpOom,
             Some(dev) => {
@@ -196,7 +196,7 @@ fn leveled_evaluator_mul_rescale() {
         };
         Probe {
             outcome,
-            live: [before, live(&eval)],
+            live: [before, live(&mut eval)],
         }
     });
 }
@@ -290,9 +290,9 @@ fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
     let mut cluster = rpu.cluster();
     let q = cluster.primes_for(N).unwrap();
     let k = LaneKernels::compile(cluster.lane_session(0), N, q, CodegenStyle::Optimized).unwrap();
-    let filler = cluster.alloc_on(0, heap - N).unwrap();
-    let live = cluster.live_buffers(0);
-    let uploaded = |c: &rpu::RpuCluster<'_>| c.lane_stats(0).transfer.host_to_device;
+    let filler = cluster.lane_session(0).alloc(heap - N).unwrap();
+    let live = cluster.lane_session(0).live_buffers();
+    let uploaded = |c: &rpu::RpuCluster<'_>| c.stats()[0].transfer.host_to_device;
     let before = uploaded(&cluster);
 
     // No dispatch is reached, so any handle stands in for key and
@@ -301,10 +301,15 @@ fn ksw_digit_releases_the_digit_when_its_transform_does_not_fit() {
     let run = recipes::ksw_digit(cluster.lane_session(0), &message(7), [target]);
     assert!(unless_oom(run).is_none(), "d̂ cannot fit");
     assert_eq!(uploaded(&cluster), before + N, "the digit itself did fit");
-    assert_eq!(cluster.lane_stats(0).dispatches, 0);
-    assert_eq!(cluster.live_buffers(0), live, "the digit was released");
+    assert_eq!(cluster.stats()[0].dispatches, 0);
+    assert_eq!(
+        cluster.lane_session(0).live_buffers(),
+        live,
+        "the digit was released"
+    );
     cluster
-        .alloc_on(0, N)
+        .lane_session(0)
+        .alloc(N)
         .expect("its ring element is free again");
 }
 
@@ -323,9 +328,9 @@ enum KeyStage {
 }
 
 /// Every lane's live-buffer count.
-fn live(cluster: &RpuCluster<'_>) -> Vec<usize> {
+fn live(cluster: &mut RpuCluster<'_>) -> Vec<usize> {
     (0..cluster.lane_count())
-        .map(|l| cluster.live_buffers(l))
+        .map(|l| cluster.lane_session(l).live_buffers())
         .collect()
 }
 
@@ -334,7 +339,7 @@ fn live(cluster: &RpuCluster<'_>) -> Vec<usize> {
 /// count, as `lanes_live` reads it.
 fn key_call<E, T>(
     eval: &mut E,
-    lanes_live: impl Fn(&E) -> Vec<usize>,
+    lanes_live: impl Fn(&mut E) -> Vec<usize>,
     call: impl FnOnce(&mut E) -> Result<T, RpuError>,
 ) -> Option<T> {
     let before = lanes_live(eval);
@@ -383,7 +388,7 @@ fn rlwe_evaluator_key_material() {
         let host = RlweContext::new(p).unwrap();
         let (mut rng, mut host_rng) = (Splitmix::new(SEED), Splitmix::new(SEED));
         let base_log = eval.key_base_log();
-        let lanes_live = |e: &RlweEvaluator<'_>| live(e.cluster());
+        let lanes_live = |e: &mut RlweEvaluator<'_>| live(e.cluster_mut());
         if key_call(&mut eval, lanes_live, |e| e.keygen(&mut rng)).is_none() {
             let keyless = eval.encrypt(&message(1), &mut rng);
             assert!(matches!(keyless, Err(RpuError::Config(_))), "keyless");
@@ -430,7 +435,7 @@ fn leveled_evaluator_key_material() {
         let mut eval = LeveledEvaluator::new(rpu, chain(), CodegenStyle::Optimized).unwrap();
         eval.set_key_base_log(BASE_LOG).unwrap();
         let (mut rng, mut host_rng) = (Splitmix::new(SEED), Splitmix::new(SEED));
-        let lanes_live = |e: &LeveledEvaluator<'_>| live(e.cluster());
+        let lanes_live = |e: &mut LeveledEvaluator<'_>| live(e.cluster_mut());
         if key_call(&mut eval, lanes_live, |e| e.keygen(&mut rng)).is_none() {
             let keyless = eval.encrypt(&message(3), &mut rng);
             assert!(matches!(keyless, Err(RpuError::Config(_))), "keyless");

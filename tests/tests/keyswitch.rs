@@ -126,7 +126,11 @@ fn mul_and_rotate_match_host_exactly_across_lane_counts() {
         // A 126-bit modulus needs 128-bit lanes: every lane widened at
         // its first key upload or kernel image.
         for lane in 0..lanes {
-            assert_eq!(eval.cluster().lane_bits(lane), 128, "lane {lane}");
+            assert_eq!(
+                eval.cluster_mut().lane_session(lane).lane_bits(),
+                128,
+                "lane {lane}"
+            );
         }
     }
 }
@@ -281,7 +285,7 @@ fn failed_rekey_leaves_no_half_key_behind() {
     // if it frees the live old key first.
     let keyless = eval.snapshot();
     eval.keygen(&mut rng).unwrap();
-    let full = [0, 1].map(|lane| eval.cluster_mut().alloc_on(lane, 39 * n).unwrap());
+    let full = [0, 1].map(|lane| eval.cluster_mut().lane_session(lane).alloc(39 * n).unwrap());
     eval.keygen(&mut rng).unwrap();
     for buf in full {
         eval.cluster_mut().free(buf).unwrap();
@@ -292,14 +296,14 @@ fn failed_rekey_leaves_no_half_key_behind() {
     // lane 1's fails, and must roll it back.
     eval.restore(&keyless).unwrap();
     let fillers = [(0, 39 * n), (1, 40 * n)]
-        .map(|(lane, len)| eval.cluster_mut().alloc_on(lane, len).unwrap());
-    let before = eval.cluster().lane_stats(0).transfer;
+        .map(|(lane, len)| eval.cluster_mut().lane_session(lane).alloc(len).unwrap());
+    let before = eval.cluster().stats()[0].transfer;
     let rekey = eval.keygen(&mut rng);
     assert!(
         matches!(rekey, Err(RpuError::Buffer(_))),
         "re-key must exhaust the heap, got {rekey:?}"
     );
-    let after = eval.cluster().lane_stats(0).transfer;
+    let after = eval.cluster().stats()[0].transfer;
     assert_eq!(
         after.host_to_device - before.host_to_device,
         n,
@@ -309,7 +313,11 @@ fn failed_rekey_leaves_no_half_key_behind() {
         eval.cluster_mut().free(filler).unwrap();
     }
     for lane in 0..2 {
-        assert_eq!(eval.cluster().live_buffers(lane), 0, "nothing stranded");
+        assert_eq!(
+            eval.cluster_mut().lane_session(lane).live_buffers(),
+            0,
+            "nothing stranded"
+        );
     }
     assert!(matches!(
         eval.relin_keygen(&mut rng),
@@ -344,11 +352,11 @@ fn digit_jobs_spread_and_key_material_is_replicated() {
     let m = message(n, 6);
     let x = eval.encrypt(&m, &mut dev_rng).unwrap();
     let before: Vec<u64> = (0..2)
-        .map(|l| eval.cluster().lane_stats(l).dispatches)
+        .map(|l| eval.cluster().stats()[l].dispatches)
         .collect();
     let prod = eval.mul(&x, &x).unwrap();
     let after: Vec<u64> = (0..2)
-        .map(|l| eval.cluster().lane_stats(l).dispatches)
+        .map(|l| eval.cluster().stats()[l].dispatches)
         .collect();
     assert!(
         after.iter().zip(&before).all(|(a, b)| a > b),

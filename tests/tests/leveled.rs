@@ -124,7 +124,11 @@ fn depth_3_chain_is_bit_exact(lanes: usize) {
     // Keys, ciphertexts, gadget digits, rescale corrections and every
     // kernel image of a 59-bit chain fit 64 bits: no lane ever widened.
     for lane in 0..lanes {
-        assert_eq!(eval.cluster().lane_bits(lane), 64, "lane {lane}");
+        assert_eq!(
+            eval.cluster_mut().lane_session(lane).lane_bits(),
+            64,
+            "lane {lane}"
+        );
     }
 }
 
@@ -214,7 +218,7 @@ fn failed_rekey_leaves_no_half_key_behind() {
     // live old key first.
     let keyless = eval.snapshot();
     eval.keygen(&mut rng).unwrap();
-    let full = eval.cluster_mut().alloc_on(0, 12 * n).unwrap();
+    let full = eval.cluster_mut().lane_session(0).alloc(12 * n).unwrap();
     eval.keygen(&mut rng).unwrap();
     eval.cluster_mut().free(full).unwrap();
     // So lose the resident copy instead: restore the device to before
@@ -222,21 +226,25 @@ fn failed_rekey_leaves_no_half_key_behind() {
     // four towers, so the re-key uploads towers 0 and 1 before tower 2
     // fails, and must roll both back.
     eval.restore(&keyless).unwrap();
-    let filler = eval.cluster_mut().alloc_on(0, 14 * n).unwrap();
-    let before = eval.cluster().lane_stats(0).transfer;
+    let filler = eval.cluster_mut().lane_session(0).alloc(14 * n).unwrap();
+    let before = eval.cluster().stats()[0].transfer;
     let rekey = eval.keygen(&mut rng);
     assert!(
         matches!(rekey, Err(RpuError::Buffer(_))),
         "re-key must exhaust the heap, got {rekey:?}"
     );
-    let after = eval.cluster().lane_stats(0).transfer;
+    let after = eval.cluster().stats()[0].transfer;
     assert_eq!(
         after.host_to_device - before.host_to_device,
         2 * n,
         "towers 0 and 1 went up first"
     );
     eval.cluster_mut().free(filler).unwrap();
-    assert_eq!(eval.cluster().live_buffers(0), 0, "nothing stranded");
+    assert_eq!(
+        eval.cluster_mut().lane_session(0).live_buffers(),
+        0,
+        "nothing stranded"
+    );
     assert!(matches!(
         eval.relin_keygen(&mut rng),
         Err(RpuError::Config(_))
@@ -328,7 +336,7 @@ fn rescale_refuses_a_dropped_prime_not_congruent_to_one_mod_t() {
     let m = message(n, 6);
     let ct = eval.encrypt(&m, &mut rng).unwrap();
     assert_eq!(eval.decrypt(&ct).unwrap(), m);
-    let before = eval.dispatch_count();
+    let before = eval.cluster().total_dispatches();
     let refused = rpu::arith::ChainError::NotCongruentToOneModT {
         prime: primes[1],
         t: T,
@@ -337,7 +345,11 @@ fn rescale_refuses_a_dropped_prime_not_congruent_to_one_mod_t() {
         eval.rescale(&ct),
         Err(RpuError::Leveled(LeveledError::Chain(e))) if e == refused
     ));
-    assert_eq!(eval.dispatch_count(), before, "refused before any dispatch");
+    assert_eq!(
+        eval.cluster().total_dispatches(),
+        before,
+        "refused before any dispatch"
+    );
     let floor = eval.mod_drop(ct, 0).unwrap();
     assert_eq!(
         eval.decrypt(&floor).unwrap(),

@@ -44,7 +44,7 @@ fn coefficient_path(w: &mut RpuSession<'_>, k: &LaneKernels, p: &Polynomial) -> 
 /// handles.
 fn resident(w: &mut RpuSession<'_>) -> Vec<Vec<u128>> {
     let bytes = w.snapshot();
-    let live = w.restore_replacing(&bytes).unwrap();
+    let live = w.restore(&bytes).unwrap();
     let mut words: Vec<_> = live.iter().map(|b| w.download(b).unwrap()).collect();
     words.sort();
     words

@@ -5,7 +5,10 @@
 
 use rpu::ntt::rlwe::{RlweContext, RlweParams, Splitmix};
 use rpu::ntt::testutil::{schoolbook_negacyclic, test_vector};
-use rpu::{CodegenStyle, RlweEvaluator, Rpu, RpuError};
+use rpu::{
+    CodegenStyle, ConvolutionSpec, Direction, KernelOp, RingTraceSink, RlweEvaluator, Rpu, RpuError,
+};
+use std::sync::Arc;
 
 const N: usize = 1024;
 const T: u128 = 65537;
@@ -53,6 +56,59 @@ fn device_ciphertext_equals_host_ciphertext() {
     assert_eq!(downloaded.b().values(), host_ct.b().values());
     // cross decryption: host key opens the device ciphertext
     assert_eq!(host.decrypt(&sk, &downloaded), msg);
+}
+
+#[test]
+fn a_two_lane_encrypt_transforms_its_mask_once() {
+    // Under the two-lane component placement the payload lane (1)
+    // transforms mask and payload and forms b̂ = â ⊙ ŝ ⊕ p̂; the mask
+    // lane (0) receives â over the host link rather than transforming
+    // the mask a second time, and runs nothing.
+    let sink = Arc::new(RingTraceSink::new(1 << 10));
+    let rpu = Rpu::builder().lanes(2).trace(sink.clone()).build().unwrap();
+    let p = params(&rpu);
+    let mut eval = RlweEvaluator::new(&rpu, p, CodegenStyle::Optimized).unwrap();
+    let host = RlweContext::new(p).unwrap();
+    let (mut dev_rng, mut host_rng) = (Splitmix::new(0xE4C), Splitmix::new(0xE4C));
+    eval.keygen(&mut dev_rng).unwrap();
+    let host_sk = host.keygen(&mut host_rng);
+    let msg = message(9);
+
+    sink.clear();
+    let before = eval.cluster().stats();
+    let ct = eval.encrypt(&msg, &mut dev_rng).unwrap();
+    let after = eval.cluster().stats();
+    let lane_ops = |lane| {
+        let events = sink.events().into_iter().filter(move |e| e.lane == lane);
+        events
+            .map(|e| (e.key.op, e.key.direction))
+            .collect::<Vec<_>>()
+    };
+    let fwd = Direction::Forward;
+    assert_eq!(
+        lane_ops(1),
+        [
+            (KernelOp::Ntt, fwd),
+            (KernelOp::Ntt, fwd),
+            (KernelOp::PointwiseMul, fwd),
+            (KernelOp::PointwiseAdd, fwd),
+        ]
+    );
+    assert_eq!(lane_ops(0), []);
+    // Mask and payload up to lane 1, â down from it and up to lane 0.
+    let moved = |l: usize| {
+        let (a, b) = (after[l].transfer, before[l].transfer);
+        (
+            a.host_to_device - b.host_to_device,
+            a.device_to_host - b.device_to_host,
+        )
+    };
+    assert_eq!((moved(0), moved(1)), ((N, 0), (2 * N, N)));
+
+    let want = host.encrypt(&host_sk, &msg, &mut host_rng);
+    let got = eval.download_ciphertext(&ct).unwrap();
+    assert_eq!(got.a().values(), want.a().values());
+    assert_eq!(got.b().values(), want.b().values());
 }
 
 #[test]
@@ -122,10 +178,15 @@ fn ciphertext_mult_dataflow_matches_schoolbook() {
     let mut eval = RlweEvaluator::new(&rpu, p, CodegenStyle::Optimized).unwrap();
     let a = test_vector(N, p.q, 5);
     let b = test_vector(N, p.q, 6);
-    let da = eval.session().upload(&a).unwrap();
-    let db = eval.session().upload(&b).unwrap();
-    let dc = eval.convolve(&da, &db).unwrap();
-    let got = eval.session().download(&dc).unwrap();
+    let w = eval.cluster_mut().lane_session(0);
+    let conv = (w.compile(&ConvolutionSpec::new(N, p.q, CodegenStyle::Optimized))).unwrap();
+    let (da, db, dc) = (
+        w.upload(&a).unwrap(),
+        w.upload(&b).unwrap(),
+        w.alloc(N).unwrap(),
+    );
+    w.dispatch(&conv, &[da, db], &[dc]).unwrap();
+    let got = w.download(&dc).unwrap();
     let m = rpu::arith::Modulus128::new(p.q).unwrap();
     assert_eq!(got, schoolbook_negacyclic(m, &a, &b));
 }
@@ -164,7 +225,7 @@ fn evaluator_requires_keygen_and_compiles_each_shape_once() {
     let ct1 = eval.encrypt(&message(1), &mut rng).unwrap();
     let ct2 = eval.encrypt(&message(2), &mut rng).unwrap();
     let _ = eval.add(&ct1, &ct2).unwrap();
-    let stats = eval.session().cache_stats();
+    let stats = eval.cluster_mut().lane_session(0).cache_stats();
     assert_eq!(
         stats.misses, 6,
         "six kernel shapes compiled at construction, never again"

@@ -145,11 +145,12 @@ fn mixed_batch_all_verified() {
             CodegenStyle::Optimized,
         )),
     ];
-    let refs: Vec<&dyn KernelSpec> = specs.iter().map(Box::as_ref).collect();
-    let reports = session.run_batch(&refs).unwrap();
+    let reports: Vec<_> = (specs.iter())
+        .map(|spec| session.run(spec.as_ref()).unwrap())
+        .collect();
 
     assert_eq!(reports.len(), 9);
-    for (report, spec) in reports.iter().zip(&refs) {
+    for (report, spec) in reports.iter().zip(&specs) {
         assert!(
             report.verified,
             "spec {:?} must verify against its golden model",

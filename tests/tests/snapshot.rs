@@ -3,17 +3,16 @@
 //! dispatch after restore into a fresh instance, mid-pipeline restore
 //! equivalence for leveled multiply chains at 1/2/4 lanes, typed
 //! negative paths (truncation, bad magic, future versions, kind
-//! mismatch), and the live-buffer double-free pin: restore refuses
-//! while handles are live, and `restore_replacing` makes post-snapshot
-//! handles stale instead of dangling.
+//! mismatch), and the live-buffer double-free pin: restoring under
+//! live handles makes post-snapshot handles stale instead of dangling.
 
 use proptest::prelude::*;
 use rpu::ntt::rlwe::{RlweParams, Splitmix};
 use rpu::ntt::{automorphism_map, evaluation_map};
 use rpu::{
-    AutomorphismSpec, CodegenStyle, DeviceLeveledCiphertext, ElementwiseOp, ElementwiseSpec,
-    EngineKind, LeveledContext, LeveledEvaluator, RingTraceSink, RlweEvaluator, Rpu, RpuError,
-    SnapshotError,
+    AutomorphismSpec, BufferError, CodegenStyle, DeviceLeveledCiphertext, ElementwiseOp,
+    ElementwiseSpec, EngineKind, LeveledContext, LeveledEvaluator, RingTraceSink, RlweEvaluator,
+    Rpu, RpuError, SnapshotError,
 };
 use std::sync::Arc;
 
@@ -222,7 +221,7 @@ fn a_restored_image_without_its_kernels_tables_is_reloaded() {
     assert_eq!(s2.download(&out).unwrap(), want);
 
     // The same build's image is resident as it was.
-    s2.restore_replacing(&s.snapshot()).unwrap();
+    s2.restore(&s.snapshot()).unwrap();
     let report = s2.dispatch(&kernel2, &[bx], &[out]).unwrap();
     assert!(report.transfer.image_reused);
     assert_eq!(s2.download(&out).unwrap(), want);
@@ -538,34 +537,27 @@ fn geometry_mismatch_is_typed() {
 // Live-buffer safety: the double-free pin
 // ---------------------------------------------------------------------
 
-/// `restore` refuses to run under live buffers with the typed error;
-/// after freeing, the same bytes restore fine. `restore_replacing`
-/// swaps the state atomically: handles allocated after the snapshot go
-/// stale (download *and* free are typed errors — never a double free),
-/// while snapshot-time handles keep resolving.
+/// `restore` swaps the state atomically under live handles: handles
+/// allocated after the snapshot go stale (download *and* free are typed
+/// errors — never a double free), while snapshot-time handles keep
+/// resolving.
 #[test]
-fn restore_under_live_buffers_refuses_then_replacing_staleness_pins_double_free() {
+fn restore_under_live_buffers_stales_them_and_pins_double_free() {
     let rpu = Rpu::builder().build().unwrap();
     let mut s = rpu.session();
     let keep = s.upload(&test_data(500, 4)).unwrap();
     let bytes = s.snapshot();
-
-    // A handle allocated after the snapshot blocks the safe restore.
     let late = s.upload(&test_data(64, 5)).unwrap();
-    assert_eq!(
-        snap_err(s.restore(&bytes).unwrap_err()),
-        SnapshotError::LiveBuffers { live: 2 }
-    );
-    // ... and the session still works (nothing was mutated).
-    assert_eq!(s.download(&late).unwrap(), test_data(64, 5));
 
-    // The replacing restore succeeds under live handles.
-    let restored = s.restore_replacing(&bytes).unwrap();
+    let restored = s.restore(&bytes).unwrap();
     assert_eq!(restored, vec![keep]);
     // The post-snapshot handle is stale: use is a typed error, and
     // freeing it is *also* a typed error rather than a double free
     // corrupting the restored heap map.
-    assert!(matches!(s.download(&late), Err(RpuError::Buffer(_))));
+    assert!(matches!(
+        s.download(&late),
+        Err(RpuError::Buffer(BufferError::StaleHandle { .. }))
+    ));
     assert!(matches!(s.free(late), Err(RpuError::Buffer(_))));
     // The snapshot-time handle still resolves, exactly once.
     assert_eq!(s.download(&keep).unwrap(), test_data(500, 4));
@@ -573,9 +565,9 @@ fn restore_under_live_buffers_refuses_then_replacing_staleness_pins_double_free(
     assert!(matches!(s.free(keep), Err(RpuError::Buffer(_))));
     assert_eq!(s.device_mem_in_use(), 0);
 
-    // Freeing the survivors first makes the safe restore legal.
+    // With nothing live, the same bytes restore the same handle.
     let again = s.restore(&bytes).unwrap();
-    assert_eq!(again.len(), 1);
+    assert_eq!(again, vec![keep]);
     assert_eq!(s.download(&again[0]).unwrap(), test_data(500, 4));
 }
 
@@ -589,7 +581,7 @@ fn restore_never_recycles_buffer_ids() {
     let old = s.upload(&test_data(100, 6)).unwrap();
     let bytes = s.snapshot();
     let late = s.upload(&test_data(100, 7)).unwrap();
-    s.restore_replacing(&bytes).unwrap();
+    s.restore(&bytes).unwrap();
     let fresh = s.upload(&test_data(100, 8)).unwrap();
     assert_ne!(fresh, late, "fresh ids must not revive stale handles");
     assert!(matches!(s.download(&late), Err(RpuError::Buffer(_))));
@@ -610,8 +602,8 @@ fn cluster_snapshot_restores_lanes_and_ownership() {
     let mut cluster = rpu.cluster();
     let d0 = test_data(300, 10);
     let d1 = test_data(400, 11);
-    let b0 = cluster.upload_to(0, &d0).unwrap();
-    let b1 = cluster.upload_to(1, &d1).unwrap();
+    let b0 = cluster.lane_session(0).upload(&d0).unwrap();
+    let b1 = cluster.lane_session(1).upload(&d1).unwrap();
     let bytes = cluster.snapshot_all();
 
     let rpu2 = Rpu::builder().lanes(2).build().unwrap();
@@ -639,19 +631,25 @@ fn stats_survive_a_restore_and_never_reach_the_snapshot_bytes() {
     let mut cluster = rpu.cluster();
     let q = cluster.primes_for(n).unwrap();
     let spec = ElementwiseSpec::new(ElementwiseOp::AddMod, n, q, CodegenStyle::Optimized);
-    let add = cluster.compile_on(0, &spec).unwrap();
-    let x = cluster.upload_to(0, &test_data(n, 3)).unwrap();
-    cluster.upload_to(1, &test_data(n, 4)).unwrap();
-    cluster.dispatch_on(0, &add, &[x, x], &[x]).unwrap();
+    let add = cluster.lane_session(0).compile(&spec).unwrap();
+    let x = cluster.lane_session(0).upload(&test_data(n, 3)).unwrap();
+    cluster.lane_session(1).upload(&test_data(n, 4)).unwrap();
+    cluster
+        .lane_session(0)
+        .dispatch(&add, &[x, x], &[x])
+        .unwrap();
     let bytes = cluster.snapshot_all();
     let at_snapshot = cluster.stats();
 
-    let late = cluster.upload_to(1, &test_data(n, 5)).unwrap();
-    cluster.dispatch_on(0, &add, &[x, x], &[x]).unwrap();
+    let late = cluster.lane_session(1).upload(&test_data(n, 5)).unwrap();
+    cluster
+        .lane_session(0)
+        .dispatch(&add, &[x, x], &[x])
+        .unwrap();
     cluster.download(&late).unwrap();
     let before_restore = cluster.stats();
     assert_ne!(before_restore, at_snapshot);
-    cluster.restore_all_replacing(&bytes).unwrap();
+    cluster.restore_all(&bytes).unwrap();
     assert_eq!(
         cluster.stats(),
         before_restore,
@@ -670,8 +668,8 @@ fn stats_survive_a_restore_and_never_reach_the_snapshot_bytes() {
 }
 
 /// Restoring a 2-lane snapshot into a 3-lane cluster is the typed lane
-/// mismatch; restoring under live buffers is the typed refusal; a
-/// placement map that disagrees with the lane heaps is corrupt.
+/// mismatch; a placement map that disagrees with the lane heaps is
+/// corrupt; restoring under live buffers stales them on their lane.
 #[test]
 fn cluster_restore_mismatches_are_typed() {
     let rpu = Rpu::builder().lanes(2).build().unwrap();
@@ -688,11 +686,7 @@ fn cluster_restore_mismatches_are_typed() {
         }
     );
 
-    let live = cluster.upload_to(0, &test_data(50, 12)).unwrap();
-    assert_eq!(
-        snap_err(cluster.restore_all(&bytes).unwrap_err()),
-        SnapshotError::LiveBuffers { live: 1 }
-    );
+    let live = cluster.lane_session(0).upload(&test_data(50, 12)).unwrap();
 
     // The placement map is checked against the lane heaps it is derived
     // from: an entry naming a lane the buffer is not live on (1), or a
@@ -705,12 +699,17 @@ fn cluster_restore_mismatches_are_typed() {
         let mut moved = with_one.clone();
         moved[40..48].copy_from_slice(&lane.to_le_bytes());
         assert!(matches!(
-            snap_err(cluster.restore_all_replacing(&moved).unwrap_err()),
+            snap_err(cluster.restore_all(&moved).unwrap_err()),
             SnapshotError::Corrupt(_)
         ));
         assert_eq!(cluster.snapshot_all(), with_one, "unchanged on error");
     }
 
-    cluster.free(live).unwrap();
     cluster.restore_all(&bytes).unwrap();
+    assert_eq!(cluster.locate(&live), None);
+    assert!(matches!(
+        cluster.free(live),
+        Err(RpuError::Buffer(BufferError::StaleHandle { .. }))
+    ));
+    assert_eq!(cluster.snapshot_all(), bytes);
 }
