@@ -14,6 +14,9 @@
 //!   `ModArith` over their own [`Lane`] word (`u64`, `u128`), so every
 //!   algorithm that differs only by width — the host NTT plan, `pow`,
 //!   `inv`, Miller–Rabin, the simulator's fast path — is written once.
+//! * [`bfly_shoup`] — the butterfly over whole vectors of lanes, each
+//!   product through a constant's Shoup quotient; on a CPU with AVX-512
+//!   IFMA, `u128` lanes under a [`Modulus128`] run eight at a time.
 //! * NTT-friendly prime generation ([`find_ntt_prime_u128`]) and roots of
 //!   unity ([`primitive_root_of_unity`]) for twiddle tables.
 //! * [`RnsBasis`] — the Residue Number System decomposition of
@@ -40,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 
 mod bigint;
+mod butterfly;
 mod chain;
 mod engine;
 mod gadget;
@@ -52,6 +56,7 @@ mod roots;
 mod u256;
 
 pub use bigint::UBig;
+pub use butterfly::{bfly_into, bfly_shoup, shoup_products, Factors};
 pub use chain::{ChainError, ModulusChain};
 pub use engine::{Engine, EngineKind};
 pub use gadget::{gadget_decompose, gadget_levels};

@@ -50,7 +50,7 @@
 //!
 //! *Multiplying by a known constant.* When one factor `w` is fixed — a
 //! twiddle, a kernel's scalar — its Shoup quotient
-//! `w′ = ⌊w·2^128 / q⌋` ([`Modulus128::shoup`], one division, paid once)
+//! `w′ = ⌊w·2^128 / q⌋` ([`Modulus128::shoup`], paid once)
 //! turns every later product into [`Modulus128::mul_shoup`] (Shoup;
 //! Harvey, J. Symb. Comput. 2014):
 //!
@@ -66,6 +66,23 @@
 //! and `a < 2^128` keeps the loss below one. Nothing here needs `q` odd
 //! or `a` reduced: the bound holds for every `u128` factor `a` and every
 //! modulus in range, and `2q < 2^128` keeps the remainder in one word.
+//!
+//! *The quotient without a division.* `shoup` reads `w′` off the
+//! Barrett constant: with `W = w << s` (so `W·2^128/qn = w·2^128/q`,
+//! the same quotient `Q`) and `mu·qn = 2^254 − 1 − t`, `t < qn`,
+//!
+//! ```text
+//! est = ⌊W · mu / 2^126⌋             Q − 2 ≤ est ≤ Q
+//! rem = W·2^128 − est·qn             in [0, 3·qn), below 2^129
+//! w′ = est + [rem ≥ qn] + [rem ≥ 2·qn]
+//! ```
+//!
+//! *Why at most two short:* `W·mu/2^126 = W·2^128/qn − W·(t + 1)/(qn·2^126)`,
+//! and `W < qn`, `t + 1 ≤ qn < 2^127` bound the second term below 2;
+//! `mu < 2^254/qn` keeps `est` from passing `Q`. Each `[rem ≥ m]` is a
+//! borrow and an or, not a compare and a branch. Two word products
+//! replace the word-level 256/128 long division a table of quotients
+//! used to cost per constant.
 //!
 //! These two are the only products. The host NTT plan multiplies its
 //! twiddles through Shoup quotients, as the simulator's fast path does,
@@ -201,11 +218,24 @@ impl Modulus128 {
     }
 
     /// The Shoup quotient `⌊w·2^128 / q⌋` of a reduced constant `w`,
-    /// which [`mul_shoup`](Modulus128::mul_shoup) multiplies through.
+    /// which [`mul_shoup`](Modulus128::mul_shoup) multiplies through:
+    /// estimated from the Barrett constant and finished with two mask
+    /// corrections, no division (derivation in the module header).
     pub fn shoup(self, w: u128) -> u128 {
         debug_assert!(w < self.q);
-        // w < q, so the quotient fits one word.
-        U256::new(w, 0).div_rem_u128(self.q).0.lo()
+        let wn = w << self.shift;
+        // est = ⌊wn · mu / 2^126⌋, at most two short of the quotient,
+        // which is below 2^128 (w < q): so is est.
+        let x = U256::mul_wide(wn, self.mu);
+        let est = (x.hi() << 2) | (x.lo() >> 126);
+        // rem = wn·2^128 − est·qn in [0, 3·qn), below 2^129: the high
+        // word `rh` is 0 or 1.
+        let p = U256::mul_wide(est, self.qn);
+        let (rl, borrow) = 0u128.overflowing_sub(p.lo());
+        let rh = wn.wrapping_sub(p.hi()).wrapping_sub(u128::from(borrow));
+        // 1 when rem ≥ m: its high word is set, or `rl − m` does not borrow.
+        let at_least = |m: u128| rh | u128::from(!rl.overflowing_sub(m).1);
+        est + at_least(self.qn) + at_least(self.qn << 1)
     }
 
     /// `a · w mod q` for the reduced constant `w` and its quotient

@@ -26,6 +26,12 @@ pub trait Lane:
     /// Stores a value known to fit the word: any value for `u128`; for
     /// `u64` a value below 2⁶⁴ (checked in debug builds only).
     fn narrow(x: u128) -> Self;
+    /// The lanes as `u128` words: `Some` exactly when the word is
+    /// `u128`. A loop written for `u128` lanes alone (the vector
+    /// butterfly) reaches them through these two.
+    fn as_wide(lanes: &[Self]) -> Option<&[u128]>;
+    /// [`as_wide`](Lane::as_wide) for lanes to write.
+    fn as_wide_mut(lanes: &mut [Self]) -> Option<&mut [u128]>;
 }
 
 impl Lane for u64 {
@@ -38,6 +44,14 @@ impl Lane for u64 {
         debug_assert!(x <= u128::from(u64::MAX), "narrow invariant broken");
         x as u64
     }
+    #[inline]
+    fn as_wide(_: &[u64]) -> Option<&[u128]> {
+        None
+    }
+    #[inline]
+    fn as_wide_mut(_: &mut [u64]) -> Option<&mut [u128]> {
+        None
+    }
 }
 
 impl Lane for u128 {
@@ -48,6 +62,14 @@ impl Lane for u128 {
     #[inline]
     fn narrow(x: u128) -> u128 {
         x
+    }
+    #[inline]
+    fn as_wide(lanes: &[u128]) -> Option<&[u128]> {
+        Some(lanes)
+    }
+    #[inline]
+    fn as_wide_mut(lanes: &mut [u128]) -> Option<&mut [u128]> {
+        Some(lanes)
     }
 }
 

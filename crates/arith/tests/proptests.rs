@@ -123,6 +123,26 @@ proptest! {
     }
 
     #[test]
+    fn mod128_shoup_is_exact_division(bits in 2u32..128, r in any::<u128>(), rw in any::<u128>()) {
+        // `shoup` estimates from the Barrett constant and corrects by
+        // masks; its reference is the long division it replaced. Each
+        // case draws a modulus of a random width, one below 2^64 and one
+        // above 2^126.
+        let moduli = [
+            (r >> (128 - bits)).max(2),
+            u128::from(r as u64).max(2),
+            (1 << 126) | (r & ((1 << 126) - 1)),
+        ];
+        for q in moduli {
+            let m = Modulus128::new(q).expect("2 <= q < 2^127");
+            for w in [0, 1, q / 2, q - 1, rw % q] {
+                let expect = U256::new(w, 0).div_rem_u128(q).0;
+                prop_assert_eq!(U256::from(m.shoup(w)), expect, "q={} w={}", q, w);
+            }
+        }
+    }
+
+    #[test]
     fn add_sub_neg_are_exact_at_every_width(r in any::<u128>(),
                                             (sa, ra) in (0u8..8, any::<u128>()),
                                             (sb, rb) in (0u8..8, any::<u128>())) {

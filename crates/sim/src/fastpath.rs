@@ -28,7 +28,10 @@
 //!
 //! On both engines a factor that is a known constant multiplies through
 //! its Shoup quotient instead (`mul_shoup`; `docs/arith-engines.md`
-//! prices it), the other factor taken as it is stored. A `vsmulmod`
+//! prices it), the other factor taken as it is stored. A viewing `bfly`
+//! is one call of `rpu-arith`'s [`bfly_shoup`], whose AVX-512 IFMA body
+//! takes 128-bit lanes under the wide engine eight at a time on a CPU
+//! that has it; the interpreter stays scalar. A `vsmulmod`
 //! computes its scalar's quotient once per instruction. A vector
 //! register gets the quotients of its lanes by *viewing* a kernel's
 //! constant table ([`Views`]): a unit `vload` or a `vbroadcast` whose
@@ -68,7 +71,9 @@
 
 use crate::constants::{on_words, ConstantTables, Tables, Words};
 use crate::func::{shuffle_into, Engines, ExecError, ShuffleKind, Store};
-use rpu_arith::{Engine, Lane, ModArith, Modulus128, Modulus64};
+use rpu_arith::{
+    bfly_into, bfly_shoup, shoup_products, Engine, Factors, Lane, ModArith, Modulus128, Modulus64,
+};
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, SReg, VReg};
 
@@ -124,45 +129,6 @@ fn map_into<W: Lane, X: Lane>(out: &mut [W], a: &[W], f: impl Fn(W) -> X) {
     for (o, &x) in out.iter_mut().zip(a) {
         *o = W::narrow(f(x).widen());
     }
-}
-
-/// The butterfly, lane by lane: `sum = a + prod` and `diff = a − prod`
-/// for the canonical products `prods`.
-#[inline]
-fn bfly_into<A: ModArith, W: Lane>(
-    m: A,
-    a: &[W],
-    prods: impl Iterator<Item = A::Word>,
-    (sum, diff): (&mut [W], &mut [W]),
-) {
-    let outs = sum.iter_mut().zip(diff.iter_mut());
-    for (((s, d), &a), prod) in outs.zip(a).zip(prods) {
-        let a = m.canon(a);
-        *s = W::narrow(m.add(a, prod).widen());
-        *d = W::narrow(m.sub(a, prod).widen());
-    }
-}
-
-/// The factors of a product by a viewed register under `A`: the other
-/// source's lanes `x`, the viewed lanes `w`, and `w`'s quotients `wq`.
-type Factors<'a, W, A> = (&'a [W], &'a [W], &'a [<A as ModArith>::Word]);
-
-/// `x · w` lane by lane, `w` multiplied through its quotients `wq`.
-/// The loops over it, like every view lookup, stay out of line
-/// (`#[inline(never)]` below): inlined into `fast_op` they moved the
-/// narrow arms' code and slowed them.
-fn shoup_products<'a, A: ModArith, W: Lane>(
-    m: A,
-    f: Factors<'a, W, A>,
-) -> impl Iterator<Item = A::Word> + 'a {
-    let lanes = f.0.iter().zip(f.1).zip(f.2);
-    lanes.map(move |((&x, &w), &wq)| m.mul_shoup(x, m.canon(w), wq))
-}
-
-/// [`bfly_into`] with the product taken through `w`'s quotients.
-#[inline(never)]
-fn bfly_shoup<A: ModArith, W: Lane>(m: A, a: &[W], f: Factors<W, A>, outs: (&mut [W], &mut [W])) {
-    bfly_into(m, a, shoup_products(m, f), outs);
 }
 
 /// `out = x · w` through `w`'s quotients.
@@ -911,6 +877,36 @@ mod tests {
             assert!(viewed(&fast, 0), "q={q}");
             // The store of v0 must write back the original unreduced values.
             assert_eq!(fast.read_vdm(1024, 512).unwrap(), huge);
+        }
+    }
+
+    /// The vector butterfly against the interpreter: a viewing `bfly` under a
+    /// 126-bit modulus with one unreduced lane of `a` (`vs`) in the
+    /// middle of an 8-lane chunk, then one with an unreduced lane of
+    /// the viewed twiddle (`vt1`): each such chunk takes the scalar
+    /// loop, the rest the vector body where the CPU has one, and the
+    /// words must be the interpreter's.
+    #[test]
+    fn an_unreduced_lane_in_a_vector_butterfly_matches_the_oracle() {
+        let program = "vload v0, [a0 + 0], unit\n\
+                       vload v1, [a0 + 2048], unit\n\
+                       vload v2, [a0 + 2560], unit\n\
+                       bfly v3, v4, v1, v2, v0, m0\n\
+                       vstore v3, [a0 + 4096], unit\n\
+                       vstore v4, [a0 + 4608], unit\n";
+        for (unreduced, at) in [(Q126 + 5, 2048 + 83), (u128::MAX, 83)] {
+            let (mut interp, mut fast) = table_pair(Q126);
+            for sim in [&mut interp, &mut fast] {
+                if at < 1024 {
+                    let mut values = table_values(Q126, 1024);
+                    values[at] = unreduced;
+                    attach(sim, Q126, 0, &values);
+                } else {
+                    sim.write_vdm(at, &[unreduced]).unwrap();
+                }
+            }
+            run_both(&mut interp, &mut fast, program);
+            assert!(viewed(&fast, 0), "v0 views the table");
         }
     }
 
