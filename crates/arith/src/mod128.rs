@@ -157,6 +157,13 @@ impl Modulus128 {
         self.q
     }
 
+    /// The Barrett pass's constants `(s, qn, mu)`, for the vector body
+    /// that repeats it eight lanes at a time.
+    #[inline]
+    pub(crate) const fn barrett_constants(self) -> (u32, u128, u128) {
+        (self.shift, self.qn, self.mu)
+    }
+
     /// Reduces an arbitrary `u128` into `[0, q)`.
     ///
     /// Inputs are usually already reduced (the simulators keep register

